@@ -3,14 +3,13 @@
 
 Quantifies what securing the runtime costs, in two layers:
 
-* **codec vs legacy pickle** — encode/decode wall time and wire size for
+* **wire codec** — encode/decode wall time and wire size for
   representative frame payloads (mesh share vectors, result tables, small
   control frames), measured in-process;
 * **plaintext vs mutual TLS** — end-to-end session latency over a slice of
-  the differential corpus, one warm session each, with the TLS run also
-  forcing ``REPRO_WIRE_PICKLE=0`` (codec-only frames — the multi-host
-  deployment posture).  Both runs must stay byte-identical to the simulated
-  runtime; the script asserts it, so a divergence fails the job.
+  the differential corpus, one warm session each.  Both runs must stay
+  byte-identical to the simulated runtime; the script asserts it, so a
+  divergence fails the job.
 
 Emits ``BENCH_tls.json`` (or the path given as the first argument).
 
@@ -22,8 +21,6 @@ Run with::
 from __future__ import annotations
 
 import json
-import os
-import pickle
 import statistics
 import sys
 import tempfile
@@ -64,11 +61,10 @@ def codec_payloads() -> dict[str, object]:
 
 
 def bench_codec() -> dict:
-    """Pickle-vs-codec size and wall-time deltas per payload kind."""
+    """Codec size and encode/decode wall time per payload kind."""
     results = {}
     for name, payload in codec_payloads().items():
         codec_blob = encode_payload(payload)
-        pickle_blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
         def timed(fn):
             samples = []
@@ -81,14 +77,8 @@ def bench_codec() -> dict:
 
         results[name] = {
             "codec_bytes": len(codec_blob),
-            "pickle_bytes": len(pickle_blob),
-            "size_ratio_codec_over_pickle": round(len(codec_blob) / len(pickle_blob), 3),
             "codec_encode_us": timed(lambda: encode_payload(payload)),
             "codec_decode_us": timed(lambda: decode_payload(codec_blob)),
-            "pickle_encode_us": timed(
-                lambda: pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            ),
-            "pickle_decode_us": timed(lambda: pickle.loads(pickle_blob)),
         }
     return results
 
@@ -104,35 +94,26 @@ def bench_sessions(num_plans: int) -> dict:
         simulated = QueryRunner([PARTY_A, PARTY_B], inputs, config, seed=3).run(compiled)
         plans.append((plan, spec, compiled, inputs, simulated))
 
-    def run(label: str, security, env: dict[str, str]) -> dict:
-        saved = {k: os.environ.get(k) for k in env}
-        os.environ.update(env)
-        try:
-            t0 = time.perf_counter()
-            with cc.QuerySession(
-                [PARTY_A, PARTY_B], config=config, seed=3, security=security
-            ) as session:
-                open_wall = time.perf_counter() - t0
-                per_plan = []
-                for plan, spec, compiled, inputs, simulated in plans:
-                    t1 = time.perf_counter()
-                    result = session.submit(compiled, inputs=inputs)
-                    wall = time.perf_counter() - t1
-                    if (
-                        result.outputs["out"] != simulated.outputs["out"]
-                        or result.mpc_profile != simulated.mpc_profile
-                    ):
-                        raise AssertionError(
-                            f"plan {plan} (seed {spec['seed']}): {label} run diverged "
-                            f"from the simulated runtime"
-                        )
-                    per_plan.append(round(wall, 4))
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+    def run(label: str, security) -> dict:
+        t0 = time.perf_counter()
+        with cc.QuerySession(
+            [PARTY_A, PARTY_B], config=config, seed=3, security=security
+        ) as session:
+            open_wall = time.perf_counter() - t0
+            per_plan = []
+            for plan, spec, compiled, inputs, simulated in plans:
+                t1 = time.perf_counter()
+                result = session.submit(compiled, inputs=inputs)
+                wall = time.perf_counter() - t1
+                if (
+                    result.outputs["out"] != simulated.outputs["out"]
+                    or result.mpc_profile != simulated.mpc_profile
+                ):
+                    raise AssertionError(
+                        f"plan {plan} (seed {spec['seed']}): {label} run diverged "
+                        f"from the simulated runtime"
+                    )
+                per_plan.append(round(wall, 4))
         return {
             "session_open_seconds": round(open_wall, 4),
             "per_plan_seconds": per_plan,
@@ -142,11 +123,11 @@ def bench_sessions(num_plans: int) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="bench-tls-certs-") as cert_dir:
         security = TransportSecurity.dev([PARTY_A, PARTY_B], cert_dir)
-        plaintext = run("plaintext", None, {})
-        secured = run("tls", security, {"REPRO_WIRE_PICKLE": "0"})
+        plaintext = run("plaintext", None)
+        secured = run("tls", security)
     return {
-        "plaintext_pickle_enabled": plaintext,
-        "tls_pickle_disabled": secured,
+        "plaintext": plaintext,
+        "tls": secured,
         "tls_overhead_ratio": round(
             secured["total_query_seconds"] / max(plaintext["total_query_seconds"], 1e-9), 3
         ),
@@ -161,7 +142,7 @@ def main() -> None:
         "benchmark": "tls",
         "parties": [PARTY_A, PARTY_B],
         "num_plans": num_plans,
-        "codec_vs_pickle": bench_codec(),
+        "codec": bench_codec(),
         "sessions": bench_sessions(num_plans),
     }
     with open(out_path, "w") as fh:

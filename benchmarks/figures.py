@@ -107,14 +107,14 @@ def _single_operator_query(op: str, total_records: int, parties, single_owner: b
         ]
         combined = ctx.concat(tables) if len(tables) > 1 else tables[0]
         if op == "sum":
-            out = combined.aggregate("total", cc.SUM, over="value")
+            out = combined.aggregate(aggs={"total": cc.SUM("value")})
         elif op == "project":
             out = combined.project(["key"])
         elif op == "join":
             probe = ctx.new_table(
                 "probe", KV_COLUMNS, at=owners[0], estimated_rows=per_party
             )
-            out = combined.join(probe, left=["key"], right=["key"])
+            out = combined.join(probe, on="key")
         else:
             raise ValueError(f"unknown microbenchmark operator {op!r}")
         out.collect("out", to=[parties[0]])
@@ -205,7 +205,7 @@ def _two_relation_join_query(per_party: int, trust, public: bool):
     with QueryContext() as ctx:
         left = ctx.new_table("left", schema, at=PB, estimated_rows=per_party)
         right = ctx.new_table("right", schema, at=PC, estimated_rows=per_party)
-        joined = left.join(right, left=["key"], right=["key"])
+        joined = left.join(right, on="key")
         joined.collect("out", to=[PB])
     return ctx
 
@@ -215,7 +215,7 @@ def _grouped_agg_query(per_party: int, trust):
     with QueryContext() as ctx:
         t1 = ctx.new_table("t1", schema, at=PB, estimated_rows=per_party)
         t2 = ctx.new_table("t2", schema, at=PC, estimated_rows=per_party)
-        agg = ctx.concat([t1, t2]).aggregate("total", cc.SUM, group=["key"], over="value")
+        agg = ctx.concat([t1, t2]).aggregate(group=["key"], aggs={"total": cc.SUM("value")})
         agg.collect("out", to=[PB])
     return ctx
 

@@ -27,8 +27,7 @@ group-bys compute any number of aggregates in one call::
 The compiler lowers every expression into its fixed relational operator
 vocabulary before the optimisation passes run, so the cleartext/MPC/hybrid
 split (push-down, push-up, hybrid operators, sort elimination) is untouched
-by how a query was phrased.  The pre-redesign call shapes keep working and
-emit ``DeprecationWarning``.
+by how a query was phrased.
 
 Sub-packages:
 

@@ -17,6 +17,7 @@ cost estimator (:mod:`repro.core.estimator`) prices for large inputs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.core.codegen import GeneratedJob, generate_jobs
@@ -89,9 +90,14 @@ class CompiledQuery:
 
 
 def compile_query(query: Dag | QueryContext, config: CompilationConfig | None = None) -> CompiledQuery:
-    """Run the full six-stage compilation pipeline."""
+    """Run the full six-stage compilation pipeline.
+
+    ``query`` is left untouched: the rewrite passes edit operator nodes in
+    place, so they run on a private copy of the DAG and compiling a context
+    never changes what a later compile of it produces.
+    """
     config = config or CompilationConfig()
-    dag = query.build_dag() if isinstance(query, QueryContext) else query
+    dag = copy.deepcopy(query.build_dag() if isinstance(query, QueryContext) else query)
     dag.validate()
     report = CompilationReport()
 
@@ -125,6 +131,12 @@ def compile_query(query: Dag | QueryContext, config: CompilationConfig | None = 
     propagate_trust(dag)
     _apply_row_hints(dag, config)
     dag.validate()
+    # Node ids come from a process-wide counter.  Renumbering by topological
+    # position keeps that order (ids only break its ties) and makes the plan
+    # — and the codec bytes ``plan_fingerprint`` hashes — a function of the
+    # query and the config alone.
+    for position, node in enumerate(dag.topological()):
+        node.node_id = position
     subplans = partition_dag(dag)
     jobs = generate_jobs(subplans, config)
 

@@ -19,6 +19,8 @@ class Dag:
 
     def __init__(self, roots: Iterable[OpNode]):
         self.roots: list[OpNode] = list(roots)
+        #: Suffix of the next relation name a rewrite pass asks for.
+        self._fresh_names = 0
         if not self.roots:
             raise ValueError("a query DAG needs at least one input relation")
         for root in self.roots:
@@ -97,6 +99,16 @@ class Dag:
             if isinstance(node, Collect):
                 parties.update(node.recipients)
         return parties
+
+    def fresh_name(self, base: str, suffix: str) -> str:
+        """A relation name for a node a rewrite pass derives from ``base``.
+
+        Numbered per DAG, not per process, so compiling the same query twice
+        names the rewritten relations identically.
+        """
+        name = f"{base}__{suffix}_{self._fresh_names}"
+        self._fresh_names += 1
+        return name
 
     # -- validation -------------------------------------------------------------------------
 

@@ -20,8 +20,6 @@ Two families of rewrites shrink the portion of the DAG executed under MPC:
 
 from __future__ import annotations
 
-import itertools
-
 from repro.core.config import CompilationConfig
 from repro.core.dag import Dag
 from repro.core.operators import (
@@ -44,13 +42,6 @@ from repro.core.operators import (
 from repro.core.propagation import mark_mpc_frontier, propagate_ownership, propagate_trust
 from repro.core.relation import Relation
 from repro.data.schema import PUBLIC, Schema
-
-_fresh = itertools.count()
-
-
-def _fresh_name(base: str, suffix: str) -> str:
-    return f"{base}__{suffix}_{next(_fresh)}"
-
 
 # -- push-down ------------------------------------------------------------------------------------
 
@@ -107,14 +98,14 @@ def _distribute_unary(dag: Dag, concat: Concat, child: OpNode) -> None:
     per_party_nodes: list[OpNode] = []
     for parent in concat.parents:
         rel = Relation(
-            name=_fresh_name(child.out_rel.name, parent.out_rel.owner or "local"),
+            name=dag.fresh_name(child.out_rel.name, parent.out_rel.owner or "local"),
             schema=child.out_rel.schema,
             stored_with=set(parent.out_rel.stored_with),
         )
         per_party_nodes.append(_clone_unary(child, rel, parent))
 
     new_concat_rel = Relation(
-        name=_fresh_name(child.out_rel.name, "concat"),
+        name=dag.fresh_name(child.out_rel.name, "concat"),
         schema=child.out_rel.schema,
         stored_with=set(concat.out_rel.stored_with),
     )
@@ -141,7 +132,7 @@ def _split_aggregate(dag: Dag, concat: Concat, agg: Aggregate) -> None:
     partials: list[OpNode] = []
     for parent in concat.parents:
         rel = Relation(
-            name=_fresh_name(agg.out_rel.name, parent.out_rel.owner or "local"),
+            name=dag.fresh_name(agg.out_rel.name, parent.out_rel.owner or "local"),
             schema=partial_schema,
             stored_with=set(parent.out_rel.stored_with),
         )
@@ -150,14 +141,14 @@ def _split_aggregate(dag: Dag, concat: Concat, agg: Aggregate) -> None:
         )
 
     concat_rel = Relation(
-        name=_fresh_name(agg.out_rel.name, "partials"),
+        name=dag.fresh_name(agg.out_rel.name, "partials"),
         schema=partial_schema,
         stored_with=set(concat.out_rel.stored_with),
     )
     partial_concat = Concat(concat_rel, partials)
 
     secondary = Aggregate(
-        agg.out_rel.copy(_fresh_name(agg.out_rel.name, "merge")),
+        agg.out_rel.copy(dag.fresh_name(agg.out_rel.name, "merge")),
         partial_concat,
         agg.group_col,
         agg.out_name,
@@ -234,17 +225,17 @@ def push_up(dag: Dag, config: CompilationConfig) -> int:
             and len(node.children) == 1
             and not node.is_secondary
         ):
-            _rewrite_leaf_count(node, recipient)
+            _rewrite_leaf_count(dag, node, recipient)
             lifted += 1
     propagate_trust(dag)
     return lifted
 
 
-def _rewrite_leaf_count(agg: Aggregate, recipient: str) -> None:
+def _rewrite_leaf_count(dag: Dag, agg: Aggregate, recipient: str) -> None:
     """Rewrite an MPC leaf count into MPC project + cleartext count."""
     parent = agg.parent
     project_rel = Relation(
-        name=_fresh_name(agg.out_rel.name, "keys"),
+        name=dag.fresh_name(agg.out_rel.name, "keys"),
         schema=parent.out_rel.schema.project([agg.group_col]),
         stored_with=set(parent.out_rel.stored_with),
     )
@@ -252,7 +243,7 @@ def _rewrite_leaf_count(agg: Aggregate, recipient: str) -> None:
     project.is_mpc = True
 
     clear_count = Aggregate(
-        agg.out_rel.copy(_fresh_name(agg.out_rel.name, "clear_count")),
+        agg.out_rel.copy(dag.fresh_name(agg.out_rel.name, "clear_count")),
         project,
         agg.group_col,
         None,

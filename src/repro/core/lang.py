@@ -1,9 +1,9 @@
 """LINQ-style query frontend.
 
 Analysts describe a Conclave query as if all data lived in one database
-(§4.2).  Since the expression-API redesign the frontend is built around a
-small typed expression AST (:mod:`repro.core.expr`): predicates and derived
-columns are ordinary Python expressions over :func:`repro.core.expr.col` and
+(§4.2).  The frontend is built around a small typed expression AST
+(:mod:`repro.core.expr`): predicates and derived columns are ordinary Python
+expressions over :func:`repro.core.expr.col` and
 :func:`repro.core.expr.lit`::
 
     import repro as cc
@@ -29,10 +29,6 @@ encode plus a single-key ``Join`` for multi-column joins, and per-aggregate
 so the ownership/trust propagation, MPC-frontier and hybrid passes operate
 on plain relational operators and need no knowledge of the AST.
 
-The pre-redesign call shapes (``filter(col, op, value)``, ``multiply``,
-``divide``, ``join(left=…, right=…)``, ``aggregate(out, func, …)``) keep
-working as thin shims that emit a :class:`DeprecationWarning`.
-
 Query construction is safe under concurrency: the active-context stack
 lives in a :class:`contextvars.ContextVar`, so concurrent asyncio tasks (or
 threads) building queries simultaneously each see their own stack.
@@ -41,7 +37,6 @@ threads) building queries simultaneously each see their own stack.
 from __future__ import annotations
 
 import itertools
-import warnings
 from contextvars import ContextVar
 from typing import Mapping, Sequence
 
@@ -74,7 +69,6 @@ from repro.core.operators import (
     OpNode,
     Project,
     SortBy,
-    validate_comparison_op,
 )
 from repro.core.party import Party
 from repro.core.relation import Relation
@@ -97,10 +91,6 @@ AGG_FUNCS = ("sum", "count", "min", "max", "mean")
 _context_stack: ContextVar[tuple["QueryContext", ...]] = ContextVar(
     "conclave_query_contexts", default=()
 )
-
-
-def _deprecated(message: str) -> None:
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 class QueryContext:
@@ -244,13 +234,7 @@ class RelationHandle:
         rel = self._derive(name or "project", self.schema.project(resolved))
         return self._wrap(Project(rel, self.node, resolved))
 
-    def filter(
-        self,
-        predicate: Expr | str,
-        op: str | None = None,
-        value: float | None = None,
-        name: str | None = None,
-    ) -> "RelationHandle":
+    def filter(self, predicate: Expr, name: str | None = None) -> "RelationHandle":
         """Keep rows satisfying ``predicate``.
 
         ``predicate`` is an expression built from :func:`~repro.core.expr.col`
@@ -259,24 +243,43 @@ class RelationHandle:
         simple ``column <op> constant`` tests lower to a chain of ``Filter``
         operators; anything else lowers to a mask column that is filtered on
         and dropped.
-
-        The pre-redesign shape ``filter("price", ">", 0)`` still works but is
-        deprecated.
         """
-        if isinstance(predicate, Expr):
-            if op is not None or value is not None:
-                raise TypeError("filter(expr) takes no op/value arguments")
-            return self._filter_expr(predicate, name)
-        _deprecated(
-            "filter(column, op, value) is deprecated; use "
-            "filter(cc.col(column) <op> value) instead"
-        )
-        if op is None or value is None:
-            raise TypeError("the deprecated filter(column, op, value) form needs op and value")
-        validate_comparison_op(op, "filter")
-        self.schema.index_of(predicate)
-        rel = self._derive(name or "filter", self.schema)
-        return self._wrap(Filter(rel, self.node, predicate, op, value))
+        if not isinstance(predicate, Expr) or not predicate.is_boolean():
+            raise TypeError(
+                f"filter needs a predicate (a comparison or boolean combination), "
+                f"got {predicate!r}"
+            )
+        validate_columns(predicate, set(self.schema.names), "filter predicate")
+        # Partition the top-level conjuncts: column-vs-constant tests (and
+        # their negations) chain as classic Filter operators — which also
+        # shrink the row count before any expensive mask work — while only
+        # the compound remainder is materialised as a 0/1 mask column.
+        simple: list[Comparison] = []
+        compound: list[Expr] = []
+        for part in conjuncts(predicate):
+            as_simple = as_simple_comparison(part)
+            if as_simple is not None:
+                simple.append(as_simple)
+            else:
+                compound.append(part)
+
+        handle = self
+        last = len(simple) - 1
+        for i, part in enumerate(simple):
+            norm = part.normalised()
+            hint = name if (i == last and name and not compound) else "filter"
+            rel = handle._derive(hint, handle.schema)
+            handle = handle._wrap(
+                Filter(rel, handle.node, norm.left.name, norm.op, norm.right.value)
+            )
+        if not compound:
+            return handle
+        remainder = compound[0] if len(compound) == 1 else BooleanOp("and", tuple(compound))
+        original = list(handle.schema.names)
+        masked, mask_col = handle._lower_value(remainder)
+        rel = masked._derive("filter_mask", masked.schema)
+        filtered = masked._wrap(Filter(rel, masked.node, mask_col, "==", 1))
+        return filtered.project(original, name=name or "filter")
 
     def with_column(self, out_name: str, expression, name: str | None = None) -> "RelationHandle":
         """Append ``out_name`` computed by an expression over this relation.
@@ -308,20 +311,17 @@ class RelationHandle:
 
     def aggregate(
         self,
-        out_name: str | None = None,
-        func: str | None = None,
-        group: Sequence[str] | None = None,
-        over: str | None = None,
-        name: str | None = None,
         *,
-        aggs: Mapping[str, AggSpec] | None = None,
-        key_base: int | None = None,
+        group: Sequence[str] = (),
+        aggs: Mapping[str, AggSpec],
+        name: str | None = None,
+        key_base: int = COMPOSITE_KEY_BASE,
     ) -> "RelationHandle":
         """Group-by aggregation with any number of group columns and aggregates.
 
-        The expression form takes ``group`` (a list of zero or more columns)
-        and ``aggs`` (a mapping of output column name to an aggregate spec
-        built by calling an aggregation function)::
+        ``group`` lists zero or more group columns and ``aggs`` maps each
+        output column name to an aggregate spec built by calling an
+        aggregation function::
 
             rel.aggregate(group=["zip"], aggs={"total": cc.SUM("score"),
                                                "cnt": cc.COUNT()})
@@ -334,47 +334,62 @@ class RelationHandle:
         below the base (default 2**20) or distinct groups can silently
         merge.  With at most one group column no encoding happens and
         ``key_base`` is ignored.
-
-        The pre-redesign shape ``aggregate(out, func, group=[g], over=c)``
-        still works (single group column, single aggregate) but is
-        deprecated.
         """
-        if aggs is None:
-            if out_name is None or func is None:
+        group = list(group)
+        if not aggs:
+            raise ValueError("aggs must name at least one aggregate")
+        specs: dict[str, AggSpec] = {}
+        for out, spec in aggs.items():
+            if isinstance(spec, AggSpec):
+                pass
+            elif isinstance(spec, tuple):
+                spec = AggSpec(*spec)
+            elif isinstance(spec, str):
+                spec = AggSpec(spec)
+            else:
                 raise TypeError(
-                    "aggregate needs aggs={name: FUNC(col)} (or the deprecated "
-                    "positional out_name/func form)"
+                    f"aggregate spec for {out!r} must be built by calling an aggregation "
+                    f"function, e.g. cc.SUM('price') or cc.COUNT(); got {spec!r}"
                 )
-            _deprecated(
-                "aggregate(out_name, func, group=..., over=...) is deprecated; use "
-                "aggregate(group=[...], aggs={out_name: FUNC('col')})"
-            )
-            group = list(group or [])
-            if len(group) > 1:
+            if spec.func not in AGG_FUNCS:
                 raise ValueError(
-                    "the deprecated aggregate form supports a single group-by column; "
-                    "use aggregate(group=[...], aggs=...) for multi-column group-bys"
+                    f"unsupported aggregation {spec.func!r}; supported: {', '.join(AGG_FUNCS)}"
                 )
-            if key_base is not None:
-                raise TypeError("key_base applies only to the aggs=... form")
-            return self._single_aggregate(
-                out_name, str(func).lower(), group[0] if group else None, over, name
-            )
-        if out_name is not None or func is not None or over is not None:
-            raise TypeError("pass either aggs=... or the deprecated positional form, not both")
-        return self._multi_aggregate(
-            list(group or []), aggs, name, key_base or COMPOSITE_KEY_BASE
+            if out in group:
+                raise ValueError(f"aggregate output {out!r} collides with a group column")
+            specs[out] = spec
+        for g_col in group:
+            self.schema.index_of(g_col)
+        for spec in specs.values():
+            if spec.over is not None:
+                self.schema.index_of(spec.over)
+
+        if len(group) <= 1 and len(specs) == 1:
+            (out, spec), = specs.items()
+            return self._single_aggregate(out, spec.func, group[0] if group else None, spec.over, name)
+        if len(group) == 1:
+            return self._joined_aggregates(self, group[0], group, specs, name)
+        if not group:
+            return self._scalar_aggregates(specs, name)
+        # Two or more group columns: pack them into a composite key so every
+        # Aggregate (and any later hybrid rewrite) stays single-key, then
+        # recover the group columns via per-group `min` aggregates (they are
+        # constant within a group).
+        keyed, _ = self._encode_composite_key(
+            group, self.context.fresh_column(self.schema, prefix="_gk"), key_base
         )
+        key = keyed.schema.names[-1]
+        parts: dict[str, AggSpec] = {g: AggSpec("min", g) for g in group}
+        parts.update(specs)
+        return self._joined_aggregates(keyed, key, group, parts, name, project_to=group + list(specs))
 
     def join(
         self,
         other: "RelationHandle",
-        left: Sequence[str] | None = None,
-        right: Sequence[str] | None = None,
-        name: str | None = None,
         *,
-        on=None,
-        key_base: int | None = None,
+        on,
+        name: str | None = None,
+        key_base: int = COMPOSITE_KEY_BASE,
     ) -> "RelationHandle":
         """Inner equi-join with ``other``.
 
@@ -399,52 +414,14 @@ class RelationHandle:
            your key domain — ``key_base ** num_key_columns`` must fit in
            2**63, which is validated at query-build time.  With a single key
            column no encoding happens and ``key_base`` is ignored.
-
-        The pre-redesign shape ``join(other, left=["k"], right=["k"])`` still
-        works (single-column keys only) but is deprecated.
         """
-        if on is None:
-            if left is None or right is None:
-                raise TypeError("join needs on=... (or the deprecated left=/right= form)")
-            _deprecated(
-                "join(other, left=[...], right=[...]) is deprecated; use "
-                "join(other, on=...) instead"
-            )
-            left, right = list(left), list(right)
-            if len(left) != 1 or len(right) != 1:
-                raise ValueError(
-                    "the deprecated left=/right= join form supports single-column keys; "
-                    "use join(other, on=[(l1, r1), (l2, r2), ...]) for multi-column joins"
-                )
-            return self._single_join(other, left[0], right[0], name)
-        if left is not None or right is not None:
-            raise TypeError("pass either on=... or the deprecated left=/right=, not both")
         pairs = _normalise_join_keys(on)
         for l_col, r_col in pairs:
             self.schema.index_of(l_col)
             other.schema.index_of(r_col)
         if len(pairs) == 1:
             return self._single_join(other, pairs[0][0], pairs[0][1], name)
-        return self._multi_key_join(other, pairs, name, key_base or COMPOSITE_KEY_BASE)
-
-    def multiply(
-        self, out_name: str, left: str, right: str | float, name: str | None = None
-    ) -> "RelationHandle":
-        """Deprecated: use ``with_column(out_name, cc.col(left) * right)``."""
-        _deprecated(
-            "multiply(out, left, right) is deprecated; use "
-            "with_column(out, cc.col(left) * right)"
-        )
-        return self._emit_multiply(out_name, left, right, name)
-
-    def divide(
-        self, out_name: str, left: str, by: str | float, name: str | None = None
-    ) -> "RelationHandle":
-        """Deprecated: use ``with_column(out_name, cc.col(left) / by)``."""
-        _deprecated(
-            "divide(out, left, by) is deprecated; use with_column(out, cc.col(left) / by)"
-        )
-        return self._emit_divide(out_name, left, by, name)
+        return self._multi_key_join(other, pairs, name, key_base)
 
     def sort_by(self, column: str, ascending: bool = True, name: str | None = None) -> "RelationHandle":
         """Order the relation by ``column``."""
@@ -483,44 +460,6 @@ class RelationHandle:
         return self.collect(name, to)
 
     # -- expression lowering ------------------------------------------------------------------
-
-    def _filter_expr(self, predicate: Expr, name: str | None) -> "RelationHandle":
-        if not predicate.is_boolean():
-            raise TypeError(
-                f"filter needs a predicate (a comparison or boolean combination), "
-                f"got {predicate!r}"
-            )
-        validate_columns(predicate, set(self.schema.names), "filter predicate")
-        # Partition the top-level conjuncts: column-vs-constant tests (and
-        # their negations) chain as classic Filter operators — which also
-        # shrink the row count before any expensive mask work — while only
-        # the compound remainder is materialised as a 0/1 mask column.
-        simple: list[Comparison] = []
-        compound: list[Expr] = []
-        for part in conjuncts(predicate):
-            as_simple = as_simple_comparison(part)
-            if as_simple is not None:
-                simple.append(as_simple)
-            else:
-                compound.append(part)
-
-        handle = self
-        last = len(simple) - 1
-        for i, part in enumerate(simple):
-            norm = part.normalised()
-            hint = name if (i == last and name and not compound) else "filter"
-            rel = handle._derive(hint, handle.schema)
-            handle = handle._wrap(
-                Filter(rel, handle.node, norm.left.name, norm.op, norm.right.value)
-            )
-        if not compound:
-            return handle
-        remainder = compound[0] if len(compound) == 1 else BooleanOp("and", tuple(compound))
-        original = list(handle.schema.names)
-        masked, mask_col = handle._lower_value(remainder)
-        rel = masked._derive("filter_mask", masked.schema)
-        filtered = masked._wrap(Filter(rel, masked.node, mask_col, "==", 1))
-        return filtered.project(original, name=name or "filter")
 
     def _lower_value(
         self, expression: Expr, out_name: str | None = None
@@ -620,7 +559,7 @@ class RelationHandle:
         handle = self._emit_multiply(zeroed, base, 0)
         return handle._emit_map(out_name, zeroed, "+", value)
 
-    # -- single-operator emitters (shared by the shims and the lowering) ----------------------
+    # -- single-operator emitters -------------------------------------------------------------
 
     def _emit_multiply(
         self, out_name: str, left: str, right: str | float, hint: str | None = None
@@ -801,56 +740,6 @@ class RelationHandle:
         cols.append(ColumnDef(out_name, out_type))
         rel = self._derive(name or f"agg_{out_name}", Schema(cols))
         return self._wrap(Aggregate(rel, self.node, group_col, over, func, out_name))
-
-    def _multi_aggregate(
-        self, group: list[str], aggs: Mapping[str, AggSpec], name: str | None, key_base: int
-    ) -> "RelationHandle":
-        if not aggs:
-            raise ValueError("aggs must name at least one aggregate")
-        specs: dict[str, AggSpec] = {}
-        for out, spec in aggs.items():
-            if isinstance(spec, AggSpec):
-                pass
-            elif isinstance(spec, tuple):
-                spec = AggSpec(*spec)
-            elif isinstance(spec, str):
-                spec = AggSpec(spec)
-            else:
-                raise TypeError(
-                    f"aggregate spec for {out!r} must be built by calling an aggregation "
-                    f"function, e.g. cc.SUM('price') or cc.COUNT(); got {spec!r}"
-                )
-            if spec.func not in AGG_FUNCS:
-                raise ValueError(
-                    f"unsupported aggregation {spec.func!r}; supported: {', '.join(AGG_FUNCS)}"
-                )
-            if out in group:
-                raise ValueError(f"aggregate output {out!r} collides with a group column")
-            specs[out] = spec
-        for g_col in group:
-            self.schema.index_of(g_col)
-        for spec in specs.values():
-            if spec.over is not None:
-                self.schema.index_of(spec.over)
-
-        if len(group) <= 1 and len(specs) == 1:
-            (out, spec), = specs.items()
-            return self._single_aggregate(out, spec.func, group[0] if group else None, spec.over, name)
-        if len(group) == 1:
-            return self._joined_aggregates(self, group[0], group, specs, name)
-        if not group:
-            return self._scalar_aggregates(specs, name)
-        # Two or more group columns: pack them into a composite key so every
-        # Aggregate (and any later hybrid rewrite) stays single-key, then
-        # recover the group columns via per-group `min` aggregates (they are
-        # constant within a group).
-        keyed, _ = self._encode_composite_key(
-            group, self.context.fresh_column(self.schema, prefix="_gk"), key_base
-        )
-        key = keyed.schema.names[-1]
-        parts: dict[str, AggSpec] = {g: AggSpec("min", g) for g in group}
-        parts.update(specs)
-        return self._joined_aggregates(keyed, key, group, parts, name, project_to=group + list(specs))
 
     @staticmethod
     def _joined_aggregates(

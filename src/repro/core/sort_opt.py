@@ -18,8 +18,6 @@ operators (sort, aggregation, public join) establish it.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.core.config import CompilationConfig
 from repro.core.dag import Dag
 from repro.core.operators import (
@@ -39,8 +37,6 @@ from repro.core.operators import (
 )
 from repro.core.propagation import mark_mpc_frontier, propagate_ownership, propagate_trust
 from repro.core.relation import Relation
-
-_fresh_sort = itertools.count()
 
 
 def eliminate_redundant_sorts(dag: Dag, config: CompilationConfig) -> int:
@@ -134,7 +130,7 @@ def push_up_sorts(dag: Dag, config: CompilationConfig) -> int:
         owners = [p.out_rel.owner for p in concat.parents]
         if any(owner is None for owner in owners):
             continue
-        _split_sort_through_concat(sort, concat)
+        _split_sort_through_concat(dag, sort, concat)
         rewritten += 1
     if rewritten:
         propagate_ownership(dag)
@@ -143,19 +139,19 @@ def push_up_sorts(dag: Dag, config: CompilationConfig) -> int:
     return rewritten
 
 
-def _split_sort_through_concat(sort: SortBy, concat: Concat) -> None:
+def _split_sort_through_concat(dag: Dag, sort: SortBy, concat: Concat) -> None:
     """Rewrite ``sort(concat(R1..Rn))`` into ``merge(sort(R1)..sort(Rn))``."""
     per_party_sorts = []
     for parent in concat.parents:
         rel = Relation(
-            name=f"{sort.out_rel.name}__{parent.out_rel.owner}_{next(_fresh_sort)}",
+            name=dag.fresh_name(sort.out_rel.name, parent.out_rel.owner),
             schema=sort.out_rel.schema,
             stored_with=set(parent.out_rel.stored_with),
         )
         per_party_sorts.append(SortBy(rel, parent, sort.column, sort.ascending))
 
     merge = Merge(
-        sort.out_rel.copy(f"{sort.out_rel.name}__merged_{next(_fresh_sort)}"),
+        sort.out_rel.copy(dag.fresh_name(sort.out_rel.name, "merged")),
         per_party_sorts,
         sort.column,
         sort.ascending,

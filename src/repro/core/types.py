@@ -45,12 +45,12 @@ class AggSpec:
 
 
 class AggFunc(str):
-    """Aggregation function usable both as the legacy string constant and as
-    a callable building an :class:`AggSpec` for the expression frontend.
+    """Aggregation function usable both as a string constant and as a
+    callable building an :class:`AggSpec` for the expression frontend.
 
-    ``SUM`` compares equal to ``"sum"`` (so pre-redesign call sites keep
-    working) while ``SUM("price")`` names the aggregated column for the
-    multi-aggregate ``aggregate(group=..., aggs=...)`` form.
+    ``SUM`` compares equal to ``"sum"`` (the name operators and engines use)
+    while ``SUM("price")`` names the aggregated column for
+    ``aggregate(group=..., aggs=...)``.
     """
 
     def __call__(self, over: str | None = None) -> AggSpec:

@@ -13,7 +13,7 @@ shape:
   :class:`SocketTransport` moves every cross-party message over a real TCP
   connection between per-party OS processes.
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.mesh` — length-prefixed
-  pickle framing and the full TCP mesh connecting the party agents.
+  codec framing and the full TCP mesh connecting the party agents.
 * :mod:`repro.runtime.executor` — the node-by-node plan executor shared by
   the in-process :class:`~repro.core.dispatch.QueryRunner` and the
   per-party agents.

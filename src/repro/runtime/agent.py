@@ -128,7 +128,7 @@ class PartyAgent:
         seed: int,
         inputs: dict | None = None,
     ) -> dict:
-        """Execute one cached plan and return a picklable result payload.
+        """Execute one cached plan and return a wire-encodable result payload.
 
         A fresh :class:`~repro.runtime.executor.PlanExecutor` (fresh
         backends, meters and leakage reports) runs every query, exactly as a
@@ -240,13 +240,12 @@ def agent_main(
                 party, parties, ports, timeout=run_timeout,
                 epoch=bundle["epoch"], injector=injector,
                 released_watermark=bundle.get("released_watermark", 0),
-                security=security, nonce=nonce, bind_host=bind_host,
+                security=security, nonce=nonce,
             )
         else:
             mesh = connect_mesh(
                 party, parties, ports, listener, timeout=run_timeout,
                 injector=injector, security=security, nonce=nonce,
-                bind_host=bind_host,
             )
 
         agent = PartyAgent(party, parties, mesh, session_inputs=bundle.get("inputs"))
@@ -311,10 +310,11 @@ def _serve(
             reply(frame)
         except Exception as exc:  # noqa: BLE001
             # The frame could not be encoded (e.g. result over the frame
-            # cap, unpicklable output) or sent.  An encode failure leaves
-            # the link healthy, so the coordinator would wait forever —
-            # ship an error frame in its place; if the link itself is dead,
-            # this fails too and the coordinator's EOF handling takes over.
+            # cap, an output outside the codec's type set) or sent.  An
+            # encode failure leaves the link healthy, so the coordinator
+            # would wait forever — ship an error frame in its place; if the
+            # link itself is dead, this fails too and the coordinator's EOF
+            # handling takes over.
             try:
                 reply(("error", query_id, _wire_safe(exc), traceback.format_exc()))
             except Exception:  # noqa: BLE001 - coordinator gone
@@ -394,8 +394,8 @@ def _serve(
 
 
 def _wire_safe(exc: BaseException) -> BaseException:
-    """Return ``exc`` if it is expressible on the wire, else an equivalent
-    RuntimeError (the codec may be running with the pickle fallback off)."""
+    """Return ``exc`` if the wire codec can express it, else an equivalent
+    RuntimeError."""
     try:
         encode_frame(exc)
         return exc

@@ -2,7 +2,7 @@
 
 Robustness claims that are only exercised by real crashes are hopes, not
 properties.  This module makes every failure mode of the service runtime
-*reproducible*: a :class:`FaultPlan` — a picklable, seeded description of
+*reproducible*: a :class:`FaultPlan` — a wire-encodable, seeded description of
 exactly which agent dies when and which mesh frames are dropped, delayed,
 duplicated or torn — is shipped to each agent inside its session frame and
 consulted at two choke points:
@@ -26,7 +26,7 @@ lifetime*: a restarted agent receives the same per-party plan afresh, so a
 the restart-budget escalation path is exercised.
 
 The module is dependency-free (dataclasses + stdlib) so shipping a plan in
-a session frame stays cheap and the plan itself can never fail to pickle.
+a session frame stays cheap and the plan itself can never fail to encode.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class LinkFault:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A complete, picklable fault schedule for one session.
+    """A complete, wire-encodable fault schedule for one session.
 
     Build one explicitly for targeted tests, or with :meth:`seeded` for the
     chaos matrix.  :meth:`for_party` extracts the subset one agent needs —

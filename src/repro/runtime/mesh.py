@@ -58,7 +58,6 @@ import random
 import socket
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -495,34 +494,19 @@ def bind_listener(timeout: float, host: str = "127.0.0.1") -> socket.socket:
     return listener
 
 
-def _is_loopback(host: str) -> bool:
-    return host == "localhost" or host == "::1" or host.startswith("127.")
+def _endpoint(value) -> tuple[str, int]:
+    """An advertised peer address as ``(host, port)``.
 
-
-def _endpoint(value, bind_host: str = "127.0.0.1") -> tuple[str, int]:
-    """Normalise a peer address to a ``(host, port)`` endpoint.
-
-    Agents advertise full endpoints.  A bare port (the pre-``bind_host``
-    wire format, still emitted by some tests) is only meaningful when the
-    session itself is loopback — it is accepted there with a
-    :class:`DeprecationWarning` — and is a :class:`WireError` on a
-    multi-host session (``bind_host`` non-loopback), where "assume
-    127.0.0.1" would silently dial the wrong machine.
+    The map of endpoints arrives over the control link, so it is checked
+    like any other bytes from outside: anything but a host/port pair is a
+    :class:`WireError`, never a guess at which machine to dial.
     """
-    if isinstance(value, (tuple, list)):
-        host, port = value
-        return str(host), int(port)
-    if not _is_loopback(bind_host):
-        raise WireError(
-            f"bare advertised port {value!r} is ambiguous on a multi-host session "
-            f"(bind_host={bind_host!r}); advertise a full (host, port) endpoint"
-        )
-    warnings.warn(
-        "bare advertised ports are deprecated; advertise (host, port) endpoints",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return "127.0.0.1", int(value)
+    if isinstance(value, (tuple, list)) and len(value) == 2:
+        try:
+            return str(value[0]), int(value[1])
+        except (TypeError, ValueError):
+            pass
+    raise WireError(f"advertised peer address {value!r} is not a (host, port) endpoint")
 
 
 def _verify_peer_identity(sock: socket.socket, claimed: str, party: str) -> None:
@@ -566,21 +550,20 @@ def _check_mesh_hello(frame, party: str, order: list[str], nonce: str | None) ->
 def connect_mesh(
     party: str,
     parties: list[str],
-    ports: dict[str, int | tuple[str, int]],
+    ports: dict[str, tuple[str, int]],
     listener: socket.socket,
     timeout: float = 60.0,
     *,
     injector=None,
     security=None,
     nonce: str | None = None,
-    bind_host: str = "127.0.0.1",
 ) -> PeerMesh:
     """Establish the full mesh for ``party`` given every agent's endpoint.
 
     ``parties`` is the shared, ordered party list; agent *i* dials every
     agent *j < i* and accepts one connection from every agent *j > i*.
-    ``ports`` maps party -> advertised ``(host, port)`` endpoint (bare ports
-    are accepted as loopback only).  With ``security`` every link is wrapped
+    ``ports`` maps party -> advertised ``(host, port)`` endpoint.  With
+    ``security`` every link is wrapped
     in mutually-authenticated TLS and each hello's claimed party id is
     verified against the peer certificate's CN; ``nonce`` (the session
     secret the coordinator handed every agent) must match on every hello.
@@ -592,7 +575,7 @@ def connect_mesh(
 
     for peer in order[:index]:
         connections[peer] = _dial(
-            party, peer, _endpoint(ports[peer], bind_host), timeout,
+            party, peer, _endpoint(ports[peer]), timeout,
             security=security, nonce=nonce,
         )
 
@@ -618,7 +601,7 @@ def connect_mesh(
 def rejoin_mesh(
     party: str,
     parties: list[str],
-    ports: dict[str, int | tuple[str, int]],
+    ports: dict[str, tuple[str, int]],
     timeout: float = 60.0,
     *,
     epoch: int,
@@ -626,7 +609,6 @@ def rejoin_mesh(
     released_watermark: int = 0,
     security=None,
     nonce: str | None = None,
-    bind_host: str = "127.0.0.1",
 ) -> PeerMesh:
     """Build the mesh for a *restarted* ``party`` joining a live session.
 
@@ -649,7 +631,7 @@ def rejoin_mesh(
                 else ("rejoin-hello", party, epoch, nonce)
             )
             connections[peer] = _dial(
-                party, peer, _endpoint(ports[peer], bind_host), timeout,
+                party, peer, _endpoint(ports[peer]), timeout,
                 hello=hello, security=security, nonce=nonce,
             )
     except Exception:

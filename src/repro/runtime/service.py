@@ -12,7 +12,7 @@ the :class:`~repro.runtime.agent.PartyAgent` processes alive across queries:
   dies marks the pool broken and fails every in-flight query loudly.
 * :class:`QuerySession` — the analyst-facing handle: ``submit(plan)`` many
   times (thread-safe, concurrently), per-session compiled-plan caching
-  keyed by DAG fingerprint (each distinct plan is pickled and shipped once),
+  keyed by plan fingerprint (each distinct plan is encoded and shipped once),
   and a graceful lifecycle (context manager, drain-on-close, optional idle
   timeout after which the agents retire themselves).
 
@@ -28,7 +28,6 @@ import atexit
 import hashlib
 import logging
 import multiprocessing
-import pickle
 import secrets
 import socket
 import threading
@@ -52,6 +51,7 @@ from repro.runtime.transport import TransportError
 from repro.runtime.wire import (
     WireError,
     encode_frame,
+    encode_payload,
     peer_common_name,
     recv_frame,
     secure_server_socket,
@@ -129,23 +129,22 @@ class SessionClosed(RuntimeError):
 
 
 def plan_fingerprint(compiled) -> str:
-    """A stable fingerprint of a compiled plan, for per-session caching.
+    """SHA-256 of a compiled plan's wire-codec bytes, for per-session caching.
 
-    Computed over the plan's pickled bytes: resubmitting the *same* compiled
-    object (the intended reuse pattern — compile once, submit many) always
-    hits the cache, and two plans with different DAGs can never collide.  A
-    plan recompiled from scratch may fingerprint differently — that costs a
-    redundant plan shipment, never a wrong cache hit.
+    The bytes are a function of the plan's structure alone
+    (:func:`~repro.core.compiler.compile_query` numbers nodes and names
+    rewritten relations per compile), so equal plans fingerprint equal — the
+    same object resubmitted, or the same query recompiled under the same
+    config, ships once — and plans that differ in DAG or config never
+    collide.
 
     Memoized on the compiled object so the warm path ("submit many") never
-    re-pickles the plan just to hash it.
+    re-encodes the plan just to hash it.
     """
     cached = getattr(compiled, "_plan_fingerprint", None)
     if cached is not None:
         return cached
-    fingerprint = hashlib.sha256(
-        pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
-    ).hexdigest()
+    fingerprint = hashlib.sha256(encode_payload(compiled)).hexdigest()
     try:
         compiled._plan_fingerprint = fingerprint
     except AttributeError:
@@ -465,7 +464,7 @@ class AgentPool:
             self._pending[query_id] = entry
             self._last_query_id = max(self._last_query_id, query_id)
         # Encode every party's frame *before* sending any: a serialization
-        # failure (unpicklable inputs, frame over the cap) then fails only
+        # failure (unencodable inputs, frame over the cap) then fails only
         # this query — cleanly, with nothing half-shipped — and the session
         # keeps serving.  After successful encoding only socket errors
         # remain, and those mean the party is gone.
@@ -1100,37 +1099,20 @@ class QuerySession:
         Without a :class:`~repro.core.config.RetryPolicy` this is one shot:
         the pool future is handed to the gateway directly.  With one, the
         gateway gets an *outer* future spanning up to ``max_attempts``
-        replays of infrastructure failures (agent crash, transport error) —
-        so the gateway's in-flight slot, execute-latency observation and
-        completed/failed counters all cover the whole retried query, and a
-        recovered crash is invisible to the analyst apart from latency.
+        attempts — so the gateway's in-flight slot, execute-latency
+        observation and completed/failed counters all cover the whole
+        retried query, and a recovered crash is invisible to the analyst
+        apart from latency.  Every failure of every attempt, whether raised
+        while dispatching or delivered by the pool future, reaches the
+        caller through that outer future.
         """
-        inner = self._dispatch_once(compiled, fingerprint, config, seed, inputs)
-        retry = self._retry
-        if retry is None or retry.max_attempts <= 1:
-            return inner
+        def dispatch() -> Future:
+            return self._dispatch_once(compiled, fingerprint, config, seed, inputs)
+
+        if self._retry is None or self._retry.max_attempts <= 1:
+            return dispatch()
         outer: Future = Future()
-        history: list[dict] = []
-
-        def on_first_attempt(finished: Future) -> None:
-            exc = finished.exception()
-            if exc is None:
-                outer.set_result(finished.result())
-                return
-            if not self._retryable(exc):
-                outer.set_exception(exc)
-                return
-            history.append({"attempt": 1, "error": repr(exc)})
-            # Retries run on a dedicated thread: this callback fires on a
-            # pool receiver thread, which must never block on backoff or on
-            # the pool recovering (it may *be* the thread driving recovery
-            # bookkeeping).
-            threading.Thread(
-                target=self._retry_query, daemon=True, name="query-retry",
-                args=(outer, history, compiled, fingerprint, config, seed, inputs, exc),
-            ).start()
-
-        inner.add_done_callback(on_first_attempt)
+        self._attempt(outer, dispatch, [])
         return outer
 
     def _retryable(self, exc: BaseException) -> bool:
@@ -1142,45 +1124,65 @@ class QuerySession:
             and isinstance(exc, TransportError)
         )
 
-    def _retry_query(
-        self, outer: Future, history: list, compiled, fingerprint, config, seed, inputs,
-        last_exc: BaseException,
+    def _attempt(self, outer: Future, dispatch, history: list) -> None:
+        """Run one attempt of a retried query; never blocks, never raises."""
+        def settle(finished: Future) -> None:
+            exc = finished.exception()
+            if exc is None:
+                outer.set_result(finished.result())
+            else:
+                self._attempt_failed(outer, dispatch, history, exc)
+
+        try:
+            inner = dispatch()
+        except Exception as exc:  # noqa: BLE001 - classified like a mid-flight failure
+            self._attempt_failed(outer, dispatch, history, exc)
+        else:
+            inner.add_done_callback(settle)
+
+    def _attempt_failed(
+        self, outer: Future, dispatch, history: list, exc: BaseException
+    ) -> None:
+        """The one place a failed attempt is classified: fail, give up, or retry."""
+        if not self._retryable(exc):
+            outer.set_exception(exc)
+            return
+        history.append({"attempt": len(history) + 1, "error": repr(exc)})
+        if len(history) >= self._retry.max_attempts:
+            self._give_up(outer, history, exc)
+            return
+        # The wait runs on its own thread: this may be a pool receiver
+        # thread, which must never block on backoff or on the pool
+        # recovering (it may *be* the thread driving recovery bookkeeping).
+        threading.Thread(
+            target=self._retry_after_recovery, daemon=True, name="query-retry",
+            args=(outer, dispatch, history, exc),
+        ).start()
+
+    def _retry_after_recovery(
+        self, outer: Future, dispatch, history: list, last_exc: BaseException
     ) -> None:
         retry = self._retry
-        attempt = 2
-        backoff = retry.backoff_seconds
-        while True:
-            # A crash retry is only worth dispatching on a recovered pool;
-            # wait_recovered also notices a permanently broken pool early.
-            if not self._pool.wait_recovered(self._pool.timeout):
-                broken = self._pool.broken
-                if broken is not None:
-                    last_exc = broken
-                break
-            if backoff > 0:
-                time.sleep(backoff)
-            backoff = min(backoff * retry.backoff_multiplier, retry.max_backoff_seconds)
-            self._metrics.inc("queries_retried")
-            try:
-                inner = self._dispatch_once(compiled, fingerprint, config, seed, inputs)
-                exc = inner.exception(timeout=self._pool.timeout * 2)
-            except BaseException as dispatch_exc:  # noqa: BLE001 - recorded + classified below
-                exc = dispatch_exc
-            if exc is None:
-                outer.set_result(inner.result())
-                return
-            history.append({"attempt": attempt, "error": repr(exc)})
-            last_exc = exc
-            if not self._retryable(exc):
-                outer.set_exception(exc)
-                return
-            if attempt >= retry.max_attempts:
-                break
-            attempt += 1
+        # A retry is only worth dispatching on a recovered pool;
+        # wait_recovered also notices a permanently broken pool early.
+        if not self._pool.wait_recovered(self._pool.timeout):
+            broken = self._pool.broken
+            self._give_up(outer, history, last_exc if broken is None else broken)
+            return
+        backoff = min(
+            retry.backoff_seconds * retry.backoff_multiplier ** (len(history) - 1),
+            retry.max_backoff_seconds,
+        )
+        if backoff > 0:
+            time.sleep(backoff)
+        self._metrics.inc("queries_retried")
+        self._attempt(outer, dispatch, history)
+
+    def _give_up(self, outer: Future, history: list, last_exc: BaseException) -> None:
         self._metrics.inc("retries_exhausted")
         failure = AgentFailure(
             f"query failed after {len(history)} attempt(s) "
-            f"(RetryPolicy.max_attempts={retry.max_attempts}); giving up: {last_exc}"
+            f"(RetryPolicy.max_attempts={self._retry.max_attempts}); giving up: {last_exc}"
         )
         failure.attempts = [dict(r) for r in history]
         # A permanently broken pool carries the supervisor's restart history;

@@ -251,14 +251,19 @@ class AgentSupervisor:
                     seq = self._hb_seq
                 stale = []
                 for party in self._pool.live_parties():
+                    # Count the ping *before* sending it: the pong can land
+                    # (and zero the counter) before send_ping even returns,
+                    # and a count written afterwards would overwrite that
+                    # reset — a healthy agent then looks one miss staler
+                    # every tick until it is killed.
                     with self._lock:
                         outstanding = self._hb_outstanding.get(party, 0)
+                        if outstanding < self.policy.heartbeat_misses:
+                            self._hb_outstanding[party] = outstanding + 1
                     if outstanding >= self.policy.heartbeat_misses:
                         stale.append(party)
-                        continue
-                    if self._pool.send_ping(party, seq):
-                        with self._lock:
-                            self._hb_outstanding[party] = outstanding + 1
+                    else:
+                        self._pool.send_ping(party, seq)
                 for party in stale:
                     with self._lock:
                         self._hb_outstanding[party] = 0

@@ -13,13 +13,9 @@ so arbitrary-object deserialization is structurally impossible: the decoder
 builds containers and fills attribute dicts, it never resolves or calls a
 global outside the ``repro`` package and the exception allowlist.
 
-Legacy pickle frames are still *accepted* (and emitted for payloads the
-codec cannot express) through :class:`RestrictedUnpickler`, but only while
-the fallback is enabled — set ``REPRO_WIRE_PICKLE=0`` in the environment
-(or call :func:`set_pickle_fallback`) to refuse pickle on the wire
-entirely, which is the recommended posture for multi-host deployments.
-Codec payloads start with the magic byte ``0xC7``; pickle protocol >= 2
-payloads start with ``0x80``, so the two are unambiguous on the stream.
+Every payload starts with the magic byte ``0xC7``; a frame whose payload
+starts with anything else, or whose bytes do not decode to exactly one
+value of the type set, is a :class:`WireError`.
 
 The framing is exposed in two forms:
 
@@ -44,9 +40,6 @@ certificate CN) that hello verification checks party ids against.
 from __future__ import annotations
 
 import importlib
-import io
-import os
-import pickle
 import socket
 import ssl
 import struct
@@ -61,9 +54,7 @@ MAX_FRAME_BYTES = 1 << 30
 
 _HEADER = struct.Struct(">I")
 
-#: First byte of every codec payload.  Pickle protocol >= 2 streams start
-#: with ``0x80``, so the magic unambiguously separates codec frames from
-#: legacy pickle frames on the same stream.
+#: First byte of every frame payload.
 CODEC_MAGIC = 0xC7
 
 
@@ -73,45 +64,6 @@ class WireError(ConnectionError):
 
 class UnsupportedPayload(TypeError):
     """A payload contains an object outside the codec's closed type set."""
-
-
-# --------------------------------------------------------------------------
-# legacy pickle fallback (restricted unpickler), gated by REPRO_WIRE_PICKLE
-# --------------------------------------------------------------------------
-
-#: Builtins a pickle frame may name directly.  Deliberately excludes
-#: ``getattr``, ``eval`` and friends — anything callable that could reach
-#: beyond plain data construction.
-_SAFE_BUILTINS = frozenset({
-    "bool", "bytearray", "bytes", "complex", "dict", "float", "frozenset",
-    "int", "list", "object", "range", "set", "slice", "str", "tuple",
-})
-
-#: Numpy reconstruction callables used by ndarray/dtype/scalar pickles,
-#: covering both the numpy 1.x (``numpy.core``) and 2.x (``numpy._core``)
-#: module layouts.
-_SAFE_NUMPY = frozenset({"_reconstruct", "ndarray", "dtype", "scalar", "_frombuffer"})
-
-_FALLBACK_OVERRIDE: bool | None = None
-
-
-def set_pickle_fallback(enabled: bool | None) -> None:
-    """Programmatically force the legacy pickle fallback on or off.
-
-    ``None`` restores the environment-driven default (``REPRO_WIRE_PICKLE``,
-    enabled unless set to ``0``).  The flag is consulted at every encode and
-    decode, so it also governs frames exchanged with already-forked agent
-    processes (which inherit the environment).
-    """
-    global _FALLBACK_OVERRIDE
-    _FALLBACK_OVERRIDE = enabled
-
-
-def pickle_fallback_allowed() -> bool:
-    """Whether legacy pickle frames may be emitted or accepted."""
-    if _FALLBACK_OVERRIDE is not None:
-        return _FALLBACK_OVERRIDE
-    return os.environ.get("REPRO_WIRE_PICKLE", "1") != "0"
 
 
 def _resolve_exception_class(module: str, name: str) -> type | None:
@@ -132,44 +84,6 @@ def _resolve_exception_class(module: str, name: str) -> type | None:
     if isinstance(obj, type) and issubclass(obj, BaseException):
         return obj
     return None
-
-
-class RestrictedUnpickler(pickle.Unpickler):
-    """Unpickler that only resolves globals a repro frame legitimately needs.
-
-    Allowed: safe builtins, ``collections``/``datetime`` helpers, numpy
-    array reconstruction, anything from the ``repro`` package, and exception
-    classes (agents ship their failures back to the coordinator).  Every
-    other global — ``os.system``, ``builtins.eval``, ``subprocess.*`` — is
-    rejected with :class:`pickle.UnpicklingError` before it is ever called.
-    Exception classes are resolved *only* from modules already present in
-    ``sys.modules``; naming a not-yet-imported module never triggers an
-    import (and its side effects) on the receiving party.
-    """
-
-    def find_class(self, module: str, name: str):
-        if module == "builtins" and name in _SAFE_BUILTINS:
-            return super().find_class(module, name)
-        if module in ("collections", "datetime"):
-            return super().find_class(module, name)
-        if (module == "numpy" or module.startswith("numpy.")) and name in _SAFE_NUMPY:
-            return super().find_class(module, name)
-        if module == "repro" or module.startswith("repro."):
-            return super().find_class(module, name)
-        obj = _resolve_exception_class(module, name)
-        if obj is not None:
-            return obj
-        raise pickle.UnpicklingError(
-            f"frame references forbidden global {module}.{name}"
-        )
-
-
-def restricted_loads(data: bytes) -> object:
-    """Deserialise one legacy pickle payload through the allowlisting unpickler."""
-    try:
-        return RestrictedUnpickler(io.BytesIO(data)).load()
-    except pickle.UnpicklingError as exc:
-        raise WireError(f"rejected frame: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +319,7 @@ def encode_payload(obj: object) -> bytes:
     """Serialise ``obj`` with the wire codec (no length header).
 
     Raises :class:`UnsupportedPayload` for objects outside the closed type
-    set so callers can decide whether the legacy pickle fallback applies.
+    set.
     """
     encoder = _Encoder()
     try:
@@ -670,25 +584,6 @@ def decode_payload(data: bytes | memoryview) -> object:
     return value
 
 
-def decode_frame_payload(payload: bytes) -> object:
-    """Decode one frame payload, dispatching codec vs legacy pickle.
-
-    Codec payloads are recognised by their magic byte; anything else is a
-    legacy pickle frame, accepted through :class:`RestrictedUnpickler` only
-    while the fallback is enabled (``REPRO_WIRE_PICKLE`` != ``0``).
-    """
-    if not payload:
-        raise WireError("empty frame payload")
-    if payload[0] == CODEC_MAGIC:
-        return decode_payload(payload)
-    if not pickle_fallback_allowed():
-        raise WireError(
-            "legacy pickle frame rejected: the pickle fallback is disabled "
-            "(REPRO_WIRE_PICKLE=0)"
-        )
-    return restricted_loads(payload)
-
-
 # --------------------------------------------------------------------------
 # link statistics
 # --------------------------------------------------------------------------
@@ -741,19 +636,13 @@ class LinkStats:
 def encode_frame(obj: object) -> bytes:
     """Serialise ``obj`` as one length-prefixed frame.
 
-    The wire codec is tried first; payloads outside its closed type set fall
-    back to restricted pickle while the fallback is enabled, and raise
-    :class:`WireError` when it is not.
+    Raises :class:`WireError` for a payload outside the codec's closed type
+    set or over the frame cap.
     """
     try:
         data = encode_payload(obj)
     except UnsupportedPayload as exc:
-        if not pickle_fallback_allowed():
-            raise WireError(
-                f"payload not expressible in the wire codec and the pickle "
-                f"fallback is disabled: {exc}"
-            ) from exc
-        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        raise WireError(f"payload not expressible in the wire codec: {exc}") from exc
     if len(data) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(data)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
     return _HEADER.pack(len(data)) + data
@@ -790,7 +679,7 @@ class FrameDecoder:
                 break
             payload = bytes(self._buffer[_HEADER.size:_HEADER.size + length])
             del self._buffer[:_HEADER.size + length]
-            frames.append(decode_frame_payload(payload))
+            frames.append(decode_payload(payload))
         return frames
 
     def eof(self) -> None:
@@ -866,7 +755,7 @@ def recv_frame(
     payload = _recv_exact(sock, length)
     if stats is not None:
         stats.add_received(_HEADER.size + length)
-    return decode_frame_payload(payload)
+    return decode_payload(payload)
 
 
 def _recv_exact(sock: socket.socket, n: int, *, allow_idle_timeout: bool = False) -> bytes:

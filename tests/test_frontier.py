@@ -44,8 +44,8 @@ class TestPushDown:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            filtered = ctx.concat([t1, t2]).filter("v", ">", 10)
-            filtered.aggregate("total", cc.SUM, group=["k"], over="v").collect("out", to=[PA])
+            filtered = ctx.concat([t1, t2]).filter(cc.col("v") > 10)
+            filtered.aggregate(group=["k"], aggs={"total": cc.SUM("v")}).collect("out", to=[PA])
         dag, _, _ = compile_stage_two(ctx)
         local_filters = [
             n for n in dag.topological() if isinstance(n, Filter) and not n.is_mpc
@@ -57,7 +57,7 @@ class TestPushDown:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
             t3 = ctx.new_table("t3", KV, at=PC)
-            agg = ctx.concat([t1, t2, t3]).aggregate("total", cc.SUM, group=["k"], over="v")
+            agg = ctx.concat([t1, t2, t3]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
             agg.collect("out", to=[PA])
         dag, _, _ = compile_stage_two(ctx)
         aggregates = [n for n in dag.topological() if isinstance(n, Aggregate)]
@@ -74,7 +74,7 @@ class TestPushDown:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            agg = ctx.concat([t1, t2]).aggregate("cnt", cc.COUNT, group=["k"])
+            agg = ctx.concat([t1, t2]).aggregate(group=["k"], aggs={"cnt": cc.COUNT()})
             agg.collect("out", to=[PA])
         dag, _, _ = compile_stage_two(ctx)
         secondary = [n for n in dag.topological() if isinstance(n, Aggregate) and n.is_secondary]
@@ -84,7 +84,7 @@ class TestPushDown:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            agg = ctx.concat([t1, t2]).aggregate("total", cc.SUM, group=["k"], over="v")
+            agg = ctx.concat([t1, t2]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
             agg.collect("out", to=[PA])
         config = CompilationConfig(consent_to_cardinality_leakage=False)
         dag, _, _ = compile_stage_two(ctx, config)
@@ -97,7 +97,7 @@ class TestPushDown:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            filtered = ctx.concat([t1, t2]).filter("v", ">", 10)
+            filtered = ctx.concat([t1, t2]).filter(cc.col("v") > 10)
             filtered.collect("out", to=[PA])
         config = CompilationConfig(push_down_private_filters=False)
         dag, _, _ = compile_stage_two(ctx, config)
@@ -110,7 +110,7 @@ class TestPushDown:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", schema, at=PA)
             t2 = ctx.new_table("t2", schema, at=PB)
-            filtered = ctx.concat([t1, t2]).filter("v", ">", 10)
+            filtered = ctx.concat([t1, t2]).filter(cc.col("v") > 10)
             filtered.collect("out", to=[PA])
         config = CompilationConfig(push_down_private_filters=False)
         dag, _, _ = compile_stage_two(ctx, config)
@@ -124,8 +124,8 @@ class TestPushDown:
             result = (
                 ctx.concat([t1, t2])
                 .project(["k", "v"])
-                .filter("v", ">", 0)
-                .aggregate("total", cc.SUM, group=["k"], over="v")
+                .filter(cc.col("v") > 0)
+                .aggregate(group=["k"], aggs={"total": cc.SUM("v")})
             )
             result.collect("out", to=[PA])
         dag, _, _ = compile_stage_two(ctx)
@@ -138,9 +138,7 @@ class TestPushDown:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            joined = ctx.concat([t1, t2]).join(
-                ctx.new_table("t3", KV, at=PC), left=["k"], right=["k"]
-            )
+            joined = ctx.concat([t1, t2]).join(ctx.new_table("t3", KV, at=PC), on="k")
             joined.collect("out", to=[PA])
         dag, applied, _ = compile_stage_two(ctx)
         assert applied == 0
@@ -165,8 +163,8 @@ class TestPushUp:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            agg = ctx.concat([t1, t2]).aggregate("total", cc.SUM, group=["k"], over="v")
-            scaled = agg.multiply("cents", "total", 100)
+            agg = ctx.concat([t1, t2]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
+            scaled = agg.with_column("cents", cc.col("total") * 100)
             scaled.collect("out", to=[PC])
         dag, _, lifted = compile_stage_two(ctx)
         assert lifted >= 1
@@ -178,8 +176,8 @@ class TestPushUp:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            agg = ctx.concat([t1, t2]).aggregate("total", cc.SUM, group=["k"], over="v")
-            squared = agg.multiply("sq", "total", "total")
+            agg = ctx.concat([t1, t2]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
+            squared = agg.with_column("sq", cc.col("total") * cc.col("total"))
             squared.collect("out", to=[PA])
         dag, _, _ = compile_stage_two(ctx)
         multiply = [n for n in dag.topological() if n.op_name == "multiply"][0]
@@ -192,7 +190,7 @@ class TestPushUp:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            counted = ctx.concat([t1, t2]).aggregate("cnt", cc.COUNT, group=["k"])
+            counted = ctx.concat([t1, t2]).aggregate(group=["k"], aggs={"cnt": cc.COUNT()})
             counted.collect("out", to=[PA])
         compiled = cc.compile_query(ctx, config)
         assert compiled.report.push_up_rewrites >= 1
@@ -210,8 +208,8 @@ class TestPushUp:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            agg = ctx.concat([t1, t2]).aggregate("total", cc.SUM, group=["k"], over="v")
-            scaled = agg.multiply("cents", "total", 100)
+            agg = ctx.concat([t1, t2]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
+            scaled = agg.with_column("cents", cc.col("total") * 100)
             scaled.collect("out", to=[PA])
         compiled = cc.compile_query(ctx, CompilationConfig(enable_push_up=False))
         multiply = [n for n in compiled.dag.topological() if n.op_name == "multiply"][0]

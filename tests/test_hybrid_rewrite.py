@@ -22,7 +22,7 @@ def two_party_join_query(left_trust=(), right_trust=(), public=False):
             [cc.Column("k", trust=list(right_trust), public=public), cc.Column("w")],
             at=PC,
         )
-        joined = left.join(right, left=["k"], right=["k"])
+        joined = left.join(right, on="k")
         joined.collect("out", to=[PB])
     return ctx
 
@@ -35,8 +35,8 @@ def grouped_agg_query(group_trust=()):
         t2 = ctx.new_table(
             "t2", [cc.Column("g", trust=list(group_trust)), cc.Column("v")], at=PC
         )
-        joined = t1.join(t2, left=["g"], right=["g"])
-        agg = joined.aggregate("total", cc.SUM, group=["g"], over="v")
+        joined = t1.join(t2, on="g")
+        agg = joined.aggregate(group=["g"], aggs={"total": cc.SUM("v")})
         agg.collect("out", to=[PB])
     return ctx
 
@@ -105,8 +105,8 @@ class TestHybridAggregate:
             s2 = ctx.new_table(
                 "s2", [cc.Column("ssn", trust=[PA]), cc.Column("score")], at=PC
             )
-            joined = demo.join(ctx.concat([s1, s2]), left=["ssn"], right=["ssn"])
-            agg = joined.aggregate("total", cc.SUM, group=["zip"], over="score")
+            joined = demo.join(ctx.concat([s1, s2]), on="ssn")
+            agg = joined.aggregate(group=["zip"], aggs={"total": cc.SUM("score")})
             agg.collect("out", to=[PA])
         compiled = cc.compile_query(ctx)
         stps = {

@@ -12,14 +12,15 @@ secret sharing *real* rather than replicated theatre:
   are load-bearing;
 * the lockstep sliced engines stay byte-identical to the all-local
   simulation engine;
-* the restricted unpickler rejects pickle frames naming globals outside the
-  allowlist (``os.system`` must never run because a peer said so);
+* a pickle frame is a :class:`WireError` on every kind of link — decoder,
+  control, mesh and rejoin — and nothing it names ever runs;
 * a mesh reader's death poisons even frames that were already
   demultiplexed — a consumer never reads stale data off a dead link;
 * across the differential corpus, every agent process's isolation audit
   shows it held only its own share slices and cleartext inputs.
 """
 
+import os
 import pickle
 import queue
 import socket
@@ -37,13 +38,13 @@ from repro.mpc.secretshare import (
     SecretSharingEngine,
     ShareSliceEngine,
 )
-from repro.runtime.mesh import KIND_MSG, PeerMesh
+from repro.runtime.mesh import KIND_MSG, MeshTimeout, PeerMesh, accept_rejoin, bind_listener
 from repro.runtime.transport import SocketTransport, TransportError
 from repro.runtime.wire import (
     FrameDecoder,
     WireError,
     encode_frame,
-    restricted_loads,
+    recv_frame,
     send_frame,
 )
 
@@ -229,32 +230,100 @@ def _share_both(engine):
     return engine.input_vector(None, contributor=PARTY_A, num_rows=4)
 
 
-# -- restricted unpickler ------------------------------------------------------------------
+# -- pickle frames are refused ---------------------------------------------------------------
 
 
-class _EvilSystem:
+class _Evil:
+    """Pickles to a call that creates ``path`` — if anything ever unpickles it."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
     def __reduce__(self):
-        import os
-
-        return (os.system, ("echo pwned > /tmp/pwned",))
+        return (os.mkdir, (self.path,))
 
 
-class _EvilEval:
-    def __reduce__(self):
-        return (eval, ("1+1",))
+def _pickle_frame(obj) -> bytes:
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return len(data).to_bytes(4, "big") + data
 
 
-class TestRestrictedUnpickler:
-    @pytest.mark.parametrize("evil", [_EvilSystem, _EvilEval])
-    def test_malicious_frames_are_rejected(self, evil):
-        data = pickle.dumps(evil(), protocol=pickle.HIGHEST_PROTOCOL)
-        with pytest.raises(WireError, match="forbidden global"):
-            restricted_loads(data)
+class TestPickleFramesAreRefused:
+    def _refused(self, stream: bytes, before: list):
+        """``stream`` fails both decoders at its first pickle frame, after
+        yielding exactly the codec frames ``before`` it."""
+        with pytest.raises(WireError, match="not a codec frame"):
+            FrameDecoder().feed(stream)
+        ours, theirs = socket.socketpair()
+        try:
+            theirs.sendall(stream)
+            ours.settimeout(5.0)
+            assert [recv_frame(ours) for _ in before] == before
+            with pytest.raises(WireError, match="not a codec frame"):
+                recv_frame(ours)
+        finally:
+            ours.close()
+            theirs.close()
 
-    def test_malicious_frame_rejected_by_decoder(self):
-        decoder = FrameDecoder()
-        with pytest.raises(WireError, match="forbidden global"):
-            decoder.feed(encode_frame(_EvilSystem()))
+    def test_reduce_payload_is_refused_and_never_runs(self, tmp_path):
+        marker = tmp_path / "pwned"
+        self._refused(_pickle_frame(_Evil(marker)), before=[])
+        assert not marker.exists(), "a pickle frame was executed"
+
+    def test_legacy_pickle_dict_is_refused(self):
+        self._refused(_pickle_frame({"k": [1, 2], "arr": "legacy"}), before=[])
+
+    def test_pickle_frame_interleaved_with_codec_frames_is_refused(self, tmp_path):
+        marker = tmp_path / "pwned"
+        stream = encode_frame(1) + _pickle_frame(_Evil(marker)) + encode_frame("after")
+        self._refused(stream, before=[1])
+        assert not marker.exists(), "a pickle frame was executed"
+
+    def test_objects_outside_the_type_set_cannot_be_sent(self, tmp_path):
+        for payload in (_Evil(tmp_path / "pwned"), threading.Thread, eval):
+            with pytest.raises(WireError, match="not expressible"):
+                encode_frame(payload)
+
+    def test_mesh_link_dies_on_a_pickle_frame(self, tmp_path):
+        marker = tmp_path / "pwned"
+        ours, theirs = socket.socketpair()
+        mesh = PeerMesh(PARTY_A, {PARTY_B: ours}, timeout=2.0)
+        try:
+            theirs.sendall(_pickle_frame(_Evil(marker)))
+            started = time.monotonic()
+            with pytest.raises(TransportError):
+                mesh.receive_message(PARTY_B)
+            assert time.monotonic() - started < 5.0
+        finally:
+            theirs.close()
+            mesh.close()
+        assert not marker.exists(), "a pickle frame was executed"
+
+    def test_rejoin_accept_drops_a_pickle_hello(self, tmp_path):
+        marker = tmp_path / "pwned"
+        listener = bind_listener(timeout=5.0)
+        dialler = socket.create_connection(listener.getsockname(), timeout=5.0)
+        try:
+            dialler.sendall(_pickle_frame(_Evil(marker)))
+            with pytest.raises(MeshTimeout):
+                accept_rejoin(listener, PARTY_A, PARTY_B, epoch=1, timeout=1.0)
+        finally:
+            dialler.close()
+            listener.close()
+        assert not marker.exists(), "a pickle frame was executed"
+
+    def test_control_link_dies_on_a_pickle_frame(self, tmp_path):
+        """A pickle frame on a live control link is that agent's death, not
+        an object: the session fails the query within its bound."""
+        from repro.runtime.service import AgentFailure
+
+        marker = tmp_path / "pwned"
+        ctx, inputs = build_query(generate_spec(SEED))
+        with cc.open_session(inputs, seed=1, timeout=10.0) as session:
+            session._pool._connections[PARTY_A].sendall(_pickle_frame(_Evil(marker)))
+            with pytest.raises((AgentFailure, cc.SessionClosed)):
+                session.submit(ctx, timeout=20.0)
+        assert not marker.exists(), "a pickle frame was executed"
 
     def test_legitimate_frames_round_trip(self):
         from repro.data.schema import ColumnDef, Schema
@@ -273,13 +342,6 @@ class TestRestrictedUnpickler:
             (got,) = decoder.feed(encode_frame(payload))
             if isinstance(payload, tuple) and payload[0] == "error":
                 assert isinstance(got[1], ValueError) and got[1].args == ("boom",)
-
-    def test_exception_subclasses_are_allowed_other_globals_are_not(self):
-        assert isinstance(
-            restricted_loads(pickle.dumps(TimeoutError("t"))), TimeoutError
-        )
-        with pytest.raises(WireError, match="forbidden global"):
-            restricted_loads(pickle.dumps(threading.Thread))
 
 
 # -- mesh poisoning of already-demultiplexed frames ----------------------------------------

@@ -58,11 +58,11 @@ class TestFrontend:
             t2 = ctx.new_table("t2", simple_schema(), at=pb)
             combined = ctx.concat([t1, t2])
             projected = combined.project(["value", "key"])
-            filtered = projected.filter("value", ">", 10)
-            agg = filtered.aggregate("total", cc.SUM, group=["key"], over="value")
-            joined = agg.join(t1, left=["key"], right=["key"])
-            scaled = joined.multiply("double", "total", 2)
-            ratio = scaled.divide("ratio", "total", by="value")
+            filtered = projected.filter(cc.col("value") > 10)
+            agg = filtered.aggregate(group=["key"], aggs={"total": cc.SUM("value")})
+            joined = agg.join(t1, on="key")
+            scaled = joined.with_column("double", cc.col("total") * 2)
+            ratio = scaled.with_column("ratio", cc.col("total") / cc.col("value"))
             ratio.collect("out", to=[pa])
             dag = ctx.build_dag()
 
@@ -81,7 +81,7 @@ class TestFrontend:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", simple_schema(), at=pa)
             t2 = ctx.new_table("t2", simple_schema(), at=pb)
-            joined = t1.join(t2, left=["key"], right=["key"])
+            joined = t1.join(t2, on="key")
         assert joined.schema.names == ["key", "value", "value_r"]
 
     def test_project_accepts_positional_indices(self, parties):
@@ -98,19 +98,9 @@ class TestFrontend:
             with pytest.raises(KeyError):
                 t1.project(["nope"])
             with pytest.raises(KeyError):
-                t1.filter("nope", ">", 1)
+                t1.filter(cc.col("nope") > 1)
             with pytest.raises(KeyError):
-                t1.aggregate("x", cc.SUM, group=["key"], over="nope")
-
-    def test_multi_column_group_or_keys_rejected(self, parties):
-        pa, pb = parties
-        with QueryContext() as ctx:
-            t1 = ctx.new_table("t1", simple_schema(), at=pa)
-            t2 = ctx.new_table("t2", simple_schema(), at=pb)
-            with pytest.raises(ValueError):
-                t1.aggregate("x", cc.SUM, group=["key", "value"], over="value")
-            with pytest.raises(ValueError):
-                t1.join(t2, left=["key", "value"], right=["key", "value"])
+                t1.aggregate(group=["key"], aggs={"x": cc.SUM("nope")})
 
     def test_concat_schema_mismatch_rejected(self, parties):
         pa, pb = parties
@@ -149,7 +139,7 @@ class TestDag:
             t1 = ctx.new_table("t1", simple_schema(), at=pa)
             t2 = ctx.new_table("t2", simple_schema(), at=pb)
             combined = ctx.concat([t1, t2])
-            agg = combined.aggregate("total", cc.SUM, group=["key"], over="value")
+            agg = combined.aggregate(group=["key"], aggs={"total": cc.SUM("value")})
             agg.collect("out", to=[pa])
             return ctx.build_dag()
 
@@ -206,9 +196,9 @@ class TestOperatorHelpers:
         pa, _ = parties
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", simple_schema(), at=pa)
-            scaled = t1.multiply("x", "value", 3)
-            zero_scaled = t1.multiply("y", "value", 0)
-            col_scaled = t1.multiply("z", "value", "key")
+            scaled = t1.with_column("x", cc.col("value") * 3)
+            zero_scaled = t1.with_column("y", cc.col("value") * 0)
+            col_scaled = t1.with_column("z", cc.col("value") * cc.col("key"))
             reorder = t1.project(["value", "key"])
             narrowing = t1.project(["key"])
         assert is_reversible(scaled.node)

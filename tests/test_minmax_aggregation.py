@@ -43,7 +43,7 @@ class TestCompiledMinMaxQueries:
         with cc.QueryContext() as ctx:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            agg = ctx.concat([t1, t2]).aggregate("m", func, group=["k"], over="v")
+            agg = ctx.concat([t1, t2]).aggregate(group=["k"], aggs={"m": func("v")})
             agg.collect("out", to=[PA])
         return ctx
 
@@ -72,8 +72,8 @@ class TestCompiledMinMaxQueries:
         with cc.QueryContext() as ctx:
             t1 = ctx.new_table("t1", schema, at=PA)
             t2 = ctx.new_table("t2", schema, at=PB)
-            joined = t1.join(t2, left=["k"], right=["k"])
-            agg = joined.aggregate("m", cc.MAX, group=["k"], over="v")
+            joined = t1.join(t2, on="k")
+            agg = joined.aggregate(group=["k"], aggs={"m": cc.MAX("v")})
             agg.collect("out", to=[PA])
         compiled = cc.compile_query(ctx)
         from repro.core.operators import HybridAggregate

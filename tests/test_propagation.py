@@ -37,7 +37,11 @@ class TestOwnership:
     def test_single_party_chain_keeps_owner(self):
         with QueryContext() as ctx:
             t = ctx.new_table("t", [cc.Column("k"), cc.Column("v")], at=PA)
-            result = t.project(["k"]).filter("k", ">", 0).aggregate("c", cc.COUNT, group=["k"])
+            result = (
+                t.project(["k"])
+                .filter(cc.col("k") > 0)
+                .aggregate(group=["k"], aggs={"c": cc.COUNT()})
+            )
             result.collect("out", to=[PA])
             dag = prepare(ctx.build_dag())
         for node in dag.topological():
@@ -49,7 +53,7 @@ class TestOwnership:
             t1 = ctx.new_table("t1", [cc.Column("k"), cc.Column("v")], at=PA)
             t2 = ctx.new_table("t2", [cc.Column("k"), cc.Column("v")], at=PB)
             combined = ctx.concat([t1, t2])
-            agg = combined.aggregate("total", cc.SUM, group=["k"], over="v")
+            agg = combined.aggregate(group=["k"], aggs={"total": cc.SUM("v")})
             agg.collect("out", to=[PA])
             dag = prepare(ctx.build_dag())
         assert combined.node.out_rel.owner is None
@@ -61,7 +65,7 @@ class TestOwnership:
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", [cc.Column("k"), cc.Column("v")], at=PA)
             t2 = ctx.new_table("t2", [cc.Column("k"), cc.Column("w")], at=PB)
-            joined = t1.join(t2, left=["k"], right=["k"])
+            joined = t1.join(t2, on="k")
             joined.collect("out", to=[PA])
             dag = prepare(ctx.build_dag())
         assert joined.node.is_mpc
@@ -83,8 +87,8 @@ class TestOwnership:
             t1 = ctx.new_table("t1", [cc.Column("k"), cc.Column("v")], at=PA, estimated_rows=100)
             t2 = ctx.new_table("t2", [cc.Column("k"), cc.Column("v")], at=PB, estimated_rows=50)
             combined = ctx.concat([t1, t2])
-            filtered = combined.filter("v", ">", 0)
-            agg = filtered.aggregate("c", cc.COUNT, group=["k"])
+            filtered = combined.filter(cc.col("v") > 0)
+            agg = filtered.aggregate(group=["k"], aggs={"c": cc.COUNT()})
             agg.collect("out", to=[PA])
             dag = prepare(ctx.build_dag())
         assert combined.node.out_rel.estimated_rows == 150
@@ -111,8 +115,8 @@ class TestTrustPropagation:
                 "s2", [cc.Column("ssn", trust=[PA]), cc.Column("score")], at=PC
             )
             scores = ctx.concat([s1, s2])
-            joined = demo.join(scores, left=["ssn"], right=["ssn"])
-            agg = joined.aggregate("total", cc.SUM, group=["zip"], over="score")
+            joined = demo.join(scores, on="ssn")
+            agg = joined.aggregate(group=["zip"], aggs={"total": cc.SUM("score")})
             agg.collect("out", to=[PA])
             dag = prepare(ctx.build_dag())
         return dag, scores, joined, agg
@@ -147,7 +151,7 @@ class TestTrustPropagation:
             t2 = ctx.new_table(
                 "t2", [cc.Column("pid", public=True), cc.Column("med")], at=PB
             )
-            joined = t1.join(t2, left=["pid"], right=["pid"])
+            joined = t1.join(t2, on="pid")
             joined.collect("out", to=[PA])
             dag = prepare(ctx.build_dag())
         rel = joined.node.out_rel
@@ -164,7 +168,7 @@ class TestTrustPropagation:
             t2 = ctx.new_table(
                 "t2", [cc.Column("k", trust=[PB]), cc.Column("v", public=True)], at=PB
             )
-            filtered = ctx.concat([t1, t2]).filter("k", ">", 0)
+            filtered = ctx.concat([t1, t2]).filter(cc.col("k") > 0)
             filtered.collect("out", to=[PA])
             dag = prepare(ctx.build_dag())
         rel = filtered.node.out_rel
@@ -185,8 +189,8 @@ class TestTrustPropagation:
                 at=PB,
             )
             combined = ctx.concat([t1, t2])
-            product = combined.multiply("ab", "a", "b")
-            scaled = product.multiply("a2", "a", 2)
+            product = combined.with_column("ab", cc.col("a") * cc.col("b"))
+            scaled = product.with_column("a2", cc.col("a") * 2)
             scaled.collect("out", to=[PA])
             dag = prepare(ctx.build_dag())
         rel = product.node.out_rel

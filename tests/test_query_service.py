@@ -28,6 +28,7 @@ from repro.runtime.service import (
     active_sessions,
     plan_fingerprint,
 )
+from repro.runtime.wire import WireError
 
 from test_runtime_transport import PAPER_QUERIES, paper_query
 
@@ -105,6 +106,27 @@ class TestSessionLifecycle:
             assert session.stats["queries"] == 5
             assert session.stats["plan_cache_misses"] == 2
             assert session.stats["plan_cache_hits"] == 3
+
+    def test_fingerprint_depends_on_the_query_and_the_config_only(self):
+        ctx, _ = two_party_query()
+        ablated = CompilationConfig(enable_push_down=False)
+        fingerprint = plan_fingerprint(cc.compile_query(ctx))
+        assert len(fingerprint) == 64
+        # The same context recompiled, and the same query built afresh.
+        assert plan_fingerprint(cc.compile_query(ctx)) == fingerprint
+        assert plan_fingerprint(cc.compile_query(two_party_query()[0])) == fingerprint
+        # A different config, and a different DAG.
+        assert plan_fingerprint(cc.compile_query(ctx, ablated)) != fingerprint
+        assert plan_fingerprint(cc.compile_query(two_party_query(agg_extra=True)[0])) != fingerprint
+
+    def test_recompiled_context_hits_the_plan_cache(self):
+        """``submit(ctx)`` compiles per call; equal plans must ship once."""
+        ctx, inputs = two_party_query()
+        with cc.open_session(inputs) as session:
+            first, second = session.submit(ctx), session.submit(ctx)
+            assert first.outputs["out"] == second.outputs["out"]
+            assert session.stats["plan_cache_misses"] == 1
+            assert session.stats["plan_cache_hits"] == 1
 
     def test_per_query_inputs_override_standing_inputs(self):
         ctx, inputs = two_party_query()
@@ -279,12 +301,12 @@ class TestCrashPropagation:
             assert "out" in result.outputs
 
     def test_unserializable_inputs_fail_only_that_query(self):
-        """A submission whose frame cannot be pickled raises at the caller
+        """A submission whose frame cannot be encoded raises at the caller
         with nothing half-shipped; the session keeps serving."""
         ctx, inputs = two_party_query()
         compiled = cc.compile_query(ctx)
         with cc.open_session(inputs) as session:
-            with pytest.raises(Exception, match="pickle|serializ"):
+            with pytest.raises(WireError, match="not expressible in the wire codec"):
                 session.submit(compiled, inputs={PARTY_A: {"t0": lambda: None}})
             assert session.in_flight() == 0
             result = session.submit(compiled, timeout=60)

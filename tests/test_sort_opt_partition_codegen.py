@@ -37,7 +37,7 @@ class TestSortElimination:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
             agg = ctx.concat([t1, t2]).sort_by("k").aggregate(
-                "total", cc.SUM, group=["k"], over="v"
+                group=["k"], aggs={"total": cc.SUM("v")}
             )
             agg.collect("out", to=[PA])
 
@@ -76,9 +76,9 @@ class TestSortElimination:
             chained = (
                 ctx.concat([t1, t2])
                 .sort_by("k")
-                .filter("v", ">", 0)
+                .filter(cc.col("v") > 0)
                 .project(["k", "v"])
-                .aggregate("total", cc.SUM, group=["k"], over="v")
+                .aggregate(group=["k"], aggs={"total": cc.SUM("v")})
             )
             chained.collect("out", to=[PA])
 
@@ -94,8 +94,8 @@ class TestPartitioning:
             scores = ctx.new_table(
                 "scores", [cc.Column("ssn", trust=[PA]), cc.Column("score")], at=PB
             )
-            joined = demo.join(scores, left=["ssn"], right=["ssn"])
-            agg = joined.aggregate("total", cc.SUM, group=["zip"], over="score")
+            joined = demo.join(scores, on="ssn")
+            agg = joined.aggregate(group=["zip"], aggs={"total": cc.SUM("score")})
             agg.collect("out", to=[PA])
 
         return compile_query(build)
@@ -138,7 +138,7 @@ class TestCodegen:
         def build(ctx):
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
-            agg = ctx.concat([t1, t2]).aggregate("total", cc.SUM, group=["k"], over="v")
+            agg = ctx.concat([t1, t2]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
             agg.collect("out", to=[PA])
 
         config = CompilationConfig(
@@ -195,7 +195,7 @@ class TestCodegen:
             right = ctx.new_table(
                 "right", [cc.Column("k", trust=[PA]), cc.Column("w")], at=cc.Party("c.example")
             )
-            joined = left.join(right, left=["k"], right=["k"])
+            joined = left.join(right, on="k")
             joined.collect("out", to=[PB])
 
         compiled = compile_query(build)

@@ -96,7 +96,7 @@ class TestCompilerRewrite:
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
             agg = ctx.concat([t1, t2]).sort_by("k").aggregate(
-                "total", cc.SUM, group=["k"], over="v"
+                group=["k"], aggs={"total": cc.SUM("v")}
             )
             agg.collect("out", to=[PA])
         compiled = cc.compile_query(

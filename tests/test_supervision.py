@@ -318,6 +318,41 @@ class TestHeartbeat:
             assert second.mpc_profile == reference.mpc_profile
 
 
+    def test_healthy_agents_survive_many_heartbeat_rounds(self):
+        """Pongs race the ping bookkeeping: an agent that answers every ping
+        must never accumulate misses (it used to, one per tick, until the
+        supervisor killed it alongside the wedged one)."""
+        ctx, inputs = two_party_query()
+        restart = RestartPolicy(heartbeat_interval_seconds=0.01, heartbeat_misses=2)
+        with supervised_session(inputs, restart=restart) as session:
+            time.sleep(1.0)  # ~100 heartbeat rounds
+            assert session.stats["restarts"] == 0
+            assert session.submit(ctx, timeout=60).outputs["out"] is not None
+
+    def test_submit_during_back_to_back_restarts_is_retried(self):
+        """Both agents die together and recover one after the other; a query
+        submitted while the pool is still restarting them fails at dispatch
+        (nothing was shipped) and must go through the same retry loop as a
+        mid-flight crash instead of surfacing ``AgentCrashed``."""
+        ctx, inputs = two_party_query()
+        reference = cc.run_query(ctx, inputs, seed=9)
+        restart = RestartPolicy(
+            backoff_seconds=0.2, max_backoff_seconds=0.5, heartbeat_interval_seconds=None
+        )
+        with supervised_session(inputs, restart=restart) as session:
+            assert session.submit(ctx, timeout=60).outputs["out"] == reference.outputs["out"]
+            for proc in list(session._pool._processes.values()):
+                os.kill(proc.pid, signal.SIGKILL)
+            assert wait_until(lambda: len(session._pool.live_parties()) < 2, timeout=10.0)
+            result = session.submit(ctx, timeout=60)
+            assert result.outputs["out"] == reference.outputs["out"]
+            assert result.mpc_profile == reference.mpc_profile
+            stats = session.stats
+        assert stats["restarts"] == 2
+        assert stats["retries"] >= 1
+        assert stats["retries_exhausted"] == 0
+
+
 class TestRetryHints:
     def test_rejection_hint_tracks_observed_queue_wait(self):
         """The shed hint is the observed median queue wait, clamped."""

@@ -9,14 +9,12 @@ These tests pin down the three properties that make that deployable:
   error, never a hang, on both the initial handshake and the crash-rejoin
   path;
 * **transparency** — query results over TLS are byte-identical to the
-  plaintext and simulated runtimes, including the MPC work/traffic profile,
-  with the legacy pickle fallback disabled (codec-only frames);
+  plaintext and simulated runtimes, including the MPC work/traffic profile;
 * **recoverability** — supervised crash recovery (kill, restart, mesh
   rejoin) works unchanged through secured sockets.
 
 The differential anchor replays the full 50-plan corpus from
-:mod:`tests.test_differential` through one warm TLS session with
-``REPRO_WIRE_PICKLE=0``.
+:mod:`tests.test_differential` through one warm TLS session.
 """
 
 import shutil
@@ -110,13 +108,8 @@ class TestTlsSession:
         assert secured.outputs["out"] == simulated.outputs["out"]
         assert secured.mpc_profile == simulated.mpc_profile
 
-    def test_tls_session_with_pickle_fallback_disabled(self, security, monkeypatch):
-        """Codec-only frames over TLS: the deployment posture for real hosts.
-
-        The environment switch is inherited by the forked agent processes,
-        so *every* endpoint refuses pickle frames, not just the coordinator.
-        """
-        monkeypatch.setenv("REPRO_WIRE_PICKLE", "0")
+    def test_tls_session_with_standing_inputs(self, security):
+        """``open_session`` over TLS: inputs ship once in the session bundle."""
         ctx, inputs = two_party_query(agg_extra=True)
         config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
         compiled = cc.compile_query(ctx, config)
@@ -280,13 +273,12 @@ class TestRejoinHelloAuthentication:
 
 
 class TestTlsRecovery:
-    def test_kill_and_rejoin_through_secured_sockets(self, security, monkeypatch):
-        """A supervised kill + restart + mesh rejoin, all over mutual TLS
-        with the pickle fallback disabled, must converge to byte-identical
-        results — the full recovery protocol runs on secured links."""
+    def test_kill_and_rejoin_through_secured_sockets(self, security):
+        """A supervised kill + restart + mesh rejoin, all over mutual TLS,
+        must converge to byte-identical results — the full recovery
+        protocol runs on secured links."""
         from repro.runtime.faults import FaultPlan, KillFault
 
-        monkeypatch.setenv("REPRO_WIRE_PICKLE", "0")
         ctx, inputs = two_party_query()
         config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
         compiled = cc.compile_query(ctx, config)
@@ -313,17 +305,16 @@ class TestTlsRecovery:
 # -- differential anchor ----------------------------------------------------------------------
 
 
-def test_fifty_plans_byte_identical_over_tls_without_pickle(tmp_path, monkeypatch):
-    """The full 50-plan differential corpus through ONE warm TLS session
-    with ``REPRO_WIRE_PICKLE=0``: every output table (including row order)
-    and every MPC work/traffic profile must be byte-identical to the
+def test_fifty_plans_byte_identical_over_tls(tmp_path):
+    """The full 50-plan differential corpus through ONE warm TLS session:
+    every output table (including row order) and every MPC work/traffic
+    profile must be byte-identical to the
     in-process simulated runtime.  This is the acceptance bar for the
     codec + TLS transport: securing the links changes *nothing* about
     query semantics or MPC accounting."""
     from test_differential import NUM_PLANS, SEED, build_query, generate_spec
     from test_differential import PARTY_A as DIFF_A, PARTY_B as DIFF_B
 
-    monkeypatch.setenv("REPRO_WIRE_PICKLE", "0")
     certs = TransportSecurity.dev([DIFF_A, DIFF_B], tmp_path / "diff-certs")
     config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
     with cc.QuerySession(

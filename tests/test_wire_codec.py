@@ -5,21 +5,21 @@ property-testing dependency) but targets the codec layer itself: every
 frame kind the runtime ships round-trips byte-exactly (including >64 KiB
 NumPy payloads, repro dataclasses, enums, exception envelopes, shared
 references and cycles), truncated or corrupted codec payloads are rejected
-with :class:`WireError` rather than silently misdecoded, and the legacy
-pickle fallback can be switched off entirely.
+with :class:`WireError` rather than silently misdecoded, and a payload that
+is not a codec payload — a pickle, say — is a :class:`WireError` too.
 
 Also holds the regression tests for the three wire-layer bugfixes:
 
-* ``RestrictedUnpickler.find_class`` must never *import* a module while
-  resolving an exception class — hostile frames naming an importable
+* decoding an exception envelope must never *import* a module while
+  resolving the exception class — hostile frames naming an importable
   module used to trigger its import side effects on every party;
 * ``send_torn_frame`` must always leave the receiver genuinely mid-frame
   (header plus at least one payload byte, never the whole frame) and
   refuse frames too small to tear — tiny frames used to send the header
   only;
 * ``mesh._endpoint`` must not silently rewrite a bare advertised port to
-  loopback: it now warns on loopback sessions and raises on multi-host
-  ones, where the silent rewrite dialled the wrong machine.
+  loopback, where the silent rewrite dialled the wrong machine: an
+  advertised address is a ``(host, port)`` pair or a :class:`WireError`.
 """
 
 import pickle
@@ -43,23 +43,11 @@ from repro.runtime.wire import (
     encode_frame,
     encode_payload,
     recv_frame,
-    restricted_loads,
     send_torn_frame,
-    set_pickle_fallback,
 )
 from repro.runtime import wire
 
 SEED = 20260808
-
-
-@pytest.fixture
-def no_pickle():
-    """Run the enclosed test with the legacy pickle fallback disabled."""
-    set_pickle_fallback(False)
-    try:
-        yield
-    finally:
-        set_pickle_fallback(None)
 
 
 def roundtrip(obj):
@@ -103,22 +91,22 @@ PRIMITIVES = [
 
 
 @pytest.mark.parametrize("value", PRIMITIVES, ids=[repr(v)[:30] for v in PRIMITIVES])
-def test_primitive_round_trips(value, no_pickle):
+def test_primitive_round_trips(value):
     assert deep_equal(roundtrip(value), value)
 
 
-def test_nan_round_trips(no_pickle):
+def test_nan_round_trips():
     got = roundtrip(float("nan"))
     assert isinstance(got, float) and got != got
 
 
-def test_bytearray_round_trips(no_pickle):
+def test_bytearray_round_trips():
     got = roundtrip(bytearray(b"abc"))
     assert isinstance(got, bytearray) and got == b"abc"
 
 
 @pytest.mark.parametrize("case", range(10))
-def test_random_ndarrays_round_trip(case, no_pickle):
+def test_random_ndarrays_round_trip(case):
     rng = np.random.default_rng(SEED + case)
     dtype = rng.choice(["int64", "uint64", "int32", "float64", "complex128", "bool"])
     shape = tuple(int(rng.integers(0, 7)) for _ in range(int(rng.integers(0, 4))))
@@ -128,7 +116,7 @@ def test_random_ndarrays_round_trip(case, no_pickle):
     assert deep_equal(got, arr)
 
 
-def test_large_ndarray_round_trips(no_pickle):
+def test_large_ndarray_round_trips():
     """Arrays well past one 64 KiB socket buffer are ordinary payloads."""
     rng = np.random.default_rng(SEED)
     arr = rng.integers(0, 2**63, size=(1 << 14,), dtype=np.uint64)  # 128 KiB
@@ -136,7 +124,7 @@ def test_large_ndarray_round_trips(no_pickle):
     assert deep_equal(roundtrip(arr), arr)
 
 
-def test_non_contiguous_and_zero_dim_arrays(no_pickle):
+def test_non_contiguous_and_zero_dim_arrays():
     base = np.arange(24, dtype=np.int64).reshape(4, 6)
     views = [base[:, ::2], base.T, np.array(7, dtype=np.int64)]
     for view in views:
@@ -144,14 +132,14 @@ def test_non_contiguous_and_zero_dim_arrays(no_pickle):
         assert got.shape == view.shape and np.array_equal(got, view)
 
 
-def test_numpy_scalars_round_trip(no_pickle):
+def test_numpy_scalars_round_trip():
     for scalar in (np.int64(-9), np.uint64(2**63), np.float64(1.25),
                    np.bool_(True), np.datetime64("2026-08-08")):
         got = roundtrip(scalar)
         assert got == scalar and got.dtype == scalar.dtype
 
 
-def test_repro_dataclasses_and_enums_round_trip(no_pickle):
+def test_repro_dataclasses_and_enums_round_trip():
     table = Table(Schema([ColumnDef("k"), ColumnDef("v", ColumnType.FLOAT)]),
                   [np.arange(5), np.arange(5) * 0.5])
     got = roundtrip({"outputs": {"out": table}, "type": ColumnType.FLOAT})
@@ -162,7 +150,7 @@ def test_repro_dataclasses_and_enums_round_trip(no_pickle):
     assert got["type"] is ColumnType.FLOAT
 
 
-def test_exception_envelopes_round_trip(no_pickle):
+def test_exception_envelopes_round_trip():
     exc = TransportError("mesh link died")
     exc.party = "P1"
     got = roundtrip(("error", 7, exc, "traceback..."))
@@ -173,7 +161,7 @@ def test_exception_envelopes_round_trip(no_pickle):
     assert type(builtin) is TimeoutError and builtin.args == ("t", 42)
 
 
-def test_unresolvable_exception_decodes_to_runtimeerror(no_pickle):
+def test_unresolvable_exception_decodes_to_runtimeerror():
     """An exception class the receiver cannot resolve (without importing
     anything) degrades to a descriptive RuntimeError, never an import."""
     data = bytearray(encode_payload(ValueError("x")))
@@ -187,7 +175,7 @@ def test_unresolvable_exception_decodes_to_runtimeerror(no_pickle):
     assert "evil_mod" not in sys.modules
 
 
-def test_shared_references_are_preserved(no_pickle):
+def test_shared_references_are_preserved():
     shared = [1, 2, 3]
     arr = np.arange(4)
     obj = {"a": shared, "b": shared, "t": (shared, arr), "u": [arr]}
@@ -196,7 +184,7 @@ def test_shared_references_are_preserved(no_pickle):
     assert got["t"][1] is got["u"][0]
 
 
-def test_cycles_round_trip(no_pickle):
+def test_cycles_round_trip():
     cyc = {"name": "root"}
     cyc["self"] = cyc
     lst = [cyc]
@@ -206,7 +194,7 @@ def test_cycles_round_trip(no_pickle):
     assert got["list"][0] is got
 
 
-def test_mesh_frame_shapes_round_trip(no_pickle):
+def test_mesh_frame_shapes_round_trip():
     frames = [
         (3, "msg", 1, ("P1", "P2", ("open-share", np.arange(9, dtype=np.uint64)), 72)),
         (4, "table", 2, ("rel", Table(Schema([ColumnDef("x")]), [np.arange(3)]))),
@@ -227,7 +215,7 @@ def test_mesh_frame_shapes_round_trip(no_pickle):
 
 
 @pytest.mark.parametrize("case", range(10))
-def test_truncated_codec_payloads_are_rejected(case, no_pickle):
+def test_truncated_codec_payloads_are_rejected(case):
     rng = np.random.default_rng(SEED + case)
     payload = encode_payload({"k": list(range(50)), "arr": np.arange(100)})
     cut = int(rng.integers(1, len(payload) - 1))
@@ -235,22 +223,22 @@ def test_truncated_codec_payloads_are_rejected(case, no_pickle):
         decode_payload(payload[:cut])
 
 
-def test_trailing_bytes_are_rejected(no_pickle):
+def test_trailing_bytes_are_rejected():
     with pytest.raises(WireError, match="trailing"):
         decode_payload(encode_payload([1, 2]) + b"\x00")
 
 
-def test_unknown_tag_is_rejected(no_pickle):
+def test_unknown_tag_is_rejected():
     with pytest.raises(WireError, match="unknown tag"):
         decode_payload(bytes([CODEC_MAGIC, 0x7E]))
 
 
-def test_dangling_memo_reference_is_rejected(no_pickle):
+def test_dangling_memo_reference_is_rejected():
     with pytest.raises(WireError, match="memo"):
         decode_payload(bytes([CODEC_MAGIC, 0x13, 0x05]))
 
 
-def test_object_dtype_is_rejected_both_ways(no_pickle):
+def test_object_dtype_is_rejected_both_ways():
     with pytest.raises(UnsupportedPayload):
         encode_payload(np.array([object()], dtype=object))
     # A forged frame claiming an object dtype must be refused at decode.
@@ -261,11 +249,11 @@ def test_object_dtype_is_rejected_both_ways(no_pickle):
         decode_payload(bytes(forged))
 
 
-def test_non_repro_class_is_rejected_both_ways(no_pickle):
+def test_non_repro_class_is_rejected_both_ways():
     class Outside:
         pass
 
-    with pytest.raises(WireError, match="pickle\\s+fallback is disabled"):
+    with pytest.raises(WireError, match="not expressible in the wire codec"):
         encode_frame(Outside())
     # A forged OBJ frame naming a non-repro class must be refused at decode.
     table = Table(Schema([ColumnDef("x")]), [np.arange(2)])
@@ -274,60 +262,29 @@ def test_non_repro_class_is_rejected_both_ways(no_pickle):
         decode_payload(forged)
 
 
-def test_pickle_frames_are_rejected_when_fallback_disabled(no_pickle):
+def test_a_pickle_payload_is_not_a_codec_payload():
+    """Whatever a payload's first byte is, only ``0xC7`` is ever decoded."""
     data = pickle.dumps({"k": 1}, protocol=pickle.HIGHEST_PROTOCOL)
-    header = len(data).to_bytes(4, "big")
-    decoder = FrameDecoder()
-    with pytest.raises(WireError, match="pickle"):
-        decoder.feed(header + data)
+    for payload in (data, b"", b"\x00", bytes([CODEC_MAGIC ^ 0xFF]) + data):
+        with pytest.raises(WireError, match="not a codec frame"):
+            decode_payload(payload)
 
 
-def test_pickle_disable_via_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_WIRE_PICKLE", "0")
-    with pytest.raises(WireError, match="disabled"):
-        encode_frame(_OutsideCodec())
-    monkeypatch.setenv("REPRO_WIRE_PICKLE", "1")
-    assert isinstance(encode_frame(_OutsideCodec()), bytes)
+# -- bugfix regression: exception envelopes must not import modules --------------------------
 
 
-class _OutsideCodec:
-    """A class outside the repro package: forces the pickle fallback."""
-
-    def __init__(self):
-        self.marker = 41
-
-
-def test_interleaved_codec_and_legacy_pickle_frames_decode_when_fallback_enabled():
-    """A legacy peer's pickle frames interleave with codec frames on one link."""
-    set_pickle_fallback(True)
-    try:
-        legacy = pickle.dumps(
-            {"k": [1, 2], "arr": "legacy"}, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        blob = (
-            encode_frame(1) + len(legacy).to_bytes(4, "big") + legacy + encode_frame("after")
-        )
-        decoder = FrameDecoder()
-        got = decoder.feed(blob)
-        decoder.eof()
-        assert got == [1, {"k": [1, 2], "arr": "legacy"}, "after"]
-    finally:
-        set_pickle_fallback(None)
-
-
-# -- bugfix regression: find_class must not import modules -----------------------------------
-
-
-class TestFindClassNeverImports:
-    def _hostile_pickle(self, module: str, name: str) -> bytes:
-        # A raw GLOBAL opcode naming module.name, exactly what a hostile
-        # frame would carry: protocol 2 prefix, then c<module>\n<name>\n.
-        return b"\x80\x02c" + module.encode() + b"\n" + name.encode() + b"\n."
+class TestExceptionEnvelopesNeverImport:
+    def _envelope(self, module: str, name: str) -> bytes:
+        """A codec exception envelope naming ``module.name``, as a hostile
+        frame would carry it (equal-length rewrite of a genuine envelope)."""
+        genuine = encode_payload(ValueError("x"))
+        forged = genuine.replace(b"\x08builtins", bytes([len(module)]) + module.encode())
+        return forged.replace(b"\x0aValueError", bytes([len(name)]) + name.encode())
 
     def test_unloaded_module_is_never_imported(self, tmp_path, monkeypatch):
         """Resolving an exception class must consult sys.modules only —
         naming an importable-but-unloaded module must not import it (the
-        pre-fix unpickler ran the module's top-level code here)."""
+        pre-fix decoder ran the module's top-level code here)."""
         marker = tmp_path / "imported.marker"
         mod_name = "wire_codec_hostile_mod"
         (tmp_path / f"{mod_name}.py").write_text(
@@ -337,18 +294,18 @@ class TestFindClassNeverImports:
         )
         monkeypatch.syspath_prepend(str(tmp_path))
         sys.modules.pop(mod_name, None)
-        with pytest.raises(WireError, match="forbidden global"):
-            restricted_loads(self._hostile_pickle(mod_name, "Boom"))
+        got = decode_payload(self._envelope(mod_name, "Boom"))
+        assert isinstance(got, RuntimeError) and mod_name in str(got)
         assert mod_name not in sys.modules
         assert not marker.exists(), "hostile frame triggered a module import"
 
     def test_loaded_module_exception_still_resolves(self):
-        got = restricted_loads(pickle.dumps(TimeoutError("t")))
-        assert isinstance(got, TimeoutError)
+        got = decode_payload(self._envelope("builtins", "TimeoutError"))
+        assert type(got) is TimeoutError and got.args == ("x",)
 
-    def test_loaded_module_non_exception_still_rejected(self):
-        with pytest.raises(WireError, match="forbidden global"):
-            restricted_loads(self._hostile_pickle("threading", "Thread"))
+    def test_loaded_module_non_exception_is_never_instantiated(self):
+        got = decode_payload(self._envelope("threading", "Thread"))
+        assert isinstance(got, RuntimeError) and "threading.Thread" in str(got)
 
 
 # -- bugfix regression: send_torn_frame must tear inside the payload -------------------------
@@ -400,19 +357,13 @@ class TestSendTornFrame:
 
 
 class TestEndpointNormalisation:
-    def test_bare_port_on_loopback_session_warns(self):
-        with pytest.warns(DeprecationWarning, match="bare advertised ports"):
-            assert _endpoint(4000) == ("127.0.0.1", 4000)
-        with pytest.warns(DeprecationWarning):
-            assert _endpoint(4000, "localhost") == ("127.0.0.1", 4000)
-
-    def test_bare_port_on_multi_host_session_raises(self):
+    @pytest.mark.parametrize("bad", [4000, "a1", None, ("10.0.0.7",), ("h", 1, 2), ("h", "x")])
+    def test_anything_but_a_host_port_pair_raises(self, bad):
         """Pre-fix, a stale bare-port hello on a routable session silently
         dialled 127.0.0.1 — the wrong machine."""
-        with pytest.raises(WireError, match="multi-host"):
-            _endpoint(4000, "10.0.0.7")
+        with pytest.raises(WireError, match="not a \\(host, port\\) endpoint"):
+            _endpoint(bad)
 
-    def test_full_endpoints_pass_through_unwarned(self, recwarn):
-        assert _endpoint(("10.0.0.7", 4000), "10.0.0.7") == ("10.0.0.7", 4000)
-        assert _endpoint(["192.168.1.9", 81], "127.0.0.1") == ("192.168.1.9", 81)
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
+    def test_full_endpoints_pass_through(self):
+        assert _endpoint(("10.0.0.7", 4000)) == ("10.0.0.7", 4000)
+        assert _endpoint(["192.168.1.9", 81]) == ("192.168.1.9", 81)
