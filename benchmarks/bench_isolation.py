@@ -2,8 +2,9 @@
 """MPC-profile comparison artefact for the isolation CI job.
 
 Replays a slice of the differential corpus through the simulated runtime
-(all-local ``SecretSharingEngine``) and the socket runtime (one process per
-party, per-party ``ShareSliceEngine`` slices) and records, per plan:
+(one ``SecretSharingEngine`` holding every slice) and the socket runtime (one
+process per party, each engine holding only that party's slice) and records,
+per plan:
 
 * the MPC work/traffic profile of both runs (must be identical — the
   script asserts it, so a lockstep divergence fails the job);

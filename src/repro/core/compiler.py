@@ -177,31 +177,15 @@ def run_query(
     """
     import dataclasses
 
-    from repro.core.dispatch import QueryRunner
+    from repro.core.dispatch import run_compiled
 
     config = config or CompilationConfig()
     if executor is not None:
         config = dataclasses.replace(config, executor=executor)
-    compiled = compile_query(query, config)
-    parties = sorted(compiled.dag.parties() | set(inputs))
-    if runtime == "sockets":
-        from repro.runtime.coordinator import SocketCoordinator
-
-        coordinator = SocketCoordinator(parties, inputs, config, seed=seed, timeout=timeout)
-        return coordinator.run(compiled)
-    if runtime == "service":
-        from repro.runtime.service import shared_session
-
-        session = shared_session(parties, timeout=timeout)
-        return session.submit(
-            compiled, inputs=inputs, seed=seed, config=config, timeout=timeout + 10
-        )
-    if runtime != "simulated":
-        raise ValueError(
-            f"unknown runtime {runtime!r}; use 'simulated', 'sockets' or 'service'"
-        )
-    runner = QueryRunner(parties, inputs, config, seed=seed)
-    return runner.run(compiled)
+    return run_compiled(
+        compile_query(query, config), inputs, config,
+        seed=seed, runtime=runtime, timeout=timeout,
+    )
 
 
 def _apply_row_hints(dag: Dag, config: CompilationConfig) -> None:

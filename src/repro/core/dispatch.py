@@ -39,6 +39,7 @@ __all__ = [
     "QueryRunner",
     "SecurityError",
     "load_party_inputs",
+    "run_compiled",
     "run_query_from_csv",
 ]
 
@@ -111,31 +112,46 @@ def run_query_from_csv(
 
     from repro.data.csvio import write_csv
 
-    config = config or compiled.config
-    inputs = load_party_inputs(input_dirs)
-    parties = sorted(set(input_dirs) | compiled.dag.parties())
-    if runtime == "sockets":
-        from repro.runtime.coordinator import SocketCoordinator
-
-        coordinator = SocketCoordinator(parties, inputs, config, seed=seed, timeout=timeout)
-        result = coordinator.run(compiled)
-    elif runtime == "service":
-        from repro.runtime.service import shared_session
-
-        session = shared_session(parties, timeout=timeout)
-        result = session.submit(
-            compiled, inputs=inputs, seed=seed, config=config, timeout=timeout + 10
-        )
-    elif runtime == "simulated":
-        result = QueryRunner(parties, inputs, config, seed=seed).run(compiled)
-    else:
-        raise ValueError(
-            f"unknown runtime {runtime!r}; use 'simulated', 'sockets' or 'service'"
-        )
+    result = run_compiled(
+        compiled, load_party_inputs(input_dirs), config or compiled.config,
+        seed=seed, runtime=runtime, timeout=timeout,
+    )
     if output_dir is not None:
         for name, table in result.outputs.items():
             write_csv(table, Path(output_dir) / f"{name}.csv")
     return result
+
+
+def run_compiled(
+    compiled,
+    inputs: dict[str, dict[str, Table]],
+    config: CompilationConfig,
+    *,
+    seed: int = 0,
+    runtime: str = "simulated",
+    timeout: float = 60.0,
+) -> QueryResult:
+    """Execute a compiled query on the chosen runtime — the one place the
+    ``simulated | sockets | service`` choice is made (the runtimes are
+    described at :func:`repro.core.compiler.run_query`).
+    """
+    parties = sorted(compiled.dag.parties() | set(inputs))
+    if runtime == "simulated":
+        return QueryRunner(parties, inputs, config, seed=seed).run(compiled)
+    if runtime == "sockets":
+        from repro.runtime.coordinator import SocketCoordinator
+
+        return SocketCoordinator(parties, inputs, config, seed=seed, timeout=timeout).run(compiled)
+    if runtime == "service":
+        from repro.runtime.service import shared_session
+
+        session = shared_session(parties, timeout=timeout, bind_host=config.bind_host)
+        return session.submit(
+            compiled, inputs=inputs, seed=seed, config=config, timeout=timeout + 10
+        )
+    raise ValueError(
+        f"unknown runtime {runtime!r}; use 'simulated', 'sockets' or 'service'"
+    )
 
 
 class QueryRunner(PlanExecutor):

@@ -1,6 +1,6 @@
 """Columnar vectorized execution engine.
 
-The subsystem has four layers:
+The subsystem has three layers:
 
 * :mod:`repro.exec.batch` — :class:`ColumnBatch`, the mask-carrying
   columnar data representation;
@@ -8,12 +8,11 @@ The subsystem has four layers:
   bool / map, mask filters, hash join, sort-based group-by), bit-identical
   to the row engine's ``Table`` methods;
 * :mod:`repro.exec.engine` — :class:`ColumnarBackend`, the cleartext
-  engine built from those kernels (same interface as ``PythonBackend``);
-* :mod:`repro.exec.executor` — :class:`ColumnarExecutor`, a plan executor
-  pinned to the columnar engine.
+  engine built from those kernels (same interface as ``PythonBackend``).
 
-Selected at the API surface via ``run_query(..., executor="columnar")``;
-see ``docs/executor.md``.
+``CompilationConfig.executor`` is the one way to pick the engine
+(``run_query(..., executor="columnar")`` sets it for one call); see
+``docs/executor.md``.
 """
 
 from __future__ import annotations
@@ -25,16 +24,5 @@ __all__ = [
     "ColumnBatch",
     "ColumnarBackend",
     "ColumnarCostModel",
-    "ColumnarExecutor",
 ]
 
-
-def __getattr__(name: str):
-    # Imported lazily: ``exec.executor`` subclasses the runtime's
-    # ``PlanExecutor``, which itself imports this package's engine — an
-    # eager import here would be circular.
-    if name == "ColumnarExecutor":
-        from repro.exec.executor import ColumnarExecutor
-
-        return ColumnarExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,45 +5,43 @@ message exchange, oblivious shuffles reshare whole relations, and garbled
 circuits ship megabytes of truth tables.  The real Conclave prototype pays
 these costs on actual datacentre links; here every transfer goes through a
 :class:`Network` object that records messages, bytes, and *rounds* (batches
-of messages that could be sent in parallel), so the cost models in
+of messages that travel in parallel), so the cost models in
 :mod:`repro.mpc.runtime` can reconstruct realistic wall-clock times.
 
-Delivery is delegated to a :class:`~repro.runtime.transport.Transport`:
+The network has one communication primitive, :meth:`Network.round`: it
+validates the round's messages, accounts for them, and hands them to a
+:class:`~repro.runtime.transport.Transport` to carry:
 
-* the default :class:`~repro.runtime.transport.SimulatedTransport` keeps the
-  original single-process queues (accounting is byte-for-byte identical to
-  the pre-transport ``Network``);
+* the default :class:`~repro.runtime.transport.SimulatedTransport` delivers
+  every payload inside the one process that models all parties;
 * a :class:`~repro.runtime.transport.SocketTransport` endpoint, used by the
-  distributed runtime, routes every message between two distinct parties
+  distributed runtime, moves every message between two distinct parties
   over a real TCP connection between per-party OS processes.
 
-Accounting always happens here, before delivery, so the recorded traffic is
-identical whichever transport carries it.
+Accounting always happens here, before the transport sees the round, so the
+recorded traffic is identical whichever transport carries it.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.runtime.transport import (
-    Message,
+    Delivered,
     NetworkStats,
+    Sends,
     SimulatedTransport,
     Transport,
 )
 
-__all__ = ["Message", "Network", "NetworkStats"]
+__all__ = ["Network", "NetworkStats"]
 
 
 class Network:
     """Message fabric connecting the computing parties.
 
-    Parties address each other by name.  ``send`` delivers a message through
-    the transport; ``recv`` pops the oldest message for a receiver
-    (optionally filtered by sender).  ``barrier`` marks the end of a
-    communication round: all messages sent since the previous barrier are
-    assumed to travel in parallel, so they contribute a single round-trip
-    latency to the cost model regardless of how many parties exchanged data.
+    Parties address each other by name.  :meth:`round` carries one batch of
+    messages: they are assumed to travel in parallel, so a round contributes
+    a single round-trip latency to the cost model regardless of how many
+    parties exchanged data.
     """
 
     #: Wire size of one 64-bit field element (share), in bytes.
@@ -62,7 +60,6 @@ class Network:
             )
         self.transport = transport
         self.stats = NetworkStats()
-        self._sent_since_barrier = 0
 
     @property
     def reference_party(self) -> str:
@@ -74,50 +71,32 @@ class Network:
         """
         return self.transport.reference_party
 
-    def send(self, sender: str, receiver: str, payload: Any, size_bytes: int) -> None:
-        """Send ``payload`` from ``sender`` to ``receiver``."""
-        self._check_party(sender)
-        self._check_party(receiver)
-        if sender == receiver:
-            raise ValueError("a party cannot send a network message to itself")
-        msg = Message(sender, receiver, payload, int(size_bytes))
-        self.stats.messages += 1
-        self.stats.bytes_sent += int(size_bytes)
-        self._sent_since_barrier += 1
-        self.transport.deliver(msg)
+    def round(self, tag: str, sends: Sends, size_bytes: int) -> Delivered:
+        """Carry one communication round: every ``(sender, receiver, payload)``
+        of ``sends`` travels in parallel, each metered at ``size_bytes``.
 
-    def recv(self, receiver: str, sender: str | None = None) -> Any:
-        """Receive the oldest pending message for ``receiver``.
-
-        If ``sender`` is given, the oldest message from that sender is
-        returned instead.  Raises ``LookupError`` if nothing is pending.
+        Returns ``{(sender, receiver): payload}`` as *delivered* — for the
+        local party of a socket transport these are the bytes that crossed
+        the process boundary, not the local copies.  ``tag`` names the
+        protocol step, so a socket endpoint can tell a peer that has fallen
+        out of lockstep.  Only a round that carries traffic is counted; it
+        is the one place ``wire_rounds`` advances — analytically accounted
+        rounds (:meth:`account_rounds`) raise the cost model's ``rounds``
+        without implying a synchronous mesh round trip.
         """
-        self._check_party(receiver)
-        return self.transport.pop(receiver, sender).payload
-
-    def broadcast(self, sender: str, payload: Any, size_bytes: int) -> None:
-        """Send ``payload`` from ``sender`` to every other party."""
-        for receiver in self.party_names:
-            if receiver != sender:
-                self.send(sender, receiver, payload, size_bytes)
-
-    def barrier(self) -> None:
-        """Mark the end of a communication round.
-
-        Barriers delimit *real* message exchanges, so they are the only
-        place ``wire_rounds`` advances — analytically accounted rounds
-        (:meth:`account_rounds`) raise the cost model's ``rounds`` without
-        implying a synchronous mesh round trip.
-        """
-        if self._sent_since_barrier > 0:
-            self.stats.rounds += 1
-            self.stats.wire_rounds += 1
-            self._sent_since_barrier = 0
-
-    def pending(self, receiver: str) -> int:
-        """Number of undelivered messages addressed to ``receiver``."""
-        self._check_party(receiver)
-        return self.transport.pending(receiver)
+        for sender, receiver, _payload in sends:
+            self._check_party(sender)
+            self._check_party(receiver)
+            if sender == receiver:
+                raise ValueError("a party cannot send a network message to itself")
+        if not sends:
+            return {}
+        size_bytes = int(size_bytes)
+        self.stats.messages += len(sends)
+        self.stats.bytes_sent += len(sends) * size_bytes
+        self.stats.rounds += 1
+        self.stats.wire_rounds += 1
+        return self.transport.exchange(tag, sends, size_bytes)
 
     def account_rounds(self, rounds: int, bytes_per_round: int, messages_per_round: int = 1) -> None:
         """Record traffic analytically without materialising messages.
@@ -133,7 +112,6 @@ class Network:
 
     def reset_stats(self) -> None:
         self.stats.reset()
-        self._sent_since_barrier = 0
 
     def _check_party(self, name: str) -> None:
         if name not in self.party_names:

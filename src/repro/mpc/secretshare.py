@@ -8,18 +8,16 @@ secret-sharing MPC backend:
 * :class:`TripleDealer` — a trusted dealer producing Beaver multiplication
   triples (the standard preprocessing model; Sharemind's protocol set plays
   the same role with resharing-based multiplication).
-* :class:`ShareSliceEngine` — the party-facing engine.  An engine instance
-  holds the share slices of its *local* parties only; every opening
-  (``open``, ``reveal_to``, Beaver ``d``/``e`` openings, the environment
-  openings of the ideal-functionality steps) reconstructs from the share
-  payloads as *delivered* by the network transport.  On a socket transport
-  the foreign slices genuinely arrive off the wire, so a corrupted frame
-  corrupts the opened result — the shares are load-bearing, not replicated.
-* :class:`SecretSharingEngine` — the all-local specialisation used by the
-  single-process simulation: one engine holds every party's slice and plays
-  all parties at once.  Its communication schedule is identical to the
-  sliced engines', which is what keeps the simulated and distributed
-  runtimes byte-identical.
+* :class:`SecretSharingEngine` — the party-facing engine.  An engine
+  instance holds the share slices of its *local* parties only: every party's
+  slice in the single-process simulation (``local_parties=None``, one engine
+  plays all parties at once), exactly one slice in a party agent.  Every
+  opening (``open``, ``reveal_to``, Beaver ``d``/``e`` openings, the
+  environment openings of the ideal-functionality steps) reconstructs from
+  the share payloads as *delivered* by the network round.  On a socket
+  transport the foreign slices genuinely arrive off the wire, so a corrupted
+  frame corrupts the opened result — the shares are load-bearing, not
+  replicated.
 * :class:`SharedVector` — a handle to a secret-shared vector of 64-bit
   values, with operator overloads for the supported arithmetic.
 
@@ -35,12 +33,13 @@ reconstruct to the correct results.  This keeps every query end-to-end
 Lockstep (SPMD) execution model
 -------------------------------
 
-Every engine — sliced or all-local — executes the *full* global message
-schedule of each round: a sliced engine passes ``None`` placeholders for
-payloads it does not hold, and the transport substitutes the peer's real
-frame wherever the local party is the receiver.  Because the schedule,
-sizes and barriers are identical everywhere, ``NetworkStats`` and the cost
-meter agree across all engines and across transports.
+Every engine, whichever slices it holds, hands the *full* global message
+schedule of each round to :meth:`~repro.mpc.network.Network.round`: it
+passes ``None`` placeholders for payloads it does not hold, and the
+transport substitutes the peer's real frame wherever the local party is the
+receiver.  Because the schedule and sizes are identical everywhere,
+``NetworkStats`` and the cost meter agree across all engines and across
+transports.
 
 Randomness is partitioned into streams so sliced engines stay in lockstep:
 
@@ -154,16 +153,15 @@ class TripleDealer:
 
 
 class SharedVector:
-    """Handle to a secret-shared vector owned by a :class:`ShareSliceEngine`.
+    """Handle to a secret-shared vector owned by a :class:`SecretSharingEngine`.
 
     ``shares`` holds only the slices the owning engine's local parties hold,
-    in global party order restricted to the local parties.  For the
-    all-local :class:`SecretSharingEngine` that is every party's slice (the
-    historical behaviour); for a one-party agent engine it is a single
-    slice, and no other party's share material exists in the process.
+    in global party order restricted to the local parties.  For an all-local
+    engine that is every party's slice; for a one-party agent engine it is a
+    single slice, and no other party's share material exists in the process.
     """
 
-    def __init__(self, engine: "ShareSliceEngine", shares: list[np.ndarray]):
+    def __init__(self, engine: "SecretSharingEngine", shares: list[np.ndarray]):
         self._engine = engine
         self._shares = shares
 
@@ -192,15 +190,18 @@ class SharedVector:
         return self._engine.open(self)
 
 
-class ShareSliceEngine:
+class SecretSharingEngine:
     """n-party additive secret-sharing engine holding per-party share slices.
 
     ``local_parties`` selects which parties' slices this engine instance
-    materialises.  Every engine executes the same global communication
-    schedule (SPMD lockstep); payloads the engine does not hold are sent as
-    ``None`` placeholders, and openings reconstruct from the payloads the
-    transport *delivered* — which, on a socket transport, are the frames
-    read off the peer connections.
+    materialises; the default ``None`` is all of them (the single-process
+    simulation, where ``SharedVector.shares`` exposes every slice and
+    :meth:`AdditiveSharing.reconstruct` applies to them directly).  Every
+    engine executes the same global communication schedule (SPMD lockstep);
+    payloads the engine does not hold are sent as ``None`` placeholders, and
+    openings reconstruct from the payloads the transport *delivered* —
+    which, on a socket transport, are the frames read off the peer
+    connections.
     """
 
     def __init__(
@@ -246,43 +247,11 @@ class ShareSliceEngine:
         ]
 
     @property
-    def is_all_local(self) -> bool:
-        return self.num_local_shares == self.num_parties
-
-    @property
     def held_share_parties(self) -> tuple[str, ...]:
         """Names of the parties whose share slices this engine materialises."""
         return tuple(self.party_names[i] for i in self.local_indices)
 
     # -- communication rounds -----------------------------------------------------------
-
-    def _round(self, tag: str, sends: "list[tuple[str, str, np.ndarray | tuple | None]]", size_bytes: int) -> dict:
-        """Execute one communication round and consume its messages.
-
-        Each ``(sender, receiver, payload)`` message is sent through the
-        network (which meters it and, on a socket transport, moves the
-        payload between the party processes), the round is closed with a
-        barrier, and every message of the round is received back out of the
-        queues.  Returns ``{(sender, receiver): payload}`` as *delivered* —
-        for the local party of a real transport these are the bytes that
-        actually crossed the process boundary, not the local copies.  A
-        sliced engine sends ``None`` placeholders for foreign payloads; the
-        placeholders only ever surface for (sender, receiver) pairs that are
-        both remote, whose payloads no local computation consumes.
-        """
-        for sender, receiver, payload in sends:
-            self.network.send(sender, receiver, (tag, payload), size_bytes)
-        self.network.barrier()
-        delivered = {}
-        for sender, receiver, _payload in sends:
-            got_tag, payload = self.network.recv(receiver, sender)
-            if got_tag != tag:
-                raise RuntimeError(
-                    f"protocol desynchronisation: expected a {tag!r} message from "
-                    f"{sender!r} to {receiver!r} but received {got_tag!r}"
-                )
-            delivered[(sender, receiver)] = payload
-        return delivered
 
     def _exchange(self, tag: str, per_party: "list[np.ndarray | tuple | None]", size_bytes: int) -> list:
         """All-to-all broadcast of one payload per party (one round).
@@ -298,7 +267,7 @@ class ShareSliceEngine:
             for receiver in self.party_names
             if receiver != sender
         ]
-        delivered = self._round(tag, sends, size_bytes)
+        delivered = self.network.round(tag, sends, size_bytes)
         ref = self.network.reference_party
         return [
             per_party[i] if name == ref else delivered[(name, ref)]
@@ -386,7 +355,7 @@ class ShareSliceEngine:
             for i, name in enumerate(self.party_names)
             if name != contributor
         ]
-        delivered = self._round("input-share", sends, size)
+        delivered = self.network.round("input-share", sends, size)
         local_shares = []
         for i in self.local_indices:
             name = self.party_names[i]
@@ -463,11 +432,9 @@ class ShareSliceEngine:
 
         The ideal-functionality steps (comparisons, sort keys, oblivious
         index positions, aggregation boundaries, fixed-point truncation) run
-        on cleartext the environment reconstructs.  Historically that
-        reconstruction was a local array sum over replicated state; with
-        share slices it is a real broadcast round — all vectors batched into
-        one exchange — so the environment's view, too, is built from wire
-        bytes.  The realistic protocol cost of each step is still charged
+        on cleartext the environment reconstructs.  That reconstruction is
+        a real broadcast round — all vectors batched into one exchange — so
+        the environment's view, too, is built from wire bytes.  The realistic protocol cost of each step is still charged
         separately by its caller; this round's traffic is metered like any
         other exchange.  No ``output_records`` are counted: nothing is
         revealed to the *parties* beyond what the ideal functionality allows.
@@ -524,7 +491,7 @@ class ShareSliceEngine:
                 continue
             payload = vec.shares[self._local_pos[i]] if i in self._local_pos else None
             sends.append((name, party, payload))
-        delivered = self._round("reveal-share", sends, size)
+        delivered = self.network.round("reveal-share", sends, size)
         self.meter.output_records += len(vec)
         if party_idx not in self._local_pos:
             return None
@@ -683,23 +650,3 @@ class ShareSliceEngine:
     def _check_same_engine(self, vec: SharedVector) -> None:
         if vec._engine is not self:
             raise ValueError("cannot combine shares from different MPC engines")
-
-
-class SecretSharingEngine(ShareSliceEngine):
-    """All-local engine: one instance holds every party's share slice.
-
-    This is the single-process simulation's engine (and the historical
-    API): ``SharedVector.shares`` exposes all ``num_parties`` slices and
-    :meth:`AdditiveSharing.reconstruct` applies to them directly.  Its
-    communication schedule is identical to the sliced engines', which keeps
-    the simulated and distributed runtimes byte-for-byte interchangeable.
-    """
-
-    def __init__(
-        self,
-        party_names: Sequence[str],
-        seed: int | None = None,
-        network: Network | None = None,
-        meter: CostMeter | None = None,
-    ):
-        super().__init__(party_names, seed=seed, network=network, meter=meter, local_parties=None)

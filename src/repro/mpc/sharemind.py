@@ -25,7 +25,7 @@ from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.protocols import SharedTable
 from repro.data.schema import Schema
 from repro.mpc.runtime import CostMeter, SharemindCostModel
-from repro.mpc.secretshare import SecretSharingEngine, ShareSliceEngine, SharedVector
+from repro.mpc.secretshare import SecretSharingEngine, SharedVector
 
 
 class SharemindBackend:
@@ -53,16 +53,11 @@ class SharemindBackend:
                 f"the Sharemind backend supports at most {self.MAX_PARTIES} computing parties"
             )
         self.party_names = party_names
-        if local_parties is None:
-            # All-local: the single-process simulation plays every party.
-            self.engine: ShareSliceEngine = SecretSharingEngine(
-                party_names, seed=seed, network=network
-            )
-        else:
-            # A party agent: materialise only the local parties' share slices.
-            self.engine = ShareSliceEngine(
-                party_names, seed=seed, network=network, local_parties=local_parties
-            )
+        # ``local_parties=None`` (the single-process simulation) plays every
+        # party; a party agent materialises only its own share slices.
+        self.engine = SecretSharingEngine(
+            party_names, seed=seed, network=network, local_parties=local_parties
+        )
         self.cost_model = cost_model or SharemindCostModel()
 
     # -- data movement -----------------------------------------------------------------

@@ -7,13 +7,16 @@ the reproduction from a purely in-process simulation to that deployment
 shape:
 
 * :mod:`repro.runtime.transport` — the :class:`Transport` abstraction the
-  party-to-party :class:`~repro.mpc.network.Network` sends its messages
-  through.  :class:`SimulatedTransport` keeps the original in-process
-  queues (and byte-for-byte identical :class:`NetworkStats` accounting);
-  :class:`SocketTransport` moves every cross-party message over a real TCP
-  connection between per-party OS processes.
+  party-to-party :class:`~repro.mpc.network.Network` hands each
+  communication round to (one operation, ``exchange``).
+  :class:`SimulatedTransport` delivers a round inside the one process that
+  models every party; :class:`SocketTransport` moves every cross-party
+  message over a real TCP connection between per-party OS processes.  The
+  :class:`NetworkStats` accounting is identical on both.
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.mesh` — length-prefixed
-  codec framing and the full TCP mesh connecting the party agents.
+  codec framing and the full TCP mesh connecting the party agents; a
+  per-query :class:`~repro.runtime.mesh.MeshChannel` is the one surface
+  executors and transports send and receive through.
 * :mod:`repro.runtime.executor` — the node-by-node plan executor shared by
   the in-process :class:`~repro.core.dispatch.QueryRunner` and the
   per-party agents.
@@ -37,7 +40,6 @@ not drag in the whole execution stack.
 from __future__ import annotations
 
 from repro.runtime.transport import (
-    Message,
     NetworkStats,
     SimulatedTransport,
     SocketTransport,
@@ -46,7 +48,6 @@ from repro.runtime.transport import (
 )
 
 __all__ = [
-    "Message",
     "NetworkStats",
     "SimulatedTransport",
     "SocketTransport",

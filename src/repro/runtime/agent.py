@@ -232,7 +232,7 @@ def agent_main(
         tag, ports = recv_frame(control)
         if tag != "peers":
             raise RuntimeError(f"agent {party!r} expected a peers frame, got {tag!r}")
-        nonce = bundle.get("nonce")
+        nonce = bundle["nonce"]
         if bundle.get("rejoin"):
             # Replacement for a crashed agent: the survivors are parked in
             # accept by the supervisor's rejoin broadcast — dial them all.
@@ -281,7 +281,7 @@ def _serve(
     injector=None,
     listener: socket.socket | None = None,
     security=None,
-    nonce: str | None = None,
+    nonce: str,
 ) -> None:
     """The agent's query-serving loop (runs until shutdown/idle/EOF)."""
     send_lock = threading.Lock()

@@ -7,7 +7,8 @@ This module holds the execution logic both runtimes share:
   :class:`PlanExecutor` that embodies *every* party (``local_parties`` = all
   parties, no mesh) — the original simulated behaviour;
 * the distributed runtime runs one :class:`PlanExecutor` per party process
-  (``local_parties`` = that party, plus a :class:`~repro.runtime.mesh.PeerMesh`).
+  (``local_parties`` = that party, plus the query's
+  :class:`~repro.runtime.mesh.MeshChannel`).
   Cleartext sub-plans execute only at the party that owns them; relations
   that cross party boundaries are shipped over the mesh; and *every* agent
   participates in the MPC sub-plans, executing the joint protocol in

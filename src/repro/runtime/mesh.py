@@ -23,9 +23,9 @@ queues:
   ``(peer, query id)`` pair are poisoned so blocked readers fail
   immediately instead of running out their timeout.
 
-Executors never touch the mesh directly: :meth:`PeerMesh.channel` returns a
-:class:`MeshChannel` — a view bound to one query id with the classic
-``send_message``/``receive_table`` interface — so concurrent queries
+Executors and transports never touch the mesh directly:
+:meth:`PeerMesh.channel` returns a :class:`MeshChannel` — a view bound to one
+query id, and the only send/receive surface there is — so concurrent queries
 interleave safely on the shared sockets.
 
 All blocking reads carry a timeout, so a crashed peer surfaces as a
@@ -78,10 +78,6 @@ KIND_MSG = "msg"
 KIND_TABLE = "table"
 KIND_ABORT = "abort"
 _DATA_KINDS = (KIND_MSG, KIND_TABLE)
-
-#: Query id used by single-query runs (and any caller that never asks for an
-#: explicit channel).
-DEFAULT_QUERY_ID = 0
 
 #: How long an agent keeps retrying to dial a peer that has announced its
 #: port but may not have reached ``accept`` yet.
@@ -392,24 +388,6 @@ class PeerMesh:
             for key in [k for k in self._aborted if k[1] == query_id]:
                 del self._aborted[key]
 
-    # -- default-channel compatibility shims ---------------------------------------------
-
-    def send_message(self, peer: str, message: tuple) -> None:
-        self._send(peer, KIND_MSG, DEFAULT_QUERY_ID, message)
-
-    def receive_message(self, peer: str) -> tuple:
-        return self._receive(peer, KIND_MSG, DEFAULT_QUERY_ID)
-
-    def send_table(self, peer: str, relation: str, table) -> None:
-        self._send(peer, KIND_TABLE, DEFAULT_QUERY_ID, (relation, table))
-
-    def broadcast_table(self, relation: str, table) -> None:
-        for peer in sorted(self._socks):
-            self.send_table(peer, relation, table)
-
-    def receive_table(self, peer: str, relation: str):
-        return self.channel(DEFAULT_QUERY_ID).receive_table(peer, relation)
-
     def close(self) -> None:
         if self._closed:
             return
@@ -428,10 +406,9 @@ class PeerMesh:
 class MeshChannel:
     """One query's view of a :class:`PeerMesh`.
 
-    Exposes the exact send/receive surface executors and transports use, so
-    a channel is a drop-in ``mesh`` wherever a whole :class:`PeerMesh` was
-    accepted before multiplexing existed.  Closing a channel releases its
-    per-query queues but leaves the shared sockets open for other queries.
+    The send/receive surface executors and transports use.  Closing a
+    channel releases its per-query queues but leaves the shared sockets open
+    for other queries.
     """
 
     def __init__(self, mesh: PeerMesh, query_id: int):
@@ -524,23 +501,21 @@ def _verify_peer_identity(sock: socket.socket, claimed: str, party: str) -> None
         )
 
 
-def _check_mesh_hello(frame, party: str, order: list[str], nonce: str | None) -> str:
+def _check_mesh_hello(frame, party: str, order: list[str], nonce: str) -> str:
     """Validate an inbound mesh hello; returns the authenticated party id.
 
-    Hellos carry ``("hello", party, nonce)``; the legacy nonce-less form is
-    accepted only when the session has no nonce (direct test wiring).  A
-    wrong or missing nonce is an impersonation attempt (or a stray client)
-    and fails the handshake.
+    Hellos carry ``("hello", party, nonce)`` with the session nonce; any
+    other shape is malformed, and a wrong nonce is an impersonation attempt
+    (or a stray client).  Both fail the handshake.
     """
     if (
         not isinstance(frame, tuple)
-        or len(frame) not in (2, 3)
+        or len(frame) != 3
         or frame[0] != "hello"
         or frame[1] not in order
     ):
         raise TransportError(f"agent {party!r} received a malformed mesh hello: {frame!r}")
-    got_nonce = frame[2] if len(frame) == 3 else None
-    if nonce is not None and got_nonce != nonce:
+    if frame[2] != nonce:
         raise TransportError(
             f"agent {party!r} rejected a mesh hello from {frame[1]!r}: wrong session nonce"
         )
@@ -554,9 +529,9 @@ def connect_mesh(
     listener: socket.socket,
     timeout: float = 60.0,
     *,
+    nonce: str,
     injector=None,
     security=None,
-    nonce: str | None = None,
 ) -> PeerMesh:
     """Establish the full mesh for ``party`` given every agent's endpoint.
 
@@ -576,7 +551,7 @@ def connect_mesh(
     for peer in order[:index]:
         connections[peer] = _dial(
             party, peer, _endpoint(ports[peer]), timeout,
-            security=security, nonce=nonce,
+            hello=("hello", party, nonce), security=security,
         )
 
     for _ in order[index + 1:]:
@@ -605,18 +580,18 @@ def rejoin_mesh(
     timeout: float = 60.0,
     *,
     epoch: int,
+    nonce: str,
     injector=None,
     released_watermark: int = 0,
     security=None,
-    nonce: str | None = None,
 ) -> PeerMesh:
     """Build the mesh for a *restarted* ``party`` joining a live session.
 
     Unlike :func:`connect_mesh`'s rank-ordered dial/accept split, a rejoining
     agent always **dials** every surviving peer (survivors are parked in
     ``accept`` by the supervisor's rejoin broadcast) and introduces itself
-    with an epoch-tagged (and, with a session ``nonce``, nonce-carrying)
-    hello, so survivors can tell this restart's connection apart from a
+    with a hello carrying the restart epoch and the session ``nonce``, so
+    survivors can tell this restart's connection apart from a
     stale one left over by an earlier failed attempt — and, under TLS, from
     an impersonator that knows the party id but holds the wrong certificate.
     ``ports`` holds only the *live* peers — a peer that is itself down is
@@ -625,14 +600,9 @@ def rejoin_mesh(
     connections: dict[str, socket.socket] = {}
     try:
         for peer in sorted(p for p in parties if p != party and p in ports):
-            hello = (
-                ("rejoin-hello", party, epoch)
-                if nonce is None
-                else ("rejoin-hello", party, epoch, nonce)
-            )
             connections[peer] = _dial(
                 party, peer, _endpoint(ports[peer]), timeout,
-                hello=hello, security=security, nonce=nonce,
+                hello=("rejoin-hello", party, epoch, nonce), security=security,
             )
     except Exception:
         for sock in connections.values():
@@ -654,14 +624,13 @@ def accept_rejoin(
     epoch: int,
     timeout: float,
     *,
+    nonce: str,
     security=None,
-    nonce: str | None = None,
 ) -> socket.socket:
     """Survivor side of the restart handshake: accept ``peer``'s rejoin dial.
 
-    Accepts connections off ``listener`` until one presents the expected
-    rejoin hello for ``(peer, epoch)`` — with the session nonce when one is
-    set; anything stale — a hello from an earlier restart attempt of the
+    Accepts connections off ``listener`` until one presents the rejoin hello
+    ``("rejoin-hello", peer, epoch, nonce)``; anything stale — a hello from an earlier restart attempt of the
     same peer, a malformed frame, a dead connection, a failed TLS handshake
     — is closed and draining continues.  A connection that *claims* to be
     ``peer`` at the right epoch but fails authentication (wrong nonce, or a
@@ -670,11 +639,7 @@ def accept_rejoin(
     when the deadline passes first.
     """
     server_context = None if security is None else security.server_context(party)
-    expected = (
-        ("rejoin-hello", peer, epoch)
-        if nonce is None
-        else ("rejoin-hello", peer, epoch, nonce)
-    )
+    expected = ("rejoin-hello", peer, epoch, nonce)
     deadline = time.monotonic() + timeout
     while True:
         remaining = deadline - time.monotonic()
@@ -706,13 +671,13 @@ def accept_rejoin(
             return sock
         if (
             isinstance(frame, tuple)
-            and len(frame) in (3, 4)
+            and len(frame) == 4
             and frame[0] == "rejoin-hello"
             and frame[1] == peer
             and frame[2] == epoch
         ):
-            # Right peer and epoch but wrong/missing session nonce: that is
-            # not a stale restart attempt, it is an impersonation attempt.
+            # Right peer and epoch but wrong session nonce: that is not a
+            # stale restart attempt, it is an impersonation attempt.
             sock.close()
             raise TransportError(
                 f"agent {party!r} rejected a rejoin hello claiming {peer!r} "
@@ -727,13 +692,12 @@ def _dial(
     endpoint: tuple[str, int],
     timeout: float,
     *,
-    hello: tuple | None = None,
+    hello: tuple,
     security=None,
-    nonce: str | None = None,
 ) -> socket.socket:
-    """Dial ``peer`` at its advertised ``(host, port)`` endpoint with
-    jittered exponential backoff until the retry window closes.  The jitter
-    is deterministic per (party, peer, endpoint) — restarts replay
+    """Dial ``peer`` at its advertised ``(host, port)`` endpoint and
+    introduce this party with ``hello``, retrying with jittered exponential
+    backoff until the retry window closes.  The jitter is deterministic per (party, peer, endpoint) — restarts replay
     identically — while still decorrelating the parties of one mesh, so N
     agents dialling a slow starter don't retry in lockstep.
 
@@ -762,8 +726,6 @@ def _dial(
                 # now with the structured WireError from the wrap helper.
                 sock = secure_client_socket(sock, client_context)
                 _verify_peer_identity(sock, peer, party)
-            if hello is None:
-                hello = ("hello", party) if nonce is None else ("hello", party, nonce)
             try:
                 send_frame(sock, hello)
             except WireError as exc:

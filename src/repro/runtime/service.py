@@ -216,8 +216,8 @@ def _query_completion_counters(payloads: dict[str, dict]) -> dict[str, int]:
     ``rows_processed`` counts the rows of every distinct output relation
     (each output is counted once even when several parties received it);
     ``mpc_rounds`` is the joint protocol's *wire* round count — the number
-    of real barrier-delimited mesh exchanges, which the batched share-vector
-    protocols keep independent of relation size.  Shapes and counts only,
+    of real mesh exchanges (``Network.round`` calls), which the batched
+    share-vector protocols keep independent of relation size.  Shapes and counts only,
     never values: the counters stay on the right side of the privacy
     boundary.
     """
@@ -1432,20 +1432,24 @@ def shared_session(
     *,
     timeout: float = 60.0,
     start_method: str | None = None,
+    bind_host: str = "127.0.0.1",
 ) -> QuerySession:
     """The process-wide standing session for ``parties`` (created on demand).
 
     Backs ``run_query(..., runtime="service")``: repeated queries over the
-    same party set reuse one warm agent mesh.  Shared sessions carry no
-    standing inputs — every submission ships its own — and are closed by
+    same party set reuse one warm agent mesh.  ``bind_host`` is where that
+    mesh binds and advertises (``CompilationConfig.bind_host``); a different
+    host is a different mesh.  Shared sessions carry no standing inputs —
+    every submission ships its own — and are closed by
     :func:`close_shared_sessions` (registered ``atexit``).
     """
-    key = (tuple(parties), timeout, start_method)
+    key = (tuple(parties), timeout, start_method, bind_host)
     with _SHARED_LOCK:
         session = _SHARED_SESSIONS.get(key)
         if session is None or session.closed:
             session = QuerySession(
-                parties, timeout=timeout, start_method=start_method,
+                parties, config=CompilationConfig(bind_host=bind_host),
+                timeout=timeout, start_method=start_method,
             )
             _SHARED_SESSIONS[key] = session
         return session

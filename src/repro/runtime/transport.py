@@ -1,26 +1,26 @@
 """Pluggable transports for the party-to-party network.
 
-:class:`~repro.mpc.network.Network` accounts for every message (count,
-bytes, rounds) and hands the actual delivery to a :class:`Transport`:
+The secret-sharing engine communicates in *rounds*: a list of
+``(sender, receiver, payload)`` messages that travel in parallel and are all
+consumed before the next round starts.  :class:`~repro.mpc.network.Network`
+validates and accounts for each round and hands it to a :class:`Transport`,
+whose one operation is :meth:`Transport.exchange` — carry the round, return
+``{(sender, receiver): payload}`` as delivered:
 
-* :class:`SimulatedTransport` — the original in-process behaviour: messages
-  are queued per receiver inside one Python process.  Accounting, queueing
-  and ``recv`` semantics are byte-for-byte identical to the pre-refactor
-  :class:`Network`.
-* :class:`SocketTransport` — the distributed runtime: each party runs as
-  its own OS process, and every message between two *distinct* parties is
-  written to (and read from) a real TCP connection of the agent mesh.  The
+* :class:`SimulatedTransport` — one Python process models every party, so
+  every payload is delivered as given.
+* :class:`SocketTransport` — each party runs as its own OS process and the
   party processes execute the joint MPC protocol in lockstep from a shared
-  seed, so a transport endpoint knows which party it embodies
-  (``local_party``): sends *from* that party go out on the wire, and
-  deliveries *to* that party block until the peer's frame arrives — the
-  enqueued payload is the one read off the socket, not the locally computed
-  copy.  Messages between two remote parties are queued locally so the
-  replicated joint computation can proceed.
+  seed, so an endpoint knows which party it embodies (``local_party``).  It
+  first writes every message of the round that party sends to the agent
+  mesh, then reads every message addressed to it; what it returns for
+  those is the payload read off the socket, never the locally computed
+  copy.  Messages between two remote parties are returned as given (a
+  ``None`` placeholder when the local engine does not hold the payload) —
+  no local computation consumes them.
 
-Both transports expose identical queue semantics, so the secret-sharing
-engine's communication pattern (and therefore :class:`NetworkStats`) is the
-same whichever transport carries it.
+The schedule of rounds is the same on every transport, which is what makes
+:class:`NetworkStats` identical whichever transport carries the traffic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.mesh import PeerMesh
+    from repro.runtime.mesh import MeshChannel
+
+#: One round's messages: ``(sender, receiver, payload)`` triples.
+Sends = list[tuple[str, str, Any]]
+#: What a round delivered: ``{(sender, receiver): payload}``.
+Delivered = dict[tuple[str, str], Any]
 
 
 class TransportError(RuntimeError):
@@ -42,7 +47,8 @@ class NetworkStats:
 
     ``rounds`` counts every round the cost model charges for, including the
     analytically accounted rounds of the ideal-functionality protocol steps;
-    ``wire_rounds`` counts only *real* barrier-delimited message exchanges —
+    ``wire_rounds`` counts only *real* message exchanges
+    (:meth:`~repro.mpc.network.Network.round` calls that carried traffic) —
     the number of synchronous mesh round trips a distributed execution
     performs.  The batched share-vector protocols keep ``wire_rounds``
     independent of row count.
@@ -69,18 +75,8 @@ class NetworkStats:
         self.wire_rounds = 0
 
 
-@dataclass
-class Message:
-    """A single message in flight between two parties."""
-
-    sender: str
-    receiver: str
-    payload: Any
-    size_bytes: int
-
-
 class Transport:
-    """Delivery fabric between named parties with per-receiver FIFO queues."""
+    """Carries one communication round at a time between named parties."""
 
     #: The party this endpoint embodies, or ``None`` for the in-process
     #: fabric that models every party at once.
@@ -88,25 +84,10 @@ class Transport:
 
     def __init__(self, party_names: list[str]):
         self.party_names = list(party_names)
-        self._queues: dict[str, list[Message]] = {p: [] for p in self.party_names}
 
-    # -- delivery ----------------------------------------------------------------------
-
-    def deliver(self, message: Message) -> None:
-        """Deliver ``message`` into the receiver's queue."""
+    def exchange(self, tag: str, sends: Sends, size_bytes: int) -> Delivered:
+        """Carry one round; returns ``{(sender, receiver): payload}`` as delivered."""
         raise NotImplementedError
-
-    def pop(self, receiver: str, sender: str | None = None) -> Message:
-        """Pop the oldest queued message for ``receiver`` (optionally from ``sender``)."""
-        queue = self._queues[receiver]
-        for i, msg in enumerate(queue):
-            if sender is None or msg.sender == sender:
-                return queue.pop(i)
-        raise LookupError(f"no pending message for {receiver!r} from {sender!r}")
-
-    def pending(self, receiver: str) -> int:
-        """Number of undelivered messages addressed to ``receiver``."""
-        return len(self._queues[receiver])
 
     @property
     def reference_party(self) -> str:
@@ -114,68 +95,66 @@ class Transport:
         return self.local_party or self.party_names[0]
 
     def close(self) -> None:
-        """Release any transport resources (no-op for in-process queues)."""
+        """Release any transport resources (nothing to release in-process)."""
 
 
 class SimulatedTransport(Transport):
-    """The in-process queue fabric (the original :class:`Network` behaviour)."""
+    """The in-process fabric: every payload arrives as it was sent."""
 
-    def deliver(self, message: Message) -> None:
-        self._queues[message.receiver].append(message)
+    def exchange(self, tag: str, sends: Sends, size_bytes: int) -> Delivered:
+        return {(sender, receiver): payload for sender, receiver, payload in sends}
 
 
 class SocketTransport(Transport):
-    """Per-party endpoint routing cross-party messages over the TCP mesh.
+    """Per-party endpoint carrying cross-party messages over the TCP mesh.
 
     ``party_names`` are the *computing* parties of the MPC engine — a subset
     of the agents in the mesh.  The SPMD invariant is that every agent
-    performs the same ``deliver`` calls in the same order; this endpoint
-    turns the calls where it is the sender into real socket writes and the
-    calls where it is the receiver into blocking socket reads, and verifies
-    that what arrives matches the replicated computation's expectation.
+    performs the same ``exchange`` calls in the same order; this endpoint
+    turns the messages it sends into socket writes and the messages it
+    receives into blocking socket reads, and verifies that what arrives
+    matches the replicated computation's expectation.  All writes of a
+    round happen before its first read, so no agent's send waits on another
+    agent's frame.
     """
 
-    def __init__(self, party_names: list[str], mesh):
-        # ``mesh`` is anything with the PeerMesh send/receive surface: a
-        # whole :class:`~repro.runtime.mesh.PeerMesh` (single-query runs) or
-        # a per-query :class:`~repro.runtime.mesh.MeshChannel` (service
-        # mode, where frames of concurrent queries interleave on the shared
-        # sockets and the channel demultiplexes by query id).
+    def __init__(self, party_names: list[str], mesh: "MeshChannel"):
         super().__init__(party_names)
         self.mesh = mesh
         self.local_party = mesh.party
 
-    def deliver(self, message: Message) -> None:
+    def exchange(self, tag: str, sends: Sends, size_bytes: int) -> Delivered:
+        me, peers = self.local_party, self.mesh.peers
+        for sender, receiver, payload in sends:
+            if sender == me and receiver in peers:
+                self.mesh.send_message(receiver, (sender, receiver, (tag, payload), size_bytes))
+        delivered = {}
+        for sender, receiver, payload in sends:
+            if receiver == me and sender in peers:
+                # The bytes that genuinely crossed the process boundary
+                # replace the local replica.
+                payload = self._receive(tag, sender)
+            delivered[(sender, receiver)] = payload
+        return delivered
+
+    def _receive(self, tag: str, sender: str) -> Any:
+        """Read ``sender``'s frame of this round and check it is the one the
+        replicated computation expects."""
         me = self.local_party
-        if message.sender == me and message.receiver in self.mesh.peers:
-            # My own outbound traffic: ship the real payload to the peer
-            # process, and keep the local copy so the replicated joint
-            # computation still sees a complete queue state.
-            self.mesh.send_message(
-                message.receiver,
-                (message.sender, message.receiver, message.payload, message.size_bytes),
+        got_sender, got_receiver, (got_tag, payload), _size = self.mesh.receive_message(sender)
+        if got_sender != sender or got_receiver != me:
+            raise TransportError(
+                f"agent {me!r} expected a message {sender!r} -> {me!r} but the wire "
+                f"carried {got_sender!r} -> {got_receiver!r}; the party processes "
+                "have diverged"
             )
-            self._queues[message.receiver].append(message)
-            return
-        if message.receiver == me and message.sender in self.mesh.peers:
-            # Inbound traffic: block until the peer's frame arrives and
-            # enqueue *that* payload — the bytes genuinely crossed the
-            # process boundary.  A sender/receiver mismatch means the
-            # replicated protocol executions diverged.
-            sender, receiver, payload, size_bytes = self.mesh.receive_message(message.sender)
-            if sender != message.sender or receiver != message.receiver:
-                raise TransportError(
-                    f"agent {me!r} expected a message {message.sender!r} -> "
-                    f"{message.receiver!r} but the wire carried {sender!r} -> {receiver!r}; "
-                    "the party processes have diverged"
-                )
-            self._queues[me].append(Message(sender, receiver, payload, size_bytes))
-            return
-        # A message between two remote parties (or a party without an agent
-        # in the mesh): queue the locally computed replica.
-        self._queues[message.receiver].append(message)
+        if got_tag != tag:
+            raise TransportError(
+                f"protocol desynchronisation: expected a {tag!r} message from "
+                f"{sender!r} to {me!r} but received {got_tag!r}"
+            )
+        return payload
 
     def close(self) -> None:
-        # For a MeshChannel this releases the per-query queues and leaves
-        # the shared sockets open; for a whole PeerMesh it closes them.
+        # Releases the channel's per-query queues; the shared sockets stay open.
         self.mesh.close()

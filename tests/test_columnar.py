@@ -234,15 +234,8 @@ class TestWireRoundFlatness:
 
 
 class TestBindHost:
-    def test_bind_listener_honours_host(self):
-        listener = bind_listener(5.0, "127.0.0.1")
-        try:
-            host, port = listener.getsockname()
-            assert host == "127.0.0.1" and port > 0
-        finally:
-            listener.close()
-
-    def test_agents_advertise_full_endpoints(self):
+    @staticmethod
+    def two_party_sum():
         schema = Schema([ColumnDef("k"), ColumnDef("v")])
         inputs = {
             PARTY_A: {"t0": Table(schema, [[1, 2], [10, 20]])},
@@ -255,6 +248,18 @@ class TestBindHost:
             ctx.concat([t0, t1]).aggregate(
                 group=["k"], aggs={"s": cc.SUM("v")}
             ).collect("out", to=[pa])
+        return ctx, inputs
+
+    def test_bind_listener_honours_host(self):
+        listener = bind_listener(5.0, "127.0.0.1")
+        try:
+            host, port = listener.getsockname()
+            assert host == "127.0.0.1" and port > 0
+        finally:
+            listener.close()
+
+    def test_agents_advertise_full_endpoints(self):
+        ctx, inputs = self.two_party_sum()
         config = CompilationConfig(bind_host="127.0.0.1")
         with cc.QuerySession([PARTY_A, PARTY_B], inputs=inputs, config=config) as session:
             for party, endpoint in session._pool._ports.items():
@@ -263,6 +268,31 @@ class TestBindHost:
             result = session.submit(ctx, timeout=60)
         expected = cc.run_query(ctx, inputs)
         assert result.outputs["out"] == expected.outputs["out"]
+
+    def test_service_runtime_binds_the_configured_host(self):
+        """``runtime="service"`` must bind and advertise ``config.bind_host``,
+        not the loopback default of the shared session it runs on."""
+        from repro.runtime.service import close_shared_sessions, shared_session
+
+        alias = "127.0.0.2"
+        try:
+            bind_listener(1.0, alias).close()
+        except OSError:
+            pytest.skip(f"cannot bind the loopback alias {alias}")
+        ctx, inputs = self.two_party_sum()
+        try:
+            result = cc.run_query(
+                ctx, inputs, CompilationConfig(bind_host=alias), runtime="service", timeout=30.0
+            )
+            session = shared_session([PARTY_A, PARTY_B], timeout=30.0, bind_host=alias)
+            assert session.stats["queries"] == 1, "run_query used another session"
+            assert session._pool.bind_host == alias
+            assert {host for host, _port in session._pool._ports.values()} == {alias}
+            # A different host is a different mesh, never a silent reuse.
+            assert shared_session([PARTY_A, PARTY_B], timeout=30.0) is not session
+        finally:
+            close_shared_sessions()
+        assert result.outputs["out"] == cc.run_query(ctx, inputs).outputs["out"]
 
 
 class TestSessionCounters:

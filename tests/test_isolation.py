@@ -1,10 +1,10 @@
-"""Cryptographic isolation tests for the per-party share-slice engine.
+"""Cryptographic isolation tests for the per-party share slices.
 
 The properties asserted here are what make the distributed runtime's
 secret sharing *real* rather than replicated theatre:
 
-* a :class:`ShareSliceEngine` holds only its own parties' additive share
-  slices — no other party's share material, and no other party's cleartext
+* a :class:`SecretSharingEngine` holds only its local parties' additive
+  share slices — no other party's share material, and no other party's cleartext
   input, exists in the process;
 * openings (``open``, Beaver openings, env-opens) reconstruct from the
   share frames *delivered by the transport*: tampering with one share frame
@@ -12,6 +12,8 @@ secret sharing *real* rather than replicated theatre:
   are load-bearing;
 * the lockstep sliced engines stay byte-identical to the all-local
   simulation engine;
+* a socket endpoint writes all of a round's frames before it reads one, and
+  refuses a frame that belongs to another pair or another round;
 * a pickle frame is a :class:`WireError` on every kind of link — decoder,
   control, mesh and rejoin — and nothing it names ever runs;
 * a mesh reader's death poisons even frames that were already
@@ -33,12 +35,15 @@ import pytest
 import repro as cc
 from repro.core.config import CompilationConfig
 from repro.mpc.network import Network
-from repro.mpc.secretshare import (
-    AdditiveSharing,
-    SecretSharingEngine,
-    ShareSliceEngine,
+from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
+from repro.runtime.mesh import (
+    KIND_MSG,
+    MeshTimeout,
+    PeerMesh,
+    _check_mesh_hello,
+    accept_rejoin,
+    bind_listener,
 )
-from repro.runtime.mesh import KIND_MSG, MeshTimeout, PeerMesh, accept_rejoin, bind_listener
 from repro.runtime.transport import SocketTransport, TransportError
 from repro.runtime.wire import (
     FrameDecoder,
@@ -61,13 +66,15 @@ from test_differential import (
 )
 
 PARTIES = [PARTY_A, PARTY_B]
+PARTY_C = "gamma.example"
+NONCE = "5" * 32
 
 
 # -- in-process mesh pair for two sliced engines ------------------------------------------
 
 
 class _PipeMesh:
-    """Minimal PeerMesh stand-in: two queues, optional frame tampering."""
+    """Minimal MeshChannel stand-in: two queues, optional frame tampering."""
 
     def __init__(self, party, peer, inbox, outbox, tamper=None):
         self.party = party
@@ -89,7 +96,7 @@ class _PipeMesh:
 
 
 def sliced_engine_pair(seed=7, tamper_from_b=None):
-    """Two ShareSliceEngines (one slice each) joined by an in-process pipe."""
+    """Two engines (one slice each) joined by an in-process pipe."""
     a_to_b, b_to_a = queue.Queue(), queue.Queue()
     mesh_a = _PipeMesh(PARTY_A, PARTY_B, inbox=b_to_a, outbox=a_to_b)
     mesh_b = _PipeMesh(PARTY_B, PARTY_A, inbox=a_to_b, outbox=b_to_a, tamper=tamper_from_b)
@@ -97,7 +104,7 @@ def sliced_engine_pair(seed=7, tamper_from_b=None):
     for party, mesh in ((PARTY_A, mesh_a), (PARTY_B, mesh_b)):
         network = Network(PARTIES, transport=SocketTransport(PARTIES, mesh))
         engines.append(
-            ShareSliceEngine(PARTIES, seed=seed, network=network, local_parties=[party])
+            SecretSharingEngine(PARTIES, seed=seed, network=network, local_parties=[party])
         )
     return engines
 
@@ -132,11 +139,11 @@ def run_lockstep(engines, fn):
 
 def _demo_protocol(engine):
     """share -> add -> mul -> compare -> open, exercising every round kind."""
-    if PARTY_A in engine.local_parties or engine.is_all_local:
+    if PARTY_A in engine.local_parties:
         x = engine.input_vector(np.array([3, -1, 7, 0]), contributor=PARTY_A)
     else:
         x = engine.input_vector(None, contributor=PARTY_A, num_rows=4)
-    if PARTY_B in engine.local_parties or engine.is_all_local:
+    if PARTY_B in engine.local_parties:
         y = engine.input_vector(np.array([2, 5, -4, 9]), contributor=PARTY_B)
     else:
         y = engine.input_vector(None, contributor=PARTY_B, num_rows=4)
@@ -149,7 +156,7 @@ def _demo_protocol(engine):
 EXPECTED_DEMO = np.array([3 * 2 + 10, -5 + 10 + 1, -28 + 10, 0 + 10 + 1], dtype=np.int64)
 
 
-class TestShareSliceEngine:
+class TestShareSlices:
     def test_sliced_engines_match_the_all_local_simulation(self):
         engines = sliced_engine_pair(seed=7)
         opened = run_lockstep(engines, _demo_protocol)
@@ -194,7 +201,7 @@ class TestShareSliceEngine:
         np.testing.assert_array_equal(got_b, np.array([3, -1, 7, 0]))
 
     def test_observer_engine_holds_nothing_and_refuses_primitives(self):
-        engine = ShareSliceEngine(PARTIES, seed=3, local_parties=[])
+        engine = SecretSharingEngine(PARTIES, seed=3, local_parties=[])
         assert engine.held_share_parties == ()
         with pytest.raises(RuntimeError, match="holds no share slices"):
             engine.input_vector(np.array([1, 2]), contributor=PARTY_A)
@@ -225,9 +232,78 @@ class TestShareSliceEngine:
 
 
 def _share_both(engine):
-    if PARTY_A in engine.local_parties or engine.is_all_local:
+    if PARTY_A in engine.local_parties:
         return engine.input_vector(np.array([3, -1, 7, 0]), contributor=PARTY_A)
     return engine.input_vector(None, contributor=PARTY_A, num_rows=4)
+
+
+# -- the socket endpoint's round schedule and frame checks --------------------------------
+
+
+class _ScriptedMesh:
+    """MeshChannel stand-in that records the call order and serves scripted
+    frames: ``frames[peer]`` is what ``receive_message(peer)`` returns."""
+
+    def __init__(self, party, peers, frames):
+        self.party = party
+        self.peers = set(peers)
+        self.frames = frames
+        self.log = []
+
+    def send_message(self, peer, message):
+        self.log.append(("send", peer, message))
+
+    def receive_message(self, peer):
+        self.log.append(("receive", peer))
+        return self.frames[peer]
+
+    def close(self):
+        pass
+
+
+THREE = [PARTY_A, PARTY_B, PARTY_C]
+ALL_TO_ALL = [(s, r, f"{s}->{r}") for s in THREE for r in THREE if s != r]
+
+
+class TestSocketTransportRound:
+    @pytest.mark.parametrize("me", THREE)
+    def test_every_frame_is_written_before_the_first_read(self, me):
+        """The lockstep-schedule invariant: in a 3-party all-to-all round no
+        party's write waits on another party's frame."""
+        others = [p for p in THREE if p != me]
+        frames = {p: (p, me, ("open-share", f"wire:{p}"), 8) for p in others}
+        mesh = _ScriptedMesh(me, others, frames)
+        delivered = SocketTransport(THREE, mesh).exchange("open-share", ALL_TO_ALL, 8)
+
+        kinds = [entry[0] for entry in mesh.log]
+        assert kinds == ["send", "send", "receive", "receive"]
+        # Frames and per-link order are the engine's: one frame per peer, in
+        # the order the round lists them.
+        assert [(peer, message) for _kind, peer, message in mesh.log[:2]] == [
+            (p, (me, p, ("open-share", f"{me}->{p}"), 8)) for p in others
+        ]
+        assert [entry[1] for entry in mesh.log[2:]] == others
+        # Inbound payloads come off the wire; everything else is the replica.
+        assert set(delivered) == {(s, r) for s, r, _ in ALL_TO_ALL}
+        for sender, receiver, replica in ALL_TO_ALL:
+            expected = f"wire:{sender}" if receiver == me else replica
+            assert delivered[(sender, receiver)] == expected
+
+    @pytest.mark.parametrize(
+        "wire_pair", [(PARTY_C, PARTY_A), (PARTY_B, PARTY_C)],
+        ids=["wrong-sender", "wrong-receiver"],
+    )
+    def test_frame_for_another_pair_is_a_divergence(self, wire_pair):
+        frames = {PARTY_B: (*wire_pair, ("open-share", "x"), 8)}
+        transport = SocketTransport(PARTIES, _ScriptedMesh(PARTY_A, [PARTY_B], frames))
+        with pytest.raises(TransportError, match="diverged"):
+            transport.exchange("open-share", [(PARTY_B, PARTY_A, None)], 8)
+
+    def test_frame_of_another_round_is_a_desynchronisation(self):
+        frames = {PARTY_B: (PARTY_B, PARTY_A, ("beaver-open", "x"), 8)}
+        transport = SocketTransport(PARTIES, _ScriptedMesh(PARTY_A, [PARTY_B], frames))
+        with pytest.raises(TransportError, match="protocol desynchronisation"):
+            transport.exchange("open-share", [(PARTY_B, PARTY_A, None)], 8)
 
 
 # -- pickle frames are refused ---------------------------------------------------------------
@@ -292,7 +368,7 @@ class TestPickleFramesAreRefused:
             theirs.sendall(_pickle_frame(_Evil(marker)))
             started = time.monotonic()
             with pytest.raises(TransportError):
-                mesh.receive_message(PARTY_B)
+                mesh.channel(0).receive_message(PARTY_B)
             assert time.monotonic() - started < 5.0
         finally:
             theirs.close()
@@ -306,7 +382,7 @@ class TestPickleFramesAreRefused:
         try:
             dialler.sendall(_pickle_frame(_Evil(marker)))
             with pytest.raises(MeshTimeout):
-                accept_rejoin(listener, PARTY_A, PARTY_B, epoch=1, timeout=1.0)
+                accept_rejoin(listener, PARTY_A, PARTY_B, epoch=1, timeout=1.0, nonce=NONCE)
         finally:
             dialler.close()
             listener.close()
@@ -344,6 +420,31 @@ class TestPickleFramesAreRefused:
                 assert isinstance(got[1], ValueError) and got[1].args == ("boom",)
 
 
+# -- one hello shape ------------------------------------------------------------------------
+
+
+class TestHellosCarryTheSessionNonce:
+    def test_hellos_without_the_session_nonce_are_malformed(self):
+        """One hello shape: the nonce is part of it, not an extra."""
+        assert _check_mesh_hello(("hello", PARTY_B, NONCE), PARTY_A, PARTIES, NONCE) == PARTY_B
+        for frame in (("hello", PARTY_B), ("hello", PARTY_B, NONCE, "extra")):
+            with pytest.raises(TransportError, match="malformed mesh hello"):
+                _check_mesh_hello(frame, PARTY_A, PARTIES, NONCE)
+        with pytest.raises(TransportError, match="wrong session nonce"):
+            _check_mesh_hello(("hello", PARTY_B, "0" * 32), PARTY_A, PARTIES, NONCE)
+
+    def test_rejoin_accept_drops_a_hello_without_the_nonce(self):
+        listener = bind_listener(timeout=5.0)
+        dialler = socket.create_connection(listener.getsockname(), timeout=5.0)
+        try:
+            send_frame(dialler, ("rejoin-hello", PARTY_B, 1))
+            with pytest.raises(MeshTimeout):
+                accept_rejoin(listener, PARTY_A, PARTY_B, epoch=1, timeout=1.0, nonce=NONCE)
+        finally:
+            dialler.close()
+            listener.close()
+
+
 # -- mesh poisoning of already-demultiplexed frames ----------------------------------------
 
 
@@ -371,10 +472,10 @@ class TestMeshPoisonCoversBufferedFrames:
                 time.sleep(0.01)
             assert PARTY_B in mesh._peer_errors, "reader death was never detected"
             with pytest.raises(TransportError, match="closed"):
-                mesh.receive_message(PARTY_B)
+                mesh.channel(0).receive_message(PARTY_B)
             # ...and stays poisoned for later receives too.
             with pytest.raises(TransportError, match="closed"):
-                mesh.receive_message(PARTY_B)
+                mesh.channel(0).receive_message(PARTY_B)
         finally:
             theirs.close()
             mesh.close()

@@ -1,9 +1,9 @@
-"""Tests for the party-to-party network and its pluggable transports."""
+"""Tests for the party-to-party network's round primitive and its accounting."""
 
 import pytest
 
 from repro.mpc.network import Network, NetworkStats
-from repro.runtime.transport import Message, SimulatedTransport
+from repro.runtime.transport import SimulatedTransport, Transport
 
 
 @pytest.fixture
@@ -11,33 +11,81 @@ def net():
     return Network(["a", "b", "c"])
 
 
-def test_send_and_recv(net):
-    net.send("a", "b", {"x": 1}, size_bytes=16)
-    assert net.recv("b") == {"x": 1}
+def _stats(network):
+    s = network.stats
+    return (s.messages, s.bytes_sent, s.rounds, s.wire_rounds)
 
 
-def test_recv_filtered_by_sender(net):
-    net.send("a", "c", "from-a", 8)
-    net.send("b", "c", "from-b", 8)
-    assert net.recv("c", sender="b") == "from-b"
-    assert net.recv("c", sender="a") == "from-a"
+class RecordingTransport(Transport):
+    """Records every ``exchange`` call and answers with a canned delivery."""
+
+    def __init__(self, party_names, reply=None):
+        super().__init__(party_names)
+        self.calls = []
+        self.reply = reply or {}
+
+    def exchange(self, tag, sends, size_bytes):
+        self.calls.append((tag, sends, size_bytes))
+        return self.reply
 
 
-def test_recv_without_pending_message_raises(net):
-    with pytest.raises(LookupError):
-        net.recv("a")
+def test_round_returns_every_payload_keyed_by_its_pair(net):
+    delivered = net.round("t", [("a", "b", {"x": 1}), ("a", "c", "from-a"), ("b", "c", "from-b")], 16)
+    assert delivered == {("a", "b"): {"x": 1}, ("a", "c"): "from-a", ("b", "c"): "from-b"}
+
+
+#: (sends, size_bytes) -> (messages, bytes_sent, rounds, wire_rounds): what the
+#: round adds to the counters.  n sends of one size are n messages, n * size
+#: bytes and one round; a round that carries nothing is not a round.
+ACCOUNTING_CASES = [
+    ([], 100, (0, 0, 0, 0)),
+    ([("a", "b", "m1")], 100, (1, 100, 1, 1)),
+    ([("a", "b", "m1"), ("a", "c", "m2")], 50, (2, 100, 1, 1)),
+    ([("a", "b", "x"), ("b", "c", "y")], 1, (2, 2, 1, 1)),
+    ([("a", "b", None), ("a", "c", None)], 10, (2, 20, 1, 1)),
+    ([(s, r, 0) for s in "abc" for r in "abc" if s != r], 8, (6, 48, 1, 1)),
+    ([("a", "b", "empty-vector")], 0, (1, 0, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("sends, size, added", ACCOUNTING_CASES)
+def test_round_accounting(net, sends, size, added):
+    net.round("t", sends, size)
+    assert _stats(net) == added
+    net.round("t", sends, size)
+    assert _stats(net) == tuple(2 * n for n in added)
+
+
+def test_empty_round_is_not_counted_between_real_ones(net):
+    net.round("t", [], 1)
+    assert net.stats.rounds == 0
+    net.round("t", [("a", "b", "x"), ("b", "c", "y")], 1)
+    assert net.stats.rounds == 1
+    net.round("t", [], 1)
+    assert net.stats.rounds == 1
 
 
 def test_self_send_rejected(net):
-    with pytest.raises(ValueError):
-        net.send("a", "a", "loop", 1)
+    with pytest.raises(ValueError, match="to itself"):
+        net.round("t", [("a", "a", "loop")], 1)
 
 
 def test_unknown_party_rejected(net):
     with pytest.raises(KeyError):
-        net.send("a", "zzz", "x", 1)
+        net.round("t", [("a", "zzz", "x")], 1)
     with pytest.raises(KeyError):
-        net.recv("zzz")
+        net.round("t", [("zzz", "a", "x")], 1)
+
+
+def test_rejected_round_is_neither_counted_nor_carried():
+    transport = RecordingTransport(["a", "b"])
+    net = Network(["a", "b"], transport=transport)
+    with pytest.raises(ValueError):
+        net.round("t", [("a", "b", "ok"), ("b", "b", "loop")], 8)
+    assert _stats(net) == (0, 0, 0, 0)
+    assert transport.calls == []
+    net.round("t", [], 8)
+    assert transport.calls == [], "an empty round never reaches the transport"
 
 
 def test_duplicate_party_names_rejected():
@@ -45,37 +93,12 @@ def test_duplicate_party_names_rejected():
         Network(["a", "a"])
 
 
-def test_stats_count_messages_and_bytes(net):
-    net.send("a", "b", "m1", 100)
-    net.send("a", "c", "m2", 50)
-    assert net.stats.messages == 2
-    assert net.stats.bytes_sent == 150
-
-
-def test_barrier_counts_rounds_only_when_traffic_happened(net):
-    net.barrier()
-    assert net.stats.rounds == 0
-    net.send("a", "b", "x", 1)
-    net.send("b", "c", "y", 1)
-    net.barrier()
-    assert net.stats.rounds == 1
-    net.barrier()
-    assert net.stats.rounds == 1
-
-
-def test_broadcast_reaches_all_other_parties(net):
-    net.broadcast("a", "hello", 10)
-    assert net.pending("b") == 1
-    assert net.pending("c") == 1
-    assert net.pending("a") == 0
-    assert net.stats.bytes_sent == 20
-
-
 def test_account_rounds_analytical(net):
     net.account_rounds(3, 1000, messages_per_round=2)
     assert net.stats.rounds == 3
     assert net.stats.messages == 6
     assert net.stats.bytes_sent == 3000
+    assert net.stats.wire_rounds == 0
 
 
 def test_account_rounds_rejects_negative(net):
@@ -84,12 +107,9 @@ def test_account_rounds_rejects_negative(net):
 
 
 def test_reset_stats(net):
-    net.send("a", "b", "x", 1)
-    net.barrier()
+    net.round("t", [("a", "b", "x")], 1)
     net.reset_stats()
-    assert net.stats.messages == 0
-    assert net.stats.rounds == 0
-    assert net.stats.bytes_sent == 0
+    assert _stats(net) == (0, 0, 0, 0)
 
 
 def test_stats_merge_and_copy():
@@ -109,21 +129,17 @@ class TestTransportAbstraction:
     def test_explicit_simulated_transport_behaves_identically(self):
         explicit = Network(["a", "b"], transport=SimulatedTransport(["a", "b"]))
         implicit = Network(["a", "b"])
-        for n in (explicit, implicit):
-            n.send("a", "b", "x", 7)
-            n.barrier()
+        delivered = [n.round("t", [("a", "b", "x")], 7) for n in (explicit, implicit)]
         assert explicit.stats == implicit.stats
-        assert explicit.recv("b") == implicit.recv("b") == "x"
+        assert delivered[0] == delivered[1] == {("a", "b"): "x"}
 
     def test_transport_party_mismatch_rejected(self):
         with pytest.raises(ValueError, match="do not match"):
             Network(["a", "b"], transport=SimulatedTransport(["a", "c"]))
 
-    def test_transport_pop_returns_messages_in_fifo_order(self):
-        transport = SimulatedTransport(["a", "b"])
-        transport.deliver(Message("a", "b", "first", 1))
-        transport.deliver(Message("a", "b", "second", 1))
-        assert transport.pop("b").payload == "first"
-        assert transport.pop("b", sender="a").payload == "second"
-        with pytest.raises(LookupError):
-            transport.pop("b")
+    def test_round_hands_the_transport_tag_sends_and_size(self):
+        transport = RecordingTransport(["a", "b"], reply={("a", "b"): "off-the-wire"})
+        net = Network(["a", "b"], transport=transport)
+        sends = [("a", "b", "local-copy")]
+        assert net.round("open-share", sends, 24) == {("a", "b"): "off-the-wire"}
+        assert transport.calls == [("open-share", sends, 24)]
