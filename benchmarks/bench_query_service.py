@@ -7,7 +7,7 @@ query service keeps the per-party agents and their mesh alive across a
 stream of queries.  This benchmark quantifies the amortisation on the
 quickstart three-party aggregate:
 
-* ``cold``  — one :class:`~repro.runtime.coordinator.SocketCoordinator`
+* ``cold``  — one :class:`~repro.runtime.service.SocketCoordinator`
   ``run`` per query (spawn, handshake, execute, teardown every time);
 * ``warm``  — one :class:`~repro.runtime.service.QuerySession` serving all
   queries (spawn + handshake once; later submissions also hit the
@@ -37,7 +37,7 @@ import repro as cc
 from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
-from repro.runtime.coordinator import SocketCoordinator
+from repro.runtime.service import SocketCoordinator
 
 PARTIES = ["alpha.example", "beta.example", "gamma.example"]
 QUERIES_PER_MODE = 8

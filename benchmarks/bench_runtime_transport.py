@@ -30,7 +30,7 @@ import time
 import repro as cc
 from repro.core.dispatch import QueryRunner
 from repro.queries import market_concentration_query
-from repro.runtime.coordinator import SocketCoordinator
+from repro.runtime.service import SocketCoordinator
 from repro.workloads.taxi import TaxiWorkload
 
 ROW_COUNTS = [100, 500, 2_000]

@@ -40,10 +40,9 @@ Sub-packages:
   cleartext engines.
 * :mod:`repro.runtime` — the distributed party-agent runtime: pluggable
   transports (in-process simulation vs. real TCP sockets between per-party
-  OS processes), the coordinator/agent execution split, and the persistent
+  OS processes), the session/agent execution split, and the persistent
   query service.  Pass ``runtime="sockets"`` to :func:`run_query` for a
-  per-query agent mesh, ``runtime="service"`` to reuse a standing one, or
-  hold a session yourself::
+  per-query agent mesh, or hold a standing one open across queries::
 
       with cc.open_session(inputs) as session:
           for plan in plans:
@@ -102,9 +101,7 @@ from repro.runtime import (
     SocketCoordinator,
     SocketTransport,
     Transport,
-    close_shared_sessions,
     open_session,
-    run_query_sockets,
 )
 
 __version__ = "1.1.0"
@@ -160,8 +157,6 @@ __all__ = [
     "SocketCoordinator",
     "SocketTransport",
     "Transport",
-    "close_shared_sessions",
     "open_session",
-    "run_query_sockets",
     "__version__",
 ]

@@ -150,7 +150,6 @@ def run_query(
     seed: int = 0,
     runtime: str = "simulated",
     timeout: float = 60.0,
-    executor: str | None = None,
 ):
     """Compile and execute a query in one call.
 
@@ -161,27 +160,18 @@ def run_query(
     party inside this process over the in-process transport (the default);
     ``"sockets"`` spawns one OS process per party and moves all cross-party
     traffic — including the secret-sharing rounds of the MPC sub-plans —
-    over real TCP connections; ``"service"`` does the same over a *standing*
-    per-party agent mesh (shared across calls with the same party set, so
-    spawn + mesh setup are amortised — see
-    :func:`repro.runtime.service.shared_session`).  All three produce
-    byte-identical outputs and identical MPC operator counts.  ``timeout``
-    (sockets/service only) bounds every blocking socket operation; raise it
-    for long-running queries.
+    over real TCP connections, the agents living for this one query.  Both
+    produce byte-identical outputs and identical MPC operator counts.
+    ``timeout`` (sockets only) bounds every blocking socket operation; raise
+    it for long-running queries.  To amortise spawn + mesh setup over a
+    stream of queries, hold a standing session instead::
 
-    ``executor`` overrides :attr:`CompilationConfig.executor` for this call:
-    ``"columnar"`` runs the cleartext sub-plans on the vectorized batch
-    engine (:mod:`repro.exec`), ``"row"`` on the per-operator table engines.
-    The override travels inside the config, so every runtime — including
-    the standing service agents — honours it.
+        with cc.open_session(inputs) as session:
+            result = session.submit(query)
     """
-    import dataclasses
-
     from repro.core.dispatch import run_compiled
 
     config = config or CompilationConfig()
-    if executor is not None:
-        config = dataclasses.replace(config, executor=executor)
     return run_compiled(
         compile_query(query, config), inputs, config,
         seed=seed, runtime=runtime, timeout=timeout,

@@ -312,7 +312,7 @@ class RestartPolicy:
     session.  A party that keeps dying exhausts its *restart budget*
     (:attr:`max_restarts` deaths within :attr:`window_seconds`) and escalates
     to a permanent failure: the session breaks with a structured
-    :class:`~repro.runtime.service.AgentFailure` carrying the attempt
+    :class:`~repro.runtime.pool.AgentFailure` carrying the attempt
     history.
     """
 

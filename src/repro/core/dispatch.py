@@ -10,7 +10,7 @@ routing hybrid operators through the selectively-trusted party.
 
 The node-execution logic itself lives in
 :class:`repro.runtime.executor.PlanExecutor`, which is shared with the
-distributed runtime (:mod:`repro.runtime.coordinator` /
+distributed runtime (:mod:`repro.runtime.service` /
 :mod:`repro.runtime.agent`) where each party really is a separate OS
 process.  Pass ``runtime="sockets"`` to :func:`run_query_from_csv` (or to
 :func:`repro.core.compiler.run_query`) to execute over real per-party
@@ -56,8 +56,9 @@ class QueryResult:
     #: JSON-friendly counters of the joint MPC work (operation counts and
     #: network traffic); empty for single-party queries.
     mpc_profile: dict = field(default_factory=dict)
-    #: Which runtime executed the query: ``"simulated"`` (in-process) or
-    #: ``"sockets"`` (one OS process per party).
+    #: Which runtime executed the query: ``"simulated"`` (in-process),
+    #: ``"sockets"`` (one OS process per party, spawned for this query) or
+    #: ``"service"`` (a standing :class:`~repro.runtime.service.QuerySession`).
     runtime: str = "simulated"
     #: Per-party isolation audit (which share slices / cleartext inputs each
     #: agent process held); populated by the sockets runtime, empty otherwise.
@@ -104,9 +105,8 @@ def run_query_from_csv(
 
     Outputs are returned as tables and, when ``output_dir`` is given, also
     written there as ``<relation>.csv`` (one file per query output).
-    ``runtime="sockets"`` runs each party as a separate OS process;
-    ``runtime="service"`` reuses a standing per-party agent mesh across
-    calls; ``timeout`` bounds their blocking socket operations.
+    ``runtime="sockets"`` runs each party as a separate OS process, with
+    ``timeout`` bounding every blocking socket operation.
     """
     from pathlib import Path
 
@@ -132,26 +132,17 @@ def run_compiled(
     timeout: float = 60.0,
 ) -> QueryResult:
     """Execute a compiled query on the chosen runtime — the one place the
-    ``simulated | sockets | service`` choice is made (the runtimes are
-    described at :func:`repro.core.compiler.run_query`).
+    ``simulated | sockets`` choice is made (the runtimes are described at
+    :func:`repro.core.compiler.run_query`).
     """
     parties = sorted(compiled.dag.parties() | set(inputs))
     if runtime == "simulated":
         return QueryRunner(parties, inputs, config, seed=seed).run(compiled)
     if runtime == "sockets":
-        from repro.runtime.coordinator import SocketCoordinator
+        from repro.runtime.service import SocketCoordinator
 
         return SocketCoordinator(parties, inputs, config, seed=seed, timeout=timeout).run(compiled)
-    if runtime == "service":
-        from repro.runtime.service import shared_session
-
-        session = shared_session(parties, timeout=timeout, bind_host=config.bind_host)
-        return session.submit(
-            compiled, inputs=inputs, seed=seed, config=config, timeout=timeout + 10
-        )
-    raise ValueError(
-        f"unknown runtime {runtime!r}; use 'simulated', 'sockets' or 'service'"
-    )
+    raise ValueError(f"unknown runtime {runtime!r}; use 'simulated' or 'sockets'")
 
 
 class QueryRunner(PlanExecutor):

@@ -10,8 +10,7 @@ The subsystem has three layers:
 * :mod:`repro.exec.engine` — :class:`ColumnarBackend`, the cleartext
   engine built from those kernels (same interface as ``PythonBackend``).
 
-``CompilationConfig.executor`` is the one way to pick the engine
-(``run_query(..., executor="columnar")`` sets it for one call); see
+``CompilationConfig.executor`` is the one way to pick the engine; see
 ``docs/executor.md``.
 """
 

@@ -20,19 +20,21 @@ shape:
 * :mod:`repro.runtime.executor` — the node-by-node plan executor shared by
   the in-process :class:`~repro.core.dispatch.QueryRunner` and the
   per-party agents.
-* :mod:`repro.runtime.agent` / :mod:`repro.runtime.coordinator` — the
-  long-lived per-party agent process and the driver that partitions the
-  plan, ships each party its sub-plans and input tables, and collects the
-  authorised reveals.
-* :mod:`repro.runtime.service` — the persistent query service:
-  :class:`QuerySession`/:class:`AgentPool` keep the agent processes and the
-  TCP mesh alive across a *stream* of queries (query-id multiplexing,
+* :mod:`repro.runtime.agent` / :mod:`repro.runtime.pool` — the long-lived
+  per-party agent process, and the :class:`AgentPool` that spawns one per
+  party, admits their control links, brokers the mesh handshake once,
+  routes result frames into per-query futures and restarts a crashed agent
+  through the same bring-up code.
+* :mod:`repro.runtime.service` — the persistent query service and the one
+  driver of the agents: a :class:`QuerySession` keeps a pool and its TCP
+  mesh alive across a *stream* of queries (query-id multiplexing,
   per-session compiled-plan caching, concurrent submission, drain-on-close,
-  idle timeout and crash detection).  :func:`open_session` is the public
-  entry point; ``runtime="service"`` on :func:`repro.core.compiler.run_query`
-  reuses a shared session per party set.
+  idle timeout and crash detection), ships each party its plans and input
+  tables, and merges the authorised reveals.  :func:`open_session` is the
+  public entry point; :class:`SocketCoordinator` is the one-shot form (a
+  session that lives for one query) behind ``runtime="sockets"``.
 
-Heavy modules (coordinator, agent, executor) are imported lazily so that
+Heavy modules (service, pool, agent, executor) are imported lazily so that
 importing :mod:`repro.mpc.network` (which needs only the transports) does
 not drag in the whole execution stack.
 """
@@ -47,67 +49,45 @@ from repro.runtime.transport import (
     TransportError,
 )
 
+#: Lazily resolved export -> the module that defines it.
+_LAZY = {
+    "PlanExecutor": "repro.runtime.executor",
+    "PartyAgent": "repro.runtime.agent",
+    "AgentPool": "repro.runtime.pool",
+    "AgentFailure": "repro.runtime.pool",
+    "AgentCrashed": "repro.runtime.pool",
+    "SessionClosed": "repro.runtime.pool",
+    "QuerySession": "repro.runtime.service",
+    "SocketCoordinator": "repro.runtime.service",
+    "open_session": "repro.runtime.service",
+    "active_sessions": "repro.runtime.service",
+    "QueryGateway": "repro.runtime.gateway",
+    "QueryRejected": "repro.runtime.gateway",
+    "GatewayMetrics": "repro.runtime.metrics",
+    "LatencyHistogram": "repro.runtime.metrics",
+    "MetricsServer": "repro.runtime.metrics",
+    "AgentSupervisor": "repro.runtime.supervisor",
+    "FaultPlan": "repro.runtime.faults",
+    "KillFault": "repro.runtime.faults",
+    "LinkFault": "repro.runtime.faults",
+    "FaultInjector": "repro.runtime.faults",
+}
+
 __all__ = [
     "NetworkStats",
     "SimulatedTransport",
     "SocketTransport",
     "Transport",
     "TransportError",
-    "PlanExecutor",
-    "PartyAgent",
-    "SocketCoordinator",
-    "run_query_sockets",
-    "AgentPool",
-    "QuerySession",
-    "SessionClosed",
-    "open_session",
-    "active_sessions",
-    "close_shared_sessions",
-    "QueryGateway",
-    "QueryRejected",
-    "GatewayMetrics",
-    "LatencyHistogram",
-    "MetricsServer",
-    "AgentFailure",
-    "AgentCrashed",
-    "AgentSupervisor",
-    "FaultPlan",
-    "KillFault",
-    "LinkFault",
-    "FaultInjector",
+    *_LAZY,
 ]
-
-_LAZY = {
-    "PlanExecutor": ("repro.runtime.executor", "PlanExecutor"),
-    "PartyAgent": ("repro.runtime.agent", "PartyAgent"),
-    "SocketCoordinator": ("repro.runtime.coordinator", "SocketCoordinator"),
-    "run_query_sockets": ("repro.runtime.coordinator", "run_query_sockets"),
-    "AgentPool": ("repro.runtime.service", "AgentPool"),
-    "QuerySession": ("repro.runtime.service", "QuerySession"),
-    "SessionClosed": ("repro.runtime.service", "SessionClosed"),
-    "open_session": ("repro.runtime.service", "open_session"),
-    "active_sessions": ("repro.runtime.service", "active_sessions"),
-    "close_shared_sessions": ("repro.runtime.service", "close_shared_sessions"),
-    "QueryGateway": ("repro.runtime.gateway", "QueryGateway"),
-    "QueryRejected": ("repro.runtime.gateway", "QueryRejected"),
-    "GatewayMetrics": ("repro.runtime.metrics", "GatewayMetrics"),
-    "LatencyHistogram": ("repro.runtime.metrics", "LatencyHistogram"),
-    "MetricsServer": ("repro.runtime.metrics", "MetricsServer"),
-    "AgentFailure": ("repro.runtime.service", "AgentFailure"),
-    "AgentCrashed": ("repro.runtime.service", "AgentCrashed"),
-    "AgentSupervisor": ("repro.runtime.supervisor", "AgentSupervisor"),
-    "FaultPlan": ("repro.runtime.faults", "FaultPlan"),
-    "KillFault": ("repro.runtime.faults", "KillFault"),
-    "LinkFault": ("repro.runtime.faults", "LinkFault"),
-    "FaultInjector": ("repro.runtime.faults", "FaultInjector"),
-}
 
 
 def __getattr__(name: str):
     try:
-        module_name, attr = _LAZY[name]
+        module_name = _LAZY[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     import importlib
 
-    return getattr(importlib.import_module(module_name), attr)
+    return getattr(importlib.import_module(module_name), name)

@@ -43,9 +43,9 @@ Lifecycle and robustness:
   instead of hanging on a dead exchange.
 
 ``agent_main`` is the process entry point used by
-:class:`~repro.runtime.coordinator.SocketCoordinator`; it is a plain
-module-level function so it works under both the ``fork`` and ``spawn``
-multiprocessing start methods.
+:class:`~repro.runtime.pool.AgentPool`; it is a plain module-level function
+so it works under both the ``fork`` and ``spawn`` multiprocessing start
+methods.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from repro.runtime.mesh import (
     rejoin_mesh,
 )
 from repro.runtime.wire import (
+    close_quietly,
     encode_frame,
     peer_common_name,
     recv_frame,
@@ -260,15 +261,8 @@ def agent_main(
     finally:
         if mesh is not None:
             mesh.close()
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
-        try:
-            control.close()
-        except OSError:
-            pass
+        close_quietly(listener)
+        close_quietly(control)
 
 
 def _serve(

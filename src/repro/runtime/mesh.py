@@ -65,6 +65,7 @@ from repro.runtime.transport import TransportError
 from repro.runtime.wire import (
     LinkStats,
     WireError,
+    close_quietly,
     encode_frame,
     peer_common_name,
     recv_frame,
@@ -279,15 +280,8 @@ class PeerMesh:
             self._send_seq[peer] = 0
             self.link_stats.setdefault(peer, LinkStats())
             self._peer_errors.pop(peer, None)
-        if old is not None and old is not sock:
-            try:
-                old.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                old.close()
-            except OSError:
-                pass
+        if old is not sock:
+            close_quietly(old, shutdown=True)
         self._start_reader(peer, sock)
 
     def _mark_aborted(self, peer: str, query_id: int, reason: str) -> None:
@@ -393,14 +387,7 @@ class PeerMesh:
             return
         self._closed = True
         for sock in self._socks.values():
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_quietly(sock, shutdown=True)
 
 
 class MeshChannel:
@@ -606,10 +593,7 @@ def rejoin_mesh(
             )
     except Exception:
         for sock in connections.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_quietly(sock)
         raise
     return PeerMesh(
         party, connections, timeout=timeout,
@@ -732,10 +716,7 @@ def _dial(
                 # The peer accepted but the link died under the hello (e.g.
                 # it was still draining stale connections): transient, retry.
                 last_error = exc
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                close_quietly(sock)
             else:
                 return sock
         remaining = deadline - time.monotonic()

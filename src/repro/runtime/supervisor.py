@@ -6,7 +6,7 @@ OOM kill, segfault in a native backend, an injected chaos fault — breaks the
 whole session: every in-flight query fails terminally and the surviving
 agents are torn down.  This module turns that into a *recoverable* event.
 
-One :class:`AgentSupervisor` serves one :class:`~repro.runtime.service
+One :class:`AgentSupervisor` serves one :class:`~repro.runtime.pool
 .AgentPool`.  It owns two daemon threads:
 
 * the **restart worker** consumes a queue of dead parties and restarts them
@@ -17,7 +17,7 @@ One :class:`AgentSupervisor` serves one :class:`~repro.runtime.service
   at most ``max_restarts`` deaths per ``window_seconds``, exponential
   backoff between attempts) and re-queues the party.  An exhausted budget
   escalates to a **permanent failure**: the pool breaks with a structured
-  :class:`~repro.runtime.service.AgentFailure` carrying the attempt history.
+  :class:`~repro.runtime.pool.AgentFailure` carrying the attempt history.
 * the **heartbeat thread** (optional, ``heartbeat_interval_seconds``) pings
   every live control link; an agent that misses ``heartbeat_misses``
   consecutive pongs is declared wedged and its process killed — which funnels
@@ -50,7 +50,7 @@ The recovery protocol for a dead ``party`` (all on the restart worker):
    receiver thread into the pool, record ``agent_restarts`` /
    ``recovery_seconds`` metrics, and mark the pool healthy — unblocking the
    session-level query retries waiting in
-   :meth:`~repro.runtime.service.AgentPool.wait_recovered`.
+   :meth:`~repro.runtime.pool.AgentPool.wait_recovered`.
 
 The supervisor never touches query state: failing and retrying in-flight
 queries is the session layer's job (:class:`~repro.core.config.RetryPolicy`).

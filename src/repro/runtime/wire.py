@@ -777,6 +777,27 @@ def _recv_exact(sock: socket.socket, n: int, *, allow_idle_timeout: bool = False
     return bytes(buf)
 
 
+def close_quietly(sock, *, shutdown: bool = False) -> None:
+    """Close a socket (or listener) that is being discarded; ``None`` is a no-op.
+
+    The one teardown idiom of the runtime: the link is going away, so an
+    ``OSError`` from a socket that is already dead has nobody left to act on
+    it.  ``shutdown`` first interrupts a thread blocked in ``recv`` on the
+    socket, which a plain ``close()`` would not.
+    """
+    if sock is None:
+        return
+    if shutdown:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 # --------------------------------------------------------------------------
 # TLS socket wrapping + authenticated peer identity
 # --------------------------------------------------------------------------
@@ -933,10 +954,7 @@ def secure_server_socket(sock: socket.socket, context: ssl.SSLContext) -> Secure
     try:
         return SecureSocket(sock, context, server_side=True)
     except (ssl.SSLError, OSError) as exc:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        close_quietly(sock)
         raise WireError(f"TLS server handshake failed: {exc}") from exc
 
 
@@ -945,10 +963,7 @@ def secure_client_socket(sock: socket.socket, context: ssl.SSLContext) -> Secure
     try:
         return SecureSocket(sock, context, server_side=False)
     except (ssl.SSLError, OSError) as exc:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        close_quietly(sock)
         raise WireError(f"TLS client handshake failed: {exc}") from exc
 
 

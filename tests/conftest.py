@@ -22,16 +22,14 @@ def _no_leaked_agent_processes():
     keeps them alive inside sessions; a test that fails mid-handshake or
     forgets to close a session could otherwise leave agents blocked on
     socket reads.  Every agent is daemonic and every blocking read has a
-    timeout, but this guard makes leaks impossible regardless: sessions
-    (including the shared ``runtime="service"`` ones) are closed first, then
-    anything still alive is killed.
+    timeout, but this guard makes leaks impossible regardless: sessions are
+    closed first, then anything still alive is killed.
     """
     yield
-    from repro.runtime import service
-    from repro.runtime.coordinator import active_agent_processes
+    from repro.runtime.pool import active_agent_processes
+    from repro.runtime.service import active_sessions
 
-    service.close_shared_sessions()
-    for session in list(service._ACTIVE_SESSIONS):
+    for session in active_sessions():
         try:
             session.close(drain=False)
         except Exception:

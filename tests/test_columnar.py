@@ -194,13 +194,13 @@ class TestExecutorSelection:
     def test_columnar_matches_row_engine(self):
         ctx, inputs = self.one_party_query()
         row = cc.run_query(ctx, inputs)
-        col = cc.run_query(ctx, inputs, executor="columnar")
+        col = cc.run_query(ctx, inputs, CompilationConfig(executor="columnar"))
         assert col.outputs["out"] == row.outputs["out"]
 
     def test_unknown_executor_raises(self):
         ctx, inputs = self.one_party_query()
         with pytest.raises(ValueError, match="unknown executor"):
-            cc.run_query(ctx, inputs, executor="vectorised")
+            cc.run_query(ctx, inputs, CompilationConfig(executor="vectorised"))
 
 
 class TestWireRoundFlatness:
@@ -258,41 +258,24 @@ class TestBindHost:
         finally:
             listener.close()
 
-    def test_agents_advertise_full_endpoints(self):
+    @pytest.mark.parametrize("bind_host", ["127.0.0.1", "127.0.0.2"])
+    def test_agents_advertise_full_endpoints(self, bind_host):
+        """The session binds and advertises ``config.bind_host`` — also when
+        it is not the loopback default."""
+        try:
+            bind_listener(1.0, bind_host).close()
+        except OSError:
+            pytest.skip(f"cannot bind the loopback alias {bind_host}")
         ctx, inputs = self.two_party_sum()
-        config = CompilationConfig(bind_host="127.0.0.1")
+        config = CompilationConfig(bind_host=bind_host)
         with cc.QuerySession([PARTY_A, PARTY_B], inputs=inputs, config=config) as session:
+            assert session._pool.bind_host == bind_host
             for party, endpoint in session._pool._ports.items():
                 host, port = endpoint
-                assert host == "127.0.0.1" and port > 0, (party, endpoint)
+                assert host == bind_host and port > 0, (party, endpoint)
             result = session.submit(ctx, timeout=60)
         expected = cc.run_query(ctx, inputs)
         assert result.outputs["out"] == expected.outputs["out"]
-
-    def test_service_runtime_binds_the_configured_host(self):
-        """``runtime="service"`` must bind and advertise ``config.bind_host``,
-        not the loopback default of the shared session it runs on."""
-        from repro.runtime.service import close_shared_sessions, shared_session
-
-        alias = "127.0.0.2"
-        try:
-            bind_listener(1.0, alias).close()
-        except OSError:
-            pytest.skip(f"cannot bind the loopback alias {alias}")
-        ctx, inputs = self.two_party_sum()
-        try:
-            result = cc.run_query(
-                ctx, inputs, CompilationConfig(bind_host=alias), runtime="service", timeout=30.0
-            )
-            session = shared_session([PARTY_A, PARTY_B], timeout=30.0, bind_host=alias)
-            assert session.stats["queries"] == 1, "run_query used another session"
-            assert session._pool.bind_host == alias
-            assert {host for host, _port in session._pool._ports.values()} == {alias}
-            # A different host is a different mesh, never a silent reuse.
-            assert shared_session([PARTY_A, PARTY_B], timeout=30.0) is not session
-        finally:
-            close_shared_sessions()
-        assert result.outputs["out"] == cc.run_query(ctx, inputs).outputs["out"]
 
 
 class TestSessionCounters:

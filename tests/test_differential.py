@@ -23,7 +23,7 @@ from repro.core.dispatch import QueryRunner
 from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
-from repro.runtime.coordinator import SocketCoordinator
+from repro.runtime.service import SocketCoordinator
 
 SEED = 20260729
 NUM_PLANS = 50
@@ -403,14 +403,14 @@ class TestCompositeKeyRangeGuard:
             cc.run_query(
                 self.build_join(),
                 self.inputs([bad_row], [(1, 2, 20)]),
-                executor="columnar",
+                CompilationConfig(executor="columnar"),
             )
 
     def test_columnar_in_range_keys_join_correctly(self):
         result = cc.run_query(
             self.build_join(),
             self.inputs([(1, 2, 10)], [(1, 2, 20)]),
-            executor="columnar",
+            CompilationConfig(executor="columnar"),
         )
         assert result.outputs["out"].rows() == [(1, 2, 10, 20)]
 

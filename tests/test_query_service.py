@@ -8,6 +8,7 @@ and the crash regression: a party-agent that dies must fail all in-flight
 queries with a clean error instead of deadlocking on a dead socket.
 """
 
+import socket
 import threading
 import time
 
@@ -20,15 +21,15 @@ from repro.core.dispatch import QueryRunner, SecurityError
 from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
-from repro.runtime.coordinator import SocketCoordinator
-from repro.runtime.service import (
+from repro.runtime.mesh import bind_listener
+from repro.runtime.pool import (
     AgentFailure,
     SessionClosed,
     active_agent_processes,
-    active_sessions,
-    plan_fingerprint,
+    admit_agent,
 )
-from repro.runtime.wire import WireError
+from repro.runtime.service import SocketCoordinator, active_sessions, plan_fingerprint
+from repro.runtime.wire import WireError, send_frame
 
 from test_runtime_transport import PAPER_QUERIES, paper_query
 
@@ -189,19 +190,6 @@ class TestSessionLifecycle:
             assert result.mpc_profile == simulated.mpc_profile
         assert output in warm_first.outputs
         assert cold.runtime == "sockets" and warm_first.runtime == "service"
-
-    def test_run_query_service_runtime(self):
-        ctx, inputs = two_party_query()
-        reference = cc.run_query(ctx, inputs, seed=2)
-        try:
-            first = cc.run_query(ctx, inputs, seed=2, runtime="service")
-            ctx2, _ = two_party_query()
-            second = cc.run_query(ctx2, inputs, seed=2, runtime="service")
-        finally:
-            cc.close_shared_sessions()
-        assert first.outputs["out"] == reference.outputs["out"]
-        assert second.outputs["out"] == reference.outputs["out"]
-        assert first.runtime == "service"
 
     def test_idle_timeout_retires_agents(self):
         ctx, inputs = two_party_query()
@@ -404,16 +392,91 @@ class TestConcurrencySoak:
             assert result.outputs["out"] == reference
 
 
+class TestAdmitAgent:
+    """The control-link admission every agent goes through, at session start
+    and at restart: a hello that is not ``("hello", <expected party>)`` is a
+    structured failure, and the stray connection is closed, not leaked."""
+
+    @staticmethod
+    def dial(listener, hello):
+        client = socket.create_connection(listener.getsockname(), timeout=5.0)
+        client.settimeout(5.0)
+        send_frame(client, hello)
+        return client
+
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            ("hello",),  # a 1-tuple
+            "hello",  # not a tuple at all
+            ("hello", "mallory.example"),  # a party nobody expects
+            ("hello", [PARTY_A]),  # a party id of the wrong type
+            ("ready", PARTY_A),  # the wrong tag
+        ],
+    )
+    def test_malformed_hello_is_refused_and_its_socket_closed(self, hello):
+        listener = bind_listener(5.0)
+        try:
+            client = self.dial(listener, hello)
+            with pytest.raises(AgentFailure, match="malformed agent hello"):
+                admit_agent(listener, [PARTY_A, PARTY_B], timeout=5.0)
+            assert client.recv(1) == b"", "the refused connection was left open"
+            client.close()
+        finally:
+            listener.close()
+
+    def test_duplicate_party_is_refused(self):
+        """Once a party is admitted it is no longer expected: a second hello
+        in its name fails the bring-up instead of replacing the first link."""
+        listener = bind_listener(5.0)
+        try:
+            first = self.dial(listener, ("hello", PARTY_A))
+            party, sock = admit_agent(listener, [PARTY_A, PARTY_B], timeout=5.0)
+            assert party == PARTY_A
+            second = self.dial(listener, ("hello", PARTY_A))
+            with pytest.raises(AgentFailure, match="malformed agent hello"):
+                admit_agent(listener, [PARTY_B], timeout=5.0)
+            assert second.recv(1) == b""
+            # The admitted link is untouched by the refusal.
+            send_frame(sock, ("session", {}))
+            assert first.recv(4) != b""
+            for s in (first, second, sock):
+                s.close()
+        finally:
+            listener.close()
+
+    def test_stray_client_fails_session_start_cleanly(self, monkeypatch):
+        """End to end: a stray client that beats an agent to the control
+        listener fails ``QuerySession(...)`` with an ``AgentFailure`` and
+        leaves no agent process or admitted link behind."""
+        from repro.runtime import pool
+
+        def stray_then_bind(timeout, host="127.0.0.1"):
+            listener = bind_listener(timeout, host)
+            strays.append(self.dial(listener, ("hello",)))
+            return listener
+
+        strays = []
+        monkeypatch.setattr(pool, "bind_listener", stray_then_bind)
+        _ctx, inputs = two_party_query()
+        with pytest.raises(AgentFailure, match="malformed agent hello"):
+            cc.open_session(inputs, timeout=10.0)
+        assert wait_until(lambda: active_agent_processes() == [], timeout=10)
+        assert active_sessions() == []
+        assert strays[0].recv(1) == b""
+        strays[0].close()
+
+
 class TestTeardownErrorAccounting:
     def test_swallowed_teardown_errors_are_counted_and_logged(self, caplog):
         import logging
 
-        from repro.runtime import service
+        from repro.runtime import pool
 
-        before = service.teardown_errors()
-        with caplog.at_level(logging.DEBUG, logger="repro.runtime.service"):
-            service._count_teardown_error("unit-test", RuntimeError("boom"))
-        assert service.teardown_errors() == before + 1
+        before = pool.teardown_errors()
+        with caplog.at_level(logging.DEBUG, logger="repro.runtime.pool"):
+            pool._count_teardown_error("unit-test", RuntimeError("boom"))
+        assert pool.teardown_errors() == before + 1
         assert any(
             "unit-test" in record.message and "boom" in record.message
             for record in caplog.records

@@ -23,7 +23,7 @@ from repro.queries import (
     credit_card_regulation_query,
     market_concentration_query,
 )
-from repro.runtime.coordinator import SocketCoordinator, run_query_sockets
+from repro.runtime.service import SocketCoordinator
 from repro.workloads.credit import CreditWorkload
 from repro.workloads.generators import uniform_key_value_table
 from repro.workloads.healthlnk import HealthLNKWorkload
@@ -210,7 +210,7 @@ class TestDistributedSecurityEnforcement:
             SocketCoordinator(parties, inputs, compiled.config).run(compiled)
 
     def test_no_agent_processes_leak_after_failure(self):
-        from repro.runtime.coordinator import active_agent_processes
+        from repro.runtime.pool import active_agent_processes
 
         self.test_tampered_plan_raises_security_error_across_processes()
         assert active_agent_processes() == []
@@ -219,7 +219,7 @@ class TestDistributedSecurityEnforcement:
 class TestRunQuerySocketsHelper:
     def test_helper_compiles_and_runs(self):
         ctx, inputs, output = paper_query("quickstart")
-        result = run_query_sockets(ctx, inputs, seed=6)
+        result = cc.run_query(ctx, inputs, seed=6, runtime="sockets")
         reference = cc.run_query(paper_query("quickstart")[0], inputs, seed=6)
         assert result.outputs[output] == reference.outputs[output]
 

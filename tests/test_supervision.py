@@ -316,6 +316,10 @@ class TestHeartbeat:
             second = session.submit(ctx, timeout=60)
             assert second.outputs["out"] == reference.outputs["out"]
             assert second.mpc_profile == reference.mpc_profile
+            # The restart record names the heartbeat's verdict, not just the
+            # control-link EOF the kill produced.
+            causes = [r["cause"] for r in session._pool._supervisor.attempt_history(PARTY_B)]
+            assert causes and "missed heartbeats" in causes[0], causes
 
 
     def test_healthy_agents_survive_many_heartbeat_rounds(self):
