@@ -9,14 +9,17 @@ relation column) so higher layers can treat a secret-shared relation as
 
 Like the comparison operators of the engine itself, the sorting network and
 the merger are executed as *ideal functionalities*: the engine reconstructs
-the key column (acting as the environment), applies the permutation to
-whole share vectors at once, reshare-freshens the result, and charges the
-meter the full price of the bitonic network — ``O(n log^2 n)`` comparators,
-two oblivious multiplexes per comparator per column, and the network's
-stage-count worth of rounds.  Only the shuffle moves data through real
-resharing rounds; everything row-dependent is batched into whole-vector
-operations, so the number of *wire* rounds a distributed execution performs
-is independent of the relation size.
+the key column (acting as the environment; a caller that has opened it
+already hands in the sort order it derived, so an operator opens a column at
+most once), applies the permutation to whole share vectors at once,
+reshare-freshens the result by adding the permuted slice into the fresh mask
+of a zero sharing, and charges the meter the full price of the bitonic
+network — ``O(n log^2 n)`` comparators, two oblivious multiplexes per
+comparator per column, and the network's stage-count worth of rounds.  Only
+the shuffle moves data through real resharing rounds; everything
+row-dependent is batched into whole-vector operations, so the number of
+*wire* rounds a distributed execution performs is independent of the
+relation size.
 
 Cost characteristics (what the cost meter records):
 
@@ -65,24 +68,19 @@ def oblivious_shuffle(
     for col in columns:
         if len(col) != n:
             raise ValueError("all columns of a relation must have the same length")
+    if permutation is not None:
+        permutation = np.asarray(permutation, dtype=np.int64)
+        if permutation.shape != (n,) or not np.array_equal(
+            np.sort(permutation), np.arange(n)
+        ):
+            raise ValueError("permutation must be a permutation of 0..n-1")
     if n == 0:
         return [SharedVector(engine, [s.copy() for s in col.shares]) for col in columns]
-
     if permutation is None:
         permutation = engine.rng.permutation(n)
-    else:
-        permutation = np.asarray(permutation, dtype=np.int64)
-        if sorted(permutation.tolist()) != list(range(n)):
-            raise ValueError("permutation must be a permutation of 0..n-1")
 
-    shuffled: list[SharedVector] = []
-    for col in columns:
-        new_shares = [share[permutation] for share in col.shares]
-        # Resharing: add a fresh zero-sharing so old and new shares are
-        # unlinkable.
-        zero = engine.zero_sharing(n)
-        new_shares = [s + z for s, z in zip(new_shares, zero)]
-        shuffled.append(SharedVector(engine, new_shares))
+    # Resharing: a fresh zero-sharing makes old and new shares unlinkable.
+    shuffled = [_gather_reshared(engine, col, permutation) for col in columns]
 
     total_elements = n * len(columns)
     engine.meter.shuffled_elements += total_elements
@@ -99,6 +97,7 @@ def oblivious_sort(
     engine: SecretSharingEngine,
     key: SharedVector,
     payload: Sequence[SharedVector],
+    order: np.ndarray | None = None,
 ) -> tuple[SharedVector, list[SharedVector]]:
     """Sort a shared relation by a shared key column (bitonic network cost).
 
@@ -108,12 +107,17 @@ def oblivious_sort(
     result is reshare-freshened, while the meter is charged the real
     network's ``O(n log^2 n)`` compare-exchange cost — one oblivious
     comparison plus two multiplexes of every column per comparator.
+
+    ``order`` is the stable ascending argsort of the keys, from a caller
+    that has opened ``key`` to the environment already; without it the key
+    column is opened here.
     """
     payload = list(payload)
     n = len(key)
     if n <= 1:
         return key, payload
-    order = np.argsort(engine.env_open(key), kind="stable")
+    if order is None:
+        order = np.argsort(engine.env_open(key), kind="stable")
     key_sorted, payload_sorted = _permute_reshared(engine, key, payload, order)
     _meter_network_cost(
         engine,
@@ -208,11 +212,7 @@ def oblivious_index(
     if m > 0 and (idx_values.min() < 0 or idx_values.max() >= max(n, 1)):
         raise IndexError("oblivious index out of range")
 
-    out: list[SharedVector] = []
-    for col in columns:
-        gathered = [share[idx_values] for share in col.shares]
-        zero = engine.zero_sharing(m)
-        out.append(SharedVector(engine, [g + z for g, z in zip(gathered, zero)]))
+    out = [_gather_reshared(engine, col, idx_values) for col in columns]
 
     # Cost of Laud's protocol: an O((n+m) log(n+m)) routing network over the
     # indices (comparisons), through which every payload column is moved
@@ -232,6 +232,20 @@ def oblivious_index(
 # -- internals -------------------------------------------------------------------------
 
 
+def _gather_reshared(
+    engine: SecretSharingEngine, col: SharedVector, index: np.ndarray
+) -> SharedVector:
+    """Rows ``index`` of ``col`` under a fresh sharing.
+
+    The gathered slice is added *into* the zero sharing's fresh mask, so
+    each slice costs one temporary, not three.
+    """
+    fresh = engine.zero_sharing(len(index))
+    for mask, share in zip(fresh, col.shares):
+        mask += share[index]
+    return SharedVector(engine, fresh)
+
+
 def _permute_reshared(
     engine: SecretSharingEngine,
     key: SharedVector,
@@ -239,12 +253,7 @@ def _permute_reshared(
     order: np.ndarray,
 ) -> tuple[SharedVector, list[SharedVector]]:
     """Apply ``order`` to key + payload share vectors with fresh resharing."""
-    n = len(order)
-    out: list[SharedVector] = []
-    for col in [key, *payload]:
-        permuted = [share[order] for share in col.shares]
-        zero = engine.zero_sharing(n)
-        out.append(SharedVector(engine, [s + z for s, z in zip(permuted, zero)]))
+    out = [_gather_reshared(engine, col, order) for col in [key, *payload]]
     return out[0], out[1:]
 
 

@@ -210,8 +210,7 @@ def mpc_divide(table: SharedTable, out_name: str, left: str, right: str) -> Shar
     """
     engine = table.engine
     n = table.num_rows
-    lvals = _decode_column(table, left)
-    rvals = _decode_column(table, right)
+    lvals, rvals = _decode_columns(table, [left, right])
     result = np.divide(
         lvals,
         rvals,
@@ -541,11 +540,6 @@ def mpc_aggregate(
         value_col = table.column(agg_col)
         out_type = table.schema[agg_col].ctype
 
-    key_col = table.column(group_by)
-    if not presorted and n > 1:
-        key_col, payload = oblivious_sort(engine, key_col, [value_col])
-        value_col = payload[0]
-
     if n == 0:
         schema = Schema([table.schema[group_by], ColumnDef(out_name, out_type)])
         empty = engine.empty_vector()
@@ -553,37 +547,47 @@ def mpc_aggregate(
 
     # Oblivious accumulation scan: fold each row's value into the next row of
     # the same key group; a row is "last of its group" if the next key differs.
-    ones = engine.constant(np.ones(n, dtype=np.int64))
-    keep_flags = ones
+    key_col = table.column(group_by)
+    keep_flags = engine.constant(np.ones(n, dtype=np.int64))
     acc = value_col
     if n > 1:
-        prev_key = _gather_vector(engine, key_col, np.arange(0, n - 1, dtype=np.int64))
-        next_key = _gather_vector(engine, key_col, np.arange(1, n, dtype=np.int64))
-        same_as_next = engine.equals(prev_key, next_key)  # length n-1, row i vs i+1
+        # The one opening of the key column to the environment: the sort
+        # order, the adjacent-equality flags and the segment boundaries are
+        # all functions of it, each still charged the price of the oblivious
+        # protocol it stands for.
+        keys = engine.env_open(key_col)
+        if not presorted:
+            order = np.argsort(keys, kind="stable")
+            key_col, (value_col,) = oblivious_sort(engine, key_col, [value_col], order)
+            keys = keys[order]
+        same = keys[:-1] == keys[1:]  # length n-1, row i vs i+1
+        engine.meter.local_ops += 2 * (n - 1)  # the two shifted key columns
+        engine.meter.comparisons += n - 1
+        engine.network.account_rounds(
+            1, (n - 1) * Network.SHARE_BYTES, messages_per_round=engine.num_parties
+        )
+        same_as_next = engine.share_from_env(same)
 
         # Batched accumulation: the real protocol runs a logarithmic-depth
         # segmented prefix scan over whole share vectors — one oblivious fold
         # per row charged analytically, no per-row message exchange, so wire
-        # rounds stay independent of the relation size.  Segment boundaries
-        # come from the (already ideal) equality flags.
-        same = engine.env_open(same_as_next).astype(bool)
+        # rounds stay independent of the relation size.
         starts = np.empty(n, dtype=bool)
         starts[0] = True
-        starts[1:] = ~same
+        np.logical_not(same, out=starts[1:])
         start_idx = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
         if func in ("sum", "count"):
             # Segmented cumulative sum distributes over additive shares: the
             # per-party segmented prefix sums (mod 2^64) reconstruct to the
             # true segmented running totals.
-            acc_shares = []
             nz = start_idx > 0
-            for share in value_col.shares:
+            base_idx = start_idx[nz] - 1
+            acc_shares = engine.zero_sharing(n)
+            for fresh, share in zip(acc_shares, value_col.shares):
                 running = np.cumsum(share, dtype=np.uint64)
-                base = np.zeros(n, dtype=np.uint64)
-                base[nz] = running[start_idx[nz] - 1]
-                acc_shares.append(running - base)
-            zero = engine.zero_sharing(n)
-            acc = SharedVector(engine, [s + z for s, z in zip(acc_shares, zero)])
+                fresh += running
+                fresh[nz] -= running[base_idx]
+            acc = SharedVector(engine, acc_shares)
             engine.meter.multiplications += n - 1
             engine.meter.local_ops += 2 * n
             engine.network.account_rounds(
@@ -672,9 +676,12 @@ def _gather_vector(engine: SecretSharingEngine, vec: SharedVector, idx: np.ndarr
     return SharedVector(engine, [share[idx] for share in vec.shares])
 
 
-def _decode_column(table: SharedTable, name: str) -> np.ndarray:
-    """Env-open a column to float, honouring the fixed-point encoding."""
-    values = table.engine.env_open(table.column(name)).astype(np.float64)
-    if table.schema[name].ctype is ColumnType.FLOAT:
-        values = values / FIXED_POINT_SCALE
-    return values
+def _decode_columns(table: SharedTable, names: Sequence[str]) -> list[np.ndarray]:
+    """Env-open columns to float in one round, honouring the fixed-point encoding."""
+    opened = table.engine.env_open_many([table.column(name) for name in names])
+    return [
+        values / FIXED_POINT_SCALE
+        if table.schema[name].ctype is ColumnType.FLOAT
+        else values.astype(np.float64)
+        for name, values in zip(names, opened)
+    ]

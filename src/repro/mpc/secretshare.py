@@ -43,9 +43,14 @@ transports.
 
 Randomness is partitioned into streams so sliced engines stay in lockstep:
 
-* ``engine.rng`` — the shared environment stream (permutations, zero
-  sharings, reshares of env-opened values, public input sharings).  Every
-  engine draws from it at the same points, so it never desynchronises.
+* ``engine.rng`` — the shared environment stream (permutations, public
+  input sharings).  Every engine draws from it at the same points, so it
+  never desynchronises.
+* per-party mask streams — the masks of zero sharings and of reshares of
+  env-opened values.  Party ``i``'s mask comes off stream ``i`` and the last
+  party's slice is the value minus every mask, so an engine draws a stream
+  only for a slice it holds (the last party's engine draws them all) and
+  never materialises a peer's mask.
 * ``engine.dealer`` — the trusted triple dealer, likewise replicated.
   This is a modelling trust boundary: a deployed system would produce
   triples with OT-based preprocessing so no party knows a full triple.
@@ -109,10 +114,10 @@ class AdditiveSharing:
         """Recombine additive shares into the cleartext (signed) values."""
         if not shares:
             raise ValueError("cannot reconstruct from zero shares")
-        total = np.zeros_like(np.asarray(shares[0], dtype=_U64))
-        for share in shares:
-            total = total + np.asarray(share, dtype=_U64)
-        return _from_ring(total)
+        total = np.array(shares[0], dtype=_U64)  # a private copy to sum into
+        for share in shares[1:]:
+            total += np.asarray(share, dtype=_U64)
+        return total.view(np.int64)
 
 
 @dataclass
@@ -244,6 +249,14 @@ class SecretSharingEngine:
         self._input_rngs = [
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x51, i)))
             for i in range(self.num_parties)
+        ]
+        # Per-party mask streams of the environment resharings: stream i is
+        # party i's mask, and the last party's slice is the value minus every
+        # mask.  An engine draws stream i only if it holds party i or the
+        # last party, so no engine materialises a mask it has no use for.
+        self._mask_rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE0, i)))
+            for i in range(self.num_parties - 1)
         ]
 
     @property
@@ -388,30 +401,47 @@ class SecretSharingEngine:
             self, [np.empty(0, dtype=_U64) for _ in range(self.num_local_shares)]
         )
 
+    def _env_sharing(self, values: np.ndarray) -> list[np.ndarray]:
+        """Local slices of a fresh sharing of ring ``values`` every engine knows.
+
+        ``values`` is consumed: it becomes the last party's slice.  Party
+        ``i < n-1`` holds mask ``i`` off its own stream, the last party holds
+        ``values - sum(masks)``; an engine draws exactly the streams its
+        slices depend on, and every engine that draws a stream draws it at
+        the same points, so the streams stay in lockstep.
+        """
+        last = self.num_parties - 1
+        holds_last = last in self._local_pos
+        slices = []
+        for i, rng in enumerate(self._mask_rngs):
+            if not holds_last and i not in self._local_pos:
+                continue
+            mask = rng.integers(0, 2**RING_BITS, size=values.shape, dtype=_U64)
+            if holds_last:
+                values -= mask  # uint64 arithmetic wraps mod 2^64
+            if i in self._local_pos:
+                slices.append(mask)
+        if holds_last:
+            slices.append(values)
+        return slices
+
     def zero_sharing(self, n: int) -> list[np.ndarray]:
         """Local slices of a fresh sharing of the zero vector.
 
-        Drawn from the shared environment stream: every lockstep engine
-        draws the identical full sharing and keeps its own slices, so the
-        resharing stays synchronised without communication.
+        The slices are freshly allocated, so a resharing may add the old
+        share into them in place.
         """
-        full = AdditiveSharing.share(
-            np.zeros(int(n), dtype=np.int64), self.num_parties, self.rng
-        )
-        return [full[i] for i in self.local_indices]
+        return self._env_sharing(np.zeros(int(n), dtype=_U64))
 
     def share_from_env(self, values: np.ndarray) -> SharedVector:
         """Share values known to the protocol environment (every party).
 
         Used by the ideal-functionality steps to re-share a result they
-        computed on env-opened data; the randomness comes from the shared
-        environment stream, keeping lockstep engines synchronised.
+        computed on env-opened data; the randomness comes from the per-party
+        mask streams, keeping lockstep engines synchronised.
         """
         self._require_local()
-        full = AdditiveSharing.share(
-            np.asarray(values, dtype=np.int64), self.num_parties, self.rng
-        )
-        return SharedVector(self, [full[i] for i in self.local_indices])
+        return SharedVector(self, self._env_sharing(_to_ring(values)))
 
     # -- openings ----------------------------------------------------------------------
 
@@ -599,8 +629,8 @@ class SecretSharingEngine:
                 raise RuntimeError(
                     f"beaver opening missing the slice of {self.party_names[i]!r}"
                 )
-            d = d + np.asarray(pair[0], dtype=_U64)
-            e = e + np.asarray(pair[1], dtype=_U64)
+            d += np.asarray(pair[0], dtype=_U64)
+            e += np.asarray(pair[1], dtype=_U64)
 
         out_shares = []
         for i in self.local_indices:
@@ -623,16 +653,19 @@ class SecretSharingEngine:
 
     def _compare(self, left: SharedVector, right: "SharedVector | int", kind: str) -> SharedVector:
         n = len(left)
-        if isinstance(right, SharedVector):
+        if not isinstance(right, SharedVector):
+            lvals, rvals = self.env_open(left), np.int64(int(right))
+        else:
             self._check_same_engine(right)
-            lvals, rvals = self.env_open_many([left, right])
-        else:
-            lvals = self.env_open(left)
-            rvals = np.full(n, int(right), dtype=np.int64)
-        if kind == "lt":
-            flags = (lvals < rvals).astype(np.int64)
-        else:
-            flags = (lvals == rvals).astype(np.int64)
+            if kind == "lt":
+                lvals, rvals = self.env_open_many([left, right])
+            else:
+                # x == y exactly when x - y is 0 in the ring, so one opened
+                # vector decides equality (an order needs both operands: the
+                # ring difference wraps).
+                diff = SharedVector(self, [l - r for l, r in zip(left.shares, right.shares)])
+                lvals, rvals = self.env_open(diff), np.int64(0)
+        flags = lvals < rvals if kind == "lt" else lvals == rvals
         # Cost of a real bit-decomposition comparison: counted as one
         # "comparison" unit plus the round it needs (batched).
         self.meter.comparisons += n

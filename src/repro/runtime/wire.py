@@ -20,15 +20,20 @@ value of the type set, is a :class:`WireError`.
 The framing is exposed in two forms:
 
 * :func:`send_frame` / :func:`recv_frame` — the socket-bound pair the
-  runtime uses.  ``recv_frame(..., allow_idle_timeout=True)`` lets a serving
+  runtime uses.  A frame is written as *segments* (:func:`encode_segments`):
+  the codec bytes plus borrowed views of large array buffers, gathered by
+  one ``sendmsg``, so a share vector is never copied on its way to the
+  kernel; a frame of small values is one buffer and one ``sendall``.  The
+  payload is read into one preallocated buffer and decoded arrays are
+  copied out of it.  ``recv_frame(..., allow_idle_timeout=True)`` lets a serving
   agent distinguish "no frame started yet" (the socket timed out while the
   stream sat idle between frames — re-raised as :class:`TimeoutError` so the
   caller can apply an idle policy) from "the stream died mid-frame" (always
   a :class:`WireError`).
 * :func:`encode_frame` / :class:`FrameDecoder` — the same protocol over
-  plain bytes, so framing properties (round-trips, interleaving, truncation
-  rejection) are testable without sockets and the decoder can be reused by
-  future non-socket transports.
+  plain bytes (the segments joined), so framing properties (round-trips,
+  interleaving, truncation rejection) are testable without sockets and the
+  decoder can be reused by future non-socket transports.
 
 TLS support lives here too: :func:`secure_server_socket` /
 :func:`secure_client_socket` wrap an accepted/dialled socket with a context
@@ -114,6 +119,16 @@ _T_REF = 0x13
 _FLOAT_STRUCT = struct.Struct(">d")
 _COMPLEX_STRUCT = struct.Struct(">dd")
 
+#: An array of at least this many bytes is not copied into the codec bytes:
+#: the encoder emits a borrowed view of the array's own buffer as a segment
+#: of its own.  Below it a copy is cheaper than one more ``sendmsg`` buffer,
+#: and frames of small values stay a single buffer and a single ``sendall``.
+BORROW_FLOOR = 1 << 14
+
+#: Buffers handed to one ``sendmsg`` call (POSIX guarantees ``IOV_MAX`` >= 16;
+#: Linux allows 1024).
+_SENDMSG_BUFFERS = 512
+
 #: dtype kinds the codec will carry: booleans, signed/unsigned ints, floats,
 #: complex, timedelta/datetime, and fixed-width byte/unicode strings.  The
 #: object ('O') and structured-void ('V') kinds are rejected — they smuggle
@@ -141,8 +156,15 @@ def _write_str(out: bytearray, text: str) -> None:
 
 
 class _Encoder:
+    """Encodes one payload as *segments*: codec bytes interleaved with
+    borrowed views of large array buffers; their concatenation is the
+    payload."""
+
     def __init__(self) -> None:
-        self.out = bytearray()
+        self.out = bytearray((CODEC_MAGIC,))
+        #: Segments completed so far; ``out`` collects the codec bytes after
+        #: the last borrowed view.
+        self.segments: list = []
         self.memo: dict[int, int] = {}
         # Keeps memoised objects alive so id() values cannot be recycled
         # mid-encode (a freed id reused by a new object would alias refs).
@@ -268,9 +290,20 @@ class _Encoder:
         _write_varint(out, arr.ndim)
         for dim in arr.shape:
             _write_varint(out, dim)
-        data = np.ascontiguousarray(arr).tobytes()
-        _write_varint(out, len(data))
-        out.extend(data)
+        if arr.nbytes < BORROW_FLOOR:
+            data = arr.tobytes()
+            _write_varint(out, len(data))
+            out.extend(data)
+        else:
+            # The raw C-order buffer as bytes, whatever the dtype (the buffer
+            # protocol itself refuses datetimes); no copy for a contiguous
+            # array.  The view keeps the array alive; ``out`` is emptied in
+            # place because callers up the recursion hold a reference to it.
+            data = memoryview(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
+            _write_varint(out, len(data))
+            self.segments.append(bytes(out))
+            out.clear()
+            self.segments.append(data)
         self._memoise(arr)
 
     def _encode_npscalar(self, value: np.generic) -> None:
@@ -315,8 +348,14 @@ class _Encoder:
         self.encode(slot_state or None)
 
 
-def encode_payload(obj: object) -> bytes:
-    """Serialise ``obj`` with the wire codec (no length header).
+def encode_segments(obj: object) -> list:
+    """Serialise ``obj`` with the wire codec (no length header) as segments.
+
+    The payload is the concatenation of the returned bytes-like segments.
+    Arrays of :data:`BORROW_FLOOR` bytes or more are *borrowed* — their
+    segment is a view of the array's buffer, not a copy — so the caller must
+    not mutate them until the segments have been written or joined.  A
+    payload with nothing to borrow is a single segment.
 
     Raises :class:`UnsupportedPayload` for objects outside the closed type
     set.
@@ -326,7 +365,13 @@ def encode_payload(obj: object) -> bytes:
         encoder.encode(obj)
     except RecursionError:
         raise UnsupportedPayload("payload nesting exceeds the codec recursion limit") from None
-    return bytes([CODEC_MAGIC]) + bytes(encoder.out)
+    encoder.segments.append(encoder.out)
+    return encoder.segments
+
+
+def encode_payload(obj: object) -> bytes:
+    """Serialise ``obj`` with the wire codec (no length header) as one buffer."""
+    return b"".join(encode_segments(obj))
 
 
 class _Decoder:
@@ -633,19 +678,26 @@ class LinkStats:
 # --------------------------------------------------------------------------
 
 
+def _frame_segments(obj: object) -> tuple[list, int]:
+    """``obj``'s length-prefixed frame as segments, and its size in bytes."""
+    try:
+        segments = encode_segments(obj)
+    except UnsupportedPayload as exc:
+        raise WireError(f"payload not expressible in the wire codec: {exc}") from exc
+    length = sum(map(len, segments))
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
+    segments[0] = _HEADER.pack(length) + segments[0]
+    return segments, _HEADER.size + length
+
+
 def encode_frame(obj: object) -> bytes:
-    """Serialise ``obj`` as one length-prefixed frame.
+    """Serialise ``obj`` as one length-prefixed frame in one buffer.
 
     Raises :class:`WireError` for a payload outside the codec's closed type
     set or over the frame cap.
     """
-    try:
-        data = encode_payload(obj)
-    except UnsupportedPayload as exc:
-        raise WireError(f"payload not expressible in the wire codec: {exc}") from exc
-    if len(data) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(data)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
-    return _HEADER.pack(len(data)) + data
+    return b"".join(_frame_segments(obj)[0])
 
 
 class FrameDecoder:
@@ -696,13 +748,30 @@ def send_frame(sock: socket.socket, obj: object, *, stats: LinkStats | None = No
     With ``stats``, the frame's full wire size (header + payload) is counted
     once the write completed.
     """
-    data = encode_frame(obj)
+    segments, size = _frame_segments(obj)
     try:
-        sock.sendall(data)
+        _send_segments(sock, segments)
     except OSError as exc:
-        raise WireError(f"failed to send {len(data)}-byte frame: {exc}") from exc
+        raise WireError(f"failed to send {size}-byte frame: {exc}") from exc
     if stats is not None:
-        stats.add_sent(len(data))
+        stats.add_sent(size)
+
+
+def _send_segments(sock: socket.socket, segments: list) -> None:
+    """Write ``segments`` in order: a lone buffer with ``sendall``, several
+    gathered by ``sendmsg``, resuming after partial sends."""
+    if len(segments) == 1:
+        sock.sendall(segments[0])
+        return
+    views = [memoryview(segment) for segment in segments]
+    first = 0
+    while first < len(views):
+        sent = sock.sendmsg(views[first:first + _SENDMSG_BUFFERS])
+        while first < len(views) and sent >= len(views[first]):
+            sent -= len(views[first])
+            first += 1
+        if sent:
+            views[first] = views[first][sent:]
 
 
 def send_torn_frame(sock: socket.socket, obj: object, fraction: float = 0.6) -> int:
@@ -758,23 +827,26 @@ def recv_frame(
     return decode_payload(payload)
 
 
-def _recv_exact(sock: socket.socket, n: int, *, allow_idle_timeout: bool = False) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
+def _recv_exact(sock: socket.socket, n: int, *, allow_idle_timeout: bool = False) -> bytearray:
+    """Read exactly ``n`` bytes into a fresh buffer the caller then owns."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    filled = 0
+    while filled < n:
         try:
-            chunk = sock.recv(n - len(buf))
+            count = sock.recv_into(view[filled:])
         except TimeoutError:
-            if allow_idle_timeout and not buf:
+            if allow_idle_timeout and not filled:
                 raise
             raise WireError("connection timed out mid-frame") from None
         except ssl.SSLError as exc:
             raise WireError(f"TLS error while reading frame: {exc}") from exc
         except OSError as exc:
             raise WireError(f"connection error while reading frame: {exc}") from exc
-        if not chunk:
+        if not count:
             raise WireError("connection closed mid-frame")
-        buf.extend(chunk)
-    return bytes(buf)
+        filled += count
+    return buf
 
 
 def close_quietly(sock, *, shutdown: bool = False) -> None:
@@ -826,8 +898,8 @@ class SecureSocket:
       single-lock design would reintroduce.
 
     The exposed surface is the subset of the socket API the runtime uses:
-    ``sendall`` / ``recv`` / ``settimeout`` / ``shutdown`` / ``close`` plus
-    ``getpeercert`` for :func:`peer_common_name`.
+    ``sendall`` / ``sendmsg`` / ``recv_into`` / ``settimeout`` / ``shutdown``
+    / ``close`` plus ``getpeercert`` for :func:`peer_common_name`.
     """
 
     _RECV_CHUNK = 1 << 16
@@ -889,41 +961,50 @@ class SecureSocket:
 
     # -- the socket surface the runtime uses -------------------------------------------
 
-    def recv(self, n: int) -> bytes:
+    def recv_into(self, buffer) -> int:
+        """Decrypt up to ``len(buffer)`` bytes into ``buffer``; 0 at EOF."""
         while True:
             with self._ssl_lock:
                 try:
-                    data = self._ssl.read(n)
+                    return self._ssl.read(len(buffer), buffer)
                 except ssl.SSLWantReadError:
-                    data = None
+                    pass
                 except (ssl.SSLZeroReturnError, ssl.SSLEOFError):
                     # Clean close_notify, or a ragged EOF after the stream
                     # died: both look like EOF, exactly as for a plaintext
                     # socket (SSLSocket's suppress_ragged_eofs default).
-                    return b""
-            if data is not None:
-                return data
+                    return 0
             # Reading may have queued output (e.g. a TLS 1.3 KeyUpdate
             # response); ship it before blocking for more ciphertext.
             self._flush()
             if self._eof:
-                return b""
+                return 0
             self._fill()
 
     def sendall(self, data) -> None:
-        view = memoryview(data)
-        if not len(view):
-            return
-        # The write lock spans encrypt + send so concurrent senders cannot
-        # interleave their TLS records out of encryption order.
+        self.sendmsg([data])
+
+    def sendmsg(self, buffers) -> int:
+        """Encrypt and send every buffer, in order, as one unit.
+
+        Unlike ``socket.sendmsg`` this never sends partially.  The write
+        lock spans encrypt + send of all the buffers, so concurrent senders
+        can neither interleave their TLS records out of encryption order nor
+        split each other's frames.
+        """
+        total = 0
         with self._write_lock:
-            offset = 0
-            while offset < len(view):
-                with self._ssl_lock:
-                    written = self._ssl.write(view[offset:])
-                    out = self._out.read()
-                self._sock.sendall(out)
-                offset += written
+            for data in buffers:
+                view = memoryview(data)
+                offset = 0
+                while offset < len(view):
+                    with self._ssl_lock:
+                        written = self._ssl.write(view[offset:])
+                        out = self._out.read()
+                    self._sock.sendall(out)
+                    offset += written
+                total += len(view)
+        return total
 
     def settimeout(self, value) -> None:
         self._sock.settimeout(value)

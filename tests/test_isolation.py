@@ -35,6 +35,7 @@ import pytest
 import repro as cc
 from repro.core.config import CompilationConfig
 from repro.mpc.network import Network
+from repro.mpc.protocols import SharedTable, mpc_aggregate
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
 from repro.runtime.mesh import (
     KIND_MSG,
@@ -229,6 +230,59 @@ class TestShareSlices:
         # perturbation.  Party B used A's clean frame plus its own slice.
         assert got_a[0] == EXPECTED_DEMO[0] + 1
         np.testing.assert_array_equal(got_b, EXPECTED_DEMO)
+
+
+class TestAggregateKeyOpening:
+    """An aggregation opens its group-by key to the environment once, and
+    everything it derives — sort order, equality flags, segment bounds —
+    hangs on the bytes of that one frame."""
+
+    TABLE = cc.Table(
+        cc.Schema([cc.ColumnDef("k"), cc.ColumnDef("v")]),
+        [np.array([1, 3, 2, 3, 1]), np.array([10, 20, 30, 40, 50])],
+    )
+    EXPECTED = [(1, 60), (2, 30), (3, 60)]
+
+    def _aggregate(self, engine):
+        if PARTY_A in engine.local_parties:
+            shared = SharedTable.from_table(engine, self.TABLE, contributor=PARTY_A)
+        else:
+            shared = SharedTable.from_metadata(
+                engine, self.TABLE.schema, self.TABLE.num_rows, contributor=PARTY_A
+            )
+        return sorted(mpc_aggregate(shared, "k", "v", "sum", "total").reveal().rows())
+
+    def test_untampered_aggregate_matches_the_oracle_with_one_key_opening(self):
+        engines = sliced_engine_pair(seed=7)
+        for rows in run_lockstep(engines, self._aggregate):
+            assert rows == self.EXPECTED
+        simulated = SecretSharingEngine(PARTIES, seed=7)
+        assert self._aggregate(simulated) == self.EXPECTED
+        for engine in engines:
+            assert vars(engine.network.stats) == vars(simulated.network.stats)
+
+    def test_a_bit_flipped_in_the_key_opening_corrupts_the_aggregate(self):
+        seen = []
+
+        def tamper(message):
+            sender, receiver, (tag, body), size = message
+            if tag != "env-open":
+                return message
+            seen.append(len(body[0]))
+            (keys,) = body
+            keys = keys.copy()
+            keys[0] ^= np.uint64(1 << 40)
+            return (sender, receiver, (tag, (keys,)), size)
+
+        engines = sliced_engine_pair(seed=7, tamper_from_b=tamper)
+        try:
+            got_a, _got_b = run_lockstep(engines, self._aggregate)
+        except (TransportError, RuntimeError, ValueError, IndexError):
+            assert seen == [self.TABLE.num_rows]
+            return  # failing loudly satisfies the property too
+        # The only env-open of the whole aggregation was the key column.
+        assert seen == [self.TABLE.num_rows]
+        assert got_a != self.EXPECTED
 
 
 def _share_both(engine):

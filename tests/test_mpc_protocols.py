@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.mpc import protocols
+from repro.mpc.network import Network
 from repro.mpc.protocols import SharedTable
 from repro.mpc.secretshare import SecretSharingEngine
+from repro.runtime.transport import SimulatedTransport
 from tests.conftest import PARTIES, make_table
 
 
@@ -163,6 +165,77 @@ class TestAggregate:
         shared = share(engine, kv_table)
         result = protocols.mpc_distinct(shared, ["key"])
         assert sorted(result.reveal().column("key").tolist()) == [1, 2, 3, 4]
+
+
+class RoundLog(SimulatedTransport):
+    """The in-process fabric, remembering ``(tag, size_bytes)`` of every round."""
+
+    def __init__(self, party_names):
+        super().__init__(party_names)
+        self.rounds = []
+
+    def exchange(self, tag, sends, size_bytes):
+        self.rounds.append((tag, size_bytes))
+        return super().exchange(tag, sends, size_bytes)
+
+
+#: Relations for the single-opening test; every one is sorted by key, so the
+#: same rows serve the sorted and the presorted path.
+AGGREGATE_CASES = {
+    "empty": [],
+    "one-row": [(3, 10)],
+    "two-rows": [(1, 5), (2, 7)],
+    "all-equal": [(4, v) for v in (6, 1, 5, 2, 4, 3)],
+    "all-distinct": [(k, 10 * k) for k in range(1, 7)],
+}
+
+#: ``(comparisons, multiplications)`` one aggregation charged at the commit
+#: before the key column was opened once — by ``(scan kind, presorted, rows)``.
+#: The ideal functionality may be computed from fewer openings; the price of
+#: the oblivious protocol it stands for may not move.
+AGGREGATE_CHARGES = {
+    ("sum", False, 2): (2, 5), ("sum", False, 6): (29, 101),
+    ("sum", True, 2): (1, 1), ("sum", True, 6): (5, 5),
+    ("extremum", False, 2): (3, 6), ("extremum", False, 6): (34, 106),
+    ("extremum", True, 2): (2, 2), ("extremum", True, 6): (10, 10),
+}
+
+
+class TestAggregateOpensItsKeyOnce:
+    @pytest.mark.parametrize("case", AGGREGATE_CASES)
+    @pytest.mark.parametrize("presorted", [False, True], ids=["sorted", "presorted"])
+    @pytest.mark.parametrize("func", ["sum", "count", "min", "max"])
+    def test_one_key_opening_same_rows_same_charges(self, func, presorted, case, kv_schema):
+        rows = AGGREGATE_CASES[case]
+        n = len(rows)
+        table = Table.from_rows(kv_schema, rows) if rows else Table.empty(kv_schema)
+        log = RoundLog(PARTIES)
+        engine = SecretSharingEngine(PARTIES, seed=3, network=Network(PARTIES, log))
+        shared = share(engine, table)
+        del log.rounds[:]
+        comparisons, multiplications = engine.meter.comparisons, engine.meter.multiplications
+
+        agg_col = None if func == "count" else "value"
+        result = protocols.mpc_aggregate(shared, "key", agg_col, func, "out", presorted=presorted)
+
+        assert result.reveal().equals_unordered(table.aggregate(["key"], agg_col, func, "out"))
+        scan = "sum" if func in ("sum", "count") else "extremum"
+        # The key column, and for min/max the value column the scan runs on.
+        expected_openings = [] if n <= 1 else [n * 8] * (1 if scan == "sum" else 2)
+        assert [size for tag, size in log.rounds if tag == "env-open"] == expected_openings
+        assert (
+            engine.meter.comparisons - comparisons,
+            engine.meter.multiplications - multiplications,
+        ) == AGGREGATE_CHARGES.get((scan, presorted, n), (0, 0))
+
+    def test_distinct_opens_its_column_once(self, kv_table):
+        log = RoundLog(PARTIES)
+        engine = SecretSharingEngine(PARTIES, seed=3, network=Network(PARTIES, log))
+        shared = share(engine, kv_table)
+        del log.rounds[:]
+        result = protocols.mpc_distinct(shared, ["key"])
+        assert sorted(result.reveal().column("key").tolist()) == [1, 2, 3, 4]
+        assert [tag for tag, _size in log.rounds].count("env-open") == 1
 
 
 class TestArithmetic:

@@ -38,10 +38,27 @@ class TestShuffle:
         oblivious_shuffle(engine, cols)
         assert engine.meter.shuffled_elements == before + 6
 
-    def test_invalid_permutation_rejected(self, engine):
-        cols = share_columns(engine, [1, 2, 3])
-        with pytest.raises(ValueError):
-            oblivious_shuffle(engine, cols, permutation=np.array([0, 0, 1]))
+    @pytest.mark.parametrize(
+        "rows, permutation",
+        [
+            ([1, 2, 3], [0, 0, 1]),      # duplicate entry
+            ([1, 2, 3], [0, 1, 3]),      # out of range
+            ([1, 2, 3], [0, -1, 2]),     # out of range, negative
+            ([1, 2, 3], [0, 1]),         # too short
+            ([1, 2, 3], [0, 1, 2, 3]),   # too long
+            ([1, 2, 3], [[0, 1, 2]]),    # wrong shape
+            ([], [0]),                   # nothing to permute: used to pass unchecked
+        ],
+    )
+    def test_invalid_permutation_rejected(self, engine, rows, permutation):
+        cols = share_columns(engine, rows)
+        with pytest.raises(ValueError, match="permutation of 0..n-1"):
+            oblivious_shuffle(engine, cols, permutation=np.array(permutation))
+
+    def test_empty_permutation_of_an_empty_relation(self, engine):
+        cols = share_columns(engine, [])
+        out = oblivious_shuffle(engine, cols, permutation=np.array([], dtype=np.int64))
+        assert len(out[0]) == 0
 
     def test_empty_relation(self, engine):
         cols = share_columns(engine, [])

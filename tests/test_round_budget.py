@@ -1,0 +1,80 @@
+"""Exact round, byte and meter budgets of the three judged queries.
+
+The benchmark's judged workloads (``BENCHMARK.json``) at 50 rows per party,
+run on the simulated runtime, where every counter repeats exactly.  The
+constants below are *committed*: a change to the message schedule — a round
+more or fewer, an opening that grows or shrinks, a protocol step charged
+differently — fails here and must update them in the same change, with the
+reason in CHANGES.md.  Timings are the benchmark's business; these counts
+are what a schedule change moves by design.
+
+``wire_bytes`` counts the payload bytes of the real rounds only (what
+crosses sockets in a distributed run); the meter's analytically accounted
+traffic is in neither ``wire_rounds`` nor ``wire_bytes``.
+"""
+
+import pytest
+
+import repro as cc
+from repro.queries import credit_card_regulation_query, market_concentration_query
+from repro.runtime.transport import SimulatedTransport
+from repro.workloads import CreditWorkload, TaxiWorkload
+
+ROWS = 50
+SEED = 1
+
+
+def _hhi(**config):
+    spec = market_concentration_query(rows_per_party=ROWS)
+    tables = TaxiWorkload(seed=SEED).party_tables(len(spec.parties), ROWS)
+    inputs = {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
+    return spec, inputs, cc.CompilationConfig(executor="columnar", **config)
+
+
+def _credit():
+    spec = credit_card_regulation_query(rows_demographics=ROWS, rows_per_agency=ROWS)
+    demographics, agencies = CreditWorkload(seed=SEED).generate(ROWS, ROWS, 2)
+    regulator, *banks = spec.parties
+    inputs = {regulator: {"demographics": demographics}}
+    for i, bank in enumerate(banks):
+        inputs[bank] = {f"scores_{i}": agencies[i]}
+    return spec, inputs, cc.CompilationConfig()
+
+
+WORKLOADS = {
+    "hhi_pushdown": _hhi,
+    "hhi_mpc_only": lambda: _hhi(enable_push_down=False),
+    "credit_hybrid": _credit,
+}
+
+BUDGETS = {
+    "hhi_pushdown": dict(wire_rounds=14, wire_bytes=2208, multiplications=379, comparisons=91),
+    "hhi_mpc_only": dict(
+        wire_rounds=16, wire_bytes=34560, multiplications=18631, comparisons=4909
+    ),
+    "credit_hybrid": dict(
+        wire_rounds=229, wire_bytes=91424, multiplications=6649, comparisons=4004
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_judged_query_stays_on_its_committed_budget(name, monkeypatch):
+    spec, inputs, config = WORKLOADS[name]()
+    carried = []
+    exchange = SimulatedTransport.exchange
+
+    def metered(self, tag, sends, size_bytes):
+        carried.append(len(sends) * size_bytes)
+        return exchange(self, tag, sends, size_bytes)
+
+    monkeypatch.setattr(SimulatedTransport, "exchange", metered)
+    profile = cc.run_query(spec.context, inputs, config, seed=SEED).mpc_profile
+
+    assert len(carried) == profile["wire_rounds"]
+    assert dict(
+        wire_rounds=profile["wire_rounds"],
+        wire_bytes=sum(carried),
+        multiplications=profile["multiplications"],
+        comparisons=profile["comparisons"],
+    ) == BUDGETS[name]

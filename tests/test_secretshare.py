@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mpc.oblivious import _permute_reshared, oblivious_shuffle
 from repro.mpc.secretshare import (
     AdditiveSharing,
     SecretSharingEngine,
+    SharedVector,
     TripleDealer,
 )
 
@@ -162,3 +164,90 @@ class TestComparisonsAndSelect:
         before = engine.network.stats.rounds
         engine.reveal_to(x, "external.example")
         assert engine.network.stats.rounds > before
+
+    def test_equality_opens_one_vector_an_order_opens_two(self):
+        """``x == y`` is decided by the one opened difference; it is exact at
+        the ring's edges, where ``x - y`` wraps."""
+        edge = 2**63 - 1
+        xs = np.array([edge, -edge - 1, -edge - 1, 0, 7], dtype=np.int64)
+        ys = np.array([edge, edge, -edge - 1, -edge - 1, 7], dtype=np.int64)
+        engine = SecretSharingEngine(["a", "b", "c"], seed=7)
+        x, y = engine.input_vector(xs), engine.input_vector(ys)
+
+        before = engine.network.stats.copy()
+        flags = engine.equals(x, y)
+        after_eq = engine.network.stats.copy()
+        order = engine.less_than(x, y)
+        after_lt = engine.network.stats.copy()
+
+        assert np.array_equal(flags.reveal(), xs == ys)
+        assert np.array_equal(order.reveal(), xs < ys)
+        # 6 messages of one round each; the analytic comparison round adds
+        # n * 8 bytes to both.
+        metered = len(xs) * 8
+        assert after_eq.bytes_sent - before.bytes_sent == 6 * len(xs) * 8 + metered
+        assert after_lt.bytes_sent - after_eq.bytes_sent == 6 * 2 * len(xs) * 8 + metered
+        assert after_eq.wire_rounds - before.wire_rounds == 1
+        assert after_lt.wire_rounds - after_eq.wire_rounds == 1
+
+
+class TestMaskStreams:
+    """Zero sharings and env reshares draw per-party mask streams: a sliced
+    engine produces exactly the all-local engine's slices while drawing only
+    the streams its own slices depend on."""
+
+    VALUES = np.array([5, -3, 2**40, 0, -(2**62), 17, 9], dtype=np.int64)
+    ORDER = np.array([6, 0, 3, 1, 5, 2, 4])
+
+    @staticmethod
+    def _steps(engine, column, payload):
+        """Slices of every resharing step, in protocol order."""
+        values = TestMaskStreams.VALUES
+        reshared = engine.share_from_env(values).shares
+        zero = engine.zero_sharing(len(values))
+        shuffled = oblivious_shuffle(engine, [column, payload])
+        key, (moved,) = _permute_reshared(engine, column, [payload], TestMaskStreams.ORDER)
+        return [reshared, zero, shuffled[0].shares, shuffled[1].shares, key.shares, moved.shares]
+
+    @pytest.mark.parametrize("num_parties", [2, 3, 4])
+    def test_sliced_engines_produce_the_all_local_slices(self, num_parties):
+        parties = [f"p{i}.example" for i in range(num_parties)]
+        values, order = self.VALUES, self.ORDER
+        base = AdditiveSharing.share(values, num_parties, np.random.default_rng(5))
+        base_payload = AdditiveSharing.share(values * 3, num_parties, np.random.default_rng(6))
+
+        everyone = SecretSharingEngine(parties, seed=21)
+        full = self._steps(
+            everyone, SharedVector(everyone, list(base)), SharedVector(everyone, list(base_payload))
+        )
+        assert np.array_equal(AdditiveSharing.reconstruct(full[0]), values)
+        assert not AdditiveSharing.reconstruct(full[1]).any()
+        permutation = np.random.default_rng(21).permutation(len(values))
+        assert np.array_equal(AdditiveSharing.reconstruct(full[2]), values[permutation])
+        assert np.array_equal(AdditiveSharing.reconstruct(full[3]), values[permutation] * 3)
+        assert np.array_equal(AdditiveSharing.reconstruct(full[4]), values[order])
+        assert np.array_equal(AdditiveSharing.reconstruct(full[5]), values[order] * 3)
+
+        last = num_parties - 1
+        for i, party in enumerate(parties):
+            solo = SecretSharingEngine(parties, seed=21, local_parties=[party])
+            untouched = [rng.bit_generator.state for rng in solo._mask_rngs]
+            steps = self._steps(
+                solo, SharedVector(solo, [base[i]]), SharedVector(solo, [base_payload[i]])
+            )
+            for mine, everyones in zip(steps, full):
+                assert len(mine) == 1
+                assert np.array_equal(mine[0], everyones[i])
+            for j, rng in enumerate(solo._mask_rngs):
+                drawn = rng.bit_generator.state != untouched[j]
+                # Party i's own mask; the last party's slice needs them all.
+                assert drawn == (i == last or j == i)
+
+    def test_masks_are_not_the_shared_environment_stream(self):
+        """Resharing draws nothing from ``engine.rng``, so permutations stay
+        in lockstep whichever slices an engine holds."""
+        engine = SecretSharingEngine(["a", "b", "c"], seed=4)
+        state = engine.rng.bit_generator.state
+        engine.zero_sharing(100)
+        engine.share_from_env(np.arange(100))
+        assert engine.rng.bit_generator.state == state
