@@ -25,8 +25,6 @@ from figures import (
 )
 
 import repro as cc
-from repro.cleartext.spark_sim import SparkBackend
-from repro.mpc.garbled import OblivCBackend
 from repro.mpc.sharemind import SharemindBackend
 from repro.workloads.generators import random_integers_table
 
@@ -83,20 +81,6 @@ def test_fig1c_project_series(benchmark):
 
 
 @pytest.mark.benchmark(group="fig1-functional")
-@pytest.mark.parametrize("records", [100, 400])
-def test_functional_spark_aggregation(benchmark, records):
-    table = random_integers_table(records, ["key", "value"], seed=1)
-
-    def run():
-        backend = SparkBackend()
-        handle = backend.ingest(table)
-        return backend.collect(backend.aggregate(handle, None, "value", "sum", "total"))
-
-    result = benchmark(run)
-    assert result.num_rows == 1
-
-
-@pytest.mark.benchmark(group="fig1-functional")
 @pytest.mark.parametrize("records", [60, 120])
 def test_functional_sharemind_aggregation(benchmark, records):
     table = random_integers_table(records, ["key", "value"], low=0, high=50, seed=2)
@@ -122,17 +106,3 @@ def test_functional_sharemind_join(benchmark, records):
         return backend.reveal(backend.join(lh, rh, "key", "key"))
 
     benchmark(run)
-
-
-@pytest.mark.benchmark(group="fig1-functional")
-@pytest.mark.parametrize("records", [200, 800])
-def test_functional_oblivc_project(benchmark, records):
-    table = random_integers_table(records, ["key", "value"], seed=5)
-
-    def run():
-        backend = OblivCBackend(["p1", "p2"])
-        handle = backend.ingest(table)
-        return backend.reveal(backend.project(handle, ["key"]))
-
-    result = benchmark(run)
-    assert result.num_rows == records

@@ -14,7 +14,7 @@ import pytest
 
 from figures import series_fig5_agg, series_fig5_join, write_series
 
-from repro.cleartext.python_engine import PythonBackend
+from repro.exec.engine import ColumnarBackend
 from repro.hybrid.hybrid_agg import hybrid_aggregate
 from repro.hybrid.hybrid_join import hybrid_join
 from repro.hybrid.public_join import public_join
@@ -69,7 +69,7 @@ PARTIES = ["mpc.a.com", "mpc.b.com", "mpc.c.org"]
 
 
 def _stp():
-    return SelectivelyTrustedParty("stp.example", PythonBackend())
+    return SelectivelyTrustedParty("stp.example", ColumnarBackend())
 
 
 @pytest.mark.benchmark(group="fig5-functional")

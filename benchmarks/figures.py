@@ -177,7 +177,7 @@ def series_fig4(
             rows_per_party=per_party,
         )
         insecure = cc.compile_query(insecure_spec.context, conclave_config())
-        from repro.cleartext.spark_sim import SparkCostModel
+        from repro.exec.costs import SparkCostModel
 
         estimator = PlanEstimator(
             EstimatorParams(

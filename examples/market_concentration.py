@@ -29,7 +29,7 @@ def main(rows_per_party: int = 2_000, runtime: str = "simulated"):
     workload = TaxiWorkload(num_companies=3, zero_fare_fraction=0.02, seed=7)
     spec = market_concentration_query(rows_per_party=rows_per_party)
 
-    # Use the data-parallel (Spark-like) cleartext backend, like the paper.
+    # Price local work as the paper does: on a small Spark cluster per party.
     config = cc.CompilationConfig(cleartext_backend="spark")
     compiled = cc.compile_query(spec.context, config)
     print(compiled.report.summary())

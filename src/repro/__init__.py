@@ -34,10 +34,11 @@ Sub-packages:
 * :mod:`repro.core` — the query compiler, frontier/hybrid rewrites, code
   generation and multi-party dispatch (the paper's contribution).
 * :mod:`repro.data` — schemas, tables and CSV I/O.
-* :mod:`repro.mpc` — the secret-sharing (Sharemind-style) and garbled-circuit
-  (Obliv-C-style) MPC substrates, built from scratch.
-* :mod:`repro.cleartext` — sequential Python and Spark-like data-parallel
-  cleartext engines.
+* :mod:`repro.mpc` — the secret-sharing (Sharemind-style) MPC substrate,
+  built from scratch, and the cost models of the MPC systems the paper
+  compares.
+* :mod:`repro.exec` — the columnar cleartext engine and the Python / Spark
+  price lists for the work it counts.
 * :mod:`repro.runtime` — the distributed party-agent runtime: pluggable
   transports (in-process simulation vs. real TCP sockets between per-party
   OS processes), the session/agent execution split, and the persistent

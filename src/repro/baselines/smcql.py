@@ -27,13 +27,13 @@ import numpy as np
 
 from repro.data.table import Table
 from repro.mpc.estimates import bitonic_comparator_count
-from repro.mpc.garbled import (
+from repro.mpc.runtime import (
     GATES_PER_ADDITION,
     GATES_PER_COMPARISON,
     GATES_PER_MUX,
     VALUE_BITS,
+    ObliVMCostModel,
 )
-from repro.mpc.runtime import ObliVMCostModel
 from repro.workloads.healthlnk import ASPIRIN_CODE, HEART_DISEASE_CODE
 
 

@@ -36,9 +36,14 @@ class CompilationConfig:
     #: Parties allowed to act as the selectively-trusted party.  ``None``
     #: means any annotated party may be chosen; at most one STP is ever used.
     allowed_stps: list[str] | None = None
-    #: MPC backend to generate code for: ``"sharemind"`` or ``"obliv-c"``.
+    #: MPC target + price list, ``"sharemind"`` or ``"obliv-c"``: the system
+    #: codegen emits MPC jobs for and the estimator prices them as — never a
+    #: code path (the runtime runs its share engine only and refuses
+    #: ``"obliv-c"``, see :meth:`require_executable`).
     mpc_backend: str = "sharemind"
-    #: Cleartext backend: ``"spark"`` or ``"python"``.
+    #: Cleartext target + price list, ``"python"`` or ``"spark"``: the system
+    #: codegen emits local jobs for and the :mod:`repro.exec.costs` list that
+    #: prices the one engine's work tally and the estimator's row counts.
     cleartext_backend: str = "python"
     #: Disable the push-down of filters on private columns past the MPC
     #: frontier.  Matching SMCQL's (stricter) guarantee for the §7.4
@@ -47,18 +52,42 @@ class CompilationConfig:
     #: Extra per-relation row hints, keyed by relation name (overrides the
     #: default selectivity-based estimates used by the cost estimator).
     row_hints: dict[str, int] = field(default_factory=dict)
-    #: Cleartext execution engine: ``"row"`` (one ``Table`` call per
-    #: operator — the semantic oracle) or ``"columnar"`` (the vectorized
-    #: :mod:`repro.exec` engine running whole-column batches with lazy
-    #: filter masks).  ``"columnar"`` replaces both row engines; the
-    #: differential corpus holds it byte-identical to the row oracle.
-    executor: str = "row"
+    #: Cleartext engine; ``"columnar"`` is the only one (the field survives
+    #: because the benchmark harness still passes it).
+    executor: str = "columnar"
     #: Host the runtime's mesh and control listeners bind and advertise to
     #: peers.  The loopback default keeps single-machine behaviour; set a
     #: routable address to run agents across real hosts — and pass a
     #: :class:`TransportSecurity` to ``open_session`` so the cross-host
     #: links are mutually authenticated TLS, not plaintext.
     bind_host: str = "127.0.0.1"
+
+    def __post_init__(self) -> None:
+        for name, allowed in _ALLOWED_VALUES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown {name} {value!r}; allowed values: "
+                    + ", ".join(repr(a) for a in allowed)
+                )
+
+    def require_executable(self) -> None:
+        """Refuse a configuration the runtime models but does not execute."""
+        if self.mpc_backend != "sharemind":
+            raise ValueError(
+                f"mpc_backend={self.mpc_backend!r} names a code-generation target "
+                "and a price list, not an engine: the runtime executes MPC on the "
+                "secret-sharing ('sharemind') engine only.  Price the plan with "
+                "repro.PlanEstimator().estimate(compiled) instead of running it"
+            )
+
+
+#: The values each string-typed :class:`CompilationConfig` field accepts.
+_ALLOWED_VALUES = {
+    "cleartext_backend": ("python", "spark"),
+    "mpc_backend": ("sharemind", "obliv-c"),
+    "executor": ("columnar",),
+}
 
 
 @dataclass

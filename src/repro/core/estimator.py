@@ -5,8 +5,10 @@ Python would take longer than the real systems they simulate, so the
 benchmark harness prices compiled plans analytically: every operator's work
 is computed from the closed-form operation counts in
 :mod:`repro.mpc.estimates` (which mirror the functional protocols
-one-to-one) and converted to simulated seconds with the same cost models the
-functional backends use.  Completion times follow the same recurrence as the
+one-to-one) and converted to simulated seconds with the price lists the
+executing engines' tallies are converted with.  The garbled-circuit
+(Obliv-C) target is priced only here (:meth:`PlanEstimator._garbled_cost`);
+nothing executes it.  Completion times follow the same recurrence as the
 dispatcher, so independent per-party work overlaps.
 
 The estimator reports out-of-memory failures of the garbled-circuit backend
@@ -20,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.cleartext.python_engine import PythonCostModel
-from repro.cleartext.spark_sim import SparkCostModel, SparkStats
 from repro.core.compiler import CompiledQuery
 from repro.core.operators import (
     Aggregate,
@@ -45,8 +45,9 @@ from repro.core.operators import (
     PublicJoin,
     SortBy,
 )
+from repro.exec.costs import CleartextWork, PythonCostModel, SparkCostModel
 from repro.mpc import estimates
-from repro.mpc.garbled import (
+from repro.mpc.runtime import (
     BYTES_PER_JOIN_PAIR,
     BYTES_PER_VALUE,
     GATES_PER_ADDITION,
@@ -54,8 +55,10 @@ from repro.mpc.garbled import (
     GATES_PER_MULTIPLICATION,
     GATES_PER_MUX,
     VALUE_BITS,
+    CostMeter,
+    GarbledCostModel,
+    SharemindCostModel,
 )
-from repro.mpc.runtime import CostMeter, GarbledCostModel, SharemindCostModel
 
 
 class EstimatedOOM(RuntimeError):
@@ -138,8 +141,10 @@ class PlanEstimator:
         self.params = params or EstimatorParams()
         self.sharemind_model = sharemind_model or SharemindCostModel()
         self.garbled_model = garbled_model or GarbledCostModel()
-        self.spark_model = spark_model or SparkCostModel()
-        self.python_model = python_model or PythonCostModel()
+        self.cleartext_models = {
+            "spark": spark_model or SparkCostModel(),
+            "python": python_model or PythonCostModel(),
+        }
 
     # -- public API ------------------------------------------------------------------------
 
@@ -151,7 +156,7 @@ class PlanEstimator:
         mpc_seconds = 0.0
         local_seconds = 0.0
         use_garbled = compiled.config.mpc_backend == "obliv-c"
-        use_spark = compiled.config.cleartext_backend == "spark"
+        prices = self.cleartext_models[compiled.config.cleartext_backend]
         timed_out = False
 
         for node in compiled.dag.topological():
@@ -160,11 +165,11 @@ class PlanEstimator:
             rows[node.out_rel.name] = rows_out
 
             if node.is_mpc:
-                seconds = self._mpc_seconds(node, rows_in, rows_out, use_garbled, use_spark)
+                seconds = self._mpc_seconds(node, rows_in, rows_out, use_garbled, prices)
                 mpc_seconds += seconds
                 locus = "mpc"
             else:
-                seconds = self._local_seconds(node, rows_in, rows_out, use_spark)
+                seconds = self._local_seconds(node, rows_in, rows_out, prices)
                 local_seconds += seconds
                 locus = f"local:{node.run_at or node.out_rel.owner or '?'}"
 
@@ -219,7 +224,7 @@ class PlanEstimator:
     # -- MPC costs ------------------------------------------------------------------------------
 
     def _mpc_seconds(
-        self, node: OpNode, rows_in: list[int], rows_out: int, use_garbled: bool, use_spark: bool
+        self, node: OpNode, rows_in: list[int], rows_out: int, use_garbled: bool, prices
     ) -> float:
         if use_garbled:
             gates, input_bits, memory = self._garbled_cost(node, rows_in, rows_out)
@@ -231,9 +236,9 @@ class PlanEstimator:
         seconds = self.sharemind_model.seconds(meter)
         # Hybrid operators also pay for cleartext work at the STP/host.
         if isinstance(node, (HybridJoin, PublicJoin)):
-            seconds += self._cleartext_records_seconds(sum(rows_in) + rows_out, use_spark, wide=True)
+            seconds += self._cleartext_records_seconds(sum(rows_in) + rows_out, prices, wide=True)
         elif isinstance(node, HybridAggregate):
-            seconds += self._cleartext_records_seconds(rows_in[0], use_spark, wide=True)
+            seconds += self._cleartext_records_seconds(rows_in[0], prices, wide=True)
         return seconds
 
     def _sharemind_meter(self, node: OpNode, rows_in: list[int], rows_out: int) -> CostMeter:
@@ -348,23 +353,19 @@ class PlanEstimator:
 
     # -- cleartext costs -----------------------------------------------------------------------------
 
-    def _local_seconds(self, node: OpNode, rows_in: list[int], rows_out: int, use_spark: bool) -> float:
+    def _local_seconds(self, node: OpNode, rows_in: list[int], rows_out: int, prices) -> float:
         if isinstance(node, Create):
-            return self._cleartext_records_seconds(rows_out, use_spark, wide=False)
+            return self._cleartext_records_seconds(rows_out, prices, wide=False)
         if isinstance(node, Collect):
-            return self._cleartext_records_seconds(rows_in[0] if rows_in else 0, use_spark, wide=False)
+            return self._cleartext_records_seconds(rows_in[0] if rows_in else 0, prices, wide=False)
         wide = isinstance(node, (Join, Aggregate, Distinct, SortBy, Merge, HybridAggregate))
         records = sum(rows_in) + (rows_out if wide else 0)
-        return self._cleartext_records_seconds(records, use_spark, wide=wide)
+        return self._cleartext_records_seconds(records, prices, wide=wide)
 
-    def _cleartext_records_seconds(self, records: int, use_spark: bool, wide: bool) -> float:
-        if use_spark:
-            stats = SparkStats(
-                jobs=0,
-                stages=1,
-                tasks=self.spark_model.total_cores,
-                records_processed=records,
-                records_shuffled=records if wide else 0,
-            )
-            return self.spark_model.seconds(stats)
-        return records * self.python_model.per_record_seconds + self.python_model.startup_seconds
+    @staticmethod
+    def _cleartext_records_seconds(records: int, prices, wide: bool) -> float:
+        """One operator pass over ``records`` rows, priced like an executed one."""
+        shuffled = records if wide else 0
+        return prices.seconds(
+            CleartextWork(stages=1, records_processed=records, records_shuffled=shuffled)
+        )

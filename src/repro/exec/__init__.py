@@ -6,22 +6,21 @@ The subsystem has three layers:
   columnar data representation;
 * :mod:`repro.exec.kernels` — pure NumPy kernels (vectorized compare /
   bool / map, mask filters, hash join, sort-based group-by), bit-identical
-  to the row engine's ``Table`` methods;
-* :mod:`repro.exec.engine` — :class:`ColumnarBackend`, the cleartext
-  engine built from those kernels (same interface as ``PythonBackend``).
+  to the ``Table`` reference methods;
+* :mod:`repro.exec.engine` — :class:`ColumnarBackend`, the one cleartext
+  engine, built from those kernels; it tallies its work, and
+  :mod:`repro.exec.costs` prices the tally.
 
-``CompilationConfig.executor`` is the one way to pick the engine; see
-``docs/executor.md``.
+See ``docs/executor.md``.
 """
 
 from __future__ import annotations
 
 from repro.exec.batch import ColumnBatch
-from repro.exec.engine import ColumnarBackend, ColumnarCostModel
+from repro.exec.engine import ColumnarBackend
 
 __all__ = [
     "ColumnBatch",
     "ColumnarBackend",
-    "ColumnarCostModel",
 ]
 

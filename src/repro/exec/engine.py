@@ -1,29 +1,28 @@
-"""The columnar cleartext backend.
+"""The cleartext engine.
 
-:class:`ColumnarBackend` is a drop-in replacement for
-:class:`~repro.cleartext.python_engine.PythonBackend`: same operator
-surface, same semantics, but operating on :class:`~repro.exec.batch
-.ColumnBatch` handles and the vectorized kernels in
-:mod:`repro.exec.kernels` instead of per-operator :class:`Table` calls.
+:class:`ColumnarBackend` is the one engine that executes the cleartext
+side of a plan: it operates on :class:`~repro.exec.batch.ColumnBatch`
+handles with the vectorized kernels in :mod:`repro.exec.kernels`.
 Per-lane operators (filter, compare, bool, map) are mask-lazy — a filter
 costs one boolean AND, not a copy of every surviving column — and the
 copy happens once at the next compaction point (join / aggregate / sort /
 distinct / limit / enumerate / concat / collect).
 
-The backend is the *same engine role* as the row backends: the plan
-executor instantiates it per party when ``CompilationConfig.executor`` is
-``"columnar"``, hands it the party's plaintext inputs, and collects plain
-tables back out.  Everything it produces must be byte-identical to the
-row engine (the differential corpus enforces this), so any operator whose
-bit-exact vectorization is not worth the trouble should simply call the
-corresponding ``Table`` method on a collected batch — correctness first,
-the mask trick and the O(n log n) join/aggregate kernels are where the
-throughput win lives.
+The plan executor instantiates one engine per party, hands it the party's
+plaintext inputs, and collects plain tables back out.  Everything it
+produces must be byte-identical to the row-at-a-time ``Table`` reference
+(``tests/oracle_engine.py``; the differential corpus enforces this), so
+any operator whose bit-exact vectorization is not worth the trouble should
+simply call the corresponding ``Table`` method on a collected batch —
+correctness first, the mask trick and the O(n log n) join/aggregate
+kernels are where the throughput win lives.
+
+The engine counts its work in a :class:`~repro.exec.costs.CleartextWork`
+and never prices it; :mod:`repro.exec.costs` holds the price lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,51 +30,30 @@ import numpy as np
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import AGG_FUNCS, Table
 from repro.exec.batch import ColumnBatch
+from repro.exec.costs import CleartextWork
 from repro.exec import kernels
-
-
-@dataclass(frozen=True)
-class ColumnarCostModel:
-    """Cost model for vectorized single-core batch processing.
-
-    Same shape as :class:`~repro.cleartext.python_engine.PythonCostModel`
-    but with a much smaller per-record coefficient: the kernels touch each
-    record with a handful of SIMD-friendly array instructions instead of a
-    Python-interpreter round trip.
-    """
-
-    #: Fixed per-job start-up overhead (batch assembly, dispatch).
-    startup_seconds: float = 0.05
-    #: Seconds per record per operator pass (vectorized).
-    per_record_seconds: float = 2.0e-8
-
-    def seconds(self, records_processed: int) -> float:
-        return self.startup_seconds + records_processed * self.per_record_seconds
 
 
 class ColumnarBackend:
     """Vectorized cleartext backend operating on column batches."""
 
-    name = "columnar"
-    is_mpc = False
-
-    def __init__(self, cost_model: ColumnarCostModel | None = None):
-        self.cost_model = cost_model or ColumnarCostModel()
-        self.records_processed = 0
-        self.jobs_run = 0
+    def __init__(self):
+        self.work = CleartextWork()
 
     # -- data movement ---------------------------------------------------------------
 
     def ingest(self, table: Table, contributor: str | None = None) -> ColumnBatch:
-        self.jobs_run += 1
-        if isinstance(table, ColumnBatch):
-            return table
+        self.work.jobs += 1
         return ColumnBatch.from_table(table)
 
     def collect(self, handle: ColumnBatch) -> Table:
         return handle.to_table()
 
-    reveal = collect
+    def key_values(self, handle: ColumnBatch, column: str) -> np.ndarray:
+        """The live values of ``column`` for the executor's composite-key
+        range check: a lane filtered out before the encode chain must not
+        trip it."""
+        return handle.column_values(column)
 
     # -- relational operators ----------------------------------------------------------
 
@@ -108,7 +86,8 @@ class ColumnarBackend:
     ) -> ColumnBatch:
         left = left.compact()
         right = right.compact()
-        self._charge(left.num_rows + right.num_rows)
+        rows_in = left.num_rows + right.num_rows
+        self._charge(rows_in, shuffled=rows_in)
         left_idx, right_idx = kernels.hash_join_indices(
             left.column(left_on), right.column(right_on)
         )
@@ -139,7 +118,7 @@ class ColumnarBackend:
         if func != "count" and agg_col is None:
             raise ValueError(f"aggregation {func!r} requires a value column")
         batch = handle.compact()
-        self._charge(batch.num_rows)
+        self._charge(batch.num_rows, shuffled=batch.num_rows)
 
         out_type = ColumnType.INT
         if agg_col is not None:
@@ -225,7 +204,7 @@ class ColumnarBackend:
         return handle.with_column(out_name, kernels.combine_bool(op, cols), ColumnType.INT)
 
     def sort_by(self, handle: ColumnBatch, column: str, ascending: bool = True) -> ColumnBatch:
-        self._charge(handle.num_rows * 2)
+        self._charge(handle.num_rows * 2, shuffled=handle.num_rows)
         batch = handle.compact()
         return batch.take(kernels.sort_indices(batch.column(column), ascending))
 
@@ -243,11 +222,11 @@ class ColumnarBackend:
             combined = ColumnBatch(first.schema, columns)
         else:
             combined = handles[0]
-        self._charge(combined.num_rows)
+        self._charge(combined.num_rows, shuffled=combined.num_rows)
         return combined.take(kernels.sort_indices(combined.column(column), ascending))
 
     def distinct(self, handle: ColumnBatch, columns: Sequence[str]) -> ColumnBatch:
-        self._charge(handle.num_rows)
+        self._charge(handle.num_rows, shuffled=handle.num_rows)
         projected = handle.compact().project(list(columns))
         if projected.num_rows == 0:
             return projected
@@ -266,15 +245,13 @@ class ColumnarBackend:
 
     # -- accounting --------------------------------------------------------------------
 
-    def elapsed_seconds(self) -> float:
-        """Simulated seconds of vectorized local work performed so far."""
-        if self.records_processed == 0 and self.jobs_run == 0:
-            return 0.0
-        return self.cost_model.seconds(self.records_processed)
+    def charge_external_sort(self, records: int) -> None:
+        """Tally a sort job done on this engine's behalf outside it (the
+        STP's step of the hybrid aggregation sorts revealed keys in NumPy)."""
+        self.work.jobs += 1
+        self._charge(2 * records, shuffled=records)
 
-    def reset_meter(self) -> None:
-        self.records_processed = 0
-        self.jobs_run = 0
-
-    def _charge(self, records: int) -> None:
-        self.records_processed += int(records)
+    def _charge(self, records: int, shuffled: int = 0) -> None:
+        self.work.stages += 1
+        self.work.records_processed += int(records)
+        self.work.records_shuffled += int(shuffled)

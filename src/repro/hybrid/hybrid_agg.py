@@ -76,7 +76,7 @@ def hybrid_aggregate(
     equal_prev = np.zeros(n, dtype=np.int64)
     if n > 1:
         equal_prev[1:] = (sorted_keys[1:] == sorted_keys[:-1]).astype(np.int64)
-    _charge_stp_sort(stp, n)
+    stp.engine.charge_external_sort(n)
 
     # The plaintext ordering is public; the flags (known to every
     # replicated-STP engine) are secret-shared back into MPC.
@@ -115,17 +115,3 @@ def hybrid_aggregate(
     key_out = SharedVector(engine, [s[keep_idx] for s in shuffled_out[1].shares])
     val_out = SharedVector(engine, [s[keep_idx] for s in shuffled_out[2].shares])
     return SharedTable(engine, out_schema, [key_out, val_out])
-
-
-def _charge_stp_sort(stp: SelectivelyTrustedParty, n: int) -> None:
-    """Charge the STP's cleartext engine for sorting ``n`` key values."""
-    engine = stp.engine
-    if hasattr(engine, "stats"):  # Spark-like backend
-        engine.stats.jobs += 1
-        engine.stats.stages += 1
-        engine.stats.tasks += max(1, getattr(engine, "default_partitions", 1))
-        engine.stats.records_processed += 2 * n
-        engine.stats.records_shuffled += n
-    elif hasattr(engine, "records_processed"):  # sequential Python backend
-        engine.records_processed += 2 * n
-        engine.jobs_run += 1

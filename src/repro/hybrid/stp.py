@@ -75,29 +75,16 @@ class LeakageReport:
 class SelectivelyTrustedParty:
     """The aiding party of the hybrid protocols.
 
-    Wraps the party's cleartext backend so the hybrid protocols can run
-    their cleartext steps (enumeration, join, sort, flag computation) on it
-    while the simulated clock charges that work to the STP's local engine.
+    Wraps the party's cleartext engine so the hybrid protocols can run
+    their cleartext steps on it (or tally there what they do in NumPy) and
+    the work is charged to the STP's local engine.
     """
 
     def __init__(self, name: str, engine):
         self.name = name
         self.engine = engine
 
-    def ingest(self, table: Table):
-        return self.engine.ingest(table, contributor=self.name)
-
-    def collect(self, handle) -> Table:
-        return self.engine.collect(handle)
-
     def join(self, left: Table, right: Table, left_on: str, right_on: str) -> Table:
         lh = self.engine.ingest(left, contributor=self.name)
         rh = self.engine.ingest(right, contributor=self.name)
         return self.engine.collect(self.engine.join(lh, rh, left_on, right_on))
-
-    def sort(self, table: Table, column: str) -> Table:
-        handle = self.engine.ingest(table, contributor=self.name)
-        return self.engine.collect(self.engine.sort_by(handle, column))
-
-    def elapsed_seconds(self) -> float:
-        return self.engine.elapsed_seconds()

@@ -1,6 +1,6 @@
 """MPC substrate.
 
-This package implements, from scratch, the secure-computation substrates the
+This package implements, from scratch, the secure-computation substrate the
 Conclave prototype drives externally:
 
 * :mod:`repro.mpc.secretshare` — additive secret sharing over Z_2^64 with
@@ -10,25 +10,21 @@ Conclave prototype drives externally:
   messages, bytes and communication rounds.
 * :mod:`repro.mpc.runtime` — cost models that convert counted work
   (multiplications, comparisons, rounds, bytes, local ops) into simulated
-  wall-clock seconds, calibrated against the paper's Figure 1.
+  wall-clock seconds, calibrated against the paper's Figure 1.  Obliv-C
+  and ObliVM exist only as price lists here; nothing executes them.
 * :mod:`repro.mpc.oblivious` — oblivious sub-protocols: shuffle, bitonic
   sort, Laud-style oblivious indexing, and oblivious merge.
 * :mod:`repro.mpc.protocols` — oblivious relational operators (project,
   filter, Cartesian-product join, Jónsson-style sort-based aggregation)
   executed over secret-shared tables.
-* :mod:`repro.mpc.sharemind` — a Sharemind-like three-party MPC backend
-  facade used by the compiler's code generator.
-* :mod:`repro.mpc.garbled` — an Obliv-C-like two-party garbled-circuit
-  backend: circuits are built gate-by-gate with realistic state (wire label)
-  accounting and a memory limit that reproduces the OOM behaviour reported
-  in the paper.
+* :mod:`repro.mpc.sharemind` — the Sharemind-like three-party MPC backend
+  facade the plan executor drives.
 """
 
 from repro.mpc.secretshare import AdditiveSharing, SharedVector
 from repro.mpc.network import Network, NetworkStats
 from repro.mpc.runtime import CostMeter, SharemindCostModel, GarbledCostModel
 from repro.mpc.sharemind import SharemindBackend
-from repro.mpc.garbled import OblivCBackend, CircuitMemoryError
 
 __all__ = [
     "AdditiveSharing",
@@ -39,6 +35,4 @@ __all__ = [
     "SharemindCostModel",
     "GarbledCostModel",
     "SharemindBackend",
-    "OblivCBackend",
-    "CircuitMemoryError",
 ]

@@ -1,7 +1,7 @@
-"""Cost accounting and cost models for the simulated MPC backends.
+"""Cost accounting and cost models for the MPC substrates.
 
 The reproduction cannot run the original testbed (Sharemind appliances,
-Obliv-C processes and Spark clusters on separate VMs), so each backend
+Obliv-C processes and Spark clusters on separate VMs), so the share engine
 counts the work it performs — secret multiplications, oblivious comparisons,
 shuffled elements, network rounds and bytes, records moved in and out of
 MPC — in a :class:`CostMeter`.  A cost model then converts those counts into
@@ -122,6 +122,26 @@ class SharemindCostModel:
             + meter.network.rounds * self.round_latency_seconds
             + meter.network.bytes_sent / self.bytes_per_second
         )
+
+
+#: Bits per value in the garbled circuits the estimator prices.
+VALUE_BITS = 64
+#: Non-XOR gates of a 64-bit comparison / equality test.
+GATES_PER_COMPARISON = VALUE_BITS
+#: Non-XOR gates of a 64-bit addition.
+GATES_PER_ADDITION = VALUE_BITS
+#: Non-XOR gates of a 64-bit (schoolbook) multiplication.
+GATES_PER_MULTIPLICATION = VALUE_BITS * VALUE_BITS
+#: Non-XOR gates of a 64-bit 2:1 multiplexer (oblivious select).
+GATES_PER_MUX = VALUE_BITS
+#: Resident bytes of circuit state per secret 64-bit value (wire labels plus
+#: the framework's buffering; calibrated so projections exhaust a 4 GB VM at
+#: roughly 300-500k records, as in Figure 1c).
+BYTES_PER_VALUE = 8192
+#: Resident bytes per Cartesian-product pair during a join (the match flag
+#: wires and bookkeeping; calibrated so joins exhaust 4 GB at ~30k records,
+#: as in Figure 1b).
+BYTES_PER_JOIN_PAIR = 16
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,11 @@ class SharemindBackend:
         """Open a relation to a single (possibly external) party."""
         return handle.reveal_to(party)
 
+    def key_values(self, handle: SharedTable, column: str) -> np.ndarray:
+        """Open ``column`` to the protocol environment for the executor's
+        composite-key range check (one env-open round, in lockstep)."""
+        return self.engine.env_open(handle.column(column))
+
     # -- relational operators -------------------------------------------------------------
 
     def concat(self, handles: Sequence[SharedTable]) -> SharedTable:

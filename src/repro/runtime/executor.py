@@ -28,10 +28,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.cleartext.python_engine import PythonBackend
-from repro.cleartext.spark_sim import PartitionedRelation, SparkBackend
 from repro.core.config import CompilationConfig
 from repro.core.operators import (
     Aggregate,
@@ -57,15 +53,13 @@ from repro.core.operators import (
 )
 from repro.data.schema import PUBLIC
 from repro.data.table import Table
-from repro.exec.batch import ColumnBatch
+from repro.exec.costs import CLEARTEXT_COST_MODELS
 from repro.exec.engine import ColumnarBackend
 from repro.hybrid.hybrid_agg import hybrid_aggregate
 from repro.hybrid.hybrid_join import hybrid_join
 from repro.hybrid.public_join import public_join
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
-from repro.mpc.garbled import GarbledTable, OblivCBackend
 from repro.mpc.network import Network
-from repro.mpc.protocols import SharedTable
 from repro.mpc.sharemind import SharemindBackend
 from repro.runtime.transport import SocketTransport
 
@@ -116,7 +110,15 @@ class PlanExecutor:
     ``local_parties`` selects which parties this executor embodies; with the
     default (all of them, no mesh) it behaves exactly like the original
     in-process dispatcher.
+
+    Cleartext sub-plans run on one engine per party and MPC sub-plans on
+    the secret-sharing backend; ``config.cleartext_backend`` only picks the
+    price list the engines' work tallies are converted to seconds with.
     """
+
+    #: The cleartext engine class — the one seam, so the differential tests
+    #: can run a plan on the row-at-a-time oracle (``tests/oracle_engine.py``).
+    cleartext_engine = ColumnarBackend
 
     def __init__(
         self,
@@ -131,16 +133,18 @@ class PlanExecutor:
         self.parties = list(parties)
         self.inputs = inputs
         self.config = config or CompilationConfig()
+        self.config.require_executable()
+        self.cleartext_prices = CLEARTEXT_COST_MODELS[self.config.cleartext_backend]()
         self.seed = seed
         self.mesh = mesh
         self.local_parties = set(local_parties) if local_parties is not None else set(self.parties)
         if mesh is None and self.local_parties != set(self.parties):
             raise ValueError("embodying a subset of parties requires a peer mesh")
         self.local_backends = {
-            p: self._make_cleartext_backend() for p in self.parties if p in self.local_parties
+            p: self.cleartext_engine() for p in self.parties if p in self.local_parties
         }
         # A single-party query never crosses the MPC boundary; the MPC
-        # substrates require at least two computing parties.
+        # substrate requires at least two computing parties.
         self.mpc_backend = self._make_mpc_backend() if len(self.parties) >= 2 else None
         self._reset_leakage()
 
@@ -154,26 +158,7 @@ class PlanExecutor:
 
     # -- backend construction -------------------------------------------------------------
 
-    def _make_cleartext_backend(self):
-        executor = getattr(self.config, "executor", "row")
-        if executor == "columnar":
-            # The columnar engine replaces the row engines wholesale: it is
-            # the vectorized implementation of the same cleartext role, and
-            # the differential corpus holds it byte-identical to the
-            # sequential row oracle.
-            return ColumnarBackend()
-        if executor != "row":
-            raise ValueError(
-                f"unknown executor {executor!r}; expected 'row' or 'columnar'"
-            )
-        if self.config.cleartext_backend == "spark":
-            return SparkBackend()
-        return PythonBackend()
-
-    def _make_mpc_backend(self):
-        if self.config.mpc_backend == "obliv-c":
-            compute = self.parties[: OblivCBackend.MAX_PARTIES]
-            return OblivCBackend(compute)
+    def _make_mpc_backend(self) -> SharemindBackend:
         compute = self.parties[: SharemindBackend.MAX_PARTIES]
         network = None
         local_parties = None
@@ -191,6 +176,7 @@ class PlanExecutor:
 
     def execute(self, compiled) -> ExecutionOutcome:
         """Execute a :class:`~repro.core.compiler.CompiledQuery`."""
+        compiled.config.require_executable()
         self._reset_leakage()
         dag = compiled.dag
         env: dict[str, _Entry] = {}
@@ -362,21 +348,21 @@ class PlanExecutor:
         if isinstance(node, HybridJoin):
             stp = self._stp_for(node.stp)
             result = hybrid_join(
-                self._require_sharemind("hybrid join"), stp, handles[0], handles[1],
+                self.mpc_backend, stp, handles[0], handles[1],
                 node.left_on, node.right_on, self.joint_leakage,
             )
             return _Entry("mpc", None, result)
         if isinstance(node, PublicJoin):
             host = self._stp_for(node.host)
             result = public_join(
-                self._require_sharemind("public join"), host, handles[0], handles[1],
+                self.mpc_backend, host, handles[0], handles[1],
                 node.left_on, node.right_on, self.joint_leakage,
             )
             return _Entry("mpc", None, result)
         if isinstance(node, HybridAggregate):
             stp = self._stp_for(node.stp)
             result = hybrid_aggregate(
-                self._require_sharemind("hybrid aggregation"), stp, handles[0],
+                self.mpc_backend, stp, handles[0],
                 node.group_col, node.agg_col, node.func, node.out_name, self.joint_leakage,
             )
             return _Entry("mpc", None, result)
@@ -387,7 +373,7 @@ class PlanExecutor:
     # -- operator application ----------------------------------------------------------------------
 
     def _apply_operator(self, engine, node: OpNode, handles: list):
-        self._validate_key_range(node, handles[0] if handles else None)
+        self._validate_key_range(engine, node, handles[0] if handles else None)
         if isinstance(node, Concat):
             return engine.concat(handles)
         if isinstance(node, Project):
@@ -423,24 +409,26 @@ class PlanExecutor:
 
     # -- composite-key range enforcement -----------------------------------------------------------
 
-    def _validate_key_range(self, node: OpNode, handle) -> None:
+    @staticmethod
+    def _validate_key_range(engine, node: OpNode, handle) -> None:
         """Reject out-of-range composite-key values at execution time.
 
         The composite-key encoding (``key * base + next_key``) is only
         collision-free for key values in ``[0, key_base)``; anything outside
         that range would silently match unequal keys.  The frontend marks
         the first operator of every encode chain with ``key_range_check``;
-        here the executor inspects the actual key data — acting as the
-        environment for MPC-resident relations, exactly like the ideal
-        comparison functionalities do — and fails loudly instead.
+        here the executor inspects the actual key data — the MPC backend
+        opens it to the environment, exactly like the ideal comparison
+        functionalities do, in lockstep at every agent — and fails loudly
+        instead.
         """
         check = getattr(node, "key_range_check", None)
         if not check or handle is None:
             return
         columns, base = check
         for name in columns:
-            values = self._cleartext_view(handle, name)
-            if values is None or values.size == 0:
+            values = engine.key_values(handle, name)
+            if values.size == 0:
                 continue
             out_of_range = (values < 0) | (values >= base)
             if out_of_range.any():
@@ -450,27 +438,6 @@ class PlanExecutor:
                     f"[0, {base}); the composite-key encoding would silently mis-encode "
                     f"it — pass key_base= sized to the key domain"
                 )
-
-    @staticmethod
-    def _cleartext_view(handle, column: str) -> np.ndarray | None:
-        """The raw values of ``column`` regardless of which backend holds it."""
-        if isinstance(handle, Table):
-            return handle.column(column)
-        if isinstance(handle, ColumnBatch):
-            # Only the unmasked lanes are real rows; a lane filtered out
-            # before the encode chain must not trip the range check.
-            return handle.column_values(column)
-        if isinstance(handle, PartitionedRelation):
-            parts = [p.column(column) for p in handle.partitions]
-            return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        if isinstance(handle, GarbledTable):
-            return handle.table.column(column)
-        if isinstance(handle, SharedTable):
-            # Executed by every agent in lockstep (the range check runs at
-            # the head of every operator application), so the env-open round
-            # schedules identically across engines.
-            return handle.engine.env_open(handle.column(column))
-        return None
 
     # -- handle conversion across the MPC boundary ----------------------------------------------------
 
@@ -483,33 +450,21 @@ class PlanExecutor:
         entry = env[parent.out_rel.name]
         if entry.kind == "mpc":
             return entry.handle
-        # Secret-sharing backends over a real mesh ingest by share
-        # distribution: the contributor broadcasts only public metadata
-        # (schema, row count) and every other agent receives its share
-        # slices off the wire inside the input rounds — the cleartext never
-        # leaves the contributing process.  The garbled-circuit backend
-        # keeps the legacy replicated ingest (it evaluates on cleartext
-        # replicas by construction).
-        share_sliced = self.mesh is not None and isinstance(
-            self.mpc_backend, SharemindBackend
-        )
-        if entry.party in self.local_parties:
-            table = self.local_backends[entry.party].collect(entry.handle)
-            if self.mesh is not None:
-                if share_sliced:
-                    self.mesh.broadcast_table(
-                        parent.out_rel.name,
-                        {"schema": table.schema, "num_rows": table.num_rows},
-                    )
-                else:
-                    self.mesh.broadcast_table(parent.out_rel.name, table)
-        else:
-            payload = self.mesh.receive_table(entry.party, parent.out_rel.name)
-            if share_sliced:
-                return self.mpc_backend.ingest_remote(
-                    payload["schema"], payload["num_rows"], contributor=entry.party
-                )
-            table = payload
+        # Over a real mesh the MPC ingests by share distribution: the
+        # contributor broadcasts only public metadata (schema, row count)
+        # and every other agent receives its share slices off the wire
+        # inside the input rounds — the cleartext never leaves the
+        # contributing process.
+        if entry.party not in self.local_parties:
+            meta = self.mesh.receive_table(entry.party, parent.out_rel.name)
+            return self.mpc_backend.ingest_remote(
+                meta["schema"], meta["num_rows"], contributor=entry.party
+            )
+        table = self.local_backends[entry.party].collect(entry.handle)
+        if self.mesh is not None:
+            self.mesh.broadcast_table(
+                parent.out_rel.name, {"schema": table.schema, "num_rows": table.num_rows}
+            )
         return self.mpc_backend.ingest(table, contributor=entry.party)
 
     def _as_local_handle(
@@ -579,35 +534,24 @@ class PlanExecutor:
             # the distributed runtime every agent keeps a deterministic
             # replica of the STP engine so the hybrid protocols stay in
             # lockstep (and the simulated clock charges the same work).
-            self.local_backends[party] = self._make_cleartext_backend()
+            self.local_backends[party] = self.cleartext_engine()
         return SelectivelyTrustedParty(party, self.local_backends[party])
 
-    def _require_sharemind(self, what: str) -> SharemindBackend:
-        if not isinstance(self.mpc_backend, SharemindBackend):
-            raise ValueError(
-                f"{what} requires the secret-sharing (sharemind) MPC backend; "
-                f"configured backend is {self.config.mpc_backend!r}"
-            )
-        return self.mpc_backend
-
     def _engine_seconds(self) -> float:
-        # A distributed agent keeps deterministic *replicas* of other
-        # parties' STP engines to stay in lockstep, but only the work of the
-        # parties it embodies counts towards its clock — the replicated work
-        # is reported by the party that really owns it, and the coordinator's
-        # per-node max-merge reconstructs the joint durations.
-        total = sum(
-            engine.elapsed_seconds()
-            for party, engine in self.local_backends.items()
-            if self.mesh is None or party in self.local_parties
-        )
-        if self.mpc_backend is not None:
-            total += self.mpc_backend.elapsed_seconds()
-        return total
+        return sum(self._backend_breakdown().values())
 
     def _backend_breakdown(self) -> dict[str, float]:
+        """Simulated seconds per engine: each party's work tally priced with
+        the configured cleartext price list, plus the MPC backend's meter.
+
+        A distributed agent keeps deterministic *replicas* of other parties'
+        STP engines to stay in lockstep, but only the work of the parties it
+        embodies counts towards its clock — the replicated work is reported
+        by the party that really owns it, and the coordinator's per-node
+        max-merge reconstructs the joint durations.
+        """
         breakdown = {
-            f"local:{party}": engine.elapsed_seconds()
+            f"local:{party}": self.cleartext_prices.seconds(engine.work)
             for party, engine in self.local_backends.items()
             if self.mesh is None or party in self.local_parties
         }
@@ -624,13 +568,10 @@ class PlanExecutor:
         slices the MPC engine holds; ``cleartext_input_parties`` lists the
         parties whose raw input tables are present in this process.
         """
-        share_parties: list[str] = []
-        engine = getattr(self.mpc_backend, "engine", None)
-        if engine is not None and hasattr(engine, "held_share_parties"):
-            share_parties = list(engine.held_share_parties)
+        mpc = self.mpc_backend
         return {
             "local_parties": sorted(self.local_parties),
-            "share_parties": share_parties,
+            "share_parties": list(mpc.engine.held_share_parties) if mpc is not None else [],
             "cleartext_input_parties": sorted(
                 p for p, tables in self.inputs.items() if tables
             ),
@@ -642,25 +583,18 @@ class PlanExecutor:
         backend = self.mpc_backend
         if backend is None:
             return {}
-        if isinstance(backend, SharemindBackend):
-            meter = backend.meter
-            stats = backend.engine.network.stats
-            return {
-                "backend": backend.name,
-                "input_records": meter.input_records,
-                "output_records": meter.output_records,
-                "multiplications": meter.multiplications,
-                "comparisons": meter.comparisons,
-                "shuffled_elements": meter.shuffled_elements,
-                "local_ops": meter.local_ops,
-                "messages": stats.messages,
-                "bytes_sent": stats.bytes_sent,
-                "rounds": stats.rounds,
-                "wire_rounds": stats.wire_rounds,
-            }
+        meter = backend.meter
+        stats = backend.engine.network.stats
         return {
             "backend": backend.name,
-            "gates": backend.total_gates,
-            "input_bits": backend.total_input_bits,
-            "peak_memory_bytes": backend.peak_memory_bytes,
+            "input_records": meter.input_records,
+            "output_records": meter.output_records,
+            "multiplications": meter.multiplications,
+            "comparisons": meter.comparisons,
+            "shuffled_elements": meter.shuffled_elements,
+            "local_ops": meter.local_ops,
+            "messages": stats.messages,
+            "bytes_sent": stats.bytes_sent,
+            "rounds": stats.rounds,
+            "wire_rounds": stats.wire_rounds,
         }

@@ -245,6 +245,8 @@ class QuerySession:
             raise ValueError(f"max_workers must be an int >= 1, got {max_workers!r}")
         self.parties = list(parties)
         self.config = config or CompilationConfig()
+        # Refused here, before any agent is spawned or any input shipped.
+        self.config.require_executable()
         self.seed = seed
         self._retry = retry.validate() if retry is not None else None
         if faults is not None:
@@ -330,7 +332,10 @@ class QuerySession:
         from repro.core.compiler import CompiledQuery, compile_query
 
         config = config or self.config
+        # Refused on the submitting side: no plan or input leaves this process.
+        config.require_executable()
         compiled = query if isinstance(query, CompiledQuery) else compile_query(query, config)
+        compiled.config.require_executable()
         fingerprint = plan_fingerprint(compiled)
         started = time.perf_counter()
         query_seed = self.seed if seed is None else seed

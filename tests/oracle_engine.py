@@ -1,74 +1,56 @@
-"""Sequential Python cleartext backend.
+"""The row-at-a-time reference engine the differential tests compare against.
 
-The simplest execution target: every operator maps directly onto the
-corresponding :class:`~repro.data.table.Table` method, executed in-process
-on a single core.  The paper uses plain Python for local work when no
-data-parallel framework is configured (§4.1); this backend plays that role
-and also serves as the semantic reference implementation against which the
-MPC backends and the Spark simulator are tested.
+Every operator maps directly onto the corresponding
+:class:`~repro.data.table.Table` method, one call per operator — the
+semantic reference for :class:`repro.exec.engine.ColumnarBackend`.  It is
+not part of the package: :class:`OracleRunner` substitutes it through
+``PlanExecutor.cleartext_engine``, the executor's one engine seam, so a
+whole compiled plan (MPC and hybrid steps included) can be replayed on it.
+It keeps no cost accounting; its work tally stays empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.dispatch import QueryRunner
 from repro.data.table import Table
-
-
-@dataclass(frozen=True)
-class PythonCostModel:
-    """Cost model for single-core local processing."""
-
-    #: Fixed per-job interpreter/start-up overhead.
-    startup_seconds: float = 0.1
-    #: Seconds per record per operator pass on one core.
-    per_record_seconds: float = 1.0e-6
-
-    def seconds(self, records_processed: int) -> float:
-        return self.startup_seconds + records_processed * self.per_record_seconds
+from repro.exec.costs import CleartextWork
 
 
 class PythonBackend:
-    """Sequential cleartext backend operating directly on tables."""
+    """Sequential cleartext reference operating directly on tables."""
 
-    name = "python"
-    is_mpc = False
+    def __init__(self):
+        self.work = CleartextWork()
 
-    def __init__(self, cost_model: PythonCostModel | None = None):
-        self.cost_model = cost_model or PythonCostModel()
-        self.records_processed = 0
-        self.jobs_run = 0
+    def charge_external_sort(self, records: int) -> None:
+        pass
 
     # -- data movement ---------------------------------------------------------------
 
     def ingest(self, table: Table, contributor: str | None = None) -> Table:
-        self.jobs_run += 1
         return table
 
     def collect(self, handle: Table) -> Table:
         return handle
 
-    reveal = collect
+    def key_values(self, handle: Table, column: str):
+        return handle.column(column)
 
     # -- relational operators ----------------------------------------------------------
 
     def concat(self, handles: Sequence[Table]) -> Table:
         handles = list(handles)
-        result = handles[0].concat(*handles[1:])
-        self._charge(result.num_rows)
-        return result
+        return handles[0].concat(*handles[1:])
 
     def project(self, handle: Table, columns: Sequence[str]) -> Table:
-        self._charge(handle.num_rows)
         return handle.project(list(columns))
 
     def filter(self, handle: Table, column: str, op: str, value: float) -> Table:
-        self._charge(handle.num_rows)
         return handle.filter(column, op, value)
 
     def join(self, left: Table, right: Table, left_on: str, right_on: str) -> Table:
-        self._charge(left.num_rows + right.num_rows)
         return left.join(right, [left_on], [right_on])
 
     def aggregate(
@@ -80,64 +62,45 @@ class PythonBackend:
         out_name: str,
         presorted: bool = False,
     ) -> Table:
-        self._charge(handle.num_rows)
         group = [group_by] if group_by else []
         return handle.aggregate(group, agg_col, func, out_name)
 
     def multiply(self, handle: Table, out_name: str, left: str, right: str | float) -> Table:
-        self._charge(handle.num_rows)
         return handle.arithmetic(out_name, left, "*", right)
 
     def divide(self, handle: Table, out_name: str, left: str, right: str) -> Table:
-        self._charge(handle.num_rows)
         return handle.arithmetic(out_name, left, "/", right)
 
     def arith(self, handle: Table, out_name: str, left: str, op: str, right: str | float) -> Table:
         """Append ``out_name = left <op> right`` (``+``/``-`` map operator)."""
-        self._charge(handle.num_rows)
         return handle.arithmetic(out_name, left, op, right)
 
     def compare(self, handle: Table, out_name: str, left: str, op: str, right: str | float) -> Table:
-        self._charge(handle.num_rows)
         return handle.compare(out_name, left, op, right)
 
     def bool_op(self, handle: Table, out_name: str, op: str, operands: Sequence[str]) -> Table:
-        self._charge(handle.num_rows)
         return handle.bool_op(out_name, op, list(operands))
 
     def sort_by(self, handle: Table, column: str, ascending: bool = True) -> Table:
-        self._charge(handle.num_rows * 2)
         return handle.sort_by([column], ascending=ascending)
 
     def merge_sorted(self, handles: Sequence[Table], column: str, ascending: bool = True) -> Table:
         """Merge relations that are each sorted by ``column``."""
         handles = list(handles)
         combined = handles[0].concat(*handles[1:]) if len(handles) > 1 else handles[0]
-        self._charge(combined.num_rows)
         return combined.sort_by([column], ascending=ascending)
 
     def distinct(self, handle: Table, columns: Sequence[str]) -> Table:
-        self._charge(handle.num_rows)
         return handle.distinct(list(columns))
 
     def limit(self, handle: Table, n: int) -> Table:
         return handle.limit(n)
 
     def enumerate_rows(self, handle: Table, out_name: str = "row_id") -> Table:
-        self._charge(handle.num_rows)
         return handle.enumerate_rows(out_name)
 
-    # -- accounting --------------------------------------------------------------------
 
-    def elapsed_seconds(self) -> float:
-        """Simulated seconds of local sequential work performed so far."""
-        if self.records_processed == 0 and self.jobs_run == 0:
-            return 0.0
-        return self.cost_model.seconds(self.records_processed)
+class OracleRunner(QueryRunner):
+    """The in-process runner with the reference engine in the engine seam."""
 
-    def reset_meter(self) -> None:
-        self.records_processed = 0
-        self.jobs_run = 0
-
-    def _charge(self, records: int) -> None:
-        self.records_processed += int(records)
+    cleartext_engine = PythonBackend

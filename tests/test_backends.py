@@ -1,10 +1,9 @@
-"""Tests for the MPC backend facades (Sharemind-style and Obliv-C-style)."""
+"""Tests for the MPC backend facade (Sharemind-style) and the MPC cost models."""
 
 import numpy as np
 import pytest
 
 from repro.data.table import Table
-from repro.mpc.garbled import CircuitMemoryError, OblivCBackend
 from repro.mpc.runtime import GarbledCostModel, SharemindCostModel
 from repro.mpc.sharemind import SharemindBackend
 from repro.workloads.generators import uniform_key_value_table
@@ -95,77 +94,6 @@ class TestSharemindBackend:
             o = backend.ingest(self.other)
             backend.join(h, o, "key", "key")
         assert slow.elapsed_seconds() > fast.elapsed_seconds()
-
-
-class TestOblivCBackend:
-    def setup_method(self):
-        self.backend = OblivCBackend(["p1", "p2"])
-        self.table = uniform_key_value_table(10, 3, seed=4)
-        self.other = uniform_key_value_table(6, 3, seed=5)
-
-    def test_two_parties_required(self):
-        with pytest.raises(ValueError):
-            OblivCBackend(["a"])
-        with pytest.raises(ValueError):
-            OblivCBackend(["a", "b", "c"])
-
-    def test_results_match_cleartext(self):
-        h = self.backend.ingest(self.table)
-        o = self.backend.ingest(self.other)
-        assert self.backend.reveal(self.backend.project(h, ["key"])) == self.table.project(["key"])
-        assert self.backend.reveal(self.backend.join(h, o, "key", "key")).equals_unordered(
-            self.table.join(self.other, ["key"], ["key"])
-        )
-        assert self.backend.reveal(
-            self.backend.aggregate(h, "key", "value", "sum", "t")
-        ).equals_unordered(self.table.aggregate(["key"], "value", "sum", "t"))
-        assert self.backend.reveal(self.backend.filter(h, "value", ">", 500)).equals_unordered(
-            self.table.filter("value", ">", 500)
-        )
-        assert self.backend.reveal(self.backend.limit(h, 2)).num_rows == 2
-
-    def test_gate_and_input_accounting(self):
-        h = self.backend.ingest(self.table)
-        assert self.backend.total_input_bits == self.table.num_rows * 2 * 64
-        before = self.backend.total_gates
-        o = self.backend.ingest(self.other)
-        self.backend.join(h, o, "key", "key")
-        assert self.backend.total_gates > before
-
-    def test_elapsed_seconds_scale_with_gates(self):
-        h = self.backend.ingest(self.table)
-        t0 = self.backend.elapsed_seconds()
-        self.backend.multiply(h, "m", "value", 3)
-        assert self.backend.elapsed_seconds() > t0
-
-    def test_join_exhausts_memory_on_large_inputs(self):
-        # Large enough to ingest both relations, too small for the quadratic
-        # join state — mirroring the Figure 1b Obliv-C OOM behaviour.
-        limit = GarbledCostModel(memory_limit_bytes=80 * 1024 * 1024)
-        backend = OblivCBackend(["p1", "p2"], cost_model=limit)
-        big = uniform_key_value_table(2000, 10, seed=6)
-        left = backend.ingest(big)
-        right = backend.ingest(big)
-        with pytest.raises(CircuitMemoryError) as err:
-            backend.join(left, right, "key", "key")
-        assert err.value.operator == "join"
-        assert err.value.required_bytes > limit.memory_limit_bytes
-
-    def test_project_memory_grows_with_input(self):
-        backend = OblivCBackend(["p1", "p2"])
-        h = backend.ingest(uniform_key_value_table(100, 3, seed=7))
-        backend.project(h, ["key"])
-        small_peak = backend.peak_memory_bytes
-        backend2 = OblivCBackend(["p1", "p2"])
-        h2 = backend2.ingest(uniform_key_value_table(1000, 3, seed=7))
-        backend2.project(h2, ["key"])
-        assert backend2.peak_memory_bytes > small_peak
-
-    def test_reset_meter(self):
-        self.backend.ingest(self.table)
-        self.backend.reset_meter()
-        assert self.backend.total_gates == 0
-        assert self.backend.total_input_bits == 0
 
 
 class TestCostModels:

@@ -1,26 +1,27 @@
-"""Tests for the cleartext backends (sequential Python and the Spark simulator)."""
+"""Tests for the cleartext engine, its reference oracle, and the price lists."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cleartext.python_engine import PythonBackend
-from repro.cleartext.spark_sim import PartitionedRelation, SparkBackend, SparkCostModel
+import repro as cc
+from oracle_engine import PythonBackend
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
+from repro.exec.costs import CleartextWork, PythonCostModel, SparkCostModel
+from repro.exec.engine import ColumnarBackend
 from repro.workloads.generators import uniform_key_value_table
 
 
-@pytest.fixture(params=["python", "spark"])
+@pytest.fixture(params=[ColumnarBackend, PythonBackend], ids=["columnar", "oracle"])
 def backend(request):
-    if request.param == "python":
-        return PythonBackend()
-    return SparkBackend(default_partitions=4)
+    return request.param()
 
 
 class TestEngineEquivalence:
-    """Both engines must produce exactly the Table-reference results."""
+    """The engine (and the oracle the differential corpus replays plans on)
+    must produce exactly the Table-reference results."""
 
     def setup_method(self):
         self.table = uniform_key_value_table(50, 5, seed=1)
@@ -82,8 +83,6 @@ class TestEngineEquivalence:
         )
 
     def test_arithmetic(self, backend):
-        # Engines may reorder rows (partitioning), so compare whole rows as
-        # multisets against the reference computation.
         h = backend.ingest(self.table)
         doubled = backend.collect(backend.multiply(h, "d", "value", 2))
         assert doubled.equals_unordered(self.table.arithmetic("d", "value", "*", 2))
@@ -98,105 +97,143 @@ class TestEngineEquivalence:
         ids = sorted(backend.collect(backend.enumerate_rows(h, "rid")).column("rid").tolist())
         assert ids == list(range(self.table.num_rows))
 
-
-class TestSparkSpecifics:
-    def test_ingest_partitions_data(self):
-        backend = SparkBackend(default_partitions=4)
-        handle = backend.ingest(uniform_key_value_table(20, 3, seed=3))
-        assert handle.num_partitions == 4
-        assert handle.num_rows == 20
-
-    def test_small_tables_do_not_create_empty_partitions(self):
-        backend = SparkBackend(default_partitions=8)
-        handle = backend.ingest(uniform_key_value_table(3, 3, seed=3))
-        assert handle.num_partitions == 3
-
-    def test_hash_shuffle_groups_keys_into_same_partition(self):
-        backend = SparkBackend(default_partitions=4)
-        handle = backend.ingest(uniform_key_value_table(40, 6, seed=4))
-        aggregated = backend.aggregate(handle, "key", "value", "sum", "t")
-        seen: dict[int, int] = {}
-        for p_index, part in enumerate(aggregated.partitions):
-            for key in part.column("key").tolist():
-                assert key not in seen, "a key appeared in two partitions after the shuffle"
-                seen[key] = p_index
-
-    def test_stats_accumulate_jobs_stages_tasks(self):
-        backend = SparkBackend(default_partitions=2)
-        h = backend.ingest(uniform_key_value_table(10, 3, seed=5))
-        backend.project(h, ["key"])
-        assert backend.stats.jobs == 1
-        assert backend.stats.stages >= 2
-        assert backend.stats.tasks >= 2
-
-    def test_shuffle_volume_counted_for_wide_ops(self):
-        backend = SparkBackend(default_partitions=2)
-        h = backend.ingest(uniform_key_value_table(10, 3, seed=6))
-        before = backend.stats.records_shuffled
-        backend.aggregate(h, "key", "value", "sum", "t")
-        assert backend.stats.records_shuffled > before
-
-    def test_cost_model_parallelism(self):
-        stats_heavy = SparkBackend(cost_model=SparkCostModel(total_cores=1))
-        stats_light = SparkBackend(cost_model=SparkCostModel(total_cores=32))
-        table = uniform_key_value_table(5000, 5, seed=7)
-        for backend in (stats_heavy, stats_light):
-            h = backend.ingest(table)
-            backend.aggregate(h, "key", "value", "sum", "t")
-        assert stats_heavy.elapsed_seconds() > stats_light.elapsed_seconds()
-
-    def test_empty_relation_handling(self):
-        backend = SparkBackend()
+    def test_empty_relation_handling(self, backend):
         schema = Schema([ColumnDef("key"), ColumnDef("value")])
         handle = backend.ingest(Table.empty(schema))
         assert backend.collect(backend.filter(handle, "key", ">", 0)).num_rows == 0
         assert backend.collect(backend.aggregate(handle, "key", "value", "sum", "t")).num_rows == 0
 
-    def test_collect_of_empty_partitioned_relation(self):
-        schema = Schema([ColumnDef("key")])
-        relation = PartitionedRelation(schema, [Table.empty(schema)])
-        assert relation.collect().num_rows == 0
 
-    def test_invalid_partition_count_rejected(self):
-        with pytest.raises(ValueError):
-            SparkBackend(default_partitions=0)
+class TestWorkTally:
+    """The engine counts its work and never prices it."""
 
-    def test_reset_meter(self):
-        backend = SparkBackend()
-        backend.ingest(uniform_key_value_table(10, 3, seed=8))
-        backend.reset_meter()
-        assert backend.stats.jobs == 0
-        assert backend.elapsed_seconds() == pytest.approx(0.0)
+    def test_tally_empty_before_any_work(self):
+        assert ColumnarBackend().work == CleartextWork()
 
-
-class TestPythonSpecifics:
-    def test_elapsed_zero_before_any_work(self):
-        assert PythonBackend().elapsed_seconds() == 0.0
-
-    def test_elapsed_grows_with_records(self):
-        backend = PythonBackend()
-        h = backend.ingest(uniform_key_value_table(1000, 3, seed=9))
+    def test_tally_counts_jobs_stages_and_records(self):
+        backend = ColumnarBackend()
+        h = backend.ingest(uniform_key_value_table(10, 3, seed=5))
         backend.project(h, ["key"])
-        small = backend.elapsed_seconds()
-        backend.project(h, ["key"])
-        assert backend.elapsed_seconds() > small
+        backend.filter(h, "value", ">", 0)
+        assert backend.work == CleartextWork(jobs=1, stages=2, records_processed=20)
 
-    def test_reset_meter(self):
-        backend = PythonBackend()
-        h = backend.ingest(uniform_key_value_table(10, 3, seed=10))
+    def test_narrow_operators_shuffle_nothing(self):
+        backend = ColumnarBackend()
+        h = backend.ingest(uniform_key_value_table(10, 3, seed=6))
         backend.project(h, ["key"])
-        backend.reset_meter()
-        assert backend.elapsed_seconds() == 0.0
+        backend.filter(h, "value", ">", 0)
+        backend.multiply(h, "d", "value", 2)
+        backend.compare(h, "c", "value", ">", 1)
+        backend.enumerate_rows(h)
+        assert backend.work.records_shuffled == 0
+
+    @pytest.mark.parametrize(
+        "wide_op",
+        [
+            lambda b, h: b.join(h, h, "key", "key"),
+            lambda b, h: b.aggregate(h, "key", "value", "sum", "t"),
+            lambda b, h: b.distinct(h, ["key"]),
+            lambda b, h: b.sort_by(h, "value"),
+            lambda b, h: b.merge_sorted([h, h], "value"),
+        ],
+        ids=["join", "aggregate", "distinct", "sort", "merge"],
+    )
+    def test_wide_operators_charge_shuffle_volume(self, wide_op):
+        backend = ColumnarBackend()
+        h = backend.ingest(uniform_key_value_table(10, 3, seed=6))
+        wide_op(backend, h)
+        assert backend.work.records_shuffled >= 10
+
+    def test_external_sort_is_one_job_and_one_wide_stage(self):
+        backend = ColumnarBackend()
+        backend.charge_external_sort(7)
+        assert backend.work == CleartextWork(
+            jobs=1, stages=1, records_processed=14, records_shuffled=7
+        )
+
+
+class TestCleartextCosts:
+    """The two price lists share one ``seconds(work)`` shape."""
+
+    @pytest.mark.parametrize("model", [PythonCostModel(), SparkCostModel()])
+    def test_zero_work_is_zero_seconds(self, model):
+        assert model.seconds(CleartextWork()) == 0.0
+
+    @pytest.mark.parametrize("model", [PythonCostModel(), SparkCostModel()])
+    def test_seconds_grow_with_records(self, model):
+        small = CleartextWork(jobs=1, stages=1, records_processed=1_000)
+        large = CleartextWork(jobs=1, stages=1, records_processed=2_000)
+        assert model.seconds(large) > model.seconds(small) > 0.0
+
+    def test_python_startup_is_paid_once(self):
+        model = PythonCostModel()
+        one = CleartextWork(jobs=1, stages=1, records_processed=100)
+        many = CleartextWork(jobs=3, stages=9, records_processed=100)
+        assert model.seconds(one) == model.seconds(many)
+        assert model.seconds(one) == pytest.approx(
+            model.startup_seconds + 100 * model.per_record_seconds
+        )
+
+    def test_spark_charges_shuffle_volume_jobs_and_stages(self):
+        model = SparkCostModel()
+        narrow = CleartextWork(stages=1, records_processed=6_000)
+        wide = CleartextWork(stages=1, records_processed=6_000, records_shuffled=6_000)
+        assert model.seconds(wide) - model.seconds(narrow) == pytest.approx(
+            6_000 * model.per_shuffle_record_seconds / model.total_cores
+        )
+        assert model.seconds(CleartextWork(jobs=1)) == pytest.approx(model.job_overhead_seconds)
+        assert model.seconds(CleartextWork(stages=2)) == pytest.approx(
+            2 * (model.stage_overhead_seconds + model.task_overhead_seconds)
+        )
+
+    def test_more_cores_mean_fewer_seconds(self):
+        work = CleartextWork(jobs=1, stages=2, records_processed=5_000, records_shuffled=5_000)
+        assert SparkCostModel(total_cores=1).seconds(work) > SparkCostModel(
+            total_cores=32
+        ).seconds(work)
+
+    @pytest.mark.parametrize("cleartext_backend", ["python", "spark"])
+    def test_estimator_and_executor_price_a_tally_identically(self, cleartext_backend):
+        """A single-owner projection of 400 rows: the executed run's seconds
+        are the configured price list applied to the engine's tally, and the
+        estimate is the same function applied to one tally per plan node."""
+        party = cc.Party("solo.example")
+        with cc.QueryContext() as ctx:
+            t = ctx.new_table(
+                "t", [cc.Column("key"), cc.Column("value")], at=party, estimated_rows=400
+            )
+            t.project(["key"]).collect("out", to=[party])
+        config = cc.CompilationConfig(cleartext_backend=cleartext_backend)
+        compiled = cc.compile_query(ctx, config)
+        inputs = {party.name: {"t": uniform_key_value_table(400, 5, seed=7)}}
+
+        runner = cc.QueryRunner([party.name], inputs, config)
+        result = runner.run(compiled)
+        prices = runner.cleartext_prices
+        engine = runner.local_backends[party.name]
+        assert engine.work == CleartextWork(jobs=1, stages=1, records_processed=400)
+        assert result.backend_seconds[f"local:{party.name}"] == prices.seconds(engine.work)
+
+        estimate = cc.PlanEstimator().estimate(compiled)
+        one_pass = CleartextWork(stages=1, records_processed=400)
+        assert estimate.local_seconds == pytest.approx(
+            len(estimate.nodes) * prices.seconds(one_pass)
+        )
 
 
 @given(
-    rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50)), min_size=1, max_size=30),
-    partitions=st.integers(1, 5),
+    rows=st.one_of(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50)), max_size=30),
+        # single-group tables
+        st.lists(st.tuples(st.just(2), st.integers(-50, 50)), min_size=1, max_size=10),
+    ),
+    func=st.sampled_from(["sum", "count", "min", "max"]),
 )
-@settings(max_examples=25, deadline=None)
-def test_spark_aggregation_equals_reference_property(rows, partitions):
+@settings(max_examples=50, deadline=None)
+def test_columnar_aggregation_equals_reference_property(rows, func):
     schema = Schema([ColumnDef("key"), ColumnDef("value")])
-    table = Table.from_rows(schema, rows)
-    backend = SparkBackend(default_partitions=partitions)
-    result = backend.collect(backend.aggregate(backend.ingest(table), "key", "value", "sum", "t"))
-    assert result.equals_unordered(table.aggregate(["key"], "value", "sum", "t"))
+    table = Table.from_rows(schema, rows) if rows else Table.empty(schema)
+    backend = ColumnarBackend()
+    agg_col = None if func == "count" else "value"
+    result = backend.collect(backend.aggregate(backend.ingest(table), "key", agg_col, func, "t"))
+    assert result == table.aggregate(["key"], agg_col, func, "t")

@@ -1,11 +1,11 @@
 """The columnar vectorized execution engine: batches, kernels, wiring.
 
 The engine's end-to-end byte-identity with the row oracle lives in
-``test_differential.py`` (all 50 random plans, all four backend configs);
+``test_differential.py`` (all 50 random plans, both price lists);
 this module covers the pieces in isolation — :class:`ColumnBatch`
 invariants, kernel edge cases (including the bit-exactness recipes for
-float aggregation and join ordering), executor selection, the share-vector
-protocols' wire-round flatness, the ``bind_host`` endpoint handshake, and
+float aggregation and join ordering), config-string validation, the
+share-vector protocols' wire-round flatness, the ``bind_host`` endpoint handshake, and
 the per-query ``rows_processed``/``mpc_rounds`` session counters.
 """
 
@@ -33,6 +33,8 @@ from repro.exec.kernels import (
     sort_indices,
 )
 from repro.runtime.mesh import bind_listener
+
+from oracle_engine import OracleRunner
 
 PARTY_A = "alpha.example"
 PARTY_B = "beta.example"
@@ -193,14 +195,25 @@ class TestExecutorSelection:
 
     def test_columnar_matches_row_engine(self):
         ctx, inputs = self.one_party_query()
-        row = cc.run_query(ctx, inputs)
-        col = cc.run_query(ctx, inputs, CompilationConfig(executor="columnar"))
+        row = OracleRunner([PARTY_A], inputs).run(cc.compile_query(ctx))
+        col = cc.run_query(ctx, inputs)
         assert col.outputs["out"] == row.outputs["out"]
 
     def test_unknown_executor_raises(self):
-        ctx, inputs = self.one_party_query()
-        with pytest.raises(ValueError, match="unknown executor"):
-            cc.run_query(ctx, inputs, CompilationConfig(executor="vectorised"))
+        with pytest.raises(ValueError, match="unknown executor 'row'.*'columnar'"):
+            CompilationConfig(executor="row")
+
+    @pytest.mark.parametrize(
+        "field, typo, allowed",
+        [
+            ("cleartext_backend", "sprak", "'python', 'spark'"),
+            ("mpc_backend", "sharemnd", "'sharemind', 'obliv-c'"),
+        ],
+    )
+    def test_unknown_backend_string_raises(self, field, typo, allowed):
+        """A typo used to price as Python / run Sharemind silently."""
+        with pytest.raises(ValueError, match=f"unknown {field} '{typo}'.*{allowed}"):
+            CompilationConfig(**{field: typo})
 
 
 class TestWireRoundFlatness:

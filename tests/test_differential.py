@@ -1,17 +1,19 @@
-"""Randomized differential testing of every backend against a NumPy oracle.
+"""Randomized differential testing of the one executable configuration.
 
 A seeded generator builds random query plans — random schemas, compound
 filter predicates, ``with_column`` arithmetic, single- and composite-key
 joins, multi-aggregate group-bys — and executes each of them through the
-full compiler with every backend combination: the sequential Python engine,
-the Spark-sim data-parallel engine, the Sharemind-style secret-sharing MPC
-backend, and the Obliv-C-style garbled-circuit MPC backend.  Results must
-equal an independently implemented row-at-a-time oracle (plain Python/NumPy
-over row dicts — deliberately *not* the Table methods the backends use).
+full compiler on the columnar cleartext engine and the secret-sharing MPC
+backend, under both cleartext price lists.  Results must equal two
+references: an independently implemented row-at-a-time oracle (plain
+Python over row dicts — deliberately *not* the Table methods the engines
+use), and, byte for byte (row order, MPC work/traffic profile, leakage),
+the same compiled plan replayed on the ``Table`` reference engine
+(``tests/oracle_engine.py``).
 
-A subset of the same plans is additionally executed over the socket runtime
-(one OS process per party) and must be byte-identical to the simulated
-runtime with an identical MPC work/traffic profile.
+The same plans are additionally executed over the socket runtime (one OS
+process per party, cold and through one warm session) and must stay
+byte-identical to the reference engine's in-process run.
 """
 
 import numpy as np
@@ -25,6 +27,8 @@ from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
 from repro.runtime.service import SocketCoordinator
 
+from oracle_engine import OracleRunner
+
 SEED = 20260729
 NUM_PLANS = 50
 #: Plans additionally cross-checked over real per-party processes.
@@ -33,14 +37,9 @@ NUM_SOCKET_PLANS = 6
 PARTY_A = "alpha.example"
 PARTY_B = "beta.example"
 
-#: (cleartext backend, MPC backend) — together these cover the Python
-#: engine, Spark-sim, Sharemind-style and garbled-circuit backends.
-BACKEND_CONFIGS = [
-    ("python", "sharemind"),
-    ("spark", "sharemind"),
-    ("python", "obliv-c"),
-    ("spark", "obliv-c"),
-]
+#: The one executable configuration (columnar engine + share engine) under
+#: the two cleartext price lists ``cleartext_backend`` can name.
+PRICE_LISTS = ["python", "spark"]
 
 COMPARE_OPS = ["==", "!=", "<", "<=", ">", ">="]
 ARITH_OPS = ["+", "-", "*"]
@@ -289,65 +288,57 @@ def _pred_eval(pred, row):
 # -- the differential tests --------------------------------------------------------------------
 
 
-def run_spec(
-    spec,
-    cleartext: str,
-    mpc: str,
-    runtime: str = "simulated",
-    seed: int = 0,
-    executor: str = "row",
-):
+def run_spec(spec, cleartext: str = "python", runtime: str = "simulated", seed: int = 0):
+    """Compile ``spec`` and run it; ``runtime="oracle"`` replays the plan
+    in-process on the ``Table`` reference engine."""
     ctx, inputs = build_query(spec)
-    config = CompilationConfig(
-        cleartext_backend=cleartext, mpc_backend=mpc, executor=executor
-    )
+    config = CompilationConfig(cleartext_backend=cleartext)
     compiled = cc.compile_query(ctx, config)
     parties = sorted(compiled.dag.parties() | set(inputs))
-    if runtime == "sockets":
-        result = SocketCoordinator(parties, inputs, config, seed=seed).run(compiled)
+    runner = {
+        "simulated": QueryRunner, "oracle": OracleRunner, "sockets": SocketCoordinator,
+    }[runtime]
+    return compiled, runner(parties, inputs, config, seed=seed).run(compiled)
+
+
+def assert_byte_identical(result, reference, where: str) -> None:
+    """Outputs (row order included), MPC work/traffic profile and leakage."""
+    assert result.outputs["out"] == reference.outputs["out"], f"{where}: outputs differ"
+    assert result.mpc_profile == reference.mpc_profile, f"{where}: MPC profile differs"
+    if result.runtime == "simulated":
+        assert result.leakage.events == reference.leakage.events, f"{where}: leakage differs"
     else:
-        result = QueryRunner(parties, inputs, config, seed=seed).run(compiled)
-    return compiled, result
+        # Agents' reports are merged, so only the order of events may differ.
+        assert sorted(result.leakage.events, key=repr) == sorted(
+            reference.leakage.events, key=repr
+        ), f"{where}: leakage differs"
 
 
 @pytest.mark.parametrize("plan", range(NUM_PLANS))
-def test_random_plan_matches_oracle_on_all_backends(plan):
+def test_random_plan_matches_oracle_under_both_price_lists(plan):
     spec = generate_spec(SEED + plan)
     expected = oracle(spec)
-    for cleartext, mpc in BACKEND_CONFIGS:
-        _compiled, result = run_spec(spec, cleartext, mpc)
+    for cleartext in PRICE_LISTS:
+        _compiled, result = run_spec(spec, cleartext)
         got = sorted(result.outputs["out"].rows())
         assert got == expected, (
             f"plan {plan} (seed {spec['seed']}) diverged from the oracle on "
-            f"cleartext={cleartext} mpc={mpc}:\n got      {got}\n expected {expected}"
+            f"cleartext={cleartext}:\n got      {got}\n expected {expected}"
         )
 
 
 @pytest.mark.parametrize("plan", range(NUM_PLANS))
 def test_random_plan_columnar_byte_identical_to_row_engine(plan):
-    """Every differential plan through the columnar executor must be
-    byte-identical (outputs including row order, plus the MPC work/traffic
-    profile) to the row-engine oracle, on every backend combination."""
+    """Every differential plan must be byte-identical (outputs including row
+    order, the MPC work/traffic profile, the leakage report) to the same
+    plan replayed on the row-at-a-time reference engine."""
     spec = generate_spec(SEED + plan)
-    expected = oracle(spec)
-    references = {}
-    for mpc in ("sharemind", "obliv-c"):
-        _compiled, reference = run_spec(spec, "python", mpc)
-        assert sorted(reference.outputs["out"].rows()) == expected
-        references[mpc] = reference
-    for cleartext, mpc in BACKEND_CONFIGS:
-        # The columnar engine replaces the cleartext backend wholesale, so
-        # whichever row engine the config names, the oracle is the Python
-        # row engine under the same MPC backend.
-        reference = references[mpc]
-        _c, columnar = run_spec(spec, cleartext, mpc, executor="columnar")
-        assert columnar.outputs["out"] == reference.outputs["out"], (
-            f"plan {plan} (seed {spec['seed']}): columnar executor diverged from "
-            f"the row engine on cleartext={cleartext} mpc={mpc}"
-        )
-        assert columnar.mpc_profile == reference.mpc_profile, (
-            f"plan {plan} (seed {spec['seed']}): columnar executor has a different "
-            f"MPC work/traffic profile on cleartext={cleartext} mpc={mpc}"
+    _compiled, reference = run_spec(spec, runtime="oracle")
+    assert sorted(reference.outputs["out"].rows()) == oracle(spec)
+    for cleartext in PRICE_LISTS:
+        _c, columnar = run_spec(spec, cleartext)
+        assert_byte_identical(
+            columnar, reference, f"plan {plan} (seed {spec['seed']}) cleartext={cleartext}"
         )
 
 
@@ -389,29 +380,17 @@ class TestCompositeKeyRangeGuard:
         with pytest.raises(ValueError, match="composite-key column .* outside"):
             cc.run_query(self.build_join(), self.inputs([(1, 2, 10)], [(1, -3, 20)]))
 
-    @pytest.mark.parametrize("cleartext", ["python", "spark"])
-    def test_guard_fires_on_both_cleartext_backends(self, cleartext):
-        config = CompilationConfig(cleartext_backend=cleartext)
-        with pytest.raises(ValueError, match="composite-key"):
-            cc.run_query(self.build_join(), self.inputs([(-1, 2, 10)], [(1, 2, 20)]), config)
-
-    @pytest.mark.parametrize("bad_row", [(1, -2, 10), (-1, 2, 10), (1, 100, 10)])
-    def test_guard_fires_in_columnar_executor(self, bad_row):
-        """The vectorized encode path enforces the same key-range check as
-        the row engine (mirrors test_out_of_range_left_key_raises)."""
-        with pytest.raises(ValueError, match="composite-key column .* outside"):
-            cc.run_query(
-                self.build_join(),
-                self.inputs([bad_row], [(1, 2, 20)]),
-                CompilationConfig(executor="columnar"),
-            )
-
-    def test_columnar_in_range_keys_join_correctly(self):
-        result = cc.run_query(
-            self.build_join(),
-            self.inputs([(1, 2, 10)], [(1, 2, 20)]),
-            CompilationConfig(executor="columnar"),
-        )
+    def test_guard_ignores_lanes_filtered_out_before_the_encode(self):
+        """Only live rows are range-checked: the engine's filters are lazy
+        masks, and a masked-out lane must not trip the guard."""
+        pa, pb = cc.Party(PARTY_A), cc.Party(PARTY_B)
+        with QueryContext() as ctx:
+            t0 = ctx.new_table("t0", [cc.Column("k1"), cc.Column("k2"), cc.Column("v")], at=pa)
+            t1 = ctx.new_table("t1", [cc.Column("m1"), cc.Column("m2"), cc.Column("w")], at=pb)
+            t0.filter(cc.col("k2") >= 0).join(
+                t1, on=[("k1", "m1"), ("k2", "m2")], key_base=self.KEY_BASE
+            ).collect("out", to=[pa])
+        result = cc.run_query(ctx, self.inputs([(1, 2, 10), (1, -2, 11)], [(1, 2, 20)]))
         assert result.outputs["out"].rows() == [(1, 2, 10, 20)]
 
     def test_guard_fires_inside_mpc_when_encode_is_not_pushed_down(self):
@@ -455,13 +434,11 @@ class TestCompositeKeyRangeGuard:
 
 @pytest.mark.parametrize("plan", range(NUM_SOCKET_PLANS))
 def test_random_plan_byte_identical_across_transports(plan):
+    """Real per-party processes vs the reference engine in the simulation."""
     spec = generate_spec(SEED + plan)
-    _compiled, simulated = run_spec(spec, "python", "sharemind", seed=3)
-    compiled, socketed = run_spec(spec, "python", "sharemind", runtime="sockets", seed=3)
-    # Byte-identical tables (including row order) and identical MPC operator
-    # counts and work/traffic profile between the transports.
-    assert simulated.outputs["out"] == socketed.outputs["out"]
-    assert simulated.mpc_profile == socketed.mpc_profile
+    _compiled, reference = run_spec(spec, runtime="oracle", seed=3)
+    compiled, socketed = run_spec(spec, runtime="sockets", seed=3)
+    assert_byte_identical(socketed, reference, f"plan {plan} over sockets")
     assert compiled.mpc_operator_count() == _compiled.mpc_operator_count()
     assert sorted(socketed.outputs["out"].rows()) == oracle(spec)
 
@@ -469,34 +446,28 @@ def test_random_plan_byte_identical_across_transports(plan):
 def test_fifty_plans_replayed_through_one_warm_session():
     """Service-mode differential: replay all 50 seeded random plans through
     ONE long-lived session and require byte-identity (outputs including row
-    order, plus the MPC work/traffic profile) with a fresh-process socket
-    run and the simulated runtime of every plan."""
-    config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
-    with cc.QuerySession([PARTY_A, PARTY_B], config=config, seed=3) as session:
+    order, the MPC work/traffic profile, leakage) of the warm run, a
+    fresh-process socket run and the simulated runtime with the reference
+    engine's replay of every plan."""
+    config = CompilationConfig()
+    parties = [PARTY_A, PARTY_B]
+    with cc.QuerySession(parties, config=config, seed=3) as session:
         for plan in range(NUM_PLANS):
             spec = generate_spec(SEED + plan)
             ctx, inputs = build_query(spec)
             compiled = cc.compile_query(ctx, config)
 
-            simulated = QueryRunner(
-                [PARTY_A, PARTY_B], inputs, config, seed=3
-            ).run(compiled)
-            cold = SocketCoordinator(
-                [PARTY_A, PARTY_B], inputs, config, seed=3
-            ).run(compiled)
-            warm = session.submit(compiled, inputs=inputs)
-
-            expected = oracle(spec)
-            for label, result in (("cold", cold), ("warm", warm)):
-                assert result.outputs["out"] == simulated.outputs["out"], (
-                    f"plan {plan} (seed {spec['seed']}): {label} socket run is not "
-                    f"byte-identical to the simulated runtime"
+            reference = OracleRunner(parties, inputs, config, seed=3).run(compiled)
+            runs = {
+                "simulated": QueryRunner(parties, inputs, config, seed=3).run(compiled),
+                "cold": SocketCoordinator(parties, inputs, config, seed=3).run(compiled),
+                "warm": session.submit(compiled, inputs=inputs),
+            }
+            for label, result in runs.items():
+                assert_byte_identical(
+                    result, reference, f"plan {plan} (seed {spec['seed']}) {label} run"
                 )
-                assert result.mpc_profile == simulated.mpc_profile, (
-                    f"plan {plan} (seed {spec['seed']}): {label} socket run has a "
-                    f"different MPC work/traffic profile"
-                )
-            assert sorted(warm.outputs["out"].rows()) == expected, (
+            assert sorted(runs["warm"].outputs["out"].rows()) == oracle(spec), (
                 f"plan {plan} (seed {spec['seed']}) diverged from the oracle in the "
                 f"warm session"
             )

@@ -96,8 +96,35 @@ class TestOblivCOOM:
         compiled = cc.compile_query(
             single_operator_query("join", 30_000, parties=(PA, PB)), config
         )
-        with pytest.raises(EstimatedOOM):
+        with pytest.raises(EstimatedOOM) as err:
             PlanEstimator().estimate(compiled)
+        assert err.value.operator == "join"
+        assert err.value.required_bytes > err.value.limit_bytes == 4 * 1024**3
+
+    def test_garbled_gate_input_and_memory_accounting(self):
+        """The one copy of the Obliv-C formulas: a join garbles one
+        comparison plus one mux per output column for every pair of rows,
+        OT-transfers every cleartext input bit, and holds the inputs' wire
+        labels plus per-pair state; its seconds are the garbled price list's."""
+        config = mpc_only_config(mpc_backend="obliv-c")
+        compiled = cc.compile_query(
+            single_operator_query("join", 2_000, parties=(PA, PB)), config
+        )
+        estimator = PlanEstimator()
+        estimate = estimator.estimate(compiled)
+        join = next(ne for ne in estimate.nodes if ne.node.op_name == "join")
+        left, right = join.rows_in
+        gates, input_bits, memory = estimator._garbled_cost(
+            join.node, join.rows_in, join.rows_out
+        )
+        assert gates == left * right * (64 + 64 * len(join.node.out_rel.schema))
+        assert input_bits == right * 2 * 64  # the concat side is already in MPC
+        assert memory == (left + right) * 2 * 8192 + left * right * 16
+        assert join.seconds == estimator.garbled_model.seconds(gates, input_bits)
+        small = estimator.estimate(
+            cc.compile_query(single_operator_query("join", 200, parties=(PA, PB)), config)
+        )
+        assert small.mpc_seconds < estimate.mpc_seconds
 
     def test_garbled_project_survives_small_inputs_but_ooms_large(self):
         config = mpc_only_config(mpc_backend="obliv-c")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cleartext.python_engine import PythonBackend
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
+from repro.exec.engine import ColumnarBackend
 from repro.hybrid.hybrid_agg import hybrid_aggregate
 from repro.hybrid.hybrid_join import hybrid_join
 from repro.hybrid.public_join import public_join
@@ -26,7 +26,7 @@ def backend():
 
 @pytest.fixture
 def stp():
-    return SelectivelyTrustedParty(STP_NAME, PythonBackend())
+    return SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
 
 
 def kv(rows, keys, seed):
@@ -78,7 +78,7 @@ class TestHybridJoin:
         # O((n+m) log(n+m)) work beats the MPC join's O(n*m) comparisons.
         left, right = kv(60, 60, seed=7), kv(60, 60, seed=8)
         hybrid_backend = SharemindBackend(PARTIES, seed=1)
-        helper = SelectivelyTrustedParty(STP_NAME, PythonBackend())
+        helper = SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
         hybrid_join(
             hybrid_backend, helper,
             hybrid_backend.ingest(left), hybrid_backend.ingest(right), "key", "key",
@@ -100,7 +100,7 @@ class TestHybridJoin:
         schema = Schema([ColumnDef("key"), ColumnDef("value")])
         left, right = Table.from_rows(schema, left_rows), Table.from_rows(schema, right_rows)
         backend = SharemindBackend(PARTIES, seed=9)
-        stp = SelectivelyTrustedParty(STP_NAME, PythonBackend())
+        stp = SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
         result = hybrid_join(
             backend, stp, backend.ingest(left), backend.ingest(right), "key", "key"
         )
@@ -177,7 +177,7 @@ class TestHybridAggregate:
     def test_cheaper_than_oblivious_aggregation(self):
         table = kv(40, 6, seed=20)
         hybrid_backend = SharemindBackend(PARTIES, seed=2)
-        helper = SelectivelyTrustedParty(STP_NAME, PythonBackend())
+        helper = SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
         hybrid_aggregate(
             hybrid_backend, helper, hybrid_backend.ingest(table), "key", "value", "sum", "t"
         )
@@ -206,7 +206,7 @@ class TestHybridAggregate:
         schema = Schema([ColumnDef("key"), ColumnDef("value")])
         table = Table.from_rows(schema, rows)
         backend = SharemindBackend(PARTIES, seed=31)
-        stp = SelectivelyTrustedParty(STP_NAME, PythonBackend())
+        stp = SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
         result = hybrid_aggregate(
             backend, stp, backend.ingest(table), "key", "value", "sum", "total"
         )

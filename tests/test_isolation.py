@@ -39,12 +39,14 @@ from repro.mpc.protocols import SharedTable, mpc_aggregate
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
 from repro.runtime.mesh import (
     KIND_MSG,
+    MeshChannel,
     MeshTimeout,
     PeerMesh,
     _check_mesh_hello,
     accept_rejoin,
     bind_listener,
 )
+from repro.runtime.executor import PlanExecutor
 from repro.runtime.transport import SocketTransport, TransportError
 from repro.runtime.wire import (
     FrameDecoder,
@@ -56,14 +58,12 @@ from repro.runtime.wire import (
 
 from test_differential import (
     NUM_PLANS,
-    NUM_SOCKET_PLANS,
     PARTY_A,
     PARTY_B,
     SEED,
     build_query,
     generate_spec,
     oracle,
-    run_spec,
 )
 
 PARTIES = [PARTY_A, PARTY_B]
@@ -535,22 +535,48 @@ class TestMeshPoisonCoversBufferedFrames:
             mesh.close()
 
 
-# -- executor-matrix byte-identity ---------------------------------------------------------
+# -- MPC ingest ships metadata only -------------------------------------------------------
 
 
-@pytest.mark.parametrize("plan", range(NUM_SOCKET_PLANS))
-def test_columnar_executor_over_sockets_stays_byte_identical(plan):
-    """The slice engine must keep the full runtime x executor matrix
-    byte-identical: columnar over real per-party processes vs. the row
-    engine in the simulation."""
-    spec = generate_spec(SEED + plan)
-    _, sim_row = run_spec(spec, "python", "sharemind", seed=3, executor="row")
-    _, sock_col = run_spec(
-        spec, "python", "sharemind", runtime="sockets", seed=3, executor="columnar"
-    )
-    assert sim_row.outputs["out"] == sock_col.outputs["out"]
-    assert sim_row.mpc_profile == sock_col.mpc_profile
-    assert sorted(sock_col.outputs["out"].rows()) == oracle(spec)
+def test_corpus_mpc_ingest_broadcasts_only_schema_and_row_count(monkeypatch):
+    """Cleartext never leaves its owner through MPC ingest: across the
+    50-plan corpus, with one executor per party joined by a real socket
+    mesh, every table frame an agent broadcasts is exactly ``{"schema",
+    "num_rows"}`` — the relation itself travels as share slices only."""
+    broadcast = []
+    send = MeshChannel.broadcast_table
+
+    def recording_broadcast(channel, relation, payload):
+        broadcast.append(payload)
+        send(channel, relation, payload)
+
+    monkeypatch.setattr(MeshChannel, "broadcast_table", recording_broadcast)
+    sock_a, sock_b = socket.socketpair()
+    meshes = {
+        PARTY_A: PeerMesh(PARTY_A, {PARTY_B: sock_a}, timeout=30.0),
+        PARTY_B: PeerMesh(PARTY_B, {PARTY_A: sock_b}, timeout=30.0),
+    }
+    try:
+        for plan in range(NUM_PLANS):
+            spec = generate_spec(SEED + plan)
+            ctx, inputs = build_query(spec)
+            compiled = cc.compile_query(ctx)
+            executors = [
+                PlanExecutor(
+                    PARTIES, {party: inputs[party]}, seed=3,
+                    local_parties={party}, mesh=meshes[party].channel(plan + 1),
+                )
+                for party in PARTIES
+            ]
+            at_a, _at_b = run_lockstep(executors, lambda ex: ex.execute(compiled))
+            assert sorted(at_a.outputs["out"].rows()) == oracle(spec)
+    finally:
+        for mesh in meshes.values():
+            mesh.close()
+    assert broadcast, "the corpus never crossed into MPC"
+    for payload in broadcast:
+        assert isinstance(payload, dict) and set(payload) == {"schema", "num_rows"}
+        assert isinstance(payload["num_rows"], int)
 
 
 # -- corpus-wide isolation audit -----------------------------------------------------------

@@ -1,11 +1,15 @@
-"""The import surface: every exported name resolves.
+"""The import surface: every exported name resolves, and the modules that
+execute a plan import no analytic model and exactly one engine per job.
 
 ``repro.runtime`` resolves its names lazily from a module/attribute table,
 so a module split or rename that forgets the table breaks nothing at import
 time — only at first use.  These tests turn that into a tier-1 failure.
 """
 
+import ast
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -47,3 +51,78 @@ def test_names_the_benchmark_harness_imports(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in BENCHMARK_IMPORTS[module_name] if not hasattr(module, name)]
     assert not missing, f"{module_name} no longer provides {missing}"
+
+
+# -- the import graph: execution never reaches the analytic models -------------------------
+
+SRC = pathlib.Path(repro.__file__).parent
+#: Everything that runs when a plan executes.
+EXECUTION_FILES = sorted(
+    [
+        *SRC.glob("runtime/*.py"),
+        *SRC.glob("exec/*.py"),
+        *SRC.glob("hybrid/*.py"),
+        *(
+            SRC / "mpc" / f"{name}.py"
+            for name in ("secretshare", "protocols", "oblivious", "sharemind", "network")
+        ),
+    ]
+)
+#: Modules that only price plans (Fig. 1/4-7); nothing that executes may import them.
+ANALYTIC_MODULES = re.compile(r"repro\.(core\.estimator|baselines)(\.|$)")
+#: Garbled-circuit / ObliVM models and constants of ``repro.mpc.runtime``.
+ANALYTIC_NAMES = re.compile(r"(?i)garbled|oblivm|obliv_?c|^GATES_PER_|^BYTES_PER_|^VALUE_BITS$")
+#: How a module or class announces itself as a cleartext engine.
+ENGINE_MODULES = re.compile(r"repro\.cleartext(\.|$)|(^|\.)\w*engine\w*$")
+ENGINE_CLASSES = re.compile(r"\w+Backend$")
+
+
+def imports_of(path: pathlib.Path) -> list[tuple[str, str]]:
+    """Every ``(module, name)`` the file imports, function-level imports included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.module or "", alias.name) for alias in node.names]
+    return found
+
+
+def test_execution_modules_exist():
+    assert all(path.exists() for path in EXECUTION_FILES)
+    assert {"executor.py", "engine.py", "hybrid_agg.py", "sharemind.py"} <= {
+        path.name for path in EXECUTION_FILES
+    }
+
+
+@pytest.mark.parametrize("path", EXECUTION_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_execution_never_imports_an_analytic_model(path):
+    """"Analytic and measured are never conflated" as a property of the
+    import graph: no executing module reaches the estimator, the SMCQL
+    baseline or a garbled-circuit / ObliVM cost model."""
+    for module, name in imports_of(path):
+        qualified = f"{module}.{name}" if name else module
+        assert not ANALYTIC_MODULES.search(qualified), f"{path.name} imports {qualified}"
+        assert not ANALYTIC_NAMES.search(name), f"{path.name} imports {qualified}"
+
+
+def test_execution_knows_one_cleartext_engine_and_one_mpc_backend():
+    modules, classes = set(), set()
+    for path in EXECUTION_FILES:
+        for module, name in imports_of(path):
+            if ENGINE_MODULES.search(module) or ENGINE_MODULES.search(f"{module}.{name}"):
+                modules.add(module)
+            if ENGINE_CLASSES.match(name):
+                classes.add(name)
+    assert modules == {"repro.exec.engine"}
+    assert classes == {"ColumnarBackend", "SharemindBackend"}
+
+
+def test_deleted_engines_stay_deleted():
+    assert not (SRC / "cleartext").exists()
+    assert not (SRC / "mpc" / "garbled.py").exists()
+    import repro.mpc
+
+    assert not {"OblivCBackend", "CircuitMemoryError"} & set(repro.mpc.__all__)
+    for doc in (repro.__doc__, repro.mpc.__doc__):
+        assert "garbled-circuit backend" not in doc and "repro.cleartext" not in doc

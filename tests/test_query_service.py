@@ -159,16 +159,17 @@ class TestSessionLifecycle:
 
     def test_per_query_seed_and_config(self):
         ctx, inputs = two_party_query()
+        mpc_only = CompilationConfig(enable_push_down=False)
         with cc.open_session(inputs, seed=1) as session:
-            obliv = session.submit(
-                ctx, config=CompilationConfig(mpc_backend="obliv-c"), seed=4
-            )
-            shared = session.submit(cc.compile_query(ctx), seed=4)
-        assert obliv.mpc_profile["backend"] == "obliv-c"
-        assert shared.mpc_profile["backend"] == "sharemind"
-        # Different MPC substrates may order output rows differently; the
-        # relations themselves must agree.
-        assert sorted(obliv.outputs["out"].rows()) == sorted(shared.outputs["out"].rows())
+            default = session.submit(ctx, seed=4)
+            overridden = session.submit(ctx, config=mpc_only, seed=4)
+        assert default.outputs["out"] == cc.run_query(ctx, inputs, seed=4).outputs["out"]
+        assert overridden.outputs["out"] == cc.run_query(
+            ctx, inputs, mpc_only, seed=4
+        ).outputs["out"]
+        # The per-query config really reached the agents: without push-down
+        # all input rows are shared into MPC, not the per-party partials.
+        assert overridden.mpc_profile["input_records"] > default.mpc_profile["input_records"]
 
     @pytest.mark.parametrize("name", PAPER_QUERIES)
     def test_paper_query_byte_identical_simulated_cold_and_warm(self, name):

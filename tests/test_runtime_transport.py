@@ -23,6 +23,7 @@ from repro.queries import (
     credit_card_regulation_query,
     market_concentration_query,
 )
+from repro.runtime.pool import active_agent_processes
 from repro.runtime.service import SocketCoordinator
 from repro.workloads.credit import CreditWorkload
 from repro.workloads.generators import uniform_key_value_table
@@ -145,7 +146,11 @@ class TestSocketRuntimeMatchesSimulated:
         assert any(k.startswith("mpc:") for k in socketed.backend_seconds)
         assert socketed.wall_seconds > 0
 
-    def test_obliv_c_backend_over_sockets(self):
+    def test_obliv_c_config_is_refused_before_anything_leaves_the_process(self):
+        """Regression: ``mpc_backend="obliv-c"`` over sockets used to
+        broadcast every party's private input in cleartext.  It is now
+        refused on the submitting side: no agent is spawned for it, and a
+        standing session sends no mesh frame on its behalf."""
         pa, pb = cc.Party("a.example"), cc.Party("b.example")
         with QueryContext() as ctx:
             t0 = ctx.new_table("t0", [cc.Column("k"), cc.Column("v")], at=pa)
@@ -157,11 +162,27 @@ class TestSocketRuntimeMatchesSimulated:
             pa.name: {"t0": uniform_key_value_table(20, 4, key_column="k", value_column="v", seed=0)},
             pb.name: {"t1": uniform_key_value_table(20, 4, key_column="k", value_column="v", seed=1)},
         }
-        simulated = cc.run_query(ctx, inputs, config, seed=2)
-        socketed = cc.run_query(ctx, inputs, config, seed=2, runtime="sockets")
-        assert simulated.outputs["out"] == socketed.outputs["out"]
-        assert simulated.mpc_profile == socketed.mpc_profile
-        assert socketed.mpc_profile["backend"] == "obliv-c"
+        with pytest.raises(ValueError, match="PlanEstimator"):
+            cc.run_query(ctx, inputs, config, seed=2, runtime="sockets")
+        assert active_agent_processes() == []
+        with pytest.raises(ValueError, match="PlanEstimator"):
+            cc.open_session(inputs, config)
+        assert active_agent_processes() == []
+
+        with cc.open_session(inputs, seed=2) as clean:
+            clean.submit(ctx)
+            one_query_traffic = clean.stats["wire"]
+        with cc.open_session(inputs, seed=2) as session:
+            with pytest.raises(ValueError, match="PlanEstimator"):
+                session.submit(ctx, config=config)
+            with pytest.raises(ValueError, match="PlanEstimator"):
+                session.submit(cc.compile_query(ctx, config))
+            assert session.stats["queries"] == 0
+            # The mesh counters are cumulative: the refused submissions added
+            # no frame and no byte to what one good query sends.
+            session.submit(ctx)
+            assert session.stats["wire"] == one_query_traffic
+        assert active_agent_processes() == []
 
     def test_run_query_from_csv_sockets(self, tmp_path):
         ctx, inputs, output = paper_query("quickstart")
