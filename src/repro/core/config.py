@@ -7,9 +7,12 @@ isolate the contribution of each transformation.
 
 from __future__ import annotations
 
-import ssl
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - imported where a TLS context is built
+    import ssl
 
 
 @dataclass
@@ -139,6 +142,8 @@ class TransportSecurity:
         return Path(cert), Path(key)
 
     def _context(self, name: str, *, server: bool) -> ssl.SSLContext:
+        import ssl  # loaded by TLS deployments only, see repro.runtime.wire
+
         cert, key = self.credentials(name)
         context = ssl.SSLContext(
             ssl.PROTOCOL_TLS_SERVER if server else ssl.PROTOCOL_TLS_CLIENT

@@ -263,7 +263,7 @@ class PlanEstimator:
         elif isinstance(node, Filter):
             meter.merge(estimates.filter_meter(rows_in[0], cols_out, p))
         elif isinstance(node, HybridJoin):
-            meter.merge(estimates.hybrid_join_meter(rows_in[0], rows_in[1], rows_out, cols_out, p))
+            meter.merge(estimates.hybrid_join_meter(*rows_in, rows_out, *cols_in, p))
         elif isinstance(node, PublicJoin):
             meter.merge(estimates.reveal_meter(rows_in[0] + rows_in[1], 1, p))
             meter.local_ops += rows_out * cols_out

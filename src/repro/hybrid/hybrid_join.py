@@ -13,14 +13,9 @@ learns the join's output cardinality.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.data.schema import ColumnDef, Schema
-from repro.data.table import Table
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
 from repro.mpc.oblivious import oblivious_index, oblivious_shuffle
-from repro.mpc.protocols import SharedTable
-from repro.mpc.secretshare import SharedVector
+from repro.mpc.protocols import SharedTable, join_assembly
 from repro.mpc.sharemind import SharemindBackend
 
 
@@ -40,10 +35,8 @@ def hybrid_join(
 
     # Step 1: obliviously shuffle both inputs so revealed keys are unlinkable
     # to input positions.
-    left_cols = oblivious_shuffle(engine, left.columns)
-    right_cols = oblivious_shuffle(engine, right.columns)
-    left = SharedTable(engine, left.schema, left_cols)
-    right = SharedTable(engine, right.schema, right_cols)
+    left = SharedTable(engine, left.schema, oblivious_shuffle(engine, left.columns))
+    right = SharedTable(engine, right.schema, oblivious_shuffle(engine, right.columns))
 
     # Step 2: project the key columns and reveal them to the STP.  The STP's
     # cleartext logic is replicated at every agent, so the reveal widens to
@@ -57,47 +50,21 @@ def hybrid_join(
 
     # Steps 3-5: the STP enumerates the key relations, joins them in the
     # clear, and returns the matching row indices for each side.
-    key_schema_l = Schema([ColumnDef("key"), ColumnDef("left_idx")])
-    key_schema_r = Schema([ColumnDef("key"), ColumnDef("right_idx")])
-    left_enum = Table(key_schema_l, [left_keys, np.arange(len(left_keys), dtype=np.int64)])
-    right_enum = Table(key_schema_r, [right_keys, np.arange(len(right_keys), dtype=np.int64)])
-    joined_idx = stp.join(left_enum, right_enum, "key", "key")
-
-    left_indices = joined_idx.column("left_idx")
-    right_indices = joined_idx.column("right_idx")
-    output_rows = joined_idx.num_rows
+    left_indices, right_indices = stp.match_keys(left_keys, right_keys)
     leakage.record(
         "cardinality", f"hybrid_join({left_on})", [], [],
-        detail=f"output rows = {output_rows} (visible to all parties)",
+        detail=f"output rows = {len(left_indices)} (visible to all parties)",
     )
 
     # The STP secret-shares the index relations back into the MPC.  The
     # indices are known to every (replicated-STP) engine, so this is a
     # public-value sharing from the shared environment stream.
-    left_idx_shared = engine.input_vector(
-        left_indices, contributor=engine.party_names[0], public=True
+    left_idx_shared = engine.input_vector(left_indices, public=True)
+    right_idx_shared = engine.input_vector(right_indices, public=True)
+
+    # Steps 6-7: oblivious indexing selects the matching rows on both sides;
+    # concatenate them column-wise and reshuffle the result.
+    schema, columns = join_assembly(
+        left, right, right_on, suffix, oblivious_index, left_idx_shared, right_idx_shared
     )
-    right_idx_shared = engine.input_vector(
-        right_indices, contributor=engine.party_names[0], public=True
-    )
-
-    # Step 6: oblivious indexing selects the matching rows on both sides.
-    left_rows = oblivious_index(engine, left.columns, left_idx_shared)
-    right_keep = [
-        (cdef, col)
-        for cdef, col in zip(right.schema, right.columns)
-        if cdef.name != right_on
-    ]
-    right_rows = oblivious_index(engine, [col for _, col in right_keep], right_idx_shared)
-
-    # Step 7: concatenate column-wise and reshuffle the result.
-    out_defs: list[ColumnDef] = list(left.schema.columns)
-    out_cols: list[SharedVector] = list(left_rows)
-    taken = {c.name for c in out_defs}
-    for (cdef, _), col in zip(right_keep, right_rows):
-        name = cdef.name + suffix if cdef.name in taken else cdef.name
-        out_defs.append(ColumnDef(name, cdef.ctype, cdef.trust))
-        out_cols.append(col)
-
-    shuffled = oblivious_shuffle(engine, out_cols)
-    return SharedTable(engine, Schema(out_defs), shuffled)
+    return SharedTable(engine, schema, oblivious_shuffle(engine, columns))

@@ -14,13 +14,8 @@ annotation) and the output cardinality.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.data.schema import ColumnDef, Schema
-from repro.data.table import Table
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
-from repro.mpc.protocols import SharedTable
-from repro.mpc.secretshare import SharedVector
+from repro.mpc.protocols import SharedTable, gather_rows, join_assembly
 from repro.mpc.sharemind import SharemindBackend
 
 
@@ -49,40 +44,15 @@ def public_join(
     )
 
     # The host enumerates and joins the keys in the clear.
-    left_enum = Table(
-        Schema([ColumnDef("key"), ColumnDef("left_idx")]),
-        [left_keys, np.arange(len(left_keys), dtype=np.int64)],
-    )
-    right_enum = Table(
-        Schema([ColumnDef("key"), ColumnDef("right_idx")]),
-        [right_keys, np.arange(len(right_keys), dtype=np.int64)],
-    )
-    joined_idx = host.join(left_enum, right_enum, "key", "key")
-    left_indices = joined_idx.column("left_idx")
-    right_indices = joined_idx.column("right_idx")
+    left_indices, right_indices = host.match_keys(left_keys, right_keys)
     leakage.record(
         "cardinality", f"public_join({left_on})", [], [],
-        detail=f"output rows = {joined_idx.num_rows} (indices broadcast to all parties)",
+        detail=f"output rows = {len(left_indices)} (indices broadcast to all parties)",
     )
 
     # The indices are public, so each party gathers the matching rows from
     # its shares locally — no oblivious operations needed.
-    out_defs: list[ColumnDef] = list(left.schema.columns)
-    out_cols: list[SharedVector] = [
-        _public_gather(engine, col, left_indices) for col in left.columns
-    ]
-    taken = {c.name for c in out_defs}
-    for cdef, col in zip(right.schema, right.columns):
-        if cdef.name == right_on:
-            continue
-        name = cdef.name + suffix if cdef.name in taken else cdef.name
-        out_defs.append(ColumnDef(name, cdef.ctype, cdef.trust))
-        out_cols.append(_public_gather(engine, col, right_indices))
-
-    return SharedTable(engine, Schema(out_defs), out_cols)
-
-
-def _public_gather(engine, vec: SharedVector, indices: np.ndarray) -> SharedVector:
-    indices = np.asarray(indices, dtype=np.int64)
-    engine.meter.local_ops += len(indices)
-    return SharedVector(engine, [share[indices] for share in vec.shares])
+    schema, columns = join_assembly(
+        left, right, right_on, suffix, gather_rows, left_indices, right_indices
+    )
+    return SharedTable(engine, schema, columns)

@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
+from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
 
 
@@ -84,7 +87,24 @@ class SelectivelyTrustedParty:
         self.name = name
         self.engine = engine
 
-    def join(self, left: Table, right: Table, left_on: str, right_on: str) -> Table:
-        lh = self.engine.ingest(left, contributor=self.name)
-        rh = self.engine.ingest(right, contributor=self.name)
-        return self.engine.collect(self.engine.join(lh, rh, left_on, right_on))
+    def match_keys(
+        self, left_keys: np.ndarray, right_keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Join two revealed key columns in the clear.
+
+        Enumerates both columns, joins the ``(key, row index)`` relations on
+        the STP's engine and returns the matching ``(left_idx, right_idx)``
+        row-index pairs.
+        """
+
+        def enumerated(keys: np.ndarray, idx_name: str):
+            table = Table(
+                Schema([ColumnDef("key"), ColumnDef(idx_name)]),
+                [keys, np.arange(len(keys), dtype=np.int64)],
+            )
+            return self.engine.ingest(table, contributor=self.name)
+
+        left = enumerated(left_keys, "left_idx")
+        right = enumerated(right_keys, "right_idx")
+        joined = self.engine.collect(self.engine.join(left, right, "key", "key"))
+        return joined.column("left_idx"), joined.column("right_idx")

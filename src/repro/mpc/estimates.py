@@ -79,40 +79,38 @@ def shuffle_meter(records: int, columns: int, num_parties: int = 3) -> CostMeter
     return meter
 
 
-def sort_meter(records: int, columns: int, num_parties: int = 3) -> CostMeter:
-    """Cost of an oblivious bitonic sort (key + payload swap per comparator)."""
-    comparators = bitonic_comparator_count(records)
-    meter = CostMeter(
-        comparisons=comparators,
-        # Each comparator multiplexes every column twice (select low/high),
-        # costing 2 multiplications per column.
-        multiplications=comparators * 2 * max(1, columns),
-        local_ops=comparators * 4 * max(1, columns),
-    )
-    rounds = _stage_count(records) * 3  # compare + two selects per stage
-    meter.network = NetworkStats(
+def _comparator_network_meter(
+    comparators: int, columns: int, rounds: int, num_parties: int
+) -> CostMeter:
+    """A comparator network: one comparison per comparator, and every column
+    multiplexed twice (select low/high) at 2 multiplications per column."""
+    network = NetworkStats(
         messages=rounds * num_parties,
         bytes_sent=comparators * (1 + 2 * columns) * Network.SHARE_BYTES,
         rounds=rounds,
     )
-    return meter
+    return CostMeter(
+        comparisons=comparators,
+        multiplications=comparators * 2 * max(1, columns),
+        local_ops=comparators * 4 * max(1, columns),
+        network=network,
+    )
+
+
+def sort_meter(records: int, columns: int, num_parties: int = 3) -> CostMeter:
+    """Cost of an oblivious bitonic sort (key + payload swap per comparator)."""
+    rounds = _stage_count(records) * 3  # compare + two selects per stage
+    return _comparator_network_meter(
+        bitonic_comparator_count(records), columns, rounds, num_parties
+    )
 
 
 def merge_meter(records: int, columns: int, num_parties: int = 3) -> CostMeter:
     """Cost of an oblivious merge of pre-sorted runs totalling ``records`` rows."""
-    comparators = bitonic_merge_comparator_count(records)
-    meter = CostMeter(
-        comparisons=comparators,
-        multiplications=comparators * 2 * max(1, columns),
-        local_ops=comparators * 4 * max(1, columns),
-    )
     rounds = _log2_ceil(records) * 3
-    meter.network = NetworkStats(
-        messages=rounds * num_parties,
-        bytes_sent=comparators * (1 + 2 * columns) * Network.SHARE_BYTES,
-        rounds=rounds,
+    return _comparator_network_meter(
+        bitonic_merge_comparator_count(records), columns, rounds, num_parties
     )
-    return meter
 
 
 def join_meter(
@@ -165,41 +163,52 @@ def filter_meter(records: int, columns: int, num_parties: int = 3) -> CostMeter:
 def oblivious_index_meter(
     input_rows: int, selected_rows: int, columns: int, num_parties: int = 3
 ) -> CostMeter:
-    """Cost of Laud-style oblivious indexing: O((n+m) log(n+m))."""
+    """Cost of Laud-style oblivious indexing: O((n+m) log(n+m)).
+
+    One opening round of the ``selected_rows`` index positions, then the
+    routing network's rounds.
+    """
     total = input_rows + selected_rows
     ops = total * _log2_ceil(total)
-    meter = CostMeter(comparisons=ops, multiplications=ops * max(1, columns))
-    meter.network = NetworkStats(
-        messages=2 * _log2_ceil(total) * num_parties,
-        bytes_sent=total * Network.SHARE_BYTES,
-        rounds=2 * _log2_ceil(total),
+    links = num_parties * (num_parties - 1)
+    routing_rounds = 2 * _log2_ceil(total)
+    network = NetworkStats(
+        messages=links + routing_rounds * num_parties,
+        bytes_sent=(links * selected_rows + routing_rounds * total) * Network.SHARE_BYTES,
+        rounds=1 + routing_rounds,
     )
-    return meter
+    return CostMeter(comparisons=ops, multiplications=ops * max(1, columns), network=network)
 
 
 def hybrid_join_meter(
     left_rows: int,
     right_rows: int,
     output_rows: int,
-    out_columns: int,
+    left_columns: int,
+    right_columns: int,
     num_parties: int = 3,
 ) -> CostMeter:
     """Cost of the MPC portion of the hybrid join (§5.3, Figure 3).
 
-    Two input shuffles, two key-column reveals to the STP, two oblivious
-    indexing passes, and a final shuffle of the joined result.  The STP's
-    cleartext join is charged by the cleartext engine, not here.
+    Two input shuffles, two key-column reveals to the STP, the two index
+    relations shared back (one round each), two oblivious indexing passes
+    (the right side without its key column), and a final shuffle of the
+    joined result.  The STP's cleartext join is charged by the cleartext
+    engine, not here.
     """
     meter = CostMeter()
-    meter.merge(shuffle_meter(left_rows, out_columns, num_parties))
-    meter.merge(shuffle_meter(right_rows, out_columns, num_parties))
+    meter.merge(shuffle_meter(left_rows, left_columns, num_parties))
+    meter.merge(shuffle_meter(right_rows, right_columns, num_parties))
     meter.merge(reveal_meter(left_rows, 1, num_parties))
     meter.merge(reveal_meter(right_rows, 1, num_parties))
-    # STP secret-shares the two index relations back into the MPC.
-    meter.merge(share_input_meter(output_rows, 2, num_parties))
-    meter.merge(oblivious_index_meter(left_rows, output_rows, out_columns, num_parties))
-    meter.merge(oblivious_index_meter(right_rows, output_rows, out_columns, num_parties))
-    meter.merge(shuffle_meter(output_rows, out_columns, num_parties))
+    meter.merge(share_input_meter(output_rows, 1, num_parties))
+    meter.merge(share_input_meter(output_rows, 1, num_parties))
+    meter.merge(oblivious_index_meter(left_rows, output_rows, left_columns, num_parties))
+    if right_columns > 1:
+        meter.merge(
+            oblivious_index_meter(right_rows, output_rows, right_columns - 1, num_parties)
+        )
+    meter.merge(shuffle_meter(output_rows, left_columns + right_columns - 1, num_parties))
     return meter
 
 
@@ -208,18 +217,29 @@ def hybrid_aggregate_meter(
 ) -> CostMeter:
     """Cost of the MPC portion of the hybrid aggregation (§5.3).
 
-    One input shuffle, a group-by-key reveal to the STP, the STP's equality
-    flags re-shared into MPC, a cleartext-ordered reorder (local), the
-    oblivious accumulation scan, and a final shuffle + flag reveal.
+    One input shuffle, a group-by-key reveal to the STP, the STP's ``n-1``
+    adjacent-equality flags re-shared into MPC, a cleartext-ordered reorder
+    (local), the oblivious accumulation scan, and the shuffle + flag reveal
+    of the compaction tail.
     """
     meter = CostMeter()
     meter.merge(shuffle_meter(records, 2, num_parties))
     meter.merge(reveal_meter(records, 1, num_parties))
-    meter.merge(share_input_meter(records, 1, num_parties))
-    # Accumulation: one multiplication per row (equality flags already known
-    # as secret shares, no comparisons needed — the asymptotic win).
+    meter.merge(share_input_meter(max(0, records - 1), 1, num_parties))
+    # Accumulation: one multiplication per row over a logarithmic-depth
+    # segmented scan (equality flags already known as secret shares, no
+    # comparisons needed — the asymptotic win).
     meter.multiplications += max(0, records - 1)
-    meter.local_ops += records * 2
+    # Reorder of two columns, the scan's two passes, the keep flags.
+    meter.local_ops += records * 4 + max(0, records - 1)
+    scan_rounds = _log2_ceil(records)
+    meter.network.merge(
+        NetworkStats(
+            messages=scan_rounds * num_parties,
+            bytes_sent=scan_rounds * records * Network.SHARE_BYTES,
+            rounds=scan_rounds,
+        )
+    )
     meter.merge(shuffle_meter(records, 3, num_parties))
     meter.merge(reveal_meter(records, 1, num_parties))
     return meter

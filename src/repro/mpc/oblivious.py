@@ -17,8 +17,10 @@ of a zero sharing, and charges the meter the full price of the bitonic
 network — ``O(n log^2 n)`` comparators, two oblivious multiplexes per
 comparator per column, and the network's stage-count worth of rounds.  Only
 the shuffle moves data through real resharing rounds; everything
-row-dependent is batched into whole-vector operations, so the number of
-*wire* rounds a distributed execution performs is independent of the
+row-dependent — here and in the accumulation scan the oblivious and the
+hybrid aggregation share (:func:`repro.mpc.protocols.segmented_sum`) — is
+one whole-vector operation charged analytically, so the number of *wire*
+rounds of every operator, hybrid ones included, is independent of the
 relation size.
 
 Cost characteristics (what the cost meter records):

@@ -24,7 +24,6 @@ from repro.data.table import Table
 from repro.mpc.estimates import _log2_ceil
 from repro.mpc.network import Network
 from repro.mpc.oblivious import (
-    oblivious_index,
     oblivious_merge,
     oblivious_shuffle,
     oblivious_sort,
@@ -82,16 +81,14 @@ class SharedTable:
         ]
         return cls(engine, schema, columns)
 
+    @classmethod
+    def empty(cls, engine: SecretSharingEngine, schema: Schema) -> "SharedTable":
+        """A shared relation of ``schema`` with no rows."""
+        return cls(engine, schema, [engine.empty_vector() for _ in schema])
+
     def reveal(self) -> Table:
         """Open the whole relation to all parties as a cleartext table."""
-        arrays = []
-        for cdef, col in zip(self.schema, self.columns):
-            values = self.engine.open(col)
-            if cdef.ctype is ColumnType.FLOAT:
-                arrays.append(values.astype(np.float64) / FIXED_POINT_SCALE)
-            else:
-                arrays.append(values)
-        return Table(self.schema, arrays)
+        return self._decoded([self.engine.open(col) for col in self.columns])
 
     def reveal_to(self, party: str) -> Table | None:
         """Open the whole relation to a single party.
@@ -99,18 +96,17 @@ class SharedTable:
         Engines that do not hold the target party's slice ship their shares
         and get ``None`` back — only the target materialises the cleartext.
         """
-        arrays = []
-        for cdef, col in zip(self.schema, self.columns):
-            values = self.engine.reveal_to(col, party)
-            if values is None:
-                arrays = None
-                continue
-            if cdef.ctype is ColumnType.FLOAT:
-                arrays.append(values.astype(np.float64) / FIXED_POINT_SCALE)
-            else:
-                arrays.append(values)
-        if arrays is None:
-            return None
+        opened = [self.engine.reveal_to(col, party) for col in self.columns]
+        return None if any(values is None for values in opened) else self._decoded(opened)
+
+    def _decoded(self, opened: Sequence[np.ndarray]) -> Table:
+        """Opened ring values as a table: fixed-point columns back to floats."""
+        arrays = [
+            values.astype(np.float64) / FIXED_POINT_SCALE
+            if cdef.ctype is ColumnType.FLOAT
+            else values
+            for cdef, values in zip(self.schema, opened)
+        ]
         return Table(self.schema, arrays)
 
     @property
@@ -239,26 +235,25 @@ def _comparison_flags(
     scalar ``v``, ``x <= v`` is ``x < v+1``; for a shared vector ``y``,
     ``x > y`` is ``y < x``.  Negations are a local share subtraction.
     """
+    def negated(flags: SharedVector) -> SharedVector:
+        return engine.sub(engine.constant(np.ones(n, dtype=np.int64)), flags)
+
     if op == "==":
         return engine.equals(col, rhs)
     if op == "!=":
-        eq = engine.equals(col, rhs)
-        return engine.sub(engine.constant(np.ones(n, dtype=np.int64)), eq)
+        return negated(engine.equals(col, rhs))
     if op == "<":
         return engine.less_than(col, rhs)
     if op == ">":
         if isinstance(rhs, SharedVector):
             return engine.less_than(rhs, col)
-        le = engine.less_than(col, int(rhs) + 1)
-        return engine.sub(engine.constant(np.ones(n, dtype=np.int64)), le)
+        return negated(engine.less_than(col, int(rhs) + 1))
     if op == "<=":
         if isinstance(rhs, SharedVector):
-            gt = engine.less_than(rhs, col)
-            return engine.sub(engine.constant(np.ones(n, dtype=np.int64)), gt)
+            return negated(engine.less_than(rhs, col))
         return engine.less_than(col, int(rhs) + 1)
     if op == ">=":
-        lt = engine.less_than(col, rhs)
-        return engine.sub(engine.constant(np.ones(n, dtype=np.int64)), lt)
+        return negated(engine.less_than(col, rhs))
     raise ValueError(f"unsupported comparison op {op!r}")
 
 
@@ -392,16 +387,8 @@ def mpc_filter(table: SharedTable, column: str, op: str, value: int) -> SharedTa
     reveals the flags and discards non-matching rows — the standard
     size-revealing filter used by the paper's baselines.
     """
-    engine = table.engine
     flags = _scalar_comparison_flags(table, column, op, value)
-
-    shuffled = oblivious_shuffle(engine, [flags, *table.columns])
-    flag_values = engine.open(shuffled[0])
-    keep = np.nonzero(flag_values)[0]
-    columns = [
-        SharedVector(engine, [share[keep] for share in col.shares]) for col in shuffled[1:]
-    ]
-    return table._replace(table.schema, columns)
+    return table._replace(table.schema, compact(table.engine, flags, table.columns))
 
 
 def mpc_sort(table: SharedTable, key: str, ascending: bool = True) -> SharedTable:
@@ -481,26 +468,8 @@ def mpc_join(
     rkey = _gather_vector(engine, right.column(right_on), ri)
     flags = engine.equals(lkey, rkey)
 
-    # Assemble the product columns: all left columns, right non-key columns.
-    out_defs: list[ColumnDef] = list(left.schema.columns)
-    out_cols: list[SharedVector] = [
-        _gather_vector(engine, col, li) for col in left.columns
-    ]
-    taken = {c.name for c in out_defs}
-    for cdef, col in zip(right.schema, right.columns):
-        if cdef.name == right_on:
-            continue
-        name = cdef.name + suffix if cdef.name in taken else cdef.name
-        out_defs.append(ColumnDef(name, cdef.ctype, cdef.trust))
-        out_cols.append(_gather_vector(engine, col, ri))
-
-    shuffled = oblivious_shuffle(engine, [flags, *out_cols])
-    flag_values = engine.open(shuffled[0])
-    keep = np.nonzero(flag_values)[0]
-    columns = [
-        SharedVector(engine, [share[keep] for share in col.shares]) for col in shuffled[1:]
-    ]
-    return SharedTable(engine, Schema(out_defs), columns)
+    schema, columns = join_assembly(left, right, right_on, suffix, gather_rows, li, ri)
+    return SharedTable(engine, schema, compact(engine, flags, columns))
 
 
 def mpc_aggregate(
@@ -529,21 +498,13 @@ def mpc_aggregate(
     if group_by is None:
         return _mpc_scalar_aggregate(table, agg_col, func, out_name)
 
-    if func == "count":
-        value_col = engine.constant(np.ones(n, dtype=np.int64))
-        out_type = ColumnType.INT
-    else:
-        if func not in ("sum", "min", "max"):
-            raise ValueError(
-                f"oblivious grouped aggregation supports sum/count/min/max, got {func!r}"
-            )
-        value_col = table.column(agg_col)
-        out_type = table.schema[agg_col].ctype
-
+    if func not in ("sum", "count", "min", "max"):
+        raise ValueError(
+            f"oblivious grouped aggregation supports sum/count/min/max, got {func!r}"
+        )
+    value_col, schema = grouped_operands(table, group_by, agg_col, func, out_name)
     if n == 0:
-        schema = Schema([table.schema[group_by], ColumnDef(out_name, out_type)])
-        empty = engine.empty_vector()
-        return SharedTable(engine, schema, [empty, empty])
+        return SharedTable.empty(engine, schema)
 
     # Oblivious accumulation scan: fold each row's value into the next row of
     # the same key group; a row is "last of its group" if the next key differs.
@@ -568,31 +529,8 @@ def mpc_aggregate(
         )
         same_as_next = engine.share_from_env(same)
 
-        # Batched accumulation: the real protocol runs a logarithmic-depth
-        # segmented prefix scan over whole share vectors — one oblivious fold
-        # per row charged analytically, no per-row message exchange, so wire
-        # rounds stay independent of the relation size.
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        np.logical_not(same, out=starts[1:])
-        start_idx = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
         if func in ("sum", "count"):
-            # Segmented cumulative sum distributes over additive shares: the
-            # per-party segmented prefix sums (mod 2^64) reconstruct to the
-            # true segmented running totals.
-            nz = start_idx > 0
-            base_idx = start_idx[nz] - 1
-            acc_shares = engine.zero_sharing(n)
-            for fresh, share in zip(acc_shares, value_col.shares):
-                running = np.cumsum(share, dtype=np.uint64)
-                fresh += running
-                fresh[nz] -= running[base_idx]
-            acc = SharedVector(engine, acc_shares)
-            engine.meter.multiplications += n - 1
-            engine.meter.local_ops += 2 * n
-            engine.network.account_rounds(
-                _log2_ceil(n), n * Network.SHARE_BYTES, messages_per_round=engine.num_parties
-            )
+            acc = segmented_sum(engine, value_col, same)
         else:
             # Grouped min/max: a segmented running-extremum scan, executed
             # ideally over reconstructed values with a fresh resharing, and
@@ -601,7 +539,7 @@ def mpc_aggregate(
             values = engine.env_open(value_col)
             scan = np.minimum.accumulate if func == "min" else np.maximum.accumulate
             result = np.empty(n, dtype=np.int64)
-            bounds = np.flatnonzero(starts)
+            bounds = np.flatnonzero(np.r_[True, ~same])
             for b, e in zip(bounds, np.r_[bounds[1:], n]):
                 result[b:e] = scan(values[b:e])
             acc = engine.share_from_env(result)
@@ -611,29 +549,9 @@ def mpc_aggregate(
             engine.network.account_rounds(
                 3 * _log2_ceil(n), n * Network.SHARE_BYTES, messages_per_round=engine.num_parties
             )
+        keep_flags = last_of_group(engine, same_as_next)
 
-        # Row i is kept iff it is the last of its group: key[i] != key[i+1]
-        # (or i == n-1).
-        last_flags = engine.sub(
-            engine.constant(np.ones(n - 1, dtype=np.int64)), same_as_next
-        )
-        keep_shares = [
-            np.empty(n, dtype=np.uint64) for _ in range(engine.num_local_shares)
-        ]
-        one_shared = engine.constant(np.ones(1, dtype=np.int64))
-        for p in range(engine.num_local_shares):
-            keep_shares[p][: n - 1] = last_flags.shares[p]
-            keep_shares[p][n - 1] = one_shared.shares[p][0]
-        keep_flags = SharedVector(engine, keep_shares)
-
-    shuffled = oblivious_shuffle(engine, [keep_flags, key_col, acc])
-    flag_values = engine.open(shuffled[0])
-    keep = np.nonzero(flag_values)[0]
-    key_out = SharedVector(engine, [s[keep] for s in shuffled[1].shares])
-    val_out = SharedVector(engine, [s[keep] for s in shuffled[2].shares])
-
-    schema = Schema([table.schema[group_by], ColumnDef(out_name, out_type)])
-    return SharedTable(engine, schema, [key_out, val_out])
+    return SharedTable(engine, schema, compact(engine, keep_flags, [key_col, acc]))
 
 
 def mpc_distinct(table: SharedTable, names: Sequence[str]) -> SharedTable:
@@ -668,7 +586,129 @@ def _mpc_scalar_aggregate(
     return SharedTable(engine, schema, [result])
 
 
-# -- helpers -------------------------------------------------------------------------------
+# -- building blocks, shared with the hybrid protocols (repro.hybrid) -----------------------
+
+
+def compact(
+    engine: SecretSharingEngine, flags: SharedVector, columns: Sequence[SharedVector]
+) -> list[SharedVector]:
+    """The size-revealing tail of every selecting operator.
+
+    Obliviously shuffle the relation together with its secret 0/1 ``flags``,
+    open the shuffled flags and keep the flagged rows: which input rows
+    survive stays hidden, how many becomes public.
+    """
+    shuffled = oblivious_shuffle(engine, [flags, *columns])
+    keep = np.nonzero(engine.open(shuffled[0]))[0]
+    return [
+        SharedVector(engine, [share[keep] for share in col.shares]) for col in shuffled[1:]
+    ]
+
+
+def grouped_operands(
+    table: SharedTable, group_by: str, agg_col: str | None, func: str, out_name: str
+) -> tuple[SharedVector, Schema]:
+    """Value column and output schema of a grouped aggregation.
+
+    A ``count`` is the sum of a public column of ones.
+    """
+    if func == "count":
+        value_col = table.engine.constant(np.ones(table.num_rows, dtype=np.int64))
+        out_type = ColumnType.INT
+    else:
+        value_col = table.column(agg_col)
+        out_type = table.schema[agg_col].ctype
+    return value_col, Schema([table.schema[group_by], ColumnDef(out_name, out_type)])
+
+
+def segmented_sum(
+    engine: SecretSharingEngine, values: SharedVector, same: np.ndarray
+) -> SharedVector:
+    """The oblivious accumulation scan of a grouped sum.
+
+    ``same[i]`` tells whether rows ``i`` and ``i+1`` of the key-sorted
+    relation share a key (known to the protocol environment, or to the STP
+    that sorted the keys in the clear); the last row of every key group ends
+    up holding the group's sum.  The real protocol is a logarithmic-depth
+    segmented prefix scan over whole share vectors — one oblivious fold per
+    row charged analytically, no per-row message exchange, so wire rounds
+    stay independent of the relation size.  A segmented cumulative sum
+    distributes over additive shares: the per-party segmented prefix sums
+    (mod 2^64) reconstruct to the true segmented running totals.
+    """
+    n = len(values)
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.logical_not(same, out=starts[1:])
+    start_idx = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
+    nz = start_idx > 0
+    base_idx = start_idx[nz] - 1
+    acc_shares = engine.zero_sharing(n)
+    for fresh, share in zip(acc_shares, values.shares):
+        running = np.cumsum(share, dtype=np.uint64)
+        fresh += running
+        fresh[nz] -= running[base_idx]
+    engine.meter.multiplications += n - 1
+    engine.meter.local_ops += 2 * n
+    engine.network.account_rounds(
+        _log2_ceil(n), n * Network.SHARE_BYTES, messages_per_round=engine.num_parties
+    )
+    return SharedVector(engine, acc_shares)
+
+
+def last_of_group(engine: SecretSharingEngine, same_as_next: SharedVector) -> SharedVector:
+    """Secret keep flags of an accumulation scan (local).
+
+    Row ``i`` is the last of its group iff ``key[i] != key[i+1]``, i.e.
+    ``1 - same_as_next[i]``; the final row always is.
+    """
+    n = len(same_as_next) + 1
+    keep = engine.constant(np.ones(n, dtype=np.int64))
+    for flags, same in zip(keep.shares, same_as_next.shares):
+        flags[: n - 1] -= same
+    engine.meter.local_ops += n - 1
+    return keep
+
+
+def join_assembly(
+    left: SharedTable,
+    right: SharedTable,
+    right_on: str,
+    suffix: str,
+    select,
+    left_rows,
+    right_rows,
+) -> tuple[Schema, list[SharedVector]]:
+    """Output schema and columns of every join variant.
+
+    All left columns, then the right columns except the join key, renamed
+    with ``suffix`` where a left column has the name already.
+    ``select(engine, columns, rows)`` picks each side's matching rows:
+    :func:`gather_rows` for public row indices,
+    :func:`~repro.mpc.oblivious.oblivious_index` for secret ones.
+    """
+    engine = left.engine
+    out_defs: list[ColumnDef] = list(left.schema.columns)
+    taken = {c.name for c in out_defs}
+    right_cols = []
+    for cdef, col in zip(right.schema, right.columns):
+        if cdef.name == right_on:
+            continue
+        name = cdef.name + suffix if cdef.name in taken else cdef.name
+        out_defs.append(ColumnDef(name, cdef.ctype, cdef.trust))
+        right_cols.append(col)
+    columns = [
+        *select(engine, left.columns, left_rows),
+        *select(engine, right_cols, right_rows),
+    ]
+    return Schema(out_defs), columns
+
+
+def gather_rows(
+    engine: SecretSharingEngine, columns: Sequence[SharedVector], idx: np.ndarray
+) -> list[SharedVector]:
+    """Rows ``idx`` (public positions) of every column: a local share gather."""
+    return [_gather_vector(engine, col, idx) for col in columns]
 
 
 def _gather_vector(engine: SecretSharingEngine, vec: SharedVector, idx: np.ndarray) -> SharedVector:

@@ -24,7 +24,7 @@ Calibration anchors (see EXPERIMENTS.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from repro.mpc.network import NetworkStats
 
@@ -51,34 +51,20 @@ class CostMeter:
 
     def merge(self, other: "CostMeter") -> None:
         """Accumulate another meter's counts into this one."""
-        self.local_ops += other.local_ops
-        self.input_records += other.input_records
-        self.output_records += other.output_records
-        self.multiplications += other.multiplications
-        self.comparisons += other.comparisons
-        self.shuffled_elements += other.shuffled_elements
+        for name in _OPERATION_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.network.merge(other.network)
 
     def copy(self) -> "CostMeter":
-        meter = CostMeter(
-            local_ops=self.local_ops,
-            input_records=self.input_records,
-            output_records=self.output_records,
-            multiplications=self.multiplications,
-            comparisons=self.comparisons,
-            shuffled_elements=self.shuffled_elements,
-        )
-        meter.network = self.network.copy()
-        return meter
+        return replace(self, network=self.network.copy())
 
     def reset(self) -> None:
-        self.local_ops = 0
-        self.input_records = 0
-        self.output_records = 0
-        self.multiplications = 0
-        self.comparisons = 0
-        self.shuffled_elements = 0
+        for name in _OPERATION_COUNTERS:
+            setattr(self, name, 0)
         self.network.reset()
+
+
+_OPERATION_COUNTERS = tuple(f.name for f in fields(CostMeter) if f.name != "network")
 
 
 @dataclass(frozen=True)
@@ -201,28 +187,3 @@ class ObliVMCostModel(GarbledCostModel):
     per_input_bit_seconds: float = 8.0e-6
     #: SMCQL experiments in the paper use 32 GB VMs.
     memory_limit_bytes: int = 32 * 1024**3
-
-
-@dataclass
-class SimulatedClock:
-    """Accumulates simulated seconds across the phases of a query execution.
-
-    The dispatcher advances the clock with the per-backend simulated time of
-    each sub-plan; phases executed by different parties in parallel advance
-    the clock by the maximum of their individual times.
-    """
-
-    elapsed_seconds: float = 0.0
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot advance the clock by a negative duration")
-        self.elapsed_seconds += seconds
-
-    def advance_parallel(self, durations: list[float]) -> None:
-        """Advance by the longest of several concurrent phase durations."""
-        if durations:
-            self.advance(max(durations))
-
-    def reset(self) -> None:
-        self.elapsed_seconds = 0.0

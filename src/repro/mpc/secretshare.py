@@ -214,7 +214,6 @@ class SecretSharingEngine:
         party_names: Sequence[str],
         seed: int | None = None,
         network: Network | None = None,
-        meter: CostMeter | None = None,
         local_parties: Sequence[str] | None = None,
     ):
         if len(party_names) < 2:
@@ -241,7 +240,9 @@ class SecretSharingEngine:
         # Shared environment stream: drawn identically by every engine.
         self.rng = np.random.default_rng(seed)
         self.network = network or Network(self.party_names)
-        self.meter = meter or CostMeter()
+        # One set of traffic counters: what the network accounts is what the
+        # cost model prices.
+        self.meter = CostMeter(network=self.network.stats)
         self.dealer = TripleDealer(self.num_parties, seed=None if seed is None else seed + 1)
         # Per-contributor private-input streams: stream i is drawn only by
         # engines that hold party i's cleartext input (party i's own agent,
@@ -287,23 +288,30 @@ class SecretSharingEngine:
             for i, name in enumerate(self.party_names)
         ]
 
-    def _slices_to_global(self, vec: SharedVector) -> list:
-        """Expand local slices to a per-party payload list (None for foreign)."""
-        out: list = [None] * self.num_parties
-        for i in self.local_indices:
-            out[i] = vec.shares[self._local_pos[i]]
-        return out
+    def _per_party(self, local_payload) -> list:
+        """One payload per party in global order: ``local_payload(i, pos)`` for
+        party ``i`` whose slice is held here at ``pos``, None for a foreign one."""
+        return [
+            local_payload(i, self._local_pos[i]) if i in self._local_pos else None
+            for i in range(self.num_parties)
+        ]
 
-    def _reconstruct_delivered(self, delivered: Sequence) -> np.ndarray:
+    def _reconstruct(
+        self, delivered: Sequence, step: str, component: int | None = None
+    ) -> np.ndarray:
+        """Sum one delivered payload per party, in global party order.
+
+        ``component`` picks one vector out of tuple payloads (a batched
+        opening).  A ``None`` payload is a slice no peer delivered.
+        """
         entries = []
-        for i, payload in enumerate(delivered):
+        for name, payload in zip(self.party_names, delivered):
             if payload is None:
                 raise RuntimeError(
-                    f"cannot reconstruct: no share slice delivered for party "
-                    f"{self.party_names[i]!r} (engine holds "
-                    f"{sorted(self.local_parties)})"
+                    f"{step}: no share slice delivered for party {name!r} "
+                    f"(engine holds {sorted(self.local_parties)})"
                 )
-            entries.append(payload)
+            entries.append(payload if component is None else payload[component])
         return AdditiveSharing.reconstruct(entries)
 
     def _require_local(self) -> None:
@@ -445,6 +453,13 @@ class SecretSharingEngine:
 
     # -- openings ----------------------------------------------------------------------
 
+    def _open_to_all(self, tag: str, vec: SharedVector) -> np.ndarray:
+        """Every party broadcasts its slice (one round); all learn the value."""
+        size = len(vec) * Network.SHARE_BYTES
+        delivered = self._exchange(tag, self._per_party(lambda i, pos: vec.shares[pos]), size)
+        self.meter.output_records += len(vec)
+        return self._reconstruct(delivered, tag)
+
     def open(self, vec: SharedVector) -> np.ndarray:
         """Reveal a shared vector to all parties (one broadcast round).
 
@@ -452,10 +467,7 @@ class SecretSharingEngine:
         as delivered, so on a socket transport the opened value depends on
         bytes received from the peer processes.
         """
-        size = len(vec) * Network.SHARE_BYTES
-        delivered = self._exchange("open-share", self._slices_to_global(vec), size)
-        self.meter.output_records += len(vec)
-        return self._reconstruct_delivered(delivered)
+        return self._open_to_all("open-share", vec)
 
     def env_open_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
         """Open vectors to the protocol *environment* (one batched round).
@@ -472,26 +484,10 @@ class SecretSharingEngine:
         vecs = list(vecs)
         if not vecs:
             return []
-        per_party: list = []
-        for i in range(self.num_parties):
-            if i in self._local_pos:
-                pos = self._local_pos[i]
-                per_party.append(tuple(vec.shares[pos] for vec in vecs))
-            else:
-                per_party.append(None)
+        per_party = self._per_party(lambda i, pos: tuple(vec.shares[pos] for vec in vecs))
         size = sum(len(v) for v in vecs) * Network.SHARE_BYTES
         delivered = self._exchange("env-open", per_party, size)
-        results = []
-        for k in range(len(vecs)):
-            entries = []
-            for i, payload in enumerate(delivered):
-                if payload is None:
-                    raise RuntimeError(
-                        f"env-open missing the slice of party {self.party_names[i]!r}"
-                    )
-                entries.append(payload[k])
-            results.append(AdditiveSharing.reconstruct(entries))
-        return results
+        return [self._reconstruct(delivered, "env-open", k) for k in range(len(vecs))]
 
     def env_open(self, vec: SharedVector) -> np.ndarray:
         """Open one vector to the protocol environment (see ``env_open_many``)."""
@@ -515,28 +511,19 @@ class SecretSharingEngine:
             return values
         size = len(vec) * Network.SHARE_BYTES
         party_idx = self.party_names.index(party)
-        sends = []
-        for i, name in enumerate(self.party_names):
-            if name == party:
-                continue
-            payload = vec.shares[self._local_pos[i]] if i in self._local_pos else None
-            sends.append((name, party, payload))
+        slices = self._per_party(lambda i, pos: vec.shares[pos])
+        sends = [
+            (name, party, slices[i]) for i, name in enumerate(self.party_names) if name != party
+        ]
         delivered = self.network.round("reveal-share", sends, size)
         self.meter.output_records += len(vec)
         if party_idx not in self._local_pos:
             return None
-        shares = []
-        for i, name in enumerate(self.party_names):
-            if i == party_idx:
-                shares.append(vec.shares[self._local_pos[party_idx]])
-            else:
-                got = delivered[(name, party)]
-                if got is None:
-                    raise RuntimeError(
-                        f"reveal to {party!r} missing the slice of {name!r}"
-                    )
-                shares.append(got)
-        return AdditiveSharing.reconstruct(shares)
+        shares = [
+            slices[i] if i == party_idx else delivered[(name, party)]
+            for i, name in enumerate(self.party_names)
+        ]
+        return self._reconstruct(shares, f"reveal to {party!r}")
 
     def reveal_replicated(self, vec: SharedVector) -> np.ndarray:
         """Reveal a vector to *every* engine (one broadcast round, metered).
@@ -547,34 +534,26 @@ class SecretSharingEngine:
         documented widening of the reveal — callers use it only where the
         protocol's trust model already discloses the values.
         """
-        size = len(vec) * Network.SHARE_BYTES
-        delivered = self._exchange("reveal-replicated", self._slices_to_global(vec), size)
-        self.meter.output_records += len(vec)
-        return self._reconstruct_delivered(delivered)
+        return self._open_to_all("reveal-replicated", vec)
 
     # -- linear operations (local) ------------------------------------------------------
 
     def add(self, left: SharedVector, right: "SharedVector | int") -> SharedVector:
-        if isinstance(right, SharedVector):
-            self._check_same_engine(right)
-            shares = [l + r for l, r in zip(left.shares, right.shares)]
-        else:
-            shares = [s.copy() for s in left.shares]
-            if 0 in self._local_pos:
-                pos = self._local_pos[0]
-                shares[pos] = shares[pos] + _U64(np.int64(right).astype(np.uint64))
-        self.meter.local_ops += len(left)
-        return SharedVector(self, shares)
+        return self._linear(np.add, left, right)
 
     def sub(self, left: SharedVector, right: "SharedVector | int") -> SharedVector:
+        return self._linear(np.subtract, left, right)
+
+    def _linear(self, op, left: SharedVector, right: "SharedVector | int") -> SharedVector:
+        """``left (+|-) right``; a public scalar goes onto party 0's slice."""
         if isinstance(right, SharedVector):
             self._check_same_engine(right)
-            shares = [l - r for l, r in zip(left.shares, right.shares)]
+            shares = [op(l, r) for l, r in zip(left.shares, right.shares)]
         else:
             shares = [s.copy() for s in left.shares]
             if 0 in self._local_pos:
                 pos = self._local_pos[0]
-                shares[pos] = shares[pos] - _U64(np.int64(right).astype(np.uint64))
+                shares[pos] = op(shares[pos], _U64(np.int64(right).astype(np.uint64)))
         self.meter.local_ops += len(left)
         return SharedVector(self, shares)
 
@@ -607,30 +586,20 @@ class SecretSharingEngine:
         # d = x - a and e = y - b are opened; z = c + d*b + e*a + d*e.
         # Each engine computes d/e only for its local slices; the foreign
         # (d_i, e_i) pairs arrive as wire frames.
-        per_party: list = []
-        for i in range(self.num_parties):
-            if i in self._local_pos:
-                pos = self._local_pos[i]
-                d_i = left.shares[pos] - triple.a_shares[i]
-                e_i = right.shares[pos] - triple.b_shares[i]
-                per_party.append((d_i, e_i))
-            else:
-                per_party.append(None)
+        per_party = self._per_party(
+            lambda i, pos: (
+                left.shares[pos] - triple.a_shares[i],
+                right.shares[pos] - triple.b_shares[i],
+            )
+        )
         # Opening d and e costs one broadcast round of 2 * n elements; the
         # reconstruction sums the (d_i, e_i) pairs as delivered, so on a
         # socket transport the product depends on bytes received from the
         # peer processes.
         size = 2 * n * Network.SHARE_BYTES
         delivered = self._exchange("beaver-open", per_party, size)
-        d = np.zeros(n, dtype=_U64)
-        e = np.zeros(n, dtype=_U64)
-        for i, pair in enumerate(delivered):
-            if pair is None:
-                raise RuntimeError(
-                    f"beaver opening missing the slice of {self.party_names[i]!r}"
-                )
-            d += np.asarray(pair[0], dtype=_U64)
-            e += np.asarray(pair[1], dtype=_U64)
+        d = self._reconstruct(delivered, "beaver-open", 0).view(_U64)
+        e = self._reconstruct(delivered, "beaver-open", 1).view(_U64)
 
         out_shares = []
         for i in self.local_indices:
@@ -671,12 +640,6 @@ class SecretSharingEngine:
         self.meter.comparisons += n
         self.network.account_rounds(1, n * Network.SHARE_BYTES, messages_per_round=self.num_parties)
         return self.share_from_env(flags)
-
-    def select(self, flag: SharedVector, if_true: SharedVector, if_false: SharedVector) -> SharedVector:
-        """Oblivious multiplexer: ``flag*if_true + (1-flag)*if_false``."""
-        diff = self.sub(if_true, if_false)
-        prod = self.mul(flag, diff)
-        return self.add(prod, if_false)
 
     # -- helpers -------------------------------------------------------------------------
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.data.table import Table
 from repro.mpc import protocols
-from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.protocols import SharedTable
 from repro.data.schema import Schema
 from repro.mpc.runtime import CostMeter, SharemindCostModel
@@ -35,13 +34,13 @@ class SharemindBackend:
     #: deployment.
     MAX_PARTIES = 3
     name = "sharemind"
-    is_mpc = True
+    #: The price list behind :meth:`elapsed_seconds`.
+    cost_model = SharemindCostModel()
 
     def __init__(
         self,
         party_names: Sequence[str],
         seed: int | None = 0,
-        cost_model: SharemindCostModel | None = None,
         network=None,
         local_parties: Sequence[str] | None = None,
     ):
@@ -58,7 +57,6 @@ class SharemindBackend:
         self.engine = SecretSharingEngine(
             party_names, seed=seed, network=network, local_parties=local_parties
         )
-        self.cost_model = cost_model or SharemindCostModel()
 
     # -- data movement -----------------------------------------------------------------
 
@@ -74,12 +72,6 @@ class SharemindBackend:
         the cleartext never reaches this process.
         """
         return SharedTable.from_metadata(self.engine, schema, num_rows, contributor)
-
-    def ingest_shared(self, shared: SharedTable) -> SharedTable:
-        """Accept an already-shared relation (e.g. produced by a hybrid step)."""
-        if shared.engine is not self.engine:
-            raise ValueError("shared relation belongs to a different MPC engine")
-        return shared
 
     def reveal(self, handle: SharedTable) -> Table:
         """Open a relation to all parties."""
@@ -161,19 +153,6 @@ class SharemindBackend:
         self.engine.meter.local_ops += min(n, handle.num_rows) * len(handle.columns)
         return SharedTable(self.engine, handle.schema, columns)
 
-    def shuffle(self, handle: SharedTable) -> SharedTable:
-        """Obliviously shuffle a relation (used by the hybrid protocols)."""
-        columns = oblivious_shuffle(self.engine, handle.columns)
-        return SharedTable(self.engine, handle.schema, columns)
-
-    def enumerate_rows(self, handle: SharedTable, out_name: str = "row_id") -> SharedTable:
-        """Append a public 0..n-1 row-identifier column (local operation)."""
-        from repro.data.schema import ColumnDef, ColumnType
-
-        ids = self.engine.constant(np.arange(handle.num_rows, dtype=np.int64))
-        schema = handle.schema.with_column(ColumnDef(out_name, ColumnType.INT))
-        return SharedTable(self.engine, schema, [*handle.columns, ids])
-
     # -- accounting -------------------------------------------------------------------------
 
     @property
@@ -181,9 +160,6 @@ class SharemindBackend:
         return self.engine.meter
 
     def elapsed_seconds(self) -> float:
-        """Simulated seconds of MPC work performed so far."""
+        """Simulated seconds of MPC work performed so far: operation counts
+        plus the network's rounds and bytes, real and analytic."""
         return self.cost_model.seconds(self.engine.meter)
-
-    def reset_meter(self) -> None:
-        self.engine.meter.reset()
-        self.engine.network.reset_stats()

@@ -584,7 +584,7 @@ class PlanExecutor:
         if backend is None:
             return {}
         meter = backend.meter
-        stats = backend.engine.network.stats
+        stats = meter.network
         return {
             "backend": backend.name,
             "input_records": meter.input_records,

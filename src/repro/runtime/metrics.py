@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 #: Default histogram bucket upper bounds (seconds): geometric from 0.5 ms to
 #: ~4400 s.  Anything above the last bound lands in the +Inf overflow bucket.
@@ -277,6 +276,11 @@ class MetricsServer:
     """
 
     def __init__(self, render, host: str = "127.0.0.1", port: int = 0):
+        # Imported when a scrape endpoint is asked for: http.server loads
+        # http.client, email and ssl, megabytes that every session process —
+        # and every agent forked from it — would otherwise carry unused.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self._render = render
 
         server = self

@@ -21,6 +21,7 @@ both paths share one protocol and one set of tests.
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
 import threading
 import time
@@ -80,6 +81,13 @@ def plan_fingerprint(compiled) -> str:
     return fingerprint
 
 
+#: One copy of each equal immutable value object (output schemas, leakage
+#: events): every result of a repeated query would otherwise carry its own,
+#: and a client that retains results — and each agent later forked from it —
+#: carries them all.
+_shared = functools.lru_cache(maxsize=1024)(lambda value: value)
+
+
 def merge_payloads(compiled, parties: list[str], payloads: dict[str, dict]):
     """Merge per-agent result payloads into one QueryResult.
 
@@ -106,13 +114,14 @@ def merge_payloads(compiled, parties: list[str], payloads: dict[str, dict]):
         for party in [*node.recipients, *parties]:
             payload = payloads.get(party)
             if payload is not None and name in payload["outputs"]:
-                outputs[name] = payload["outputs"][name]
+                outputs[name] = table = payload["outputs"][name]
+                table.schema = _shared(table.schema)
                 break
 
     leakage = LeakageReport()
     for party in parties:
-        leakage.events.extend(payloads[party]["leakage"].events)
-    leakage.events.extend(payloads[lead]["joint_leakage"].events)
+        leakage.events.extend(map(_shared, payloads[party]["leakage"].events))
+    leakage.events.extend(map(_shared, payloads[lead]["joint_leakage"].events))
 
     backend_seconds: dict[str, float] = {}
     for party in parties:

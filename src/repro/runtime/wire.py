@@ -46,12 +46,15 @@ from __future__ import annotations
 
 import importlib
 import socket
-import ssl
 import struct
 import sys
 import threading
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - SecureSocket imports it where TLS runs
+    import ssl
 
 #: Upper bound on a single frame; a frame larger than this indicates stream
 #: corruption (e.g. a desynchronised header), not a legitimate payload.
@@ -408,7 +411,9 @@ class _Decoder:
     def _read_str(self) -> str:
         length = self._read_varint()
         try:
-            return str(self._take(length), "utf-8")
+            # Interned: the same names and keys arrive with every frame, and a
+            # client that retains results retains every copy.
+            return sys.intern(str(self._take(length), "utf-8"))
         except UnicodeDecodeError as exc:
             raise self._fail(f"invalid utf-8: {exc}") from None
 
@@ -839,9 +844,7 @@ def _recv_exact(sock: socket.socket, n: int, *, allow_idle_timeout: bool = False
             if allow_idle_timeout and not filled:
                 raise
             raise WireError("connection timed out mid-frame") from None
-        except ssl.SSLError as exc:
-            raise WireError(f"TLS error while reading frame: {exc}") from exc
-        except OSError as exc:
+        except OSError as exc:  # a TLS failure (ssl.SSLError) is one as well
             raise WireError(f"connection error while reading frame: {exc}") from exc
         if not count:
             raise WireError("connection closed mid-frame")
@@ -911,6 +914,10 @@ class SecureSocket:
         *,
         server_side: bool,
     ):
+        # ``ssl`` is imported where TLS runs, not at module level: a plaintext
+        # deployment never loads libssl (~3 MB in every process).
+        import ssl
+
         self._sock = sock
         self._in = ssl.MemoryBIO()
         self._out = ssl.MemoryBIO()
@@ -945,6 +952,8 @@ class SecureSocket:
                 self._in.write_eof()
 
     def _handshake(self) -> None:
+        import ssl
+
         while True:
             try:
                 with self._ssl_lock:
@@ -963,6 +972,8 @@ class SecureSocket:
 
     def recv_into(self, buffer) -> int:
         """Decrypt up to ``len(buffer)`` bytes into ``buffer``; 0 at EOF."""
+        import ssl
+
         while True:
             with self._ssl_lock:
                 try:
@@ -1034,7 +1045,7 @@ def secure_server_socket(sock: socket.socket, context: ssl.SSLContext) -> Secure
     """
     try:
         return SecureSocket(sock, context, server_side=True)
-    except (ssl.SSLError, OSError) as exc:
+    except OSError as exc:  # ssl.SSLError included
         close_quietly(sock)
         raise WireError(f"TLS server handshake failed: {exc}") from exc
 
@@ -1043,7 +1054,7 @@ def secure_client_socket(sock: socket.socket, context: ssl.SSLContext) -> Secure
     """Wrap a *dialled* socket client-side, failing closed on handshake errors."""
     try:
         return SecureSocket(sock, context, server_side=False)
-    except (ssl.SSLError, OSError) as exc:
+    except OSError as exc:  # ssl.SSLError included
         close_quietly(sock)
         raise WireError(f"TLS client handshake failed: {exc}") from exc
 
@@ -1055,9 +1066,10 @@ def peer_common_name(sock: socket.socket) -> str | None:
     (``CERT_REQUIRED``), so on a TLS socket this is the identity the session
     CA vouched for — hello verification checks claimed party ids against it.
     """
-    if not isinstance(sock, (ssl.SSLSocket, SecureSocket)):
+    getpeercert = getattr(sock, "getpeercert", None)  # SecureSocket, ssl.SSLSocket
+    if getpeercert is None:
         return None
-    cert = sock.getpeercert()
+    cert = getpeercert()
     if not cert:
         return None
     for rdn in cert.get("subject", ()):

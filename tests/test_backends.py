@@ -57,15 +57,6 @@ class TestSharemindBackend:
         expected = self.table.arithmetic("r", "value", "/", "key").column("r")
         assert np.allclose(ratio.reveal().column("r"), expected, atol=1e-4)
 
-    def test_enumerate_rows(self):
-        h = self.backend.ingest(self.table)
-        enumerated = self.backend.enumerate_rows(h, "rid")
-        assert enumerated.reveal().column("rid").tolist() == list(range(self.table.num_rows))
-
-    def test_shuffle_preserves_rows(self):
-        h = self.backend.ingest(self.table)
-        assert self.backend.shuffle(h).reveal().equals_unordered(self.table)
-
     def test_elapsed_seconds_grows_with_work(self):
         baseline = self.backend.elapsed_seconds()
         h = self.backend.ingest(self.table)
@@ -75,25 +66,23 @@ class TestSharemindBackend:
         after_join = self.backend.elapsed_seconds()
         assert baseline < after_ingest < after_join
 
-    def test_reset_meter(self):
+    def test_elapsed_seconds_prices_rounds_and_bytes(self):
+        """The engine's meter is fed by its network, so executed rounds and
+        bytes — real or analytic — are priced, not only the estimator's."""
+        engine, model = self.backend.engine, self.backend.cost_model
+        assert engine.meter.network is engine.network.stats
         self.backend.ingest(self.table)
-        self.backend.reset_meter()
-        assert self.backend.meter.input_records == 0
+        stats = engine.network.stats
+        assert stats.rounds > 0 and stats.bytes_sent > 0
 
-    def test_ingest_shared_rejects_foreign_engine(self):
-        other_backend = SharemindBackend(["x", "y"], seed=0)
-        handle = other_backend.ingest(self.table)
-        with pytest.raises(ValueError):
-            self.backend.ingest_shared(handle)
-
-    def test_cost_model_fields_drive_time(self):
-        fast = SharemindBackend(PARTIES, cost_model=SharemindCostModel(per_comparison_seconds=1e-9))
-        slow = SharemindBackend(PARTIES, cost_model=SharemindCostModel(per_comparison_seconds=1e-2))
-        for backend in (fast, slow):
-            h = backend.ingest(self.table)
-            o = backend.ingest(self.other)
-            backend.join(h, o, "key", "key")
-        assert slow.elapsed_seconds() > fast.elapsed_seconds()
+        before = self.backend.elapsed_seconds()
+        engine.network.account_rounds(1, 0)
+        one_round = self.backend.elapsed_seconds()
+        assert one_round - before == pytest.approx(model.round_latency_seconds, rel=1e-9)
+        engine.network.account_rounds(1, 125_000)
+        assert self.backend.elapsed_seconds() - one_round == pytest.approx(
+            model.round_latency_seconds + 125_000 / model.bytes_per_second, rel=1e-9
+        )
 
 
 class TestCostModels:
@@ -108,15 +97,3 @@ class TestCostModels:
     def test_garbled_cost_model_memory(self):
         model = GarbledCostModel()
         assert model.memory_bytes(live_wires=10, buffered_gates=5) == 10 * 16 + 5 * 32
-
-    def test_simulated_clock(self):
-        from repro.mpc.runtime import SimulatedClock
-
-        clock = SimulatedClock()
-        clock.advance(2.0)
-        clock.advance_parallel([1.0, 5.0, 3.0])
-        assert clock.elapsed_seconds == pytest.approx(7.0)
-        with pytest.raises(ValueError):
-            clock.advance(-1)
-        clock.reset()
-        assert clock.elapsed_seconds == 0.0

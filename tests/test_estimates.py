@@ -11,10 +11,13 @@ import pytest
 
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
+from repro.exec.engine import ColumnarBackend
+from repro.hybrid import SelectivelyTrustedParty, hybrid_aggregate, hybrid_join
 from repro.mpc import estimates, protocols
 from repro.mpc.oblivious import oblivious_shuffle, oblivious_sort
 from repro.mpc.protocols import SharedTable
 from repro.mpc.secretshare import SecretSharingEngine
+from repro.mpc.sharemind import SharemindBackend
 from tests.conftest import PARTIES
 
 
@@ -27,6 +30,24 @@ def shared_kv(engine, n, keys=3):
     schema = Schema([ColumnDef("key"), ColumnDef("value")])
     table = Table(schema, [rng.integers(0, keys, n), rng.integers(0, 100, n)])
     return table, SharedTable.from_table(engine, table)
+
+
+def fresh_stp():
+    return SelectivelyTrustedParty("stp.example", ColumnarBackend())
+
+
+def counted(meter):
+    """The counters an analytic formula must share with the execution."""
+    return dict(
+        multiplications=meter.multiplications,
+        comparisons=meter.comparisons,
+        shuffled_elements=meter.shuffled_elements,
+        input_records=meter.input_records,
+        output_records=meter.output_records,
+        local_ops=meter.local_ops,
+        messages=meter.network.messages,
+        rounds=meter.network.rounds,
+    )
 
 
 class TestComparatorCounts:
@@ -79,6 +100,23 @@ class TestMeterFormulas:
         expected = estimates.aggregate_meter(9, num_parties=3)
         assert engine.meter.comparisons == expected.comparisons
 
+    def test_hybrid_aggregate_meter_matches_execution(self):
+        backend, stp = SharemindBackend(PARTIES, seed=42), fresh_stp()
+        table, shared = shared_kv(backend.engine, 64, keys=7)
+        backend.meter.reset()
+        result = hybrid_aggregate(backend, stp, shared, "key", "value", "sum", "total")
+        expected = estimates.hybrid_aggregate_meter(64, result.num_rows, num_parties=3)
+        assert counted(backend.meter) == counted(expected)
+
+    def test_hybrid_join_meter_matches_execution(self):
+        backend, stp = SharemindBackend(PARTIES, seed=42), fresh_stp()
+        _, left = shared_kv(backend.engine, 64, keys=40)
+        _, right = shared_kv(backend.engine, 48, keys=40)
+        backend.meter.reset()
+        result = hybrid_join(backend, stp, left, right, "key", "key")
+        expected = estimates.hybrid_join_meter(64, 48, result.num_rows, 2, 2, num_parties=3)
+        assert counted(backend.meter) == counted(expected)
+
     def test_scalar_aggregate_is_linear_and_cheap(self):
         meter = estimates.aggregate_meter(1000, scalar=True)
         assert meter.comparisons == 0
@@ -103,7 +141,7 @@ class TestAsymptoticRelationships:
     def test_hybrid_join_beats_mpc_join_asymptotically(self):
         n = 50_000
         mpc = estimates.join_meter(n, n, 4)
-        hybrid = estimates.hybrid_join_meter(n, n, n, 4)
+        hybrid = estimates.hybrid_join_meter(n, n, n, 2, 3)
         assert hybrid.comparisons < mpc.comparisons / 100
 
     def test_hybrid_aggregate_beats_mpc_aggregate(self):

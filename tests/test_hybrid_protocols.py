@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.schema import ColumnDef, Schema
@@ -207,6 +207,67 @@ class TestHybridAggregate:
         table = Table.from_rows(schema, rows)
         backend = SharemindBackend(PARTIES, seed=31)
         stp = SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
+        result = hybrid_aggregate(
+            backend, stp, backend.ingest(table), "key", "value", "sum", "total"
+        )
+        assert result.reveal().equals_unordered(
+            table.aggregate(["key"], "value", "sum", "total")
+        )
+
+
+def one_group(n):
+    return [(7, v) for v in range(n)]
+
+
+class TestSharedAccumulationScan:
+    """The hybrid aggregation runs the oblivious aggregation's own scan."""
+
+    def test_wire_rounds_do_not_depend_on_row_count(self):
+        wire_rounds = set()
+        for n in (2, 64, 4096):
+            backend = SharemindBackend(PARTIES, seed=5)
+            handle = backend.ingest(kv(n, max(1, n // 8), seed=n))
+            before = backend.meter.network.wire_rounds
+            hybrid_aggregate(
+                backend, SelectivelyTrustedParty(STP_NAME, ColumnarBackend()),
+                handle, "key", "value", "sum", "total",
+            )
+            wire_rounds.add(backend.meter.network.wire_rounds - before)
+        assert len(wire_rounds) == 1
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(-3, 3),
+                st.one_of(st.integers(-40, 40), st.integers(-(2**63), 2**63 - 1)),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        func=st.sampled_from(["sum", "count"]),
+    )
+    @example(rows=[(0, -5)], func="sum")  # n = 1
+    @example(rows=one_group(9), func="count")
+    @example(rows=[(k, -k) for k in range(12)], func="sum")  # all-distinct keys
+    @example(rows=[(1, 2**62), (1, 2**62), (1, 2**62), (2, -(2**62)), (2, -(2**62) - 1)], func="sum")
+    @settings(max_examples=25, deadline=None)
+    def test_hybrid_oblivious_and_cleartext_aggregation_agree(self, rows, func):
+        schema = Schema([ColumnDef("key"), ColumnDef("value")])
+        table = Table.from_rows(schema, rows)
+        agg_col = None if func == "count" else "value"
+        expected = table.aggregate(["key"], agg_col, func, "out")
+        backend = SharemindBackend(PARTIES, seed=13)
+        stp = SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
+        hybrid = hybrid_aggregate(
+            backend, stp, backend.ingest(table), "key", agg_col, func, "out"
+        )
+        oblivious = backend.aggregate(backend.ingest(table), "key", agg_col, func, "out")
+        assert hybrid.schema == oblivious.schema == expected.schema
+        assert hybrid.reveal().equals_unordered(expected)
+        assert oblivious.reveal().equals_unordered(expected)
+
+    def test_twenty_thousand_rows_in_process(self, backend, stp):
+        table = kv(20_000, 500, seed=22)
         result = hybrid_aggregate(
             backend, stp, backend.ingest(table), "key", "value", "sum", "total"
         )

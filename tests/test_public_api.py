@@ -126,3 +126,61 @@ def test_deleted_engines_stay_deleted():
     assert not {"OblivCBackend", "CircuitMemoryError"} & set(repro.mpc.__all__)
     for doc in (repro.__doc__, repro.mpc.__doc__):
         assert "garbled-circuit backend" not in doc and "repro.cleartext" not in doc
+
+
+# -- one home for the relational building blocks -------------------------------------------
+
+#: Every module of ``repro.hybrid`` that runs a protocol over shares.
+HYBRID_PROTOCOLS = sorted(
+    path for path in SRC.glob("hybrid/*.py") if path.name not in ("__init__.py", "stp.py")
+)
+#: Where the hybrid protocols may take share-level building blocks from.
+BUILDING_BLOCK_HOMES = {"repro.mpc.protocols", "repro.mpc.oblivious"}
+
+
+def calls_in(func: ast.AST) -> list[str]:
+    """Names of everything ``func`` calls, in source order (``a.b()`` → ``b``)."""
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+    calls.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+        for node in calls
+    ]
+
+
+def shuffle_open_functions(path: pathlib.Path) -> list[str]:
+    """Functions that write out the shuffle → open-flags → compact tail."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if isinstance(func, ast.FunctionDef):
+            calls = calls_in(func)
+            if "oblivious_shuffle" in calls and "open" in calls[calls.index("oblivious_shuffle"):]:
+                found.append(func.name)
+    return found
+
+
+def test_hybrid_protocols_compose_the_share_engines_building_blocks():
+    assert {p.name for p in HYBRID_PROTOCOLS} == {
+        "hybrid_agg.py", "hybrid_join.py", "public_join.py"
+    }
+    for path in HYBRID_PROTOCOLS:
+        mpc_imports = {
+            module for module, _ in imports_of(path)
+            if module.startswith("repro.mpc") and module != "repro.mpc.sharemind"
+        }
+        assert mpc_imports and mpc_imports <= BUILDING_BLOCK_HOMES, path.name
+        assert not shuffle_open_functions(path), path.name
+        tree = ast.parse(path.read_text())
+        helpers = [
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        ]
+        assert not helpers, f"{path.name} keeps a private copy: {helpers}"
+    assert shuffle_open_functions(SRC / "mpc" / "protocols.py") == ["compact"]
+
+
+def test_hybrid_aggregate_has_no_per_row_loop():
+    tree = ast.parse((SRC / "hybrid" / "hybrid_agg.py").read_text())
+    loops = [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert not loops
+    assert "mul" not in calls_in(tree)

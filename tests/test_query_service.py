@@ -129,6 +129,18 @@ class TestSessionLifecycle:
             assert session.stats["plan_cache_misses"] == 1
             assert session.stats["plan_cache_hits"] == 1
 
+    def test_repeated_results_share_their_immutable_parts(self):
+        """A client that keeps every result keeps one schema and one copy of
+        each leakage event, not one per query."""
+        ctx, inputs = two_party_query()
+        with cc.open_session(inputs) as session:
+            first, second = session.submit(ctx), session.submit(ctx)
+        assert first.outputs["out"] == second.outputs["out"]
+        assert first.outputs["out"].schema is second.outputs["out"].schema
+        assert first.leakage.events and first.leakage.events == second.leakage.events
+        assert all(a is b for a, b in zip(first.leakage.events, second.leakage.events))
+        assert first.leakage is not second.leakage  # the reports stay per query
+
     def test_per_query_inputs_override_standing_inputs(self):
         ctx, inputs = two_party_query()
         compiled = cc.compile_query(ctx)

@@ -53,7 +53,7 @@ BUDGETS = {
         wire_rounds=16, wire_bytes=34560, multiplications=18631, comparisons=4909
     ),
     "credit_hybrid": dict(
-        wire_rounds=229, wire_bytes=91424, multiplications=6649, comparisons=4004
+        wire_rounds=29, wire_bytes=69184, multiplications=6649, comparisons=4004
     ),
 }
 
