@@ -14,8 +14,8 @@ produces must be byte-identical to the row-at-a-time ``Table`` reference
 (``tests/oracle_engine.py``; the differential corpus enforces this), so
 any operator whose bit-exact vectorization is not worth the trouble should
 simply call the corresponding ``Table`` method on a collected batch —
-correctness first, the mask trick and the O(n log n) join/aggregate
-kernels are where the throughput win lives.
+correctness first, the mask trick, the O(n log n) join/sort kernels and
+the sort-free dense-key grouping are where the throughput win lives.
 
 The engine counts its work in a :class:`~repro.exec.costs.CleartextWork`
 and never prices it; :mod:`repro.exec.costs` holds the price lists.
@@ -117,39 +117,29 @@ class ColumnarBackend:
             raise ValueError(f"unsupported aggregation {func!r}")
         if func != "count" and agg_col is None:
             raise ValueError(f"aggregation {func!r} requires a value column")
-        batch = handle.compact()
-        self._charge(batch.num_rows, shuffled=batch.num_rows)
+        n = handle.num_rows
+        self._charge(n, shuffled=n)
 
         out_type = ColumnType.INT
         if agg_col is not None:
-            out_type = batch.schema[agg_col].ctype
+            out_type = handle.schema[agg_col].ctype
         if func == "mean":
             out_type = ColumnType.FLOAT
         out_def = ColumnDef(out_name, out_type)
 
         if not group_by:
-            value = self._scalar_reduce(batch, func, agg_col)
+            value = self._scalar_reduce(handle, func, agg_col)
             return ColumnBatch(Schema([out_def]), [np.array([value])])
 
-        out_schema = Schema([*batch.schema.project([group_by]).columns, out_def])
-        n = batch.num_rows
+        out_schema = Schema([*handle.schema.project([group_by]).columns, out_def])
         if n == 0:
-            key_dtype = Table._dtype(batch.schema[group_by])
-            return ColumnBatch(
-                out_schema,
-                [np.array([], dtype=key_dtype), np.array([], dtype=Table._dtype(out_def))],
-            )
+            return ColumnBatch(out_schema)
 
-        key = batch.column(group_by)
-        order, starts, ends = kernels.group_slices(key)
-        out_keys = key[order][starts]
-        if func == "count":
-            values = kernels.segment_reduce(key[order], starts, ends, func)
-        else:
-            sorted_values = batch.column(agg_col)[order]
-            values = kernels.segment_reduce(sorted_values, starts, ends, func)
-        value_array = np.asarray(values).astype(Table._dtype(out_def))
-        return ColumnBatch(out_schema, [out_keys, value_array])
+        # Only the valid lanes of the two columns read are materialised.
+        key = handle.column_values(group_by)
+        values = None if func == "count" else handle.column_values(agg_col)
+        out_keys, reduced = kernels.group_reduce(key, values, func)
+        return ColumnBatch(out_schema, [out_keys, reduced.astype(Table._dtype(out_def))])
 
     @staticmethod
     def _scalar_reduce(batch: ColumnBatch, func: str, agg_col: str | None):
@@ -244,12 +234,6 @@ class ColumnarBackend:
         )
 
     # -- accounting --------------------------------------------------------------------
-
-    def charge_external_sort(self, records: int) -> None:
-        """Tally a sort job done on this engine's behalf outside it (the
-        STP's step of the hybrid aggregation sorts revealed keys in NumPy)."""
-        self.work.jobs += 1
-        self._charge(2 * records, shuffled=records)
 
     def _charge(self, records: int, shuffled: int = 0) -> None:
         self.work.stages += 1

@@ -6,16 +6,26 @@ written to be **bit-identical** to the row engine's
 :class:`~repro.data.table.Table` methods, because the differential corpus
 asserts byte equality between the two paths.  The subtle contracts:
 
+* ``stable_order`` is the one place the engine asks for a stable ascending
+  permutation, and the only function here that may call a NumPy sort.
 * ``hash_join_indices`` must emit matches in the row engine's order:
   left-major, and for each left row the matching right rows in ascending
-  right index.  A stable argsort of the right keys plus ``searchsorted``
+  right index.  The stable order of the right keys plus ``searchsorted``
   gives exactly that without any Python-level loop.
+* ``group_reduce`` groups *dense* integer keys (no more buckets than rows)
+  without ordering anything: ``count`` and the ``sum``/``min``/``max`` of
+  integer values scatter each row into its key's bucket.  That is exact because those reducers do not depend on the order
+  rows arrive in — wrapping int64 addition is associative and commutative,
+  an integer ``min``/``max`` picks an element.  Everything else — float
+  values (whose sums round per step, whose extremes tell ``-0.0`` from
+  ``0.0`` and propagate NaN) and sparse or float keys — takes the sorted
+  path below.
 * ``segment_reduce`` must reproduce NumPy's reduction results exactly.
-  Integer sums may use ``np.add.reduceat`` (wrapping int64 addition is
-  associative, so grouping does not change the result), but float sums and
-  means must reduce each group with the same pairwise-summation call the
-  row engine uses (``group.sum()`` / ``group.mean()``) — ``reduceat``'s
-  sequential accumulation can differ in the last ulp.
+  Integer sums may use ``np.add.reduceat``, but float sums and means must
+  reduce each group with the same pairwise-summation call the row engine
+  uses (``group.sum()`` / ``group.mean()``) over the group's rows in
+  original order — ``reduceat``'s (or a scatter's) sequential accumulation
+  can differ in the last ulp.
 * ``distinct_indices`` must replicate ``Table.distinct`` including its
   quirk of stacking all columns into one 2-D array first (which upcasts
   everything to float64 when int and float columns mix).
@@ -87,13 +97,18 @@ def arithmetic(lcol: np.ndarray, op: str, rval: np.ndarray | float) -> np.ndarra
     raise ValueError(f"unsupported arithmetic op {op!r}")
 
 
+def stable_order(key: np.ndarray) -> np.ndarray:
+    """The stable ascending permutation of ``key`` (NaN last)."""
+    return key.argsort(kind="stable")
+
+
 def sort_indices(key: np.ndarray, ascending: bool = True) -> np.ndarray:
-    """Stable sort order by a single key (``lexsort`` semantics).
+    """Stable sort order by a single key.
 
     Descending order reverses the ascending permutation — including the
     reversed tie order — exactly as ``Table.sort_by`` does.
     """
-    order = np.lexsort((key,))
+    order = stable_order(key)
     return order if ascending else order[::-1]
 
 
@@ -104,7 +119,7 @@ def hash_join_indices(
 
     Returns ``(left_idx, right_idx)`` with matches left-major and, per
     left row, right matches in ascending right index.  Implementation:
-    stable-argsort the right keys, binary-search each left key's run
+    stably order the right keys, binary-search each left key's run
     (``searchsorted``), then expand the runs with a cumulative-offset
     trick — no Python loop over rows.
     """
@@ -113,7 +128,7 @@ def hash_join_indices(
         # match that by comparing in a common dtype.
         left_keys = left_keys.astype(np.float64)
         right_keys = right_keys.astype(np.float64)
-    order = np.argsort(right_keys, kind="stable")
+    order = stable_order(right_keys)
     sorted_keys = right_keys[order]
     lo = np.searchsorted(sorted_keys, left_keys, side="left")
     hi = np.searchsorted(sorted_keys, left_keys, side="right")
@@ -133,7 +148,7 @@ def hash_join_indices(
 
 
 def group_slices(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort-based grouping of a single key column.
+    """Order-based grouping of a single key column.
 
     Returns ``(order, starts, ends)``: a stable ascending permutation and
     the half-open ``[starts[g], ends[g])`` slice of each group within the
@@ -142,7 +157,7 @@ def group_slices(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``sorted(dict-of-first-occurrence)`` grouping.
     """
     n = len(key)
-    order = np.argsort(key, kind="stable")
+    order = stable_order(key)
     sorted_key = key[order]
     starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
     ends = np.r_[starts[1:], n]
@@ -176,6 +191,49 @@ def segment_reduce(
         groups = np.split(sorted_values, starts[1:])
         return np.array([float(group.mean()) for group in groups], dtype=np.float64)
     raise ValueError(f"unsupported aggregation {func!r}")
+
+
+def group_reduce(
+    key: np.ndarray, values: np.ndarray | None, func: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the non-empty ``key`` column and reduce ``values`` per group.
+
+    Returns ``(group_keys, reduced)`` with the distinct keys ascending, as
+    the row engine emits them; ``values`` is ignored for ``count``.  Dense
+    integer keys under ``count`` or an integer ``sum``/``min``/``max`` (see
+    the module docstring) are scattered into one bucket per key value and
+    the occupied buckets kept — no permutation, no gathers.  Anything else
+    reduces the slices of the stable order.
+    """
+    order_free = func == "count" or (
+        func in ("sum", "min", "max") and values.dtype.kind != "f"
+    )
+    if order_free and key.dtype.kind == "i":
+        lo = key.min()
+        # Python ints: keys near both ends of int64 must not wrap the span.
+        buckets = int(key.max()) - int(lo) + 1
+        if buckets <= len(key):
+            slot = (key - lo).astype(np.intp, copy=False)
+            counts = np.bincount(slot, minlength=buckets)
+            if func == "count":
+                reduced = counts
+            elif func == "sum":
+                reduced = np.zeros(buckets, dtype=values.dtype)
+                np.add.at(reduced, slot, values)
+            else:
+                # Every bucket starts at the reducer's identity; an occupied
+                # bucket never shows it.
+                limits = np.iinfo(values.dtype)
+                scatter, identity = (
+                    (np.minimum, limits.max) if func == "min" else (np.maximum, limits.min)
+                )
+                reduced = np.full(buckets, identity, dtype=values.dtype)
+                scatter.at(reduced, slot, values)
+            occupied = np.flatnonzero(counts)
+            return occupied.astype(key.dtype) + lo, reduced[occupied]
+    order, starts, ends = group_slices(key)
+    sorted_values = None if func == "count" else values[order]
+    return key[order[starts]], segment_reduce(sorted_values, starts, ends, func)
 
 
 def distinct_indices(columns: Sequence[np.ndarray]) -> np.ndarray:

@@ -21,8 +21,6 @@ the number of distinct groups (the output cardinality).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
 from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.protocols import (
@@ -70,10 +68,9 @@ def hybrid_aggregate(
     # Steps 2-5 (at the STP, in the clear): enumerate, sort by key, compute
     # the adjacent-equality flags, return the plaintext ordering (public) and
     # secret-share the flags (known to every replicated-STP engine) into MPC.
-    order = np.argsort(revealed_keys, kind="stable")
+    order = stp.sort_keys(revealed_keys)
     sorted_keys = revealed_keys[order]
     same = sorted_keys[:-1] == sorted_keys[1:]  # length n-1, row i vs i+1
-    stp.engine.charge_external_sort(n)
     same_as_next = engine.input_vector(same, public=True)
 
     # Step 6: parties reorder the shuffled relation by the public ordering.

@@ -78,14 +78,21 @@ class LeakageReport:
 class SelectivelyTrustedParty:
     """The aiding party of the hybrid protocols.
 
-    Wraps the party's cleartext engine so the hybrid protocols can run
-    their cleartext steps on it (or tally there what they do in NumPy) and
-    the work is charged to the STP's local engine.
+    Wraps the party's cleartext engine so the hybrid protocols run their
+    cleartext steps on it and the work is charged to the STP's local engine.
     """
 
     def __init__(self, name: str, engine):
         self.name = name
         self.engine = engine
+
+    def _enumerated(self, keys: np.ndarray, idx_name: str):
+        """Load the ``(key, row index)`` relation of a revealed key column."""
+        table = Table(
+            Schema([ColumnDef("key"), ColumnDef(idx_name)]),
+            [keys, np.arange(len(keys), dtype=np.int64)],
+        )
+        return self.engine.ingest(table, contributor=self.name)
 
     def match_keys(
         self, left_keys: np.ndarray, right_keys: np.ndarray
@@ -96,15 +103,17 @@ class SelectivelyTrustedParty:
         the STP's engine and returns the matching ``(left_idx, right_idx)``
         row-index pairs.
         """
-
-        def enumerated(keys: np.ndarray, idx_name: str):
-            table = Table(
-                Schema([ColumnDef("key"), ColumnDef(idx_name)]),
-                [keys, np.arange(len(keys), dtype=np.int64)],
-            )
-            return self.engine.ingest(table, contributor=self.name)
-
-        left = enumerated(left_keys, "left_idx")
-        right = enumerated(right_keys, "right_idx")
+        left = self._enumerated(left_keys, "left_idx")
+        right = self._enumerated(right_keys, "right_idx")
         joined = self.engine.collect(self.engine.join(left, right, "key", "key"))
         return joined.column("left_idx"), joined.column("right_idx")
+
+    def sort_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Sort a revealed key column in the clear.
+
+        Enumerates the column, sorts the ``(key, row index)`` relation by key
+        on the STP's engine and returns the row indices in sorted order — the
+        stable ascending permutation of ``keys``.
+        """
+        relation = self._enumerated(keys, "row_id")
+        return self.engine.collect(self.engine.sort_by(relation, "key")).column("row_id")

@@ -24,9 +24,6 @@ class PythonBackend:
     def __init__(self):
         self.work = CleartextWork()
 
-    def charge_external_sort(self, records: int) -> None:
-        pass
-
     # -- data movement ---------------------------------------------------------------
 
     def ingest(self, table: Table, contributor: str | None = None) -> Table:

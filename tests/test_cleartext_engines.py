@@ -11,6 +11,7 @@ from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
 from repro.exec.costs import CleartextWork, PythonCostModel, SparkCostModel
 from repro.exec.engine import ColumnarBackend
+from repro.hybrid.stp import SelectivelyTrustedParty
 from repro.workloads.generators import uniform_key_value_table
 
 
@@ -144,9 +145,13 @@ class TestWorkTally:
         wide_op(backend, h)
         assert backend.work.records_shuffled >= 10
 
-    def test_external_sort_is_one_job_and_one_wide_stage(self):
+    def test_stp_key_sort_is_one_job_and_one_wide_stage(self):
+        """The hybrid aggregation's STP step runs on the engine, and is
+        tallied as the estimator prices it: one job, one sort stage."""
         backend = ColumnarBackend()
-        backend.charge_external_sort(7)
+        keys = np.array([5, 2, 9, 2, 7, 5, 2])
+        order = SelectivelyTrustedParty("stp.example", backend).sort_keys(keys)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
         assert backend.work == CleartextWork(
             jobs=1, stages=1, records_processed=14, records_shuffled=7
         )

@@ -4,15 +4,20 @@ The engine's end-to-end byte-identity with the row oracle lives in
 ``test_differential.py`` (all 50 random plans, both price lists);
 this module covers the pieces in isolation — :class:`ColumnBatch`
 invariants, kernel edge cases (including the bit-exactness recipes for
-float aggregation and join ordering), config-string validation, the
+float aggregation and join ordering), grouped aggregation (scatter
+and ordered paths) against the row oracle, config-string validation, the
 share-vector protocols' wire-round flatness, the ``bind_host`` endpoint handshake, and
 the per-query ``rows_processed``/``mpc_rounds`` session counters.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro as cc
 from repro.core.config import CompilationConfig
@@ -20,7 +25,7 @@ from repro.core.dispatch import QueryRunner
 from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
-from repro.exec import ColumnarBackend, ColumnBatch
+from repro.exec import ColumnarBackend, ColumnBatch, engine, kernels
 from repro.exec.kernels import (
     arithmetic,
     combine_bool,
@@ -31,10 +36,11 @@ from repro.exec.kernels import (
     hash_join_indices,
     segment_reduce,
     sort_indices,
+    stable_order,
 )
 from repro.runtime.mesh import bind_listener
 
-from oracle_engine import OracleRunner
+from oracle_engine import OracleRunner, PythonBackend
 
 PARTY_A = "alpha.example"
 PARTY_B = "beta.example"
@@ -153,6 +159,102 @@ class TestKernels:
         table = Table(Schema([ColumnDef("k")]), [key])
         expected = table.sort_by(["k"], ascending=False).column("k").tolist()
         assert key[sort_indices(key, ascending=False)].tolist() == expected
+
+
+class TestStableOrder:
+    def test_ties_keep_row_order_and_nan_sorts_last(self):
+        key = np.array([2.0, np.nan, -0.0, 2.0, 0.0, np.nan, -1.5])
+        assert stable_order(key).tolist() == [6, 2, 4, 0, 3, 1, 5]
+        assert sort_indices(key).tolist() == np.lexsort((key,)).tolist()
+
+    def test_no_other_kernel_sorts(self):
+        """``stable_order`` is the one place the engine orders anything."""
+        for module in (kernels, engine):
+            rest = inspect.getsource(module).replace(inspect.getsource(stable_order), "")
+            assert "argsort" not in rest and "lexsort" not in rest
+
+
+#: Row counts: empty, degenerate, fewer rows than the dense keys have
+#: buckets, and enough for every key shape to hold several groups.
+ROW_COUNTS = [0, 1, 2, 5, 37, 2500]
+
+
+def _sparse_keys(rng: np.random.Generator, n: int) -> np.ndarray:
+    """About four rows per key, the keys spread over 2**41 values."""
+    distinct = rng.integers(-(1 << 40), 1 << 40, n // 4 + 1)
+    return distinct[rng.integers(0, len(distinct), n)]
+
+
+#: Group-key columns that take the scatter path (dense: no more buckets
+#: than rows — ``one_row_per_bucket`` sits exactly on that boundary), the
+#: ordered path (sparse; ``both_ends_of_int64`` has a span that an int64
+#: subtraction would wrap into a negative, "dense" one) and the degenerate
+#: shapes.
+KEY_SHAPES = {
+    "dense": lambda rng, n: rng.integers(-3, 4, n),
+    "sparse": _sparse_keys,
+    "one_row_per_bucket": lambda rng, n: rng.permutation(n) - n // 2,
+    "one_row_per_group": lambda rng, n: rng.permutation(n) * 3 - n,
+    "all_one_group": lambda rng, n: np.full(n, 7),
+    "both_ends_of_int64": lambda rng, n: rng.choice([-(1 << 62), 0, 1 << 62], n),
+}
+
+#: Int values large enough that a handful of them wraps an int64 sum; float
+#: values of mixed magnitude, so the summation order shows in the last ulp.
+VALUE_KINDS = {
+    ColumnType.INT: lambda rng, n: rng.integers(-(1 << 62), 1 << 62, n),
+    ColumnType.FLOAT: lambda rng, n: rng.normal(size=n) * 10.0 ** rng.integers(-3, 9, n),
+}
+
+
+class TestGroupedAggregateMatchesOracle:
+    """``ColumnarBackend.aggregate`` against the row oracle, byte for byte."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("shape", list(KEY_SHAPES))
+    @pytest.mark.parametrize("ctype", list(VALUE_KINDS), ids=["int", "float"])
+    @pytest.mark.parametrize("func", ["sum", "count", "min", "max", "mean"])
+    @given(n=st.sampled_from(ROW_COUNTS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_values_and_dtypes(self, func, ctype, shape, masked, n, seed):
+        rng = np.random.default_rng(seed)
+        schema = Schema([ColumnDef("k"), ColumnDef("v", ctype)])
+        columns = [KEY_SHAPES[shape](rng, n), VALUE_KINDS[ctype](rng, n)]
+        backend = ColumnarBackend()
+        handle = backend.ingest(Table(schema, columns))
+        if masked:
+            flags = rng.random(n) < 0.7
+            handle = handle.narrow(flags)
+            columns = [col[flags] for col in columns]
+        got = backend.collect(backend.aggregate(handle, "k", "v", func, "out"))
+        expected = PythonBackend().aggregate(Table(schema, columns), "k", "v", func, "out")
+        assert got.schema == expected.schema
+        for got_col, expected_col in zip(got.columns(), expected.columns()):
+            assert got_col.dtype == expected_col.dtype
+            assert got_col.tobytes() == expected_col.tobytes()
+
+    @pytest.mark.parametrize("func", ["sum", "count", "min", "max"])
+    def test_dense_keys_never_reach_a_sort(self, func, monkeypatch):
+        """The HHI local step — a filtered aggregate by a 3-valued int key —
+        must not regress to a comparison sort, or to any ordering at all."""
+
+        def no_sorting(*args, **kwargs):
+            raise AssertionError("the dense-key path ordered its input")
+
+        monkeypatch.setattr(kernels, "stable_order", no_sorting)
+        monkeypatch.setattr(np, "argsort", no_sorting)
+        monkeypatch.setattr(np, "lexsort", no_sorting)
+        rng = np.random.default_rng(3)
+        n = 100_000
+        key, value = rng.integers(0, 3, n), rng.integers(0, 10_000, n)
+        schema = Schema([ColumnDef("companyID"), ColumnDef("price")])
+        backend = ColumnarBackend()
+        paid = backend.filter(backend.ingest(Table(schema, [key, value])), "price", ">", 0)
+        got = backend.collect(backend.aggregate(paid, "companyID", "price", func, "rev"))
+        reduce = {"sum": np.sum, "count": len, "min": np.min, "max": np.max}[func]
+        assert got.rows() == [
+            (k, int(reduce(value[(key == k) & (value > 0)]))) for k in range(3)
+        ]
 
 
 class TestColumnarBackend:
