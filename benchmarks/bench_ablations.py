@@ -20,8 +20,8 @@ from figures import conclave_config, write_series
 
 import repro as cc
 from repro.core.config import CompilationConfig
-from repro.core.estimator import EstimatorParams, PlanEstimator
 from repro.core.lang import QueryContext
+from repro.model.estimator import EstimatorParams, PlanEstimator
 from repro.queries import credit_card_regulation_query, market_concentration_query
 
 HEADER = ["optimization", "records", "disabled", "enabled", "speedup"]

@@ -21,8 +21,9 @@ from typing import Callable, Sequence
 import repro as cc
 from repro.baselines.smcql import SMCQLBaseline
 from repro.core.config import CompilationConfig
-from repro.core.estimator import EstimatedOOM, EstimatorParams, PlanEstimator
 from repro.core.lang import QueryContext
+from repro.model.estimator import EstimatedOOM, EstimatorParams, PlanEstimator
+from repro.model.prices import SparkCostModel
 from repro.queries import (
     aspirin_count_query,
     comorbidity_query,
@@ -177,8 +178,6 @@ def series_fig4(
             rows_per_party=per_party,
         )
         insecure = cc.compile_query(insecure_spec.context, conclave_config())
-        from repro.exec.costs import SparkCostModel
-
         estimator = PlanEstimator(
             EstimatorParams(
                 filter_selectivity=0.98,

@@ -20,7 +20,7 @@ or ``sockets`` (one OS process per party, share traffic over real TCP).
 import sys
 
 import repro as cc
-from repro.core.estimator import EstimatorParams, PlanEstimator
+from repro.model.estimator import EstimatorParams, PlanEstimator
 from repro.queries import market_concentration_query
 from repro.workloads.taxi import TaxiWorkload
 

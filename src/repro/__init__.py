@@ -35,10 +35,11 @@ Sub-packages:
   generation and multi-party dispatch (the paper's contribution).
 * :mod:`repro.data` — schemas, tables and CSV I/O.
 * :mod:`repro.mpc` — the secret-sharing (Sharemind-style) MPC substrate,
-  built from scratch, and the cost models of the MPC systems the paper
-  compares.
-* :mod:`repro.exec` — the columnar cleartext engine and the Python / Spark
-  price lists for the work it counts.
+  built from scratch.
+* :mod:`repro.exec` — the columnar cleartext engine.
+* :mod:`repro.model` — the cost model: the counters both engines fill in,
+  the one formula of every protocol step, the price lists of the systems
+  the paper compares, and the plan estimator built from them.
 * :mod:`repro.runtime` — the distributed party-agent runtime: pluggable
   transports (in-process simulation vs. real TCP sockets between per-party
   OS processes), the session/agent execution split, and the persistent
@@ -68,15 +69,12 @@ from repro.core import (
     GatewayConfig,
     RestartPolicy,
     RetryPolicy,
-    EstimatedOOM,
-    EstimatorParams,
     FLOAT,
     INT,
     MAX,
     MEAN,
     MIN,
     Party,
-    PlanEstimator,
     QueryContext,
     QueryResult,
     QueryRunner,
@@ -89,6 +87,7 @@ from repro.core import (
     run_query,
 )
 from repro.data import ColumnDef, ColumnType, Schema, Table, read_csv, write_csv
+from repro.model.estimator import EstimatedOOM, EstimatorParams, PlanEstimator
 from repro.runtime import (
     AgentFailure,
     FaultPlan,

@@ -26,14 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.table import Table
-from repro.mpc.estimates import bitonic_comparator_count
-from repro.mpc.runtime import (
+from repro.model.prices import (
     GATES_PER_ADDITION,
     GATES_PER_COMPARISON,
     GATES_PER_MUX,
     VALUE_BITS,
     ObliVMCostModel,
 )
+from repro.model.steps import bitonic_comparator_count
 from repro.workloads.healthlnk import ASPIRIN_CODE, HEART_DISEASE_CODE
 
 

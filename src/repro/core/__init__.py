@@ -17,7 +17,6 @@ The sub-modules follow the paper's structure:
 ``codegen``        per-backend code generation (§6)
 ``compiler``       the six-stage pipeline tying the passes together
 ``dispatch``       multi-party execution of compiled queries
-``estimator``      plan cost estimation for large-scale benchmark sweeps
 ``config``         compilation switches (optimizations, consent, backends)
 ================  =======================================================
 """
@@ -25,7 +24,6 @@ The sub-modules follow the paper's structure:
 from repro.core.compiler import CompiledQuery, CompilationReport, compile_query, run_query
 from repro.core.config import CompilationConfig, GatewayConfig, RestartPolicy, RetryPolicy
 from repro.core.dispatch import QueryResult, QueryRunner, SecurityError
-from repro.core.estimator import EstimatedOOM, EstimatorParams, PlanEstimate, PlanEstimator
 from repro.core.expr import Expr, col, lit
 from repro.core.lang import COMPOSITE_KEY_BASE, QueryContext, RelationHandle, concat, new_table
 from repro.core.party import Party
@@ -60,10 +58,6 @@ __all__ = [
     "QueryResult",
     "QueryRunner",
     "SecurityError",
-    "EstimatedOOM",
-    "EstimatorParams",
-    "PlanEstimate",
-    "PlanEstimator",
     "QueryContext",
     "RelationHandle",
     "concat",

@@ -12,7 +12,7 @@
 
 The result is a :class:`CompiledQuery`, which the
 :class:`~repro.core.dispatch.QueryRunner` executes and the plan
-cost estimator (:mod:`repro.core.estimator`) prices for large inputs.
+cost estimator (:mod:`repro.model.estimator`) prices for large inputs.
 """
 
 from __future__ import annotations

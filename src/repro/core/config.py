@@ -45,7 +45,7 @@ class CompilationConfig:
     #: ``"obliv-c"``, see :meth:`require_executable`).
     mpc_backend: str = "sharemind"
     #: Cleartext target + price list, ``"python"`` or ``"spark"``: the system
-    #: codegen emits local jobs for and the :mod:`repro.exec.costs` list that
+    #: codegen emits local jobs for and the :mod:`repro.model.prices` list that
     #: prices the one engine's work tally and the estimator's row counts.
     cleartext_backend: str = "python"
     #: Disable the push-down of filters on private columns past the MPC

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from repro.core.config import CompilationConfig
 from repro.data.table import Table
 from repro.hybrid.stp import LeakageReport
-from repro.runtime.executor import PlanExecutor, SecurityError, completion_seconds
+from repro.model.prices import completion_seconds
+from repro.runtime.executor import PlanExecutor, SecurityError
 
 __all__ = [
     "QueryResult",

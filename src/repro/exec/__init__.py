@@ -9,7 +9,7 @@ The subsystem has three layers:
   to the ``Table`` reference methods;
 * :mod:`repro.exec.engine` — :class:`ColumnarBackend`, the one cleartext
   engine, built from those kernels; it tallies its work, and
-  :mod:`repro.exec.costs` prices the tally.
+  :mod:`repro.model.prices` prices the tally.
 
 See ``docs/executor.md``.
 """

@@ -17,8 +17,8 @@ simply call the corresponding ``Table`` method on a collected batch —
 correctness first, the mask trick, the O(n log n) join/sort kernels and
 the sort-free dense-key grouping are where the throughput win lives.
 
-The engine counts its work in a :class:`~repro.exec.costs.CleartextWork`
-and never prices it; :mod:`repro.exec.costs` holds the price lists.
+The engine counts its work in a :class:`~repro.model.counters.CleartextWork`
+and never prices it; :mod:`repro.model.prices` holds the price lists.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import AGG_FUNCS, Table
 from repro.exec.batch import ColumnBatch
-from repro.exec.costs import CleartextWork
+from repro.model.counters import CleartextWork
 from repro.exec import kernels
 
 

@@ -2,14 +2,16 @@
 
 Executing the functional protocols on tens of millions of records in pure
 Python would take longer than the real systems they simulate, so the
-benchmark harness prices compiled plans analytically: every operator's work
-is computed from the closed-form operation counts in
-:mod:`repro.mpc.estimates` (which mirror the functional protocols
-one-to-one) and converted to simulated seconds with the price lists the
-executing engines' tallies are converted with.  The garbled-circuit
-(Obliv-C) target is priced only here (:meth:`PlanEstimator._garbled_cost`);
-nothing executes it.  Completion times follow the same recurrence as the
-dispatcher, so independent per-party work overlaps.
+benchmark harness prices compiled plans analytically: every MPC operator's
+work is the :mod:`repro.model.operators` meter of its estimated row counts
+— the same step formulas the share engine charges when it executes — and
+every cleartext operator's a :class:`~repro.model.counters.CleartextWork`,
+converted to simulated seconds with the price lists the executing engines'
+tallies are converted with.  The garbled-circuit (Obliv-C) target is priced
+only here (:meth:`PlanEstimator._garbled_cost`); nothing executes it.
+Completion times are the dispatcher's recurrence
+(:func:`~repro.model.prices.completion_seconds`), so independent per-party
+work overlaps.
 
 The estimator reports out-of-memory failures of the garbled-circuit backend
 (via :class:`EstimatedOOM`) instead of a time, reproducing the truncated
@@ -19,7 +21,6 @@ reproduce the "did not finish within an hour" points of Figures 6 and 7.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.core.compiler import CompiledQuery
@@ -45,9 +46,10 @@ from repro.core.operators import (
     PublicJoin,
     SortBy,
 )
-from repro.exec.costs import CleartextWork, PythonCostModel, SparkCostModel
-from repro.mpc import estimates
-from repro.mpc.runtime import (
+from repro.data.schema import ColumnType, Schema
+from repro.model import operators, steps
+from repro.model.counters import CleartextWork, CostMeter
+from repro.model.prices import (
     BYTES_PER_JOIN_PAIR,
     BYTES_PER_VALUE,
     GATES_PER_ADDITION,
@@ -55,9 +57,11 @@ from repro.mpc.runtime import (
     GATES_PER_MULTIPLICATION,
     GATES_PER_MUX,
     VALUE_BITS,
-    CostMeter,
     GarbledCostModel,
+    PythonCostModel,
     SharemindCostModel,
+    SparkCostModel,
+    completion_seconds,
 )
 
 
@@ -151,13 +155,12 @@ class PlanEstimator:
     def estimate(self, compiled: CompiledQuery) -> PlanEstimate:
         """Estimate the end-to-end simulated runtime of a compiled query."""
         rows: dict[str, int] = {}
-        finish: dict[int, float] = {}
+        durations: dict[int, float] = {}
         node_estimates: list[NodeEstimate] = []
         mpc_seconds = 0.0
         local_seconds = 0.0
         use_garbled = compiled.config.mpc_backend == "obliv-c"
         prices = self.cleartext_models[compiled.config.cleartext_backend]
-        timed_out = False
 
         for node in compiled.dag.topological():
             rows_in = [rows.get(p.out_rel.name, 0) for p in node.parents]
@@ -173,23 +176,17 @@ class PlanEstimator:
                 local_seconds += seconds
                 locus = f"local:{node.run_at or node.out_rel.owner or '?'}"
 
-            start = max((finish[p.node_id] for p in node.parents), default=0.0)
-            finish[node.node_id] = start + seconds
+            durations[node.node_id] = seconds
             node_estimates.append(NodeEstimate(node, rows_in, rows_out, seconds, locus))
 
-            if (
-                self.params.timeout_seconds is not None
-                and finish[node.node_id] > self.params.timeout_seconds
-            ):
-                timed_out = True
-
-        total = max(finish.values(), default=0.0)
+        total = completion_seconds(compiled.dag, durations)
+        timeout = self.params.timeout_seconds
         return PlanEstimate(
             simulated_seconds=total,
             mpc_seconds=mpc_seconds,
             local_seconds=local_seconds,
             nodes=node_estimates,
-            timed_out=timed_out,
+            timed_out=timeout is not None and total > timeout,
         )
 
     # -- row estimation -----------------------------------------------------------------------
@@ -242,69 +239,68 @@ class PlanEstimator:
         return seconds
 
     def _sharemind_meter(self, node: OpNode, rows_in: list[int], rows_out: int) -> CostMeter:
+        """The node's :mod:`repro.model.operators` meter at the estimated row
+        counts, after the sharing of whatever crosses in from cleartext."""
         p = self.params.num_parties
+        meter = CostMeter()
+        for parent, n_rows in zip(node.parents, rows_in):
+            if not parent.is_mpc:
+                meter.merge(operators.share_input_meter(n_rows, len(parent.out_rel.schema), p))
+        meter.merge(self._operator_meter(node, rows_in, rows_out, p))
+        return meter
+
+    @staticmethod
+    def _operator_meter(node: OpNode, rows_in: list[int], rows_out: int, p: int) -> CostMeter:
         cols_in = [len(parent.out_rel.schema) for parent in node.parents]
         cols_out = len(node.out_rel.schema)
-        meter = CostMeter()
-        # Data that crosses from cleartext into this MPC operator is
-        # secret-shared first.
-        for parent, n_rows, n_cols in zip(node.parents, rows_in, cols_in):
-            if not parent.is_mpc and not isinstance(parent, Create):
-                meter.merge(estimates.share_input_meter(n_rows, n_cols, p))
-            elif isinstance(parent, Create):
-                meter.merge(estimates.share_input_meter(n_rows, n_cols, p))
-
+        schema = node.parents[0].out_rel.schema
+        n = rows_in[0]
         if isinstance(node, Merge):
-            meter.merge(estimates.merge_meter(sum(rows_in), cols_out, p))
-        elif isinstance(node, Concat):
-            meter.local_ops += sum(rows_in) * cols_out
-        elif isinstance(node, Project):
-            meter.local_ops += rows_in[0] * cols_out
-        elif isinstance(node, Filter):
-            meter.merge(estimates.filter_meter(rows_in[0], cols_out, p))
-        elif isinstance(node, HybridJoin):
-            meter.merge(estimates.hybrid_join_meter(*rows_in, rows_out, *cols_in, p))
-        elif isinstance(node, PublicJoin):
-            meter.merge(estimates.reveal_meter(rows_in[0] + rows_in[1], 1, p))
-            meter.local_ops += rows_out * cols_out
-        elif isinstance(node, Join):
-            meter.merge(estimates.join_meter(rows_in[0], rows_in[1], cols_out, p))
-        elif isinstance(node, HybridAggregate):
-            meter.merge(estimates.hybrid_aggregate_meter(rows_in[0], rows_out, p))
-        elif isinstance(node, Aggregate):
-            scalar = node.group_col is None
-            meter.merge(
-                estimates.aggregate_meter(rows_in[0], p, presorted=node.presorted, scalar=scalar)
+            return operators.merge_meter(rows_in, cols_out, p)
+        if isinstance(node, Concat):
+            return steps.local_meter(sum(rows_in), cols_out)
+        if isinstance(node, Project):
+            return steps.local_meter(n, cols_out)
+        if isinstance(node, Filter):
+            if _constant_comparison(schema, node.column, node.op, node.value):
+                return operators.compact_meter(n, cols_out, p)
+            return operators.filter_meter(n, cols_out, node.op, p)
+        if isinstance(node, HybridJoin):
+            return operators.hybrid_join_meter(*rows_in, rows_out, *cols_in, p)
+        if isinstance(node, PublicJoin):
+            return operators.public_join_meter(*rows_in, rows_out, cols_out, p)
+        if isinstance(node, Join):
+            return operators.join_meter(*rows_in, cols_out, p)
+        if isinstance(node, HybridAggregate):
+            return operators.hybrid_aggregate_meter(n, p)
+        if isinstance(node, Aggregate):
+            return operators.aggregate_meter(
+                n, node.func, p, presorted=node.presorted, grouped=node.group_col is not None
             )
-        elif isinstance(node, (Multiply, Divide)):
-            if isinstance(node, Divide) and isinstance(node.right, str):
-                meter.multiplications += 15 * rows_in[0]
-            elif isinstance(node, Multiply) and isinstance(node.right, str):
-                meter.multiplications += rows_in[0]
-            else:
-                meter.local_ops += rows_in[0]
-        elif isinstance(node, Compare):
-            # Every operator costs one secret comparison per element
-            # (mirrors _comparison_flags; negations are local).
-            meter.comparisons += rows_in[0]
-        elif isinstance(node, BoolOp):
-            if node.op == "not":
-                meter.local_ops += rows_in[0]
-            else:
-                # and/or fold with one secret multiplication per operand pair.
-                meter.multiplications += max(1, len(node.operands) - 1) * rows_in[0]
-        elif isinstance(node, Map):
-            # Additions/subtractions are local on additive shares.
-            meter.local_ops += rows_in[0]
-        elif isinstance(node, SortBy):
-            meter.merge(estimates.sort_meter(rows_in[0], cols_out, p))
-        elif isinstance(node, Distinct):
-            meter.merge(estimates.aggregate_meter(rows_in[0], p))
-        elif isinstance(node, Limit):
-            meter.local_ops += rows_out * cols_out
-        elif isinstance(node, Collect):
-            meter.merge(estimates.reveal_meter(rows_in[0], cols_out, p))
-        return meter
+        if isinstance(node, Multiply):
+            shared = isinstance(node.right, str)
+            both_fixed = _fixed_point(schema, node.left) and _fixed_point(schema, node.right)
+            return operators.multiply_meter(n, p, shared, shared and both_fixed)
+        if isinstance(node, Divide):
+            return operators.divide_meter(n, p)
+        if isinstance(node, Compare):
+            if _constant_comparison(schema, node.left, node.op, node.right):
+                return CostMeter()
+            shared = isinstance(node.right, str)
+            rescaled = shared and _fixed_point(schema, node.left) != _fixed_point(schema, node.right)
+            return operators.compare_meter(n, node.op, p, shared, rescaled)
+        if isinstance(node, BoolOp):
+            return operators.bool_op_meter(n, node.op, len(node.operands), p)
+        if isinstance(node, Map):
+            rescaled = _fixed_point(schema, node.left) != _fixed_point(schema, node.right)
+            return operators.map_meter(n, rescaled)
+        if isinstance(node, SortBy):
+            return operators.sort_meter(n, cols_out, p)
+        if isinstance(node, Distinct):
+            return operators.distinct_meter(n, rows_out, p)
+        if isinstance(node, Limit):
+            return steps.local_meter(rows_out, cols_out)
+        return CostMeter()
 
     def _garbled_cost(self, node: OpNode, rows_in: list[int], rows_out: int) -> tuple[int, int, int]:
         """(non-XOR gates, OT input bits, peak memory bytes) for Obliv-C plans."""
@@ -329,7 +325,7 @@ class PlanEstimator:
             if node.group_col is None:
                 gates = max(0, n - 1) * GATES_PER_ADDITION
             else:
-                comparators = 0 if node.presorted else estimates.bitonic_comparator_count(n)
+                comparators = 0 if node.presorted else steps.bitonic_comparator_count(n)
                 gates = comparators * (GATES_PER_COMPARISON + 2 * GATES_PER_MUX)
                 gates += max(0, n - 1) * (GATES_PER_COMPARISON + GATES_PER_ADDITION + GATES_PER_MUX)
         elif isinstance(node, Multiply):
@@ -344,10 +340,10 @@ class PlanEstimator:
         elif isinstance(node, Map):
             gates = n * GATES_PER_ADDITION
         elif isinstance(node, SortBy):
-            comparators = estimates.bitonic_comparator_count(n)
+            comparators = steps.bitonic_comparator_count(n)
             gates = comparators * (GATES_PER_COMPARISON + 2 * GATES_PER_MUX * cols_out)
         elif isinstance(node, Distinct):
-            comparators = estimates.bitonic_comparator_count(n)
+            comparators = steps.bitonic_comparator_count(n)
             gates = comparators * (GATES_PER_COMPARISON + 2 * GATES_PER_MUX) + max(0, n - 1) * GATES_PER_COMPARISON
         return gates, input_bits, memory
 
@@ -369,3 +365,21 @@ class PlanEstimator:
         return prices.seconds(
             CleartextWork(stages=1, records_processed=records, records_shuffled=shuffled)
         )
+
+
+def _fixed_point(schema: Schema, operand: "str | float") -> bool:
+    """Whether an operand — a column name or a public scalar — is carried in
+    fixed point by the share engine."""
+    if isinstance(operand, str):
+        return schema[operand].ctype is ColumnType.FLOAT
+    return isinstance(operand, float) and not operand.is_integer()
+
+
+def _constant_comparison(schema: Schema, column: str, op: str, right: "str | float") -> bool:
+    """``int column == 2.5`` (or ``!=``) is decided without a secret comparison."""
+    return (
+        op in ("==", "!=")
+        and not isinstance(right, str)
+        and not float(right).is_integer()
+        and not _fixed_point(schema, column)
+    )

@@ -1,17 +1,11 @@
-"""Cost accounting and cost models for the MPC substrates.
+"""The price lists: simulated seconds per counted unit of work.
 
-The reproduction cannot run the original testbed (Sharemind appliances,
-Obliv-C processes and Spark clusters on separate VMs), so the share engine
-counts the work it performs — secret multiplications, oblivious comparisons,
-shuffled elements, network rounds and bytes, records moved in and out of
-MPC — in a :class:`CostMeter`.  A cost model then converts those counts into
-*simulated seconds* using per-operation constants calibrated against the
-behaviour reported in the paper (Figure 1 and the textual data points in
-§2.3 and §7).  Shapes of all benchmark curves therefore follow from the
-actual counted work of each protocol, not from hard-coded curves; only the
-constants below are calibration inputs.
-
-Calibration anchors (see EXPERIMENTS.md):
+Shapes of all benchmark curves follow from the counted work of each
+protocol (:mod:`repro.model.steps`), not from hard-coded curves; only the
+per-operation constants below are calibration inputs, set to the paper's
+testbed (4 vCPU / 8 GB Sharemind VMs on a 1 Gb/s LAN, three 2-vCPU Spark
+workers per party).  The anchors, which ``benchmarks/bench_fig1_operators.py``
+and ``bench_fig5_hybrid_operators.py`` assert as curve shapes:
 
 * Sharemind takes ~200 s to sort 16,000 elements (§2.3, citing Jónsson et
   al.), and >10 minutes for a projection of 3M records due to sharing and
@@ -20,60 +14,23 @@ Calibration anchors (see EXPERIMENTS.md):
   the same input over twenty minutes (Figure 5 caption).
 * Obliv-C runs out of memory at ~30k records for a join and ~300k records
   for a projection on 4 GB VMs (Figure 1).
+
+``CompilationConfig.cleartext_backend`` / ``mpc_backend`` name one of these
+lists; the share engine and the columnar engine are priced with
+:class:`SharemindCostModel` and :data:`CLEARTEXT_COST_MODELS`, the
+garbled-circuit lists price estimates only — nothing executes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 
-from repro.mpc.network import NetworkStats
-
-
-@dataclass
-class CostMeter:
-    """Counts of the work performed by one (simulated) MPC execution."""
-
-    #: Cheap local operations on shares (additions, copies), per element.
-    local_ops: int = 0
-    #: Records secret-shared into the MPC (drives input/storage overhead).
-    input_records: int = 0
-    #: Records opened / revealed out of the MPC.
-    output_records: int = 0
-    #: Secret-shared multiplications (Beaver-triple uses).
-    multiplications: int = 0
-    #: Oblivious comparisons / equality tests (each is many multiplications,
-    #: counted separately because they dominate sort- and join-heavy plans).
-    comparisons: int = 0
-    #: Elements moved by oblivious shuffles / reshares.
-    shuffled_elements: int = 0
-    #: Network traffic counters.
-    network: NetworkStats = field(default_factory=NetworkStats)
-
-    def merge(self, other: "CostMeter") -> None:
-        """Accumulate another meter's counts into this one."""
-        for name in _OPERATION_COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.network.merge(other.network)
-
-    def copy(self) -> "CostMeter":
-        return replace(self, network=self.network.copy())
-
-    def reset(self) -> None:
-        for name in _OPERATION_COUNTERS:
-            setattr(self, name, 0)
-        self.network.reset()
-
-
-_OPERATION_COUNTERS = tuple(f.name for f in fields(CostMeter) if f.name != "network")
+from repro.model.counters import CleartextWork, CostMeter
 
 
 @dataclass(frozen=True)
 class SharemindCostModel:
-    """Cost model for the secret-sharing (Sharemind-style) backend.
-
-    All constants are per-operation simulated seconds on the paper's
-    testbed-class hardware (4 vCPU / 8 GB Sharemind VM, 1 Gb/s LAN).
-    """
+    """Price list of the secret-sharing (Sharemind-style) backend."""
 
     #: Fixed protocol/session start-up time.
     startup_seconds: float = 2.0
@@ -132,7 +89,7 @@ BYTES_PER_JOIN_PAIR = 16
 
 @dataclass(frozen=True)
 class GarbledCostModel:
-    """Cost model for the garbled-circuit (Obliv-C / ObliVM-style) backend.
+    """Price list of the garbled-circuit (Obliv-C / ObliVM-style) backend.
 
     Garbled-circuit executions are dominated by the number of non-XOR gates
     (each requiring garbled-table generation, transfer, and evaluation) and
@@ -173,7 +130,7 @@ class GarbledCostModel:
 
 @dataclass(frozen=True)
 class ObliVMCostModel(GarbledCostModel):
-    """Cost model for SMCQL's ObliVM backend.
+    """Price list of SMCQL's ObliVM backend.
 
     ObliVM is a Java garbled-circuit framework; the paper observes it to be
     considerably slower than both Obliv-C and Sharemind on relational
@@ -187,3 +144,61 @@ class ObliVMCostModel(GarbledCostModel):
     per_input_bit_seconds: float = 8.0e-6
     #: SMCQL experiments in the paper use 32 GB VMs.
     memory_limit_bytes: int = 32 * 1024**3
+
+
+@dataclass(frozen=True)
+class PythonCostModel:
+    """Price list for single-core sequential cleartext processing."""
+
+    #: Fixed interpreter/start-up overhead, paid once by any non-empty tally.
+    startup_seconds: float = 0.1
+    #: Seconds per record per operator pass on one core.
+    per_record_seconds: float = 1.0e-6
+
+    def seconds(self, work: CleartextWork) -> float:
+        startup = self.startup_seconds if work.jobs or work.stages else 0.0
+        return startup + work.records_processed * self.per_record_seconds
+
+
+@dataclass(frozen=True)
+class SparkCostModel:
+    """Price list for the data-parallel cluster (three 2-vCPU workers per
+    party in the paper's testbed)."""
+
+    #: Total executor cores available to one job.
+    total_cores: int = 6
+    #: Fixed driver/job-submission overhead per job.
+    job_overhead_seconds: float = 4.0
+    #: Scheduling overhead per stage.
+    stage_overhead_seconds: float = 1.0
+    #: Task launch overhead; a stage runs one wave of one task per core.
+    task_overhead_seconds: float = 0.05
+    #: CPU seconds per record per operator pass (one core).
+    per_record_seconds: float = 1.5e-6
+    #: Extra seconds per record moved through a shuffle (serialise, network,
+    #: deserialise).
+    per_shuffle_record_seconds: float = 5.0e-6
+
+    def seconds(self, work: CleartextWork) -> float:
+        compute = work.records_processed * self.per_record_seconds
+        shuffle = work.records_shuffled * self.per_shuffle_record_seconds
+        return (
+            (compute + shuffle) / max(1, self.total_cores)
+            + work.jobs * self.job_overhead_seconds
+            + work.stages * (self.stage_overhead_seconds + self.task_overhead_seconds)
+        )
+
+
+#: The price list each ``CompilationConfig.cleartext_backend`` value names.
+CLEARTEXT_COST_MODELS = {"python": PythonCostModel, "spark": SparkCostModel}
+
+
+def completion_seconds(dag, durations: dict[int, float]) -> float:
+    """Completion-time recurrence of a plan, executed or estimated:
+    independent work at different parties overlaps, so a node starts when
+    its slowest parent finished."""
+    finish: dict[int, float] = {}
+    for node in dag.topological():
+        start = max((finish[p.node_id] for p in node.parents), default=0.0)
+        finish[node.node_id] = start + durations.get(node.node_id, 0.0)
+    return max(finish.values(), default=0.0)

@@ -8,10 +8,6 @@ Conclave prototype drives externally:
   three-party backend).
 * :mod:`repro.mpc.network` — a simulated party-to-party network that counts
   messages, bytes and communication rounds.
-* :mod:`repro.mpc.runtime` — cost models that convert counted work
-  (multiplications, comparisons, rounds, bytes, local ops) into simulated
-  wall-clock seconds, calibrated against the paper's Figure 1.  Obliv-C
-  and ObliVM exist only as price lists here; nothing executes them.
 * :mod:`repro.mpc.oblivious` — oblivious sub-protocols: shuffle, bitonic
   sort, Laud-style oblivious indexing, and oblivious merge.
 * :mod:`repro.mpc.protocols` — oblivious relational operators (project,
@@ -19,20 +15,18 @@ Conclave prototype drives externally:
   executed over secret-shared tables.
 * :mod:`repro.mpc.sharemind` — the Sharemind-like three-party MPC backend
   facade the plan executor drives.
+
+What the substrate counts, and what each protocol step is charged, is
+defined in :mod:`repro.model` (``counters``, ``steps``).
 """
 
 from repro.mpc.secretshare import AdditiveSharing, SharedVector
-from repro.mpc.network import Network, NetworkStats
-from repro.mpc.runtime import CostMeter, SharemindCostModel, GarbledCostModel
+from repro.mpc.network import Network
 from repro.mpc.sharemind import SharemindBackend
 
 __all__ = [
     "AdditiveSharing",
     "SharedVector",
     "Network",
-    "NetworkStats",
-    "CostMeter",
-    "SharemindCostModel",
-    "GarbledCostModel",
     "SharemindBackend",
 ]

@@ -5,8 +5,8 @@ message exchange, oblivious shuffles reshare whole relations, and garbled
 circuits ship megabytes of truth tables.  The real Conclave prototype pays
 these costs on actual datacentre links; here every transfer goes through a
 :class:`Network` object that records messages, bytes, and *rounds* (batches
-of messages that travel in parallel), so the cost models in
-:mod:`repro.mpc.runtime` can reconstruct realistic wall-clock times.
+of messages that travel in parallel), so the price lists in
+:mod:`repro.model.prices` can reconstruct realistic wall-clock times.
 
 The network has one communication primitive, :meth:`Network.round`: it
 validates the round's messages, accounts for them, and hands them to a
@@ -24,15 +24,10 @@ recorded traffic is identical whichever transport carries it.
 
 from __future__ import annotations
 
-from repro.runtime.transport import (
-    Delivered,
-    NetworkStats,
-    Sends,
-    SimulatedTransport,
-    Transport,
-)
+from repro.model.counters import NetworkStats
+from repro.runtime.transport import Delivered, Sends, SimulatedTransport, Transport
 
-__all__ = ["Network", "NetworkStats"]
+__all__ = ["Network"]
 
 
 class Network:
@@ -43,9 +38,6 @@ class Network:
     a single round-trip latency to the cost model regardless of how many
     parties exchanged data.
     """
-
-    #: Wire size of one 64-bit field element (share), in bytes.
-    SHARE_BYTES = 8
 
     def __init__(self, party_names: list[str], transport: Transport | None = None):
         if len(set(party_names)) != len(party_names):
@@ -80,9 +72,9 @@ class Network:
         the process boundary, not the local copies.  ``tag`` names the
         protocol step, so a socket endpoint can tell a peer that has fallen
         out of lockstep.  Only a round that carries traffic is counted; it
-        is the one place ``wire_rounds`` advances — analytically accounted
-        rounds (:meth:`account_rounds`) raise the cost model's ``rounds``
-        without implying a synchronous mesh round trip.
+        is the one place ``wire_rounds`` advances — the analytic rounds of
+        the ideal-functionality steps (``engine.charge``) raise the cost
+        model's ``rounds`` without implying a synchronous mesh round trip.
         """
         for sender, receiver, _payload in sends:
             self._check_party(sender)
@@ -97,21 +89,6 @@ class Network:
         self.stats.rounds += 1
         self.stats.wire_rounds += 1
         return self.transport.exchange(tag, sends, size_bytes)
-
-    def account_rounds(self, rounds: int, bytes_per_round: int, messages_per_round: int = 1) -> None:
-        """Record traffic analytically without materialising messages.
-
-        Used by the cost-estimation paths of the protocols for data sizes
-        where executing the real share exchanges would be needlessly slow.
-        """
-        if rounds < 0 or bytes_per_round < 0:
-            raise ValueError("rounds and bytes must be non-negative")
-        self.stats.rounds += int(rounds)
-        self.stats.messages += int(rounds) * int(messages_per_round)
-        self.stats.bytes_sent += int(rounds) * int(bytes_per_round)
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
 
     def _check_party(self, name: str) -> None:
         if name not in self.party_names:

@@ -14,41 +14,23 @@ already hands in the sort order it derived, so an operator opens a column at
 most once), applies the permutation to whole share vectors at once,
 reshare-freshens the result by adding the permuted slice into the fresh mask
 of a zero sharing, and charges the meter the full price of the bitonic
-network — ``O(n log^2 n)`` comparators, two oblivious multiplexes per
-comparator per column, and the network's stage-count worth of rounds.  Only
-the shuffle moves data through real resharing rounds; everything
-row-dependent — here and in the accumulation scan the oblivious and the
+network.  Only the shuffle moves data through real resharing rounds;
+everything row-dependent — here and in the accumulation scan the oblivious and the
 hybrid aggregation share (:func:`repro.mpc.protocols.segmented_sum`) — is
 one whole-vector operation charged analytically, so the number of *wire*
 rounds of every operator, hybrid ones included, is independent of the
-relation size.
-
-Cost characteristics (what the cost meter records):
-
-==============  =============================================
-shuffle          O(n) reshared elements per column, one round per party
-bitonic sort     O(n log^2 n) oblivious comparisons + the same number of
-                 oblivious swaps (multiplications)
-oblivious index  O((n + m) log(n + m)) comparisons (Laud's protocol)
-oblivious merge  O(n log n) comparisons
-==============  =============================================
+relation size.  What each sub-protocol is charged — O(n) reshared elements
+for a shuffle, O(n log^2 n) compare-exchanges for a sort, O(n log n) for a
+merge, O((n + m) log(n + m)) for an index — is :mod:`repro.model.steps`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import math
-
 import numpy as np
 
-from repro.mpc.estimates import (
-    _log2_ceil,
-    _stage_count,
-    bitonic_comparator_count,
-    bitonic_merge_comparator_count,
-)
-from repro.mpc.network import Network
+from repro.model import steps
 from repro.mpc.secretshare import SecretSharingEngine, SharedVector
 
 
@@ -84,14 +66,7 @@ def oblivious_shuffle(
     # Resharing: a fresh zero-sharing makes old and new shares unlinkable.
     shuffled = [_gather_reshared(engine, col, permutation) for col in columns]
 
-    total_elements = n * len(columns)
-    engine.meter.shuffled_elements += total_elements
-    # One resharing round per party, each moving the full relation.
-    engine.network.account_rounds(
-        engine.num_parties,
-        total_elements * Network.SHARE_BYTES,
-        messages_per_round=engine.num_parties,
-    )
+    engine.charge(steps.shuffle_meter(n, len(columns), engine.num_parties))
     return shuffled
 
 
@@ -107,8 +82,7 @@ def oblivious_sort(
     Executed as an ideal functionality: a stable permutation derived from
     the reconstructed keys is applied to every share vector at once and the
     result is reshare-freshened, while the meter is charged the real
-    network's ``O(n log^2 n)`` compare-exchange cost — one oblivious
-    comparison plus two multiplexes of every column per comparator.
+    network's ``O(n log^2 n)`` compare-exchange cost.
 
     ``order`` is the stable ascending argsort of the keys, from a caller
     that has opened ``key`` to the environment already; without it the key
@@ -121,12 +95,7 @@ def oblivious_sort(
     if order is None:
         order = np.argsort(engine.env_open(key), kind="stable")
     key_sorted, payload_sorted = _permute_reshared(engine, key, payload, order)
-    _meter_network_cost(
-        engine,
-        comparators=bitonic_comparator_count(n),
-        columns=1 + len(payload),
-        rounds=3 * _stage_count(n),  # compare + two selects per stage
-    )
+    engine.charge(steps.sort_network_meter(n, 1 + len(payload), engine.num_parties))
     return key_sorted, payload_sorted
 
 
@@ -184,12 +153,7 @@ def _bitonic_merge_two(
     if not ascending:
         order = order[::-1]
     key_sorted, payload_sorted = _permute_reshared(engine, key, payload, order)
-    _meter_network_cost(
-        engine,
-        comparators=bitonic_merge_comparator_count(n),
-        columns=1 + len(payload),
-        rounds=3 * _log2_ceil(n),
-    )
+    engine.charge(steps.merge_network_meter(n, 1 + len(payload), engine.num_parties))
     return key_sorted, payload_sorted
 
 
@@ -211,23 +175,11 @@ def oblivious_index(
     n = len(columns[0])
     m = len(indices)
     idx_values = engine.env_open(indices)
-    if m > 0 and (idx_values.min() < 0 or idx_values.max() >= max(n, 1)):
+    if m > 0 and (idx_values.min() < 0 or idx_values.max() >= n):
         raise IndexError("oblivious index out of range")
 
     out = [_gather_reshared(engine, col, idx_values) for col in columns]
-
-    # Cost of Laud's protocol: an O((n+m) log(n+m)) routing network over the
-    # indices (comparisons), through which every payload column is moved
-    # (multiplications per column).
-    total = n + m
-    ops = int(total * math.ceil(math.log2(total))) if total > 1 else 1
-    engine.meter.comparisons += ops
-    engine.meter.multiplications += ops * max(1, len(columns))
-    engine.network.account_rounds(
-        2 * max(1, int(math.ceil(math.log2(total)))) if total > 1 else 1,
-        total * Network.SHARE_BYTES,
-        messages_per_round=engine.num_parties,
-    )
+    engine.charge(steps.index_routing_meter(n, m, len(columns), engine.num_parties))
     return out
 
 
@@ -257,23 +209,6 @@ def _permute_reshared(
     """Apply ``order`` to key + payload share vectors with fresh resharing."""
     out = [_gather_reshared(engine, col, order) for col in [key, *payload]]
     return out[0], out[1:]
-
-
-def _meter_network_cost(
-    engine: SecretSharingEngine, comparators: int, columns: int, rounds: int
-) -> None:
-    """Charge the meter for a comparator network executed ideally.
-
-    Each comparator performs one oblivious comparison and two multiplexes
-    of every column (a multiplication plus two local share additions each);
-    the rounds are the network's stage count — analytic, because no real
-    message exchange happens here.
-    """
-    engine.meter.comparisons += comparators
-    engine.meter.multiplications += comparators * 2 * columns
-    engine.meter.local_ops += comparators * 4 * columns
-    engine.network.account_rounds(rounds, 0, messages_per_round=engine.num_parties)
-    engine.network.stats.bytes_sent += comparators * (1 + 2 * columns) * Network.SHARE_BYTES
 
 
 def _concat_shared(engine: SecretSharingEngine, vectors: Sequence[SharedVector]) -> SharedVector:

@@ -10,7 +10,8 @@ together with the cleartext :class:`~repro.data.schema.Schema`.
 All operators are *functional*: results reconstruct to the same rows a
 cleartext engine would produce (up to row order, which MPC deliberately
 randomises), and every oblivious operation is charged to the engine's cost
-meter so the backends can report realistic simulated runtimes.
+meter — ``engine.charge`` with the step's :mod:`repro.model.steps` meter —
+so the backend reports realistic simulated runtimes.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
-from repro.mpc.estimates import _log2_ceil
-from repro.mpc.network import Network
+from repro.model import steps
 from repro.mpc.oblivious import (
     oblivious_merge,
     oblivious_shuffle,
@@ -127,7 +127,7 @@ def mpc_project(table: SharedTable, names: Sequence[str]) -> SharedTable:
     """Projection: drop / reorder columns.  Requires no oblivious operations."""
     names = list(names)
     idx = table.schema.indices_of(names)
-    table.engine.meter.local_ops += table.num_rows * len(names)
+    table.engine.charge(steps.local_meter(table.num_rows, len(names)))
     return table._replace(table.schema.project(names), [table.columns[i] for i in idx])
 
 
@@ -149,7 +149,7 @@ def mpc_concat(tables: Sequence[SharedTable]) -> SharedTable:
             for p in range(engine.num_local_shares)
         ]
         columns.append(SharedVector(engine, shares))
-    engine.meter.local_ops += sum(t.num_rows for t in tables) * len(first.schema)
+    engine.charge(steps.local_meter(sum(t.num_rows for t in tables), len(first.schema)))
     return SharedTable(engine, first.schema, columns)
 
 
@@ -188,11 +188,8 @@ def _truncate_fixed_point(engine: SecretSharingEngine, vec: SharedVector) -> Sha
     the cost of a probabilistic truncation protocol (one multiplication and
     one round per element) charged to the meter.
     """
-    n = len(vec)
-    values = engine.env_open(vec)
-    truncated = values // FIXED_POINT_SCALE
-    engine.meter.multiplications += n
-    engine.network.account_rounds(1, n * 8, messages_per_round=engine.num_parties)
+    truncated = engine.env_open(vec) // FIXED_POINT_SCALE
+    engine.charge(steps.truncation_meter(len(vec), engine.num_parties))
     return engine.share_from_env(truncated)
 
 
@@ -214,9 +211,7 @@ def mpc_divide(table: SharedTable, out_name: str, left: str, right: str) -> Shar
         where=rvals != 0,
     )
     encoded = np.round(result * FIXED_POINT_SCALE).astype(np.int64)
-    # Goldschmidt division: ~5 iterations of 3 multiplications each.
-    engine.meter.multiplications += 15 * n
-    engine.network.account_rounds(10, n * 8, messages_per_round=engine.num_parties)
+    engine.charge(steps.division_meter(n, engine.num_parties))
     out_col = engine.share_from_env(encoded)
     schema = table.schema.with_column(ColumnDef(out_name, ColumnType.FLOAT))
     return table._replace(schema, [*table.columns, out_col])
@@ -522,11 +517,7 @@ def mpc_aggregate(
             key_col, (value_col,) = oblivious_sort(engine, key_col, [value_col], order)
             keys = keys[order]
         same = keys[:-1] == keys[1:]  # length n-1, row i vs i+1
-        engine.meter.local_ops += 2 * (n - 1)  # the two shifted key columns
-        engine.meter.comparisons += n - 1
-        engine.network.account_rounds(
-            1, (n - 1) * Network.SHARE_BYTES, messages_per_round=engine.num_parties
-        )
+        engine.charge(steps.adjacent_equality_meter(n, engine.num_parties))
         same_as_next = engine.share_from_env(same)
 
         if func in ("sum", "count"):
@@ -543,12 +534,7 @@ def mpc_aggregate(
             for b, e in zip(bounds, np.r_[bounds[1:], n]):
                 result[b:e] = scan(values[b:e])
             acc = engine.share_from_env(result)
-            engine.meter.comparisons += n - 1
-            engine.meter.multiplications += 2 * (n - 1)
-            engine.meter.local_ops += 2 * n
-            engine.network.account_rounds(
-                3 * _log2_ceil(n), n * Network.SHARE_BYTES, messages_per_round=engine.num_parties
-            )
+            engine.charge(steps.segmented_extremum_meter(n, engine.num_parties))
         keep_flags = last_of_group(engine, same_as_next)
 
     return SharedTable(engine, schema, compact(engine, keep_flags, [key_col, acc]))
@@ -578,7 +564,7 @@ def _mpc_scalar_aggregate(
             np.array([share.sum(dtype=np.uint64)], dtype=np.uint64) for share in col.shares
         ]
         result = SharedVector(engine, total_shares)
-        engine.meter.local_ops += n
+        engine.charge(steps.local_meter(n))
         out_type = table.schema[agg_col].ctype
     else:
         raise ValueError(f"unsupported scalar aggregation {func!r}")
@@ -648,11 +634,7 @@ def segmented_sum(
         running = np.cumsum(share, dtype=np.uint64)
         fresh += running
         fresh[nz] -= running[base_idx]
-    engine.meter.multiplications += n - 1
-    engine.meter.local_ops += 2 * n
-    engine.network.account_rounds(
-        _log2_ceil(n), n * Network.SHARE_BYTES, messages_per_round=engine.num_parties
-    )
+    engine.charge(steps.segmented_sum_meter(n, engine.num_parties))
     return SharedVector(engine, acc_shares)
 
 
@@ -666,7 +648,7 @@ def last_of_group(engine: SecretSharingEngine, same_as_next: SharedVector) -> Sh
     keep = engine.constant(np.ones(n, dtype=np.int64))
     for flags, same in zip(keep.shares, same_as_next.shares):
         flags[: n - 1] -= same
-    engine.meter.local_ops += n - 1
+    engine.charge(steps.local_meter(n - 1))
     return keep
 
 
@@ -712,7 +694,7 @@ def gather_rows(
 
 
 def _gather_vector(engine: SecretSharingEngine, vec: SharedVector, idx: np.ndarray) -> SharedVector:
-    engine.meter.local_ops += len(idx)
+    engine.charge(steps.local_meter(len(idx)))
     return SharedVector(engine, [share[idx] for share in vec.shares])
 
 

@@ -25,9 +25,10 @@ Comparisons and equality tests on shares are executed as *ideal
 functionalities*: the engine opens the operands to the protocol environment
 (one real ``env-open`` broadcast round, so the opened values depend on wire
 bytes) and charges the cost meter the realistic price of the corresponding
-bit-decomposition protocol.  Addition and multiplication are executed for
-real — shares are genuinely random, travel over the network, and
-reconstruct to the correct results.  This keeps every query end-to-end
+bit-decomposition protocol (:meth:`SecretSharingEngine.charge` with the
+step's :mod:`repro.model.steps` meter).  Addition and multiplication are
+executed for real — shares are genuinely random, travel over the network,
+and reconstruct to the correct results.  This keeps every query end-to-end
 *functional* while the cost accounting stays faithful to a real deployment.
 
 Lockstep (SPMD) execution model
@@ -68,8 +69,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.model import steps
+from repro.model.counters import SHARE_BYTES, CostMeter
 from repro.mpc.network import Network
-from repro.mpc.runtime import CostMeter
 
 #: Number of bits in the secret-sharing ring.
 RING_BITS = 64
@@ -265,6 +267,11 @@ class SecretSharingEngine:
         """Names of the parties whose share slices this engine materialises."""
         return tuple(self.party_names[i] for i in self.local_indices)
 
+    def charge(self, step: CostMeter) -> None:
+        """Charge one analytic step — a :mod:`repro.model.steps` meter: work
+        and rounds of an ideal functionality that no primitive here carries."""
+        self.meter.merge(step)
+
     # -- communication rounds -----------------------------------------------------------
 
     def _exchange(self, tag: str, per_party: "list[np.ndarray | tuple | None]", size_bytes: int) -> list:
@@ -370,7 +377,7 @@ class SecretSharingEngine:
                 f"engine holds contributor {contributor!r} but got no values"
             )
 
-        size = n * Network.SHARE_BYTES
+        size = n * SHARE_BYTES
         sends = [
             (contributor, name, None if full is None else full[i])
             for i, name in enumerate(self.party_names)
@@ -455,7 +462,7 @@ class SecretSharingEngine:
 
     def _open_to_all(self, tag: str, vec: SharedVector) -> np.ndarray:
         """Every party broadcasts its slice (one round); all learn the value."""
-        size = len(vec) * Network.SHARE_BYTES
+        size = len(vec) * SHARE_BYTES
         delivered = self._exchange(tag, self._per_party(lambda i, pos: vec.shares[pos]), size)
         self.meter.output_records += len(vec)
         return self._reconstruct(delivered, tag)
@@ -476,16 +483,17 @@ class SecretSharingEngine:
         index positions, aggregation boundaries, fixed-point truncation) run
         on cleartext the environment reconstructs.  That reconstruction is
         a real broadcast round — all vectors batched into one exchange — so
-        the environment's view, too, is built from wire bytes.  The realistic protocol cost of each step is still charged
-        separately by its caller; this round's traffic is metered like any
-        other exchange.  No ``output_records`` are counted: nothing is
+        the environment's view, too, is built from wire bytes.  The realistic
+        protocol cost of each step is still charged separately by its caller
+        (:meth:`charge`); this round's traffic is metered like any other
+        exchange.  No ``output_records`` are counted: nothing is
         revealed to the *parties* beyond what the ideal functionality allows.
         """
         vecs = list(vecs)
         if not vecs:
             return []
         per_party = self._per_party(lambda i, pos: tuple(vec.shares[pos] for vec in vecs))
-        size = sum(len(v) for v in vecs) * Network.SHARE_BYTES
+        size = sum(len(v) for v in vecs) * SHARE_BYTES
         delivered = self._exchange("env-open", per_party, size)
         return [self._reconstruct(delivered, "env-open", k) for k in range(len(vecs))]
 
@@ -500,16 +508,13 @@ class SecretSharingEngine:
         ``None`` everywhere else — non-targets ship their slice and learn
         nothing.  Revealing to an *external* party (e.g. an STP that is not
         one of the compute parties) opens the vector to the environment (one
-        real round) and meters the extra external leg.
+        real round) and charges the extra external leg.
         """
         if party not in self.party_names:
             values = self.env_open(vec)
-            self.network.account_rounds(
-                1, len(vec) * Network.SHARE_BYTES, messages_per_round=self.num_parties
-            )
-            self.meter.output_records += len(vec)
+            self.charge(steps.external_reveal_meter(len(vec), self.num_parties))
             return values
-        size = len(vec) * Network.SHARE_BYTES
+        size = len(vec) * SHARE_BYTES
         party_idx = self.party_names.index(party)
         slices = self._per_party(lambda i, pos: vec.shares[pos])
         sends = [
@@ -596,7 +601,7 @@ class SecretSharingEngine:
         # reconstruction sums the (d_i, e_i) pairs as delivered, so on a
         # socket transport the product depends on bytes received from the
         # peer processes.
-        size = 2 * n * Network.SHARE_BYTES
+        size = 2 * n * SHARE_BYTES
         delivered = self._exchange("beaver-open", per_party, size)
         d = self._reconstruct(delivered, "beaver-open", 0).view(_U64)
         e = self._reconstruct(delivered, "beaver-open", 1).view(_U64)
@@ -621,7 +626,6 @@ class SecretSharingEngine:
         return self._compare(left, right, "eq")
 
     def _compare(self, left: SharedVector, right: "SharedVector | int", kind: str) -> SharedVector:
-        n = len(left)
         if not isinstance(right, SharedVector):
             lvals, rvals = self.env_open(left), np.int64(int(right))
         else:
@@ -635,10 +639,7 @@ class SecretSharingEngine:
                 diff = SharedVector(self, [l - r for l, r in zip(left.shares, right.shares)])
                 lvals, rvals = self.env_open(diff), np.int64(0)
         flags = lvals < rvals if kind == "lt" else lvals == rvals
-        # Cost of a real bit-decomposition comparison: counted as one
-        # "comparison" unit plus the round it needs (batched).
-        self.meter.comparisons += n
-        self.network.account_rounds(1, n * Network.SHARE_BYTES, messages_per_round=self.num_parties)
+        self.charge(steps.comparison_meter(len(left), self.num_parties))
         return self.share_from_env(flags)
 
     # -- helpers -------------------------------------------------------------------------

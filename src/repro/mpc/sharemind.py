@@ -19,11 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.data.schema import Schema
 from repro.data.table import Table
+from repro.model import steps
+from repro.model.counters import CostMeter
+from repro.model.prices import SharemindCostModel
 from repro.mpc import protocols
 from repro.mpc.protocols import SharedTable
-from repro.data.schema import Schema
-from repro.mpc.runtime import CostMeter, SharemindCostModel
 from repro.mpc.secretshare import SecretSharingEngine, SharedVector
 
 
@@ -150,7 +152,7 @@ class SharemindBackend:
         columns = [
             SharedVector(self.engine, [s[:n] for s in col.shares]) for col in handle.columns
         ]
-        self.engine.meter.local_ops += min(n, handle.num_rows) * len(handle.columns)
+        self.engine.charge(steps.local_meter(min(n, handle.num_rows), len(handle.columns)))
         return SharedTable(self.engine, handle.schema, columns)
 
     # -- accounting -------------------------------------------------------------------------

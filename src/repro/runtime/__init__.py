@@ -12,7 +12,8 @@ shape:
   :class:`SimulatedTransport` delivers a round inside the one process that
   models every party; :class:`SocketTransport` moves every cross-party
   message over a real TCP connection between per-party OS processes.  The
-  :class:`NetworkStats` accounting is identical on both.
+  :class:`~repro.model.counters.NetworkStats` accounting is identical on
+  both.
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.mesh` — length-prefixed
   codec framing and the full TCP mesh connecting the party agents; a
   per-query :class:`~repro.runtime.mesh.MeshChannel` is the one surface
@@ -42,7 +43,6 @@ not drag in the whole execution stack.
 from __future__ import annotations
 
 from repro.runtime.transport import (
-    NetworkStats,
     SimulatedTransport,
     SocketTransport,
     Transport,
@@ -74,7 +74,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "NetworkStats",
     "SimulatedTransport",
     "SocketTransport",
     "Transport",

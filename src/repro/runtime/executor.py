@@ -53,7 +53,7 @@ from repro.core.operators import (
 )
 from repro.data.schema import PUBLIC
 from repro.data.table import Table
-from repro.exec.costs import CLEARTEXT_COST_MODELS
+from repro.model.prices import CLEARTEXT_COST_MODELS
 from repro.exec.engine import ColumnarBackend
 from repro.hybrid.hybrid_agg import hybrid_aggregate
 from repro.hybrid.hybrid_join import hybrid_join
@@ -92,16 +92,6 @@ class ExecutionOutcome:
     joint_leakage: LeakageReport
     backend_seconds: dict[str, float]
     mpc_profile: dict[str, int]
-
-
-def completion_seconds(dag, durations: dict[int, float]) -> float:
-    """Completion-time recurrence: independent work at different parties
-    overlaps, so a node starts when its slowest parent finished."""
-    finish: dict[int, float] = {}
-    for node in dag.topological():
-        start = max((finish[p.node_id] for p in node.parents), default=0.0)
-        finish[node.node_id] = start + durations.get(node.node_id, 0.0)
-    return max(finish.values(), default=0.0)
 
 
 class PlanExecutor:
@@ -583,18 +573,4 @@ class PlanExecutor:
         backend = self.mpc_backend
         if backend is None:
             return {}
-        meter = backend.meter
-        stats = meter.network
-        return {
-            "backend": backend.name,
-            "input_records": meter.input_records,
-            "output_records": meter.output_records,
-            "multiplications": meter.multiplications,
-            "comparisons": meter.comparisons,
-            "shuffled_elements": meter.shuffled_elements,
-            "local_ops": meter.local_ops,
-            "messages": stats.messages,
-            "bytes_sent": stats.bytes_sent,
-            "rounds": stats.rounds,
-            "wire_rounds": stats.wire_rounds,
-        }
+        return {"backend": backend.name, **backend.meter.counts()}

@@ -99,7 +99,7 @@ def merge_payloads(compiled, parties: list[str], payloads: dict[str, dict]):
     """
     from repro.core.dispatch import QueryResult
     from repro.hybrid.stp import LeakageReport
-    from repro.runtime.executor import completion_seconds
+    from repro.model.prices import completion_seconds
 
     lead = parties[0]
 

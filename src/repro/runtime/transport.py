@@ -20,12 +20,12 @@ whose one operation is :meth:`Transport.exchange` — carry the round, return
   no local computation consumes them.
 
 The schedule of rounds is the same on every transport, which is what makes
-:class:`NetworkStats` identical whichever transport carries the traffic.
+:class:`~repro.model.counters.NetworkStats` identical whichever transport
+carries the traffic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,40 +39,6 @@ Delivered = dict[tuple[str, str], Any]
 
 class TransportError(RuntimeError):
     """A transport-level failure (peer gone, frame mismatch, timeout)."""
-
-
-@dataclass
-class NetworkStats:
-    """Aggregate traffic counters for one protocol execution.
-
-    ``rounds`` counts every round the cost model charges for, including the
-    analytically accounted rounds of the ideal-functionality protocol steps;
-    ``wire_rounds`` counts only *real* message exchanges
-    (:meth:`~repro.mpc.network.Network.round` calls that carried traffic) —
-    the number of synchronous mesh round trips a distributed execution
-    performs.  The batched share-vector protocols keep ``wire_rounds``
-    independent of row count.
-    """
-
-    messages: int = 0
-    bytes_sent: int = 0
-    rounds: int = 0
-    wire_rounds: int = 0
-
-    def merge(self, other: "NetworkStats") -> None:
-        self.messages += other.messages
-        self.bytes_sent += other.bytes_sent
-        self.rounds += other.rounds
-        self.wire_rounds += other.wire_rounds
-
-    def copy(self) -> "NetworkStats":
-        return NetworkStats(self.messages, self.bytes_sent, self.rounds, self.wire_rounds)
-
-    def reset(self) -> None:
-        self.messages = 0
-        self.bytes_sent = 0
-        self.rounds = 0
-        self.wire_rounds = 0
 
 
 class Transport:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from repro.core.dispatch import QueryRunner
 from repro.data.table import Table
-from repro.exec.costs import CleartextWork
+from repro.model.counters import CleartextWork
 
 
 class PythonBackend:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.table import Table
-from repro.mpc.runtime import GarbledCostModel, SharemindCostModel
+from repro.model.counters import CostMeter, NetworkStats
+from repro.model.prices import GarbledCostModel, SharemindCostModel
 from repro.mpc.sharemind import SharemindBackend
 from repro.workloads.generators import uniform_key_value_table
 from tests.conftest import PARTIES
@@ -76,10 +77,10 @@ class TestSharemindBackend:
         assert stats.rounds > 0 and stats.bytes_sent > 0
 
         before = self.backend.elapsed_seconds()
-        engine.network.account_rounds(1, 0)
+        engine.charge(CostMeter(network=NetworkStats(rounds=1)))
         one_round = self.backend.elapsed_seconds()
         assert one_round - before == pytest.approx(model.round_latency_seconds, rel=1e-9)
-        engine.network.account_rounds(1, 125_000)
+        engine.charge(CostMeter(network=NetworkStats(rounds=1, bytes_sent=125_000)))
         assert self.backend.elapsed_seconds() - one_round == pytest.approx(
             model.round_latency_seconds + 125_000 / model.bytes_per_second, rel=1e-9
         )
@@ -88,8 +89,6 @@ class TestSharemindBackend:
 class TestCostModels:
     def test_sharemind_cost_model_components(self):
         model = SharemindCostModel()
-        from repro.mpc.runtime import CostMeter
-
         meter = CostMeter(comparisons=1000)
         base = model.seconds(CostMeter())
         assert model.seconds(meter) == pytest.approx(base + 1000 * model.per_comparison_seconds)

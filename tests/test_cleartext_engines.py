@@ -9,9 +9,10 @@ import repro as cc
 from oracle_engine import PythonBackend
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
-from repro.exec.costs import CleartextWork, PythonCostModel, SparkCostModel
 from repro.exec.engine import ColumnarBackend
 from repro.hybrid.stp import SelectivelyTrustedParty
+from repro.model.counters import CleartextWork
+from repro.model.prices import PythonCostModel, SparkCostModel
 from repro.workloads.generators import uniform_key_value_table
 
 

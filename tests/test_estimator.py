@@ -4,7 +4,7 @@ import pytest
 
 import repro as cc
 from repro.core.config import CompilationConfig
-from repro.core.estimator import EstimatedOOM, EstimatorParams, PlanEstimator
+from repro.model.estimator import EstimatedOOM, EstimatorParams, PlanEstimator
 from repro.core.lang import QueryContext
 from repro.queries import credit_card_regulation_query, market_concentration_query
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mpc.network import Network, NetworkStats
+from repro.model.counters import NetworkStats
+from repro.mpc.network import Network
 from repro.runtime.transport import SimulatedTransport, Transport
 
 
@@ -93,22 +94,9 @@ def test_duplicate_party_names_rejected():
         Network(["a", "a"])
 
 
-def test_account_rounds_analytical(net):
-    net.account_rounds(3, 1000, messages_per_round=2)
-    assert net.stats.rounds == 3
-    assert net.stats.messages == 6
-    assert net.stats.bytes_sent == 3000
-    assert net.stats.wire_rounds == 0
-
-
-def test_account_rounds_rejects_negative(net):
-    with pytest.raises(ValueError):
-        net.account_rounds(-1, 10)
-
-
 def test_reset_stats(net):
     net.round("t", [("a", "b", "x")], 1)
-    net.reset_stats()
+    net.stats.reset()
     assert _stats(net) == (0, 0, 0, 0)
 
 

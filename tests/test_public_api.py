@@ -15,7 +15,9 @@ import pytest
 
 import repro
 import repro.core
+import repro.mpc
 import repro.runtime
+from repro.model.counters import CostMeter
 
 
 @pytest.mark.parametrize("package", [repro, repro.core, repro.runtime])
@@ -68,9 +70,12 @@ EXECUTION_FILES = sorted(
         ),
     ]
 )
-#: Modules that only price plans (Fig. 1/4-7); nothing that executes may import them.
-ANALYTIC_MODULES = re.compile(r"repro\.(core\.estimator|baselines)(\.|$)")
-#: Garbled-circuit / ObliVM models and constants of ``repro.mpc.runtime``.
+#: Modules that only price plans (Fig. 1/4-7); nothing that executes may import
+#: them.  Execution takes the counters, the step meters and the price lists it
+#: is priced with from ``repro.model`` — never a whole-operator formula, which
+#: would make the executed-equals-estimated test a tautology.
+ANALYTIC_MODULES = re.compile(r"repro\.(model\.(estimator|operators)|baselines)(\.|$)")
+#: Garbled-circuit / ObliVM models and constants of ``repro.model.prices``.
 ANALYTIC_NAMES = re.compile(r"(?i)garbled|oblivm|obliv_?c|^GATES_PER_|^BYTES_PER_|^VALUE_BITS$")
 #: How a module or class announces itself as a cleartext engine.
 ENGINE_MODULES = re.compile(r"repro\.cleartext(\.|$)|(^|\.)\w*engine\w*$")
@@ -106,6 +111,71 @@ def test_execution_never_imports_an_analytic_model(path):
         assert not ANALYTIC_NAMES.search(name), f"{path.name} imports {qualified}"
 
 
+MODEL_FILES = sorted(SRC.glob("model/*.py"))
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.name)
+def test_the_cost_model_depends_on_core_and_data_only(path):
+    for module, _name in imports_of(path):
+        assert not re.match(r"repro\.(runtime|mpc|exec|hybrid)(\.|$)", module), (
+            f"model/{path.name} imports {module}"
+        )
+
+
+def test_the_cost_model_has_one_home():
+    assert {p.name for p in MODEL_FILES} == {
+        "__init__.py", "counters.py", "steps.py", "operators.py", "prices.py", "estimator.py"
+    }
+    for gone in ("mpc/runtime.py", "mpc/estimates.py", "exec/costs.py", "core/estimator.py"):
+        assert not (SRC / gone).exists(), gone
+    moved = {"CostMeter", "NetworkStats", "SharemindCostModel", "GarbledCostModel", "PlanEstimator"}
+    for package in (repro.core, repro.mpc, repro.runtime):
+        assert not moved & set(package.__all__), package.__name__
+
+
+# -- one formula per protocol step: execution charges, it does not count inline ---------------
+
+COUNTERS = set(CostMeter().counts())
+#: The engine primitives that carry real traffic or do real share arithmetic
+#: keep their one counter increment; every analytic step goes through
+#: ``engine.charge`` with a ``repro.model.steps`` meter.
+CARRYING_PRIMITIVES = {"input_vector", "_open_to_all", "reveal_to", "mul", "_linear", "scale"}
+CHARGING_FILES = sorted(
+    [
+        *SRC.glob("hybrid/*.py"),
+        *(SRC / "mpc" / f"{n}.py" for n in ("oblivious", "protocols", "sharemind", "secretshare")),
+    ]
+)
+
+
+def counter_writes(path: pathlib.Path) -> dict[str, list[str]]:
+    """``{function: [counter, ...]}`` for every (augmented) assignment to an
+    attribute named like a ``CostMeter`` / ``NetworkStats`` counter."""
+    found: dict[str, list[str]] = {}
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            targets = (
+                [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                else node.targets if isinstance(node, ast.Assign) else []
+            )
+            for target in targets:
+                if isinstance(target, ast.Attribute) and target.attr in COUNTERS:
+                    found.setdefault(func.name, []).append(target.attr)
+    return found
+
+
+@pytest.mark.parametrize("path", CHARGING_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_inline_charges_outside_the_carrying_primitives(path):
+    writes = counter_writes(path)
+    if path.name == "secretshare.py":
+        assert set(writes) == CARRYING_PRIMITIVES
+        assert all(len(counters) == 1 for counters in writes.values()), writes
+    else:
+        assert not writes, f"{path.name} counts inline instead of engine.charge: {writes}"
+
+
 def test_execution_knows_one_cleartext_engine_and_one_mpc_backend():
     modules, classes = set(), set()
     for path in EXECUTION_FILES:
@@ -121,8 +191,6 @@ def test_execution_knows_one_cleartext_engine_and_one_mpc_backend():
 def test_deleted_engines_stay_deleted():
     assert not (SRC / "cleartext").exists()
     assert not (SRC / "mpc" / "garbled.py").exists()
-    import repro.mpc
-
     assert not {"OblivCBackend", "CircuitMemoryError"} & set(repro.mpc.__all__)
     for doc in (repro.__doc__, repro.mpc.__doc__):
         assert "garbled-circuit backend" not in doc and "repro.cleartext" not in doc
