@@ -8,11 +8,14 @@
 3. trust-set propagation (§5.1);
 4. hybrid-operator insertion (§5.3);
 5. oblivious-operation reduction (sort elimination, §5.4);
-6. partitioning into per-backend sub-plans and code generation (§6).
+6. final placement: the annotated DAG *is* the plan (§6).
 
 The result is a :class:`CompiledQuery`, which the
 :class:`~repro.core.dispatch.QueryRunner` executes and the plan
 cost estimator (:mod:`repro.model.estimator`) prices for large inputs.
+What is fingerprinted, shipped, cached at the agents and executed is the
+DAG; the per-backend sub-plans and generated jobs are views of it, derived
+on access for ``explain()`` and inspection.
 """
 
 from __future__ import annotations
@@ -59,13 +62,25 @@ class CompilationReport:
 
 @dataclass
 class CompiledQuery:
-    """The output of the compiler: an annotated DAG plus generated jobs."""
+    """The output of the compiler: the annotated DAG that runs."""
 
     dag: Dag
     config: CompilationConfig
-    subplans: list[SubPlan]
-    jobs: list[GeneratedJob]
     report: CompilationReport
+
+    # Derived on every access and never stored: the wire codec ships the
+    # instance's fields, so a cached view would change ``plan_fingerprint``
+    # depending on whether someone looked at it first.
+
+    @property
+    def subplans(self) -> list[SubPlan]:
+        """The DAG grouped into maximal same-locus runs (stage 6 view)."""
+        return partition_dag(self.dag)
+
+    @property
+    def jobs(self) -> list[GeneratedJob]:
+        """The code Conclave would generate, one job per sub-plan."""
+        return generate_jobs(self.subplans, self.config)
 
     def mpc_operator_count(self) -> int:
         """Number of operators that still execute under MPC."""
@@ -125,7 +140,7 @@ def compile_query(query: Dag | QueryContext, config: CompilationConfig | None = 
     if config.enable_sort_elimination:
         report.sorts_eliminated = eliminate_redundant_sorts(dag, config)
 
-    # Stage 6: partition and generate per-backend code.
+    # Stage 6: final placement of every operator.
     propagate_ownership(dag)
     mark_mpc_frontier(dag)
     propagate_trust(dag)
@@ -137,10 +152,7 @@ def compile_query(query: Dag | QueryContext, config: CompilationConfig | None = 
     # query and the config alone.
     for position, node in enumerate(dag.topological()):
         node.node_id = position
-    subplans = partition_dag(dag)
-    jobs = generate_jobs(subplans, config)
-
-    return CompiledQuery(dag=dag, config=config, subplans=subplans, jobs=jobs, report=report)
+    return CompiledQuery(dag=dag, config=config, report=report)
 
 
 def run_query(

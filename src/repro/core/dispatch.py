@@ -21,8 +21,12 @@ Alongside the actual results, both runtimes produce:
 * a simulated wall-clock time, computed from the backends' cost models with
   a completion-time recurrence so that independent local work at different
   parties overlaps (as it would on real, separate clusters), and
-* a :class:`~repro.hybrid.stp.LeakageReport` listing every value or
-  cardinality that left the cryptographic envelope.
+* one :class:`~repro.hybrid.stp.LeakageReport` listing every value or
+  cardinality that left the cryptographic envelope — the same list, in the
+  same order, on every runtime: each agent of a distributed run writes the
+  identical report (see :meth:`PlanExecutor._fetch
+  <repro.runtime.executor.PlanExecutor._fetch>`), so there is nothing to
+  merge.
 """
 
 from __future__ import annotations

@@ -567,7 +567,14 @@ class RelationHandle:
         self.schema.index_of(left)
         if isinstance(right, str):
             self.schema.index_of(right)
-        out_type = self.schema[left].ctype
+            right_float = self.schema[right].ctype is ColumnType.FLOAT
+        else:
+            right_float = not float(right).is_integer()
+        out_type = (
+            ColumnType.FLOAT
+            if (self.schema[left].ctype is ColumnType.FLOAT or right_float)
+            else ColumnType.INT
+        )
         rel = self._derive(
             hint or f"mul_{out_name}", self.schema.with_column(ColumnDef(out_name, out_type))
         )

@@ -1,11 +1,14 @@
-"""DAG partitioning into per-backend sub-plans (compilation stage 6, part 1).
+"""DAG partitioning into per-backend sub-plans: a view of the compiled DAG.
 
 After the rewrite passes every operator carries an execution *locus*: either
 ``("mpc", "joint")`` or ``("local", <party>)``.  The partitioner walks the
 DAG in topological order and groups maximal runs of consecutive nodes with
 the same locus into :class:`SubPlan` objects.  Because grouping follows the
 topological order, the resulting sub-plan list is itself a valid execution
-order; the dispatcher and the code generators consume it directly.
+order.  Nothing executes it: the executor runs the DAG node by node, and
+the sub-plans are what ``CompiledQuery.explain()`` renders and the code
+generators (:mod:`repro.core.codegen`) turn into source text —
+``CompiledQuery.subplans`` derives them on access and stores nothing.
 """
 
 from __future__ import annotations

@@ -38,7 +38,12 @@ class LeakageEvent:
 
 @dataclass
 class LeakageReport:
-    """Accumulates every disclosure of one query execution."""
+    """Accumulates every disclosure of one query execution.
+
+    Every field of every event is a plan name or a public row count, never
+    a value only one party holds — so each agent of a distributed run
+    records the identical report, in the order of the in-process run.
+    """
 
     events: list[LeakageEvent] = field(default_factory=list)
 

@@ -278,9 +278,8 @@ class PlanEstimator:
                 n, node.func, p, presorted=node.presorted, grouped=node.group_col is not None
             )
         if isinstance(node, Multiply):
-            shared = isinstance(node.right, str)
             both_fixed = _fixed_point(schema, node.left) and _fixed_point(schema, node.right)
-            return operators.multiply_meter(n, p, shared, shared and both_fixed)
+            return operators.multiply_meter(n, p, isinstance(node.right, str), both_fixed)
         if isinstance(node, Divide):
             return operators.divide_meter(n, p)
         if isinstance(node, Compare):

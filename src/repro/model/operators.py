@@ -125,10 +125,9 @@ def multiply_meter(
     records: int, p: int = 3, shared_rhs: bool = True, fixed_point: bool = False
 ) -> CostMeter:
     """``left * right``: a scalar scales locally, a column costs a Beaver
-    round, two fixed-point columns a truncation (opening + rescale) on top."""
-    if not shared_rhs:
-        return steps.local_meter(records)
-    meter = steps.beaver_multiply_meter(records, p)
+    round; two fixed-point operands (FLOAT columns, a fractional scalar) a
+    truncation (opening + rescale) on top."""
+    meter = steps.beaver_multiply_meter(records, p) if shared_rhs else steps.local_meter(records)
     if fixed_point:
         meter.merge(steps.env_open_meter(records, p))
         meter.merge(steps.truncation_meter(records, p))

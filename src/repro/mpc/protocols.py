@@ -153,30 +153,37 @@ def mpc_concat(tables: Sequence[SharedTable]) -> SharedTable:
     return SharedTable(engine, first.schema, columns)
 
 
+def _fixed_point(schema: Schema, operand: "str | float") -> bool:
+    """Whether an operand — a column name or a public scalar — is carried in
+    fixed point: a FLOAT column, a fractional scalar."""
+    if isinstance(operand, str):
+        return schema[operand].ctype is ColumnType.FLOAT
+    return not float(operand).is_integer()
+
+
 def mpc_multiply(
-    table: SharedTable, out_name: str, left: str, right: str | int
+    table: SharedTable, out_name: str, left: str, right: "str | float"
 ) -> SharedTable:
     """Append ``out_name = left * right`` (column or public scalar).
 
-    When both operands carry fixed-point (FLOAT) values, the product is
+    A FLOAT column or a fractional scalar is a fixed-point operand, so the
+    product is FLOAT as soon as either operand is.  When both are, it is
     rescaled by :data:`FIXED_POINT_SCALE` with a truncation step, as a real
     secret-sharing backend would do after a fixed-point multiplication.
     """
     engine = table.engine
     lcol = table.column(left)
-    out_type = table.schema[left].ctype
+    left_fixed = _fixed_point(table.schema, left)
+    right_fixed = _fixed_point(table.schema, right)
     if isinstance(right, str):
         result = engine.mul(lcol, table.column(right))
-        if (
-            table.schema[left].ctype is ColumnType.FLOAT
-            and table.schema[right].ctype is ColumnType.FLOAT
-        ):
-            result = _truncate_fixed_point(engine, result)
-            out_type = ColumnType.FLOAT
-        elif table.schema[right].ctype is ColumnType.FLOAT:
-            out_type = ColumnType.FLOAT
     else:
-        result = engine.scale(lcol, int(right))
+        result = engine.scale(
+            lcol, round(right * FIXED_POINT_SCALE) if right_fixed else int(right)
+        )
+    if left_fixed and right_fixed:
+        result = _truncate_fixed_point(engine, result)
+    out_type = ColumnType.FLOAT if left_fixed or right_fixed else ColumnType.INT
     schema = table.schema.with_column(ColumnDef(out_name, out_type))
     return table._replace(schema, [*table.columns, result])
 
@@ -353,12 +360,8 @@ def mpc_map(
     if op not in ("+", "-"):
         raise ValueError(f"mpc_map supports '+' and '-', got {op!r}")
     engine = table.engine
-    left_float = table.schema[left].ctype is ColumnType.FLOAT
-    right_float = (
-        table.schema[right].ctype is ColumnType.FLOAT
-        if isinstance(right, str)
-        else isinstance(right, float) and not float(right).is_integer()
-    )
+    left_float = _fixed_point(table.schema, left)
+    right_float = _fixed_point(table.schema, right)
     out_type = ColumnType.FLOAT if (left_float or right_float) else ColumnType.INT
     lcol = table.column(left)
     if out_type is ColumnType.FLOAT and not left_float:

@@ -125,8 +125,7 @@ class SharemindBackend:
         return protocols.mpc_aggregate(handle, group_by, agg_col, func, out_name, presorted)
 
     def multiply(self, handle: SharedTable, out_name: str, left: str, right: str | float) -> SharedTable:
-        right_arg: str | int = right if isinstance(right, str) else int(right)
-        return protocols.mpc_multiply(handle, out_name, left, right_arg)
+        return protocols.mpc_multiply(handle, out_name, left, right)
 
     def divide(self, handle: SharedTable, out_name: str, left: str, right: str) -> SharedTable:
         return protocols.mpc_divide(handle, out_name, left, right)

@@ -132,7 +132,7 @@ class PartyAgent:
         """Execute one cached plan and return a wire-encodable result payload.
 
         A fresh :class:`~repro.runtime.executor.PlanExecutor` (fresh
-        backends, meters and leakage reports) runs every query, exactly as a
+        backends, meters and leakage report) runs every query, exactly as a
         cold per-query process would — warm sessions amortise spawn and mesh
         setup, never engine state, so results stay byte-identical.
         """
@@ -156,12 +156,9 @@ class PartyAgent:
             if channel is not None:
                 channel.close()
         return {
-            "party": self.party,
             "outputs": outcome.outputs,
             "node_durations": outcome.node_durations,
-            "wall_seconds": outcome.wall_seconds,
             "leakage": outcome.leakage,
-            "joint_leakage": outcome.joint_leakage,
             "backend_seconds": outcome.backend_seconds,
             "mpc_profile": outcome.mpc_profile,
             # Debug hook for the cryptographic-isolation tests: which

@@ -15,18 +15,21 @@ This module holds the execution logic both runtimes share:
   lockstep from the shared seed so that each agent's share traffic really
   flows through its sockets (see :mod:`repro.runtime.transport`).
 
-Leakage accounting is split in two reports so the distributed runtime can
-deduplicate events that every agent observes: ``leakage`` holds events only
-one agent records (cleartext transfers it received, outputs it collected),
-``joint_leakage`` holds events of the replicated joint computation (MPC
-reveals, hybrid-protocol disclosures).  In-process both names refer to the
-same report, preserving the original single-report behaviour.
+The plan's delicate points are the edges where a relation crosses between a
+party's cleartext engine and the MPC (§4.1, §5.2), and the security argument
+(§3.2) is a statement about exactly those edges.  Every edge goes through
+one function, :meth:`PlanExecutor._fetch`, which every executor runs for
+every edge (SPMD, like ``Network.round``): it plays the sender's, the
+receiver's or the bystander's part and records the crossing in the one
+:class:`~repro.hybrid.stp.LeakageReport`.  Every field of every event is a
+plan name or a public row count, so every agent writes the identical report,
+in the identical order, as the in-process run.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import CompilationConfig
 from repro.core.operators import (
@@ -68,16 +71,20 @@ class SecurityError(RuntimeError):
     """Raised when an execution step would reveal data to an unauthorised party."""
 
 
+#: The locus of the joint computation; every other locus is a party name.
+MPC = object()
+
+
 @dataclass
 class _Entry:
     """A relation handle plus where it currently lives.
 
-    ``handle`` is ``None`` when the relation lives at a party this executor
-    does not embody (distributed runtime only).
+    ``party`` is :data:`MPC` for a secret-shared relation; ``handle`` is
+    ``None`` when the relation lives at a party this executor does not
+    embody (distributed runtime only).
     """
 
-    kind: str  # "local" or "mpc"
-    party: str | None
+    party: object
     handle: object
 
 
@@ -89,7 +96,6 @@ class ExecutionOutcome:
     node_durations: dict[int, float]
     wall_seconds: float
     leakage: LeakageReport
-    joint_leakage: LeakageReport
     backend_seconds: dict[str, float]
     mpc_profile: dict[str, int]
 
@@ -136,15 +142,8 @@ class PlanExecutor:
         # A single-party query never crosses the MPC boundary; the MPC
         # substrate requires at least two computing parties.
         self.mpc_backend = self._make_mpc_backend() if len(self.parties) >= 2 else None
-        self._reset_leakage()
-
-    def _reset_leakage(self) -> None:
-        """Fresh reports per execution, so a reused runner never accumulates
-        or cross-contaminates leakage between runs."""
         self.leakage = LeakageReport()
-        # In-process, joint events go straight into the same report (same
-        # object, same interleaved ordering as before the runtime split).
-        self.joint_leakage = self.leakage if self.mesh is None else LeakageReport()
+        self._env: dict[str, _Entry] = {}
 
     # -- backend construction -------------------------------------------------------------
 
@@ -167,19 +166,18 @@ class PlanExecutor:
     def execute(self, compiled) -> ExecutionOutcome:
         """Execute a :class:`~repro.core.compiler.CompiledQuery`."""
         compiled.config.require_executable()
-        self._reset_leakage()
-        dag = compiled.dag
-        env: dict[str, _Entry] = {}
+        # Fresh per execution, so a reused runner never accumulates or
+        # cross-contaminates leakage between runs.
+        self.leakage = LeakageReport()
+        self._env = {}
         outputs: dict[str, Table] = {}
         durations: dict[int, float] = {}
-        all_parties = set(self.parties) | dag.parties()
 
         wall_start = time.perf_counter()
         try:
-            for node in dag.topological():
+            for node in compiled.dag.topological():
                 before = self._engine_seconds()
-                entry = self._execute_node(node, env, outputs, all_parties)
-                env[node.out_rel.name] = entry
+                self._env[node.out_rel.name] = self._execute_node(node, outputs)
                 durations[node.node_id] = self._engine_seconds() - before
         except BaseException as exc:
             # Distributed lockstep: peers may be blocked waiting for this
@@ -200,34 +198,43 @@ class PlanExecutor:
             node_durations=durations,
             wall_seconds=wall_seconds,
             leakage=self.leakage,
-            joint_leakage=self.joint_leakage,
             backend_seconds=self._backend_breakdown(),
             mpc_profile=self._mpc_profile(),
         )
 
     # -- node execution ----------------------------------------------------------------------
 
-    def _execute_node(
-        self,
-        node: OpNode,
-        env: dict[str, _Entry],
-        outputs: dict[str, Table],
-        all_parties: set[str],
-    ) -> _Entry:
+    def _execute_node(self, node: OpNode, outputs: dict[str, Table]) -> _Entry:
         if isinstance(node, Create):
             return self._execute_create(node)
         if isinstance(node, Collect):
-            return self._execute_collect(node, env, outputs, all_parties)
-        if node.is_mpc:
-            return self._execute_mpc_node(node, env, all_parties)
-        return self._execute_local_node(node, env, all_parties)
+            # An output crosses to each recipient in turn.
+            for party in node.recipients:
+                if party not in self.parties:
+                    raise ValueError(
+                        f"output {node.out_rel.name!r} goes to {party!r}, which is not "
+                        f"one of this run's parties {self.parties}"
+                    )
+                table = self._fetch(node.parents[0], node, party)
+                if table is not None:
+                    outputs[node.out_rel.name] = table
+            return _Entry(node.recipients[0], None)
+        locus = MPC if node.is_mpc else node.run_at or node.out_rel.owner
+        if locus is None:
+            raise ValueError(f"cleartext operator {node!r} has no executing party")
+        handles = [self._fetch(parent, node, locus) for parent in node.parents]
+        if locus is MPC:
+            return _Entry(MPC, self._apply_operator(self.mpc_backend, node, handles))
+        if locus not in self.local_parties:
+            return _Entry(locus, None)
+        return _Entry(locus, self._apply_operator(self.local_backends[locus], node, handles))
 
     def _execute_create(self, node: Create) -> _Entry:
         owner = node.out_rel.owner
         if owner is None:
             raise ValueError(f"input relation {node.out_rel.name!r} has no owner")
         if owner not in self.local_parties:
-            return _Entry("local", owner, None)
+            return _Entry(owner, None)
         try:
             table = self.inputs[owner][node.out_rel.name]
         except KeyError as exc:
@@ -235,135 +242,129 @@ class PlanExecutor:
                 f"party {owner!r} has no input relation {node.out_rel.name!r}; "
                 f"available: {sorted(self.inputs.get(owner, {}))}"
             ) from exc
-        handle = self.local_backends[owner].ingest(table, contributor=owner)
-        return _Entry("local", owner, handle)
+        return _Entry(owner, self.local_backends[owner].ingest(table, contributor=owner))
 
-    def _execute_collect(
-        self,
-        node: Collect,
-        env: dict[str, _Entry],
-        outputs: dict[str, Table],
-        all_parties: set[str],
-    ) -> _Entry:
-        parent = node.parents[0]
-        entry = env[parent.out_rel.name]
-        if entry.kind == "mpc":
-            table = self.mpc_backend.reveal(entry.handle)
-            self.joint_leakage.record(
-                "output", node.out_rel.name, node.out_rel.schema.names, node.recipients,
-                detail=f"{table.num_rows} rows revealed as query output",
-            )
-            outputs[node.out_rel.name] = table
-            return _Entry("local", node.recipients[0], table)
-        if entry.party not in self.local_parties:
-            return _Entry("local", node.recipients[0], None)
-        table = self.local_backends[entry.party].collect(entry.handle)
-        if entry.party not in node.recipients:
-            self.leakage.record(
-                "cleartext_transfer", node.out_rel.name, node.out_rel.schema.names,
-                node.recipients, detail=f"sent from {entry.party}",
-            )
-        outputs[node.out_rel.name] = table
-        return _Entry("local", node.recipients[0], table)
+    # -- crossing a boundary -------------------------------------------------------------------
 
-    def _execute_local_node(
-        self,
-        node: OpNode,
-        env: dict[str, _Entry],
-        all_parties: set[str],
-    ) -> _Entry:
-        party = node.run_at or node.out_rel.owner
-        if party is None:
-            raise ValueError(f"cleartext operator {node!r} has no executing party")
-        if party not in self.local_parties:
-            self._assist_remote_local(node, party, env, all_parties)
-            return _Entry("local", party, None)
-        engine = self.local_backends[party]
-        handles = [
-            self._as_local_handle(parent, node, party, env, all_parties)
-            for parent in node.parents
-        ]
-        result = self._apply_operator(engine, node, handles)
-        return _Entry("local", party, result)
+    def _fetch(self, parent: OpNode, consumer: OpNode, locus):
+        """Bring ``parent``'s relation to ``locus``, where ``consumer`` runs.
 
-    def _assist_remote_local(
-        self,
-        node: OpNode,
-        party: str,
-        env: dict[str, _Entry],
-        all_parties: set[str],
-    ) -> None:
-        """Play this executor's part in a node another party executes.
+        The one mover: every executor calls it for every edge of the plan,
+        and an edge whose ends live at different loci is one of three
+        crossings, in each of which this executor plays the sender, the
+        receiver or a bystander according to ``self.local_parties``:
 
-        If one of my parties holds a parent relation, authorise and ship it;
-        if a parent is MPC-resident, participate in the joint reveal round.
+        * party → MPC — the contributor broadcasts only public metadata
+          (schema, row count) and every other agent receives its share
+          slices off the wire inside the input rounds; the cleartext never
+          leaves the contributing process;
+        * MPC → party — ``reveal_to``: the others send the target their
+          slices, and only the target materialises the cleartext;
+        * party → party — the holder ships the table to the target.
+
+        Authorisation is checked — and the leakage event recorded — by
+        everyone, from plan names and public row counts alone.  Returns what
+        the consumer computes on (a shared table, an engine handle, or for a
+        ``Collect`` the plain table), ``None`` where ``locus`` is a party
+        this executor does not embody.
         """
-        for parent in node.parents:
-            entry = env[parent.out_rel.name]
-            if entry.kind == "local":
-                if entry.party == party or entry.party not in self.local_parties:
-                    continue
-                if not self._authorized(parent, node, party, all_parties):
-                    raise SecurityError(
-                        f"plan would transfer relation {parent.out_rel.name!r} from "
-                        f"{entry.party} to unauthorised party {party}"
-                    )
-                table = self.local_backends[entry.party].collect(entry.handle)
-                self.mesh.send_table(party, parent.out_rel.name, table)
+        rel = parent.out_rel
+        entry = self._env[rel.name]
+        holder, mine = entry.party, self.local_parties
+        is_output = isinstance(consumer, Collect)
+        if holder == locus:  # no boundary on this edge
+            if is_output and locus in mine:
+                return self.local_backends[locus].collect(entry.handle)
+            return entry.handle
+        if locus is MPC:
+            if self.mpc_backend is None:
+                raise ValueError(
+                    "plan contains MPC operators but the runner has a single party; "
+                    "MPC needs at least two computing parties"
+                )
+            if holder not in mine:
+                meta = self.mesh.receive_table(holder, rel.name)
+                return self.mpc_backend.ingest_remote(
+                    meta["schema"], meta["num_rows"], contributor=holder
+                )
+            table = self.local_backends[holder].collect(entry.handle)
+            if self.mesh is not None:
+                self.mesh.broadcast_table(
+                    rel.name, {"schema": table.schema, "num_rows": table.num_rows}
+                )
+            return self.mpc_backend.ingest(table, contributor=holder)
+        if not self._authorized(parent, consumer, locus):
+            raise SecurityError(
+                f"plan would reveal relation {rel.name!r}, held by "
+                f"{'the MPC' if holder is MPC else holder}, to unauthorised party {locus}"
+            )
+        if holder is MPC:
+            table = self.mpc_backend.reveal_to(entry.handle, locus)
+            # The row count is public metadata: every agent knows it, whether
+            # or not the cleartext materialised here.
+            rows = entry.handle.num_rows
+            if is_output:
+                self.leakage.record(
+                    "output", consumer.out_rel.name, consumer.out_rel.schema.names, [locus],
+                    detail=f"{rows} rows revealed as query output",
+                )
             else:
-                if not self._authorized(parent, node, party, all_parties):
-                    raise SecurityError(
-                        f"plan would reveal MPC relation {parent.out_rel.name!r} to "
-                        f"unauthorised party {party}"
-                    )
-                table = self.mpc_backend.reveal_to(entry.handle, party)
-                # A slice engine returns the cleartext only at the target
-                # party; this agent just shipped its shares.  The row count
-                # is public metadata either way.
-                rows = table.num_rows if table is not None else entry.handle.num_rows
-                self.joint_leakage.record(
-                    "column_reveal", parent.out_rel.name, parent.out_rel.schema.names,
-                    [party],
+                self.leakage.record(
+                    "column_reveal", rel.name, rel.schema.names, [locus],
                     detail=f"{rows} rows revealed for cleartext post-processing",
                 )
-
-    def _execute_mpc_node(
-        self,
-        node: OpNode,
-        env: dict[str, _Entry],
-        all_parties: set[str],
-    ) -> _Entry:
-        handles = [self._as_mpc_handle(parent, env) for parent in node.parents]
-
-        if isinstance(node, HybridJoin):
-            stp = self._stp_for(node.stp)
-            result = hybrid_join(
-                self.mpc_backend, stp, handles[0], handles[1],
-                node.left_on, node.right_on, self.joint_leakage,
+        else:
+            table = None
+            if holder in mine:
+                table = self.local_backends[holder].collect(entry.handle)
+                if locus not in mine:
+                    self.mesh.send_table(locus, rel.name, table)
+            elif locus in mine:
+                table = self.mesh.receive_table(holder, rel.name)
+            self.leakage.record(
+                "cleartext_transfer", rel.name, rel.schema.names, [locus],
+                detail=f"sent from {holder}",
             )
-            return _Entry("mpc", None, result)
-        if isinstance(node, PublicJoin):
-            host = self._stp_for(node.host)
-            result = public_join(
-                self.mpc_backend, host, handles[0], handles[1],
-                node.left_on, node.right_on, self.joint_leakage,
-            )
-            return _Entry("mpc", None, result)
-        if isinstance(node, HybridAggregate):
-            stp = self._stp_for(node.stp)
-            result = hybrid_aggregate(
-                self.mpc_backend, stp, handles[0],
-                node.group_col, node.agg_col, node.func, node.out_name, self.joint_leakage,
-            )
-            return _Entry("mpc", None, result)
+        if locus not in mine:
+            return None
+        # An output lands at the recipient's agent, not in its engine.
+        return table if is_output else self.local_backends[locus].ingest(table)
 
-        result = self._apply_operator(self.mpc_backend, node, handles)
-        return _Entry("mpc", None, result)
+    def _authorized(self, parent: OpNode, consumer: OpNode, party: str) -> bool:
+        """Check that revealing ``parent``'s relation to ``party`` is allowed."""
+        rel = parent.out_rel
+        if rel.owner == party:
+            return True
+        if isinstance(consumer, Collect) and party in consumer.recipients:
+            return True
+        if consumer.run_at == party and getattr(consumer, "lifted", False):
+            # Push-up lifted a reversible operator to the output recipient:
+            # its input is derivable from the output the recipient receives.
+            return True
+        return all(
+            party in rel.column_trust(col) or PUBLIC in rel.column_trust(col)
+            for col in rel.schema.names
+        )
 
     # -- operator application ----------------------------------------------------------------------
 
     def _apply_operator(self, engine, node: OpNode, handles: list):
         self._validate_key_range(engine, node, handles[0] if handles else None)
+        if isinstance(node, HybridJoin):
+            return hybrid_join(
+                engine, self._stp_for(node.stp), *handles,
+                node.left_on, node.right_on, self.leakage,
+            )
+        if isinstance(node, PublicJoin):
+            return public_join(
+                engine, self._stp_for(node.host), *handles,
+                node.left_on, node.right_on, self.leakage,
+            )
+        if isinstance(node, HybridAggregate):
+            return hybrid_aggregate(
+                engine, self._stp_for(node.stp), handles[0],
+                node.group_col, node.agg_col, node.func, node.out_name, self.leakage,
+            )
         if isinstance(node, Concat):
             return engine.concat(handles)
         if isinstance(node, Project):
@@ -428,93 +429,6 @@ class PlanExecutor:
                     f"[0, {base}); the composite-key encoding would silently mis-encode "
                     f"it — pass key_base= sized to the key domain"
                 )
-
-    # -- handle conversion across the MPC boundary ----------------------------------------------------
-
-    def _as_mpc_handle(self, parent: OpNode, env: dict[str, _Entry]):
-        if self.mpc_backend is None:
-            raise ValueError(
-                "plan contains MPC operators but the runner has a single party; "
-                "MPC needs at least two computing parties"
-            )
-        entry = env[parent.out_rel.name]
-        if entry.kind == "mpc":
-            return entry.handle
-        # Over a real mesh the MPC ingests by share distribution: the
-        # contributor broadcasts only public metadata (schema, row count)
-        # and every other agent receives its share slices off the wire
-        # inside the input rounds — the cleartext never leaves the
-        # contributing process.
-        if entry.party not in self.local_parties:
-            meta = self.mesh.receive_table(entry.party, parent.out_rel.name)
-            return self.mpc_backend.ingest_remote(
-                meta["schema"], meta["num_rows"], contributor=entry.party
-            )
-        table = self.local_backends[entry.party].collect(entry.handle)
-        if self.mesh is not None:
-            self.mesh.broadcast_table(
-                parent.out_rel.name, {"schema": table.schema, "num_rows": table.num_rows}
-            )
-        return self.mpc_backend.ingest(table, contributor=entry.party)
-
-    def _as_local_handle(
-        self,
-        parent: OpNode,
-        consumer: OpNode,
-        party: str,
-        env: dict[str, _Entry],
-        all_parties: set[str],
-    ):
-        entry = env[parent.out_rel.name]
-        engine = self.local_backends[party]
-        if entry.kind == "local":
-            if entry.party == party:
-                return entry.handle
-            if not self._authorized(parent, consumer, party, all_parties):
-                raise SecurityError(
-                    f"plan would transfer relation {parent.out_rel.name!r} from "
-                    f"{entry.party} to unauthorised party {party}"
-                )
-            if entry.party in self.local_parties:
-                table = self.local_backends[entry.party].collect(entry.handle)
-            else:
-                table = self.mesh.receive_table(entry.party, parent.out_rel.name)
-            self.leakage.record(
-                "cleartext_transfer", parent.out_rel.name, parent.out_rel.schema.names,
-                [party], detail=f"sent from {entry.party}",
-            )
-            return engine.ingest(table, contributor=entry.party)
-        # MPC-resident relation revealed to a single party.
-        if not self._authorized(parent, consumer, party, all_parties):
-            raise SecurityError(
-                f"plan would reveal MPC relation {parent.out_rel.name!r} to "
-                f"unauthorised party {party}"
-            )
-        table = self.mpc_backend.reveal_to(entry.handle, party)
-        self.joint_leakage.record(
-            "column_reveal", parent.out_rel.name, parent.out_rel.schema.names, [party],
-            detail=f"{table.num_rows} rows revealed for cleartext post-processing",
-        )
-        return engine.ingest(table, contributor=party)
-
-    def _authorized(
-        self, parent: OpNode, consumer: OpNode, party: str, all_parties: set[str]
-    ) -> bool:
-        """Check that revealing ``parent``'s relation to ``party`` is allowed."""
-        rel = parent.out_rel
-        if rel.owner == party:
-            return True
-        if isinstance(consumer, Collect) and party in consumer.recipients:
-            return True
-        if consumer.run_at == party and getattr(consumer, "lifted", False):
-            # Push-up lifted a reversible operator to the output recipient:
-            # its input is derivable from the output the recipient receives.
-            return True
-        trust_ok = all(
-            party in rel.column_trust(col) or PUBLIC in rel.column_trust(col)
-            for col in rel.schema.names
-        )
-        return trust_ok
 
     # -- helpers ------------------------------------------------------------------------------------------
 

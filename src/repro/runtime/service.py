@@ -91,11 +91,11 @@ _shared = functools.lru_cache(maxsize=1024)(lambda value: value)
 def merge_payloads(compiled, parties: list[str], payloads: dict[str, dict]):
     """Merge per-agent result payloads into one QueryResult.
 
-    Per-node durations max-merge (local
-    nodes are reported by their executing agent, joint nodes identically by
-    every agent), each output comes from the first recipient that
-    materialised it, per-party leakage concatenates while joint (replicated)
-    events are taken once from the lead agent.
+    Per-node durations max-merge (local nodes are reported by their
+    executing agent, joint nodes identically by every agent) and each output
+    comes from the first recipient that materialised it.  The leakage report
+    needs no merging: every agent writes the same one, so the lead's is the
+    query's.
     """
     from repro.core.dispatch import QueryResult
     from repro.hybrid.stp import LeakageReport
@@ -111,17 +111,14 @@ def merge_payloads(compiled, parties: list[str], payloads: dict[str, dict]):
     outputs: dict[str, object] = {}
     for node in compiled.dag.outputs():
         name = node.out_rel.name
-        for party in [*node.recipients, *parties]:
+        for party in node.recipients:
             payload = payloads.get(party)
             if payload is not None and name in payload["outputs"]:
                 outputs[name] = table = payload["outputs"][name]
                 table.schema = _shared(table.schema)
                 break
 
-    leakage = LeakageReport()
-    for party in parties:
-        leakage.events.extend(map(_shared, payloads[party]["leakage"].events))
-    leakage.events.extend(map(_shared, payloads[lead]["joint_leakage"].events))
+    leakage = LeakageReport(list(map(_shared, payloads[lead]["leakage"].events)))
 
     backend_seconds: dict[str, float] = {}
     for party in parties:

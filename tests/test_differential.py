@@ -305,13 +305,7 @@ def assert_byte_identical(result, reference, where: str) -> None:
     """Outputs (row order included), MPC work/traffic profile and leakage."""
     assert result.outputs["out"] == reference.outputs["out"], f"{where}: outputs differ"
     assert result.mpc_profile == reference.mpc_profile, f"{where}: MPC profile differs"
-    if result.runtime == "simulated":
-        assert result.leakage.events == reference.leakage.events, f"{where}: leakage differs"
-    else:
-        # Agents' reports are merged, so only the order of events may differ.
-        assert sorted(result.leakage.events, key=repr) == sorted(
-            reference.leakage.events, key=repr
-        ), f"{where}: leakage differs"
+    assert result.leakage.events == reference.leakage.events, f"{where}: leakage differs"
 
 
 @pytest.mark.parametrize("plan", range(NUM_PLANS))

@@ -135,6 +135,7 @@ class TestOperatorMetersEqualExecution:
     @pytest.mark.parametrize("left, right, shared, fixed_point", [
         ("key", "value", True, False), ("key", 3, False, False),
         ("ratio", "rate", True, True), ("key", "ratio", True, False),
+        ("key", 2.5, False, False), ("ratio", 2.5, False, True),
     ])
     def test_multiply(self, backend, n, left, right, shared, fixed_point):
         _, meter = executed(
@@ -269,7 +270,8 @@ class TestStepMetersEqualThePrimitives:
 class TestEstimatorPricesTheExecutedMeters:
     def test_plan_meters_sum_to_the_executed_profile(self):
         """A whole plan under MPC: the estimator's per-node meters at the
-        executed row counts, plus the output reveal, are the executed profile."""
+        executed row counts, plus one output reveal per recipient, are the
+        executed profile."""
         tables = [table_of(20 + i, keys=4, seed=i) for i in range(3)]
         with cc.QueryContext() as q:
             parties = [cc.Party(name) for name in PARTIES]
@@ -297,7 +299,9 @@ class TestEstimatorPricesTheExecutedMeters:
         )
         assert len(overrides) == 5
         estimator = PlanEstimator(EstimatorParams(row_overrides=overrides))
-        total = operators.reveal_meter(groups, 2)
+        total = CostMeter()
+        for _recipient in parties:
+            total.merge(operators.reveal_to_meter(groups, 2))
         for estimate in estimator.estimate(compiled).nodes:
             if estimate.node.is_mpc:
                 total.merge(

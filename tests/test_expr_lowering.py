@@ -28,6 +28,8 @@ from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.workloads.credit import CreditWorkload
 
+from oracle_engine import OracleRunner
+
 PA, PB = cc.Party("alpha.example"), cc.Party("beta.example")
 
 ABC_SCHEMA = Schema([ColumnDef("a"), ColumnDef("b"), ColumnDef("c")])
@@ -608,3 +610,48 @@ class TestNewOperatorsUnderMpc:
         )
         got = sorted(result.outputs["out"].rows())
         assert got == sorted(reference.rows())
+
+
+    IF_SCHEMA = Schema([ColumnDef("i"), ColumnDef("f", ColumnType.FLOAT)])
+
+    @pytest.mark.parametrize(
+        "expression, expected",
+        [
+            (lambda: col("i") * 2.5, lambda i, f: i * 2.5),
+            (lambda: col("f") * 2.5, lambda i, f: f * 2.5),
+            (lambda: col("i") * col("f"), lambda i, f: i * f),
+        ],
+        ids=["i*2.5", "f*2.5", "i*f"],
+    )
+    def test_fixed_point_product_does_not_depend_on_the_frontier(self, expression, expected):
+        """A fractional public scalar (or a FLOAT column) multiplies as fixed
+        point under MPC: the answer and its type are the same wherever the
+        operator lands, on either engine, and as the compiler declared."""
+        rows = {PA.name: [(4, 0.5), (6, 1.25), (8, 2.0)], PB.name: [(5, 1.5), (7, 2.25), (9, 3.0)]}
+        columns = [cc.Column("i", cc.INT), cc.Column("f", cc.FLOAT)]
+        with QueryContext() as ctx:
+            t1 = ctx.new_table("t1", columns, at=PA)
+            t2 = ctx.new_table("t2", columns, at=PB)
+            ctx.concat([t1, t2]).with_column("z", expression()).collect("out", to=[PA])
+        inputs = {
+            PA.name: {"t1": Table.from_rows(self.IF_SCHEMA, rows[PA.name])},
+            PB.name: {"t2": Table.from_rows(self.IF_SCHEMA, rows[PB.name])},
+        }
+        parties = [PA.name, PB.name]
+        outputs = []
+        for frontier in (True, False):
+            config = CompilationConfig(enable_push_down=frontier, enable_push_up=frontier)
+            compiled = cc.compile_query(ctx, config)
+            multiply = next(n for n in compiled.dag.topological() if isinstance(n, Multiply))
+            assert multiply.is_mpc is not frontier
+            for runner in (cc.QueryRunner, OracleRunner):
+                out = runner(parties, inputs, config, seed=5).run(compiled).outputs["out"]
+                (collect,) = compiled.dag.outputs()
+                assert [(c.name, c.ctype) for c in collect.out_rel.schema] == [
+                    (c.name, c.ctype) for c in out.schema
+                ]
+                outputs.append(out)
+        assert all(out == outputs[0] for out in outputs)
+        assert outputs[0].column("z").tolist() == [
+            expected(i, f) for i, f in rows[PA.name] + rows[PB.name]
+        ]

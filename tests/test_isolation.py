@@ -19,7 +19,8 @@ secret sharing *real* rather than replicated theatre:
 * a mesh reader's death poisons even frames that were already
   demultiplexed — a consumer never reads stale data off a dead link;
 * across the differential corpus, every agent process's isolation audit
-  shows it held only its own share slices and cleartext inputs.
+  shows it held only its own share slices and cleartext inputs, and an
+  output table exists only at the agents of its recipients.
 """
 
 import os
@@ -538,19 +539,9 @@ class TestMeshPoisonCoversBufferedFrames:
 # -- MPC ingest ships metadata only -------------------------------------------------------
 
 
-def test_corpus_mpc_ingest_broadcasts_only_schema_and_row_count(monkeypatch):
-    """Cleartext never leaves its owner through MPC ingest: across the
-    50-plan corpus, with one executor per party joined by a real socket
-    mesh, every table frame an agent broadcasts is exactly ``{"schema",
-    "num_rows"}`` — the relation itself travels as share slices only."""
-    broadcast = []
-    send = MeshChannel.broadcast_table
-
-    def recording_broadcast(channel, relation, payload):
-        broadcast.append(payload)
-        send(channel, relation, payload)
-
-    monkeypatch.setattr(MeshChannel, "broadcast_table", recording_broadcast)
+def corpus_over_a_socket_mesh():
+    """Run the 50-plan corpus with one executor per party joined by a real
+    socket mesh; yields ``(spec, compiled, {party: ExecutionOutcome})``."""
     sock_a, sock_b = socket.socketpair()
     meshes = {
         PARTY_A: PeerMesh(PARTY_A, {PARTY_B: sock_a}, timeout=30.0),
@@ -568,15 +559,45 @@ def test_corpus_mpc_ingest_broadcasts_only_schema_and_row_count(monkeypatch):
                 )
                 for party in PARTIES
             ]
-            at_a, _at_b = run_lockstep(executors, lambda ex: ex.execute(compiled))
-            assert sorted(at_a.outputs["out"].rows()) == oracle(spec)
+            outcomes = run_lockstep(executors, lambda ex: ex.execute(compiled))
+            yield spec, compiled, dict(zip(PARTIES, outcomes))
     finally:
         for mesh in meshes.values():
             mesh.close()
+
+
+def test_corpus_mpc_ingest_broadcasts_only_schema_and_row_count(monkeypatch):
+    """Cleartext never leaves its owner through MPC ingest: across the
+    50-plan corpus, with one executor per party joined by a real socket
+    mesh, every table frame an agent broadcasts is exactly ``{"schema",
+    "num_rows"}`` — the relation itself travels as share slices only."""
+    broadcast = []
+    send = MeshChannel.broadcast_table
+
+    def recording_broadcast(channel, relation, payload):
+        broadcast.append(payload)
+        send(channel, relation, payload)
+
+    monkeypatch.setattr(MeshChannel, "broadcast_table", recording_broadcast)
+    for spec, _compiled, outcomes in corpus_over_a_socket_mesh():
+        assert sorted(outcomes[PARTY_A].outputs["out"].rows()) == oracle(spec)
     assert broadcast, "the corpus never crossed into MPC"
     for payload in broadcast:
         assert isinstance(payload, dict) and set(payload) == {"schema", "num_rows"}
         assert isinstance(payload["num_rows"], int)
+
+
+def test_corpus_outputs_reach_their_recipients_only():
+    """An MPC output is revealed to its recipients, not opened to every
+    agent: across the corpus, over a real socket mesh, an agent that is not
+    in ``recipients`` returns no output table — while every agent, recipient
+    or not, writes the identical leakage report."""
+    for spec, compiled, outcomes in corpus_over_a_socket_mesh():
+        (collect,) = compiled.dag.outputs()
+        assert collect.recipients == [PARTY_A]
+        assert sorted(outcomes[PARTY_A].outputs["out"].rows()) == oracle(spec)
+        assert outcomes[PARTY_B].outputs == {}, f"seed {spec['seed']}: output at a non-recipient"
+        assert outcomes[PARTY_B].leakage.events == outcomes[PARTY_A].leakage.events
 
 
 # -- corpus-wide isolation audit -----------------------------------------------------------

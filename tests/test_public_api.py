@@ -252,3 +252,68 @@ def test_hybrid_aggregate_has_no_per_row_loop():
     loops = [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
     assert not loops
     assert "mul" not in calls_in(tree)
+
+
+# -- one mover, one report, one plan ---------------------------------------------------------
+
+#: What carries a relation across a party / MPC boundary.
+CROSSING_CALLS = {"send_table", "receive_table", "broadcast_table", "reveal_to", "ingest_remote"}
+
+
+def test_every_relation_crosses_a_boundary_in_one_function():
+    """``PlanExecutor._fetch`` is the only function of the executor that
+    moves a relation between loci, and nothing there opens an MPC relation
+    to everyone (``.reveal(``)."""
+    tree = ast.parse((SRC / "runtime" / "executor.py").read_text())
+    movers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and CROSSING_CALLS & set(calls_in(func))
+    }
+    assert movers == {"_fetch"}
+    assert CROSSING_CALLS <= set(calls_in(tree))
+    assert "reveal" not in calls_in(tree)
+    for gone in (
+        "_execute_collect", "_execute_local_node", "_assist_remote_local",
+        "_as_mpc_handle", "_as_local_handle", "_reset_leakage",
+    ):
+        assert gone not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+
+def test_there_is_one_leakage_report():
+    for path in SRC.rglob("*.py"):
+        assert "joint_leakage" not in path.read_text(), path
+    differential = (SRC.parent.parent / "tests" / "test_differential.py").read_text()
+    compare = differential[differential.index("def assert_byte_identical"):]
+    compare = compare[: compare.index("\n\n\n")]
+    assert "result.leakage.events == reference.leakage.events" in compare
+    assert "sorted" not in compare and "runtime" not in compare
+
+
+def _three_party_query():
+    with repro.QueryContext() as q:
+        parties = [repro.Party(name) for name in ("a.example", "b.example", "c.example")]
+        columns = [repro.Column("k", repro.INT), repro.Column("v", repro.INT)]
+        tables = [repro.new_table(f"t{i}", columns, at=p) for i, p in enumerate(parties)]
+        repro.concat(tables).aggregate(group=["k"], aggs={"s": repro.SUM("v")}).collect(
+            "out", to=parties[:1]
+        )
+    return q
+
+
+def test_the_plan_that_ships_is_the_dag_that_runs():
+    """Sub-plans and generated jobs are views derived on access: they are
+    neither shipped nor hashed, so looking at them cannot change the plan's
+    fingerprint."""
+    from repro.runtime.service import plan_fingerprint
+    from repro.runtime.wire import encode_payload
+
+    query = _three_party_query()
+    untouched, inspected = repro.compile_query(query), repro.compile_query(query)
+    assert inspected.explain() and inspected.jobs and inspected.subplans
+    assert set(vars(inspected)) == {"dag", "config", "report"}
+    assert encode_payload(inspected) == encode_payload(untouched)
+    assert plan_fingerprint(inspected) == plan_fingerprint(untouched)
+    for name in (b"GeneratedJob", b"SubPlan"):
+        assert name not in encode_payload(untouched)
+    assert [job.index for job in untouched.jobs] == [sp.index for sp in untouched.subplans]

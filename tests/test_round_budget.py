@@ -54,19 +54,19 @@ WORKLOADS = {
 #: ``bytes_sent`` the price list sees, analytic steps included.
 BUDGETS = {
     "hhi_pushdown": dict(
-        wire_rounds=14, wire_bytes=2208, multiplications=379, comparisons=91,
+        wire_rounds=14, wire_bytes=2176, multiplications=379, comparisons=91,
         local_ops=728, shuffled_elements=42, input_records=18, output_records=13,
-        messages=219, bytes_sent=7056, rounds=67,
+        messages=215, bytes_sent=7024, rounds=67,
     ),
     "hhi_mpc_only": dict(
-        wire_rounds=16, wire_bytes=34560, multiplications=18631, comparisons=4909,
+        wire_rounds=16, wire_bytes=34528, multiplications=18631, comparisons=4909,
         local_ops=38382, shuffled_elements=912, input_records=300, output_records=303,
-        messages=489, bytes_sent=252976, rounds=155,
+        messages=485, bytes_sent=252944, rounds=155,
     ),
     "credit_hybrid": dict(
-        wire_rounds=29, wire_bytes=69184, multiplications=6649, comparisons=4004,
+        wire_rounds=29, wire_bytes=63680, multiplications=6649, comparisons=4004,
         local_ops=1198, shuffled_elements=1901, input_records=784, output_records=808,
-        messages=468, bytes_sent=193512, rounds=143,
+        messages=452, bytes_sent=188008, rounds=143,
     ),
 }
 
