@@ -59,7 +59,7 @@ def hybrid_aggregate(
     key_col, value_col = oblivious_shuffle(engine, [table.column(group_col), value_col])
     # The STP logic is replicated at every agent, so the reveal widens to
     # all engines — the leakage report records the disclosure either way.
-    revealed_keys = engine.reveal_replicated(key_col)
+    (revealed_keys,) = engine.reveal_many([key_col])
     leakage.record(
         "column_reveal", f"hybrid_aggregate({group_col})", [group_col], [stp.name],
         detail=f"{n} shuffled group-by values",

@@ -14,7 +14,7 @@ learns the join's output cardinality.
 from __future__ import annotations
 
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
-from repro.mpc.oblivious import oblivious_index, oblivious_shuffle
+from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.protocols import SharedTable, join_assembly
 from repro.mpc.sharemind import SharemindBackend
 
@@ -38,11 +38,10 @@ def hybrid_join(
     left = SharedTable(engine, left.schema, oblivious_shuffle(engine, left.columns))
     right = SharedTable(engine, right.schema, oblivious_shuffle(engine, right.columns))
 
-    # Step 2: project the key columns and reveal them to the STP.  The STP's
+    # Step 2: project the key columns and reveal both to the STP in one round.  The STP's
     # cleartext logic is replicated at every agent, so the reveal widens to
     # all engines — the leakage report records the disclosure either way.
-    left_keys = engine.reveal_replicated(left.column(left_on))
-    right_keys = engine.reveal_replicated(right.column(right_on))
+    left_keys, right_keys = engine.reveal_many([left.column(left_on), right.column(right_on)])
     leakage.record(
         "column_reveal", f"hybrid_join({left_on})", [left_on, right_on], [stp.name],
         detail=f"{len(left_keys)}+{len(right_keys)} shuffled key values",
@@ -59,12 +58,14 @@ def hybrid_join(
     # The STP secret-shares the index relations back into the MPC.  The
     # indices are known to every (replicated-STP) engine, so this is a
     # public-value sharing from the shared environment stream.
-    left_idx_shared = engine.input_vector(left_indices, public=True)
-    right_idx_shared = engine.input_vector(right_indices, public=True)
+    left_idx_shared, right_idx_shared = engine.input_vectors(
+        [left_indices, right_indices], public=True
+    )
 
-    # Steps 6-7: oblivious indexing selects the matching rows on both sides;
+    # Steps 6-7: oblivious indexing (both index vectors opened to the
+    # environment together) selects the matching rows on both sides;
     # concatenate them column-wise and reshuffle the result.
     schema, columns = join_assembly(
-        left, right, right_on, suffix, oblivious_index, left_idx_shared, right_idx_shared
+        left, right, right_on, suffix, left_idx_shared, right_idx_shared
     )
     return SharedTable(engine, schema, oblivious_shuffle(engine, columns))

@@ -15,7 +15,7 @@ annotation) and the output cardinality.
 from __future__ import annotations
 
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
-from repro.mpc.protocols import SharedTable, gather_rows, join_assembly
+from repro.mpc.protocols import SharedTable, join_assembly
 from repro.mpc.sharemind import SharemindBackend
 
 
@@ -36,8 +36,7 @@ def public_join(
     # Send the (public) key columns to the host party.  The host's cleartext
     # join is replicated at every agent, so the reveal widens to all engines
     # — the columns are public by annotation, so nothing extra is disclosed.
-    left_keys = engine.reveal_replicated(left.column(left_on))
-    right_keys = engine.reveal_replicated(right.column(right_on))
+    left_keys, right_keys = engine.reveal_many([left.column(left_on), right.column(right_on)])
     leakage.record(
         "column_reveal", f"public_join({left_on})", [left_on, right_on], [host.name],
         detail="public key columns",
@@ -52,7 +51,5 @@ def public_join(
 
     # The indices are public, so each party gathers the matching rows from
     # its shares locally — no oblivious operations needed.
-    schema, columns = join_assembly(
-        left, right, right_on, suffix, gather_rows, left_indices, right_indices
-    )
+    schema, columns = join_assembly(left, right, right_on, suffix, left_indices, right_indices)
     return SharedTable(engine, schema, columns)

@@ -175,6 +175,12 @@ class PlanEstimator:
                 seconds = self._local_seconds(node, rows_in, rows_out, prices)
                 local_seconds += seconds
                 locus = f"local:{node.run_at or node.out_rel.owner or '?'}"
+                if not use_garbled and any(p.is_mpc for p in node.parents):
+                    # Crossing out of the MPC is MPC work on the consumer's
+                    # clock; the session is up, so no second start-up.
+                    reveal = self.sharemind_model.work_seconds(self._reveal_meter(node, rows_in))
+                    mpc_seconds += reveal
+                    seconds += reveal
 
             durations[node.node_id] = seconds
             node_estimates.append(NodeEstimate(node, rows_in, rows_out, seconds, locus))
@@ -356,6 +362,19 @@ class PlanEstimator:
         wide = isinstance(node, (Join, Aggregate, Distinct, SortBy, Merge, HybridAggregate))
         records = sum(rows_in) + (rows_out if wide else 0)
         return self._cleartext_records_seconds(records, prices, wide=wide)
+
+    def _reveal_meter(self, node: OpNode, rows_in: list[int]) -> CostMeter:
+        """Revealing each MPC parent of a cleartext node to the party that
+        runs it — a ``Collect``'s to every recipient in turn, one round each."""
+        recipients = len(node.recipients) if isinstance(node, Collect) else 1
+        meter = CostMeter()
+        for parent, n_rows in zip(node.parents, rows_in):
+            if parent.is_mpc:
+                columns = len(parent.out_rel.schema)
+                step = operators.reveal_to_meter(n_rows, columns, self.params.num_parties)
+                for _ in range(recipients):
+                    meter.merge(step)
+        return meter
 
     @staticmethod
     def _cleartext_records_seconds(records: int, prices, wide: bool) -> float:

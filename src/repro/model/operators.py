@@ -24,27 +24,26 @@ def _total(*meters: CostMeter) -> CostMeter:
     return total
 
 
-# -- crossing the MPC boundary: one round per column -----------------------------------------
+# -- crossing the MPC boundary: one round per relation ---------------------------------------
 
 
 def share_input_meter(records: int, columns: int, p: int = 3) -> CostMeter:
     """Secret-sharing a ``records`` x ``columns`` relation into the MPC."""
-    return _total(*[steps.input_meter(records, p)] * columns)
+    return steps.input_meter(records * columns, p)
 
 
 def reveal_meter(records: int, columns: int, p: int = 3) -> CostMeter:
     """Opening a relation to all parties."""
-    return _total(*[steps.open_meter(records, p)] * columns)
+    return steps.open_meter(records * columns, p)
 
 
 def reveal_to_meter(records: int, columns: int, p: int = 3, external: bool = False) -> CostMeter:
     """Opening a relation to one party — a computing one, or (``external``) an
     STP outside the MPC, served by an environment opening plus the leg out."""
+    elements = records * columns
     if external:
-        column = _total(steps.env_open_meter(records, p), steps.external_reveal_meter(records, p))
-    else:
-        column = steps.open_to_meter(records, p)
-    return _total(*[column] * columns)
+        return _total(steps.env_open_meter(elements, p), steps.external_reveal_meter(elements, p))
+    return steps.open_to_meter(elements, p)
 
 
 # -- oblivious building blocks -----------------------------------------------------------------
@@ -71,19 +70,16 @@ def merge_meter(run_rows: Sequence[int], columns: int, p: int = 3) -> CostMeter:
 
 
 def index_meter(input_rows: int, selected_rows: int, columns: int, p: int = 3) -> CostMeter:
-    """Oblivious indexing: the indices are opened to the environment, then
+    """Oblivious indexing over indices the caller opened to the environment:
     the routing network.  No payload columns, no work."""
     if columns == 0:
         return CostMeter()
-    return _total(
-        steps.env_open_meter(selected_rows, p),
-        steps.index_routing_meter(input_rows, selected_rows, columns, p),
-    )
+    return steps.index_routing_meter(input_rows, selected_rows, columns, p)
 
 
 def compact_meter(records: int, columns: int, p: int = 3) -> CostMeter:
-    """The size-revealing tail: shuffle flags + columns, open the flags."""
-    return _total(steps.shuffle_meter(records, columns + 1, p), steps.open_meter(records, p))
+    """The size-revealing tail: shuffle flags + columns, open the flag bits."""
+    return _total(steps.shuffle_meter(records, columns + 1, p), steps.open_flags_meter(records, p))
 
 
 # -- row-wise operators ---------------------------------------------------------------------------
@@ -200,10 +196,10 @@ def distinct_meter(records: int, output_rows: int, p: int = 3) -> CostMeter:
 def public_join_meter(
     left_rows: int, right_rows: int, output_rows: int, out_columns: int, p: int = 3
 ) -> CostMeter:
-    """Public join: both key columns opened, matching rows gathered locally."""
+    """Public join: both key columns opened in one round, matching rows
+    gathered locally."""
     return _total(
-        steps.open_meter(left_rows, p),
-        steps.open_meter(right_rows, p),
+        steps.open_meter(left_rows + right_rows, p),
         steps.local_meter(output_rows, out_columns),
     )
 
@@ -217,16 +213,18 @@ def hybrid_join_meter(
     p: int = 3,
 ) -> CostMeter:
     """The MPC portion of the hybrid join (§5.3, Figure 3): two input
-    shuffles, two key-column reveals to the STP, the two index relations
-    shared back, two oblivious indexing passes (the right side without its
-    key column) and a final shuffle.  The STP's cleartext join is charged by
-    the cleartext engine, not here."""
+    shuffles, both key columns revealed to the STP in one round, the two
+    index relations shared back in one, opened to the environment in one
+    (the right one only if that side has a column besides its key), two
+    oblivious indexing passes (the right side without its key column) and a
+    final shuffle.  The STP's cleartext join is charged by the cleartext
+    engine, not here."""
     return _total(
         steps.shuffle_meter(left_rows, left_columns, p),
         steps.shuffle_meter(right_rows, right_columns, p),
-        steps.open_meter(left_rows, p),
-        steps.open_meter(right_rows, p),
+        steps.open_meter(left_rows + right_rows, p),
         share_input_meter(output_rows, 2, p),
+        steps.env_open_meter((1 + (right_columns > 1)) * output_rows, p),
         index_meter(left_rows, output_rows, left_columns, p),
         index_meter(right_rows, output_rows, right_columns - 1, p),
         steps.shuffle_meter(output_rows, left_columns + right_columns - 1, p),

@@ -53,10 +53,13 @@ class SharemindCostModel:
     bytes_per_second: float = 125.0e6
 
     def seconds(self, meter: CostMeter) -> float:
-        """Convert a cost meter into simulated seconds."""
+        """Convert a session's cost meter into simulated seconds."""
+        return self.startup_seconds + self.work_seconds(meter)
+
+    def work_seconds(self, meter: CostMeter) -> float:
+        """The metered work alone, for steps of a session that is already up."""
         return (
-            self.startup_seconds
-            + meter.input_records * self.per_input_record_seconds
+            meter.input_records * self.per_input_record_seconds
             + meter.output_records * self.per_output_record_seconds
             + meter.multiplications * self.per_multiplication_seconds
             + meter.comparisons * self.per_comparison_seconds

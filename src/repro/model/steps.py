@@ -55,23 +55,33 @@ def _analytic(rounds: int, elements: int, num_parties: int) -> NetworkStats:
 
 
 # -- carried steps: performed for real, priced here --------------------------------------
+# ``elements`` is rows x columns: a relation's columns cross in one round.
 
 
-def input_meter(records: int, num_parties: int) -> CostMeter:
-    """Secret-sharing one vector: the contributor sends every other party a slice."""
-    return CostMeter(input_records=records, network=_carried(num_parties - 1, records))
+def input_meter(elements: int, num_parties: int) -> CostMeter:
+    """Secret-sharing a relation: the contributor sends every other party one
+    message with its slice of every column."""
+    return CostMeter(input_records=elements, network=_carried(num_parties - 1, elements))
 
 
-def open_meter(records: int, num_parties: int) -> CostMeter:
-    """Opening one vector to all parties: every party broadcasts its slice."""
+def open_meter(elements: int, num_parties: int) -> CostMeter:
+    """Opening a relation to all parties: every party broadcasts its slices."""
     return CostMeter(
-        output_records=records, network=_carried(num_parties * (num_parties - 1), records)
+        output_records=elements, network=_carried(num_parties * (num_parties - 1), elements)
     )
 
 
-def open_to_meter(records: int, num_parties: int) -> CostMeter:
-    """Opening one vector to one computing party: the others send it their slice."""
-    return CostMeter(output_records=records, network=_carried(num_parties - 1, records))
+def open_flags_meter(records: int, num_parties: int) -> CostMeter:
+    """Opening a 0/1 vector in Z_2: every party broadcasts the low bit of each
+    of its shares, packed eight to the byte."""
+    messages = num_parties * (num_parties - 1)
+    packed = NetworkStats(messages, messages * ((records + 7) // 8), rounds=1, wire_rounds=1)
+    return CostMeter(output_records=records, network=packed)
+
+
+def open_to_meter(elements: int, num_parties: int) -> CostMeter:
+    """Opening a relation to one computing party: the others send it their slices."""
+    return CostMeter(output_records=elements, network=_carried(num_parties - 1, elements))
 
 
 def env_open_meter(elements: int, num_parties: int) -> CostMeter:

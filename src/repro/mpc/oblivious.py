@@ -160,21 +160,21 @@ def _bitonic_merge_two(
 def oblivious_index(
     engine: SecretSharingEngine,
     columns: Sequence[SharedVector],
-    indices: SharedVector,
+    idx_values: np.ndarray,
 ) -> list[SharedVector]:
-    """Select the rows at secret ``indices`` from a shared relation.
+    """Select the rows at secret indices from a shared relation.
 
     This is the oblivious indexing ("select") protocol used in step 6 of the
     hybrid join (§5.3), following Laud's parallel oblivious array access: it
     costs ``O((n + m) log(n + m))`` oblivious operations for ``n`` input rows
     and ``m`` selected indices.  We execute it as an ideal functionality
-    (gather on the reconstructed indices) and meter the real protocol's cost.
+    (gather on ``idx_values``, the indices as the caller's ``env_open`` round
+    reconstructed them) and meter the real protocol's cost.
     """
     if not columns:
         return []
     n = len(columns[0])
-    m = len(indices)
-    idx_values = engine.env_open(indices)
+    m = len(idx_values)
     if m > 0 and (idx_values.min() < 0 or idx_values.max() >= n):
         raise IndexError("oblivious index out of range")
 

@@ -24,6 +24,7 @@ from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.model import steps
 from repro.mpc.oblivious import (
+    oblivious_index,
     oblivious_merge,
     oblivious_shuffle,
     oblivious_sort,
@@ -55,14 +56,14 @@ class SharedTable:
     def from_table(
         cls, engine: SecretSharingEngine, table: Table, contributor: str | None = None
     ) -> "SharedTable":
-        """Secret-share a cleartext table into the MPC."""
-        columns = []
-        for cdef in table.schema:
-            values = table.column(cdef.name)
-            if cdef.ctype is ColumnType.FLOAT:
-                values = np.round(values * FIXED_POINT_SCALE).astype(np.int64)
-            columns.append(engine.input_vector(values, contributor=contributor))
-        return cls(engine, table.schema, columns)
+        """Secret-share a cleartext table into the MPC (one input round)."""
+        values = [
+            np.round(table.column(cdef.name) * FIXED_POINT_SCALE).astype(np.int64)
+            if cdef.ctype is ColumnType.FLOAT
+            else table.column(cdef.name)
+            for cdef in table.schema
+        ]
+        return cls(engine, table.schema, engine.input_vectors(values, contributor))
 
     @classmethod
     def from_metadata(
@@ -75,10 +76,7 @@ class SharedTable:
         which runs :meth:`from_table` in lockstep.  The cleartext never
         leaves the contributing party.
         """
-        columns = [
-            engine.input_vector(None, contributor=contributor, num_rows=num_rows)
-            for _ in schema
-        ]
+        columns = engine.input_vectors(None, contributor, [num_rows] * len(schema))
         return cls(engine, schema, columns)
 
     @classmethod
@@ -87,17 +85,17 @@ class SharedTable:
         return cls(engine, schema, [engine.empty_vector() for _ in schema])
 
     def reveal(self) -> Table:
-        """Open the whole relation to all parties as a cleartext table."""
-        return self._decoded([self.engine.open(col) for col in self.columns])
+        """Open the whole relation to all parties as a cleartext table (one round)."""
+        return self._decoded(self.engine.open_many(self.columns))
 
     def reveal_to(self, party: str) -> Table | None:
-        """Open the whole relation to a single party.
+        """Open the whole relation to a single party (one round).
 
         Engines that do not hold the target party's slice ship their shares
         and get ``None`` back — only the target materialises the cleartext.
         """
-        opened = [self.engine.reveal_to(col, party) for col in self.columns]
-        return None if any(values is None for values in opened) else self._decoded(opened)
+        opened = self.engine.reveal_to_many(self.columns, party)
+        return None if opened is None else self._decoded(opened)
 
     def _decoded(self, opened: Sequence[np.ndarray]) -> Table:
         """Opened ring values as a table: fixed-point columns back to floats."""
@@ -466,7 +464,7 @@ def mpc_join(
     rkey = _gather_vector(engine, right.column(right_on), ri)
     flags = engine.equals(lkey, rkey)
 
-    schema, columns = join_assembly(left, right, right_on, suffix, gather_rows, li, ri)
+    schema, columns = join_assembly(left, right, right_on, suffix, li, ri)
     return SharedTable(engine, schema, compact(engine, flags, columns))
 
 
@@ -584,11 +582,11 @@ def compact(
     """The size-revealing tail of every selecting operator.
 
     Obliviously shuffle the relation together with its secret 0/1 ``flags``,
-    open the shuffled flags and keep the flagged rows: which input rows
-    survive stays hidden, how many becomes public.
+    open the shuffled flags — one bit each — and keep the flagged rows: which
+    input rows survive stays hidden, how many becomes public.
     """
     shuffled = oblivious_shuffle(engine, [flags, *columns])
-    keep = np.nonzero(engine.open(shuffled[0]))[0]
+    keep = np.flatnonzero(engine.open_flags(shuffled[0]))
     return [
         SharedVector(engine, [share[keep] for share in col.shares]) for col in shuffled[1:]
     ]
@@ -660,17 +658,17 @@ def join_assembly(
     right: SharedTable,
     right_on: str,
     suffix: str,
-    select,
-    left_rows,
-    right_rows,
+    left_rows: "np.ndarray | SharedVector",
+    right_rows: "np.ndarray | SharedVector",
 ) -> tuple[Schema, list[SharedVector]]:
     """Output schema and columns of every join variant.
 
     All left columns, then the right columns except the join key, renamed
-    with ``suffix`` where a left column has the name already.
-    ``select(engine, columns, rows)`` picks each side's matching rows:
-    :func:`gather_rows` for public row indices,
-    :func:`~repro.mpc.oblivious.oblivious_index` for secret ones.
+    with ``suffix`` where a left column has the name already.  Each side's
+    matching rows are picked by :func:`gather_rows` when the row indices are
+    public, and by :func:`~repro.mpc.oblivious.oblivious_index` when they are
+    secret — the index vectors of the sides that contribute columns then
+    reach the environment in one round.
     """
     engine = left.engine
     out_defs: list[ColumnDef] = list(left.schema.columns)
@@ -682,10 +680,11 @@ def join_assembly(
         name = cdef.name + suffix if cdef.name in taken else cdef.name
         out_defs.append(ColumnDef(name, cdef.ctype, cdef.trust))
         right_cols.append(col)
-    columns = [
-        *select(engine, left.columns, left_rows),
-        *select(engine, right_cols, right_rows),
-    ]
+    sides = [s for s in ((left.columns, left_rows), (right_cols, right_rows)) if s[0]]
+    rows, select = [r for _, r in sides], gather_rows
+    if isinstance(left_rows, SharedVector):
+        rows, select = engine.env_open_many(rows), oblivious_index
+    columns = [col for (cols, _), idx in zip(sides, rows) for col in select(engine, cols, idx)]
     return Schema(out_defs), columns
 
 

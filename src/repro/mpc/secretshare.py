@@ -11,13 +11,16 @@ secret-sharing MPC backend:
 * :class:`SecretSharingEngine` — the party-facing engine.  An engine
   instance holds the share slices of its *local* parties only: every party's
   slice in the single-process simulation (``local_parties=None``, one engine
-  plays all parties at once), exactly one slice in a party agent.  Every
-  opening (``open``, ``reveal_to``, Beaver ``d``/``e`` openings, the
-  environment openings of the ideal-functionality steps) reconstructs from
-  the share payloads as *delivered* by the network round.  On a socket
-  transport the foreign slices genuinely arrive off the wire, so a corrupted
-  frame corrupts the opened result — the shares are load-bearing, not
-  replicated.
+  plays all parties at once), exactly one slice in a party agent.  The
+  carried steps take *lists* of vectors — a relation's columns cross in one
+  round: ``input_vectors`` (sharing), ``open_many`` / ``reveal_many`` (to
+  all), ``reveal_to_many`` (to one party), ``env_open_many`` (to the
+  protocol environment); ``open_flags`` opens a 0/1 vector in Z_2, one bit
+  per row.  Every opening (those, and the Beaver ``d``/``e`` openings)
+  reconstructs from the share payloads as *delivered* by the network round.
+  On a socket transport the foreign slices genuinely arrive off the wire, so
+  a corrupted frame corrupts the opened result — the shares are
+  load-bearing, not replicated.
 * :class:`SharedVector` — a handle to a secret-shared vector of 64-bit
   values, with operator overloads for the supported arithmetic.
 
@@ -72,6 +75,7 @@ import numpy as np
 from repro.model import steps
 from repro.model.counters import SHARE_BYTES, CostMeter
 from repro.mpc.network import Network
+from repro.runtime.transport import TransportError
 
 #: Number of bits in the secret-sharing ring.
 RING_BITS = 64
@@ -303,14 +307,9 @@ class SecretSharingEngine:
             for i in range(self.num_parties)
         ]
 
-    def _reconstruct(
-        self, delivered: Sequence, step: str, component: int | None = None
-    ) -> np.ndarray:
-        """Sum one delivered payload per party, in global party order.
-
-        ``component`` picks one vector out of tuple payloads (a batched
-        opening).  A ``None`` payload is a slice no peer delivered.
-        """
+    def _reconstruct(self, delivered: Sequence, step: str, component: int) -> np.ndarray:
+        """Sum vector ``component`` of one delivered tuple payload per party,
+        in global party order.  A ``None`` payload is a slice no peer delivered."""
         entries = []
         for name, payload in zip(self.party_names, delivered):
             if payload is None:
@@ -318,7 +317,7 @@ class SecretSharingEngine:
                     f"{step}: no share slice delivered for party {name!r} "
                     f"(engine holds {sorted(self.local_parties)})"
                 )
-            entries.append(payload if component is None else payload[component])
+            entries.append(payload[component])
         return AdditiveSharing.reconstruct(entries)
 
     def _require_local(self) -> None:
@@ -330,27 +329,28 @@ class SecretSharingEngine:
 
     # -- share lifecycle ---------------------------------------------------------------
 
-    def input_vector(
+    def input_vectors(
         self,
-        values: np.ndarray | None = None,
+        values: "Sequence[np.ndarray] | None" = None,
         contributor: str | None = None,
-        num_rows: int | None = None,
+        num_rows: "Sequence[int] | None" = None,
         public: bool = False,
-    ) -> SharedVector:
-        """Secret-share a cleartext vector into the MPC.
+    ) -> list[SharedVector]:
+        """Secret-share cleartext vectors — a relation's columns — in one round.
 
-        ``contributor`` names the party providing the data; it distributes
-        one share to every other party (one network round).  Each receiving
-        party's share is the payload that was actually delivered to it, so
-        on a socket transport the share data genuinely crosses the process
-        boundary.
+        ``contributor`` names the party providing the data; it sends every
+        other party one message holding that party's slice of every vector.
+        Each receiving party's shares are the payload that was actually
+        delivered to it, so on a socket transport the share data genuinely
+        crosses the process boundary.
 
         Engines that do not hold the contributor's cleartext pass
-        ``values=None`` and ``num_rows`` (the row count is public metadata);
-        their slice comes exclusively off the wire.  ``public=True`` marks a
-        value already known to every party (hybrid-protocol intermediates):
-        the sharing randomness then comes from the shared environment stream
-        so all lockstep engines stay synchronised.
+        ``values=None`` and the ``num_rows`` of each vector (public
+        metadata); their slices come exclusively off the wire.
+        ``public=True`` marks values already known to every party
+        (hybrid-protocol intermediates): the sharing randomness then comes
+        from the shared environment stream so all lockstep engines stay
+        synchronised.  Either stream is drawn vector by vector.
         """
         self._require_local()
         contributor = contributor or self.party_names[0]
@@ -358,46 +358,52 @@ class SecretSharingEngine:
             raise KeyError(f"unknown contributor {contributor!r}")
         c_idx = self.party_names.index(contributor)
         if values is not None:
-            values = np.asarray(values, dtype=np.int64)
-            n = int(values.size)
-        else:
-            if num_rows is None:
-                raise ValueError("input_vector needs values or a public num_rows")
-            n = int(num_rows)
-
-        full: list[np.ndarray] | None = None
-        if public:
-            if values is None:
-                raise ValueError("a public input requires values at every party")
-            full = AdditiveSharing.share(values, self.num_parties, self.rng)
-        elif values is not None:
-            full = AdditiveSharing.share(values, self.num_parties, self._input_rngs[c_idx])
+            values = [np.asarray(v, dtype=np.int64) for v in values]
+            num_rows = [int(v.size) for v in values]
+        elif num_rows is None:
+            raise ValueError("input_vectors needs values or the public num_rows of each vector")
+        elif public:
+            raise ValueError("a public input requires values at every party")
         elif c_idx in self._local_pos:
-            raise ValueError(
-                f"engine holds contributor {contributor!r} but got no values"
-            )
+            raise ValueError(f"engine holds contributor {contributor!r} but got no values")
 
-        size = n * SHARE_BYTES
+        #: ``full[k][i]`` is party ``i``'s slice of vector ``k``.
+        full: list[list[np.ndarray]] | None = None
+        if values is not None:
+            rng = self.rng if public else self._input_rngs[c_idx]
+            full = [AdditiveSharing.share(v, self.num_parties, rng) for v in values]
+        total = sum(num_rows)
         sends = [
-            (contributor, name, None if full is None else full[i])
+            (contributor, name, None if full is None else tuple(slices[i] for slices in full))
             for i, name in enumerate(self.party_names)
             if name != contributor
         ]
-        delivered = self.network.round("input-share", sends, size)
-        local_shares = []
+        delivered = self.network.round("input-share", sends, total * SHARE_BYTES)
+        local = []
         for i in self.local_indices:
-            name = self.party_names[i]
-            if i == c_idx:
-                local_shares.append(full[c_idx])
-            else:
-                got = delivered[(contributor, name)]
-                if got is None:
-                    # In-process delivery of a sharing this engine computed
-                    # itself (all-local simulation without a wire).
-                    got = full[i]
-                local_shares.append(got)
-        self.meter.input_records += n
-        return SharedVector(self, local_shares)
+            got = None if i == c_idx else delivered[(contributor, self.party_names[i])]
+            if got is None:
+                # The contributor's own slices, or the in-process delivery of
+                # a sharing this engine computed itself (no wire in between).
+                got = [slices[i] for slices in full]
+            local.append(got)
+        self.meter.input_records += total
+        return [SharedVector(self, [got[k] for got in local]) for k in range(len(num_rows))]
+
+    def input_vector(
+        self,
+        values: np.ndarray | None = None,
+        contributor: str | None = None,
+        num_rows: int | None = None,
+        public: bool = False,
+    ) -> SharedVector:
+        """Secret-share one vector (see :meth:`input_vectors`)."""
+        return self.input_vectors(
+            None if values is None else [values],
+            contributor,
+            None if num_rows is None else [num_rows],
+            public,
+        )[0]
 
     def constant(self, values: np.ndarray) -> SharedVector:
         """Share a public constant (no communication: party 0 holds it, rest hold 0)."""
@@ -460,21 +466,55 @@ class SecretSharingEngine:
 
     # -- openings ----------------------------------------------------------------------
 
-    def _open_to_all(self, tag: str, vec: SharedVector) -> np.ndarray:
-        """Every party broadcasts its slice (one round); all learn the value."""
-        size = len(vec) * SHARE_BYTES
-        delivered = self._exchange(tag, self._per_party(lambda i, pos: vec.shares[pos]), size)
-        self.meter.output_records += len(vec)
-        return self._reconstruct(delivered, tag)
+    def _broadcast(self, tag: str, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
+        """Every party broadcasts its slice of every vector (one round); the
+        values are reconstructed from the slices as delivered."""
+        per_party = self._per_party(lambda i, pos: tuple(vec.shares[pos] for vec in vecs))
+        size = sum(len(vec) for vec in vecs) * SHARE_BYTES
+        delivered = self._exchange(tag, per_party, size)
+        return [self._reconstruct(delivered, tag, k) for k in range(len(vecs))]
 
-    def open(self, vec: SharedVector) -> np.ndarray:
-        """Reveal a shared vector to all parties (one broadcast round).
+    def _open_to_all(self, tag: str, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
+        self.meter.output_records += sum(len(vec) for vec in vecs)
+        return self._broadcast(tag, vecs)
 
-        Every party broadcasts its slice; the reconstruction uses the shares
-        as delivered, so on a socket transport the opened value depends on
+    def open_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
+        """Reveal shared vectors to all parties (one broadcast round).
+
+        Every party broadcasts its slices; the reconstruction uses the shares
+        as delivered, so on a socket transport the opened values depend on
         bytes received from the peer processes.
         """
-        return self._open_to_all("open-share", vec)
+        return self._open_to_all("open-share", vecs)
+
+    def open(self, vec: SharedVector) -> np.ndarray:
+        """Reveal one shared vector to all parties (see :meth:`open_many`)."""
+        return self.open_many([vec])[0]
+
+    def open_flags(self, flags: SharedVector) -> np.ndarray:
+        """Reveal a vector known to hold 0/1 flags, one *bit* per row.
+
+        Z_2^64 -> Z_2 (the low bit) is a ring homomorphism, so the low bit of
+        the sum of the slices is the XOR of their low bits: each party
+        broadcasts ``packbits(slice & 1)`` — ``ceil(n/8)`` bytes instead of
+        ``8n`` — and the flags are the XOR of the packed slices as delivered.
+        The upper 63 bits of every slice stay home, so this reveals strictly
+        less than :meth:`open`.  Returns a boolean vector.
+        """
+        n = len(flags)
+        per_party = self._per_party(
+            lambda i, pos: np.packbits(flags.shares[pos].astype(np.uint8) & np.uint8(1))
+        )
+        packed = np.zeros((n + 7) // 8, dtype=np.uint8)
+        delivered = self._exchange("open-flags", per_party, packed.size)
+        for name, bits in zip(self.party_names, delivered):
+            if not isinstance(bits, np.ndarray) or bits.dtype != np.uint8 or bits.shape != packed.shape:
+                raise TransportError(
+                    f"open-flags: party {name!r} delivered no packed slice of {n} flag bits"
+                )
+            packed ^= bits
+        self.meter.output_records += n
+        return np.unpackbits(packed, count=n).view(np.bool_)
 
     def env_open_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
         """Open vectors to the protocol *environment* (one batched round).
@@ -490,56 +530,52 @@ class SecretSharingEngine:
         revealed to the *parties* beyond what the ideal functionality allows.
         """
         vecs = list(vecs)
-        if not vecs:
-            return []
-        per_party = self._per_party(lambda i, pos: tuple(vec.shares[pos] for vec in vecs))
-        size = sum(len(v) for v in vecs) * SHARE_BYTES
-        delivered = self._exchange("env-open", per_party, size)
-        return [self._reconstruct(delivered, "env-open", k) for k in range(len(vecs))]
+        return self._broadcast("env-open", vecs) if vecs else []
 
     def env_open(self, vec: SharedVector) -> np.ndarray:
         """Open one vector to the protocol environment (see ``env_open_many``)."""
         return self.env_open_many([vec])[0]
 
-    def reveal_to(self, vec: SharedVector, party: str) -> np.ndarray | None:
-        """Reveal a shared vector to a single party only.
+    def reveal_to_many(self, vecs: Sequence[SharedVector], party: str) -> list[np.ndarray] | None:
+        """Reveal shared vectors — a relation's columns — to a single party
+        only, in one round.
 
         Returns the values at engines that hold the target party's slice and
-        ``None`` everywhere else — non-targets ship their slice and learn
+        ``None`` everywhere else — non-targets ship their slices and learn
         nothing.  Revealing to an *external* party (e.g. an STP that is not
-        one of the compute parties) opens the vector to the environment (one
+        one of the compute parties) opens the vectors to the environment (one
         real round) and charges the extra external leg.
         """
+        total = sum(len(vec) for vec in vecs)
         if party not in self.party_names:
-            values = self.env_open(vec)
-            self.charge(steps.external_reveal_meter(len(vec), self.num_parties))
+            values = self.env_open_many(vecs)
+            self.charge(steps.external_reveal_meter(total, self.num_parties))
             return values
-        size = len(vec) * SHARE_BYTES
         party_idx = self.party_names.index(party)
-        slices = self._per_party(lambda i, pos: vec.shares[pos])
+        slices = self._per_party(lambda i, pos: tuple(vec.shares[pos] for vec in vecs))
         sends = [
             (name, party, slices[i]) for i, name in enumerate(self.party_names) if name != party
         ]
-        delivered = self.network.round("reveal-share", sends, size)
-        self.meter.output_records += len(vec)
+        delivered = self.network.round("reveal-share", sends, total * SHARE_BYTES)
+        self.meter.output_records += total
         if party_idx not in self._local_pos:
             return None
         shares = [
             slices[i] if i == party_idx else delivered[(name, party)]
             for i, name in enumerate(self.party_names)
         ]
-        return self._reconstruct(shares, f"reveal to {party!r}")
+        return [self._reconstruct(shares, f"reveal to {party!r}", k) for k in range(len(vecs))]
 
-    def reveal_replicated(self, vec: SharedVector) -> np.ndarray:
-        """Reveal a vector to *every* engine (one broadcast round, metered).
+    def reveal_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
+        """Reveal vectors to *every* engine (one broadcast round, metered).
 
         The hybrid protocols replicate a semi-trusted party's computation at
-        every agent, so a value "revealed to the STP" must materialise
+        every agent, so values "revealed to the STP" must materialise
         everywhere the replicated STP logic runs.  This is an explicit,
         documented widening of the reveal — callers use it only where the
         protocol's trust model already discloses the values.
         """
-        return self._open_to_all("reveal-replicated", vec)
+        return self._open_to_all("reveal-replicated", vecs)
 
     # -- linear operations (local) ------------------------------------------------------
 
@@ -590,21 +626,15 @@ class SecretSharingEngine:
         triple = self.dealer.triples(n)
         # d = x - a and e = y - b are opened; z = c + d*b + e*a + d*e.
         # Each engine computes d/e only for its local slices; the foreign
-        # (d_i, e_i) pairs arrive as wire frames.
-        per_party = self._per_party(
-            lambda i, pos: (
-                left.shares[pos] - triple.a_shares[i],
-                right.shares[pos] - triple.b_shares[i],
-            )
-        )
-        # Opening d and e costs one broadcast round of 2 * n elements; the
-        # reconstruction sums the (d_i, e_i) pairs as delivered, so on a
-        # socket transport the product depends on bytes received from the
-        # peer processes.
-        size = 2 * n * SHARE_BYTES
-        delivered = self._exchange("beaver-open", per_party, size)
-        d = self._reconstruct(delivered, "beaver-open", 0).view(_U64)
-        e = self._reconstruct(delivered, "beaver-open", 1).view(_U64)
+        # (d_i, e_i) pairs arrive as wire frames.  Opening both costs one
+        # broadcast round of 2 * n elements, reconstructed from the pairs as
+        # delivered, so on a socket transport the product depends on bytes
+        # received from the peer processes.
+        held = self.local_indices
+        d_held = [x - triple.a_shares[i] for x, i in zip(left.shares, held)]
+        e_held = [y - triple.b_shares[i] for y, i in zip(right.shares, held)]
+        masked = [SharedVector(self, d_held), SharedVector(self, e_held)]
+        d, e = (opened.view(_U64) for opened in self._broadcast("beaver-open", masked))
 
         out_shares = []
         for i in self.local_indices:

@@ -227,8 +227,17 @@ class TestStepMetersEqualThePrimitives:
         a = engine.input_vector(values)
         assert counted(engine.meter) == counted(steps.input_meter(n, 3))
         b = engine.input_vector(values, contributor=PARTIES[2])
+        flags = engine.input_vector(values % 2)
+        assert step(lambda: engine.input_vectors([values, values])) == counted(
+            steps.input_meter(2 * n, 3)
+        )
         assert step(lambda: engine.open(a)) == counted(steps.open_meter(n, 3))
-        assert step(lambda: engine.reveal_to(a, PARTIES[1])) == counted(steps.open_to_meter(n, 3))
+        assert step(lambda: engine.open_many([a, b])) == counted(steps.open_meter(2 * n, 3))
+        assert step(lambda: engine.reveal_many([a, b])) == counted(steps.open_meter(2 * n, 3))
+        assert step(lambda: engine.open_flags(flags)) == counted(steps.open_flags_meter(n, 3))
+        assert step(lambda: engine.reveal_to_many([a, b], PARTIES[1])) == counted(
+            steps.open_to_meter(2 * n, 3)
+        )
         assert step(lambda: engine.env_open_many([a, b])) == counted(steps.env_open_meter(2 * n, 3))
         assert step(lambda: engine.mul(a, b)) == counted(steps.beaver_multiply_meter(n, 3))
         assert step(lambda: engine.add(a, b)) == counted(steps.local_meter(n))
@@ -250,28 +259,37 @@ class TestStepMetersEqualThePrimitives:
         engine = backend.engine
         indices = engine.input_vector(np.arange(m, dtype=np.int64) % max(n, 1))
         _, meter = executed(
-            backend, lambda t: oblivious_index(engine, t.columns, indices), table_of(n)
+            backend,
+            lambda t: oblivious_index(engine, t.columns, engine.env_open(indices)),
+            table_of(n),
         )
-        assert meter == counted(operators.index_meter(n, m, 2))
+        expected = operators.index_meter(n, m, 2)
+        expected.merge(steps.env_open_meter(m, 3))
+        assert meter == counted(expected)
+
+    def test_flag_opening_moves_one_bit_per_row(self):
+        for n, size in [(0, 0), (1, 1), (8, 1), (9, 2), (30_000, 3750)]:
+            network = steps.open_flags_meter(n, 3).network
+            assert (network.messages, network.bytes_sent) == (6, 6 * size)
+            assert steps.open_meter(n, 3).network.bytes_sent == 6 * 8 * n
 
     def test_degenerate_oblivious_index_counts(self):
         assert counted(operators.index_meter(0, 0, 2)) == dict(
-            counted(CostMeter()), comparisons=1, multiplications=2, rounds=2, messages=9,
-            wire_rounds=1,
+            counted(CostMeter()), comparisons=1, multiplications=2, rounds=1, messages=3
         )
 
     def test_index_into_an_empty_relation_is_out_of_range(self, backend):
         engine = backend.engine
         empty = backend.ingest(table_of(0))
         with pytest.raises(IndexError, match="oblivious index out of range"):
-            oblivious_index(engine, empty.columns, engine.input_vector(np.zeros(1, dtype=np.int64)))
+            oblivious_index(engine, empty.columns, np.zeros(1, dtype=np.int64))
 
 
 class TestEstimatorPricesTheExecutedMeters:
     def test_plan_meters_sum_to_the_executed_profile(self):
         """A whole plan under MPC: the estimator's per-node meters at the
-        executed row counts, plus one output reveal per recipient, are the
-        executed profile."""
+        executed row counts — the output's reveal to each recipient among
+        them — are the executed profile."""
         tables = [table_of(20 + i, keys=4, seed=i) for i in range(3)]
         with cc.QueryContext() as q:
             parties = [cc.Party(name) for name in PARTIES]
@@ -300,24 +318,29 @@ class TestEstimatorPricesTheExecutedMeters:
         assert len(overrides) == 5
         estimator = PlanEstimator(EstimatorParams(row_overrides=overrides))
         total = CostMeter()
-        for _recipient in parties:
-            total.merge(operators.reveal_to_meter(groups, 2))
         for estimate in estimator.estimate(compiled).nodes:
             if estimate.node.is_mpc:
                 total.merge(
                     estimator._sharemind_meter(estimate.node, estimate.rows_in, estimate.rows_out)
                 )
+            else:
+                total.merge(estimator._reveal_meter(estimate.node, estimate.rows_in))
         profile = {key: result.mpc_profile[key] for key in counted(total)}
         assert profile == counted(total)
 
 
-#: What the *parent* commit executed — inline charges, before ``repro.model``
-#: existed — per operator at 9 and 64 rows, in ``CostMeter.counts()`` order
-#: (local_ops, input_records, output_records, multiplications, comparisons,
-#: shuffled_elements, messages, bytes_sent, rounds, wire_rounds).  Execution
-#: charges the step meters themselves, so the equalities above cannot see a
-#: formula move; this ledger can: perturbing any one counter of any one step
-#: meter fails it (and ``tests/test_round_budget.py``).
+#: What execution charged when ``repro.model`` was introduced (PR 22: the
+#: inline charges of its parent) per operator at 9 and 64 rows, in
+#: ``CostMeter.counts()`` order (local_ops, input_records, output_records,
+#: multiplications, comparisons, shuffled_elements, messages, bytes_sent,
+#: rounds, wire_rounds).  Execution charges the step meters themselves, so
+#: the equalities above cannot see a formula move; this ledger can:
+#: perturbing any one counter of any one step meter fails it (and
+#: ``tests/test_round_budget.py``).  Re-recorded once since, in PR 24, whose
+#: schedule change moved network counters only: ``bytes_sent`` wherever a
+#: ``compact`` opens its flags one bit wide (filter, join, sum, max, distinct,
+#: hybrid-sum), ``messages`` / ``rounds`` / ``wire_rounds`` wherever columns
+#: now cross in one round (public-join, hybrid-join, reveal-external).
 RECORDED = {
     "sort": (
         lambda n: operators.sort_meter(n, 2),
@@ -331,28 +354,28 @@ RECORDED = {
     ),
     "filter": (
         lambda n: operators.filter_meter(n, 2, ">"),
-        (9, 0, 9, 0, 9, 27, 24, 1584, 6, 2),
-        (64, 0, 64, 0, 64, 192, 24, 11264, 6, 2),
+        (9, 0, 9, 0, 9, 27, 24, 1164, 6, 2),
+        (64, 0, 64, 0, 64, 192, 24, 8240, 6, 2),
     ),
     "join": (
         lambda n: operators.join_meter(n, 7, 3),
-        (315, 0, 63, 0, 63, 252, 24, 12600, 6, 2),
-        (2240, 0, 448, 0, 448, 1792, 24, 89600, 6, 2),
+        (315, 0, 63, 0, 63, 252, 24, 9624, 6, 2),
+        (2240, 0, 448, 0, 448, 1792, 24, 68432, 6, 2),
     ),
     "sum": (
         lambda n: operators.aggregate_meter(n, "sum"),
-        (682, 0, 9, 328, 88, 27, 126, 5064, 40, 2),
-        (5693, 0, 64, 2751, 735, 192, 231, 41208, 75, 2),
+        (682, 0, 9, 328, 88, 27, 126, 4644, 40, 2),
+        (5693, 0, 64, 2751, 735, 192, 231, 38184, 75, 2),
     ),
     "max-presorted": (
         lambda n: operators.aggregate_meter(n, "max", presorted=True),
-        (42, 0, 9, 16, 16, 27, 66, 2872, 19, 3),
-        (317, 0, 64, 126, 126, 192, 84, 23544, 25, 3),
+        (42, 0, 9, 16, 16, 27, 66, 2452, 19, 3),
+        (317, 0, 64, 126, 126, 192, 84, 20520, 25, 3),
     ),
     "distinct": (
         lambda n: operators.distinct_meter(n, 5),
-        (696, 0, 9, 328, 88, 27, 126, 5064, 40, 2),
-        (5762, 0, 64, 2751, 735, 192, 231, 41208, 75, 2),
+        (696, 0, 9, 328, 88, 27, 126, 4644, 40, 2),
+        (5762, 0, 64, 2751, 735, 192, 231, 38184, 75, 2),
     ),
     "compare": (
         lambda n: operators.compare_meter(n, "<=", 3, shared_rhs=True, rescaled=True),
@@ -376,23 +399,23 @@ RECORDED = {
     ),
     "public-join": (
         lambda n: operators.public_join_meter(n, 7, {9: 13, 64: 94}[n], 3),
-        (39, 0, 16, 0, 0, 0, 12, 768, 2, 2),
-        (282, 0, 71, 0, 0, 0, 12, 3408, 2, 2),
+        (39, 0, 16, 0, 0, 0, 6, 768, 1, 1),
+        (282, 0, 71, 0, 0, 0, 6, 3408, 1, 1),
     ),
     "hybrid-join": (
         lambda n: operators.hybrid_join_meter(n, 7, {9: 13, 64: 94}[n], 2, 2),
-        (0, 26, 16, 320, 210, 71, 115, 7496, 35, 6),
-        (0, 188, 71, 3235, 1971, 424, 145, 57152, 45, 6),
+        (0, 26, 16, 320, 210, 71, 101, 7496, 32, 3),
+        (0, 188, 71, 3235, 1971, 424, 131, 57152, 42, 3),
     ),
     "hybrid-sum": (
         lambda n: operators.hybrid_aggregate_meter(n),
-        (44, 8, 18, 8, 0, 45, 44, 2360, 13, 3),
-        (319, 63, 128, 63, 0, 320, 50, 17904, 15, 3),
+        (44, 8, 18, 8, 0, 45, 44, 1940, 13, 3),
+        (319, 63, 128, 63, 0, 320, 50, 14880, 15, 3),
     ),
     "reveal-external": (
         lambda n: operators.reveal_to_meter(n, 2, external=True),
-        (0, 0, 18, 0, 0, 0, 18, 1008, 4, 2),
-        (0, 0, 128, 0, 0, 0, 18, 7168, 4, 2),
+        (0, 0, 18, 0, 0, 0, 9, 1008, 2, 1),
+        (0, 0, 128, 0, 0, 0, 9, 7168, 2, 1),
     ),
 }
 

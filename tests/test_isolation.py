@@ -36,7 +36,7 @@ import pytest
 import repro as cc
 from repro.core.config import CompilationConfig
 from repro.mpc.network import Network
-from repro.mpc.protocols import SharedTable, mpc_aggregate
+from repro.mpc.protocols import SharedTable, mpc_aggregate, mpc_filter
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
 from repro.runtime.mesh import (
     KIND_MSG,
@@ -196,11 +196,11 @@ class TestShareSlices:
 
         def protocol(engine):
             vec = _share_both(engine)
-            return engine.reveal_to(vec, PARTY_B)
+            return engine.reveal_to_many([vec], PARTY_B)
 
         got_a, got_b = run_lockstep(engines, protocol)
         assert got_a is None
-        np.testing.assert_array_equal(got_b, np.array([3, -1, 7, 0]))
+        np.testing.assert_array_equal(got_b, [np.array([3, -1, 7, 0])])
 
     def test_observer_engine_holds_nothing_and_refuses_primitives(self):
         engine = SecretSharingEngine(PARTIES, seed=3, local_parties=[])
@@ -215,10 +215,11 @@ class TestShareSlices:
         def tamper(message):
             sender, receiver, payload, size = message
             tag, body = payload
-            if tag == "open-share" and isinstance(body, np.ndarray) and body.size:
-                body = body.copy()
-                body[0] += np.uint64(1)
-                return (sender, receiver, (tag, body), size)
+            if tag == "open-share" and body[0].size:
+                (vector,) = body
+                vector = vector.copy()
+                vector[0] += np.uint64(1)
+                return (sender, receiver, (tag, (vector,)), size)
             return message
 
         engines = sliced_engine_pair(seed=7, tamper_from_b=tamper)
@@ -284,6 +285,114 @@ class TestAggregateKeyOpening:
         # The only env-open of the whole aggregation was the key column.
         assert seen == [self.TABLE.num_rows]
         assert got_a != self.EXPECTED
+
+
+class TestFlagOpeningIsLoadBearing:
+    """``compact`` keeps the rows whose flag *bit* opens to one, and that bit
+    is the XOR of the packed slices as delivered: a peer's frame decides
+    which rows survive."""
+
+    TABLE = cc.Table(
+        cc.Schema([cc.ColumnDef("k"), cc.ColumnDef("v")]),
+        [np.arange(9), np.array([5, 50, 7, 70, 9, 90, 1, 10, 60])],
+    )
+    EXPECTED = [(1, 50), (3, 70), (5, 90), (8, 60)]
+
+    def _filter(self, engine):
+        if PARTY_A in engine.local_parties:
+            shared = SharedTable.from_table(engine, self.TABLE, contributor=PARTY_A)
+        else:
+            shared = SharedTable.from_metadata(
+                engine, self.TABLE.schema, self.TABLE.num_rows, contributor=PARTY_A
+            )
+        return mpc_filter(shared, "v", ">", 20)
+
+    def _rows(self, engine):
+        return sorted(self._filter(engine).reveal().rows())
+
+    def _run(self, corrupt, protocol=None):
+        seen = []
+
+        def tamper(message):
+            sender, receiver, (tag, body), size = message
+            if tag != "open-flags":
+                return message
+            seen.append((body.dtype, body.shape, size))
+            return (sender, receiver, (tag, corrupt(body)), size)
+
+        engines = sliced_engine_pair(seed=7, tamper_from_b=tamper)
+        return seen, lambda: run_lockstep(engines, protocol or self._rows)
+
+    def test_sliced_filter_matches_the_simulation_with_two_byte_flag_frames(self):
+        seen, run = self._run(lambda body: body)
+        assert run() == [self.EXPECTED, self.EXPECTED]
+        assert self._rows(SecretSharingEngine(PARTIES, seed=7)) == self.EXPECTED
+        assert seen == [(np.uint8, (2,), 2)]  # nine flags: two bytes, not 72
+
+    @pytest.mark.parametrize("bit", [0x80, 0x01])
+    def test_one_flipped_bit_changes_the_kept_rows(self, bit):
+        def flip(body):
+            body = body.copy()
+            body[0] ^= bit
+            return body
+
+        _seen, run = self._run(flip, lambda engine: self._filter(engine).num_rows)
+        kept_a, kept_b = run()
+        # A keeps or drops one row more than B, which opened A's clean frame;
+        # the parties' next opening would no longer line up.
+        assert kept_b == len(self.EXPECTED)
+        assert abs(kept_a - kept_b) == 1
+        _seen, run = self._run(flip)
+        with pytest.raises((TransportError, RuntimeError, ValueError)):
+            run()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda body: body[:1], lambda body: np.r_[body, body], lambda body: body.astype(np.uint64)],
+        ids=["short", "long", "wide"],
+    )
+    def test_a_frame_of_the_wrong_size_is_a_typed_error(self, corrupt):
+        # The protocol ends with the filter: B, whose inbound frames are
+        # clean, finishes it and has no later round to wait for A in.
+        _seen, run = self._run(corrupt, self._filter)
+        with pytest.raises(TransportError, match="open-flags.*9 flag bits"):
+            run()
+
+
+class TestRelationWideRoundsOnSlices:
+    """One round per relation, whichever slices an engine holds: a sliced
+    pair sharing and revealing three columns at once ends up with exactly
+    the slices, values and traffic totals of the all-local engine doing it
+    one column per round."""
+
+    COLUMNS = [np.array([3, -1, 7, 0]), np.array([1, 0, 0, 1]), np.array([2**61, -(2**61), 5, 6])]
+
+    def _many(self, engine):
+        mine = PARTY_A in engine.local_parties
+        vectors = engine.input_vectors(
+            self.COLUMNS if mine else None, PARTY_A, None if mine else [4, 4, 4]
+        )
+        return [v.shares[0] for v in vectors], engine.reveal_to_many(vectors, PARTY_B)
+
+    def test_byte_identical_to_the_per_column_rounds(self):
+        everyone = SecretSharingEngine(PARTIES, seed=11)
+        per_column = [everyone.input_vector(c, contributor=PARTY_A) for c in self.COLUMNS]
+        opened = [everyone.reveal_to_many([v], PARTY_B)[0] for v in per_column]
+
+        engines = sliced_engine_pair(seed=11)
+        (slices_a, got_a), (slices_b, got_b) = run_lockstep(engines, self._many)
+        assert got_a is None
+        for k, column in enumerate(self.COLUMNS):
+            np.testing.assert_array_equal(slices_a[k], per_column[k].shares[0])
+            np.testing.assert_array_equal(slices_b[k], per_column[k].shares[1])
+            np.testing.assert_array_equal(got_b[k], opened[k])
+            np.testing.assert_array_equal(got_b[k], column)
+        for engine in engines:
+            stats = engine.network.stats
+            assert (stats.wire_rounds, everyone.network.stats.wire_rounds) == (2, 6)
+            assert stats.bytes_sent == everyone.network.stats.bytes_sent
+            assert engine.meter.input_records == everyone.meter.input_records == 12
+            assert engine.meter.output_records == everyone.meter.output_records == 12
 
 
 def _share_both(engine):

@@ -1,5 +1,8 @@
 """Tests for the oblivious relational operators over secret-shared tables."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +10,15 @@ from hypothesis import strategies as st
 
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
+from repro.exec.engine import ColumnarBackend
+from repro.hybrid import SelectivelyTrustedParty, hybrid_agg
 from repro.mpc import protocols
 from repro.mpc.network import Network
 from repro.mpc.protocols import SharedTable
-from repro.mpc.secretshare import SecretSharingEngine
+from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
+from repro.mpc.sharemind import SharemindBackend
 from repro.runtime.transport import SimulatedTransport
+from test_differential import NUM_PLANS, SEED, generate_spec, run_spec
 from tests.conftest import PARTIES, make_table
 
 
@@ -297,3 +304,66 @@ def test_mpc_join_equals_cleartext_property(left, right):
         SharedTable.from_table(engine, lt), SharedTable.from_table(engine, rt), "key", "key"
     )
     assert joined.reveal().equals_unordered(lt.join(rt, ["key"], ["key"]))
+
+
+# -- the invariant the one-bit flag opening rests on -----------------------------------------
+
+
+@contextlib.contextmanager
+def watching_compact():
+    """Record the cleartext of every flags vector that reaches ``compact``
+    (the hybrid aggregation imports the name, so both references are
+    patched).  The reconstruction is the test's own, full width, from the
+    slices the all-local engine holds."""
+    seen, compact = [], protocols.compact
+
+    def watched(engine, flags, columns):
+        seen.append(AdditiveSharing.reconstruct(flags.shares))
+        return compact(engine, flags, columns)
+
+    with mock.patch.object(protocols, "compact", watched), \
+            mock.patch.object(hybrid_agg, "compact", watched):
+        yield seen
+
+
+def assert_all_bits(seen):
+    assert seen, "no flags vector reached compact"
+    for flags in seen:
+        assert np.isin(flags, (0, 1)).all(), flags
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(-3, 3), st.one_of(st.integers(-100, 100), st.integers(-(2**62), 2**62))),
+        max_size=12,
+    ),
+    op=st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+    value=st.one_of(st.integers(-100, 100), st.floats(-3, 3, allow_nan=False)),
+    func=st.sampled_from(["sum", "count", "min", "max"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_flags_vector_reaching_compact_holds_bits(rows, op, value, func):
+    schema = Schema([ColumnDef("key"), ColumnDef("value")])
+    table = Table.from_rows(schema, rows) if rows else Table.empty(schema)
+    backend = SharemindBackend(PARTIES, seed=17)
+    shared = backend.ingest(table)
+    stp = SelectivelyTrustedParty("stp.example", ColumnarBackend())
+    with watching_compact() as seen:
+        backend.filter(shared, "value", op, value)
+        backend.join(shared, shared, "key", "key")
+        backend.aggregate(shared, "key", "value", func, "out")
+        backend.aggregate(backend.sort_by(shared, "key"), "key", "value", func, "out", presorted=True)
+        hybrid_agg.hybrid_aggregate(backend, stp, shared, "key", "value", "sum", "out")
+    assert len(seen) == (5 if rows else 2)  # an empty aggregation compacts nothing
+    assert_all_bits(seen)
+
+
+def test_corpus_flags_reaching_compact_hold_bits():
+    """The 50-plan differential corpus, simulated transport: compound
+    predicates (and / or / not over secret flags), joins and both
+    aggregations all hand ``compact`` zeros and ones, nothing else."""
+    with watching_compact() as seen:
+        for plan in range(NUM_PLANS):
+            run_spec(generate_spec(SEED + plan))
+    assert len(seen) >= NUM_PLANS
+    assert_all_bits(seen)

@@ -147,27 +147,27 @@ class TestObliviousIndex:
     def test_selects_rows_at_secret_indices(self, engine):
         col1, col2 = share_columns(engine, [10, 20, 30, 40], [1, 2, 3, 4])
         idx = engine.input_vector(np.array([2, 0], dtype=np.int64))
-        out = oblivious_index(engine, [col1, col2], idx)
+        out = oblivious_index(engine, [col1, col2], engine.env_open(idx))
         assert out[0].reveal().tolist() == [30, 10]
         assert out[1].reveal().tolist() == [3, 1]
 
     def test_duplicate_indices_allowed(self, engine):
         col, = share_columns(engine, [7, 8, 9])
         idx = engine.input_vector(np.array([1, 1, 1], dtype=np.int64))
-        out = oblivious_index(engine, [col], idx)
+        out = oblivious_index(engine, [col], engine.env_open(idx))
         assert out[0].reveal().tolist() == [8, 8, 8]
 
     def test_out_of_range_index_rejected(self, engine):
         col, = share_columns(engine, [7, 8])
         idx = engine.input_vector(np.array([5], dtype=np.int64))
         with pytest.raises(IndexError):
-            oblivious_index(engine, [col], idx)
+            oblivious_index(engine, [col], engine.env_open(idx))
 
     def test_cost_is_loglinear_not_quadratic(self, engine):
         col, = share_columns(engine, list(range(64)))
         idx = engine.input_vector(np.arange(64, dtype=np.int64))
         before = engine.meter.comparisons
-        oblivious_index(engine, [col], idx)
+        oblivious_index(engine, [col], engine.env_open(idx))
         cost = engine.meter.comparisons - before
         assert cost < 64 * 64  # far below the quadratic MPC-join cost
         assert cost >= 128  # but not free: (n+m) log(n+m) lower bound

@@ -139,7 +139,9 @@ COUNTERS = set(CostMeter().counts())
 #: The engine primitives that carry real traffic or do real share arithmetic
 #: keep their one counter increment; every analytic step goes through
 #: ``engine.charge`` with a ``repro.model.steps`` meter.
-CARRYING_PRIMITIVES = {"input_vector", "_open_to_all", "reveal_to", "mul", "_linear", "scale"}
+CARRYING_PRIMITIVES = {
+    "input_vectors", "_open_to_all", "open_flags", "reveal_to_many", "mul", "_linear", "scale",
+}
 CHARGING_FILES = sorted(
     [
         *SRC.glob("hybrid/*.py"),
@@ -216,13 +218,18 @@ def calls_in(func: ast.AST) -> list[str]:
     ]
 
 
+#: The engine calls that open a vector to every party.
+OPENINGS = {"open", "open_many", "open_flags"}
+
+
 def shuffle_open_functions(path: pathlib.Path) -> list[str]:
     """Functions that write out the shuffle → open-flags → compact tail."""
     found = []
     for func in ast.walk(ast.parse(path.read_text())):
         if isinstance(func, ast.FunctionDef):
             calls = calls_in(func)
-            if "oblivious_shuffle" in calls and "open" in calls[calls.index("oblivious_shuffle"):]:
+            after_shuffle = calls[calls.index("oblivious_shuffle"):] if "oblivious_shuffle" in calls else []
+            if OPENINGS & set(after_shuffle):
                 found.append(func.name)
     return found
 
@@ -245,6 +252,27 @@ def test_hybrid_protocols_compose_the_share_engines_building_blocks():
         ]
         assert not helpers, f"{path.name} keeps a private copy: {helpers}"
     assert shuffle_open_functions(SRC / "mpc" / "protocols.py") == ["compact"]
+    # ... whose flags are opened in Z_2 — no full-width opening is left in it.
+    (compact,) = [
+        node for node in ast.walk(ast.parse((SRC / "mpc" / "protocols.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "compact"
+    ]
+    assert OPENINGS & set(calls_in(compact)) == {"open_flags"}
+
+
+def test_no_relation_crosses_one_column_per_round():
+    """The single-vector names are wrappers for single vectors: nothing under
+    ``src/`` calls one in a loop or comprehension (a round per column)."""
+    single = {"input_vector", "open", "env_open", "reveal_to", "reveal_replicated"}
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+    for path in sorted(SRC.rglob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text())):
+            if isinstance(loop, loops):
+                assert not single & set(calls_in(loop)), f"{path.name}:{loop.lineno}"
+    engine = ast.parse((SRC / "mpc" / "secretshare.py").read_text())
+    defined = {n.name for n in ast.walk(engine) if isinstance(n, ast.FunctionDef)}
+    assert {"input_vectors", "open_many", "reveal_many", "reveal_to_many", "env_open_many"} <= defined
+    assert not {"reveal_to", "reveal_replicated"} & defined
 
 
 def test_hybrid_aggregate_has_no_per_row_loop():

@@ -54,19 +54,19 @@ WORKLOADS = {
 #: ``bytes_sent`` the price list sees, analytic steps included.
 BUDGETS = {
     "hhi_pushdown": dict(
-        wire_rounds=14, wire_bytes=2176, multiplications=379, comparisons=91,
+        wire_rounds=11, wire_bytes=1618, multiplications=379, comparisons=91,
         local_ops=728, shuffled_elements=42, input_records=18, output_records=13,
-        messages=215, bytes_sent=7024, rounds=67,
+        messages=209, bytes_sent=6466, rounds=64,
     ),
     "hhi_mpc_only": dict(
-        wire_rounds=16, wire_bytes=34528, multiplications=18631, comparisons=4909,
+        wire_rounds=13, wire_bytes=20266, multiplications=18631, comparisons=4909,
         local_ops=38382, shuffled_elements=912, input_records=300, output_records=303,
-        messages=485, bytes_sent=252944, rounds=155,
+        messages=479, bytes_sent=238682, rounds=152,
     ),
     "credit_hybrid": dict(
-        wire_rounds=29, wire_bytes=63680, multiplications=6649, comparisons=4004,
+        wire_rounds=17, wire_bytes=54236, multiplications=6649, comparisons=4004,
         local_ops=1198, shuffled_elements=1901, input_records=784, output_records=808,
-        messages=452, bytes_sent=188008, rounds=143,
+        messages=412, bytes_sent=178564, rounds=131,
     ),
 }
 

@@ -158,13 +158,13 @@ class TestComparisonsAndSelect:
 
     def test_reveal_to_specific_party(self, engine):
         x = engine.input_vector(np.array([42]))
-        values = engine.reveal_to(x, engine.party_names[1])
+        (values,) = engine.reveal_to_many([x], engine.party_names[1])
         assert values.tolist() == [42]
 
     def test_reveal_to_external_party_is_metered(self, engine):
         x = engine.input_vector(np.array([42, 43]))
         before = engine.network.stats.rounds
-        engine.reveal_to(x, "external.example")
+        engine.reveal_to_many([x], "external.example")
         assert engine.network.stats.rounds > before
 
     def test_equality_opens_one_vector_an_order_opens_two(self):
@@ -191,6 +191,96 @@ class TestComparisonsAndSelect:
         assert after_lt.bytes_sent - after_eq.bytes_sent == 6 * 2 * len(xs) * 8 + metered
         assert after_eq.wire_rounds - before.wire_rounds == 1
         assert after_lt.wire_rounds - after_eq.wire_rounds == 1
+
+
+class TestFlagOpening:
+    """``open_flags`` opens a 0/1 vector in Z_2: the low bit of a sum is the
+    XOR of the low bits, so one packed bit per row and party is enough."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 1001])
+    def test_round_trip_at_every_byte_boundary(self, engine, n):
+        flags = np.random.default_rng(n).integers(0, 2, n)
+        shared = engine.input_vector(flags)
+        before = engine.network.stats.copy()
+        opened = engine.open_flags(shared)
+        assert opened.dtype == np.bool_ and opened.shape == (n,)
+        assert np.array_equal(opened, flags.astype(bool))
+        assert np.array_equal(opened, engine.open(shared).astype(bool))
+        stats = engine.network.stats
+        assert stats.wire_rounds - before.wire_rounds == 2  # one each
+        # 3 x 2 messages of ceil(n/8) bytes, then of 8n.
+        assert stats.bytes_sent - before.bytes_sent == 6 * ((n + 7) // 8) + 6 * 8 * n
+
+    @given(flags=st.lists(st.booleans(), max_size=70), parties=st.integers(2, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_low_bit_of_the_sum_is_the_xor_of_the_low_bits(self, flags, parties):
+        engine = SecretSharingEngine([f"p{i}" for i in range(parties)], seed=len(flags))
+        values = np.array(flags, dtype=np.int64)
+        shared = engine.mul(engine.input_vector(values), engine.input_vector(values))
+        assert np.array_equal(engine.open_flags(shared), np.array(flags, dtype=bool))
+        xor = np.bitwise_xor.reduce([share & np.uint64(1) for share in shared.shares])
+        assert np.array_equal(xor.astype(bool), np.array(flags, dtype=bool))
+
+    def test_only_the_low_bits_leave_a_party(self, engine, monkeypatch):
+        shared = engine.input_vector(np.array([1, 0, 1, 1, 0, 0, 0, 1, 1]))
+        sent = []
+        exchange = type(engine.network.transport).exchange
+
+        def recording(self, tag, sends, size_bytes):
+            sent.extend((tag, payload, size_bytes) for _s, _r, payload in sends)
+            return exchange(self, tag, sends, size_bytes)
+
+        monkeypatch.setattr(type(engine.network.transport), "exchange", recording)
+        engine.open_flags(shared)
+        assert len(sent) == 6
+        for (tag, payload, size), share in zip(sent, np.repeat(np.arange(3), 2)):
+            low_bits = (shared.shares[share] & np.uint64(1)).astype(np.uint8)
+            assert (tag, size, payload.dtype) == ("open-flags", 2, np.uint8)
+            assert np.array_equal(payload, np.packbits(low_bits))
+
+
+class TestRelationWideRounds:
+    """The multi-vector primitives draw the streams vector by vector, so the
+    slices are those of the one-vector-per-round calls they replace."""
+
+    COLUMNS = [np.array([5, -3, 2**40]), np.array([0, 0, 1]), np.array([-(2**62), 17, 9])]
+
+    @pytest.mark.parametrize("public", [False, True])
+    def test_input_vectors_shares_what_input_vector_shared(self, public):
+        contributor = None if public else "b"
+        one, many = (SecretSharingEngine(["a", "b", "c"], seed=8) for _ in range(2))
+        per_column = [one.input_vector(c, contributor, public=public) for c in self.COLUMNS]
+        together = many.input_vectors(self.COLUMNS, contributor, public=public)
+        for single, batched in zip(per_column, together):
+            for mine, theirs in zip(single.shares, batched.shares):
+                assert np.array_equal(mine, theirs)
+        assert one.rng.bit_generator.state == many.rng.bit_generator.state
+        assert many.meter.input_records == one.meter.input_records == 9
+        assert (many.network.stats.wire_rounds, one.network.stats.wire_rounds) == (1, 3)
+        assert many.network.stats.bytes_sent == one.network.stats.bytes_sent
+
+    def test_the_many_forms_open_what_the_single_forms_open(self, engine):
+        vectors = engine.input_vectors(self.COLUMNS)
+        for opened in (
+            engine.open_many(vectors),
+            engine.reveal_many(vectors),
+            engine.env_open_many(vectors),
+            engine.reveal_to_many(vectors, engine.party_names[2]),
+            engine.reveal_to_many(vectors, "external.example"),
+        ):
+            assert len(opened) == 3
+            for values, column, vector in zip(opened, self.COLUMNS, vectors):
+                assert np.array_equal(values, column)
+                assert np.array_equal(values, engine.open(vector))
+
+    def test_metadata_side_needs_the_row_counts(self):
+        engine = SecretSharingEngine(["a", "b"], seed=1, local_parties=["b"])
+        with pytest.raises(ValueError, match="num_rows"):
+            engine.input_vectors(None, "a")
+        with pytest.raises(ValueError, match="public input"):
+            engine.input_vectors(None, "a", [3], public=True)
+        with pytest.raises(ValueError, match="got no values"):
+            engine.input_vectors(None, "b", [3])
 
 
 class TestMaskStreams:

@@ -65,6 +65,38 @@ def supervised_session(inputs, *, seed=9, timeout=30.0, faults=None, **overrides
     )
 
 
+def frames_sent(stats, party):
+    """Mesh frames ``party``'s process wrote so far, over all its links."""
+    return sum(peer["frames_sent"] for peer in stats["wire"][party].values())
+
+
+@pytest.fixture(scope="module")
+def frames_per_query():
+    """``{party: (frames of query 1, frames of query 2)}``: the mesh frames each
+    party sends for :func:`two_party_query`, read off a fault-free session's
+    own wire counters.  Every frame ordinal of the fault tests below is
+    derived from it, so a change of the message schedule moves the fault
+    with the schedule instead of past its end — where a fault test silently
+    turns into a no-fault test."""
+    ctx, inputs = two_party_query()
+    sent = []
+    with supervised_session(inputs) as session:
+        for _ in range(2):
+            session.submit(ctx, timeout=60)
+            stats = session.stats
+            sent.append({party: frames_sent(stats, party) for party in stats["wire"]})
+    frames = {party: (sent[0][party], sent[1][party] - sent[0][party]) for party in sent[0]}
+    assert all(first >= second >= 4 for first, second in frames.values()), frames
+    return frames
+
+
+def mid_query(frames, party, query=1):
+    """The ordinal (1-based, per process) of a frame ``party`` sends in the
+    middle of its ``query``-th query (1 or 2)."""
+    first, second = frames[party]
+    return first // 2 + 1 if query == 1 else first + second // 2 + 1
+
+
 class TestPolicyValidation:
     def test_restart_policy_rejects_bad_values(self):
         for bad in (
@@ -122,13 +154,14 @@ class TestPolicyValidation:
 
 
 class TestCrashRecovery:
-    def test_seeded_kill_mid_stream_is_byte_identical(self):
+    def test_seeded_kill_mid_stream_is_byte_identical(self, frames_per_query):
         """The acceptance scenario: a seeded kill fault takes one agent down
         in the middle of query 2's MPC exchange; the stream completes
         byte-identically with >= 1 restart and >= 1 retry in the stats."""
         ctx, inputs = two_party_query()
         reference = cc.run_query(ctx, inputs, seed=9)
-        faults = FaultPlan(kills=(KillFault(PARTY_B, at_query=2, after_mesh_frames=3),))
+        midway = frames_per_query[PARTY_B][1] // 2
+        faults = FaultPlan(kills=(KillFault(PARTY_B, at_query=2, after_mesh_frames=midway),))
         with supervised_session(inputs, faults=faults) as session:
             results = [session.submit(ctx, timeout=60) for _ in range(3)]
             for result in results:
@@ -153,9 +186,10 @@ class TestCrashRecovery:
             assert second.mpc_profile == reference.mpc_profile
             assert wait_until(lambda: session.stats["restarts"] >= 1)
 
-    def test_recovery_metrics_are_exposed(self):
+    def test_recovery_metrics_are_exposed(self, frames_per_query):
         ctx, inputs = two_party_query()
-        faults = FaultPlan(kills=(KillFault(PARTY_A, at_query=2, after_mesh_frames=2),))
+        midway = frames_per_query[PARTY_A][1] // 2
+        faults = FaultPlan(kills=(KillFault(PARTY_A, at_query=2, after_mesh_frames=midway),))
         with supervised_session(inputs, faults=faults) as session:
             session.submit(ctx, timeout=60)
             session.submit(ctx, timeout=60)
@@ -201,13 +235,17 @@ class TestFaultMatrix:
                 assert result.mpc_profile == reference.mpc_profile
             return session.stats
 
-    def test_duplicated_frame_is_suppressed(self):
-        stats = self._run(FaultPlan(links=(LinkFault(PARTY_A, "dup", 3),)))
+    def test_duplicated_frame_is_suppressed(self, frames_per_query):
+        nth = mid_query(frames_per_query, PARTY_A)
+        stats = self._run(FaultPlan(links=(LinkFault(PARTY_A, "dup", nth),)))
         assert stats["retries"] == 0 and stats["restarts"] == 0
+        # The duplicate did cross the link: one frame more than the clean run.
+        assert frames_sent(stats, PARTY_A) == sum(frames_per_query[PARTY_A]) + 1
 
-    def test_delayed_frame_only_costs_latency(self):
+    def test_delayed_frame_only_costs_latency(self, frames_per_query):
+        nth = mid_query(frames_per_query, PARTY_B)
         stats = self._run(
-            FaultPlan(links=(LinkFault(PARTY_B, "delay", 2, delay_seconds=0.3),))
+            FaultPlan(links=(LinkFault(PARTY_B, "delay", nth, delay_seconds=0.3),))
         )
         assert stats["retries"] == 0 and stats["restarts"] == 0
 
@@ -218,22 +256,23 @@ class TestFaultMatrix:
         )
         assert stats["retries"] == 0 and stats["restarts"] == 0
 
-    def test_dropped_frame_times_out_and_retries(self):
+    def test_dropped_frame_times_out_and_retries(self, frames_per_query):
+        nth = mid_query(frames_per_query, PARTY_A)
         stats = self._run(
-            FaultPlan(links=(LinkFault(PARTY_A, "drop", 3),)),
+            FaultPlan(links=(LinkFault(PARTY_A, "drop", nth),)),
             timeout=6.0,
             retry=RetryPolicy(max_attempts=3, backoff_seconds=0.05, retry_transport_errors=True),
         )
         assert stats["retries"] >= 1
         assert stats["retries_exhausted"] == 0
 
-    def test_torn_frame_is_a_process_death(self):
-        # 9 mesh frames per party per query (the batched share-vector
-        # protocols exchange whole columns per round, including the
-        # environment-open rounds): frame 12 tears mid-query-2, and the
-        # replacement's replay (9 frames, fresh per-process counter)
-        # finishes below the trigger instead of dying again.
-        stats = self._run(FaultPlan(links=(LinkFault(PARTY_B, "torn", 12),)))
+    def test_torn_frame_is_a_process_death(self, frames_per_query):
+        # The frame tears in the middle of query 2, and the replacement's
+        # replay of that query (fresh per-process counter) finishes below
+        # the trigger instead of dying again.
+        nth = mid_query(frames_per_query, PARTY_B, query=2)
+        assert frames_per_query[PARTY_B][1] < nth
+        stats = self._run(FaultPlan(links=(LinkFault(PARTY_B, "torn", nth),)))
         assert stats["restarts"] >= 1
         assert stats["retries"] >= 1
 
