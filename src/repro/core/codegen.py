@@ -22,7 +22,6 @@ from repro.core.operators import (
     Concat,
     Create,
     Distinct,
-    Divide,
     Filter,
     HybridAggregate,
     HybridJoin,
@@ -30,7 +29,6 @@ from repro.core.operators import (
     Limit,
     Map,
     Merge,
-    Multiply,
     OpNode,
     Project,
     PublicJoin,
@@ -141,10 +139,6 @@ def _python_statement(node: OpNode) -> str:
             f"{out} = {args[0]}.aggregate({group!r}, {node.agg_col!r}, "
             f"{node.func!r}, {node.out_name!r})"
         )
-    if isinstance(node, Multiply):
-        return f"{out} = {args[0]}.arithmetic({node.out_name!r}, {node.left!r}, '*', {node.right!r})"
-    if isinstance(node, Divide):
-        return f"{out} = {args[0]}.arithmetic({node.out_name!r}, {node.left!r}, '/', {node.right!r})"
     if isinstance(node, Map):
         return f"{out} = {args[0]}.arithmetic({node.out_name!r}, {node.left!r}, {node.op!r}, {node.right!r})"
     if isinstance(node, Compare):
@@ -187,10 +181,6 @@ def _spark_statement(node: OpNode) -> str:
                 f".agg({{'{node.agg_col or '*'}': '{node.func}'}})"
             )
         return f"{out} = {args[0]}.agg({{'{node.agg_col or '*'}': '{node.func}'}})"
-    if isinstance(node, Multiply):
-        return f"{out} = {args[0]}.withColumn({node.out_name!r}, col({node.left!r}) * {_lit(node.right)})"
-    if isinstance(node, Divide):
-        return f"{out} = {args[0]}.withColumn({node.out_name!r}, col({node.left!r}) / {_lit(node.right)})"
     if isinstance(node, Map):
         return f"{out} = {args[0]}.withColumn({node.out_name!r}, col({node.left!r}) {node.op} {_lit(node.right)})"
     if isinstance(node, Compare):
@@ -247,6 +237,10 @@ def _render_secrec(job: GeneratedJob) -> str:
     return "\n".join(lines)
 
 
+#: The SecreC column primitive of each ``Map`` operator.
+_SECREC_ARITHMETIC = {"+": "addColumn", "-": "subColumn", "*": "mulColumn", "/": "divColumn"}
+
+
 def _secrec_statement(node: OpNode) -> str:
     out = _var(node.out_rel.name)
     args = [_var(p.out_rel.name) for p in node.parents]
@@ -272,12 +266,8 @@ def _secrec_statement(node: OpNode) -> str:
         return f"pd_shared3p int64 [[2]] {out} = publicJoin({args[0]}, {args[1]}, /* host = {node.host} */);"
     if isinstance(node, Join):
         return f"pd_shared3p int64 [[2]] {out} = cartesianJoin({args[0]}, {args[1]});"
-    if isinstance(node, Multiply):
-        return f"pd_shared3p int64 [[2]] {out} = mulColumn({args[0]}, \"{node.left}\", {_lit(node.right)});"
-    if isinstance(node, Divide):
-        return f"pd_shared3p int64 [[2]] {out} = divColumn({args[0]}, \"{node.left}\", {_lit(node.right)});"
     if isinstance(node, Map):
-        fn = "addColumn" if node.op == "+" else "subColumn"
+        fn = _SECREC_ARITHMETIC[node.op]
         return f"pd_shared3p int64 [[2]] {out} = {fn}({args[0]}, \"{node.left}\", {_lit(node.right)});"
     if isinstance(node, Compare):
         return (

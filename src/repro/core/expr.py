@@ -10,9 +10,9 @@ operators over :func:`col` and :func:`lit`::
     shares  = revenue.with_column("share", cc.col("local_rev") / cc.col("total_rev"))
 
 Expressions are *descriptions*, not computations: the frontend lowers each
-expression into the compiler's existing operator vocabulary (``Filter``,
-``Multiply``, ``Divide``) plus the row-wise ``Compare``, ``BoolOp`` and
-``Map`` operators, so every downstream pass — ownership/trust propagation,
+expression into the compiler's operator vocabulary — ``Filter`` plus the
+row-wise ``Map`` (all of ``+ - * /``), ``Compare`` and ``BoolOp``
+operators — so every downstream pass — ownership/trust propagation,
 MPC-frontier push-down, hybrid rewrites, partitioning, and all execution
 backends — sees plain relational operators and needs no knowledge of the
 AST.  The lowering lives in :mod:`repro.core.lang`; this module only defines

@@ -30,10 +30,8 @@ from repro.core.operators import (
     Concat,
     Create,
     DISTRIBUTIVE_OPS,
-    Divide,
     Filter,
     Map,
-    Multiply,
     OpNode,
     Project,
     SPLITTABLE_AGGS,
@@ -173,10 +171,6 @@ def _clone_unary(node: OpNode, out_rel: Relation, parent: OpNode) -> OpNode:
         clone = Project(out_rel, parent, node.columns)
     elif isinstance(node, Filter):
         clone = Filter(out_rel, parent, node.column, node.op, node.value)
-    elif isinstance(node, Multiply):
-        clone = Multiply(out_rel, parent, node.out_name, node.left, node.right)
-    elif isinstance(node, Divide):
-        clone = Divide(out_rel, parent, node.out_name, node.left, node.right)
     elif isinstance(node, Map):
         clone = Map(out_rel, parent, node.out_name, node.left, node.op, node.right)
     elif isinstance(node, Compare):

@@ -23,7 +23,7 @@ expressions over :func:`repro.core.expr.col` and
 Every builder method *lowers* its expressions into the compiler's fixed
 operator vocabulary — ``Filter`` chains for conjunctions of simple
 predicates, ``Compare``/``BoolOp`` mask columns for compound predicates,
-``Multiply``/``Divide``/``Map`` chains for arithmetic, a composite-key
+``Map`` chains for arithmetic, a composite-key
 encode plus a single-key ``Join`` for multi-column joins, and per-aggregate
 ``Aggregate`` nodes joined on the group key for multi-aggregate group-bys —
 so the ownership/trust propagation, MPC-frontier and hybrid passes operate
@@ -60,12 +60,10 @@ from repro.core.operators import (
     Concat,
     Create,
     Distinct,
-    Divide,
     Filter,
     Join,
     Limit,
     Map,
-    Multiply,
     OpNode,
     Project,
     SortBy,
@@ -74,7 +72,7 @@ from repro.core.party import Party
 from repro.core.relation import Relation
 from repro.core.dag import Dag
 from repro.core.types import AggSpec, Column, build_schema
-from repro.data.schema import ColumnDef, ColumnType, Schema
+from repro.data.schema import ColumnDef, ColumnType, Schema, arithmetic_typing
 
 #: Packing base of the composite-key encoding used for multi-column join and
 #: group-by keys: ``key = ((k1 * BASE) + k2) * BASE + k3 …``.  The encoding
@@ -84,6 +82,9 @@ COMPOSITE_KEY_BASE = 1 << 20
 
 #: Aggregation functions the frontend accepts.
 AGG_FUNCS = ("sum", "count", "min", "max", "mean")
+
+#: Relation-name prefixes of the ``Map`` outputs that scale or divide.
+_MAP_HINTS = {"*": "mul", "/": "div"}
 
 #: Stack of active query contexts.  A ContextVar (not a module-level list)
 #: so concurrent query construction — async serving, parallel benchmarks —
@@ -524,7 +525,7 @@ class RelationHandle:
             elif op == "-":
                 # c - x  lowers to  (x * -1) + c
                 negated = handle._fresh_col()
-                handle = handle._emit_multiply(negated, right, -1)
+                handle = handle._emit_map(negated, right, "*", -1)
                 target = out_name or handle._fresh_col()
                 return handle._emit_map(target, negated, "+", left), target
             else:  # "/"
@@ -534,10 +535,6 @@ class RelationHandle:
         if isinstance(right, (int, float)):
             right = _normalise_scalar(right)
         target = out_name or handle._fresh_col()
-        if op == "*":
-            return handle._emit_multiply(target, left, right), target
-        if op == "/":
-            return handle._emit_divide(target, left, right), target
         return handle._emit_map(target, left, op, right), target
 
     def _materialise_scalar(self, value: float, out_name: str) -> "RelationHandle":
@@ -554,43 +551,12 @@ class RelationHandle:
         )
         base = ranked[0].name
         if value == 0:
-            return self._emit_multiply(out_name, base, 0)
+            return self._emit_map(out_name, base, "*", 0)
         zeroed = self._fresh_col()
-        handle = self._emit_multiply(zeroed, base, 0)
+        handle = self._emit_map(zeroed, base, "*", 0)
         return handle._emit_map(out_name, zeroed, "+", value)
 
     # -- single-operator emitters -------------------------------------------------------------
-
-    def _emit_multiply(
-        self, out_name: str, left: str, right: str | float, hint: str | None = None
-    ) -> "RelationHandle":
-        self.schema.index_of(left)
-        if isinstance(right, str):
-            self.schema.index_of(right)
-            right_float = self.schema[right].ctype is ColumnType.FLOAT
-        else:
-            right_float = not float(right).is_integer()
-        out_type = (
-            ColumnType.FLOAT
-            if (self.schema[left].ctype is ColumnType.FLOAT or right_float)
-            else ColumnType.INT
-        )
-        rel = self._derive(
-            hint or f"mul_{out_name}", self.schema.with_column(ColumnDef(out_name, out_type))
-        )
-        return self._wrap(Multiply(rel, self.node, out_name, left, right))
-
-    def _emit_divide(
-        self, out_name: str, left: str, by: str | float, hint: str | None = None
-    ) -> "RelationHandle":
-        self.schema.index_of(left)
-        if isinstance(by, str):
-            self.schema.index_of(by)
-        rel = self._derive(
-            hint or f"div_{out_name}",
-            self.schema.with_column(ColumnDef(out_name, ColumnType.FLOAT)),
-        )
-        return self._wrap(Divide(rel, self.node, out_name, left, by))
 
     def _emit_map(
         self, out_name: str, left: str, op: str, right: str | float, hint: str | None = None
@@ -598,16 +564,10 @@ class RelationHandle:
         self.schema.index_of(left)
         if isinstance(right, str):
             self.schema.index_of(right)
-            right_float = self.schema[right].ctype is ColumnType.FLOAT
-        else:
-            right_float = isinstance(right, float)
-        out_type = (
-            ColumnType.FLOAT
-            if (self.schema[left].ctype is ColumnType.FLOAT or right_float)
-            else ColumnType.INT
-        )
+        _, _, out_type = arithmetic_typing(self.schema, left, op, right)
         rel = self._derive(
-            hint or f"map_{out_name}", self.schema.with_column(ColumnDef(out_name, out_type))
+            hint or f"{_MAP_HINTS.get(op, 'map')}_{out_name}",
+            self.schema.with_column(ColumnDef(out_name, out_type)),
         )
         return self._wrap(Map(rel, self.node, out_name, left, op, right))
 
@@ -699,7 +659,7 @@ class RelationHandle:
         for i, column in enumerate(columns[1:]):
             is_last = i == len(columns) - 2
             shifted = handle._fresh_col()
-            handle = handle._emit_multiply(shifted, acc, key_base)
+            handle = handle._emit_map(shifted, acc, "*", key_base)
             if i == 0:
                 # The encoding is collision-free only for key values in
                 # [0, key_base); mark the first operator of the encode chain
@@ -780,7 +740,7 @@ class RelationHandle:
         keyed: list[RelationHandle] = []
         for out, spec in specs.items():
             part = self._single_aggregate(out, spec.func, None, spec.over, None)
-            keyed.append(part._emit_multiply(key, out, 0))
+            keyed.append(part._emit_map(key, out, "*", 0))
         result = keyed[0]
         for part in keyed[1:]:
             result = result._single_join(part, key, key, None)

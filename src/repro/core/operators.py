@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from repro.core.expr import COMPARISON_OPS
+from repro.core.expr import ARITHMETIC_OPS, COMPARISON_OPS
 from repro.core.relation import Relation
 
 _node_counter = itertools.count()
@@ -183,49 +183,12 @@ class Aggregate(OpNode):
         self.is_secondary = False
 
 
-class Multiply(OpNode):
-    """Append ``out_name = left * right`` (column name or public scalar)."""
-
-    op_name = "multiply"
-    order_preserving = True
-
-    def __init__(
-        self, out_rel: Relation, parent: OpNode, out_name: str, left: str, right: str | float
-    ):
-        super().__init__(out_rel, [parent])
-        self.out_name = out_name
-        self.left = left
-        self.right = right
-
-    @property
-    def scalar_operand(self) -> bool:
-        return not isinstance(self.right, str)
-
-
-class Divide(OpNode):
-    """Append ``out_name = left / right`` (column name or public scalar)."""
-
-    op_name = "divide"
-    order_preserving = True
-
-    def __init__(
-        self, out_rel: Relation, parent: OpNode, out_name: str, left: str, right: str | float
-    ):
-        super().__init__(out_rel, [parent])
-        self.out_name = out_name
-        self.left = left
-        self.right = right
-
-    @property
-    def scalar_operand(self) -> bool:
-        return not isinstance(self.right, str)
-
-
 class Map(OpNode):
-    """Append ``out_name = left <op> right`` for ``op`` in ``+``/``-``.
+    """Append ``out_name = left <op> right`` for ``op`` in ``+ - * /``.
 
-    Together with :class:`Multiply` and :class:`Divide` this completes the
-    row-wise arithmetic vocabulary the expression lowering targets.
+    The one row-wise arithmetic operator: ``right`` is a column name or a
+    public scalar, and the output column is typed by
+    :func:`~repro.data.schema.arithmetic_typing`.
     """
 
     op_name = "map"
@@ -234,8 +197,8 @@ class Map(OpNode):
     def __init__(
         self, out_rel: Relation, parent: OpNode, out_name: str, left: str, op: str, right: str | float
     ):
-        if op not in ("+", "-"):
-            raise ValueError(f"map supports '+' and '-', got {op!r}")
+        if op not in ARITHMETIC_OPS:
+            raise ValueError(f"map supports {', '.join(ARITHMETIC_OPS)}, got {op!r}")
         super().__init__(out_rel, [parent])
         self.out_name = out_name
         self.left = left
@@ -444,7 +407,7 @@ class HybridAggregate(Aggregate):
 #: concatenation (used by the MPC-frontier push-down, §5.2).  The row-wise
 #: expression operators (map/compare/bool_op) are distributive because they
 #: look at one row at a time.
-DISTRIBUTIVE_OPS = (Project, Filter, Multiply, Divide, Map, Compare, BoolOp)
+DISTRIBUTIVE_OPS = (Project, Filter, Map, Compare, BoolOp)
 
 #: Aggregation functions that can be split into per-party partials plus an
 #: MPC merge step.  The merge function for ``count`` partials is ``sum``.
@@ -458,11 +421,10 @@ def is_reversible(node: OpNode) -> bool:
     (§5.2): the recipient would learn the operator's input from the output
     anyway, so computing it in the clear leaks nothing extra.
     """
-    if isinstance(node, (Multiply, Divide)):
-        return node.scalar_operand and node.right != 0
     if isinstance(node, Map):
-        # Adding/subtracting a public constant is always invertible.
-        return node.scalar_operand
+        # Adding/subtracting a public constant is always invertible, scaling
+        # by one unless it is zero.
+        return node.scalar_operand and (node.op in "+-" or node.right != 0)
     if isinstance(node, Project):
         # A projection is reversible only if it merely reorders (keeps every
         # input column).

@@ -28,13 +28,11 @@ from repro.core.operators import (
     Concat,
     Create,
     Distinct,
-    Divide,
     Filter,
     Join,
     Limit,
     Map,
     Merge,
-    Multiply,
     OpNode,
     Project,
     SortBy,
@@ -142,7 +140,7 @@ def _derive_trust(node: OpNode) -> dict[str, frozenset[str]]:
         return _join_trust(node)
     if isinstance(node, Aggregate):
         return _aggregate_trust(node)
-    if isinstance(node, (Multiply, Divide, Map, Compare)):
+    if isinstance(node, (Map, Compare)):
         return _arithmetic_trust(node)
     if isinstance(node, BoolOp):
         return _bool_op_trust(node)
@@ -221,7 +219,7 @@ def _bool_op_trust(node: BoolOp) -> dict[str, frozenset[str]]:
     return trust
 
 
-def _arithmetic_trust(node: Multiply | Divide | Map | Compare) -> dict[str, frozenset[str]]:
+def _arithmetic_trust(node: Map | Compare) -> dict[str, frozenset[str]]:
     parent = node.parent.out_rel
     trust = {name: parent.column_trust(name) for name in parent.schema.names}
     left_trust = parent.column_trust(node.left)

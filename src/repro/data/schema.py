@@ -182,3 +182,23 @@ def make_schema(*specs: tuple[str, ColumnType] | str) -> Schema:
             name, ctype = spec
             cols.append(ColumnDef(name, ctype))
     return Schema(cols)
+
+
+def arithmetic_typing(
+    schema: Schema, left: str, op: str, right: "str | float"
+) -> tuple[bool, bool, ColumnType]:
+    """The one typing rule of row-wise arithmetic ``left <op> right``.
+
+    Returns whether each operand — a column name or a public scalar — is
+    carried in fixed point (a FLOAT column, a fractional scalar), and the
+    result's type: FLOAT for a division or as soon as either operand is
+    fixed point, INT otherwise.  The frontend types ``Map`` outputs with it,
+    the share engine aligns and rescales by it, the estimator prices by it.
+    """
+    left_fixed = schema[left].ctype is ColumnType.FLOAT
+    if isinstance(right, str):
+        right_fixed = schema[right].ctype is ColumnType.FLOAT
+    else:
+        right_fixed = not float(right).is_integer()
+    floating = op == "/" or left_fixed or right_fixed
+    return left_fixed, right_fixed, ColumnType.FLOAT if floating else ColumnType.INT

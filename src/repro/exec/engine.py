@@ -159,14 +159,6 @@ class ColumnarBackend:
             return float(col.mean())
         raise AssertionError(func)
 
-    def multiply(
-        self, handle: ColumnBatch, out_name: str, left: str, right: str | float
-    ) -> ColumnBatch:
-        return self.arith(handle, out_name, left, "*", right)
-
-    def divide(self, handle: ColumnBatch, out_name: str, left: str, right: str) -> ColumnBatch:
-        return self.arith(handle, out_name, left, "/", right)
-
     def arith(
         self, handle: ColumnBatch, out_name: str, left: str, op: str, right: str | float
     ) -> ColumnBatch:

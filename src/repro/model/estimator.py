@@ -32,7 +32,6 @@ from repro.core.operators import (
     Concat,
     Create,
     Distinct,
-    Divide,
     Filter,
     HybridAggregate,
     HybridJoin,
@@ -40,13 +39,12 @@ from repro.core.operators import (
     Limit,
     Map,
     Merge,
-    Multiply,
     OpNode,
     Project,
     PublicJoin,
     SortBy,
 )
-from repro.data.schema import ColumnType, Schema
+from repro.data.schema import Schema, arithmetic_typing
 from repro.model import operators, steps
 from repro.model.counters import CleartextWork, CostMeter
 from repro.model.prices import (
@@ -246,12 +244,18 @@ class PlanEstimator:
 
     def _sharemind_meter(self, node: OpNode, rows_in: list[int], rows_out: int) -> CostMeter:
         """The node's :mod:`repro.model.operators` meter at the estimated row
-        counts, after the sharing of whatever crosses in from cleartext."""
+        counts, after the sharing of whatever crosses in from cleartext and
+        the composite-key range check's openings."""
         p = self.params.num_parties
         meter = CostMeter()
         for parent, n_rows in zip(node.parents, rows_in):
             if not parent.is_mpc:
                 meter.merge(operators.share_input_meter(n_rows, len(parent.out_rel.schema), p))
+        check = getattr(node, "key_range_check", None)
+        if check:
+            # PlanExecutor._validate_key_range opens each key column.
+            for _ in check[0]:
+                meter.merge(steps.env_open_meter(rows_in[0], p))
         meter.merge(self._operator_meter(node, rows_in, rows_out, p))
         return meter
 
@@ -283,22 +287,24 @@ class PlanEstimator:
             return operators.aggregate_meter(
                 n, node.func, p, presorted=node.presorted, grouped=node.group_col is not None
             )
-        if isinstance(node, Multiply):
-            both_fixed = _fixed_point(schema, node.left) and _fixed_point(schema, node.right)
-            return operators.multiply_meter(n, p, isinstance(node.right, str), both_fixed)
-        if isinstance(node, Divide):
-            return operators.divide_meter(n, p)
+        if isinstance(node, Map):
+            left_fixed, right_fixed, _ = arithmetic_typing(schema, node.left, node.op, node.right)
+            shared = isinstance(node.right, str)
+            if node.op == "*":
+                return operators.multiply_meter(n, p, shared, left_fixed and right_fixed)
+            if node.op == "/":
+                return operators.divide_meter(n, p, shared)
+            return operators.map_meter(n, left_fixed != right_fixed)
         if isinstance(node, Compare):
             if _constant_comparison(schema, node.left, node.op, node.right):
                 return CostMeter()
             shared = isinstance(node.right, str)
-            rescaled = shared and _fixed_point(schema, node.left) != _fixed_point(schema, node.right)
+            # A comparison aligns its operands' scales as a subtraction does.
+            left_fixed, right_fixed, _ = arithmetic_typing(schema, node.left, "-", node.right)
+            rescaled = shared and left_fixed != right_fixed
             return operators.compare_meter(n, node.op, p, shared, rescaled)
         if isinstance(node, BoolOp):
             return operators.bool_op_meter(n, node.op, len(node.operands), p)
-        if isinstance(node, Map):
-            rescaled = _fixed_point(schema, node.left) != _fixed_point(schema, node.right)
-            return operators.map_meter(n, rescaled)
         if isinstance(node, SortBy):
             return operators.sort_meter(n, cols_out, p)
         if isinstance(node, Distinct):
@@ -333,17 +339,14 @@ class PlanEstimator:
                 comparators = 0 if node.presorted else steps.bitonic_comparator_count(n)
                 gates = comparators * (GATES_PER_COMPARISON + 2 * GATES_PER_MUX)
                 gates += max(0, n - 1) * (GATES_PER_COMPARISON + GATES_PER_ADDITION + GATES_PER_MUX)
-        elif isinstance(node, Multiply):
-            gates = n * GATES_PER_MULTIPLICATION
-        elif isinstance(node, Divide):
-            gates = n * 2 * GATES_PER_MULTIPLICATION
         elif isinstance(node, Compare):
             gates = n * GATES_PER_COMPARISON
         elif isinstance(node, BoolOp):
             # One non-XOR gate per operand pair per row; NOT is free.
             gates = n * max(0, len(node.operands) - 1)
         elif isinstance(node, Map):
-            gates = n * GATES_PER_ADDITION
+            per_row = {"*": GATES_PER_MULTIPLICATION, "/": 2 * GATES_PER_MULTIPLICATION}
+            gates = n * per_row.get(node.op, GATES_PER_ADDITION)
         elif isinstance(node, SortBy):
             comparators = steps.bitonic_comparator_count(n)
             gates = comparators * (GATES_PER_COMPARISON + 2 * GATES_PER_MUX * cols_out)
@@ -385,19 +388,9 @@ class PlanEstimator:
         )
 
 
-def _fixed_point(schema: Schema, operand: "str | float") -> bool:
-    """Whether an operand — a column name or a public scalar — is carried in
-    fixed point by the share engine."""
-    if isinstance(operand, str):
-        return schema[operand].ctype is ColumnType.FLOAT
-    return isinstance(operand, float) and not operand.is_integer()
-
-
 def _constant_comparison(schema: Schema, column: str, op: str, right: "str | float") -> bool:
     """``int column == 2.5`` (or ``!=``) is decided without a secret comparison."""
-    return (
-        op in ("==", "!=")
-        and not isinstance(right, str)
-        and not float(right).is_integer()
-        and not _fixed_point(schema, column)
-    )
+    if op not in ("==", "!=") or isinstance(right, str):
+        return False
+    column_fixed, scalar_fixed, _ = arithmetic_typing(schema, column, "-", right)
+    return scalar_fixed and not column_fixed

@@ -130,9 +130,12 @@ def multiply_meter(
     return meter
 
 
-def divide_meter(records: int, p: int = 3) -> CostMeter:
-    """``left / right``: both operands opened in one round, then the division."""
-    return _total(steps.env_open_meter(2 * records, p), steps.division_meter(records, p))
+def divide_meter(records: int, p: int = 3, shared_rhs: bool = True) -> CostMeter:
+    """``left / right``: ``left`` — and a divisor column — opened in one
+    round, then the division."""
+    return _total(
+        steps.env_open_meter((1 + shared_rhs) * records, p), steps.division_meter(records, p)
+    )
 
 
 def map_meter(records: int, rescaled: bool = False) -> CostMeter:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.schema import ColumnDef, ColumnType, Schema
+from repro.data.schema import ColumnDef, ColumnType, Schema, arithmetic_typing
 from repro.data.table import Table
 from repro.model import steps
 from repro.mpc.oblivious import (
@@ -151,28 +151,64 @@ def mpc_concat(tables: Sequence[SharedTable]) -> SharedTable:
     return SharedTable(engine, first.schema, columns)
 
 
-def _fixed_point(schema: Schema, operand: "str | float") -> bool:
-    """Whether an operand — a column name or a public scalar — is carried in
-    fixed point: a FLOAT column, a fractional scalar."""
-    if isinstance(operand, str):
-        return schema[operand].ctype is ColumnType.FLOAT
-    return not float(operand).is_integer()
-
-
-def mpc_multiply(
-    table: SharedTable, out_name: str, left: str, right: "str | float"
+def mpc_arith(
+    table: SharedTable, out_name: str, left: str, op: str, right: "str | float"
 ) -> SharedTable:
-    """Append ``out_name = left * right`` (column or public scalar).
+    """Append ``out_name = left <op> right`` (column or public scalar).
 
-    A FLOAT column or a fractional scalar is a fixed-point operand, so the
-    product is FLOAT as soon as either operand is.  When both are, it is
-    rescaled by :data:`FIXED_POINT_SCALE` with a truncation step, as a real
-    secret-sharing backend would do after a fixed-point multiplication.
+    ``op`` picks the protocol: ``+``/``-`` are local on additive shares,
+    ``*`` a local scaling by a scalar or a Beaver product of two columns,
+    ``/`` a fixed-point division.  Operands and result are typed by
+    :func:`~repro.data.schema.arithmetic_typing`.
     """
+    left_fixed, right_fixed, out_type = arithmetic_typing(table.schema, left, op, right)
+    if op in ("+", "-"):
+        result = _add_sub(table, left, op, right, left_fixed, right_fixed, out_type)
+    elif op == "*":
+        result = _multiply(table, left, right, left_fixed, right_fixed)
+    elif op == "/":
+        result = _divide(table, left, right)
+    else:
+        raise ValueError(f"unsupported arithmetic op {op!r}")
+    schema = table.schema.with_column(ColumnDef(out_name, out_type))
+    return table._replace(schema, [*table.columns, result])
+
+
+def _add_sub(
+    table: SharedTable,
+    left: str,
+    op: str,
+    right: "str | float",
+    left_fixed: bool,
+    right_fixed: bool,
+    out_type: ColumnType,
+) -> SharedVector:
+    """``left +/- right``: local, no communication; an integer operand of a
+    fixed-point sum is aligned to the common scale first."""
+    engine = table.engine
+    floating = out_type is ColumnType.FLOAT
+    lcol = table.column(left)
+    if floating and not left_fixed:
+        lcol = engine.scale(lcol, FIXED_POINT_SCALE)
+    if isinstance(right, str):
+        rhs: "SharedVector | int" = table.column(right)
+        if floating and not right_fixed:
+            rhs = engine.scale(rhs, FIXED_POINT_SCALE)
+    else:
+        scalar = float(right)
+        rhs = int(round(scalar * FIXED_POINT_SCALE)) if floating else int(scalar)
+    return engine.add(lcol, rhs) if op == "+" else engine.sub(lcol, rhs)
+
+
+def _multiply(
+    table: SharedTable, left: str, right: "str | float", left_fixed: bool, right_fixed: bool
+) -> SharedVector:
+    """``left * right``: a scalar scales locally, a column costs a Beaver
+    product.  When both operands are fixed point the product is rescaled by
+    :data:`FIXED_POINT_SCALE` with a truncation step, as a real
+    secret-sharing backend would do after a fixed-point multiplication."""
     engine = table.engine
     lcol = table.column(left)
-    left_fixed = _fixed_point(table.schema, left)
-    right_fixed = _fixed_point(table.schema, right)
     if isinstance(right, str):
         result = engine.mul(lcol, table.column(right))
     else:
@@ -181,9 +217,7 @@ def mpc_multiply(
         )
     if left_fixed and right_fixed:
         result = _truncate_fixed_point(engine, result)
-    out_type = ColumnType.FLOAT if left_fixed or right_fixed else ColumnType.INT
-    schema = table.schema.with_column(ColumnDef(out_name, out_type))
-    return table._replace(schema, [*table.columns, result])
+    return result
 
 
 def _truncate_fixed_point(engine: SecretSharingEngine, vec: SharedVector) -> SharedVector:
@@ -198,17 +232,22 @@ def _truncate_fixed_point(engine: SecretSharingEngine, vec: SharedVector) -> Sha
     return engine.share_from_env(truncated)
 
 
-def mpc_divide(table: SharedTable, out_name: str, left: str, right: str) -> SharedTable:
-    """Append ``out_name = left / right`` as a fixed-point division.
+def _divide(table: SharedTable, left: str, right: "str | float") -> SharedVector:
+    """``left / right`` as a fixed-point division (zero where ``right`` is 0).
 
     Division under secret sharing is notoriously expensive; the standard
     approach (Goldschmidt iteration) costs tens of multiplications per
     element.  We execute it as an ideal functionality over the reconstructed
-    fixed-point values and meter that realistic cost.
+    fixed-point values — ``left``, and a divisor column, opened in one round
+    — and meter that realistic cost.
     """
     engine = table.engine
     n = table.num_rows
-    lvals, rvals = _decode_columns(table, [left, right])
+    if isinstance(right, str):
+        lvals, rvals = _decode_columns(table, [left, right])
+    else:
+        (lvals,) = _decode_columns(table, [left])
+        rvals = np.float64(right)
     result = np.divide(
         lvals,
         rvals,
@@ -217,9 +256,7 @@ def mpc_divide(table: SharedTable, out_name: str, left: str, right: str) -> Shar
     )
     encoded = np.round(result * FIXED_POINT_SCALE).astype(np.int64)
     engine.charge(steps.division_meter(n, engine.num_parties))
-    out_col = engine.share_from_env(encoded)
-    schema = table.schema.with_column(ColumnDef(out_name, ColumnType.FLOAT))
-    return table._replace(schema, [*table.columns, out_col])
+    return engine.share_from_env(encoded)
 
 
 def _comparison_flags(
@@ -287,9 +324,10 @@ def _scalar_comparison_flags(
     col = table.column(column)
     n = table.num_rows
     scalar = float(value)
-    if table.schema[column].ctype is ColumnType.FLOAT:
+    column_fixed, scalar_fixed, _ = arithmetic_typing(table.schema, column, "-", value)
+    if column_fixed:
         return _comparison_flags(engine, col, op, int(round(scalar * FIXED_POINT_SCALE)), n)
-    if scalar.is_integer():
+    if not scalar_fixed:
         return _comparison_flags(engine, col, op, int(scalar), n)
     floor = int(np.floor(scalar))
     if op == "==":
@@ -345,35 +383,6 @@ def mpc_bool_op(
         raise ValueError(f"unsupported boolean op {op!r}")
     schema = table.schema.with_column(ColumnDef(out_name, ColumnType.INT))
     return table._replace(schema, [*table.columns, acc])
-
-
-def mpc_map(
-    table: SharedTable, out_name: str, left: str, op: str, right: "str | float"
-) -> SharedTable:
-    """Append ``out_name = left <op> right`` for ``op`` in ``+``/``-``.
-
-    Additive operations are local on additive shares — no communication.
-    Fixed-point (FLOAT) operands are aligned to a common scale first.
-    """
-    if op not in ("+", "-"):
-        raise ValueError(f"mpc_map supports '+' and '-', got {op!r}")
-    engine = table.engine
-    left_float = _fixed_point(table.schema, left)
-    right_float = _fixed_point(table.schema, right)
-    out_type = ColumnType.FLOAT if (left_float or right_float) else ColumnType.INT
-    lcol = table.column(left)
-    if out_type is ColumnType.FLOAT and not left_float:
-        lcol = engine.scale(lcol, FIXED_POINT_SCALE)
-    if isinstance(right, str):
-        rhs: "SharedVector | int" = table.column(right)
-        if out_type is ColumnType.FLOAT and not right_float:
-            rhs = engine.scale(rhs, FIXED_POINT_SCALE)
-    else:
-        scalar = float(right)
-        rhs = int(round(scalar * FIXED_POINT_SCALE)) if out_type is ColumnType.FLOAT else int(scalar)
-    result = engine.add(lcol, rhs) if op == "+" else engine.sub(lcol, rhs)
-    schema = table.schema.with_column(ColumnDef(out_name, out_type))
-    return table._replace(schema, [*table.columns, result])
 
 
 def mpc_filter(table: SharedTable, column: str, op: str, value: int) -> SharedTable:

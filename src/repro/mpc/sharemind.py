@@ -100,7 +100,9 @@ class SharemindBackend:
         return protocols.mpc_filter(handle, column, op, value)
 
     def arith(self, handle: SharedTable, out_name: str, left: str, op: str, right: str | float) -> SharedTable:
-        return protocols.mpc_map(handle, out_name, left, op, right)
+        """``out_name = left <op> right``: ``op`` picks local add/sub, a
+        Beaver product or scaling, or a fixed-point division."""
+        return protocols.mpc_arith(handle, out_name, left, op, right)
 
     def compare(self, handle: SharedTable, out_name: str, left: str, op: str, right: str | float) -> SharedTable:
         return protocols.mpc_compare(handle, out_name, left, op, right)
@@ -123,12 +125,6 @@ class SharemindBackend:
         presorted: bool = False,
     ) -> SharedTable:
         return protocols.mpc_aggregate(handle, group_by, agg_col, func, out_name, presorted)
-
-    def multiply(self, handle: SharedTable, out_name: str, left: str, right: str | float) -> SharedTable:
-        return protocols.mpc_multiply(handle, out_name, left, right)
-
-    def divide(self, handle: SharedTable, out_name: str, left: str, right: str) -> SharedTable:
-        return protocols.mpc_divide(handle, out_name, left, right)
 
     def sort_by(self, handle: SharedTable, column: str, ascending: bool = True) -> SharedTable:
         return protocols.mpc_sort(handle, column, ascending=ascending)

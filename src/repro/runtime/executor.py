@@ -40,7 +40,6 @@ from repro.core.operators import (
     Concat,
     Create,
     Distinct,
-    Divide,
     Filter,
     HybridAggregate,
     HybridJoin,
@@ -48,7 +47,6 @@ from repro.core.operators import (
     Limit,
     Map,
     Merge,
-    Multiply,
     OpNode,
     Project,
     PublicJoin,
@@ -376,10 +374,6 @@ class PlanExecutor:
                 handles[0], node.group_col, node.agg_col, node.func, node.out_name,
                 presorted=node.presorted,
             )
-        if isinstance(node, Multiply):
-            return engine.multiply(handles[0], node.out_name, node.left, node.right)
-        if isinstance(node, Divide):
-            return engine.divide(handles[0], node.out_name, node.left, node.right)
         if isinstance(node, Map):
             return engine.arith(handles[0], node.out_name, node.left, node.op, node.right)
         if isinstance(node, Compare):

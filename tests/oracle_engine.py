@@ -62,14 +62,8 @@ class PythonBackend:
         group = [group_by] if group_by else []
         return handle.aggregate(group, agg_col, func, out_name)
 
-    def multiply(self, handle: Table, out_name: str, left: str, right: str | float) -> Table:
-        return handle.arithmetic(out_name, left, "*", right)
-
-    def divide(self, handle: Table, out_name: str, left: str, right: str) -> Table:
-        return handle.arithmetic(out_name, left, "/", right)
-
     def arith(self, handle: Table, out_name: str, left: str, op: str, right: str | float) -> Table:
-        """Append ``out_name = left <op> right`` (``+``/``-`` map operator)."""
+        """Append ``out_name = left <op> right`` (the ``Map`` operator)."""
         return handle.arithmetic(out_name, left, op, right)
 
     def compare(self, handle: Table, out_name: str, left: str, op: str, right: str | float) -> Table:

@@ -52,9 +52,9 @@ class TestSharemindBackend:
 
     def test_multiply_and_divide(self):
         h = self.backend.ingest(self.table)
-        doubled = self.backend.multiply(h, "d", "value", 2)
+        doubled = self.backend.arith(h, "d", "value", "*", 2)
         assert doubled.reveal().column("d").tolist() == (self.table.column("value") * 2).tolist()
-        ratio = self.backend.divide(h, "r", "value", "key")
+        ratio = self.backend.arith(h, "r", "value", "/", "key")
         expected = self.table.arithmetic("r", "value", "/", "key").column("r")
         assert np.allclose(ratio.reveal().column("r"), expected, atol=1e-4)
 

@@ -86,9 +86,9 @@ class TestEngineEquivalence:
 
     def test_arithmetic(self, backend):
         h = backend.ingest(self.table)
-        doubled = backend.collect(backend.multiply(h, "d", "value", 2))
+        doubled = backend.collect(backend.arith(h, "d", "value", "*", 2))
         assert doubled.equals_unordered(self.table.arithmetic("d", "value", "*", 2))
-        ratio = backend.collect(backend.divide(h, "r", "value", "key"))
+        ratio = backend.collect(backend.arith(h, "r", "value", "/", "key"))
         expected = self.table.arithmetic("r", "value", "/", "key")
         assert sorted(np.round(ratio.column("r"), 6).tolist()) == sorted(
             np.round(expected.column("r"), 6).tolist()
@@ -124,7 +124,7 @@ class TestWorkTally:
         h = backend.ingest(uniform_key_value_table(10, 3, seed=6))
         backend.project(h, ["key"])
         backend.filter(h, "value", ">", 0)
-        backend.multiply(h, "d", "value", 2)
+        backend.arith(h, "d", "value", "*", 2)
         backend.compare(h, "c", "value", ">", 1)
         backend.enumerate_rows(h)
         assert backend.work.records_shuffled == 0

@@ -139,14 +139,17 @@ class TestOperatorMetersEqualExecution:
     ])
     def test_multiply(self, backend, n, left, right, shared, fixed_point):
         _, meter = executed(
-            backend, lambda t: backend.multiply(t, "out", left, right),
+            backend, lambda t: backend.arith(t, "out", left, "*", right),
             table_of(n, ratio=ColumnType.FLOAT, rate=ColumnType.FLOAT),
         )
         assert meter == counted(operators.multiply_meter(n, 3, shared, fixed_point))
 
-    def test_divide(self, backend, n):
-        _, meter = executed(backend, lambda t: backend.divide(t, "out", "value", "key"), table_of(n))
-        assert meter == counted(operators.divide_meter(n))
+    @pytest.mark.parametrize("right, shared", [("key", True), (4, False)])
+    def test_divide(self, backend, n, right, shared):
+        _, meter = executed(
+            backend, lambda t: backend.arith(t, "out", "value", "/", right), table_of(n)
+        )
+        assert meter == counted(operators.divide_meter(n, 3, shared))
 
     @pytest.mark.parametrize("op", ["+", "-"])
     @pytest.mark.parametrize("right, rescaled", [
@@ -285,37 +288,56 @@ class TestStepMetersEqualThePrimitives:
             oblivious_index(engine, empty.columns, np.zeros(1, dtype=np.int64))
 
 
+def filtered_sums(q, parties, tables):
+    """Square, filter and sum a three-party union: the executed row counts
+    of the MPC nodes that change them, by operator name."""
+    columns = [cc.Column("key", cc.INT), cc.Column("value", cc.INT)]
+    inputs = [cc.new_table(f"t{i}", columns, at=p) for i, p in enumerate(parties)]
+    scaled = cc.concat(inputs).with_column("double", cc.col("value") * cc.col("value"))
+    kept = scaled.filter(cc.col("double") > 100)
+    kept.aggregate(group=["key"], aggs={"total": cc.SUM("double")}).collect("out", to=parties)
+
+    key, value = (np.concatenate([t.column(c) for t in tables]) for c in ("key", "value"))
+    survivors = value**2 > 100
+    return {"filter": int(survivors.sum()), "aggregate": len(set(key[survivors]))}
+
+
+def two_key_join(q, parties, tables):
+    """A two-party union joined with a third party on two keys: the union's
+    composite-key encode runs under MPC, range check included."""
+    columns = [cc.Column("key", cc.INT), cc.Column("value", cc.INT), cc.Column("flag", cc.INT)]
+    inputs = [cc.new_table(f"t{i}", columns, at=p) for i, p in enumerate(parties)]
+    cc.concat(inputs[:2]).join(inputs[2], on=["key", "flag"]).collect("out", to=parties)
+
+    left = {c: np.concatenate([t.column(c) for t in tables[:2]]) for c in ("key", "flag")}
+    right = {c: tables[2].column(c) for c in ("key", "flag")}
+    matches = (left["key"][:, None] == right["key"]) & (left["flag"][:, None] == right["flag"])
+    return {"join": int(matches.sum())}
+
+
 class TestEstimatorPricesTheExecutedMeters:
-    def test_plan_meters_sum_to_the_executed_profile(self):
+    @pytest.mark.parametrize(
+        "plan, extra",
+        [(filtered_sums, {}), (two_key_join, {"flag": ColumnType.INT})],
+        ids=["filtered-sums", "two-key-join"],
+    )
+    def test_plan_meters_sum_to_the_executed_profile(self, plan, extra):
         """A whole plan under MPC: the estimator's per-node meters at the
         executed row counts — the output's reveal to each recipient among
         them — are the executed profile."""
-        tables = [table_of(20 + i, keys=4, seed=i) for i in range(3)]
+        tables = [table_of(20 + i, keys=4, seed=i, **extra) for i in range(3)]
         with cc.QueryContext() as q:
-            parties = [cc.Party(name) for name in PARTIES]
-            columns = [cc.Column("key", cc.INT), cc.Column("value", cc.INT)]
-            inputs = [cc.new_table(f"t{i}", columns, at=p) for i, p in enumerate(parties)]
-            scaled = cc.concat(inputs).with_column("double", cc.col("value") * cc.col("value"))
-            kept = scaled.filter(cc.col("double") > 100)
-            kept.aggregate(group=["key"], aggs={"total": cc.SUM("double")}).collect(
-                "out", to=parties
-            )
+            rows = plan(q, [cc.Party(name) for name in PARTIES], tables)
         compiled = cc.compile_query(q, cc.CompilationConfig(enable_push_down=False))
         data = {name: {f"t{i}": tables[i]} for i, name in enumerate(PARTIES)}
         result = cc.QueryRunner(PARTIES, data).run(compiled)
 
-        whole = Table(tables[0].schema, [
-            np.concatenate([t.column(c) for t in tables]) for c in ("key", "value")
-        ])
-        survivors = whole.column("value") ** 2 > 100
-        groups = len(set(whole.column("key")[survivors]))
-        rows = {"filter": int(survivors.sum()), "aggregate": groups}
         mpc_nodes = [node for node in compiled.dag.topological() if node.is_mpc]
         overrides = {f"t{i}": table.num_rows for i, table in enumerate(tables)}
         overrides.update(
             (node.out_rel.name, rows[node.op_name]) for node in mpc_nodes if node.op_name in rows
         )
-        assert len(overrides) == 5
+        assert len(overrides) == 3 + len(rows)
         estimator = PlanEstimator(EstimatorParams(row_overrides=overrides))
         total = CostMeter()
         for estimate in estimator.estimate(compiled).nodes:
@@ -327,6 +349,8 @@ class TestEstimatorPricesTheExecutedMeters:
                 total.merge(estimator._reveal_meter(estimate.node, estimate.rows_in))
         profile = {key: result.mpc_profile[key] for key in counted(total)}
         assert profile == counted(total)
+        if plan is two_key_join:
+            assert any(getattr(node, "key_range_check", None) for node in mpc_nodes)
 
 
 #: What execution charged when ``repro.model`` was introduced (PR 22: the

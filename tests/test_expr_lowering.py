@@ -23,7 +23,7 @@ import repro as cc
 from repro.core.config import CompilationConfig
 from repro.core.expr import BooleanOp, Comparison, Negation, col, conjuncts, lit
 from repro.core.lang import QueryContext
-from repro.core.operators import BoolOp, Compare, Filter, Map, Multiply
+from repro.core.operators import BoolOp, Compare, Filter, Map
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.workloads.credit import CreditWorkload
@@ -235,7 +235,7 @@ class TestWithColumnLowering:
         with QueryContext() as ctx:
             t = ctx.new_table("t", abc_columns(), at=PA)
             out = t.with_column("x", col("a") * (lit(2) + lit(3)))
-        assert isinstance(out.node, Multiply)
+        assert isinstance(out.node, Map) and out.node.op == "*"
         assert out.node.right == 5
 
     def test_literal_column(self):
@@ -620,14 +620,21 @@ class TestNewOperatorsUnderMpc:
             (lambda: col("i") * 2.5, lambda i, f: i * 2.5),
             (lambda: col("f") * 2.5, lambda i, f: f * 2.5),
             (lambda: col("i") * col("f"), lambda i, f: i * f),
+            (lambda: col("i") / 4, lambda i, f: i / 4),
+            (lambda: col("f") / 4, lambda i, f: f / 4),
+            (lambda: col("i") + 2.5, lambda i, f: i + 2.5),
+            (lambda: col("f") - col("i"), lambda i, f: f - i),
+            (lambda: col("i") / col("f"), lambda i, f: i / f),
         ],
-        ids=["i*2.5", "f*2.5", "i*f"],
+        ids=["i*2.5", "f*2.5", "i*f", "i/4", "f/4", "i+2.5", "f-i", "i/f"],
     )
     def test_fixed_point_product_does_not_depend_on_the_frontier(self, expression, expected):
-        """A fractional public scalar (or a FLOAT column) multiplies as fixed
-        point under MPC: the answer and its type are the same wherever the
-        operator lands, on either engine, and as the compiler declared."""
-        rows = {PA.name: [(4, 0.5), (6, 1.25), (8, 2.0)], PB.name: [(5, 1.5), (7, 2.25), (9, 3.0)]}
+        """A fractional public scalar (or a FLOAT column) is carried in fixed
+        point under MPC: for every operator, scalar or column, the answer
+        and its type are the same wherever the operator lands, on either
+        engine, and as the compiler declared.  (Every quotient of the data
+        has six decimals at most, so fixed point carries it exactly.)"""
+        rows = {PA.name: [(4, 0.5), (6, 1.25), (8, 2.0)], PB.name: [(5, 1.25), (7, 2.5), (9, 3.0)]}
         columns = [cc.Column("i", cc.INT), cc.Column("f", cc.FLOAT)]
         with QueryContext() as ctx:
             t1 = ctx.new_table("t1", columns, at=PA)
@@ -642,8 +649,10 @@ class TestNewOperatorsUnderMpc:
         for frontier in (True, False):
             config = CompilationConfig(enable_push_down=frontier, enable_push_up=frontier)
             compiled = cc.compile_query(ctx, config)
-            multiply = next(n for n in compiled.dag.topological() if isinstance(n, Multiply))
-            assert multiply.is_mpc is not frontier
+            arithmetic = next(
+                n for n in compiled.dag.topological() if isinstance(n, Map) and n.out_name == "z"
+            )
+            assert arithmetic.is_mpc is not frontier
             for runner in (cc.QueryRunner, OracleRunner):
                 out = runner(parties, inputs, config, seed=5).run(compiled).outputs["out"]
                 (collect,) = compiled.dag.outputs()

@@ -6,7 +6,7 @@ import repro as cc
 from repro.core.config import CompilationConfig
 from repro.core.frontier import push_down, push_up
 from repro.core.lang import QueryContext
-from repro.core.operators import Aggregate, Concat, Filter, Project
+from repro.core.operators import Aggregate, Concat, Filter, Map, Project
 from repro.core.propagation import mark_mpc_frontier, propagate_ownership, propagate_trust
 
 PA, PB, PC = cc.Party("a.example"), cc.Party("b.example"), cc.Party("c.example")
@@ -168,7 +168,7 @@ class TestPushUp:
             scaled.collect("out", to=[PC])
         dag, _, lifted = compile_stage_two(ctx)
         assert lifted >= 1
-        multiply = [n for n in dag.topological() if n.op_name == "multiply"][0]
+        multiply = [n for n in dag.topological() if isinstance(n, Map) and n.op == "*"][0]
         assert not multiply.is_mpc
         assert multiply.run_at == PC.name
 
@@ -180,7 +180,7 @@ class TestPushUp:
             squared = agg.with_column("sq", cc.col("total") * cc.col("total"))
             squared.collect("out", to=[PA])
         dag, _, _ = compile_stage_two(ctx)
-        multiply = [n for n in dag.topological() if n.op_name == "multiply"][0]
+        multiply = [n for n in dag.topological() if isinstance(n, Map) and n.op == "*"][0]
         assert multiply.is_mpc
 
     def test_leaf_count_rewritten_to_projection_plus_clear_count(self):
@@ -212,5 +212,5 @@ class TestPushUp:
             scaled = agg.with_column("cents", cc.col("total") * 100)
             scaled.collect("out", to=[PA])
         compiled = cc.compile_query(ctx, CompilationConfig(enable_push_up=False))
-        multiply = [n for n in compiled.dag.topological() if n.op_name == "multiply"][0]
+        multiply = [n for n in compiled.dag.topological() if isinstance(n, Map) and n.op == "*"][0]
         assert multiply.is_mpc

@@ -248,11 +248,11 @@ class TestAggregateOpensItsKeyOnce:
 class TestArithmetic:
     def test_multiply_by_scalar_and_column(self, engine, kv_table):
         shared = share(engine, kv_table)
-        by_scalar = protocols.mpc_multiply(shared, "double", "value", 2)
+        by_scalar = protocols.mpc_arith(shared, "double", "value", "*", 2)
         assert by_scalar.reveal().column("double").tolist() == [
             2 * v for _, v in kv_table.rows()
         ]
-        by_column = protocols.mpc_multiply(shared, "prod", "key", "value")
+        by_column = protocols.mpc_arith(shared, "prod", "key", "*", "value")
         assert by_column.reveal().column("prod").tolist() == [
             k * v for k, v in kv_table.rows()
         ]
@@ -260,20 +260,28 @@ class TestArithmetic:
     def test_fixed_point_multiplication_rescales(self, engine):
         table = make_table({"a": [0.5, 1.5], "b": [0.5, 2.0]}, float_cols={"a", "b"})
         shared = share(engine, table)
-        result = protocols.mpc_multiply(shared, "ab", "a", "b")
+        result = protocols.mpc_arith(shared, "ab", "a", "*", "b")
         assert np.allclose(result.reveal().column("ab"), [0.25, 3.0], atol=1e-4)
 
     def test_divide_matches_cleartext(self, engine, kv_table):
         shared = share(engine, kv_table)
-        result = protocols.mpc_divide(shared, "ratio", "value", "key")
+        result = protocols.mpc_arith(shared, "ratio", "value", "/", "key")
         expected = [v / k for k, v in kv_table.rows()]
         assert np.allclose(result.reveal().column("ratio"), expected, atol=1e-4)
 
     def test_divide_by_zero_gives_zero(self, engine):
         table = make_table({"a": [10], "b": [0]})
         shared = share(engine, table)
-        result = protocols.mpc_divide(shared, "q", "a", "b")
+        result = protocols.mpc_arith(shared, "q", "a", "/", "b")
         assert result.reveal().column("q").tolist() == [0.0]
+        result = protocols.mpc_arith(shared, "q", "a", "/", 0)
+        assert result.reveal().column("q").tolist() == [0.0]
+
+    def test_divide_by_public_scalar(self, engine, kv_table):
+        shared = share(engine, kv_table)
+        result = protocols.mpc_arith(shared, "quarter", "value", "/", 4)
+        assert result.schema["quarter"].ctype is ColumnType.FLOAT
+        assert result.reveal().column("quarter").tolist() == [v / 4 for _, v in kv_table.rows()]
 
 
 # -- property-based equivalence with the cleartext reference ---------------------------------

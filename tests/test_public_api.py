@@ -345,3 +345,49 @@ def test_the_plan_that_ships_is_the_dag_that_runs():
     for name in (b"GeneratedJob", b"SubPlan"):
         assert name not in encode_payload(untouched)
     assert [job.index for job in untouched.jobs] == [sp.index for sp in untouched.subplans]
+
+
+# -- one arithmetic operator, one typing rule ------------------------------------------------
+
+ORACLE_ENGINE = SRC.parent.parent / "tests" / "oracle_engine.py"
+
+
+def engine_classes() -> list[tuple[str, ast.ClassDef]]:
+    """Every ``*Backend`` class under ``src/`` plus the oracle engine's."""
+    found = []
+    for path in [*SRC.rglob("*.py"), ORACLE_ENGINE]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and ENGINE_CLASSES.match(node.name):
+                found.append((path.name, node))
+    return found
+
+
+def test_map_is_the_one_arithmetic_operator():
+    import repro.core.operators as operators
+
+    assert not {"Multiply", "Divide"} & set(vars(operators))
+    assert operators.DISTRIBUTIVE_OPS.count(operators.Map) == 1
+    engines = engine_classes()
+    assert {cls.name for _, cls in engines} == {
+        "ColumnarBackend", "SharemindBackend", "PythonBackend"
+    }
+    for path, cls in engines:
+        methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        assert "arith" in methods, f"{path}:{cls.name}"
+        assert not {"multiply", "divide"} & methods, f"{path}:{cls.name}"
+
+
+def test_the_fixed_point_typing_rule_has_one_definition():
+    """Whether an operand is carried in fixed point (a FLOAT column, a
+    fractional scalar) is decided in one function; everything that types,
+    executes or prices arithmetic imports it."""
+    rules = []
+    for path in SRC.rglob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                attrs = {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+                if {"is_integer", "FLOAT"} <= attrs:
+                    rules.append(f"{path.relative_to(SRC)}:{func.name}")
+    assert rules == ["data/schema.py:arithmetic_typing"]
+    for module in ("core/lang.py", "mpc/protocols.py", "model/estimator.py"):
+        assert ("repro.data.schema", "arithmetic_typing") in imports_of(SRC / module), module
