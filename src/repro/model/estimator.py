@@ -159,6 +159,7 @@ class PlanEstimator:
         local_seconds = 0.0
         use_garbled = compiled.config.mpc_backend == "obliv-c"
         prices = self.cleartext_models[compiled.config.cleartext_backend]
+        mpc_started = False
 
         for node in compiled.dag.topological():
             rows_in = [rows.get(p.out_rel.name, 0) for p in node.parents]
@@ -167,6 +168,11 @@ class PlanEstimator:
 
             if node.is_mpc:
                 seconds = self._mpc_seconds(node, rows_in, rows_out, use_garbled, prices)
+                if not use_garbled and not mpc_started:
+                    # One start-up per MPC job (paper §7), on its first node —
+                    # where the executor charges it too.
+                    seconds += self.sharemind_model.startup_seconds
+                mpc_started = True
                 mpc_seconds += seconds
                 locus = "mpc"
             else:
@@ -175,7 +181,7 @@ class PlanEstimator:
                 locus = f"local:{node.run_at or node.out_rel.owner or '?'}"
                 if not use_garbled and any(p.is_mpc for p in node.parents):
                     # Crossing out of the MPC is MPC work on the consumer's
-                    # clock; the session is up, so no second start-up.
+                    # clock; the job is up, so no second start-up.
                     reveal = self.sharemind_model.work_seconds(self._reveal_meter(node, rows_in))
                     mpc_seconds += reveal
                     seconds += reveal
@@ -234,7 +240,7 @@ class PlanEstimator:
             return self.garbled_model.seconds(gates, input_bits)
 
         meter = self._sharemind_meter(node, rows_in, rows_out)
-        seconds = self.sharemind_model.seconds(meter)
+        seconds = self.sharemind_model.work_seconds(meter)
         # Hybrid operators also pay for cleartext work at the STP/host.
         if isinstance(node, (HybridJoin, PublicJoin)):
             seconds += self._cleartext_records_seconds(sum(rows_in) + rows_out, prices, wide=True)

@@ -32,7 +32,8 @@ from repro.model.counters import CleartextWork, CostMeter
 class SharemindCostModel:
     """Price list of the secret-sharing (Sharemind-style) backend."""
 
-    #: Fixed protocol/session start-up time.
+    #: Fixed protocol start-up, paid once per MPC job (paper §7): the
+    #: executor and the estimator both charge it on a plan's first MPC node.
     startup_seconds: float = 2.0
     #: Secret-sharing + storage-layer overhead per input record.
     per_input_record_seconds: float = 2.0e-4
@@ -52,12 +53,9 @@ class SharemindCostModel:
     #: Effective LAN bandwidth.
     bytes_per_second: float = 125.0e6
 
-    def seconds(self, meter: CostMeter) -> float:
-        """Convert a session's cost meter into simulated seconds."""
-        return self.startup_seconds + self.work_seconds(meter)
-
     def work_seconds(self, meter: CostMeter) -> float:
-        """The metered work alone, for steps of a session that is already up."""
+        """The metered work alone, in simulated seconds (the start-up is
+        charged separately, once per job)."""
         return (
             meter.input_records * self.per_input_record_seconds
             + meter.output_records * self.per_output_record_seconds

@@ -158,5 +158,6 @@ class SharemindBackend:
 
     def elapsed_seconds(self) -> float:
         """Simulated seconds of MPC work performed so far: operation counts
-        plus the network's rounds and bytes, real and analytic."""
-        return self.cost_model.seconds(self.engine.meter)
+        plus the network's rounds and bytes, real and analytic.  The job's
+        start-up is not work: the executor charges it once per query."""
+        return self.cost_model.work_seconds(self.engine.meter)

@@ -50,11 +50,12 @@ methods.
 
 from __future__ import annotations
 
+import ctypes
+import queue
 import socket
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.runtime.mesh import (
     PeerMesh,
@@ -82,6 +83,59 @@ REJOIN_ACCEPT_SECONDS = 15.0
 #: :func:`repro.runtime.service.open_session`); this constant is only the
 #: fallback for sessions that do not say.
 AGENT_MAX_WORKERS = 8
+
+#: Free space glibc keeps at the top of an agent's heap (``M_TOP_PAD``).  A
+#: warm agent allocates ≈ 43–63 MB of share vectors per query and frees them
+#: at its end; by default glibc trims the heap top back to the kernel on those
+#: frees and faults it in again on the next query — ≈ 3 300–4 800 minor faults
+#: and 6–9 ms of ``sys`` per agent per warm ``hhi_mpc_only`` query (3 × 30k
+#: rows).  With the pad, every trim leaves this much slack, and a request the
+#: top can hold is carved from pages already faulted in: 8 MiB still left
+#: 1 500–3 800 faults per query, 16 MiB leaves ≈ 5.
+AGENT_HEAP_PAD_BYTES = 16 << 20
+#: Requests from this size up bypass the heap for a fresh ``mmap``
+#: (``M_MMAP_THRESHOLD``); this is glibc's maximum.  Setting the pad (or any
+#: threshold) freezes glibc's dynamic mmap threshold at 128 KiB, and a share
+#: vector that then misses the top of its arena is mapped, faulted in and
+#: unmapped on every query.  A query runs on a worker thread, whose arena may
+#: be one the agent inherited from the coordinator by ``fork``; such an arena
+#: was created without the pad, and arenas other than the main one only get
+#: it when created, not when they grow.  Agents forked from a process with
+#: many thread arenas took 7 000–12 000 faults per query with the pad alone.
+#: With this threshold every share vector lives in an arena heap, whose
+#: trims keep the pad.  Raising the thresholds without the pad measured worse
+#: (2.5× the faults, p50 61–69 ms against 46 ms): every trim returns the top.
+AGENT_MMAP_THRESHOLD_BYTES = 32 << 20
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3  # glibc <malloc.h>
+
+
+def retain_heap_top() -> None:
+    """Set the agent's heap retention once, before it serves anything.
+
+    glibc only: on a C library without a working ``mallopt`` (macOS, musl)
+    it does nothing.  These are constants, not options, and only agent
+    processes call this — the coordinator is the analyst's own process and
+    keeps its allocator as is.  Every thread's glibc arena keeps its own
+    padded top, which is why ``_serve`` keeps a sequential query stream on
+    one worker thread.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, AGENT_MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TOP_PAD, AGENT_HEAP_PAD_BYTES)
+
+
+def process_counters() -> dict[str, int]:
+    """This process's cumulative ``getrusage`` counts: minor page faults and
+    user / system CPU milliseconds (counts and timings only, never data)."""
+    import resource  # POSIX-only, like the agent itself; ``import repro`` stays portable
+
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "minor_faults": usage.ru_minflt,
+        "user_ms": round(usage.ru_utime * 1e3),
+        "sys_ms": round(usage.ru_stime * 1e3),
+    }
 
 
 class PartyAgent:
@@ -165,10 +219,11 @@ class PartyAgent:
             # parties' share slices and cleartext inputs this agent process
             # materialised while running the query.
             "isolation": executor.isolation_audit(),
-            # Cumulative per-peer mesh traffic at query completion — the
-            # metrics layer's bytes-on-wire view.  Shapes and sizes only,
-            # never payloads.
+            # Cumulative per-peer mesh traffic and process counters at query
+            # completion — the metrics layer's per-party view.  Sizes, counts
+            # and timings only, never payloads.
             "wire_traffic": self.mesh.traffic() if self.mesh is not None else {},
+            "proc": process_counters(),
         }
 
 
@@ -192,6 +247,7 @@ def agent_main(
     carry its configured name, and hellos carry the session nonce from the
     coordinator's session bundle.
     """
+    retain_heap_top()
     control = socket.create_connection((host, port), timeout=timeout)
     control.settimeout(timeout)
     if security is not None:
@@ -279,9 +335,20 @@ def _serve(
     in_flight: set[int] = set()
     state_lock = threading.Lock()
     last_activity = time.monotonic()
-    pool = ThreadPoolExecutor(
-        max_workers=max_workers, thread_name_prefix=f"agent-query-{agent.party}"
-    )
+    jobs: queue.SimpleQueue = queue.SimpleQueue()
+    workers: list[threading.Thread] = []
+
+    def work() -> None:
+        while (job := jobs.get()) is not None:
+            run_one(*job)
+
+    def drain() -> None:
+        """Finish every submitted query, then stop the workers."""
+        for _ in workers:
+            jobs.put(None)
+        for thread in workers:
+            thread.join()
+        workers.clear()
 
     def reply(frame: tuple) -> None:
         with send_lock:
@@ -338,8 +405,7 @@ def _serve(
                 last_activity = time.monotonic()
             if tag == "shutdown":
                 # Drain: finish every in-flight query, then confirm.
-                pool.shutdown(wait=True)
-                pool = None
+                drain()
                 reply(("closing", "shutdown"))
                 return
             if tag == "rejoin":
@@ -375,13 +441,23 @@ def _serve(
                 agent.register_plan(job["fingerprint"], job["compiled"])
             with state_lock:
                 in_flight.add(job["query_id"])
-            pool.submit(
-                run_one, job["query_id"], job["fingerprint"], job["config"],
+                # A worker starts only when every worker is busy (``run_one``
+                # leaves ``in_flight`` before it replies), so a stream of
+                # sequential queries keeps to one thread: one glibc arena,
+                # whose padded heap top the next query reuses.
+                spawn = len(in_flight) > len(workers) and len(workers) < max_workers
+            if spawn:
+                workers.append(threading.Thread(
+                    target=work, daemon=True,
+                    name=f"agent-query-{agent.party}-{len(workers)}",
+                ))
+                workers[-1].start()
+            jobs.put((
+                job["query_id"], job["fingerprint"], job["config"],
                 job["seed"], job.get("inputs"),
-            )
+            ))
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        drain()
 
 
 def _wire_safe(exc: BaseException) -> BaseException:

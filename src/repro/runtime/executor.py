@@ -142,6 +142,7 @@ class PlanExecutor:
         self.mpc_backend = self._make_mpc_backend() if len(self.parties) >= 2 else None
         self.leakage = LeakageReport()
         self._env: dict[str, _Entry] = {}
+        self._mpc_started = False
 
     # -- backend construction -------------------------------------------------------------
 
@@ -168,6 +169,7 @@ class PlanExecutor:
         # cross-contaminates leakage between runs.
         self.leakage = LeakageReport()
         self._env = {}
+        self._mpc_started = False
         outputs: dict[str, Table] = {}
         durations: dict[int, float] = {}
 
@@ -220,6 +222,10 @@ class PlanExecutor:
         locus = MPC if node.is_mpc else node.run_at or node.out_rel.owner
         if locus is None:
             raise ValueError(f"cleartext operator {node!r} has no executing party")
+        if locus is MPC:
+            # The first MPC node starts the job: its duration carries the
+            # one start-up the job pays (paper §7).
+            self._mpc_started = True
         handles = [self._fetch(parent, node, locus) for parent in node.parents]
         if locus is MPC:
             return _Entry(MPC, self._apply_operator(self.mpc_backend, node, handles))
@@ -440,7 +446,8 @@ class PlanExecutor:
 
     def _backend_breakdown(self) -> dict[str, float]:
         """Simulated seconds per engine: each party's work tally priced with
-        the configured cleartext price list, plus the MPC backend's meter.
+        the configured cleartext price list, plus the MPC backend's meter and,
+        once an MPC node has run, the job's one start-up.
 
         A distributed agent keeps deterministic *replicas* of other parties'
         STP engines to stay in lockstep, but only the work of the parties it
@@ -453,8 +460,10 @@ class PlanExecutor:
             for party, engine in self.local_backends.items()
             if self.mesh is None or party in self.local_parties
         }
-        if self.mpc_backend is not None:
-            breakdown[f"mpc:{self.mpc_backend.name}"] = self.mpc_backend.elapsed_seconds()
+        mpc = self.mpc_backend
+        if mpc is not None:
+            startup = mpc.cost_model.startup_seconds if self._mpc_started else 0.0
+            breakdown[f"mpc:{mpc.name}"] = startup + mpc.elapsed_seconds()
         return breakdown
 
     def isolation_audit(self) -> dict:

@@ -3,10 +3,10 @@
 The gateway (admission control + fair scheduling, :mod:`repro.runtime
 .gateway`) and the session layer record everything an operator needs to run
 the service under real traffic — queue depths, queue-wait vs execute
-latency, shed counts, plan-cache hit rate, per-party bytes on the wire —
-while recording **no query payloads**: the observability surface follows the
-privacy constraint of the rest of the system (observe shapes and timings,
-never plaintext rows).
+latency, shed counts, plan-cache hit rate, per-party bytes on the wire,
+agent page faults and CPU time — while recording **no query payloads**: the
+observability surface follows the privacy constraint of the rest of the
+system (observe shapes, counts and timings, never plaintext rows).
 
 Three primitives, all safe for concurrent writers with tiny critical
 sections:
@@ -153,9 +153,10 @@ class GatewayMetrics:
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
-        #: Optional provider of per-party wire traffic, set by the session:
-        #: a zero-argument callable returning {party: {peer: {metric: int}}}.
-        self._wire_provider = None
+        #: Optional provider of per-party counters, set by the session: a
+        #: zero-argument callable returning {party: {"wire": {peer: {metric:
+        #: int}}, "proc": {metric: int}}}.
+        self._party_provider = None
 
     # -- writers -----------------------------------------------------------------------
 
@@ -185,9 +186,9 @@ class GatewayMetrics:
                 histogram = self._histograms[name] = LatencyHistogram()
         histogram.observe(value)
 
-    def set_wire_provider(self, provider) -> None:
+    def set_party_provider(self, provider) -> None:
         with self._lock:
-            self._wire_provider = provider
+            self._party_provider = provider
 
     # -- readers -----------------------------------------------------------------------
 
@@ -204,9 +205,9 @@ class GatewayMetrics:
         with self._lock:
             return self._histograms.get(name)
 
-    def _wire_snapshot(self) -> dict:
+    def _party_snapshot(self) -> dict:
         with self._lock:
-            provider = self._wire_provider
+            provider = self._party_provider
         if provider is None:
             return {}
         return provider()
@@ -217,11 +218,13 @@ class GatewayMetrics:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
+        parties = self._party_snapshot()
         return {
             "counters": counters,
             "gauges": gauges,
             "latency": {name: h.summary() for name, h in histograms.items()},
-            "wire": self._wire_snapshot(),
+            "wire": {party: c["wire"] for party, c in parties.items()},
+            "proc": {party: c["proc"] for party, c in parties.items()},
         }
 
     # -- Prometheus text exposition ----------------------------------------------------
@@ -251,13 +254,15 @@ class GatewayMetrics:
             summary = histogram.summary()
             lines.append(f"{metric}_sum {_format_value(summary['sum'])}")
             lines.append(f"{metric}_count {summary['count']}")
-        for party, peers in sorted(self._wire_snapshot().items()):
-            for peer, traffic in sorted(peers.items()):
+        for party, counters in sorted(self._party_snapshot().items()):
+            for peer, traffic in sorted(counters["wire"].items()):
                 for key in ("bytes_sent", "bytes_received"):
                     metric = f"{ns}_wire_{key}_total"
                     lines.append(
                         f'{metric}{{party="{party}",peer="{peer}"}} {traffic.get(key, 0)}'
                     )
+            for key, value in sorted(counters["proc"].items()):
+                lines.append(f'{ns}_agent_{key}_total{{party="{party}"}} {value}')
         return "\n".join(lines) + "\n"
 
 

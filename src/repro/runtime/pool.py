@@ -267,9 +267,10 @@ class AgentPool:
         self._processes: dict[str, multiprocessing.process.BaseProcess] = {}
         self._connections: dict[str, socket.socket] = {}
         self._receivers: list[threading.Thread] = []
-        #: Latest per-party wire-traffic snapshot (reported by each agent on
-        #: every query completion), for the session's bytes-on-wire metrics.
-        self._wire_traffic: dict[str, dict] = {}
+        #: Latest per-party counters snapshot — ``{"wire": ..., "proc": ...}``,
+        #: reported by each agent on every query completion — for the
+        #: session's bytes-on-wire and process metrics.
+        self._party_counters: dict[str, dict] = {}
         #: Standing state the supervisor re-ships to a replacement agent.
         self._inputs = dict(inputs or {})
         self._faults = faults
@@ -477,7 +478,9 @@ class AgentPool:
     def _resolve(self, party: str, query_id: int, payload=None, error=None) -> None:
         with self._lock:
             if payload is not None and "wire_traffic" in payload:
-                self._wire_traffic[party] = payload["wire_traffic"]
+                self._party_counters[party] = {
+                    "wire": payload["wire_traffic"], "proc": payload["proc"],
+                }
             entry = self._pending.get(query_id)
             if entry is None:
                 return  # query already failed wholesale (e.g. a peer died)
@@ -726,16 +729,20 @@ class AgentPool:
         with self._lock:
             return len(self._pending)
 
-    def wire_traffic(self) -> dict[str, dict]:
-        """Latest per-party mesh traffic: ``{party: {peer: {bytes_sent, ...}}}``.
+    def party_counters(self) -> dict[str, dict]:
+        """Latest per-party counters: ``{party: {"wire": {peer: {bytes_sent,
+        ...}}, "proc": {minor_faults, user_ms, sys_ms}}}``.
 
         Each party's entry is the cumulative snapshot its agent reported
         with its most recent query result (deep-copied: safe to hand out).
         """
         with self._lock:
             return {
-                party: {peer: dict(stats) for peer, stats in traffic.items()}
-                for party, traffic in self._wire_traffic.items()
+                party: {
+                    "wire": {peer: dict(stats) for peer, stats in counters["wire"].items()},
+                    "proc": dict(counters["proc"]),
+                }
+                for party, counters in self._party_counters.items()
             }
 
     def _retire(self) -> None:

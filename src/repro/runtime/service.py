@@ -290,7 +290,7 @@ class QuerySession:
             bind_host=self.config.bind_host,
             security=security,
         )
-        self._metrics.set_wire_provider(self._pool.wire_traffic)
+        self._metrics.set_party_provider(self._pool.party_counters)
         _ACTIVE_SESSIONS.add(self)
         if self.closed:  # the pool broke (and may have retired) before the add
             _ACTIVE_SESSIONS.discard(self)
@@ -530,7 +530,9 @@ class QuerySession:
         == queries`` holds in any snapshot, even one taken concurrently with
         submissions.  Beyond the legacy counters it carries the gateway
         counters/gauges, latency summaries (queue-wait, execute, end-to-end)
-        and per-party bytes-on-wire.
+        per-party bytes-on-wire (``wire``) and each agent process's
+        cumulative minor page faults and user / system CPU milliseconds
+        (``proc``).
         """
         snapshot = self._metrics.snapshot()
         counters = snapshot["counters"]
@@ -553,6 +555,7 @@ class QuerySession:
             "retries_exhausted": counters.get("retries_exhausted", 0),
             "latency": snapshot["latency"],
             "wire": snapshot["wire"],
+            "proc": snapshot["proc"],
         }
 
     @property

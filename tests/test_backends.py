@@ -90,8 +90,8 @@ class TestCostModels:
     def test_sharemind_cost_model_components(self):
         model = SharemindCostModel()
         meter = CostMeter(comparisons=1000)
-        base = model.seconds(CostMeter())
-        assert model.seconds(meter) == pytest.approx(base + 1000 * model.per_comparison_seconds)
+        base = model.work_seconds(CostMeter())
+        assert model.work_seconds(meter) == pytest.approx(base + 1000 * model.per_comparison_seconds)
 
     def test_garbled_cost_model_memory(self):
         model = GarbledCostModel()

@@ -21,6 +21,7 @@ from repro.hybrid import SelectivelyTrustedParty, hybrid_aggregate, hybrid_join,
 from repro.model import operators, steps
 from repro.model.counters import CostMeter
 from repro.model.estimator import EstimatorParams, PlanEstimator
+from repro.model.prices import SharemindCostModel
 from repro.mpc.oblivious import oblivious_index, oblivious_shuffle
 from repro.mpc.sharemind import SharemindBackend
 from tests.conftest import PARTIES
@@ -351,6 +352,48 @@ class TestEstimatorPricesTheExecutedMeters:
         assert profile == counted(total)
         if plan is two_key_join:
             assert any(getattr(node, "key_range_check", None) for node in mpc_nodes)
+
+
+class TestMpcStartupIsPaidOncePerJob:
+    def test_a_plan_of_several_mpc_nodes_pays_one_startup(self):
+        """Paper §7 pays the MPC start-up once per job: execution and the
+        estimator both charge it on the first MPC node and price every other
+        MPC node by its work alone."""
+        parties = PARTIES[:2]
+        tables = [table_of(20 + i, seed=i) for i in range(2)]
+        columns = [cc.Column("key", cc.INT), cc.Column("value", cc.INT)]
+        with cc.QueryContext() as q:
+            inputs = [cc.new_table(f"t{i}", columns, at=cc.Party(p)) for i, p in enumerate(parties)]
+            cc.concat(inputs).aggregate(group=["key"], aggs={"total": cc.SUM("value")}).collect(
+                "out", to=[cc.Party(parties[0])]
+            )
+        compiled = cc.compile_query(q, cc.CompilationConfig(enable_push_down=False))
+        mpc_nodes = [node for node in compiled.dag.topological() if node.is_mpc]
+        assert len(mpc_nodes) >= 2
+        startup = SharemindCostModel.startup_seconds
+
+        data = {p: {f"t{i}": tables[i]} for i, p in enumerate(parties)}
+        runner = cc.QueryRunner(parties, data)
+        outcome = runner.execute(compiled)
+        first, *rest = (outcome.node_durations[node.node_id] for node in mpc_nodes)
+        assert first >= startup and all(seconds < startup for seconds in rest)
+        assert outcome.backend_seconds["mpc:sharemind"] == pytest.approx(
+            startup + SharemindCostModel().work_seconds(runner.mpc_backend.meter)
+        )
+        result = cc.QueryRunner(parties, data).run(compiled)
+        assert startup <= result.simulated_seconds < 2 * startup
+
+        overrides = {f"t{i}": table.num_rows for i, table in enumerate(tables)}
+        estimator = PlanEstimator(EstimatorParams(row_overrides=overrides, num_parties=2))
+        estimate = estimator.estimate(compiled)
+        by_id = {e.node.node_id: e for e in estimate.nodes}
+        for i, node in enumerate(mpc_nodes):
+            e = by_id[node.node_id]
+            work = estimator.sharemind_model.work_seconds(
+                estimator._sharemind_meter(node, e.rows_in, e.rows_out)
+            )
+            assert e.seconds == pytest.approx(work + (startup if i == 0 else 0.0))
+        assert startup <= estimate.simulated_seconds < 2 * startup
 
 
 #: What execution charged when ``repro.model`` was introduced (PR 22: the

@@ -273,9 +273,10 @@ class TestGatewayMetrics:
         metrics.inc("queries", 3)
         metrics.set_gauge("in_flight", 2)
         metrics.observe("queue_wait_seconds", 0.004)
-        metrics.set_wire_provider(
-            lambda: {"a": {"b": {"bytes_sent": 10, "bytes_received": 20}}}
-        )
+        metrics.set_party_provider(lambda: {"a": {
+            "wire": {"b": {"bytes_sent": 10, "bytes_received": 20}},
+            "proc": {"minor_faults": 7, "user_ms": 3, "sys_ms": 1},
+        }})
         text = metrics.render_prometheus()
         assert "# TYPE conclave_queries_total counter" in text
         assert "conclave_queries_total 3" in text
@@ -283,6 +284,7 @@ class TestGatewayMetrics:
         assert '# TYPE conclave_queue_wait_seconds histogram' in text
         assert 'conclave_queue_wait_seconds_bucket{le="+Inf"} 1' in text
         assert 'conclave_wire_bytes_sent_total{party="a",peer="b"} 10' in text
+        assert 'conclave_agent_minor_faults_total{party="a"} 7' in text
 
     def test_metrics_server_serves_and_404s(self):
         metrics = GatewayMetrics()

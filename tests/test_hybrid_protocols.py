@@ -87,8 +87,8 @@ class TestHybridJoin:
         mpc_backend.join(mpc_backend.ingest(left), mpc_backend.ingest(right), "key", "key")
         assert hybrid_backend.meter.comparisons < mpc_backend.meter.comparisons
         assert (
-            hybrid_backend.cost_model.seconds(hybrid_backend.meter)
-            < mpc_backend.cost_model.seconds(mpc_backend.meter)
+            hybrid_backend.cost_model.work_seconds(hybrid_backend.meter)
+            < mpc_backend.cost_model.work_seconds(mpc_backend.meter)
         )
 
     @given(
@@ -184,8 +184,8 @@ class TestHybridAggregate:
         mpc_backend = SharemindBackend(PARTIES, seed=2)
         mpc_backend.aggregate(mpc_backend.ingest(table), "key", "value", "sum", "t")
         assert (
-            hybrid_backend.cost_model.seconds(hybrid_backend.meter)
-            < mpc_backend.cost_model.seconds(mpc_backend.meter)
+            hybrid_backend.cost_model.work_seconds(hybrid_backend.meter)
+            < mpc_backend.cost_model.work_seconds(mpc_backend.meter)
         )
 
     def test_leakage_records_group_column_and_output_size(self, backend, stp):
