@@ -15,7 +15,8 @@ shape:
   :class:`~repro.model.counters.NetworkStats` accounting is identical on
   both.
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.mesh` — length-prefixed
-  codec framing and the full TCP mesh connecting the party agents; a
+  framing (the codec on control links, the closed mesh layout between
+  agents) and the full TCP mesh connecting the party agents; a
   per-query :class:`~repro.runtime.mesh.MeshChannel` is the one surface
   executors and transports send and receive through.
 * :mod:`repro.runtime.executor` — the node-by-node plan executor shared by

@@ -287,15 +287,11 @@ class PlanExecutor:
                     "MPC needs at least two computing parties"
                 )
             if holder not in mine:
-                meta = self.mesh.receive_table(holder, rel.name)
-                return self.mpc_backend.ingest_remote(
-                    meta["schema"], meta["num_rows"], contributor=holder
-                )
+                schema, num_rows = self.mesh.receive_shape(holder, rel.name)
+                return self.mpc_backend.ingest_remote(schema, num_rows, contributor=holder)
             table = self.local_backends[holder].collect(entry.handle)
             if self.mesh is not None:
-                self.mesh.broadcast_table(
-                    rel.name, {"schema": table.schema, "num_rows": table.num_rows}
-                )
+                self.mesh.broadcast_shape(rel.name, table.schema, table.num_rows)
             return self.mpc_backend.ingest(table, contributor=holder)
         if not self._authorized(parent, consumer, locus):
             raise SecurityError(

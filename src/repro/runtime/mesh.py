@@ -11,14 +11,17 @@ which party each connection belongs to.
 
 The mesh is **multiplexed by query id** so one set of TCP connections can
 carry many queries — including concurrent ones — for a long-lived agent.
-Every frame is ``(kind, query_id, payload)`` and each connection has one
-reader thread demultiplexing frames into per-``(kind, query id, peer)`` FIFO
-queues:
+After the hello, every frame on a link is ``(seq, kind, query_id, payload)``
+in the closed mesh layout of :mod:`repro.runtime.wire` (any other frame —
+a codec or pickle frame included — kills the link), and each connection has
+one reader thread demultiplexing frames into per-``(kind, query id, peer)``
+FIFO queues:
 
-* ``msg``   — engine-level protocol messages (share exchanges) consumed by
+* ``msg``   — one round's protocol message, ``(tag, arrays)``, consumed by
   :class:`~repro.runtime.transport.SocketTransport`;
-* ``table`` — whole relations shipped between sub-plans (a party's input
-  entering MPC, or an authorised cleartext transfer);
+* ``table`` — a relation shipped between sub-plans: its shape only when a
+  party's input enters MPC, the whole table for an authorised cleartext
+  transfer;
 * ``abort`` — a peer's execution of that query failed; all queues of the
   ``(peer, query id)`` pair are poisoned so blocked readers fail
   immediately instead of running out their timeout.
@@ -61,23 +64,27 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+from repro.data.schema import Schema
+from repro.data.table import Table
 from repro.runtime.transport import TransportError
 from repro.runtime.wire import (
+    KIND_ABORT,
+    KIND_MSG,
+    KIND_TABLE,
     LinkStats,
     WireError,
     close_quietly,
-    encode_frame,
+    encode_mesh_frame,
     peer_common_name,
     recv_frame,
+    recv_mesh_frame,
     secure_client_socket,
     secure_server_socket,
     send_frame,
+    send_mesh_frame,
     send_torn_frame,
 )
 
-KIND_MSG = "msg"
-KIND_TABLE = "table"
-KIND_ABORT = "abort"
 _DATA_KINDS = (KIND_MSG, KIND_TABLE)
 
 #: How long an agent keeps retrying to dial a peer that has announced its
@@ -133,7 +140,7 @@ class PeerMesh:
         self.link_stats: dict[str, LinkStats] = {p: LinkStats() for p in self._socks}
         # (kind, query_id, peer) -> FIFO queue, created lazily under _lock.
         self._lock = threading.Lock()
-        self._queues: dict[tuple[str, int, str], queue.Queue] = {}
+        self._queues: dict[tuple[str, int, str], queue.SimpleQueue] = {}
         self._peer_errors: dict[str, Exception] = {}
         self._aborted: dict[tuple[str, int], str] = {}
         # Query ids whose channels were released: late frames (a peer racing
@@ -171,12 +178,12 @@ class PeerMesh:
 
     # -- frame plumbing ----------------------------------------------------------------
 
-    def _queue_for(self, kind: str, query_id: int, peer: str) -> queue.Queue:
+    def _queue_for(self, kind: str, query_id: int, peer: str) -> queue.SimpleQueue:
         key = (kind, query_id, peer)
         with self._lock:
             q = self._queues.get(key)
             if q is None:
-                q = self._queues[key] = queue.Queue()
+                q = self._queues[key] = queue.SimpleQueue()
                 # A queue born after the peer died (or after it aborted this
                 # query) must fail its readers too, not wait out the timeout.
                 if peer in self._peer_errors:
@@ -189,7 +196,7 @@ class PeerMesh:
         """Caller must hold ``_lock``."""
         return 0 < query_id <= self._released_watermark or query_id in self._released
 
-    def _queue_for_frame(self, kind: str, query_id: int, peer: str) -> queue.Queue | None:
+    def _queue_for_frame(self, kind: str, query_id: int, peer: str) -> queue.SimpleQueue | None:
         """The reader-side twin of :meth:`_queue_for`: ``None`` for released
         queries.  The released check and the queue creation share one lock
         acquisition, so a frame racing :meth:`release_query` can never
@@ -200,14 +207,13 @@ class PeerMesh:
             key = (kind, query_id, peer)
             q = self._queues.get(key)
             if q is None:
-                q = self._queues[key] = queue.Queue()
+                q = self._queues[key] = queue.SimpleQueue()
             return q
 
     def _read_loop(self, peer: str, sock: socket.socket) -> None:
-        # Catch *everything*: a malformed frame (wrong tuple shape, unknown
-        # kind) must surface as _PeerClosed at the consumers, not silently
-        # kill the reader thread and degrade every later read into a
-        # root-cause-free MeshTimeout.
+        # Catch *everything*: a frame outside the mesh layout must surface as
+        # _PeerClosed at the consumers, not silently kill the reader thread
+        # and degrade every later read into a root-cause-free MeshTimeout.
         last_seq = 0  # highest sequence number seen on *this* connection
         try:
             while True:
@@ -215,19 +221,11 @@ class PeerMesh:
                     # A long-lived mesh is idle between queries; a timeout
                     # with no frame started is not an error.  (Timeouts on
                     # blocked *consumers* are enforced by queue.get.)
-                    frame = recv_frame(
+                    seq, kind, query_id, payload = recv_mesh_frame(
                         sock, allow_idle_timeout=True, stats=self.link_stats[peer]
                     )
                 except TimeoutError:
                     continue
-                try:
-                    seq, kind, query_id, payload = frame
-                    if kind not in _DATA_KINDS and kind != KIND_ABORT:
-                        raise ValueError(kind)
-                except (TypeError, ValueError):
-                    raise WireError(
-                        f"malformed mesh frame from {peer!r}: {type(frame).__name__}"
-                    ) from None
                 if seq <= last_seq:
                     continue  # duplicated frame: already delivered, discard
                 last_seq = seq
@@ -308,14 +306,14 @@ class PeerMesh:
             frame = (seq, kind, query_id, payload)
             fault = None if self._injector is None else self._injector.on_mesh_send(peer, query_id)
             if fault is None:
-                send_frame(sock, frame, stats=self.link_stats[peer])
+                send_mesh_frame(sock, *frame, stats=self.link_stats[peer])
             elif fault.action == "drop":
                 pass  # silently lost: the peer's consumer starves into MeshTimeout
             elif fault.action == "delay":
                 self._injector.apply_delay(fault)
-                send_frame(sock, frame, stats=self.link_stats[peer])
+                send_mesh_frame(sock, *frame, stats=self.link_stats[peer])
             elif fault.action == "dup":
-                data = encode_frame(frame)
+                data = encode_mesh_frame(*frame)
                 try:
                     sock.sendall(data)
                     sock.sendall(data)
@@ -325,12 +323,12 @@ class PeerMesh:
                 self.link_stats[peer].add_sent(len(data))
             elif fault.action == "torn":
                 try:
-                    send_torn_frame(sock, frame)
+                    send_torn_frame(sock, encode_mesh_frame(*frame))
                 except WireError:
                     pass  # the peer may already be gone; die regardless
                 self._injector.die()
             else:  # pragma: no cover - validate() rejects unknown actions
-                send_frame(sock, frame, stats=self.link_stats[peer])
+                send_mesh_frame(sock, *frame, stats=self.link_stats[peer])
 
     def _receive(self, peer: str, kind: str, query_id: int) -> Any:
         if peer not in self._socks:
@@ -414,27 +412,46 @@ class MeshChannel:
     def timeout(self) -> float:
         return self._mesh.timeout
 
-    def send_message(self, peer: str, message: tuple) -> None:
-        self._mesh._send(peer, KIND_MSG, self.query_id, message)
+    def send_message(self, peer: str, tag: str, payload) -> None:
+        """Send one round's message: ``payload`` is ``None``, an array or a
+        tuple of arrays (the mesh layout's dtype allowlist)."""
+        self._mesh._send(peer, KIND_MSG, self.query_id, (tag, payload))
 
     def receive_message(self, peer: str) -> tuple:
+        """The next ``(tag, payload)`` message from ``peer``."""
         return self._mesh._receive(peer, KIND_MSG, self.query_id)
 
-    def send_table(self, peer: str, relation: str, table) -> None:
-        self._mesh._send(peer, KIND_TABLE, self.query_id, (relation, table))
+    def send_table(self, peer: str, relation: str, table: Table) -> None:
+        """Ship a whole relation: its schema, row count and columns."""
+        frame = (relation, table.schema, table.num_rows, table.columns())
+        self._mesh._send(peer, KIND_TABLE, self.query_id, frame)
 
-    def broadcast_table(self, relation: str, table) -> None:
+    def broadcast_shape(self, relation: str, schema: Schema, num_rows: int) -> None:
+        """Tell every peer a relation's public shape; no column crosses."""
         for peer in sorted(self.peers):
-            self.send_table(peer, relation, table)
+            self._mesh._send(peer, KIND_TABLE, self.query_id, (relation, schema, num_rows, None))
 
-    def receive_table(self, peer: str, relation: str):
-        got_relation, table = self._mesh._receive(peer, KIND_TABLE, self.query_id)
-        if got_relation != relation:
+    def receive_table(self, peer: str, relation: str) -> Table:
+        schema, _num_rows, columns = self._receive_relation(peer, relation, whole=True)
+        return Table(schema, columns)
+
+    def receive_shape(self, peer: str, relation: str) -> tuple[Schema, int]:
+        schema, num_rows, _ = self._receive_relation(peer, relation, whole=False)
+        return schema, num_rows
+
+    def _receive_relation(self, peer: str, relation: str, *, whole: bool) -> tuple:
+        got_relation, schema, num_rows, columns = self._mesh._receive(
+            peer, KIND_TABLE, self.query_id
+        )
+        got_whole = columns is not None
+        if got_relation != relation or got_whole != whole:
+            what = {True: "the table", False: "the shape"}
             raise TransportError(
-                f"agent {self.party!r} expected relation {relation!r} from {peer!r} "
-                f"but received {got_relation!r}; the party processes have diverged"
+                f"agent {self.party!r} expected {what[whole]} of relation {relation!r} "
+                f"from {peer!r} but received {what[got_whole]} of {got_relation!r}; "
+                "the party processes have diverged"
             )
-        return table
+        return schema, num_rows, columns
 
     def abort(self, reason: str) -> None:
         """Broadcast that this agent's execution of the query failed."""

@@ -292,6 +292,11 @@ class AgentPool:
         self._supervisor: AgentSupervisor | None = None
 
         self._ctx = multiprocessing.get_context(start_method)
+        if start_method == "forkserver":
+            # Agents fork from a server that imported the agent once, not
+            # from this process: no page of the coordinator's heap — other
+            # parties' inputs included — is copied into an agent.
+            self._ctx.set_forkserver_preload(["repro.runtime.agent"])
         listener = bind_listener(timeout, bind_host)
         port = listener.getsockname()[1]
         try:

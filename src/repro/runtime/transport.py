@@ -93,7 +93,7 @@ class SocketTransport(Transport):
         me, peers = self.local_party, self.mesh.peers
         for sender, receiver, payload in sends:
             if sender == me and receiver in peers:
-                self.mesh.send_message(receiver, (sender, receiver, (tag, payload), size_bytes))
+                self.mesh.send_message(receiver, tag, payload)
         delivered = {}
         for sender, receiver, payload in sends:
             if receiver == me and sender in peers:
@@ -104,20 +104,15 @@ class SocketTransport(Transport):
         return delivered
 
     def _receive(self, tag: str, sender: str) -> Any:
-        """Read ``sender``'s frame of this round and check it is the one the
-        replicated computation expects."""
-        me = self.local_party
-        got_sender, got_receiver, (got_tag, payload), _size = self.mesh.receive_message(sender)
-        if got_sender != sender or got_receiver != me:
-            raise TransportError(
-                f"agent {me!r} expected a message {sender!r} -> {me!r} but the wire "
-                f"carried {got_sender!r} -> {got_receiver!r}; the party processes "
-                "have diverged"
-            )
+        """Read ``sender``'s frame of this round and check it belongs to the
+        round the replicated computation expects.  The link names the
+        sender and this endpoint is the receiver, so the tag is all a frame
+        carries to check."""
+        got_tag, payload = self.mesh.receive_message(sender)
         if got_tag != tag:
             raise TransportError(
                 f"protocol desynchronisation: expected a {tag!r} message from "
-                f"{sender!r} to {me!r} but received {got_tag!r}"
+                f"{sender!r} to {self.local_party!r} but received {got_tag!r}"
             )
         return payload
 

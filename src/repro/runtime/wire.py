@@ -1,9 +1,18 @@
-"""Length-prefixed framing and the self-describing wire codec.
+"""Length-prefixed framing, the self-describing codec and the mesh layout.
 
 Every connection of the distributed runtime — coordinator-to-agent control
 links and the agent-to-agent mesh — speaks the same trivial protocol: a
-4-byte big-endian length header followed by one encoded payload.  The
-payload encoding is a tag-length-value codec over the *closed* set of types
+4-byte big-endian length header followed by one encoded payload.  Two
+payload layouts exist, and each link speaks exactly one of them at a time:
+
+* control links, and the mesh hellos, speak the **codec** (magic ``0xC7``);
+* a mesh link, once its hello is through, speaks the **mesh layout** (magic
+  ``0x4D``): one closed, flat binary layout for the three frame kinds
+  agents exchange — ``msg``, ``table`` and ``abort`` — written by
+  :func:`send_mesh_frame` and read by :func:`recv_mesh_frame` (see the
+  "mesh frames" section below).
+
+The codec is a tag-length-value encoding over the *closed* set of types
 that legitimately cross the wire: ``None``/bools, ints, floats, complex,
 str/bytes/bytearray, lists/tuples/dicts/sets/frozensets, NumPy arrays and
 scalars (dtype + shape + raw buffer), instances of classes defined inside
@@ -13,11 +22,11 @@ so arbitrary-object deserialization is structurally impossible: the decoder
 builds containers and fills attribute dicts, it never resolves or calls a
 global outside the ``repro`` package and the exception allowlist.
 
-Every payload starts with the magic byte ``0xC7``; a frame whose payload
-starts with anything else, or whose bytes do not decode to exactly one
-value of the type set, is a :class:`WireError`.
+Every codec payload starts with the magic byte ``0xC7``; a frame whose
+payload starts with anything else, or whose bytes do not decode to exactly
+one value of the type set, is a :class:`WireError`.
 
-The framing is exposed in two forms:
+The codec framing is exposed in two forms:
 
 * :func:`send_frame` / :func:`recv_frame` — the socket-bound pair the
   runtime uses.  A frame is written as *segments* (:func:`encode_segments`):
@@ -52,6 +61,8 @@ import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.data.schema import ColumnDef, ColumnType, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - SecureSocket imports it where TLS runs
     import ssl
@@ -140,6 +151,9 @@ _SAFE_DTYPE_KINDS = frozenset("biufcmMSU")
 
 
 def _write_varint(out: bytearray, value: int) -> None:
+    if 0 <= value < 0x80:  # most varints: one byte
+        out.append(value)
+        return
     if value < 0:
         raise UnsupportedPayload("varint must be non-negative")
     while True:
@@ -779,20 +793,20 @@ def _send_segments(sock: socket.socket, segments: list) -> None:
             views[first] = views[first][sent:]
 
 
-def send_torn_frame(sock: socket.socket, obj: object, fraction: float = 0.6) -> int:
-    """Write only a *prefix* of ``obj``'s frame — a deliberately torn frame.
+def send_torn_frame(sock: socket.socket, data: bytes, fraction: float = 0.6) -> int:
+    """Write only a *prefix* of the encoded frame ``data`` — a deliberately
+    torn frame.
 
     Used by the fault-injection layer to reproduce what a process dying
     mid-``sendall`` looks like from the other end: the header promises a
-    frame the stream can never complete, so the receiver's ``recv_frame``
-    fails with a mid-frame :class:`WireError` (never a silent truncation, as
-    the framing tests assert).  At least the header plus one payload byte is
+    frame the stream can never complete, so the receiver's read fails with
+    a mid-frame :class:`WireError` (never a silent truncation, as the
+    framing tests assert).  At least the header plus one payload byte is
     written so the receiver is genuinely *inside* the frame, and never the
     whole frame; a frame too small to satisfy both (payload under two bytes)
     raises :class:`WireError` instead of silently sending a clean prefix.
     Returns the number of bytes written.
     """
-    data = encode_frame(obj)
     if len(data) < _HEADER.size + 2:
         raise WireError(
             f"frame of {len(data)} bytes is too small to tear: a torn frame "
@@ -835,7 +849,14 @@ def recv_frame(
 def _recv_exact(sock: socket.socket, n: int, *, allow_idle_timeout: bool = False) -> bytearray:
     """Read exactly ``n`` bytes into a fresh buffer the caller then owns."""
     buf = bytearray(n)
-    view = memoryview(buf)
+    _recv_into(sock, memoryview(buf), allow_idle_timeout=allow_idle_timeout)
+    return buf
+
+
+def _recv_into(sock: socket.socket, view: memoryview, *, allow_idle_timeout: bool = False) -> None:
+    """Fill ``view`` from the stream; only a timeout before its first byte
+    may surface as :class:`TimeoutError` (with ``allow_idle_timeout``)."""
+    n = len(view)
     filled = 0
     while filled < n:
         try:
@@ -849,7 +870,6 @@ def _recv_exact(sock: socket.socket, n: int, *, allow_idle_timeout: bool = False
         if not count:
             raise WireError("connection closed mid-frame")
         filled += count
-    return buf
 
 
 def close_quietly(sock, *, shutdown: bool = False) -> None:
@@ -871,6 +891,349 @@ def close_quietly(sock, *, shutdown: bool = False) -> None:
         sock.close()
     except OSError:
         pass
+
+
+# --------------------------------------------------------------------------
+# mesh frames: one closed, flat layout for every agent-to-agent frame
+# --------------------------------------------------------------------------
+#
+# payload := MESH_MAGIC kind varint(seq) varint(query_id) body
+#   msg   := str(tag) form [array | varint(count) array*]
+#            form 0: no payload, 1: one array, 2: a tuple of arrays
+#   array := dtype-code varint(count) pad buffer
+#   table := str(relation) varint(ncols) column* varint(num_rows)
+#            has-columns (0 | 1) [pad buffer]*ncols
+#   column:= str(name) ctype-code varint(ntrust) str(trust)*  (sorted)
+#   abort := str(reason)
+#   str   := varint(length) utf-8 bytes
+#   pad   := zero bytes up to the next payload offset divisible by 8
+#
+# The sender and receiver of a frame are the link's two ends and the byte
+# count of a round is the receiver's own replica's business, so neither is
+# on the wire; the round tag is, and the transport checks it.
+
+#: First byte of every mesh frame payload; ``0xC7`` (a codec frame) is not one.
+MESH_MAGIC = 0x4D
+
+KIND_MSG = "msg"
+KIND_TABLE = "table"
+KIND_ABORT = "abort"
+_KIND_CODES = {KIND_MSG: 1, KIND_TABLE: 2, KIND_ABORT: 3}
+_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+
+_FORM_NONE = 0
+_FORM_ARRAY = 1
+_FORM_TUPLE = 2
+
+#: The dtype allowlist, indexed by its one-byte code: share slices, packed
+#: flag bits, and int / float table columns — exactly what the engine sends.
+MESH_DTYPES = (np.dtype("<u8"), np.dtype("|u1"), np.dtype("<i8"), np.dtype("<f8"))
+_DTYPE_CODES = {dtype: code for code, dtype in enumerate(MESH_DTYPES)}
+
+_CTYPES = (ColumnType.INT, ColumnType.FLOAT)
+_CTYPE_CODES = {ctype: code for code, ctype in enumerate(_CTYPES)}
+#: The dtype of a table column of each type (``Table`` stores no other).
+_COLUMN_DTYPES = {ColumnType.INT: np.dtype("<i8"), ColumnType.FLOAT: np.dtype("<f8")}
+
+_ALIGN = 8
+_PAD = bytes(_ALIGN)
+
+
+class _MeshWriter:
+    """One mesh frame as segments: layout bytes interleaved with borrowed
+    views of large array buffers; ``segments[0]`` starts with room for the
+    length header."""
+
+    __slots__ = ("segments", "out", "base")
+
+    def __init__(self, kind: str, seq: int, query_id: int) -> None:
+        self.out = bytearray(_HEADER.size)
+        self.out.append(MESH_MAGIC)
+        self.out.append(_KIND_CODES[kind])
+        self.segments = [self.out]
+        #: Payload offset of ``out[0]`` (the header is not payload).
+        self.base = -_HEADER.size
+        _write_varint(self.out, seq)
+        _write_varint(self.out, query_id)
+
+    def text(self, value: str) -> None:
+        if type(value) is not str:
+            raise UnsupportedPayload(f"mesh frame field {value!r} is not a string")
+        data = value.encode("utf-8")
+        _write_varint(self.out, len(data))
+        self.out += data
+
+    def array(self, arr: np.ndarray) -> None:
+        code = _DTYPE_CODES.get(arr.dtype) if isinstance(arr, np.ndarray) else None
+        if code is None or arr.ndim != 1:
+            raise UnsupportedPayload(
+                f"mesh payload {type(arr).__name__} {getattr(arr, 'dtype', '')} is not a "
+                f"one-dimensional array of {[d.str for d in MESH_DTYPES]}"
+            )
+        self.out.append(code)
+        _write_varint(self.out, arr.size)
+        self.buffer(arr)
+
+    def buffer(self, arr: np.ndarray) -> None:
+        """Pad to the next aligned payload offset, then the raw C-order buffer."""
+        out = self.out
+        out += _PAD[:-(self.base + len(out)) % _ALIGN]
+        if arr.nbytes < BORROW_FLOOR:
+            out += arr.tobytes()
+            return
+        # No copy of a contiguous array: the view keeps it alive.
+        view = memoryview(np.ascontiguousarray(arr).view(np.uint8))
+        self.base += len(out) + len(view)
+        self.out = bytearray()
+        self.segments += (view, self.out)
+
+    def finish(self) -> tuple[list, int]:
+        """The segments with the header filled in, and the frame's size."""
+        length = self.base + len(self.out)
+        if length > MAX_FRAME_BYTES:
+            raise WireError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
+        segments = self.segments if self.out else self.segments[:-1]
+        _HEADER.pack_into(segments[0], 0, length)
+        return segments, _HEADER.size + length
+
+
+def _mesh_segments(seq: int, kind: str, query_id: int, payload) -> tuple[list, int]:
+    if kind not in _KIND_CODES:
+        raise UnsupportedPayload(f"unknown mesh frame kind {kind!r}")
+    writer = _MeshWriter(kind, seq, query_id)
+    if kind == KIND_MSG:
+        tag, body = payload
+        writer.text(tag)
+        if body is None:
+            writer.out.append(_FORM_NONE)
+        elif type(body) is tuple:
+            writer.out.append(_FORM_TUPLE)
+            _write_varint(writer.out, len(body))
+            for arr in body:
+                writer.array(arr)
+        else:
+            writer.out.append(_FORM_ARRAY)
+            writer.array(body)
+    elif kind == KIND_TABLE:
+        relation, schema, num_rows, columns = payload
+        writer.text(relation)
+        _write_varint(writer.out, len(schema))
+        for col in schema:
+            writer.text(col.name)
+            writer.out.append(_CTYPE_CODES[col.ctype])
+            _write_varint(writer.out, len(col.trust))
+            for party in sorted(col.trust):
+                writer.text(party)
+        _write_varint(writer.out, num_rows)
+        writer.out.append(int(columns is not None))
+        if columns is not None:
+            if len(columns) != len(schema):
+                raise UnsupportedPayload(f"{len(columns)} columns for a {len(schema)}-column schema")
+            for col, arr in zip(schema, columns):
+                if not (
+                    isinstance(arr, np.ndarray) and arr.dtype == _COLUMN_DTYPES[col.ctype]
+                    and arr.shape == (num_rows,)
+                ):
+                    raise UnsupportedPayload(
+                        f"column {col.name!r} is not {num_rows} values of {col.ctype.value}"
+                    )
+                writer.buffer(arr)
+    else:
+        writer.text(payload)
+    return writer.finish()
+
+
+def encode_mesh_frame(seq: int, kind: str, query_id: int, payload) -> bytes:
+    """One length-prefixed mesh frame in one buffer.
+
+    ``payload`` by kind: ``msg`` — ``(tag, body)`` with ``body`` ``None``, an
+    array or a tuple of arrays of :data:`MESH_DTYPES`; ``table`` —
+    ``(relation, schema, num_rows, columns)`` with ``columns`` ``None`` when
+    only the relation's shape crosses; ``abort`` — the reason.  Anything else
+    is an :class:`UnsupportedPayload`.
+    """
+    return b"".join(_mesh_segments(seq, kind, query_id, payload)[0])
+
+
+def send_mesh_frame(
+    sock: socket.socket, seq: int, kind: str, query_id: int, payload,
+    *, stats: LinkStats | None = None,
+) -> None:
+    """Write one mesh frame (see :func:`encode_mesh_frame`), gathering
+    borrowed array buffers as :func:`send_frame` does."""
+    segments, size = _mesh_segments(seq, kind, query_id, payload)
+    try:
+        _send_segments(sock, segments)
+    except OSError as exc:
+        raise WireError(f"failed to send {size}-byte frame: {exc}") from exc
+    if stats is not None:
+        stats.add_sent(size)
+
+
+class _MeshReader:
+    """Reads one mesh payload out of ``view``, a byte view of an aligned,
+    writable buffer the decoded arrays then view in turn."""
+
+    __slots__ = ("view", "pos")
+
+    def __init__(self, view: memoryview) -> None:
+        self.view = view
+        self.pos = 0
+
+    def fail(self, why: str) -> WireError:
+        return WireError(f"corrupt mesh frame at byte {self.pos}: {why}")
+
+    def byte(self) -> int:
+        try:
+            value = self.view[self.pos]
+        except IndexError:
+            raise self.fail("truncated frame") from None
+        self.pos += 1
+        return value
+
+    def varint(self) -> int:
+        value = self.byte()
+        if value < 0x80:
+            return value
+        value &= 0x7F
+        shift = 7
+        while True:
+            byte = self.byte()
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                return value
+            shift += 7
+            if shift > 63:
+                raise self.fail("varint overflow")
+
+    def text(self) -> str:
+        length = self.varint()
+        end = self.pos + length
+        if end > len(self.view):
+            raise self.fail(f"{length}-byte string overruns the frame")
+        try:
+            value = sys.intern(str(self.view[self.pos:end], "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise self.fail(f"invalid utf-8: {exc}") from None
+        self.pos = end
+        return value
+
+    def array(self) -> np.ndarray:
+        code = self.byte()
+        if code >= len(MESH_DTYPES):
+            raise self.fail(f"unknown dtype code {code}")
+        return self.buffer(MESH_DTYPES[code], self.varint())
+
+    def buffer(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """An aligned, writable view of ``count`` elements of the frame buffer."""
+        pos = self.pos
+        start = pos + (-pos % _ALIGN)
+        end = start + count * dtype.itemsize
+        if end > len(self.view):
+            raise self.fail(f"{count}-element array overruns the frame")
+        if start != pos and any(self.view[pos:start]):
+            raise self.fail("nonzero alignment padding")
+        self.pos = end
+        return np.ndarray((count,), dtype, self.view, start)
+
+    def column(self) -> ColumnDef:
+        name = self.text()
+        code = self.byte()
+        if code >= len(_CTYPES):
+            raise self.fail(f"unknown column type code {code}")
+        trust = [self.text() for _ in range(self.varint())]
+        if any(a >= b for a, b in zip(trust, trust[1:])):
+            raise self.fail(f"trust set of column {name!r} is not strictly sorted")
+        try:
+            return ColumnDef(name, _CTYPES[code], frozenset(trust))
+        except ValueError as exc:
+            raise self.fail(str(exc)) from None
+
+    def table(self) -> tuple:
+        relation = self.text()
+        columns = [self.column() for _ in range(self.varint())]
+        try:
+            schema = Schema(columns)
+        except ValueError as exc:
+            raise self.fail(str(exc)) from None
+        num_rows = self.varint()
+        has_columns = self.byte()
+        if has_columns > 1:
+            raise self.fail(f"unknown table form {has_columns}")
+        data = None
+        if has_columns:
+            data = tuple(self.buffer(_COLUMN_DTYPES[col.ctype], num_rows) for col in schema)
+        return relation, schema, num_rows, data
+
+
+def _decode_mesh(view: memoryview) -> tuple[int, str, int, object]:
+    """Decode the mesh payload in ``view`` (see :func:`_aligned_buffer`)."""
+    reader = _MeshReader(view)
+    if not len(view) or view[0] != MESH_MAGIC:
+        raise WireError("payload is not a mesh frame (missing magic byte)")
+    reader.pos = 1
+    code = reader.byte()
+    kind = _KINDS.get(code)
+    if kind is None:
+        raise reader.fail(f"unknown frame kind {code}")
+    seq = reader.varint()
+    query_id = reader.varint()
+    if kind == KIND_MSG:
+        tag = reader.text()
+        form = reader.byte()
+        if form == _FORM_TUPLE:
+            count = reader.varint()
+            if count > len(view):
+                raise reader.fail(f"a tuple of {count} arrays overruns the frame")
+            body = tuple([reader.array() for _ in range(count)])
+        elif form == _FORM_ARRAY:
+            body = reader.array()
+        elif form == _FORM_NONE:
+            body = None
+        else:
+            raise reader.fail(f"unknown payload form {form}")
+        payload = (tag, body)
+    elif kind == KIND_TABLE:
+        payload = reader.table()
+    else:
+        payload = reader.text()
+    if reader.pos != len(view):
+        raise WireError(f"corrupt mesh frame: {len(view) - reader.pos} trailing bytes")
+    return seq, kind, query_id, payload
+
+
+def _aligned_buffer(n: int) -> memoryview:
+    """``n`` writable bytes starting on an 8-byte boundary, as a byte view."""
+    return memoryview(np.empty(-(-n // _ALIGN), dtype=np.uint64)).cast("B")[:n]
+
+
+def decode_mesh_payload(data) -> tuple[int, str, int, object]:
+    """Decode one mesh payload (the bytes after the length header) into
+    ``(seq, kind, query_id, payload)``; the bytes are copied into a buffer
+    of the frame's own, which the decoded arrays view."""
+    view = _aligned_buffer(len(data))
+    view[:] = data
+    return _decode_mesh(view)
+
+
+def recv_mesh_frame(
+    sock: socket.socket,
+    *,
+    allow_idle_timeout: bool = False,
+    stats: LinkStats | None = None,
+) -> tuple[int, str, int, object]:
+    """Read one mesh frame into an aligned buffer of its own and decode it
+    in place: every decoded array is a writable view of that buffer, not a
+    copy.  Timeouts and counting as for :func:`recv_frame`."""
+    header = _recv_exact(sock, _HEADER.size, allow_idle_timeout=allow_idle_timeout)
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"incoming frame claims {length} bytes; stream is corrupt")
+    view = _aligned_buffer(length)
+    _recv_into(sock, view)
+    if stats is not None:
+        stats.add_received(_HEADER.size + length)
+    return _decode_mesh(view)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ secret sharing *real* rather than replicated theatre:
 * the lockstep sliced engines stay byte-identical to the all-local
   simulation engine;
 * a socket endpoint writes all of a round's frames before it reads one, and
-  refuses a frame that belongs to another pair or another round;
+  refuses a frame that belongs to another round;
 * a pickle frame is a :class:`WireError` on every kind of link — decoder,
   control, mesh and rejoin — and nothing it names ever runs;
 * a mesh reader's death poisons even frames that were already
@@ -40,7 +40,7 @@ from repro.mpc.protocols import SharedTable, mpc_aggregate, mpc_filter
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
 from repro.runtime.mesh import (
     KIND_MSG,
-    MeshChannel,
+    KIND_TABLE,
     MeshTimeout,
     PeerMesh,
     _check_mesh_hello,
@@ -52,13 +52,17 @@ from repro.runtime.transport import SocketTransport, TransportError
 from repro.runtime.wire import (
     FrameDecoder,
     WireError,
+    decode_mesh_payload,
     encode_frame,
+    encode_mesh_frame,
     recv_frame,
     send_frame,
+    send_mesh_frame,
 )
 
 from test_differential import (
     NUM_PLANS,
+    assert_byte_identical,
     PARTY_A,
     PARTY_B,
     SEED,
@@ -76,7 +80,9 @@ NONCE = "5" * 32
 
 
 class _PipeMesh:
-    """Minimal MeshChannel stand-in: two queues, optional frame tampering."""
+    """Minimal MeshChannel stand-in: two queues of mesh-layout frames,
+    optional tampering with a message ``(tag, payload)`` before it is
+    encoded."""
 
     def __init__(self, party, peer, inbox, outbox, tamper=None):
         self.party = party
@@ -85,13 +91,15 @@ class _PipeMesh:
         self._outbox = outbox
         self._tamper = tamper
 
-    def send_message(self, peer, message):
+    def send_message(self, peer, tag, payload):
+        message = (tag, payload)
         if self._tamper is not None:
             message = self._tamper(message)
-        self._outbox.put(message)
+        self._outbox.put(encode_mesh_frame(1, KIND_MSG, 0, message))
 
     def receive_message(self, peer):
-        return self._inbox.get(timeout=30)
+        _seq, _kind, _query_id, message = decode_mesh_payload(self._inbox.get(timeout=30)[4:])
+        return message
 
     def close(self):
         pass
@@ -213,13 +221,12 @@ class TestShareSlices:
         change (or fail) the opened result — the wire bytes are load-bearing."""
 
         def tamper(message):
-            sender, receiver, payload, size = message
-            tag, body = payload
+            tag, body = message
             if tag == "open-share" and body[0].size:
                 (vector,) = body
                 vector = vector.copy()
                 vector[0] += np.uint64(1)
-                return (sender, receiver, (tag, (vector,)), size)
+                return (tag, (vector,))
             return message
 
         engines = sliced_engine_pair(seed=7, tamper_from_b=tamper)
@@ -267,14 +274,14 @@ class TestAggregateKeyOpening:
         seen = []
 
         def tamper(message):
-            sender, receiver, (tag, body), size = message
+            tag, body = message
             if tag != "env-open":
                 return message
             seen.append(len(body[0]))
             (keys,) = body
             keys = keys.copy()
             keys[0] ^= np.uint64(1 << 40)
-            return (sender, receiver, (tag, (keys,)), size)
+            return (tag, (keys,))
 
         engines = sliced_engine_pair(seed=7, tamper_from_b=tamper)
         try:
@@ -314,11 +321,11 @@ class TestFlagOpeningIsLoadBearing:
         seen = []
 
         def tamper(message):
-            sender, receiver, (tag, body), size = message
+            tag, body = message
             if tag != "open-flags":
                 return message
-            seen.append((body.dtype, body.shape, size))
-            return (sender, receiver, (tag, corrupt(body)), size)
+            seen.append((body.dtype, body.shape))
+            return (tag, corrupt(body))
 
         engines = sliced_engine_pair(seed=7, tamper_from_b=tamper)
         return seen, lambda: run_lockstep(engines, protocol or self._rows)
@@ -327,7 +334,7 @@ class TestFlagOpeningIsLoadBearing:
         seen, run = self._run(lambda body: body)
         assert run() == [self.EXPECTED, self.EXPECTED]
         assert self._rows(SecretSharingEngine(PARTIES, seed=7)) == self.EXPECTED
-        assert seen == [(np.uint8, (2,), 2)]  # nine flags: two bytes, not 72
+        assert seen == [(np.uint8, (2,))]  # nine flags: two bytes, not 72
 
     @pytest.mark.parametrize("bit", [0x80, 0x01])
     def test_one_flipped_bit_changes_the_kept_rows(self, bit):
@@ -406,7 +413,8 @@ def _share_both(engine):
 
 class _ScriptedMesh:
     """MeshChannel stand-in that records the call order and serves scripted
-    frames: ``frames[peer]`` is what ``receive_message(peer)`` returns."""
+    ``(tag, payload)`` frames: ``frames[peer]`` is what
+    ``receive_message(peer)`` returns."""
 
     def __init__(self, party, peers, frames):
         self.party = party
@@ -414,8 +422,8 @@ class _ScriptedMesh:
         self.frames = frames
         self.log = []
 
-    def send_message(self, peer, message):
-        self.log.append(("send", peer, message))
+    def send_message(self, peer, tag, payload):
+        self.log.append(("send", peer, (tag, payload)))
 
     def receive_message(self, peer):
         self.log.append(("receive", peer))
@@ -426,7 +434,15 @@ class _ScriptedMesh:
 
 
 THREE = [PARTY_A, PARTY_B, PARTY_C]
-ALL_TO_ALL = [(s, r, f"{s}->{r}") for s in THREE for r in THREE if s != r]
+
+
+def _slice(sender, receiver, origin="replica"):
+    """A distinct share-slice payload per (sender, receiver, origin)."""
+    seed = [THREE.index(sender), THREE.index(receiver), origin == "wire"]
+    return (np.random.default_rng(seed).integers(0, 2**63, 3, dtype=np.uint64),)
+
+
+ALL_TO_ALL = [(s, r, _slice(s, r)) for s in THREE for r in THREE if s != r]
 
 
 class TestSocketTransportRound:
@@ -435,36 +451,27 @@ class TestSocketTransportRound:
         """The lockstep-schedule invariant: in a 3-party all-to-all round no
         party's write waits on another party's frame."""
         others = [p for p in THREE if p != me]
-        frames = {p: (p, me, ("open-share", f"wire:{p}"), 8) for p in others}
+        frames = {p: ("open-share", _slice(p, me, "wire")) for p in others}
         mesh = _ScriptedMesh(me, others, frames)
         delivered = SocketTransport(THREE, mesh).exchange("open-share", ALL_TO_ALL, 8)
 
         kinds = [entry[0] for entry in mesh.log]
         assert kinds == ["send", "send", "receive", "receive"]
         # Frames and per-link order are the engine's: one frame per peer, in
-        # the order the round lists them.
+        # the order the round lists them, and the frame is the tag and the
+        # payload — the link names the pair.
         assert [(peer, message) for _kind, peer, message in mesh.log[:2]] == [
-            (p, (me, p, ("open-share", f"{me}->{p}"), 8)) for p in others
+            (p, ("open-share", payload)) for s, p, payload in ALL_TO_ALL if s == me
         ]
         assert [entry[1] for entry in mesh.log[2:]] == others
         # Inbound payloads come off the wire; everything else is the replica.
         assert set(delivered) == {(s, r) for s, r, _ in ALL_TO_ALL}
         for sender, receiver, replica in ALL_TO_ALL:
-            expected = f"wire:{sender}" if receiver == me else replica
-            assert delivered[(sender, receiver)] == expected
-
-    @pytest.mark.parametrize(
-        "wire_pair", [(PARTY_C, PARTY_A), (PARTY_B, PARTY_C)],
-        ids=["wrong-sender", "wrong-receiver"],
-    )
-    def test_frame_for_another_pair_is_a_divergence(self, wire_pair):
-        frames = {PARTY_B: (*wire_pair, ("open-share", "x"), 8)}
-        transport = SocketTransport(PARTIES, _ScriptedMesh(PARTY_A, [PARTY_B], frames))
-        with pytest.raises(TransportError, match="diverged"):
-            transport.exchange("open-share", [(PARTY_B, PARTY_A, None)], 8)
+            expected = _slice(sender, me, "wire") if receiver == me else replica
+            np.testing.assert_array_equal(delivered[(sender, receiver)], expected)
 
     def test_frame_of_another_round_is_a_desynchronisation(self):
-        frames = {PARTY_B: (PARTY_B, PARTY_A, ("beaver-open", "x"), 8)}
+        frames = {PARTY_B: ("beaver-open", (np.zeros(1, dtype=np.uint64),))}
         transport = SocketTransport(PARTIES, _ScriptedMesh(PARTY_A, [PARTY_B], frames))
         with pytest.raises(TransportError, match="protocol desynchronisation"):
             transport.exchange("open-share", [(PARTY_B, PARTY_A, None)], 8)
@@ -619,8 +626,9 @@ class TestMeshPoisonCoversBufferedFrames:
         ours, theirs = socket.socketpair()
         mesh = PeerMesh(PARTY_A, {PARTY_B: ours}, timeout=2.0)
         try:
-            send_frame(theirs, (1, KIND_MSG, 0, "stale-frame-1"))
-            send_frame(theirs, (2, KIND_MSG, 0, "stale-frame-2"))
+            stale = np.arange(2, dtype=np.uint64)
+            send_mesh_frame(theirs, 1, KIND_MSG, 0, ("stale-frame-1", stale))
+            send_mesh_frame(theirs, 2, KIND_MSG, 0, ("stale-frame-2", stale))
             deadline = time.monotonic() + 5
             key = (KIND_MSG, 0, PARTY_B)
             while time.monotonic() < deadline:
@@ -678,22 +686,24 @@ def corpus_over_a_socket_mesh():
 def test_corpus_mpc_ingest_broadcasts_only_schema_and_row_count(monkeypatch):
     """Cleartext never leaves its owner through MPC ingest: across the
     50-plan corpus, with one executor per party joined by a real socket
-    mesh, every table frame an agent broadcasts is exactly ``{"schema",
-    "num_rows"}`` — the relation itself travels as share slices only."""
-    broadcast = []
-    send = MeshChannel.broadcast_table
+    mesh, every table frame an agent sends carries a schema and a row
+    count and no column — the relation itself travels as share slices
+    only."""
+    tables = []
+    send = PeerMesh._send
 
-    def recording_broadcast(channel, relation, payload):
-        broadcast.append(payload)
-        send(channel, relation, payload)
+    def recording_send(mesh, peer, kind, query_id, payload):
+        if kind == KIND_TABLE:
+            tables.append(payload)
+        send(mesh, peer, kind, query_id, payload)
 
-    monkeypatch.setattr(MeshChannel, "broadcast_table", recording_broadcast)
+    monkeypatch.setattr(PeerMesh, "_send", recording_send)
     for spec, _compiled, outcomes in corpus_over_a_socket_mesh():
         assert sorted(outcomes[PARTY_A].outputs["out"].rows()) == oracle(spec)
-    assert broadcast, "the corpus never crossed into MPC"
-    for payload in broadcast:
-        assert isinstance(payload, dict) and set(payload) == {"schema", "num_rows"}
-        assert isinstance(payload["num_rows"], int)
+    assert tables, "the corpus never crossed into MPC"
+    for _relation, schema, num_rows, columns in tables:
+        assert isinstance(schema, cc.Schema) and isinstance(num_rows, int)
+        assert columns is None
 
 
 def test_corpus_outputs_reach_their_recipients_only():
@@ -739,3 +749,16 @@ def test_corpus_agents_never_hold_foreign_secrets():
                     f"plan {plan}: agent {party} held cleartext inputs of "
                     f"{audit['cleartext_input_parties']}"
                 )
+
+
+def test_forkserver_agents_return_byte_identical_results():
+    """``start_method="forkserver"`` starts each agent from a fork server
+    that imported only the agent, so no agent's address space begins as a
+    copy of the coordinator's heap (every party's inputs, under the
+    platform default ``fork``).  The option changes no byte of a result."""
+    with cc.QuerySession(PARTIES, seed=3, start_method="forkserver") as session:
+        for plan in range(0, NUM_PLANS, 10):
+            ctx, inputs = build_query(generate_spec(SEED + plan))
+            compiled = cc.compile_query(ctx)
+            result = session.submit(compiled, inputs=inputs)
+            assert_byte_identical(result, cc.run_query(ctx, inputs, seed=3), f"plan {plan}")

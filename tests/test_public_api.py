@@ -285,7 +285,9 @@ def test_hybrid_aggregate_has_no_per_row_loop():
 # -- one mover, one report, one plan ---------------------------------------------------------
 
 #: What carries a relation across a party / MPC boundary.
-CROSSING_CALLS = {"send_table", "receive_table", "broadcast_table", "reveal_to", "ingest_remote"}
+CROSSING_CALLS = {
+    "send_table", "receive_table", "broadcast_shape", "receive_shape", "reveal_to", "ingest_remote",
+}
 
 
 def test_every_relation_crosses_a_boundary_in_one_function():

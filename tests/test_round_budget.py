@@ -13,6 +13,10 @@ crosses sockets in a distributed run); the traffic of the analytic steps
 (``engine.charge``) is in neither ``wire_rounds`` nor ``wire_bytes``, but in
 the profile's ``rounds`` / ``messages`` / ``bytes_sent``, which the ledger
 holds too — so is every operation count the price list converts.
+
+The mesh ledger below commits what those rounds cost on real sockets: the
+bytes and frames each party's agent sends over one warm query of a
+session.
 """
 
 import pytest
@@ -87,3 +91,45 @@ def test_judged_query_stays_on_its_committed_budget(name, monkeypatch):
     assert len(carried) == profile["wire_rounds"]
     del profile["backend"]
     assert dict(profile, wire_bytes=sum(carried)) == BUDGETS[name]
+
+
+#: What one warm query puts on the agent mesh, per sending party:
+#: ``(bytes_sent, frames_sent)`` over the second query of a fresh session,
+#: length headers included.  Frames are in the mesh layout, so these are
+#: exact (the per-link sequence numbers of the second query are fixed too);
+#: a layout or schedule change that grows the wire fails here.
+MESH_LEDGER = {
+    "hhi_pushdown": {
+        "mpc.a.com": (1142, 18), "mpc.b.com": (1178, 19), "mpc.c.org": (1180, 19),
+    },
+    "hhi_mpc_only": {
+        "mpc.a.com": (7436, 22), "mpc.b.com": (7472, 23), "mpc.c.org": (7472, 23),
+    },
+    "credit_hybrid": {
+        "mpc.bank-a.com": (16796, 23), "mpc.bank-b.cash": (16796, 23),
+        "mpc.ftc.gov": (23372, 30),
+    },
+}
+
+
+def _sent(session) -> dict[str, tuple[int, int]]:
+    return {
+        party: tuple(sum(link[key] for link in peers.values()) for key in ("bytes_sent", "frames_sent"))
+        for party, peers in session.stats["wire"].items()
+    }
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_warm_query_stays_on_its_committed_mesh_ledger(name):
+    spec, inputs, config = WORKLOADS[name]()
+    compiled = cc.compile_query(spec.context, config)
+    with cc.QuerySession(spec.parties, inputs=inputs, config=config, seed=SEED) as session:
+        session.submit(compiled)
+        before = _sent(session)
+        session.submit(compiled)
+        after = _sent(session)
+    warm = {
+        party: (after[party][0] - before[party][0], after[party][1] - before[party][1])
+        for party in after
+    }
+    assert warm == MESH_LEDGER[name]

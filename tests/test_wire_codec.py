@@ -45,7 +45,6 @@ from repro.runtime.wire import (
     recv_frame,
     send_torn_frame,
 )
-from repro.runtime import wire
 
 SEED = 20260808
 
@@ -312,25 +311,24 @@ class TestExceptionEnvelopesNeverImport:
 
 
 class TestSendTornFrame:
-    def test_tiny_frame_raises_instead_of_sending_header_only(self, monkeypatch):
+    def test_tiny_frame_raises_instead_of_sending_header_only(self):
         """A frame with a 1-byte payload cannot be torn mid-payload; the
         pre-fix code sent the 4-byte header only and returned."""
-        monkeypatch.setattr(wire, "encode_frame", lambda obj: b"\x00\x00\x00\x01X")
         a, b = socket.socketpair()
         try:
             with pytest.raises(WireError, match="too small to tear"):
-                send_torn_frame(a, "ignored")
+                send_torn_frame(a, b"\x00\x00\x00\x01X")
         finally:
             a.close()
             b.close()
 
     @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.6, 0.99, 1.0])
     def test_cut_always_lands_inside_the_payload(self, fraction):
-        payload = {"k": np.arange(64)}
-        full = len(encode_frame(payload))
+        frame = encode_frame({"k": np.arange(64)})
+        full = len(frame)
         a, b = socket.socketpair()
         try:
-            sent = send_torn_frame(a, payload, fraction)
+            sent = send_torn_frame(a, frame, fraction)
             assert 5 <= sent <= full - 1, "tear must keep >=1 and omit >=1 payload byte"
             a.close()
             b.settimeout(5.0)
@@ -339,11 +337,10 @@ class TestSendTornFrame:
         finally:
             b.close()
 
-    def test_receiver_is_inside_the_frame_even_for_minimal_frames(self, monkeypatch):
-        monkeypatch.setattr(wire, "encode_frame", lambda obj: b"\x00\x00\x00\x02XY")
+    def test_receiver_is_inside_the_frame_even_for_minimal_frames(self):
         a, b = socket.socketpair()
         try:
-            sent = send_torn_frame(a, "ignored")
+            sent = send_torn_frame(a, b"\x00\x00\x00\x02XY")
             assert sent == 5  # header + exactly one of the two payload bytes
             a.close()
             b.settimeout(5.0)

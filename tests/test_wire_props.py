@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TransportSecurity
+from repro.data.schema import ColumnDef, ColumnType, Schema
+from repro.data.table import Table
 from repro.runtime import wire
 from repro.runtime.mesh import PeerMesh
 from repro.runtime.transport import TransportError
@@ -155,28 +157,44 @@ def test_mesh_channels_isolate_concurrent_queries():
         sent: dict[int, list] = {1: [], 2: []}
         for i in range(40):
             qid = int(rng.integers(1, 3))
-            message = ("round", qid, i)
+            message = (f"round-{i}", (np.full(3, i, dtype=np.uint64),))
             sent[qid].append(message)
-            mesh_b.channel(qid).send_message("a", message)
+            mesh_b.channel(qid).send_message("a", *message)
         for qid in (1, 2):
             channel = mesh_a.channel(qid)
-            for expected in sent[qid]:
-                assert channel.receive_message("b") == expected
+            for tag, (vector,) in sent[qid]:
+                got_tag, (got,) = channel.receive_message("b")
+                assert got_tag == tag and np.array_equal(got, vector)
         # Tables travel the same multiplexed link, checked by relation name.
-        mesh_b.channel(9).send_table("a", "rel", {"rows": 3})
-        assert mesh_a.channel(9).receive_table("b", "rel") == {"rows": 3}
+        schema = Schema([ColumnDef("k"), ColumnDef("v", ColumnType.FLOAT)])
+        table = Table(schema, [np.arange(3), np.linspace(0, 1, 3)])
+        mesh_b.channel(9).send_table("a", "rel", table)
+        assert mesh_a.channel(9).receive_table("b", "rel") == table
+        mesh_b.channel(9).broadcast_shape("rel", schema, 3)
+        assert mesh_a.channel(9).receive_shape("b", "rel") == (schema, 3)
         with pytest.raises(TransportError, match="diverged"):
-            mesh_b.channel(9).send_table("a", "other", {"rows": 1})
+            mesh_b.channel(9).send_table("a", "other", table)
             mesh_a.channel(9).receive_table("b", "rel")
+        # A shape where the table was expected (or the reverse) diverges too.
+        with pytest.raises(TransportError, match="diverged"):
+            mesh_b.channel(10).broadcast_shape("rel", schema, 3)
+            mesh_a.channel(10).receive_table("b", "rel")
+        with pytest.raises(TransportError, match="diverged"):
+            mesh_b.channel(11).send_table("a", "rel", table)
+            mesh_a.channel(11).receive_shape("b", "rel")
     finally:
         mesh_a.close()
         mesh_b.close()
 
 
+def _flag(value: int) -> np.ndarray:
+    return np.array([value], dtype=np.uint8)
+
+
 def test_channel_abort_poisons_only_that_query():
     mesh_a, mesh_b = make_mesh_pair()
     try:
-        mesh_b.channel(5).send_message("a", "alive")
+        mesh_b.channel(5).send_message("a", "alive", _flag(5))
         mesh_b.channel(3).abort("boom at b")
         # Query 3 fails immediately — existing and future receives alike.
         with pytest.raises(TransportError, match="aborted query 3"):
@@ -184,7 +202,8 @@ def test_channel_abort_poisons_only_that_query():
         with pytest.raises(TransportError, match="aborted query 3"):
             mesh_a.channel(3).receive_table("b", "rel")
         # Query 5 is untouched.
-        assert mesh_a.channel(5).receive_message("b") == "alive"
+        tag, flag = mesh_a.channel(5).receive_message("b")
+        assert tag == "alive" and flag.tolist() == [5]
     finally:
         mesh_a.close()
         mesh_b.close()
@@ -196,14 +215,14 @@ def test_released_query_drops_late_frames_instead_of_accumulating():
     mesh_a, mesh_b = make_mesh_pair()
     try:
         channel = mesh_a.channel(4)
-        mesh_b.channel(4).send_message("a", "consumed")
-        assert channel.receive_message("b") == "consumed"
+        mesh_b.channel(4).send_message("a", "consumed", None)
+        assert channel.receive_message("b") == ("consumed", None)
         channel.close()  # query finished; id 4 is released
-        mesh_b.channel(4).send_message("a", "late")
+        mesh_b.channel(4).send_message("a", "late", None)
         mesh_b.channel(4).abort("late abort")
         # A later frame on the same link proves the earlier ones were read.
-        mesh_b.channel(6).send_message("a", "fresh")
-        assert mesh_a.channel(6).receive_message("b") == "fresh"
+        mesh_b.channel(6).send_message("a", "fresh", None)
+        assert mesh_a.channel(6).receive_message("b") == ("fresh", None)
         assert not [k for k in mesh_a._queues if k[1] == 4]
         assert not [k for k in mesh_a._aborted if k[1] == 4]
     finally:
