@@ -3,9 +3,10 @@
 
 Quantifies what securing the runtime costs, in two layers:
 
-* **wire codec** — encode/decode wall time and wire size for
-  representative frame payloads (mesh share vectors, result tables, small
-  control frames), measured in-process;
+* **wire layouts** — encode/decode wall time and wire size of frames the
+  runtime really sends, measured in-process: a share vector and a result
+  table in the mesh layout, and a ``query`` frame shipping a compiled plan
+  and a ``result`` frame in the control codec;
 * **plaintext vs mutual TLS** — end-to-end session latency over a slice of
   the differential corpus, one warm session each.  Both runs must stay
   byte-identical to the simulated runtime; the script asserts it, so a
@@ -34,8 +35,14 @@ import repro as cc
 from repro.core.config import CompilationConfig, TransportSecurity
 from repro.core.dispatch import QueryRunner
 from repro.data.schema import ColumnDef, Schema
-from repro.data.table import Table
-from repro.runtime.wire import decode_payload, encode_payload
+from repro.runtime.agent import process_counters
+from repro.runtime.service import plan_fingerprint
+from repro.runtime.wire import (
+    decode_mesh_payload,
+    decode_payload,
+    encode_mesh_frame,
+    encode_payload,
+)
 
 from test_differential import PARTY_A, PARTY_B, SEED, build_query, generate_spec
 
@@ -43,42 +50,72 @@ DEFAULT_NUM_PLANS = 6
 CODEC_REPEATS = 200
 
 
-def codec_payloads() -> dict[str, object]:
-    """Representative frame payloads, biggest mesh traffic first."""
+def mesh_frames() -> dict[str, tuple]:
+    """The two biggest kinds of mesh traffic, as ``(seq, kind, query_id, payload)``."""
     rng = np.random.default_rng(SEED)
     schema = Schema([ColumnDef("k"), ColumnDef("v")])
+    columns = (rng.integers(0, 50, 1000), rng.integers(-1000, 1000, 1000))
     return {
         "share_vector_64k": (
-            3, "msg", 7,
-            (PARTY_A, PARTY_B, ("open-share", rng.integers(0, 2**63, 8192, dtype=np.uint64)), 65536),
+            3, "msg", 7, ("open-share", (rng.integers(0, 2**63, 8192, dtype=np.uint64),)),
         ),
-        "result_table_1k_rows": (
-            5, "table", 9,
-            ("out", Table(schema, [rng.integers(0, 50, 1000), rng.integers(-1000, 1000, 1000)])),
-        ),
-        "control_frame": ("query", 12, "a1b2c3d4", {"seed": 3, "retries": 2}),
+        "result_table_1k_rows": (5, "table", 9, ("out", schema, 1000, columns)),
     }
 
 
+def control_frames() -> dict[str, tuple]:
+    """A ``query`` frame shipping a corpus plan, and the ``result`` frame of
+    that plan, shaped as an agent sends them."""
+    config = CompilationConfig()
+    ctx, inputs = build_query(generate_spec(SEED))
+    compiled = cc.compile_query(ctx, config)
+    query = ("query", {
+        "query_id": 12, "fingerprint": plan_fingerprint(compiled), "compiled": compiled,
+        "config": config, "seed": 3, "inputs": None,
+    })
+    executor = QueryRunner([PARTY_A, PARTY_B], inputs, config, seed=3)
+    outcome = executor.execute(compiled)
+    result = ("result", 12, {
+        "outputs": outcome.outputs,
+        "node_durations": outcome.node_durations,
+        "leakage": outcome.leakage,
+        "backend_seconds": outcome.backend_seconds,
+        "mpc_profile": outcome.mpc_profile,
+        "isolation": executor.isolation_audit(),
+        "wire_traffic": {},
+        "proc": process_counters(),
+    })
+    return {"query_frame": query, "result_frame": result}
+
+
+def _timed(fn) -> float:
+    samples = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(CODEC_REPEATS):
+            fn()
+        samples.append((time.perf_counter() - t0) / CODEC_REPEATS)
+    return round(statistics.median(samples) * 1e6, 3)  # microseconds
+
+
 def bench_codec() -> dict:
-    """Codec size and encode/decode wall time per payload kind."""
+    """Frame size and encode/decode wall time per frame kind."""
     results = {}
-    for name, payload in codec_payloads().items():
-        codec_blob = encode_payload(payload)
-
-        def timed(fn):
-            samples = []
-            for _ in range(5):
-                t0 = time.perf_counter()
-                for _ in range(CODEC_REPEATS):
-                    fn()
-                samples.append((time.perf_counter() - t0) / CODEC_REPEATS)
-            return round(statistics.median(samples) * 1e6, 3)  # microseconds
-
+    for name, frame in mesh_frames().items():
+        blob = encode_mesh_frame(*frame)
         results[name] = {
-            "codec_bytes": len(codec_blob),
-            "codec_encode_us": timed(lambda: encode_payload(payload)),
-            "codec_decode_us": timed(lambda: decode_payload(codec_blob)),
+            "layout": "mesh",
+            "codec_bytes": len(blob) - 4,
+            "codec_encode_us": _timed(lambda: encode_mesh_frame(*frame)),
+            "codec_decode_us": _timed(lambda: decode_mesh_payload(blob[4:])),
+        }
+    for name, frame in control_frames().items():
+        blob = encode_payload(frame)
+        results[name] = {
+            "layout": "codec",
+            "codec_bytes": len(blob),
+            "codec_encode_us": _timed(lambda: encode_payload(frame)),
+            "codec_decode_us": _timed(lambda: decode_payload(blob)),
         }
     return results
 

@@ -179,11 +179,9 @@ def _clone_unary(node: OpNode, out_rel: Relation, parent: OpNode) -> OpNode:
         clone = BoolOp(out_rel, parent, node.out_name, node.op, node.operands)
     else:
         raise TypeError(f"cannot distribute operator {type(node).__name__}")
-    check = getattr(node, "key_range_check", None)
-    if check is not None:
-        # Keep the composite-key range guard on every per-party copy of a
-        # distributed encode operator.
-        clone.key_range_check = check
+    # Keep the composite-key range guard on every per-party copy of a
+    # distributed encode operator.
+    clone.key_range_check = node.key_range_check
     return clone
 
 

@@ -58,6 +58,11 @@ class OpNode:
         self.is_mpc: bool = False
         #: Party name executing the operator when it runs in the clear.
         self.run_at: str | None = None
+        #: Set by the push-up pass on an operator it lifted out of MPC.
+        self.lifted = False
+        #: ``(columns, key_base)`` on the first operator of a composite-key
+        #: encode chain, whose key range the executor checks at run time.
+        self.key_range_check: tuple[tuple[str, ...], int] | None = None
         for p in self.parents:
             p.children.append(self)
 

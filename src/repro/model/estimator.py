@@ -257,7 +257,7 @@ class PlanEstimator:
         for parent, n_rows in zip(node.parents, rows_in):
             if not parent.is_mpc:
                 meter.merge(operators.share_input_meter(n_rows, len(parent.out_rel.schema), p))
-        check = getattr(node, "key_range_check", None)
+        check = node.key_range_check
         if check:
             # PlanExecutor._validate_key_range opens each key column.
             for _ in check[0]:

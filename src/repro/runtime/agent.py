@@ -66,7 +66,6 @@ from repro.runtime.mesh import (
 )
 from repro.runtime.wire import (
     close_quietly,
-    encode_frame,
     peer_common_name,
     recv_frame,
     secure_client_socket,
@@ -308,7 +307,7 @@ def agent_main(
                injector=injector, listener=listener, security=security, nonce=nonce)
     except BaseException as exc:  # noqa: BLE001 - everything must reach the coordinator
         try:
-            send_frame(control, ("fatal", _wire_safe(exc), traceback.format_exc()))
+            send_frame(control, ("fatal", exc, traceback.format_exc()))
         except Exception:
             pass
     finally:
@@ -360,7 +359,7 @@ def _serve(
             payload = agent.run_query(query_id, fingerprint, config, seed, inputs)
             frame = ("result", query_id, payload)
         except BaseException as exc:  # noqa: BLE001 - ship the error to the driver
-            frame = ("error", query_id, _wire_safe(exc), traceback.format_exc())
+            frame = ("error", query_id, exc, traceback.format_exc())
         with state_lock:
             in_flight.discard(query_id)
             last_activity = time.monotonic()
@@ -374,7 +373,7 @@ def _serve(
             # link itself is dead, this fails too and the coordinator's EOF
             # handling takes over.
             try:
-                reply(("error", query_id, _wire_safe(exc), traceback.format_exc()))
+                reply(("error", query_id, exc, traceback.format_exc()))
             except Exception:  # noqa: BLE001 - coordinator gone
                 pass
 
@@ -458,13 +457,3 @@ def _serve(
             ))
     finally:
         drain()
-
-
-def _wire_safe(exc: BaseException) -> BaseException:
-    """Return ``exc`` if the wire codec can express it, else an equivalent
-    RuntimeError."""
-    try:
-        encode_frame(exc)
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")

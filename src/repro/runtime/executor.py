@@ -337,7 +337,7 @@ class PlanExecutor:
             return True
         if isinstance(consumer, Collect) and party in consumer.recipients:
             return True
-        if consumer.run_at == party and getattr(consumer, "lifted", False):
+        if consumer.run_at == party and consumer.lifted:
             # Push-up lifted a reversible operator to the output recipient:
             # its input is derivable from the output the recipient receives.
             return True
@@ -409,7 +409,7 @@ class PlanExecutor:
         functionalities do, in lockstep at every agent — and fails loudly
         instead.
         """
-        check = getattr(node, "key_range_check", None)
+        check = node.key_range_check
         if not check or handle is None:
             return
         columns, base = check

@@ -62,10 +62,10 @@ def plan_fingerprint(compiled) -> str:
 
     The bytes are a function of the plan's structure alone
     (:func:`~repro.core.compiler.compile_query` numbers nodes and names
-    rewritten relations per compile), so equal plans fingerprint equal — the
-    same object resubmitted, or the same query recompiled under the same
-    config, ships once — and plans that differ in DAG or config never
-    collide.
+    rewritten relations per compile, and the codec writes sets sorted), so
+    equal plans fingerprint equal in every process — the same object
+    resubmitted, or the same query recompiled under the same config, ships
+    once — and plans that differ in DAG or config never collide.
 
     Memoized on the compiled object so the warm path ("submit many") never
     re-encodes the plan just to hash it.

@@ -1,68 +1,57 @@
-"""Length-prefixed framing, the self-describing codec and the mesh layout.
+"""Length-prefixed framing, the two closed payload layouts, and TLS.
 
-Every connection of the distributed runtime — coordinator-to-agent control
-links and the agent-to-agent mesh — speaks the same trivial protocol: a
-4-byte big-endian length header followed by one encoded payload.  Two
-payload layouts exist, and each link speaks exactly one of them at a time:
+Every connection of the distributed runtime speaks one trivial protocol: a
+4-byte big-endian length header followed by one encoded payload, in one of
+two layouts.  Control links and the mesh hellos speak the **codec** (magic
+``0xC7``: :func:`send_frame` / :func:`recv_frame`); a mesh link, once its
+hello is through, speaks the **mesh layout** (magic ``0x4D``:
+:func:`send_mesh_frame` / :func:`recv_mesh_frame`), one flat layout for the
+``msg``, ``table`` and ``abort`` frames agents exchange.
 
-* control links, and the mesh hellos, speak the **codec** (magic ``0xC7``);
-* a mesh link, once its hello is through, speaks the **mesh layout** (magic
-  ``0x4D``): one closed, flat binary layout for the three frame kinds
-  agents exchange — ``msg``, ``table`` and ``abort`` — written by
-  :func:`send_mesh_frame` and read by :func:`recv_mesh_frame` (see the
-  "mesh frames" section below).
+Both layouts are closed: nothing outside them can be written, and decoding
+never resolves a name, imports a module or runs a constructor the layout
+does not list.  The codec is a tag-prefixed tree over one value grammar —
+``None``, bools, ints, floats, ``str``, ``bytes``, tuples, lists, dicts,
+sets (written sorted, so equal values encode to equal bytes) and 1-D arrays
+of :data:`MESH_DTYPES` — plus two fixed registries, each entry with a
+one-byte code.  A **record** is a registered type (the compiled plan and
+its DAG, relations, schemas, tables, leakage reports, fault plans) written
+as its fields; records carrying another party's data are rebuilt through
+their constructors, so their invariants are checked.  An **error** is a
+registered class and its args; an error of any other class crosses as its
+nearest registered base, its message prefixed with its own class name.  An
+unknown tag, record or dtype code, a truncated payload, trailing bytes, or
+a record its constructor refuses is a :class:`WireError`; a value outside
+the grammar is an :class:`UnsupportedPayload` at the sender.
 
-The codec is a tag-length-value encoding over the *closed* set of types
-that legitimately cross the wire: ``None``/bools, ints, floats, complex,
-str/bytes/bytearray, lists/tuples/dicts/sets/frozensets, NumPy arrays and
-scalars (dtype + shape + raw buffer), instances of classes defined inside
-the ``repro`` package (module + qualname + attribute state), enums from the
-``repro`` package, and exception envelopes.  Nothing else is expressible,
-so arbitrary-object deserialization is structurally impossible: the decoder
-builds containers and fills attribute dicts, it never resolves or calls a
-global outside the ``repro`` package and the exception allowlist.
+Both layouts share one writer and one reader.  A frame is written as
+*segments* — layout bytes plus borrowed views of arrays of at least
+:data:`BORROW_FLOOR` bytes, gathered by one ``sendmsg`` — and read into one
+8-byte-aligned buffer of its own, which every decoded array is an aligned,
+writable view of.  ``recv_frame(..., allow_idle_timeout=True)`` tells "no
+frame started yet" (:class:`TimeoutError`) from "the stream died
+mid-frame" (always a :class:`WireError`).
 
-Every codec payload starts with the magic byte ``0xC7``; a frame whose
-payload starts with anything else, or whose bytes do not decode to exactly
-one value of the type set, is a :class:`WireError`.
-
-The codec framing is exposed in two forms:
-
-* :func:`send_frame` / :func:`recv_frame` — the socket-bound pair the
-  runtime uses.  A frame is written as *segments* (:func:`encode_segments`):
-  the codec bytes plus borrowed views of large array buffers, gathered by
-  one ``sendmsg``, so a share vector is never copied on its way to the
-  kernel; a frame of small values is one buffer and one ``sendall``.  The
-  payload is read into one preallocated buffer and decoded arrays are
-  copied out of it.  ``recv_frame(..., allow_idle_timeout=True)`` lets a serving
-  agent distinguish "no frame started yet" (the socket timed out while the
-  stream sat idle between frames — re-raised as :class:`TimeoutError` so the
-  caller can apply an idle policy) from "the stream died mid-frame" (always
-  a :class:`WireError`).
-* :func:`encode_frame` / :class:`FrameDecoder` — the same protocol over
-  plain bytes (the segments joined), so framing properties (round-trips,
-  interleaving, truncation rejection) are testable without sockets and the
-  decoder can be reused by future non-socket transports.
-
-TLS support lives here too: :func:`secure_server_socket` /
-:func:`secure_client_socket` wrap an accepted/dialled socket with a context
-built by :class:`repro.core.config.TransportSecurity`, and
+:func:`secure_server_socket` / :func:`secure_client_socket` wrap a socket
+in TLS built by :class:`repro.core.config.TransportSecurity`, and
 :func:`peer_common_name` extracts the authenticated identity (the
 certificate CN) that hello verification checks party ids against.
 """
 
 from __future__ import annotations
 
-import importlib
+import dataclasses
+import functools
 import socket
 import struct
 import sys
 import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from repro.data.schema import ColumnDef, ColumnType, Schema
+from repro.data.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - SecureSocket imports it where TLS runs
     import ssl
@@ -73,8 +62,31 @@ MAX_FRAME_BYTES = 1 << 30
 
 _HEADER = struct.Struct(">I")
 
-#: First byte of every frame payload.
+#: First byte of every codec payload.
 CODEC_MAGIC = 0xC7
+#: First byte of every mesh frame payload.
+MESH_MAGIC = 0x4D
+
+#: An array of at least this many bytes is not copied into the frame: the
+#: writer emits a borrowed view of the array's own buffer as a segment of its
+#: own.  Below it a copy is cheaper than one more ``sendmsg`` buffer, and
+#: frames of small values stay a single buffer and a single ``sendall``.
+BORROW_FLOOR = 1 << 14
+
+#: Buffers handed to one ``sendmsg`` call (POSIX guarantees ``IOV_MAX`` >= 16;
+#: Linux allows 1024).
+_SENDMSG_BUFFERS = 512
+
+#: The dtype allowlist of both layouts, indexed by its one-byte code: share
+#: slices, packed flag bits, and int / float table columns.
+MESH_DTYPES = (np.dtype("<u8"), np.dtype("|u1"), np.dtype("<i8"), np.dtype("<f8"))
+_DTYPE_CODES = {dtype: code for code, dtype in enumerate(MESH_DTYPES)}
+
+#: The dtype of a table column of each type (``Table`` stores no other).
+_COLUMN_DTYPES = {ColumnType.INT: np.dtype("<i8"), ColumnType.FLOAT: np.dtype("<f8")}
+
+_ALIGN = 8
+_PAD = bytes(_ALIGN)
 
 
 class WireError(ConnectionError):
@@ -82,308 +94,491 @@ class WireError(ConnectionError):
 
 
 class UnsupportedPayload(TypeError):
-    """A payload contains an object outside the codec's closed type set."""
-
-
-def _resolve_exception_class(module: str, name: str) -> type | None:
-    """Resolve ``module.name`` to an exception class without importing.
-
-    Only modules that are *already loaded* (``sys.modules``) are consulted —
-    a hostile frame naming an importable-but-unloaded module must not be
-    able to trigger that module's import side effects on every party.
-    """
-    mod = sys.modules.get(module)
-    if mod is None:
-        return None
-    obj: object = mod
-    for part in name.split("."):
-        obj = getattr(obj, part, None)
-        if obj is None:
-            return None
-    if isinstance(obj, type) and issubclass(obj, BaseException):
-        return obj
-    return None
+    """A payload contains an object outside the layout it is written in."""
 
 
 # --------------------------------------------------------------------------
-# the wire codec: tag-length-value over the closed frame-payload type set
+# the shared writer and reader
 # --------------------------------------------------------------------------
-
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT = 0x03
-_T_FLOAT = 0x04
-_T_COMPLEX = 0x05
-_T_STR = 0x06
-_T_BYTES = 0x07
-_T_BYTEARRAY = 0x08
-_T_LIST = 0x09
-_T_TUPLE = 0x0A
-_T_DICT = 0x0B
-_T_SET = 0x0C
-_T_FROZENSET = 0x0D
-_T_NDARRAY = 0x0E
-_T_NPSCALAR = 0x0F
-_T_OBJ = 0x10
-_T_ENUM = 0x11
-_T_EXC = 0x12
-_T_REF = 0x13
-
-_FLOAT_STRUCT = struct.Struct(">d")
-_COMPLEX_STRUCT = struct.Struct(">dd")
-
-#: An array of at least this many bytes is not copied into the codec bytes:
-#: the encoder emits a borrowed view of the array's own buffer as a segment
-#: of its own.  Below it a copy is cheaper than one more ``sendmsg`` buffer,
-#: and frames of small values stay a single buffer and a single ``sendall``.
-BORROW_FLOOR = 1 << 14
-
-#: Buffers handed to one ``sendmsg`` call (POSIX guarantees ``IOV_MAX`` >= 16;
-#: Linux allows 1024).
-_SENDMSG_BUFFERS = 512
-
-#: dtype kinds the codec will carry: booleans, signed/unsigned ints, floats,
-#: complex, timedelta/datetime, and fixed-width byte/unicode strings.  The
-#: object ('O') and structured-void ('V') kinds are rejected — they smuggle
-#: arbitrary Python objects or lose field metadata.
-_SAFE_DTYPE_KINDS = frozenset("biufcmMSU")
 
 
 def _write_varint(out: bytearray, value: int) -> None:
-    if 0 <= value < 0x80:  # most varints: one byte
-        out.append(value)
-        return
     if value < 0:
         raise UnsupportedPayload("varint must be non-negative")
-    while True:
-        byte = value & 0x7F
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
+    out.append(value)
+
+
+class _Writer:
+    """One frame as segments: layout bytes interleaved with borrowed views
+    of large array buffers; ``segments[0]`` starts with room for the length
+    header."""
+
+    __slots__ = ("segments", "out", "base")
+
+    def __init__(self, magic: int) -> None:
+        self.out = bytearray(_HEADER.size)
+        self.out.append(magic)
+        self.segments = [self.out]
+        #: Payload offset of ``out[0]`` (the header is not payload).
+        self.base = -_HEADER.size
+
+    def text(self, value: str) -> None:
+        if type(value) is not str:
+            raise UnsupportedPayload(f"frame field {value!r} is not a string")
+        data = value.encode("utf-8")
+        _write_varint(self.out, len(data))
+        self.out += data
+
+    def array(self, arr: np.ndarray) -> None:
+        code = _DTYPE_CODES.get(arr.dtype) if isinstance(arr, np.ndarray) else None
+        if code is None or arr.ndim != 1:
+            raise UnsupportedPayload(
+                f"payload {type(arr).__name__} {getattr(arr, 'dtype', '')} is not a "
+                f"one-dimensional array of {[d.str for d in MESH_DTYPES]}"
+            )
+        self.out.append(code)
+        _write_varint(self.out, arr.size)
+        self.buffer(arr)
+
+    def buffer(self, arr: np.ndarray) -> None:
+        """Pad to the next aligned payload offset, then the raw C-order buffer."""
+        out = self.out
+        out += _PAD[:-(self.base + len(out)) % _ALIGN]
+        if arr.nbytes < BORROW_FLOOR:
+            out += arr.tobytes()
             return
+        # No copy of a contiguous array: the view keeps it alive.
+        view = memoryview(np.ascontiguousarray(arr).view(np.uint8))
+        self.base += len(out) + len(view)
+        self.out = bytearray()
+        self.segments += (view, self.out)
+
+    def finish(self) -> tuple[list, int]:
+        """The segments with the header filled in, and the frame's size."""
+        length = self.base + len(self.out)
+        if length > MAX_FRAME_BYTES:
+            raise WireError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
+        segments = self.segments if self.out else self.segments[:-1]
+        _HEADER.pack_into(segments[0], 0, length)
+        return segments, _HEADER.size + length
 
 
-def _write_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    _write_varint(out, len(data))
-    out.extend(data)
+class _Reader:
+    """Reads one payload out of ``view``, a byte view of an aligned,
+    writable buffer the decoded arrays then view in turn."""
+
+    __slots__ = ("view", "pos")
+
+    #: The layout's name (in error messages) and first payload byte.
+    layout, magic = "frame", None
+
+    def __init__(self, view: memoryview) -> None:
+        if not len(view) or view[0] != self.magic:
+            raise WireError(f"payload is not a {self.layout} frame (missing magic byte)")
+        self.view = view
+        self.pos = 1
+
+    def fail(self, why: str) -> WireError:
+        return WireError(f"corrupt {self.layout} frame at byte {self.pos}: {why}")
+
+    def byte(self) -> int:
+        try:
+            value = self.view[self.pos]
+        except IndexError:
+            raise self.fail("truncated frame") from None
+        self.pos += 1
+        return value
+
+    def varint(self) -> int:
+        value = shift = 0
+        while True:
+            byte = self.byte()
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return value
+            shift += 7
+            if shift > 63:
+                raise self.fail("varint overflow")
+
+    def take(self, length: int) -> memoryview:
+        end = self.pos + length
+        if end > len(self.view):
+            raise self.fail(f"{length} bytes overrun the frame")
+        data = self.view[self.pos:end]
+        self.pos = end
+        return data
+
+    def text(self) -> str:
+        try:
+            # Interned: the same names and keys arrive with every frame, and a
+            # client that retains results retains every copy.
+            return sys.intern(str(self.take(self.varint()), "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise self.fail(f"invalid utf-8: {exc}") from None
+
+    def array(self) -> np.ndarray:
+        code = self.byte()
+        if code >= len(MESH_DTYPES):
+            raise self.fail(f"unknown dtype code {code}")
+        return self.buffer(MESH_DTYPES[code], self.varint())
+
+    def buffer(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """An aligned, writable view of ``count`` elements of the frame buffer."""
+        pos = self.pos
+        start = pos + (-pos % _ALIGN)
+        end = start + count * dtype.itemsize
+        if end > len(self.view):
+            raise self.fail(f"{count}-element array overruns the frame")
+        if start != pos and any(self.view[pos:start]):
+            raise self.fail("nonzero alignment padding")
+        self.pos = end
+        return np.ndarray((count,), dtype, self.view, start)
+
+    def done(self) -> None:
+        if self.pos != len(self.view):
+            raise WireError(
+                f"corrupt {self.layout} frame: {len(self.view) - self.pos} trailing bytes"
+            )
 
 
-class _Encoder:
-    """Encodes one payload as *segments*: codec bytes interleaved with
-    borrowed views of large array buffers; their concatenation is the
-    payload."""
+def _aligned_buffer(n: int) -> memoryview:
+    """``n`` writable bytes starting on an 8-byte boundary, as a byte view."""
+    return memoryview(np.empty(-(-n // _ALIGN), dtype=np.uint64)).cast("B")[:n]
+
+
+def _copied(data) -> memoryview:
+    view = _aligned_buffer(len(data))
+    view[:] = data
+    return view
+
+
+# --------------------------------------------------------------------------
+# the codec: one value grammar, one record registry
+# --------------------------------------------------------------------------
+#
+# value := NONE | TRUE | FALSE | INT varint(n) n bytes (big-endian, signed)
+#        | FLOAT 8 bytes (big-endian) | STR str | BYTES varint(n) n bytes
+#        | (TUPLE | LIST | SET | FROZENSET) varint(n) value*n    (sets sorted)
+#        | DICT varint(n) (value value)*n
+#        | ARRAY array                 the mesh layout's array, views on decode
+#        | RECORD code value*arity     arity fixed by the record's code
+#        | ERROR code value            the value is the error's args tuple
+
+(_T_NONE, _T_TRUE, _T_FALSE, _T_INT, _T_FLOAT, _T_STR, _T_BYTES, _T_TUPLE, _T_LIST,
+ _T_DICT, _T_SET, _T_FROZENSET, _T_ARRAY, _T_RECORD, _T_ERROR) = range(15)
+
+_FLOAT_STRUCT = struct.Struct(">d")
+_CONSTANTS = {_T_NONE: None, _T_TRUE: True, _T_FALSE: False}
+_SEQUENCE_TAGS = {tuple: _T_TUPLE, list: _T_LIST, set: _T_SET, frozenset: _T_FROZENSET}
+_CONTAINERS = {_T_TUPLE: tuple, _T_LIST: list, _T_SET: set, _T_FROZENSET: frozenset, _T_DICT: dict}
+
+#: Error args of these types cross as they are; any other arg as its ``str``.
+_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
+
+
+class _Record(NamedTuple):
+    cls: type
+    arity: int
+    fields: Callable  # the record's field values, in wire order
+    build: Callable  # the record from its decoded field values
+
+
+#: Every field of an operator node other than its links: the base fields of
+#: every node, then each operator class's own, in code order.
+_NODE_FIELDS = ("node_id", "out_rel", "is_mpc", "run_at", "lifted", "key_range_check")
+_AGGREGATE_FIELDS = ("group_col", "agg_col", "func", "out_name", "presorted", "is_secondary")
+_OPERATOR_FIELDS = {
+    "Create": (), "Collect": ("recipients",), "Project": ("columns",),
+    "Filter": ("column", "op", "value"), "Aggregate": _AGGREGATE_FIELDS,
+    "Map": ("out_name", "left", "op", "right"), "Compare": ("out_name", "left", "op", "right"),
+    "BoolOp": ("out_name", "op", "operands"), "SortBy": ("column", "ascending"),
+    "Distinct": ("columns",), "Limit": ("n",), "Concat": (), "Merge": ("column", "ascending"),
+    "Join": ("left_on", "right_on"), "HybridJoin": ("left_on", "right_on", "stp"),
+    "PublicJoin": ("left_on", "right_on", "host"), "HybridAggregate": _AGGREGATE_FIELDS + ("stp",),
+}
+
+
+class _Registry:
+    """Every record type and error class the codec knows; an entry's code is
+    its index.  Built on first use: the classes live in modules that import
+    this one."""
 
     def __init__(self) -> None:
-        self.out = bytearray((CODEC_MAGIC,))
-        #: Segments completed so far; ``out`` collects the codec bytes after
-        #: the last borrowed view.
-        self.segments: list = []
-        self.memo: dict[int, int] = {}
-        # Keeps memoised objects alive so id() values cannot be recycled
-        # mid-encode (a freed id reused by a new object would alias refs).
-        self.memo_objs: list[object] = []
+        from repro.core import operators
+        from repro.core.compiler import CompilationReport, CompiledQuery
+        from repro.core.config import CompilationConfig
+        from repro.core.dag import Dag
+        from repro.core.relation import Relation
+        from repro.hybrid.stp import LeakageEvent, LeakageReport
+        from repro.runtime.executor import SecurityError
+        from repro.runtime.faults import FaultPlan, KillFault, LinkFault
+        from repro.runtime.mesh import MeshTimeout
+        from repro.runtime.pool import AgentCrashed, AgentFailure, SessionClosed
+        from repro.runtime.transport import TransportError
 
-    def _memoise(self, obj: object) -> None:
-        self.memo[id(obj)] = len(self.memo_objs)
-        self.memo_objs.append(obj)
+        self.operators = tuple(getattr(operators, name) for name in _OPERATOR_FIELDS)
+        self.operator_codes = {cls: code for code, cls in enumerate(self.operators)}
+        self.dag_cls = Dag
+        self.records = (
+            _dataclass_record(CompiledQuery),
+            _dataclass_record(CompilationReport),
+            _dataclass_record(CompilationConfig),
+            _Record(Dag, 3, self._dag_fields, self._dag),
+            _dataclass_record(Relation),
+            _Record(Schema, 1, lambda schema: (schema.columns,), _schema),
+            _dataclass_record(ColumnDef),
+            _Record(ColumnType, 1, lambda ctype: (ctype.value,), ColumnType),
+            _Record(Table, 3, lambda t: (t.schema, t.num_rows, t.columns()), _table),
+            _dataclass_record(LeakageEvent),
+            _dataclass_record(LeakageReport),
+            _dataclass_record(FaultPlan),
+            _dataclass_record(KillFault),
+            _dataclass_record(LinkFault),
+        )
+        self.record_codes = {record.cls: code for code, record in enumerate(self.records)}
+        #: Builtins an agent raises, then the runtime's own errors.
+        self.errors = (
+            BaseException, Exception, KeyboardInterrupt, SystemExit,
+            ArithmeticError, ZeroDivisionError, OverflowError, FloatingPointError,
+            AssertionError, AttributeError, LookupError, IndexError, KeyError,
+            MemoryError, NotImplementedError, RecursionError, RuntimeError,
+            OSError, ConnectionError, TimeoutError, TypeError, ValueError,
+            TransportError, MeshTimeout, WireError, UnsupportedPayload, SecurityError,
+            AgentFailure, AgentCrashed, SessionClosed,
+        )
+        self.error_codes = {cls: code for code, cls in enumerate(self.errors)}
 
-    def encode(self, obj: object) -> None:
-        out = self.out
-        if obj is None:
-            out.append(_T_NONE)
-            return
-        if obj is True:
-            out.append(_T_TRUE)
-            return
-        if obj is False:
-            out.append(_T_FALSE)
-            return
+    # A Dag is its nodes in topological order, each a tuple of plain values:
+    # (operator code, parent indices, child indices, node fields...).  It is
+    # not a reference graph: the indices are the only links.
+
+    def _dag_fields(self, dag) -> tuple:
+        nodes = dag.topological()
+        index = {id(node): i for i, node in enumerate(nodes)}
+        entries = tuple(self._node_fields(node, index) for node in nodes)
+        return tuple(index[id(root)] for root in dag.roots), dag._fresh_names, entries
+
+    def _node_fields(self, node, index: dict) -> tuple:
+        kind = type(node)
+        if kind not in self.operator_codes:
+            raise UnsupportedPayload(f"operator {kind.__qualname__} is outside the registry")
+        return (
+            self.operator_codes[kind],
+            tuple(index[id(p)] for p in node.parents),
+            tuple(index[id(c)] for c in node.children),
+            *(getattr(node, name) for name in _NODE_FIELDS + _OPERATOR_FIELDS[kind.__name__]),
+        )
+
+    def _dag(self, roots, fresh_names, entries):
+        nodes = []
+        for code, _parents, _children, *values in entries:
+            cls = _pick(self.operators, code)
+            names = _NODE_FIELDS + _OPERATOR_FIELDS[cls.__name__]
+            if len(values) != len(names):
+                raise ValueError(f"{cls.__name__} node has {len(values)} fields, expected {len(names)}")
+            node = cls.__new__(cls)
+            vars(node).update(zip(names, values))
+            nodes.append(node)
+        for node, (_code, parents, children, *_values) in zip(nodes, entries):
+            node.parents = [_pick(nodes, i) for i in parents]
+            node.children = [_pick(nodes, i) for i in children]
+        dag = self.dag_cls([_pick(nodes, i) for i in roots])
+        dag._fresh_names = fresh_names
+        dag.validate()
+        if len(dag.nodes()) != len(nodes):
+            raise ValueError("a node is unreachable from the roots")
+        return dag
+
+
+def _pick(items: tuple | list, index):
+    if type(index) is not int or not 0 <= index < len(items):
+        raise ValueError(f"index {index!r} out of range")
+    return items[index]
+
+
+def _dataclass_record(cls: type) -> _Record:
+    """A record of a dataclass's fields, rebuilt by its constructor."""
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    return _Record(cls, len(names), lambda obj: [getattr(obj, name) for name in names], cls)
+
+
+def _schema(columns) -> Schema:
+    if not all(isinstance(col, ColumnDef) for col in columns):
+        raise TypeError("schema columns are not column definitions")
+    return Schema(columns)
+
+
+def _table(schema, num_rows, columns) -> Table:
+    if not isinstance(schema, Schema) or len(columns) != len(schema):
+        raise TypeError("table columns do not match its schema")
+    for col, arr in zip(schema, columns):
+        if not isinstance(arr, np.ndarray) or arr.dtype != _COLUMN_DTYPES[col.ctype]:
+            raise TypeError(f"column {col.name!r} is not {col.ctype.value} data")
+    table = Table(schema, columns)
+    if table.num_rows != num_rows:
+        raise ValueError(f"table claims {num_rows!r} rows, its columns hold {table.num_rows}")
+    return table
+
+
+_registry = functools.cache(_Registry)
+
+
+class _Encoder(_Writer):
+    """Writes one value of the grammar (see the section comment above)."""
+
+    __slots__ = ()
+
+    def value(self, obj: object) -> None:
         kind = type(obj)
-        if kind is int:
+        if kind is str:
+            self.out.append(_T_STR)
+            self.text(obj)
+        elif kind is int:
+            out = self.out
             out.append(_T_INT)
             data = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
             _write_varint(out, len(data))
-            out.extend(data)
-            return
-        if kind is float:
-            out.append(_T_FLOAT)
-            out.extend(_FLOAT_STRUCT.pack(obj))
-            return
-        if kind is complex:
-            out.append(_T_COMPLEX)
-            out.extend(_COMPLEX_STRUCT.pack(obj.real, obj.imag))
-            return
-        if kind is str:
-            out.append(_T_STR)
-            _write_str(out, obj)
-            return
-        if kind is bytes:
-            out.append(_T_BYTES)
-            _write_varint(out, len(obj))
-            out.extend(obj)
-            return
-        ref = self.memo.get(id(obj))
-        if ref is not None:
-            out.append(_T_REF)
-            _write_varint(out, ref)
-            return
-        if kind is bytearray:
-            self._memoise(obj)
-            out.append(_T_BYTEARRAY)
-            _write_varint(out, len(obj))
-            out.extend(obj)
-            return
-        if kind is list:
-            self._memoise(obj)
-            out.append(_T_LIST)
-            _write_varint(out, len(obj))
-            for item in obj:
-                self.encode(item)
-            return
-        if kind is dict:
-            self._memoise(obj)
-            out.append(_T_DICT)
-            _write_varint(out, len(obj))
-            for key, value in obj.items():
-                self.encode(key)
-                self.encode(value)
-            return
-        if kind is set:
-            self._memoise(obj)
-            out.append(_T_SET)
-            _write_varint(out, len(obj))
-            for item in obj:
-                self.encode(item)
-            return
-        if kind is tuple:
-            out.append(_T_TUPLE)
-            _write_varint(out, len(obj))
-            for item in obj:
-                self.encode(item)
-            self._memoise(obj)
-            return
-        if kind is frozenset:
-            out.append(_T_FROZENSET)
-            _write_varint(out, len(obj))
-            for item in obj:
-                self.encode(item)
-            self._memoise(obj)
-            return
-        if kind is np.ndarray:
-            self._encode_ndarray(obj)
-            return
-        if isinstance(obj, np.generic):
-            self._encode_npscalar(obj)
-            return
-        if isinstance(obj, BaseException):
-            self._encode_exception(obj)
-            return
-        module = getattr(kind, "__module__", "") or ""
-        if module == "repro" or module.startswith("repro."):
-            import enum as _enum
-
-            if isinstance(obj, _enum.Enum):
-                out.append(_T_ENUM)
-                _write_str(out, module)
-                _write_str(out, kind.__qualname__)
-                _write_str(out, obj.name)
-                return
-            self._encode_repro_instance(obj, module, kind)
-            return
-        raise UnsupportedPayload(
-            f"object of type {module}.{kind.__qualname__} is outside the wire codec's type set"
-        )
-
-    def _encode_ndarray(self, arr: np.ndarray) -> None:
-        if arr.dtype.kind not in _SAFE_DTYPE_KINDS or arr.dtype.hasobject:
-            raise UnsupportedPayload(f"ndarray dtype {arr.dtype!r} is not wire-safe")
-        out = self.out
-        out.append(_T_NDARRAY)
-        _write_str(out, arr.dtype.str)
-        _write_varint(out, arr.ndim)
-        for dim in arr.shape:
-            _write_varint(out, dim)
-        if arr.nbytes < BORROW_FLOOR:
-            data = arr.tobytes()
-            _write_varint(out, len(data))
-            out.extend(data)
-        else:
-            # The raw C-order buffer as bytes, whatever the dtype (the buffer
-            # protocol itself refuses datetimes); no copy for a contiguous
-            # array.  The view keeps the array alive; ``out`` is emptied in
-            # place because callers up the recursion hold a reference to it.
-            data = memoryview(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
-            _write_varint(out, len(data))
-            self.segments.append(bytes(out))
-            out.clear()
-            self.segments.append(data)
-        self._memoise(arr)
-
-    def _encode_npscalar(self, value: np.generic) -> None:
-        dtype = np.dtype(type(value)) if not hasattr(value, "dtype") else value.dtype
-        if dtype.kind not in _SAFE_DTYPE_KINDS or dtype.hasobject:
-            raise UnsupportedPayload(f"numpy scalar dtype {dtype!r} is not wire-safe")
-        out = self.out
-        out.append(_T_NPSCALAR)
-        _write_str(out, dtype.str)
-        data = value.tobytes()
-        _write_varint(out, len(data))
-        out.extend(data)
-
-    def _encode_exception(self, exc: BaseException) -> None:
-        kind = type(exc)
-        out = self.out
-        out.append(_T_EXC)
-        _write_str(out, kind.__module__ or "builtins")
-        _write_str(out, kind.__qualname__)
-        self.encode(tuple(exc.args))
-        state = getattr(exc, "__dict__", None)
-        self.encode(dict(state) if state else None)
-        self._memoise(exc)
-
-    def _encode_repro_instance(self, obj: object, module: str, kind: type) -> None:
-        out = self.out
-        out.append(_T_OBJ)
-        _write_str(out, module)
-        _write_str(out, kind.__qualname__)
-        self._memoise(obj)
-        dict_state = getattr(obj, "__dict__", None)
-        slot_state: dict[str, object] = {}
-        for klass in kind.__mro__:
-            for slot in getattr(klass, "__slots__", ()):
-                if slot in ("__dict__", "__weakref__"):
-                    continue
+            out += data
+        elif obj is None:
+            self.out.append(_T_NONE)
+        elif kind is bool:
+            self.out.append(_T_TRUE if obj else _T_FALSE)
+        elif kind in _SEQUENCE_TAGS:
+            if kind is set or kind is frozenset:
                 try:
-                    slot_state[slot] = getattr(obj, slot)
-                except AttributeError:
-                    continue
-        self.encode(dict(dict_state) if dict_state is not None else None)
-        self.encode(slot_state or None)
+                    obj = sorted(obj)
+                except TypeError:
+                    raise UnsupportedPayload(f"set {obj!r} has no canonical order") from None
+            self.out.append(_SEQUENCE_TAGS[kind])
+            _write_varint(self.out, len(obj))
+            for item in obj:
+                self.value(item)
+        elif kind is dict:
+            self.out.append(_T_DICT)
+            _write_varint(self.out, len(obj))
+            for key, item in obj.items():
+                self.value(key)
+                self.value(item)
+        elif kind is float:
+            self.out.append(_T_FLOAT)
+            self.out += _FLOAT_STRUCT.pack(obj)
+        elif kind is np.ndarray:
+            self.out.append(_T_ARRAY)
+            self.array(obj)
+        elif kind is bytes:
+            self.out.append(_T_BYTES)
+            _write_varint(self.out, len(obj))
+            self.out += obj
+        elif isinstance(obj, BaseException):
+            self.error(obj)
+        else:
+            registry = _registry()
+            code = registry.record_codes.get(kind)
+            if code is None:
+                raise UnsupportedPayload(
+                    f"object of type {kind.__module__}.{kind.__qualname__} is outside "
+                    "the wire codec's type set"
+                )
+            self.out.append(_T_RECORD)
+            self.out.append(code)
+            for item in registry.records[code].fields(obj):
+                self.value(item)
+
+    def error(self, exc: BaseException) -> None:
+        codes = _registry().error_codes
+        kind = type(exc)
+        code = codes.get(kind)
+        args = exc.args
+        if code is None:
+            # BaseException is registered, so every error has a registered base.
+            code = next(codes[base] for base in kind.__mro__ if base in codes)
+            args = (f"{kind.__name__}: {exc}",)
+        self.out.append(_T_ERROR)
+        self.out.append(code)
+        self.value(tuple(arg if type(arg) in _SCALARS else str(arg) for arg in args))
+
+
+class _Decoder(_Reader):
+    __slots__ = ()
+    layout, magic = "codec", CODEC_MAGIC
+
+    def value(self) -> object:
+        tag = self.byte()
+        if tag == _T_STR:
+            return self.text()
+        if tag == _T_INT:
+            return int.from_bytes(self.take(self.varint()), "big", signed=True)
+        if tag in _CONSTANTS:
+            return _CONSTANTS[tag]
+        if tag in _CONTAINERS:
+            count = self.varint()
+            items = [
+                (self.value(), self.value()) if tag == _T_DICT else self.value()
+                for _ in range(count)
+            ]
+            try:
+                return _CONTAINERS[tag](items)
+            except TypeError as exc:
+                raise self.fail(f"unhashable key or element: {exc}") from None
+        if tag == _T_FLOAT:
+            return _FLOAT_STRUCT.unpack(self.take(8))[0]
+        if tag == _T_ARRAY:
+            return self.array()
+        if tag == _T_BYTES:
+            return bytes(self.take(self.varint()))
+        if tag == _T_RECORD:
+            return self.record()
+        if tag == _T_ERROR:
+            return self.error()
+        raise self.fail(f"unknown tag 0x{tag:02x}")
+
+    def record(self) -> object:
+        code = self.byte()
+        records = _registry().records
+        if code >= len(records):
+            raise self.fail(f"unknown record code {code}")
+        cls, arity, _fields, build = records[code]
+        values = [self.value() for _ in range(arity)]
+        try:
+            return build(*values)
+        except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+            raise self.fail(f"invalid {cls.__name__} record: {exc}") from None
+
+    def error(self) -> BaseException:
+        code = self.byte()
+        args = self.value()
+        if type(args) is not tuple:
+            raise self.fail("error args are not a tuple")
+        errors = _registry().errors
+        if code >= len(errors):
+            return RuntimeError(f"remote error of unregistered code {code}: {args!r}")
+        try:
+            return errors[code](*args)
+        except Exception as exc:  # noqa: BLE001 - a constructor refusing forged args
+            raise self.fail(f"invalid {errors[code].__name__} args: {exc}") from None
+
+
+def _codec_segments(obj: object) -> tuple[list, int]:
+    writer = _Encoder(CODEC_MAGIC)
+    try:
+        writer.value(obj)
+    except RecursionError:
+        raise UnsupportedPayload("payload nesting exceeds the codec recursion limit") from None
+    return writer.finish()
 
 
 def encode_segments(obj: object) -> list:
-    """Serialise ``obj`` with the wire codec (no length header) as segments.
-
-    The payload is the concatenation of the returned bytes-like segments.
-    Arrays of :data:`BORROW_FLOOR` bytes or more are *borrowed* — their
-    segment is a view of the array's buffer, not a copy — so the caller must
-    not mutate them until the segments have been written or joined.  A
-    payload with nothing to borrow is a single segment.
-
-    Raises :class:`UnsupportedPayload` for objects outside the closed type
-    set.
+    """Serialise ``obj`` with the wire codec (no length header) as the
+    bytes-like segments whose concatenation is the payload; arrays of
+    :data:`BORROW_FLOOR` bytes or more are borrowed views, not copies.
+    Raises :class:`UnsupportedPayload` for values outside the grammar.
     """
-    encoder = _Encoder()
-    try:
-        encoder.encode(obj)
-    except RecursionError:
-        raise UnsupportedPayload("payload nesting exceeds the codec recursion limit") from None
-    encoder.segments.append(encoder.out)
-    return encoder.segments
+    segments, _size = _codec_segments(obj)
+    segments[0] = memoryview(segments[0])[_HEADER.size:]
+    return segments
 
 
 def encode_payload(obj: object) -> bytes:
@@ -391,276 +586,32 @@ def encode_payload(obj: object) -> bytes:
     return b"".join(encode_segments(obj))
 
 
-class _Decoder:
-    def __init__(self, data: bytes | memoryview) -> None:
-        self.data = memoryview(data)
-        self.pos = 0
-        self.memo: list[object] = []
-
-    def _fail(self, why: str) -> WireError:
-        return WireError(f"corrupt codec frame at byte {self.pos}: {why}")
-
-    def _take(self, n: int) -> memoryview:
-        if n < 0 or self.pos + n > len(self.data):
-            raise self._fail(f"needs {n} more bytes past end of payload")
-        view = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return view
-
-    def _read_varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            if self.pos >= len(self.data):
-                raise self._fail("truncated varint")
-            byte = self.data[self.pos]
-            self.pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise self._fail("varint overflow")
-
-    def _read_str(self) -> str:
-        length = self._read_varint()
-        try:
-            # Interned: the same names and keys arrive with every frame, and a
-            # client that retains results retains every copy.
-            return sys.intern(str(self._take(length), "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise self._fail(f"invalid utf-8: {exc}") from None
-
-    def decode(self) -> object:
-        if self.pos >= len(self.data):
-            raise self._fail("truncated payload: expected a tag")
-        tag = self.data[self.pos]
-        self.pos += 1
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            length = self._read_varint()
-            return int.from_bytes(self._take(length), "big", signed=True)
-        if tag == _T_FLOAT:
-            return _FLOAT_STRUCT.unpack(self._take(8))[0]
-        if tag == _T_COMPLEX:
-            real, imag = _COMPLEX_STRUCT.unpack(self._take(16))
-            return complex(real, imag)
-        if tag == _T_STR:
-            return self._read_str()
-        if tag == _T_BYTES:
-            return bytes(self._take(self._read_varint()))
-        if tag == _T_BYTEARRAY:
-            value = bytearray(self._take(self._read_varint()))
-            self.memo.append(value)
-            return value
-        if tag == _T_LIST:
-            count = self._read_varint()
-            out: list[object] = []
-            self.memo.append(out)
-            for _ in range(count):
-                out.append(self.decode())
-            return out
-        if tag == _T_DICT:
-            count = self._read_varint()
-            mapping: dict = {}
-            self.memo.append(mapping)
-            for _ in range(count):
-                key = self.decode()
-                mapping[key] = self.decode()
-            return mapping
-        if tag == _T_SET:
-            count = self._read_varint()
-            values: set = set()
-            self.memo.append(values)
-            for _ in range(count):
-                values.add(self.decode())
-            return values
-        if tag == _T_TUPLE:
-            count = self._read_varint()
-            value = tuple(self.decode() for _ in range(count))
-            self.memo.append(value)
-            return value
-        if tag == _T_FROZENSET:
-            count = self._read_varint()
-            value = frozenset(self.decode() for _ in range(count))
-            self.memo.append(value)
-            return value
-        if tag == _T_NDARRAY:
-            return self._decode_ndarray()
-        if tag == _T_NPSCALAR:
-            dtype = self._read_dtype()
-            data = self._take(self._read_varint())
-            try:
-                return np.frombuffer(data, dtype=dtype)[0]
-            except (ValueError, IndexError) as exc:
-                raise self._fail(f"bad numpy scalar: {exc}") from None
-        if tag == _T_OBJ:
-            return self._decode_repro_instance()
-        if tag == _T_ENUM:
-            return self._decode_enum()
-        if tag == _T_EXC:
-            return self._decode_exception()
-        if tag == _T_REF:
-            index = self._read_varint()
-            if index >= len(self.memo):
-                raise self._fail(f"dangling memo reference {index}")
-            return self.memo[index]
-        raise self._fail(f"unknown tag 0x{tag:02x}")
-
-    def _read_dtype(self) -> np.dtype:
-        spec = self._read_str()
-        try:
-            dtype = np.dtype(spec)
-        except TypeError as exc:
-            raise self._fail(f"bad dtype {spec!r}: {exc}") from None
-        if dtype.kind not in _SAFE_DTYPE_KINDS or dtype.hasobject:
-            raise self._fail(f"dtype {spec!r} is not wire-safe")
-        return dtype
-
-    def _decode_ndarray(self) -> np.ndarray:
-        dtype = self._read_dtype()
-        ndim = self._read_varint()
-        if ndim > 32:
-            raise self._fail(f"ndarray claims {ndim} dimensions")
-        shape = tuple(self._read_varint() for _ in range(ndim))
-        data = self._take(self._read_varint())
-        try:
-            arr = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-        except ValueError as exc:
-            raise self._fail(f"bad ndarray buffer: {exc}") from None
-        self.memo.append(arr)
-        return arr
-
-    def _resolve_repro_class(self, module: str, qualname: str) -> type:
-        if not (module == "repro" or module.startswith("repro.")):
-            raise self._fail(f"frame references non-repro class {module}.{qualname}")
-        try:
-            mod = importlib.import_module(module)
-        except ImportError as exc:
-            raise self._fail(f"unknown repro module {module}: {exc}") from None
-        obj: object = mod
-        for part in qualname.split("."):
-            obj = getattr(obj, part, None)
-            if obj is None:
-                raise self._fail(f"unknown repro class {module}.{qualname}")
-        if not isinstance(obj, type):
-            raise self._fail(f"{module}.{qualname} is not a class")
-        return obj
-
-    def _decode_repro_instance(self) -> object:
-        module = self._read_str()
-        qualname = self._read_str()
-        cls = self._resolve_repro_class(module, qualname)
-        try:
-            inst = cls.__new__(cls)
-        except TypeError as exc:
-            raise self._fail(f"cannot instantiate {module}.{qualname}: {exc}") from None
-        self.memo.append(inst)
-        dict_state = self.decode()
-        slot_state = self.decode()
-        if dict_state is not None:
-            if not isinstance(dict_state, dict):
-                raise self._fail("instance dict state is not a dict")
-            inst.__dict__.update(dict_state)
-        if slot_state is not None:
-            if not isinstance(slot_state, dict):
-                raise self._fail("instance slot state is not a dict")
-            for key, value in slot_state.items():
-                object.__setattr__(inst, key, value)
-        return inst
-
-    def _decode_enum(self) -> object:
-        import enum as _enum
-
-        module = self._read_str()
-        qualname = self._read_str()
-        member = self._read_str()
-        cls = self._resolve_repro_class(module, qualname)
-        if not issubclass(cls, _enum.Enum):
-            raise self._fail(f"{module}.{qualname} is not an enum")
-        try:
-            return cls[member]
-        except KeyError:
-            raise self._fail(f"unknown enum member {qualname}.{member}") from None
-
-    def _decode_exception(self) -> BaseException:
-        module = self._read_str()
-        qualname = self._read_str()
-        args = self.decode()
-        state = self.decode()
-        if not isinstance(args, tuple):
-            raise self._fail("exception args are not a tuple")
-        cls: type[BaseException] | None = None
-        if module == "repro" or module.startswith("repro."):
-            try:
-                candidate: object = importlib.import_module(module)
-                for part in qualname.split("."):
-                    candidate = getattr(candidate, part, None)
-                    if candidate is None:
-                        break
-                if isinstance(candidate, type) and issubclass(candidate, BaseException):
-                    cls = candidate
-            except ImportError:
-                cls = None
-        else:
-            cls = _resolve_exception_class(module, qualname)
-        if cls is None:
-            exc: BaseException = RuntimeError(
-                f"remote exception {module}.{qualname}{args!r} "
-                "(class not resolvable on this party)"
-            )
-        else:
-            try:
-                exc = cls(*args)
-            except Exception:
-                exc = cls.__new__(cls)
-                exc.args = args
-        if isinstance(state, dict):
-            try:
-                exc.__dict__.update(state)
-            except AttributeError:
-                pass
-        elif state is not None:
-            raise self._fail("exception state is not a dict")
-        self.memo.append(exc)
-        return exc
-
-
-def decode_payload(data: bytes | memoryview) -> object:
-    """Decode one codec payload (the bytes after the length header)."""
-    view = memoryview(data)
-    if len(view) == 0 or view[0] != CODEC_MAGIC:
-        raise WireError("payload is not a codec frame (missing magic byte)")
-    decoder = _Decoder(view[1:])
+def _decode_codec(view: memoryview) -> object:
+    """Decode the codec payload in ``view`` (see :func:`_aligned_buffer`)."""
+    decoder = _Decoder(view)
     try:
-        value = decoder.decode()
+        value = decoder.value()
     except RecursionError:
         raise WireError("codec frame nesting exceeds the recursion limit") from None
-    if decoder.pos != len(decoder.data):
-        raise WireError(
-            f"corrupt codec frame: {len(decoder.data) - decoder.pos} trailing bytes"
-        )
+    decoder.done()
     return value
 
 
+def decode_payload(data) -> object:
+    """Decode one codec payload (the bytes after the length header); the
+    bytes are copied into a buffer of the payload's own, which the decoded
+    arrays view."""
+    return _decode_codec(_copied(data))
+
+
 # --------------------------------------------------------------------------
-# link statistics
+# framing and link statistics
 # --------------------------------------------------------------------------
 
 
 class LinkStats:
-    """Byte/frame counters for one connection, safe for concurrent writers.
-
-    The metrics layer observes *traffic shape* (bytes and frame counts per
-    link), never payload contents — monitoring stays on the right side of
-    the privacy boundary.  A sender thread and the peer-facing reader thread
-    update the same instance, so the tiny increments take a lock.
-    """
+    """Byte/frame counters for one connection, safe for concurrent writers:
+    the metrics layer observes *traffic shape* per link, never payloads."""
 
     __slots__ = ("_lock", "bytes_sent", "bytes_received", "frames_sent", "frames_received")
 
@@ -692,82 +643,27 @@ class LinkStats:
             }
 
 
-# --------------------------------------------------------------------------
-# framing
-# --------------------------------------------------------------------------
-
-
 def _frame_segments(obj: object) -> tuple[list, int]:
-    """``obj``'s length-prefixed frame as segments, and its size in bytes."""
+    """``obj``'s length-prefixed codec frame as segments, and its size."""
     try:
-        segments = encode_segments(obj)
+        return _codec_segments(obj)
     except UnsupportedPayload as exc:
         raise WireError(f"payload not expressible in the wire codec: {exc}") from exc
-    length = sum(map(len, segments))
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
-    segments[0] = _HEADER.pack(length) + segments[0]
-    return segments, _HEADER.size + length
 
 
 def encode_frame(obj: object) -> bytes:
-    """Serialise ``obj`` as one length-prefixed frame in one buffer.
-
-    Raises :class:`WireError` for a payload outside the codec's closed type
-    set or over the frame cap.
-    """
+    """``obj`` as one length-prefixed codec frame in one buffer; a payload
+    outside the grammar or over the frame cap is a :class:`WireError`."""
     return b"".join(_frame_segments(obj)[0])
 
 
-class FrameDecoder:
-    """Incremental decoder for a byte stream of length-prefixed frames.
-
-    Feed arbitrary chunks (network reads split frames at arbitrary points);
-    :meth:`frames` yields every complete decoded object.  :meth:`eof` must be
-    called when the stream ends: a stream that stops mid-frame is truncated
-    and raises :class:`WireError` instead of silently dropping the tail.
-    """
-
-    def __init__(self):
-        self._buffer = bytearray()
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered that do not yet form a complete frame."""
-        return len(self._buffer)
-
-    def feed(self, chunk: bytes) -> list[object]:
-        """Absorb ``chunk`` and return the objects completed by it."""
-        self._buffer.extend(chunk)
-        frames = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                break
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise WireError(f"incoming frame claims {length} bytes; stream is corrupt")
-            if len(self._buffer) < _HEADER.size + length:
-                break
-            payload = bytes(self._buffer[_HEADER.size:_HEADER.size + length])
-            del self._buffer[:_HEADER.size + length]
-            frames.append(decode_payload(payload))
-        return frames
-
-    def eof(self) -> None:
-        """Assert the stream ended on a frame boundary."""
-        if self._buffer:
-            raise WireError(
-                f"stream truncated mid-frame: {len(self._buffer)} trailing bytes"
-            )
-
-
 def send_frame(sock: socket.socket, obj: object, *, stats: LinkStats | None = None) -> None:
-    """Serialise ``obj`` and write it as one length-prefixed frame.
+    """Write ``obj`` as one length-prefixed codec frame; with ``stats``, its
+    full wire size (header + payload) is counted once the write completed."""
+    _send(sock, *_frame_segments(obj), stats)
 
-    With ``stats``, the frame's full wire size (header + payload) is counted
-    once the write completed.
-    """
-    segments, size = _frame_segments(obj)
+
+def _send(sock: socket.socket, segments: list, size: int, stats: LinkStats | None) -> None:
     try:
         _send_segments(sock, segments)
     except OSError as exc:
@@ -794,18 +690,11 @@ def _send_segments(sock: socket.socket, segments: list) -> None:
 
 
 def send_torn_frame(sock: socket.socket, data: bytes, fraction: float = 0.6) -> int:
-    """Write only a *prefix* of the encoded frame ``data`` — a deliberately
-    torn frame.
-
-    Used by the fault-injection layer to reproduce what a process dying
-    mid-``sendall`` looks like from the other end: the header promises a
-    frame the stream can never complete, so the receiver's read fails with
-    a mid-frame :class:`WireError` (never a silent truncation, as the
-    framing tests assert).  At least the header plus one payload byte is
-    written so the receiver is genuinely *inside* the frame, and never the
-    whole frame; a frame too small to satisfy both (payload under two bytes)
-    raises :class:`WireError` instead of silently sending a clean prefix.
-    Returns the number of bytes written.
+    """Write only a *prefix* of the encoded frame ``data`` — what a process
+    dying mid-``sendall`` looks like to the receiver, whose read then fails
+    with a mid-frame :class:`WireError`.  The prefix holds the header and at
+    least one payload byte, and never the whole frame; a frame too small for
+    both is a :class:`WireError`.  Returns the number of bytes written.
     """
     if len(data) < _HEADER.size + 2:
         raise WireError(
@@ -822,13 +711,9 @@ def send_torn_frame(sock: socket.socket, data: bytes, fraction: float = 0.6) -> 
     return cut
 
 
-def recv_frame(
-    sock: socket.socket,
-    *,
-    allow_idle_timeout: bool = False,
-    stats: LinkStats | None = None,
-) -> object:
-    """Read one length-prefixed frame and decode it.
+def recv_frame(sock: socket.socket, *, allow_idle_timeout: bool = False,
+               stats: LinkStats | None = None) -> object:
+    """Read one codec frame into an aligned buffer of its own and decode it.
 
     With ``allow_idle_timeout`` a socket timeout that fires *before any byte
     of the frame arrived* is re-raised as :class:`TimeoutError` (the stream
@@ -836,21 +721,20 @@ def recv_frame(
     With ``stats``, the frame's full wire size (header + payload) is counted
     once the frame was read completely.
     """
-    header = _recv_exact(sock, _HEADER.size, allow_idle_timeout=allow_idle_timeout)
+    return _decode_codec(_recv_payload(sock, allow_idle_timeout, stats))
+
+
+def _recv_payload(sock: socket.socket, allow_idle_timeout: bool, stats: LinkStats | None) -> memoryview:
+    header = bytearray(_HEADER.size)
+    _recv_into(sock, memoryview(header), allow_idle_timeout=allow_idle_timeout)
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"incoming frame claims {length} bytes; stream is corrupt")
-    payload = _recv_exact(sock, length)
+    view = _aligned_buffer(length)
+    _recv_into(sock, view)
     if stats is not None:
         stats.add_received(_HEADER.size + length)
-    return decode_payload(payload)
-
-
-def _recv_exact(sock: socket.socket, n: int, *, allow_idle_timeout: bool = False) -> bytearray:
-    """Read exactly ``n`` bytes into a fresh buffer the caller then owns."""
-    buf = bytearray(n)
-    _recv_into(sock, memoryview(buf), allow_idle_timeout=allow_idle_timeout)
-    return buf
+    return view
 
 
 def _recv_into(sock: socket.socket, view: memoryview, *, allow_idle_timeout: bool = False) -> None:
@@ -873,12 +757,9 @@ def _recv_into(sock: socket.socket, view: memoryview, *, allow_idle_timeout: boo
 
 
 def close_quietly(sock, *, shutdown: bool = False) -> None:
-    """Close a socket (or listener) that is being discarded; ``None`` is a no-op.
-
-    The one teardown idiom of the runtime: the link is going away, so an
-    ``OSError`` from a socket that is already dead has nobody left to act on
-    it.  ``shutdown`` first interrupts a thread blocked in ``recv`` on the
-    socket, which a plain ``close()`` would not.
+    """Close a socket (or listener) that is being discarded, ignoring the
+    ``OSError`` of one already dead; ``None`` is a no-op.  ``shutdown`` first
+    interrupts a thread blocked in ``recv`` on it, which ``close()`` would not.
     """
     if sock is None:
         return
@@ -912,9 +793,6 @@ def close_quietly(sock, *, shutdown: bool = False) -> None:
 # count of a round is the receiver's own replica's business, so neither is
 # on the wire; the round tag is, and the transport checks it.
 
-#: First byte of every mesh frame payload; ``0xC7`` (a codec frame) is not one.
-MESH_MAGIC = 0x4D
-
 KIND_MSG = "msg"
 KIND_TABLE = "table"
 KIND_ABORT = "abort"
@@ -925,82 +803,17 @@ _FORM_NONE = 0
 _FORM_ARRAY = 1
 _FORM_TUPLE = 2
 
-#: The dtype allowlist, indexed by its one-byte code: share slices, packed
-#: flag bits, and int / float table columns — exactly what the engine sends.
-MESH_DTYPES = (np.dtype("<u8"), np.dtype("|u1"), np.dtype("<i8"), np.dtype("<f8"))
-_DTYPE_CODES = {dtype: code for code, dtype in enumerate(MESH_DTYPES)}
-
 _CTYPES = (ColumnType.INT, ColumnType.FLOAT)
 _CTYPE_CODES = {ctype: code for code, ctype in enumerate(_CTYPES)}
-#: The dtype of a table column of each type (``Table`` stores no other).
-_COLUMN_DTYPES = {ColumnType.INT: np.dtype("<i8"), ColumnType.FLOAT: np.dtype("<f8")}
-
-_ALIGN = 8
-_PAD = bytes(_ALIGN)
-
-
-class _MeshWriter:
-    """One mesh frame as segments: layout bytes interleaved with borrowed
-    views of large array buffers; ``segments[0]`` starts with room for the
-    length header."""
-
-    __slots__ = ("segments", "out", "base")
-
-    def __init__(self, kind: str, seq: int, query_id: int) -> None:
-        self.out = bytearray(_HEADER.size)
-        self.out.append(MESH_MAGIC)
-        self.out.append(_KIND_CODES[kind])
-        self.segments = [self.out]
-        #: Payload offset of ``out[0]`` (the header is not payload).
-        self.base = -_HEADER.size
-        _write_varint(self.out, seq)
-        _write_varint(self.out, query_id)
-
-    def text(self, value: str) -> None:
-        if type(value) is not str:
-            raise UnsupportedPayload(f"mesh frame field {value!r} is not a string")
-        data = value.encode("utf-8")
-        _write_varint(self.out, len(data))
-        self.out += data
-
-    def array(self, arr: np.ndarray) -> None:
-        code = _DTYPE_CODES.get(arr.dtype) if isinstance(arr, np.ndarray) else None
-        if code is None or arr.ndim != 1:
-            raise UnsupportedPayload(
-                f"mesh payload {type(arr).__name__} {getattr(arr, 'dtype', '')} is not a "
-                f"one-dimensional array of {[d.str for d in MESH_DTYPES]}"
-            )
-        self.out.append(code)
-        _write_varint(self.out, arr.size)
-        self.buffer(arr)
-
-    def buffer(self, arr: np.ndarray) -> None:
-        """Pad to the next aligned payload offset, then the raw C-order buffer."""
-        out = self.out
-        out += _PAD[:-(self.base + len(out)) % _ALIGN]
-        if arr.nbytes < BORROW_FLOOR:
-            out += arr.tobytes()
-            return
-        # No copy of a contiguous array: the view keeps it alive.
-        view = memoryview(np.ascontiguousarray(arr).view(np.uint8))
-        self.base += len(out) + len(view)
-        self.out = bytearray()
-        self.segments += (view, self.out)
-
-    def finish(self) -> tuple[list, int]:
-        """The segments with the header filled in, and the frame's size."""
-        length = self.base + len(self.out)
-        if length > MAX_FRAME_BYTES:
-            raise WireError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
-        segments = self.segments if self.out else self.segments[:-1]
-        _HEADER.pack_into(segments[0], 0, length)
-        return segments, _HEADER.size + length
 
 
 def _mesh_segments(seq: int, kind: str, query_id: int, payload) -> tuple[list, int]:
     if kind not in _KIND_CODES:
         raise UnsupportedPayload(f"unknown mesh frame kind {kind!r}")
-    writer = _MeshWriter(kind, seq, query_id)
+    writer = _Writer(MESH_MAGIC)
+    writer.out.append(_KIND_CODES[kind])
+    _write_varint(writer.out, seq)
+    _write_varint(writer.out, query_id)
     if kind == KIND_MSG:
         tag, body = payload
         writer.text(tag)
@@ -1061,80 +874,12 @@ def send_mesh_frame(
 ) -> None:
     """Write one mesh frame (see :func:`encode_mesh_frame`), gathering
     borrowed array buffers as :func:`send_frame` does."""
-    segments, size = _mesh_segments(seq, kind, query_id, payload)
-    try:
-        _send_segments(sock, segments)
-    except OSError as exc:
-        raise WireError(f"failed to send {size}-byte frame: {exc}") from exc
-    if stats is not None:
-        stats.add_sent(size)
+    _send(sock, *_mesh_segments(seq, kind, query_id, payload), stats)
 
 
-class _MeshReader:
-    """Reads one mesh payload out of ``view``, a byte view of an aligned,
-    writable buffer the decoded arrays then view in turn."""
-
-    __slots__ = ("view", "pos")
-
-    def __init__(self, view: memoryview) -> None:
-        self.view = view
-        self.pos = 0
-
-    def fail(self, why: str) -> WireError:
-        return WireError(f"corrupt mesh frame at byte {self.pos}: {why}")
-
-    def byte(self) -> int:
-        try:
-            value = self.view[self.pos]
-        except IndexError:
-            raise self.fail("truncated frame") from None
-        self.pos += 1
-        return value
-
-    def varint(self) -> int:
-        value = self.byte()
-        if value < 0x80:
-            return value
-        value &= 0x7F
-        shift = 7
-        while True:
-            byte = self.byte()
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise self.fail("varint overflow")
-
-    def text(self) -> str:
-        length = self.varint()
-        end = self.pos + length
-        if end > len(self.view):
-            raise self.fail(f"{length}-byte string overruns the frame")
-        try:
-            value = sys.intern(str(self.view[self.pos:end], "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise self.fail(f"invalid utf-8: {exc}") from None
-        self.pos = end
-        return value
-
-    def array(self) -> np.ndarray:
-        code = self.byte()
-        if code >= len(MESH_DTYPES):
-            raise self.fail(f"unknown dtype code {code}")
-        return self.buffer(MESH_DTYPES[code], self.varint())
-
-    def buffer(self, dtype: np.dtype, count: int) -> np.ndarray:
-        """An aligned, writable view of ``count`` elements of the frame buffer."""
-        pos = self.pos
-        start = pos + (-pos % _ALIGN)
-        end = start + count * dtype.itemsize
-        if end > len(self.view):
-            raise self.fail(f"{count}-element array overruns the frame")
-        if start != pos and any(self.view[pos:start]):
-            raise self.fail("nonzero alignment padding")
-        self.pos = end
-        return np.ndarray((count,), dtype, self.view, start)
+class _MeshReader(_Reader):
+    __slots__ = ()
+    layout, magic = "mesh", MESH_MAGIC
 
     def column(self) -> ColumnDef:
         name = self.text()
@@ -1169,9 +914,6 @@ class _MeshReader:
 def _decode_mesh(view: memoryview) -> tuple[int, str, int, object]:
     """Decode the mesh payload in ``view`` (see :func:`_aligned_buffer`)."""
     reader = _MeshReader(view)
-    if not len(view) or view[0] != MESH_MAGIC:
-        raise WireError("payload is not a mesh frame (missing magic byte)")
-    reader.pos = 1
     code = reader.byte()
     kind = _KINDS.get(code)
     if kind is None:
@@ -1197,43 +939,21 @@ def _decode_mesh(view: memoryview) -> tuple[int, str, int, object]:
         payload = reader.table()
     else:
         payload = reader.text()
-    if reader.pos != len(view):
-        raise WireError(f"corrupt mesh frame: {len(view) - reader.pos} trailing bytes")
+    reader.done()
     return seq, kind, query_id, payload
-
-
-def _aligned_buffer(n: int) -> memoryview:
-    """``n`` writable bytes starting on an 8-byte boundary, as a byte view."""
-    return memoryview(np.empty(-(-n // _ALIGN), dtype=np.uint64)).cast("B")[:n]
 
 
 def decode_mesh_payload(data) -> tuple[int, str, int, object]:
     """Decode one mesh payload (the bytes after the length header) into
-    ``(seq, kind, query_id, payload)``; the bytes are copied into a buffer
-    of the frame's own, which the decoded arrays view."""
-    view = _aligned_buffer(len(data))
-    view[:] = data
-    return _decode_mesh(view)
+    ``(seq, kind, query_id, payload)``, as :func:`decode_payload` does."""
+    return _decode_mesh(_copied(data))
 
 
-def recv_mesh_frame(
-    sock: socket.socket,
-    *,
-    allow_idle_timeout: bool = False,
-    stats: LinkStats | None = None,
-) -> tuple[int, str, int, object]:
-    """Read one mesh frame into an aligned buffer of its own and decode it
-    in place: every decoded array is a writable view of that buffer, not a
-    copy.  Timeouts and counting as for :func:`recv_frame`."""
-    header = _recv_exact(sock, _HEADER.size, allow_idle_timeout=allow_idle_timeout)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"incoming frame claims {length} bytes; stream is corrupt")
-    view = _aligned_buffer(length)
-    _recv_into(sock, view)
-    if stats is not None:
-        stats.add_received(_HEADER.size + length)
-    return _decode_mesh(view)
+def recv_mesh_frame(sock: socket.socket, *, allow_idle_timeout: bool = False,
+                    stats: LinkStats | None = None) -> tuple[int, str, int, object]:
+    """Read one mesh frame as :func:`recv_frame` reads a codec frame:
+    every decoded array is a writable view of the frame's own buffer."""
+    return _decode_mesh(_recv_payload(sock, allow_idle_timeout, stats))
 
 
 # --------------------------------------------------------------------------
@@ -1244,39 +964,20 @@ def recv_mesh_frame(
 class SecureSocket:
     """A full-duplex-safe TLS channel over one blocking TCP socket.
 
-    ``ssl.SSLSocket`` shares a single OpenSSL ``SSL`` object between its
-    ``recv`` and ``send`` paths, and OpenSSL forbids driving one connection
-    from two threads concurrently.  The mesh does exactly that — one reader
-    thread plus (lock-serialised) writer threads per peer socket — and under
-    load the shared ``SSLSocket`` state corrupts, killing the link with
-    spurious mid-frame EOFs.
-
-    This wrapper keeps the runtime's one-socket-per-peer duplex model by
-    separating TLS state from network I/O: an :class:`ssl.SSLObject` over
-    memory BIOs holds the TLS machine, and **every** access to it happens
-    under one short-held lock that is *never* held across blocking I/O.
-
-    * Readers feed ciphertext from blocking ``recv`` (no lock) into the
-      incoming BIO and pull plaintext out (locked, non-blocking).
-    * Writers encrypt into the outgoing BIO (locked, non-blocking) and then
-      write ciphertext under a separate write lock, so TCP backpressure on
-      sends can never stall the reader draining the peer — the deadlock the
-      single-lock design would reintroduce.
-
-    The exposed surface is the subset of the socket API the runtime uses:
-    ``sendall`` / ``sendmsg`` / ``recv_into`` / ``settimeout`` / ``shutdown``
-    / ``close`` plus ``getpeercert`` for :func:`peer_common_name`.
+    OpenSSL forbids driving one ``SSL`` object from two threads at once, and
+    the mesh runs a reader thread and writer threads per peer socket: a
+    shared ``ssl.SSLSocket`` corrupts under load.  Here an
+    :class:`ssl.SSLObject` over memory BIOs holds the TLS machine, and every
+    access to it happens under one short lock never held across blocking
+    I/O.  Readers feed ciphertext from a blocking ``recv`` into the incoming
+    BIO; writers encrypt into the outgoing BIO and write ciphertext under a
+    separate write lock, so TCP backpressure on sends never stalls the
+    reader.  The surface is the subset of the socket API the runtime uses.
     """
 
     _RECV_CHUNK = 1 << 16
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        context: ssl.SSLContext,
-        *,
-        server_side: bool,
-    ):
+    def __init__(self, sock: socket.socket, context: ssl.SSLContext, *, server_side: bool):
         # ``ssl`` is imported where TLS runs, not at module level: a plaintext
         # deployment never loads libssl (~3 MB in every process).
         import ssl

@@ -349,6 +349,32 @@ def test_the_plan_that_ships_is_the_dag_that_runs():
     assert [job.index for job in untouched.jobs] == [sp.index for sp in untouched.subplans]
 
 
+def test_the_wire_codec_is_a_closed_schema():
+    """Decoding resolves no name and imports nothing: ``wire.py`` has no
+    import machinery, no reference table, and builds objects without their
+    constructors only where the record registry rebuilds a plan's nodes."""
+    source = (SRC / "runtime" / "wire.py").read_text()
+    for banned in (r"importlib", r"sys\.modules", r"__import__", r"\bmemo\b", r"_T_REF"):
+        assert not re.search(banned, source), banned
+    assert {module for module, _name in imports_of(SRC / "runtime" / "wire.py")} <= {
+        "__future__", "dataclasses", "functools", "socket", "struct", "sys", "threading", "typing",
+        "numpy", "ssl", "repro.core", "repro.core.compiler", "repro.core.config",
+        "repro.core.dag", "repro.core.relation", "repro.data.schema", "repro.data.table",
+        "repro.hybrid.stp", "repro.runtime.executor", "repro.runtime.faults",
+        "repro.runtime.mesh", "repro.runtime.pool", "repro.runtime.transport",
+    }
+    tree = ast.parse(source)
+    constructs_bare = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "__new__" for n in ast.walk(func))
+    }
+    assert constructs_bare == {"_dag"}
+    (registry,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Registry"]
+    assert "_dag" in {n.name for n in registry.body if isinstance(n, ast.FunctionDef)}
+
+
 # -- one arithmetic operator, one typing rule ------------------------------------------------
 
 ORACLE_ENGINE = SRC.parent.parent / "tests" / "oracle_engine.py"

@@ -1,18 +1,18 @@
-"""Property tests for the self-describing wire codec and wire-layer bugfixes.
+"""Tests for the closed wire codec and wire-layer bugfixes.
 
-Mirrors :mod:`tests.test_wire_props` (seeded generation, no external
-property-testing dependency) but targets the codec layer itself: every
-frame kind the runtime ships round-trips byte-exactly (including >64 KiB
-NumPy payloads, repro dataclasses, enums, exception envelopes, shared
-references and cycles), truncated or corrupted codec payloads are rejected
-with :class:`WireError` rather than silently misdecoded, and a payload that
-is not a codec payload — a pickle, say — is a :class:`WireError` too.
+The codec speaks one value grammar (scalars, containers, sorted sets,
+one-dimensional arrays of the mesh dtypes) plus a fixed registry of records
+and errors.  Every value of the grammar and every registered record and
+error round-trips, every compiled plan of the differential corpus comes back
+as a DAG that renders identically, and equal plans encode to equal bytes
+whatever the interpreter's hash seed.  Forged frames — a table whose row
+count disagrees with its columns, a column of the wrong dtype, a column
+definition without a name, an unknown tag, record or dtype code, truncated
+payloads, trailing bytes, a pickle — are :class:`WireError`\\ s; an unknown
+error code is a ``RuntimeError`` and imports nothing.
 
-Also holds the regression tests for the three wire-layer bugfixes:
+Also holds the regression tests for two wire-layer bugfixes:
 
-* decoding an exception envelope must never *import* a module while
-  resolving the exception class — hostile frames naming an importable
-  module used to trigger its import side effects on every party;
 * ``send_torn_frame`` must always leave the receiver genuinely mid-frame
   (header plus at least one payload byte, never the whole frame) and
   refuse frames too small to tear — tiny frames used to send the header
@@ -22,31 +22,42 @@ Also holds the regression tests for the three wire-layer bugfixes:
   advertised address is a ``(host, port)`` pair or a :class:`WireError`.
 """
 
+import os
+import pathlib
 import pickle
 import socket
+import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
 
+import repro as cc
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
+from repro.hybrid.stp import LeakageEvent, LeakageReport
+from repro.queries import credit_card_regulation_query
+from repro.runtime import wire
+from repro.runtime.faults import FaultPlan, KillFault, LinkFault
 from repro.runtime.mesh import _endpoint
-from repro.runtime.transport import TransportError
 from repro.runtime.wire import (
     CODEC_MAGIC,
-    FrameDecoder,
+    MESH_DTYPES,
     UnsupportedPayload,
     WireError,
     decode_payload,
     encode_frame,
     encode_payload,
     recv_frame,
+    send_frame,
     send_torn_frame,
 )
 
+from test_differential import NUM_PLANS, build_query, generate_spec
+from test_differential import SEED as CORPUS_SEED
+
 SEED = 20260808
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def roundtrip(obj):
@@ -78,12 +89,12 @@ def deep_equal(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-# -- round-trips of every frame kind ---------------------------------------------------------
+# -- round-trips of the value grammar ---------------------------------------------------------
 
 
 PRIMITIVES = [
     None, True, False, 0, 1, -1, 2**80, -(2**80), 0.0, -1.5, float("inf"),
-    complex(1.5, -2.5), "", "héllo wörld", "x" * 5000, b"", b"\x00\xff" * 300,
+    "", "héllo wörld", "x" * 5000, b"", b"\x00\xff" * 300,
     [], (), {}, set(), frozenset(), [1, [2, [3]]], (1, (2, (3,))),
     {"k": 1, 2: "v", None: (1, 2)}, {1, 2, 3}, frozenset({"a", "b"}),
 ]
@@ -99,23 +110,25 @@ def test_nan_round_trips():
     assert isinstance(got, float) and got != got
 
 
-def test_bytearray_round_trips():
-    got = roundtrip(bytearray(b"abc"))
-    assert isinstance(got, bytearray) and got == b"abc"
+def test_sets_are_written_sorted():
+    """Equal sets encode to equal bytes whatever their iteration order."""
+    names = [f"party-{i}" for i in range(40)]
+    assert encode_payload(set(names)) == encode_payload(set(reversed(names)))
+    with pytest.raises(UnsupportedPayload, match="canonical order"):
+        encode_payload({1, "a"})
 
 
 @pytest.mark.parametrize("case", range(10))
-def test_random_ndarrays_round_trip(case):
+def test_random_arrays_round_trip(case):
     rng = np.random.default_rng(SEED + case)
-    dtype = rng.choice(["int64", "uint64", "int32", "float64", "complex128", "bool"])
-    shape = tuple(int(rng.integers(0, 7)) for _ in range(int(rng.integers(0, 4))))
-    arr = (rng.integers(-100, 100, size=shape) if dtype != "bool"
-           else rng.integers(0, 2, size=shape)).astype(dtype)
+    dtype = MESH_DTYPES[int(rng.integers(0, len(MESH_DTYPES)))]
+    arr = rng.integers(0, 100, size=int(rng.integers(0, 50))).astype(dtype)
     got = roundtrip(arr)
     assert deep_equal(got, arr)
+    assert got.flags.writeable and got.flags.aligned
 
 
-def test_large_ndarray_round_trips():
+def test_large_array_round_trips():
     """Arrays well past one 64 KiB socket buffer are ordinary payloads."""
     rng = np.random.default_rng(SEED)
     arr = rng.integers(0, 2**63, size=(1 << 14,), dtype=np.uint64)  # 128 KiB
@@ -123,91 +136,219 @@ def test_large_ndarray_round_trips():
     assert deep_equal(roundtrip(arr), arr)
 
 
-def test_non_contiguous_and_zero_dim_arrays():
-    base = np.arange(24, dtype=np.int64).reshape(4, 6)
-    views = [base[:, ::2], base.T, np.array(7, dtype=np.int64)]
-    for view in views:
+def test_non_contiguous_arrays_round_trip():
+    base = np.arange(24, dtype=np.int64)
+    for view in (base[::2], base[::-1], base[3:17:5]):
         got = roundtrip(view)
         assert got.shape == view.shape and np.array_equal(got, view)
 
 
-def test_numpy_scalars_round_trip():
-    for scalar in (np.int64(-9), np.uint64(2**63), np.float64(1.25),
-                   np.bool_(True), np.datetime64("2026-08-08")):
-        got = roundtrip(scalar)
-        assert got == scalar and got.dtype == scalar.dtype
+@pytest.mark.parametrize(
+    "arr",
+    [np.arange(4).reshape(2, 2), np.array(7), np.zeros(3, dtype=np.int32),
+     np.array(["a"]), np.array([object()], dtype=object)],
+    ids=["2-d", "0-d", "int32", "unicode", "object"],
+)
+def test_arrays_outside_the_allowlist_are_refused(arr):
+    with pytest.raises(UnsupportedPayload, match="one-dimensional array"):
+        encode_payload(arr)
 
 
-def test_repro_dataclasses_and_enums_round_trip():
+def test_table_and_column_type_round_trip():
     table = Table(Schema([ColumnDef("k"), ColumnDef("v", ColumnType.FLOAT)]),
                   [np.arange(5), np.arange(5) * 0.5])
     got = roundtrip({"outputs": {"out": table}, "type": ColumnType.FLOAT})
     out = got["outputs"]["out"]
-    assert type(out) is Table
-    assert out.schema.names == table.schema.names
-    assert sorted(out.rows()) == sorted(table.rows())
+    assert type(out) is Table and out == table
     assert got["type"] is ColumnType.FLOAT
 
 
-def test_exception_envelopes_round_trip():
-    exc = TransportError("mesh link died")
-    exc.party = "P1"
-    got = roundtrip(("error", 7, exc, "traceback..."))
-    assert type(got[2]) is TransportError
-    assert got[2].args == ("mesh link died",)
-    assert got[2].party == "P1"
-    builtin = roundtrip(TimeoutError("t", 42))
-    assert type(builtin) is TimeoutError and builtin.args == ("t", 42)
+# -- the record registry ----------------------------------------------------------------------
 
 
-def test_unresolvable_exception_decodes_to_runtimeerror():
-    """An exception class the receiver cannot resolve (without importing
-    anything) degrades to a descriptive RuntimeError, never an import."""
-    data = bytearray(encode_payload(ValueError("x")))
-    # Rewrite the module string "builtins" to an equal-length name that is
-    # certainly not loaded.
-    idx = bytes(data).find(b"builtins")
-    data[idx:idx + 8] = b"evil_mod"
-    got = decode_payload(bytes(data))
-    assert isinstance(got, RuntimeError)
-    assert "evil_mod" in str(got)
-    assert "evil_mod" not in sys.modules
+def _compiled_credit_plan():
+    spec = credit_card_regulation_query(rows_demographics=50, rows_per_agency=50)
+    return cc.compile_query(spec.context)
 
 
-def test_shared_references_are_preserved():
-    shared = [1, 2, 3]
-    arr = np.arange(4)
-    obj = {"a": shared, "b": shared, "t": (shared, arr), "u": [arr]}
-    got = roundtrip(obj)
-    assert got["a"] is got["b"] is got["t"][0]
-    assert got["t"][1] is got["u"][0]
-
-
-def test_cycles_round_trip():
-    cyc = {"name": "root"}
-    cyc["self"] = cyc
-    lst = [cyc]
-    cyc["list"] = lst
-    got = roundtrip(cyc)
-    assert got["self"] is got
-    assert got["list"][0] is got
-
-
-def test_mesh_frame_shapes_round_trip():
-    frames = [
-        (3, "msg", 1, ("P1", "P2", ("open-share", np.arange(9, dtype=np.uint64)), 72)),
-        (4, "table", 2, ("rel", Table(Schema([ColumnDef("x")]), [np.arange(3)]))),
-        (5, "abort", 1, "executor failed"),
-        ("hello", "P1", "a" * 32),
-        ("rejoin-hello", "P2", 3, "a" * 32),
+def record_samples() -> list:
+    """One instance of every record type of the registry."""
+    compiled = _compiled_credit_plan()
+    relation = compiled.dag.topological()[-1].out_rel
+    column = ColumnDef("v", ColumnType.FLOAT, frozenset({"a.example", "*"}))
+    event = LeakageEvent("cardinality", "rel", ("k",), ("a.example",), "rows=3")
+    kill = KillFault("a.example", at_query=2, after_mesh_frames=1)
+    link = LinkFault("b.example", "delay", nth_frame=0, delay_seconds=0.25)
+    return [
+        compiled, compiled.report, compiled.config, compiled.dag, relation,
+        Schema([ColumnDef("k"), column]), column, ColumnType.INT,
+        Table(Schema([ColumnDef("k"), column]), [np.arange(3), np.linspace(0, 1, 3)]),
+        event, LeakageReport([event]), FaultPlan(kills=(kill,), links=(link,)), kill, link,
     ]
-    decoder = FrameDecoder()
-    blob = b"".join(encode_frame(f) for f in frames)
-    got = decoder.feed(blob)
-    decoder.eof()
-    assert len(got) == len(frames)
-    for sent, received in zip(frames, got):
-        assert type(received) is tuple and len(received) == len(sent)
+
+
+def test_every_record_type_round_trips():
+    samples = record_samples()
+    assert [type(s) for s in samples] == [r.cls for r in wire._registry().records]
+    for sample in samples:
+        got = roundtrip(sample)
+        assert type(got) is type(sample)
+        # Records are written field by field in a fixed order, so a faithful
+        # decode re-encodes to the same bytes.
+        assert encode_payload(got) == encode_payload(sample), type(sample).__name__
+    assert roundtrip(samples[8]) == samples[8]  # Table compares by value
+    assert roundtrip(samples[9]) == samples[9]  # and so do the dataclasses
+
+
+def test_the_operator_field_table_covers_every_node_attribute():
+    """No attribute of any corpus node is left off the wire."""
+    for plan in range(NUM_PLANS):
+        ctx, _inputs = build_query(generate_spec(CORPUS_SEED + plan))
+        for node in cc.compile_query(ctx).dag.topological():
+            fields = wire._NODE_FIELDS + wire._OPERATOR_FIELDS[type(node).__name__]
+            assert set(vars(node)) == {"parents", "children", *fields}
+
+
+def test_corpus_plans_round_trip_to_identical_dags():
+    for plan in range(NUM_PLANS):
+        ctx, _inputs = build_query(generate_spec(CORPUS_SEED + plan))
+        compiled = cc.compile_query(ctx)
+        got = roundtrip(compiled)
+        assert got.dag.render() == compiled.dag.render(), f"plan {plan}"
+        assert got.config == compiled.config and got.report == compiled.report
+        assert encode_payload(got) == encode_payload(compiled), f"plan {plan}"
+
+
+def test_the_plan_fingerprint_does_not_depend_on_the_hash_seed():
+    """Sets are written sorted, so one plan has one fingerprint in every
+    process (the parties' sets used to be written in hash order)."""
+    script = (
+        "import repro as cc\n"
+        "from repro.queries import credit_card_regulation_query\n"
+        "from repro.runtime.service import plan_fingerprint\n"
+        "spec = credit_card_regulation_query(rows_demographics=50, rows_per_agency=50)\n"
+        "print(plan_fingerprint(cc.compile_query(spec.context)))\n"
+    )
+    fingerprints = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        fingerprints.add(out.stdout.strip())
+    assert len(fingerprints) == 1, fingerprints
+
+
+# -- the error registry -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", wire._registry().errors, ids=lambda cls: cls.__name__)
+def test_every_registered_error_round_trips(cls):
+    exc = cls("mesh link died", 42)
+    got = roundtrip(("error", 7, exc, "traceback..."))[2]
+    assert type(got) is cls and got.args == exc.args
+
+
+def test_an_unregistered_error_crosses_as_its_nearest_registered_base():
+    class Boom(KeyError):
+        pass
+
+    got = roundtrip(Boom("x"))
+    assert type(got) is KeyError and got.args == ("Boom: 'x'",)
+    # Args outside the scalars cross as their text.
+    got = roundtrip(ValueError("bad", ("a", 1), [2]))
+    assert got.args == ("bad", "('a', 1)", "[2]")
+
+
+def test_an_unknown_error_code_decodes_to_runtimeerror_and_imports_nothing():
+    args = encode_payload(("boom",))[1:]
+    payload = bytes([CODEC_MAGIC, wire._T_ERROR, 250]) + args
+    before = set(sys.modules)
+    got = decode_payload(payload)
+    assert type(got) is RuntimeError and "250" in str(got) and "boom" in str(got)
+    assert set(sys.modules) == before
+
+
+# -- forged records are refused ---------------------------------------------------------------
+
+
+def _int_table(rows: int = 3) -> Table:
+    return Table(Schema([ColumnDef("x")]), [np.arange(rows)])
+
+
+def test_a_table_whose_row_count_disagrees_with_its_columns_is_refused():
+    forged = _int_table()
+    forged._nrows = 5
+    with pytest.raises(WireError, match="claims 5 rows"):
+        decode_payload(encode_payload(forged))
+
+
+def test_a_table_with_a_unicode_column_is_refused():
+    forged = _int_table()
+    forged._columns = (np.array(list("abc")),)
+    with pytest.raises(WireError):
+        decode_payload(encode_frame(forged)[4:])
+    # A forged dtype code outside the allowlist is refused on decode, and so
+    # is an allowlisted dtype the column's type does not store.
+    genuine = encode_payload(_int_table())
+    column = bytes([wire._T_ARRAY, 2, 3])
+    assert genuine.count(column) == 1
+    for code, why in ((9, "unknown dtype code"), (3, "is not int data")):
+        with pytest.raises(WireError, match=why):
+            decode_payload(genuine.replace(column, bytes([wire._T_ARRAY, code, 3])))
+
+
+def test_a_column_definition_without_a_name_is_refused():
+    forged = ColumnDef("x")
+    object.__setattr__(forged, "name", "")
+    with pytest.raises(WireError, match="non-empty"):
+        decode_payload(encode_payload(forged))
+
+
+def test_an_unknown_record_code_is_refused():
+    with pytest.raises(WireError, match="unknown record code"):
+        decode_payload(bytes([CODEC_MAGIC, wire._T_RECORD, 0xFF]))
+
+
+def test_a_forged_plan_is_refused():
+    """A DAG whose links do not form the plan they claim is refused by the
+    DAG's own validation."""
+    compiled = _compiled_credit_plan()
+    forged = wire._registry()._dag_fields(compiled.dag)
+    roots, fresh, nodes = forged
+    cyclic = list(nodes)
+    cyclic[0] = (nodes[0][0], (len(nodes) - 1,), *nodes[0][2:])
+    for fields in ((roots, fresh, tuple(cyclic)), ((len(nodes),), fresh, nodes), ((), fresh, nodes)):
+        record = bytearray([CODEC_MAGIC, wire._T_RECORD, wire._registry().record_codes[type(compiled.dag)]])
+        for value in fields:
+            record += encode_payload(value)[1:]
+        with pytest.raises(WireError, match="invalid Dag record"):
+            decode_payload(bytes(record))
+
+
+# -- control frames ---------------------------------------------------------------------------
+
+
+def test_control_frames_round_trip_over_a_socket():
+    frames = [
+        ("hello", "alpha.example"),
+        ("ports", ("127.0.0.1", 4000)),
+        ("peers", {"alpha.example": ("127.0.0.1", 4000)}),
+        ("ready", None),
+        ("hello", "alpha.example", "a" * 32),
+        ("rejoin-hello", "beta.example", 3, "a" * 32),
+        ("rejoined", {"party": "beta.example", "epoch": 3, "ok": True}),
+    ]
+    left, right = socket.socketpair()
+    try:
+        right.settimeout(5)
+        for frame in frames:
+            send_frame(left, frame)
+        assert [recv_frame(right) for _ in frames] == frames
+    finally:
+        left.close()
+        right.close()
 
 
 # -- corruption and truncation rejection -----------------------------------------------------
@@ -232,33 +373,14 @@ def test_unknown_tag_is_rejected():
         decode_payload(bytes([CODEC_MAGIC, 0x7E]))
 
 
-def test_dangling_memo_reference_is_rejected():
-    with pytest.raises(WireError, match="memo"):
-        decode_payload(bytes([CODEC_MAGIC, 0x13, 0x05]))
-
-
-def test_object_dtype_is_rejected_both_ways():
-    with pytest.raises(UnsupportedPayload):
-        encode_payload(np.array([object()], dtype=object))
-    # A forged frame claiming an object dtype must be refused at decode.
-    forged = bytearray(encode_payload(np.arange(2)))
-    idx = bytes(forged).find(b"<i8")
-    forged[idx:idx + 3] = b"|O8"
-    with pytest.raises(WireError):
-        decode_payload(bytes(forged))
-
-
-def test_non_repro_class_is_rejected_both_ways():
+def test_objects_outside_the_registry_are_refused():
     class Outside:
         pass
 
     with pytest.raises(WireError, match="not expressible in the wire codec"):
         encode_frame(Outside())
-    # A forged OBJ frame naming a non-repro class must be refused at decode.
-    table = Table(Schema([ColumnDef("x")]), [np.arange(2)])
-    forged = bytes(encode_payload(table)).replace(b"repro.data.table", b"subprocess.abcde")
-    with pytest.raises(WireError, match="non-repro"):
-        decode_payload(forged)
+    with pytest.raises(WireError, match="not expressible in the wire codec"):
+        encode_frame(np.float64(1.5))
 
 
 def test_a_pickle_payload_is_not_a_codec_payload():
@@ -267,44 +389,6 @@ def test_a_pickle_payload_is_not_a_codec_payload():
     for payload in (data, b"", b"\x00", bytes([CODEC_MAGIC ^ 0xFF]) + data):
         with pytest.raises(WireError, match="not a codec frame"):
             decode_payload(payload)
-
-
-# -- bugfix regression: exception envelopes must not import modules --------------------------
-
-
-class TestExceptionEnvelopesNeverImport:
-    def _envelope(self, module: str, name: str) -> bytes:
-        """A codec exception envelope naming ``module.name``, as a hostile
-        frame would carry it (equal-length rewrite of a genuine envelope)."""
-        genuine = encode_payload(ValueError("x"))
-        forged = genuine.replace(b"\x08builtins", bytes([len(module)]) + module.encode())
-        return forged.replace(b"\x0aValueError", bytes([len(name)]) + name.encode())
-
-    def test_unloaded_module_is_never_imported(self, tmp_path, monkeypatch):
-        """Resolving an exception class must consult sys.modules only —
-        naming an importable-but-unloaded module must not import it (the
-        pre-fix decoder ran the module's top-level code here)."""
-        marker = tmp_path / "imported.marker"
-        mod_name = "wire_codec_hostile_mod"
-        (tmp_path / f"{mod_name}.py").write_text(
-            "from pathlib import Path\n"
-            f"Path({str(marker)!r}).write_text('imported')\n"
-            "class Boom(Exception):\n    pass\n"
-        )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        sys.modules.pop(mod_name, None)
-        got = decode_payload(self._envelope(mod_name, "Boom"))
-        assert isinstance(got, RuntimeError) and mod_name in str(got)
-        assert mod_name not in sys.modules
-        assert not marker.exists(), "hostile frame triggered a module import"
-
-    def test_loaded_module_exception_still_resolves(self):
-        got = decode_payload(self._envelope("builtins", "TimeoutError"))
-        assert type(got) is TimeoutError and got.args == ("x",)
-
-    def test_loaded_module_non_exception_is_never_instantiated(self):
-        got = decode_payload(self._envelope("threading", "Thread"))
-        assert isinstance(got, RuntimeError) and "threading.Thread" in str(got)
 
 
 # -- bugfix regression: send_torn_frame must tear inside the payload -------------------------
