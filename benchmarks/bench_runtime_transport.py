@@ -4,8 +4,8 @@
 Runs the Figure-4 market-concentration query (three vehicle-for-hire
 companies computing the HHI of their joint market) through both runtimes:
 
-* ``simulated`` — every party inside one process, messages over the
-  in-process :class:`~repro.runtime.transport.SimulatedTransport`;
+* ``simulated`` — every party inside one process, every round delivered
+  in memory by :meth:`~repro.mpc.network.Network.round`;
 * ``sockets``   — one OS process per party, every cross-party message
   (including the secret-sharing rounds of the MPC sub-plans) over real TCP
   connections.

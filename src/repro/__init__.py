@@ -40,11 +40,12 @@ Sub-packages:
 * :mod:`repro.model` — the cost model: the counters both engines fill in,
   the one formula of every protocol step, the price lists of the systems
   the paper compares, and the plan estimator built from them.
-* :mod:`repro.runtime` — the distributed party-agent runtime: pluggable
-  transports (in-process simulation vs. real TCP sockets between per-party
-  OS processes), the session/agent execution split, and the persistent
-  query service.  Pass ``runtime="sockets"`` to :func:`run_query` for a
-  per-query agent mesh, or hold a standing one open across queries::
+* :mod:`repro.runtime` — the distributed party-agent runtime: the TCP mesh
+  that carries each MPC round between per-party OS processes (the
+  in-process simulation carries it in memory), the session/agent execution
+  split, and the persistent query service.  Pass ``runtime="sockets"`` to
+  :func:`run_query` for a per-query agent mesh, or hold a standing one open
+  across queries::
 
       with cc.open_session(inputs) as session:
           for plan in plans:
@@ -97,10 +98,7 @@ from repro.runtime import (
     QueryRejected,
     QuerySession,
     SessionClosed,
-    SimulatedTransport,
     SocketCoordinator,
-    SocketTransport,
-    Transport,
     open_session,
 )
 
@@ -153,10 +151,7 @@ __all__ = [
     "QueryRejected",
     "QuerySession",
     "SessionClosed",
-    "SimulatedTransport",
     "SocketCoordinator",
-    "SocketTransport",
-    "Transport",
     "open_session",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Party-to-party network with pluggable transports.
+"""Party-to-party network: the one primitive every MPC round goes through.
 
 MPC protocols are communication-bound: secret-sharing multiplications need a
 message exchange, oblivious shuffles reshare whole relations, and garbled
@@ -9,25 +9,41 @@ of messages that travel in parallel), so the price lists in
 :mod:`repro.model.prices` can reconstruct realistic wall-clock times.
 
 The network has one communication primitive, :meth:`Network.round`: it
-validates the round's messages, accounts for them, and hands them to a
-:class:`~repro.runtime.transport.Transport` to carry:
+validates the round's messages, accounts for them, and carries them:
 
-* the default :class:`~repro.runtime.transport.SimulatedTransport` delivers
-  every payload inside the one process that models all parties;
-* a :class:`~repro.runtime.transport.SocketTransport` endpoint, used by the
-  distributed runtime, moves every message between two distinct parties
-  over a real TCP connection between per-party OS processes.
+* with no channel, one process models every party and every payload is
+  delivered as given;
+* with a channel — the query's :class:`~repro.runtime.mesh.MeshChannel` in
+  the distributed runtime, where each party runs as its own OS process and
+  the processes execute the joint protocol in lockstep from a shared seed —
+  the round first writes every message the channel's party sends, then reads
+  every message addressed to it off the wire.  No write waits on another
+  party's frame, and what the round returns for an inbound message is the
+  payload read off the socket, never the locally computed copy.  Messages
+  between two other parties are returned as given (a ``None`` placeholder
+  when the local engine does not hold the payload); no local computation
+  consumes them.
 
-Accounting always happens here, before the transport sees the round, so the
-recorded traffic is identical whichever transport carries it.
+Accounting always happens before the round is carried, so the recorded
+traffic is identical whichever way it travels.
 """
 
 from __future__ import annotations
 
-from repro.model.counters import NetworkStats
-from repro.runtime.transport import Delivered, Sends, SimulatedTransport, Transport
+from typing import Any
 
-__all__ = ["Network"]
+from repro.model.counters import NetworkStats
+
+__all__ = ["Network", "TransportError"]
+
+#: One round's messages: ``(sender, receiver, payload)`` triples.
+Sends = list[tuple[str, str, Any]]
+#: What a round delivered: ``{(sender, receiver): payload}``.
+Delivered = dict[tuple[str, str], Any]
+
+
+class TransportError(RuntimeError):
+    """A failure carrying a round or a frame (peer gone, frame mismatch, timeout)."""
 
 
 class Network:
@@ -36,45 +52,37 @@ class Network:
     Parties address each other by name.  :meth:`round` carries one batch of
     messages: they are assumed to travel in parallel, so a round contributes
     a single round-trip latency to the cost model regardless of how many
-    parties exchanged data.
+    parties exchanged data.  ``channel`` is anything with a ``party``, a set
+    of ``peers``, ``send_message(peer, tag, payload)`` and
+    ``receive_message(peer) -> (tag, payload)``.
     """
 
-    def __init__(self, party_names: list[str], transport: Transport | None = None):
+    def __init__(self, party_names: list[str], channel=None):
         if len(set(party_names)) != len(party_names):
             raise ValueError("party names must be unique")
         self.party_names = list(party_names)
-        if transport is None:
-            transport = SimulatedTransport(self.party_names)
-        elif list(transport.party_names) != self.party_names:
-            raise ValueError(
-                f"transport parties {transport.party_names} do not match the "
-                f"network parties {self.party_names}"
-            )
-        self.transport = transport
+        self.channel = channel
         self.stats = NetworkStats()
 
     @property
     def reference_party(self) -> str:
-        """The party whose view of received payloads this endpoint exposes.
-
-        For the in-process transport every party's view is available and the
-        first party is used by convention; a socket endpoint embodies one
-        specific party, whose inbound payloads arrive off the wire.
-        """
-        return self.transport.reference_party
+        """The party whose view of received payloads this endpoint exposes:
+        the channel's party, whose inbound payloads arrive off the wire, or
+        by convention the first party when every party's view is local."""
+        return self.party_names[0] if self.channel is None else self.channel.party
 
     def round(self, tag: str, sends: Sends, size_bytes: int) -> Delivered:
         """Carry one communication round: every ``(sender, receiver, payload)``
         of ``sends`` travels in parallel, each metered at ``size_bytes``.
 
         Returns ``{(sender, receiver): payload}`` as *delivered* — for the
-        local party of a socket transport these are the bytes that crossed
-        the process boundary, not the local copies.  ``tag`` names the
-        protocol step, so a socket endpoint can tell a peer that has fallen
-        out of lockstep.  Only a round that carries traffic is counted; it
-        is the one place ``wire_rounds`` advances — the analytic rounds of
-        the ideal-functionality steps (``engine.charge``) raise the cost
-        model's ``rounds`` without implying a synchronous mesh round trip.
+        channel's party these are the bytes that crossed the process
+        boundary, not the local copies.  ``tag`` names the protocol step, so
+        a receiver can tell a peer that has fallen out of lockstep.  Only a
+        round that carries traffic is counted; it is the one place
+        ``wire_rounds`` advances — the analytic rounds of the
+        ideal-functionality steps (``engine.charge``) raise the cost model's
+        ``rounds`` without implying a synchronous mesh round trip.
         """
         for sender, receiver, _payload in sends:
             self._check_party(sender)
@@ -83,12 +91,30 @@ class Network:
                 raise ValueError("a party cannot send a network message to itself")
         if not sends:
             return {}
-        size_bytes = int(size_bytes)
         self.stats.messages += len(sends)
-        self.stats.bytes_sent += len(sends) * size_bytes
+        self.stats.bytes_sent += len(sends) * int(size_bytes)
         self.stats.rounds += 1
         self.stats.wire_rounds += 1
-        return self.transport.exchange(tag, sends, size_bytes)
+        if self.channel is None:
+            return {(sender, receiver): payload for sender, receiver, payload in sends}
+        channel = self.channel
+        me, peers = channel.party, channel.peers
+        for sender, receiver, payload in sends:
+            if sender == me and receiver in peers:
+                channel.send_message(receiver, tag, payload)
+        delivered = {}
+        for sender, receiver, payload in sends:
+            if receiver == me and sender in peers:
+                # The link names the sender and the channel's party is the
+                # receiver, so the tag is all a frame carries to check.
+                got_tag, payload = channel.receive_message(sender)
+                if got_tag != tag:
+                    raise TransportError(
+                        f"protocol desynchronisation: expected a {tag!r} message from "
+                        f"{sender!r} to {me!r} but received {got_tag!r}"
+                    )
+            delivered[(sender, receiver)] = payload
+        return delivered
 
     def _check_party(self, name: str) -> None:
         if name not in self.party_names:

@@ -74,8 +74,7 @@ import numpy as np
 
 from repro.model import steps
 from repro.model.counters import SHARE_BYTES, CostMeter
-from repro.mpc.network import Network
-from repro.runtime.transport import TransportError
+from repro.mpc.network import Network, TransportError
 
 #: Number of bits in the secret-sharing ring.
 RING_BITS = 64

@@ -6,27 +6,22 @@ and meet in joint MPC steps over real datacentre links.  This package grows
 the reproduction from a purely in-process simulation to that deployment
 shape:
 
-* :mod:`repro.runtime.transport` — the :class:`Transport` abstraction the
-  party-to-party :class:`~repro.mpc.network.Network` hands each
-  communication round to (one operation, ``exchange``).
-  :class:`SimulatedTransport` delivers a round inside the one process that
-  models every party; :class:`SocketTransport` moves every cross-party
-  message over a real TCP connection between per-party OS processes.  The
-  :class:`~repro.model.counters.NetworkStats` accounting is identical on
-  both.
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.mesh` — length-prefixed
   framing (the codec on control links, the closed mesh layout between
   agents) and the full TCP mesh connecting the party agents; a
   per-query :class:`~repro.runtime.mesh.MeshChannel` is the one surface
-  executors and transports send and receive through.
+  executors send and receive through, and the channel an agent's
+  :class:`~repro.mpc.network.Network` carries each MPC round on.  The
+  :class:`~repro.model.counters.NetworkStats` accounting is identical with
+  and without a channel.
 * :mod:`repro.runtime.executor` — the node-by-node plan executor shared by
   the in-process :class:`~repro.core.dispatch.QueryRunner` and the
   per-party agents.
 * :mod:`repro.runtime.agent` / :mod:`repro.runtime.pool` — the long-lived
   per-party agent process, and the :class:`AgentPool` that spawns one per
-  party, admits their control links, brokers the mesh handshake once,
-  routes result frames into per-query futures and restarts a crashed agent
-  through the same bring-up code.
+  party, admits their control links, tells each agent whom to dial and
+  whom to accept as it joins the mesh, routes result frames into per-query
+  futures and restarts a crashed agent through the same bring-up code.
 * :mod:`repro.runtime.service` — the persistent query service and the one
   driver of the agents: a :class:`QuerySession` keeps a pool and its TCP
   mesh alive across a *stream* of queries (query-id multiplexing,
@@ -36,22 +31,16 @@ shape:
   public entry point; :class:`SocketCoordinator` is the one-shot form (a
   session that lives for one query) behind ``runtime="sockets"``.
 
-Heavy modules (service, pool, agent, executor) are imported lazily so that
-importing :mod:`repro.mpc.network` (which needs only the transports) does
-not drag in the whole execution stack.
+Every module is imported lazily, so importing the package does not drag
+in the whole execution stack; :class:`TransportError` lives with the round
+it fails, in :mod:`repro.mpc.network`, and is re-exported here.
 """
 
 from __future__ import annotations
 
-from repro.runtime.transport import (
-    SimulatedTransport,
-    SocketTransport,
-    Transport,
-    TransportError,
-)
-
 #: Lazily resolved export -> the module that defines it.
 _LAZY = {
+    "TransportError": "repro.mpc.network",
     "PlanExecutor": "repro.runtime.executor",
     "PartyAgent": "repro.runtime.agent",
     "AgentPool": "repro.runtime.pool",
@@ -74,13 +63,7 @@ _LAZY = {
     "FaultInjector": "repro.runtime.faults",
 }
 
-__all__ = [
-    "SimulatedTransport",
-    "SocketTransport",
-    "Transport",
-    "TransportError",
-    *_LAZY,
-]
+__all__ = [*_LAZY]
 
 
 def __getattr__(name: str):

@@ -2,9 +2,12 @@
 
 One agent embodies one data-owning party (§4.1).  Since the query-service
 rework the agent is **long-lived**: it joins the agent-to-agent TCP mesh
-once and then serves a *stream* of queries over its control link — the
-paper's standing data-owning parties answering many analyst queries, with
-process spawn and mesh setup amortised across the stream.
+once (:func:`~repro.runtime.mesh.join_mesh`, dialling and accepting the
+peers its ``peers`` frame names) and then serves a *stream* of queries over
+its control link — the paper's standing data-owning parties answering many
+analyst queries, with process spawn and mesh setup amortised across the
+stream.  A replacement for a crashed agent starts exactly the same way, at
+its restart epoch, dialling every survivor.
 
 Per query, the agent executes its cleartext sub-plans with its own backend,
 ships relations that the plan moves across party boundaries, and
@@ -29,17 +32,14 @@ Lifecycle and robustness:
   in-flight queries to finish, then exits cleanly.
 * **Supervision** — a ``ping`` frame is answered with ``pong`` *without*
   counting as activity (heartbeats must not defeat the idle timeout); a
-  ``rejoin`` frame parks the agent in :func:`~repro.runtime.mesh
-  .accept_rejoin` for a restarted peer's epoch-tagged dial and swaps the
-  fresh connection into the mesh; a session bundle with ``rejoin=True``
-  makes this agent itself the replacement — it dials every survivor via
-  :func:`~repro.runtime.mesh.rejoin_mesh` instead of the rank-ordered
-  initial handshake.  A ``faults`` entry in the bundle arms a
+  ``rejoin`` frame makes the agent accept a restarted peer's link through
+  the same :func:`~repro.runtime.mesh.join_mesh` and swap it into the mesh.
+  A ``faults`` entry in the bundle arms a
   :class:`~repro.runtime.faults.FaultInjector` (deterministic kills at
   query intake, frame faults at mesh sends) for the chaos tests.
 * **Loud failure** — a query that raises reports ``("error", qid, ...)`` to
   the coordinator and (via the executor's abort broadcast) poisons the
-  peers' per-query mesh queues, so every in-flight participant fails fast
+  peers' inboxes of that query, so every in-flight participant fails fast
   instead of hanging on a dead exchange.
 
 ``agent_main`` is the process entry point used by
@@ -51,19 +51,14 @@ methods.
 from __future__ import annotations
 
 import ctypes
+import functools
 import queue
 import socket
 import threading
 import time
 import traceback
 
-from repro.runtime.mesh import (
-    PeerMesh,
-    accept_rejoin,
-    bind_listener,
-    connect_mesh,
-    rejoin_mesh,
-)
+from repro.runtime.mesh import PeerMesh, bind_listener, join_mesh
 from repro.runtime.wire import (
     close_quietly,
     peer_common_name,
@@ -71,11 +66,6 @@ from repro.runtime.wire import (
     secure_client_socket,
     send_frame,
 )
-
-#: How long a survivor waits in ``accept`` for a restarted peer's rejoin
-#: dial before reporting failure back to the supervisor (which then burns a
-#: restart-budget slot and tries again).
-REJOIN_ACCEPT_SECONDS = 15.0
 
 #: Default upper bound on queries one agent executes concurrently.  The
 #: session frame may override it per session (``max_workers`` on
@@ -244,7 +234,8 @@ def agent_main(
     every mesh link speak mutually-authenticated TLS: this agent presents
     the ``party`` certificate, requires the coordinator's certificate to
     carry its configured name, and hellos carry the session nonce from the
-    coordinator's session bundle.
+    coordinator's session bundle.  The bundle's ``epoch`` is 0 at session
+    start and the restart epoch for a replacement agent.
     """
     retain_heap_top()
     control = socket.create_connection((host, port), timeout=timeout)
@@ -265,7 +256,7 @@ def agent_main(
         if tag != "session":
             raise RuntimeError(f"agent {party!r} expected a session frame, got {tag!r}")
         parties = bundle["parties"]
-        run_timeout = bundle.get("timeout", timeout)
+        run_timeout = bundle["timeout"]
         idle_timeout = bundle.get("idle_timeout")
         max_workers = bundle.get("max_workers") or AGENT_MAX_WORKERS
         if not isinstance(max_workers, int) or max_workers < 1:
@@ -278,33 +269,28 @@ def agent_main(
             injector = FaultInjector(faults, party)
 
         # Deterministic port assignment: bind an ephemeral port (the OS
-        # picks a free one) and let the coordinator broadcast the map of
-        # advertised (host, port) endpoints.
+        # picks a free one), advertise it, and let the coordinator say
+        # which advertised endpoints to dial and which peers to accept.
         listener = bind_listener(run_timeout, bind_host)
         send_frame(control, ("ports", (bind_host, listener.getsockname()[1])))
-        tag, ports = recv_frame(control)
+        tag, peers = recv_frame(control)
         if tag != "peers":
             raise RuntimeError(f"agent {party!r} expected a peers frame, got {tag!r}")
-        nonce = bundle["nonce"]
-        if bundle.get("rejoin"):
-            # Replacement for a crashed agent: the survivors are parked in
-            # accept by the supervisor's rejoin broadcast — dial them all.
-            mesh = rejoin_mesh(
-                party, parties, ports, timeout=run_timeout,
-                epoch=bundle["epoch"], injector=injector,
-                released_watermark=bundle.get("released_watermark", 0),
-                security=security, nonce=nonce,
-            )
-        else:
-            mesh = connect_mesh(
-                party, parties, ports, listener, timeout=run_timeout,
-                injector=injector, security=security, nonce=nonce,
-            )
+        # One handshake for start and restart alike: the same call later
+        # accepts a restarted peer's link (see ``rejoin`` in ``_serve``).
+        join = functools.partial(
+            join_mesh, party, listener=listener, epoch=bundle["epoch"],
+            nonce=bundle["nonce"], timeout=run_timeout, security=security,
+        )
+        mesh = PeerMesh(
+            party, join(peers["dial"], peers["accept"]), timeout=run_timeout,
+            injector=injector, released_watermark=bundle["released_watermark"],
+        )
 
         agent = PartyAgent(party, parties, mesh, session_inputs=bundle.get("inputs"))
         send_frame(control, ("ready", None))
         _serve(agent, control, run_timeout, idle_timeout, max_workers,
-               injector=injector, listener=listener, security=security, nonce=nonce)
+               injector=injector, join=join)
     except BaseException as exc:  # noqa: BLE001 - everything must reach the coordinator
         try:
             send_frame(control, ("fatal", exc, traceback.format_exc()))
@@ -325,11 +311,11 @@ def _serve(
     max_workers: int = AGENT_MAX_WORKERS,
     *,
     injector=None,
-    listener: socket.socket | None = None,
-    security=None,
-    nonce: str,
+    join,
 ) -> None:
-    """The agent's query-serving loop (runs until shutdown/idle/EOF)."""
+    """The agent's query-serving loop (runs until shutdown/idle/EOF);
+    ``join(dial, accept)`` is the agent's :func:`~repro.runtime.mesh
+    .join_mesh`."""
     send_lock = threading.Lock()
     in_flight: set[int] = set()
     state_lock = threading.Lock()
@@ -408,23 +394,14 @@ def _serve(
                 reply(("closing", "shutdown"))
                 return
             if tag == "rejoin":
-                # A crashed peer's replacement is about to dial us: park in
-                # accept until its epoch-tagged hello arrives, then swap the
-                # fresh connection into the mesh.  Failure is reported, not
+                # A crashed peer's replacement is about to dial us: accept
+                # its one link at its restart epoch, then swap the fresh
+                # connection into the mesh.  Failure is reported, not
                 # fatal — the supervisor retries the whole restart.
                 info = frame[1]
                 peer, peer_epoch = info["party"], info["epoch"]
                 try:
-                    if listener is None or agent.mesh is None:
-                        raise RuntimeError(
-                            f"agent {agent.party!r} cannot accept a rejoin without a mesh"
-                        )
-                    sock = accept_rejoin(
-                        listener, agent.party, peer, peer_epoch,
-                        info.get("timeout", REJOIN_ACCEPT_SECONDS),
-                        security=security, nonce=nonce,
-                    )
-                    agent.mesh.replace_peer(peer, sock)
+                    agent.mesh.replace_peer(peer, join({}, {peer: peer_epoch})[peer])
                 except Exception as exc:  # noqa: BLE001 - report, do not die
                     reply(("rejoined", {"party": peer, "epoch": peer_epoch,
                                         "ok": False, "error": str(exc)}))

@@ -13,7 +13,7 @@ This module holds the execution logic both runtimes share:
   that cross party boundaries are shipped over the mesh; and *every* agent
   participates in the MPC sub-plans, executing the joint protocol in
   lockstep from the shared seed so that each agent's share traffic really
-  flows through its sockets (see :mod:`repro.runtime.transport`).
+  flows through its sockets (see :meth:`repro.mpc.network.Network.round`).
 
 The plan's delicate points are the edges where a relation crosses between a
 party's cleartext engine and the MPC (§4.1, §5.2), and the security argument
@@ -62,7 +62,6 @@ from repro.hybrid.public_join import public_join
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
 from repro.mpc.network import Network
 from repro.mpc.sharemind import SharemindBackend
-from repro.runtime.transport import SocketTransport
 
 
 class SecurityError(RuntimeError):
@@ -151,7 +150,7 @@ class PlanExecutor:
         network = None
         local_parties = None
         if self.mesh is not None:
-            network = Network(compute, transport=SocketTransport(compute, self.mesh))
+            network = Network(compute, channel=self.mesh)
             # A party agent materialises only its own share slices; an agent
             # outside the compute set gets an observer engine (no slices)
             # that raises if the plan ever asks it to run an MPC primitive.

@@ -3,37 +3,45 @@
 Every agent binds a listener on an ephemeral port (``bind(bind_host, 0)``
 — the OS picks a free port, so concurrent test runs never collide; the host
 defaults to loopback and comes from the session's ``bind_host`` knob),
-advertises its real ``(host, port)`` endpoint to the coordinator, and
-receives the full party→endpoint map back.  The mesh is then established
-deterministically: agent *i* dials every agent *j < i* (in the shared party
-order) and introduces itself with a hello frame, so both ends agree on
-which party each connection belongs to.
+advertises its real ``(host, port)`` endpoint to the coordinator, and is
+told back whom to dial and whom to accept.  :func:`join_mesh` is the one
+handshake: every dial introduces the dialler with the one hello,
+``("join", party, epoch, nonce)``, and every accept waits for a set of
+expected ``{peer: epoch}`` hellos.  At session start the epoch is 0 and
+agent *i* dials every agent *j < i* (in the shared party order) and accepts
+every *j > i*; a replacement for a crashed agent dials every survivor at its
+restart epoch, and each survivor accepts that one link.
 
 The mesh is **multiplexed by query id** so one set of TCP connections can
 carry many queries — including concurrent ones — for a long-lived agent.
 After the hello, every frame on a link is ``(seq, kind, query_id, payload)``
 in the closed mesh layout of :mod:`repro.runtime.wire` (any other frame —
 a codec or pickle frame included — kills the link), and each connection has
-one reader thread demultiplexing frames into per-``(kind, query id, peer)``
-FIFO queues:
+one reader thread appending frames, in arrival order, to one inbox per
+``(query id, peer)``:
 
-* ``msg``   — one round's protocol message, ``(tag, arrays)``, consumed by
-  :class:`~repro.runtime.transport.SocketTransport`;
+* ``msg``   — one round's protocol message, ``(tag, arrays)``, read by
+  :meth:`~repro.mpc.network.Network.round`;
 * ``table`` — a relation shipped between sub-plans: its shape only when a
   party's input enters MPC, the whole table for an authorised cleartext
   transfer;
-* ``abort`` — a peer's execution of that query failed; all queues of the
-  ``(peer, query id)`` pair are poisoned so blocked readers fail
-  immediately instead of running out their timeout.
+* ``abort`` — a peer's execution of that query failed; the inbox ends in a
+  poison mark so its reader fails as soon as it has read what came first.
 
-Executors and transports never touch the mesh directly:
-:meth:`PeerMesh.channel` returns a :class:`MeshChannel` — a view bound to one
-query id, and the only send/receive surface there is — so concurrent queries
-interleave safely on the shared sockets.
+Every executor runs the same lockstep schedule, so the frames peer P sends
+for query Q are exactly the frames this agent reads from P for Q, in the
+same order: a consumer names the kind it expects, and a frame of another
+kind means the party processes have diverged — a :class:`TransportError`
+at once, not a timeout.
+
+Executors never touch the mesh directly: :meth:`PeerMesh.channel` returns a
+:class:`MeshChannel` — a view bound to one query id, and the only
+send/receive surface there is — so concurrent queries interleave safely on
+the shared sockets.
 
 All blocking reads carry a timeout, so a crashed peer surfaces as a
 :class:`MeshTimeout` instead of a wedged process; a peer whose connection
-*dies* poisons every existing and future queue for that peer, so in-flight
+*dies* poisons every existing and future inbox of that peer, so in-flight
 and not-yet-started reads fail loudly.
 
 Supervision support (the fault-tolerant service runtime):
@@ -43,13 +51,14 @@ Supervision support (the fault-tolerant service runtime):
   or an application-level retransmit) can never desynchronise the lockstep
   MPC protocol;
 * :meth:`PeerMesh.replace_peer` swaps in a fresh connection for a peer whose
-  process was restarted — the old socket is closed, its poison marks
+  process was restarted — the old socket is closed, its poison mark
   cleared, and a new reader thread takes over (stale readers of the replaced
   socket are generation-guarded so they cannot re-poison the healthy peer);
-* :func:`rejoin_mesh` / :func:`accept_rejoin` are the two ends of the
-  restart handshake: the replacement agent dials every *live* peer with an
-  epoch-tagged hello, survivors accept exactly one matching connection
-  (draining stale-epoch strays left by failed restart attempts);
+* the accept side of :func:`join_mesh` drains anything that is not an
+  expected hello — a stale epoch left by a failed restart attempt, a
+  malformed frame, a failed TLS handshake — and fails closed on a hello that
+  names an expected peer at its epoch but carries the wrong session nonce or
+  a certificate of another party;
 * an optional :class:`~repro.runtime.faults.FaultInjector` hooks every send,
   so drop/dup/delay/torn faults happen at the real choke point.
 """
@@ -66,7 +75,7 @@ from typing import Any
 
 from repro.data.schema import Schema
 from repro.data.table import Table
-from repro.runtime.transport import TransportError
+from repro.mpc.network import TransportError
 from repro.runtime.wire import (
     KIND_ABORT,
     KIND_MSG,
@@ -85,8 +94,6 @@ from repro.runtime.wire import (
     send_torn_frame,
 )
 
-_DATA_KINDS = (KIND_MSG, KIND_TABLE)
-
 #: How long an agent keeps retrying to dial a peer that has announced its
 #: port but may not have reached ``accept`` yet.
 _DIAL_RETRY_SECONDS = 10.0
@@ -97,19 +104,12 @@ class MeshTimeout(TransportError):
 
 
 @dataclass
-class _PeerClosed:
-    """Sentinel queued when a peer connection dies (poisons every query)."""
+class _Poison:
+    """The last item of an inbox whose peer died or aborted its query:
+    every read of the inbox from then on raises this error."""
 
-    error: Exception
-
-
-@dataclass
-class _QueryAborted:
-    """Sentinel queued when a peer aborts one query (other queries live on)."""
-
-    peer: str
-    query_id: int
-    reason: str
+    message: str
+    cause: Exception | None = None
 
 
 class PeerMesh:
@@ -138,22 +138,20 @@ class PeerMesh:
         #: payload.  Counting starts after the handshake hellos (both ends
         #: symmetrically), so sent/received totals mirror across peers.
         self.link_stats: dict[str, LinkStats] = {p: LinkStats() for p in self._socks}
-        # (kind, query_id, peer) -> FIFO queue, created lazily under _lock.
+        # (query_id, peer) -> FIFO of (kind, payload), created under _lock
+        # by whichever end gets there first.
         self._lock = threading.Lock()
-        self._queues: dict[tuple[str, int, str], queue.SimpleQueue] = {}
+        self._inboxes: dict[tuple[int, str], queue.SimpleQueue] = {}
         self._peer_errors: dict[str, Exception] = {}
-        self._aborted: dict[tuple[str, int], str] = {}
         # Query ids whose channels were released: late frames (a peer racing
-        # an abort, say) are dropped instead of re-creating queues that
+        # an abort, say) are dropped instead of re-creating inboxes that
         # nothing would ever drain — a long-lived mesh must not accumulate
         # garbage per finished query.  Coordinators allocate ids
         # contiguously from 1, so the set compacts against a low-watermark
         # (every id <= watermark is released) and stays bounded by the
-        # number of concurrently in-flight queries.
+        # number of concurrently in-flight queries.  A replacement agent
+        # joining mid-session starts from the coordinator's watermark.
         self._released: set[int] = set()
-        # A replacement agent joining mid-session inherits the coordinator's
-        # released-id watermark, so late frames for long-finished queries are
-        # dropped instead of accumulating in queues nothing drains.
         self._released_watermark = released_watermark
         self._closed = False
         self._readers = []
@@ -178,49 +176,37 @@ class PeerMesh:
 
     # -- frame plumbing ----------------------------------------------------------------
 
-    def _queue_for(self, kind: str, query_id: int, peer: str) -> queue.SimpleQueue:
-        key = (kind, query_id, peer)
-        with self._lock:
-            q = self._queues.get(key)
-            if q is None:
-                q = self._queues[key] = queue.SimpleQueue()
-                # A queue born after the peer died (or after it aborted this
-                # query) must fail its readers too, not wait out the timeout.
-                if peer in self._peer_errors:
-                    q.put(_PeerClosed(self._peer_errors[peer]))
-                elif (peer, query_id) in self._aborted:
-                    q.put(_QueryAborted(peer, query_id, self._aborted[(peer, query_id)]))
-            return q
-
-    def _is_released(self, query_id: int) -> bool:
-        """Caller must hold ``_lock``."""
-        return 0 < query_id <= self._released_watermark or query_id in self._released
-
-    def _queue_for_frame(self, kind: str, query_id: int, peer: str) -> queue.SimpleQueue | None:
-        """The reader-side twin of :meth:`_queue_for`: ``None`` for released
-        queries.  The released check and the queue creation share one lock
+    def _inbox(self, query_id: int, peer: str) -> queue.SimpleQueue | None:
+        """The ``(query_id, peer)`` inbox, created by the reader or the
+        consumer, whichever comes first; ``None`` once the query is
+        released.  The released check and the creation share one lock
         acquisition, so a frame racing :meth:`release_query` can never
-        resurrect a queue nothing will drain."""
+        resurrect an inbox nothing will drain.  An inbox born after its
+        peer died starts poisoned."""
         with self._lock:
-            if self._is_released(query_id):
+            if 0 < query_id <= self._released_watermark or query_id in self._released:
                 return None
-            key = (kind, query_id, peer)
-            q = self._queues.get(key)
-            if q is None:
-                q = self._queues[key] = queue.SimpleQueue()
-            return q
+            inbox = self._inboxes.get((query_id, peer))
+            if inbox is None:
+                inbox = self._inboxes[(query_id, peer)] = queue.SimpleQueue()
+                if peer in self._peer_errors:
+                    inbox.put(self._closed_poison(peer, self._peer_errors[peer]))
+            return inbox
+
+    def _closed_poison(self, peer: str, exc: Exception) -> _Poison:
+        return _Poison(f"mesh link {self.party!r} <- {peer!r} closed: {exc}", exc)
 
     def _read_loop(self, peer: str, sock: socket.socket) -> None:
-        # Catch *everything*: a frame outside the mesh layout must surface as
-        # _PeerClosed at the consumers, not silently kill the reader thread
-        # and degrade every later read into a root-cause-free MeshTimeout.
+        # Catch *everything*: a frame outside the mesh layout must poison
+        # the consumers, not silently kill the reader thread and degrade
+        # every later read into a root-cause-free MeshTimeout.
         last_seq = 0  # highest sequence number seen on *this* connection
         try:
             while True:
                 try:
                     # A long-lived mesh is idle between queries; a timeout
                     # with no frame started is not an error.  (Timeouts on
-                    # blocked *consumers* are enforced by queue.get.)
+                    # blocked *consumers* are enforced by the inbox get.)
                     seq, kind, query_id, payload = recv_mesh_frame(
                         sock, allow_idle_timeout=True, stats=self.link_stats[peer]
                     )
@@ -229,12 +215,13 @@ class PeerMesh:
                 if seq <= last_seq:
                     continue  # duplicated frame: already delivered, discard
                 last_seq = seq
+                inbox = self._inbox(query_id, peer)
+                if inbox is None:
+                    continue  # query released: drop the late frame or abort
                 if kind == KIND_ABORT:
-                    self._mark_aborted(peer, query_id, payload)
-                    continue
-                q = self._queue_for_frame(kind, query_id, peer)
-                if q is not None:  # None: query released; drop the late frame
-                    q.put(payload)
+                    inbox.put(_Poison(f"peer {peer!r} aborted query {query_id}: {payload}"))
+                else:
+                    inbox.put((kind, payload))
         except Exception as exc:  # noqa: BLE001 - reader thread must never die silently
             self._mark_peer_closed(peer, exc, sock)
 
@@ -247,28 +234,27 @@ class PeerMesh:
             if sock is not None and self._socks.get(peer) is not sock:
                 return
             self._peer_errors[peer] = exc
-            existing = [q for (k, _qid, p), q in self._queues.items()
-                        if p == peer and k in _DATA_KINDS]
-        for q in existing:
-            # Drain frames that were demultiplexed before the link died: a
-            # consumer must see the failure on its *next* receive, not read
-            # stale data off a dead conversation first.  (New receives on
-            # fresh queues fail via the _peer_errors mark.)
+            existing = [inbox for (_qid, p), inbox in self._inboxes.items() if p == peer]
+        for inbox in existing:
+            # Drain frames that arrived before the link died: a consumer
+            # must see the failure on its *next* receive, not read stale
+            # data off a dead conversation first.  (Inboxes created later
+            # start poisoned via the _peer_errors mark.)
             while True:
                 try:
-                    q.get_nowait()
+                    inbox.get_nowait()
                 except queue.Empty:
                     break
-            q.put(_PeerClosed(exc))
+            inbox.put(self._closed_poison(peer, exc))
 
     def replace_peer(self, peer: str, sock: socket.socket) -> None:
         """Swap in a fresh connection for a restarted ``peer`` (add-or-replace).
 
-        Clears the peer's poison mark so new queues work again, resets the
+        Clears the peer's poison mark so new inboxes work again, resets the
         outgoing sequence counter (the replacement's reader starts from 0),
         keeps the cumulative :class:`LinkStats` (wire totals span restarts),
-        and starts a reader for the new socket.  Queues poisoned *before*
-        the swap keep their sentinels — in-flight consumers of the dead link
+        and starts a reader for the new socket.  Inboxes poisoned *before*
+        the swap keep their poison — in-flight consumers of the dead link
         must still fail so the query layer can retry on the fresh one.
         """
         with self._lock:
@@ -281,16 +267,6 @@ class PeerMesh:
         if old is not sock:
             close_quietly(old, shutdown=True)
         self._start_reader(peer, sock)
-
-    def _mark_aborted(self, peer: str, query_id: int, reason: str) -> None:
-        with self._lock:
-            if self._is_released(query_id):
-                return  # late abort for a finished query: nothing to poison
-            self._aborted[(peer, query_id)] = reason
-            existing = [q for (k, qid, p), q in self._queues.items()
-                        if p == peer and qid == query_id and k in _DATA_KINDS]
-        for q in existing:
-            q.put(_QueryAborted(peer, query_id, reason))
 
     def _send(self, peer: str, kind: str, query_id: int, payload: Any) -> None:
         try:
@@ -331,27 +307,31 @@ class PeerMesh:
                 send_mesh_frame(sock, *frame, stats=self.link_stats[peer])
 
     def _receive(self, peer: str, kind: str, query_id: int) -> Any:
+        """The next frame ``peer`` sent for ``query_id``, which the lockstep
+        schedule says is a ``kind`` frame."""
         if peer not in self._socks:
             raise TransportError(f"agent {self.party!r} has no mesh link to {peer!r}")
-        q = self._queue_for(kind, query_id, peer)
+        inbox = self._inbox(query_id, peer)
+        if inbox is None:
+            raise TransportError(f"agent {self.party!r} already released query {query_id}")
         try:
-            item = q.get(timeout=self.timeout)
+            item = inbox.get(timeout=self.timeout)
         except queue.Empty:
             raise MeshTimeout(
                 f"agent {self.party!r} timed out after {self.timeout:.0f}s waiting for a "
                 f"{kind!r} frame from {peer!r} (query {query_id})"
             ) from None
-        if isinstance(item, _PeerClosed):
-            q.put(item)  # keep poisoning later readers of the same queue
+        if isinstance(item, _Poison):
+            inbox.put(item)  # keep poisoning later reads of the same inbox
+            raise TransportError(item.message) from item.cause
+        got_kind, payload = item
+        if got_kind != kind:
             raise TransportError(
-                f"mesh link {self.party!r} <- {peer!r} closed: {item.error}"
-            ) from item.error
-        if isinstance(item, _QueryAborted):
-            q.put(item)
-            raise TransportError(
-                f"peer {peer!r} aborted query {query_id}: {item.reason}"
+                f"agent {self.party!r} expected a {kind!r} frame from {peer!r} "
+                f"(query {query_id}) but received a {got_kind!r} frame; "
+                "the party processes have diverged"
             )
-        return item
+        return payload
 
     def traffic(self) -> dict[str, dict]:
         """Immutable per-peer wire totals: ``{peer: {bytes_sent, ...}}``."""
@@ -363,11 +343,11 @@ class PeerMesh:
             try:
                 self._send(peer, KIND_ABORT, query_id, reason)
             except (TransportError, WireError):
-                pass  # the peer is gone; its death already poisons our queues
+                pass  # the peer is gone; its death already poisons our inboxes
 
     def release_query(self, query_id: int) -> None:
-        """Drop the per-query queues and abort marks once a query finished;
-        late frames for the id are discarded from then on."""
+        """Drop the query's inboxes once it finished; late frames and aborts
+        for the id are discarded from then on."""
         with self._lock:
             self._released.add(query_id)
             # Compact: ids are contiguous, so advance the watermark over any
@@ -375,10 +355,8 @@ class PeerMesh:
             while self._released_watermark + 1 in self._released:
                 self._released_watermark += 1
                 self._released.discard(self._released_watermark)
-            for key in [k for k in self._queues if k[1] == query_id]:
-                del self._queues[key]
-            for key in [k for k in self._aborted if k[1] == query_id]:
-                del self._aborted[key]
+            for key in [k for k in self._inboxes if k[0] == query_id]:
+                del self._inboxes[key]
 
     def close(self) -> None:
         if self._closed:
@@ -391,9 +369,9 @@ class PeerMesh:
 class MeshChannel:
     """One query's view of a :class:`PeerMesh`.
 
-    The send/receive surface executors and transports use.  Closing a
-    channel releases its per-query queues but leaves the shared sockets open
-    for other queries.
+    The send/receive surface executors and their :class:`~repro.mpc.network
+    .Network` use.  Closing a channel releases its inboxes but leaves the
+    shared sockets open for other queries.
     """
 
     def __init__(self, mesh: PeerMesh, query_id: int):
@@ -458,7 +436,7 @@ class MeshChannel:
         self._mesh.send_abort(self.query_id, reason)
 
     def close(self) -> None:
-        """Release the per-query queues; the mesh sockets stay open."""
+        """Release the query's inboxes; the mesh sockets stay open."""
         self._mesh.release_query(self.query_id)
 
 
@@ -505,186 +483,116 @@ def _verify_peer_identity(sock: socket.socket, claimed: str, party: str) -> None
         )
 
 
-def _check_mesh_hello(frame, party: str, order: list[str], nonce: str) -> str:
-    """Validate an inbound mesh hello; returns the authenticated party id.
-
-    Hellos carry ``("hello", party, nonce)`` with the session nonce; any
-    other shape is malformed, and a wrong nonce is an impersonation attempt
-    (or a stray client).  Both fail the handshake.
-    """
-    if (
-        not isinstance(frame, tuple)
-        or len(frame) != 3
-        or frame[0] != "hello"
-        or frame[1] not in order
-    ):
-        raise TransportError(f"agent {party!r} received a malformed mesh hello: {frame!r}")
-    if frame[2] != nonce:
-        raise TransportError(
-            f"agent {party!r} rejected a mesh hello from {frame[1]!r}: wrong session nonce"
-        )
-    return frame[1]
-
-
-def connect_mesh(
+def join_mesh(
     party: str,
-    parties: list[str],
-    ports: dict[str, tuple[str, int]],
+    dial: dict[str, tuple[str, int]],
+    accept: dict[str, int],
     listener: socket.socket,
-    timeout: float = 60.0,
-    *,
-    nonce: str,
-    injector=None,
-    security=None,
-) -> PeerMesh:
-    """Establish the full mesh for ``party`` given every agent's endpoint.
-
-    ``parties`` is the shared, ordered party list; agent *i* dials every
-    agent *j < i* and accepts one connection from every agent *j > i*.
-    ``ports`` maps party -> advertised ``(host, port)`` endpoint.  With
-    ``security`` every link is wrapped
-    in mutually-authenticated TLS and each hello's claimed party id is
-    verified against the peer certificate's CN; ``nonce`` (the session
-    secret the coordinator handed every agent) must match on every hello.
-    """
-    order = list(parties)
-    index = order.index(party)
-    connections: dict[str, socket.socket] = {}
-    server_context = None if security is None else security.server_context(party)
-
-    for peer in order[:index]:
-        connections[peer] = _dial(
-            party, peer, _endpoint(ports[peer]), timeout,
-            hello=("hello", party, nonce), security=security,
-        )
-
-    for _ in order[index + 1:]:
-        try:
-            sock, _addr = listener.accept()
-        except (socket.timeout, OSError) as exc:
-            raise MeshTimeout(
-                f"agent {party!r} timed out waiting for inbound mesh connections"
-            ) from exc
-        sock.settimeout(timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if server_context is not None:
-            sock = secure_server_socket(sock, server_context)
-        frame = recv_frame(sock)
-        peer = _check_mesh_hello(frame, party, order, nonce)
-        _verify_peer_identity(sock, peer, party)
-        connections[peer] = sock
-
-    return PeerMesh(party, connections, timeout=timeout, injector=injector)
-
-
-def rejoin_mesh(
-    party: str,
-    parties: list[str],
-    ports: dict[str, tuple[str, int]],
-    timeout: float = 60.0,
-    *,
     epoch: int,
+    *,
     nonce: str,
-    injector=None,
-    released_watermark: int = 0,
+    timeout: float,
     security=None,
-) -> PeerMesh:
-    """Build the mesh for a *restarted* ``party`` joining a live session.
+) -> dict[str, socket.socket]:
+    """Join ``party`` to the mesh; returns ``{peer: socket}``, one per link.
 
-    Unlike :func:`connect_mesh`'s rank-ordered dial/accept split, a rejoining
-    agent always **dials** every surviving peer (survivors are parked in
-    ``accept`` by the supervisor's rejoin broadcast) and introduces itself
-    with a hello carrying the restart epoch and the session ``nonce``, so
-    survivors can tell this restart's connection apart from a
-    stale one left over by an earlier failed attempt — and, under TLS, from
-    an impersonator that knows the party id but holds the wrong certificate.
-    ``ports`` holds only the *live* peers — a peer that is itself down is
-    absent and will dial us once its own restart reaches this point.
+    Dials every peer of ``dial`` (party -> advertised ``(host, port)``),
+    introducing this party with ``("join", party, epoch, nonce)``, then
+    accepts one link from every peer of ``accept`` (party -> the epoch its
+    hello must carry).  At session start ``epoch`` is 0 and an agent dials
+    the lower ranks and accepts the higher ones; a replacement agent dials
+    every survivor at its restart epoch and accepts none; a survivor dials
+    none and accepts the replacement's one link.  With ``security`` every
+    link is mutually-authenticated TLS and every hello's party must be the
+    one its certificate names.  ``nonce`` is the session secret the
+    coordinator handed every agent.
     """
-    connections: dict[str, socket.socket] = {}
+    links: dict[str, socket.socket] = {}
     try:
-        for peer in sorted(p for p in parties if p != party and p in ports):
-            connections[peer] = _dial(
-                party, peer, _endpoint(ports[peer]), timeout,
-                hello=("rejoin-hello", party, epoch, nonce), security=security,
+        for peer, endpoint in dial.items():
+            links[peer] = _dial(
+                party, peer, _endpoint(endpoint), timeout,
+                hello=("join", party, epoch, nonce), security=security,
             )
-    except Exception:
-        for sock in connections.values():
+        if accept:
+            _accept(listener, party, accept, links, timeout, nonce=nonce, security=security)
+    except BaseException:
+        for sock in links.values():
             close_quietly(sock)
         raise
-    return PeerMesh(
-        party, connections, timeout=timeout,
-        injector=injector, released_watermark=released_watermark,
-    )
+    return links
 
 
-def accept_rejoin(
+def _accept(
     listener: socket.socket,
     party: str,
-    peer: str,
-    epoch: int,
+    expected: dict[str, int],
+    links: dict[str, socket.socket],
     timeout: float,
     *,
     nonce: str,
     security=None,
-) -> socket.socket:
-    """Survivor side of the restart handshake: accept ``peer``'s rejoin dial.
+) -> None:
+    """Accept one link from every peer of ``expected`` (peer -> epoch) into
+    ``links``.
 
-    Accepts connections off ``listener`` until one presents the rejoin hello
-    ``("rejoin-hello", peer, epoch, nonce)``; anything stale — a hello from an earlier restart attempt of the
-    same peer, a malformed frame, a dead connection, a failed TLS handshake
-    — is closed and draining continues.  A connection that *claims* to be
-    ``peer`` at the right epoch but fails authentication (wrong nonce, or a
-    TLS certificate naming another party) is an impersonation attempt and
-    raises :class:`TransportError` immediately.  Raises :class:`MeshTimeout`
-    when the deadline passes first.
+    A link counts when its hello is ``("join", peer, expected[peer], nonce)``
+    from a peer not yet accepted.  Anything else that cannot be one of those
+    links — a dead connection, a failed TLS handshake, a malformed hello, a
+    hello of another epoch (a failed restart attempt's straggler) — is
+    closed and accepting continues.  A hello that names an expected peer at
+    its epoch but fails authentication (wrong nonce, or a TLS certificate
+    naming another party) is an impersonation attempt and raises
+    :class:`TransportError` at once.  Raises :class:`MeshTimeout` when the
+    deadline passes first.
     """
     server_context = None if security is None else security.server_context(party)
-    expected = ("rejoin-hello", peer, epoch, nonce)
+    pending = dict(expected)
     deadline = time.monotonic() + timeout
-    while True:
+    while pending:
         remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise MeshTimeout(
-                f"agent {party!r} timed out waiting for {peer!r} (epoch {epoch}) to rejoin"
-            )
-        listener.settimeout(remaining)
         try:
+            if remaining <= 0:
+                raise TimeoutError
+            listener.settimeout(remaining)
             sock, _addr = listener.accept()
-        except (socket.timeout, OSError) as exc:
+        except OSError as exc:  # socket.timeout included
             raise MeshTimeout(
-                f"agent {party!r} timed out waiting for {peer!r} (epoch {epoch}) to rejoin"
+                f"agent {party!r} timed out waiting for {sorted(pending)} to join the mesh"
             ) from exc
         sock.settimeout(timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if server_context is not None:
-            try:
-                sock = secure_server_socket(sock, server_context)
-            except WireError:
-                continue  # stray client / failed handshake: drain and keep waiting
         try:
-            frame = recv_frame(sock)
+            if server_context is not None:
+                sock = secure_server_socket(sock, server_context)
+            hello = recv_frame(sock)
         except (WireError, OSError):
-            sock.close()
-            continue
-        if frame == expected:
-            _verify_peer_identity(sock, peer, party)
-            return sock
-        if (
-            isinstance(frame, tuple)
-            and len(frame) == 4
-            and frame[0] == "rejoin-hello"
-            and frame[1] == peer
-            and frame[2] == epoch
+            close_quietly(sock)
+            continue  # stray client / failed handshake: drain and keep waiting
+        if not (
+            isinstance(hello, tuple)
+            and len(hello) == 4
+            and hello[0] == "join"
+            and isinstance(hello[1], str)
+            and isinstance(hello[2], int)
+            and isinstance(hello[3], str)
+            and pending.get(hello[1]) == hello[2]
         ):
-            # Right peer and epoch but wrong session nonce: that is not a
-            # stale restart attempt, it is an impersonation attempt.
-            sock.close()
-            raise TransportError(
-                f"agent {party!r} rejected a rejoin hello claiming {peer!r} "
-                f"(epoch {epoch}): wrong session nonce"
-            )
-        sock.close()  # stale epoch / unexpected party: drain and keep waiting
+            close_quietly(sock)  # malformed, stale or unexpected: drain
+            continue
+        peer = hello[1]
+        try:
+            if hello[3] != nonce:
+                raise TransportError(
+                    f"agent {party!r} rejected a join hello claiming {peer!r} "
+                    f"(epoch {hello[2]}): wrong session nonce"
+                )
+            _verify_peer_identity(sock, peer, party)
+        except TransportError:
+            close_quietly(sock)
+            raise
+        links[peer] = sock
+        del pending[peer]
 
 
 def _dial(

@@ -3,12 +3,13 @@
 The process/socket substrate under :class:`~repro.runtime.service
 .QuerySession`, and the only code that spawns agents.  :class:`AgentPool`
 spawns one :func:`~repro.runtime.agent.agent_main` process per party, admits
-each control link (:func:`admit_agent`), brokers the mesh handshake **once**,
-then routes result/error frames (tagged by query id) from per-party receiver
-threads into per-query futures.  A control link that dies fails every
-in-flight query loudly and breaks the pool — or, under an
-:class:`~repro.runtime.supervisor.AgentSupervisor`, hands the party over for
-a restart through the same spawn/admit/bundle code the start uses.
+each control link (:func:`admit_agent`), tells every agent whom to dial and
+whom to accept as it joins the mesh, then routes result/error frames (tagged
+by query id) from per-party receiver threads into per-query futures.  A
+control link that dies fails every in-flight query loudly and breaks the
+pool — or, under an :class:`~repro.runtime.supervisor.AgentSupervisor`,
+hands the party over for a restart through the same spawn/admit/bundle/join
+code the start uses.
 
 Process hygiene: agent processes are daemonic, tracked in a module-level
 registry (so test fixtures can kill leaks), and reaped when their pool
@@ -28,11 +29,11 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from repro.core.config import RestartPolicy, TransportSecurity
+from repro.mpc.network import TransportError
 from repro.runtime.agent import AGENT_MAX_WORKERS, agent_main
 from repro.runtime.mesh import bind_listener
 from repro.runtime.metrics import GatewayMetrics
 from repro.runtime.supervisor import AgentSupervisor
-from repro.runtime.transport import TransportError
 from repro.runtime.wire import (
     WireError,
     close_quietly,
@@ -249,7 +250,7 @@ class AgentPool:
         self.security = security
         if security is not None:
             security.validate(list(parties) + [security.coordinator_name])
-        #: Per-session secret every hello (mesh and rejoin alike) must echo;
+        #: Per-session secret every mesh hello must echo;
         #: generated fresh per pool, shipped to agents inside the session
         #: bundle over the (authenticated) control link.
         self._nonce = secrets.token_hex(16)
@@ -315,11 +316,14 @@ class AgentPool:
                 self._send_locks[party] = threading.Lock()
 
             for party, sock in self._connections.items():
-                send_frame(sock, self._session_bundle(party))
+                send_frame(sock, self._session_bundle(party, epoch=0))
             for party, sock in self._connections.items():
                 self._ports[party] = self._expect(party, sock, "ports")
-            for sock in self._connections.values():
-                send_frame(sock, ("peers", dict(self._ports)))
+            # Agent i dials every agent j < i and accepts every j > i.
+            for i, party in enumerate(self.parties):
+                send_frame(self._connections[party], self._peers_frame(
+                    self.parties[:i], {p: 0 for p in self.parties[i + 1:]},
+                ))
             # Wait for the mesh to be fully established at every agent, so
             # an open pool is a *working* pool (handshake bugs fail here,
             # not inside the first submit).
@@ -358,9 +362,11 @@ class AgentPool:
             return None
         return self.security.server_context(self.security.coordinator_name)
 
-    def _session_bundle(self, party: str, **rejoin) -> tuple:
-        """The ``session`` frame that arms ``party``'s agent; ``rejoin``
-        carries the extra keys a replacement agent needs."""
+    def _session_bundle(self, party: str, epoch: int) -> tuple:
+        """The ``session`` frame that arms ``party``'s agent at ``epoch``
+        (0 at start, the restart epoch for a replacement).  Query ids at or
+        below the released-id watermark are finished (or failed and retried
+        under a *new* id): the agent's mesh drops their late frames."""
         return ("session", {
             "parties": self.parties,
             "timeout": self.timeout,
@@ -369,8 +375,14 @@ class AgentPool:
             "inputs": self._inputs.get(party, {}),
             "faults": self._faults.for_party(party) if self._faults else None,
             "nonce": self._nonce,
-            **rejoin,
+            "epoch": epoch,
+            "released_watermark": self._last_query_id,
         })
+
+    def _peers_frame(self, dial: list[str], accept: dict[str, int]) -> tuple:
+        """The ``peers`` frame: the advertised endpoints of the parties an
+        agent dials, and the ``{party: epoch}`` whose hellos it accepts."""
+        return ("peers", {"dial": {p: self._ports[p] for p in dial}, "accept": accept})
 
     def _expect(self, party: str, sock: socket.socket, expected_tag: str):
         frame = recv_frame(sock)
@@ -599,23 +611,16 @@ class AgentPool:
                 listener, [party],
                 timeout=self.timeout + 10, server_context=self._control_context(),
             )
-            send_frame(sock, self._session_bundle(
-                party, rejoin=True, epoch=epoch,
-                # Ids at or below this are finished (or failed-and-retried
-                # under a *new* id): the replacement's mesh drops their late
-                # frames instead of queueing them forever.
-                released_watermark=self._last_query_id,
-            ))
+            send_frame(sock, self._session_bundle(party, epoch))
             mesh_port = self._expect(party, sock, "ports")
-            # Park every survivor in its rejoin accept *before* handing the
+            # Park every survivor in its accept *before* handing the
             # replacement the peer ports — the dial can then never race the
             # accept.
             for peer in survivors:
                 with self._send_locks[peer]:
-                    send_frame(self._connections[peer], ("rejoin", {
-                        "party": party, "epoch": epoch, "timeout": self.timeout,
-                    }))
-            send_frame(sock, ("peers", {p: self._ports[p] for p in survivors}))
+                    send_frame(self._connections[peer],
+                               ("rejoin", {"party": party, "epoch": epoch}))
+            send_frame(sock, self._peers_frame(survivors, {}))
             self._expect(party, sock, "ready")
             supervisor.await_rejoined(survivors, epoch, self.timeout)
         except BaseException:

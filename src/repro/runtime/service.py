@@ -34,6 +34,7 @@ from repro.core.config import (
     RetryPolicy,
     TransportSecurity,
 )
+from repro.mpc.network import TransportError
 from repro.runtime.agent import AGENT_MAX_WORKERS
 from repro.runtime.gateway import DEFAULT_ANALYST, QueryGateway, QueryRejected
 from repro.runtime.metrics import GatewayMetrics, MetricsServer
@@ -45,7 +46,6 @@ from repro.runtime.pool import (
     _count_teardown_error,
     active_agent_processes,  # noqa: F401 - the process-hygiene pair of active_sessions
 )
-from repro.runtime.transport import TransportError
 from repro.runtime.wire import encode_payload
 
 #: Open sessions, for leak-hunting test fixtures and atexit cleanup.

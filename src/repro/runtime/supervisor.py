@@ -29,22 +29,24 @@ One :class:`AgentSupervisor` serves one :class:`~repro.runtime.pool
 The recovery protocol for a dead ``party`` (all on the restart worker):
 
 1. spawn a fresh agent process and accept its control-link hello;
-2. send it a **rejoin session frame**: the standing session config plus
-   ``rejoin=True``, a monotonically increasing ``epoch``, the party's
-   standing inputs and fault sub-plan, and the pool's current released-id
-   watermark (so the replacement's mesh drops late frames of finished
-   queries instead of queueing them forever);
+2. send it the session frame every agent starts from: the standing session
+   config, the party's standing inputs and fault sub-plan, a monotonically
+   increasing ``epoch`` (0 is the session start) and the pool's current
+   released-id watermark (so the replacement's mesh drops late frames of
+   finished queries instead of queueing them forever);
 3. receive the replacement's new mesh port;
-4. broadcast a ``rejoin`` control frame to every survivor, parking each in
-   :func:`~repro.runtime.mesh.accept_rejoin` for the replacement's
-   epoch-tagged dial (stale connections from earlier failed attempts are
-   drained by the epoch check; on a session with a
-   :class:`~repro.core.config.TransportSecurity`, the rejoin link is
-   mutually-authenticated TLS and the hello must also echo the session
-   nonce and match the dialler's certificate CN — a crashed party's
+4. broadcast a ``rejoin`` control frame to every survivor, which makes each
+   accept the replacement's link through :func:`~repro.runtime.mesh
+   .join_mesh` — the handshake every agent ran at session start — expecting
+   the replacement's hello at this epoch (stale connections from earlier
+   failed attempts are drained by the epoch check; the hello must also echo
+   the session nonce and, on a session with a
+   :class:`~repro.core.config.TransportSecurity`, match the dialler's
+   certificate CN on a mutually-authenticated TLS link — a crashed party's
    identity cannot be claimed by an impostor during the rejoin window);
-5. send the replacement the *live* peer ports; it dials every survivor via
-   :func:`~repro.runtime.mesh.rejoin_mesh` and reports ``ready``;
+5. send the replacement the *live* peer ports as the parties to dial (and
+   none to accept); it joins the mesh through the same
+   :func:`~repro.runtime.mesh.join_mesh` and reports ``ready``;
 6. await every survivor's ``rejoined`` acknowledgement (forwarded by the
    pool's receiver threads), then install the new process, control link and
    receiver thread into the pool, record ``agent_restarts`` /

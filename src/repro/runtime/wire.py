@@ -313,11 +313,11 @@ class _Registry:
         from repro.core.dag import Dag
         from repro.core.relation import Relation
         from repro.hybrid.stp import LeakageEvent, LeakageReport
+        from repro.mpc.network import TransportError
         from repro.runtime.executor import SecurityError
         from repro.runtime.faults import FaultPlan, KillFault, LinkFault
         from repro.runtime.mesh import MeshTimeout
         from repro.runtime.pool import AgentCrashed, AgentFailure, SessionClosed
-        from repro.runtime.transport import TransportError
 
         self.operators = tuple(getattr(operators, name) for name in _OPERATOR_FIELDS)
         self.operator_codes = {cls: code for code, cls in enumerate(self.operators)}
@@ -791,7 +791,7 @@ def close_quietly(sock, *, shutdown: bool = False) -> None:
 #
 # The sender and receiver of a frame are the link's two ends and the byte
 # count of a round is the receiver's own replica's business, so neither is
-# on the wire; the round tag is, and the transport checks it.
+# on the wire; the round tag is, and ``Network.round`` checks it.
 
 KIND_MSG = "msg"
 KIND_TABLE = "table"

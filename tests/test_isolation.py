@@ -7,15 +7,15 @@ secret sharing *real* rather than replicated theatre:
   share slices — no other party's share material, and no other party's cleartext
   input, exists in the process;
 * openings (``open``, Beaver openings, env-opens) reconstruct from the
-  share frames *delivered by the transport*: tampering with one share frame
+  share frames *delivered by the network round*: tampering with one share frame
   in transit changes (or fails) the opened result, proving the wire bytes
   are load-bearing;
 * the lockstep sliced engines stay byte-identical to the all-local
   simulation engine;
-* a socket endpoint writes all of a round's frames before it reads one, and
-  refuses a frame that belongs to another round;
+* a round over a mesh channel writes all of its frames before it reads
+  one, and refuses a frame that belongs to another round;
 * a pickle frame is a :class:`WireError` on every kind of link — decoder,
-  control, mesh and rejoin — and nothing it names ever runs;
+  control, mesh and mesh join — and nothing it names ever runs;
 * a mesh reader's death poisons even frames that were already
   demultiplexed — a consumer never reads stale data off a dead link;
 * across the differential corpus, every agent process's isolation audit
@@ -43,12 +43,11 @@ from repro.runtime.mesh import (
     KIND_TABLE,
     MeshTimeout,
     PeerMesh,
-    _check_mesh_hello,
-    accept_rejoin,
     bind_listener,
+    join_mesh,
 )
+from repro.runtime import TransportError
 from repro.runtime.executor import PlanExecutor
-from repro.runtime.transport import SocketTransport, TransportError
 from repro.runtime.wire import (
     WireError,
     decode_mesh_payload,
@@ -111,7 +110,7 @@ def sliced_engine_pair(seed=7, tamper_from_b=None):
     mesh_b = _PipeMesh(PARTY_B, PARTY_A, inbox=a_to_b, outbox=b_to_a, tamper=tamper_from_b)
     engines = []
     for party, mesh in ((PARTY_A, mesh_a), (PARTY_B, mesh_b)):
-        network = Network(PARTIES, transport=SocketTransport(PARTIES, mesh))
+        network = Network(PARTIES, channel=mesh)
         engines.append(
             SecretSharingEngine(PARTIES, seed=seed, network=network, local_parties=[party])
         )
@@ -444,7 +443,7 @@ def _slice(sender, receiver, origin="replica"):
 ALL_TO_ALL = [(s, r, _slice(s, r)) for s in THREE for r in THREE if s != r]
 
 
-class TestSocketTransportRound:
+class TestChannelRound:
     @pytest.mark.parametrize("me", THREE)
     def test_every_frame_is_written_before_the_first_read(self, me):
         """The lockstep-schedule invariant: in a 3-party all-to-all round no
@@ -452,7 +451,7 @@ class TestSocketTransportRound:
         others = [p for p in THREE if p != me]
         frames = {p: ("open-share", _slice(p, me, "wire")) for p in others}
         mesh = _ScriptedMesh(me, others, frames)
-        delivered = SocketTransport(THREE, mesh).exchange("open-share", ALL_TO_ALL, 8)
+        delivered = Network(THREE, channel=mesh).round("open-share", ALL_TO_ALL, 8)
 
         kinds = [entry[0] for entry in mesh.log]
         assert kinds == ["send", "send", "receive", "receive"]
@@ -471,9 +470,9 @@ class TestSocketTransportRound:
 
     def test_frame_of_another_round_is_a_desynchronisation(self):
         frames = {PARTY_B: ("beaver-open", (np.zeros(1, dtype=np.uint64),))}
-        transport = SocketTransport(PARTIES, _ScriptedMesh(PARTY_A, [PARTY_B], frames))
+        network = Network(PARTIES, channel=_ScriptedMesh(PARTY_A, [PARTY_B], frames))
         with pytest.raises(TransportError, match="protocol desynchronisation"):
-            transport.exchange("open-share", [(PARTY_B, PARTY_A, None)], 8)
+            network.round("open-share", [(PARTY_B, PARTY_A, None)], 8)
 
 
 # -- pickle frames are refused ---------------------------------------------------------------
@@ -543,14 +542,15 @@ class TestPickleFramesAreRefused:
             mesh.close()
         assert not marker.exists(), "a pickle frame was executed"
 
-    def test_rejoin_accept_drops_a_pickle_hello(self, tmp_path):
+    @pytest.mark.parametrize("epoch", [0, 1])
+    def test_join_accept_drops_a_pickle_hello(self, tmp_path, epoch):
         marker = tmp_path / "pwned"
         listener = bind_listener(timeout=5.0)
         dialler = socket.create_connection(listener.getsockname(), timeout=5.0)
         try:
             dialler.sendall(_pickle_frame(_Evil(marker)))
             with pytest.raises(MeshTimeout):
-                accept_rejoin(listener, PARTY_A, PARTY_B, epoch=1, timeout=1.0, nonce=NONCE)
+                _accept_only(listener, {PARTY_B: epoch}, timeout=1.0)
         finally:
             dialler.close()
             listener.close()
@@ -576,7 +576,7 @@ class TestPickleFramesAreRefused:
         table = Table(Schema([ColumnDef("k"), ColumnDef("v")]),
                       [np.arange(4), np.arange(4) * 2])
         payloads = [
-            ("hello", PARTY_A, NONCE),
+            ("join", PARTY_A, 0, NONCE),
             ("result", 3, {"outputs": {"out": table}, "node_durations": {1: 0.5}}),
             ("error", 3, ValueError("boom"), "traceback..."),
         ]
@@ -597,23 +597,62 @@ class TestPickleFramesAreRefused:
 # -- one hello shape ------------------------------------------------------------------------
 
 
-class TestHellosCarryTheSessionNonce:
-    def test_hellos_without_the_session_nonce_are_malformed(self):
-        """One hello shape: the nonce is part of it, not an extra."""
-        assert _check_mesh_hello(("hello", PARTY_B, NONCE), PARTY_A, PARTIES, NONCE) == PARTY_B
-        for frame in (("hello", PARTY_B), ("hello", PARTY_B, NONCE, "extra")):
-            with pytest.raises(TransportError, match="malformed mesh hello"):
-                _check_mesh_hello(frame, PARTY_A, PARTIES, NONCE)
-        with pytest.raises(TransportError, match="wrong session nonce"):
-            _check_mesh_hello(("hello", PARTY_B, "0" * 32), PARTY_A, PARTIES, NONCE)
+def _accept_only(listener, expected, timeout, nonce=NONCE):
+    """The accept side of the one mesh join: dial nobody, accept ``expected``."""
+    return join_mesh(PARTY_A, {}, expected, listener, epoch=0, nonce=nonce, timeout=timeout)
 
-    def test_rejoin_accept_drops_a_hello_without_the_nonce(self):
+
+def _dial_hello(listener, hello):
+    dialler = socket.create_connection(listener.getsockname(), timeout=5.0)
+    send_frame(dialler, hello)
+    return dialler
+
+
+class TestHellosCarryTheSessionNonce:
+    def test_malformed_hellos_are_drained_and_every_expected_peer_joins(self):
+        """One hello shape, nonce included: anything else on the listener —
+        at start as at a restart — is drained, never a link, and never
+        fails the join of the peers that do present it."""
         listener = bind_listener(timeout=5.0)
-        dialler = socket.create_connection(listener.getsockname(), timeout=5.0)
+        diallers = [
+            _dial_hello(listener, frame)
+            for frame in (
+                ("join", PARTY_B, 0),
+                ("join", PARTY_B, 0, NONCE, "extra"),
+                ("hello", PARTY_B, NONCE),
+                ("join", PARTY_B, 1, NONCE),
+                ("join", PARTY_B, 0, NONCE),
+                ("join", PARTY_C, 0, NONCE),
+            )
+        ]
         try:
-            send_frame(dialler, ("rejoin-hello", PARTY_B, 1))
+            links = _accept_only(listener, {PARTY_B: 0, PARTY_C: 0}, timeout=5.0)
+            assert sorted(links) == [PARTY_B, PARTY_C]
+            for sock in links.values():
+                sock.close()
+        finally:
+            for dialler in diallers:
+                dialler.close()
+            listener.close()
+
+    @pytest.mark.parametrize("epoch", [0, 1])
+    def test_a_wrong_session_nonce_fails_the_join(self, epoch):
+        listener = bind_listener(timeout=5.0)
+        dialler = _dial_hello(listener, ("join", PARTY_B, epoch, "0" * 32))
+        try:
+            with pytest.raises(TransportError, match="wrong session nonce"):
+                _accept_only(listener, {PARTY_B: epoch}, timeout=5.0)
+        finally:
+            dialler.close()
+            listener.close()
+
+    @pytest.mark.parametrize("epoch", [0, 1])
+    def test_join_accept_drops_a_hello_without_the_nonce(self, epoch):
+        listener = bind_listener(timeout=5.0)
+        dialler = _dial_hello(listener, ("join", PARTY_B, epoch))
+        try:
             with pytest.raises(MeshTimeout):
-                accept_rejoin(listener, PARTY_A, PARTY_B, epoch=1, timeout=1.0, nonce=NONCE)
+                _accept_only(listener, {PARTY_B: epoch}, timeout=1.0)
         finally:
             dialler.close()
             listener.close()
@@ -633,9 +672,9 @@ class TestMeshPoisonCoversBufferedFrames:
             send_mesh_frame(theirs, 1, KIND_MSG, 0, ("stale-frame-1", stale))
             send_mesh_frame(theirs, 2, KIND_MSG, 0, ("stale-frame-2", stale))
             deadline = time.monotonic() + 5
-            key = (KIND_MSG, 0, PARTY_B)
+            key = (0, PARTY_B)
             while time.monotonic() < deadline:
-                q = mesh._queues.get(key)
+                q = mesh._inboxes.get(key)
                 if q is not None and q.qsize() >= 2:
                     break
                 time.sleep(0.01)

@@ -35,7 +35,7 @@ from repro.data.schema import PUBLIC, ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.runtime import wire
 from repro.runtime.mesh import PeerMesh
-from repro.runtime.transport import TransportError
+from repro.runtime import TransportError
 from repro.runtime.wire import (
     BORROW_FLOOR,
     KIND_ABORT,

@@ -17,7 +17,6 @@ from repro.mpc.network import Network
 from repro.mpc.protocols import SharedTable
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
 from repro.mpc.sharemind import SharemindBackend
-from repro.runtime.transport import SimulatedTransport
 from test_differential import NUM_PLANS, SEED, generate_spec, run_spec
 from tests.conftest import PARTIES, make_table
 
@@ -174,16 +173,18 @@ class TestAggregate:
         assert sorted(result.reveal().column("key").tolist()) == [1, 2, 3, 4]
 
 
-class RoundLog(SimulatedTransport):
-    """The in-process fabric, remembering ``(tag, size_bytes)`` of every round."""
+class RoundLog(Network):
+    """The in-process network, remembering ``(tag, size_bytes)`` of every
+    round that carries traffic."""
 
     def __init__(self, party_names):
         super().__init__(party_names)
         self.rounds = []
 
-    def exchange(self, tag, sends, size_bytes):
-        self.rounds.append((tag, size_bytes))
-        return super().exchange(tag, sends, size_bytes)
+    def round(self, tag, sends, size_bytes):
+        if sends:
+            self.rounds.append((tag, int(size_bytes)))
+        return super().round(tag, sends, size_bytes)
 
 
 #: Relations for the single-opening test; every one is sorted by key, so the
@@ -217,7 +218,7 @@ class TestAggregateOpensItsKeyOnce:
         n = len(rows)
         table = Table.from_rows(kv_schema, rows) if rows else Table.empty(kv_schema)
         log = RoundLog(PARTIES)
-        engine = SecretSharingEngine(PARTIES, seed=3, network=Network(PARTIES, log))
+        engine = SecretSharingEngine(PARTIES, seed=3, network=log)
         shared = share(engine, table)
         del log.rounds[:]
         comparisons, multiplications = engine.meter.comparisons, engine.meter.multiplications
@@ -237,7 +238,7 @@ class TestAggregateOpensItsKeyOnce:
 
     def test_distinct_opens_its_column_once(self, kv_table):
         log = RoundLog(PARTIES)
-        engine = SecretSharingEngine(PARTIES, seed=3, network=Network(PARTIES, log))
+        engine = SecretSharingEngine(PARTIES, seed=3, network=log)
         shared = share(engine, kv_table)
         del log.rounds[:]
         result = protocols.mpc_distinct(shared, ["key"])

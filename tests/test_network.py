@@ -3,8 +3,7 @@
 import pytest
 
 from repro.model.counters import NetworkStats
-from repro.mpc.network import Network
-from repro.runtime.transport import SimulatedTransport, Transport
+from repro.mpc.network import Network, TransportError
 
 
 @pytest.fixture
@@ -17,17 +16,22 @@ def _stats(network):
     return (s.messages, s.bytes_sent, s.rounds, s.wire_rounds)
 
 
-class RecordingTransport(Transport):
-    """Records every ``exchange`` call and answers with a canned delivery."""
+class RecordingChannel:
+    """A fake mesh channel for ``party``: records every send and receive
+    and answers each receive with a canned ``(tag, payload)`` frame."""
 
-    def __init__(self, party_names, reply=None):
-        super().__init__(party_names)
+    def __init__(self, party, peers, frames=None):
+        self.party = party
+        self.peers = set(peers)
+        self.frames = frames or {}
         self.calls = []
-        self.reply = reply or {}
 
-    def exchange(self, tag, sends, size_bytes):
-        self.calls.append((tag, sends, size_bytes))
-        return self.reply
+    def send_message(self, peer, tag, payload):
+        self.calls.append(("send", peer, tag, payload))
+
+    def receive_message(self, peer):
+        self.calls.append(("receive", peer))
+        return self.frames[peer]
 
 
 def test_round_returns_every_payload_keyed_by_its_pair(net):
@@ -79,14 +83,14 @@ def test_unknown_party_rejected(net):
 
 
 def test_rejected_round_is_neither_counted_nor_carried():
-    transport = RecordingTransport(["a", "b"])
-    net = Network(["a", "b"], transport=transport)
+    channel = RecordingChannel("a", ["b"])
+    net = Network(["a", "b"], channel=channel)
     with pytest.raises(ValueError):
         net.round("t", [("a", "b", "ok"), ("b", "b", "loop")], 8)
     assert _stats(net) == (0, 0, 0, 0)
-    assert transport.calls == []
+    assert channel.calls == []
     net.round("t", [], 8)
-    assert transport.calls == [], "an empty round never reaches the transport"
+    assert channel.calls == [], "an empty round never reaches the channel"
 
 
 def test_duplicate_party_names_rejected():
@@ -109,25 +113,34 @@ def test_stats_merge_and_copy():
     assert (c.messages, c.bytes_sent, c.rounds) == (1, 10, 2)
 
 
-class TestTransportAbstraction:
-    def test_default_transport_is_simulated(self, net):
-        assert isinstance(net.transport, SimulatedTransport)
+class TestRoundCarriage:
+    def test_without_a_channel_the_round_is_delivered_in_process(self, net):
+        assert net.channel is None
         assert net.reference_party == "a"
 
-    def test_explicit_simulated_transport_behaves_identically(self):
-        explicit = Network(["a", "b"], transport=SimulatedTransport(["a", "b"]))
+    def test_an_explicit_none_channel_behaves_identically(self):
+        explicit = Network(["a", "b"], channel=None)
         implicit = Network(["a", "b"])
         delivered = [n.round("t", [("a", "b", "x")], 7) for n in (explicit, implicit)]
         assert explicit.stats == implicit.stats
         assert delivered[0] == delivered[1] == {("a", "b"): "x"}
 
-    def test_transport_party_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="do not match"):
-            Network(["a", "b"], transport=SimulatedTransport(["a", "c"]))
+    def test_the_reference_party_is_the_channels(self):
+        assert Network(["a", "b"], channel=RecordingChannel("b", ["a"])).reference_party == "b"
 
-    def test_round_hands_the_transport_tag_sends_and_size(self):
-        transport = RecordingTransport(["a", "b"], reply={("a", "b"): "off-the-wire"})
-        net = Network(["a", "b"], transport=transport)
-        sends = [("a", "b", "local-copy")]
-        assert net.round("open-share", sends, 24) == {("a", "b"): "off-the-wire"}
-        assert transport.calls == [("open-share", sends, 24)]
+    def test_round_hands_the_channel_tag_and_payloads(self):
+        channel = RecordingChannel("b", ["a"], frames={"a": ("open-share", "off-the-wire")})
+        net = Network(["a", "b"], channel=channel)
+        sends = [("a", "b", "local-copy"), ("b", "a", "mine")]
+        assert net.round("open-share", sends, 24) == {
+            ("a", "b"): "off-the-wire", ("b", "a"): "mine",
+        }
+        assert channel.calls == [("send", "a", "open-share", "mine"), ("receive", "a")]
+        # Accounting is the same with and without a channel.
+        assert _stats(net) == (2, 48, 1, 1)
+
+    def test_frame_of_another_round_is_a_desynchronisation(self):
+        channel = RecordingChannel("b", ["a"], frames={"a": ("beaver-open", None)})
+        net = Network(["a", "b"], channel=channel)
+        with pytest.raises(TransportError, match="protocol desynchronisation"):
+            net.round("open-share", [("a", "b", None)], 8)

@@ -111,6 +111,15 @@ def test_execution_never_imports_an_analytic_model(path):
         assert not ANALYTIC_NAMES.search(name), f"{path.name} imports {qualified}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("mpc/*.py")), ids=lambda p: p.name)
+def test_the_mpc_substrate_never_imports_the_runtime(path):
+    """A round is carried on whatever channel its network is given: the
+    substrate below the runtime never reaches up into it."""
+    for module, name in imports_of(path):
+        qualified = f"{module}.{name}" if name else module
+        assert not re.match(r"repro\.runtime(\.|$)", qualified), f"mpc/{path.name} imports {qualified}"
+
+
 MODEL_FILES = sorted(SRC.glob("model/*.py"))
 
 
@@ -361,7 +370,7 @@ def test_the_wire_codec_is_a_closed_schema():
         "numpy", "ssl", "repro.core", "repro.core.compiler", "repro.core.config",
         "repro.core.dag", "repro.core.relation", "repro.data.schema", "repro.data.table",
         "repro.hybrid.stp", "repro.runtime.executor", "repro.runtime.faults",
-        "repro.runtime.mesh", "repro.runtime.pool", "repro.runtime.transport",
+        "repro.runtime.mesh", "repro.runtime.pool", "repro.mpc.network",
     }
     tree = ast.parse(source)
     constructs_bare = {

@@ -23,7 +23,7 @@ import pytest
 
 import repro as cc
 from repro.queries import credit_card_regulation_query, market_concentration_query
-from repro.runtime.transport import SimulatedTransport
+from repro.mpc.network import Network
 from repro.workloads import CreditWorkload, TaxiWorkload
 
 ROWS = 50
@@ -79,13 +79,14 @@ BUDGETS = {
 def test_judged_query_stays_on_its_committed_budget(name, monkeypatch):
     spec, inputs, config = WORKLOADS[name]()
     carried = []
-    exchange = SimulatedTransport.exchange
+    round_ = Network.round
 
     def metered(self, tag, sends, size_bytes):
-        carried.append(len(sends) * size_bytes)
-        return exchange(self, tag, sends, size_bytes)
+        if sends:  # only a round that carries traffic is a wire round
+            carried.append(len(sends) * int(size_bytes))
+        return round_(self, tag, sends, size_bytes)
 
-    monkeypatch.setattr(SimulatedTransport, "exchange", metered)
+    monkeypatch.setattr(Network, "round", metered)
     profile = cc.run_query(spec.context, inputs, config, seed=SEED).mpc_profile
 
     assert len(carried) == profile["wire_rounds"]

@@ -224,13 +224,13 @@ class TestFlagOpening:
     def test_only_the_low_bits_leave_a_party(self, engine, monkeypatch):
         shared = engine.input_vector(np.array([1, 0, 1, 1, 0, 0, 0, 1, 1]))
         sent = []
-        exchange = type(engine.network.transport).exchange
+        round_ = type(engine.network).round
 
         def recording(self, tag, sends, size_bytes):
-            sent.extend((tag, payload, size_bytes) for _s, _r, payload in sends)
-            return exchange(self, tag, sends, size_bytes)
+            sent.extend((tag, payload, int(size_bytes)) for _s, _r, payload in sends)
+            return round_(self, tag, sends, size_bytes)
 
-        monkeypatch.setattr(type(engine.network.transport), "exchange", recording)
+        monkeypatch.setattr(type(engine.network), "round", recording)
         engine.open_flags(shared)
         assert len(sent) == 6
         for (tag, payload, size), share in zip(sent, np.repeat(np.arange(3), 2)):

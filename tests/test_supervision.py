@@ -39,6 +39,7 @@ from repro.core.dispatch import QueryRunner
 from repro.runtime.faults import FaultInjector, FaultPlan, KillFault, LinkFault
 from repro.runtime.gateway import QueryRejected
 from repro.runtime.service import AgentCrashed, AgentFailure
+from repro.runtime.supervisor import AgentSupervisor
 
 from test_query_service import PARTY_A, PARTY_B, two_party_query, wait_until
 
@@ -335,6 +336,45 @@ class TestBudgetExhaustion:
             assert any(o == "restarted" for o in outcomes)
 
 
+class _HeartbeatPool:
+    """The pool surface the supervisor's heartbeat loop drives, for one
+    party: ``send_ping`` delivers the pong before it returns (``answers``)
+    or never, and the loop stops after ``ticks`` pings or at the first kill."""
+
+    def __init__(self, *, answers: bool, ticks: int):
+        self.answers = answers
+        self.ticks = ticks
+        self.supervisor = None
+        self.pings = 0
+        self.kills = []
+
+    def live_parties(self):
+        return [PARTY_A]
+
+    def send_ping(self, party, seq):
+        self.pings += 1
+        if self.answers:
+            self.supervisor.note_pong(party, seq)
+        if self.pings >= self.ticks:
+            self.supervisor.stop()
+        return True
+
+    def kill_party(self, party, reason=""):
+        self.kills.append((party, reason, self.pings))
+        self.supervisor.stop()
+
+
+def _run_heartbeats(pool: _HeartbeatPool, misses: int) -> None:
+    """Run the supervisor's heartbeat loop on this thread until ``pool``
+    stops it: every tick, and every pong, happens in a fixed order."""
+    supervisor = AgentSupervisor(pool, RestartPolicy(heartbeat_interval_seconds=None))
+    pool.supervisor = supervisor
+    supervisor.policy = RestartPolicy(
+        heartbeat_interval_seconds=0.0001, heartbeat_misses=misses
+    ).validate()
+    supervisor._heartbeat_loop()
+
+
 class TestHeartbeat:
     def test_wedged_agent_is_detected_and_recycled(self):
         """SIGSTOP an agent: it answers nothing, heartbeats pile up, the
@@ -362,15 +402,31 @@ class TestHeartbeat:
 
 
     def test_healthy_agents_survive_many_heartbeat_rounds(self):
-        """Pongs race the ping bookkeeping: an agent that answers every ping
-        must never accumulate misses (it used to, one per tick, until the
-        supervisor killed it alongside the wedged one)."""
+        """A supervised session whose agents answer every ping serves a
+        query with no restart.  (The race between a pong and the ping
+        bookkeeping is pinned deterministically by the two tests below.)"""
         ctx, inputs = two_party_query()
-        restart = RestartPolicy(heartbeat_interval_seconds=0.01, heartbeat_misses=2)
+        restart = RestartPolicy(heartbeat_interval_seconds=0.2, heartbeat_misses=3)
         with supervised_session(inputs, restart=restart) as session:
-            time.sleep(1.0)  # ~100 heartbeat rounds
+            time.sleep(1.0)  # ~5 heartbeat rounds
             assert session.stats["restarts"] == 0
             assert session.submit(ctx, timeout=60).outputs["out"] is not None
+
+    def test_a_pong_before_the_ping_returns_is_never_a_miss(self):
+        """Pongs race the ping bookkeeping: a pong can land (and reset the
+        party's count) before ``send_ping`` even returns.  An agent whose
+        pong always wins that race must never accumulate misses — it used
+        to, one per tick, until the supervisor killed it."""
+        pool = _HeartbeatPool(answers=True, ticks=200)
+        _run_heartbeats(pool, misses=2)
+        assert pool.pings >= 200
+        assert pool.kills == []
+
+    def test_a_silent_agent_is_killed_after_its_misses(self):
+        pool = _HeartbeatPool(answers=False, ticks=200)
+        _run_heartbeats(pool, misses=3)
+        # Three unanswered pings, then the next tick kills instead of pinging.
+        assert pool.kills == [(PARTY_A, "missed heartbeats", 3)]
 
     def test_submit_during_back_to_back_restarts_is_retried(self):
         """Both agents die together and recover one after the other; a query

@@ -35,7 +35,7 @@ from repro.core.config import (
 from repro.core.dispatch import QueryRunner
 from repro.runtime import mesh
 from repro.runtime.service import AgentFailure
-from repro.runtime.transport import TransportError
+from repro.runtime import TransportError
 from repro.runtime.wire import SecureSocket, WireError, recv_frame, send_frame
 
 from test_query_service import PARTY_A, PARTY_B, two_party_query
@@ -168,25 +168,30 @@ class TestTlsFailClosed:
         self._expect_structured_failure(stolen, match="certificate authenticates")
 
 
+@pytest.fixture(params=[0, 3], ids=["start", "restart"])
+def epoch(request):
+    """The epoch of the join: 0 at session start, above 0 at a restart."""
+    return request.param
+
+
 class TestRejoinHelloAuthentication:
-    """The crash-recovery accept path applies the same identity checks."""
+    """The one mesh accept applies the same identity checks at session
+    start and on the crash-recovery path."""
 
-    EPOCH = 3
-
-    def _run_accept(self, security, nonce, dialler):
-        """Park a survivor in accept_rejoin for PARTY_B's epoch-tagged dial,
-        run ``dialler(endpoint)`` as the would-be replacement, and return the
-        exception (or socket) the accept produced."""
+    def _run_accept(self, security, nonce, dialler, epoch):
+        """Park an agent in the mesh join's accept for PARTY_B's hello at
+        ``epoch``, run ``dialler(endpoint)`` as the would-be PARTY_B, and
+        return the exception (or socket) the accept produced."""
         listener = mesh.bind_listener(timeout=10.0)
         endpoint = listener.getsockname()
         outcome = {}
 
         def accept():
             try:
-                outcome["sock"] = mesh.accept_rejoin(
-                    listener, PARTY_A, PARTY_B, self.EPOCH, timeout=8.0,
-                    security=security, nonce=nonce,
-                )
+                outcome["sock"] = mesh.join_mesh(
+                    PARTY_A, {}, {PARTY_B: epoch}, listener, epoch=0,
+                    timeout=8.0, security=security, nonce=nonce,
+                )[PARTY_B]
             except BaseException as exc:  # noqa: BLE001 - relayed to the test
                 outcome["error"] = exc
 
@@ -197,7 +202,7 @@ class TestRejoinHelloAuthentication:
         finally:
             thread.join(timeout=15.0)
             listener.close()
-        assert not thread.is_alive(), "accept_rejoin hung instead of failing closed"
+        assert not thread.is_alive(), "the join accept hung instead of failing closed"
         return outcome
 
     def _dial(self, endpoint, context, server_hostname, hello):
@@ -218,7 +223,7 @@ class TestRejoinHelloAuthentication:
         finally:
             sock.close()
 
-    def test_rejoin_hello_with_wrong_nonce_is_rejected(self, security):
+    def test_rejoin_hello_with_wrong_nonce_is_rejected(self, security, epoch):
         """Right peer, right epoch, right certificate — wrong session nonce.
         This is a replayed hello from an earlier session: impersonation."""
         context = security.client_context(PARTY_B)
@@ -226,15 +231,15 @@ class TestRejoinHelloAuthentication:
         def dialler(endpoint):
             try:
                 self._dial(endpoint, context, PARTY_A,
-                           ("rejoin-hello", PARTY_B, self.EPOCH, "0" * 32))
+                           ("join", PARTY_B, epoch, "0" * 32))
             except (OSError, ssl.SSLError):
                 pass
 
-        outcome = self._run_accept(security, NONCE, dialler)
+        outcome = self._run_accept(security, NONCE, dialler, epoch)
         assert isinstance(outcome.get("error"), TransportError)
         assert "nonce" in str(outcome["error"])
 
-    def test_rejoin_hello_with_stolen_identity_is_rejected(self, security):
+    def test_rejoin_hello_with_stolen_identity_is_rejected(self, security, epoch):
         """A dialler with PARTY_A's valid certificate claiming to be the
         crashed PARTY_B must be refused: CN and claimed party disagree."""
         context = security.client_context(PARTY_A)  # wrong identity's cert
@@ -242,15 +247,15 @@ class TestRejoinHelloAuthentication:
         def dialler(endpoint):
             try:
                 self._dial(endpoint, context, PARTY_A,
-                           ("rejoin-hello", PARTY_B, self.EPOCH, NONCE))
+                           ("join", PARTY_B, epoch, NONCE))
             except (OSError, ssl.SSLError):
                 pass
 
-        outcome = self._run_accept(security, NONCE, dialler)
+        outcome = self._run_accept(security, NONCE, dialler, epoch)
         assert isinstance(outcome.get("error"), TransportError)
         assert "certificate" in str(outcome["error"])
 
-    def test_unauthenticated_dialler_cannot_complete_the_handshake(self, security):
+    def test_unauthenticated_dialler_cannot_complete_the_handshake(self, security, epoch):
         """A plaintext (or otherwise CA-less) client can't even get a frame
         through: the accept drains the failed handshake and keeps waiting
         for the real replacement, then times out cleanly."""
@@ -263,7 +268,7 @@ class TestRejoinHelloAuthentication:
             finally:
                 raw.close()
 
-        outcome = self._run_accept(security, NONCE, dialler)
+        outcome = self._run_accept(security, NONCE, dialler, epoch)
         error = outcome.get("error")
         assert isinstance(error, (TransportError, TimeoutError, OSError))
         assert "sock" not in outcome

@@ -334,10 +334,11 @@ def test_control_frames_round_trip_over_a_socket():
     frames = [
         ("hello", "alpha.example"),
         ("ports", ("127.0.0.1", 4000)),
-        ("peers", {"alpha.example": ("127.0.0.1", 4000)}),
+        ("peers", {"dial": {"alpha.example": ("127.0.0.1", 4000)},
+                   "accept": {"gamma.example": 0}}),
         ("ready", None),
-        ("hello", "alpha.example", "a" * 32),
-        ("rejoin-hello", "beta.example", 3, "a" * 32),
+        ("join", "alpha.example", 0, "a" * 32),
+        ("join", "beta.example", 3, "a" * 32),
         ("rejoined", {"party": "beta.example", "epoch": 3, "ok": True}),
     ]
     left, right = socket.socketpair()

@@ -13,6 +13,7 @@ byte.
 import contextlib
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from repro.core.config import TransportSecurity
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.runtime import wire
-from repro.runtime.mesh import PeerMesh
-from repro.runtime.transport import TransportError
+from repro.runtime.mesh import MeshTimeout, PeerMesh
+from repro.runtime import TransportError
 from repro.runtime.wire import (
     BORROW_FLOOR,
     MAX_FRAME_BYTES,
@@ -251,8 +252,63 @@ def test_released_query_drops_late_frames_instead_of_accumulating():
         # A later frame on the same link proves the earlier ones were read.
         mesh_b.channel(6).send_message("a", "fresh", None)
         assert mesh_a.channel(6).receive_message("b") == ("fresh", None)
-        assert not [k for k in mesh_a._queues if k[1] == 4]
-        assert not [k for k in mesh_a._aborted if k[1] == 4]
+        assert not [k for k in mesh_a._inboxes if k[0] == 4]
+    finally:
+        mesh_a.close()
+        mesh_b.close()
+
+
+def _diverges_at_once(receive) -> None:
+    """``receive()`` raises a divergence error, not a timeout, well inside
+    the mesh timeout."""
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="diverged") as info:
+        receive()
+    assert not isinstance(info.value, MeshTimeout)
+    assert time.monotonic() - started < 0.5
+
+
+def test_a_frame_of_another_kind_is_divergence_not_a_timeout():
+    """One ordered inbox per (query, peer): the next frame is the one the
+    lockstep schedule expects, so a frame of another kind is the party
+    processes diverging — an error at once, not a wait for the timeout."""
+    mesh_a, mesh_b = make_mesh_pair(timeout=5.0)
+    try:
+        schema = Schema([ColumnDef("k")])
+        mesh_b.channel(1).send_table("a", "rel", Table(schema, [np.arange(3)]))
+        _diverges_at_once(lambda: mesh_a.channel(1).receive_message("b"))
+        mesh_b.channel(2).send_message("a", "round", None)
+        _diverges_at_once(lambda: mesh_a.channel(2).receive_shape("b", "rel"))
+    finally:
+        mesh_a.close()
+        mesh_b.close()
+
+
+def test_an_abort_ends_the_inbox_after_the_frames_before_it():
+    mesh_a, mesh_b = make_mesh_pair()
+    try:
+        mesh_b.channel(3).send_message("a", "first", _flag(1))
+        mesh_b.channel(3).send_message("a", "second", _flag(2))
+        mesh_b.channel(3).abort("boom at b")
+        channel = mesh_a.channel(3)
+        assert [channel.receive_message("b")[0] for _ in range(2)] == ["first", "second"]
+        for _ in range(3):
+            with pytest.raises(TransportError, match="aborted query 3: boom at b"):
+                channel.receive_message("b")
+    finally:
+        mesh_a.close()
+        mesh_b.close()
+
+
+def test_an_abort_for_a_released_query_creates_no_inbox():
+    mesh_a, mesh_b = make_mesh_pair()
+    try:
+        mesh_a.channel(7).close()
+        mesh_b.channel(7).abort("late abort")
+        # A later frame on the same link proves the abort was read.
+        mesh_b.channel(8).send_message("a", "fresh", None)
+        assert mesh_a.channel(8).receive_message("b") == ("fresh", None)
+        assert (7, "b") not in mesh_a._inboxes
     finally:
         mesh_a.close()
         mesh_b.close()
