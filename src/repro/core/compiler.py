@@ -29,7 +29,6 @@ from repro.core.dag import Dag
 from repro.core.frontier import push_down, push_up
 from repro.core.hybrid_rewrite import apply_hybrid_operators
 from repro.core.lang import QueryContext
-from repro.core.operators import Aggregate, Collect, HybridAggregate, HybridJoin, Join, PublicJoin
 from repro.core.partition import SubPlan, describe_partitioning, partition_dag
 from repro.core.propagation import mark_mpc_frontier, propagate_ownership, propagate_trust
 from repro.core.sort_opt import eliminate_redundant_sorts, push_up_sorts
@@ -144,7 +143,6 @@ def compile_query(query: Dag | QueryContext, config: CompilationConfig | None = 
     propagate_ownership(dag)
     mark_mpc_frontier(dag)
     propagate_trust(dag)
-    _apply_row_hints(dag, config)
     dag.validate()
     # Node ids come from a process-wide counter.  Renumbering by topological
     # position keeps that order (ids only break its ties) and makes the plan
@@ -188,13 +186,3 @@ def run_query(
         compile_query(query, config), inputs, config,
         seed=seed, runtime=runtime, timeout=timeout,
     )
-
-
-def _apply_row_hints(dag: Dag, config: CompilationConfig) -> None:
-    """Override estimated row counts with analyst-provided hints."""
-    if not config.row_hints:
-        return
-    for node in dag.topological():
-        hint = config.row_hints.get(node.out_rel.name)
-        if hint is not None:
-            node.out_rel.estimated_rows = int(hint)

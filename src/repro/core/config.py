@@ -52,9 +52,6 @@ class CompilationConfig:
     #: frontier.  Matching SMCQL's (stricter) guarantee for the §7.4
     #: comparison requires setting this to False.
     push_down_private_filters: bool = True
-    #: Extra per-relation row hints, keyed by relation name (overrides the
-    #: default selectivity-based estimates used by the cost estimator).
-    row_hints: dict[str, int] = field(default_factory=dict)
     #: Cleartext engine; ``"columnar"`` is the only one (the field survives
     #: because the benchmark harness still passes it).
     executor: str = "columnar"

@@ -183,19 +183,12 @@ class QueryContext:
             if not first_schema.concat_compatible(n.out_rel.schema):
                 raise ValueError("concat inputs must share the same schema")
         stored = set()
-        rows = 0
-        known_rows = True
         for n in nodes:
             stored |= n.out_rel.stored_with
-            if n.out_rel.estimated_rows is None:
-                known_rows = False
-            else:
-                rows += n.out_rel.estimated_rows
         rel = Relation(
             name=self.fresh_name(name or "concat"),
             schema=first_schema,
             stored_with=stored,
-            estimated_rows=rows if known_rows else None,
         )
         node = Concat(rel, nodes)
         return RelationHandle(self, node)
@@ -665,7 +658,7 @@ class RelationHandle:
                 # [0, key_base); mark the first operator of the encode chain
                 # so the executor checks the actual key data at run time
                 # instead of silently mis-encoding (see
-                # PlanExecutor._validate_key_range).
+                # repro.runtime.executor.apply_operator).
                 handle.node.key_range_check = (tuple(columns), int(key_base))
             temps.append(shifted)
             target = out_name if is_last else handle._fresh_col()

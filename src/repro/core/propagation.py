@@ -83,7 +83,6 @@ def propagate_ownership(dag: Dag) -> None:
             node.out_rel.stored_with = set(node.recipients)
         else:
             node.out_rel.stored_with = stored
-        _estimate_rows(node)
 
 
 def mark_mpc_frontier(dag: Dag) -> None:
@@ -247,39 +246,3 @@ def _sort_trust(node: SortBy) -> dict[str, frozenset[str]]:
         name: intersect_trust(parent.column_trust(name), key_trust)
         for name in node.out_rel.schema.names
     }
-
-
-# -- row estimates -----------------------------------------------------------------------------
-
-
-#: Default selectivity assumptions used when the analyst provides no hints.
-DEFAULT_FILTER_SELECTIVITY = 0.5
-DEFAULT_DISTINCT_FRACTION = 0.1
-DEFAULT_JOIN_MULTIPLIER = 1.0
-
-
-def _estimate_rows(node: OpNode) -> None:
-    """Propagate coarse row-count estimates (used by the plan cost estimator)."""
-    input_rows = [rel.estimated_rows for rel in node.input_relations()]
-    if any(r is None for r in input_rows):
-        node.out_rel.estimated_rows = None
-        return
-    rows = [int(r) for r in input_rows if r is not None]
-    if isinstance(node, (Concat, Merge)):
-        estimate = sum(rows)
-    elif isinstance(node, Filter):
-        estimate = int(rows[0] * DEFAULT_FILTER_SELECTIVITY)
-    elif isinstance(node, Aggregate):
-        if node.group_col is None:
-            estimate = 1
-        else:
-            estimate = max(1, int(rows[0] * DEFAULT_DISTINCT_FRACTION))
-    elif isinstance(node, Distinct):
-        estimate = max(1, int(rows[0] * DEFAULT_DISTINCT_FRACTION))
-    elif isinstance(node, Join):
-        estimate = max(1, int(min(rows) * DEFAULT_JOIN_MULTIPLIER))
-    elif isinstance(node, Limit):
-        estimate = min(rows[0], node.n)
-    else:
-        estimate = rows[0]
-    node.out_rel.estimated_rows = estimate

@@ -29,7 +29,6 @@ from repro.mpc.protocols import (
     gather_rows,
     grouped_operands,
     last_of_group,
-    segmented_sum,
 )
 from repro.mpc.sharemind import SharemindBackend
 
@@ -68,9 +67,7 @@ def hybrid_aggregate(
     # Steps 2-5 (at the STP, in the clear): enumerate, sort by key, compute
     # the adjacent-equality flags, return the plaintext ordering (public) and
     # secret-share the flags (known to every replicated-STP engine) into MPC.
-    order = stp.sort_keys(revealed_keys)
-    sorted_keys = revealed_keys[order]
-    same = sorted_keys[:-1] == sorted_keys[1:]  # length n-1, row i vs i+1
+    order, same = stp.sort_keys(revealed_keys)
     same_as_next = engine.input_vector(same, public=True)
 
     # Step 6: parties reorder the shuffled relation by the public ordering.
@@ -78,7 +75,7 @@ def hybrid_aggregate(
 
     # Step 7: the oblivious accumulation scan; a row is kept iff it is the
     # last of its group.
-    acc = segmented_sum(engine, value_col, same)
+    acc = engine.segmented_sum(value_col, same)
     keep_flags = last_of_group(engine, same_as_next)
 
     # Step 8: shuffle, reveal the keep flags, and discard non-final rows.

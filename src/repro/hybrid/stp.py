@@ -113,12 +113,15 @@ class SelectivelyTrustedParty:
         joined = self.engine.collect(self.engine.join(left, right, "key", "key"))
         return joined.column("left_idx"), joined.column("right_idx")
 
-    def sort_keys(self, keys: np.ndarray) -> np.ndarray:
+    def sort_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sort a revealed key column in the clear.
 
         Enumerates the column, sorts the ``(key, row index)`` relation by key
         on the STP's engine and returns the row indices in sorted order — the
-        stable ascending permutation of ``keys``.
+        stable ascending permutation of ``keys`` — and whether each sorted
+        key equals the next (``n - 1`` group-boundary flags).
         """
         relation = self._enumerated(keys, "row_id")
-        return self.engine.collect(self.engine.sort_by(relation, "key")).column("row_id")
+        ordered = self.engine.collect(self.engine.sort_by(relation, "key"))
+        sorted_keys = ordered.column("key")
+        return ordered.column("row_id"), sorted_keys[:-1] == sorted_keys[1:]

@@ -10,17 +10,18 @@ that only look downwards:
                    the share engine, ``CleartextWork`` for the cleartext one
 ``steps``          the one formula of every protocol step — what the share
                    engine charges (``engine.charge(<step>_meter(...))``)
-``operators``      the relational operators, composed from the steps in
-                   the order :mod:`repro.mpc.protocols` runs them
 ``prices``         the price lists: Sharemind, Obliv-C, ObliVM, Python, Spark
-``estimator``      ``PlanEstimator``: operator meters x row estimates x prices
+``estimator``      ``PlanEstimator``: shape runs x row estimates x prices
 ================  =======================================================
 
-An estimated and an executed plan can therefore disagree about row counts
-only, never about a formula (``tests/test_estimates.py``).  The package
-depends on :mod:`repro.core` and :mod:`repro.data` only; executing modules
-import ``counters``, ``steps`` and their price lists, never ``operators`` or
-``estimator`` (``tests/test_public_api.py``) — which is also why nothing is
-imported here: the estimator needs the compiler, whose runtime needs the
-counters.
+There is no list of an operator's steps here: the estimator prices an MPC
+node by running the executor's own operator dispatch on a
+:class:`~repro.mpc.shape.ShapeEngine`, whose vectors carry only a length,
+so an estimated and an executed plan can disagree about row counts only
+(``tests/test_estimates.py``).  ``counters``, ``steps`` and ``prices``
+depend on :mod:`repro.core` and :mod:`repro.data` only; executing modules
+import them, never ``estimator``, and the estimator reaches up only for the
+shape engine and ``apply_operator`` (``tests/test_public_api.py``) — which
+is also why nothing is imported here: the estimator needs the compiler,
+whose runtime needs the counters.
 """

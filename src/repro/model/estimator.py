@@ -2,13 +2,18 @@
 
 Executing the functional protocols on tens of millions of records in pure
 Python would take longer than the real systems they simulate, so the
-benchmark harness prices compiled plans analytically: every MPC operator's
-work is the :mod:`repro.model.operators` meter of its estimated row counts
-— the same step formulas the share engine charges when it executes — and
-every cleartext operator's a :class:`~repro.model.counters.CleartextWork`,
-converted to simulated seconds with the price lists the executing engines'
-tallies are converted with.  The garbled-circuit (Obliv-C) target is priced
-only here (:meth:`PlanEstimator._garbled_cost`); nothing executes it.
+benchmark harness prices compiled plans on row counts: every MPC operator's
+work is the meter of a *shape run* — the executor's own dispatch
+(:func:`~repro.runtime.executor.apply_operator`) over a
+:class:`~repro.mpc.shape.ShapeEngine`, whose vectors carry only a length,
+so every protocol step is charged exactly as when it executes, at O(1) per
+step — and every cleartext operator's a
+:class:`~repro.model.counters.CleartextWork`, converted to simulated seconds
+with the price lists the executing engines' tallies are converted with.
+The estimate enters a shape run in one place: how many rows an operator
+keeps, which is the node's estimated output.  The garbled-circuit
+(Obliv-C) target is priced only here (:meth:`PlanEstimator._garbled_cost`);
+nothing executes it.
 Completion times are the dispatcher's recurrence
 (:func:`~repro.model.prices.completion_seconds`), so independent per-party
 work overlaps.
@@ -22,6 +27,7 @@ reproduce the "did not finish within an hour" points of Figures 6 and 7.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.compiler import CompiledQuery
 from repro.core.operators import (
@@ -40,12 +46,10 @@ from repro.core.operators import (
     Map,
     Merge,
     OpNode,
-    Project,
     PublicJoin,
     SortBy,
 )
-from repro.data.schema import Schema, arithmetic_typing
-from repro.model import operators, steps
+from repro.model import steps
 from repro.model.counters import CleartextWork, CostMeter
 from repro.model.prices import (
     BYTES_PER_JOIN_PAIR,
@@ -61,6 +65,8 @@ from repro.model.prices import (
     SparkCostModel,
     completion_seconds,
 )
+from repro.mpc.shape import ShapeBackend, ShapeSTP
+from repro.runtime.executor import apply_operator
 
 
 class EstimatedOOM(RuntimeError):
@@ -249,75 +255,19 @@ class PlanEstimator:
         return seconds
 
     def _sharemind_meter(self, node: OpNode, rows_in: list[int], rows_out: int) -> CostMeter:
-        """The node's :mod:`repro.model.operators` meter at the estimated row
-        counts, after the sharing of whatever crosses in from cleartext and
-        the composite-key range check's openings."""
-        p = self.params.num_parties
-        meter = CostMeter()
-        for parent, n_rows in zip(node.parents, rows_in):
-            if not parent.is_mpc:
-                meter.merge(operators.share_input_meter(n_rows, len(parent.out_rel.schema), p))
-        check = node.key_range_check
-        if check:
-            # PlanExecutor._validate_key_range opens each key column.
-            for _ in check[0]:
-                meter.merge(steps.env_open_meter(rows_in[0], p))
-        meter.merge(self._operator_meter(node, rows_in, rows_out, p))
-        return meter
-
-    @staticmethod
-    def _operator_meter(node: OpNode, rows_in: list[int], rows_out: int, p: int) -> CostMeter:
-        cols_in = [len(parent.out_rel.schema) for parent in node.parents]
-        cols_out = len(node.out_rel.schema)
-        schema = node.parents[0].out_rel.schema
-        n = rows_in[0]
-        if isinstance(node, Merge):
-            return operators.merge_meter(rows_in, cols_out, p)
-        if isinstance(node, Concat):
-            return steps.local_meter(sum(rows_in), cols_out)
-        if isinstance(node, Project):
-            return steps.local_meter(n, cols_out)
-        if isinstance(node, Filter):
-            if _constant_comparison(schema, node.column, node.op, node.value):
-                return operators.compact_meter(n, cols_out, p)
-            return operators.filter_meter(n, cols_out, node.op, p)
-        if isinstance(node, HybridJoin):
-            return operators.hybrid_join_meter(*rows_in, rows_out, *cols_in, p)
-        if isinstance(node, PublicJoin):
-            return operators.public_join_meter(*rows_in, rows_out, cols_out, p)
-        if isinstance(node, Join):
-            return operators.join_meter(*rows_in, cols_out, p)
-        if isinstance(node, HybridAggregate):
-            return operators.hybrid_aggregate_meter(n, p)
-        if isinstance(node, Aggregate):
-            return operators.aggregate_meter(
-                n, node.func, p, presorted=node.presorted, grouped=node.group_col is not None
-            )
-        if isinstance(node, Map):
-            left_fixed, right_fixed, _ = arithmetic_typing(schema, node.left, node.op, node.right)
-            shared = isinstance(node.right, str)
-            if node.op == "*":
-                return operators.multiply_meter(n, p, shared, left_fixed and right_fixed)
-            if node.op == "/":
-                return operators.divide_meter(n, p, shared)
-            return operators.map_meter(n, left_fixed != right_fixed)
-        if isinstance(node, Compare):
-            if _constant_comparison(schema, node.left, node.op, node.right):
-                return CostMeter()
-            shared = isinstance(node.right, str)
-            # A comparison aligns its operands' scales as a subtraction does.
-            left_fixed, right_fixed, _ = arithmetic_typing(schema, node.left, "-", node.right)
-            rescaled = shared and left_fixed != right_fixed
-            return operators.compare_meter(n, node.op, p, shared, rescaled)
-        if isinstance(node, BoolOp):
-            return operators.bool_op_meter(n, node.op, len(node.operands), p)
-        if isinstance(node, SortBy):
-            return operators.sort_meter(n, cols_out, p)
-        if isinstance(node, Distinct):
-            return operators.distinct_meter(n, rows_out, p)
-        if isinstance(node, Limit):
-            return steps.local_meter(rows_out, cols_out)
-        return CostMeter()
+        """The meter of a shape run of the node: the executor's own dispatch
+        (:func:`~repro.runtime.executor.apply_operator`) over a fresh
+        :class:`~repro.mpc.shape.ShapeBackend`, after the input round of
+        whatever crosses in from cleartext."""
+        backend = ShapeBackend(self.params.num_parties, rows_out)
+        handles = [
+            backend.table(parent.out_rel.schema, n_rows) if parent.is_mpc
+            else backend.ingest_remote(parent.out_rel.schema, n_rows, backend.party_names[0])
+            for parent, n_rows in zip(node.parents, rows_in)
+        ]
+        stp_for = partial(ShapeSTP, rows_out=rows_out)
+        apply_operator(backend, node, handles, stp_for, leakage=None)
+        return backend.meter
 
     def _garbled_cost(self, node: OpNode, rows_in: list[int], rows_out: int) -> tuple[int, int, int]:
         """(non-XOR gates, OT input bits, peak memory bytes) for Obliv-C plans."""
@@ -374,16 +324,16 @@ class PlanEstimator:
 
     def _reveal_meter(self, node: OpNode, rows_in: list[int]) -> CostMeter:
         """Revealing each MPC parent of a cleartext node to the party that
-        runs it — a ``Collect``'s to every recipient in turn, one round each."""
+        runs it — a ``Collect``'s to every recipient in turn, one round each;
+        every recipient is priced as a computing party."""
         recipients = len(node.recipients) if isinstance(node, Collect) else 1
-        meter = CostMeter()
+        backend = ShapeBackend(self.params.num_parties)
         for parent, n_rows in zip(node.parents, rows_in):
             if parent.is_mpc:
-                columns = len(parent.out_rel.schema)
-                step = operators.reveal_to_meter(n_rows, columns, self.params.num_parties)
+                table = backend.table(parent.out_rel.schema, n_rows)
                 for _ in range(recipients):
-                    meter.merge(step)
-        return meter
+                    backend.engine.reveal_to_many(table.columns, backend.party_names[0])
+        return backend.meter
 
     @staticmethod
     def _cleartext_records_seconds(records: int, prices, wide: bool) -> float:
@@ -393,10 +343,3 @@ class PlanEstimator:
             CleartextWork(stages=1, records_processed=records, records_shuffled=shuffled)
         )
 
-
-def _constant_comparison(schema: Schema, column: str, op: str, right: "str | float") -> bool:
-    """``int column == 2.5`` (or ``!=``) is decided without a secret comparison."""
-    if op not in ("==", "!=") or isinstance(right, str):
-        return False
-    column_fixed, scalar_fixed, _ = arithmetic_typing(schema, column, "-", right)
-    return scalar_fixed and not column_fixed

@@ -6,15 +6,16 @@ step on one share vector (or one relation, where whole rows move):
 * *carried* steps — input sharing, openings, the Beaver opening of a
   multiplication, local share arithmetic — are performed for real: the
   traffic is counted where it is carried (``Network.round``), the primitive
-  increments its one counter, and the meter here is what the estimator
-  prices for it;
+  increments its one counter, and the meter here is what the same primitive
+  of a :class:`~repro.mpc.shape.ShapeEngine` charges instead;
 * *analytic* steps — everything executed as an ideal functionality — are
   charged by ``engine.charge(<step>_meter(...))``: the meter here *is* the
   charge, so there is no second copy that could drift.
 
-:mod:`repro.model.operators` composes both kinds into relational operators
-and ``tests/test_estimates.py`` holds each composition to the executed
-counters.  ``num_parties`` is the number of computing parties.
+No module composes them into relational operators: the estimator runs the
+protocols themselves on a shape engine, and ``tests/test_estimates.py``
+holds each carried primitive's meter here to the counters it executes.
+``num_parties`` is the number of computing parties.
 """
 
 from __future__ import annotations

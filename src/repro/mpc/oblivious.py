@@ -16,7 +16,7 @@ reshare-freshens the result by adding the permuted slice into the fresh mask
 of a zero sharing, and charges the meter the full price of the bitonic
 network.  Only the shuffle moves data through real resharing rounds;
 everything row-dependent — here and in the accumulation scan the oblivious and the
-hybrid aggregation share (:func:`repro.mpc.protocols.segmented_sum`) — is
+hybrid aggregation share (:meth:`~repro.mpc.secretshare.SecretSharingEngine.segmented_sum`) — is
 one whole-vector operation charged analytically, so the number of *wire*
 rounds of every operator, hybrid ones included, is independent of the
 relation size.  What each sub-protocol is charged — O(n) reshared elements
@@ -61,10 +61,10 @@ def oblivious_shuffle(
     if n == 0:
         return [SharedVector(engine, [s.copy() for s in col.shares]) for col in columns]
     if permutation is None:
-        permutation = engine.rng.permutation(n)
+        permutation = engine.permutation(n)
 
     # Resharing: a fresh zero-sharing makes old and new shares unlinkable.
-    shuffled = [_gather_reshared(engine, col, permutation) for col in columns]
+    shuffled = [engine.reshared_take(col, permutation) for col in columns]
 
     engine.charge(steps.shuffle_meter(n, len(columns), engine.num_parties))
     return shuffled
@@ -93,8 +93,8 @@ def oblivious_sort(
     if n <= 1:
         return key, payload
     if order is None:
-        order = np.argsort(engine.env_open(key), kind="stable")
-    key_sorted, payload_sorted = _permute_reshared(engine, key, payload, order)
+        order = engine.order_of(key)
+    key_sorted, *payload_sorted = [engine.reshared_take(col, order) for col in [key, *payload]]
     engine.charge(steps.sort_network_meter(n, 1 + len(payload), engine.num_parties))
     return key_sorted, payload_sorted
 
@@ -143,16 +143,16 @@ def _bitonic_merge_two(
     ``Table.sort_by`` uses, so ties land exactly where the cleartext
     engine puts them — and the merge network's cost is metered.
     """
-    key = _concat_shared(engine, [key_a, key_b])
-    payload = [_concat_shared(engine, [a, b]) for a, b in zip(payload_a, payload_b)]
+    key = SharedVector.concat([key_a, key_b])
+    payload = [SharedVector.concat([a, b]) for a, b in zip(payload_a, payload_b)]
     n = len(key)
     if n <= 1:
         return key, payload
 
-    order = np.argsort(engine.env_open(key), kind="stable")
+    order = engine.order_of(key)
     if not ascending:
         order = order[::-1]
-    key_sorted, payload_sorted = _permute_reshared(engine, key, payload, order)
+    key_sorted, *payload_sorted = [engine.reshared_take(col, order) for col in [key, *payload]]
     engine.charge(steps.merge_network_meter(n, 1 + len(payload), engine.num_parties))
     return key_sorted, payload_sorted
 
@@ -174,46 +174,8 @@ def oblivious_index(
     if not columns:
         return []
     n = len(columns[0])
-    m = len(idx_values)
-    if m > 0 and (idx_values.min() < 0 or idx_values.max() >= n):
-        raise IndexError("oblivious index out of range")
-
-    out = [_gather_reshared(engine, col, idx_values) for col in columns]
-    engine.charge(steps.index_routing_meter(n, m, len(columns), engine.num_parties))
+    engine.check_index(idx_values, n)
+    out = [engine.reshared_take(col, idx_values) for col in columns]
+    engine.charge(steps.index_routing_meter(n, len(idx_values), len(columns), engine.num_parties))
     return out
 
-
-# -- internals -------------------------------------------------------------------------
-
-
-def _gather_reshared(
-    engine: SecretSharingEngine, col: SharedVector, index: np.ndarray
-) -> SharedVector:
-    """Rows ``index`` of ``col`` under a fresh sharing.
-
-    The gathered slice is added *into* the zero sharing's fresh mask, so
-    each slice costs one temporary, not three.
-    """
-    fresh = engine.zero_sharing(len(index))
-    for mask, share in zip(fresh, col.shares):
-        mask += share[index]
-    return SharedVector(engine, fresh)
-
-
-def _permute_reshared(
-    engine: SecretSharingEngine,
-    key: SharedVector,
-    payload: list[SharedVector],
-    order: np.ndarray,
-) -> tuple[SharedVector, list[SharedVector]]:
-    """Apply ``order`` to key + payload share vectors with fresh resharing."""
-    out = [_gather_reshared(engine, col, order) for col in [key, *payload]]
-    return out[0], out[1:]
-
-
-def _concat_shared(engine: SecretSharingEngine, vectors: Sequence[SharedVector]) -> SharedVector:
-    shares = [
-        np.concatenate([vec.shares[p] for vec in vectors])
-        for p in range(engine.num_local_shares)
-    ]
-    return SharedVector(engine, shares)

@@ -140,13 +140,7 @@ def mpc_concat(tables: Sequence[SharedTable]) -> SharedTable:
         if t.engine is not first.engine:
             raise ValueError("cannot concat relations from different MPC engines")
     engine = first.engine
-    columns = []
-    for c in range(len(first.schema)):
-        shares = [
-            np.concatenate([t.columns[c].shares[p] for t in tables])
-            for p in range(engine.num_local_shares)
-        ]
-        columns.append(SharedVector(engine, shares))
+    columns = [SharedVector.concat(parts) for parts in zip(*(t.columns for t in tables))]
     engine.charge(steps.local_meter(sum(t.num_rows for t in tables), len(first.schema)))
     return SharedTable(engine, first.schema, columns)
 
@@ -227,9 +221,9 @@ def _truncate_fixed_point(engine: SecretSharingEngine, vec: SharedVector) -> Sha
     the cost of a probabilistic truncation protocol (one multiplication and
     one round per element) charged to the meter.
     """
-    truncated = engine.env_open(vec) // FIXED_POINT_SCALE
+    truncated = engine.env_apply(lambda values: values // FIXED_POINT_SCALE, [vec])
     engine.charge(steps.truncation_meter(len(vec), engine.num_parties))
-    return engine.share_from_env(truncated)
+    return truncated
 
 
 def _divide(table: SharedTable, left: str, right: "str | float") -> SharedVector:
@@ -242,21 +236,21 @@ def _divide(table: SharedTable, left: str, right: "str | float") -> SharedVector
     — and meter that realistic cost.
     """
     engine = table.engine
-    n = table.num_rows
-    if isinstance(right, str):
-        lvals, rvals = _decode_columns(table, [left, right])
-    else:
-        (lvals,) = _decode_columns(table, [left])
-        rvals = np.float64(right)
-    result = np.divide(
-        lvals,
-        rvals,
-        out=np.zeros(n, dtype=np.float64),
-        where=rvals != 0,
-    )
-    encoded = np.round(result * FIXED_POINT_SCALE).astype(np.int64)
-    engine.charge(steps.division_meter(n, engine.num_parties))
-    return engine.share_from_env(encoded)
+    names = [left, right] if isinstance(right, str) else [left]
+    fixed = [table.schema[name].ctype is ColumnType.FLOAT for name in names]
+
+    def decoded(values: np.ndarray, is_fixed: bool) -> np.ndarray:
+        return values / FIXED_POINT_SCALE if is_fixed else values.astype(np.float64)
+
+    def quotient(lvals: np.ndarray, rvals: "np.ndarray | None" = None) -> np.ndarray:
+        lvals = decoded(lvals, fixed[0])
+        rvals = np.float64(right) if rvals is None else decoded(rvals, fixed[1])
+        result = np.divide(lvals, rvals, out=np.zeros(len(lvals)), where=rvals != 0)
+        return np.round(result * FIXED_POINT_SCALE).astype(np.int64)
+
+    result = engine.env_apply(quotient, [table.column(name) for name in names])
+    engine.charge(steps.division_meter(table.num_rows, engine.num_parties))
+    return result
 
 
 def _comparison_flags(
@@ -273,7 +267,7 @@ def _comparison_flags(
     ``x > y`` is ``y < x``.  Negations are a local share subtraction.
     """
     def negated(flags: SharedVector) -> SharedVector:
-        return engine.sub(engine.constant(np.ones(n, dtype=np.int64)), flags)
+        return engine.sub(engine.fill(1, n), flags)
 
     if op == "==":
         return engine.equals(col, rhs)
@@ -330,10 +324,8 @@ def _scalar_comparison_flags(
     if not scalar_fixed:
         return _comparison_flags(engine, col, op, int(scalar), n)
     floor = int(np.floor(scalar))
-    if op == "==":
-        return engine.constant(np.zeros(n, dtype=np.int64))
-    if op == "!=":
-        return engine.constant(np.ones(n, dtype=np.int64))
+    if op in ("==", "!="):
+        return engine.fill(int(op == "!="), n)
     if op in ("<", "<="):
         return _comparison_flags(engine, col, "<=", floor, n)
     if op in (">", ">="):
@@ -377,8 +369,7 @@ def mpc_bool_op(
     elif op == "not":
         if len(cols) != 1:
             raise ValueError("'not' takes exactly one operand column")
-        ones = engine.constant(np.ones(table.num_rows, dtype=np.int64))
-        acc = engine.sub(ones, cols[0])
+        acc = engine.sub(engine.fill(1, table.num_rows), cols[0])
     else:
         raise ValueError(f"unsupported boolean op {op!r}")
     schema = table.schema.with_column(ColumnDef(out_name, ColumnType.INT))
@@ -409,10 +400,7 @@ def mpc_sort(table: SharedTable, key: str, ascending: bool = True) -> SharedTabl
     columns = list(sorted_payload)
     columns.insert(key_idx, sorted_key)
     if not ascending:
-        columns = [
-            SharedVector(engine, [share[::-1].copy() for share in col.shares])
-            for col in columns
-        ]
+        columns = [col.reversed() for col in columns]
     return table._replace(table.schema, columns)
 
 
@@ -465,12 +453,11 @@ def mpc_join(
         raise ValueError("cannot join relations from different MPC engines")
     n, m = left.num_rows, right.num_rows
 
-    # Build the flattened Cartesian product index vectors.
-    li = np.repeat(np.arange(n, dtype=np.int64), m)
-    ri = np.tile(np.arange(m, dtype=np.int64), n)
+    # The flattened Cartesian product's row positions on either side.
+    li, ri = engine.cross_pairs(n, m)
 
-    lkey = _gather_vector(engine, left.column(left_on), li)
-    rkey = _gather_vector(engine, right.column(right_on), ri)
+    (lkey,) = gather_rows(engine, [left.column(left_on)], li)
+    (rkey,) = gather_rows(engine, [right.column(right_on)], ri)
     flags = engine.equals(lkey, rkey)
 
     schema, columns = join_assembly(left, right, right_on, suffix, li, ri)
@@ -514,36 +501,28 @@ def mpc_aggregate(
     # Oblivious accumulation scan: fold each row's value into the next row of
     # the same key group; a row is "last of its group" if the next key differs.
     key_col = table.column(group_by)
-    keep_flags = engine.constant(np.ones(n, dtype=np.int64))
+    keep_flags = engine.fill(1, n)
     acc = value_col
     if n > 1:
         # The one opening of the key column to the environment: the sort
         # order, the adjacent-equality flags and the segment boundaries are
         # all functions of it, each still charged the price of the oblivious
         # protocol it stands for.
-        keys = engine.env_open(key_col)
-        if not presorted:
-            order = np.argsort(keys, kind="stable")
+        order, same = engine.adjacent_groups(key_col, presorted)
+        if order is not None:
             key_col, (value_col,) = oblivious_sort(engine, key_col, [value_col], order)
-            keys = keys[order]
-        same = keys[:-1] == keys[1:]  # length n-1, row i vs i+1
         engine.charge(steps.adjacent_equality_meter(n, engine.num_parties))
         same_as_next = engine.share_from_env(same)
 
         if func in ("sum", "count"):
-            acc = segmented_sum(engine, value_col, same)
+            acc = engine.segmented_sum(value_col, same)
         else:
             # Grouped min/max: a segmented running-extremum scan, executed
             # ideally over reconstructed values with a fresh resharing, and
             # charged the oblivious scan's price (one comparison plus two
             # multiplexes per fold).
-            values = engine.env_open(value_col)
             scan = np.minimum.accumulate if func == "min" else np.maximum.accumulate
-            result = np.empty(n, dtype=np.int64)
-            bounds = np.flatnonzero(np.r_[True, ~same])
-            for b, e in zip(bounds, np.r_[bounds[1:], n]):
-                result[b:e] = scan(values[b:e])
-            acc = engine.share_from_env(result)
+            acc = engine.env_apply(lambda values: _segmented_scan(scan, values, same), [value_col])
             engine.charge(steps.segmented_extremum_meter(n, engine.num_parties))
         keep_flags = last_of_group(engine, same_as_next)
 
@@ -566,14 +545,10 @@ def _mpc_scalar_aggregate(
     engine = table.engine
     n = table.num_rows
     if func == "count":
-        result = engine.constant(np.array([n], dtype=np.int64))
+        result = engine.fill(n, 1)
         out_type = ColumnType.INT
     elif func == "sum":
-        col = table.column(agg_col)
-        total_shares = [
-            np.array([share.sum(dtype=np.uint64)], dtype=np.uint64) for share in col.shares
-        ]
-        result = SharedVector(engine, total_shares)
+        result = table.column(agg_col).total()
         engine.charge(steps.local_meter(n))
         out_type = table.schema[agg_col].ctype
     else:
@@ -595,10 +570,8 @@ def compact(
     input rows survive stays hidden, how many becomes public.
     """
     shuffled = oblivious_shuffle(engine, [flags, *columns])
-    keep = np.flatnonzero(engine.open_flags(shuffled[0]))
-    return [
-        SharedVector(engine, [share[keep] for share in col.shares]) for col in shuffled[1:]
-    ]
+    keep = engine.rows_where(engine.open_flags(shuffled[0]))
+    return [col.take(keep) for col in shuffled[1:]]
 
 
 def grouped_operands(
@@ -609,43 +582,12 @@ def grouped_operands(
     A ``count`` is the sum of a public column of ones.
     """
     if func == "count":
-        value_col = table.engine.constant(np.ones(table.num_rows, dtype=np.int64))
+        value_col = table.engine.fill(1, table.num_rows)
         out_type = ColumnType.INT
     else:
         value_col = table.column(agg_col)
         out_type = table.schema[agg_col].ctype
     return value_col, Schema([table.schema[group_by], ColumnDef(out_name, out_type)])
-
-
-def segmented_sum(
-    engine: SecretSharingEngine, values: SharedVector, same: np.ndarray
-) -> SharedVector:
-    """The oblivious accumulation scan of a grouped sum.
-
-    ``same[i]`` tells whether rows ``i`` and ``i+1`` of the key-sorted
-    relation share a key (known to the protocol environment, or to the STP
-    that sorted the keys in the clear); the last row of every key group ends
-    up holding the group's sum.  The real protocol is a logarithmic-depth
-    segmented prefix scan over whole share vectors — one oblivious fold per
-    row charged analytically, no per-row message exchange, so wire rounds
-    stay independent of the relation size.  A segmented cumulative sum
-    distributes over additive shares: the per-party segmented prefix sums
-    (mod 2^64) reconstruct to the true segmented running totals.
-    """
-    n = len(values)
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.logical_not(same, out=starts[1:])
-    start_idx = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-    nz = start_idx > 0
-    base_idx = start_idx[nz] - 1
-    acc_shares = engine.zero_sharing(n)
-    for fresh, share in zip(acc_shares, values.shares):
-        running = np.cumsum(share, dtype=np.uint64)
-        fresh += running
-        fresh[nz] -= running[base_idx]
-    engine.charge(steps.segmented_sum_meter(n, engine.num_parties))
-    return SharedVector(engine, acc_shares)
 
 
 def last_of_group(engine: SecretSharingEngine, same_as_next: SharedVector) -> SharedVector:
@@ -654,12 +596,8 @@ def last_of_group(engine: SecretSharingEngine, same_as_next: SharedVector) -> Sh
     Row ``i`` is the last of its group iff ``key[i] != key[i+1]``, i.e.
     ``1 - same_as_next[i]``; the final row always is.
     """
-    n = len(same_as_next) + 1
-    keep = engine.constant(np.ones(n, dtype=np.int64))
-    for flags, same in zip(keep.shares, same_as_next.shares):
-        flags[: n - 1] -= same
-    engine.charge(steps.local_meter(n - 1))
-    return keep
+    not_same = engine.sub(engine.fill(1, len(same_as_next)), same_as_next)
+    return SharedVector.concat([not_same, engine.fill(1, 1)])
 
 
 def join_assembly(
@@ -701,20 +639,14 @@ def gather_rows(
     engine: SecretSharingEngine, columns: Sequence[SharedVector], idx: np.ndarray
 ) -> list[SharedVector]:
     """Rows ``idx`` (public positions) of every column: a local share gather."""
-    return [_gather_vector(engine, col, idx) for col in columns]
+    engine.charge(steps.local_meter(len(idx), len(columns)))
+    return [col.take(idx) for col in columns]
 
 
-def _gather_vector(engine: SecretSharingEngine, vec: SharedVector, idx: np.ndarray) -> SharedVector:
-    engine.charge(steps.local_meter(len(idx)))
-    return SharedVector(engine, [share[idx] for share in vec.shares])
-
-
-def _decode_columns(table: SharedTable, names: Sequence[str]) -> list[np.ndarray]:
-    """Env-open columns to float in one round, honouring the fixed-point encoding."""
-    opened = table.engine.env_open_many([table.column(name) for name in names])
-    return [
-        values / FIXED_POINT_SCALE
-        if table.schema[name].ctype is ColumnType.FLOAT
-        else values.astype(np.float64)
-        for name, values in zip(names, opened)
-    ]
+def _segmented_scan(scan, values: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """``scan`` (a running min or max) restarted at every key group."""
+    result = np.empty(len(values), dtype=np.int64)
+    bounds = np.flatnonzero(np.r_[True, ~same])
+    for b, e in zip(bounds, np.r_[bounds[1:], len(values)]):
+        result[b:e] = scan(values[b:e])
+    return result

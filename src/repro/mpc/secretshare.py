@@ -60,9 +60,18 @@ Randomness is partitioned into streams so sliced engines stay in lockstep:
   triples with OT-based preprocessing so no party knows a full triple.
 * per-contributor input streams — used only for *private* inputs, and only
   drawn by engines that actually hold the contributor's cleartext (the
-  contributor's own agent, or the all-local simulation).  Non-contributors
-  never see the cleartext or the sharing randomness; their slice is the
-  frame delivered over the wire.
+  contributor's own agent, or the all-local simulation).  The all-local
+  simulation seeds them from the query seed; an agent seeds them from OS
+  entropy, so no peer — every one of which knows the seed — can replay a
+  contributor's masks.  Non-contributors never see the cleartext or the
+  sharing randomness; their slice is the frame delivered over the wire.
+
+The relational protocols never touch a slice or an opened value: a
+:class:`SharedVector` reshapes itself locally (``take``, ``head``,
+``reversed``, ``total``, ``concat``), and whatever is computed on opened
+values is an engine method (``order_of``, ``adjacent_groups``,
+``rows_where``, ``env_apply``, …).  That is the seam the plan estimator's
+:class:`~repro.mpc.shape.ShapeEngine` overrides to run them on row counts.
 """
 
 from __future__ import annotations
@@ -169,20 +178,52 @@ class SharedVector:
     in global party order restricted to the local parties.  For an all-local
     engine that is every party's slice; for a one-party agent engine it is a
     single slice, and no other party's share material exists in the process.
+    The vector stores its length, so an engine that holds no slice at all
+    (:class:`~repro.mpc.shape.ShapeEngine`) still knows it.  The local
+    reshapings below — gather, prefix, reversal, sum, concatenation — act on
+    every held slice and need no communication.
     """
 
-    def __init__(self, engine: "SecretSharingEngine", shares: list[np.ndarray]):
+    def __init__(
+        self, engine: "SecretSharingEngine", shares: list[np.ndarray], n: int | None = None
+    ):
         self._engine = engine
         self._shares = shares
+        self._n = n if n is not None else len(shares[0]) if shares else 0
 
     def __len__(self) -> int:
-        if not self._shares:
-            return 0
-        return len(self._shares[0])
+        return self._n
 
     @property
     def shares(self) -> list[np.ndarray]:
         return self._shares
+
+    def take(self, rows) -> "SharedVector":
+        """The elements at public positions ``rows``."""
+        return SharedVector(self._engine, [share[rows] for share in self._shares], len(rows))
+
+    def head(self, n: int) -> "SharedVector":
+        """The first ``n`` elements."""
+        return SharedVector(self._engine, [share[:n] for share in self._shares], min(n, self._n))
+
+    def reversed(self) -> "SharedVector":
+        """The elements in reverse order (a public permutation)."""
+        return SharedVector(self._engine, [share[::-1].copy() for share in self._shares], self._n)
+
+    def total(self) -> "SharedVector":
+        """The one-element sum: additive shares sum locally."""
+        sums = [np.array([share.sum(dtype=_U64)], dtype=_U64) for share in self._shares]
+        return SharedVector(self._engine, sums, 1)
+
+    @staticmethod
+    def concat(vectors: Sequence["SharedVector"]) -> "SharedVector":
+        """The vectors one after another."""
+        engine = vectors[0]._engine
+        shares = [
+            np.concatenate([vec.shares[p] for vec in vectors])
+            for p in range(engine.num_local_shares)
+        ]
+        return SharedVector(engine, shares, sum(len(vec) for vec in vectors))
 
     # Arithmetic -------------------------------------------------------------------
 
@@ -251,9 +292,12 @@ class SecretSharingEngine:
         self.dealer = TripleDealer(self.num_parties, seed=None if seed is None else seed + 1)
         # Per-contributor private-input streams: stream i is drawn only by
         # engines that hold party i's cleartext input (party i's own agent,
-        # or the all-local simulation engine).
+        # or the all-local simulation engine).  An agent seeds them from OS
+        # entropy, never from the query seed every peer knows — a peer that
+        # could replay a contributor's masks would recover its input.
+        entropy = seed if local_parties is None else None
         self._input_rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x51, i)))
+            np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(0x51, i)))
             for i in range(self.num_parties)
         ]
         # Per-party mask streams of the environment resharings: stream i is
@@ -387,7 +431,9 @@ class SecretSharingEngine:
                 got = [slices[i] for slices in full]
             local.append(got)
         self.meter.input_records += total
-        return [SharedVector(self, [got[k] for got in local]) for k in range(len(num_rows))]
+        return [
+            SharedVector(self, [got[k] for got in local], rows) for k, rows in enumerate(num_rows)
+        ]
 
     def input_vector(
         self,
@@ -412,7 +458,11 @@ class SecretSharingEngine:
             _to_ring(values) if i == 0 else np.zeros(values.shape, dtype=_U64)
             for i in self.local_indices
         ]
-        return SharedVector(self, shares)
+        return SharedVector(self, shares, len(values))
+
+    def fill(self, value: int, n: int) -> SharedVector:
+        """``n`` copies of the public ``value``, shared as a constant."""
+        return self.constant(np.full(n, value, dtype=np.int64))
 
     def empty_vector(self) -> SharedVector:
         """A zero-length shared vector (one empty slice per local party)."""
@@ -461,7 +511,15 @@ class SecretSharingEngine:
         mask streams, keeping lockstep engines synchronised.
         """
         self._require_local()
-        return SharedVector(self, self._env_sharing(_to_ring(values)))
+        return SharedVector(self, self._env_sharing(_to_ring(values)), len(values))
+
+    def env_apply(self, fn, vecs: Sequence[SharedVector]) -> SharedVector:
+        """``fn`` of the vectors, computed by the protocol environment: one
+        env-open round (:meth:`env_open_many`), then a fresh sharing of
+        ``fn(*opened)``.  The ideal functionalities — comparisons, fixed-point
+        truncation and division, the grouped min/max scan — run this way;
+        each caller charges the price of the protocol it stands for."""
+        return self.share_from_env(fn(*self.env_open_many(vecs)))
 
     # -- openings ----------------------------------------------------------------------
 
@@ -595,14 +653,14 @@ class SecretSharingEngine:
                 pos = self._local_pos[0]
                 shares[pos] = op(shares[pos], _U64(np.int64(right).astype(np.uint64)))
         self.meter.local_ops += len(left)
-        return SharedVector(self, shares)
+        return SharedVector(self, shares, len(left))
 
     def scale(self, vec: SharedVector, scalar: int) -> SharedVector:
         """Multiply by a public scalar (local)."""
         factor = _U64(np.int64(scalar).astype(np.uint64))
         shares = [s * factor for s in vec.shares]
         self.meter.local_ops += len(vec)
-        return SharedVector(self, shares)
+        return SharedVector(self, shares, len(vec))
 
     # -- multiplication (interactive, Beaver triples) ------------------------------------
 
@@ -620,7 +678,7 @@ class SecretSharingEngine:
             raise ValueError("element-wise multiplication requires equal lengths")
         n = len(left)
         if n == 0:
-            return SharedVector(self, [s.copy() for s in left.shares])
+            return SharedVector(self, [s.copy() for s in left.shares], 0)
 
         triple = self.dealer.triples(n)
         # d = x - a and e = y - b are opened; z = c + d*b + e*a + d*e.
@@ -642,7 +700,7 @@ class SecretSharingEngine:
                 share = share + d * e
             out_shares.append(share)
         self.meter.multiplications += n
-        return SharedVector(self, out_shares)
+        return SharedVector(self, out_shares, n)
 
     # -- comparisons (ideal functionality with metered cost) -----------------------------
 
@@ -655,21 +713,106 @@ class SecretSharingEngine:
         return self._compare(left, right, "eq")
 
     def _compare(self, left: SharedVector, right: "SharedVector | int", kind: str) -> SharedVector:
+        test = np.less if kind == "lt" else np.equal
         if not isinstance(right, SharedVector):
-            lvals, rvals = self.env_open(left), np.int64(int(right))
+            scalar = np.int64(int(right))
+            flags = self.env_apply(lambda values: test(values, scalar), [left])
         else:
             self._check_same_engine(right)
             if kind == "lt":
-                lvals, rvals = self.env_open_many([left, right])
+                flags = self.env_apply(test, [left, right])
             else:
                 # x == y exactly when x - y is 0 in the ring, so one opened
                 # vector decides equality (an order needs both operands: the
                 # ring difference wraps).
-                diff = SharedVector(self, [l - r for l, r in zip(left.shares, right.shares)])
-                lvals, rvals = self.env_open(diff), np.int64(0)
-        flags = lvals < rvals if kind == "lt" else lvals == rvals
+                diff = SharedVector(
+                    self, [l - r for l, r in zip(left.shares, right.shares)], len(left)
+                )
+                flags = self.env_apply(lambda values: values == 0, [diff])
         self.charge(steps.comparison_meter(len(left), self.num_parties))
-        return self.share_from_env(flags)
+        return flags
+
+    # -- positions and scans over environment-opened values ------------------------------
+    # What the relational protocols need from opened values, so that they
+    # never touch a slice or an opened vector themselves.
+
+    def permutation(self, n: int) -> np.ndarray:
+        """A joint random permutation of ``n`` rows (the environment stream)."""
+        return self.rng.permutation(n)
+
+    def order_of(self, key: SharedVector) -> np.ndarray:
+        """The stable ascending order of ``key``, opened to the environment."""
+        return np.argsort(self.env_open(key), kind="stable")
+
+    def adjacent_groups(
+        self, key: SharedVector, presorted: bool
+    ) -> "tuple[np.ndarray | None, np.ndarray]":
+        """One env-opening of ``key``: its stable ascending order (``None``
+        when ``presorted``) and whether each row of the sorted column has
+        the key of the next one (``n - 1`` flags)."""
+        keys = self.env_open(key)
+        order = None
+        if not presorted:
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+        return order, keys[:-1] == keys[1:]
+
+    def rows_where(self, opened_flags: np.ndarray) -> np.ndarray:
+        """The positions of the set flags of an opened flag vector."""
+        return np.flatnonzero(opened_flags)
+
+    def cross_pairs(self, n: int, m: int) -> "tuple[np.ndarray, np.ndarray]":
+        """Left and right row positions of every pair of an ``n`` x ``m`` product."""
+        return np.repeat(np.arange(n, dtype=np.int64), m), np.tile(np.arange(m, dtype=np.int64), n)
+
+    def check_index(self, rows: np.ndarray, n: int) -> None:
+        """Refuse positions outside ``[0, n)``."""
+        if len(rows) > 0 and (rows.min() < 0 or rows.max() >= n):
+            raise IndexError("oblivious index out of range")
+
+    def key_values(self, vec: SharedVector) -> np.ndarray:
+        """``vec`` opened to the environment for a key-range check."""
+        return self.env_open(vec)
+
+    def reshared_take(self, vec: SharedVector, rows) -> SharedVector:
+        """Rows ``rows`` of ``vec`` under a fresh sharing.
+
+        The gathered slice is added *into* the zero sharing's fresh mask, so
+        each slice costs one temporary, not three.
+        """
+        fresh = self.zero_sharing(len(rows))
+        for mask, share in zip(fresh, vec.shares):
+            mask += share[rows]
+        return SharedVector(self, fresh, len(rows))
+
+    def segmented_sum(self, values: SharedVector, same: np.ndarray) -> SharedVector:
+        """The oblivious accumulation scan of a grouped sum.
+
+        ``same[i]`` tells whether rows ``i`` and ``i+1`` of the key-sorted
+        relation share a key (known to the protocol environment, or to the
+        STP that sorted the keys in the clear); the last row of every key
+        group ends up holding the group's sum.  The real protocol is a
+        logarithmic-depth segmented prefix scan over whole share vectors —
+        one oblivious fold per row charged analytically, no per-row message
+        exchange, so wire rounds stay independent of the relation size.  A
+        segmented cumulative sum distributes over additive shares: the
+        per-party segmented prefix sums (mod 2^64) reconstruct to the true
+        segmented running totals.
+        """
+        n = len(values)
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        np.logical_not(same, out=starts[1:])
+        start_idx = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
+        nz = start_idx > 0
+        base_idx = start_idx[nz] - 1
+        acc_shares = self.zero_sharing(n)
+        for fresh, share in zip(acc_shares, values.shares):
+            running = np.cumsum(share, dtype=np.uint64)
+            fresh += running
+            fresh[nz] -= running[base_idx]
+        self.charge(steps.segmented_sum_meter(n, self.num_parties))
+        return SharedVector(self, acc_shares, n)
 
     # -- helpers -------------------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from repro.model.counters import CostMeter
 from repro.model.prices import SharemindCostModel
 from repro.mpc import protocols
 from repro.mpc.protocols import SharedTable
-from repro.mpc.secretshare import SecretSharingEngine, SharedVector
+from repro.mpc.secretshare import SecretSharingEngine
 
 
 class SharemindBackend:
@@ -86,7 +86,7 @@ class SharemindBackend:
     def key_values(self, handle: SharedTable, column: str) -> np.ndarray:
         """Open ``column`` to the protocol environment for the executor's
         composite-key range check (one env-open round, in lockstep)."""
-        return self.engine.env_open(handle.column(column))
+        return self.engine.key_values(handle.column(column))
 
     # -- relational operators -------------------------------------------------------------
 
@@ -144,9 +144,7 @@ class SharemindBackend:
 
     def limit(self, handle: SharedTable, n: int) -> SharedTable:
         """Keep the first ``n`` rows (used after an order-by)."""
-        columns = [
-            SharedVector(self.engine, [s[:n] for s in col.shares]) for col in handle.columns
-        ]
+        columns = [col.head(n) for col in handle.columns]
         self.engine.charge(steps.local_meter(min(n, handle.num_rows), len(handle.columns)))
         return SharedTable(self.engine, handle.schema, columns)
 

@@ -227,10 +227,12 @@ class PlanExecutor:
             self._mpc_started = True
         handles = [self._fetch(parent, node, locus) for parent in node.parents]
         if locus is MPC:
-            return _Entry(MPC, self._apply_operator(self.mpc_backend, node, handles))
-        if locus not in self.local_parties:
+            engine = self.mpc_backend
+        elif locus in self.local_parties:
+            engine = self.local_backends[locus]
+        else:
             return _Entry(locus, None)
-        return _Entry(locus, self._apply_operator(self.local_backends[locus], node, handles))
+        return _Entry(locus, apply_operator(engine, node, handles, self._stp_for, self.leakage))
 
     def _execute_create(self, node: Create) -> _Entry:
         owner = node.out_rel.owner
@@ -345,86 +347,6 @@ class PlanExecutor:
             for col in rel.schema.names
         )
 
-    # -- operator application ----------------------------------------------------------------------
-
-    def _apply_operator(self, engine, node: OpNode, handles: list):
-        self._validate_key_range(engine, node, handles[0] if handles else None)
-        if isinstance(node, HybridJoin):
-            return hybrid_join(
-                engine, self._stp_for(node.stp), *handles,
-                node.left_on, node.right_on, self.leakage,
-            )
-        if isinstance(node, PublicJoin):
-            return public_join(
-                engine, self._stp_for(node.host), *handles,
-                node.left_on, node.right_on, self.leakage,
-            )
-        if isinstance(node, HybridAggregate):
-            return hybrid_aggregate(
-                engine, self._stp_for(node.stp), handles[0],
-                node.group_col, node.agg_col, node.func, node.out_name, self.leakage,
-            )
-        if isinstance(node, Concat):
-            return engine.concat(handles)
-        if isinstance(node, Project):
-            return engine.project(handles[0], node.columns)
-        if isinstance(node, Filter):
-            return engine.filter(handles[0], node.column, node.op, node.value)
-        if isinstance(node, Aggregate):
-            return engine.aggregate(
-                handles[0], node.group_col, node.agg_col, node.func, node.out_name,
-                presorted=node.presorted,
-            )
-        if isinstance(node, Map):
-            return engine.arith(handles[0], node.out_name, node.left, node.op, node.right)
-        if isinstance(node, Compare):
-            return engine.compare(handles[0], node.out_name, node.left, node.op, node.right)
-        if isinstance(node, BoolOp):
-            return engine.bool_op(handles[0], node.out_name, node.op, node.operands)
-        if isinstance(node, Join):
-            return engine.join(handles[0], handles[1], node.left_on, node.right_on)
-        if isinstance(node, Merge):
-            return engine.merge_sorted(handles, node.column, ascending=node.ascending)
-        if isinstance(node, SortBy):
-            return engine.sort_by(handles[0], node.column, ascending=node.ascending)
-        if isinstance(node, Distinct):
-            return engine.distinct(handles[0], node.columns)
-        if isinstance(node, Limit):
-            return engine.limit(handles[0], node.n)
-        raise TypeError(f"unsupported operator {type(node).__name__}")
-
-    # -- composite-key range enforcement -----------------------------------------------------------
-
-    @staticmethod
-    def _validate_key_range(engine, node: OpNode, handle) -> None:
-        """Reject out-of-range composite-key values at execution time.
-
-        The composite-key encoding (``key * base + next_key``) is only
-        collision-free for key values in ``[0, key_base)``; anything outside
-        that range would silently match unequal keys.  The frontend marks
-        the first operator of every encode chain with ``key_range_check``;
-        here the executor inspects the actual key data — the MPC backend
-        opens it to the environment, exactly like the ideal comparison
-        functionalities do, in lockstep at every agent — and fails loudly
-        instead.
-        """
-        check = node.key_range_check
-        if not check or handle is None:
-            return
-        columns, base = check
-        for name in columns:
-            values = engine.key_values(handle, name)
-            if values.size == 0:
-                continue
-            out_of_range = (values < 0) | (values >= base)
-            if out_of_range.any():
-                bad = values[out_of_range][0]
-                raise ValueError(
-                    f"composite-key column {name!r} contains value {int(bad)} outside "
-                    f"[0, {base}); the composite-key encoding would silently mis-encode "
-                    f"it — pass key_base= sized to the key domain"
-                )
-
     # -- helpers ------------------------------------------------------------------------------------------
 
     def _stp_for(self, party: str) -> SelectivelyTrustedParty:
@@ -486,3 +408,86 @@ class PlanExecutor:
         if backend is None:
             return {}
         return {"backend": backend.name, **backend.meter.counts()}
+
+
+def apply_operator(engine, node: OpNode, handles: list, stp_for, leakage: LeakageReport | None):
+    """Run ``node`` on ``engine`` over its parents' ``handles``.
+
+    The one dispatch from plan operators to engine calls: the executor runs
+    it on a party's cleartext engine or on the MPC backend, the plan
+    estimator on a :class:`~repro.mpc.shape.ShapeBackend`.  ``stp_for(party)``
+    is the selectively-trusted party of a hybrid operator; ``leakage``
+    records what a hybrid operator discloses (``None``: nothing records it).
+    """
+    _validate_key_range(engine, node, handles[0] if handles else None)
+    if isinstance(node, HybridJoin):
+        return hybrid_join(
+            engine, stp_for(node.stp), *handles, node.left_on, node.right_on, leakage
+        )
+    if isinstance(node, PublicJoin):
+        return public_join(
+            engine, stp_for(node.host), *handles, node.left_on, node.right_on, leakage
+        )
+    if isinstance(node, HybridAggregate):
+        return hybrid_aggregate(
+            engine, stp_for(node.stp), handles[0],
+            node.group_col, node.agg_col, node.func, node.out_name, leakage,
+        )
+    if isinstance(node, Concat):
+        return engine.concat(handles)
+    if isinstance(node, Project):
+        return engine.project(handles[0], node.columns)
+    if isinstance(node, Filter):
+        return engine.filter(handles[0], node.column, node.op, node.value)
+    if isinstance(node, Aggregate):
+        return engine.aggregate(
+            handles[0], node.group_col, node.agg_col, node.func, node.out_name,
+            presorted=node.presorted,
+        )
+    if isinstance(node, Map):
+        return engine.arith(handles[0], node.out_name, node.left, node.op, node.right)
+    if isinstance(node, Compare):
+        return engine.compare(handles[0], node.out_name, node.left, node.op, node.right)
+    if isinstance(node, BoolOp):
+        return engine.bool_op(handles[0], node.out_name, node.op, node.operands)
+    if isinstance(node, Join):
+        return engine.join(handles[0], handles[1], node.left_on, node.right_on)
+    if isinstance(node, Merge):
+        return engine.merge_sorted(handles, node.column, ascending=node.ascending)
+    if isinstance(node, SortBy):
+        return engine.sort_by(handles[0], node.column, ascending=node.ascending)
+    if isinstance(node, Distinct):
+        return engine.distinct(handles[0], node.columns)
+    if isinstance(node, Limit):
+        return engine.limit(handles[0], node.n)
+    raise TypeError(f"unsupported operator {type(node).__name__}")
+
+
+def _validate_key_range(engine, node: OpNode, handle) -> None:
+    """Reject out-of-range composite-key values at execution time.
+
+    The composite-key encoding (``key * base + next_key``) is only
+    collision-free for key values in ``[0, key_base)``; anything outside
+    that range would silently match unequal keys.  The frontend marks
+    the first operator of every encode chain with ``key_range_check``;
+    here the executor inspects the actual key data — the MPC backend
+    opens it to the environment, exactly like the ideal comparison
+    functionalities do, in lockstep at every agent — and fails loudly
+    instead.
+    """
+    check = node.key_range_check
+    if not check or handle is None:
+        return
+    columns, base = check
+    for name in columns:
+        values = engine.key_values(handle, name)
+        if values.size == 0:
+            continue
+        out_of_range = (values < 0) | (values >= base)
+        if out_of_range.any():
+            bad = values[out_of_range][0]
+            raise ValueError(
+                f"composite-key column {name!r} contains value {int(bad)} outside "
+                f"[0, {base}); the composite-key encoding would silently mis-encode "
+                f"it — pass key_base= sized to the key domain"
+            )

@@ -151,8 +151,9 @@ class TestWorkTally:
         tallied as the estimator prices it: one job, one sort stage."""
         backend = ColumnarBackend()
         keys = np.array([5, 2, 9, 2, 7, 5, 2])
-        order = SelectivelyTrustedParty("stp.example", backend).sort_keys(keys)
+        order, same = SelectivelyTrustedParty("stp.example", backend).sort_keys(keys)
         assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+        assert same.tolist() == [True, True, False, True, False, False]
         assert backend.work == CleartextWork(
             jobs=1, stages=1, records_processed=14, records_shuffled=7
         )

@@ -1,13 +1,14 @@
 """Execution and estimate count the same: full-meter equality, operator by operator.
 
 ``repro.model.steps`` holds the one formula of every protocol step; the
-share engine charges its analytic steps with those meters, and
-``repro.model.operators`` composes them — together with the meters of the
-rounds the engine really carries — into what the plan estimator prices.
-These tests run every MPC operator the estimator prices at small sizes and
-require the executed meter to *equal* the operator's model meter fed the
-executed row counts, counter for counter: an estimate may be wrong about
-how many rows an operator sees, never about what a row costs.
+share engine charges its analytic steps with those meters, and the plan
+estimator prices an MPC operator by running the very same protocol code on
+a :class:`~repro.mpc.shape.ShapeEngine`, whose vectors carry only a length
+and whose carried primitives charge their step meter.  These tests run
+every MPC operator the estimator prices at small sizes, on data and on
+shapes, and require the two meters to be *equal*, counter for counter: an
+estimate may be wrong about how many rows an operator sees, never about
+what a row costs.
 """
 
 import numpy as np
@@ -18,11 +19,12 @@ from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.exec.engine import ColumnarBackend
 from repro.hybrid import SelectivelyTrustedParty, hybrid_aggregate, hybrid_join, public_join
-from repro.model import operators, steps
+from repro.model import steps
 from repro.model.counters import CostMeter
 from repro.model.estimator import EstimatorParams, PlanEstimator
 from repro.model.prices import SharemindCostModel
 from repro.mpc.oblivious import oblivious_index, oblivious_shuffle
+from repro.mpc.shape import ShapeBackend, ShapeSTP
 from repro.mpc.sharemind import SharemindBackend
 from tests.conftest import PARTIES
 
@@ -54,165 +56,180 @@ def backend():
     return SharemindBackend(PARTIES, seed=42)
 
 
+def stp_of(backend):
+    """The STP of a hybrid operator: a cleartext engine's, or a shape run's."""
+    if isinstance(backend, ShapeBackend):
+        return ShapeSTP("stp.example", backend.engine.rows_out)
+    return SelectivelyTrustedParty("stp.example", ColumnarBackend())
+
+
 def executed(backend, operator, *tables):
-    """Share ``tables``, then run ``operator(*handles)`` and return (result,
-    the counters of the operator alone)."""
+    """Share ``tables``, run ``operator(backend, *handles)`` on them and on
+    their shapes; return (result, the counters of the operator alone, the
+    counters of its shape run)."""
     handles = [backend.ingest(table) for table in tables]
     backend.meter.reset()
-    result = operator(*handles)
-    return result, counted(backend.meter)
+    result = operator(backend, *handles)
+    shape = shape_meter(
+        operator, *((t.schema, t.num_rows) for t in tables), rows_out=getattr(result, "num_rows", 0)
+    )
+    return result, counted(backend.meter), counted(shape)
+
+
+def shape_meter(operator, *relations, rows_out=0):
+    """The meter of ``operator`` run on a fresh shape backend over
+    ``(schema, rows)`` relations already inside the MPC; ``rows_out`` is what
+    a compaction keeps and an STP key match returns."""
+    shape = ShapeBackend(len(PARTIES), rows_out)
+    operator(shape, *(shape.table(schema, rows) for schema, rows in relations))
+    return shape.meter
+
+
+def kv(n, **extra):
+    """The ``(schema, rows)`` of :func:`table_of`."""
+    return table_of(0, **extra).schema, n
 
 
 @pytest.mark.parametrize("n", SIZES)
 class TestOperatorMetersEqualExecution:
     @pytest.mark.parametrize("ascending", [True, False])
     def test_sort(self, backend, n, ascending):
-        _, meter = executed(backend, lambda t: backend.sort_by(t, "key", ascending), table_of(n))
-        assert meter == counted(operators.sort_meter(n, 2))
+        _, meter, shape = executed(
+            backend, lambda b, t: b.sort_by(t, "key", ascending), table_of(n)
+        )
+        assert meter == shape
 
+    @pytest.mark.parametrize("ascending", [True, False])
     @pytest.mark.parametrize("runs", [lambda n: [n, n], lambda n: [n, n // 2, 1], lambda n: [n]])
-    def test_merge(self, backend, n, runs):
-        sizes = runs(n)
-        tables = [table_of(size, seed=i).sort_by(["key"]) for i, size in enumerate(sizes)]
-        _, meter = executed(backend, lambda *ts: backend.merge_sorted(ts, "key"), *tables)
-        assert meter == counted(operators.merge_meter(sizes, 2))
+    def test_merge(self, backend, n, runs, ascending):
+        tables = [
+            table_of(size, seed=i).sort_by(["key"], ascending=ascending)
+            for i, size in enumerate(runs(n))
+        ]
+        _, meter, shape = executed(
+            backend, lambda b, *ts: b.merge_sorted(ts, "key", ascending), *tables
+        )
+        assert meter == shape
 
     @pytest.mark.parametrize("op", COMPARISON_OPS)
     def test_filter(self, backend, n, op):
-        _, meter = executed(backend, lambda t: backend.filter(t, "value", op, 50), table_of(n))
-        assert meter == counted(operators.filter_meter(n, 2, op))
+        _, meter, shape = executed(backend, lambda b, t: b.filter(t, "value", op, 50), table_of(n))
+        assert meter == shape
 
     @pytest.mark.parametrize("m", [0, 1, 7])
     def test_join(self, backend, n, m):
-        _, meter = executed(
-            backend, lambda l, r: backend.join(l, r, "key", "key"),
-            table_of(n), table_of(m, seed=1),
+        _, meter, shape = executed(
+            backend, lambda b, l, r: b.join(l, r, "key", "key"), table_of(n), table_of(m, seed=1),
         )
-        assert meter == counted(operators.join_meter(n, m, 3))
+        assert meter == shape
 
     @pytest.mark.parametrize("presorted", [False, True])
     @pytest.mark.parametrize("func", ["sum", "count", "min", "max"])
     def test_grouped_aggregate(self, backend, n, func, presorted):
         table = table_of(n).sort_by(["key"]) if presorted else table_of(n)
-        result, meter = executed(
-            backend, lambda t: backend.aggregate(t, "key", "value", func, "out", presorted), table
+        result, meter, shape = executed(
+            backend, lambda b, t: b.aggregate(t, "key", "value", func, "out", presorted), table
         )
-        assert meter == counted(operators.aggregate_meter(n, func, presorted=presorted))
+        assert meter == shape
         assert result.reveal().equals_unordered(table.aggregate(["key"], "value", func, "out"))
 
     @pytest.mark.parametrize("func", ["sum", "count"])
     def test_scalar_aggregate(self, backend, n, func):
-        _, meter = executed(
-            backend, lambda t: backend.aggregate(t, None, "value", func, "out"), table_of(n)
+        _, meter, shape = executed(
+            backend, lambda b, t: b.aggregate(t, None, "value", func, "out"), table_of(n)
         )
-        assert meter == counted(operators.aggregate_meter(n, func, grouped=False))
+        assert meter == shape
 
     def test_distinct(self, backend, n):
-        result, meter = executed(backend, lambda t: backend.distinct(t, ["key"]), table_of(n))
-        assert meter == counted(operators.distinct_meter(n, result.num_rows))
+        _, meter, shape = executed(backend, lambda b, t: b.distinct(t, ["key"]), table_of(n))
+        assert meter == shape
 
     @pytest.mark.parametrize("op", COMPARISON_OPS)
-    @pytest.mark.parametrize("right, shared, rescaled", [
-        ("value", True, False), (3, False, False), (2.5, False, False), ("ratio", True, True),
-    ])
-    def test_compare(self, backend, n, op, right, shared, rescaled):
-        _, meter = executed(
-            backend, lambda t: backend.compare(t, "flag", "key", op, right),
+    @pytest.mark.parametrize("right", ["value", 3, 2.5, "ratio"])
+    def test_compare(self, backend, n, op, right):
+        _, meter, shape = executed(
+            backend, lambda b, t: b.compare(t, "flag", "key", op, right),
             table_of(n, ratio=ColumnType.FLOAT),
         )
+        assert meter == shape
         folded = right == 2.5 and op in ("==", "!=")  # decided without a comparison
-        expected = CostMeter() if folded else operators.compare_meter(n, op, 3, shared, rescaled)
-        assert meter == counted(expected)
+        assert (meter["comparisons"] == 0) == folded
 
     @pytest.mark.parametrize("op, operands", [("and", 2), ("and", 3), ("or", 2), ("or", 3), ("not", 1)])
     def test_bool_op(self, backend, n, op, operands):
         names = ["a", "b", "c"][:operands]
-        _, meter = executed(
-            backend, lambda t: backend.bool_op(t, "flag", op, names),
+        _, meter, shape = executed(
+            backend, lambda b, t: b.bool_op(t, "flag", op, names),
             table_of(n, a=ColumnType.INT, b=ColumnType.INT, c=ColumnType.INT),
         )
-        assert meter == counted(operators.bool_op_meter(n, op, operands))
+        assert meter == shape
 
-    @pytest.mark.parametrize("left, right, shared, fixed_point", [
-        ("key", "value", True, False), ("key", 3, False, False),
-        ("ratio", "rate", True, True), ("key", "ratio", True, False),
-        ("key", 2.5, False, False), ("ratio", 2.5, False, True),
+    @pytest.mark.parametrize("op", ["*", "/", "+", "-"])
+    @pytest.mark.parametrize("left, right", [
+        ("key", "value"), ("key", 3), ("ratio", "rate"), ("key", "ratio"),
+        ("key", 2.5), ("ratio", 2.5), ("value", 4), ("key", 0.5),
     ])
-    def test_multiply(self, backend, n, left, right, shared, fixed_point):
-        _, meter = executed(
-            backend, lambda t: backend.arith(t, "out", left, "*", right),
+    def test_arith(self, backend, n, op, left, right):
+        _, meter, shape = executed(
+            backend, lambda b, t: b.arith(t, "out", left, op, right),
             table_of(n, ratio=ColumnType.FLOAT, rate=ColumnType.FLOAT),
         )
-        assert meter == counted(operators.multiply_meter(n, 3, shared, fixed_point))
-
-    @pytest.mark.parametrize("right, shared", [("key", True), (4, False)])
-    def test_divide(self, backend, n, right, shared):
-        _, meter = executed(
-            backend, lambda t: backend.arith(t, "out", "value", "/", right), table_of(n)
-        )
-        assert meter == counted(operators.divide_meter(n, 3, shared))
-
-    @pytest.mark.parametrize("op", ["+", "-"])
-    @pytest.mark.parametrize("right, rescaled", [
-        ("value", False), (3, False), ("ratio", True), (0.5, True),
-    ])
-    def test_map(self, backend, n, op, right, rescaled):
-        _, meter = executed(
-            backend, lambda t: backend.arith(t, "out", "key", op, right),
-            table_of(n, ratio=ColumnType.FLOAT),
-        )
-        assert meter == counted(operators.map_meter(n, rescaled))
+        assert meter == shape
 
     def test_project_concat_limit(self, backend, n):
-        _, meter = executed(backend, lambda t: backend.project(t, ["value"]), table_of(n))
-        assert meter == counted(steps.local_meter(n, 1))
-        _, meter = executed(backend, lambda a, b: backend.concat([a, b]), table_of(n), table_of(3))
-        assert meter == counted(steps.local_meter(n + 3, 2))
-        _, meter = executed(backend, lambda t: backend.limit(t, 5), table_of(n))
-        assert meter == counted(steps.local_meter(min(n, 5), 2))
+        _, meter, shape = executed(backend, lambda b, t: b.project(t, ["value"]), table_of(n))
+        assert meter == shape == counted(steps.local_meter(n, 1))
+        _, meter, shape = executed(
+            backend, lambda b, x, y: b.concat([x, y]), table_of(n), table_of(3)
+        )
+        assert meter == shape == counted(steps.local_meter(n + 3, 2))
+        _, meter, shape = executed(backend, lambda b, t: b.limit(t, 5), table_of(n))
+        assert meter == shape == counted(steps.local_meter(min(n, 5), 2))
 
     def test_input_sharing_and_reveals(self, backend, n):
         table = table_of(n)
         backend.ingest(table)
-        assert counted(backend.meter) == counted(operators.share_input_meter(n, 2))
-        _, meter = executed(backend, backend.reveal, table)
-        assert meter == counted(operators.reveal_meter(n, 2))
-        _, meter = executed(backend, lambda t: backend.reveal_to(t, PARTIES[1]), table)
-        assert meter == counted(operators.reveal_to_meter(n, 2))
-        _, meter = executed(backend, lambda t: backend.reveal_to(t, "stp.example"), table)
-        assert meter == counted(operators.reveal_to_meter(n, 2, external=True))
-
-
-def fresh_stp():
-    return SelectivelyTrustedParty("stp.example", ColumnarBackend())
+        shape = ShapeBackend(len(PARTIES))
+        shape.ingest_remote(table.schema, n, shape.party_names[0])
+        expected = counted(steps.input_meter(2 * n, 3))
+        assert counted(backend.meter) == counted(shape.meter) == expected
+        _, meter, shape = executed(backend, lambda b, t: b.engine.open_many(t.columns), table)
+        assert meter == shape == counted(steps.open_meter(2 * n, 3))
+        _, meter, shape = executed(
+            backend, lambda b, t: b.engine.reveal_to_many(t.columns, b.party_names[1]), table
+        )
+        assert meter == shape == counted(steps.open_to_meter(2 * n, 3))
+        _, meter, shape = executed(
+            backend, lambda b, t: b.engine.reveal_to_many(t.columns, "stp.example"), table
+        )
+        assert meter == shape
 
 
 @pytest.mark.parametrize("n", SIZES)
 class TestHybridMetersEqualExecution:
     def test_public_join(self, backend, n):
-        result, meter = executed(
-            backend, lambda l, r: public_join(backend, fresh_stp(), l, r, "key", "key"),
+        _, meter, shape = executed(
+            backend, lambda b, l, r: public_join(b, stp_of(b), l, r, "key", "key"),
             table_of(n), table_of(7, seed=1),
         )
-        assert meter == counted(operators.public_join_meter(n, 7, result.num_rows, 3))
+        assert meter == shape
 
     @pytest.mark.parametrize("right_extra", [{}, {"b": ColumnType.INT}])
     def test_hybrid_join(self, backend, n, right_extra):
-        result, meter = executed(
-            backend, lambda l, r: hybrid_join(backend, fresh_stp(), l, r, "key", "key"),
+        _, meter, shape = executed(
+            backend, lambda b, l, r: hybrid_join(b, stp_of(b), l, r, "key", "key"),
             table_of(n), table_of(7, seed=1, **right_extra).project(["key", *right_extra]),
         )
-        expected = operators.hybrid_join_meter(n, 7, result.num_rows, 2, 1 + len(right_extra))
-        assert meter == counted(expected)
+        assert meter == shape
 
     @pytest.mark.parametrize("func", ["sum", "count"])
     def test_hybrid_aggregate(self, backend, n, func):
-        _, meter = executed(
+        _, meter, shape = executed(
             backend,
-            lambda t: hybrid_aggregate(backend, fresh_stp(), t, "key", "value", func, "out"),
+            lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", "value", func, "out"),
             table_of(n),
         )
-        assert meter == counted(operators.hybrid_aggregate_meter(n))
+        assert meter == shape
 
 
 class TestStepMetersEqualThePrimitives:
@@ -246,15 +263,17 @@ class TestStepMetersEqualThePrimitives:
         assert step(lambda: engine.mul(a, b)) == counted(steps.beaver_multiply_meter(n, 3))
         assert step(lambda: engine.add(a, b)) == counted(steps.local_meter(n))
         assert step(lambda: engine.scale(a, 3)) == counted(steps.local_meter(n))
-        assert step(lambda: engine.less_than(a, b)) == counted(
-            operators.compare_meter(n, "<", shared_rhs=True)
-        )
+        comparison = steps.env_open_meter(2 * n, 3)
+        comparison.merge(steps.comparison_meter(n, 3))
+        assert step(lambda: engine.less_than(a, b)) == counted(comparison)
 
     @pytest.mark.parametrize("n, columns", [(0, 2), (1, 1), (10, 2), (10, 0)])
     def test_shuffle(self, backend, n, columns):
         table = table_of(n).project(["key", "value"][:columns])
-        _, meter = executed(backend, lambda t: oblivious_shuffle(backend.engine, t.columns), table)
-        assert meter == counted(steps.shuffle_meter(n, columns, 3))
+        _, meter, shape = executed(
+            backend, lambda b, t: oblivious_shuffle(b.engine, t.columns), table
+        )
+        assert meter == shape == counted(steps.shuffle_meter(n, columns, 3))
 
     #: (input rows, selected rows): the degenerate routing networks of one
     #: element or none run one routing round, like every ``n + m <= 1``.
@@ -262,14 +281,14 @@ class TestStepMetersEqualThePrimitives:
     def test_oblivious_index(self, backend, n, m):
         engine = backend.engine
         indices = engine.input_vector(np.arange(m, dtype=np.int64) % max(n, 1))
-        _, meter = executed(
+        _, meter, shape = executed(
             backend,
-            lambda t: oblivious_index(engine, t.columns, engine.env_open(indices)),
+            lambda b, t: oblivious_index(b.engine, t.columns, b.engine.env_open(indices)),
             table_of(n),
         )
-        expected = operators.index_meter(n, m, 2)
+        expected = steps.index_routing_meter(n, m, 2, 3)
         expected.merge(steps.env_open_meter(m, 3))
-        assert meter == counted(expected)
+        assert meter == shape == counted(expected)
 
     def test_flag_opening_moves_one_bit_per_row(self):
         for n, size in [(0, 0), (1, 1), (8, 1), (9, 2), (30_000, 3750)]:
@@ -278,7 +297,7 @@ class TestStepMetersEqualThePrimitives:
             assert steps.open_meter(n, 3).network.bytes_sent == 6 * 8 * n
 
     def test_degenerate_oblivious_index_counts(self):
-        assert counted(operators.index_meter(0, 0, 2)) == dict(
+        assert counted(steps.index_routing_meter(0, 0, 2, 3)) == dict(
             counted(CostMeter()), comparisons=1, multiplications=2, rounds=1, messages=3
         )
 
@@ -396,91 +415,111 @@ class TestMpcStartupIsPaidOncePerJob:
         assert startup <= estimate.simulated_seconds < 2 * startup
 
 
-#: What execution charged when ``repro.model`` was introduced (PR 22: the
-#: inline charges of its parent) per operator at 9 and 64 rows, in
+#: What execution charged per operator at 9 and 64 rows, in
 #: ``CostMeter.counts()`` order (local_ops, input_records, output_records,
 #: multiplications, comparisons, shuffled_elements, messages, bytes_sent,
-#: rounds, wire_rounds).  Execution charges the step meters themselves, so
-#: the equalities above cannot see a formula move; this ledger can:
-#: perturbing any one counter of any one step meter fails it (and
-#: ``tests/test_round_budget.py``).  Re-recorded once since, in PR 24, whose
-#: schedule change moved network counters only: ``bytes_sent`` wherever a
-#: ``compact`` opens its flags one bit wide (filter, join, sum, max, distinct,
-#: hybrid-sum), ``messages`` / ``rounds`` / ``wire_rounds`` wherever columns
-#: now cross in one round (public-join, hybrid-join, reveal-external).
+#: rounds, wire_rounds), each produced by a shape run of the operator.
+#: Execution and its shape run charge the same step meters, so the
+#: equalities above cannot see a formula move; this ledger can: perturbing
+#: any one counter of any one step meter fails it (and
+#: ``tests/test_round_budget.py``).  Its one re-recording moved network
+#: counters only: ``bytes_sent`` where a ``compact`` began opening its flags
+#: one bit wide (filter, join, sum, max, distinct, hybrid-sum), ``messages`` /
+#: ``rounds`` / ``wire_rounds`` where columns began crossing in one round
+#: (public-join, hybrid-join, reveal-external).
 RECORDED = {
     "sort": (
-        lambda n: operators.sort_meter(n, 2),
+        lambda n: shape_meter(lambda b, t: b.sort_by(t, "key"), kv(n)),
         (640, 0, 0, 320, 80, 0, 96, 3632, 31, 1),
         (5376, 0, 0, 2688, 672, 0, 195, 29952, 64, 1),
     ),
     "merge": (
-        lambda n: operators.merge_meter([n, n // 2, 1], 2),
+        lambda n: shape_meter(lambda b, *ts: b.merge_sorted(ts, "key"), kv(n), kv(n // 2), kv(1)),
         (512, 0, 0, 256, 64, 0, 84, 3856, 26, 2),
         (7168, 0, 0, 3584, 896, 0, 138, 45104, 44, 2),
     ),
     "filter": (
-        lambda n: operators.filter_meter(n, 2, ">"),
+        lambda n: shape_meter(lambda b, t: b.filter(t, "value", ">", 50), kv(n)),
         (9, 0, 9, 0, 9, 27, 24, 1164, 6, 2),
         (64, 0, 64, 0, 64, 192, 24, 8240, 6, 2),
     ),
     "join": (
-        lambda n: operators.join_meter(n, 7, 3),
+        lambda n: shape_meter(lambda b, l, r: b.join(l, r, "key", "key"), kv(n), kv(7)),
         (315, 0, 63, 0, 63, 252, 24, 9624, 6, 2),
         (2240, 0, 448, 0, 448, 1792, 24, 68432, 6, 2),
     ),
     "sum": (
-        lambda n: operators.aggregate_meter(n, "sum"),
+        lambda n: shape_meter(lambda b, t: b.aggregate(t, "key", "value", "sum", "out"), kv(n)),
         (682, 0, 9, 328, 88, 27, 126, 4644, 40, 2),
         (5693, 0, 64, 2751, 735, 192, 231, 38184, 75, 2),
     ),
     "max-presorted": (
-        lambda n: operators.aggregate_meter(n, "max", presorted=True),
+        lambda n: shape_meter(
+            lambda b, t: b.aggregate(t, "key", "value", "max", "out", presorted=True), kv(n)
+        ),
         (42, 0, 9, 16, 16, 27, 66, 2452, 19, 3),
         (317, 0, 64, 126, 126, 192, 84, 20520, 25, 3),
     ),
     "distinct": (
-        lambda n: operators.distinct_meter(n, 5),
+        lambda n: shape_meter(lambda b, t: b.distinct(t, ["key"]), kv(n), rows_out=5),
         (696, 0, 9, 328, 88, 27, 126, 4644, 40, 2),
         (5762, 0, 64, 2751, 735, 192, 231, 38184, 75, 2),
     ),
     "compare": (
-        lambda n: operators.compare_meter(n, "<=", 3, shared_rhs=True, rescaled=True),
+        lambda n: shape_meter(
+            lambda b, t: b.compare(t, "flag", "key", "<=", "ratio"), kv(n, ratio=ColumnType.FLOAT)
+        ),
         (18, 0, 0, 0, 9, 0, 9, 936, 2, 1),
         (128, 0, 0, 0, 64, 0, 9, 6656, 2, 1),
     ),
     "or": (
-        lambda n: operators.bool_op_meter(n, "or", 3),
+        lambda n: shape_meter(
+            lambda b, t: b.bool_op(t, "flag", "or", ["a", "b", "c"]),
+            kv(n, a=ColumnType.INT, b=ColumnType.INT, c=ColumnType.INT),
+        ),
         (36, 0, 0, 18, 0, 0, 12, 1728, 2, 2),
         (256, 0, 0, 128, 0, 0, 12, 12288, 2, 2),
     ),
     "multiply-fixed": (
-        lambda n: operators.multiply_meter(n, fixed_point=True),
+        lambda n: shape_meter(
+            lambda b, t: b.arith(t, "out", "ratio", "*", "rate"),
+            kv(n, ratio=ColumnType.FLOAT, rate=ColumnType.FLOAT),
+        ),
         (0, 0, 0, 18, 0, 0, 15, 1368, 3, 2),
         (0, 0, 0, 128, 0, 0, 15, 9728, 3, 2),
     ),
     "divide": (
-        lambda n: operators.divide_meter(n),
+        lambda n: shape_meter(lambda b, t: b.arith(t, "out", "value", "/", "key"), kv(n)),
         (0, 0, 0, 135, 0, 0, 36, 1584, 11, 1),
         (0, 0, 0, 960, 0, 0, 36, 11264, 11, 1),
     ),
     "public-join": (
-        lambda n: operators.public_join_meter(n, 7, {9: 13, 64: 94}[n], 3),
+        lambda n: shape_meter(
+            lambda b, l, r: public_join(b, stp_of(b), l, r, "key", "key"),
+            kv(n), kv(7), rows_out={9: 13, 64: 94}[n],
+        ),
         (39, 0, 16, 0, 0, 0, 6, 768, 1, 1),
         (282, 0, 71, 0, 0, 0, 6, 3408, 1, 1),
     ),
     "hybrid-join": (
-        lambda n: operators.hybrid_join_meter(n, 7, {9: 13, 64: 94}[n], 2, 2),
+        lambda n: shape_meter(
+            lambda b, l, r: hybrid_join(b, stp_of(b), l, r, "key", "key"),
+            kv(n), kv(7), rows_out={9: 13, 64: 94}[n],
+        ),
         (0, 26, 16, 320, 210, 71, 101, 7496, 32, 3),
         (0, 188, 71, 3235, 1971, 424, 131, 57152, 42, 3),
     ),
     "hybrid-sum": (
-        lambda n: operators.hybrid_aggregate_meter(n),
+        lambda n: shape_meter(
+            lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", "value", "sum", "out"), kv(n)
+        ),
         (44, 8, 18, 8, 0, 45, 44, 1940, 13, 3),
         (319, 63, 128, 63, 0, 320, 50, 14880, 15, 3),
     ),
     "reveal-external": (
-        lambda n: operators.reveal_to_meter(n, 2, external=True),
+        lambda n: shape_meter(
+            lambda b, t: b.engine.reveal_to_many(t.columns, "stp.example"), kv(n)
+        ),
         (0, 0, 18, 0, 0, 0, 9, 1008, 2, 1),
         (0, 0, 128, 0, 0, 0, 9, 7168, 2, 1),
     ),
@@ -514,23 +553,33 @@ class TestComparatorCounts:
 class TestAsymptoticRelationships:
     def test_hybrid_join_beats_mpc_join_asymptotically(self):
         n = 50_000
-        mpc = operators.join_meter(n, n, 4)
-        hybrid = operators.hybrid_join_meter(n, n, n, 2, 3)
+        mpc = shape_meter(lambda b, l, r: b.join(l, r, "key", "key"), kv(n), kv(n))
+        hybrid = shape_meter(
+            lambda b, l, r: hybrid_join(b, stp_of(b), l, r, "key", "key"), kv(n), kv(n), rows_out=n
+        )
         assert hybrid.comparisons < mpc.comparisons / 100
 
     def test_hybrid_aggregate_needs_no_comparisons(self):
         n = 50_000
-        assert operators.hybrid_aggregate_meter(n).comparisons == 0
-        assert operators.aggregate_meter(n, "sum").comparisons > 10 * n
+        hybrid = shape_meter(
+            lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", "value", "sum", "out"), kv(n)
+        )
+        assert hybrid.comparisons == 0
+        assert self.grouped_sum(n).comparisons > 10 * n
 
     def test_presorted_aggregate_cheaper(self):
-        sorted_meter = operators.aggregate_meter(1000, "sum", presorted=True)
-        unsorted_meter = operators.aggregate_meter(1000, "sum")
-        assert sorted_meter.comparisons < unsorted_meter.comparisons
+        presorted = self.grouped_sum(1000, presorted=True)
+        assert presorted.comparisons < self.grouped_sum(1000).comparisons
+
+    @staticmethod
+    def grouped_sum(n, presorted=False):
+        return shape_meter(
+            lambda b, t: b.aggregate(t, "key", "value", "sum", "out", presorted), kv(n)
+        )
 
     def test_oblivious_index_is_loglinear(self):
         n = 10_000
-        meter = operators.index_meter(n, n, 1)
+        meter = steps.index_routing_meter(n, n, 1, 3)
         assert meter.comparisons < n * n / 100
         assert meter.comparisons >= 2 * n
 
@@ -541,28 +590,34 @@ class TestAsymptoticRelationships:
         )
 
     def test_filter_meter_linear(self):
-        small = operators.filter_meter(1_000, 2, "<")
-        large = operators.filter_meter(10_000, 2, "<")
+        small, large = (
+            shape_meter(lambda b, t: b.filter(t, "value", "<", 50), kv(n)) for n in (1_000, 10_000)
+        )
         assert 8 <= large.comparisons / small.comparisons <= 12
+
+    def test_shape_runs_price_a_billion_rows_at_once(self):
+        n = 1_300_000_000
+        meter = shape_meter(lambda b, t: b.sort_by(t, "key"), kv(n))
+        assert meter.comparisons == steps.bitonic_comparator_count(n)
 
 
 class TestCostMeter:
     def test_merge_accumulates_all_fields(self):
-        a = operators.share_input_meter(10, 1)
-        a.merge(operators.reveal_meter(5, 1))
+        a = steps.input_meter(10, 3)
+        a.merge(steps.open_meter(5, 3))
         assert a.input_records == 10
         assert a.output_records == 5
         assert a.network.rounds == 2
 
     def test_meters_built_from_the_same_step_are_independent(self):
-        a, b = operators.share_input_meter(10, 1), operators.share_input_meter(10, 1)
+        a, b = steps.input_meter(10, 3), steps.input_meter(10, 3)
         b.input_records += 5
         b.network.rounds += 1
         assert a.input_records == 10
         assert a.network.rounds == 1
 
     def test_reset(self):
-        a = operators.join_meter(10, 10, 3)
+        a = shape_meter(lambda b, l, r: b.join(l, r, "key", "key"), kv(10), kv(10))
         a.reset()
         assert a.comparisons == 0
         assert a.network.bytes_sent == 0

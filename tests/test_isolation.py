@@ -366,9 +366,9 @@ class TestFlagOpeningIsLoadBearing:
 
 class TestRelationWideRoundsOnSlices:
     """One round per relation, whichever slices an engine holds: a sliced
-    pair sharing and revealing three columns at once ends up with exactly
-    the slices, values and traffic totals of the all-local engine doing it
-    one column per round."""
+    pair sharing and revealing three columns at once ends up with slices
+    that reconstruct the columns, and the values and traffic totals of the
+    all-local engine doing it one column per round."""
 
     COLUMNS = [np.array([3, -1, 7, 0]), np.array([1, 0, 0, 1]), np.array([2**61, -(2**61), 5, 6])]
 
@@ -379,7 +379,7 @@ class TestRelationWideRoundsOnSlices:
         )
         return [v.shares[0] for v in vectors], engine.reveal_to_many(vectors, PARTY_B)
 
-    def test_byte_identical_to_the_per_column_rounds(self):
+    def test_same_values_and_traffic_as_the_per_column_rounds(self):
         everyone = SecretSharingEngine(PARTIES, seed=11)
         per_column = [everyone.input_vector(c, contributor=PARTY_A) for c in self.COLUMNS]
         opened = [everyone.reveal_to_many([v], PARTY_B)[0] for v in per_column]
@@ -388,8 +388,9 @@ class TestRelationWideRoundsOnSlices:
         (slices_a, got_a), (slices_b, got_b) = run_lockstep(engines, self._many)
         assert got_a is None
         for k, column in enumerate(self.COLUMNS):
-            np.testing.assert_array_equal(slices_a[k], per_column[k].shares[0])
-            np.testing.assert_array_equal(slices_b[k], per_column[k].shares[1])
+            np.testing.assert_array_equal(
+                AdditiveSharing.reconstruct([slices_a[k], slices_b[k]]), column
+            )
             np.testing.assert_array_equal(got_b[k], opened[k])
             np.testing.assert_array_equal(got_b[k], column)
         for engine in engines:
@@ -398,6 +399,43 @@ class TestRelationWideRoundsOnSlices:
             assert stats.bytes_sent == everyone.network.stats.bytes_sent
             assert engine.meter.input_records == everyone.meter.input_records == 12
             assert engine.meter.output_records == everyone.meter.output_records == 12
+
+
+class TestPrivateInputsArePrivate:
+    """A party agent shares its private input with randomness no peer can
+    replay: every agent knows the query seed, so a sharing derived from it
+    would hand the input to the last party, which adds its own delivered
+    slice to the regenerated masks."""
+
+    THREE = [PARTY_A, PARTY_B, PARTY_C]
+    VALUES = np.array([17, -4, 2**40, 0, 99], dtype=np.int64)
+
+    def _contribute(self, seed):
+        """Party A's agent shares ``VALUES``; returns C's delivered slice."""
+        a_to_c, c_to_a = queue.Queue(), queue.Queue()
+        engines = {
+            party: SecretSharingEngine(
+                self.THREE, seed=seed, local_parties={party},
+                network=Network(self.THREE, channel=_PipeMesh(party, peer, inbox, outbox)),
+            )
+            for party, peer, inbox, outbox in (
+                (PARTY_A, PARTY_C, c_to_a, a_to_c), (PARTY_C, PARTY_A, a_to_c, c_to_a),
+            )
+        }
+        engines[PARTY_A].input_vector(self.VALUES, contributor=PARTY_A)
+        received = engines[PARTY_C].input_vector(contributor=PARTY_A, num_rows=len(self.VALUES))
+        return received.shares[0]
+
+    def test_the_query_seed_does_not_recover_a_contributors_input(self):
+        own_slice = self._contribute(seed=7)
+        # C regenerates A's stream as the all-local simulation seeds it.
+        replay = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0x51, 0)))
+        masks = AdditiveSharing.share(np.zeros(len(self.VALUES), dtype=np.int64), 3, replay)[:2]
+        recovered = AdditiveSharing.reconstruct([*masks, own_slice])
+        assert not np.array_equal(recovered, self.VALUES)
+
+    def test_no_function_of_the_seed_fixes_the_sharing(self):
+        assert not np.array_equal(self._contribute(seed=7), self._contribute(seed=7))
 
 
 def _share_both(engine):

@@ -82,27 +82,6 @@ class TestOwnership:
         assert collect.run_at == PC.name
         assert collect.out_rel.stored_with == {PC.name}
 
-    def test_row_estimates_propagate(self):
-        with QueryContext() as ctx:
-            t1 = ctx.new_table("t1", [cc.Column("k"), cc.Column("v")], at=PA, estimated_rows=100)
-            t2 = ctx.new_table("t2", [cc.Column("k"), cc.Column("v")], at=PB, estimated_rows=50)
-            combined = ctx.concat([t1, t2])
-            filtered = combined.filter(cc.col("v") > 0)
-            agg = filtered.aggregate(group=["k"], aggs={"c": cc.COUNT()})
-            agg.collect("out", to=[PA])
-            dag = prepare(ctx.build_dag())
-        assert combined.node.out_rel.estimated_rows == 150
-        assert filtered.node.out_rel.estimated_rows == 75
-        assert agg.node.out_rel.estimated_rows == 7
-
-    def test_unknown_input_rows_propagate_as_none(self):
-        with QueryContext() as ctx:
-            t1 = ctx.new_table("t1", [cc.Column("k")], at=PA)
-            out = t1.project(["k"])
-            out.collect("out", to=[PA])
-            dag = prepare(ctx.build_dag())
-        assert out.node.out_rel.estimated_rows is None
-
 
 class TestTrustPropagation:
     def build_credit_like_dag(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc.oblivious import _permute_reshared, oblivious_shuffle
+from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.secretshare import (
     AdditiveSharing,
     SecretSharingEngine,
@@ -298,7 +298,7 @@ class TestMaskStreams:
         reshared = engine.share_from_env(values).shares
         zero = engine.zero_sharing(len(values))
         shuffled = oblivious_shuffle(engine, [column, payload])
-        key, (moved,) = _permute_reshared(engine, column, [payload], TestMaskStreams.ORDER)
+        key, moved = (engine.reshared_take(col, TestMaskStreams.ORDER) for col in (column, payload))
         return [reshared, zero, shuffled[0].shares, shuffled[1].shares, key.shares, moved.shares]
 
     @pytest.mark.parametrize("num_parties", [2, 3, 4])
