@@ -6,8 +6,9 @@ written to be **bit-identical** to the row engine's
 :class:`~repro.data.table.Table` methods, because the differential corpus
 asserts byte equality between the two paths.  The subtle contracts:
 
-* ``stable_order`` is the one place the engine asks for a stable ascending
-  permutation, and the only function here that may call a NumPy sort.
+* ``stable_order`` is the one place the engine — and the MPC environment
+  and the STP — asks for a stable ascending permutation, and the only
+  function here that may call a NumPy sort.
 * ``hash_join_indices`` must emit matches in the row engine's order:
   left-major, and for each left row the matching right rows in ascending
   right index.  The stable order of the right keys plus ``searchsorted``
@@ -97,8 +98,25 @@ def arithmetic(lcol: np.ndarray, op: str, rval: np.ndarray | float) -> np.ndarra
     raise ValueError(f"unsupported arithmetic op {op!r}")
 
 
+#: Integer keys spanning fewer values than this sort as 16-bit offsets.
+RADIX_SPAN = 2**16
+
+
 def stable_order(key: np.ndarray) -> np.ndarray:
-    """The stable ascending permutation of ``key`` (NaN last)."""
+    """The stable ascending permutation of ``key`` (NaN last).
+
+    Integer keys whose span fits in 16 bits sort as their offsets from the
+    minimum, which NumPy's stable sort orders with a radix pass.  A stable
+    order is unique, so the result is the one the full-width sort returns.
+    """
+    if key.dtype.kind in "iu" and len(key):
+        lo = key.min()
+        # Python ints: keys near both ends of int64 must not wrap the span.
+        if int(key.max()) - int(lo) < RADIX_SPAN:
+            # The difference may wrap in the key's own width; read as
+            # unsigned it is the exact offset.
+            offset = (key - lo).view(f"u{key.itemsize}")
+            return offset.astype(np.uint16).argsort(kind="stable")
     return key.argsort(kind="stable")
 
 

@@ -15,9 +15,13 @@ most once), applies the permutation to whole share vectors at once,
 reshare-freshens the result by adding the permuted slice into the fresh mask
 of a zero sharing, and charges the meter the full price of the bitonic
 network.  Only the shuffle moves data through real resharing rounds;
-everything row-dependent — here and in the accumulation scan the oblivious and the
-hybrid aggregation share (:meth:`~repro.mpc.secretshare.SecretSharingEngine.segmented_sum`) — is
-one whole-vector operation charged analytically, so the number of *wire*
+:func:`~repro.mpc.protocols.compact` composes its own shuffle from the same
+steps — a permutation off the environment stream, the flags reshared over
+every row, the payload reshared only at the rows that survive — and charges
+the full shuffle's price.  Everything row-dependent — here and in the
+accumulation scan the oblivious and the hybrid aggregation share
+(:meth:`~repro.mpc.secretshare.SecretSharingEngine.segmented_sum`) — is one
+whole-vector operation charged analytically, so the number of *wire*
 rounds of every operator, hybrid ones included, is independent of the
 relation size.  What each sub-protocol is charged — O(n) reshared elements
 for a shuffle, O(n log^2 n) compare-exchanges for a sort, O(n log n) for a
@@ -54,8 +58,9 @@ def oblivious_shuffle(
             raise ValueError("all columns of a relation must have the same length")
     if permutation is not None:
         permutation = np.asarray(permutation, dtype=np.int64)
-        if permutation.shape != (n,) or not np.array_equal(
-            np.sort(permutation), np.arange(n)
+        if permutation.shape != (n,) or not (
+            ((permutation >= 0) & (permutation < n)).all()
+            and np.bincount(permutation, minlength=n).all()
         ):
             raise ValueError("permutation must be a permutation of 0..n-1")
     if n == 0:

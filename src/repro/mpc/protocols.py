@@ -23,12 +23,7 @@ import numpy as np
 from repro.data.schema import ColumnDef, ColumnType, Schema, arithmetic_typing
 from repro.data.table import Table
 from repro.model import steps
-from repro.mpc.oblivious import (
-    oblivious_index,
-    oblivious_merge,
-    oblivious_shuffle,
-    oblivious_sort,
-)
+from repro.mpc.oblivious import oblivious_index, oblivious_merge, oblivious_sort
 from repro.mpc.secretshare import SecretSharingEngine, SharedVector
 
 #: Fixed-point scaling factor used to carry fractional values (divisions)
@@ -568,10 +563,21 @@ def compact(
     Obliviously shuffle the relation together with its secret 0/1 ``flags``,
     open the shuffled flags — one bit each — and keep the flagged rows: which
     input rows survive stays hidden, how many becomes public.
+
+    The flags are reshared over all ``n`` shuffled rows, a payload column
+    only at the ``m`` rows that survive: ``col[order][keep]`` is
+    ``col[order[keep]]``, so resharing the rows about to be dropped buys
+    nothing.  The shuffle is still charged for every column of every row.
+    An empty relation is neither shuffled nor opened.
     """
-    shuffled = oblivious_shuffle(engine, [flags, *columns])
-    keep = engine.rows_where(engine.open_flags(shuffled[0]))
-    return [col.take(keep) for col in shuffled[1:]]
+    n = len(flags)
+    if n == 0:
+        return [col.head(0) for col in columns]
+    order = engine.permutation(n)
+    shuffled_flags = engine.reshared_take(flags, order)
+    engine.charge(steps.shuffle_meter(n, 1 + len(columns), engine.num_parties))
+    survivors = order[engine.rows_where(engine.open_flags(shuffled_flags))]
+    return [engine.reshared_take(col, survivors) for col in columns]
 
 
 def grouped_operands(

@@ -81,6 +81,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.exec.kernels import stable_order
 from repro.model import steps
 from repro.model.counters import SHARE_BYTES, CostMeter
 from repro.mpc.network import Network, TransportError
@@ -742,7 +743,7 @@ class SecretSharingEngine:
 
     def order_of(self, key: SharedVector) -> np.ndarray:
         """The stable ascending order of ``key``, opened to the environment."""
-        return np.argsort(self.env_open(key), kind="stable")
+        return stable_order(self.env_open(key))
 
     def adjacent_groups(
         self, key: SharedVector, presorted: bool
@@ -753,7 +754,7 @@ class SecretSharingEngine:
         keys = self.env_open(key)
         order = None
         if not presorted:
-            order = np.argsort(keys, kind="stable")
+            order = stable_order(keys)
             keys = keys[order]
         return order, keys[:-1] == keys[1:]
 

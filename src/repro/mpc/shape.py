@@ -42,7 +42,9 @@ class Positions:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, rows: slice) -> "Positions":
+    def __getitem__(self, rows: "slice | Positions") -> "Positions":
+        if isinstance(rows, Positions):
+            return Positions(len(rows))
         return Positions(len(range(self.n)[rows]))
 
 

@@ -148,7 +148,7 @@ SERIES = {
     "7a": (
         lambda: figures.series_fig7_aspirin(),
         [
-            {"records": 10, "conclave": 5.172001188666666, "smcql": 10.00008},
+            {"records": 10, "conclave": 5.171001188666667, "smcql": 10.00008},
             {"records": 1000, "conclave": 6.062290424666667, "smcql": 28.2191936},
             {"records": 40000, "conclave": 40.97584020666667, "smcql": 738.767744},
             {"records": 400000, "conclave": 363.9548092306666, "smcql": None},

@@ -1,6 +1,9 @@
 """Tests for the oblivious relational operators over secret-shared tables."""
 
 import contextlib
+import copy
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -12,10 +15,13 @@ from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.exec.engine import ColumnarBackend
 from repro.hybrid import SelectivelyTrustedParty, hybrid_agg
+from repro.model.counters import CostMeter
 from repro.mpc import protocols
 from repro.mpc.network import Network
+from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.protocols import SharedTable
-from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
+from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine, SharedVector
+from repro.mpc.shape import ShapeEngine
 from repro.mpc.sharemind import SharemindBackend
 from test_differential import NUM_PLANS, SEED, generate_spec, run_spec
 from tests.conftest import PARTIES, make_table
@@ -376,3 +382,141 @@ def test_corpus_flags_reaching_compact_hold_bits():
             run_spec(generate_spec(SEED + plan))
     assert len(seen) >= NUM_PLANS
     assert_all_bits(seen)
+
+
+# -- compaction reshares the payload at the surviving rows only ------------------------------
+
+COMPACT_SEED = 29
+COMPACT_FLAGS = np.array([1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 1], dtype=np.int64)
+COMPACT_COLUMNS = [
+    np.arange(14, dtype=np.int64) * 7 - 30,
+    np.array([2**62, -(2**62), 5, -1, 0, 9, 9, 3, -7, 2**40, 11, 4, 4, 8], dtype=np.int64),
+]
+#: Every party's slice of the flags and of each payload column.
+COMPACT_FLAG_SLICES = AdditiveSharing.share(COMPACT_FLAGS, len(PARTIES), np.random.default_rng(1))
+COMPACT_COLUMN_SLICES = [
+    AdditiveSharing.share(col, len(PARTIES), np.random.default_rng(2 + k))
+    for k, col in enumerate(COMPACT_COLUMNS)
+]
+
+
+def full_reshare_compact(engine, flags, columns):
+    """Compaction through the whole-relation shuffle: every payload column
+    reshared over all rows, then the survivors taken."""
+    shuffled = oblivious_shuffle(engine, [flags, *columns])
+    keep = engine.rows_where(engine.open_flags(shuffled[0]))
+    return [col.take(keep) for col in shuffled[1:]]
+
+
+class QueueMesh:
+    """An in-process mesh channel: one queue per ordered pair of parties."""
+
+    def __init__(self, party, queues):
+        self.party = party
+        self.peers = {peer for peer in PARTIES if peer != party}
+        self._queues = queues
+
+    def send_message(self, peer, tag, payload):
+        self._queues[(self.party, peer)].put((tag, payload))
+
+    def receive_message(self, peer):
+        return self._queues[(peer, self.party)].get(timeout=30)
+
+
+def compaction_engines(layout):
+    """One engine holding every slice, or one agent-shaped engine per party
+    (one slice each) joined by an in-process mesh."""
+    if layout == "all-local":
+        return [SecretSharingEngine(PARTIES, seed=COMPACT_SEED)]
+    queues = {(a, b): queue.Queue() for a in PARTIES for b in PARTIES if a != b}
+    return [
+        SecretSharingEngine(
+            PARTIES, seed=COMPACT_SEED, local_parties=[party],
+            network=Network(PARTIES, channel=QueueMesh(party, queues)),
+        )
+        for party in PARTIES
+    ]
+
+
+def run_compaction(layout, protocol):
+    """Run ``protocol`` in lockstep on every engine of ``layout``.  Returns
+    the output slices by party, and per engine the mask streams as they
+    stood before the compaction and after it."""
+
+    def run(engine):
+        held = engine.local_indices
+        flags = SharedVector(engine, [COMPACT_FLAG_SLICES[i] for i in held])
+        columns = [SharedVector(engine, [slices[i] for i in held]) for slices in COMPACT_COLUMN_SLICES]
+        before = copy.deepcopy(engine._mask_rngs)
+        return engine, before, protocol(engine, flags, columns)
+
+    engines = compaction_engines(layout)
+    with ThreadPoolExecutor(len(engines)) as pool:
+        runs = list(pool.map(run, engines))
+    slices = [[None] * len(PARTIES) for _ in COMPACT_COLUMNS]
+    for engine, _before, out in runs:
+        for k, col in enumerate(out):
+            for pos, i in enumerate(engine.local_indices):
+                slices[k][i] = col.shares[pos]
+    return slices, [(engine, before) for engine, before, _out in runs]
+
+
+def surviving_rows():
+    """Input positions of the kept rows, in the order compaction emits them."""
+    order = np.random.default_rng(COMPACT_SEED).permutation(len(COMPACT_FLAGS))
+    return order[COMPACT_FLAGS[order] == 1]
+
+
+@pytest.mark.parametrize("layout", ["all-local", "agents"])
+class TestCompactionResharesTheSurvivors:
+    def test_same_rows_in_the_same_order_as_a_full_reshare(self, layout):
+        new, _ = run_compaction(layout, protocols.compact)
+        old, _ = run_compaction(layout, full_reshare_compact)
+        rows = surviving_rows()
+        for k, values in enumerate(COMPACT_COLUMNS):
+            assert AdditiveSharing.reconstruct(new[k]).tolist() == values[rows].tolist()
+            assert AdditiveSharing.reconstruct(old[k]).tolist() == values[rows].tolist()
+
+    def test_every_surviving_slice_is_fresh(self, layout):
+        out, _ = run_compaction(layout, protocols.compact)
+        rows = surviving_rows()
+        for k, slices in enumerate(COMPACT_COLUMN_SLICES):
+            for i in range(len(PARTIES)):
+                assert not np.array_equal(out[k][i], slices[i][rows]), (k, i)
+
+    @pytest.mark.parametrize("protocol", [protocols.compact, full_reshare_compact], ids=["compact", "full-reshare"])
+    def test_each_mask_stream_draws_one_word_per_resharing(self, layout, protocol):
+        n, k, m = len(COMPACT_FLAGS), len(COMPACT_COLUMNS), len(surviving_rows())
+        words = n + k * m if protocol is protocols.compact else n * (k + 1)
+        last = len(PARTIES) - 1
+        _, runs = run_compaction(layout, protocol)
+        for engine, before in runs:
+            held = engine.local_indices
+            for j, (old, now) in enumerate(zip(before, engine._mask_rngs)):
+                # Party j's own mask; the last party's slice needs them all.
+                drawn = last in held or j in held
+                old.bit_generator.random_raw(words if drawn else 0)
+                assert old.bit_generator.state == now.bit_generator.state, (held, j)
+
+
+def test_an_empty_compaction_runs_no_round_and_draws_no_permutation():
+    log = RoundLog(PARTIES)
+    engine = SecretSharingEngine(PARTIES, seed=COMPACT_SEED, network=log)
+    state = engine.rng.bit_generator.state
+    empty = engine.empty_vector()
+    out = protocols.compact(engine, empty, [empty, empty])
+    assert [len(col) for col in out] == [0, 0]
+    assert log.rounds == [] and engine.meter.counts() == CostMeter().counts()
+    assert engine.rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [0, len(COMPACT_FLAGS)])
+def test_a_shape_run_charges_the_compaction_an_execution_charges(n):
+    engine = SecretSharingEngine(PARTIES, seed=COMPACT_SEED)
+    flags = engine.constant(COMPACT_FLAGS[:n])
+    out = protocols.compact(engine, flags, [engine.constant(col[:n]) for col in COMPACT_COLUMNS])
+    m = len(out[0])
+    shape = ShapeEngine(PARTIES, rows_out=m)
+    shaped = protocols.compact(shape, shape.fill(0, n), [shape.fill(0, n) for _ in COMPACT_COLUMNS])
+    assert [len(col) for col in shaped] == [m] * len(COMPACT_COLUMNS)
+    assert shape.meter.counts() == engine.meter.counts()

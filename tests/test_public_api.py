@@ -237,6 +237,9 @@ def calls_in(func: ast.AST) -> list[str]:
 
 #: The engine calls that open a vector to every party.
 OPENINGS = {"open", "open_many", "open_flags"}
+#: The calls that start a shuffle: the whole protocol, or drawing its joint
+#: permutation to reshare rows under by hand.
+SHUFFLE_STARTS = {"oblivious_shuffle", "permutation"}
 
 
 def shuffle_open_functions(path: pathlib.Path) -> list[str]:
@@ -245,8 +248,8 @@ def shuffle_open_functions(path: pathlib.Path) -> list[str]:
     for func in ast.walk(ast.parse(path.read_text())):
         if isinstance(func, ast.FunctionDef):
             calls = calls_in(func)
-            after_shuffle = calls[calls.index("oblivious_shuffle"):] if "oblivious_shuffle" in calls else []
-            if OPENINGS & set(after_shuffle):
+            starts = [i for i, name in enumerate(calls) if name in SHUFFLE_STARTS]
+            if starts and OPENINGS & set(calls[starts[0]:]):
                 found.append(func.name)
     return found
 
@@ -275,6 +278,31 @@ def test_hybrid_protocols_compose_the_share_engines_building_blocks():
         if isinstance(node, ast.FunctionDef) and node.name == "compact"
     ]
     assert OPENINGS & set(calls_in(compact)) == {"open_flags"}
+
+
+def sort_calls(path: pathlib.Path) -> list[int]:
+    """Lines of ``path`` that call ``argsort``, ``lexsort`` or ``np.sort``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr, owner = node.func.attr, node.func.value
+            if attr in ("argsort", "lexsort") or (
+                attr == "sort" and isinstance(owner, ast.Name) and owner.id in ("np", "numpy")
+            ):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("mpc/*.py")), ids=lambda p: p.name)
+def test_the_mpc_environment_orders_with_the_one_stable_order(path):
+    """``repro.exec.kernels.stable_order`` is the one stable order of the MPC
+    environment, the STP and the cleartext engine: nothing under
+    ``repro/mpc`` sorts by itself."""
+    assert not sort_calls(path), f"mpc/{path.name} sorts at lines {sort_calls(path)}"
+
+
+def test_the_sort_fence_sees_a_sort():
+    assert sort_calls(SRC / "exec" / "kernels.py")
 
 
 def test_no_relation_crosses_one_column_per_round():
