@@ -4,9 +4,9 @@
 Quantifies what securing the runtime costs, in two layers:
 
 * **wire layouts** — encode/decode wall time and wire size of frames the
-  runtime really sends, measured in-process: a share vector and a result
-  table in the mesh layout, and a ``query`` frame shipping a compiled plan
-  and a ``result`` frame in the control codec;
+  runtime really sends, measured in-process: a share vector and the
+  columns of a 1k-row table in the mesh layout, and a ``query`` frame
+  shipping a compiled plan and a ``result`` frame in the control codec;
 * **plaintext vs mutual TLS** — end-to-end session latency over a slice of
   the differential corpus, one warm session each.  Both runs must stay
   byte-identical to the simulated runtime; the script asserts it, so a
@@ -34,7 +34,6 @@ import numpy as np
 import repro as cc
 from repro.core.config import CompilationConfig, TransportSecurity
 from repro.core.dispatch import QueryRunner
-from repro.data.schema import ColumnDef, Schema
 from repro.runtime.agent import process_counters
 from repro.runtime.service import plan_fingerprint
 from repro.runtime.wire import (
@@ -51,15 +50,16 @@ CODEC_REPEATS = 200
 
 
 def mesh_frames() -> dict[str, tuple]:
-    """The two biggest kinds of mesh traffic, as ``(seq, kind, query_id, payload)``."""
+    """The two biggest kinds of mesh traffic, as ``(seq, kind, query_id,
+    payload)``: a round's share vector, and the columns of a relation a
+    party sends another."""
     rng = np.random.default_rng(SEED)
-    schema = Schema([ColumnDef("k"), ColumnDef("v")])
     columns = (rng.integers(0, 50, 1000), rng.integers(-1000, 1000, 1000))
     return {
         "share_vector_64k": (
             3, "msg", 7, ("open-share", (rng.integers(0, 2**63, 8192, dtype=np.uint64),)),
         ),
-        "result_table_1k_rows": (5, "table", 9, ("out", schema, 1000, columns)),
+        "result_table_1k_rows": (5, "msg", 9, ("out", columns)),
     }
 
 

@@ -64,9 +64,6 @@ class Dag:
             raise ValueError("query graph contains a cycle")
         return order
 
-    def reverse_topological(self) -> list[OpNode]:
-        return list(reversed(self.topological()))
-
     def __iter__(self) -> Iterator[OpNode]:
         return iter(self.topological())
 

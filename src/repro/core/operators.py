@@ -17,7 +17,7 @@ the compiler passes fill in:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.expr import ARITHMETIC_OPS, COMPARISON_OPS
 from repro.core.relation import Relation
@@ -436,16 +436,3 @@ def is_reversible(node: OpNode) -> bool:
         parent_cols = set(node.parent.out_rel.schema.names)
         return set(node.columns) == parent_cols
     return False
-
-
-def iter_tree(roots: Iterable[OpNode]):
-    """Yield every node reachable from ``roots`` (each node once)."""
-    seen: set[int] = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node.node_id in seen:
-            continue
-        seen.add(node.node_id)
-        yield node
-        stack.extend(node.children)

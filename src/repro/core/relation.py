@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.data.schema import PUBLIC, Schema
+from repro.data.schema import Schema
 
 
 @dataclass
@@ -38,16 +38,6 @@ class Relation:
     def column_trust(self, column: str) -> frozenset[str]:
         """Trust set of ``column`` (empty if unknown)."""
         return self.trust.get(column, frozenset())
-
-    def trusted_parties(self, column: str, all_parties: set[str]) -> set[str]:
-        """Parties allowed to see ``column`` in the clear."""
-        trust = self.column_trust(column)
-        if PUBLIC in trust:
-            return set(all_parties)
-        return set(trust) & set(all_parties) | (set(trust) - {PUBLIC})
-
-    def is_public_column(self, column: str) -> bool:
-        return PUBLIC in self.column_trust(column)
 
     def copy(self, name: str | None = None) -> "Relation":
         return Relation(

@@ -70,7 +70,7 @@ class SharemindBackend:
         """Receive another party's relation as share slices off the wire.
 
         Runs the same input rounds as :meth:`ingest` at the contributor, but
-        with only the public metadata (schema, row count) known locally —
+        with only the plan's schema and the public row count known locally —
         the cleartext never reaches this process.
         """
         return SharedTable.from_metadata(self.engine, schema, num_rows, contributor)

@@ -9,9 +9,11 @@ shape:
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.mesh` — length-prefixed
   framing (the codec on control links, the closed mesh layout between
   agents) and the full TCP mesh connecting the party agents; a
-  per-query :class:`~repro.runtime.mesh.MeshChannel` is the one surface
-  executors send and receive through, and the channel an agent's
-  :class:`~repro.mpc.network.Network` carries each MPC round on.  The
+  per-query :class:`~repro.runtime.mesh.MeshChannel` is the channel an
+  agent's :class:`~repro.mpc.network.Network` carries every round on — the
+  MPC's, and each relation crossing between parties as its row count or
+  its columns, whose schema every agent reads from the plan.  Every
+  agent-to-agent frame is such a round's message, or an abort.  The
   :class:`~repro.model.counters.NetworkStats` accounting is identical with
   and without a channel.
 * :mod:`repro.runtime.executor` — the node-by-node plan executor shared by

@@ -9,8 +9,9 @@ This module holds the execution logic both runtimes share:
 * the distributed runtime runs one :class:`PlanExecutor` per party process
   (``local_parties`` = that party, plus the query's
   :class:`~repro.runtime.mesh.MeshChannel`).
-  Cleartext sub-plans execute only at the party that owns them; relations
-  that cross party boundaries are shipped over the mesh; and *every* agent
+  Cleartext sub-plans execute only at the party that owns them; a relation
+  that crosses between parties is a round over the mesh, like every MPC
+  step (its row count, or its columns); and *every* agent
   participates in the MPC sub-plans, executing the joint protocol in
   lockstep from the shared seed so that each agent's share traffic really
   flows through its sockets (see :meth:`repro.mpc.network.Network.round`).
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.config import CompilationConfig
 from repro.core.operators import (
@@ -52,7 +55,7 @@ from repro.core.operators import (
     PublicJoin,
     SortBy,
 )
-from repro.data.schema import PUBLIC
+from repro.data.schema import PUBLIC, Schema
 from repro.data.table import Table
 from repro.model.prices import CLEARTEXT_COST_MODELS
 from repro.exec.engine import ColumnarBackend
@@ -60,7 +63,7 @@ from repro.hybrid.hybrid_agg import hybrid_aggregate
 from repro.hybrid.hybrid_join import hybrid_join
 from repro.hybrid.public_join import public_join
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
-from repro.mpc.network import Network
+from repro.mpc.network import Network, TransportError
 from repro.mpc.sharemind import SharemindBackend
 
 
@@ -136,6 +139,9 @@ class PlanExecutor:
         self.local_backends = {
             p: self.cleartext_engine() for p in self.parties if p in self.local_parties
         }
+        # Relations cross between parties in rounds of their own; their
+        # counters stay out of the MPC profile.
+        self._crossings = Network(self.parties, channel=mesh)
         # A single-party query never crosses the MPC boundary; the MPC
         # substrate requires at least two computing parties.
         self.mpc_backend = self._make_mpc_backend() if len(self.parties) >= 2 else None
@@ -247,6 +253,15 @@ class PlanExecutor:
                 f"party {owner!r} has no input relation {node.out_rel.name!r}; "
                 f"available: {sorted(self.inputs.get(owner, {}))}"
             ) from exc
+        # Every agent holds the plan's schema of each relation, so an input
+        # must be exactly the relation it declares.
+        declared = [(col.name, col.ctype.value) for col in node.out_rel.schema]
+        given = [(col.name, col.ctype.value) for col in table.schema]
+        if given != declared:
+            raise ValueError(
+                f"party {owner!r}'s input relation {node.out_rel.name!r} has columns "
+                f"{given}, but the plan declares {declared}"
+            )
         return _Entry(owner, self.local_backends[owner].ingest(table, contributor=owner))
 
     # -- crossing a boundary -------------------------------------------------------------------
@@ -259,13 +274,17 @@ class PlanExecutor:
         crossings, in each of which this executor plays the sender, the
         receiver or a bystander according to ``self.local_parties``:
 
-        * party → MPC — the contributor broadcasts only public metadata
-          (schema, row count) and every other agent receives its share
+        * party → MPC — the contributor sends every peer the relation's
+          row count, one int64, and every other agent receives its share
           slices off the wire inside the input rounds; the cleartext never
           leaves the contributing process;
         * MPC → party — ``reveal_to``: the others send the target their
           slices, and only the target materialises the cleartext;
-        * party → party — the holder ships the table to the target.
+        * party → party — the holder sends the target the columns.
+
+        The row count and the columns cross in a round of their own, tagged
+        with the relation's name; the schema is the plan's at every agent,
+        so none crosses.
 
         Authorisation is checked — and the leakage event recorded — by
         everyone, from plan names and public row counts alone.  Returns what
@@ -282,18 +301,31 @@ class PlanExecutor:
                 return self.local_backends[locus].collect(entry.handle)
             return entry.handle
         if locus is MPC:
-            if self.mpc_backend is None:
+            mpc = self.mpc_backend
+            if mpc is None:
                 raise ValueError(
                     "plan contains MPC operators but the runner has a single party; "
                     "MPC needs at least two computing parties"
                 )
-            if holder not in mine:
-                schema, num_rows = self.mesh.receive_shape(holder, rel.name)
-                return self.mpc_backend.ingest_remote(schema, num_rows, contributor=holder)
-            table = self.local_backends[holder].collect(entry.handle)
-            if self.mesh is not None:
-                self.mesh.broadcast_shape(rel.name, table.schema, table.num_rows)
-            return self.mpc_backend.ingest(table, contributor=holder)
+            if holder not in mpc.party_names:
+                raise ValueError(
+                    f"relation {rel.name!r} enters the MPC from {holder!r}, which is not "
+                    f"one of the compute parties {mpc.party_names}"
+                )
+            table = None
+            if holder in mine:
+                collected = self.local_backends[holder].collect(entry.handle)
+                table = Table(rel.schema, collected.columns())
+            # Only the public row count reaches the peers; the columns enter
+            # as share slices in the input round.
+            count = None if table is None else np.array([table.num_rows], dtype=np.int64)
+            sends = [(holder, p, count) for p in self.parties if p != holder]
+            delivered = self._crossings.round(rel.name, sends, 8)
+            if table is not None:
+                return mpc.ingest(table, contributor=holder)
+            me = self._crossings.reference_party
+            num_rows = _row_count(delivered[(holder, me)], holder, rel.name)
+            return mpc.ingest_remote(rel.schema, num_rows, contributor=holder)
         if not self._authorized(parent, consumer, locus):
             raise SecurityError(
                 f"plan would reveal relation {rel.name!r}, held by "
@@ -315,13 +347,15 @@ class PlanExecutor:
                     detail=f"{rows} rows revealed for cleartext post-processing",
                 )
         else:
-            table = None
+            columns = None
             if holder in mine:
-                table = self.local_backends[holder].collect(entry.handle)
-                if locus not in mine:
-                    self.mesh.send_table(locus, rel.name, table)
-            elif locus in mine:
-                table = self.mesh.receive_table(holder, rel.name)
+                columns = tuple(self.local_backends[holder].collect(entry.handle).columns())
+            # A transfer's size is no bystander's business: the round is
+            # metered at zero bytes, the mesh link stats count the frame.
+            delivered = self._crossings.round(rel.name, [(holder, locus, columns)], 0)
+            table = None
+            if locus in mine:
+                table = _table_received(rel.schema, delivered[(holder, locus)], holder, rel.name)
             self.leakage.record(
                 "cleartext_transfer", rel.name, rel.schema.names, [locus],
                 detail=f"sent from {holder}",
@@ -408,6 +442,39 @@ class PlanExecutor:
         if backend is None:
             return {}
         return {"backend": backend.name, **backend.meter.counts()}
+
+
+def _row_count(payload, sender: str, relation: str) -> int:
+    """The row count ``sender`` sent for ``relation``: one non-negative int64."""
+    if not (
+        isinstance(payload, np.ndarray) and payload.dtype == np.int64
+        and payload.shape == (1,) and payload[0] >= 0
+    ):
+        raise TransportError(
+            f"{sender!r} sent {relation!r} as something other than its row count; "
+            "the party processes have diverged"
+        )
+    return int(payload[0])
+
+
+def _table_received(schema: Schema, payload, sender: str, relation: str) -> Table:
+    """``relation`` rebuilt with the plan's ``schema`` from the columns
+    ``sender`` sent: a tuple of one array per column, of its type and of
+    one common length."""
+    if not (
+        type(payload) is tuple and len(payload) == len(schema)
+        and all(
+            isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype == Table._dtype(col)
+            for col, arr in zip(schema, payload)
+        )
+        and len({arr.size for arr in payload}) <= 1
+    ):
+        raise TransportError(
+            f"{sender!r} sent {relation!r} as something other than its columns "
+            f"{[(col.name, col.ctype.value) for col in schema]}; "
+            "the party processes have diverged"
+        )
+    return Table(schema, payload)
 
 
 def apply_operator(engine, node: OpNode, handles: list, stp_for, leakage: LeakageReport | None):

@@ -20,19 +20,18 @@ a codec or pickle frame included — kills the link), and each connection has
 one reader thread appending frames, in arrival order, to one inbox per
 ``(query id, peer)``:
 
-* ``msg``   — one round's protocol message, ``(tag, arrays)``, read by
-  :meth:`~repro.mpc.network.Network.round`;
-* ``table`` — a relation shipped between sub-plans: its shape only when a
-  party's input enters MPC, the whole table for an authorised cleartext
-  transfer;
+* ``msg``   — one round's message, ``(tag, arrays)``, written and read by
+  :meth:`~repro.mpc.network.Network.round` — the MPC's rounds and the
+  rounds that move a relation between parties (its row count, or its
+  columns) alike;
 * ``abort`` — a peer's execution of that query failed; the inbox ends in a
   poison mark so its reader fails as soon as it has read what came first.
 
-Every executor runs the same lockstep schedule, so the frames peer P sends
-for query Q are exactly the frames this agent reads from P for Q, in the
-same order: a consumer names the kind it expects, and a frame of another
-kind means the party processes have diverged — a :class:`TransportError`
-at once, not a timeout.
+Every executor runs the same lockstep schedule, so the messages peer P
+sends for query Q are exactly the messages this agent reads from P for Q,
+in the same order: a message whose tag is not the one the round expects
+means the party processes have diverged — a :class:`TransportError` at
+once, not a timeout.
 
 Executors never touch the mesh directly: :meth:`PeerMesh.channel` returns a
 :class:`MeshChannel` — a view bound to one query id, and the only
@@ -73,13 +72,10 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.data.schema import Schema
-from repro.data.table import Table
 from repro.mpc.network import TransportError
 from repro.runtime.wire import (
     KIND_ABORT,
     KIND_MSG,
-    KIND_TABLE,
     LinkStats,
     WireError,
     close_quietly,
@@ -138,7 +134,7 @@ class PeerMesh:
         #: payload.  Counting starts after the handshake hellos (both ends
         #: symmetrically), so sent/received totals mirror across peers.
         self.link_stats: dict[str, LinkStats] = {p: LinkStats() for p in self._socks}
-        # (query_id, peer) -> FIFO of (kind, payload), created under _lock
+        # (query_id, peer) -> FIFO of (tag, payload) messages, created under _lock
         # by whichever end gets there first.
         self._lock = threading.Lock()
         self._inboxes: dict[tuple[int, str], queue.SimpleQueue] = {}
@@ -221,7 +217,7 @@ class PeerMesh:
                 if kind == KIND_ABORT:
                     inbox.put(_Poison(f"peer {peer!r} aborted query {query_id}: {payload}"))
                 else:
-                    inbox.put((kind, payload))
+                    inbox.put(payload)
         except Exception as exc:  # noqa: BLE001 - reader thread must never die silently
             self._mark_peer_closed(peer, exc, sock)
 
@@ -306,9 +302,8 @@ class PeerMesh:
             else:  # pragma: no cover - validate() rejects unknown actions
                 send_mesh_frame(sock, *frame, stats=self.link_stats[peer])
 
-    def _receive(self, peer: str, kind: str, query_id: int) -> Any:
-        """The next frame ``peer`` sent for ``query_id``, which the lockstep
-        schedule says is a ``kind`` frame."""
+    def _receive(self, peer: str, query_id: int) -> tuple:
+        """The next ``(tag, payload)`` message ``peer`` sent for ``query_id``."""
         if peer not in self._socks:
             raise TransportError(f"agent {self.party!r} has no mesh link to {peer!r}")
         inbox = self._inbox(query_id, peer)
@@ -319,19 +314,12 @@ class PeerMesh:
         except queue.Empty:
             raise MeshTimeout(
                 f"agent {self.party!r} timed out after {self.timeout:.0f}s waiting for a "
-                f"{kind!r} frame from {peer!r} (query {query_id})"
+                f"message from {peer!r} (query {query_id})"
             ) from None
         if isinstance(item, _Poison):
             inbox.put(item)  # keep poisoning later reads of the same inbox
             raise TransportError(item.message) from item.cause
-        got_kind, payload = item
-        if got_kind != kind:
-            raise TransportError(
-                f"agent {self.party!r} expected a {kind!r} frame from {peer!r} "
-                f"(query {query_id}) but received a {got_kind!r} frame; "
-                "the party processes have diverged"
-            )
-        return payload
+        return item
 
     def traffic(self) -> dict[str, dict]:
         """Immutable per-peer wire totals: ``{peer: {bytes_sent, ...}}``."""
@@ -397,39 +385,7 @@ class MeshChannel:
 
     def receive_message(self, peer: str) -> tuple:
         """The next ``(tag, payload)`` message from ``peer``."""
-        return self._mesh._receive(peer, KIND_MSG, self.query_id)
-
-    def send_table(self, peer: str, relation: str, table: Table) -> None:
-        """Ship a whole relation: its schema, row count and columns."""
-        frame = (relation, table.schema, table.num_rows, table.columns())
-        self._mesh._send(peer, KIND_TABLE, self.query_id, frame)
-
-    def broadcast_shape(self, relation: str, schema: Schema, num_rows: int) -> None:
-        """Tell every peer a relation's public shape; no column crosses."""
-        for peer in sorted(self.peers):
-            self._mesh._send(peer, KIND_TABLE, self.query_id, (relation, schema, num_rows, None))
-
-    def receive_table(self, peer: str, relation: str) -> Table:
-        schema, _num_rows, columns = self._receive_relation(peer, relation, whole=True)
-        return Table(schema, columns)
-
-    def receive_shape(self, peer: str, relation: str) -> tuple[Schema, int]:
-        schema, num_rows, _ = self._receive_relation(peer, relation, whole=False)
-        return schema, num_rows
-
-    def _receive_relation(self, peer: str, relation: str, *, whole: bool) -> tuple:
-        got_relation, schema, num_rows, columns = self._mesh._receive(
-            peer, KIND_TABLE, self.query_id
-        )
-        got_whole = columns is not None
-        if got_relation != relation or got_whole != whole:
-            what = {True: "the table", False: "the shape"}
-            raise TransportError(
-                f"agent {self.party!r} expected {what[whole]} of relation {relation!r} "
-                f"from {peer!r} but received {what[got_whole]} of {got_relation!r}; "
-                "the party processes have diverged"
-            )
-        return schema, num_rows, columns
+        return self._mesh._receive(peer, self.query_id)
 
     def abort(self, reason: str) -> None:
         """Broadcast that this agent's execution of the query failed."""

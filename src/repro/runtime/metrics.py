@@ -175,10 +175,6 @@ class GatewayMetrics:
         with self._lock:
             self._gauges[name] = value
 
-    def add_gauge(self, name: str, delta: float) -> None:
-        with self._lock:
-            self._gauges[name] = self._gauges.get(name, 0) + delta
-
     def observe(self, name: str, value: float) -> None:
         with self._lock:
             histogram = self._histograms.get(name)

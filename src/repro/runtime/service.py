@@ -35,6 +35,7 @@ from repro.core.config import (
     TransportSecurity,
 )
 from repro.mpc.network import TransportError
+from repro.mpc.sharemind import SharemindBackend
 from repro.runtime.agent import AGENT_MAX_WORKERS
 from repro.runtime.gateway import DEFAULT_ANALYST, QueryGateway, QueryRejected
 from repro.runtime.metrics import GatewayMetrics, MetricsServer
@@ -342,6 +343,13 @@ class QuerySession:
         config.require_executable()
         compiled = query if isinstance(query, CompiledQuery) else compile_query(query, config)
         compiled.config.require_executable()
+        compute = self.parties[: SharemindBackend.MAX_PARTIES]
+        if len(compute) < len(self.parties) and any(node.is_mpc for node in compiled.dag.nodes()):
+            raise ValueError(
+                f"the plan has MPC operators, which only the compute parties {compute} can "
+                f"run; this session's agents {self.parties} are more than the "
+                f"{SharemindBackend.MAX_PARTIES} the MPC backend supports"
+            )
         fingerprint = plan_fingerprint(compiled)
         started = time.perf_counter()
         query_seed = self.seed if seed is None else seed

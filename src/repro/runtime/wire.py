@@ -6,7 +6,10 @@ two layouts.  Control links and the mesh hellos speak the **codec** (magic
 ``0xC7``: :func:`send_frame` / :func:`recv_frame`); a mesh link, once its
 hello is through, speaks the **mesh layout** (magic ``0x4D``:
 :func:`send_mesh_frame` / :func:`recv_mesh_frame`), one flat layout for the
-``msg``, ``table`` and ``abort`` frames agents exchange.
+two frames agents exchange: ``msg``, one round's message of arrays, and
+``abort``.  A relation crosses between agents as a round's message too — its
+row count or its columns — so the mesh layout carries no schema: every
+agent reads it from the plan it already holds.
 
 Both layouts are closed: nothing outside them can be written, and decoding
 never resolves a name, imports a module or runs a constructor the layout
@@ -82,9 +85,6 @@ _SENDMSG_BUFFERS = 512
 MESH_DTYPES = (np.dtype("<u8"), np.dtype("|u1"), np.dtype("<i8"), np.dtype("<f8"))
 _DTYPE_CODES = {dtype: code for code, dtype in enumerate(MESH_DTYPES)}
 
-#: The dtype of a table column of each type (``Table`` stores no other).
-_COLUMN_DTYPES = {ColumnType.INT: np.dtype("<i8"), ColumnType.FLOAT: np.dtype("<f8")}
-
 _ALIGN = 8
 _PAD = bytes(_ALIGN)
 
@@ -139,13 +139,10 @@ class _Writer:
                 f"payload {type(arr).__name__} {getattr(arr, 'dtype', '')} is not a "
                 f"one-dimensional array of {[d.str for d in MESH_DTYPES]}"
             )
-        self.out.append(code)
-        _write_varint(self.out, arr.size)
-        self.buffer(arr)
-
-    def buffer(self, arr: np.ndarray) -> None:
-        """Pad to the next aligned payload offset, then the raw C-order buffer."""
         out = self.out
+        out.append(code)
+        _write_varint(out, arr.size)
+        # Pad to the next aligned payload offset, then the raw C-order buffer.
         out += _PAD[:-(self.base + len(out)) % _ALIGN]
         if arr.nbytes < BORROW_FLOOR:
             out += arr.tobytes()
@@ -223,10 +220,8 @@ class _Reader:
         code = self.byte()
         if code >= len(MESH_DTYPES):
             raise self.fail(f"unknown dtype code {code}")
-        return self.buffer(MESH_DTYPES[code], self.varint())
-
-    def buffer(self, dtype: np.dtype, count: int) -> np.ndarray:
-        """An aligned, writable view of ``count`` elements of the frame buffer."""
+        dtype, count = MESH_DTYPES[code], self.varint()
+        # An aligned, writable view of ``count`` elements of the frame buffer.
         pos = self.pos
         start = pos + (-pos % _ALIGN)
         end = start + count * dtype.itemsize
@@ -415,7 +410,7 @@ def _table(schema, num_rows, columns) -> Table:
     if not isinstance(schema, Schema) or len(columns) != len(schema):
         raise TypeError("table columns do not match its schema")
     for col, arr in zip(schema, columns):
-        if not isinstance(arr, np.ndarray) or arr.dtype != _COLUMN_DTYPES[col.ctype]:
+        if not isinstance(arr, np.ndarray) or arr.dtype != Table._dtype(col):
             raise TypeError(f"column {col.name!r} is not {col.ctype.value} data")
     table = Table(schema, columns)
     if table.num_rows != num_rows:
@@ -782,29 +777,25 @@ def close_quietly(sock, *, shutdown: bool = False) -> None:
 #   msg   := str(tag) form [array | varint(count) array*]
 #            form 0: no payload, 1: one array, 2: a tuple of arrays
 #   array := dtype-code varint(count) pad buffer
-#   table := str(relation) varint(ncols) column* varint(num_rows)
-#            has-columns (0 | 1) [pad buffer]*ncols
-#   column:= str(name) ctype-code varint(ntrust) str(trust)*  (sorted)
 #   abort := str(reason)
 #   str   := varint(length) utf-8 bytes
 #   pad   := zero bytes up to the next payload offset divisible by 8
 #
 # The sender and receiver of a frame are the link's two ends and the byte
 # count of a round is the receiver's own replica's business, so neither is
-# on the wire; the round tag is, and ``Network.round`` checks it.
+# on the wire; the round tag is, and ``Network.round`` checks it.  Every
+# agent-to-agent message is a round's: the MPC's, and the row count or the
+# columns of a relation crossing between parties, whose schema every agent
+# reads from the plan.
 
 KIND_MSG = "msg"
-KIND_TABLE = "table"
 KIND_ABORT = "abort"
-_KIND_CODES = {KIND_MSG: 1, KIND_TABLE: 2, KIND_ABORT: 3}
+_KIND_CODES = {KIND_MSG: 1, KIND_ABORT: 2}
 _KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 _FORM_NONE = 0
 _FORM_ARRAY = 1
 _FORM_TUPLE = 2
-
-_CTYPES = (ColumnType.INT, ColumnType.FLOAT)
-_CTYPE_CODES = {ctype: code for code, ctype in enumerate(_CTYPES)}
 
 
 def _mesh_segments(seq: int, kind: str, query_id: int, payload) -> tuple[list, int]:
@@ -827,30 +818,6 @@ def _mesh_segments(seq: int, kind: str, query_id: int, payload) -> tuple[list, i
         else:
             writer.out.append(_FORM_ARRAY)
             writer.array(body)
-    elif kind == KIND_TABLE:
-        relation, schema, num_rows, columns = payload
-        writer.text(relation)
-        _write_varint(writer.out, len(schema))
-        for col in schema:
-            writer.text(col.name)
-            writer.out.append(_CTYPE_CODES[col.ctype])
-            _write_varint(writer.out, len(col.trust))
-            for party in sorted(col.trust):
-                writer.text(party)
-        _write_varint(writer.out, num_rows)
-        writer.out.append(int(columns is not None))
-        if columns is not None:
-            if len(columns) != len(schema):
-                raise UnsupportedPayload(f"{len(columns)} columns for a {len(schema)}-column schema")
-            for col, arr in zip(schema, columns):
-                if not (
-                    isinstance(arr, np.ndarray) and arr.dtype == _COLUMN_DTYPES[col.ctype]
-                    and arr.shape == (num_rows,)
-                ):
-                    raise UnsupportedPayload(
-                        f"column {col.name!r} is not {num_rows} values of {col.ctype.value}"
-                    )
-                writer.buffer(arr)
     else:
         writer.text(payload)
     return writer.finish()
@@ -860,10 +827,8 @@ def encode_mesh_frame(seq: int, kind: str, query_id: int, payload) -> bytes:
     """One length-prefixed mesh frame in one buffer.
 
     ``payload`` by kind: ``msg`` — ``(tag, body)`` with ``body`` ``None``, an
-    array or a tuple of arrays of :data:`MESH_DTYPES`; ``table`` —
-    ``(relation, schema, num_rows, columns)`` with ``columns`` ``None`` when
-    only the relation's shape crosses; ``abort`` — the reason.  Anything else
-    is an :class:`UnsupportedPayload`.
+    array or a tuple of arrays of :data:`MESH_DTYPES`; ``abort`` — the
+    reason.  Anything else is an :class:`UnsupportedPayload`.
     """
     return b"".join(_mesh_segments(seq, kind, query_id, payload)[0])
 
@@ -880,35 +845,6 @@ def send_mesh_frame(
 class _MeshReader(_Reader):
     __slots__ = ()
     layout, magic = "mesh", MESH_MAGIC
-
-    def column(self) -> ColumnDef:
-        name = self.text()
-        code = self.byte()
-        if code >= len(_CTYPES):
-            raise self.fail(f"unknown column type code {code}")
-        trust = [self.text() for _ in range(self.varint())]
-        if any(a >= b for a, b in zip(trust, trust[1:])):
-            raise self.fail(f"trust set of column {name!r} is not strictly sorted")
-        try:
-            return ColumnDef(name, _CTYPES[code], frozenset(trust))
-        except ValueError as exc:
-            raise self.fail(str(exc)) from None
-
-    def table(self) -> tuple:
-        relation = self.text()
-        columns = [self.column() for _ in range(self.varint())]
-        try:
-            schema = Schema(columns)
-        except ValueError as exc:
-            raise self.fail(str(exc)) from None
-        num_rows = self.varint()
-        has_columns = self.byte()
-        if has_columns > 1:
-            raise self.fail(f"unknown table form {has_columns}")
-        data = None
-        if has_columns:
-            data = tuple(self.buffer(_COLUMN_DTYPES[col.ctype], num_rows) for col in schema)
-        return relation, schema, num_rows, data
 
 
 def _decode_mesh(view: memoryview) -> tuple[int, str, int, object]:
@@ -935,8 +871,6 @@ def _decode_mesh(view: memoryview) -> tuple[int, str, int, object]:
         else:
             raise reader.fail(f"unknown payload form {form}")
         payload = (tag, body)
-    elif kind == KIND_TABLE:
-        payload = reader.table()
     else:
         payload = reader.text()
     reader.done()

@@ -7,6 +7,8 @@ import repro as cc
 from repro.core.config import CompilationConfig
 from repro.core.dispatch import QueryRunner, SecurityError
 from repro.core.lang import QueryContext
+from repro.data.schema import ColumnDef, ColumnType, Schema
+from repro.data.table import Table
 from repro.workloads.generators import uniform_key_value_table
 
 PA, PB, PC = cc.Party("a.example"), cc.Party("b.example"), cc.Party("c.example")
@@ -197,3 +199,57 @@ class TestParallelism:
             seconds for name, seconds in result.backend_seconds.items() if name.startswith("local:")
         )
         assert result.simulated_seconds < local_busy
+
+
+class TestInputsMatchTheirRelations:
+    """An input is exactly the relation the plan declares: same column
+    names, same types, same order — every agent holds the plan's schema."""
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            Schema([ColumnDef("k"), ColumnDef("v", ColumnType.FLOAT)]),
+            Schema([ColumnDef("k"), ColumnDef("value")]),
+            Schema([ColumnDef("v"), ColumnDef("k")]),
+        ],
+        ids=["float-column", "renamed-column", "reordered-columns"],
+    )
+    def test_a_mismatched_input_is_refused_naming_both_lists(self, schema):
+        compiled = cc.compile_query(three_party_sum_query())
+        inputs = kv_inputs()
+        inputs[PB.name]["t1"] = Table(schema, inputs[PB.name]["t1"].columns())
+        given = [(col.name, col.ctype.value) for col in schema]
+        with pytest.raises(ValueError) as info:
+            QueryRunner(PARTY_NAMES, inputs).run(compiled)
+        message = str(info.value)
+        assert PB.name in message and "'t1'" in message
+        assert str(given) in message and "[('k', 'int'), ('v', 'int')]" in message
+
+
+PD = cc.Party("d.example")
+
+
+def sum_query(contributors, recipient):
+    with QueryContext() as ctx:
+        tables = [ctx.new_table(f"t{i}", KV, at=p) for i, p in enumerate(contributors)]
+        ctx.concat(tables).aggregate(group=["k"], aggs={"total": cc.SUM("v")}).collect(
+            "out", to=[recipient]
+        )
+    return ctx
+
+
+class TestMorePartiesThanTheMpcComputes:
+    """With four parties the first three compute the MPC."""
+
+    def test_an_output_to_the_fourth_party_runs_in_process(self):
+        compiled = cc.compile_query(sum_query((PA, PB, PC), PD))
+        inputs = kv_inputs()
+        result = QueryRunner(PARTY_NAMES + [PD.name], inputs).run(compiled)
+        assert result.outputs["out"].equals_unordered(reference_sum(inputs))
+
+    def test_an_mpc_input_from_the_fourth_party_is_a_value_error(self):
+        compiled = cc.compile_query(sum_query((PA, PB, PD), PA))
+        inputs = kv_inputs()
+        inputs[PD.name] = {"t2": inputs.pop(PC.name)["t2"]}
+        with pytest.raises(ValueError, match=f"from '{PD.name}', which is not one of the compute"):
+            QueryRunner(PARTY_NAMES + [PD.name], inputs).run(compiled)

@@ -40,7 +40,6 @@ from repro.mpc.protocols import SharedTable, mpc_aggregate, mpc_filter
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
 from repro.runtime.mesh import (
     KIND_MSG,
-    KIND_TABLE,
     MeshTimeout,
     PeerMesh,
     bind_listener,
@@ -763,27 +762,43 @@ def corpus_over_a_socket_mesh():
             mesh.close()
 
 
-def test_corpus_mpc_ingest_broadcasts_only_schema_and_row_count(monkeypatch):
+def test_corpus_mpc_ingest_sends_only_the_row_count(monkeypatch):
     """Cleartext never leaves its owner through MPC ingest: across the
     50-plan corpus, with one executor per party joined by a real socket
-    mesh, every table frame an agent sends carries a schema and a row
-    count and no column — the relation itself travels as share slices
-    only."""
-    tables = []
+    mesh, every message that brings a party's relation into the MPC is one
+    int64, the relation's row count, and carries no column — the relation
+    itself travels as the share slices of the input round that follows."""
+    sent = {party: [] for party in PARTIES}
     send = PeerMesh._send
 
     def recording_send(mesh, peer, kind, query_id, payload):
-        if kind == KIND_TABLE:
-            tables.append(payload)
+        if kind == KIND_MSG:
+            sent[mesh.party].append(payload)
         send(mesh, peer, kind, query_id, payload)
 
     monkeypatch.setattr(PeerMesh, "_send", recording_send)
-    for spec, _compiled, outcomes in corpus_over_a_socket_mesh():
+    ingests = 0
+    for spec, compiled, outcomes in corpus_over_a_socket_mesh():
         assert sorted(outcomes[PARTY_A].outputs["out"].rows()) == oracle(spec)
-    assert tables, "the corpus never crossed into MPC"
-    for _relation, schema, num_rows, columns in tables:
-        assert isinstance(schema, cc.Schema) and isinstance(num_rows, int)
-        assert columns is None
+        entering = [
+            parent.out_rel.name
+            for node in compiled.dag.topological() if node.is_mpc
+            for parent in node.parents if not parent.is_mpc
+        ]
+        messages = [message for party in PARTIES for message in sent[party]]
+        assert sorted(tag for tag, _ in messages if tag in entering) == sorted(entering)
+        for party in PARTIES:
+            for (tag, count), following in zip(sent[party], sent[party][1:]):
+                if tag not in entering:
+                    continue
+                assert isinstance(count, np.ndarray) and count.dtype == np.int64
+                assert count.shape == (1,)
+                next_tag, slices = following
+                assert next_tag == "input-share"
+                assert slices and all(len(slice_) == count[0] for slice_ in slices)
+                ingests += 1
+            sent[party].clear()
+    assert ingests, "the corpus never crossed into MPC"
 
 
 def test_corpus_outputs_reach_their_recipients_only():

@@ -1,14 +1,13 @@
 """Property tests for the mesh layout: the one format of agent-to-agent frames.
 
-After the hello, a mesh link carries ``msg``, ``table`` and ``abort``
-frames in one closed, flat layout (``repro.runtime.wire``, "mesh frames").
+After the hello, a mesh link carries ``msg`` and ``abort`` frames in one
+closed, flat layout (``repro.runtime.wire``, "mesh frames").
 Hypothesis drives it through the properties the runtime leans on:
 
 * every kind and form round-trips — no payload, one array, a tuple of
   arrays (the empty tuple included), zero-length and non-contiguous arrays
-  of every admitted dtype, tables with and without columns, trust sets,
-  non-ASCII strings — and the bytes are the same whether large buffers are
-  borrowed or copied;
+  of every admitted dtype, non-ASCII strings — and the bytes are the same
+  whether large buffers are borrowed or copied;
 * decoded arrays are aligned, writable views of the frame's own buffer;
 * every strict prefix, trailing bytes, an unknown kind / form / dtype code
   and an element count past the end are :class:`WireError`\\ s, and a
@@ -31,8 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TransportSecurity
-from repro.data.schema import PUBLIC, ColumnDef, ColumnType, Schema
-from repro.data.table import Table
 from repro.runtime import wire
 from repro.runtime.mesh import PeerMesh
 from repro.runtime import TransportError
@@ -40,7 +37,6 @@ from repro.runtime.wire import (
     BORROW_FLOOR,
     KIND_ABORT,
     KIND_MSG,
-    KIND_TABLE,
     MESH_DTYPES,
     MESH_MAGIC,
     LinkStats,
@@ -80,37 +76,11 @@ texts = st.text(max_size=12)
 
 
 @st.composite
-def schemas(draw):
-    names = draw(st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True))
-    parties = st.sampled_from(["alpha.example", "βeta.example", "c", PUBLIC])
-    return Schema([
-        ColumnDef(name, draw(st.sampled_from(ColumnType)), frozenset(draw(st.lists(parties, max_size=3))))
-        for name in names
-    ])
-
-
-@st.composite
-def tables(draw):
-    """``(relation, schema, num_rows, columns)``: a shape, or a whole table."""
-    schema = draw(schemas())
-    num_rows = draw(st.integers(0, 20))
-    columns = None
-    if draw(st.booleans()):
-        raw = st.binary(min_size=8 * num_rows, max_size=8 * num_rows)
-        columns = tuple(
-            np.frombuffer(draw(raw), dtype=Table._dtype(col)).copy() for col in schema
-        )
-    return draw(texts), schema, num_rows, columns
-
-
-@st.composite
 def frames(draw):
     """``(seq, kind, query_id, payload)`` of any kind and form."""
-    kind = draw(st.sampled_from([KIND_MSG, KIND_TABLE, KIND_ABORT]))
+    kind = draw(st.sampled_from([KIND_MSG, KIND_ABORT]))
     if kind == KIND_MSG:
         payload = (draw(texts), draw(bodies))
-    elif kind == KIND_TABLE:
-        payload = draw(tables())
     else:
         payload = draw(st.text(max_size=40))
     return draw(ids), kind, draw(ids), payload
@@ -141,8 +111,6 @@ def arrays_in(payload, kind):
     if kind == KIND_MSG:
         body = payload[1]
         return [] if body is None else list(body) if isinstance(body, tuple) else [body]
-    if kind == KIND_TABLE and payload[3] is not None:
-        return list(payload[3])
     return []
 
 
@@ -163,9 +131,6 @@ def assert_same_frame(got, sent):
             assert got[3][1] is None
         else:
             assert isinstance(got[3][1], np.ndarray)
-    elif kind == KIND_TABLE:
-        assert got[3][:3] == payload[:3]
-        assert (got[3][3] is None) == (payload[3] is None)
     else:
         assert got[3] == payload
     sent_arrays, got_arrays = arrays_in(payload, kind), arrays_in(got[3], kind)
@@ -230,19 +195,9 @@ def test_the_edge_forms_round_trip(body):
     assert_same_frame(got, (3, KIND_MSG, 9, ("open-share", body)))
 
 
-def test_tables_with_trust_sets_and_non_ascii_reasons_round_trip():
-    schema = Schema([
-        ColumnDef("zip", ColumnType.INT, frozenset({"ftc.gov", PUBLIC})),
-        ColumnDef("scöre", ColumnType.FLOAT, frozenset({"bank-b", "bank-a"})),
-        ColumnDef("k"),
-    ])
-    table = Table(schema, [np.arange(4), np.linspace(0, 1, 4), np.arange(4) * 7])
-    whole = (2, KIND_TABLE, 5, ("rel", schema, 4, table.columns()))
-    shape = (3, KIND_TABLE, 5, ("rel", schema, 4, None))
-    assert_same_frame(decode_mesh_payload(payload_of(whole)), whole)
-    assert_same_frame(decode_mesh_payload(payload_of(shape)), shape)
-    empty = (4, KIND_TABLE, 5, ("nothing", Schema([]), 0, ()))
-    assert_same_frame(decode_mesh_payload(payload_of(empty)), empty)
+def test_non_ascii_tags_and_reasons_round_trip():
+    message = (2, KIND_MSG, 5, ("scöre ∑", (np.arange(4), np.linspace(0, 1, 4))))
+    assert_same_frame(decode_mesh_payload(payload_of(message)), message)
     reason = "ValueError: 合計 overflowed — naïve ∑"
     assert decode_mesh_payload(payload_of((5, KIND_ABORT, 5, reason)))[3] == reason
 
@@ -287,18 +242,18 @@ def _msg(form: int, rest: bytes = b"") -> bytes:
         (b"", "not a mesh frame"),
         (bytes([0xC7, 1, 1, 1]), "not a mesh frame"),
         (bytes([MESH_MAGIC, 0, 1, 1]), "unknown frame kind"),
-        (bytes([MESH_MAGIC, 4, 1, 1]), "unknown frame kind"),
+        (bytes([MESH_MAGIC, 3, 1, 1]), "unknown frame kind"),
         (_msg(3), "unknown payload form"),
         (_msg(1, bytes([4, 0])), "unknown dtype code"),
         (_msg(1, bytes([0, 2]) + bytes(1) + bytes(15)), "overruns"),
         (_msg(1, bytes([1, 200, 1]) + bytes(7) + bytes(10)), "overruns"),
         (_msg(2, bytes([0xFF, 0x7F])), "overruns"),
         (_msg(1, bytes([0, 1, 0, 9, 0, 0, 0, 0, 0]) + bytes(8)), "padding"),
-        (bytes([MESH_MAGIC, 3, 1, 1, 2]) + b"\xff\xfe", "utf-8"),
-        (bytes([MESH_MAGIC, 3]) + b"\xff" * 10 + b"\x01", "overflow"),
+        (bytes([MESH_MAGIC, 2, 1, 1, 2]) + b"\xff\xfe", "utf-8"),
+        (bytes([MESH_MAGIC, 2]) + b"\xff" * 10 + b"\x01", "overflow"),
     ],
     ids=[
-        "empty", "codec-magic", "kind-0", "kind-4", "form", "dtype", "count-overrun",
+        "empty", "codec-magic", "kind-0", "kind-3", "form", "dtype", "count-overrun",
         "varint-count-overrun", "tuple-count", "nonzero-padding", "bad-utf8", "varint",
     ],
 )
@@ -307,41 +262,11 @@ def test_malformed_payloads_are_wire_errors(data, why):
         decode_mesh_payload(data)
 
 
-def _table_payload(columns: list[tuple[bytes, int, list[bytes]]], tail: bytes) -> bytes:
-    out = bytearray([MESH_MAGIC, 2, 1, 1, 1]) + b"r" + bytes([len(columns)])
-    for name, ctype, trust in columns:
-        out += bytes([len(name)]) + name + bytes([ctype, len(trust)])
-        for party in trust:
-            out += bytes([len(party)]) + party
-    return bytes(out + tail)
-
-
-@pytest.mark.parametrize(
-    "columns, tail, why",
-    [
-        ([(b"k", 2, [])], b"\x00\x00", "column type"),
-        ([(b"", 0, [])], b"\x00\x00", "non-empty"),
-        ([(b"k", 0, []), (b"k", 0, [])], b"\x00\x00", "duplicate"),
-        ([(b"k", 0, [b"b", b"a"])], b"\x00\x00", "sorted"),
-        ([(b"k", 0, [b"a", b"a"])], b"\x00\x00", "sorted"),
-        ([(b"k", 0, [])], b"\x00\x02", "table form"),
-        ([(b"k", 0, [])], b"\x03\x01" + bytes(3 + 16), "overruns"),
-    ],
-    ids=["ctype", "empty-name", "duplicate-name", "unsorted-trust", "repeated-trust", "form", "rows"],
-)
-def test_malformed_tables_are_wire_errors(columns, tail, why):
-    with pytest.raises(WireError, match=why):
-        decode_mesh_payload(_table_payload(columns, tail))
-
-
 class _NoWrites:
     def sendall(self, data):
         raise AssertionError("a refused frame must not reach the socket")
 
     sendmsg = sendall
-
-
-_SCHEMA = Schema([ColumnDef("k"), ColumnDef("v", ColumnType.FLOAT)])
 
 
 @pytest.mark.parametrize(
@@ -355,15 +280,12 @@ _SCHEMA = Schema([ColumnDef("k"), ColumnDef("v", ColumnType.FLOAT)])
         (KIND_MSG, (b"bytes-tag", None)),
         # Refused although a borrowable array was already written before it.
         (KIND_MSG, ("t", (np.zeros(BORROW_FLOOR, dtype=np.uint8), np.zeros(1, dtype=object)))),
-        (KIND_TABLE, ("r", _SCHEMA, 2, (np.zeros(2, dtype=np.int64),))),
-        (KIND_TABLE, ("r", _SCHEMA, 2, (np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)))),
-        (KIND_TABLE, ("r", _SCHEMA, 3, (np.zeros(2, dtype=np.int64), np.zeros(2)))),
         (KIND_ABORT, ValueError("not a string")),
         ("hello", ("t", None)),
     ],
     ids=[
         "str-body", "list-body", "dict-body", "2-d", "scalar", "bytes-tag", "object-after-borrow",
-        "missing-column", "column-dtype", "column-length", "abort-object", "unknown-kind",
+        "abort-object", "unknown-kind",
     ],
 )
 def test_payloads_outside_the_layout_are_refused_at_the_sender(kind, payload):
@@ -391,7 +313,7 @@ def test_frames_cross_a_socket_whole_and_are_counted_on_both_ends():
         sent = [
             (1, KIND_MSG, 3, ("open-share", (vector[:10].copy(), vector))),
             (2, KIND_MSG, 3, ("open-flags", flags)),
-            (3, KIND_TABLE, 3, ("rel", _SCHEMA, 2, (np.arange(2), np.ones(2)))),
+            (3, KIND_MSG, 3, ("rel", (np.arange(2), np.ones(2)))),
             (4, KIND_ABORT, 3, "gone"),
         ]
         received, got = LinkStats(), []

@@ -1,9 +1,20 @@
 """Tests for the party-to-party network's round primitive and its accounting."""
 
+import queue
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 import pytest
 
+import repro as cc
+from repro.core.dispatch import QueryRunner
 from repro.model.counters import NetworkStats
 from repro.mpc.network import Network, TransportError
+from repro.runtime.executor import PlanExecutor
+from repro.runtime.wire import KIND_MSG, decode_mesh_payload, encode_mesh_frame
+
+from test_differential import PARTY_A, PARTY_B, SEED, build_query, generate_spec
+from test_round_budget import WORKLOADS
 
 
 @pytest.fixture
@@ -144,3 +155,93 @@ class TestRoundCarriage:
         net = Network(["a", "b"], channel=channel)
         with pytest.raises(TransportError, match="protocol desynchronisation"):
             net.round("open-share", [("a", "b", None)], 8)
+
+
+# -- executors over the four-member channel ---------------------------------------------------
+
+
+class QueueChannel:
+    """A mesh channel with only what a round uses — ``party``, ``peers``,
+    ``send_message`` and ``receive_message`` — carrying mesh-layout frames
+    over one in-memory queue per directed link."""
+
+    def __init__(self, party, links):
+        self.party = party
+        self.peers = {receiver for sender, receiver in links if sender == party}
+        self._links = links
+
+    def send_message(self, peer, tag, payload):
+        frame = encode_mesh_frame(1, KIND_MSG, 1, (tag, payload))
+        self._links[(self.party, peer)].put(frame)
+
+    def receive_message(self, peer):
+        frame = self._links[(peer, self.party)].get(timeout=30)
+        return decode_mesh_payload(frame[4:])[3]
+
+
+def run_on_queue_channels(parties, inputs, compiled, seed):
+    """One executor per party, each holding only its own inputs, joined by
+    :class:`QueueChannel`\\ s; returns ``{party: ExecutionOutcome}``."""
+    links = {(s, r): queue.Queue() for s in parties for r in parties if s != r}
+    executors = [
+        PlanExecutor(
+            parties, {party: inputs.get(party, {})}, compiled.config, seed=seed,
+            local_parties={party}, mesh=QueueChannel(party, links),
+        )
+        for party in parties
+    ]
+    with ThreadPoolExecutor(len(parties)) as pool:
+        return dict(zip(parties, pool.map(lambda ex: ex.execute(compiled), executors)))
+
+
+THREE = [PARTY_A, PARTY_B, "gamma.example"]
+
+
+def _corpus(plan):
+    """A two-party corpus plan, with a third compute party that holds no input."""
+    ctx, inputs = build_query(generate_spec(SEED + plan))
+    return ctx, inputs, cc.CompilationConfig(), THREE
+
+
+def _judged(name):
+    spec, inputs, config = WORKLOADS[name]()
+    return spec.context, inputs, config, spec.parties
+
+
+def _transfer():
+    """c's relation collected by a and b: its columns cross twice."""
+    parties = [cc.Party(name) for name in THREE]
+    columns = [cc.Column("k", cc.INT), cc.Column("v", cc.FLOAT)]
+    with cc.QueryContext() as ctx:
+        cc.new_table("r", columns, at=parties[2]).collect("out", to=parties[:2])
+    schema = cc.Schema([cc.ColumnDef("k"), cc.ColumnDef("v", cc.FLOAT)])
+    table = cc.Table(schema, [np.arange(4), np.linspace(0, 1, 4)])
+    return ctx, {THREE[2]: {"r": table}}, cc.CompilationConfig(), THREE
+
+
+PLANS = {
+    **{f"corpus-{plan}": (lambda plan=plan: _corpus(plan)) for plan in range(6)},
+    **{name: (lambda name=name: _judged(name)) for name in WORKLOADS},
+    "transfer": _transfer,
+}
+
+
+@pytest.mark.parametrize("plan", PLANS)
+def test_executors_over_four_member_channels_match_the_in_process_run(plan):
+    """Every relation crosses in a round: three executors joined by channels
+    that carry nothing but round messages produce the in-process run's
+    outputs, MPC profile and leakage, byte for byte."""
+    ctx, inputs, config, parties = PLANS[plan]()
+    compiled = cc.compile_query(ctx, config)
+    reference = QueryRunner(parties, inputs, compiled.config, seed=5).run(compiled)
+    outcomes = run_on_queue_channels(parties, inputs, compiled, seed=5)
+    for party, outcome in outcomes.items():
+        assert outcome.mpc_profile == reference.mpc_profile, party
+        assert outcome.leakage.events == reference.leakage.events, party
+    for collect in compiled.dag.outputs():
+        name = collect.out_rel.name
+        for party, outcome in outcomes.items():
+            if party in collect.recipients:
+                assert outcome.outputs[name] == reference.outputs[name], (party, name)
+            else:
+                assert name not in outcome.outputs, (party, name)

@@ -329,9 +329,11 @@ def test_hybrid_aggregate_has_no_per_row_loop():
 
 # -- one mover, one report, one plan ---------------------------------------------------------
 
-#: What carries a relation across a party / MPC boundary.
+#: What carries a relation across a party / MPC boundary: the crossing
+#: rounds and the rebuilding of what they deliver, the opening to one party
+#: and the ingest of a peer's relation.
 CROSSING_CALLS = {
-    "send_table", "receive_table", "broadcast_shape", "receive_shape", "reveal_to", "ingest_remote",
+    "round", "_row_count", "_table_received", "reveal_to", "ingest_remote",
 }
 
 

@@ -8,6 +8,7 @@ and the crash regression: a party-agent that dies must fail all in-flight
 queries with a clean error instead of deadlocking on a dead socket.
 """
 
+import re
 import socket
 import threading
 import time
@@ -19,7 +20,7 @@ import repro as cc
 from repro.core.config import CompilationConfig
 from repro.core.dispatch import QueryRunner, SecurityError
 from repro.core.lang import QueryContext
-from repro.data.schema import ColumnDef, Schema
+from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.runtime.mesh import bind_listener
 from repro.runtime.pool import (
@@ -329,6 +330,42 @@ class TestCrashPropagation:
                 session.submit(tampered, timeout=60)
             result = session.submit(good, timeout=60)
         assert result.outputs["out"] == cc.run_query(ctx, inputs).outputs["out"]
+
+
+class TestRefusedSubmissions:
+    def test_a_mismatched_input_fails_that_query_only(self):
+        """An input that is not the relation the plan declares is refused
+        at its agent, naming both column lists; the session keeps serving."""
+        ctx, inputs = two_party_query()
+        compiled = cc.compile_query(ctx)
+        floats = Schema([ColumnDef("k"), ColumnDef("v", ColumnType.FLOAT)])
+        bad = Table(floats, inputs[PARTY_B]["t1"].columns())
+        with cc.open_session(inputs) as session:
+            with pytest.raises(ValueError, match=r"\('v', 'float'\)\], but the plan declares"):
+                session.submit(compiled, inputs={PARTY_B: {"t1": bad}}, timeout=60)
+            result = session.submit(compiled, timeout=60)
+        assert result.outputs["out"] == cc.run_query(ctx, inputs).outputs["out"]
+
+    def test_an_mpc_plan_over_more_agents_than_the_mpc_computes_is_refused(self):
+        """Four agents, three compute parties: an MPC plan is refused at
+        submission, naming the compute parties, before any agent sees it."""
+        parties = [cc.Party(f"{name}.example") for name in "abcd"]
+        columns = [cc.Column("k"), cc.Column("v")]
+        with QueryContext() as ctx:
+            tables = [ctx.new_table(f"t{i}", columns, at=p) for i, p in enumerate(parties[:3])]
+            ctx.concat(tables).aggregate(group=["k"], aggs={"s": cc.SUM("v")}).collect(
+                "out", to=[parties[3]]
+            )
+        schema = Schema([ColumnDef("k"), ColumnDef("v")])
+        inputs = {
+            p.name: {f"t{i}": Table(schema, [np.arange(3), np.arange(3)])}
+            for i, p in enumerate(parties[:3])
+        }
+        names = [p.name for p in parties]
+        with cc.QuerySession(names, inputs=inputs) as session:
+            with pytest.raises(ValueError, match=re.escape(str(names[:3]))):
+                session.submit(cc.compile_query(ctx))
+            assert session.stats["queries"] == 0
 
 
 class TestConcurrencySoak:

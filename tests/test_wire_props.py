@@ -20,12 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro as cc
 from repro.core.config import TransportSecurity
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.runtime import wire
 from repro.runtime.mesh import MeshTimeout, PeerMesh
 from repro.runtime import TransportError
+from repro.runtime.executor import PlanExecutor
 from repro.runtime.wire import (
     BORROW_FLOOR,
     MAX_FRAME_BYTES,
@@ -194,23 +196,6 @@ def test_mesh_channels_isolate_concurrent_queries():
             for tag, (vector,) in sent[qid]:
                 got_tag, (got,) = channel.receive_message("b")
                 assert got_tag == tag and np.array_equal(got, vector)
-        # Tables travel the same multiplexed link, checked by relation name.
-        schema = Schema([ColumnDef("k"), ColumnDef("v", ColumnType.FLOAT)])
-        table = Table(schema, [np.arange(3), np.linspace(0, 1, 3)])
-        mesh_b.channel(9).send_table("a", "rel", table)
-        assert mesh_a.channel(9).receive_table("b", "rel") == table
-        mesh_b.channel(9).broadcast_shape("rel", schema, 3)
-        assert mesh_a.channel(9).receive_shape("b", "rel") == (schema, 3)
-        with pytest.raises(TransportError, match="diverged"):
-            mesh_b.channel(9).send_table("a", "other", table)
-            mesh_a.channel(9).receive_table("b", "rel")
-        # A shape where the table was expected (or the reverse) diverges too.
-        with pytest.raises(TransportError, match="diverged"):
-            mesh_b.channel(10).broadcast_shape("rel", schema, 3)
-            mesh_a.channel(10).receive_table("b", "rel")
-        with pytest.raises(TransportError, match="diverged"):
-            mesh_b.channel(11).send_table("a", "rel", table)
-            mesh_a.channel(11).receive_shape("b", "rel")
     finally:
         mesh_a.close()
         mesh_b.close()
@@ -229,7 +214,7 @@ def test_channel_abort_poisons_only_that_query():
         with pytest.raises(TransportError, match="aborted query 3"):
             mesh_a.channel(3).receive_message("b")
         with pytest.raises(TransportError, match="aborted query 3"):
-            mesh_a.channel(3).receive_table("b", "rel")
+            mesh_a.channel(3).receive_message("b")
         # Query 5 is untouched.
         tag, flag = mesh_a.channel(5).receive_message("b")
         assert tag == "alive" and flag.tolist() == [5]
@@ -262,23 +247,69 @@ def _diverges_at_once(receive) -> None:
     """``receive()`` raises a divergence error, not a timeout, well inside
     the mesh timeout."""
     started = time.monotonic()
-    with pytest.raises(TransportError, match="diverged") as info:
+    with pytest.raises(TransportError, match="diverged|desynchronisation") as info:
         receive()
     assert not isinstance(info.value, MeshTimeout)
     assert time.monotonic() - started < 0.5
 
 
-def test_a_frame_of_another_kind_is_divergence_not_a_timeout():
-    """One ordered inbox per (query, peer): the next frame is the one the
-    lockstep schedule expects, so a frame of another kind is the party
+_COLUMNS = [cc.Column("k", cc.INT), cc.Column("v", cc.FLOAT)]
+
+
+def _transfer_plan():
+    """``r`` at b, collected by a: its columns cross from b to a."""
+    with cc.QueryContext() as query:
+        cc.new_table("r", _COLUMNS, at=cc.Party("b")).collect("out", to=[cc.Party("a")])
+    return cc.compile_query(query), "r"
+
+
+def _ingest_plan():
+    """a's and b's partial sums meet in the MPC: b's row count crosses to a."""
+    with cc.QueryContext() as query:
+        tables = [cc.new_table(f"t{p}", _COLUMNS, at=cc.Party(p)) for p in "ab"]
+        cc.concat(tables).aggregate(group=["k"], aggs={"s": cc.SUM("v")}).collect(
+            "out", to=[cc.Party("a")]
+        )
+    compiled = cc.compile_query(query)
+    concat = next(node for node in compiled.dag.topological() if node.is_mpc)
+    return compiled, concat.parents[1].out_rel.name
+
+
+_INPUT = Table(
+    Schema([ColumnDef("k"), ColumnDef("v", ColumnType.FLOAT)]), [np.arange(3), np.ones(3)]
+)
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        (_transfer_plan, lambda rel: (rel, np.array([3], dtype=np.int64))),
+        (_transfer_plan, lambda rel: ("other", (np.arange(3), np.ones(3)))),
+        (_transfer_plan, lambda rel: (rel, (np.arange(3),))),
+        (_transfer_plan, lambda rel: (rel, (np.arange(3), np.arange(3)))),
+        (_transfer_plan, lambda rel: (rel, (np.arange(3), np.ones(2)))),
+        (_ingest_plan, lambda rel: (rel, (np.arange(3), np.ones(3)))),
+        (_ingest_plan, lambda rel: (rel, np.array([-1], dtype=np.int64))),
+        (_ingest_plan, lambda rel: ("other", np.array([3], dtype=np.int64))),
+    ],
+    ids=[
+        "rows-for-columns", "wrong-relation", "missing-column", "column-type",
+        "column-length", "columns-for-rows", "negative-rows", "wrong-relation-rows",
+    ],
+)
+def test_a_relation_out_of_schedule_is_divergence_not_a_timeout(plan, message):
+    """A relation crosses as one round's message, checked against the plan:
+    a row count where the columns are due (or the reverse), another
+    relation's message, or columns that are not the plan's are the party
     processes diverging — an error at once, not a wait for the timeout."""
+    compiled, relation = plan()
     mesh_a, mesh_b = make_mesh_pair(timeout=5.0)
     try:
-        schema = Schema([ColumnDef("k")])
-        mesh_b.channel(1).send_table("a", "rel", Table(schema, [np.arange(3)]))
-        _diverges_at_once(lambda: mesh_a.channel(1).receive_message("b"))
-        mesh_b.channel(2).send_message("a", "round", None)
-        _diverges_at_once(lambda: mesh_a.channel(2).receive_shape("b", "rel"))
+        executor = PlanExecutor(
+            ["a", "b"], {"a": {"ta": _INPUT}}, local_parties={"a"}, mesh=mesh_a.channel(1)
+        )
+        mesh_b.channel(1).send_message("a", *message(relation))
+        _diverges_at_once(lambda: executor.execute(compiled))
     finally:
         mesh_a.close()
         mesh_b.close()
