@@ -411,8 +411,15 @@ class RelationHandle:
         """
         pairs = _normalise_join_keys(on)
         for l_col, r_col in pairs:
-            self.schema.index_of(l_col)
-            other.schema.index_of(r_col)
+            l_type = self.schema[self.schema.resolve(l_col)].ctype
+            r_type = other.schema[other.schema.resolve(r_col)].ctype
+            if l_type is not r_type:
+                # MPC carries a FLOAT key in fixed point and an INT key as is,
+                # so the two could match only in the clear.
+                raise ValueError(
+                    f"join key {l_col!r} is {l_type.name} but {r_col!r} is "
+                    f"{r_type.name}; both key columns must have one type"
+                )
         if len(pairs) == 1:
             return self._single_join(other, pairs[0][0], pairs[0][1], name)
         return self._multi_key_join(other, pairs, name, key_base)

@@ -17,6 +17,7 @@ the compiler passes fill in:
 from __future__ import annotations
 
 import itertools
+import numbers
 from typing import Sequence
 
 from repro.core.expr import ARITHMETIC_OPS, COMPARISON_OPS
@@ -291,6 +292,8 @@ class Limit(OpNode):
     order_preserving = True
 
     def __init__(self, out_rel: Relation, parent: OpNode, n: int):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"limit takes a non-negative integer row count, not {n!r}")
         super().__init__(out_rel, [parent])
         self.n = int(n)
 

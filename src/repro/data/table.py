@@ -114,9 +114,12 @@ class Table:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Table):
             return NotImplemented
+        # Byte equality: INT 1 is not FLOAT 1.0, -0.0 is not 0.0, NaN is NaN.
         if self.schema.names != other.schema.names or self._nrows != other._nrows:
             return False
-        return all(np.array_equal(a, b) for a, b in zip(self._columns, other._columns))
+        if [c.ctype for c in self.schema] != [c.ctype for c in other.schema]:
+            return False
+        return all(a.tobytes() == b.tobytes() for a, b in zip(self._columns, other._columns))
 
     def equals_unordered(self, other: "Table") -> bool:
         """Compare two tables as multisets of rows (row order ignored)."""

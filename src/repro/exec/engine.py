@@ -1,21 +1,19 @@
 """The cleartext engine.
 
 :class:`ColumnarBackend` is the one engine that executes the cleartext
-side of a plan: it operates on :class:`~repro.exec.batch.ColumnBatch`
-handles with the vectorized kernels in :mod:`repro.exec.kernels`.
-Per-lane operators (filter, compare, bool, map) are mask-lazy — a filter
-costs one boolean AND, not a copy of every surviving column — and the
-copy happens once at the next compaction point (join / aggregate / sort /
-distinct / limit / enumerate / concat / collect).
+side of a plan: its handles are :class:`~repro.data.table.Table`\\ s, and
+it computes on their columns with the vectorized kernels in
+:mod:`repro.exec.kernels`.  A filter copies the surviving rows at once, so
+every operator reads plain columns.
 
 The plan executor instantiates one engine per party, hands it the party's
-plaintext inputs, and collects plain tables back out.  Everything it
+plaintext inputs, and reads the tables it produces.  Everything it
 produces must be byte-identical to the row-at-a-time ``Table`` reference
 (``tests/oracle_engine.py``; the differential corpus enforces this), so
 any operator whose bit-exact vectorization is not worth the trouble should
-simply call the corresponding ``Table`` method on a collected batch —
-correctness first, the mask trick, the O(n log n) join/sort kernels and
-the sort-free dense-key grouping are where the throughput win lives.
+simply call the corresponding ``Table`` method — correctness first; the
+O(n log n) join/sort kernels and the sort-free dense-key grouping are where
+the throughput win lives.
 
 The engine counts its work in a :class:`~repro.model.counters.CleartextWork`
 and never prices it; :mod:`repro.model.prices` holds the price lists.
@@ -29,89 +27,73 @@ import numpy as np
 
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import AGG_FUNCS, Table
-from repro.exec.batch import ColumnBatch
 from repro.model.counters import CleartextWork
 from repro.exec import kernels
 
 
 class ColumnarBackend:
-    """Vectorized cleartext backend operating on column batches."""
+    """Vectorized cleartext backend operating on tables."""
 
     def __init__(self):
         self.work = CleartextWork()
 
     # -- data movement ---------------------------------------------------------------
 
-    def ingest(self, table: Table, contributor: str | None = None) -> ColumnBatch:
+    def ingest(self, table: Table, contributor: str | None = None) -> Table:
         self.work.jobs += 1
-        return ColumnBatch.from_table(table)
+        return table
 
-    def collect(self, handle: ColumnBatch) -> Table:
-        return handle.to_table()
-
-    def key_values(self, handle: ColumnBatch, column: str) -> np.ndarray:
-        """The live values of ``column`` for the executor's composite-key
-        range check: a lane filtered out before the encode chain must not
-        trip it."""
-        return handle.column_values(column)
+    def key_values(self, handle: Table, column: str) -> np.ndarray:
+        """The values of ``column`` for the executor's composite-key range
+        check."""
+        return handle.column(column)
 
     # -- relational operators ----------------------------------------------------------
 
-    def concat(self, handles: Sequence[ColumnBatch]) -> ColumnBatch:
-        handles = [h.compact() for h in handles]
-        first = handles[0]
-        for other in handles[1:]:
-            if not first.schema.concat_compatible(other.schema):
-                raise ValueError(
-                    f"cannot concat incompatible schemas {first.schema} and {other.schema}"
-                )
-        width = len(first.schema)
-        columns = [
-            np.concatenate([h.columns()[j] for h in handles]) for j in range(width)
-        ]
-        result = ColumnBatch(first.schema, columns)
+    def concat(self, handles: Sequence[Table]) -> Table:
+        first, *rest = handles
+        result = first.concat(*rest)
         self._charge(result.num_rows)
         return result
 
-    def project(self, handle: ColumnBatch, columns: Sequence[str]) -> ColumnBatch:
+    def project(self, handle: Table, columns: Sequence[str]) -> Table:
         self._charge(handle.num_rows)
         return handle.project(list(columns))
 
-    def filter(self, handle: ColumnBatch, column: str, op: str, value: float) -> ColumnBatch:
+    def filter(self, handle: Table, column: str, op: str, value: float) -> Table:
         self._charge(handle.num_rows)
-        return handle.narrow(kernels.filter_flags(handle.column(column), op, value))
+        return handle.select_rows(kernels.filter_flags(handle.column(column), op, value))
 
-    def join(
-        self, left: ColumnBatch, right: ColumnBatch, left_on: str, right_on: str
-    ) -> ColumnBatch:
-        left = left.compact()
-        right = right.compact()
+    def join(self, left: Table, right: Table, left_on: str, right_on: str) -> Table:
         rows_in = left.num_rows + right.num_rows
         self._charge(rows_in, shuffled=rows_in)
         left_idx, right_idx = kernels.hash_join_indices(
             left.column(left_on), right.column(right_on)
         )
-        left_cols = [col[left_idx] for col in left.columns()]
-        right_keep = [c.name for c in right.schema if c.name != right_on]
-        right_proj = right.project(right_keep)
-        right_cols = [col[right_idx] for col in right_proj.columns()]
+        right_proj = right.project([c.name for c in right.schema if c.name != right_on])
         taken = set(left.schema.names)
         right_defs = [
             cdef.renamed(cdef.name + "_r") if cdef.name in taken else cdef
             for cdef in right_proj.schema
         ]
         schema = Schema([*left.schema.columns, *right_defs])
-        return ColumnBatch(schema, [*left_cols, *right_cols])
+        return Table(
+            schema,
+            [
+                *(col[left_idx] for col in left.columns()),
+                *(col[right_idx] for col in right_proj.columns()),
+            ],
+        )
 
     def aggregate(
         self,
-        handle: ColumnBatch,
+        handle: Table,
         group_by: str | None,
         agg_col: str | None,
         func: str,
         out_name: str,
         presorted: bool = False,
-    ) -> ColumnBatch:
+    ) -> Table:
         func = func.lower()
         if func not in AGG_FUNCS:
             raise ValueError(f"unsupported aggregation {func!r}")
@@ -129,24 +111,23 @@ class ColumnarBackend:
 
         if not group_by:
             value = self._scalar_reduce(handle, func, agg_col)
-            return ColumnBatch(Schema([out_def]), [np.array([value])])
+            return Table(Schema([out_def]), [np.array([value])])
 
         out_schema = Schema([*handle.schema.project([group_by]).columns, out_def])
         if n == 0:
-            return ColumnBatch(out_schema)
+            return Table(out_schema)
 
-        # Only the valid lanes of the two columns read are materialised.
-        key = handle.column_values(group_by)
-        values = None if func == "count" else handle.column_values(agg_col)
+        key = handle.column(group_by)
+        values = None if func == "count" else handle.column(agg_col)
         out_keys, reduced = kernels.group_reduce(key, values, func)
-        return ColumnBatch(out_schema, [out_keys, reduced.astype(Table._dtype(out_def))])
+        return Table(out_schema, [out_keys, reduced.astype(Table._dtype(out_def))])
 
     @staticmethod
-    def _scalar_reduce(batch: ColumnBatch, func: str, agg_col: str | None):
+    def _scalar_reduce(table: Table, func: str, agg_col: str | None):
         """Whole-column reduction, matching ``Table._reduce`` bit for bit."""
         if func == "count":
-            return int(batch.num_rows)
-        col = batch.column_values(agg_col)
+            return int(table.num_rows)
+        col = table.column(agg_col)
         if len(col) == 0:
             return 0
         if func == "sum":
@@ -160,9 +141,9 @@ class ColumnarBackend:
         raise AssertionError(func)
 
     def arith(
-        self, handle: ColumnBatch, out_name: str, left: str, op: str, right: str | float
-    ) -> ColumnBatch:
-        """Append ``out_name = left <op> right`` over every lane."""
+        self, handle: Table, out_name: str, left: str, op: str, right: str | float
+    ) -> Table:
+        """Append ``out_name = left <op> right``."""
         self._charge(handle.num_rows)
         lcol = handle.column(left)
         rval = handle.column(right) if isinstance(right, str) else right
@@ -171,59 +152,42 @@ class ColumnarBackend:
         return handle.with_column(out_name, result, ctype)
 
     def compare(
-        self, handle: ColumnBatch, out_name: str, left: str, op: str, right: str | float
-    ) -> ColumnBatch:
+        self, handle: Table, out_name: str, left: str, op: str, right: str | float
+    ) -> Table:
         self._charge(handle.num_rows)
         lcol = handle.column(left)
         rval = handle.column(right) if isinstance(right, str) else right
         return handle.with_column(out_name, kernels.compare(lcol, op, rval), ColumnType.INT)
 
     def bool_op(
-        self, handle: ColumnBatch, out_name: str, op: str, operands: Sequence[str]
-    ) -> ColumnBatch:
+        self, handle: Table, out_name: str, op: str, operands: Sequence[str]
+    ) -> Table:
         self._charge(handle.num_rows)
         cols = [handle.column(name) for name in operands]
         return handle.with_column(out_name, kernels.combine_bool(op, cols), ColumnType.INT)
 
-    def sort_by(self, handle: ColumnBatch, column: str, ascending: bool = True) -> ColumnBatch:
+    def sort_by(self, handle: Table, column: str, ascending: bool = True) -> Table:
         self._charge(handle.num_rows * 2, shuffled=handle.num_rows)
-        batch = handle.compact()
-        return batch.take(kernels.sort_indices(batch.column(column), ascending))
+        return handle.take(kernels.sort_indices(handle.column(column), ascending))
 
     def merge_sorted(
-        self, handles: Sequence[ColumnBatch], column: str, ascending: bool = True
-    ) -> ColumnBatch:
+        self, handles: Sequence[Table], column: str, ascending: bool = True
+    ) -> Table:
         """Merge relations that are each sorted by ``column``."""
-        handles = [h.compact() for h in handles]
-        if len(handles) > 1:
-            first = handles[0]
-            columns = [
-                np.concatenate([h.columns()[j] for h in handles])
-                for j in range(len(first.schema))
-            ]
-            combined = ColumnBatch(first.schema, columns)
-        else:
-            combined = handles[0]
+        first, *rest = handles
+        combined = first.concat(*rest) if rest else first
         self._charge(combined.num_rows, shuffled=combined.num_rows)
         return combined.take(kernels.sort_indices(combined.column(column), ascending))
 
-    def distinct(self, handle: ColumnBatch, columns: Sequence[str]) -> ColumnBatch:
+    def distinct(self, handle: Table, columns: Sequence[str]) -> Table:
         self._charge(handle.num_rows, shuffled=handle.num_rows)
-        projected = handle.compact().project(list(columns))
+        projected = handle.project(list(columns))
         if projected.num_rows == 0:
             return projected
         return projected.take(kernels.distinct_indices(projected.columns()))
 
-    def limit(self, handle: ColumnBatch, n: int) -> ColumnBatch:
-        batch = handle.compact()
-        return ColumnBatch(batch.schema, [col[:n] for col in batch.columns()])
-
-    def enumerate_rows(self, handle: ColumnBatch, out_name: str = "row_id") -> ColumnBatch:
-        self._charge(handle.num_rows)
-        batch = handle.compact()
-        return batch.with_column(
-            out_name, np.arange(batch.num_rows, dtype=np.int64), ColumnType.INT
-        )
+    def limit(self, handle: Table, n: int) -> Table:
+        return handle.limit(n)
 
     # -- accounting --------------------------------------------------------------------
 

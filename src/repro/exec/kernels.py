@@ -57,7 +57,7 @@ def compare(lcol: np.ndarray, op: str, rval: np.ndarray | float) -> np.ndarray:
 
 
 def filter_flags(col: np.ndarray, op: str, value: float) -> np.ndarray:
-    """Boolean lane flags for a scalar filter predicate."""
+    """Boolean row flags for a scalar filter predicate."""
     if op not in COMPARE_OPS:
         raise ValueError(f"unsupported filter op {op!r}")
     return COMPARE_OPS[op](col, value)
@@ -139,13 +139,9 @@ def hash_join_indices(
     left row, right matches in ascending right index.  Implementation:
     stably order the right keys, binary-search each left key's run
     (``searchsorted``), then expand the runs with a cumulative-offset
-    trick — no Python loop over rows.
+    trick — no Python loop over rows.  Both key arrays have one dtype: the
+    query frontend rejects a join whose key columns differ in type.
     """
-    if left_keys.dtype != right_keys.dtype:
-        # The row engine compares keys as Python scalars, where 2 == 2.0;
-        # match that by comparing in a common dtype.
-        left_keys = left_keys.astype(np.float64)
-        right_keys = right_keys.astype(np.float64)
     order = stable_order(right_keys)
     sorted_keys = right_keys[order]
     lo = np.searchsorted(sorted_keys, left_keys, side="left")

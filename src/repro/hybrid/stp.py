@@ -110,7 +110,7 @@ class SelectivelyTrustedParty:
         """
         left = self._enumerated(left_keys, "left_idx")
         right = self._enumerated(right_keys, "right_idx")
-        joined = self.engine.collect(self.engine.join(left, right, "key", "key"))
+        joined = self.engine.join(left, right, "key", "key")
         return joined.column("left_idx"), joined.column("right_idx")
 
     def sort_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +122,6 @@ class SelectivelyTrustedParty:
         key equals the next (``n - 1`` group-boundary flags).
         """
         relation = self._enumerated(keys, "row_id")
-        ordered = self.engine.collect(self.engine.sort_by(relation, "key"))
+        ordered = self.engine.sort_by(relation, "key")
         sorted_keys = ordered.column("key")
         return ordered.column("row_id"), sorted_keys[:-1] == sorted_keys[1:]

@@ -134,7 +134,7 @@ class PartyAgent:
         self,
         party: str,
         parties: list[str],
-        mesh: PeerMesh | None,
+        mesh: PeerMesh,
         session_inputs: dict | None = None,
     ):
         self.party = party
@@ -184,7 +184,7 @@ class PartyAgent:
         from repro.runtime.executor import PlanExecutor
 
         compiled = self.plan_for(fingerprint)
-        channel = self.mesh.channel(query_id) if self.mesh is not None else None
+        channel = self.mesh.channel(query_id)
         executor = PlanExecutor(
             self.parties,
             {self.party: self.session_inputs if inputs is None else inputs},
@@ -196,8 +196,7 @@ class PartyAgent:
         try:
             outcome = executor.execute(compiled)
         finally:
-            if channel is not None:
-                channel.close()
+            channel.close()
         return {
             "outputs": outcome.outputs,
             "node_durations": outcome.node_durations,
@@ -211,7 +210,7 @@ class PartyAgent:
             # Cumulative per-peer mesh traffic and process counters at query
             # completion — the metrics layer's per-party view.  Sizes, counts
             # and timings only, never payloads.
-            "wire_traffic": self.mesh.traffic() if self.mesh is not None else {},
+            "wire_traffic": self.mesh.traffic(),
             "proc": process_counters(),
         }
 

@@ -288,17 +288,14 @@ class PlanExecutor:
 
         Authorisation is checked — and the leakage event recorded — by
         everyone, from plan names and public row counts alone.  Returns what
-        the consumer computes on (a shared table, an engine handle, or for a
-        ``Collect`` the plain table), ``None`` where ``locus`` is a party
-        this executor does not embody.
+        the consumer computes on (a shared table, or a party's ``Table``),
+        ``None`` where ``locus`` is a party this executor does not embody.
         """
         rel = parent.out_rel
         entry = self._env[rel.name]
         holder, mine = entry.party, self.local_parties
         is_output = isinstance(consumer, Collect)
         if holder == locus:  # no boundary on this edge
-            if is_output and locus in mine:
-                return self.local_backends[locus].collect(entry.handle)
             return entry.handle
         if locus is MPC:
             mpc = self.mpc_backend
@@ -314,8 +311,7 @@ class PlanExecutor:
                 )
             table = None
             if holder in mine:
-                collected = self.local_backends[holder].collect(entry.handle)
-                table = Table(rel.schema, collected.columns())
+                table = Table(rel.schema, entry.handle.columns())
             # Only the public row count reaches the peers; the columns enter
             # as share slices in the input round.
             count = None if table is None else np.array([table.num_rows], dtype=np.int64)
@@ -349,7 +345,7 @@ class PlanExecutor:
         else:
             columns = None
             if holder in mine:
-                columns = tuple(self.local_backends[holder].collect(entry.handle).columns())
+                columns = entry.handle.columns()
             # A transfer's size is no bystander's business: the round is
             # metered at zero bytes, the mesh link stats count the frame.
             delivered = self._crossings.round(rel.name, [(holder, locus, columns)], 0)

@@ -29,9 +29,6 @@ class PythonBackend:
     def ingest(self, table: Table, contributor: str | None = None) -> Table:
         return table
 
-    def collect(self, handle: Table) -> Table:
-        return handle
-
     def key_values(self, handle: Table, column: str):
         return handle.column(column)
 
@@ -86,9 +83,6 @@ class PythonBackend:
 
     def limit(self, handle: Table, n: int) -> Table:
         return handle.limit(n)
-
-    def enumerate_rows(self, handle: Table, out_name: str = "row_id") -> Table:
-        return handle.enumerate_rows(out_name)
 
 
 class OracleRunner(QueryRunner):

@@ -31,79 +31,103 @@ class TestEngineEquivalence:
 
     def test_project(self, backend):
         h = backend.ingest(self.table)
-        assert backend.collect(backend.project(h, ["value"])).equals_unordered(
-            self.table.project(["value"])
-        )
+        assert backend.project(h, ["value"]) == self.table.project(["value"])
 
     def test_filter(self, backend):
         h = backend.ingest(self.table)
-        assert backend.collect(backend.filter(h, "value", ">", 500)).equals_unordered(
-            self.table.filter("value", ">", 500)
-        )
+        assert backend.filter(h, "value", ">", 500) == self.table.filter("value", ">", 500)
 
     def test_join(self, backend):
         h, o = backend.ingest(self.table), backend.ingest(self.other)
-        assert backend.collect(backend.join(h, o, "key", "key")).equals_unordered(
+        assert backend.join(h, o, "key", "key").equals_unordered(
             self.table.join(self.other, ["key"], ["key"])
         )
 
     def test_grouped_aggregate(self, backend):
         h = backend.ingest(self.table)
-        assert backend.collect(
-            backend.aggregate(h, "key", "value", "sum", "total")
-        ).equals_unordered(self.table.aggregate(["key"], "value", "sum", "total"))
+        assert backend.aggregate(h, "key", "value", "sum", "total").equals_unordered(
+            self.table.aggregate(["key"], "value", "sum", "total")
+        )
 
     def test_grouped_count(self, backend):
         h = backend.ingest(self.table)
-        assert backend.collect(
-            backend.aggregate(h, "key", None, "count", "cnt")
-        ).equals_unordered(self.table.aggregate(["key"], None, "count", "cnt"))
+        assert backend.aggregate(h, "key", None, "count", "cnt").equals_unordered(
+            self.table.aggregate(["key"], None, "count", "cnt")
+        )
 
     def test_scalar_aggregate(self, backend):
         h = backend.ingest(self.table)
-        assert backend.collect(backend.aggregate(h, None, "value", "sum", "s")).rows() == [
+        assert backend.aggregate(h, None, "value", "sum", "s").rows() == [
             (self.table.column("value").sum(),)
         ]
 
     def test_concat(self, backend):
         h, o = backend.ingest(self.table), backend.ingest(self.other)
-        assert backend.collect(backend.concat([h, o])).equals_unordered(
-            self.table.concat(self.other)
-        )
+        assert backend.concat([h, o]) == self.table.concat(self.other)
 
     def test_sort_and_limit(self, backend):
         h = backend.ingest(self.table)
-        top = backend.collect(backend.limit(backend.sort_by(h, "value", ascending=False), 5))
+        top = backend.limit(backend.sort_by(h, "value", ascending=False), 5)
         expected = self.table.sort_by(["value"], ascending=False).limit(5)
         assert top == expected
 
     def test_distinct(self, backend):
         h = backend.ingest(self.table)
-        got = backend.collect(backend.distinct(h, ["key"]))
+        got = backend.distinct(h, ["key"])
         assert sorted(got.column("key").tolist()) == sorted(
             self.table.distinct(["key"]).column("key").tolist()
         )
 
     def test_arithmetic(self, backend):
         h = backend.ingest(self.table)
-        doubled = backend.collect(backend.arith(h, "d", "value", "*", 2))
+        doubled = backend.arith(h, "d", "value", "*", 2)
         assert doubled.equals_unordered(self.table.arithmetic("d", "value", "*", 2))
-        ratio = backend.collect(backend.arith(h, "r", "value", "/", "key"))
+        ratio = backend.arith(h, "r", "value", "/", "key")
         expected = self.table.arithmetic("r", "value", "/", "key")
         assert sorted(np.round(ratio.column("r"), 6).tolist()) == sorted(
             np.round(expected.column("r"), 6).tolist()
         )
 
-    def test_enumerate_rows_unique_and_contiguous(self, backend):
-        h = backend.ingest(self.table)
-        ids = sorted(backend.collect(backend.enumerate_rows(h, "rid")).column("rid").tolist())
-        assert ids == list(range(self.table.num_rows))
-
     def test_empty_relation_handling(self, backend):
         schema = Schema([ColumnDef("key"), ColumnDef("value")])
         handle = backend.ingest(Table.empty(schema))
-        assert backend.collect(backend.filter(handle, "key", ">", 0)).num_rows == 0
-        assert backend.collect(backend.aggregate(handle, "key", "value", "sum", "t")).num_rows == 0
+        assert backend.filter(handle, "key", ">", 0).num_rows == 0
+        assert backend.aggregate(handle, "key", "value", "sum", "t").num_rows == 0
+
+
+#: Every operator ``apply_operator`` dispatches to a cleartext engine.
+ENGINE_OPERATORS = {
+    "concat": lambda b, h: b.concat([h, h]),
+    "project": lambda b, h: b.project(h, ["value"]),
+    "filter": lambda b, h: b.filter(h, "value", ">", 500),
+    "aggregate": lambda b, h: b.aggregate(h, "key", "value", "sum", "t"),
+    "scalar_aggregate": lambda b, h: b.aggregate(h, None, None, "count", "n"),
+    "arith": lambda b, h: b.arith(h, "d", "value", "/", "key"),
+    "compare": lambda b, h: b.compare(h, "c", "value", ">", 500),
+    "bool_op": lambda b, h: b.bool_op(h, "b", "not", ["key"]),
+    "join": lambda b, h: b.join(h, h, "key", "key"),
+    "merge_sorted": lambda b, h: b.merge_sorted([h, h], "value"),
+    "sort_by": lambda b, h: b.sort_by(h, "value", ascending=False),
+    "distinct": lambda b, h: b.distinct(h, ["key"]),
+    "limit": lambda b, h: b.limit(h, 3),
+}
+
+
+class TestHandlesAreTables:
+    """A cleartext engine's handle is the ``Table`` itself: nothing needs
+    collecting before the executor reads or ships it."""
+
+    def test_ingest_returns_the_table(self, backend):
+        table = uniform_key_value_table(20, 4, seed=3)
+        assert backend.ingest(table) is table
+
+    @pytest.mark.parametrize("op", list(ENGINE_OPERATORS))
+    def test_every_operator_returns_a_table(self, backend, op):
+        handle = backend.ingest(uniform_key_value_table(20, 4, seed=3))
+        assert type(ENGINE_OPERATORS[op](backend, handle)) is Table
+
+    def test_engines_define_no_collect_or_enumerate(self, backend):
+        assert not {"collect", "enumerate_rows"} & set(dir(backend))
 
 
 class TestWorkTally:
@@ -126,7 +150,6 @@ class TestWorkTally:
         backend.filter(h, "value", ">", 0)
         backend.arith(h, "d", "value", "*", 2)
         backend.compare(h, "c", "value", ">", 1)
-        backend.enumerate_rows(h)
         assert backend.work.records_shuffled == 0
 
     @pytest.mark.parametrize(
@@ -242,5 +265,5 @@ def test_columnar_aggregation_equals_reference_property(rows, func):
     table = Table.from_rows(schema, rows) if rows else Table.empty(schema)
     backend = ColumnarBackend()
     agg_col = None if func == "count" else "value"
-    result = backend.collect(backend.aggregate(backend.ingest(table), "key", agg_col, func, "t"))
+    result = backend.aggregate(backend.ingest(table), "key", agg_col, func, "t")
     assert result == table.aggregate(["key"], agg_col, func, "t")

@@ -1,9 +1,8 @@
-"""The columnar vectorized execution engine: batches, kernels, wiring.
+"""The columnar vectorized execution engine: kernels and wiring.
 
 The engine's end-to-end byte-identity with the row oracle lives in
 ``test_differential.py`` (all 50 random plans, both price lists);
-this module covers the pieces in isolation — :class:`ColumnBatch`
-invariants, kernel edge cases (including the bit-exactness recipes for
+this module covers the pieces in isolation — kernel edge cases (including the bit-exactness recipes for
 float aggregation and join ordering), grouped aggregation (scatter
 and ordered paths) against the row oracle, config-string validation, the
 share-vector protocols' wire-round flatness, the ``bind_host`` endpoint handshake, and
@@ -25,7 +24,7 @@ from repro.core.dispatch import QueryRunner
 from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
-from repro.exec import ColumnarBackend, ColumnBatch, engine, kernels
+from repro.exec import ColumnarBackend, engine, kernels
 from repro.exec.kernels import (
     arithmetic,
     combine_bool,
@@ -49,48 +48,6 @@ PARTY_B = "beta.example"
 def small_table():
     schema = Schema([ColumnDef("k"), ColumnDef("v"), ColumnDef("f", ColumnType.FLOAT)])
     return Table(schema, [[3, 1, 2, 1], [10, 20, 30, 40], [0.5, 1.5, -2.5, 3.5]])
-
-
-class TestColumnBatch:
-    def test_round_trip_preserves_table(self):
-        table = small_table()
-        assert ColumnBatch.from_table(table).to_table() == table
-
-    def test_narrow_masks_lazily_and_compact_materialises(self):
-        batch = ColumnBatch.from_table(small_table())
-        narrowed = batch.narrow(np.array([True, False, True, False]))
-        assert narrowed.lane_count == 4  # lanes survive; the mask filters
-        assert narrowed.num_rows == 2
-        assert narrowed.compact().lane_count == 2
-        assert narrowed.to_table().rows() == [(3, 10, 0.5), (2, 30, -2.5)]
-
-    def test_column_values_excludes_masked_lanes(self):
-        batch = ColumnBatch.from_table(small_table())
-        narrowed = batch.narrow(np.array([False, True, True, True]))
-        assert narrowed.column_values("k").tolist() == [1, 2, 1]
-
-    def test_project_and_rename_preserve_mask(self):
-        batch = ColumnBatch.from_table(small_table()).narrow(
-            np.array([True, True, False, False])
-        )
-        projected = batch.project(["v"]).rename({"v": "value"})
-        assert projected.schema.names == ["value"]
-        assert projected.to_table().rows() == [(10,), (20,)]
-
-    def test_with_column_infers_float_type(self):
-        batch = ColumnBatch.from_table(small_table())
-        extended = batch.with_column("half", batch.column("v") / 2.0)
-        assert extended.schema["half"].ctype is ColumnType.FLOAT
-
-    def test_mismatched_column_lengths_raise(self):
-        schema = Schema([ColumnDef("a"), ColumnDef("b")])
-        with pytest.raises(ValueError):
-            ColumnBatch(schema, [np.array([1, 2]), np.array([1])])
-
-    def test_bad_mask_length_raises(self):
-        schema = Schema([ColumnDef("a")])
-        with pytest.raises(ValueError):
-            ColumnBatch(schema, [np.array([1, 2])], mask=np.array([True]))
 
 
 class TestKernels:
@@ -210,23 +167,26 @@ VALUE_KINDS = {
 class TestGroupedAggregateMatchesOracle:
     """``ColumnarBackend.aggregate`` against the row oracle, byte for byte."""
 
-    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "filtered"])
     @pytest.mark.parametrize("shape", list(KEY_SHAPES))
     @pytest.mark.parametrize("ctype", list(VALUE_KINDS), ids=["int", "float"])
     @pytest.mark.parametrize("func", ["sum", "count", "min", "max", "mean"])
     @given(n=st.sampled_from(ROW_COUNTS), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
-    def test_values_and_dtypes(self, func, ctype, shape, masked, n, seed):
+    def test_values_and_dtypes(self, func, ctype, shape, filtered, n, seed):
         rng = np.random.default_rng(seed)
         schema = Schema([ColumnDef("k"), ColumnDef("v", ctype)])
         columns = [KEY_SHAPES[shape](rng, n), VALUE_KINDS[ctype](rng, n)]
         backend = ColumnarBackend()
-        handle = backend.ingest(Table(schema, columns))
-        if masked:
-            flags = rng.random(n) < 0.7
-            handle = handle.narrow(flags)
-            columns = [col[flags] for col in columns]
-        got = backend.collect(backend.aggregate(handle, "k", "v", func, "out"))
+        if filtered:
+            # The engine's own filter narrows the input by a 0/1 keep column.
+            keep = (rng.random(n) < 0.7).astype(np.int64)
+            flagged = Table(schema.with_column(ColumnDef("keep")), [*columns, keep])
+            handle = backend.filter(backend.ingest(flagged), "keep", "==", 1)
+            columns = [col[keep == 1] for col in columns]
+        else:
+            handle = backend.ingest(Table(schema, columns))
+        got = backend.aggregate(handle, "k", "v", func, "out")
         expected = PythonBackend().aggregate(Table(schema, columns), "k", "v", func, "out")
         assert got.schema == expected.schema
         for got_col, expected_col in zip(got.columns(), expected.columns()):
@@ -250,7 +210,7 @@ class TestGroupedAggregateMatchesOracle:
         schema = Schema([ColumnDef("companyID"), ColumnDef("price")])
         backend = ColumnarBackend()
         paid = backend.filter(backend.ingest(Table(schema, [key, value])), "price", ">", 0)
-        got = backend.collect(backend.aggregate(paid, "companyID", "price", func, "rev"))
+        got = backend.aggregate(paid, "companyID", "price", func, "rev")
         reduce = {"sum": np.sum, "count": len, "min": np.min, "max": np.max}[func]
         assert got.rows() == [
             (k, int(reduce(value[(key == k) & (value > 0)]))) for k in range(3)
@@ -271,19 +231,13 @@ class TestColumnarBackend:
         empty = backend.ingest(
             Table(Schema([ColumnDef("v")]), [np.array([], dtype=np.int64)]), PARTY_A
         )
-        out = backend.collect(
-            backend.aggregate(empty, None, "v", "sum", "total")
-        )
+        out = backend.aggregate(empty, None, "v", "sum", "total")
         assert out.rows() == [(0,)]
 
-    def test_limit_and_enumerate(self):
+    def test_limit(self):
         backend = ColumnarBackend()
         handle = backend.ingest(small_table(), PARTY_A)
-        limited = backend.limit(handle, 2)
-        numbered = backend.enumerate_rows(limited, "rid")
-        out = backend.collect(numbered)
-        assert out.column("rid").tolist() == [0, 1]
-        assert out.num_rows == 2
+        assert backend.limit(handle, 2) == small_table().limit(2)
 
 
 class TestExecutorSelection:

@@ -15,7 +15,8 @@ from repro.core.operators import (
     Project,
     is_reversible,
 )
-from repro.data.schema import ColumnType, PUBLIC
+from repro.data.schema import ColumnDef, ColumnType, PUBLIC, Schema
+from repro.data.table import Table
 
 
 @pytest.fixture
@@ -238,3 +239,79 @@ class TestOperatorHelpers:
         projected.node.is_mpc = False
         projected.node.run_at = "b.example"
         assert projected.node.locus() == ("local", "b.example")
+
+
+def two_party_rows(ctx, parties, k2_type=cc.INT):
+    """``t1`` at the first party with an INT ``k``, ``t2`` at the second
+    with a ``k2`` of ``k2_type``."""
+    pa, pb = parties
+    t1 = ctx.new_table("t1", [cc.Column("k", cc.INT), cc.Column("v", cc.INT)], at=pa)
+    t2 = ctx.new_table("t2", [cc.Column("k2", k2_type), cc.Column("w", cc.INT)], at=pb)
+    return t1, t2
+
+
+class TestJoinKeyTypes:
+    """A join's key columns have one type: MPC carries a FLOAT in fixed
+    point, so an INT-FLOAT match would depend on where the join runs."""
+
+    def test_int_to_float_join_across_parties_is_rejected(self, parties):
+        # Under MPC this join returned no rows; in the clear, (5, 1, 1).
+        with QueryContext() as ctx:
+            t1, t2 = two_party_rows(ctx, parties, k2_type=cc.FLOAT)
+            with pytest.raises(ValueError, match=r"'k' is INT but 'k2' is FLOAT"):
+                t1.join(t2, on=[("k", "k2")])
+
+    def test_int_to_float_join_at_one_party_is_rejected(self, parties):
+        # In the clear, the engine matched 2**53 + 1 to 2.0**53 and the
+        # row oracle did not.
+        pa, _ = parties
+        with QueryContext() as ctx:
+            t1 = ctx.new_table("t1", [cc.Column("k", cc.INT), cc.Column("v")], at=pa)
+            t2 = ctx.new_table("t2", [cc.Column("k", cc.FLOAT), cc.Column("w")], at=pa)
+            with pytest.raises(ValueError, match=r"'k' is INT but 'k' is FLOAT"):
+                t1.join(t2, on="k")
+
+    def test_every_pair_of_a_multi_column_key_is_checked(self, parties):
+        with QueryContext() as ctx:
+            t1, t2 = two_party_rows(ctx, parties, k2_type=cc.FLOAT)
+            with pytest.raises(ValueError, match="'k2' is FLOAT"):
+                t1.join(t2, on=[("v", "w"), ("k", "k2")])
+
+
+class TestLimitCount:
+    """``limit(n)`` takes a non-negative integer, in the clear and in MPC."""
+
+    @staticmethod
+    def ordered(ctx, parties, placement):
+        """``t1`` sorted at its party, or ``t1`` and ``t2`` sorted in MPC."""
+        pa, pb = parties
+        t1 = ctx.new_table("t1", simple_schema(), at=pa)
+        if placement == "cleartext":
+            return t1.sort_by("value")
+        t2 = ctx.new_table("t2", simple_schema(), at=pb)
+        return ctx.concat([t1, t2]).sort_by("value")
+
+    @pytest.mark.parametrize("placement", ["cleartext", "mpc"])
+    @pytest.mark.parametrize("n", [-2, 2.7, 2.0, True])
+    def test_a_count_it_cannot_honour_is_rejected_at_build(self, parties, placement, n):
+        with QueryContext() as ctx:
+            ordered = self.ordered(ctx, parties, placement)
+            with pytest.raises(ValueError, match="non-negative integer"):
+                ordered.limit(n)
+
+    @pytest.mark.parametrize("placement", ["cleartext", "mpc"])
+    @pytest.mark.parametrize("n", [0, 2, 10])
+    def test_zero_and_counts_past_the_end_keep_working(self, parties, placement, n):
+        pa, pb = parties
+        with QueryContext() as ctx:
+            self.ordered(ctx, parties, placement).limit(n).collect("out", to=[pa])
+        schema = Schema([ColumnDef("key"), ColumnDef("value")])
+        inputs = {
+            pa.name: {"t1": Table(schema, [[1, 2, 3], [30, 10, 20]])},
+            pb.name: {"t2": Table(schema, [[4], [5]])},
+        }
+        rows = [(2, 10), (3, 20), (1, 30)]
+        if placement == "mpc":
+            rows = [(4, 5), *rows]
+        result = cc.run_query(ctx, inputs, seed=1)
+        assert result.outputs["out"].rows() == rows[:n]

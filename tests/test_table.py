@@ -47,6 +47,20 @@ class TestConstruction:
         assert t1 != t3
         assert t1.equals_unordered(t3)
 
+    def test_equality_compares_column_types(self):
+        as_int = Table(Schema([ColumnDef("x")]), [[1]])
+        as_float = Table(Schema([ColumnDef("x", ColumnType.FLOAT)]), [[1.0]])
+        assert as_int != as_float
+
+    def test_equality_tells_negative_zero_from_zero(self):
+        schema = Schema([ColumnDef("x", ColumnType.FLOAT)])
+        assert Table(schema, [[0.0]]) != Table(schema, [[-0.0]])
+
+    def test_a_table_holding_nan_equals_itself(self):
+        table = Table(Schema([ColumnDef("x", ColumnType.FLOAT)]), [[1.0, np.nan]])
+        assert table == table
+        assert table == Table(table.schema, [[1.0, np.nan]])
+
 
 class TestProjectFilterSort:
     def test_project_selects_and_reorders(self, kv_table):
@@ -187,6 +201,10 @@ class TestArithmetic:
     def test_unknown_op_rejected(self, kv_table):
         with pytest.raises(ValueError):
             kv_table.arithmetic("x", "key", "%", 2)
+
+    def test_with_column_infers_float_type(self, kv_table):
+        extended = kv_table.with_column("half", kv_table.column("value") / 2.0)
+        assert extended.schema["half"].ctype is ColumnType.FLOAT
 
     def test_enumerate_rows(self, kv_table):
         result = kv_table.enumerate_rows("idx")
