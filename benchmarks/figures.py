@@ -6,8 +6,8 @@ means the system could not complete that point (out of memory or past the
 experiment's timeout), matching how the paper's plots truncate.
 
 The numbers come from the plan cost estimator — which prices the very same
-compiled plans the functional tests execute by running their MPC protocols
-on row counts alone (``repro.mpc.shape``) — so the *shape* of every curve
+compiled plans the functional tests execute by running them, executor and
+all, on row counts alone (``repro.mpc.shape``) — so the *shape* of every curve
 (who wins, by what factor, where a system stops scaling) is a property of
 the implemented system, not of hard-coded data.  ``tests/test_figures.py``
 pins every point.

@@ -38,8 +38,9 @@ Sub-packages:
   built from scratch.
 * :mod:`repro.exec` — the columnar cleartext engine.
 * :mod:`repro.model` — the cost model: the counters both engines fill in,
-  the one formula of every protocol step, the price lists of the systems
-  the paper compares, and the plan estimator built from them.
+  the one formula of every analytic protocol step, the price lists of the
+  systems the paper compares, and the plan estimator that runs a plan on
+  row counts.
 * :mod:`repro.runtime` — the distributed party-agent runtime: the TCP mesh
   that carries each MPC round between per-party OS processes (the
   in-process simulation carries it in memory), the session/agent execution

@@ -310,10 +310,13 @@ class Table:
         value_array = np.array(values, dtype=Table._dtype(out_def))
         return Table(out_schema, [*key_arrays, value_array])
 
-    def _reduce(self, func: str, agg_col: str | None, idx: np.ndarray) -> float:
+    def _reduce(self, func: str, agg_col: str | None, idx: np.ndarray | None = None) -> float:
+        """``func`` of ``agg_col`` over the rows ``idx`` (``None``: every row)."""
         if func == "count":
-            return int(len(idx))
-        col = self.column(agg_col)[idx]  # type: ignore[index]
+            return self._nrows if idx is None else int(len(idx))
+        col = self.column(agg_col)
+        if idx is not None:
+            col = col[idx]
         if len(col) == 0:
             return 0
         if func == "sum":

@@ -16,7 +16,10 @@ O(n log n) join/sort kernels and the sort-free dense-key grouping are where
 the throughput win lives.
 
 The engine counts its work in a :class:`~repro.model.counters.CleartextWork`
-and never prices it; :mod:`repro.model.prices` holds the price lists.
+and never prices it; :mod:`repro.model.prices` holds the price lists.  Every
+operator is one :meth:`~ColumnarBackend._pass`: its charge, then its output
+computed.  The plan estimator's length-only engine (:mod:`repro.mpc.shape`)
+wraps only the computation, so it charges exactly what this engine charges.
 """
 
 from __future__ import annotations
@@ -51,38 +54,23 @@ class ColumnarBackend:
     # -- relational operators ----------------------------------------------------------
 
     def concat(self, handles: Sequence[Table]) -> Table:
-        first, *rest = handles
-        result = first.concat(*rest)
-        self._charge(result.num_rows)
-        return result
+        rows = sum(handle.num_rows for handle in handles)
+        return self._pass(lambda first, *rest: first.concat(*rest), handles, rows, rows=rows)
 
     def project(self, handle: Table, columns: Sequence[str]) -> Table:
-        self._charge(handle.num_rows)
-        return handle.project(list(columns))
+        n = handle.num_rows
+        return self._pass(lambda t: t.project(list(columns)), [handle], n, rows=n)
 
     def filter(self, handle: Table, column: str, op: str, value: float) -> Table:
-        self._charge(handle.num_rows)
-        return handle.select_rows(kernels.filter_flags(handle.column(column), op, value))
+        return self._pass(
+            lambda t: t.select_rows(kernels.filter_flags(t.column(column), op, value)),
+            [handle], handle.num_rows,
+        )
 
     def join(self, left: Table, right: Table, left_on: str, right_on: str) -> Table:
         rows_in = left.num_rows + right.num_rows
-        self._charge(rows_in, shuffled=rows_in)
-        left_idx, right_idx = kernels.hash_join_indices(
-            left.column(left_on), right.column(right_on)
-        )
-        right_proj = right.project([c.name for c in right.schema if c.name != right_on])
-        taken = set(left.schema.names)
-        right_defs = [
-            cdef.renamed(cdef.name + "_r") if cdef.name in taken else cdef
-            for cdef in right_proj.schema
-        ]
-        schema = Schema([*left.schema.columns, *right_defs])
-        return Table(
-            schema,
-            [
-                *(col[left_idx] for col in left.columns()),
-                *(col[right_idx] for col in right_proj.columns()),
-            ],
+        return self._pass(
+            lambda l, r: _hash_join(l, r, left_on, right_on), [left, right], rows_in, rows_in
         )
 
     def aggregate(
@@ -100,98 +88,123 @@ class ColumnarBackend:
         if func != "count" and agg_col is None:
             raise ValueError(f"aggregation {func!r} requires a value column")
         n = handle.num_rows
-        self._charge(n, shuffled=n)
-
-        out_type = ColumnType.INT
-        if agg_col is not None:
-            out_type = handle.schema[agg_col].ctype
-        if func == "mean":
-            out_type = ColumnType.FLOAT
-        out_def = ColumnDef(out_name, out_type)
-
-        if not group_by:
-            value = self._scalar_reduce(handle, func, agg_col)
-            return Table(Schema([out_def]), [np.array([value])])
-
-        out_schema = Schema([*handle.schema.project([group_by]).columns, out_def])
-        if n == 0:
-            return Table(out_schema)
-
-        key = handle.column(group_by)
-        values = None if func == "count" else handle.column(agg_col)
-        out_keys, reduced = kernels.group_reduce(key, values, func)
-        return Table(out_schema, [out_keys, reduced.astype(Table._dtype(out_def))])
-
-    @staticmethod
-    def _scalar_reduce(table: Table, func: str, agg_col: str | None):
-        """Whole-column reduction, matching ``Table._reduce`` bit for bit."""
-        if func == "count":
-            return int(table.num_rows)
-        col = table.column(agg_col)
-        if len(col) == 0:
-            return 0
-        if func == "sum":
-            return col.sum()
-        if func == "min":
-            return col.min()
-        if func == "max":
-            return col.max()
-        if func == "mean":
-            return float(col.mean())
-        raise AssertionError(func)
+        return self._pass(lambda t: _grouped(t, group_by, agg_col, func, out_name), [handle], n, n)
 
     def arith(
         self, handle: Table, out_name: str, left: str, op: str, right: str | float
     ) -> Table:
-        """Append ``out_name = left <op> right``."""
-        self._charge(handle.num_rows)
-        lcol = handle.column(left)
-        rval = handle.column(right) if isinstance(right, str) else right
-        result = kernels.arithmetic(lcol, op, rval)
-        ctype = ColumnType.FLOAT if np.asarray(result).dtype.kind == "f" else ColumnType.INT
-        return handle.with_column(out_name, result, ctype)
+        """Append ``out_name = left <op> right`` (FLOAT where the result is)."""
+        return self._appended(
+            handle, out_name, None,
+            lambda t: kernels.arithmetic(t.column(left), op, _operand(t, right)),
+        )
 
     def compare(
         self, handle: Table, out_name: str, left: str, op: str, right: str | float
     ) -> Table:
-        self._charge(handle.num_rows)
-        lcol = handle.column(left)
-        rval = handle.column(right) if isinstance(right, str) else right
-        return handle.with_column(out_name, kernels.compare(lcol, op, rval), ColumnType.INT)
+        return self._appended(
+            handle, out_name, ColumnType.INT,
+            lambda t: kernels.compare(t.column(left), op, _operand(t, right)),
+        )
 
     def bool_op(
         self, handle: Table, out_name: str, op: str, operands: Sequence[str]
     ) -> Table:
-        self._charge(handle.num_rows)
-        cols = [handle.column(name) for name in operands]
-        return handle.with_column(out_name, kernels.combine_bool(op, cols), ColumnType.INT)
+        return self._appended(
+            handle, out_name, ColumnType.INT,
+            lambda t: kernels.combine_bool(op, [t.column(name) for name in operands]),
+        )
+
+    def _appended(self, handle: Table, name: str, ctype: ColumnType | None, values) -> Table:
+        n = handle.num_rows
+        return self._pass(lambda t: t.with_column(name, values(t), ctype), [handle], n, rows=n)
 
     def sort_by(self, handle: Table, column: str, ascending: bool = True) -> Table:
-        self._charge(handle.num_rows * 2, shuffled=handle.num_rows)
-        return handle.take(kernels.sort_indices(handle.column(column), ascending))
+        n = handle.num_rows
+        return self._pass(lambda t: _sorted(t, column, ascending), [handle], 2 * n, n, rows=n)
 
     def merge_sorted(
         self, handles: Sequence[Table], column: str, ascending: bool = True
     ) -> Table:
         """Merge relations that are each sorted by ``column``."""
-        first, *rest = handles
-        combined = first.concat(*rest) if rest else first
-        self._charge(combined.num_rows, shuffled=combined.num_rows)
-        return combined.take(kernels.sort_indices(combined.column(column), ascending))
+        rows = sum(handle.num_rows for handle in handles)
+        return self._pass(
+            lambda first, *rest: _sorted(first.concat(*rest) if rest else first, column, ascending),
+            handles, rows, rows, rows=rows,
+        )
 
     def distinct(self, handle: Table, columns: Sequence[str]) -> Table:
-        self._charge(handle.num_rows, shuffled=handle.num_rows)
-        projected = handle.project(list(columns))
-        if projected.num_rows == 0:
-            return projected
-        return projected.take(kernels.distinct_indices(projected.columns()))
+        n = handle.num_rows
+        return self._pass(lambda t: _distinct(t.project(list(columns))), [handle], n, n)
 
     def limit(self, handle: Table, n: int) -> Table:
         return handle.limit(n)
 
     # -- accounting --------------------------------------------------------------------
 
-    def _charge(self, records: int, shuffled: int = 0) -> None:
+    def _pass(self, compute, handles, records: int, shuffled: int = 0, rows=None) -> Table:
+        """An operator pass over ``records`` rows, ``shuffled`` of them by key:
+        charged, then ``compute(*handles)``.  ``rows`` is the output's row
+        count where the inputs' counts decide it (``None``: the data does)."""
         self.work.stages += 1
         self.work.records_processed += int(records)
         self.work.records_shuffled += int(shuffled)
+        return compute(*handles)
+
+
+def _operand(table: Table, right: str | float):
+    """The right operand of a binary operator: a column, or a scalar."""
+    return table.column(right) if isinstance(right, str) else right
+
+
+def _sorted(table: Table, column: str, ascending: bool) -> Table:
+    return table.take(kernels.sort_indices(table.column(column), ascending))
+
+
+def _distinct(table: Table) -> Table:
+    if table.num_rows == 0:
+        return table
+    return table.take(kernels.distinct_indices(table.columns()))
+
+
+def _hash_join(left: Table, right: Table, left_on: str, right_on: str) -> Table:
+    """Every matching pair: all left columns, then the right columns but the
+    key, suffixed ``_r`` where a left column has the name."""
+    left_idx, right_idx = kernels.hash_join_indices(left.column(left_on), right.column(right_on))
+    right_proj = right.project([c.name for c in right.schema if c.name != right_on])
+    taken = set(left.schema.names)
+    right_defs = [
+        cdef.renamed(cdef.name + "_r") if cdef.name in taken else cdef
+        for cdef in right_proj.schema
+    ]
+    schema = Schema([*left.schema.columns, *right_defs])
+    return Table(
+        schema,
+        [
+            *(col[left_idx] for col in left.columns()),
+            *(col[right_idx] for col in right_proj.columns()),
+        ],
+    )
+
+
+def _grouped(
+    table: Table, group_by: str | None, agg_col: str | None, func: str, out_name: str
+) -> Table:
+    """``func`` of ``agg_col`` per ``group_by`` key (one row without a key)."""
+    out_type = ColumnType.INT
+    if agg_col is not None:
+        out_type = table.schema[agg_col].ctype
+    if func == "mean":
+        out_type = ColumnType.FLOAT
+    out_def = ColumnDef(out_name, out_type)
+
+    if not group_by:
+        return Table(Schema([out_def]), [np.array([table._reduce(func, agg_col)])])
+
+    out_schema = Schema([*table.schema.project([group_by]).columns, out_def])
+    if table.num_rows == 0:
+        return Table(out_schema)
+    key = table.column(group_by)
+    values = None if func == "count" else table.column(agg_col)
+    out_keys, reduced = kernels.group_reduce(key, values, func)
+    return Table(out_schema, [out_keys, reduced.astype(Table._dtype(out_def))])

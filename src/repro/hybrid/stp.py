@@ -93,11 +93,16 @@ class SelectivelyTrustedParty:
 
     def _enumerated(self, keys: np.ndarray, idx_name: str):
         """Load the ``(key, row index)`` relation of a revealed key column."""
-        table = Table(
-            Schema([ColumnDef("key"), ColumnDef(idx_name)]),
-            [keys, np.arange(len(keys), dtype=np.int64)],
-        )
-        return self.engine.ingest(table, contributor=self.name)
+        schema = Schema([ColumnDef("key"), ColumnDef(idx_name)])
+        return self.engine.ingest(self._keyed(schema, keys), contributor=self.name)
+
+    @staticmethod
+    def _keyed(schema: Schema, keys: np.ndarray) -> Table:
+        return Table(schema, [keys, np.arange(len(keys), dtype=np.int64)])
+
+    @staticmethod
+    def _same_as_next(sorted_keys: np.ndarray) -> np.ndarray:
+        return sorted_keys[:-1] == sorted_keys[1:]
 
     def match_keys(
         self, left_keys: np.ndarray, right_keys: np.ndarray
@@ -123,5 +128,4 @@ class SelectivelyTrustedParty:
         """
         relation = self._enumerated(keys, "row_id")
         ordered = self.engine.sort_by(relation, "key")
-        sorted_keys = ordered.column("key")
-        return ordered.column("row_id"), sorted_keys[:-1] == sorted_keys[1:]
+        return ordered.column("row_id"), self._same_as_next(ordered.column("key"))

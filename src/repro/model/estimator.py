@@ -1,39 +1,34 @@
 """Plan cost estimation for large-scale benchmark sweeps.
 
-Executing the functional protocols on tens of millions of records in pure
-Python would take longer than the real systems they simulate, so the
-benchmark harness prices compiled plans on row counts: every MPC operator's
-work is the meter of a *shape run* — the executor's own dispatch
-(:func:`~repro.runtime.executor.apply_operator`) over a
-:class:`~repro.mpc.shape.ShapeEngine`, whose vectors carry only a length,
-so every protocol step is charged exactly as when it executes, at O(1) per
-step — and every cleartext operator's a
-:class:`~repro.model.counters.CleartextWork`, converted to simulated seconds
-with the price lists the executing engines' tallies are converted with.
-The estimate enters a shape run in one place: how many rows an operator
-keeps, which is the node's estimated output.  The garbled-circuit
-(Obliv-C) target is priced only here (:meth:`PlanEstimator._garbled_cost`);
-nothing executes it.
-Completion times are the dispatcher's recurrence
-(:func:`~repro.model.prices.completion_seconds`), so independent per-party
-work overlaps.
+Executing the protocols on tens of millions of records in pure Python
+would take longer than the real systems they simulate, so a compiled plan
+is priced by *one shape run* of it: the executor itself over the engines of
+:mod:`repro.mpc.shape`, whose relations carry only a row count.  Every node
+runs the code it runs when it executes, every edge crosses in the
+executor's rounds, and the seconds are the engines' tallies priced and
+composed (:func:`~repro.model.prices.completion_seconds`) as an execution's
+are.  Estimates enter in one place, :meth:`PlanEstimator._estimate_rows`:
+the size of every relation, wherever the data decides it.  At the executed
+row counts the estimate *is* the execution's accounting
+(``tests/test_estimates.py``).
 
-The estimator reports out-of-memory failures of the garbled-circuit backend
-(via :class:`EstimatedOOM`) instead of a time, reproducing the truncated
-Obliv-C curves of Figure 1, and can cap runtimes with ``timeout_seconds`` to
-reproduce the "did not finish within an hour" points of Figures 6 and 7.
+Obliv-C has no executor: its MPC nodes are priced by their circuits
+(:meth:`PlanEstimator._garbled_cost`), reporting out-of-memory failures
+(:class:`EstimatedOOM`) as Figure 1 truncates its curves; the rest of its
+plan comes from the same run.  ``timeout_seconds`` marks the "did not
+finish" points of Figures 6 and 7.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.core.compiler import CompiledQuery
 from repro.core.operators import (
     Aggregate,
     BoolOp,
-    Collect,
     Compare,
     Concat,
     Create,
@@ -49,8 +44,8 @@ from repro.core.operators import (
     PublicJoin,
     SortBy,
 )
+from repro.hybrid.stp import LeakageReport
 from repro.model import steps
-from repro.model.counters import CleartextWork, CostMeter
 from repro.model.prices import (
     BYTES_PER_JOIN_PAIR,
     BYTES_PER_VALUE,
@@ -60,13 +55,11 @@ from repro.model.prices import (
     GATES_PER_MUX,
     VALUE_BITS,
     GarbledCostModel,
-    PythonCostModel,
-    SharemindCostModel,
     SparkCostModel,
     completion_seconds,
 )
-from repro.mpc.shape import ShapeBackend, ShapeSTP
-from repro.runtime.executor import apply_operator
+from repro.mpc.shape import ShapeBackend, ShapeColumnarBackend, ShapeSTP, resized, shape_table
+from repro.runtime.executor import PlanExecutor
 
 
 class EstimatedOOM(RuntimeError):
@@ -94,11 +87,24 @@ class EstimatorParams:
     join_selectivity: float = 1.0
     #: Explicit row-count overrides keyed by relation name.
     row_overrides: dict[str, int] = field(default_factory=dict)
-    #: Number of computing parties in the MPC.
-    num_parties: int = 3
     #: Abort the estimate when total simulated time exceeds this bound
     #: (mirrors the experiment timeouts in the paper, e.g. two hours).
     timeout_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        domains = {
+            "filter_selectivity": 0 <= self.filter_selectivity <= 1,
+            "distinct_fraction": 0 <= self.distinct_fraction <= 1,
+            "join_selectivity": self.join_selectivity >= 0,
+            "row_overrides": all(
+                isinstance(rows, numbers.Integral) and rows >= 0
+                for rows in self.row_overrides.values()
+            ),
+            "timeout_seconds": self.timeout_seconds is None or self.timeout_seconds > 0,
+        }
+        bad = [f"{name}={getattr(self, name)!r}" for name, ok in domains.items() if not ok]
+        if bad:
+            raise ValueError(f"estimator parameters out of their domains: {', '.join(bad)}")
 
 
 @dataclass
@@ -114,13 +120,27 @@ class NodeEstimate:
 
 @dataclass
 class PlanEstimate:
-    """Estimated cost of a whole compiled plan."""
+    """Estimated cost of a whole compiled plan: what its shape run reports,
+    in the fields an execution reports it in."""
 
     simulated_seconds: float
-    mpc_seconds: float
-    local_seconds: float
     nodes: list[NodeEstimate]
+    #: Simulated seconds per engine (``local:<party>``, ``mpc:<backend>``).
+    backend_seconds: dict[str, float]
+    #: The MPC work and traffic counters (empty for an Obliv-C plan).
+    mpc_profile: dict[str, int]
+    #: ``(tag, messages, bytes)`` of every round, per network.
+    schedule: dict[str, list[tuple[str, int, int]]]
+    leakage: LeakageReport
     timed_out: bool = False
+
+    @property
+    def mpc_seconds(self) -> float:
+        return sum(s for name, s in self.backend_seconds.items() if name.startswith("mpc:"))
+
+    @property
+    def local_seconds(self) -> float:
+        return sum(s for name, s in self.backend_seconds.items() if name.startswith("local:"))
 
     def breakdown(self) -> str:
         lines = [
@@ -136,78 +156,74 @@ class PlanEstimate:
 
 
 class PlanEstimator:
-    """Prices a compiled plan with the backends' cost models."""
+    """Prices a compiled plan by running it on row counts.
+
+    ``spark_model`` replaces the Spark price list (Fig. 4 prices its
+    insecure baseline on a larger cluster).
+    """
 
     def __init__(
-        self,
-        params: EstimatorParams | None = None,
-        sharemind_model: SharemindCostModel | None = None,
-        garbled_model: GarbledCostModel | None = None,
-        spark_model: SparkCostModel | None = None,
-        python_model: PythonCostModel | None = None,
+        self, params: EstimatorParams | None = None, spark_model: SparkCostModel | None = None
     ):
         self.params = params or EstimatorParams()
-        self.sharemind_model = sharemind_model or SharemindCostModel()
-        self.garbled_model = garbled_model or GarbledCostModel()
-        self.cleartext_models = {
-            "spark": spark_model or SparkCostModel(),
-            "python": python_model or PythonCostModel(),
-        }
+        self.spark_model = spark_model
 
     # -- public API ------------------------------------------------------------------------
 
     def estimate(self, compiled: CompiledQuery) -> PlanEstimate:
         """Estimate the end-to-end simulated runtime of a compiled query."""
+        dag = compiled.dag
+        order = dag.topological()
+        unknown = sorted(set(self.params.row_overrides) - {node.out_rel.name for node in order})
+        if unknown:
+            raise KeyError(f"row_overrides name relations the plan does not have: {unknown}")
+        parties = sorted(dag.parties())
         rows: dict[str, int] = {}
-        durations: dict[int, float] = {}
-        node_estimates: list[NodeEstimate] = []
-        mpc_seconds = 0.0
-        local_seconds = 0.0
-        use_garbled = compiled.config.mpc_backend == "obliv-c"
-        prices = self.cleartext_models[compiled.config.cleartext_backend]
-        mpc_started = False
+        inputs: dict[str, dict] = {}
+        for node in order:
+            rel = node.out_rel
+            rows_in = [rows[parent.out_rel.name] for parent in node.parents]
+            rows[rel.name] = self._estimate_rows(node, rows_in, len(parties))
+            if isinstance(node, Create):
+                inputs.setdefault(rel.owner, {})[rel.name] = shape_table(rel.schema, rows[rel.name])
 
-        for node in compiled.dag.topological():
-            rows_in = [rows.get(p.out_rel.name, 0) for p in node.parents]
-            rows_out = self._estimate_rows(node, rows_in)
-            rows[node.out_rel.name] = rows_out
+        garbled = compiled.config.mpc_backend == "obliv-c"
+        if garbled:
+            # The shape run stands in for every MPC target; Obliv-C's MPC
+            # nodes are then priced by their circuits.
+            config = dataclasses.replace(compiled.config, mpc_backend="sharemind")
+            compiled = dataclasses.replace(compiled, config=config)
+        run = _ShapeRun(
+            parties, inputs, compiled.config, rows, self._garbled_seconds if garbled else None
+        )
+        if self.spark_model is not None and compiled.config.cleartext_backend == "spark":
+            run.cleartext_prices = self.spark_model
+        outcome = run.execute(compiled)
 
-            if node.is_mpc:
-                seconds = self._mpc_seconds(node, rows_in, rows_out, use_garbled, prices)
-                if not use_garbled and not mpc_started:
-                    # One start-up per MPC job (paper §7), on its first node —
-                    # where the executor charges it too.
-                    seconds += self.sharemind_model.startup_seconds
-                mpc_started = True
-                mpc_seconds += seconds
-                locus = "mpc"
-            else:
-                seconds = self._local_seconds(node, rows_in, rows_out, prices)
-                local_seconds += seconds
-                locus = f"local:{node.run_at or node.out_rel.owner or '?'}"
-                if not use_garbled and any(p.is_mpc for p in node.parents):
-                    # Crossing out of the MPC is MPC work on the consumer's
-                    # clock; the job is up, so no second start-up.
-                    reveal = self.sharemind_model.work_seconds(self._reveal_meter(node, rows_in))
-                    mpc_seconds += reveal
-                    seconds += reveal
-
-            durations[node.node_id] = seconds
-            node_estimates.append(NodeEstimate(node, rows_in, rows_out, seconds, locus))
-
-        total = completion_seconds(compiled.dag, durations)
+        total = completion_seconds(dag, outcome.node_durations)
         timeout = self.params.timeout_seconds
         return PlanEstimate(
             simulated_seconds=total,
-            mpc_seconds=mpc_seconds,
-            local_seconds=local_seconds,
-            nodes=node_estimates,
+            nodes=[
+                NodeEstimate(
+                    node,
+                    [rows[parent.out_rel.name] for parent in node.parents],
+                    rows[node.out_rel.name],
+                    outcome.node_durations[node.node_id],
+                    "mpc" if node.is_mpc else f"local:{node.run_at or node.out_rel.owner or '?'}",
+                )
+                for node in order
+            ],
+            backend_seconds=outcome.backend_seconds,
+            mpc_profile={} if garbled else outcome.mpc_profile,
+            schedule=outcome.schedule,
+            leakage=outcome.leakage,
             timed_out=timeout is not None and total > timeout,
         )
 
     # -- row estimation -----------------------------------------------------------------------
 
-    def _estimate_rows(self, node: OpNode, rows_in: list[int]) -> int:
+    def _estimate_rows(self, node: OpNode, rows_in: list[int], num_parties: int) -> int:
         override = self.params.row_overrides.get(node.out_rel.name)
         if override is not None:
             return int(override)
@@ -224,7 +240,7 @@ class PlanEstimator:
                 # Merging per-party partials: output is the number of
                 # distinct keys, roughly the partial count divided by the
                 # number of contributing parties.
-                return max(1, int(rows_in[0] / max(1, self.params.num_parties)))
+                return max(1, int(rows_in[0] / max(1, num_parties)))
             return max(1, int(rows_in[0] * self.params.distinct_fraction))
         if isinstance(node, Distinct):
             return max(1, int(rows_in[0] * self.params.distinct_fraction))
@@ -234,50 +250,23 @@ class PlanEstimator:
             return min(rows_in[0], node.n)
         return rows_in[0] if rows_in else 0
 
-    # -- MPC costs ------------------------------------------------------------------------------
+    # -- Obliv-C ------------------------------------------------------------------------------
 
-    def _mpc_seconds(
-        self, node: OpNode, rows_in: list[int], rows_out: int, use_garbled: bool, prices
-    ) -> float:
-        if use_garbled:
-            gates, input_bits, memory = self._garbled_cost(node, rows_in, rows_out)
-            if memory > self.garbled_model.memory_limit_bytes:
-                raise EstimatedOOM(node.op_name, memory, self.garbled_model.memory_limit_bytes)
-            return self.garbled_model.seconds(gates, input_bits)
-
-        meter = self._sharemind_meter(node, rows_in, rows_out)
-        seconds = self.sharemind_model.work_seconds(meter)
-        # Hybrid operators also pay for cleartext work at the STP/host.
-        if isinstance(node, (HybridJoin, PublicJoin)):
-            seconds += self._cleartext_records_seconds(sum(rows_in) + rows_out, prices, wide=True)
-        elif isinstance(node, HybridAggregate):
-            seconds += self._cleartext_records_seconds(rows_in[0], prices, wide=True)
-        return seconds
-
-    def _sharemind_meter(self, node: OpNode, rows_in: list[int], rows_out: int) -> CostMeter:
-        """The meter of a shape run of the node: the executor's own dispatch
-        (:func:`~repro.runtime.executor.apply_operator`) over a fresh
-        :class:`~repro.mpc.shape.ShapeBackend`, after the input round of
-        whatever crosses in from cleartext."""
-        backend = ShapeBackend(self.params.num_parties, rows_out)
-        handles = [
-            backend.table(parent.out_rel.schema, n_rows) if parent.is_mpc
-            else backend.ingest_remote(parent.out_rel.schema, n_rows, backend.party_names[0])
-            for parent, n_rows in zip(node.parents, rows_in)
-        ]
-        stp_for = partial(ShapeSTP, rows_out=rows_out)
-        apply_operator(backend, node, handles, stp_for, leakage=None)
-        return backend.meter
+    def _garbled_seconds(self, node: OpNode, rows_in: list[int], rows_out: int) -> float:
+        model = GarbledCostModel()
+        gates, input_bits, memory = self._garbled_cost(node, rows_in, rows_out)
+        if memory > model.memory_limit_bytes:
+            raise EstimatedOOM(node.op_name, memory, model.memory_limit_bytes)
+        return model.seconds(gates, input_bits)
 
     def _garbled_cost(self, node: OpNode, rows_in: list[int], rows_out: int) -> tuple[int, int, int]:
         """(non-XOR gates, OT input bits, peak memory bytes) for Obliv-C plans."""
         cols_in = [len(parent.out_rel.schema) for parent in node.parents]
         cols_out = len(node.out_rel.schema)
         values_in = sum(r * c for r, c in zip(rows_in, cols_in))
-        input_bits = 0
-        for parent, n_rows, n_cols in zip(node.parents, rows_in, cols_in):
-            if not parent.is_mpc:
-                input_bits += n_rows * n_cols * VALUE_BITS
+        input_bits = VALUE_BITS * sum(
+            r * c for parent, r, c in zip(node.parents, rows_in, cols_in) if not parent.is_mpc
+        )
 
         gates = 0
         memory = (values_in + rows_out * cols_out) * BYTES_PER_VALUE
@@ -311,35 +300,40 @@ class PlanEstimator:
             gates = comparators * (GATES_PER_COMPARISON + 2 * GATES_PER_MUX) + max(0, n - 1) * GATES_PER_COMPARISON
         return gates, input_bits, memory
 
-    # -- cleartext costs -----------------------------------------------------------------------------
 
-    def _local_seconds(self, node: OpNode, rows_in: list[int], rows_out: int, prices) -> float:
-        if isinstance(node, Create):
-            return self._cleartext_records_seconds(rows_out, prices, wide=False)
-        if isinstance(node, Collect):
-            return self._cleartext_records_seconds(rows_in[0] if rows_in else 0, prices, wide=False)
-        wide = isinstance(node, (Join, Aggregate, Distinct, SortBy, Merge, HybridAggregate))
-        records = sum(rows_in) + (rows_out if wide else 0)
-        return self._cleartext_records_seconds(records, prices, wide=wide)
+class _ShapeRun(PlanExecutor):
+    """The executor over the shape engines: every node's data-dependent
+    output is its estimate, ``rows``, and so is every relation it makes."""
 
-    def _reveal_meter(self, node: OpNode, rows_in: list[int]) -> CostMeter:
-        """Revealing each MPC parent of a cleartext node to the party that
-        runs it — a ``Collect``'s to every recipient in turn, one round each;
-        every recipient is priced as a computing party."""
-        recipients = len(node.recipients) if isinstance(node, Collect) else 1
-        backend = ShapeBackend(self.params.num_parties)
-        for parent, n_rows in zip(node.parents, rows_in):
-            if parent.is_mpc:
-                table = backend.table(parent.out_rel.schema, n_rows)
-                for _ in range(recipients):
-                    backend.engine.reveal_to_many(table.columns, backend.party_names[0])
-        return backend.meter
+    trusted_party = ShapeSTP
 
-    @staticmethod
-    def _cleartext_records_seconds(records: int, prices, wide: bool) -> float:
-        """One operator pass over ``records`` rows, priced like an executed one."""
-        shuffled = records if wide else 0
-        return prices.seconds(
-            CleartextWork(stages=1, records_processed=records, records_shuffled=shuffled)
-        )
+    def __init__(self, parties, inputs, config, rows: dict[str, int], garbled_seconds):
+        self.rows = rows
+        self.rows_out = 0
+        #: Obliv-C: the circuit price of an MPC node (``None``: Sharemind).
+        self.garbled_seconds = garbled_seconds
+        self.garbled_total = 0.0
+        super().__init__(parties, inputs, config)
 
+    def cleartext_engine(self) -> ShapeColumnarBackend:
+        return ShapeColumnarBackend(lambda: self.rows_out)
+
+    def _make_mpc_backend(self) -> ShapeBackend:
+        return ShapeBackend(self.parties[: ShapeBackend.MAX_PARTIES], lambda: self.rows_out)
+
+    def _execute_node(self, node, outputs):
+        self.rows_out = self.rows[node.out_rel.name]
+        entry = super()._execute_node(node, outputs)
+        if self.garbled_seconds is not None and node.is_mpc:
+            rows_in = [self.rows[parent.out_rel.name] for parent in node.parents]
+            self.garbled_total += self.garbled_seconds(node, rows_in, self.rows_out)
+        if entry.handle is not None:
+            entry.handle = resized(entry.handle, self.rows_out)
+        return entry
+
+    def _backend_breakdown(self) -> dict[str, float]:
+        breakdown = super()._backend_breakdown()
+        if self.garbled_seconds is not None and self.mpc_backend is not None:
+            del breakdown[f"mpc:{self.mpc_backend.name}"]
+            breakdown["mpc:obliv-c"] = self.garbled_total
+        return breakdown

@@ -33,7 +33,7 @@ class SharemindCostModel:
     """Price list of the secret-sharing (Sharemind-style) backend."""
 
     #: Fixed protocol start-up, paid once per MPC job (paper §7): the
-    #: executor and the estimator both charge it on a plan's first MPC node.
+    #: executor charges it on a plan's first MPC node.
     startup_seconds: float = 2.0
     #: Secret-sharing + storage-layer overhead per input record.
     per_input_record_seconds: float = 2.0e-4

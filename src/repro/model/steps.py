@@ -1,21 +1,19 @@
-"""The one formula of every protocol step of the share engine.
+"""The one formula of every analytic protocol step of the share engine.
 
 Each function returns the :class:`~repro.model.counters.CostMeter` of one
-step on one share vector (or one relation, where whole rows move):
-
-* *carried* steps — input sharing, openings, the Beaver opening of a
-  multiplication, local share arithmetic — are performed for real: the
-  traffic is counted where it is carried (``Network.round``), the primitive
-  increments its one counter, and the meter here is what the same primitive
-  of a :class:`~repro.mpc.shape.ShapeEngine` charges instead;
-* *analytic* steps — everything executed as an ideal functionality — are
-  charged by ``engine.charge(<step>_meter(...))``: the meter here *is* the
-  charge, so there is no second copy that could drift.
+step on one share vector (or one relation, where whole rows move).  Every
+step the engine does not carry itself — the ideal functionalities, and the
+local copies and gathers of the protocols — is charged by
+``engine.charge(<step>_meter(...))``: the meter here *is* the charge, so
+there is no second copy that could drift.  The *carried* steps — input
+sharing, openings, the Beaver opening of a multiplication, local share
+arithmetic — have no formula: the traffic is counted where it is carried
+(``Network.round``) and the primitive increments its one counter, on data
+and on shapes alike.
 
 No module composes them into relational operators: the estimator runs the
-protocols themselves on a shape engine, and ``tests/test_estimates.py``
-holds each carried primitive's meter here to the counters it executes.
-``num_parties`` is the number of computing parties.
+plan itself on shape engines (:mod:`repro.mpc.shape`).  ``num_parties`` is
+the number of computing parties.
 """
 
 from __future__ import annotations
@@ -44,72 +42,21 @@ def bitonic_merge_comparator_count(n: int) -> int:
     return _log2_ceil(n) * (1 << _log2_ceil(n)) // 2 if n > 1 else 0
 
 
-def _carried(messages: int, elements: int) -> NetworkStats:
-    """One real exchange: ``messages`` messages of ``elements`` ring elements."""
-    return NetworkStats(messages, messages * elements * SHARE_BYTES, rounds=1, wire_rounds=1)
-
-
 def _analytic(rounds: int, elements: int, num_parties: int) -> NetworkStats:
     """``rounds`` rounds of an ideal functionality, each moving ``elements``
     ring elements as one message per party — priced, never a mesh round trip."""
     return NetworkStats(rounds * num_parties, rounds * elements * SHARE_BYTES, rounds)
 
 
-# -- carried steps: performed for real, priced here --------------------------------------
-# ``elements`` is rows x columns: a relation's columns cross in one round.
-
-
-def input_meter(elements: int, num_parties: int) -> CostMeter:
-    """Secret-sharing a relation: the contributor sends every other party one
-    message with its slice of every column."""
-    return CostMeter(input_records=elements, network=_carried(num_parties - 1, elements))
-
-
-def open_meter(elements: int, num_parties: int) -> CostMeter:
-    """Opening a relation to all parties: every party broadcasts its slices."""
-    return CostMeter(
-        output_records=elements, network=_carried(num_parties * (num_parties - 1), elements)
-    )
-
-
-def open_flags_meter(records: int, num_parties: int) -> CostMeter:
-    """Opening a 0/1 vector in Z_2: every party broadcasts the low bit of each
-    of its shares, packed eight to the byte."""
-    messages = num_parties * (num_parties - 1)
-    packed = NetworkStats(messages, messages * ((records + 7) // 8), rounds=1, wire_rounds=1)
-    return CostMeter(output_records=records, network=packed)
-
-
-def open_to_meter(elements: int, num_parties: int) -> CostMeter:
-    """Opening a relation to one computing party: the others send it their slices."""
-    return CostMeter(output_records=elements, network=_carried(num_parties - 1, elements))
-
-
-def env_open_meter(elements: int, num_parties: int) -> CostMeter:
-    """One batched opening to the protocol environment (no output records:
-    nothing is revealed to the parties)."""
-    return CostMeter(network=_carried(num_parties * (num_parties - 1), elements))
-
-
-def beaver_multiply_meter(records: int, num_parties: int) -> CostMeter:
-    """A share-by-share product: a triple per element, one round opening ``d``
-    and ``e``; an empty product opens nothing."""
-    if records == 0:
-        return CostMeter()
-    return CostMeter(
-        multiplications=records, network=_carried(num_parties * (num_parties - 1), 2 * records)
-    )
+# -- what ``engine.charge`` is called with -----------------------------------------------
 
 
 def local_meter(records: int, columns: int = 1) -> CostMeter:
-    """Cheap local share work (add, scale, copy, gather): one op per element."""
+    """Cheap local share work (copy, gather, sum): one op per element."""
     return CostMeter(local_ops=records * columns)
 
 
-# -- analytic steps: what ``engine.charge`` is called with ----------------------------------
-
-
-def external_reveal_meter(records: int, num_parties: int) -> CostMeter:
+def external_leg_meter(records: int, num_parties: int) -> CostMeter:
     """The leg carrying an environment-opened vector to a party outside the MPC."""
     return CostMeter(output_records=records, network=_analytic(1, records, num_parties))
 

@@ -25,7 +25,8 @@ validates the round's messages, accounts for them, and carries them:
   consumes them.
 
 Accounting always happens before the round is carried, so the recorded
-traffic is identical whichever way it travels.
+traffic — the counters and the :attr:`Network.schedule` of rounds — is
+identical whichever way it travels.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class Network:
         self.party_names = list(party_names)
         self.channel = channel
         self.stats = NetworkStats()
+        #: ``(tag, messages, bytes)`` of every round carried, in order.
+        self.schedule: list[tuple[str, int, int]] = []
 
     @property
     def reference_party(self) -> str:
@@ -91,10 +94,12 @@ class Network:
                 raise ValueError("a party cannot send a network message to itself")
         if not sends:
             return {}
-        self.stats.messages += len(sends)
-        self.stats.bytes_sent += len(sends) * int(size_bytes)
+        messages, size = len(sends), len(sends) * int(size_bytes)
+        self.stats.messages += messages
+        self.stats.bytes_sent += size
         self.stats.rounds += 1
         self.stats.wire_rounds += 1
+        self.schedule.append((tag, messages, size))
         if self.channel is None:
             return {(sender, receiver): payload for sender, receiver, payload in sends}
         channel = self.channel

@@ -70,8 +70,10 @@ The relational protocols never touch a slice or an opened value: a
 :class:`SharedVector` reshapes itself locally (``take``, ``head``,
 ``reversed``, ``total``, ``concat``), and whatever is computed on opened
 values is an engine method (``order_of``, ``adjacent_groups``,
-``rows_where``, ``env_apply``, …).  That is the seam the plan estimator's
-:class:`~repro.mpc.shape.ShapeEngine` overrides to run them on row counts.
+``rows_where``, ``env_apply``, …), and so is whatever a round's delivered
+slices are reconstructed into (``_opened``, ``_flags_opened``, ``_beaver``).
+That is the seam the plan estimator's :class:`~repro.mpc.shape.ShapeEngine`
+overrides to run them on row counts.
 """
 
 from __future__ import annotations
@@ -529,8 +531,11 @@ class SecretSharingEngine:
         values are reconstructed from the slices as delivered."""
         per_party = self._per_party(lambda i, pos: tuple(vec.shares[pos] for vec in vecs))
         size = sum(len(vec) for vec in vecs) * SHARE_BYTES
-        delivered = self._exchange(tag, per_party, size)
-        return [self._reconstruct(delivered, tag, k) for k in range(len(vecs))]
+        return self._opened(self._exchange(tag, per_party, size), tag, vecs)
+
+    def _opened(self, delivered: Sequence, step: str, vecs: Sequence[SharedVector]) -> list:
+        """``vecs`` reconstructed from one delivered tuple of slices per party."""
+        return [self._reconstruct(delivered, step, k) for k in range(len(vecs))]
 
     def _open_to_all(self, tag: str, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
         self.meter.output_records += sum(len(vec) for vec in vecs)
@@ -563,15 +568,19 @@ class SecretSharingEngine:
         per_party = self._per_party(
             lambda i, pos: np.packbits(flags.shares[pos].astype(np.uint8) & np.uint8(1))
         )
+        delivered = self._exchange("open-flags", per_party, (n + 7) // 8)
+        self.meter.output_records += n
+        return self._flags_opened(delivered, n)
+
+    def _flags_opened(self, delivered: Sequence, n: int) -> np.ndarray:
+        """``n`` flags: the XOR of one delivered packed slice per party."""
         packed = np.zeros((n + 7) // 8, dtype=np.uint8)
-        delivered = self._exchange("open-flags", per_party, packed.size)
         for name, bits in zip(self.party_names, delivered):
             if not isinstance(bits, np.ndarray) or bits.dtype != np.uint8 or bits.shape != packed.shape:
                 raise TransportError(
                     f"open-flags: party {name!r} delivered no packed slice of {n} flag bits"
                 )
             packed ^= bits
-        self.meter.output_records += n
         return np.unpackbits(packed, count=n).view(np.bool_)
 
     def env_open_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
@@ -607,7 +616,7 @@ class SecretSharingEngine:
         total = sum(len(vec) for vec in vecs)
         if party not in self.party_names:
             values = self.env_open_many(vecs)
-            self.charge(steps.external_reveal_meter(total, self.num_parties))
+            self.charge(steps.external_leg_meter(total, self.num_parties))
             return values
         party_idx = self.party_names.index(party)
         slices = self._per_party(lambda i, pos: tuple(vec.shares[pos] for vec in vecs))
@@ -622,7 +631,7 @@ class SecretSharingEngine:
             slices[i] if i == party_idx else delivered[(name, party)]
             for i, name in enumerate(self.party_names)
         ]
-        return [self._reconstruct(shares, f"reveal to {party!r}", k) for k in range(len(vecs))]
+        return self._opened(shares, f"reveal to {party!r}", vecs)
 
     def reveal_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
         """Reveal vectors to *every* engine (one broadcast round, metered).
@@ -680,8 +689,13 @@ class SecretSharingEngine:
         n = len(left)
         if n == 0:
             return SharedVector(self, [s.copy() for s in left.shares], 0)
+        out_shares = self._beaver(left, right)
+        self.meter.multiplications += n
+        return SharedVector(self, out_shares, n)
 
-        triple = self.dealer.triples(n)
+    def _beaver(self, left: SharedVector, right: SharedVector) -> list[np.ndarray]:
+        """The local slices of ``left * right``: one triple per element."""
+        triple = self.dealer.triples(len(left))
         # d = x - a and e = y - b are opened; z = c + d*b + e*a + d*e.
         # Each engine computes d/e only for its local slices; the foreign
         # (d_i, e_i) pairs arrive as wire frames.  Opening both costs one
@@ -700,8 +714,7 @@ class SecretSharingEngine:
             if i == 0:
                 share = share + d * e
             out_shares.append(share)
-        self.meter.multiplications += n
-        return SharedVector(self, out_shares, n)
+        return out_shares
 
     # -- comparisons (ideal functionality with metered cost) -----------------------------
 
@@ -800,6 +813,12 @@ class SecretSharingEngine:
         per-party segmented prefix sums (mod 2^64) reconstruct to the true
         segmented running totals.
         """
+        acc = SharedVector(self, self._segment_sums(values, same), len(values))
+        self.charge(steps.segmented_sum_meter(len(values), self.num_parties))
+        return acc
+
+    def _segment_sums(self, values: SharedVector, same: np.ndarray) -> list[np.ndarray]:
+        """The local slices of the segmented running totals, freshly masked."""
         n = len(values)
         starts = np.empty(n, dtype=bool)
         starts[0] = True
@@ -812,8 +831,7 @@ class SecretSharingEngine:
             running = np.cumsum(share, dtype=np.uint64)
             fresh += running
             fresh[nz] -= running[base_idx]
-        self.charge(steps.segmented_sum_meter(n, self.num_parties))
-        return SharedVector(self, acc_shares, n)
+        return acc_shares
 
     # -- helpers -------------------------------------------------------------------------
 

@@ -1,34 +1,66 @@
-"""The share engine run on row counts alone: what a plan estimate executes.
+"""Engines on row counts alone: what a plan estimate executes.
 
-:class:`ShapeEngine` is a :class:`~repro.mpc.secretshare.SecretSharingEngine`
-that holds no slice and draws no randomness: its vectors carry only a
-length.  The relational protocols (:mod:`repro.mpc.protocols`,
-:mod:`repro.mpc.oblivious`, :mod:`repro.hybrid`) run on it unchanged, so
-every step they take is charged exactly as in execution — the carried
-primitives charge their :mod:`repro.model.steps` meter, the analytic steps
-their ``engine.charge`` — at O(1) per step, whatever the row count.  The
-plan estimator prices an MPC node with the meter of one such run; there is
-no second list of an operator's steps.
+The plan estimator runs the executor itself once per plan over these
+engines, whose relations carry a schema and a row count and nothing else,
+so every step is charged and every round scheduled exactly as in execution
+— at O(1) per step, whatever the row count:
+
+* :class:`ShapeEngine` is a share engine that holds no slice and draws no
+  randomness; the protocols run on it unchanged, its carried primitives
+  call ``Network.round`` with ``None`` payloads, as an observer engine's
+  do.  :class:`ShapeBackend` is the Sharemind facade over it.
+* :class:`ShapeColumnarBackend` is the cleartext engine over relations of
+  zero-stride columns (:func:`shape_table`); :class:`ShapeSTP` the
+  selectively-trusted party over it.
 
 Opened values and row positions are :class:`Positions`: a count, sliceable.
-Only two things a shape run cannot derive from its inputs' lengths — how
-many rows a size-revealing compaction keeps, and how many pairs an STP's
-key match returns — and both are the node's estimated output rows.
+What a shape run cannot derive from its inputs' lengths — the rows a
+compaction keeps, the pairs an STP's key match returns, the rows a cleartext
+filter, join, aggregation or distinct produces — is the running node's
+estimated output, ``rows_out()``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.data.schema import Schema
-from repro.model import steps
+from repro.data.table import Table
+from repro.exec.engine import ColumnarBackend
+from repro.hybrid.stp import SelectivelyTrustedParty
 from repro.model.counters import CostMeter
 from repro.mpc.network import Network
 from repro.mpc.protocols import SharedTable
 from repro.mpc.secretshare import SecretSharingEngine, SharedVector
 from repro.mpc.sharemind import SharemindBackend
+
+#: The estimated output rows of the node being run.
+RowsOut = Callable[[], int]
+
+
+#: One zero, which every column of a :func:`shape_table` views.
+_ZERO = bytes(8)
+
+
+def shape_table(schema: Schema, rows: int) -> Table:
+    """A relation of ``schema`` with ``rows`` rows, each column a zero-stride
+    (read-only) view of one zero."""
+    return Table(
+        schema,
+        [np.ndarray((rows,), Table._dtype(c), buffer=_ZERO, strides=(0,)) for c in schema],
+    )
+
+
+def resized(handle: "Table | SharedTable", rows: int) -> "Table | SharedTable":
+    """``handle``'s relation with ``rows`` rows."""
+    if handle.num_rows == rows:
+        return handle
+    if isinstance(handle, Table):
+        return shape_table(handle.schema, rows)
+    engine = handle.engine
+    return SharedTable(engine, handle.schema, [engine.fill(0, rows) for _ in handle.schema])
 
 
 class Positions:
@@ -51,13 +83,11 @@ class Positions:
 class ShapeEngine(SecretSharingEngine):
     """A share engine whose vectors carry only a length.
 
-    ``rows_out`` is the estimated output of the node being priced: what
-    :meth:`rows_where` keeps.  No slice, stream or dealer exists, so a
-    primitive that would touch one fails loudly instead of silently
-    allocating a billion-row vector.
+    No slice, stream or dealer exists, so a primitive that would touch one
+    fails loudly instead of silently allocating a billion-row vector.
     """
 
-    def __init__(self, party_names: Sequence[str], rows_out: int):
+    def __init__(self, party_names: Sequence[str], rows_out: RowsOut):
         self.party_names = list(party_names)
         self.num_parties = len(self.party_names)
         self.local_parties = set()
@@ -74,26 +104,23 @@ class ShapeEngine(SecretSharingEngine):
     def _vector(self, n: int) -> SharedVector:
         return SharedVector(self, [], n)
 
-    # -- the carried primitives: the step meter of each round -----------------------------
+    # -- the carried primitives: their rounds, with nothing to reconstruct ----------------
 
     def input_vectors(self, values=None, contributor=None, num_rows=None, public=False):
-        rows = [len(v) for v in values] if values is not None else list(num_rows)
-        self.charge(steps.input_meter(sum(rows), self.num_parties))
-        return [self._vector(n) for n in rows]
+        """Every sharing is a peer's: only the row counts are known here."""
+        if values is not None:
+            num_rows = [len(v) for v in values]
+        return super().input_vectors(None, contributor, num_rows)
 
-    def _broadcast(self, tag: str, vecs: Sequence[SharedVector]) -> list[Positions]:
-        self.charge(steps.env_open_meter(sum(len(vec) for vec in vecs), self.num_parties))
+    def _opened(self, delivered, step: str, vecs: Sequence[SharedVector]) -> list[Positions]:
         return [Positions(len(vec)) for vec in vecs]
 
-    def open_flags(self, flags: SharedVector) -> Positions:
-        self.charge(steps.open_flags_meter(len(flags), self.num_parties))
-        return Positions(len(flags))
+    def _flags_opened(self, delivered, n: int) -> Positions:
+        return Positions(n)
 
-    def mul(self, left: SharedVector, right: "SharedVector | int") -> SharedVector:
-        if not isinstance(right, SharedVector):
-            return self.scale(left, int(right))
-        self.charge(steps.beaver_multiply_meter(len(left), self.num_parties))
-        return self._vector(len(left))
+    def _beaver(self, left: SharedVector, right: SharedVector) -> list:
+        self._broadcast("beaver-open", [left, right])
+        return []
 
     # -- sharings of values every engine knows: no randomness, no slice ---------------------
 
@@ -125,7 +152,7 @@ class ShapeEngine(SecretSharingEngine):
         return None if presorted else Positions(n), Positions(n - 1)
 
     def rows_where(self, opened_flags) -> Positions:
-        return Positions(self.rows_out)
+        return Positions(self.rows_out())
 
     def cross_pairs(self, n: int, m: int) -> tuple[Positions, Positions]:
         return Positions(n * m), Positions(n * m)
@@ -134,38 +161,61 @@ class ShapeEngine(SecretSharingEngine):
         pass
 
     def key_values(self, vec: SharedVector) -> np.ndarray:
-        """The opening is charged; an estimate sees no key out of range."""
+        """The opening is carried; an estimate sees no key out of range."""
         self.env_open(vec)
         return np.empty(0, dtype=np.int64)
 
-    def segmented_sum(self, values: SharedVector, same) -> SharedVector:
-        self.charge(steps.segmented_sum_meter(len(values), self.num_parties))
-        return self._vector(len(values))
+    def _segment_sums(self, values: SharedVector, same) -> list[np.ndarray]:
+        return []
 
 
 class ShapeBackend(SharemindBackend):
-    """The Sharemind facade over a fresh :class:`ShapeEngine` of
-    ``num_parties`` computing parties, for one node of ``rows_out`` rows."""
+    """The Sharemind facade over a :class:`ShapeEngine` of ``party_names``."""
 
-    def __init__(self, num_parties: int, rows_out: int = 0):
-        self.party_names = [f"party{i}" for i in range(num_parties)]
+    def __init__(self, party_names: Sequence[str], rows_out: RowsOut):
+        self.party_names = list(party_names)
         self.engine = ShapeEngine(self.party_names, rows_out)
 
-    def table(self, schema: Schema, rows: int) -> SharedTable:
-        """A shared relation of ``rows`` rows already inside the MPC."""
-        return SharedTable(self.engine, schema, [self.engine.fill(0, rows) for _ in schema])
+    def ingest(self, table: Table, contributor: str | None = None) -> SharedTable:
+        """A party's relation enters as a peer's does: by its row count."""
+        return self.ingest_remote(table.schema, table.num_rows, contributor)
+
+    def reveal_to(self, handle: SharedTable, party: str) -> Table:
+        self.engine.reveal_to_many(handle.columns, party)
+        return shape_table(handle.schema, handle.num_rows)
 
 
-class ShapeSTP:
-    """The STP of a shape run: its key match returns the node's estimated
-    output rows, its key sort the input's row count."""
+class ShapeColumnarBackend(ColumnarBackend):
+    """The cleartext engine over :func:`shape_table` relations."""
 
-    def __init__(self, name: str, rows_out: int):
-        self.name = name
+    def __init__(self, rows_out: RowsOut):
+        super().__init__()
         self.rows_out = rows_out
 
-    def match_keys(self, left_keys, right_keys) -> tuple[Positions, Positions]:
-        return Positions(self.rows_out), Positions(self.rows_out)
+    def _pass(self, compute, handles, records, shuffled=0, rows=None) -> Table:
+        """The pass the engine charges, building the output from the schema
+        ``compute`` gives on no rows, at ``rows`` rows — or, where the data
+        decides, the node's estimated output."""
 
-    def sort_keys(self, keys) -> tuple[Positions, Positions]:
-        return Positions(len(keys)), Positions(len(keys) - 1)
+        def shaped(*tables: Table) -> Table:
+            schema = compute(*(table.limit(0) for table in tables)).schema
+            return shape_table(schema, self.rows_out() if rows is None else rows)
+
+        return super()._pass(shaped, handles, records, shuffled)
+
+    def key_values(self, handle: Table, column: str) -> np.ndarray:
+        """An estimate sees no key out of range."""
+        return np.empty(0, dtype=np.int64)
+
+
+class ShapeSTP(SelectivelyTrustedParty):
+    """The STP over a :class:`ShapeColumnarBackend`: its key relations carry
+    only a length."""
+
+    @staticmethod
+    def _keyed(schema: Schema, keys) -> Table:
+        return shape_table(schema, len(keys))
+
+    @staticmethod
+    def _same_as_next(sorted_keys) -> Positions:
+        return Positions(max(0, len(sorted_keys) - 1))

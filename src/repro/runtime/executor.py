@@ -98,6 +98,9 @@ class ExecutionOutcome:
     leakage: LeakageReport
     backend_seconds: dict[str, float]
     mpc_profile: dict[str, int]
+    #: ``(tag, messages, bytes)`` of every round each network carried, in
+    #: order: ``"mpc"`` (the MPC backend's) and ``"crossings"``.
+    schedule: dict[str, list[tuple[str, int, int]]]
 
 
 class PlanExecutor:
@@ -112,9 +115,12 @@ class PlanExecutor:
     price list the engines' work tallies are converted to seconds with.
     """
 
-    #: The cleartext engine class — the one seam, so the differential tests
-    #: can run a plan on the row-at-a-time oracle (``tests/oracle_engine.py``).
+    #: The cleartext engine class — a seam, so the differential tests can
+    #: run a plan on the row-at-a-time oracle (``tests/oracle_engine.py``)
+    #: and the plan estimator on relations that carry only a row count.
     cleartext_engine = ColumnarBackend
+    #: The selectively-trusted party of the hybrid operators, over its engine.
+    trusted_party = SelectivelyTrustedParty
 
     def __init__(
         self,
@@ -180,10 +186,12 @@ class PlanExecutor:
 
         wall_start = time.perf_counter()
         try:
+            before = self._engine_seconds()
             for node in compiled.dag.topological():
-                before = self._engine_seconds()
                 self._env[node.out_rel.name] = self._execute_node(node, outputs)
-                durations[node.node_id] = self._engine_seconds() - before
+                after = self._engine_seconds()
+                durations[node.node_id] = after - before
+                before = after
         except BaseException as exc:
             # Distributed lockstep: peers may be blocked waiting for this
             # executor's next frame.  Broadcast an abort for this query so
@@ -205,6 +213,10 @@ class PlanExecutor:
             leakage=self.leakage,
             backend_seconds=self._backend_breakdown(),
             mpc_profile=self._mpc_profile(),
+            schedule={
+                "mpc": [] if self.mpc_backend is None else self.mpc_backend.engine.network.schedule,
+                "crossings": self._crossings.schedule,
+            },
         )
 
     # -- node execution ----------------------------------------------------------------------
@@ -386,7 +398,7 @@ class PlanExecutor:
             # replica of the STP engine so the hybrid protocols stay in
             # lockstep (and the simulated clock charges the same work).
             self.local_backends[party] = self.cleartext_engine()
-        return SelectivelyTrustedParty(party, self.local_backends[party])
+        return self.trusted_party(party, self.local_backends[party])
 
     def _engine_seconds(self) -> float:
         return sum(self._backend_breakdown().values())
@@ -473,14 +485,13 @@ def _table_received(schema: Schema, payload, sender: str, relation: str) -> Tabl
     return Table(schema, payload)
 
 
-def apply_operator(engine, node: OpNode, handles: list, stp_for, leakage: LeakageReport | None):
+def apply_operator(engine, node: OpNode, handles: list, stp_for, leakage: LeakageReport):
     """Run ``node`` on ``engine`` over its parents' ``handles``.
 
     The one dispatch from plan operators to engine calls: the executor runs
-    it on a party's cleartext engine or on the MPC backend, the plan
-    estimator on a :class:`~repro.mpc.shape.ShapeBackend`.  ``stp_for(party)``
+    it on a party's cleartext engine or on the MPC backend.  ``stp_for(party)``
     is the selectively-trusted party of a hybrid operator; ``leakage``
-    records what a hybrid operator discloses (``None``: nothing records it).
+    records what a hybrid operator discloses.
     """
     _validate_key_range(engine, node, handles[0] if handles else None)
     if isinstance(node, HybridJoin):

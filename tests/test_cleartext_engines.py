@@ -226,7 +226,7 @@ class TestCleartextCosts:
     def test_estimator_and_executor_price_a_tally_identically(self, cleartext_backend):
         """A single-owner projection of 400 rows: the executed run's seconds
         are the configured price list applied to the engine's tally, and the
-        estimate is the same function applied to one tally per plan node."""
+        estimate — the same executor run on a 400-row shape — is that number."""
         party = cc.Party("solo.example")
         with cc.QueryContext() as ctx:
             t = ctx.new_table(
@@ -245,10 +245,8 @@ class TestCleartextCosts:
         assert result.backend_seconds[f"local:{party.name}"] == prices.seconds(engine.work)
 
         estimate = cc.PlanEstimator().estimate(compiled)
-        one_pass = CleartextWork(stages=1, records_processed=400)
-        assert estimate.local_seconds == pytest.approx(
-            len(estimate.nodes) * prices.seconds(one_pass)
-        )
+        assert estimate.backend_seconds == result.backend_seconds
+        assert estimate.local_seconds == prices.seconds(engine.work)
 
 
 @given(

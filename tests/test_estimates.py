@@ -1,14 +1,15 @@
-"""Execution and estimate count the same: full-meter equality, operator by operator.
+"""Execution and estimate count the same: operator by operator, and plan by plan.
 
-``repro.model.steps`` holds the one formula of every protocol step; the
-share engine charges its analytic steps with those meters, and the plan
-estimator prices an MPC operator by running the very same protocol code on
-a :class:`~repro.mpc.shape.ShapeEngine`, whose vectors carry only a length
-and whose carried primitives charge their step meter.  These tests run
-every MPC operator the estimator prices at small sizes, on data and on
-shapes, and require the two meters to be *equal*, counter for counter: an
-estimate may be wrong about how many rows an operator sees, never about
-what a row costs.
+``repro.model.steps`` holds the one formula of every analytic protocol
+step; the share engine charges those meters, and its carried primitives
+count the rounds they carry.  The plan estimator runs the very same code on
+the engines of :mod:`repro.mpc.shape`, whose relations carry only a row
+count.  These tests run every MPC operator at small sizes on data and on
+shapes and require the two meters to be *equal*, counter for counter; and
+they run whole plans — every differential-corpus plan and the four paper
+queries — and require the estimate at the executed row counts to *be* the
+execution's accounting: an estimate may be wrong about how many rows an
+operator sees, never about what a row costs.
 """
 
 import numpy as np
@@ -20,12 +21,23 @@ from repro.data.table import Table
 from repro.exec.engine import ColumnarBackend
 from repro.hybrid import SelectivelyTrustedParty, hybrid_aggregate, hybrid_join, public_join
 from repro.model import steps
-from repro.model.counters import CostMeter
+from repro.model.counters import CostMeter, NetworkStats
 from repro.model.estimator import EstimatorParams, PlanEstimator
-from repro.model.prices import SharemindCostModel
+from repro.model.prices import SharemindCostModel, completion_seconds
 from repro.mpc.oblivious import oblivious_index, oblivious_shuffle
-from repro.mpc.shape import ShapeBackend, ShapeSTP
+from repro.mpc.protocols import SharedTable
+from repro.mpc.shape import ShapeBackend, ShapeColumnarBackend, ShapeEngine, ShapeSTP
 from repro.mpc.sharemind import SharemindBackend
+from repro.queries import (
+    aspirin_count_query,
+    comorbidity_query,
+    credit_card_regulation_query,
+    market_concentration_query,
+)
+from repro.workloads.credit import CreditWorkload
+from repro.workloads.healthlnk import HealthLNKWorkload
+from repro.workloads.taxi import TaxiWorkload
+from test_differential import NUM_PLANS, PRICE_LISTS, SEED, build_query, generate_spec
 from tests.conftest import PARTIES
 
 SIZES = [1, 2, 9, 64]
@@ -57,9 +69,9 @@ def backend():
 
 
 def stp_of(backend):
-    """The STP of a hybrid operator: a cleartext engine's, or a shape run's."""
+    """The STP of a hybrid operator: over a cleartext engine, or a shape run's."""
     if isinstance(backend, ShapeBackend):
-        return ShapeSTP("stp.example", backend.engine.rows_out)
+        return ShapeSTP("stp.example", ShapeColumnarBackend(backend.engine.rows_out))
     return SelectivelyTrustedParty("stp.example", ColumnarBackend())
 
 
@@ -80,8 +92,12 @@ def shape_meter(operator, *relations, rows_out=0):
     """The meter of ``operator`` run on a fresh shape backend over
     ``(schema, rows)`` relations already inside the MPC; ``rows_out`` is what
     a compaction keeps and an STP key match returns."""
-    shape = ShapeBackend(len(PARTIES), rows_out)
-    operator(shape, *(shape.table(schema, rows) for schema, rows in relations))
+    shape = ShapeBackend(PARTIES, lambda: rows_out)
+    engine = shape.engine
+    operator(shape, *(
+        SharedTable(engine, schema, [engine.fill(0, rows) for _ in schema])
+        for schema, rows in relations
+    ))
     return shape.meter
 
 
@@ -189,19 +205,15 @@ class TestOperatorMetersEqualExecution:
     def test_input_sharing_and_reveals(self, backend, n):
         table = table_of(n)
         backend.ingest(table)
-        shape = ShapeBackend(len(PARTIES))
-        shape.ingest_remote(table.schema, n, shape.party_names[0])
-        expected = counted(steps.input_meter(2 * n, 3))
-        assert counted(backend.meter) == counted(shape.meter) == expected
+        shape = ShapeBackend(PARTIES, lambda: 0)
+        shape.ingest(table)
+        assert counted(backend.meter) == counted(shape.meter)
+        for party in (backend.party_names[1], "stp.example"):
+            _, meter, shape = executed(
+                backend, lambda b, t: b.engine.reveal_to_many(t.columns, party), table
+            )
+            assert meter == shape
         _, meter, shape = executed(backend, lambda b, t: b.engine.open_many(t.columns), table)
-        assert meter == shape == counted(steps.open_meter(2 * n, 3))
-        _, meter, shape = executed(
-            backend, lambda b, t: b.engine.reveal_to_many(t.columns, b.party_names[1]), table
-        )
-        assert meter == shape == counted(steps.open_to_meter(2 * n, 3))
-        _, meter, shape = executed(
-            backend, lambda b, t: b.engine.reveal_to_many(t.columns, "stp.example"), table
-        )
         assert meter == shape
 
 
@@ -232,40 +244,44 @@ class TestHybridMetersEqualExecution:
         assert meter == shape
 
 
-class TestStepMetersEqualThePrimitives:
-    """The rounds the engine carries itself: ``Network.round`` counts them
-    where they happen, and the estimator's formula for each is held to it."""
+class TestCarriedPrimitivesRunOnShapes:
+    """The rounds the engine carries itself: ``Network.round`` counts and
+    schedules them where they happen, on data and on shapes alike."""
 
     @pytest.mark.parametrize("n", [0, *SIZES])
     def test_carried_steps(self, backend, n):
-        engine, values = backend.engine, np.arange(n, dtype=np.int64)
-
-        def step(run):
-            engine.meter.reset()
-            run()
-            return counted(engine.meter)
-
-        a = engine.input_vector(values)
-        assert counted(engine.meter) == counted(steps.input_meter(n, 3))
-        b = engine.input_vector(values, contributor=PARTIES[2])
-        flags = engine.input_vector(values % 2)
-        assert step(lambda: engine.input_vectors([values, values])) == counted(
-            steps.input_meter(2 * n, 3)
-        )
-        assert step(lambda: engine.open(a)) == counted(steps.open_meter(n, 3))
-        assert step(lambda: engine.open_many([a, b])) == counted(steps.open_meter(2 * n, 3))
-        assert step(lambda: engine.reveal_many([a, b])) == counted(steps.open_meter(2 * n, 3))
-        assert step(lambda: engine.open_flags(flags)) == counted(steps.open_flags_meter(n, 3))
-        assert step(lambda: engine.reveal_to_many([a, b], PARTIES[1])) == counted(
-            steps.open_to_meter(2 * n, 3)
-        )
-        assert step(lambda: engine.env_open_many([a, b])) == counted(steps.env_open_meter(2 * n, 3))
-        assert step(lambda: engine.mul(a, b)) == counted(steps.beaver_multiply_meter(n, 3))
-        assert step(lambda: engine.add(a, b)) == counted(steps.local_meter(n))
-        assert step(lambda: engine.scale(a, 3)) == counted(steps.local_meter(n))
-        comparison = steps.env_open_meter(2 * n, 3)
-        comparison.merge(steps.comparison_meter(n, 3))
-        assert step(lambda: engine.less_than(a, b)) == counted(comparison)
+        values = np.arange(n, dtype=np.int64)
+        primitives = {
+            "input": lambda e, a, b, flags: e.input_vectors([values, values]),
+            "public-input": lambda e, a, b, flags: e.input_vectors([values], public=True),
+            "open": lambda e, a, b, flags: e.open(a),
+            "open-many": lambda e, a, b, flags: e.open_many([a, b]),
+            "reveal-many": lambda e, a, b, flags: e.reveal_many([a, b]),
+            "open-flags": lambda e, a, b, flags: e.open_flags(flags),
+            "reveal-to": lambda e, a, b, flags: e.reveal_to_many([a, b], PARTIES[1]),
+            "env-open": lambda e, a, b, flags: e.env_open_many([a, b]),
+            "multiply": lambda e, a, b, flags: e.mul(a, b),
+            "add": lambda e, a, b, flags: e.add(a, b),
+            "scale": lambda e, a, b, flags: e.scale(a, 3),
+            "less-than": lambda e, a, b, flags: e.less_than(a, b),
+        }
+        engines = [backend.engine, ShapeEngine(PARTIES, lambda: 0)]
+        operands = [
+            (
+                e.input_vector(values),
+                e.input_vector(values, contributor=PARTIES[2]),
+                e.input_vector(values % 2),
+            )
+            for e in engines
+        ]
+        for name, run in primitives.items():
+            got = []
+            for engine, vectors in zip(engines, operands):
+                engine.meter.reset()
+                engine.network.schedule.clear()
+                run(engine, *vectors)
+                got.append((counted(engine.meter), engine.network.schedule))
+            assert got[0] == got[1], name
 
     @pytest.mark.parametrize("n, columns", [(0, 2), (1, 1), (10, 2), (10, 0)])
     def test_shuffle(self, backend, n, columns):
@@ -287,14 +303,18 @@ class TestStepMetersEqualThePrimitives:
             table_of(n),
         )
         expected = steps.index_routing_meter(n, m, 2, 3)
-        expected.merge(steps.env_open_meter(m, 3))
+        # The caller's env-open of the m indices: one round, 6 messages.
+        expected.merge(CostMeter(network=NetworkStats(6, 6 * 8 * m, 1, 1)))
         assert meter == shape == counted(expected)
 
     def test_flag_opening_moves_one_bit_per_row(self):
         for n, size in [(0, 0), (1, 1), (8, 1), (9, 2), (30_000, 3750)]:
-            network = steps.open_flags_meter(n, 3).network
-            assert (network.messages, network.bytes_sent) == (6, 6 * size)
-            assert steps.open_meter(n, 3).network.bytes_sent == 6 * 8 * n
+            engine = ShapeEngine(PARTIES, lambda: 0)
+            engine.open_flags(engine.fill(0, n))
+            engine.open(engine.fill(0, n))
+            assert engine.network.schedule == [
+                ("open-flags", 6, 6 * size), ("open-share", 6, 6 * 8 * n)
+            ]
 
     def test_degenerate_oblivious_index_counts(self):
         assert counted(steps.index_routing_meter(0, 0, 2, 3)) == dict(
@@ -308,76 +328,99 @@ class TestStepMetersEqualThePrimitives:
             oblivious_index(engine, empty.columns, np.zeros(1, dtype=np.int64))
 
 
-def filtered_sums(q, parties, tables):
-    """Square, filter and sum a three-party union: the executed row counts
-    of the MPC nodes that change them, by operator name."""
-    columns = [cc.Column("key", cc.INT), cc.Column("value", cc.INT)]
-    inputs = [cc.new_table(f"t{i}", columns, at=p) for i, p in enumerate(parties)]
-    scaled = cc.concat(inputs).with_column("double", cc.col("value") * cc.col("value"))
-    kept = scaled.filter(cc.col("double") > 100)
-    kept.aggregate(group=["key"], aggs={"total": cc.SUM("double")}).collect("out", to=parties)
+class RowCountingRunner(cc.QueryRunner):
+    """The in-process runner, remembering every relation's executed row count."""
 
-    key, value = (np.concatenate([t.column(c) for t in tables]) for c in ("key", "value"))
-    survivors = value**2 > 100
-    return {"filter": int(survivors.sum()), "aggregate": len(set(key[survivors]))}
+    def execute(self, compiled):
+        self.rows = {}
+        return super().execute(compiled)
 
-
-def two_key_join(q, parties, tables):
-    """A two-party union joined with a third party on two keys: the union's
-    composite-key encode runs under MPC, range check included."""
-    columns = [cc.Column("key", cc.INT), cc.Column("value", cc.INT), cc.Column("flag", cc.INT)]
-    inputs = [cc.new_table(f"t{i}", columns, at=p) for i, p in enumerate(parties)]
-    cc.concat(inputs[:2]).join(inputs[2], on=["key", "flag"]).collect("out", to=parties)
-
-    left = {c: np.concatenate([t.column(c) for t in tables[:2]]) for c in ("key", "flag")}
-    right = {c: tables[2].column(c) for c in ("key", "flag")}
-    matches = (left["key"][:, None] == right["key"]) & (left["flag"][:, None] == right["flag"])
-    return {"join": int(matches.sum())}
+    def _execute_node(self, node, outputs):
+        entry = super()._execute_node(node, outputs)
+        name = node.out_rel.name
+        self.rows[name] = (outputs[name] if entry.handle is None else entry.handle).num_rows
+        return entry
 
 
-class TestEstimatorPricesTheExecutedMeters:
-    @pytest.mark.parametrize(
-        "plan, extra",
-        [(filtered_sums, {}), (two_key_join, {"flag": ColumnType.INT})],
-        ids=["filtered-sums", "two-key-join"],
+def paper_queries():
+    """``(name, QueryContext, inputs, config fields)`` of the four paper
+    queries on their synthetic workloads, HHI with push-down on and off."""
+    taxi = TaxiWorkload(num_companies=3, zero_fare_fraction=0.05, seed=17)
+    tables = taxi.party_tables(3, 200)
+    for push_down in (True, False):
+        spec = market_concentration_query(rows_per_party=200)
+        inputs = {party: {f"trips_{i}": tables[i]} for i, party in enumerate(spec.parties)}
+        yield f"hhi-push-down-{push_down}", spec.context, inputs, {"enable_push_down": push_down}
+    demographics, scores = CreditWorkload(num_zip_codes=15, seed=19).generate(
+        num_people=90, rows_per_agency=40
     )
-    def test_plan_meters_sum_to_the_executed_profile(self, plan, extra):
-        """A whole plan under MPC: the estimator's per-node meters at the
-        executed row counts — the output's reveal to each recipient among
-        them — are the executed profile."""
-        tables = [table_of(20 + i, keys=4, seed=i, **extra) for i in range(3)]
-        with cc.QueryContext() as q:
-            rows = plan(q, [cc.Party(name) for name in PARTIES], tables)
-        compiled = cc.compile_query(q, cc.CompilationConfig(enable_push_down=False))
-        data = {name: {f"t{i}": tables[i]} for i, name in enumerate(PARTIES)}
-        result = cc.QueryRunner(PARTIES, data).run(compiled)
+    spec = credit_card_regulation_query(rows_demographics=90, rows_per_agency=40)
+    regulator, bank_a, bank_b = spec.parties
+    inputs = {
+        regulator: {"demographics": demographics},
+        bank_a: {"scores_0": scores[0]},
+        bank_b: {"scores_1": scores[1]},
+    }
+    yield "credit", spec.context, inputs, {}
+    health = HealthLNKWorkload(patient_overlap=0.1, seed=23)
+    diagnoses, medications = health.aspirin_count_inputs(50)
+    spec = aspirin_count_query(rows_per_relation=50)
+    inputs = {
+        party: {f"diagnoses_{i}": diagnoses[i], f"medications_{i}": medications[i]}
+        for i, party in enumerate(spec.parties)
+    }
+    yield "aspirin", spec.context, inputs, {}
+    diagnoses = HealthLNKWorkload(distinct_diagnosis_fraction=0.15, seed=29).comorbidity_inputs(60)
+    spec = comorbidity_query(rows_per_relation=60, top_k=5)
+    inputs = {party: {f"diagnoses_{i}": diagnoses[i]} for i, party in enumerate(spec.parties)}
+    yield "comorbidity", spec.context, inputs, {}
 
-        mpc_nodes = [node for node in compiled.dag.topological() if node.is_mpc]
-        overrides = {f"t{i}": table.num_rows for i, table in enumerate(tables)}
-        overrides.update(
-            (node.out_rel.name, rows[node.op_name]) for node in mpc_nodes if node.op_name in rows
-        )
-        assert len(overrides) == 3 + len(rows)
-        estimator = PlanEstimator(EstimatorParams(row_overrides=overrides))
-        total = CostMeter()
-        for estimate in estimator.estimate(compiled).nodes:
-            if estimate.node.is_mpc:
-                total.merge(
-                    estimator._sharemind_meter(estimate.node, estimate.rows_in, estimate.rows_out)
-                )
-            else:
-                total.merge(estimator._reveal_meter(estimate.node, estimate.rows_in))
-        profile = {key: result.mpc_profile[key] for key in counted(total)}
-        assert profile == counted(total)
-        if plan is two_key_join:
-            assert any(getattr(node, "key_range_check", None) for node in mpc_nodes)
+
+PAPER_QUERIES = {name: case for name, *case in paper_queries()}
+
+
+class TestEstimateIsExecution:
+    """With every relation's row count set to the executed one, the estimate
+    is the execution's accounting: seconds per engine, MPC counters, the
+    rounds of each network and the leakage report."""
+
+    @staticmethod
+    def assert_estimate_is_execution(compiled, inputs):
+        parties = sorted(compiled.dag.parties() | set(inputs))
+        runner = RowCountingRunner(parties, inputs, compiled.config)
+        outcome = runner.execute(compiled)
+        assert set(runner.rows) == {node.out_rel.name for node in compiled.dag.topological()}
+        estimate = PlanEstimator(EstimatorParams(row_overrides=runner.rows)).estimate(compiled)
+
+        assert estimate.backend_seconds.keys() == outcome.backend_seconds.keys()
+        for engine, seconds in outcome.backend_seconds.items():
+            assert estimate.backend_seconds[engine] == pytest.approx(seconds, rel=1e-9), engine
+        executed = completion_seconds(compiled.dag, outcome.node_durations)
+        assert estimate.simulated_seconds == pytest.approx(executed, rel=1e-9)
+        assert estimate.mpc_profile == outcome.mpc_profile
+        assert estimate.schedule == outcome.schedule
+        assert estimate.leakage.events == outcome.leakage.events
+
+    @pytest.mark.parametrize("cleartext", PRICE_LISTS)
+    @pytest.mark.parametrize("plan", range(NUM_PLANS))
+    def test_corpus_plan(self, plan, cleartext):
+        context, inputs = build_query(generate_spec(SEED + plan))
+        compiled = cc.compile_query(context, cc.CompilationConfig(cleartext_backend=cleartext))
+        self.assert_estimate_is_execution(compiled, inputs)
+
+    @pytest.mark.parametrize("cleartext", PRICE_LISTS)
+    @pytest.mark.parametrize("query", PAPER_QUERIES)
+    def test_paper_query(self, query, cleartext):
+        context, inputs, fields = PAPER_QUERIES[query]
+        config = cc.CompilationConfig(cleartext_backend=cleartext, **fields)
+        self.assert_estimate_is_execution(cc.compile_query(context, config), inputs)
 
 
 class TestMpcStartupIsPaidOncePerJob:
     def test_a_plan_of_several_mpc_nodes_pays_one_startup(self):
-        """Paper §7 pays the MPC start-up once per job: execution and the
-        estimator both charge it on the first MPC node and price every other
-        MPC node by its work alone."""
+        """Paper §7 pays the MPC start-up once per job: execution charges it
+        on the first MPC node and prices every other MPC node by its work
+        alone, and so does the estimate, which runs the same executor."""
         parties = PARTIES[:2]
         tables = [table_of(20 + i, seed=i) for i in range(2)]
         columns = [cc.Column("key", cc.INT), cc.Column("value", cc.INT)]
@@ -392,7 +435,7 @@ class TestMpcStartupIsPaidOncePerJob:
         startup = SharemindCostModel.startup_seconds
 
         data = {p: {f"t{i}": tables[i]} for i, p in enumerate(parties)}
-        runner = cc.QueryRunner(parties, data)
+        runner = RowCountingRunner(parties, data)
         outcome = runner.execute(compiled)
         first, *rest = (outcome.node_durations[node.node_id] for node in mpc_nodes)
         assert first >= startup and all(seconds < startup for seconds in rest)
@@ -402,16 +445,11 @@ class TestMpcStartupIsPaidOncePerJob:
         result = cc.QueryRunner(parties, data).run(compiled)
         assert startup <= result.simulated_seconds < 2 * startup
 
-        overrides = {f"t{i}": table.num_rows for i, table in enumerate(tables)}
-        estimator = PlanEstimator(EstimatorParams(row_overrides=overrides, num_parties=2))
-        estimate = estimator.estimate(compiled)
+        estimate = PlanEstimator(EstimatorParams(row_overrides=runner.rows)).estimate(compiled)
         by_id = {e.node.node_id: e for e in estimate.nodes}
-        for i, node in enumerate(mpc_nodes):
-            e = by_id[node.node_id]
-            work = estimator.sharemind_model.work_seconds(
-                estimator._sharemind_meter(node, e.rows_in, e.rows_out)
-            )
-            assert e.seconds == pytest.approx(work + (startup if i == 0 else 0.0))
+        for node in mpc_nodes:
+            executed = outcome.node_durations[node.node_id]
+            assert by_id[node.node_id].seconds == pytest.approx(executed)
         assert startup <= estimate.simulated_seconds < 2 * startup
 
 
@@ -603,17 +641,17 @@ class TestAsymptoticRelationships:
 
 class TestCostMeter:
     def test_merge_accumulates_all_fields(self):
-        a = steps.input_meter(10, 3)
-        a.merge(steps.open_meter(5, 3))
-        assert a.input_records == 10
+        a = steps.comparison_meter(10, 3)
+        a.merge(steps.external_leg_meter(5, 3))
+        assert a.comparisons == 10
         assert a.output_records == 5
         assert a.network.rounds == 2
 
     def test_meters_built_from_the_same_step_are_independent(self):
-        a, b = steps.input_meter(10, 3), steps.input_meter(10, 3)
-        b.input_records += 5
+        a, b = steps.comparison_meter(10, 3), steps.comparison_meter(10, 3)
+        b.comparisons += 5
         b.network.rounds += 1
-        assert a.input_records == 10
+        assert a.comparisons == 10
         assert a.network.rounds == 1
 
     def test_reset(self):

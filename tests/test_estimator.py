@@ -5,6 +5,7 @@ import pytest
 import repro as cc
 from repro.core.config import CompilationConfig
 from repro.model.estimator import EstimatedOOM, EstimatorParams, PlanEstimator
+from repro.model.prices import GarbledCostModel
 from repro.core.lang import QueryContext
 from repro.queries import credit_card_regulation_query, market_concentration_query
 
@@ -120,7 +121,7 @@ class TestOblivCOOM:
         assert gates == left * right * (64 + 64 * len(join.node.out_rel.schema))
         assert input_bits == right * 2 * 64  # the concat side is already in MPC
         assert memory == (left + right) * 2 * 8192 + left * right * 16
-        assert join.seconds == estimator.garbled_model.seconds(gates, input_bits)
+        assert join.seconds == GarbledCostModel().seconds(gates, input_bits)
         small = estimator.estimate(
             cc.compile_query(single_operator_query("join", 200, parties=(PA, PB)), config)
         )
@@ -179,11 +180,15 @@ class TestOptimizationEffects:
         concat_name = next(
             n.out_rel.name for n in compiled.dag.topological() if n.op_name == "concat"
         )
-        base = PlanEstimator().estimate(compiled).simulated_seconds
+        base = PlanEstimator().estimate(compiled)
         bigger = PlanEstimator(
             EstimatorParams(row_overrides={concat_name: 10_000_000})
-        ).estimate(compiled).simulated_seconds
-        assert bigger > base
+        ).estimate(compiled)
+        assert bigger.simulated_seconds > base.simulated_seconds
+        # The override is the relation's size for everything downstream.
+        concat = next(ne for ne in bigger.nodes if ne.node.out_rel.name == concat_name)
+        consumer = next(ne for ne in bigger.nodes if concat.node in ne.node.parents)
+        assert concat.rows_out == consumer.rows_in[0] == 10_000_000
 
     def test_breakdown_lists_all_nodes(self):
         compiled = cc.compile_query(single_operator_query("sum", 1000), mpc_only_config())
@@ -191,3 +196,39 @@ class TestOptimizationEffects:
         assert len(estimate.nodes) == len(compiled.dag.topological())
         text = estimate.breakdown()
         assert "total simulated seconds" in text
+
+
+class TestParamsAreValidated:
+    """Statistics outside their domain used to price nonsense (a filter
+    keeping -500 rows made the estimate *drop*); now they are refused, and
+    an override naming no relation of the plan is an error, not a no-op."""
+
+    @pytest.mark.parametrize("name", ["filter_selectivity", "distinct_fraction"])
+    @pytest.mark.parametrize("value", [-0.5, 2.0])
+    def test_fractions_outside_zero_one(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EstimatorParams(**{name: value})
+
+    def test_negative_join_selectivity(self):
+        with pytest.raises(ValueError, match="join_selectivity"):
+            EstimatorParams(join_selectivity=-1.0)
+
+    @pytest.mark.parametrize("rows", [-1, 2.5, "10"])
+    def test_override_that_is_not_a_row_count(self, rows):
+        with pytest.raises(ValueError, match="row_overrides"):
+            EstimatorParams(row_overrides={"t0": rows})
+
+    @pytest.mark.parametrize("timeout", [0, -3.0])
+    def test_timeout_that_is_not_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout_seconds"):
+            EstimatorParams(timeout_seconds=timeout)
+
+    def test_the_edges_of_each_domain_are_accepted(self):
+        EstimatorParams(filter_selectivity=0.0, distinct_fraction=1.0, join_selectivity=0.0)
+        EstimatorParams(row_overrides={"t0": 0}, timeout_seconds=1e-9)
+
+    def test_override_of_a_relation_the_plan_does_not_have(self):
+        compiled = cc.compile_query(single_operator_query("sum", 1000), mpc_only_config())
+        params = EstimatorParams(row_overrides={"t0": 10, "concat_typo": 5, "nope": 1})
+        with pytest.raises(KeyError, match=r"\['concat_typo', 'nope'\]"):
+            PlanEstimator(params).estimate(compiled)

@@ -1,13 +1,31 @@
 """Every point of the paper's figures, pinned.
 
 ``benchmarks/figures.py`` prices the compiled paper queries with
-:class:`~repro.model.estimator.PlanEstimator`, whose MPC nodes are shape runs
-of the executing protocols.  These are the series it produces; a change to
-a protocol's steps, a price or a row estimate moves a point here.  ``None``
-is a point the system does not finish (out of memory, or past the
-two-hour budget).  The Fig. 7a point at 10 records is the one point a
-shape run moved: its distinct runs on an empty relation, which charges
-nothing.
+:class:`~repro.model.estimator.PlanEstimator`: one run of the executor on
+row counts, the same code and charges as an execution.  These are the
+series it produces; a change to a protocol's steps, an engine's charges, a
+price or a row estimate moves a point here.  ``None`` is a point the system
+does not finish (out of memory, or past the two-hour budget).
+
+When the estimate became that run, every family moved, each for a cause in
+the engines it now runs:
+
+* Spark cleartext points (Fig. 1 ``spark``, Fig. 4 ``conclave`` and
+  ``insecure-spark``, Fig. 7b): +1.9 s at small sizes, because a ``Create``
+  is an engine ``ingest`` (a 4 s job), not a 1.05 s stage.
+* Hybrid-join, public-join and hybrid-aggregate points (Figs. 5, 6, 7a):
+  +6 to +22 s at small sizes, because each STP enumeration is an ``ingest``.
+* Sharemind-only and Obliv-C points: -0.1 s at small sizes, because the
+  Python start-up is paid once per engine, not once per node; up to -13 s
+  at 10 M rows, because an ``ingest`` reads no records and an output's
+  ``Collect`` runs no operator pass.
+* Large cleartext points take the engine's tally: a wide operator charges
+  the rows it reads, not its input plus its output, so Fig. 4 at 1.3 B
+  rows drops (Conclave 790 -> 684 s, insecure Spark 268 -> 234 s).
+* Figs. 5 and 7: the plans' own parties price the MPC — two computing
+  parties, not the former default three — and the merge of per-party
+  partials is estimated as the partials over two parties, so Fig. 7b at
+  100 000 rows sorts 10 000 merged rows, not 6 666 (+30.5 s).
 """
 
 import importlib.util
@@ -26,37 +44,34 @@ SERIES = {
         lambda: figures.series_fig1("sum"),
         [
             {
-                "records": 10, "spark": 4.2000140833333335, "sharemind": 2.2076277820000003,
-                "obliv-c": 2.2032894559999994,
+                "records": 10, "spark": 6.1000119999999995, "sharemind": 2.1076237820000006,
+                "obliv-c": 2.1032834560000007,
             },
             {
-                "records": 1000, "spark": 4.201416583333334, "sharemind": 2.6043597220000003,
-                "obliv-c": 2.5368046159999995,
+                "records": 1000, "spark": 6.101331999999999, "sharemind": 2.504025722,
+                "obliv-c": 2.436303616,
             },
             {
-                "records": 100000, "spark": 4.341666583333334, "sharemind": 42.27755372199999,
-                "obliv-c": 35.888320615999994,
+                "records": 100000, "spark": 6.233331999999999, "sharemind": 42.144219722,
+                "obliv-c": 35.738319616,
             },
-            {
-                "records": 10000000, "spark": 18.366666583333338, "sharemind": 4009.5969537220003,
-                "obliv-c": None,
-            },
+            {"records": 10000000, "spark": 19.433332, "sharemind": 4006.163619722, "obliv-c": None},
         ],
     ),
     "1b": (
         lambda: figures.series_fig1("project"),
         [
             {
-                "records": 10, "spark": 4.200007500000001, "sharemind": 2.207796806,
-                "obliv-c": 2.202575,
-            },
-            {"records": 1000, "spark": 4.2008325, "sharemind": 2.625445466, "obliv-c": 2.4575},
-            {
-                "records": 100000, "spark": 4.2833325, "sharemind": 44.39031146599999,
-                "obliv-c": 27.949999999999996,
+                "records": 10, "spark": 6.100004499999999, "sharemind": 2.107784806,
+                "obliv-c": 2.1025600000000004,
             },
             {
-                "records": 10000000, "spark": 12.533332500000004, "sharemind": 4220.876911466001,
+                "records": 1000, "spark": 6.1004995, "sharemind": 2.5241134660000006,
+                "obliv-c": 2.3560000000000008,
+            },
+            {"records": 100000, "spark": 6.1499995, "sharemind": 44.156979466, "obliv-c": 27.7},
+            {
+                "records": 10000000, "spark": 11.099999500000003, "sharemind": 4207.4435794659985,
                 "obliv-c": None,
             },
         ],
@@ -65,39 +80,39 @@ SERIES = {
         lambda: figures.series_fig1("join"),
         [
             {
-                "records": 10, "spark": 4.20002, "sharemind": 2.2190008980000004,
-                "obliv-c": 2.2199267999999996,
+                "records": 10, "spark": 6.10001525, "sharemind": 2.118994898,
+                "obliv-c": 2.1199168000000004,
             },
             {
-                "records": 1000, "spark": 4.2022200000000005, "sharemind": 39.848070618,
-                "obliv-c": 163.353,
+                "records": 1000, "spark": 6.101692750000003, "sharemind": 39.747404618000004,
+                "obliv-c": 163.25199999999998,
             },
-            {"records": 100000, "spark": 4.422220000000001, "sharemind": None, "obliv-c": None},
-            {"records": 10000000, "spark": 26.422220000000003, "sharemind": None, "obliv-c": None},
+            {"records": 100000, "spark": 6.269442750000003, "sharemind": None, "obliv-c": None},
+            {"records": 10000000, "spark": 23.04444275000001, "sharemind": None, "obliv-c": None},
         ],
     ),
     "4": (
         lambda: figures.series_fig4(),
         [
             {
-                "records": 10, "conclave": 7.305687045333334, "sharemind": 2.2647335720000004,
-                "insecure-spark": 7.305682656444445,
+                "records": 10, "conclave": 9.20568387866667, "sharemind": 2.164729572000001,
+                "insecure-spark": 9.205681600888887,
             },
             {
-                "records": 1000, "conclave": 7.306284045333333, "sharemind": 4.66863813,
-                "insecure-spark": 7.305881656444444,
+                "records": 1000, "conclave": 9.206198378666667, "sharemind": 4.568304130000001,
+                "insecure-spark": 9.20585310088889,
             },
             {
-                "records": 100000, "conclave": 7.365904045333332, "sharemind": 651.913080618,
-                "insecure-spark": 7.325754989777777,
+                "records": 100000, "conclave": 9.257568378666669, "sharemind": 651.779746618,
+                "insecure-spark": 9.222976434222225,
             },
             {
-                "records": 10000000, "conclave": 13.327904045333334, "sharemind": None,
-                "insecure-spark": 9.313088323111113,
+                "records": 10000000, "conclave": 14.39456837866667, "sharemind": None,
+                "insecure-spark": 10.935309767555557,
             },
             {
-                "records": 1300000000, "conclave": 790.1945707120001, "sharemind": None,
-                "insecure-spark": 268.26864387866664,
+                "records": 1300000000, "conclave": 683.7612350453337, "sharemind": None,
+                "insecure-spark": 234.0575319897779,
             },
         ],
     ),
@@ -105,63 +120,72 @@ SERIES = {
         lambda: figures.series_fig5_join(),
         [
             {
-                "records": 10, "sharemind-join": 2.2161013219999997, "hybrid-join": 5.19213915,
-                "public-join": 5.15852782,
+                "records": 10, "sharemind-join": 2.115076154, "hybrid-join": 15.089120993333331,
+                "public-join": 15.058515103333331,
             },
             {
-                "records": 1000, "sharemind-join": 30.508447999999998,
-                "hybrid-join": 6.9564509999999995, "public-join": 5.606782000000001,
+                "records": 1000, "sharemind-join": 30.277224, "hybrid-join": 16.851635333333334,
+                "public-join": 15.505510333333334,
             },
             {
-                "records": 10000, "sharemind-join": 2793.32348, "hybrid-join": 26.98575,
-                "public-join": 9.68182,
+                "records": 10000, "sharemind-join": 2780.31024, "hybrid-join": 36.86459333333334,
+                "public-join": 19.569103333333334,
             },
             {
-                "records": 200000, "sharemind-join": None, "hybrid-join": 525.5368000000001,
-                "public-join": 95.7104,
+                "records": 200000, "sharemind-join": None, "hybrid-join": 535.0706666666666,
+                "public-join": 105.35606666666668,
             },
             {
-                "records": 2000000, "sharemind-join": None, "hybrid-join": 5845.783,
-                "public-join": 910.7179999999998,
+                "records": 2000000, "sharemind-join": None, "hybrid-join": 5852.048666666666,
+                "public-join": 918.0746666666666,
             },
         ],
     ),
     "5b": (
         lambda: figures.series_fig5_agg(),
         [
-            {"records": 10, "sharemind-agg": 2.2527305979999994, "hybrid-agg": 5.172793847333333},
-            {"records": 1000, "sharemind-agg": 4.546404586, "hybrid-agg": 5.871780755333333},
-            {"records": 10000, "sharemind-agg": 58.138118986, "hybrid-agg": 12.178187155333335},
-            {"records": 100000, "sharemind-agg": 642.405817546, "hybrid-agg": 75.22189115533332},
+            {"records": 10, "sharemind-agg": 2.151718646, "hybrid-agg": 11.070787039333332},
+            {
+                "records": 1000, "sharemind-agg": 4.4442117859999986,
+                "hybrid-agg": 11.769096019333332,
+            },
+            {
+                "records": 10000, "sharemind-agg": 58.025190986000005,
+                "hybrid-agg": 18.069339219333333,
+            },
+            {
+                "records": 100000, "sharemind-agg": 642.1855375460002,
+                "hybrid-agg": 81.05141121933333,
+            },
         ],
     ),
     "6": (
         lambda: figures.series_fig6(),
         [
-            {"records": 10, "conclave": 7.327653015999999, "sharemind": 2.25044723},
-            {"records": 1000, "conclave": 8.928109924000001, "sharemind": 28.211620898000003},
-            {"records": 3000, "conclave": 12.513039648666666, "sharemind": 228.32366741000004},
-            {"records": 30000, "conclave": 67.88428968866668, "sharemind": None},
-            {"records": 300000, "conclave": 707.9248524886666, "sharemind": None},
+            {"records": 10, "conclave": 29.22764843266667, "sharemind": 2.15044323},
+            {"records": 1000, "conclave": 30.827745174000007, "sharemind": 28.111284898000005},
+            {"records": 3000, "conclave": 34.411942982, "sharemind": 228.2226574100001},
+            {"records": 30000, "conclave": 89.773323022, "sharemind": None},
+            {"records": 300000, "conclave": 729.7151858220003, "sharemind": None},
         ],
     ),
     "7a": (
         lambda: figures.series_fig7_aspirin(),
         [
-            {"records": 10, "conclave": 5.171001188666667, "smcql": 10.00008},
-            {"records": 1000, "conclave": 6.062290424666667, "smcql": 28.2191936},
-            {"records": 40000, "conclave": 40.97584020666667, "smcql": 738.767744},
-            {"records": 400000, "conclave": 363.9548092306666, "smcql": None},
-            {"records": 4000000, "conclave": 3596.8891135506665, "smcql": None},
+            {"records": 10, "conclave": 15.06998394733333, "smcql": 10.00008},
+            {"records": 1000, "conclave": 15.957691785333335, "smcql": 28.2191936},
+            {"records": 40000, "conclave": 50.808886911333325, "smcql": 738.767744},
+            {"records": 400000, "conclave": 373.21227910333323, "smcql": None},
+            {"records": 4000000, "conclave": 3600.390815103334, "smcql": None},
         ],
     ),
     "7b": (
         lambda: figures.series_fig7_comorbidity(),
         [
-            {"records": 10, "conclave": 5.164068964666667, "smcql": 10.906843456},
-            {"records": 1000, "conclave": 5.838458456666668, "smcql": 21.569218048},
-            {"records": 10000, "conclave": 12.179793936666666, "smcql": 167.925511936},
-            {"records": 100000, "conclave": 153.38227577666666, "smcql": 4543.501443327999},
+            {"records": 10, "conclave": 7.063063819333333, "smcql": 10.906843456},
+            {"records": 1000, "conclave": 7.736967799333334, "smcql": 21.569218048},
+            {"records": 10000, "conclave": 14.073919079333335, "smcql": 167.925511936},
+            {"records": 100000, "conclave": 183.89609619933333, "smcql": 4543.501443327999},
         ],
     ),
 }

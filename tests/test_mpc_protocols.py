@@ -516,7 +516,7 @@ def test_a_shape_run_charges_the_compaction_an_execution_charges(n):
     flags = engine.constant(COMPACT_FLAGS[:n])
     out = protocols.compact(engine, flags, [engine.constant(col[:n]) for col in COMPACT_COLUMNS])
     m = len(out[0])
-    shape = ShapeEngine(PARTIES, rows_out=m)
+    shape = ShapeEngine(PARTIES, rows_out=lambda: m)
     shaped = protocols.compact(shape, shape.fill(0, n), [shape.fill(0, n) for _ in COMPACT_COLUMNS])
     assert [len(col) for col in shaped] == [m] * len(COMPACT_COLUMNS)
     assert shape.meter.counts() == engine.meter.counts()

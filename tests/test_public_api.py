@@ -126,11 +126,12 @@ MODEL_FILES = sorted(SRC.glob("model/*.py"))
 @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.name)
 def test_the_cost_model_depends_on_core_and_data_only(path):
     """Counts, step formulas and prices sit below execution.  The estimator
-    alone reaches up, and only for the shape engine and the executor's one
-    operator dispatch, which it runs instead of a formula of its own."""
+    alone reaches up, and only for the shape engines, the executor it runs
+    on them instead of a formula of its own, and the leakage report that
+    run returns."""
     for module, name in imports_of(path):
-        runs_execution = module == "repro.mpc.shape" or (module, name) == (
-            "repro.runtime.executor", "apply_operator"
+        runs_execution = module in ("repro.mpc.shape", "repro.hybrid.stp") or (module, name) == (
+            "repro.runtime.executor", "PlanExecutor"
         )
         if path.name == "estimator.py" and runs_execution:
             continue
@@ -444,12 +445,14 @@ def test_map_is_the_one_arithmetic_operator():
     assert operators.DISTRIBUTIVE_OPS.count(operators.Map) == 1
     engines = engine_classes()
     assert {cls.name for _, cls in engines} == {
-        "ColumnarBackend", "SharemindBackend", "PythonBackend", "ShapeBackend"
+        "ColumnarBackend", "SharemindBackend", "PythonBackend", "ShapeBackend",
+        "ShapeColumnarBackend",
     }
     for path, cls in engines:
         methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
-        # The shape backend is the Sharemind facade over a shape engine.
-        inherits = {getattr(base, "id", "") for base in cls.bases} == {"SharemindBackend"}
+        # The shape backends inherit the operators of the engines they shape.
+        bases = {getattr(base, "id", "") for base in cls.bases}
+        inherits = bases in ({"SharemindBackend"}, {"ColumnarBackend"})
         assert "arith" in methods or inherits, f"{path}:{cls.name}"
         assert not {"multiply", "divide"} & methods, f"{path}:{cls.name}"
 

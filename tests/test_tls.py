@@ -178,10 +178,11 @@ class TestRejoinHelloAuthentication:
     """The one mesh accept applies the same identity checks at session
     start and on the crash-recovery path."""
 
-    def _run_accept(self, security, nonce, dialler, epoch):
+    def _run_accept(self, security, nonce, dialler, epoch, timeout=8.0):
         """Park an agent in the mesh join's accept for PARTY_B's hello at
-        ``epoch``, run ``dialler(endpoint)`` as the would-be PARTY_B, and
-        return the exception (or socket) the accept produced."""
+        ``epoch`` for at most ``timeout`` seconds, run ``dialler(endpoint)``
+        as the would-be PARTY_B, and return the exception (or socket) the
+        accept produced."""
         listener = mesh.bind_listener(timeout=10.0)
         endpoint = listener.getsockname()
         outcome = {}
@@ -190,7 +191,7 @@ class TestRejoinHelloAuthentication:
             try:
                 outcome["sock"] = mesh.join_mesh(
                     PARTY_A, {}, {PARTY_B: epoch}, listener, epoch=0,
-                    timeout=8.0, security=security, nonce=nonce,
+                    timeout=timeout, security=security, nonce=nonce,
                 )[PARTY_B]
             except BaseException as exc:  # noqa: BLE001 - relayed to the test
                 outcome["error"] = exc
@@ -268,7 +269,9 @@ class TestRejoinHelloAuthentication:
             finally:
                 raw.close()
 
-        outcome = self._run_accept(security, NONCE, dialler, epoch)
+        # No hello ever arrives, so the accept runs out its whole timeout:
+        # one second is enough to see the junk drained and the wait go on.
+        outcome = self._run_accept(security, NONCE, dialler, epoch, timeout=1.0)
         error = outcome.get("error")
         assert isinstance(error, (TransportError, TimeoutError, OSError))
         assert "sock" not in outcome
