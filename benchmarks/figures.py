@@ -1,4 +1,4 @@
-"""Shared machinery for regenerating the paper's figures.
+"""The series behind the paper's figures (§7) and the ablations.
 
 Each ``series_*`` function returns the data behind one figure: a list of
 ``{"records": n, "<system>": seconds-or-None, ...}`` rows, where ``None``
@@ -6,18 +6,21 @@ means the system could not complete that point (out of memory or past the
 experiment's timeout), matching how the paper's plots truncate.
 
 The numbers come from the plan cost estimator — which prices the very same
-compiled plans the functional tests execute by running them, executor and
-all, on row counts alone (``repro.mpc.shape``) — so the *shape* of every curve
-(who wins, by what factor, where a system stops scaling) is a property of
-the implemented system, not of hard-coded data.  ``tests/test_figures.py``
-pins every point.
+compiled plans the tests execute by running them, executor and all, on row
+counts alone (``repro.mpc.shape``) — so the *shape* of every curve (who
+wins, by what factor, where a system stops scaling) is a property of the
+implemented system, not of hard-coded data.  ``tests/test_figures.py`` pins
+every point and asserts the paper's claim about each figure.
+
+Run as a script to write every series to ``benchmarks/results/``::
+
+    PYTHONPATH=src python benchmarks/figures.py
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import repro as cc
 from repro.baselines.smcql import SMCQLBaseline
@@ -79,7 +82,8 @@ def write_series(name: str, header: Sequence[str], rows: list[dict]) -> Path:
     """Write a figure's series to ``benchmarks/results/<name>.txt``."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
-    col_width = 16
+    labels = [value for row in rows for value in row.values() if isinstance(value, str)]
+    col_width = max([16, *(len(label) + 2 for label in labels)])
     lines = ["".join(f"{h:>{col_width}}" for h in header)]
     for row in rows:
         cells = []
@@ -123,10 +127,20 @@ def _single_operator_query(op: str, total_records: int, parties, single_owner: b
     return ctx
 
 
-def series_fig1(op: str, sizes: Sequence[int] = (10, 1_000, 100_000, 10_000_000)) -> list[dict]:
+#: Figure 1's sizes per operator: each panel reaches past the point where
+#: Obliv-C runs out of memory (~30k records for a join, a few hundred
+#: thousand for a projection).
+FIG1_SIZES = {
+    "sum": (10, 1_000, 100_000, 10_000_000),
+    "join": (10, 1_000, 30_000, 100_000, 10_000_000),
+    "project": (10, 1_000, 100_000, 300_000, 10_000_000),
+}
+
+
+def series_fig1(op: str) -> list[dict]:
     """Figure 1a/b/c: insecure Spark vs Sharemind vs Obliv-C for one operator."""
     rows = []
-    for total in sizes:
+    for total in FIG1_SIZES[op]:
         row: dict = {"records": total}
         # Insecure cleartext baseline: one Spark job over the combined data.
         spark_query = _single_operator_query(op, total, [PA, PB, PC], single_owner=True)
@@ -330,3 +344,110 @@ def series_fig7_comorbidity(
         row["smcql"] = smcql_seconds if smcql_seconds <= EXPERIMENT_TIMEOUT_SECONDS else None
         rows.append(row)
     return rows
+
+
+# -- ablations: what each optimization contributes ------------------------------------------------
+
+
+def _sort_over_concat_query(rows_per_party: int):
+    kv = [cc.Column("k"), cc.Column("v")]
+    with QueryContext() as ctx:
+        t1 = ctx.new_table("t1", kv, at=PA, estimated_rows=rows_per_party)
+        t2 = ctx.new_table("t2", kv, at=PB, estimated_rows=rows_per_party)
+        ctx.concat([t1, t2]).sort_by("v").collect("out", to=[PA])
+    return ctx
+
+
+def series_ablations() -> list[dict]:
+    """One row per optimization: the plan priced with it disabled and enabled.
+
+    The MPC-frontier push-down on the HHI query (3M records) and the hybrid
+    operators on the credit-card query (30k records) are priced in
+    simulated seconds; the sort push-up on a sort over two parties' 100k
+    rows each in MPC seconds, the work it moves out of MPC."""
+    per_party = 1_000_000
+    cases = [
+        (
+            "mpc-frontier-push-down", 3 * per_party, "simulated_seconds",
+            lambda: market_concentration_query(rows_per_party=per_party).context,
+            EstimatorParams(filter_selectivity=0.98, distinct_fraction=3 / per_party),
+            CompilationConfig(enable_push_down=False, cleartext_backend="spark"),
+            conclave_config(),
+        ),
+        (
+            "hybrid-operators", 30_000, "simulated_seconds",
+            lambda: credit_card_regulation_query(
+                rows_demographics=10_000, rows_per_agency=10_000
+            ).context,
+            EstimatorParams(distinct_fraction=0.01, join_selectivity=1.0),
+            CompilationConfig(enable_hybrid_operators=False, cleartext_backend="spark"),
+            conclave_config(),
+        ),
+        (
+            "sort-push-up", 200_000, "mpc_seconds", lambda: _sort_over_concat_query(100_000),
+            EstimatorParams(), CompilationConfig(), CompilationConfig(enable_sort_pushup=True),
+        ),
+    ]
+    rows = []
+    for optimization, records, measure, build, params, disabled, enabled in cases:
+        disabled_s, enabled_s = (
+            getattr(PlanEstimator(params).estimate(cc.compile_query(build(), config)), measure)
+            for config in (disabled, enabled)
+        )
+        rows.append({
+            "optimization": optimization, "records": records, "disabled": disabled_s,
+            "enabled": enabled_s, "speedup": disabled_s / enabled_s,
+        })
+    return rows
+
+
+# -- every series, and the script that writes them -------------------------------------------------
+
+
+class Figure(NamedTuple):
+    """One series and the results file it is written to."""
+
+    file: str
+    header: tuple[str, ...]
+    series: Callable[[], list[dict]]
+
+
+_FIG1 = ("records", "spark", "sharemind", "obliv-c")
+_VS_SMCQL = ("records", "smcql", "conclave")
+
+#: Figure panel -> its series.
+FIGURES = {
+    "1a": Figure("fig1a_aggregation", _FIG1, lambda: series_fig1("sum")),
+    "1b": Figure("fig1b_join", _FIG1, lambda: series_fig1("join")),
+    "1c": Figure("fig1c_project", _FIG1, lambda: series_fig1("project")),
+    "4": Figure(
+        "fig4_market_concentration",
+        ("records", "sharemind", "insecure-spark", "conclave"),
+        series_fig4,
+    ),
+    "5a": Figure(
+        "fig5a_hybrid_join",
+        ("records", "sharemind-join", "hybrid-join", "public-join"),
+        series_fig5_join,
+    ),
+    "5b": Figure(
+        "fig5b_hybrid_aggregation", ("records", "sharemind-agg", "hybrid-agg"), series_fig5_agg
+    ),
+    "6": Figure("fig6_credit_card", ("records", "sharemind", "conclave"), series_fig6),
+    "7a": Figure("fig7a_aspirin_count", _VS_SMCQL, series_fig7_aspirin),
+    "7b": Figure("fig7b_comorbidity", _VS_SMCQL, series_fig7_comorbidity),
+    "ablations": Figure(
+        "ablations",
+        ("optimization", "records", "disabled", "enabled", "speedup"),
+        series_ablations,
+    ),
+}
+
+
+def main() -> None:
+    for figure in FIGURES.values():
+        print(write_series(figure.file, figure.header, figure.series()))
+
+
+if __name__ == "__main__":
+    main()

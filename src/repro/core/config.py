@@ -7,12 +7,23 @@ isolate the contribution of each transformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - imported where a TLS context is built
     import ssl
+
+
+def _is_count(value) -> bool:
+    """An ``int`` that is not a ``bool``: ``True`` counts nothing."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -63,6 +74,22 @@ class CompilationConfig:
     bind_host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
+        for name in _SWITCHES:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"CompilationConfig.{name} must be a bool, got {value!r}")
+        stps = self.allowed_stps
+        if stps is not None and (
+            isinstance(stps, str)
+            or not isinstance(stps, Collection)
+            or not all(isinstance(party, str) for party in stps)
+        ):
+            # A bare string would be matched by substring: every party whose
+            # name is part of it would become an eligible STP.
+            raise ValueError(
+                "CompilationConfig.allowed_stps must be None or a collection of party "
+                f"names, got {stps!r}"
+            )
         for name, allowed in _ALLOWED_VALUES.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -81,6 +108,9 @@ class CompilationConfig:
                 "repro.PlanEstimator().estimate(compiled) instead of running it"
             )
 
+
+#: The on/off fields of :class:`CompilationConfig`.
+_SWITCHES = tuple(f.name for f in fields(CompilationConfig) if f.type == "bool")
 
 #: The values each string-typed :class:`CompilationConfig` field accepts.
 _ALLOWED_VALUES = {
@@ -369,26 +399,22 @@ class RestartPolicy:
     heartbeat_misses: int = 5
 
     def validate(self) -> "RestartPolicy":
-        if not isinstance(self.max_restarts, int) or self.max_restarts < 1:
+        if not _is_count(self.max_restarts) or self.max_restarts < 1:
             raise ValueError(f"RestartPolicy.max_restarts must be an int >= 1, got {self.max_restarts!r}")
         for name in ("window_seconds", "backoff_seconds", "max_backoff_seconds"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
+            if not _is_number(value) or value < 0:
                 raise ValueError(f"RestartPolicy.{name} must be a number >= 0, got {value!r}")
-        if not isinstance(self.backoff_multiplier, (int, float)) or self.backoff_multiplier < 1:
+        if not _is_number(self.backoff_multiplier) or self.backoff_multiplier < 1:
             raise ValueError(
                 f"RestartPolicy.backoff_multiplier must be a number >= 1, got {self.backoff_multiplier!r}"
             )
-        if self.heartbeat_interval_seconds is not None and (
-            not isinstance(self.heartbeat_interval_seconds, (int, float))
-            or isinstance(self.heartbeat_interval_seconds, bool)
-            or self.heartbeat_interval_seconds <= 0
-        ):
+        interval = self.heartbeat_interval_seconds
+        if interval is not None and (not _is_number(interval) or interval <= 0):
             raise ValueError(
-                "RestartPolicy.heartbeat_interval_seconds must be a number > 0 or None, "
-                f"got {self.heartbeat_interval_seconds!r}"
+                f"RestartPolicy.heartbeat_interval_seconds must be a number > 0 or None, got {interval!r}"
             )
-        if not isinstance(self.heartbeat_misses, int) or self.heartbeat_misses < 1:
+        if not _is_count(self.heartbeat_misses) or self.heartbeat_misses < 1:
             raise ValueError(
                 f"RestartPolicy.heartbeat_misses must be an int >= 1, got {self.heartbeat_misses!r}"
             )
@@ -421,13 +447,17 @@ class RetryPolicy:
     max_backoff_seconds: float = 2.0
 
     def validate(self) -> "RetryPolicy":
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
+        if not _is_count(self.max_attempts) or self.max_attempts < 1:
             raise ValueError(f"RetryPolicy.max_attempts must be an int >= 1, got {self.max_attempts!r}")
+        if not isinstance(self.retry_transport_errors, bool):
+            raise ValueError(
+                f"RetryPolicy.retry_transport_errors must be a bool, got {self.retry_transport_errors!r}"
+            )
         for name in ("backoff_seconds", "max_backoff_seconds"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
+            if not _is_number(value) or value < 0:
                 raise ValueError(f"RetryPolicy.{name} must be a number >= 0, got {value!r}")
-        if not isinstance(self.backoff_multiplier, (int, float)) or self.backoff_multiplier < 1:
+        if not _is_number(self.backoff_multiplier) or self.backoff_multiplier < 1:
             raise ValueError(
                 f"RetryPolicy.backoff_multiplier must be a number >= 1, got {self.backoff_multiplier!r}"
             )
@@ -477,12 +507,12 @@ class GatewayConfig:
             "max_in_flight_per_analyst",
         ):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 1):
+            if value is not None and (not _is_count(value) or value < 1):
                 raise ValueError(f"GatewayConfig.{name} must be an int >= 1 or None, got {value!r}")
-        if not isinstance(self.default_weight, int) or self.default_weight < 1:
+        if not _is_count(self.default_weight) or self.default_weight < 1:
             raise ValueError(f"GatewayConfig.default_weight must be an int >= 1, got {self.default_weight!r}")
         for analyst, weight in self.analyst_weights.items():
-            if not isinstance(weight, int) or weight < 1:
+            if not _is_count(weight) or weight < 1:
                 raise ValueError(
                     f"GatewayConfig.analyst_weights[{analyst!r}] must be an int >= 1, got {weight!r}"
                 )

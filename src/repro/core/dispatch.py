@@ -66,7 +66,8 @@ class QueryResult:
     #: ``"service"`` (a standing :class:`~repro.runtime.service.QuerySession`).
     runtime: str = "simulated"
     #: Per-party isolation audit (which share slices / cleartext inputs each
-    #: agent process held); populated by the sockets runtime, empty otherwise.
+    #: agent process held); every session result carries it (``"sockets"``
+    #: and ``"service"``), an in-process run leaves it empty.
     isolation: dict = field(default_factory=dict)
 
     def output(self, name: str) -> Table:

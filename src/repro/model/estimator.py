@@ -92,15 +92,20 @@ class EstimatorParams:
     timeout_seconds: float | None = None
 
     def __post_init__(self) -> None:
+        def real(value) -> bool:
+            return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
         domains = {
-            "filter_selectivity": 0 <= self.filter_selectivity <= 1,
-            "distinct_fraction": 0 <= self.distinct_fraction <= 1,
-            "join_selectivity": self.join_selectivity >= 0,
+            "filter_selectivity": real(self.filter_selectivity)
+            and 0 <= self.filter_selectivity <= 1,
+            "distinct_fraction": real(self.distinct_fraction) and 0 <= self.distinct_fraction <= 1,
+            "join_selectivity": real(self.join_selectivity) and self.join_selectivity >= 0,
             "row_overrides": all(
-                isinstance(rows, numbers.Integral) and rows >= 0
+                isinstance(rows, numbers.Integral) and not isinstance(rows, bool) and rows >= 0
                 for rows in self.row_overrides.values()
             ),
-            "timeout_seconds": self.timeout_seconds is None or self.timeout_seconds > 0,
+            "timeout_seconds": self.timeout_seconds is None
+            or (real(self.timeout_seconds) and self.timeout_seconds > 0),
         }
         bad = [f"{name}={getattr(self, name)!r}" for name, ok in domains.items() if not ok]
         if bad:

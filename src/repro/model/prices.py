@@ -4,8 +4,9 @@ Shapes of all benchmark curves follow from the counted work of each
 protocol (:mod:`repro.model.steps`), not from hard-coded curves; only the
 per-operation constants below are calibration inputs, set to the paper's
 testbed (4 vCPU / 8 GB Sharemind VMs on a 1 Gb/s LAN, three 2-vCPU Spark
-workers per party).  The anchors, which ``benchmarks/bench_fig1_operators.py``
-and ``bench_fig5_hybrid_operators.py`` assert as curve shapes:
+workers per party).  The anchors, which ``tests/test_figures.py`` asserts as
+curve shapes (the ``test_fig1a``/``1b``/``1c`` and ``test_fig5a``/``5b``
+claims):
 
 * Sharemind takes ~200 s to sort 16,000 elements (§2.3, citing Jónsson et
   al.), and >10 minutes for a projection of 3M records due to sharing and

@@ -161,9 +161,7 @@ def _query_completion_counters(payloads: dict[str, dict]) -> dict[str, int]:
         for name, table in payload.get("outputs", {}).items():
             rows.setdefault(name, table.num_rows)
         profile = payload.get("mpc_profile") or {}
-        mpc_rounds = max(
-            mpc_rounds, int(profile.get("wire_rounds", profile.get("rounds", 0)))
-        )
+        mpc_rounds = max(mpc_rounds, int(profile.get("wire_rounds", 0)))
     return {"rows_processed": sum(rows.values()), "mpc_rounds": mpc_rounds}
 
 

@@ -1,0 +1,73 @@
+"""Configuration objects refuse values of the wrong type at construction or
+validation, instead of acting on them."""
+
+import pytest
+
+import repro as cc
+from repro.core.config import CompilationConfig, GatewayConfig, RestartPolicy, RetryPolicy
+from repro.model.estimator import EstimatorParams
+
+#: ``(class, field, value)``: a bool where a count, a number or a mapping of
+#: counts is meant (``True == 1``, so a range check alone passes it), or a
+#: non-bool where a switch is meant.
+WRONG_TYPES = [
+    (RestartPolicy, "max_restarts", True),
+    (RestartPolicy, "heartbeat_misses", True),
+    (RestartPolicy, "backoff_multiplier", True),
+    (RetryPolicy, "max_attempts", True),
+    (RetryPolicy, "backoff_multiplier", True),
+    (RetryPolicy, "retry_transport_errors", "yes"),
+    (GatewayConfig, "max_in_flight", True),
+    (GatewayConfig, "max_queue_depth", True),
+    (GatewayConfig, "max_queue_per_analyst", True),
+    (GatewayConfig, "max_in_flight_per_analyst", True),
+    (GatewayConfig, "default_weight", True),
+    (GatewayConfig, "analyst_weights", {"a": True}),
+    (EstimatorParams, "filter_selectivity", True),
+    (EstimatorParams, "distinct_fraction", True),
+    (EstimatorParams, "join_selectivity", True),
+    (EstimatorParams, "row_overrides", {"r": True}),
+    (EstimatorParams, "timeout_seconds", True),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, value", WRONG_TYPES, ids=[f"{c.__name__}.{f}" for c, f, _ in WRONG_TYPES]
+)
+def test_a_value_of_the_wrong_type_is_refused(cls, field, value):
+    """Policies are checked by ``validate()``, estimator parameters at
+    construction."""
+    with pytest.raises(ValueError, match=field):
+        config = cls(**{field: value})
+        if hasattr(config, "validate"):
+            config.validate()
+
+
+SWITCHES = [
+    "enable_push_down",
+    "enable_push_up",
+    "enable_hybrid_operators",
+    "enable_sort_elimination",
+    "enable_sort_pushup",
+    "consent_to_cardinality_leakage",
+    "push_down_private_filters",
+]
+
+
+@pytest.mark.parametrize("switch", SWITCHES)
+def test_compilation_switches_are_bools(switch):
+    CompilationConfig(**{switch: False})
+    for value in (0, 1, "no", None):
+        with pytest.raises(ValueError, match=switch):
+            CompilationConfig(**{switch: value})
+
+
+def test_allowed_stps_is_a_collection_of_party_names():
+    """``("mpc.ftc.gov")`` is a string, not a one-tuple: matched by
+    substring, it would make any party named ``"mpc"`` or ``"ftc"`` an
+    eligible STP."""
+    for stps in (None, [], ["mpc.ftc.gov"], ("a.example", "b.example"), {"a.example"}):
+        CompilationConfig(allowed_stps=stps)
+    for stps in ("mpc.ftc.gov", ["mpc.ftc.gov", 3], [cc.Party("mpc.ftc.gov")], 7):
+        with pytest.raises(ValueError, match="allowed_stps"):
+            CompilationConfig(allowed_stps=stps)

@@ -664,3 +664,34 @@ class TestNewOperatorsUnderMpc:
         assert outputs[0].column("z").tolist() == [
             expected(i, f) for i, f in rows[PA.name] + rows[PB.name]
         ]
+
+
+class TestDeepExpressionQuery:
+    #: Derived-column stages in the chain; with the inputs, the aggregates and
+    #: the collect the query lowers to over 50 operators.
+    STAGES = 14
+
+    def build(self):
+        with QueryContext() as ctx:
+            t1 = ctx.new_table("t1", abc_columns(), at=PA, estimated_rows=10_000)
+            t2 = ctx.new_table("t2", abc_columns(), at=PB, estimated_rows=10_000)
+            rel = ctx.concat([t1, t2])
+            for i in range(self.STAGES):
+                rel = rel.with_column(f"d{i}", col("b") * (i + 2) + col("c"))
+                if i % 3 == 0:
+                    rel = rel.filter((col(f"d{i}") > i) | (col("c") == i))
+                rel = rel.project(["a", "b", "c"] + [f"d{j}" for j in range(i + 1)])
+            stats = rel.aggregate(
+                group=["a"],
+                aggs={"total": cc.SUM(f"d{self.STAGES - 1}"), "n": cc.COUNT(), "hi": cc.MAX("b")},
+            )
+            stats.with_column("avg", col("total") / col("n")).collect("out", to=[PA])
+        return ctx
+
+    def test_fifty_operator_query_lowers_and_compiles(self):
+        """A chain of derived columns, compound filters and projections over
+        two parties, ending in a multi-aggregate group-by, lowers to 50+
+        operators and compiles."""
+        compiled = cc.compile_query(self.build())
+        assert compiled.operator_count() >= 50
+        assert compiled.mpc_operator_count() > 0

@@ -11,6 +11,7 @@ import importlib
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import repro
@@ -18,6 +19,10 @@ import repro.core
 import repro.mpc
 import repro.runtime
 from repro.model.counters import CostMeter
+from repro.mpc.oblivious import oblivious_shuffle
+from repro.mpc.secretshare import SecretSharingEngine, TripleDealer
+from repro.queries import credit_card_regulation_query
+from repro.workloads.credit import CreditWorkload
 
 
 @pytest.mark.parametrize("package", [repro, repro.core, repro.runtime])
@@ -53,6 +58,42 @@ def test_names_the_benchmark_harness_imports(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in BENCHMARK_IMPORTS[module_name] if not hasattr(module, name)]
     assert not missing, f"{module_name} no longer provides {missing}"
+
+
+def test_the_calls_the_benchmark_harness_makes():
+    """What the harness's traced pass calls, run on a few rows: the MPC
+    primitive probe of ``benchmarks/e2e/layers.py`` and the in-process run
+    of ``run.py`` that every service result is held against.
+
+    The probe drives an all-local ``SecretSharingEngine`` (every party's
+    slice in one process) directly.  The benchmark's files may not change
+    with the code they measure, so that engine has to stay until the
+    benchmark itself moves the probe; without this test only a CI smoke row
+    would notice a broken call."""
+    parties = ["p0", "p1", "p2"]
+    engine = SecretSharingEngine(parties, seed=1)
+    values = np.arange(8, dtype=np.int64)
+    a = engine.input_vector(values, contributor=parties[0])
+    b = engine.input_vector(values[::-1].copy(), contributor=parties[1])
+    assert engine.open(a).tolist() == values.tolist()
+    assert engine.open(engine.mul(a, b)).tolist() == (values * values[::-1]).tolist()
+    assert engine.open(engine.less_than(a, b)).tolist() == (values < values[::-1]).tolist()
+    (shuffled,) = oblivious_shuffle(engine, [a])
+    assert sorted(engine.open(shuffled).tolist()) == values.tolist()
+    triple = TripleDealer(len(parties), 1).triples(8)
+    assert [len(share) for share in triple.c_shares] == [8] * len(parties)
+
+    spec = credit_card_regulation_query(rows_demographics=12, rows_per_agency=12)
+    demographics, agencies = CreditWorkload(seed=1).generate(12, 12, 2)
+    regulator, *banks = spec.parties
+    inputs = {regulator: {"demographics": demographics}}
+    inputs.update({bank: {f"scores_{i}": agencies[i]} for i, bank in enumerate(banks)})
+    compiled = repro.compile_query(spec.context)
+    result = repro.QueryRunner(spec.parties, inputs, compiled.config, seed=1).run(compiled)
+    for counter in ("wire_rounds", "multiplications", "comparisons", "rounds", "bytes_sent"):
+        assert result.mpc_profile[counter] >= 0, counter
+    assert result.mpc_profile["wire_rounds"] > 0
+    assert result.leakage.events
 
 
 # -- the import graph: execution never reaches the analytic models -------------------------
