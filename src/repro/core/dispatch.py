@@ -109,17 +109,23 @@ def run_query_from_csv(
 ) -> QueryResult:
     """Execute a compiled query whose inputs live in per-party CSV directories.
 
-    Outputs are returned as tables and, when ``output_dir`` is given, also
-    written there as ``<relation>.csv`` (one file per query output).
-    ``runtime="sockets"`` runs each party as a separate OS process, with
-    ``timeout`` bounding every blocking socket operation.
+    Each input the plan declares is read from ``<owner's dir>/<relation>.csv``
+    with the schema the plan declares (header included).  Outputs are
+    returned as tables and, when ``output_dir`` is given, also written there
+    as ``<relation>.csv`` (one file per query output).  ``runtime="sockets"``
+    runs each party as a separate OS process, with ``timeout`` bounding
+    every blocking socket operation.
     """
     from pathlib import Path
 
-    from repro.data.csvio import write_csv
+    from repro.data.csvio import read_csv, write_csv
 
+    inputs: dict[str, dict[str, Table]] = {party: {} for party in input_dirs}
+    for rel in (node.out_rel for node in compiled.dag.roots):
+        path = Path(input_dirs[rel.owner]) / f"{rel.name}.csv"
+        inputs[rel.owner][rel.name] = read_csv(path, rel.schema)
     result = run_compiled(
-        compiled, load_party_inputs(input_dirs), config or compiled.config,
+        compiled, inputs, config or compiled.config,
         seed=seed, runtime=runtime, timeout=timeout,
     )
     if output_dir is not None:

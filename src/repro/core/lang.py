@@ -107,7 +107,8 @@ class QueryContext:
         self._outputs: list[Collect] = []
         self._name_counter = itertools.count()
         self._col_counter = itertools.count()
-        self._names: set[str] = set()
+        #: Every relation name in use -> what it names (for clash errors).
+        self._names: dict[str, str] = {}
 
     # -- context management -----------------------------------------------------------
 
@@ -138,7 +139,18 @@ class QueryContext:
         name = hint
         while name in self._names:
             name = f"{hint}_{next(self._name_counter)}"
-        self._names.add(name)
+        self._names[name] = "an intermediate relation"
+        return name
+
+    def claim_name(self, name: str, role: str) -> str:
+        """Reserve an input's or output's (``role``) own name: a name in use
+        is a ``ValueError``, never a rename."""
+        if name in self._names:
+            raise ValueError(
+                f"{role} name {name!r} is already the name of {self._names[name]} "
+                "in this query; input and output names must be unique"
+            )
+        self._names[name] = f"an {role}"
         return name
 
     def fresh_column(self, *schemas: Schema, prefix: str = "_e") -> str:
@@ -162,7 +174,7 @@ class QueryContext:
             raise TypeError("`at` must be a Party")
         schema = build_schema(columns, owner=at)
         rel = Relation(
-            name=self.fresh_name(name),
+            name=self.claim_name(name, "input"),
             schema=schema,
             stored_with={at.name},
             owner=at.name,
@@ -450,8 +462,8 @@ class RelationHandle:
         if not to:
             raise ValueError("an output needs at least one recipient party")
         recipients = [p.name if isinstance(p, Party) else str(p) for p in to]
-        rel = self._derive(name, self.schema)
-        rel.stored_with = set(recipients)
+        rel = Relation(name=self.context.claim_name(name, "output"), schema=self.schema,
+                       stored_with=set(recipients))
         node = Collect(rel, self.node, recipients)
         self.context._register_output(node)
         return self._wrap(node)

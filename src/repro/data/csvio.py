@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Sequence
 
@@ -59,10 +60,22 @@ def read_csv(path: str | os.PathLike, schema: Schema | None = None) -> Table:
     columns = []
     for j, cdef in enumerate(schema):
         if cdef.ctype is ColumnType.INT:
-            columns.append(np.array([int(float(row[j])) for row in raw_rows], dtype=np.int64))
+            columns.append(np.array([_int_cell(row[j], cdef.name) for row in raw_rows],
+                                    dtype=np.int64))
         else:
             columns.append(np.array([float(row[j]) for row in raw_rows], dtype=np.float64))
     return Table(schema, columns)
+
+
+def _int_cell(cell: str, column: str) -> int:
+    """An INT cell's exact value (``"3.0"`` is 3); anything else is refused."""
+    try:
+        value = Decimal(cell)
+        if value == value.to_integral_value() and -(2**63) <= value < 2**63:
+            return int(value)
+    except InvalidOperation:
+        pass
+    raise ValueError(f"INT column {column!r} has the cell {cell!r}, which is not an int64")
 
 
 def _infer_schema(header: Sequence[str], rows: Sequence[Sequence[str]]) -> Schema:

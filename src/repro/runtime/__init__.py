@@ -21,7 +21,8 @@ shape:
   per-party agents.
 * :mod:`repro.runtime.agent` / :mod:`repro.runtime.pool` — the long-lived
   per-party agent process, and the :class:`AgentPool` that spawns one per
-  party, admits their control links, tells each agent whom to dial and
+  party, accepts their control links as an agent accepts a peer (the
+  mesh's one handshake), tells each agent whom to dial and
   whom to accept as it joins the mesh, routes result frames into per-query
   futures and restarts a crashed agent through the same bring-up code.
 * :mod:`repro.runtime.service` — the persistent query service and the one

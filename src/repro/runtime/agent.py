@@ -1,10 +1,11 @@
 """The per-party agent process of the distributed runtime.
 
 One agent embodies one data-owning party (§4.1).  Since the query-service
-rework the agent is **long-lived**: it joins the agent-to-agent TCP mesh
-once (:func:`~repro.runtime.mesh.join_mesh`, dialling and accepting the
-peers its ``peers`` frame names) and then serves a *stream* of queries over
-its control link — the paper's standing data-owning parties answering many
+rework the agent is **long-lived**: it dials the coordinator and joins the
+agent-to-agent TCP mesh once, both through the one handshake
+(:func:`~repro.runtime.mesh.join_mesh`, dialling and accepting the peers its
+``peers`` frame names), and then serves a *stream* of queries over its
+control link — the paper's standing data-owning parties answering many
 analyst queries, with process spawn and mesh setup amortised across the
 stream.  A replacement for a crashed agent starts exactly the same way, at
 its restart epoch, dialling every survivor.
@@ -59,13 +60,7 @@ import time
 import traceback
 
 from repro.runtime.mesh import PeerMesh, bind_listener, join_mesh
-from repro.runtime.wire import (
-    close_quietly,
-    peer_common_name,
-    recv_frame,
-    secure_client_socket,
-    send_frame,
-)
+from repro.runtime.wire import close_quietly, recv_frame, send_frame
 
 #: Default upper bound on queries one agent executes concurrently.  The
 #: session frame may override it per session (``max_workers`` on
@@ -215,47 +210,50 @@ class PartyAgent:
         }
 
 
+def coordinator_name(security) -> str:
+    """The coordinator's party name on its links: its certificate's CN."""
+    return "coordinator" if security is None else security.coordinator_name
+
+
 def agent_main(
     party: str,
     host: str,
     port: int,
     timeout: float = 60.0,
-    bind_host: str = "127.0.0.1",
     security=None,
+    *,
+    nonce: str,
+    epoch: int = 0,
 ) -> None:
     """Process entry point: handshake, mesh setup, then serve queries.
 
-    ``host``/``port`` locate the coordinator's control listener;
-    ``bind_host`` is where this agent binds its own mesh listener and the
-    host it advertises to peers (loopback by default; a routable address
-    for multi-machine deployments).  With ``security`` (a
+    ``host``/``port`` locate the coordinator's control listener; the agent
+    binds its own mesh listener on ``host`` too and advertises it to peers
+    (loopback by default; a routable address for multi-machine
+    deployments).  The agent dials the coordinator as it dials a peer
+    (:func:`~repro.runtime.mesh.join_mesh`), with the session ``nonce`` and
+    its ``epoch`` — 0 at session start, the restart epoch for a replacement
+    — that the spawning pool handed it.  With ``security`` (a
     :class:`~repro.core.config.TransportSecurity`) the control link and
     every mesh link speak mutually-authenticated TLS: this agent presents
-    the ``party`` certificate, requires the coordinator's certificate to
-    carry its configured name, and hellos carry the session nonce from the
-    coordinator's session bundle.  The bundle's ``epoch`` is 0 at session
-    start and the restart epoch for a replacement agent.
+    the ``party`` certificate and requires the coordinator's certificate to
+    carry its configured name.
     """
     retain_heap_top()
-    control = socket.create_connection((host, port), timeout=timeout)
-    control.settimeout(timeout)
-    if security is not None:
-        control = secure_client_socket(control, security.client_context(party))
-        coordinator_cn = peer_common_name(control)
-        if coordinator_cn != security.coordinator_name:
-            raise RuntimeError(
-                f"agent {party!r} expected the coordinator certificate to name "
-                f"{security.coordinator_name!r}, got {coordinator_cn!r}"
-            )
+    # No control link yet: a failed dial can only end the process, whose
+    # exit the coordinator's accept watches for.
+    coordinator = coordinator_name(security)
+    control = join_mesh(
+        party, {coordinator: (host, port)}, {}, None, epoch,
+        nonce=nonce, timeout=timeout, security=security,
+    )[coordinator]
     mesh: PeerMesh | None = None
     listener = None
     try:
-        send_frame(control, ("hello", party))
         tag, bundle = recv_frame(control)
         if tag != "session":
             raise RuntimeError(f"agent {party!r} expected a session frame, got {tag!r}")
         parties = bundle["parties"]
-        run_timeout = bundle["timeout"]
         idle_timeout = bundle.get("idle_timeout")
         max_workers = bundle.get("max_workers") or AGENT_MAX_WORKERS
         if not isinstance(max_workers, int) or max_workers < 1:
@@ -270,25 +268,25 @@ def agent_main(
         # Deterministic port assignment: bind an ephemeral port (the OS
         # picks a free one), advertise it, and let the coordinator say
         # which advertised endpoints to dial and which peers to accept.
-        listener = bind_listener(run_timeout, bind_host)
-        send_frame(control, ("ports", (bind_host, listener.getsockname()[1])))
+        listener = bind_listener(timeout, host)
+        send_frame(control, ("ports", (host, listener.getsockname()[1])))
         tag, peers = recv_frame(control)
         if tag != "peers":
             raise RuntimeError(f"agent {party!r} expected a peers frame, got {tag!r}")
         # One handshake for start and restart alike: the same call later
         # accepts a restarted peer's link (see ``rejoin`` in ``_serve``).
         join = functools.partial(
-            join_mesh, party, listener=listener, epoch=bundle["epoch"],
-            nonce=bundle["nonce"], timeout=run_timeout, security=security,
+            join_mesh, party, listener=listener, epoch=epoch,
+            nonce=nonce, timeout=timeout, security=security,
         )
         mesh = PeerMesh(
-            party, join(peers["dial"], peers["accept"]), timeout=run_timeout,
+            party, join(peers["dial"], peers["accept"]), timeout=timeout,
             injector=injector, released_watermark=bundle["released_watermark"],
         )
 
         agent = PartyAgent(party, parties, mesh, session_inputs=bundle.get("inputs"))
         send_frame(control, ("ready", None))
-        _serve(agent, control, run_timeout, idle_timeout, max_workers,
+        _serve(agent, control, timeout, idle_timeout, max_workers,
                injector=injector, join=join)
     except BaseException as exc:  # noqa: BLE001 - everything must reach the coordinator
         try:

@@ -5,12 +5,13 @@ Every agent binds a listener on an ephemeral port (``bind(bind_host, 0)``
 defaults to loopback and comes from the session's ``bind_host`` knob),
 advertises its real ``(host, port)`` endpoint to the coordinator, and is
 told back whom to dial and whom to accept.  :func:`join_mesh` is the one
-handshake: every dial introduces the dialler with the one hello,
-``("join", party, epoch, nonce)``, and every accept waits for a set of
-expected ``{peer: epoch}`` hellos.  At session start the epoch is 0 and
-agent *i* dials every agent *j < i* (in the shared party order) and accepts
-every *j > i*; a replacement for a crashed agent dials every survivor at its
-restart epoch, and each survivor accepts that one link.
+handshake of every link, control links included: every dial introduces the
+dialler with the one hello, ``("join", party, epoch, nonce)``, and every
+accept waits for a set of expected ``{peer: epoch}`` hellos.  At session
+start the epoch is 0; every agent dials the coordinator, dials every agent
+*j < i* (in the shared party order) and accepts every *j > i*; a
+replacement dials the coordinator and every survivor at its restart epoch,
+and the coordinator and each survivor accept that one link.
 
 The mesh is **multiplexed by query id** so one set of TCP connections can
 carry many queries — including concurrent ones — for a long-lived agent.
@@ -57,7 +58,8 @@ Supervision support (the fault-tolerant service runtime):
   expected hello — a stale epoch left by a failed restart attempt, a
   malformed frame, a failed TLS handshake — and fails closed on a hello that
   names an expected peer at its epoch but carries the wrong session nonce or
-  a certificate of another party;
+  a certificate of another party, or as soon as an expected agent process
+  has exited;
 * an optional :class:`~repro.runtime.faults.FaultInjector` hooks every send,
   so drop/dup/delay/torn faults happen at the real choke point.
 """
@@ -70,6 +72,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any
 
 from repro.mpc.network import TransportError
@@ -425,7 +428,7 @@ def _endpoint(value) -> tuple[str, int]:
 
 
 def _verify_peer_identity(sock: socket.socket, claimed: str, party: str) -> None:
-    """Check the TLS-authenticated CN matches the party id a hello claims.
+    """Check the TLS-authenticated CN matches the party id a link claims.
 
     On plaintext links there is no certificate and nothing to check; on TLS
     links (mutual authentication, so a verified peer certificate is always
@@ -434,7 +437,7 @@ def _verify_peer_identity(sock: socket.socket, claimed: str, party: str) -> None
     cn = peer_common_name(sock)
     if cn is not None and cn != claimed:
         raise TransportError(
-            f"agent {party!r} rejected a hello claiming party {claimed!r}: the "
+            f"{party!r} refused a link claiming to be {claimed!r}: the "
             f"peer's TLS certificate authenticates {cn!r}"
         )
 
@@ -443,25 +446,27 @@ def join_mesh(
     party: str,
     dial: dict[str, tuple[str, int]],
     accept: dict[str, int],
-    listener: socket.socket,
+    listener: socket.socket | None,
     epoch: int,
     *,
     nonce: str,
     timeout: float,
     security=None,
+    processes: dict | None = None,
 ) -> dict[str, socket.socket]:
     """Join ``party`` to the mesh; returns ``{peer: socket}``, one per link.
 
     Dials every peer of ``dial`` (party -> advertised ``(host, port)``),
     introducing this party with ``("join", party, epoch, nonce)``, then
     accepts one link from every peer of ``accept`` (party -> the epoch its
-    hello must carry).  At session start ``epoch`` is 0 and an agent dials
-    the lower ranks and accepts the higher ones; a replacement agent dials
-    every survivor at its restart epoch and accepts none; a survivor dials
-    none and accepts the replacement's one link.  With ``security`` every
-    link is mutually-authenticated TLS and every hello's party must be the
-    one its certificate names.  ``nonce`` is the session secret the
-    coordinator handed every agent.
+    hello must carry).  An agent dials the coordinator, then (at epoch 0)
+    the lower ranks, accepting the higher ones; a replacement dials the
+    coordinator and every survivor at its restart epoch; a survivor accepts
+    the replacement's one link; the coordinator accepts its agents, and
+    stops as soon as one of their ``processes`` (party -> process) exits.
+    With ``security`` every link is mutually-authenticated TLS and every
+    link's party must be the one its certificate names.  ``nonce`` is the
+    session secret the coordinator handed every agent it spawned.
     """
     links: dict[str, socket.socket] = {}
     try:
@@ -471,7 +476,8 @@ def join_mesh(
                 hello=("join", party, epoch, nonce), security=security,
             )
         if accept:
-            _accept(listener, party, accept, links, timeout, nonce=nonce, security=security)
+            _accept(listener, party, accept, links, timeout, nonce=nonce,
+                    security=security, processes=processes or {})
     except BaseException:
         for sock in links.values():
             close_quietly(sock)
@@ -488,6 +494,7 @@ def _accept(
     *,
     nonce: str,
     security=None,
+    processes: dict,
 ) -> None:
     """Accept one link from every peer of ``expected`` (peer -> epoch) into
     ``links``.
@@ -499,32 +506,38 @@ def _accept(
     closed and accepting continues.  A hello that names an expected peer at
     its epoch but fails authentication (wrong nonce, or a TLS certificate
     naming another party) is an impersonation attempt and raises
-    :class:`TransportError` at once.  Raises :class:`MeshTimeout` when the
-    deadline passes first.
+    :class:`TransportError` at once, as does the exit of a process of
+    ``processes`` whose peer has not joined; :class:`MeshTimeout` when the
+    deadline passes first.  Both name the last connection drained, and why.
     """
     server_context = None if security is None else security.server_context(party)
     pending = dict(expected)
     deadline = time.monotonic() + timeout
+    drained = ""
     while pending:
-        remaining = deadline - time.monotonic()
-        try:
-            if remaining <= 0:
-                raise TimeoutError
-            listener.settimeout(remaining)
-            sock, _addr = listener.accept()
-        except OSError as exc:  # socket.timeout included
-            raise MeshTimeout(
-                f"agent {party!r} timed out waiting for {sorted(pending)} to join the mesh"
-            ) from exc
-        sock.settimeout(timeout)
+        exits = {processes[p].sentinel: p for p in pending if p in processes}
+        ready = wait([listener, *exits], max(0.0, deadline - time.monotonic()))
+        if not ready:
+            raise MeshTimeout(f"{party!r} timed out waiting for {sorted(pending)} to join{drained}")
+        if listener not in ready:  # an agent died before it joined
+            proc = processes[exits[ready[0]]]
+            proc.join(1.0)
+            raise TransportError(
+                f"{party!r} stopped waiting for {sorted(pending)} to join: the process of "
+                f"{exits[ready[0]]!r} exited with code {proc.exitcode}{drained}"
+            )
+        sock, addr = listener.accept()
+        # A client that connects and stalls cannot outlast the deadline.
+        sock.settimeout(max(deadline - time.monotonic(), 0.01))
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             if server_context is not None:
                 sock = secure_server_socket(sock, server_context)
             hello = recv_frame(sock)
-        except (WireError, OSError):
+        except (WireError, OSError) as exc:  # stray client / failed handshake: drain
             close_quietly(sock)
-            continue  # stray client / failed handshake: drain and keep waiting
+            drained = f"; the last connection drained, from {addr}, failed: {exc}"
+            continue
         if not (
             isinstance(hello, tuple)
             and len(hello) == 4
@@ -534,19 +547,22 @@ def _accept(
             and isinstance(hello[3], str)
             and pending.get(hello[1]) == hello[2]
         ):
-            close_quietly(sock)  # malformed, stale or unexpected: drain
+            close_quietly(sock)  # malformed, stale or unexpected (never echoed: nonce)
+            drained = (f"; the last connection drained, from {addr}, sent no "
+                       f"join hello of an expected party at its epoch")
             continue
         peer = hello[1]
         try:
             if hello[3] != nonce:
                 raise TransportError(
-                    f"agent {party!r} rejected a join hello claiming {peer!r} "
+                    f"{party!r} rejected a join hello claiming {peer!r} "
                     f"(epoch {hello[2]}): wrong session nonce"
                 )
             _verify_peer_identity(sock, peer, party)
         except TransportError:
             close_quietly(sock)
             raise
+        sock.settimeout(timeout)
         links[peer] = sock
         del pending[peer]
 

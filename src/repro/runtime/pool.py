@@ -2,14 +2,14 @@
 
 The process/socket substrate under :class:`~repro.runtime.service
 .QuerySession`, and the only code that spawns agents.  :class:`AgentPool`
-spawns one :func:`~repro.runtime.agent.agent_main` process per party, admits
-each control link (:func:`admit_agent`), tells every agent whom to dial and
-whom to accept as it joins the mesh, then routes result/error frames (tagged
-by query id) from per-party receiver threads into per-query futures.  A
-control link that dies fails every in-flight query loudly and breaks the
-pool — or, under an :class:`~repro.runtime.supervisor.AgentSupervisor`,
-hands the party over for a restart through the same spawn/admit/bundle/join
-code the start uses.
+spawns one :func:`~repro.runtime.agent.agent_main` process per party,
+accepts each control link as an agent accepts a peer (:func:`accept_agents`),
+tells every agent whom to dial and whom to accept as it joins the mesh, then
+routes result/error frames (tagged by query id) from per-party receiver
+threads into per-query futures.  A control link that dies fails every
+in-flight query loudly and breaks the pool — or, under an
+:class:`~repro.runtime.supervisor.AgentSupervisor`, hands the party over for
+a restart through the same bring-up the start uses.
 
 Process hygiene: agent processes are daemonic, tracked in a module-level
 registry (so test fixtures can kill leaks), and reaped when their pool
@@ -30,19 +30,11 @@ from dataclasses import dataclass, field
 
 from repro.core.config import RestartPolicy, TransportSecurity
 from repro.mpc.network import TransportError
-from repro.runtime.agent import AGENT_MAX_WORKERS, agent_main
-from repro.runtime.mesh import bind_listener
+from repro.runtime.agent import AGENT_MAX_WORKERS, agent_main, coordinator_name
+from repro.runtime.mesh import bind_listener, join_mesh
 from repro.runtime.metrics import GatewayMetrics
 from repro.runtime.supervisor import AgentSupervisor
-from repro.runtime.wire import (
-    WireError,
-    close_quietly,
-    encode_frame,
-    peer_common_name,
-    recv_frame,
-    secure_server_socket,
-    send_frame,
-)
+from repro.runtime.wire import WireError, close_quietly, encode_frame, recv_frame, send_frame
 
 logger = logging.getLogger("repro.runtime.pool")
 
@@ -133,54 +125,19 @@ def _agent_error(party: str, exc, tb: str) -> BaseException:
     return AgentFailure(f"agent {party!r} failed:\n{tb}")
 
 
-def admit_agent(
-    listener: socket.socket, expected, *, timeout: float, server_context=None
-) -> tuple[str, socket.socket]:
-    """Admit one agent's control link; returns ``(party, socket)``.
-
-    Accept, bound every later read by ``timeout``, wrap the socket in TLS
-    (with ``server_context``) and require the hello to be exactly
-    ``("hello", party)`` for a party in ``expected`` that the peer's TLS
-    certificate (if any) authenticates.  Anything else — a stray client
-    included — is an :class:`AgentFailure`, and the accepted socket is closed
-    before the error propagates.
-    """
-    expected = sorted(expected)
+def accept_agents(
+    listener: socket.socket, expected: dict[str, int], *, nonce: str, timeout: float,
+    security: TransportSecurity | None = None, processes: dict | None = None,
+) -> dict[str, socket.socket]:
+    """The coordinator's accept of its agents' control links (party -> epoch
+    in ``expected``): the mesh's one accept (:func:`~repro.runtime.mesh
+    .join_mesh`), which also fails as soon as one of ``processes`` (party ->
+    agent process) exits first.  Any failure is an :class:`AgentFailure`."""
     try:
-        sock, _addr = listener.accept()
-    except (socket.timeout, OSError) as exc:
-        raise AgentFailure(
-            f"timed out waiting for the control connection of one of {expected}"
-        ) from exc
-    try:
-        sock.settimeout(timeout)
-        if server_context is not None:
-            try:
-                sock = secure_server_socket(sock, server_context)
-            except WireError as exc:
-                raise AgentFailure(f"agent control handshake failed: {exc}") from exc
-        hello = recv_frame(sock)
-        if not (
-            isinstance(hello, tuple)
-            and len(hello) == 2
-            and all(isinstance(part, str) for part in hello)
-            and hello[0] == "hello"
-            and hello[1] in expected
-        ):
-            raise AgentFailure(
-                f"malformed agent hello {hello!r}; expected ('hello', <one of {expected}>)"
-            )
-        party = hello[1]
-        cn = peer_common_name(sock)
-        if cn is not None and cn != party:
-            raise AgentFailure(
-                f"agent hello claims party {party!r} but its TLS certificate "
-                f"authenticates {cn!r}"
-            )
-        return party, sock
-    except BaseException:
-        close_quietly(sock)
-        raise
+        return join_mesh(coordinator_name(security), {}, expected, listener, 0, nonce=nonce,
+                         timeout=timeout, security=security, processes=processes)
+    except TransportError as exc:
+        raise AgentFailure(f"agent bring-up failed: {exc}") from exc
 
 
 @dataclass
@@ -250,9 +207,8 @@ class AgentPool:
         self.security = security
         if security is not None:
             security.validate(list(parties) + [security.coordinator_name])
-        #: Per-session secret every mesh hello must echo;
-        #: generated fresh per pool, shipped to agents inside the session
-        #: bundle over the (authenticated) control link.
+        #: Per-session secret every hello must echo, control links' included;
+        #: generated fresh per pool and handed to each agent it spawns.
         self._nonce = secrets.token_hex(16)
         self.idle_timeout = idle_timeout
         self.max_workers = max_workers
@@ -298,45 +254,8 @@ class AgentPool:
             # from this process: no page of the coordinator's heap — other
             # parties' inputs included — is copied into an agent.
             self._ctx.set_forkserver_preload(["repro.runtime.agent"])
-        listener = bind_listener(timeout, bind_host)
-        port = listener.getsockname()[1]
-        try:
-            # Spawn every agent before admitting any: their start-ups overlap.
-            for party in self.parties:
-                self._processes[party] = self._spawn_agent(party, port)
-            server_context = self._control_context()
-            while len(self._connections) < len(self.parties):
-                # A party that is already connected is no longer expected, so
-                # a duplicate hello is refused like any other stray client.
-                party, sock = admit_agent(
-                    listener, set(self.parties) - set(self._connections),
-                    timeout=timeout + 10, server_context=server_context,
-                )
-                self._connections[party] = sock
-                self._send_locks[party] = threading.Lock()
-
-            for party, sock in self._connections.items():
-                send_frame(sock, self._session_bundle(party, epoch=0))
-            for party, sock in self._connections.items():
-                self._ports[party] = self._expect(party, sock, "ports")
-            # Agent i dials every agent j < i and accepts every j > i.
-            for i, party in enumerate(self.parties):
-                send_frame(self._connections[party], self._peers_frame(
-                    self.parties[:i], {p: 0 for p in self.parties[i + 1:]},
-                ))
-            # Wait for the mesh to be fully established at every agent, so
-            # an open pool is a *working* pool (handshake bugs fail here,
-            # not inside the first submit).
-            for party, sock in self._connections.items():
-                self._expect(party, sock, "ready")
-        except BaseException:
-            self._teardown()
-            raise
-        finally:
-            close_quietly(listener)
-
-        for party, sock in self._connections.items():
-            self._start_receiver(party, sock)
+        for party, started in self._bring_up(self.parties, epoch=0).items():
+            self._install(party, *started)
         # The supervisor comes up last: its heartbeat/restart machinery must
         # only ever observe a fully established pool.
         if restart is not None:
@@ -344,45 +263,74 @@ class AgentPool:
 
     # -- bring-up (shared by session start and party restart) --------------------------
 
-    def _spawn_agent(self, party: str, port: int):
-        proc = self._ctx.Process(
-            target=agent_main,
-            args=(party, self.bind_host, port, self.timeout, self.bind_host,
-                  self.security),
-            daemon=True,
-            name=f"conclave-agent-{party}",
-        )
-        proc.start()
-        _ACTIVE_PROCESSES.add(proc)
-        return proc
+    def _bring_up(self, parties: list[str], epoch: int, survivors=(), supervisor=None) -> dict:
+        """Spawn an agent for each of ``parties`` at ``epoch`` and join it to
+        the mesh; returns ``{party: (process, control link, mesh endpoint)}``.
 
-    def _control_context(self):
-        """The TLS context control links are admitted under (``None``: plaintext)."""
-        if self.security is None:
-            return None
-        return self.security.server_context(self.security.coordinator_name)
-
-    def _session_bundle(self, party: str, epoch: int) -> tuple:
-        """The ``session`` frame that arms ``party``'s agent at ``epoch``
-        (0 at start, the restart epoch for a replacement).  Query ids at or
-        below the released-id watermark are finished (or failed and retried
-        under a *new* id): the agent's mesh drops their late frames."""
-        return ("session", {
-            "parties": self.parties,
-            "timeout": self.timeout,
-            "idle_timeout": self.idle_timeout,
-            "max_workers": self.max_workers,
-            "inputs": self._inputs.get(party, {}),
-            "faults": self._faults.for_party(party) if self._faults else None,
-            "nonce": self._nonce,
-            "epoch": epoch,
-            "released_watermark": self._last_query_id,
-        })
-
-    def _peers_frame(self, dial: list[str], accept: dict[str, int]) -> tuple:
-        """The ``peers`` frame: the advertised endpoints of the parties an
-        agent dials, and the ``{party: epoch}`` whose hellos it accepts."""
-        return ("peers", {"dial": {p: self._ports[p] for p in dial}, "accept": accept})
+        Session start brings up every party at epoch 0; a restart brings up
+        the one replacement at its restart epoch beside the ``survivors``.  A
+        new agent dials the survivors and the new agents before it and
+        accepts the ones after it; a survivor accepts it on ``rejoin``.
+        """
+        listener = bind_listener(self.timeout, self.bind_host)
+        procs, socks = {}, {}
+        try:
+            # Spawn every agent before accepting any: their start-ups overlap.
+            for party in parties:
+                procs[party] = proc = self._ctx.Process(
+                    target=agent_main, name=f"conclave-agent-{party}", daemon=True,
+                    args=(party, self.bind_host, listener.getsockname()[1], self.timeout,
+                          self.security),
+                    kwargs={"nonce": self._nonce, "epoch": epoch},
+                )
+                proc.start()
+                _ACTIVE_PROCESSES.add(proc)
+            # A control link's reads wait out its agent's own mesh join,
+            # which takes up to ``timeout``.
+            socks = accept_agents(
+                listener, dict.fromkeys(parties, epoch), nonce=self._nonce,
+                timeout=self.timeout + 10, security=self.security, processes=procs,
+            )
+            for party in parties:
+                # Query ids at or below the released-id watermark are finished
+                # (or failed and retried under a *new* id): the agent's mesh
+                # drops their late frames.
+                send_frame(socks[party], ("session", {
+                    "parties": self.parties,
+                    "idle_timeout": self.idle_timeout,
+                    "max_workers": self.max_workers,
+                    "inputs": self._inputs.get(party, {}),
+                    "faults": self._faults.for_party(party) if self._faults else None,
+                    "released_watermark": self._last_query_id,
+                }))
+            ports = {party: self._expect(party, socks[party], "ports") for party in parties}
+            # Park every survivor in its accept *before* the replacement
+            # learns whom to dial: the dial can then never race the accept.
+            for peer in survivors:
+                with self._send_locks[peer]:
+                    send_frame(self._connections[peer],
+                               ("rejoin", {"party": parties[0], "epoch": epoch}))
+            endpoints = {**{p: self._ports[p] for p in survivors}, **ports}
+            for i, party in enumerate(parties):
+                send_frame(socks[party], ("peers", {
+                    "dial": {p: endpoints[p] for p in [*survivors, *parties[:i]]},
+                    "accept": dict.fromkeys(parties[i + 1:], epoch),
+                }))
+            # Wait for the mesh to be fully established at every agent, so
+            # an open pool is a *working* pool (handshake bugs fail here,
+            # not inside the first submit).
+            for party in parties:
+                self._expect(party, socks[party], "ready")
+            if survivors:
+                supervisor.await_rejoined(survivors, epoch, self.timeout)
+        except BaseException:
+            for party, proc in procs.items():
+                close_quietly(socks.get(party))
+                _reap(proc)
+            raise
+        finally:
+            close_quietly(listener)
+        return {party: (procs[party], socks[party], ports[party]) for party in parties}
 
     def _expect(self, party: str, sock: socket.socket, expected_tag: str):
         frame = recv_frame(sock)
@@ -602,39 +550,14 @@ class AgentPool:
             survivors = [
                 p for p in self.parties if p != party and p not in self._recovering
             ]
-        listener = bind_listener(self.timeout, self.bind_host)
-        proc = None
-        sock = None
-        try:
-            proc = self._spawn_agent(party, listener.getsockname()[1])
-            _party, sock = admit_agent(
-                listener, [party],
-                timeout=self.timeout + 10, server_context=self._control_context(),
-            )
-            send_frame(sock, self._session_bundle(party, epoch))
-            mesh_port = self._expect(party, sock, "ports")
-            # Park every survivor in its accept *before* handing the
-            # replacement the peer ports — the dial can then never race the
-            # accept.
-            for peer in survivors:
-                with self._send_locks[peer]:
-                    send_frame(self._connections[peer],
-                               ("rejoin", {"party": party, "epoch": epoch}))
-            send_frame(sock, self._peers_frame(survivors, {}))
-            self._expect(party, sock, "ready")
-            supervisor.await_rejoined(survivors, epoch, self.timeout)
-        except BaseException:
-            close_quietly(sock)
-            if proc is not None:
-                _reap(proc)
-            raise
-        finally:
-            close_quietly(listener)
-        self._install_replacement(party, proc, sock, mesh_port)
+        started = self._bring_up([party], epoch, survivors, supervisor)[party]
+        if self._on_restart is not None:
+            self._on_restart(party)  # before the pool reopens: plans ship again
+        self._install(party, *started)
 
-    def _install_replacement(
-        self, party: str, proc, sock: socket.socket, mesh_port: tuple[str, int]
-    ) -> None:
+    def _install(self, party: str, proc, sock: socket.socket, mesh_port: tuple[str, int]) -> None:
+        """Serve ``party`` through a brought-up agent (at start, or in place
+        of a dead one)."""
         with self._lock:
             old_proc = self._processes.get(party)
             old_sock = self._connections.get(party)
@@ -647,13 +570,9 @@ class AgentPool:
             # behind; it must not relabel the replacement's next death.
             self._kill_reasons.pop(party, None)
             recovered = not self._recovering
-        if old_proc is not None and old_proc is not proc:
-            _ACTIVE_PROCESSES.discard(old_proc)
-        if old_sock is not sock:
-            close_quietly(old_sock)
+        _ACTIVE_PROCESSES.discard(old_proc)
+        close_quietly(old_sock)
         self._start_receiver(party, sock)
-        if self._on_restart is not None:
-            self._on_restart(party)
         if recovered:
             self._healthy.set()
 

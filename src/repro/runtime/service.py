@@ -223,8 +223,8 @@ class QuerySession:
     (a :class:`~repro.runtime.faults.FaultPlan`) arms the deterministic
     fault-injection harness used by the chaos tests.  ``security`` (a
     :class:`~repro.core.config.TransportSecurity`) wraps every control,
-    mesh and rejoin link in mutually-authenticated TLS and makes every
-    hello carry the session nonce — required for deployments that leave
+    mesh and rejoin link in mutually-authenticated TLS, each hello checked
+    against its certificate's CN — required for deployments that leave
     loopback (pair it with ``config.bind_host``, the host the control
     listener and the agents' mesh listeners bind and advertise).
     """

@@ -26,32 +26,26 @@ One :class:`AgentSupervisor` serves one :class:`~repro.runtime.pool
   session's idle timeout.  Enforcement is suspended while a recovery is in
   progress (survivors legitimately stall while parked in the rejoin accept).
 
-The recovery protocol for a dead ``party`` (all on the restart worker):
+The recovery protocol for a dead ``party`` (all on the restart worker) is
+the pool's session-start bring-up, run for one party at a monotonically
+increasing ``epoch`` (0 is the session start):
 
-1. spawn a fresh agent process and accept its control-link hello;
-2. send it the session frame every agent starts from: the standing session
-   config, the party's standing inputs and fault sub-plan, a monotonically
-   increasing ``epoch`` (0 is the session start) and the pool's current
-   released-id watermark (so the replacement's mesh drops late frames of
-   finished queries instead of queueing them forever);
-3. receive the replacement's new mesh port;
-4. broadcast a ``rejoin`` control frame to every survivor, which makes each
-   accept the replacement's link through :func:`~repro.runtime.mesh
-   .join_mesh` — the handshake every agent ran at session start — expecting
-   the replacement's hello at this epoch (stale connections from earlier
-   failed attempts are drained by the epoch check; the hello must also echo
-   the session nonce and, on a session with a
-   :class:`~repro.core.config.TransportSecurity`, match the dialler's
-   certificate CN on a mutually-authenticated TLS link — a crashed party's
-   identity cannot be claimed by an impostor during the rejoin window);
-5. send the replacement the *live* peer ports as the parties to dial (and
-   none to accept); it joins the mesh through the same
-   :func:`~repro.runtime.mesh.join_mesh` and reports ``ready``;
-6. await every survivor's ``rejoined`` acknowledgement (forwarded by the
-   pool's receiver threads), then install the new process, control link and
-   receiver thread into the pool, record ``agent_restarts`` /
-   ``recovery_seconds`` metrics, and mark the pool healthy — unblocking the
-   session-level query retries waiting in
+1. spawn a fresh agent process at the epoch and accept its control link
+   through :func:`~repro.runtime.mesh.join_mesh`'s one accept, which
+   expects its hello at this epoch, with the session nonce and (under a
+   :class:`~repro.core.config.TransportSecurity`) its certificate's CN;
+2. send it the session frame every agent starts from (its standing inputs,
+   fault sub-plan and the pool's released-id watermark, so its mesh drops
+   late frames of finished queries), and receive its mesh port;
+3. send every survivor a ``rejoin`` frame, on which it accepts the
+   replacement's link through the same accept — stale connections of
+   failed attempts are drained by the epoch check, and an impostor cannot
+   claim the crashed party's identity during the rejoin window;
+4. send the replacement the *live* peer ports to dial, await its
+   ``ready`` and every survivor's ``rejoined`` acknowledgement, then
+   install the new process, control link and receiver thread, record
+   ``agent_restarts`` / ``recovery_seconds``, and mark the pool healthy —
+   unblocking the query retries waiting in
    :meth:`~repro.runtime.pool.AgentPool.wait_recovered`.
 
 The supervisor never touches query state: failing and retrying in-flight

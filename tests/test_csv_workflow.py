@@ -52,3 +52,22 @@ def test_run_query_from_csv_without_output_dir(csv_dirs):
     compiled = cc.compile_query(spec.context)
     result = run_query_from_csv(compiled, dirs)
     assert "hhi_result" in result.outputs
+
+
+def test_run_query_from_csv_reads_inputs_with_the_plans_schema(tmp_path):
+    """A FLOAT column whose cells all look integral is read as FLOAT, the
+    type the plan declares, not inferred as INT and then refused."""
+    pa, pb = cc.Party("a.example"), cc.Party("b.example")
+    with cc.QueryContext() as ctx:
+        columns = [cc.Column("k", cc.INT), cc.Column("v", cc.FLOAT)]
+        ra = ctx.new_table("ra", columns, at=pa)
+        rb = ctx.new_table("rb", columns, at=pb)
+        ctx.concat([ra, rb]).aggregate(group=["k"], aggs={"s": cc.SUM("v")}).collect("out", to=[pa])
+    dirs = {}
+    for party, name, body in (("a.example", "ra", "k,v\n1,2\n2,3\n"),
+                              ("b.example", "rb", "k,v\n1,4\n")):
+        (tmp_path / party).mkdir()
+        (tmp_path / party / f"{name}.csv").write_text(body)
+        dirs[party] = str(tmp_path / party)
+    result = run_query_from_csv(cc.compile_query(ctx), dirs)
+    assert sorted(result.outputs["out"].rows()) == [(1, 6.0), (2, 3.0)]

@@ -53,3 +53,30 @@ def test_empty_table_roundtrip(tmp_path, kv_schema):
 def test_write_creates_parent_directories(tmp_path, kv_table):
     path = write_csv(kv_table, tmp_path / "deep" / "nested" / "kv.csv")
     assert path.exists()
+
+
+def test_int64_values_beyond_two_to_the_53_roundtrip_exactly(tmp_path):
+    """INT cells are parsed as integers, not through a float: values a
+    double cannot hold come back unchanged, with and without a schema."""
+    schema = Schema([ColumnDef("k", ColumnType.INT)])
+    values = [2**62 + 1, -(2**53) - 1, 2**63 - 1, -(2**63), 7]
+    table = Table.from_rows(schema, [(v,) for v in values])
+    path = write_csv(table, tmp_path / "big.csv")
+    assert read_csv(path, schema=schema).column("k").tolist() == values
+    assert read_csv(path).column("k").tolist() == values
+
+
+@pytest.mark.parametrize("cell", ["3.7", "nan", "abc", "9223372036854775808"])
+def test_a_cell_that_is_not_an_int64_is_refused_naming_its_column(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"k,v\n1,{cell}\n")
+    schema = Schema([ColumnDef("k", ColumnType.INT), ColumnDef("v", ColumnType.INT)])
+    with pytest.raises(ValueError, match="INT column 'v'"):
+        read_csv(path, schema=schema)
+
+
+def test_an_integral_cell_in_an_int_column_reads_as_its_integer(tmp_path):
+    path = tmp_path / "ints.csv"
+    path.write_text("k\n3.0\n1e3\n")
+    schema = Schema([ColumnDef("k", ColumnType.INT)])
+    assert read_csv(path, schema=schema).column("k").tolist() == [3, 1000]

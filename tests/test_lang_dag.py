@@ -126,11 +126,28 @@ class TestFrontend:
                 ctx.build_dag()
 
     def test_relation_names_are_unique(self, parties):
+        """Derived relations get fresh names; an analyst's input name is
+        never silently renamed (see the next test)."""
         pa, _ = parties
         with QueryContext() as ctx:
             t1 = ctx.new_table("dup", simple_schema(), at=pa)
-            t2 = ctx.new_table("dup", simple_schema(), at=pa)
-        assert t1.name != t2.name
+            f1 = t1.filter(cc.col("value") > 0, name="dup_kept")
+            f2 = t1.filter(cc.col("value") > 1, name="dup_kept")
+            with pytest.raises(ValueError, match="input name 'dup'"):
+                ctx.new_table("dup", simple_schema(), at=pa)
+        assert len({t1.name, f1.name, f2.name}) == 3
+
+    def test_a_reused_input_or_output_name_is_refused_when_built(self, parties):
+        pa, pb = parties
+        with QueryContext() as ctx:
+            ra = ctx.new_table("r", simple_schema(), at=pa)
+            with pytest.raises(ValueError, match="input name 'r' is already the name of an input"):
+                ctx.new_table("r", simple_schema(), at=pb)
+            ra.collect("o", to=[pa])
+            with pytest.raises(ValueError, match="output name 'o' is already the name of an out"):
+                ra.collect("o", to=[pb])
+            with pytest.raises(ValueError, match="output name 'r' is already the name of an input"):
+                ra.collect("r", to=[pa])
 
 
 class TestDag:

@@ -8,6 +8,7 @@ and the crash regression: a party-agent that dies must fail all in-flight
 queries with a clean error instead of deadlocking on a dead socket.
 """
 
+import os
 import re
 import socket
 import threading
@@ -23,11 +24,12 @@ from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.runtime.mesh import bind_listener
+from repro.runtime.agent import agent_main
 from repro.runtime.pool import (
     AgentFailure,
     SessionClosed,
+    accept_agents,
     active_agent_processes,
-    admit_agent,
 )
 from repro.runtime.service import SocketCoordinator, active_sessions, plan_fingerprint
 from repro.runtime.wire import WireError, send_frame
@@ -442,10 +444,22 @@ class TestConcurrencySoak:
             assert result.outputs["out"] == reference
 
 
-class TestAdmitAgent:
-    """The control-link admission every agent goes through, at session start
-    and at restart: a hello that is not ``("hello", <expected party>)`` is a
-    structured failure, and the stray connection is closed, not leaked."""
+NONCE = "5" * 32
+
+
+def _exit_before_dialling_as_b(party, *args, **kwargs):
+    """An agent entry point under which PARTY_B's process dies at once."""
+    if party == PARTY_B:
+        os._exit(3)
+    agent_main(party, *args, **kwargs)
+
+
+class TestAcceptAgents:
+    """The coordinator accepts its agents' control links through the mesh's
+    one accept, at session start and at restart: anything but an expected
+    party's join hello with the session nonce is drained (closed, never
+    answered), while a hello that names an expected party with a wrong
+    nonce fails bring-up at once."""
 
     @staticmethod
     def dial(listener, hello):
@@ -459,62 +473,88 @@ class TestAdmitAgent:
         [
             ("hello",),  # a 1-tuple
             "hello",  # not a tuple at all
-            ("hello", "mallory.example"),  # a party nobody expects
-            ("hello", [PARTY_A]),  # a party id of the wrong type
-            ("ready", PARTY_A),  # the wrong tag
+            ("hello", PARTY_B),  # the party's name without the session nonce
+            ("join", PARTY_B, 0),  # a join hello without the nonce
+            ("join", "mallory.example", 0, NONCE),  # a party nobody expects
+            ("join", [PARTY_B], 0, NONCE),  # a party id of the wrong type
+            ("join", PARTY_B, 1, NONCE),  # another epoch
+            ("ready", PARTY_B),  # the wrong tag
         ],
     )
-    def test_malformed_hello_is_refused_and_its_socket_closed(self, hello):
+    def test_a_stray_hello_never_takes_a_slot_or_receives_a_frame(self, hello):
         listener = bind_listener(5.0)
         try:
-            client = self.dial(listener, hello)
-            with pytest.raises(AgentFailure, match="malformed agent hello"):
-                admit_agent(listener, [PARTY_A, PARTY_B], timeout=5.0)
-            assert client.recv(1) == b"", "the refused connection was left open"
-            client.close()
+            stray = self.dial(listener, hello)
+            agent = self.dial(listener, ("join", PARTY_B, 0, NONCE))
+            links = accept_agents(listener, {PARTY_B: 0}, nonce=NONCE, timeout=5.0)
+            assert stray.recv(1) == b"", "the stray connection was answered or left open"
+            send_frame(links[PARTY_B], ("session", {}))
+            assert agent.recv(4) != b"", "the slot went to another connection"
+            for sock in (stray, agent, links[PARTY_B]):
+                sock.close()
         finally:
             listener.close()
 
-    def test_duplicate_party_is_refused(self):
-        """Once a party is admitted it is no longer expected: a second hello
-        in its name fails the bring-up instead of replacing the first link."""
+    def test_a_hello_with_a_wrong_nonce_fails_bring_up_at_once(self):
         listener = bind_listener(5.0)
         try:
-            first = self.dial(listener, ("hello", PARTY_A))
-            party, sock = admit_agent(listener, [PARTY_A, PARTY_B], timeout=5.0)
-            assert party == PARTY_A
-            second = self.dial(listener, ("hello", PARTY_A))
-            with pytest.raises(AgentFailure, match="malformed agent hello"):
-                admit_agent(listener, [PARTY_B], timeout=5.0)
+            impostor = self.dial(listener, ("join", PARTY_B, 0, "0" * 32))
+            started = time.monotonic()
+            with pytest.raises(AgentFailure, match="wrong session nonce"):
+                accept_agents(listener, {PARTY_A: 0, PARTY_B: 0}, nonce=NONCE, timeout=5.0)
+            assert time.monotonic() - started < 2.0
+            assert impostor.recv(1) == b""
+            impostor.close()
+        finally:
+            listener.close()
+
+    def test_duplicate_party_is_drained(self):
+        """Once a party is accepted it is no longer expected: a second hello
+        in its name is drained and the first link is kept."""
+        listener = bind_listener(5.0)
+        try:
+            first = self.dial(listener, ("join", PARTY_A, 0, NONCE))
+            second = self.dial(listener, ("join", PARTY_A, 0, NONCE))
+            other = self.dial(listener, ("join", PARTY_B, 0, NONCE))
+            links = accept_agents(listener, {PARTY_A: 0, PARTY_B: 0}, nonce=NONCE, timeout=5.0)
             assert second.recv(1) == b""
-            # The admitted link is untouched by the refusal.
-            send_frame(sock, ("session", {}))
+            send_frame(links[PARTY_A], ("session", {}))
             assert first.recv(4) != b""
-            for s in (first, second, sock):
+            for s in (first, second, other, *links.values()):
                 s.close()
         finally:
             listener.close()
 
-    def test_stray_client_fails_session_start_cleanly(self, monkeypatch):
-        """End to end: a stray client that beats an agent to the control
-        listener fails ``QuerySession(...)`` with an ``AgentFailure`` and
-        leaves no agent process or admitted link behind."""
+    def test_stray_client_is_drained_and_the_session_starts(self, monkeypatch):
+        """End to end: a stray client that beats the agents to the control
+        listener is drained, and the session starts and serves."""
         from repro.runtime import pool
 
         def stray_then_bind(timeout, host="127.0.0.1"):
             listener = bind_listener(timeout, host)
-            strays.append(self.dial(listener, ("hello",)))
+            strays.append(self.dial(listener, ("hello", PARTY_B)))
             return listener
 
         strays = []
         monkeypatch.setattr(pool, "bind_listener", stray_then_bind)
-        _ctx, inputs = two_party_query()
-        with pytest.raises(AgentFailure, match="malformed agent hello"):
-            cc.open_session(inputs, timeout=10.0)
-        assert wait_until(lambda: active_agent_processes() == [], timeout=10)
-        assert active_sessions() == []
+        ctx, inputs = two_party_query()
+        reference = cc.run_query(ctx, inputs, seed=0).outputs["out"]
+        with cc.open_session(inputs, seed=0, timeout=10.0) as session:
+            assert session.submit(ctx).outputs["out"] == reference
         assert strays[0].recv(1) == b""
         strays[0].close()
+
+    def test_an_agent_that_exits_before_it_dials_fails_the_start_at_once(self, monkeypatch):
+        from repro.runtime import pool
+
+        monkeypatch.setattr(pool, "agent_main", _exit_before_dialling_as_b)
+        _ctx, inputs = two_party_query()
+        started = time.monotonic()
+        with pytest.raises(AgentFailure, match=r"'b\.example' exited with code 3"):
+            cc.QuerySession(sorted(inputs), inputs, timeout=30, start_method="fork")
+        assert time.monotonic() - started < 2.0
+        assert wait_until(lambda: active_agent_processes() == [], timeout=10)
+        assert active_sessions() == []
 
 
 class TestTeardownErrorAccounting:
