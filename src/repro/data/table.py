@@ -6,6 +6,13 @@ relational primitives the compiler's generated code needs: project, filter,
 join, group-by aggregation, sort, concat, arithmetic on columns, distinct,
 and limit.  All operations return new tables; tables are never mutated after
 construction.
+
+A selection (:meth:`Table.select_rows`, which every filter calls) is lazy:
+it keeps its source's columns and the boolean flags of the surviving rows,
+and copies those rows out the first time anything reads a column.
+:meth:`Table.project` and :meth:`Table.rename` of such a table stay lazy,
+and :meth:`Table.pending_selection` lets an engine reduce the survivors in
+place; every other reader sees the copied rows.
 """
 
 from __future__ import annotations
@@ -42,8 +49,35 @@ class Table:
             elif len(arr) != nrows:
                 raise ValueError("all columns must have the same length")
             arrays.append(arr)
-        self._columns: tuple[np.ndarray, ...] = tuple(arrays)
+        self._columns = tuple(arrays)
         self._nrows: int = 0 if nrows is None else int(nrows)
+
+    @classmethod
+    def _selected(cls, source: "Table", flags: np.ndarray, rows: int) -> "Table":
+        """The ``rows`` rows of ``source`` whose ``flags`` are set, not yet
+        copied out of it."""
+        table = cls.__new__(cls)
+        table.schema = source.schema
+        table._copied = None
+        table._pending = (source, flags)
+        table._nrows = rows
+        return table
+
+    @property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The column arrays; a pending selection copies its surviving rows
+        out of the source here, once."""
+        pending = self._pending
+        if pending is not None:
+            source, flags = pending
+            self._copied = tuple(col[flags] for col in source._columns)
+            self._pending = None
+        return self._copied
+
+    @_columns.setter
+    def _columns(self, columns: tuple[np.ndarray, ...]) -> None:
+        self._copied = columns
+        self._pending = None
 
     # -- constructors ----------------------------------------------------------------
 
@@ -85,7 +119,7 @@ class Table:
 
     @property
     def num_columns(self) -> int:
-        return len(self._columns)
+        return len(self.schema)
 
     def __len__(self) -> int:
         return self._nrows
@@ -97,9 +131,17 @@ class Table:
     def columns(self) -> tuple[np.ndarray, ...]:
         return self._columns
 
+    def pending_selection(self) -> "tuple[Table, np.ndarray] | None":
+        """``(source, flags)`` while this table is a selection whose rows
+        are not copied yet: ``source`` has this table's schema and every
+        source row, ``flags`` marks the survivors.  ``None`` once the rows
+        are in place."""
+        return self._pending
+
     def rows(self) -> list[tuple]:
         """Materialise the table as a list of Python row tuples."""
-        return [tuple(col[i].item() for col in self._columns) for i in range(self._nrows)]
+        columns = self._columns
+        return [tuple(col[i].item() for col in columns) for i in range(self._nrows)]
 
     def row(self, i: int) -> tuple:
         return tuple(col[i].item() for col in self._columns)
@@ -131,17 +173,31 @@ class Table:
 
     def project(self, names: Sequence[str]) -> "Table":
         """Return a table with only the named columns, in the given order."""
+        pending = self._pending
+        if pending is not None:
+            source, flags = pending
+            return Table._selected(source.project(names), flags, self._nrows)
         idx = self.schema.indices_of(list(names))
         return Table(self.schema.project(list(names)), [self._columns[i] for i in idx])
 
     def rename(self, mapping: dict[str, str]) -> "Table":
         """Return a table with columns renamed according to ``mapping``."""
+        pending = self._pending
+        if pending is not None:
+            source, flags = pending
+            return Table._selected(source.rename(mapping), flags, self._nrows)
         return Table(self.schema.rename(mapping), self._columns)
 
     def select_rows(self, mask: np.ndarray) -> "Table":
-        """Return rows where the boolean ``mask`` is true."""
+        """Return rows where the boolean ``mask`` is true.
+
+        The result is a pending selection: it copies the rows when a column
+        is first read (see the module docstring)."""
         mask = np.asarray(mask, dtype=bool)
-        return Table(self.schema, [col[mask] for col in self._columns])
+        if mask.shape != (self._nrows,):
+            raise ValueError(f"a mask of shape {mask.shape} cannot select from {self._nrows} rows")
+        source = Table(self.schema, self._columns)
+        return Table._selected(source, mask, int(np.count_nonzero(mask)))
 
     def take(self, indices: np.ndarray) -> "Table":
         """Return the rows at the given positional ``indices``, in order."""
@@ -196,8 +252,9 @@ class Table:
         t = self if names is None else self.project(list(names))
         if t.num_rows == 0:
             return t
-        stacked = np.stack(t._columns, axis=1)
-        _, idx = np.unique(stacked, axis=0, return_index=True)
+        # One record per row, each field in its column's own dtype: an INT
+        # beyond 2**53 must not round to its neighbour beside a FLOAT.
+        _, idx = np.unique(np.rec.fromarrays(t._columns), return_index=True)
         return t.take(np.sort(idx))
 
     def sort_by(self, names: Sequence[str], ascending: bool = True) -> "Table":
@@ -228,12 +285,14 @@ class Table:
         if len(left_on) != len(right_on):
             raise ValueError("join key lists must have equal length")
 
-        # Build a hash index on the right side keyed by the join columns.
+        # Build a hash index on the right side keyed by the join columns.  A
+        # NaN key equals nothing, so it matches nothing.
         right_keys = [other.column(n) for n in right_on]
         index: dict[tuple, list[int]] = {}
         for i in range(other.num_rows):
             key = tuple(k[i].item() for k in right_keys)
-            index.setdefault(key, []).append(i)
+            if all(value == value for value in key):
+                index.setdefault(key, []).append(i)
 
         left_keys = [self.column(n) for n in left_on]
         left_idx: list[int] = []

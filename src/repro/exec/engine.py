@@ -3,8 +3,10 @@
 :class:`ColumnarBackend` is the one engine that executes the cleartext
 side of a plan: its handles are :class:`~repro.data.table.Table`\\ s, and
 it computes on their columns with the vectorized kernels in
-:mod:`repro.exec.kernels`.  A filter copies the surviving rows at once, so
-every operator reads plain columns.
+:mod:`repro.exec.kernels`.  A filter's result is a pending selection
+(:meth:`~repro.data.table.Table.select_rows`): an aggregate that scatters
+reduces its survivors straight from the source, chunk by chunk, and
+anything else reads them copied.
 
 The plan executor instantiates one engine per party, hands it the party's
 plaintext inputs, and reads the tables it produces.  Everything it
@@ -199,12 +201,30 @@ def _grouped(
     out_def = ColumnDef(out_name, out_type)
 
     if not group_by:
-        return Table(Schema([out_def]), [np.array([table._reduce(func, agg_col)])])
+        # A count reads no column.
+        dense = None if func == "count" else _dense_in_place(table, None, agg_col, func)
+        value = dense[1] if dense else np.array([table._reduce(func, agg_col)])
+        return Table(Schema([out_def]), [value])
 
     out_schema = Schema([*table.schema.project([group_by]).columns, out_def])
     if table.num_rows == 0:
         return Table(out_schema)
-    key = table.column(group_by)
-    values = None if func == "count" else table.column(agg_col)
-    out_keys, reduced = kernels.group_reduce(key, values, func)
+    dense = _dense_in_place(table, group_by, agg_col, func)
+    if dense is None:
+        values = None if func == "count" else table.column(agg_col)
+        dense = kernels.group_reduce(table.column(group_by), values, func)
+    out_keys, reduced = dense
     return Table(out_schema, [out_keys, reduced.astype(Table._dtype(out_def))])
+
+
+def _dense_in_place(table: Table, group_by: str | None, agg_col: str | None, func: str):
+    """The scattered grouping of a pending selection's survivors, read from
+    its source without copying them; ``None`` where the rows are in place
+    already or the grouping would not scatter."""
+    pending = table.pending_selection()
+    if pending is None:
+        return None
+    source, flags = pending
+    key = source.column(group_by) if group_by else None
+    values = None if func == "count" else source.column(agg_col)
+    return kernels.dense_group_reduce(key, values, func, flags)

@@ -20,16 +20,19 @@ asserts byte equality between the two paths.  The subtle contracts:
   an integer ``min``/``max`` picks an element.  Everything else — float
   values (whose sums round per step, whose extremes tell ``-0.0`` from
   ``0.0`` and propagate NaN) and sparse or float keys — takes the sorted
-  path below.
+  path below.  ``dense_group_reduce`` scatters :data:`CHUNK_ROWS` rows at
+  a time into one set of bucket arrays, and with ``flags`` it reduces the
+  flagged rows of a source that was never narrowed: the other rows go to a
+  discard bucket.
 * ``segment_reduce`` must reproduce NumPy's reduction results exactly.
   Integer sums may use ``np.add.reduceat``, but float sums and means must
   reduce each group with the same pairwise-summation call the row engine
   uses (``group.sum()`` / ``group.mean()``) over the group's rows in
   original order — ``reduceat``'s (or a scatter's) sequential accumulation
   can differ in the last ulp.
-* ``distinct_indices`` must replicate ``Table.distinct`` including its
-  quirk of stacking all columns into one 2-D array first (which upcasts
-  everything to float64 when int and float columns mix).
+* ``hash_join_indices`` and ``distinct_indices`` compare keys as
+  ``Table.join`` and ``Table.distinct`` do: a NaN join key matches nothing,
+  and a distinct row compares each column in its own dtype.
 """
 
 from __future__ import annotations
@@ -140,13 +143,16 @@ def hash_join_indices(
     stably order the right keys, binary-search each left key's run
     (``searchsorted``), then expand the runs with a cumulative-offset
     trick — no Python loop over rows.  Both key arrays have one dtype: the
-    query frontend rejects a join whose key columns differ in type.
+    query frontend rejects a join whose key columns differ in type.  A NaN
+    key equals nothing, so its run is empty.
     """
     order = stable_order(right_keys)
     sorted_keys = right_keys[order]
     lo = np.searchsorted(sorted_keys, left_keys, side="left")
     hi = np.searchsorted(sorted_keys, left_keys, side="right")
     counts = hi - lo
+    if left_keys.dtype.kind == "f":
+        counts[np.isnan(left_keys)] = 0
     total = int(counts.sum())
     left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
     if total == 0:
@@ -207,6 +213,75 @@ def segment_reduce(
     raise ValueError(f"unsupported aggregation {func!r}")
 
 
+#: Rows a dense grouping scatters at a time: its scratch is O(chunk), not
+#: O(rows).
+CHUNK_ROWS = 1 << 16
+
+#: The scatter that merges a row's value into its bucket, per reducer.
+_SCATTER = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def dense_group_reduce(
+    key: np.ndarray | None,
+    values: np.ndarray | None,
+    func: str,
+    flags: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``group_reduce`` of the rows ``flags`` marks (every row without
+    ``flags``) by scattering them into one bucket per key value, or ``None``
+    where that would not be exact or dense.
+
+    It scatters when ``func`` does not depend on row order (``count``, an
+    integer ``sum``/``min``/``max``), the key is an integer column, and its
+    span over *all* rows holds no more buckets than there are marked rows.
+    ``key=None`` (with ``flags``) reduces the marked rows to one bucket, a
+    scalar aggregate, whose key reads ``0``.  The rows go
+    :data:`CHUNK_ROWS` at a time into one set of bucket arrays, unmarked
+    rows into a discard bucket past the last, so nothing of ``rows`` size is
+    allocated and the marked rows are never copied.
+    """
+    if func != "count" and (func not in _SCATTER or values.dtype.kind == "f"):
+        return None
+    if key is not None and key.dtype.kind != "i":
+        return None
+    n = len(key) if key is not None else len(flags)
+    rows = n if flags is None else int(np.count_nonzero(flags))
+    lo, buckets = 0, 1
+    if key is not None and n:
+        lo = key.min()
+        # Python ints: keys near both ends of int64 must not wrap the span.
+        buckets = int(key.max()) - int(lo) + 1
+    if rows == 0 or buckets > rows:
+        return None
+    counts = np.zeros(buckets + 1, dtype=np.intp)
+    reduced = None
+    if func in ("sum", "min", "max"):
+        # Every bucket starts at the reducer's identity; an occupied bucket
+        # never shows it.
+        limits = np.iinfo(values.dtype)
+        identity = {"sum": 0, "min": limits.max, "max": limits.min}[func]
+        reduced = np.full(buckets + 1, identity, dtype=values.dtype)
+    for start in range(0, n, CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        if key is None:
+            slot = np.zeros(min(stop, n) - start, dtype=np.intp)
+        else:
+            slot = (key[start:stop] - lo).astype(np.intp, copy=False)
+        if flags is not None:
+            slot[~flags[start:stop]] = buckets
+        if len(counts) <= len(slot):
+            counts += np.bincount(slot, minlength=len(counts))
+        else:
+            # More buckets than rows in the chunk: a bincount would cost a
+            # pass over every bucket, per chunk.
+            np.add.at(counts, slot, 1)
+        if reduced is not None:
+            _SCATTER[func].at(reduced, slot, values[start:stop])
+    occupied = np.flatnonzero(counts[:buckets])
+    out_keys = occupied.astype(np.int64 if key is None else key.dtype) + lo
+    return out_keys, (counts if reduced is None else reduced)[occupied]
+
+
 def group_reduce(
     key: np.ndarray, values: np.ndarray | None, func: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -216,35 +291,13 @@ def group_reduce(
     the row engine emits them; ``values`` is ignored for ``count``.  Dense
     integer keys under ``count`` or an integer ``sum``/``min``/``max`` (see
     the module docstring) are scattered into one bucket per key value and
-    the occupied buckets kept — no permutation, no gathers.  Anything else
-    reduces the slices of the stable order.
+    the occupied buckets kept — no permutation, no gathers
+    (:func:`dense_group_reduce`).  Anything else reduces the slices of the
+    stable order.
     """
-    order_free = func == "count" or (
-        func in ("sum", "min", "max") and values.dtype.kind != "f"
-    )
-    if order_free and key.dtype.kind == "i":
-        lo = key.min()
-        # Python ints: keys near both ends of int64 must not wrap the span.
-        buckets = int(key.max()) - int(lo) + 1
-        if buckets <= len(key):
-            slot = (key - lo).astype(np.intp, copy=False)
-            counts = np.bincount(slot, minlength=buckets)
-            if func == "count":
-                reduced = counts
-            elif func == "sum":
-                reduced = np.zeros(buckets, dtype=values.dtype)
-                np.add.at(reduced, slot, values)
-            else:
-                # Every bucket starts at the reducer's identity; an occupied
-                # bucket never shows it.
-                limits = np.iinfo(values.dtype)
-                scatter, identity = (
-                    (np.minimum, limits.max) if func == "min" else (np.maximum, limits.min)
-                )
-                reduced = np.full(buckets, identity, dtype=values.dtype)
-                scatter.at(reduced, slot, values)
-            occupied = np.flatnonzero(counts)
-            return occupied.astype(key.dtype) + lo, reduced[occupied]
+    dense = dense_group_reduce(key, values, func)
+    if dense is not None:
+        return dense
     order, starts, ends = group_slices(key)
     sorted_values = None if func == "count" else values[order]
     return key[order[starts]], segment_reduce(sorted_values, starts, ends, func)
@@ -253,10 +306,9 @@ def group_reduce(
 def distinct_indices(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Indices of the first occurrence of each distinct row, in row order.
 
-    Replicates ``Table.distinct``: stack the columns (mixed dtypes upcast
-    to float64, deliberately matching the row path), ``np.unique`` over
-    rows, keep first occurrences in original order.
+    Replicates ``Table.distinct``: one record per row with each column in
+    its own dtype, ``np.unique`` over the records, first occurrences kept
+    in original order.
     """
-    stacked = np.stack(list(columns), axis=1)
-    _, idx = np.unique(stacked, axis=0, return_index=True)
+    _, idx = np.unique(np.rec.fromarrays(list(columns)), return_index=True)
     return np.sort(idx)

@@ -1,4 +1,5 @@
-"""Warm agents keep their heap: a warm MPC-only query touches no fresh pages.
+"""Warm agents keep their heap: a warm MPC-only query touches no fresh pages,
+and a push-down query grows no agent by the size of its input.
 
 Each agent process pads its glibc heap top by 16 MiB and keeps share
 vectors out of ``mmap`` once at start (``repro.runtime.agent
@@ -9,6 +10,12 @@ pages the previous query already faulted in.  The
 agents report their cumulative ``getrusage`` counts with every result, and
 the session exposes them as ``stats["proc"]``; without the setting each
 agent takes ≈ 4 000–5 600 minor faults per warm query, with it ≈ 3–50.
+
+A push-down query's local step keeps an agent's peak memory flat in its
+input: the filter's survivors are aggregated where they lie, a chunk at a
+time, so a warm agent's ``VmHWM`` grows by the filter's flags and a few
+chunks' scratch — ≈ 3 bytes per input row at 500 000 rows, where copying
+the survivors and an 8-byte bucket index per row grew it by ≈ 24.
 """
 
 import ctypes
@@ -19,11 +26,17 @@ import pytest
 
 import repro as cc
 from repro.queries import market_concentration_query
+from repro.runtime.pool import active_agent_processes
 from repro.workloads import TaxiWorkload
 
 ROWS = 30_000
 WARMUP, MEASURED = 2, 5
 MAX_FAULTS_PER_QUERY = 400
+
+#: Trips per party in the push-down case, and the bound on a warm agent's
+#: ``VmHWM`` growth over one query, per trip.
+PUSHDOWN_ROWS = 500_000
+MAX_HWM_BYTES_PER_ROW = 10
 
 
 def _glibc() -> bool:
@@ -57,3 +70,34 @@ def test_warm_mpc_only_queries_take_almost_no_minor_faults():
         assert set(after[party]) == {"minor_faults", "user_ms", "sys_ms"}
         assert after[party]["user_ms"] >= before[party]["user_ms"]
         assert after[party]["sys_ms"] >= before[party]["sys_ms"]
+
+
+def _vm_hwm_bytes(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+    raise KeyError("VmHWM")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read from /proc")
+def test_a_pushdown_query_grows_no_agent_by_its_input():
+    spec = market_concentration_query(rows_per_party=PUSHDOWN_ROWS)
+
+    def inputs(rows: int) -> dict:
+        tables = TaxiWorkload(seed=1).party_tables(len(spec.parties), rows)
+        return {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
+
+    config = cc.CompilationConfig()
+    compiled = cc.compile_query(spec.context, config)
+    standing = inputs(PUSHDOWN_ROWS)
+    with cc.QuerySession(spec.parties, inputs=standing, config=config, seed=1) as session:
+        # Warm the agents on a small query first: imports, caches, arenas.
+        session.submit(compiled, inputs=inputs(1_000))
+        agents = [proc.pid for proc in active_agent_processes()]
+        before = {pid: _vm_hwm_bytes(pid) for pid in agents}
+        session.submit(compiled)
+        growth = {pid: (_vm_hwm_bytes(pid) - before[pid]) / PUSHDOWN_ROWS for pid in agents}
+
+    assert len(agents) == len(spec.parties)
+    assert all(per_row < MAX_HWM_BYTES_PER_ROW for per_row in growth.values()), growth

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import repro as cc
 from oracle_engine import PythonBackend
-from repro.data.schema import ColumnDef, Schema
+from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
 from repro.exec.engine import ColumnarBackend
+from repro.exec.kernels import distinct_indices, hash_join_indices
 from repro.hybrid.stp import SelectivelyTrustedParty
 from repro.model.counters import CleartextWork
 from repro.model.prices import PythonCostModel, SparkCostModel
@@ -88,6 +89,26 @@ class TestEngineEquivalence:
             np.round(expected.column("r"), 6).tolist()
         )
 
+    def test_a_nan_join_key_matches_nothing(self):
+        """The kernel's binary search found a NaN run for a NaN key."""
+        schema = Schema([ColumnDef("k", ColumnType.FLOAT), ColumnDef("v")])
+        left = Table.from_rows(schema, [(np.nan, 1), (1.0, 2)])
+        right = Table.from_rows(schema, [(np.nan, 3), (1.0, 4)])
+        expected = [(1.0, 2, 4)]
+        assert left.join(right, ["k"], ["k"]).rows() == expected
+        assert ColumnarBackend().join(left, right, "k", "k").rows() == expected
+        left_idx, right_idx = hash_join_indices(left.column("k"), right.column("k"))
+        assert (left_idx.tolist(), right_idx.tolist()) == ([1], [1])
+
+    def test_distinct_compares_int_columns_as_ints_beside_floats(self):
+        """Stacked into float64, 2**53 and 2**53 + 1 were one value."""
+        schema = Schema([ColumnDef("i"), ColumnDef("f", ColumnType.FLOAT)])
+        table = Table.from_rows(schema, [(2**53, 1.0), (2**53 + 1, 1.0), (2**53, 1.0)])
+        expected = [(2**53, 1.0), (2**53 + 1, 1.0)]
+        assert table.distinct().rows() == expected
+        assert ColumnarBackend().distinct(table, ["i", "f"]).rows() == expected
+        assert distinct_indices(table.columns()).tolist() == [0, 1]
+
     def test_empty_relation_handling(self, backend):
         schema = Schema([ColumnDef("key"), ColumnDef("value")])
         handle = backend.ingest(Table.empty(schema))
@@ -142,6 +163,25 @@ class TestWorkTally:
         backend.project(h, ["key"])
         backend.filter(h, "value", ">", 0)
         assert backend.work == CleartextWork(jobs=1, stages=2, records_processed=20)
+
+    def test_a_filtered_aggregate_charges_as_if_its_rows_were_copied(self):
+        """Survivors reduced in place are charged exactly as copied ones: the
+        filter its input rows, the aggregate its survivors."""
+        table = uniform_key_value_table(200, 3, seed=7)
+        tallies = []
+        for copy_first in (False, True):
+            backend = ColumnarBackend()
+            kept = backend.filter(backend.ingest(table), "value", ">", 300)
+            if copy_first:
+                kept.columns()
+            assert (kept.pending_selection() is None) == copy_first
+            backend.aggregate(kept, "key", "value", "sum", "t")
+            assert (kept.pending_selection() is None) == copy_first
+            tallies.append(backend.work)
+        survivors = int((table.column("value") > 300).sum())
+        assert tallies[0] == tallies[1] == CleartextWork(
+            jobs=1, stages=2, records_processed=200 + survivors, records_shuffled=survivors
+        )
 
     def test_narrow_operators_shuffle_nothing(self):
         backend = ColumnarBackend()

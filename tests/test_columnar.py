@@ -164,39 +164,96 @@ VALUE_KINDS = {
 }
 
 
+#: Source rows per chunk in the chunked-grouping tests.
+CHUNK = 4
+
+#: Dense group keys (no more buckets than survivors) of the chunked tests.
+STREAMED_KEYS = {
+    "small": lambda rng, n: rng.integers(0, 3, n),
+    "negative": lambda rng, n: rng.integers(-5, -1, n),
+    "near_plus_2_62": lambda rng, n: (1 << 62) - rng.integers(0, 3, n),
+    "near_minus_2_62": lambda rng, n: -(1 << 62) + rng.integers(0, 3, n),
+}
+
+#: Which of ``n`` source rows survive the filter, in chunks of ``CHUNK``.
+KEEP_PATTERNS = {
+    "none": lambda n: np.zeros(n, dtype=bool),
+    "every_other_chunk_empty": lambda n: np.arange(n) // CHUNK % 2 == 0,
+    "chunk_edges_only": lambda n: np.isin(np.arange(n) % CHUNK, [0, CHUNK - 1]),
+    "one_row": lambda n: np.arange(n) == n - 1,
+    "all": lambda n: np.ones(n, dtype=bool),
+}
+
+
+def _assert_aggregates_as_oracle(table, group_by, func, keep=None, copied=False):
+    """``ColumnarBackend.aggregate`` of ``table`` — narrowed by the engine's
+    filter to the ``keep`` rows, and those copied out first if ``copied`` —
+    equals the row oracle's aggregate of those rows, byte for byte."""
+    backend = ColumnarBackend()
+    handle = backend.ingest(table)
+    expected_input = table
+    if keep is not None:
+        flagged = table.with_column("keep", keep.astype(np.int64))
+        handle = backend.project(backend.filter(flagged, "keep", "==", 1), table.schema.names)
+        if copied:
+            handle.columns()
+        assert (handle.pending_selection() is None) == copied
+        expected_input = Table(table.schema, [col[keep] for col in table.columns()])
+    got = backend.aggregate(handle, group_by, "v", func, "out")
+    expected = PythonBackend().aggregate(expected_input, group_by, "v", func, "out")
+    assert got.schema == expected.schema
+    for got_col, expected_col in zip(got.columns(), expected.columns()):
+        assert got_col.dtype == expected_col.dtype
+        assert got_col.tobytes() == expected_col.tobytes()
+
+
 class TestGroupedAggregateMatchesOracle:
     """``ColumnarBackend.aggregate`` against the row oracle, byte for byte."""
 
-    @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "filtered"])
+    @pytest.mark.parametrize("given_as", ["ingested", "filtered_copied", "filtered_in_place"])
     @pytest.mark.parametrize("shape", list(KEY_SHAPES))
     @pytest.mark.parametrize("ctype", list(VALUE_KINDS), ids=["int", "float"])
     @pytest.mark.parametrize("func", ["sum", "count", "min", "max", "mean"])
     @given(n=st.sampled_from(ROW_COUNTS), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
-    def test_values_and_dtypes(self, func, ctype, shape, filtered, n, seed):
+    def test_values_and_dtypes(self, func, ctype, shape, given_as, n, seed):
         rng = np.random.default_rng(seed)
         schema = Schema([ColumnDef("k"), ColumnDef("v", ctype)])
         columns = [KEY_SHAPES[shape](rng, n), VALUE_KINDS[ctype](rng, n)]
-        backend = ColumnarBackend()
-        if filtered:
-            # The engine's own filter narrows the input by a 0/1 keep column.
-            keep = (rng.random(n) < 0.7).astype(np.int64)
-            flagged = Table(schema.with_column(ColumnDef("keep")), [*columns, keep])
-            handle = backend.filter(backend.ingest(flagged), "keep", "==", 1)
-            columns = [col[keep == 1] for col in columns]
+        if given_as == "ingested":
+            _assert_aggregates_as_oracle(Table(schema, columns), "k", func)
         else:
-            handle = backend.ingest(Table(schema, columns))
-        got = backend.aggregate(handle, "k", "v", func, "out")
-        expected = PythonBackend().aggregate(Table(schema, columns), "k", "v", func, "out")
-        assert got.schema == expected.schema
-        for got_col, expected_col in zip(got.columns(), expected.columns()):
-            assert got_col.dtype == expected_col.dtype
-            assert got_col.tobytes() == expected_col.tobytes()
+            # The engine's own filter narrows the input by a 0/1 keep column;
+            # its survivors are copied out only if something reads them.
+            keep = rng.random(n) < 0.7
+            _assert_aggregates_as_oracle(
+                Table(schema, columns), "k", func, keep, copied=given_as == "filtered_copied"
+            )
+
+    @pytest.mark.parametrize("func", ["sum", "count", "min", "max", "mean"])
+    @pytest.mark.parametrize("ctype", list(VALUE_KINDS), ids=["int", "float"])
+    @pytest.mark.parametrize("keys", list(STREAMED_KEYS))
+    @pytest.mark.parametrize("keep", list(KEEP_PATTERNS))
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "scalar"])
+    def test_survivors_reduced_across_chunks(
+        self, func, ctype, keys, keep, grouped, monkeypatch
+    ):
+        """Survivors that were never copied, grouped or reduced to one row,
+        with four source rows per chunk: whole chunks filtered out, survivors
+        on the first and last row of each chunk, negative keys, key spans at
+        ±2**62, and int64 sums that wrap from one chunk to the next."""
+        monkeypatch.setattr(kernels, "CHUNK_ROWS", CHUNK)
+        rng = np.random.default_rng(17)
+        n = 6 * CHUNK + 3
+        schema = Schema([ColumnDef("k"), ColumnDef("v", ctype)])
+        table = Table(schema, [STREAMED_KEYS[keys](rng, n), VALUE_KINDS[ctype](rng, n)])
+        _assert_aggregates_as_oracle(table, "k" if grouped else None, func, KEEP_PATTERNS[keep](n))
 
     @pytest.mark.parametrize("func", ["sum", "count", "min", "max"])
     def test_dense_keys_never_reach_a_sort(self, func, monkeypatch):
         """The HHI local step — a filtered aggregate by a 3-valued int key —
-        must not regress to a comparison sort, or to any ordering at all."""
+        must not regress to a comparison sort, to any ordering at all, or
+        to a copy of the surviving rows."""
 
         def no_sorting(*args, **kwargs):
             raise AssertionError("the dense-key path ordered its input")
@@ -210,11 +267,14 @@ class TestGroupedAggregateMatchesOracle:
         schema = Schema([ColumnDef("companyID"), ColumnDef("price")])
         backend = ColumnarBackend()
         paid = backend.filter(backend.ingest(Table(schema, [key, value])), "price", ">", 0)
+        paid = backend.project(paid, ["companyID", "price"])
         got = backend.aggregate(paid, "companyID", "price", func, "rev")
+        assert paid.pending_selection() is not None, "the survivors were copied"
         reduce = {"sum": np.sum, "count": len, "min": np.min, "max": np.max}[func]
         assert got.rows() == [
             (k, int(reduce(value[(key == k) & (value > 0)]))) for k in range(3)
         ]
+
 
 
 class TestColumnarBackend:

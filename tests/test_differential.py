@@ -13,7 +13,8 @@ the same compiled plan replayed on the ``Table`` reference engine
 
 The same plans are additionally executed over the socket runtime (one OS
 process per party, cold and through one warm session) and must stay
-byte-identical to the reference engine's in-process run.
+byte-identical to the reference engine's in-process run, and with the
+dense grouping scattering one and seven rows per chunk.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.dispatch import QueryRunner
 from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
+from repro.exec import kernels
 from repro.runtime.service import SocketCoordinator
 
 from oracle_engine import OracleRunner
@@ -334,6 +336,21 @@ def test_random_plan_columnar_byte_identical_to_row_engine(plan):
         assert_byte_identical(
             columnar, reference, f"plan {plan} (seed {spec['seed']}) cleartext={cleartext}"
         )
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7])
+@pytest.mark.parametrize("plan", range(NUM_PLANS))
+def test_random_plan_byte_identical_at_any_chunk_size(plan, chunk_rows, monkeypatch):
+    """A party's filtered aggregate scatters its survivors from the source
+    ``kernels.CHUNK_ROWS`` rows at a time (the test above runs the default):
+    one row or seven per chunk must give the same bytes."""
+    monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk_rows)
+    spec = generate_spec(SEED + plan)
+    _compiled, reference = run_spec(spec, runtime="oracle")
+    _c, columnar = run_spec(spec)
+    assert_byte_identical(
+        columnar, reference, f"plan {plan} (seed {spec['seed']}) chunk_rows={chunk_rows}"
+    )
 
 
 class TestCompositeKeyRangeGuard:

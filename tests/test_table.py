@@ -105,6 +105,76 @@ class TestProjectFilterSort:
         mask = np.array([True, False, True, False, False, False])
         assert kv_table.select_rows(mask).num_rows == 2
 
+    def test_select_rows_rejects_a_mask_of_another_length(self, kv_table):
+        with pytest.raises(ValueError, match="cannot select from 6 rows"):
+            kv_table.select_rows(np.array([True, False]))
+
+
+class TestPendingSelection:
+    """A selection keeps its source's columns and the flags until a column
+    is read; every reader then sees exactly the copied rows."""
+
+    MASK = np.array([True, False, True, False, False, True])
+
+    def test_a_selection_copies_nothing_until_a_column_is_read(self, kv_table):
+        selected = kv_table.select_rows(self.MASK)
+        assert type(selected) is Table
+        source, flags = selected.pending_selection()
+        assert source.columns()[0] is kv_table.columns()[0]
+        assert flags.tolist() == self.MASK.tolist()
+        assert selected.num_rows == 3 and selected.num_columns == 2
+        assert selected.column("value").tolist() == [10, 30, 60]
+        assert selected.pending_selection() is None
+
+    def test_project_and_rename_stay_pending(self, kv_table):
+        selected = kv_table.select_rows(self.MASK)
+        renamed = selected.project(["value"]).rename({"value": "v"})
+        source, flags = renamed.pending_selection()
+        assert source.schema.names == ["v"] and renamed.schema.names == ["v"]
+        assert source.column("v") is kv_table.column("value")
+        assert renamed.rows() == [(10,), (30,), (60,)]
+        assert selected.pending_selection() is not None
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda t: t.rows(),
+            lambda t: t.to_dict(),
+            lambda t: t.sort_by(["value"], ascending=False).rows(),
+            lambda t: t.join(t, ["key"], ["key"]).rows(),
+            lambda t: t.aggregate(["key"], "value", "sum", "s").rows(),
+            lambda t: t.distinct().rows(),
+            lambda t: t.concat(t).rows(),
+            lambda t: t.limit(2).rows(),
+            lambda t: t.with_column("z", np.zeros(t.num_rows)).rows(),
+        ],
+        ids=[
+            "rows", "dict", "sort", "join", "aggregate", "distinct", "concat", "limit",
+            "with_column",
+        ],
+    )
+    def test_every_reader_sees_the_copied_rows(self, kv_table, read):
+        copied = Table(kv_table.schema, [col[self.MASK] for col in kv_table.columns()])
+        assert read(self.pending(kv_table)) == read(copied)
+
+    def test_equality_and_the_codec_see_the_copied_rows(self, kv_table):
+        from repro.runtime.wire import decode_payload, encode_payload
+
+        copied = Table(kv_table.schema, [col[self.MASK] for col in kv_table.columns()])
+        assert self.pending(kv_table) == copied
+        assert copied == self.pending(kv_table)
+        assert decode_payload(encode_payload(self.pending(kv_table))) == copied
+
+    def test_a_selection_of_a_selection(self, kv_table):
+        twice = self.pending(kv_table).select_rows(np.array([False, True, True]))
+        assert twice.pending_selection() is not None
+        assert twice.rows() == [(1, 30), (4, 60)]
+
+    def pending(self, table: Table) -> Table:
+        selected = table.select_rows(self.MASK)
+        assert selected.pending_selection() is not None
+        return selected
+
 
 class TestConcatDistinct:
     def test_concat_preserves_duplicates(self, kv_table):
