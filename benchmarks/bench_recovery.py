@@ -6,16 +6,17 @@ Two identical query streams run against a standing two-party session:
 * ``baseline`` — fault-free: the ordinary warm-session serving path;
 * ``faulted``  — a deterministic :class:`~repro.runtime.faults.KillFault`
   hard-kills one agent every ``KILL_EVERY`` queries (``os._exit`` mid-MPC,
-  sockets torn down by the kernel).  The supervisor restarts the agent,
-  rejoins it to the surviving mesh, and the interrupted query is retried
-  transparently — the stream never sees an error.
+  sockets torn down by the kernel).  The supervisor brings every agent up
+  again at the next epoch, through the bring-up the session start runs,
+  and the interrupted query is retried transparently — the stream never
+  sees an error.
 
 For each mode the benchmark reports per-query latency percentiles; for the
 faulted mode it adds the supervisor's **recovery latency** histogram
-(death detected -> replacement serving, p50/p95/p99), restart/retry counts,
+(restart started -> mesh serving again, p50/p95/p99), restart/retry counts,
 and the cost split between *clean* queries (those that never met a crash —
 their p50 vs the baseline's is the supervision overhead) and *crash-hit*
-queries (the max — one full detect+restart+rejoin+replay cycle).
+queries (the max — one full detect+restart+replay cycle).
 
 Every result in both streams is asserted byte-identical to a fault-free
 reference run, and the faulted stream must finish with zero exhausted
@@ -49,8 +50,8 @@ PARTY_B = "beta.example"
 SEED = 42
 DEFAULT_QUERIES = 32
 #: The victim agent dies at every KILL_EVERY-th query intake *of its
-#: process* — fault counters are per process lifetime, so each replacement
-#: inherits the plan and dies again KILL_EVERY queries later: a periodic
+#: process* — fault counters are per process lifetime, so each restarted
+#: agent gets the plan afresh and dies again KILL_EVERY queries later: a periodic
 #: crash, the worst recurring failure mode short of budget exhaustion.
 KILL_EVERY = 8
 
@@ -175,7 +176,7 @@ def main(argv: list[str]) -> None:
             "faulted_p50_over_baseline_p50": (
                 faulted_p50 / baseline_p50 if baseline_p50 > 0 else None
             ),
-            # Worst single query: one full detect + restart + rejoin + replay.
+            # Worst single query: one full detect + restart + replay.
             "crash_hit_query_max_s": faulted["queries"]["max_s"],
         },
     }

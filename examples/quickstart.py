@@ -30,8 +30,8 @@ where ``runtime`` is ``simulated`` (default), ``sockets``, ``service``,
   its Prometheus scrape endpoint;
 * ``recovery`` demonstrates supervision: a deterministic fault plan kills
   one party's agent in the middle of the second query's MPC exchange; the
-  supervisor restarts it, rejoins it to the surviving mesh, the interrupted
-  query is retried transparently, and every result is identical to the
+  supervisor brings every agent up again, the interrupted query is retried
+  transparently, and every result is identical to the
   fault-free run.
 """
 
@@ -139,7 +139,7 @@ def main(runtime: str = "simulated"):
         # Supervision + crash recovery: a seeded fault plan hard-kills the
         # beta agent (os._exit, sockets torn down by the kernel) after its
         # 3rd mesh frame of query 2.  The supervisor detects the death,
-        # restarts the agent, rejoins it to the surviving mesh, and the
+        # brings every agent up again as at session start, and the
         # RetryPolicy replays the interrupted query — the loop below never
         # sees an error, and every result matches the fault-free first one.
         import time
@@ -162,8 +162,8 @@ def main(runtime: str = "simulated"):
                 t0 = time.perf_counter()
                 result = session.submit(compiled)
                 now = session.stats["restarts"]
-                # Fault counters are per process lifetime, so the replacement
-                # inherits the plan and dies again at *its* 2nd query — both
+                # Fault counters are per process lifetime, so the restarted
+                # beta agent gets the plan afresh and dies again at *its* 2nd query — both
                 # loop iterations exercise a full crash/restart/retry cycle.
                 label = (
                     "agent killed mid-MPC, restarted, query retried"

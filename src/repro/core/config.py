@@ -122,7 +122,7 @@ _ALLOWED_VALUES = {
 
 @dataclass
 class TransportSecurity:
-    """Mutual-TLS material for every mesh, control, and rejoin link.
+    """Mutual-TLS material for every mesh and control link.
 
     A session configured with a ``TransportSecurity`` speaks TLS with
     *mutual* authentication on every socket: the coordinator and each party
@@ -132,7 +132,8 @@ class TransportSecurity:
     ``client_context`` disable hostname checking because parties move
     between hosts; instead the runtime verifies the authenticated CN against
     the party id claimed in the (nonce-carrying) hello frame, so a peer
-    cannot impersonate another party even after a crash and rejoin.
+    cannot impersonate another party, at session start or when a restart
+    brings the agents up again.
 
     Certificates and keys are resolved per identity name: an explicit entry
     in :attr:`certs` / :attr:`keys` wins, otherwise ``<cert_dir>/<name>.crt``
@@ -177,7 +178,7 @@ class TransportSecurity:
         )
         # Party identity is the certificate CN, verified explicitly against
         # the hello frame by the runtime; hostname checks would break the
-        # moment a party migrates hosts or rejoins from a new address.
+        # moment a party migrates hosts or comes back up on a new address.
         context.check_hostname = False
         context.verify_mode = ssl.CERT_REQUIRED
         context.minimum_version = ssl.TLSVersion.TLSv1_2
@@ -367,12 +368,14 @@ class RestartPolicy:
     Passing a policy to :func:`repro.runtime.service.open_session` turns on
     the :class:`~repro.runtime.supervisor.AgentSupervisor`: an agent process
     that dies (control-link EOF, or missed heartbeats when
-    :attr:`heartbeat_interval_seconds` is set) is restarted with exponential
-    backoff, re-joined to the surviving agents' TCP mesh, and re-armed with
-    the session's standing inputs — instead of the crash breaking the whole
-    session.  A party that keeps dying exhausts its *restart budget*
-    (:attr:`max_restarts` deaths within :attr:`window_seconds`) and escalates
-    to a permanent failure: the session breaks with a structured
+    :attr:`heartbeat_interval_seconds` is set) triggers a restart after an
+    exponential backoff: every agent is brought up again, as at session
+    start, with the session's standing inputs — instead of the crash
+    breaking the whole session.  Every death reported before a restart
+    starts is recovered by that one restart, but each counts against its
+    own party's budget.  A party that keeps dying exhausts its *restart
+    budget* (:attr:`max_restarts` deaths within :attr:`window_seconds`) and
+    escalates to a permanent failure: the session breaks with a structured
     :class:`~repro.runtime.pool.AgentFailure` carrying the attempt
     history.
     """

@@ -43,7 +43,6 @@ __all__ = [
     "QueryResult",
     "QueryRunner",
     "SecurityError",
-    "load_party_inputs",
     "run_compiled",
     "run_query_from_csv",
 ]
@@ -74,28 +73,6 @@ class QueryResult:
         if name not in self.outputs:
             raise KeyError(f"no output named {name!r}; have {sorted(self.outputs)}")
         return self.outputs[name]
-
-
-def load_party_inputs(input_dirs: dict[str, str]) -> dict[str, dict[str, Table]]:
-    """Load each party's input relations from its CSV directory.
-
-    ``input_dirs`` maps party name to a directory containing one
-    ``<relation>.csv`` file per input relation the party owns — the same
-    layout the per-party Conclave agents use in the original prototype.
-    """
-    from pathlib import Path
-
-    from repro.data.csvio import read_csv
-
-    inputs: dict[str, dict[str, Table]] = {}
-    for party, directory in input_dirs.items():
-        path = Path(directory)
-        if not path.is_dir():
-            raise FileNotFoundError(f"input directory for party {party!r} not found: {path}")
-        inputs[party] = {
-            csv_file.stem: read_csv(csv_file) for csv_file in sorted(path.glob("*.csv"))
-        }
-    return inputs
 
 
 def run_query_from_csv(

@@ -39,7 +39,8 @@ def read_csv(path: str | os.PathLike, schema: Schema | None = None) -> Table:
     """Read a CSV file with a header row into a :class:`Table`.
 
     If ``schema`` is omitted, all columns are inferred: a column is INT if
-    every value parses as an integer, FLOAT otherwise.
+    every value parses as an integer, FLOAT otherwise.  A row whose cell
+    count differs from the header's is a ``ValueError`` naming its line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -48,7 +49,16 @@ def read_csv(path: str | os.PathLike, schema: Schema | None = None) -> Table:
             header = next(reader)
         except StopIteration as exc:
             raise ValueError(f"{path} is empty; expected a CSV header row") from exc
-        raw_rows = [row for row in reader if row]
+        raw_rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path} line {reader.line_num} has {len(row)} cells; "
+                    f"its header has {len(header)}"
+                )
+            raw_rows.append(row)
 
     if schema is None:
         schema = _infer_schema(header, raw_rows)

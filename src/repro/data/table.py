@@ -92,13 +92,13 @@ class Table:
         if not rows:
             return cls(schema)
         ncols = len(schema)
-        columns = []
-        for j, cdef in enumerate(schema):
-            dtype = cls._dtype(cdef)
-            columns.append(np.array([row[j] for row in rows], dtype=dtype))
         for row in rows:
             if len(row) != ncols:
                 raise ValueError(f"row {row!r} does not match schema width {ncols}")
+        columns = [
+            np.array([row[j] for row in rows], dtype=cls._dtype(cdef))
+            for j, cdef in enumerate(schema)
+        ]
         return cls(schema, columns)
 
     @classmethod

@@ -7,8 +7,9 @@ agent-to-agent TCP mesh once, both through the one handshake
 ``peers`` frame names), and then serves a *stream* of queries over its
 control link — the paper's standing data-owning parties answering many
 analyst queries, with process spawn and mesh setup amortised across the
-stream.  A replacement for a crashed agent starts exactly the same way, at
-its restart epoch, dialling every survivor.
+stream.  After a crash the supervisor retires every agent and starts new
+ones exactly the same way, at the restart epoch: there are no survivors,
+and an agent's mesh never changes while it lives.
 
 Per query, the agent executes its cleartext sub-plans with its own backend,
 ships relations that the plan moves across party boundaries, and
@@ -32,9 +33,7 @@ Lifecycle and robustness:
 * **Drain on shutdown** — a ``shutdown`` frame stops intake, waits for
   in-flight queries to finish, then exits cleanly.
 * **Supervision** — a ``ping`` frame is answered with ``pong`` *without*
-  counting as activity (heartbeats must not defeat the idle timeout); a
-  ``rejoin`` frame makes the agent accept a restarted peer's link through
-  the same :func:`~repro.runtime.mesh.join_mesh` and swap it into the mesh.
+  counting as activity (heartbeats must not defeat the idle timeout).
   A ``faults`` entry in the bundle arms a
   :class:`~repro.runtime.faults.FaultInjector` (deterministic kills at
   query intake, frame faults at mesh sends) for the chaos tests.
@@ -52,7 +51,6 @@ methods.
 from __future__ import annotations
 
 import ctypes
-import functools
 import queue
 import socket
 import threading
@@ -232,8 +230,8 @@ def agent_main(
     (loopback by default; a routable address for multi-machine
     deployments).  The agent dials the coordinator as it dials a peer
     (:func:`~repro.runtime.mesh.join_mesh`), with the session ``nonce`` and
-    its ``epoch`` — 0 at session start, the restart epoch for a replacement
-    — that the spawning pool handed it.  With ``security`` (a
+    its ``epoch`` — 0 at session start, the restart epoch after a crash —
+    that the spawning pool handed it.  With ``security`` (a
     :class:`~repro.core.config.TransportSecurity`) the control link and
     every mesh link speak mutually-authenticated TLS: this agent presents
     the ``party`` certificate and requires the coordinator's certificate to
@@ -273,21 +271,17 @@ def agent_main(
         tag, peers = recv_frame(control)
         if tag != "peers":
             raise RuntimeError(f"agent {party!r} expected a peers frame, got {tag!r}")
-        # One handshake for start and restart alike: the same call later
-        # accepts a restarted peer's link (see ``rejoin`` in ``_serve``).
-        join = functools.partial(
-            join_mesh, party, listener=listener, epoch=epoch,
-            nonce=nonce, timeout=timeout, security=security,
-        )
+        links = join_mesh(party, peers["dial"], peers["accept"], listener, epoch,
+                          nonce=nonce, timeout=timeout, security=security)
+        close_quietly(listener)  # the mesh is complete: nobody dials again
         mesh = PeerMesh(
-            party, join(peers["dial"], peers["accept"]), timeout=timeout,
+            party, links, timeout=timeout,
             injector=injector, released_watermark=bundle["released_watermark"],
         )
 
         agent = PartyAgent(party, parties, mesh, session_inputs=bundle.get("inputs"))
         send_frame(control, ("ready", None))
-        _serve(agent, control, timeout, idle_timeout, max_workers,
-               injector=injector, join=join)
+        _serve(agent, control, timeout, idle_timeout, max_workers, injector=injector)
     except BaseException as exc:  # noqa: BLE001 - everything must reach the coordinator
         try:
             send_frame(control, ("fatal", exc, traceback.format_exc()))
@@ -308,11 +302,8 @@ def _serve(
     max_workers: int = AGENT_MAX_WORKERS,
     *,
     injector=None,
-    join,
 ) -> None:
-    """The agent's query-serving loop (runs until shutdown/idle/EOF);
-    ``join(dial, accept)`` is the agent's :func:`~repro.runtime.mesh
-    .join_mesh`."""
+    """The agent's query-serving loop (runs until shutdown/idle/EOF)."""
     send_lock = threading.Lock()
     in_flight: set[int] = set()
     state_lock = threading.Lock()
@@ -390,21 +381,6 @@ def _serve(
                 drain()
                 reply(("closing", "shutdown"))
                 return
-            if tag == "rejoin":
-                # A crashed peer's replacement is about to dial us: accept
-                # its one link at its restart epoch, then swap the fresh
-                # connection into the mesh.  Failure is reported, not
-                # fatal — the supervisor retries the whole restart.
-                info = frame[1]
-                peer, peer_epoch = info["party"], info["epoch"]
-                try:
-                    agent.mesh.replace_peer(peer, join({}, {peer: peer_epoch})[peer])
-                except Exception as exc:  # noqa: BLE001 - report, do not die
-                    reply(("rejoined", {"party": peer, "epoch": peer_epoch,
-                                        "ok": False, "error": str(exc)}))
-                else:
-                    reply(("rejoined", {"party": peer, "epoch": peer_epoch, "ok": True}))
-                continue
             if tag != "query":
                 raise RuntimeError(f"agent {agent.party!r} received unknown frame {tag!r}")
             job = frame[1]

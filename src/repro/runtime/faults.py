@@ -21,9 +21,12 @@ Fault triggers are **count-based**, not time-based: the Nth query intake of
 a process, the Nth frame sent on a link.  With a sequential query stream
 (the chaos tests' mode) both counters are fully deterministic, so a seeded
 plan replays the identical failure every run.  Counters are per *process
-lifetime*: a restarted agent receives the same per-party plan afresh, so a
-``KillFault(at_query=1)`` kills every replacement too — which is exactly how
-the restart-budget escalation path is exercised.
+lifetime*, and a restart brings every agent up again: each new agent
+receives its per-party plan afresh with fresh counters — the dead party's
+and every other party's alike.  So a ``KillFault(at_query=1)`` kills the
+restarted agent too, which is exactly how the restart-budget escalation
+path is exercised, and any other party's pending fault counts again from
+the restart.
 
 The module is dependency-free (dataclasses + stdlib) so shipping a plan in
 a session frame stays cheap and the plan itself can never fail to encode.

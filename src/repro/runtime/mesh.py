@@ -7,11 +7,11 @@ advertises its real ``(host, port)`` endpoint to the coordinator, and is
 told back whom to dial and whom to accept.  :func:`join_mesh` is the one
 handshake of every link, control links included: every dial introduces the
 dialler with the one hello, ``("join", party, epoch, nonce)``, and every
-accept waits for a set of expected ``{peer: epoch}`` hellos.  At session
-start the epoch is 0; every agent dials the coordinator, dials every agent
-*j < i* (in the shared party order) and accepts every *j > i*; a
-replacement dials the coordinator and every survivor at its restart epoch,
-and the coordinator and each survivor accept that one link.
+accept waits for a set of expected ``{peer: epoch}`` hellos.  Every agent
+dials the coordinator, dials every agent *j < i* (in the shared party order)
+and accepts every *j > i*, at epoch 0 at session start and at the restart
+epoch after a crash — a restart brings every agent up again, so a mesh's
+links never change while it lives.
 
 The mesh is **multiplexed by query id** so one set of TCP connections can
 carry many queries — including concurrent ones — for a long-lived agent.
@@ -50,10 +50,6 @@ Supervision support (the fault-tolerant service runtime):
   discards non-increasing sequences, so a duplicated frame (fault injection,
   or an application-level retransmit) can never desynchronise the lockstep
   MPC protocol;
-* :meth:`PeerMesh.replace_peer` swaps in a fresh connection for a peer whose
-  process was restarted — the old socket is closed, its poison mark
-  cleared, and a new reader thread takes over (stale readers of the replaced
-  socket are generation-guarded so they cannot re-poison the healthy peer);
 * the accept side of :func:`join_mesh` drains anything that is not an
   expected hello — a stale epoch left by a failed restart attempt, a
   malformed frame, a failed TLS handshake — and fails closed on a hello that
@@ -127,8 +123,7 @@ class PeerMesh:
         self.timeout = timeout
         self._socks = dict(connections)
         self._send_locks = {p: threading.Lock() for p in self._socks}
-        # Per-link outgoing sequence numbers (reset to 0 when a peer link is
-        # replaced, so the replacement's reader starts fresh).
+        # Per-link outgoing sequence numbers.
         self._send_seq = {p: 0 for p in self._socks}
         self._injector = injector
         #: Per-peer wire accounting: every mesh frame (data and abort alike)
@@ -148,22 +143,16 @@ class PeerMesh:
         # garbage per finished query.  Coordinators allocate ids
         # contiguously from 1, so the set compacts against a low-watermark
         # (every id <= watermark is released) and stays bounded by the
-        # number of concurrently in-flight queries.  A replacement agent
-        # joining mid-session starts from the coordinator's watermark.
+        # number of concurrently in-flight queries.  An agent brought up by
+        # a restart starts from the coordinator's watermark.
         self._released: set[int] = set()
         self._released_watermark = released_watermark
         self._closed = False
-        self._readers = []
         for peer, sock in self._socks.items():
-            self._start_reader(peer, sock)
-
-    def _start_reader(self, peer: str, sock: socket.socket) -> None:
-        thread = threading.Thread(
-            target=self._read_loop, args=(peer, sock), daemon=True,
-            name=f"mesh-reader-{self.party}-{peer}",
-        )
-        thread.start()
-        self._readers.append(thread)
+            threading.Thread(
+                target=self._read_loop, args=(peer, sock), daemon=True,
+                name=f"mesh-reader-{self.party}-{peer}",
+            ).start()
 
     @property
     def peers(self) -> set[str]:
@@ -222,16 +211,10 @@ class PeerMesh:
                 else:
                     inbox.put(payload)
         except Exception as exc:  # noqa: BLE001 - reader thread must never die silently
-            self._mark_peer_closed(peer, exc, sock)
+            self._mark_peer_closed(peer, exc)
 
-    def _mark_peer_closed(self, peer: str, exc: Exception, sock: socket.socket | None = None) -> None:
+    def _mark_peer_closed(self, peer: str, exc: Exception) -> None:
         with self._lock:
-            # Generation guard: a reader of a socket that has since been
-            # *replaced* (the peer restarted) must not poison the healthy
-            # replacement link.  Only the reader of the current socket may
-            # declare the peer dead.
-            if sock is not None and self._socks.get(peer) is not sock:
-                return
             self._peer_errors[peer] = exc
             existing = [inbox for (_qid, p), inbox in self._inboxes.items() if p == peer]
         for inbox in existing:
@@ -246,27 +229,6 @@ class PeerMesh:
                     break
             inbox.put(self._closed_poison(peer, exc))
 
-    def replace_peer(self, peer: str, sock: socket.socket) -> None:
-        """Swap in a fresh connection for a restarted ``peer`` (add-or-replace).
-
-        Clears the peer's poison mark so new inboxes work again, resets the
-        outgoing sequence counter (the replacement's reader starts from 0),
-        keeps the cumulative :class:`LinkStats` (wire totals span restarts),
-        and starts a reader for the new socket.  Inboxes poisoned *before*
-        the swap keep their poison — in-flight consumers of the dead link
-        must still fail so the query layer can retry on the fresh one.
-        """
-        with self._lock:
-            old = self._socks.get(peer)
-            self._socks[peer] = sock
-            self._send_locks.setdefault(peer, threading.Lock())
-            self._send_seq[peer] = 0
-            self.link_stats.setdefault(peer, LinkStats())
-            self._peer_errors.pop(peer, None)
-        if old is not sock:
-            close_quietly(old, shutdown=True)
-        self._start_reader(peer, sock)
-
     def _send(self, peer: str, kind: str, query_id: int, payload: Any) -> None:
         try:
             sock = self._socks[peer]
@@ -276,7 +238,7 @@ class PeerMesh:
             # The sequence number is consumed even for dropped frames — a
             # drop simulates loss *after* the sender committed the send, so
             # the receiver sees a gap, never a reused number.
-            seq = self._send_seq.get(peer, 0) + 1
+            seq = self._send_seq[peer] + 1
             self._send_seq[peer] = seq
             frame = (seq, kind, query_id, payload)
             fault = None if self._injector is None else self._injector.on_mesh_send(peer, query_id)
@@ -459,11 +421,10 @@ def join_mesh(
     Dials every peer of ``dial`` (party -> advertised ``(host, port)``),
     introducing this party with ``("join", party, epoch, nonce)``, then
     accepts one link from every peer of ``accept`` (party -> the epoch its
-    hello must carry).  An agent dials the coordinator, then (at epoch 0)
-    the lower ranks, accepting the higher ones; a replacement dials the
-    coordinator and every survivor at its restart epoch; a survivor accepts
-    the replacement's one link; the coordinator accepts its agents, and
-    stops as soon as one of their ``processes`` (party -> process) exits.
+    hello must carry).  An agent dials the coordinator, then the lower
+    ranks, accepting the higher ones; the coordinator accepts its agents,
+    and stops as soon as one of their ``processes`` (party -> process)
+    exits.
     With ``security`` every link is mutually-authenticated TLS and every
     link's party must be the one its certificate names.  ``nonce`` is the
     session secret the coordinator handed every agent it spawned.

@@ -8,8 +8,9 @@ tells every agent whom to dial and whom to accept as it joins the mesh, then
 routes result/error frames (tagged by query id) from per-party receiver
 threads into per-query futures.  A control link that dies fails every
 in-flight query loudly and breaks the pool — or, under an
-:class:`~repro.runtime.supervisor.AgentSupervisor`, hands the party over for
-a restart through the same bring-up the start uses.
+:class:`~repro.runtime.supervisor.AgentSupervisor`, reports the death for a
+restart: every agent is retired and the whole mesh comes up again at the
+next epoch through the bring-up the session start runs.
 
 Process hygiene: agent processes are daemonic, tracked in a module-level
 registry (so test fixtures can kill leaks), and reaped when their pool
@@ -100,8 +101,8 @@ class AgentCrashed(AgentFailure):
     """An agent died mid-query under supervision: the query is *retryable*.
 
     Queries are pure functions of (plan, inputs, seed), so once the
-    supervisor has restarted the crashed agent and re-joined the mesh, a
-    replayed query produces byte-identical results.  The session's
+    supervisor has brought the mesh up again, a replayed query produces
+    byte-identical results.  The session's
     :class:`~repro.core.config.RetryPolicy` layer catches this marker and
     replays automatically; callers without a retry policy may do the same by
     resubmitting after :meth:`AgentPool.wait_recovered`.
@@ -228,15 +229,12 @@ class AgentPool:
         #: reported by each agent on every query completion — for the
         #: session's bytes-on-wire and process metrics.
         self._party_counters: dict[str, dict] = {}
-        #: Standing state the supervisor re-ships to a replacement agent.
+        #: Standing state every bring-up ships, a restart's included.
         self._inputs = dict(inputs or {})
         self._faults = faults
-        #: Each agent's advertised mesh endpoint ``(host, port)``, kept
-        #: current across restarts so a replacement can be told where the
-        #: survivors listen.  Opaque to the pool: it only relays them.
-        self._ports: dict[str, tuple[str, int]] = {}
-        #: Parties currently dead-and-being-restarted.  While non-empty the
-        #: pool refuses submissions with the retryable :class:`AgentCrashed`.
+        #: Parties reported dead and not yet brought up again.  While
+        #: non-empty the pool refuses submissions with the retryable
+        #: :class:`AgentCrashed`.
         self._recovering: set[str] = set()
         #: Why the supervisor killed a party, kept until the party's control
         #: link reports EOF so the restart record names the real cause.
@@ -244,7 +242,7 @@ class AgentPool:
         self._healthy = threading.Event()
         self._healthy.set()
         #: Highest query id ever framed out, used as the released-id
-        #: watermark a replacement agent starts its mesh from.
+        #: watermark every agent starts its mesh from.
         self._last_query_id = 0
         self._supervisor: AgentSupervisor | None = None
 
@@ -254,29 +252,26 @@ class AgentPool:
             # from this process: no page of the coordinator's heap — other
             # parties' inputs included — is copied into an agent.
             self._ctx.set_forkserver_preload(["repro.runtime.agent"])
-        for party, started in self._bring_up(self.parties, epoch=0).items():
-            self._install(party, *started)
+        self._install(self._bring_up(epoch=0))
         # The supervisor comes up last: its heartbeat/restart machinery must
         # only ever observe a fully established pool.
         if restart is not None:
             self._supervisor = AgentSupervisor(self, restart, metrics=metrics)
 
-    # -- bring-up (shared by session start and party restart) --------------------------
+    # -- bring-up (session start and restart alike) ------------------------------------
 
-    def _bring_up(self, parties: list[str], epoch: int, survivors=(), supervisor=None) -> dict:
-        """Spawn an agent for each of ``parties`` at ``epoch`` and join it to
-        the mesh; returns ``{party: (process, control link, mesh endpoint)}``.
+    def _bring_up(self, epoch: int) -> dict:
+        """Spawn an agent for every party at ``epoch`` and join them into a
+        mesh; returns ``{party: (process, control link)}``.
 
-        Session start brings up every party at epoch 0; a restart brings up
-        the one replacement at its restart epoch beside the ``survivors``.  A
-        new agent dials the survivors and the new agents before it and
-        accepts the ones after it; a survivor accepts it on ``rejoin``.
+        Epoch 0 is the session start, every restart the next epoch.  The
+        i-th agent dials the agents before it and accepts the ones after it.
         """
         listener = bind_listener(self.timeout, self.bind_host)
         procs, socks = {}, {}
         try:
             # Spawn every agent before accepting any: their start-ups overlap.
-            for party in parties:
+            for party in self.parties:
                 procs[party] = proc = self._ctx.Process(
                     target=agent_main, name=f"conclave-agent-{party}", daemon=True,
                     args=(party, self.bind_host, listener.getsockname()[1], self.timeout,
@@ -288,10 +283,10 @@ class AgentPool:
             # A control link's reads wait out its agent's own mesh join,
             # which takes up to ``timeout``.
             socks = accept_agents(
-                listener, dict.fromkeys(parties, epoch), nonce=self._nonce,
+                listener, dict.fromkeys(self.parties, epoch), nonce=self._nonce,
                 timeout=self.timeout + 10, security=self.security, processes=procs,
             )
-            for party in parties:
+            for party in self.parties:
                 # Query ids at or below the released-id watermark are finished
                 # (or failed and retried under a *new* id): the agent's mesh
                 # drops their late frames.
@@ -303,26 +298,17 @@ class AgentPool:
                     "faults": self._faults.for_party(party) if self._faults else None,
                     "released_watermark": self._last_query_id,
                 }))
-            ports = {party: self._expect(party, socks[party], "ports") for party in parties}
-            # Park every survivor in its accept *before* the replacement
-            # learns whom to dial: the dial can then never race the accept.
-            for peer in survivors:
-                with self._send_locks[peer]:
-                    send_frame(self._connections[peer],
-                               ("rejoin", {"party": parties[0], "epoch": epoch}))
-            endpoints = {**{p: self._ports[p] for p in survivors}, **ports}
-            for i, party in enumerate(parties):
+            ports = {party: self._expect(party, socks[party], "ports") for party in self.parties}
+            for i, party in enumerate(self.parties):
                 send_frame(socks[party], ("peers", {
-                    "dial": {p: endpoints[p] for p in [*survivors, *parties[:i]]},
-                    "accept": dict.fromkeys(parties[i + 1:], epoch),
+                    "dial": {p: ports[p] for p in self.parties[:i]},
+                    "accept": dict.fromkeys(self.parties[i + 1:], epoch),
                 }))
             # Wait for the mesh to be fully established at every agent, so
             # an open pool is a *working* pool (handshake bugs fail here,
             # not inside the first submit).
-            for party in parties:
+            for party in self.parties:
                 self._expect(party, socks[party], "ready")
-            if survivors:
-                supervisor.await_rejoined(survivors, epoch, self.timeout)
         except BaseException:
             for party, proc in procs.items():
                 close_quietly(socks.get(party))
@@ -330,7 +316,7 @@ class AgentPool:
             raise
         finally:
             close_quietly(listener)
-        return {party: (procs[party], socks[party], ports[party]) for party in parties}
+        return {party: (procs[party], socks[party]) for party in self.parties}
 
     def _expect(self, party: str, sock: socket.socket, expected_tag: str):
         frame = recv_frame(sock)
@@ -371,8 +357,8 @@ class AgentPool:
                 raise SessionClosed(self._closed_message())
             if self._recovering:
                 raise AgentCrashed(
-                    f"agents {sorted(self._recovering)} are being restarted; "
-                    "the query was not dispatched — retry once the pool recovers"
+                    f"agents {sorted(self._recovering)} died and the mesh is being "
+                    "restarted; the query was not dispatched — retry once the pool recovers"
                 )
             entry = _PendingQuery(remaining=set(self.parties))
             self._pending[query_id] = entry
@@ -432,9 +418,6 @@ class AgentPool:
                 elif tag == "pong":
                     if self._supervisor is not None:
                         self._supervisor.note_pong(party, frame[1])
-                elif tag == "rejoined":
-                    if self._supervisor is not None:
-                        self._supervisor.note_rejoined(party, frame[1])
                 else:
                     raise AgentFailure(f"agent {party!r} sent unknown frame {tag!r}")
         except BaseException as exc:  # noqa: BLE001 - control link is gone
@@ -465,9 +448,8 @@ class AgentPool:
     ) -> None:
         supervisor = self._supervisor
         with self._lock:
-            # Generation guard: a stale reader (or sender) of a control link
-            # that has since been *replaced* must not re-kill the healthy
-            # replacement.
+            # Generation guard: the reader (or sender) of a control link a
+            # restart has retired must not report the new agent dead.
             if sock is not None and self._connections.get(party) is not sock:
                 return
             reason = self._kill_reasons.pop(party, None)
@@ -496,7 +478,7 @@ class AgentPool:
         if supervised:
             # The crash is recoverable: fail in-flight queries with the
             # *retryable* marker and hand the party to the supervisor — the
-            # pool stays open and the mesh survivors stay up.
+            # pool stays open until the mesh is up again.
             _fail_pending(entries, _caused_by(AgentCrashed(
                 f"agent {party!r} crashed mid-query; a restart is under way "
                 f"and the query is safe to replay: {exc}"
@@ -537,44 +519,64 @@ class AgentPool:
 
     # -- supervision hooks (called by AgentSupervisor) ---------------------------------
 
-    def restart_party(self, party: str, epoch: int, supervisor) -> None:
-        """Run the full recovery protocol for a dead ``party``.
+    def restart(self, epoch: int) -> None:
+        """Bring the whole mesh up again at ``epoch``, as at session start.
 
-        Called from the supervisor's restart worker (strictly serialized).
-        Raises on any failure — the supervisor treats that as a burned
-        restart-budget slot and re-queues the party.
+        Called from the supervisor's restart worker.  Every current agent is
+        retired first: its control link leaves ``_connections`` before it is
+        closed, so its receiver's EOF is not a new death.  Raises on any
+        failure — the supervisor burns a restart-budget slot of every dead
+        party and tries again.
         """
         with self._lock:
             if self._closed or self._broken is not None or self._retired:
                 raise SessionClosed(self._closed_message())
-            survivors = [
-                p for p in self.parties if p != party and p not in self._recovering
-            ]
-        started = self._bring_up([party], epoch, survivors, supervisor)[party]
+            links, self._connections = self._connections, {}
+            receivers, self._receivers = self._receivers, []
+            procs = list(self._processes.values())
+        for proc in procs:
+            proc.kill()  # nothing to save; reaped while the new agents start
+        for sock in links.values():
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes its receiver
+            except OSError:
+                pass
+        # A link is closed only once its receiver has let go of it: the
+        # descriptor's number is free for a new agent's link after that.
+        for thread in receivers:
+            thread.join(timeout=self.timeout)
+        for sock in links.values():
+            close_quietly(sock)
+        try:
+            started = self._bring_up(epoch)
+        finally:
+            for proc in procs:
+                _reap(proc)
         if self._on_restart is not None:
-            self._on_restart(party)  # before the pool reopens: plans ship again
-        self._install(party, *started)
+            self._on_restart()  # before the pool reopens: plans ship again
+        self._install(started)
 
-    def _install(self, party: str, proc, sock: socket.socket, mesh_port: tuple[str, int]) -> None:
-        """Serve ``party`` through a brought-up agent (at start, or in place
-        of a dead one)."""
+    def _install(self, started: dict) -> None:
+        """Serve every party through the agents of one bring-up."""
         with self._lock:
-            old_proc = self._processes.get(party)
-            old_sock = self._connections.get(party)
-            self._processes[party] = proc
-            self._connections[party] = sock
-            self._send_locks[party] = threading.Lock()
-            self._ports[party] = mesh_port
-            self._recovering.discard(party)
-            # A kill whose EOF was reported before it landed left its reason
-            # behind; it must not relabel the replacement's next death.
-            self._kill_reasons.pop(party, None)
-            recovered = not self._recovering
-        _ACTIVE_PROCESSES.discard(old_proc)
-        close_quietly(old_sock)
-        self._start_receiver(party, sock)
-        if recovered:
-            self._healthy.set()
+            stopped = self._closed or self._broken is not None
+            if not stopped:
+                for party, (proc, sock) in started.items():
+                    self._processes[party] = proc
+                    self._connections[party] = sock
+                    self._send_locks[party] = threading.Lock()
+                self._recovering.clear()
+                # A kill whose EOF was reported before it landed left its
+                # reason behind; it must not relabel a new agent's death.
+                self._kill_reasons.clear()
+                self._healthy.set()
+        if stopped:  # closed or broken while the restart brought agents up
+            for proc, sock in started.values():
+                close_quietly(sock)
+                _reap(proc)
+            raise SessionClosed(self._closed_message())
+        for party, (_proc, sock) in started.items():
+            self._start_receiver(party, sock)
 
     def fail_permanently(self, party: str, history: list, cause: BaseException) -> None:
         """Escalation target for an exhausted restart budget: break the pool
@@ -609,17 +611,18 @@ class AgentPool:
             self._healthy.wait(timeout=min(remaining, 0.25))
 
     def live_parties(self) -> list[str]:
-        """Parties with a (believed-)healthy control link right now."""
+        """Every party while the mesh is up; none while a restart is pending
+        or under way, or once the pool is closed or broken."""
         with self._lock:
-            if self._closed or self._broken is not None or self._retired:
+            if self._closed or self._broken is not None or self._retired or self._recovering:
                 return []
-            return [p for p in self.parties if p not in self._recovering]
+            return list(self.parties)
 
     def send_ping(self, party: str, seq: int) -> bool:
         """Heartbeat one agent; False when the link is unusable (the
         receiver-side EOF path owns the actual death diagnosis)."""
         with self._lock:
-            if self._closed or self._broken is not None or party in self._recovering:
+            if self._closed or self._broken is not None or self._recovering:
                 return False
             sock = self._connections.get(party)
             lock = self._send_locks.get(party)

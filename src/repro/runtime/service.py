@@ -10,7 +10,10 @@ serves ``submit(plan)`` many times (thread-safe, concurrently) with
 per-session compiled-plan caching keyed by plan fingerprint (each distinct
 plan is encoded and shipped once) and a graceful lifecycle (context manager,
 drain-on-close, optional idle timeout after which the agents retire
-themselves).
+themselves).  Under a :class:`~repro.core.config.RestartPolicy` an agent's
+death does not end the session: the pool brings every agent up again
+through the one bring-up the session start runs — no agent survives a
+restart — and the session ships every plan again.
 
 :func:`open_session` is the convenience opener (parties default to the input
 owners).  Single-query execution (``runtime="sockets"``) is the degenerate
@@ -214,16 +217,16 @@ class QuerySession:
     queue limits).
 
     ``restart`` (a :class:`~repro.core.config.RestartPolicy`) turns on agent
-    supervision: a crashed agent process is restarted, re-joined to the
-    surviving mesh and re-armed with the session's standing inputs, instead
+    supervision: when an agent process crashes, every agent is brought up
+    again, as at session start, with the session's standing inputs, instead
     of the crash breaking the session.  ``retry`` (a
     :class:`~repro.core.config.RetryPolicy`) makes queries hit by such a
     crash (or by a transport-level failure) replay transparently — safe
     because queries are pure functions of (plan, inputs, seed).  ``faults``
     (a :class:`~repro.runtime.faults.FaultPlan`) arms the deterministic
     fault-injection harness used by the chaos tests.  ``security`` (a
-    :class:`~repro.core.config.TransportSecurity`) wraps every control,
-    mesh and rejoin link in mutually-authenticated TLS, each hello checked
+    :class:`~repro.core.config.TransportSecurity`) wraps every control
+    and mesh link in mutually-authenticated TLS, each hello checked
     against its certificate's CN — required for deployments that leave
     loopback (pair it with ``config.bind_host``, the host the control
     listener and the agents' mesh listeners bind and advertise).
@@ -285,7 +288,7 @@ class QuerySession:
             restart=restart,
             faults=faults,
             metrics=self._metrics,
-            on_restart=self._party_restarted,
+            on_restart=self._agents_restarted,
             bind_host=self.config.bind_host,
             security=security,
         )
@@ -301,10 +304,9 @@ class QuerySession:
         broken = pool.broken if pool is not None else None
         self._gateway.close(broken if isinstance(broken, Exception) else None)
 
-    def _party_restarted(self, party: str) -> None:
-        """A replacement agent joined: its plan cache is empty, so every plan
-        must ship again on next use (re-shipping to survivors is harmless —
-        their caches are simply overwritten with identical plans)."""
+    def _agents_restarted(self) -> None:
+        """The mesh came up again: every agent's plan cache is empty, so
+        every plan ships again on its next use."""
         with self._submit_lock:
             self._shipped_fingerprints.clear()
 

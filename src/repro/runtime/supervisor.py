@@ -1,4 +1,4 @@
-"""Per-party agent supervision: crash detection, restart, mesh rejoin.
+"""Per-party agent supervision: crash detection and restart.
 
 The service runtime keeps one OS process per data-owning party alive across
 a stream of queries.  Without supervision, any of those processes dying —
@@ -6,47 +6,37 @@ OOM kill, segfault in a native backend, an injected chaos fault — breaks the
 whole session: every in-flight query fails terminally and the surviving
 agents are torn down.  This module turns that into a *recoverable* event.
 
+Queries are pure functions of (plan, inputs, seed), so an agent keeps
+nothing a fresh bring-up would not restore: a restart is a session start.
 One :class:`AgentSupervisor` serves one :class:`~repro.runtime.pool
 .AgentPool`.  It owns two daemon threads:
 
-* the **restart worker** consumes a queue of dead parties and restarts them
-  strictly one at a time (two parties dying together recover sequentially —
-  mesh rejoin choreography assumes one replacement in flight).  Each attempt
-  runs the full recovery protocol below; a failed attempt burns a slot of
-  the party's *restart budget* (:class:`~repro.core.config.RestartPolicy`:
-  at most ``max_restarts`` deaths per ``window_seconds``, exponential
-  backoff between attempts) and re-queues the party.  An exhausted budget
-  escalates to a **permanent failure**: the pool breaks with a structured
-  :class:`~repro.runtime.pool.AgentFailure` carrying the attempt history.
+* the **restart worker** waits for a death, backs off, and then brings the
+  whole mesh up again at the next ``epoch`` (0 is the session start) with
+  :meth:`~repro.runtime.pool.AgentPool.restart`: every current agent is
+  retired, then every party is spawned, accepted through
+  :func:`~repro.runtime.mesh.join_mesh`'s one accept at the new epoch (with
+  the session nonce and, under a :class:`~repro.core.config
+  .TransportSecurity`, its certificate's CN), sent its session frame and
+  joined into a fresh mesh — the pool's one bring-up.  Every death reported
+  before a restart starts is recovered by that one restart, yet each dead
+  party keeps its own *restart budget* (:class:`~repro.core.config
+  .RestartPolicy`: at most ``max_restarts`` deaths per ``window_seconds``,
+  exponential backoff between attempts) and its own attempt record.  A
+  failed restart burns a slot of every dead party's budget and is tried
+  again; an exhausted budget escalates to a **permanent failure**: the pool
+  breaks with a structured :class:`~repro.runtime.pool.AgentFailure`
+  carrying the attempt history.  A restart records ``agent_restarts`` and
+  ``recovery_seconds`` per dead party and marks the pool healthy,
+  unblocking the query retries waiting in
+  :meth:`~repro.runtime.pool.AgentPool.wait_recovered`.
 * the **heartbeat thread** (optional, ``heartbeat_interval_seconds``) pings
   every live control link; an agent that misses ``heartbeat_misses``
   consecutive pongs is declared wedged and its process killed — which funnels
   into the same control-link-EOF crash path as a real death.  Agents answer
   pings without counting them as activity, so heartbeats never defeat the
-  session's idle timeout.  Enforcement is suspended while a recovery is in
-  progress (survivors legitimately stall while parked in the rejoin accept).
-
-The recovery protocol for a dead ``party`` (all on the restart worker) is
-the pool's session-start bring-up, run for one party at a monotonically
-increasing ``epoch`` (0 is the session start):
-
-1. spawn a fresh agent process at the epoch and accept its control link
-   through :func:`~repro.runtime.mesh.join_mesh`'s one accept, which
-   expects its hello at this epoch, with the session nonce and (under a
-   :class:`~repro.core.config.TransportSecurity`) its certificate's CN;
-2. send it the session frame every agent starts from (its standing inputs,
-   fault sub-plan and the pool's released-id watermark, so its mesh drops
-   late frames of finished queries), and receive its mesh port;
-3. send every survivor a ``rejoin`` frame, on which it accepts the
-   replacement's link through the same accept — stale connections of
-   failed attempts are drained by the epoch check, and an impostor cannot
-   claim the crashed party's identity during the rejoin window;
-4. send the replacement the *live* peer ports to dial, await its
-   ``ready`` and every survivor's ``rejoined`` acknowledgement, then
-   install the new process, control link and receiver thread, record
-   ``agent_restarts`` / ``recovery_seconds``, and mark the pool healthy —
-   unblocking the query retries waiting in
-   :meth:`~repro.runtime.pool.AgentPool.wait_recovered`.
+  session's idle timeout.  Enforcement is suspended while a restart is
+  pending or under way (the agents being replaced answer nothing).
 
 The supervisor never touches query state: failing and retrying in-flight
 queries is the session layer's job (:class:`~repro.core.config.RetryPolicy`).
@@ -56,7 +46,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 
 from repro.core.config import RestartPolicy
 
@@ -69,19 +58,16 @@ class AgentSupervisor:
         self.policy = policy.validate()
         self._metrics = metrics
         self._lock = threading.Lock()
-        self._dead: deque[tuple[str, BaseException]] = deque()
+        #: Dead parties awaiting the next restart -> the cause of death.
+        self._dead: dict[str, BaseException] = {}
         self._wake = threading.Condition(self._lock)
         self._stopped = False
-        #: Per-party death timestamps inside the budget window, and the
-        #: structured attempt history carried by a permanent failure.
+        #: Per-party death timestamps inside the budget window (charged when
+        #: the death is queued), and the structured attempt history carried
+        #: by a permanent failure.
         self._death_times: dict[str, list[float]] = {}
         self._attempts: dict[str, list[dict]] = {}
         self._epoch = 0
-        #: Parties whose restart is queued or in progress (dedup guard).
-        self._recovering: set[str] = set()
-        self._restart_in_progress = False
-        #: (peer, epoch) -> ack payload from the survivor's "rejoined" frame.
-        self._rejoined: dict[tuple[str, int], dict] = {}
         #: Heartbeat bookkeeping: pings sent minus pongs seen, per party.
         self._hb_outstanding: dict[str, int] = {}
         self._hb_seq = 0
@@ -100,23 +86,25 @@ class AgentSupervisor:
     # -- events from the pool ----------------------------------------------------------
 
     def notify_death(self, party: str, exc: BaseException) -> None:
-        """A control link died; queue the party for restart (idempotent)."""
+        """A control link died; queue the party for the next restart.  The
+        pool reports each party once per restart."""
         with self._wake:
-            if self._stopped or party in self._recovering:
-                return
-            self._recovering.add(party)
-            self._dead.append((party, exc))
-            self._wake.notify_all()
+            if not self._stopped:
+                self._queue(party, exc)
+
+    def _queue(self, party: str, cause: BaseException) -> None:
+        """Queue ``party`` and charge its budget (under the lock)."""
+        now = time.monotonic()
+        times = self._death_times.setdefault(party, [])
+        times.append(now)
+        # Slide the budget window.
+        times[:] = [t for t in times if now - t <= self.policy.window_seconds]
+        self._dead[party] = cause
+        self._wake.notify_all()
 
     def note_pong(self, party: str, seq) -> None:
         with self._lock:
             self._hb_outstanding[party] = 0
-
-    def note_rejoined(self, party: str, info: dict) -> None:
-        """A survivor acknowledged (or failed) a rejoin accept."""
-        with self._wake:
-            self._rejoined[(party, info.get("epoch", -1))] = info
-            self._wake.notify_all()
 
     def stop(self) -> None:
         with self._wake:
@@ -127,145 +115,113 @@ class AgentSupervisor:
 
     def _restart_loop(self) -> None:
         while True:
+            policy = self.policy
             with self._wake:
                 while not self._dead and not self._stopped:
                     self._wake.wait(timeout=1.0)
                 if self._stopped:
                     return
-                party, cause = self._dead.popleft()
-                self._restart_in_progress = True
-                self._epoch += 1
-                epoch = self._epoch
-            try:
-                self._recover_party(party, cause, epoch)
-            finally:
-                with self._wake:
-                    self._restart_in_progress = False
-
-    def _recover_party(self, party: str, cause: BaseException, epoch: int) -> None:
-        policy = self.policy
-        now = time.monotonic()
-        times = self._death_times.setdefault(party, [])
-        times.append(now)
-        # Slide the budget window.
-        times[:] = [t for t in times if now - t <= policy.window_seconds]
-        attempt_no = len(self._attempts.setdefault(party, [])) + 1
-        record = {
-            "party": party,
-            "attempt": attempt_no,
-            "epoch": epoch,
-            "cause": repr(cause),
-        }
-        if len(times) > policy.max_restarts:
-            record["outcome"] = "budget-exhausted"
-            self._attempts[party].append(record)
-            self._escalate(party, cause)
-            return
-
-        backoff = min(
-            policy.backoff_seconds * policy.backoff_multiplier ** (len(times) - 1),
-            policy.max_backoff_seconds,
-        )
-        if backoff > 0:
-            time.sleep(backoff)
-        started = time.monotonic()
-        try:
-            self._pool.restart_party(party, epoch, self)
-        except BaseException as exc:  # noqa: BLE001 - a failed attempt is re-queued
-            record["outcome"] = f"failed: {exc}"
-            record["error"] = repr(exc)
-            self._attempts[party].append(record)
-            if self._metrics is not None:
-                self._metrics.inc("agent_restart_failures")
+                deaths = max(len(self._death_times[p]) for p in self._dead)
+            if deaths <= policy.max_restarts:
+                # Deaths reported while backing off join this restart.
+                time.sleep(min(
+                    policy.backoff_seconds * policy.backoff_multiplier ** (deaths - 1),
+                    policy.max_backoff_seconds,
+                ))
             with self._wake:
                 if self._stopped:
                     return
-                # Re-queue: the *next* attempt re-evaluates the budget, so a
+                dead, self._dead = self._dead, {}
+                self._epoch += 1
+                epoch = self._epoch
+            self._restart(dead, epoch)
+
+    def _restart(self, dead: dict[str, BaseException], epoch: int) -> None:
+        """One restart of the whole mesh, recovering every party of ``dead``."""
+        records = {
+            party: {
+                "party": party,
+                "attempt": len(self._attempts.setdefault(party, [])) + 1,
+                "epoch": epoch,
+                "cause": repr(cause),
+            }
+            for party, cause in dead.items()
+        }
+        for party in dead:
+            if len(self._death_times[party]) > self.policy.max_restarts:
+                records[party]["outcome"] = "budget-exhausted"
+                self._attempts[party].append(records[party])
+                self._escalate(party, dead[party])
+                return
+        started = time.monotonic()
+        try:
+            self._pool.restart(epoch)
+        except BaseException as exc:  # noqa: BLE001 - a failed attempt is re-queued
+            for party, record in records.items():
+                record["outcome"] = f"failed: {exc}"
+                record["error"] = repr(exc)
+                self._attempts[party].append(record)
+                if self._metrics is not None:
+                    self._metrics.inc("agent_restart_failures")
+            with self._wake:
+                if self._stopped:
+                    return
+                # Re-queue: the *next* attempt re-evaluates the budgets, so a
                 # party whose restarts keep failing escalates via the same
                 # window arithmetic as one that keeps crashing.
-                self._dead.append((party, exc))
+                for party in dead:
+                    self._queue(party, exc)
             return
-        record["outcome"] = "restarted"
-        record["recovery_seconds"] = time.monotonic() - started
-        self._attempts[party].append(record)
-        if self._metrics is not None:
-            self._metrics.inc("agent_restarts")
-            self._metrics.observe("recovery_seconds", record["recovery_seconds"])
+        seconds = time.monotonic() - started
+        for record in records.values():
+            record["outcome"] = "restarted"
+            record["recovery_seconds"] = seconds
+            self._attempts[record["party"]].append(record)
+            if self._metrics is not None:
+                self._metrics.inc("agent_restarts")
+                self._metrics.observe("recovery_seconds", seconds)
         with self._lock:
-            self._recovering.discard(party)
-            self._hb_outstanding[party] = 0
+            self._hb_outstanding.clear()
 
     def _escalate(self, party: str, cause: BaseException) -> None:
         history = [dict(r) for records in self._attempts.values() for r in records]
         self.stop()
         self._pool.fail_permanently(party, history, cause)
 
-    def await_rejoined(self, peers: list[str], epoch: int, timeout: float) -> None:
-        """Block until every survivor acked this epoch's rejoin (or fail)."""
-        deadline = time.monotonic() + timeout
-        with self._wake:
-            while True:
-                missing = [p for p in peers if (p, epoch) not in self._rejoined]
-                failed = [
-                    (p, self._rejoined[(p, epoch)])
-                    for p in peers
-                    if (p, epoch) in self._rejoined and not self._rejoined[(p, epoch)].get("ok")
-                ]
-                if failed:
-                    peer, info = failed[0]
-                    raise RuntimeError(
-                        f"survivor {peer!r} failed to accept the rejoin (epoch {epoch}): "
-                        f"{info.get('error', 'unknown error')}"
-                    )
-                if not missing:
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._stopped:
-                    raise TimeoutError(
-                        f"survivors {missing} never acknowledged the rejoin (epoch {epoch})"
-                    )
-                self._wake.wait(timeout=min(remaining, 1.0))
-
     # -- heartbeats --------------------------------------------------------------------
 
     def _heartbeat_loop(self) -> None:
         interval = self.policy.heartbeat_interval_seconds
         while True:
-            with self._wake:
-                if self._stopped:
-                    return
-                suspended = self._restart_in_progress or bool(self._recovering)
-            if suspended:
-                # Survivors may be parked in a rejoin accept; silence is
-                # expected, so neither ping nor judge until recovery settles.
+            parties = self._pool.live_parties()
+            with self._lock:
+                if not parties:
+                    # A restart is pending or under way: the agents being
+                    # replaced answer nothing, so none is pinged or judged.
+                    self._hb_outstanding.clear()
+                self._hb_seq += 1
+                seq = self._hb_seq
+            stale = []
+            for party in parties:
+                # Count the ping *before* sending it: the pong can land (and
+                # zero the counter) before send_ping even returns, and a count
+                # written afterwards would overwrite that reset — a healthy
+                # agent then looks one miss staler every tick until it is
+                # killed.
                 with self._lock:
-                    for party in list(self._hb_outstanding):
-                        self._hb_outstanding[party] = 0
-            else:
+                    outstanding = self._hb_outstanding.get(party, 0)
+                    if outstanding < self.policy.heartbeat_misses:
+                        self._hb_outstanding[party] = outstanding + 1
+                if outstanding >= self.policy.heartbeat_misses:
+                    stale.append(party)
+                else:
+                    self._pool.send_ping(party, seq)
+            for party in stale:
                 with self._lock:
-                    self._hb_seq += 1
-                    seq = self._hb_seq
-                stale = []
-                for party in self._pool.live_parties():
-                    # Count the ping *before* sending it: the pong can land
-                    # (and zero the counter) before send_ping even returns,
-                    # and a count written afterwards would overwrite that
-                    # reset — a healthy agent then looks one miss staler
-                    # every tick until it is killed.
-                    with self._lock:
-                        outstanding = self._hb_outstanding.get(party, 0)
-                        if outstanding < self.policy.heartbeat_misses:
-                            self._hb_outstanding[party] = outstanding + 1
-                    if outstanding >= self.policy.heartbeat_misses:
-                        stale.append(party)
-                    else:
-                        self._pool.send_ping(party, seq)
-                for party in stale:
-                    with self._lock:
-                        self._hb_outstanding[party] = 0
-                    # A wedged agent: kill the process so the control link
-                    # EOFs and the ordinary crash path takes over.
-                    self._pool.kill_party(party, reason="missed heartbeats")
+                    self._hb_outstanding[party] = 0
+                # A wedged agent: kill the process so the control link EOFs
+                # and the ordinary crash path takes over.
+                self._pool.kill_party(party, reason="missed heartbeats")
             with self._wake:
                 if self._stopped:
                     return

@@ -38,6 +38,7 @@ from repro.exec.kernels import (
     stable_order,
 )
 from repro.runtime.mesh import bind_listener
+from repro.runtime.pool import AgentPool
 
 from oracle_engine import OracleRunner, PythonBackend
 
@@ -388,20 +389,30 @@ class TestBindHost:
             listener.close()
 
     @pytest.mark.parametrize("bind_host", ["127.0.0.1", "127.0.0.2"])
-    def test_agents_advertise_full_endpoints(self, bind_host):
+    def test_agents_advertise_full_endpoints(self, bind_host, monkeypatch):
         """The session binds and advertises ``config.bind_host`` — also when
         it is not the loopback default."""
         try:
             bind_listener(1.0, bind_host).close()
         except OSError:
             pytest.skip(f"cannot bind the loopback alias {bind_host}")
+        advertised = {}
+        expect = AgentPool._expect
+
+        def recording_expect(pool, party, sock, tag):
+            value = expect(pool, party, sock, tag)
+            if tag == "ports":
+                advertised[party] = value
+            return value
+
+        monkeypatch.setattr(AgentPool, "_expect", recording_expect)
         ctx, inputs = self.two_party_sum()
         config = CompilationConfig(bind_host=bind_host)
         with cc.QuerySession([PARTY_A, PARTY_B], inputs=inputs, config=config) as session:
             assert session._pool.bind_host == bind_host
-            for party, endpoint in session._pool._ports.items():
-                host, port = endpoint
-                assert host == bind_host and port > 0, (party, endpoint)
+            assert set(advertised) == {PARTY_A, PARTY_B}
+            for party, (host, port) in advertised.items():
+                assert host == bind_host and port > 0, (party, host, port)
             result = session.submit(ctx, timeout=60)
         expected = cc.run_query(ctx, inputs)
         assert result.outputs["out"] == expected.outputs["out"]

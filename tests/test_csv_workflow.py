@@ -3,7 +3,7 @@
 import pytest
 
 import repro as cc
-from repro.core.dispatch import load_party_inputs, run_query_from_csv
+from repro.core.dispatch import run_query_from_csv
 from repro.data.csvio import read_csv, write_csv
 from repro.queries import market_concentration_query
 from repro.workloads.taxi import TaxiWorkload
@@ -21,18 +21,6 @@ def csv_dirs(tmp_path):
         write_csv(tables[i], party_dir / f"trips_{i}.csv")
         dirs[party] = str(party_dir)
     return spec, dirs, workload, tables
-
-
-def test_load_party_inputs_reads_every_relation(csv_dirs):
-    spec, dirs, _, tables = csv_dirs
-    inputs = load_party_inputs(dirs)
-    assert set(inputs) == set(spec.parties)
-    assert inputs[spec.parties[0]]["trips_0"] == tables[0]
-
-
-def test_load_party_inputs_missing_directory(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_party_inputs({"ghost.example": str(tmp_path / "missing")})
 
 
 def test_run_query_from_csv_end_to_end(csv_dirs, tmp_path):

@@ -80,3 +80,11 @@ def test_an_integral_cell_in_an_int_column_reads_as_its_integer(tmp_path):
     path.write_text("k\n3.0\n1e3\n")
     schema = Schema([ColumnDef("k", ColumnType.INT)])
     assert read_csv(path, schema=schema).column("k").tolist() == [3, 1000]
+
+
+@pytest.mark.parametrize("body", ["a,b\n1,2\n3\n", "a,b\n1,2,9\n3,4\n"], ids=["short", "long"])
+def test_ragged_row_rejected_with_its_line(tmp_path, body):
+    path = tmp_path / "ragged.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=r"ragged\.csv line [23] has [13] cells; its header has 2"):
+        read_csv(path)

@@ -1,12 +1,13 @@
-"""Supervision & recovery tests: crash detection, restart, rejoin, retry.
+"""Supervision & recovery tests: crash detection, restart, retry.
 
 Everything here runs against *real* agent processes under deterministic
 fault injection (:mod:`repro.runtime.faults`): seeded kills at exact query
 indices, mesh frames dropped / duplicated / delayed / torn at exact frame
 counts.  The properties asserted:
 
-* a killed agent is restarted, rejoined to the surviving mesh, re-armed
-  with the standing inputs, and the interrupted query is retried — with
+* a killed agent brings the whole mesh up again — every agent restarted
+  and re-armed with the standing inputs, as at session start — and the
+  interrupted query is retried — with
   **byte-identical** results (outputs including row order, plus the MPC
   work/traffic profile) to a fault-free run;
 * an agent that keeps dying exhausts its restart budget and the session
@@ -186,6 +187,48 @@ class TestCrashRecovery:
             assert second.outputs["out"] == reference.outputs["out"]
             assert second.mpc_profile == reference.mpc_profile
             assert wait_until(lambda: session.stats["restarts"] >= 1)
+
+    def test_a_restart_brings_every_agent_up_again(self):
+        """Killing one agent restarts the whole mesh: the other party's agent
+        is retired and brought up again too, so every PID changes, and the
+        stream stays byte-identical."""
+        ctx, inputs = two_party_query()
+        reference = cc.run_query(ctx, inputs, seed=9)
+        with supervised_session(inputs) as session:
+            session.submit(ctx, timeout=60)
+            before = {p: proc.pid for p, proc in session._pool._processes.items()}
+            session._pool._processes[PARTY_B].kill()
+            assert wait_until(lambda: session.stats["restarts"] >= 1)
+            result = session.submit(ctx, timeout=60)
+            after = {p: proc.pid for p, proc in session._pool._processes.items()}
+            stats = session.stats
+        assert set(after) == set(before) == {PARTY_A, PARTY_B}
+        assert all(after[p] != before[p] for p in before), (before, after)
+        assert result.outputs["out"] == reference.outputs["out"]
+        assert result.mpc_profile == reference.mpc_profile
+        assert stats["restarts"] == 1
+
+    def test_a_close_during_a_restart_leaves_no_agent(self):
+        """The session closes while a restart brings its agents up: the new
+        agents are reaped instead of installed into the closed pool."""
+        ctx, inputs = two_party_query()
+        session = supervised_session(inputs)
+        pool = session._pool
+        bring_up, new_agents = pool._bring_up, []
+
+        def bring_up_then_close(epoch):
+            started = bring_up(epoch)
+            new_agents.extend(proc for proc, _link in started.values())
+            pool.close(drain=False)
+            return started
+
+        pool._bring_up = bring_up_then_close
+        session.submit(ctx, timeout=60)
+        pool._processes[PARTY_B].kill()
+        assert wait_until(lambda: new_agents and not any(p.is_alive() for p in new_agents))
+        session.close()
+        history = pool._supervisor.attempt_history(PARTY_B)
+        assert [r["outcome"] for r in history] == ["failed: session is closed"], history
 
     def test_recovery_metrics_are_exposed(self, frames_per_query):
         ctx, inputs = two_party_query()
@@ -429,7 +472,7 @@ class TestHeartbeat:
         assert pool.kills == [(PARTY_A, "missed heartbeats", 3)]
 
     def test_submit_during_back_to_back_restarts_is_retried(self):
-        """Both agents die together and recover one after the other; a query
+        """Both agents die together and one restart recovers both; a query
         submitted while the pool is still restarting them fails at dispatch
         (nothing was shipped) and must go through the same retry loop as a
         mid-flight crash instead of surfacing ``AgentCrashed``."""

@@ -32,8 +32,9 @@ class TestConstruction:
             Table(kv_schema, [np.array([1, 2]), np.array([1])])
 
     def test_mismatched_row_width_rejected(self, kv_schema):
-        with pytest.raises(ValueError):
-            Table.from_rows(kv_schema, [(1, 2, 3)])
+        for rows in ([(1, 2, 3)], [(1, 2), (3,)]):
+            with pytest.raises(ValueError, match="schema width"):
+                Table.from_rows(kv_schema, rows)
 
     def test_float_columns_use_float_dtype(self):
         table = make_table({"x": [1.5, 2.5]}, float_cols={"x"})

@@ -1,17 +1,16 @@
 """Mutual-TLS transport: happy path, fail-closed negatives, and differential.
 
 A session configured with a :class:`~repro.core.config.TransportSecurity`
-speaks mutually-authenticated TLS on every control, mesh and rejoin socket.
+speaks mutually-authenticated TLS on every control and mesh socket.
 These tests pin down the three properties that make that deployable:
 
 * **identity** — wrong CA, expired certificates, and a party presenting
   another party's (valid!) certificate all fail *closed* with a structured
-  error, never a hang, on both the initial handshake and the crash-rejoin
-  path;
+  error, never a hang, on both the initial handshake and a restart's;
 * **transparency** — query results over TLS are byte-identical to the
   plaintext and simulated runtimes, including the MPC work/traffic profile;
-* **recoverability** — supervised crash recovery (kill, restart, mesh
-  rejoin) works unchanged through secured sockets.
+* **recoverability** — supervised crash recovery (a kill, then every agent
+  brought up again) works unchanged through secured sockets.
 
 The differential anchor replays the full 50-plan corpus from
 :mod:`tests.test_differential` through one warm TLS session.
@@ -259,7 +258,7 @@ class TestRejoinHelloAuthentication:
     def test_unauthenticated_dialler_cannot_complete_the_handshake(self, security, epoch):
         """A plaintext (or otherwise CA-less) client can't even get a frame
         through: the accept drains the failed handshake and keeps waiting
-        for the real replacement, then times out cleanly."""
+        for the real PARTY_B, then times out cleanly."""
 
         def dialler(endpoint):
             raw = socket.create_connection(endpoint, timeout=5.0)
@@ -282,8 +281,8 @@ class TestRejoinHelloAuthentication:
 
 class TestTlsRecovery:
     def test_kill_and_rejoin_through_secured_sockets(self, security):
-        """A supervised kill + restart + mesh rejoin, all over mutual TLS,
-        must converge to byte-identical results — the full recovery
+        """A supervised kill and the restart of every agent, all over mutual
+        TLS, must converge to byte-identical results — the full recovery
         protocol runs on secured links."""
         from repro.runtime.faults import FaultPlan, KillFault
 

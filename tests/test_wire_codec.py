@@ -339,7 +339,8 @@ def test_control_frames_round_trip_over_a_socket():
         ("ready", None),
         ("join", "alpha.example", 0, "a" * 32),
         ("join", "beta.example", 3, "a" * 32),
-        ("rejoined", {"party": "beta.example", "epoch": 3, "ok": True}),
+        ("session", {"parties": ["alpha.example", "beta.example"], "idle_timeout": None,
+                     "max_workers": 8, "released_watermark": 3}),
     ]
     left, right = socket.socketpair()
     try:
