@@ -26,8 +26,8 @@ where ``runtime`` is ``simulated`` (default), ``sockets``, ``service``,
 * ``gateway`` demonstrates the session's admission control: a burst beyond
   the configured queue limits is shed with an explicit ``QueryRejected``
   (never a silent unbounded backlog), and the session's live metrics —
-  latency percentiles, shed counts, bytes on the wire — are printed from
-  its Prometheus scrape endpoint;
+  latency percentiles and shed counts — are printed from
+  ``session.stats``;
 * ``recovery`` demonstrates supervision: a deterministic fault plan kills
   one party's agent in the middle of the second query's MPC exchange; the
   supervisor brings every agent up again, the interrupted query is retried
@@ -107,19 +107,16 @@ def main(runtime: str = "simulated"):
         print()
     elif runtime == "gateway":
         # Admission control + live metrics: bound the session at 2 concurrent
-        # queries and a 2-deep queue, then offer a burst of 8 from two
-        # analysts.  Queries beyond the limits are shed *immediately* with
-        # QueryRejected — the analyst retries later — instead of growing an
-        # unbounded backlog behind everyone's backs.
+        # queries and a 2-deep queue, then offer a burst of 8.  Queries beyond
+        # the limits are shed *immediately* with QueryRejected — the analyst
+        # retries later — instead of growing an unbounded backlog.
         limits = cc.GatewayConfig(max_in_flight=2, max_queue_depth=2)
         with cc.open_session(inputs, max_workers=2, gateway=limits) as session:
             result = session.submit(compiled)  # warm the plan cache
             admitted, rejected = [], 0
-            for i in range(8):
+            for _ in range(8):
                 try:
-                    admitted.append(
-                        session.submit_async(compiled, analyst=("alice", "bob")[i % 2])
-                    )
+                    admitted.append(session.submit_async(compiled))
                 except cc.QueryRejected:
                     rejected += 1
             for pending in admitted:
@@ -129,11 +126,9 @@ def main(runtime: str = "simulated"):
             latency = stats["latency"]["query_seconds"]
             print(f"admitted latency: p50 {latency['p50']*1e3:.0f}ms, "
                   f"p99 {latency['p99']*1e3:.0f}ms")
-            server = session.serve_metrics()
-            print(f"live Prometheus scrape at {server.url}:")
-            for line in session.render_prometheus().splitlines():
-                if line.startswith("conclave_queries"):
-                    print(f"  {line}")
+            print(f"session stats: submitted {stats['queries_submitted']}, "
+                  f"rejected {stats['queries_rejected']}, "
+                  f"completed {stats['queries_completed']}")
         print()
     elif runtime == "recovery":
         # Supervision + crash recovery: a seeded fault plan hard-kills the
@@ -174,8 +169,8 @@ def main(runtime: str = "simulated"):
                 print(f"query {i + 1}: {time.perf_counter() - t0:.3f}s  [{label}]")
                 assert result.outputs == first.outputs, "recovery changed the result!"
             stats = session.stats
-            print(f"restarts={stats['restarts']} retries={stats['retries']} "
-                  f"recovery p50="
+            print(f"restarts {stats['restarts']}, retries {stats['retries']}, "
+                  f"recovery p50 "
                   f"{stats['latency']['recovery_seconds']['p50']*1e3:.0f}ms")
         print()
     elif runtime == "sockets":

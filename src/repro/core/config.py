@@ -469,54 +469,31 @@ class RetryPolicy:
 
 @dataclass
 class GatewayConfig:
-    """Admission-control and fair-scheduling limits of a query session.
+    """Admission limits of a query session.
 
     The query gateway (:mod:`repro.runtime.gateway`) fronts every standing
-    session: queries are dispatched to the agent mesh while capacity lasts,
-    queued while limits allow, and *shed* with an explicit
-    :class:`~repro.runtime.gateway.QueryRejected` beyond that — under
-    overload an analyst gets an immediate, retryable error instead of an
-    unbounded queue silently growing behind everyone's backs.
+    session: queries are dispatched to the agent mesh while in-flight
+    capacity lasts, wait in one FIFO queue while its depth allows, and are
+    *shed* with an explicit :class:`~repro.runtime.gateway.QueryRejected`
+    beyond that — under overload the analyst gets an immediate error
+    instead of an unbounded queue silently growing.
 
-    Every limit is optional: ``None`` means "no limit at that axis", and the
-    all-``None`` default reproduces the pre-gateway behaviour (dispatch up
-    to the agents' worker capacity, buffer the rest without bound).
+    ``None`` means "no limit at that axis", and the all-``None`` default
+    dispatches up to the agents' worker capacity and queues the rest without
+    bound.
     """
 
     #: Queries dispatched to the agents concurrently.  ``None`` mirrors the
     #: session's agent worker capacity (``max_workers``) so queueing starts
     #: exactly where the agents would start queueing internally.
     max_in_flight: int | None = None
-    #: Total queries waiting in the gateway across all analysts; one more
-    #: submission is shed with ``QueryRejected``.  ``None`` = unbounded.
+    #: Queries waiting in the gateway; one more submission is shed with
+    #: ``QueryRejected``.  ``None`` = unbounded.
     max_queue_depth: int | None = None
-    #: Waiting queries per analyst principal.  ``None`` = unbounded.
-    max_queue_per_analyst: int | None = None
-    #: Dispatched queries per analyst principal — a fairness floor: one hot
-    #: analyst cannot occupy every agent worker slot.  ``None`` = unbounded.
-    max_in_flight_per_analyst: int | None = None
-    #: Weighted round-robin weights per analyst principal (default weight
-    #: applies to analysts not named here).  Dispatch opportunities are
-    #: distributed proportionally to weight when queries are queued.
-    analyst_weights: dict[str, int] = field(default_factory=dict)
-    #: Weight of analysts absent from :attr:`analyst_weights`.
-    default_weight: int = 1
 
     def validate(self) -> "GatewayConfig":
-        for name in (
-            "max_in_flight",
-            "max_queue_depth",
-            "max_queue_per_analyst",
-            "max_in_flight_per_analyst",
-        ):
+        for name in ("max_in_flight", "max_queue_depth"):
             value = getattr(self, name)
             if value is not None and (not _is_count(value) or value < 1):
                 raise ValueError(f"GatewayConfig.{name} must be an int >= 1 or None, got {value!r}")
-        if not _is_count(self.default_weight) or self.default_weight < 1:
-            raise ValueError(f"GatewayConfig.default_weight must be an int >= 1, got {self.default_weight!r}")
-        for analyst, weight in self.analyst_weights.items():
-            if not _is_count(weight) or weight < 1:
-                raise ValueError(
-                    f"GatewayConfig.analyst_weights[{analyst!r}] must be an int >= 1, got {weight!r}"
-                )
         return self

@@ -58,7 +58,6 @@ _LAZY = {
     "QueryRejected": "repro.runtime.gateway",
     "GatewayMetrics": "repro.runtime.metrics",
     "LatencyHistogram": "repro.runtime.metrics",
-    "MetricsServer": "repro.runtime.metrics",
     "AgentSupervisor": "repro.runtime.supervisor",
     "FaultPlan": "repro.runtime.faults",
     "KillFault": "repro.runtime.faults",

@@ -1,20 +1,15 @@
-"""The query gateway: admission control, backpressure and fair scheduling.
+"""The query gateway: admission control and backpressure in front of a session.
 
-The service runtime (PR 5) gave the reproduction standing agents that serve
-a stream of queries, but no *front door*: every submission was framed out to
-the agents immediately, each agent ran up to its worker-pool limit
-concurrently, and everything beyond that buffered without bound — one hot
-analyst could wedge the session for everyone and nobody could tell.  This
-module is the front door:
+Every submission to a :class:`~repro.runtime.service.QuerySession` passes
+through one :class:`QueryGateway`:
 
 * **Admission control** — a query is *dispatched* while in-flight capacity
-  lasts, *queued* while the configured depth limits allow, and *shed* with
-  an explicit :class:`QueryRejected` beyond that.  Rejection is immediate
-  and stateless: the query never reached the agents, the session is
-  untouched, and the analyst can retry.
-* **Fair scheduling** — queued queries are dispatched by smooth weighted
-  round-robin across analyst principals, so a burst from one analyst cannot
-  starve the others of agent worker slots.  Per-analyst order stays FIFO.
+  lasts, *queued* while the queue-depth limit allows, and *shed* with an
+  explicit :class:`QueryRejected` beyond that.  Rejection is immediate
+  and stateless: the query never reached the agents and the session is
+  untouched.
+* **One FIFO queue** — queued queries dispatch in submission order as
+  in-flight slots free up.
 * **Metrics** — every transition is recorded in a
   :class:`~repro.runtime.metrics.GatewayMetrics`: submitted / admitted /
   rejected / completed / failed counters, in-flight and queue-depth gauges,
@@ -23,7 +18,7 @@ module is the front door:
 The gateway is deliberately independent of the socket machinery: it fronts
 any ``dispatch`` callable returning a :class:`~concurrent.futures.Future`
 (the session passes a closure around :meth:`AgentPool.submit`), which keeps
-admission and fairness unit-testable without processes or sockets.
+admission unit-testable without processes or sockets.
 """
 
 from __future__ import annotations
@@ -37,35 +32,19 @@ from dataclasses import dataclass, field
 from repro.core.config import GatewayConfig
 from repro.runtime.metrics import GatewayMetrics
 
-#: Analyst principal used when a submission does not name one.
-DEFAULT_ANALYST = "anonymous"
-
 
 class QueryRejected(RuntimeError):
     """The gateway shed a query: an admission limit was exceeded.
 
     The query was never dispatched (the agents never saw it) and the
-    session remains fully usable — shed-and-retry is the intended
-    backpressure signal for saturating clients.
+    session remains fully usable — shedding is the backpressure signal for
+    saturating clients, whose backoff policy is their own.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        analyst: str,
-        queued: int,
-        in_flight: int,
-        retry_after_seconds: float = 0.1,
-    ):
+    def __init__(self, message: str, *, queued: int, in_flight: int):
         super().__init__(message)
-        self.analyst = analyst
         self.queued = queued
         self.in_flight = in_flight
-        #: Data-driven backoff hint: roughly how long the gateway expects the
-        #: congestion to take to clear, derived from the session's observed
-        #: queue-wait latency (see :meth:`QueryGateway._retry_after_hint`).
-        self.retry_after_seconds = retry_after_seconds
 
 
 class GatewayClosed(RuntimeError):
@@ -77,7 +56,6 @@ class GatewayClosed(RuntimeError):
 class _Job:
     """One admitted query travelling through the gateway."""
 
-    analyst: str
     dispatch: object  # zero-argument callable -> Future resolving to payloads
     future: Future = field(default_factory=Future)
     admitted_at: float = field(default_factory=time.monotonic)
@@ -85,12 +63,13 @@ class _Job:
 
 
 class QueryGateway:
-    """Admission control + weighted-fair dispatch in front of a session.
+    """Admission control + FIFO dispatch in front of a session.
 
     ``dispatch`` closures are invoked outside the gateway lock (they do real
-    socket writes); all scheduling state is guarded by one small lock.  The
-    pump loop is iterative, so a cascade of dispatch failures (e.g. a broken
-    pool draining a deep queue) cannot overflow the stack.
+    socket writes); the queue and the in-flight count are guarded by one
+    small lock.  The pump loop is iterative, so a cascade of dispatch
+    failures (e.g. a broken pool draining a deep queue) cannot overflow the
+    stack.
     """
 
     def __init__(
@@ -113,28 +92,23 @@ class QueryGateway:
         if self._max_in_flight < 1:
             raise ValueError(f"gateway needs max_in_flight >= 1, got {self._max_in_flight}")
         self._lock = threading.Lock()
-        self._queues: dict[str, deque[_Job]] = {}
-        self._wrr_current: dict[str, int] = {}
-        self._in_flight_total = 0
-        self._in_flight: dict[str, int] = {}
+        self._queue: deque[_Job] = deque()
+        self._in_flight = 0
         self._closed: BaseException | None = None
 
     # -- introspection ----------------------------------------------------------------
 
     def in_flight(self) -> int:
         with self._lock:
-            return self._in_flight_total
+            return self._in_flight
 
-    def queued(self, analyst: str | None = None) -> int:
+    def queued(self) -> int:
         with self._lock:
-            if analyst is not None:
-                queue = self._queues.get(analyst)
-                return len(queue) if queue else 0
-            return sum(len(q) for q in self._queues.values())
+            return len(self._queue)
 
     # -- admission --------------------------------------------------------------------
 
-    def submit(self, analyst: str, dispatch) -> Future:
+    def submit(self, dispatch) -> Future:
         """Admit one query: dispatch now, queue, or shed with ``QueryRejected``.
 
         Returns the gateway-level future resolving to whatever the dispatch
@@ -142,22 +116,27 @@ class QueryGateway:
         unserializable frame) re-raises here for immediately dispatched
         queries and fails the future for queued ones.
         """
-        job = _Job(analyst=analyst, dispatch=dispatch)
+        job = _Job(dispatch=dispatch)
         with self._lock:
             if self._closed is not None:
                 raise self._closed_error(f"gateway is closed: {self._closed}")
             self.metrics.inc("queries_submitted")
-            queue = self._queues.get(analyst)
-            if (queue is None or not queue) and self._has_slot(analyst):
-                self._mark_dispatched(analyst)
+            if not self._queue and self._in_flight < self._max_in_flight:
+                self._mark_dispatched()
                 dispatch_now = True
             else:
-                self._check_shed(analyst)
-                if queue is None:
-                    queue = self._queues[analyst] = deque()
-                queue.append(job)
+                limit = self.config.max_queue_depth
+                if limit is not None and len(self._queue) >= limit:
+                    self.metrics.inc("queries_rejected")
+                    raise QueryRejected(
+                        f"query shed: gateway queue is full ({len(self._queue)}/{limit}); "
+                        "retry later or raise the session's GatewayConfig limits",
+                        queued=len(self._queue),
+                        in_flight=self._in_flight,
+                    )
+                self._queue.append(job)
                 self.metrics.inc("queries_queued")
-                self._update_queue_gauges()
+                self.metrics.set_gauge("queue_depth", len(self._queue))
                 dispatch_now = False
         if dispatch_now:
             error = self._dispatch(job)
@@ -166,127 +145,31 @@ class QueryGateway:
                 raise error
         return job.future
 
-    def _has_slot(self, analyst: str) -> bool:
+    # -- dispatch ---------------------------------------------------------------------
+
+    def _mark_dispatched(self) -> None:
         """Caller holds the lock."""
-        if self._in_flight_total >= self._max_in_flight:
-            return False
-        per_analyst = self.config.max_in_flight_per_analyst
-        if per_analyst is not None and self._in_flight.get(analyst, 0) >= per_analyst:
-            return False
-        return True
+        self._in_flight += 1
+        self.metrics.set_gauge("in_flight", self._in_flight)
 
-    def _check_shed(self, analyst: str) -> None:
-        """Caller holds the lock; raises ``QueryRejected`` on a full queue."""
-        total_queued = sum(len(q) for q in self._queues.values())
-        queue = self._queues.get(analyst)
-        analyst_queued = len(queue) if queue else 0
-        reason = None
-        if (
-            self.config.max_queue_depth is not None
-            and total_queued >= self.config.max_queue_depth
-        ):
-            reason = f"gateway queue is full ({total_queued}/{self.config.max_queue_depth})"
-        elif (
-            self.config.max_queue_per_analyst is not None
-            and analyst_queued >= self.config.max_queue_per_analyst
-        ):
-            reason = (
-                f"analyst {analyst!r} queue is full "
-                f"({analyst_queued}/{self.config.max_queue_per_analyst})"
-            )
-        if reason is None:
-            return
-        self.metrics.inc("queries_rejected")
-        raise QueryRejected(
-            f"query shed: {reason}; retry later or raise the session's GatewayConfig limits",
-            analyst=analyst,
-            queued=total_queued,
-            in_flight=self._in_flight_total,
-            retry_after_seconds=self._retry_after_hint(),
-        )
-
-    def _retry_after_hint(self) -> float:
-        """How long a shed client should wait before retrying.
-
-        The median *observed* queue wait is the best single predictor of how
-        fast this session drains one queue slot — a client that waits that
-        long will, in the median case, find a free slot.  Clamped to
-        [50 ms, 30 s] so a cold histogram or a pathological outlier never
-        produces a useless hint; 100 ms before any query ever queued.
-        """
-        histogram = self.metrics.histogram("queue_wait_seconds")
-        if histogram is None:
-            return 0.1
-        p50 = histogram.percentile(50.0)
-        if p50 <= 0.0:
-            return 0.1
-        return max(0.05, min(p50, 30.0))
-
-    # -- dispatch / scheduling --------------------------------------------------------
-
-    def _mark_dispatched(self, analyst: str) -> None:
-        """Caller holds the lock."""
-        self._in_flight_total += 1
-        self._in_flight[analyst] = self._in_flight.get(analyst, 0) + 1
-        self.metrics.set_gauge("in_flight", self._in_flight_total)
-
-    def _release(self, analyst: str) -> None:
+    def _release(self) -> None:
         with self._lock:
-            self._in_flight_total -= 1
-            remaining = self._in_flight.get(analyst, 0) - 1
-            if remaining > 0:
-                self._in_flight[analyst] = remaining
-            else:
-                self._in_flight.pop(analyst, None)
-            self.metrics.set_gauge("in_flight", self._in_flight_total)
-
-    def _update_queue_gauges(self) -> None:
-        """Caller holds the lock."""
-        self.metrics.set_gauge("queue_depth", sum(len(q) for q in self._queues.values()))
-
-    def _select_analyst(self) -> str | None:
-        """Smooth weighted round-robin over analysts with dispatchable work.
-
-        Caller holds the lock.  The classic nginx algorithm: every eligible
-        analyst gains its weight, the largest accumulated credit wins and
-        pays back the total — over time dispatch opportunities converge to
-        the weight proportions, with a deterministic, starvation-free order.
-        """
-        candidates = [
-            analyst
-            for analyst, queue in self._queues.items()
-            if queue and self._has_slot(analyst)
-        ]
-        if not candidates:
-            return None
-        weights = {
-            analyst: self.config.analyst_weights.get(analyst, self.config.default_weight)
-            for analyst in candidates
-        }
-        for analyst in candidates:
-            self._wrr_current[analyst] = self._wrr_current.get(analyst, 0) + weights[analyst]
-        # Deterministic tie-break by name so tests (and incident timelines)
-        # are reproducible.
-        best = max(sorted(candidates), key=lambda a: self._wrr_current[a])
-        self._wrr_current[best] -= sum(weights.values())
-        return best
+            self._in_flight -= 1
+            self.metrics.set_gauge("in_flight", self._in_flight)
 
     def _pump(self) -> None:
         """Dispatch queued work while slots last (iterative, lock-chunked)."""
         while True:
             with self._lock:
-                if self._closed is not None or self._in_flight_total >= self._max_in_flight:
+                if (
+                    self._closed is not None
+                    or not self._queue
+                    or self._in_flight >= self._max_in_flight
+                ):
                     return
-                analyst = self._select_analyst()
-                if analyst is None:
-                    return
-                queue = self._queues[analyst]
-                job = queue.popleft()
-                if not queue:
-                    del self._queues[analyst]
-                    self._wrr_current.pop(analyst, None)
-                self._mark_dispatched(analyst)
-                self._update_queue_gauges()
+                job = self._queue.popleft()
+                self._mark_dispatched()
+                self.metrics.set_gauge("queue_depth", len(self._queue))
             error = self._dispatch(job)
             if error is not None:
                 job.future.set_exception(error)
@@ -303,7 +186,7 @@ class QueryGateway:
         try:
             inner: Future = job.dispatch()
         except BaseException as exc:  # noqa: BLE001 - dispatch failure sheds one query
-            self._release(job.analyst)
+            self._release()
             self.metrics.inc("queries_failed")
             return exc
         self.metrics.inc("queries_admitted")
@@ -312,7 +195,7 @@ class QueryGateway:
 
     def _on_done(self, job: _Job, finished: Future) -> None:
         now = time.monotonic()
-        self._release(job.analyst)
+        self._release()
         self.metrics.observe("execute_seconds", now - job.dispatched_at)
         self.metrics.observe("query_seconds", now - job.admitted_at)
         error = finished.exception()
@@ -344,10 +227,9 @@ class QueryGateway:
             if self._closed is not None:
                 return
             self._closed = reason or self._closed_error("gateway closed")
-            jobs = [job for queue in self._queues.values() for job in queue]
-            self._queues.clear()
-            self._wrr_current.clear()
-            self._update_queue_gauges()
+            jobs = list(self._queue)
+            self._queue.clear()
+            self.metrics.set_gauge("queue_depth", 0)
             failure = self._closed
         for job in jobs:
             if not job.future.done():

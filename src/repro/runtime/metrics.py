@@ -1,12 +1,12 @@
 """Live metrics for the query service: counters, gauges, latency histograms.
 
-The gateway (admission control + fair scheduling, :mod:`repro.runtime
-.gateway`) and the session layer record everything an operator needs to run
-the service under real traffic — queue depths, queue-wait vs execute
-latency, shed counts, plan-cache hit rate, per-party bytes on the wire,
-agent page faults and CPU time — while recording **no query payloads**: the
-observability surface follows the privacy constraint of the rest of the
-system (observe shapes, counts and timings, never plaintext rows).
+The gateway (admission control, :mod:`repro.runtime.gateway`) and the
+session layer record everything an operator needs to run the service under
+real traffic — queue depths, queue-wait vs execute latency, shed counts,
+plan-cache hit rate, per-party bytes on the wire, agent page faults and CPU
+time — while recording **no query payloads**: the observability surface
+follows the privacy constraint of the rest of the system (observe shapes,
+counts and timings, never plaintext rows).
 
 Three primitives, all safe for concurrent writers with tiny critical
 sections:
@@ -15,19 +15,16 @@ sections:
   updates (``inc_many``) are atomic and a snapshot can never observe a torn
   invariant (e.g. ``plan_cache_hits + plan_cache_misses == queries``);
 * :class:`LatencyHistogram` — a streaming histogram over geometric buckets
-  (Prometheus-style ``le`` bounds) with exact count/sum/min/max and
-  interpolated p50/p95/p99 estimates, O(1) per observation, constant
-  memory;
+  with exact count/sum/min/max and interpolated p50/p95/p99 estimates,
+  O(1) per observation, constant memory;
 * :meth:`GatewayMetrics.snapshot` — an immutable plain-dict copy of
-  everything, and :meth:`GatewayMetrics.render_prometheus` — the same data
-  in the Prometheus text exposition format, served over a local HTTP handle
-  by :class:`MetricsServer` (``GET /metrics``).
+  everything, which :attr:`QuerySession.stats
+  <repro.runtime.service.QuerySession.stats>` reshapes for callers.
 """
 
 from __future__ import annotations
 
 import math
-import socket
 import threading
 
 #: Default histogram bucket upper bounds (seconds): geometric from 0.5 ms to
@@ -125,16 +122,6 @@ class LatencyHistogram:
             out[f"p{p:g}"] = self._percentile_from(counts, count, minimum, maximum, p)
         return out
 
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        """Cumulative ``(le, count)`` pairs in Prometheus histogram form."""
-        counts, _count, _total, _minimum, _maximum = self._state()
-        out, cumulative = [], 0
-        for bound, bucket_count in zip(self._bounds, counts):
-            cumulative += bucket_count
-            out.append((bound, cumulative))
-        out.append((math.inf, cumulative + counts[-1]))
-        return out
-
 
 class GatewayMetrics:
     """The query service's metric registry.
@@ -143,12 +130,10 @@ class GatewayMetrics:
     and snapshots are internally consistent; histograms are created on first
     observation and carry their own locks.  ``snapshot()`` returns plain
     nested dicts (safe to hand to callers — mutating a snapshot can never
-    touch live state), and ``render_prometheus()`` emits the text exposition
-    format for scraping.
+    touch live state).
     """
 
-    def __init__(self, namespace: str = "conclave"):
-        self.namespace = namespace
+    def __init__(self):
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
@@ -192,15 +177,6 @@ class GatewayMetrics:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def gauge(self, name: str) -> float:
-        with self._lock:
-            return self._gauges.get(name, 0)
-
-    def histogram(self, name: str) -> LatencyHistogram | None:
-        """The live histogram named ``name`` (``None`` before first observe)."""
-        with self._lock:
-            return self._histograms.get(name)
-
     def _party_snapshot(self) -> dict:
         with self._lock:
             provider = self._party_provider
@@ -222,115 +198,3 @@ class GatewayMetrics:
             "wire": {party: c["wire"] for party, c in parties.items()},
             "proc": {party: c["proc"] for party, c in parties.items()},
         }
-
-    # -- Prometheus text exposition ----------------------------------------------------
-
-    def render_prometheus(self) -> str:
-        """The registry in the Prometheus text format (version 0.0.4)."""
-        ns = self.namespace
-        with self._lock:
-            counters = sorted(self._counters.items())
-            gauges = sorted(self._gauges.items())
-            histograms = sorted(self._histograms.items())
-        lines: list[str] = []
-        for name, value in counters:
-            metric = f"{ns}_{name}_total"
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {value}")
-        for name, value in gauges:
-            metric = f"{ns}_{name}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_format_value(value)}")
-        for name, histogram in histograms:
-            metric = f"{ns}_{name}"
-            lines.append(f"# TYPE {metric} histogram")
-            for bound, cumulative in histogram.bucket_counts():
-                le = "+Inf" if math.isinf(bound) else _format_value(bound)
-                lines.append(f'{metric}_bucket{{le="{le}"}} {cumulative}')
-            summary = histogram.summary()
-            lines.append(f"{metric}_sum {_format_value(summary['sum'])}")
-            lines.append(f"{metric}_count {summary['count']}")
-        for party, counters in sorted(self._party_snapshot().items()):
-            for peer, traffic in sorted(counters["wire"].items()):
-                for key in ("bytes_sent", "bytes_received"):
-                    metric = f"{ns}_wire_{key}_total"
-                    lines.append(
-                        f'{metric}{{party="{party}",peer="{peer}"}} {traffic.get(key, 0)}'
-                    )
-            for key, value in sorted(counters["proc"].items()):
-                lines.append(f'{ns}_agent_{key}_total{{party="{party}"}} {value}')
-        return "\n".join(lines) + "\n"
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
-class MetricsServer:
-    """A local plaintext scrape endpoint (``GET /metrics``) for a renderer.
-
-    Binds ``127.0.0.1`` on an ephemeral port by default (no fixed-port races
-    in tests or co-located sessions); ``url`` is the scrape target.  The
-    server runs on a daemon thread and never blocks session work.
-    """
-
-    def __init__(self, render, host: str = "127.0.0.1", port: int = 0):
-        # Imported when a scrape endpoint is asked for: http.server loads
-        # http.client, email and ssl, megabytes that every session process —
-        # and every agent forked from it — would otherwise carry unused.
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        self._render = render
-
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - http.server API
-                if self.path.split("?", 1)[0] not in ("/", "/metrics"):
-                    self.send_error(404, "only /metrics is served")
-                    return
-                try:
-                    body = server._render().encode("utf-8")
-                except Exception as exc:  # noqa: BLE001 - scrape must not crash
-                    self.send_error(500, f"metrics render failed: {exc}")
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # noqa: D102 - silence per-request logging
-                pass
-
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True, name="metrics-scrape"
-        )
-        self._thread.start()
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host = self._httpd.server_address[0]
-        return f"http://{host}:{self.port}/metrics"
-
-    def close(self) -> None:
-        try:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        except (OSError, socket.error):
-            pass
-        self._thread.join(timeout=5)
-
-    def __enter__(self) -> "MetricsServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -40,8 +40,8 @@ from repro.core.config import (
 from repro.mpc.network import TransportError
 from repro.mpc.sharemind import SharemindBackend
 from repro.runtime.agent import AGENT_MAX_WORKERS
-from repro.runtime.gateway import DEFAULT_ANALYST, QueryGateway, QueryRejected
-from repro.runtime.metrics import GatewayMetrics, MetricsServer
+from repro.runtime.gateway import QueryGateway
+from repro.runtime.metrics import GatewayMetrics
 from repro.runtime.pool import (
     AgentCrashed,
     AgentFailure,
@@ -212,9 +212,8 @@ class QuerySession:
     session's standing data (each ``submit`` may override it per query).
     ``max_workers`` bounds how many queries each agent executes concurrently
     (also the default in-flight cap of the gateway); ``gateway`` sets the
-    session's admission control and fair-scheduling limits
-    (:class:`~repro.core.config.GatewayConfig` — the default admits without
-    queue limits).
+    session's admission limits (:class:`~repro.core.config.GatewayConfig` —
+    the default admits without a queue limit).
 
     ``restart`` (a :class:`~repro.core.config.RestartPolicy`) turns on agent
     supervision: when an agent process crashes, every agent is brought up
@@ -266,7 +265,6 @@ class QuerySession:
         self._next_qid = 1
         self._shipped_fingerprints: set[str] = set()
         self._metrics = GatewayMetrics()
-        self._metrics_server: MetricsServer | None = None
         # The gateway fronts the pool: it must exist before the pool so the
         # retire callback (which may fire from a receiver thread the moment
         # the pool is up) can always close it.
@@ -318,8 +316,6 @@ class QuerySession:
         inputs: dict | None = None,
         seed: int | None = None,
         config: CompilationConfig | None = None,
-        *,
-        analyst: str = DEFAULT_ANALYST,
     ) -> PendingResult:
         """Admit one query through the gateway; returns immediately.
 
@@ -327,12 +323,10 @@ class QuerySession:
         or anything :func:`repro.core.compiler.compile_query` accepts.
         ``inputs`` optionally overrides the session's standing inputs for
         this query only (per party; parties not named keep their standing
-        inputs).  ``seed``/``config`` default to the session's.  ``analyst``
-        names the submitting principal for admission control and fair
-        scheduling; queries of unnamed analysts share one default principal.
+        inputs).  ``seed``/``config`` default to the session's.
 
         Raises :class:`~repro.runtime.gateway.QueryRejected` when the
-        session's :class:`~repro.core.config.GatewayConfig` queue limits are
+        session's :class:`~repro.core.config.GatewayConfig` queue limit is
         exceeded — the query was shed before reaching the agents and the
         session stays fully usable.
         """
@@ -354,8 +348,7 @@ class QuerySession:
         started = time.perf_counter()
         query_seed = self.seed if seed is None else seed
         future = self._gateway.submit(
-            analyst,
-            lambda: self._dispatch_query(compiled, fingerprint, config, query_seed, inputs),
+            lambda: self._dispatch_query(compiled, fingerprint, config, query_seed, inputs)
         )
         return PendingResult(self, compiled, future, started)
 
@@ -502,30 +495,14 @@ class QuerySession:
         seed: int | None = None,
         config: CompilationConfig | None = None,
         timeout: float | None = None,
-        *,
-        analyst: str = DEFAULT_ANALYST,
-        retries: int = 0,
     ):
         """Execute one query on the standing agents and block for its result.
 
-        ``retries`` bounds how many times a submission *shed by the gateway*
-        (:class:`~repro.runtime.gateway.QueryRejected`) is automatically
-        resubmitted, honouring each rejection's ``retry_after_seconds`` hint
-        before trying again.  The default 0 re-raises the first rejection,
-        preserving the explicit shed-and-retry contract for callers that
-        implement their own backoff.
+        A query the gateway sheds raises
+        :class:`~repro.runtime.gateway.QueryRejected` at once; backing off
+        and resubmitting is the caller's policy.
         """
-        rejections = 0
-        while True:
-            try:
-                return self.submit_async(
-                    query, inputs=inputs, seed=seed, config=config, analyst=analyst
-                ).result(timeout)
-            except QueryRejected as exc:
-                if rejections >= retries:
-                    raise
-                rejections += 1
-                time.sleep(exc.retry_after_seconds)
+        return self.submit_async(query, inputs=inputs, seed=seed, config=config).result(timeout)
 
     # -- observability -----------------------------------------------------------------
 
@@ -580,22 +557,6 @@ class QuerySession:
         """Queries admitted but still waiting in the gateway."""
         return self._gateway.queued()
 
-    def render_prometheus(self) -> str:
-        """The session's metrics in the Prometheus text exposition format."""
-        return self._metrics.render_prometheus()
-
-    def serve_metrics(self, host: str = "127.0.0.1", port: int = 0) -> MetricsServer:
-        """Start (or return) the session's local ``GET /metrics`` endpoint.
-
-        Binds an ephemeral localhost port by default; the returned server's
-        ``url`` is the scrape target.  Closed automatically with the session.
-        """
-        if self._metrics_server is None:
-            self._metrics_server = MetricsServer(
-                self._metrics.render_prometheus, host=host, port=port
-            )
-        return self._metrics_server
-
     # -- lifecycle ----------------------------------------------------------------------
 
     @property
@@ -613,9 +574,6 @@ class QuerySession:
         """
         self._gateway.close(SessionClosed("session closed"))
         self._pool.close(drain=drain)
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            self._metrics_server = None
         _ACTIVE_SESSIONS.discard(self)
 
     def __enter__(self) -> "QuerySession":

@@ -442,6 +442,6 @@ class TestSessionCounters:
         assert stats_two["rows_processed"] == 2 * out_rows
         assert stats_one["mpc_rounds"] > 0
         assert stats_two["mpc_rounds"] == 2 * stats_one["mpc_rounds"]
-        prom = session.render_prometheus()
-        assert "conclave_rows_processed_total" in prom
-        assert "conclave_mpc_rounds_total" in prom
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["rows_processed"] == stats_two["rows_processed"]
+        assert counters["mpc_rounds"] == stats_two["mpc_rounds"]

@@ -19,10 +19,6 @@ WRONG_TYPES = [
     (RetryPolicy, "retry_transport_errors", "yes"),
     (GatewayConfig, "max_in_flight", True),
     (GatewayConfig, "max_queue_depth", True),
-    (GatewayConfig, "max_queue_per_analyst", True),
-    (GatewayConfig, "max_in_flight_per_analyst", True),
-    (GatewayConfig, "default_weight", True),
-    (GatewayConfig, "analyst_weights", {"a": True}),
     (EstimatorParams, "filter_selectivity", True),
     (EstimatorParams, "distinct_fraction", True),
     (EstimatorParams, "join_selectivity", True),

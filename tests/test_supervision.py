@@ -17,8 +17,6 @@ counts.  The properties asserted:
   frames only cost latency, dropped frames surface as retryable timeouts,
   torn frames look like the process death they are;
 * a wedged (SIGSTOPped) agent is detected by heartbeats and recycled;
-* the gateway's shed hint (``QueryRejected.retry_after_seconds``) tracks
-  observed queue waits and ``submit(retries=...)`` honours it;
 * interpreter exit never leaks agent processes (the atexit hook);
 * the 50-plan differential corpus replayed through a session under a
   seeded fault plan stays byte-identical to the simulated runtime.
@@ -28,17 +26,14 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
 import repro as cc
-from repro.core.config import CompilationConfig, GatewayConfig, RestartPolicy, RetryPolicy
+from repro.core.config import CompilationConfig, RestartPolicy, RetryPolicy
 from repro.core.dispatch import QueryRunner
 from repro.runtime.faults import FaultInjector, FaultPlan, KillFault, LinkFault
-from repro.runtime.gateway import QueryRejected
 from repro.runtime.service import AgentCrashed, AgentFailure
 from repro.runtime.supervisor import AgentSupervisor
 
@@ -242,9 +237,9 @@ class TestCrashRecovery:
             assert "recovery_seconds" in stats["latency"]
             assert stats["latency"]["recovery_seconds"]["count"] >= 1
             assert stats["latency"]["recovery_seconds"]["p50"] > 0
-            text = session.metrics.render_prometheus()
-        assert "conclave_agent_restarts_total" in text
-        assert "conclave_recovery_seconds_bucket" in text
+            snapshot = session.metrics.snapshot()
+        assert snapshot["counters"]["agent_restarts"] >= 1
+        assert snapshot["latency"]["recovery_seconds"]["count"] >= 1
 
     def test_restarted_agent_reships_cached_plans(self):
         """Plan-cache coherence across a restart: the replacement has an
@@ -493,61 +488,6 @@ class TestHeartbeat:
         assert stats["restarts"] == 2
         assert stats["retries"] >= 1
         assert stats["retries_exhausted"] == 0
-
-
-class TestRetryHints:
-    def test_rejection_hint_tracks_observed_queue_wait(self):
-        """The shed hint is the observed median queue wait, clamped."""
-        from repro.runtime.gateway import QueryGateway
-
-        gateway = QueryGateway(
-            GatewayConfig(max_in_flight=1, max_queue_depth=1),
-        )
-        for _ in range(8):
-            gateway.metrics.observe("queue_wait_seconds", 2.0)
-        hog, queued = Future(), Future()
-        gateway.submit("hog", lambda: hog)
-        gateway.submit("hog", lambda: queued)
-        with pytest.raises(QueryRejected) as info:
-            gateway.submit("victim", lambda: Future())
-        # Geometric buckets interpolate, so the estimate is coarse — the
-        # property that matters is that the hint tracks the ~2 s observed
-        # waits instead of the cold-start 0.1 s default.
-        assert 1.0 <= info.value.retry_after_seconds <= 2.1
-        hog.set_result(None)
-        queued.set_result(None)
-
-    def test_cold_gateway_hints_a_small_default(self):
-        from repro.runtime.gateway import QueryGateway
-
-        gateway = QueryGateway(GatewayConfig(max_in_flight=1, max_queue_depth=1))
-        hog, queued = Future(), Future()
-        gateway.submit("hog", lambda: hog)
-        gateway.submit("hog", lambda: queued)
-        with pytest.raises(QueryRejected) as info:
-            gateway.submit("victim", lambda: Future())
-        assert 0.0 < info.value.retry_after_seconds <= 1.0
-        hog.set_result(None)
-        queued.set_result(None)
-
-    def test_submit_retries_honour_the_hint(self):
-        """``submit(retries=N)`` sleeps the hint and resubmits after a shed,
-        succeeding once the congestion clears."""
-        ctx, inputs = two_party_query()
-        reference = cc.run_query(ctx, inputs, seed=9)
-        with cc.open_session(
-            inputs, seed=9, gateway=GatewayConfig(max_in_flight=1, max_queue_depth=1)
-        ) as session:
-            hog, queued = Future(), Future()
-            session.gateway.submit("hog", lambda: hog)
-            session.gateway.submit("hog", lambda: queued)
-            with pytest.raises(QueryRejected):
-                session.submit(ctx, timeout=60)
-            threading.Timer(0.1, hog.set_result, args=(None,)).start()
-            threading.Timer(0.3, queued.set_result, args=(None,)).start()
-            result = session.submit(ctx, timeout=60, retries=10)
-            assert result.outputs["out"] == reference.outputs["out"]
-            assert session.stats["queries_rejected"] >= 1
 
 
 class TestAtexitCleanup:
