@@ -3,8 +3,8 @@
 Unit layer (no processes): admission control sheds with an explicit
 :class:`QueryRejected` instead of hanging, queued queries dispatch in
 submission order, close-fails-queued semantics, dispatch-failure slot
-release, and the metrics primitives (histogram percentiles, atomic
-multi-counter updates).
+release, completion counters and latencies, and the metrics primitives
+(histogram percentiles, atomic multi-counter updates, detached snapshots).
 
 Integration layer (real two-party sessions): a saturated bounded queue
 sheds without poisoning the session, a queued burst drains with every
@@ -12,6 +12,7 @@ query's latency recorded, and ``QuerySession.stats`` is an immutable
 internally consistent snapshot even under concurrent submission.
 """
 
+import dataclasses
 import threading
 import time
 from concurrent.futures import Future
@@ -46,11 +47,17 @@ class StubDispatcher:
 
         return dispatch
 
-    def finish_next(self, value=None) -> None:
+    def _next(self) -> Future:
         with self.lock:
             future = self.futures[self._resolved]
             self._resolved += 1
-        future.set_result(value)
+        return future
+
+    def finish_next(self, value=None) -> None:
+        self._next().set_result(value)
+
+    def fail_next(self, error: BaseException) -> None:
+        self._next().set_exception(error)
 
 
 class TestGatewayConfig:
@@ -64,11 +71,28 @@ class TestGatewayConfig:
         [
             {"max_in_flight": 0},
             {"max_queue_depth": -1},
+            {"max_in_flight": -3},
+            {"max_queue_depth": 0},
+            {"max_in_flight": 1.5},
+            {"max_queue_depth": "4"},
         ],
     )
     def test_invalid_limits_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GatewayConfig(**kwargs).validate()
+
+    def test_the_two_limits_are_the_only_fields(self):
+        assert [f.name for f in dataclasses.fields(GatewayConfig)] == [
+            "max_in_flight", "max_queue_depth",
+        ]
+
+    def test_gateway_validates_its_config(self):
+        with pytest.raises(ValueError, match="max_queue_depth"):
+            QueryGateway(GatewayConfig(max_queue_depth=0))
+
+    def test_in_flight_default_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="max_in_flight"):
+            QueryGateway(max_in_flight_default=0)
 
 
 class TestAdmissionControl:
@@ -140,6 +164,119 @@ class TestAdmissionControl:
         stub.finish_next("done")
         assert inflight.result(timeout=5) == "done"
 
+    def test_close_keeps_its_first_reason(self):
+        gw = QueryGateway(GatewayConfig(max_in_flight=1), closed_error=SessionClosed)
+        gw.close(RuntimeError("agents lost"))
+        gw.close(RuntimeError("second close"))
+        with pytest.raises(SessionClosed, match="agents lost"):
+            gw.submit(StubDispatcher().make("q1"))
+
+    def test_in_flight_limit_bounds_concurrent_dispatch(self):
+        stub = StubDispatcher()
+        gw = QueryGateway(GatewayConfig(max_in_flight=2))
+        for i in range(5):
+            gw.submit(stub.make(f"q{i}"))
+        assert stub.order == ["q0", "q1"]
+        assert gw.in_flight() == 2 and gw.queued() == 3
+        gauges = gw.metrics.snapshot()["gauges"]
+        assert gauges == {"in_flight": 2, "queue_depth": 3}
+        stub.finish_next()
+        assert stub.order == ["q0", "q1", "q2"]
+        assert gw.in_flight() == 2 and gw.queued() == 2
+
+    def test_default_in_flight_applies_without_a_limit(self):
+        stub = StubDispatcher()
+        gw = QueryGateway(max_in_flight_default=3)
+        for i in range(4):
+            gw.submit(stub.make(f"q{i}"))
+        assert stub.order == ["q0", "q1", "q2"]
+        assert gw.queued() == 1
+
+    def test_unbounded_queue_never_sheds(self):
+        stub = StubDispatcher()
+        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        futures = [gw.submit(stub.make(f"q{i}")) for i in range(50)]
+        assert gw.queued() == 49
+        for i in range(50):
+            stub.finish_next(i)
+        assert [f.result(timeout=5) for f in futures] == list(range(50))
+        counters = gw.metrics.snapshot()["counters"]
+        assert counters == {
+            "queries_submitted": 50,
+            "queries_queued": 49,
+            "queries_admitted": 50,
+            "queries_completed": 50,
+        }
+
+    def test_shed_and_admitted_add_up_to_submitted(self):
+        stub = StubDispatcher()
+        gw = QueryGateway(GatewayConfig(max_in_flight=1, max_queue_depth=2))
+        rejected = 0
+        for i in range(5):
+            try:
+                gw.submit(stub.make(f"q{i}"))
+            except QueryRejected:
+                rejected += 1
+        assert rejected == 2
+        for _ in range(3):
+            stub.finish_next()
+        counters = gw.metrics.snapshot()["counters"]
+        assert counters["queries_submitted"] == 5
+        assert counters["queries_rejected"] == rejected
+        assert counters["queries_admitted"] == counters["queries_completed"] == 3
+
+    def test_failed_execution_fails_the_future_and_pumps_on(self):
+        stub = StubDispatcher()
+        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        doomed = gw.submit(stub.make("q1"))
+        survivor = gw.submit(stub.make("q2"))
+        boom = RuntimeError("agent died mid-query")
+        stub.fail_next(boom)
+        assert doomed.exception(timeout=5) is boom
+        assert gw.metrics.counter("queries_failed") == 1
+        assert stub.order == ["q1", "q2"]
+        stub.finish_next("ok")
+        assert survivor.result(timeout=5) == "ok"
+        assert gw.metrics.counter("queries_completed") == 1
+
+    def test_completion_counters_are_added_on_success(self):
+        stub = StubDispatcher()
+        gw = QueryGateway(
+            GatewayConfig(max_in_flight=1),
+            completion_counters=lambda rows: {"rows_processed": rows},
+        )
+        first, second = gw.submit(stub.make("q1")), gw.submit(stub.make("q2"))
+        stub.finish_next(7)
+        stub.finish_next(5)
+        assert first.result(timeout=5) == 7 and second.result(timeout=5) == 5
+        assert gw.metrics.counter("rows_processed") == 12
+        assert gw.metrics.counter("queries_completed") == 2
+
+    def test_broken_completion_counters_never_fail_a_query(self):
+        stub = StubDispatcher()
+
+        def broken(_result):
+            raise KeyError("payload without a rows field")
+
+        gw = QueryGateway(GatewayConfig(max_in_flight=1), completion_counters=broken)
+        future = gw.submit(stub.make("q1"))
+        stub.finish_next("ok")
+        assert future.result(timeout=5) == "ok"
+        assert gw.metrics.counter("queries_completed") == 1
+        assert gw.metrics.counter("queries_failed") == 0
+
+    def test_every_query_records_its_three_latencies(self):
+        stub = StubDispatcher()
+        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        for i in range(3):
+            gw.submit(stub.make(f"q{i}"))
+        for _ in range(3):
+            stub.finish_next()
+        latency = gw.metrics.snapshot()["latency"]
+        for name in ("queue_wait_seconds", "execute_seconds", "query_seconds"):
+            assert latency[name]["count"] == 3
+            assert latency[name]["min"] >= 0.0
+
 
 class TestFifoOrder:
     def test_queued_queries_dispatch_in_submission_order(self):
@@ -153,6 +290,23 @@ class TestFifoOrder:
             stub.finish_next()
         assert stub.order == [f"q{i}" for i in range(6)]
         assert gw.in_flight() == 0 and gw.queued() == 0
+
+    def test_a_failed_dispatch_keeps_the_order_of_the_rest(self):
+        stub = StubDispatcher()
+        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        gw.submit(stub.make("q0"))
+        gw.submit(stub.make("q1"))
+
+        def failing():
+            raise RuntimeError("dead on dispatch")
+
+        doomed = gw.submit(failing)
+        gw.submit(stub.make("q3"))
+        gw.submit(stub.make("q4"))
+        for _ in range(4):
+            stub.finish_next()
+        assert isinstance(doomed.exception(timeout=5), RuntimeError)
+        assert stub.order == ["q0", "q1", "q3", "q4"]
 
 
 class TestLatencyHistogram:
@@ -177,6 +331,35 @@ class TestLatencyHistogram:
         assert summary["p50"] == pytest.approx(0.001, rel=0.5)
         assert summary["p99"] == pytest.approx(0.1, rel=0.5)
         assert summary["p50"] <= summary["p95"] <= summary["p99"]
+
+    def test_empty_histogram_summarises_to_zero(self):
+        summary = LatencyHistogram().summary()
+        assert summary == {
+            "count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0,
+        }
+
+    def test_overflow_bucket_reports_the_true_max(self):
+        hist = LatencyHistogram(buckets=(0.1, 1.0))
+        hist.observe(0.05)
+        hist.observe(5.0)
+        hist.observe(7.0)
+        assert hist.percentile(99) == 7.0
+        assert hist.summary()["max"] == 7.0
+
+    def test_estimates_stay_inside_the_observed_range(self):
+        hist = LatencyHistogram()
+        for value in (0.0030, 0.0032, 0.0035):
+            hist.observe(value)
+        summary = hist.summary()
+        for p in ("p50", "p95", "p99"):
+            assert 0.0030 <= summary[p] <= 0.0035
+        assert hist.percentile(95) == summary["p95"]
+
+    def test_a_histogram_needs_a_bound(self):
+        with pytest.raises(ValueError, match="bucket"):
+            LatencyHistogram(buckets=())
+
 
 class TestGatewayMetrics:
     def test_inc_many_is_atomic_under_concurrency(self):
@@ -203,6 +386,37 @@ class TestGatewayMetrics:
         for t in threads:
             t.join(timeout=5)
         assert not torn
+
+    def test_snapshot_is_detached_from_live_state(self):
+        metrics = GatewayMetrics()
+        metrics.inc("queries", 2)
+        metrics.set_gauge("in_flight", 1)
+        metrics.observe("query_seconds", 0.01)
+        snap = metrics.snapshot()
+        snap["counters"]["queries"] = 99
+        snap["gauges"].clear()
+        snap["latency"]["query_seconds"]["count"] = 99
+        fresh = metrics.snapshot()
+        assert fresh["counters"] == {"queries": 2}
+        assert fresh["gauges"] == {"in_flight": 1}
+        assert fresh["latency"]["query_seconds"]["count"] == 1
+
+    def test_unknown_counter_reads_zero(self):
+        metrics = GatewayMetrics()
+        assert metrics.counter("never_touched") == 0
+        assert metrics.snapshot()["latency"] == {}
+
+    def test_party_provider_feeds_wire_and_proc(self):
+        metrics = GatewayMetrics()
+        assert metrics.snapshot()["wire"] == {} and metrics.snapshot()["proc"] == {}
+        metrics.set_party_provider(lambda: {
+            "a": {"wire": {"b": {"bytes_sent": 10}}, "proc": {"page_faults": 3}},
+            "b": {"wire": {"a": {"bytes_sent": 12}}, "proc": {"page_faults": 4}},
+        })
+        snap = metrics.snapshot()
+        assert snap["wire"] == {"a": {"b": {"bytes_sent": 10}}, "b": {"a": {"bytes_sent": 12}}}
+        assert snap["proc"] == {"a": {"page_faults": 3}, "b": {"page_faults": 4}}
+
 
 class TestSessionIntegration:
     def test_saturation_sheds_without_poisoning_the_session(self):
