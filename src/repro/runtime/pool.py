@@ -15,13 +15,20 @@ next epoch through the bring-up the session start runs.
 Process hygiene: agent processes are daemonic, tracked in a module-level
 registry (so test fixtures can kill leaks), and reaped when their pool
 closes; every blocking socket operation carries a timeout so a wedged or
-crashed agent surfaces as an error instead of hanging the driver.
+crashed agent surfaces as an error instead of hanging its caller.  On Linux
+no agent maps a page of any party's input (it gets its own in its session
+frame): agents are forked with every input buffer marked ``MADV_DONTFORK``.
 """
 
 from __future__ import annotations
 
+import concurrent.futures.thread  # noqa: F401 - registers its at-fork hook before ours
+import contextlib
+import ctypes
 import logging
+import mmap
 import multiprocessing
+import os
 import secrets
 import socket
 import threading
@@ -29,7 +36,10 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.config import RestartPolicy, TransportSecurity
+from repro.data.table import Table
 from repro.mpc.network import TransportError
 from repro.runtime.agent import AGENT_MAX_WORKERS, agent_main, coordinator_name
 from repro.runtime.mesh import bind_listener, join_mesh
@@ -67,6 +77,54 @@ def teardown_errors() -> int:
 def active_agent_processes() -> list:
     """Agent processes started by any pool that are still alive."""
     return [p for p in list(_ACTIVE_PROCESSES) if p.is_alive()]
+
+
+#: Held while a bring-up forks its agents with the input pages marked
+#: ``MADV_DONTFORK``.  A fork from any other thread waits for it in the
+#: at-fork hook (which runs before logging's and the thread pool's: hooks run
+#: in reverse order of registration) and keeps every page.
+_FORK_WINDOW = threading.RLock()
+_madvise = None
+if hasattr(mmap, "MADV_DONTFORK"):  # Linux
+    _madvise = ctypes.CDLL(None).madvise
+    _madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    _madvise.restype = ctypes.c_int
+    os.register_at_fork(
+        before=lambda: _FORK_WINDOW.acquire(), after_in_parent=lambda: _FORK_WINDOW.release(),
+        after_in_child=lambda: globals().update(_FORK_WINDOW=threading.RLock()),
+    )
+
+
+def _input_pages(inputs: dict) -> set[tuple[int, int]]:
+    """``(address, length)`` of the whole pages inside the buffer that owns
+    each column of ``inputs`` (party -> {relation -> Table}); of a pending
+    selection, its source's columns and its flags, left uncopied."""
+    page, spans = mmap.PAGESIZE, set()
+    for table in (t for ts in inputs.values() for t in (ts or {}).values() if isinstance(t, Table)):
+        pending = table.pending_selection()
+        for array in (*pending[0].columns(), pending[1]) if pending else table.columns():
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            start = -(-array.ctypes.data // page) * page
+            end = (array.ctypes.data + array.nbytes) // page * page
+            if array.flags.forc and start < end:
+                spans.add((start, end - start))
+    return spans
+
+
+@contextlib.contextmanager
+def _inputs_left_out(inputs: dict):
+    """A process forked in this block maps no page of ``inputs``: a read of
+    them faults (SIGSEGV) instead of seeing another party's data."""
+    with _FORK_WINDOW:
+        spans = _input_pages(inputs) if _madvise is not None else ()
+        for start, length in spans:
+            _madvise(start, length, mmap.MADV_DONTFORK)
+        try:
+            yield
+        finally:
+            for start, length in spans:
+                _madvise(start, length, mmap.MADV_DOFORK)
 
 
 def _reap(proc, grace: float = 0.0) -> None:
@@ -272,14 +330,16 @@ class AgentPool:
         try:
             # Spawn every agent before accepting any: their start-ups overlap.
             for party in self.parties:
-                procs[party] = proc = self._ctx.Process(
+                procs[party] = self._ctx.Process(
                     target=agent_main, name=f"conclave-agent-{party}", daemon=True,
                     args=(party, self.bind_host, listener.getsockname()[1], self.timeout,
                           self.security),
                     kwargs={"nonce": self._nonce, "epoch": epoch},
                 )
-                proc.start()
-                _ACTIVE_PROCESSES.add(proc)
+            with _inputs_left_out(self._inputs):
+                for proc in procs.values():
+                    proc.start()
+                    _ACTIVE_PROCESSES.add(proc)
             # A control link's reads wait out its agent's own mesh join,
             # which takes up to ``timeout``.
             socks = accept_agents(

@@ -16,6 +16,12 @@ input: the filter's survivors are aggregated where they lie, a chunk at a
 time, so a warm agent's ``VmHWM`` grows by the filter's flags and a few
 chunks' scratch — ≈ 3 bytes per input row at 500 000 rows, where copying
 the survivors and an 8-byte bucket index per row grew it by ≈ 24.
+
+An agent opens without the other parties' inputs: the pool forks it with
+every standing input buffer marked ``MADV_DONTFORK``, so its ``VmHWM`` at
+open grows with its own input (the copy its session frame delivers) and
+not with theirs — +7.4 MB for 7.6 MB of its own at 3 × 500 000 rows, where
+inheriting every party's pages grew it by ≈ 30 MB.
 """
 
 import ctypes
@@ -37,6 +43,13 @@ MAX_FAULTS_PER_QUERY = 400
 #: ``VmHWM`` growth over one query, per trip.
 PUSHDOWN_ROWS = 500_000
 MAX_HWM_BYTES_PER_ROW = 10
+
+#: Trips per party when agents open over large inputs, and how far an
+#: agent's ``VmHWM`` at open may grow past its own input over an open with
+#: tiny inputs: heap the coordinator grew while generating the trips.  It is
+#: below the two other parties' inputs (15 MB), so inheriting them fails.
+OPEN_ROWS = 500_000
+OPEN_SLACK_BYTES = 8 << 20
 
 
 def _glibc() -> bool:
@@ -101,3 +114,22 @@ def test_a_pushdown_query_grows_no_agent_by_its_input():
 
     assert len(agents) == len(spec.parties)
     assert all(per_row < MAX_HWM_BYTES_PER_ROW for per_row in growth.values()), growth
+
+
+@pytest.mark.skipif(not _glibc(), reason="MADV_DONTFORK and VmHWM are glibc Linux's")
+def test_an_agent_opens_without_the_other_parties_inputs():
+    def agents_at_open(rows: int):
+        tables = TaxiWorkload(seed=1).party_tables(len(spec.parties), rows)
+        inputs = {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
+        with cc.QuerySession(spec.parties, inputs=inputs, seed=1, start_method="fork"):
+            hwm = {proc.name: _vm_hwm_bytes(proc.pid) for proc in active_agent_processes()}
+        own = {f"conclave-agent-{p}": sum(column.nbytes for column in tables[i].columns())
+               for i, p in enumerate(spec.parties)}
+        return hwm, own
+
+    spec = market_concentration_query(rows_per_party=OPEN_ROWS)
+    tiny, _ = agents_at_open(1_000)
+    large, own = agents_at_open(OPEN_ROWS)
+    growth = {name: large[name] - tiny[name] for name in large}
+    assert sorted(growth) == sorted(own)
+    assert all(growth[name] < own[name] + OPEN_SLACK_BYTES for name in own), (growth, own)

@@ -20,9 +20,15 @@ secret sharing *real* rather than replicated theatre:
   demultiplexed — a consumer never reads stale data off a dead link;
 * across the differential corpus, every agent process's isolation audit
   shows it held only its own share slices and cleartext inputs, and an
-  output table exists only at the agents of its recipients.
+  output table exists only at the agents of its recipients;
+* no forked agent maps a page of any party's input buffers, its own
+  included (it computes on the copy its session frame delivered), at
+  session start and after a restart, and a fork from another thread while
+  a session opens keeps every page.
 """
 
+import mmap
+import multiprocessing
 import os
 import pickle
 import queue
@@ -38,6 +44,7 @@ from repro.core.config import CompilationConfig
 from repro.mpc.network import Network
 from repro.mpc.protocols import SharedTable, mpc_aggregate, mpc_filter
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
+from repro.queries import market_concentration_query
 from repro.runtime.mesh import (
     KIND_MSG,
     MeshTimeout,
@@ -47,6 +54,7 @@ from repro.runtime.mesh import (
 )
 from repro.runtime import TransportError
 from repro.runtime.executor import PlanExecutor
+from repro.runtime.pool import active_agent_processes
 from repro.runtime.wire import (
     WireError,
     decode_mesh_payload,
@@ -56,6 +64,7 @@ from repro.runtime.wire import (
     send_frame,
     send_mesh_frame,
 )
+from repro.workloads import TaxiWorkload
 
 from test_differential import (
     NUM_PLANS,
@@ -857,3 +866,139 @@ def test_forkserver_agents_return_byte_identical_results():
             compiled = cc.compile_query(ctx)
             result = session.submit(compiled, inputs=inputs)
             assert_byte_identical(result, cc.run_query(ctx, inputs, seed=3), f"plan {plan}")
+
+
+# -- the agent's process image --------------------------------------------------------------
+
+#: Trips per party: every column buffer spans hundreds of pages.
+FENCE_ROWS = 200_000
+
+
+def _taxi_session_inputs(rows: int):
+    spec = market_concentration_query(rows_per_party=rows)
+    tables = TaxiWorkload(seed=1).party_tables(len(spec.parties), rows)
+    return spec, {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
+
+
+def _column_pages(inputs) -> list[tuple[int, int]]:
+    """``[start, end)`` of the whole pages inside each input column's buffer."""
+    page, spans = mmap.PAGESIZE, []
+    for tables in inputs.values():
+        for table in tables.values():
+            for column in table.columns():
+                start = column.ctypes.data
+                spans.append((-(-start // page) * page, (start + column.nbytes) // page * page))
+    assert all(end - start > 100 * page for start, end in spans)
+    return spans
+
+
+def _mapped(pid: int) -> list[tuple[int, int]]:
+    with open(f"/proc/{pid}/maps") as maps:
+        return [tuple(int(end, 16) for end in line.split()[0].split("-")) for line in maps]
+
+
+def _assert_no_agent_maps(spans) -> None:
+    agents = active_agent_processes()
+    assert agents
+    for proc in agents:
+        overlaps = [
+            (hex(lo), hex(hi)) for lo, hi in _mapped(proc.pid)
+            for start, end in spans if lo < end and start < hi
+        ]
+        assert not overlaps, f"agent {proc.name} maps input pages at {overlaps}"
+
+
+def _assert_same_result(result, reference) -> None:
+    assert result.outputs == reference.outputs
+    assert result.mpc_profile == reference.mpc_profile
+    assert result.leakage.events == reference.leakage.events
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTFORK"), reason="MADV_DONTFORK is Linux's")
+def test_no_agent_maps_a_page_of_any_input():
+    """Each forked agent starts with none of the inputs' pages mapped — no
+    other party's, and not its own, whose session-frame copy it computes
+    on — and so does every agent a restart brings up.  Results stay
+    byte-identical to the in-process runner."""
+    spec, inputs = _taxi_session_inputs(FENCE_ROWS)
+    spans = _column_pages(inputs)
+    compiled = cc.compile_query(spec.context)
+    reference = cc.QueryRunner(spec.parties, inputs, seed=5).run(compiled)
+    restart = cc.RestartPolicy(backoff_seconds=0.05, heartbeat_interval_seconds=None)
+    with cc.QuerySession(spec.parties, inputs=inputs, seed=5, start_method="fork",
+                         restart=restart) as session:
+        _assert_no_agent_maps(spans)
+        _assert_same_result(session.submit(compiled), reference)
+        session._pool._processes[spec.parties[1]].kill()
+        deadline = time.monotonic() + 60
+        while session.stats["restarts"] < 1 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert session._pool.wait_recovered(60)
+        _assert_no_agent_maps(spans)
+        _assert_same_result(session.submit(compiled), reference)
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTFORK"), reason="MADV_DONTFORK is Linux's")
+def test_no_agent_maps_the_buffer_behind_a_selected_or_sliced_input():
+    """The pages left out are those of the buffer that owns each column: a
+    standing input that is a pending selection, or a slice of a larger
+    table, keeps every page of the whole table out of the agents."""
+    spec, inputs = _taxi_session_inputs(FENCE_ROWS)
+    spans = _column_pages(inputs)
+    first, second = spec.parties[:2]
+    (name, table), = inputs[first].items()
+    inputs[first][name] = table.select_rows(table.columns()[0] % 2 == 0)
+    (name, table), = inputs[second].items()
+    inputs[second][name] = table.limit(FENCE_ROWS // 2)
+    with cc.QuerySession(spec.parties, inputs=inputs, seed=5, start_method="fork"):
+        _assert_no_agent_maps(spans)
+
+
+def _column_sum(inputs) -> int:
+    return sum(int(column.sum()) for tables in inputs.values()
+               for table in tables.values() for column in table.columns())
+
+
+def _report_sum(inputs, conn) -> None:
+    conn.send(_column_sum(inputs))
+    conn.close()
+
+
+def _child_sum(inputs):
+    """The column sum an ordinary ``fork`` child computes from the inherited
+    inputs, or its exit code if it could not."""
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_report_sum, args=(inputs, theirs))
+    child.start()
+    theirs.close()
+    child.join(60)
+    return ours.recv() if child.exitcode == 0 else f"exit code {child.exitcode}"
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTFORK"), reason="MADV_DONTFORK is Linux's")
+def test_a_fork_from_another_thread_keeps_every_input_page():
+    """A session leaves the input pages out of its agents only: ``fork``
+    children started from another thread while sessions open, and one
+    forked once a session is open, all read every input and sum it exactly."""
+    spec, inputs = _taxi_session_inputs(FENCE_ROWS)
+    expected = _column_sum(inputs)
+    stop, sums = threading.Event(), []
+
+    def fork_until_stopped():
+        while not stop.is_set():
+            sums.append(_child_sum(inputs))
+
+    forker = threading.Thread(target=fork_until_stopped)
+    forker.start()
+    try:
+        for _ in range(3):
+            with cc.QuerySession(spec.parties, inputs=inputs, seed=5, start_method="fork"):
+                pass
+    finally:
+        stop.set()
+        forker.join(120)
+    assert not forker.is_alive()
+    assert sums and sums == [expected] * len(sums)
+    with cc.QuerySession(spec.parties, inputs=inputs, seed=5, start_method="fork"):
+        assert _child_sum(inputs) == expected
