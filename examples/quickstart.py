@@ -80,7 +80,9 @@ def generate_inputs(parties, rows=200, seed=0):
 def main(runtime: str = "simulated"):
     query, parties = build_query()
 
-    # Compile: Conclave decides which operators run locally and which under MPC.
+    # Compile: Conclave decides which operators run locally and which under
+    # MPC.  explain() prints the plan and one run of it on the declared
+    # estimated_rows: each operator's cost, the rounds, and what it discloses.
     compiled = cc.compile_query(query)
     print(compiled.explain())
     print()

@@ -13,9 +13,7 @@ The sub-modules follow the paper's structure:
 ``frontier``       MPC-frontier push-down / push-up (§5.2)
 ``hybrid_rewrite`` hybrid-operator insertion (§5.3)
 ``sort_opt``       oblivious-operation reduction (§5.4)
-``partition``      per-backend sub-plan partitioning (§6)
-``codegen``        per-backend code generation (§6)
-``compiler``       the six-stage pipeline tying the passes together
+``compiler``       the six-stage pipeline tying the passes together (§6)
 ``dispatch``       multi-party execution of compiled queries
 ``config``         compilation switches (optimizations, consent, backends)
 ================  =======================================================

@@ -14,22 +14,21 @@ The result is a :class:`CompiledQuery`, which the
 :class:`~repro.core.dispatch.QueryRunner` executes and the plan
 cost estimator (:mod:`repro.model.estimator`) prices for large inputs.
 What is fingerprinted, shipped, cached at the agents and executed is the
-DAG; the per-backend sub-plans and generated jobs are views of it, derived
-on access for ``explain()`` and inspection.
+DAG itself: where Conclave's stage 6 emits one job per backend, here the
+executor runs the annotated operators directly.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core.codegen import GeneratedJob, generate_jobs
 from repro.core.config import CompilationConfig
 from repro.core.dag import Dag
 from repro.core.frontier import push_down, push_up
 from repro.core.hybrid_rewrite import apply_hybrid_operators
 from repro.core.lang import QueryContext
-from repro.core.partition import SubPlan, describe_partitioning, partition_dag
 from repro.core.propagation import mark_mpc_frontier, propagate_ownership, propagate_trust
 from repro.core.sort_opt import eliminate_redundant_sorts, push_up_sorts
 
@@ -67,20 +66,6 @@ class CompiledQuery:
     config: CompilationConfig
     report: CompilationReport
 
-    # Derived on every access and never stored: the wire codec ships the
-    # instance's fields, so a cached view would change ``plan_fingerprint``
-    # depending on whether someone looked at it first.
-
-    @property
-    def subplans(self) -> list[SubPlan]:
-        """The DAG grouped into maximal same-locus runs (stage 6 view)."""
-        return partition_dag(self.dag)
-
-    @property
-    def jobs(self) -> list[GeneratedJob]:
-        """The code Conclave would generate, one job per sub-plan."""
-        return generate_jobs(self.subplans, self.config)
-
     def mpc_operator_count(self) -> int:
         """Number of operators that still execute under MPC."""
         return sum(1 for n in self.dag.topological() if n.is_mpc)
@@ -89,7 +74,14 @@ class CompiledQuery:
         return len(self.dag.topological())
 
     def explain(self) -> str:
-        """Human-readable compilation summary (DAG, rewrites, partitioning)."""
+        """Human-readable compilation summary: the rewrites, the DAG, and one
+        shape run of the plan at its tables' ``estimated_rows`` — per-node
+        locus, rows and seconds, the rounds of each network, and the
+        disclosures the run predicts.  Derives nothing it keeps: the plan and
+        its ``plan_fingerprint`` are unchanged."""
+        # The estimator imports this module.
+        from repro.model.estimator import EstimatedOOM, PlanEstimator
+
         parts = [
             "== Conclave compilation ==",
             self.report.summary(),
@@ -97,8 +89,25 @@ class CompiledQuery:
             "== operator DAG ==",
             self.dag.render(),
             "",
-            "== partitioning ==",
-            describe_partitioning(self.subplans),
+            "== estimate (shape run at estimated_rows) ==",
+        ]
+        try:
+            estimate = PlanEstimator().estimate(self)
+        except EstimatedOOM as oom:  # an Obliv-C circuit past Fig. 1's memory cut
+            return "\n".join([*parts, str(oom)])
+        rounds = [
+            f"{network}: {len(schedule)} rounds  "
+            + ", ".join(f"{tag} x{n}" for tag, n in Counter(tag for tag, _, _ in schedule).items())
+            for network, schedule in estimate.schedule.items()
+        ]
+        parts += [
+            estimate.breakdown(),
+            "",
+            "== rounds per network ==",
+            *rounds,
+            "",
+            "== predicted leakage ==",
+            estimate.leakage.summary(),
         ]
         return "\n".join(parts)
 
@@ -169,7 +178,7 @@ def run_query(
     ``runtime`` selects the execution substrate: ``"simulated"`` runs every
     party inside this process over the in-process transport (the default);
     ``"sockets"`` spawns one OS process per party and moves all cross-party
-    traffic — including the secret-sharing rounds of the MPC sub-plans —
+    traffic — including the secret-sharing rounds of the MPC operators —
     over real TCP connections, the agents living for this one query.  Both
     produce byte-identical outputs and identical MPC operator counts.
     ``timeout`` (sockets only) bounds every blocking socket operation; raise

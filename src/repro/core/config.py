@@ -50,14 +50,14 @@ class CompilationConfig:
     #: Parties allowed to act as the selectively-trusted party.  ``None``
     #: means any annotated party may be chosen; at most one STP is ever used.
     allowed_stps: list[str] | None = None
-    #: MPC target + price list, ``"sharemind"`` or ``"obliv-c"``: the system
-    #: codegen emits MPC jobs for and the estimator prices them as — never a
-    #: code path (the runtime runs its share engine only and refuses
-    #: ``"obliv-c"``, see :meth:`require_executable`).
+    #: MPC price list, ``"sharemind"`` or ``"obliv-c"``: the system the
+    #: estimator prices MPC operators as — never a code path (the runtime
+    #: runs its share engine only and refuses ``"obliv-c"``, see
+    #: :meth:`require_executable`).
     mpc_backend: str = "sharemind"
-    #: Cleartext target + price list, ``"python"`` or ``"spark"``: the system
-    #: codegen emits local jobs for and the :mod:`repro.model.prices` list that
-    #: prices the one engine's work tally and the estimator's row counts.
+    #: Cleartext price list, ``"python"`` or ``"spark"``: the
+    #: :mod:`repro.model.prices` list that prices the one engine's work tally
+    #: and the estimator's row counts.
     cleartext_backend: str = "python"
     #: Disable the push-down of filters on private columns past the MPC
     #: frontier.  Matching SMCQL's (stricter) guarantee for the §7.4

@@ -311,7 +311,7 @@ class RelationHandle:
             handle = handle.project(original + [out_name], name=name)
         elif name is not None:
             # Single-operator lowering: give the *result* relation the
-            # analyst's name (plan dumps and codegen reference it).
+            # analyst's name (plan dumps and leakage reports reference it).
             handle.node.out_rel.name = self.context.fresh_name(name)
         return handle
 

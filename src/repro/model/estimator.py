@@ -134,7 +134,8 @@ class PlanEstimate:
     backend_seconds: dict[str, float]
     #: The MPC work and traffic counters (empty for an Obliv-C plan).
     mpc_profile: dict[str, int]
-    #: ``(tag, messages, bytes)`` of every round, per network.
+    #: ``(tag, messages, bytes)`` of every round, per network (an Obliv-C
+    #: plan's circuits have none: only its crossings are listed).
     schedule: dict[str, list[tuple[str, int, int]]]
     leakage: LeakageReport
     timed_out: bool = False
@@ -221,7 +222,10 @@ class PlanEstimator:
             ],
             backend_seconds=outcome.backend_seconds,
             mpc_profile={} if garbled else outcome.mpc_profile,
-            schedule=outcome.schedule,
+            schedule={
+                network: rounds for network, rounds in outcome.schedule.items()
+                if not (garbled and network == "mpc")
+            },
             leakage=outcome.leakage,
             timed_out=timeout is not None and total > timeout,
         )

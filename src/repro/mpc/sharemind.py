@@ -4,8 +4,8 @@ The real Conclave generates SecreC programs and submits them to a Sharemind
 installation of three computing parties.  This module provides the
 equivalent backend for the reproduction: a facade over the
 :class:`~repro.mpc.secretshare.SecretSharingEngine` and the oblivious
-relational protocols, exposing the uniform operator interface the compiler's
-code generator targets (ingest, concat, project, filter, join, aggregate,
+relational protocols, exposing the uniform operator interface the plan
+executor drives (ingest, concat, project, filter, join, aggregate,
 arithmetic, sort, distinct, limit, reveal) plus cost reporting.
 
 Every handle returned by the backend is a

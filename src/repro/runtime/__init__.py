@@ -1,7 +1,7 @@
 """Distributed party-agent runtime (§4.1 deployment model).
 
 The paper's prototype runs one Conclave *agent* per data-owning party; the
-agents execute their local sub-plans against the party's cleartext engine
+agents execute their local operators against the party's cleartext engine
 and meet in joint MPC steps over real datacentre links.  This package grows
 the reproduction from a purely in-process simulation to that deployment
 shape:

@@ -11,9 +11,9 @@ stream.  After a crash the supervisor retires every agent and starts new
 ones exactly the same way, at the restart epoch: there are no survivors,
 and an agent's mesh never changes while it lives.
 
-Per query, the agent executes its cleartext sub-plans with its own backend,
+Per query, the agent executes its cleartext operators with its own backend,
 ships relations that the plan moves across party boundaries, and
-participates in every MPC sub-plan — the joint secret-sharing protocol is
+participates in every MPC operator — the joint secret-sharing protocol is
 executed in lockstep by all agents from the query's seed, with each agent's
 share traffic flowing through a per-query :class:`~repro.runtime.mesh
 .MeshChannel` of the shared mesh, so frames of concurrent queries

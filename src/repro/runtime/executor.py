@@ -9,10 +9,10 @@ This module holds the execution logic both runtimes share:
 * the distributed runtime runs one :class:`PlanExecutor` per party process
   (``local_parties`` = that party, plus the query's
   :class:`~repro.runtime.mesh.MeshChannel`).
-  Cleartext sub-plans execute only at the party that owns them; a relation
+  Cleartext operators execute only at the party that owns them; a relation
   that crosses between parties is a round over the mesh, like every MPC
   step (its row count, or its columns); and *every* agent
-  participates in the MPC sub-plans, executing the joint protocol in
+  participates in the MPC operators, executing the joint protocol in
   lockstep from the shared seed so that each agent's share traffic really
   flows through its sockets (see :meth:`repro.mpc.network.Network.round`).
 
@@ -110,7 +110,7 @@ class PlanExecutor:
     default (all of them, no mesh) it behaves exactly like the original
     in-process dispatcher.
 
-    Cleartext sub-plans run on one engine per party and MPC sub-plans on
+    Cleartext operators run on one engine per party and MPC operators on
     the secret-sharing backend; ``config.cleartext_backend`` only picks the
     price list the engines' work tallies are converted to seconds with.
     """

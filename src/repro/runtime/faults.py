@@ -149,7 +149,7 @@ class FaultPlan:
         return bool(self.kills or self.links)
 
     def for_party(self, party: str) -> "FaultPlan | None":
-        """The sub-plan affecting ``party``'s process; ``None`` when empty."""
+        """The faults affecting ``party``'s process; ``None`` when none do."""
         kills = tuple(f for f in self.kills if f.party == party)
         links = tuple(f for f in self.links if f.party == party)
         if not kills and not links:

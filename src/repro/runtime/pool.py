@@ -753,6 +753,7 @@ class AgentPool:
         if self._supervisor is not None:
             self._supervisor.stop()
         self._teardown(grace=2.0)
+        self._inputs = {}  # no restart follows: a retained pool pins no input
         if self._on_retire is not None:
             self._on_retire()
 
@@ -792,6 +793,7 @@ class AgentPool:
         # Agents that confirmed shutdown exit on their own; survivors of a
         # broken pool never will, so skip the grace period and terminate.
         self._teardown(grace=0.0 if broken else 5.0)
+        self._inputs = {}  # no restart follows: a closed session pins no input
 
     def _close_links(self) -> None:
         for sock in self._connections.values():

@@ -21,12 +21,15 @@ An agent opens without the other parties' inputs: the pool forks it with
 every standing input buffer marked ``MADV_DONTFORK``, so its ``VmHWM`` at
 open grows with its own input (the copy its session frame delivers) and
 not with theirs — +7.4 MB for 7.6 MB of its own at 3 × 500 000 rows, where
-inheriting every party's pages grew it by ≈ 30 MB.
+inheriting every party's pages grew it by ≈ 30 MB.  A closed session keeps
+no party's inputs alive, so agents forked after it do not inherit them.
 """
 
 import ctypes
+import gc
 import platform
 import sys
+import weakref
 
 import pytest
 
@@ -133,3 +136,17 @@ def test_an_agent_opens_without_the_other_parties_inputs():
     growth = {name: large[name] - tiny[name] for name in large}
     assert sorted(growth) == sorted(own)
     assert all(growth[name] < own[name] + OPEN_SLACK_BYTES for name in own), (growth, own)
+
+
+def test_a_closed_session_pins_no_input():
+    spec = market_concentration_query(rows_per_party=100)
+    tables = TaxiWorkload(seed=1).party_tables(len(spec.parties), 100)
+    inputs = {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
+    column = weakref.ref(tables[0].columns()[0])
+    session = cc.QuerySession(spec.parties, inputs=inputs, seed=1)
+    session.close()
+    del tables, inputs
+    gc.collect()
+
+    assert session.closed
+    assert column() is None

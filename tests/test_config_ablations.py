@@ -110,13 +110,15 @@ class TestComorbidityUnderKeyConfigs:
 
 
 class TestCompilationReportAndExplain:
-    def test_explain_mentions_rewrites_dag_and_partitioning(self):
+    def test_explain_mentions_rewrites_dag_and_estimate(self):
         spec = credit_card_regulation_query(rows_demographics=100, rows_per_agency=50)
         compiled = cc.compile_query(spec.context)
         text = compiled.explain()
         assert "hybrid_join" in text
         assert "operator DAG" in text
-        assert "sub-plan" in text
+        assert "== estimate" in text and "total simulated seconds" in text
+        assert "== rounds per network ==" in text and "mpc:" in text
+        assert "== predicted leakage ==" in text and "column_reveal" in text
 
     def test_report_counts_are_consistent_with_dag(self):
         spec = market_concentration_query(rows_per_party=100)

@@ -416,6 +416,43 @@ class TestEstimateIsExecution:
         self.assert_estimate_is_execution(cc.compile_query(context, config), inputs)
 
 
+class TestExplainPredictsTheLeakage:
+    """``explain()`` prints one shape run at the tables' ``estimated_rows``,
+    which the paper queries declare as their inputs' row counts: its
+    predicted leakage names every event of the executed report, in order.
+    Only an event's detail may differ, where a row count downstream of an
+    input is an estimate."""
+
+    @pytest.mark.parametrize("query", PAPER_QUERIES)
+    def test_explain_names_every_executed_disclosure(self, query):
+        context, inputs, fields = PAPER_QUERIES[query]
+        compiled = cc.compile_query(context, cc.CompilationConfig(**fields))
+        parties = sorted(compiled.dag.parties() | set(inputs))
+        executed = cc.QueryRunner(parties, inputs, compiled.config).run(compiled).leakage.events
+        predicted = compiled.explain().split("== predicted leakage ==\n")[1].splitlines()
+        assert executed and len(predicted) == len(executed)
+        for line, event in zip(predicted, executed):
+            assert line.split()[:2] == [event.kind, f"rel={event.relation}"], (line, event)
+
+    def test_explain_prices_an_obliv_c_plan_that_never_runs(self):
+        context, inputs, _ = PAPER_QUERIES["credit"]
+        compiled = cc.compile_query(context, cc.CompilationConfig(mpc_backend="obliv-c"))
+        text = compiled.explain()
+        assert any(line.endswith("  mpc") for line in text.splitlines())
+        # Its circuits are priced, not scheduled: only the crossings have rounds.
+        rounds = text.split("== rounds per network ==\n")[1].split("\n\n")[0]
+        assert [line.split(":")[0] for line in rounds.splitlines()] == ["crossings"]
+        assert "column_reveal" in text.split("== predicted leakage ==")[1]
+        with pytest.raises(ValueError, match="PlanEstimator"):
+            cc.QueryRunner(sorted(inputs), inputs).run(compiled)
+
+    def test_explain_reports_an_obliv_c_plan_past_the_memory_cut(self):
+        spec = market_concentration_query(rows_per_party=10_000_000)
+        config = cc.CompilationConfig(mpc_backend="obliv-c", enable_push_down=False)
+        text = cc.compile_query(spec.context, config).explain()
+        assert "garbled-circuit OOM" in text.split("== estimate")[1]
+
+
 class TestMpcStartupIsPaidOncePerJob:
     def test_a_plan_of_several_mpc_nodes_pays_one_startup(self):
         """Paper §7 pays the MPC start-up once per job: execution charges it

@@ -493,11 +493,13 @@ class TestBackendParity:
         assert spark_leakage == python_leakage
 
     @pytest.mark.parametrize("cleartext", PRICE_LISTS)
-    def test_obliv_c_target_compiles_generates_and_estimates_but_never_runs(self, cleartext):
+    def test_obliv_c_target_compiles_and_estimates_but_never_runs(self, cleartext):
         config = CompilationConfig(cleartext_backend=cleartext, mpc_backend="obliv-c")
         compiled = cc.compile_query(self.expression_query(), config)
-        assert {job.backend for job in compiled.jobs} == {cleartext, "obliv-c"}
-        assert cc.PlanEstimator().estimate(compiled).simulated_seconds > 0
+        estimate = cc.PlanEstimator().estimate(compiled)
+        engines = {name.split(":")[0] for name in estimate.backend_seconds}
+        assert engines == {"mpc", "local"} and "mpc:obliv-c" in estimate.backend_seconds
+        assert estimate.simulated_seconds > 0
         with pytest.raises(ValueError, match="PlanEstimator"):
             cc.run_query(self.expression_query(), self.inputs(), config)
 

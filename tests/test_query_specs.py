@@ -80,14 +80,13 @@ class TestSpecCompilation:
         ],
         ids=["market", "credit", "aspirin", "comorbidity"],
     )
-    def test_every_spec_compiles_and_partitions(self, spec_factory):
+    def test_every_spec_compiles_and_estimates(self, spec_factory):
         spec = spec_factory()
         compiled = cc.compile_query(spec.context)
         assert compiled.operator_count() > 0
-        assert compiled.subplans and compiled.jobs
-        # Every query output is produced by some job.
-        produced = {name for job in compiled.jobs for name in (s.out_rel.name for s in job.steps)}
-        assert spec.output_relation in produced
+        # Every query output is produced by some node of the shape run.
+        estimate = cc.PlanEstimator().estimate(compiled)
+        assert spec.output_relation in {ne.node.out_rel.name for ne in estimate.nodes}
 
     def test_custom_party_names_are_respected(self):
         spec = market_concentration_query(party_names=["x.one", "y.two", "z.three"])
