@@ -453,6 +453,65 @@ class TestExplainPredictsTheLeakage:
         assert "garbled-circuit OOM" in text.split("== estimate")[1]
 
 
+def credit_like_plan(**fields) -> cc.CompiledQuery:
+    """A join on a key that ``b`` lets ``a`` see, then an aggregate: two
+    hybrid MPC nodes between two parties' local inputs and output."""
+    pa, pb = cc.Party("a.example"), cc.Party("b.example")
+    with cc.QueryContext() as q:
+        demo = q.new_table("demo", [cc.Column("ssn"), cc.Column("zip")], at=pa, estimated_rows=50)
+        scores = q.new_table(
+            "scores", [cc.Column("ssn", trust=[pa]), cc.Column("score")], at=pb, estimated_rows=40
+        )
+        joined = demo.join(scores, on="ssn")
+        joined.aggregate(group=["zip"], aggs={"total": cc.SUM("score")}).collect("out", to=[pa])
+    return cc.compile_query(q, cc.CompilationConfig(**fields))
+
+
+class TestExplainCoversThePlan:
+    """The estimate ``explain()`` prints places every operator of the plan
+    at one locus and prices each locus on its own engine."""
+
+    def test_breakdown_lists_every_node_once_in_plan_order(self):
+        compiled = credit_like_plan()
+        section = compiled.explain().split("== estimate (shape run at estimated_rows) ==\n")[1]
+        rows = section.split("\n\n")[0].splitlines()[1:-1]  # no header, no total
+        listed = [tuple(line.split()[:2]) for line in rows]
+        assert listed == [(n.op_name, n.out_rel.name) for n in compiled.dag.topological()]
+
+    def test_every_node_runs_at_one_locus_after_its_inputs(self):
+        compiled = credit_like_plan()
+        estimate = PlanEstimator().estimate(compiled)
+        parties = compiled.dag.parties()
+        seen: set[str] = set()
+        for ne in estimate.nodes:
+            assert all(parent.out_rel.name in seen for parent in ne.node.parents), ne.locus
+            seen.add(ne.node.out_rel.name)
+            if ne.node.is_mpc:
+                assert ne.locus == "mpc"
+            else:
+                kind, party = ne.locus.split(":")
+                assert kind == "local" and party in parties
+        assert [ne.node.op_name for ne in estimate.nodes if ne.locus == "mpc"] == [
+            "hybrid_join", "hybrid_aggregate"
+        ]
+
+    @pytest.mark.parametrize("mpc_backend", ["sharemind", "obliv-c"])
+    def test_every_locus_is_priced_by_its_engine(self, mpc_backend):
+        estimate = PlanEstimator().estimate(credit_like_plan(mpc_backend=mpc_backend))
+        loci = {ne.locus for ne in estimate.nodes}
+        engines = {f"mpc:{mpc_backend}" if locus == "mpc" else locus for locus in loci}
+        assert set(estimate.backend_seconds) == engines
+        assert estimate.mpc_seconds > 0 and estimate.local_seconds > 0
+
+    def test_the_cleartext_price_list_changes_prices_not_the_run(self):
+        python = PlanEstimator().estimate(credit_like_plan(cleartext_backend="python"))
+        spark = PlanEstimator().estimate(credit_like_plan(cleartext_backend="spark"))
+        assert spark.schedule == python.schedule
+        assert spark.leakage.summary() == python.leakage.summary()
+        assert spark.backend_seconds["mpc:sharemind"] == python.backend_seconds["mpc:sharemind"]
+        assert spark.local_seconds != python.local_seconds
+
+
 class TestMpcStartupIsPaidOncePerJob:
     def test_a_plan_of_several_mpc_nodes_pays_one_startup(self):
         """Paper §7 pays the MPC start-up once per job: execution charges it
