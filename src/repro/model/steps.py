@@ -5,8 +5,8 @@ step on one share vector (or one relation, where whole rows move).  Every
 step the engine does not carry itself — the ideal functionalities, and the
 local copies and gathers of the protocols — is charged by
 ``engine.charge(<step>_meter(...))``: the meter here *is* the charge, so
-there is no second copy that could drift.  The *carried* steps — input
-sharing, openings, the Beaver opening of a multiplication, local share
+there is no second copy that could drift.  The *carried* steps — public
+input sharing, openings, the Beaver opening of a multiplication, local share
 arithmetic — have no formula: the traffic is counted where it is carried
 (``Network.round``) and the primitive increments its one counter, on data
 and on shapes alike.
@@ -54,6 +54,19 @@ def _analytic(rounds: int, elements: int, num_parties: int) -> NetworkStats:
 def local_meter(records: int, columns: int = 1) -> CostMeter:
     """Cheap local share work (copy, gather, sum): one op per element."""
     return CostMeter(local_ops=records * columns)
+
+
+def input_sharing_meter(records: int, num_parties: int) -> CostMeter:
+    """A party's private input of ``records`` ring elements entering the MPC:
+    Sharemind's client-side input round, one message of the party's shares
+    to every other computing party.  The share engine expands those shares
+    from pairwise keys instead, so the round is priced, never carried."""
+    return CostMeter(
+        input_records=records,
+        network=NetworkStats(
+            num_parties - 1, (num_parties - 1) * records * SHARE_BYTES, rounds=1
+        ),
+    )
 
 
 def external_leg_meter(records: int, num_parties: int) -> CostMeter:

@@ -51,7 +51,8 @@ class SharedTable:
     def from_table(
         cls, engine: SecretSharingEngine, table: Table, contributor: str | None = None
     ) -> "SharedTable":
-        """Secret-share a cleartext table into the MPC (one input round)."""
+        """Secret-share a cleartext table into the MPC (nothing crosses: the
+        peers expand their slices, see ``engine.input_vectors``)."""
         values = [
             np.round(table.column(cdef.name) * FIXED_POINT_SCALE).astype(np.int64)
             if cdef.ctype is ColumnType.FLOAT
@@ -64,12 +65,12 @@ class SharedTable:
     def from_metadata(
         cls, engine: SecretSharingEngine, schema: Schema, num_rows: int, contributor: str
     ) -> "SharedTable":
-        """Receive a peer party's secret-shared table.
+        """A peer party's table, secret-shared into the MPC.
 
         Only the schema and the row count (public metadata) are known here;
-        this engine's share slices arrive over the wire from ``contributor``,
-        which runs :meth:`from_table` in lockstep.  The cleartext never
-        leaves the contributing party.
+        this engine expands its share slices from the key it shares with
+        ``contributor``, which runs :meth:`from_table` in lockstep.  Neither
+        the cleartext nor a slice leaves the contributing party.
         """
         columns = engine.input_vectors(None, contributor, [num_rows] * len(schema))
         return cls(engine, schema, columns)

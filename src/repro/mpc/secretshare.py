@@ -13,7 +13,7 @@ secret-sharing MPC backend:
   slice in the single-process simulation (``local_parties=None``, one engine
   plays all parties at once), exactly one slice in a party agent.  The
   carried steps take *lists* of vectors — a relation's columns cross in one
-  round: ``input_vectors`` (sharing), ``open_many`` / ``reveal_many`` (to
+  step: ``input_vectors`` (sharing), ``open_many`` / ``reveal_many`` (to
   all), ``reveal_to_many`` (to one party), ``env_open_many`` (to the
   protocol environment); ``open_flags`` opens a 0/1 vector in Z_2, one bit
   per row.  Every opening (those, and the Beaver ``d``/``e`` openings)
@@ -58,13 +58,16 @@ Randomness is partitioned into streams so sliced engines stay in lockstep:
 * ``engine.dealer`` — the trusted triple dealer, likewise replicated.
   This is a modelling trust boundary: a deployed system would produce
   triples with OT-based preprocessing so no party knows a full triple.
-* per-contributor input streams — used only for *private* inputs, and only
-  drawn by engines that actually hold the contributor's cleartext (the
-  contributor's own agent, or the all-local simulation).  The all-local
-  simulation seeds them from the query seed; an agent seeds them from OS
-  entropy, so no peer — every one of which knows the seed — can replay a
-  contributor's masks.  Non-contributors never see the cleartext or the
-  sharing randomness; their slice is the frame delivered over the wire.
+* pairwise input streams — the slices of *private* inputs (pseudo-random
+  secret sharing, Araki et al., CCS 2016).  Party ``j``'s slice of
+  contributor ``c``'s input vector is the expansion of the key ``k_cj`` the
+  two share, at the vector's lockstep number; ``c``'s slice is the value
+  minus those expansions, so no slice crosses the wire.  An agent's keys are
+  its mesh links' (:func:`repro.runtime.mesh.link_key`, agreed in the join
+  hellos) and its streams are numbered by the query id, so no peer — every
+  one of which knows the seed — can expand a slice it does not hold; the
+  all-local simulation derives keys and streams from the seed.  numpy's
+  ``PCG64`` stands in for the PRF (a deployment would use AES-CTR).
 
 The relational protocols never touch a slice or an opened value: a
 :class:`SharedVector` reshapes itself locally (``take``, ``head``,
@@ -78,6 +81,7 @@ overrides to run them on row counts.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -293,16 +297,12 @@ class SecretSharingEngine:
         # cost model prices.
         self.meter = CostMeter(network=self.network.stats)
         self.dealer = TripleDealer(self.num_parties, seed=None if seed is None else seed + 1)
-        # Per-contributor private-input streams: stream i is drawn only by
-        # engines that hold party i's cleartext input (party i's own agent,
-        # or the all-local simulation engine).  An agent seeds them from OS
-        # entropy, never from the query seed every peer knows — a peer that
-        # could replay a contributor's masks would recover its input.
-        entropy = seed if local_parties is None else None
-        self._input_rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(0x51, i)))
-            for i in range(self.num_parties)
-        ]
+        # Private inputs expand from pairwise keys: an agent's are its mesh
+        # links' and its streams are numbered by the query id; without a
+        # channel (the all-local simulation) both come from the seed.
+        self._seed_entropy = np.random.SeedSequence(seed).entropy
+        #: Private input vectors shared so far: every engine counts the same.
+        self._inputs_shared = 0
         # Per-party mask streams of the environment resharings: stream i is
         # party i's mask, and the last party's slice is the value minus every
         # mask.  An engine draws stream i only if it holds party i or the
@@ -382,21 +382,26 @@ class SecretSharingEngine:
         num_rows: "Sequence[int] | None" = None,
         public: bool = False,
     ) -> list[SharedVector]:
-        """Secret-share cleartext vectors — a relation's columns — in one round.
+        """Secret-share cleartext vectors — a relation's columns — into the MPC.
 
-        ``contributor`` names the party providing the data; it sends every
-        other party one message holding that party's slice of every vector.
-        Each receiving party's shares are the payload that was actually
-        delivered to it, so on a socket transport the share data genuinely
-        crosses the process boundary.
+        ``contributor`` names the party providing the data.  A private input
+        (the default) ships nothing: every other compute party ``j`` expands
+        its slice of each vector from the key ``k_cj`` it shares with the
+        contributor ``c``, and ``c``'s slice is the value minus those
+        expansions (see the module docstring).  Only the engine holding the
+        contributor passes ``values``; every other engine passes
+        ``values=None`` and the ``num_rows`` of each vector (the public row
+        count, which crossed before).  Sharemind's client-side input round
+        that this replaces is charged analytically
+        (:func:`~repro.model.steps.input_sharing_meter`), so only the wire
+        counters see the difference.
 
-        Engines that do not hold the contributor's cleartext pass
-        ``values=None`` and the ``num_rows`` of each vector (public
-        metadata); their slices come exclusively off the wire.
         ``public=True`` marks values already known to every party
-        (hybrid-protocol intermediates): the sharing randomness then comes
-        from the shared environment stream so all lockstep engines stay
-        synchronised.  Either stream is drawn vector by vector.
+        (hybrid-protocol intermediates): the sharing randomness comes from
+        the shared environment stream, so all lockstep engines stay
+        synchronised, and the contributor sends every other party its
+        slices in one carried round.  Either way the slices are drawn
+        vector by vector, so they are those of one call per vector.
         """
         self._require_local()
         contributor = contributor or self.party_names[0]
@@ -404,39 +409,99 @@ class SecretSharingEngine:
             raise KeyError(f"unknown contributor {contributor!r}")
         c_idx = self.party_names.index(contributor)
         if values is not None:
+            if not public and c_idx not in self._local_pos:
+                raise ValueError(
+                    f"engine does not hold contributor {contributor!r}: pass the "
+                    "num_rows of its vectors, not values"
+                )
             values = [np.asarray(v, dtype=np.int64) for v in values]
             num_rows = [int(v.size) for v in values]
         elif num_rows is None:
             raise ValueError("input_vectors needs values or the public num_rows of each vector")
-        elif public:
+        elif public and self.local_indices:
+            # Only an engine that holds no slice (the estimator's) may share
+            # a public value it does not know.
             raise ValueError("a public input requires values at every party")
         elif c_idx in self._local_pos:
             raise ValueError(f"engine holds contributor {contributor!r} but got no values")
 
-        #: ``full[k][i]`` is party ``i``'s slice of vector ``k``.
-        full: list[list[np.ndarray]] | None = None
-        if values is not None:
-            rng = self.rng if public else self._input_rngs[c_idx]
-            full = [AdditiveSharing.share(v, self.num_parties, rng) for v in values]
         total = sum(num_rows)
+        if public:
+            held = self._carried_input(values, c_idx, total)
+            self.meter.input_records += total
+        else:
+            held = self._expanded_input(values, c_idx, num_rows)
+            self.charge(steps.input_sharing_meter(total, self.num_parties))
+        return [
+            SharedVector(self, [got[k] for got in held], rows) for k, rows in enumerate(num_rows)
+        ]
+
+    def _carried_input(self, values, c_idx: int, total: int) -> list:
+        """The held slices of a public input, one list per held party: the
+        contributor sends every other party its slices in one round, and a
+        receiver's slices are the payload delivered to it."""
+        contributor = self.party_names[c_idx]
+        full = None
+        if values is not None:
+            #: ``full[k][i]`` is party ``i``'s slice of vector ``k``.
+            full = [AdditiveSharing.share(v, self.num_parties, self.rng) for v in values]
         sends = [
             (contributor, name, None if full is None else tuple(slices[i] for slices in full))
             for i, name in enumerate(self.party_names)
-            if name != contributor
+            if i != c_idx
         ]
         delivered = self.network.round("input-share", sends, total * SHARE_BYTES)
-        local = []
-        for i in self.local_indices:
-            got = None if i == c_idx else delivered[(contributor, self.party_names[i])]
-            if got is None:
-                # The contributor's own slices, or the in-process delivery of
-                # a sharing this engine computed itself (no wire in between).
-                got = [slices[i] for slices in full]
-            local.append(got)
-        self.meter.input_records += total
         return [
-            SharedVector(self, [got[k] for got in local], rows) for k, rows in enumerate(num_rows)
+            [slices[i] for slices in full] if i == c_idx
+            else delivered[(contributor, self.party_names[i])]
+            for i in self.local_indices
         ]
+
+    def _expanded_input(self, values, c_idx: int, num_rows: Sequence[int]) -> list:
+        """The held slices of a private input, one list per held party: the
+        expansions of the contributor's pairwise keys, and at the
+        contributor the value minus every expansion."""
+        first = self._inputs_shared
+        self._inputs_shared += len(num_rows)
+        holds_contributor = c_idx in self._local_pos
+        held: list[list[np.ndarray]] = [[] for _ in self.local_indices]
+        for k, rows in enumerate(num_rows):
+            expanded = {
+                j: self._expand(c_idx, j, first + k, rows)
+                for j in range(self.num_parties)
+                if j != c_idx and (holds_contributor or j in self._local_pos)
+            }
+            for pos, i in enumerate(self.local_indices):
+                if i != c_idx:
+                    held[pos].append(expanded[i])
+                    continue
+                own = _to_ring(values[k])
+                for mask in expanded.values():
+                    own -= mask  # uint64 arithmetic wraps mod 2^64
+                held[pos].append(own)
+        return held
+
+    def _expand(self, c_idx: int, j: int, vector: int, n: int) -> np.ndarray:
+        """Party ``j``'s slice of contributor ``c_idx``'s private input
+        vector number ``vector``: ``n`` ring elements expanded from their
+        pairwise key, in the stream of this query (or seed)."""
+        channel = self.network.channel
+        stream = self._seed_entropy if channel is None else channel.query_id
+        seq = np.random.SeedSequence(self._pair_key(c_idx, j), spawn_key=(stream, vector))
+        return np.random.PCG64(seq).random_raw(n)
+
+    def _pair_key(self, i: int, j: int) -> int:
+        """The key parties ``i`` and ``j`` share: their mesh link's, or
+        without a channel one derived from the seed."""
+        names = [self.party_names[p] for p in sorted((i, j))]
+        channel = self.network.channel
+        if channel is None:
+            fields = ("conclave-seeded-key", str(self._seed_entropy), *names)
+            raw = hashlib.sha256("\x00".join(fields).encode()).digest()
+        else:
+            (peer,) = [name for name in names if name != channel.party]
+            raw = channel.link_key(peer)
+        return int.from_bytes(raw, "little")
 
     def input_vector(
         self,

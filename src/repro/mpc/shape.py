@@ -110,7 +110,7 @@ class ShapeEngine(SecretSharingEngine):
         """Every sharing is a peer's: only the row counts are known here."""
         if values is not None:
             num_rows = [len(v) for v in values]
-        return super().input_vectors(None, contributor, num_rows)
+        return super().input_vectors(None, contributor, num_rows, public)
 
     def _opened(self, delivered, step: str, vecs: Sequence[SharedVector]) -> list[Positions]:
         return [Positions(len(vec)) for vec in vecs]
@@ -131,6 +131,9 @@ class ShapeEngine(SecretSharingEngine):
         return self._vector(len(values))
 
     def zero_sharing(self, n: int) -> list[np.ndarray]:
+        return []
+
+    def _expanded_input(self, values, c_idx: int, num_rows) -> list:
         return []
 
     def env_apply(self, fn, vecs: Sequence[SharedVector]) -> SharedVector:

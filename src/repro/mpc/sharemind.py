@@ -67,9 +67,9 @@ class SharemindBackend:
         return SharedTable.from_table(self.engine, table, contributor=contributor)
 
     def ingest_remote(self, schema: Schema, num_rows: int, contributor: str) -> SharedTable:
-        """Receive another party's relation as share slices off the wire.
+        """Another party's relation, as the share slices this engine expands.
 
-        Runs the same input rounds as :meth:`ingest` at the contributor, but
+        Runs the same input step as :meth:`ingest` at the contributor, but
         with only the plan's schema and the public row count known locally —
         the cleartext never reaches this process.
         """

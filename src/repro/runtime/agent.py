@@ -198,8 +198,11 @@ class PartyAgent:
             "mpc_profile": outcome.mpc_profile,
             # Debug hook for the cryptographic-isolation tests: which
             # parties' share slices and cleartext inputs this agent process
-            # materialised while running the query.
-            "isolation": executor.isolation_audit(),
+            # materialised while running the query, and a fingerprint of the
+            # key of each mesh link it expands private inputs from.
+            "isolation": {
+                **executor.isolation_audit(), "link_keys": self.mesh.key_fingerprints(),
+            },
             # Cumulative per-peer mesh traffic and process counters at query
             # completion — the metrics layer's per-party view.  Sizes, counts
             # and timings only, never payloads.
@@ -231,7 +234,9 @@ def agent_main(
     deployments).  The agent dials the coordinator as it dials a peer
     (:func:`~repro.runtime.mesh.join_mesh`), with the session ``nonce`` and
     its ``epoch`` — 0 at session start, the restart epoch after a crash —
-    that the spawning pool handed it.  With ``security`` (a
+    that the spawning pool handed it.  The mesh's join hellos agree one
+    pairwise key per peer link, from which the share engine expands the
+    slices of private inputs.  With ``security`` (a
     :class:`~repro.core.config.TransportSecurity`) the control link and
     every mesh link speak mutually-authenticated TLS: this agent presents
     the ``party`` certificate and requires the coordinator's certificate to
@@ -244,7 +249,7 @@ def agent_main(
     control = join_mesh(
         party, {coordinator: (host, port)}, {}, None, epoch,
         nonce=nonce, timeout=timeout, security=security,
-    )[coordinator]
+    )[0][coordinator]
     mesh: PeerMesh | None = None
     listener = None
     try:
@@ -271,12 +276,12 @@ def agent_main(
         tag, peers = recv_frame(control)
         if tag != "peers":
             raise RuntimeError(f"agent {party!r} expected a peers frame, got {tag!r}")
-        links = join_mesh(party, peers["dial"], peers["accept"], listener, epoch,
-                          nonce=nonce, timeout=timeout, security=security)
+        links, keys = join_mesh(party, peers["dial"], peers["accept"], listener, epoch,
+                                nonce=nonce, timeout=timeout, security=security)
         close_quietly(listener)  # the mesh is complete: nobody dials again
         mesh = PeerMesh(
-            party, links, timeout=timeout,
-            injector=injector, released_watermark=bundle["released_watermark"],
+            party, links, timeout=timeout, injector=injector,
+            released_watermark=bundle["released_watermark"], link_keys=keys,
         )
 
         agent = PartyAgent(party, parties, mesh, session_inputs=bundle.get("inputs"))

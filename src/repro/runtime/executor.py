@@ -287,9 +287,10 @@ class PlanExecutor:
         receiver or a bystander according to ``self.local_parties``:
 
         * party → MPC — the contributor sends every peer the relation's
-          row count, one int64, and every other agent receives its share
-          slices off the wire inside the input rounds; the cleartext never
-          leaves the contributing process;
+          row count, one int64, and that is the only frame of the crossing:
+          every other agent expands its share slices from the key it shares
+          with the contributor; neither the cleartext nor a slice leaves the
+          contributing process;
         * MPC → party — ``reveal_to``: the others send the target their
           slices, and only the target materialises the cleartext;
         * party → party — the holder sends the target the columns.
@@ -324,8 +325,8 @@ class PlanExecutor:
             table = None
             if holder in mine:
                 table = Table(rel.schema, entry.handle.columns())
-            # Only the public row count reaches the peers; the columns enter
-            # as share slices in the input round.
+            # Only the public row count reaches the peers, which expand
+            # their share slices of the columns from their pairwise keys.
             count = None if table is None else np.array([table.num_rows], dtype=np.int64)
             sends = [(holder, p, count) for p in self.parties if p != holder]
             delivered = self._crossings.round(rel.name, sends, 8)

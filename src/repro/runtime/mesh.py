@@ -6,12 +6,21 @@ defaults to loopback and comes from the session's ``bind_host`` knob),
 advertises its real ``(host, port)`` endpoint to the coordinator, and is
 told back whom to dial and whom to accept.  :func:`join_mesh` is the one
 handshake of every link, control links included: every dial introduces the
-dialler with the one hello, ``("join", party, epoch, nonce)``, and every
-accept waits for a set of expected ``{peer: epoch}`` hellos.  Every agent
-dials the coordinator, dials every agent *j < i* (in the shared party order)
-and accepts every *j > i*, at epoch 0 at session start and at the restart
-epoch after a crash — a restart brings every agent up again, so a mesh's
-links never change while it lives.
+dialler with the one hello, ``("join", party, epoch, nonce, secret)``, and
+every accept waits for a set of expected ``{peer: epoch}`` hellos.  Every
+agent dials the coordinator, dials every agent *j < i* (in the shared party
+order) and accepts every *j > i*, at epoch 0 at session start and at the
+restart epoch after a crash — a restart brings every agent up again, so a
+mesh's links never change while it lives.
+
+``secret`` is 32 fresh random bytes (hex) the dialler draws for the link;
+both ends derive the link's **pairwise key** from it, the session nonce,
+both party names and the epoch (:func:`link_key`).  The share engine expands
+a private input's slices from these keys, so no share frame carries one
+(:meth:`~repro.mpc.secretshare.SecretSharingEngine.input_vectors`).  Each
+bring-up draws new secrets, so a restart's mesh has new keys.  Without TLS
+the hello crosses in the clear — the secret is then exactly as visible as a
+share frame on the same link would be.
 
 The mesh is **multiplexed by query id** so one set of TCP connections can
 carry many queries — including concurrent ones — for a long-lived agent.
@@ -62,8 +71,10 @@ Supervision support (the fault-tolerant service runtime):
 
 from __future__ import annotations
 
+import hashlib
 import queue
 import random
+import secrets
 import socket
 import threading
 import time
@@ -98,6 +109,22 @@ class MeshTimeout(TransportError):
     """A peer did not produce an expected frame within the timeout."""
 
 
+def link_key(nonce: str, epoch: int, dialler: str, acceptor: str, secret: str) -> bytes:
+    """The 32-byte key ``dialler`` and ``acceptor`` share on the link the
+    dialler opened with ``secret`` in its hello, at ``epoch`` of the session
+    whose nonce is ``nonce``."""
+    fields = ("conclave-link-key", nonce, str(epoch), dialler, acceptor, secret)
+    return hashlib.sha256("\x00".join(fields).encode()).digest()
+
+
+def _is_secret(value) -> bool:
+    """Whether ``value`` is a hello secret: 64 lowercase hex digits."""
+    return (
+        isinstance(value, str) and len(value) == 64
+        and all(c in "0123456789abcdef" for c in value)
+    )
+
+
 @dataclass
 class _Poison:
     """The last item of an inbox whose peer died or aborted its query:
@@ -118,10 +145,13 @@ class PeerMesh:
         *,
         injector=None,
         released_watermark: int = 0,
+        link_keys: dict[str, bytes] | None = None,
     ):
         self.party = party
         self.timeout = timeout
         self._socks = dict(connections)
+        #: The pairwise key of each link, agreed in its join hello.
+        self._link_keys = dict(link_keys or {})
         self._send_locks = {p: threading.Lock() for p in self._socks}
         # Per-link outgoing sequence numbers.
         self._send_seq = {p: 0 for p in self._socks}
@@ -161,6 +191,24 @@ class PeerMesh:
     def channel(self, query_id: int) -> "MeshChannel":
         """A view of the mesh carrying exactly one query's frames."""
         return MeshChannel(self, query_id)
+
+    def key_fingerprints(self) -> dict[str, str]:
+        """``{peer: fingerprint}`` of every link key — a hash, never the key —
+        so the isolation tests can tell keys apart from outside the agent."""
+        return {
+            peer: hashlib.sha256(key).hexdigest()[:16]
+            for peer, key in sorted(self._link_keys.items())
+        }
+
+    def link_key(self, peer: str) -> bytes:
+        """The pairwise key of the link to ``peer`` (see :func:`link_key`)."""
+        try:
+            return self._link_keys[peer]
+        except KeyError:
+            raise TransportError(
+                f"agent {self.party!r} agreed no key with {peer!r}: the link was not "
+                "opened by a join hello"
+            ) from None
 
     # -- frame plumbing ----------------------------------------------------------------
 
@@ -343,6 +391,10 @@ class MeshChannel:
     def timeout(self) -> float:
         return self._mesh.timeout
 
+    def link_key(self, peer: str) -> bytes:
+        """The pairwise key of the link to ``peer``, agreed in its join hello."""
+        return self._mesh.link_key(peer)
+
     def send_message(self, peer: str, tag: str, payload) -> None:
         """Send one round's message: ``payload`` is ``None``, an array or a
         tuple of arrays (the mesh layout's dtype allowlist)."""
@@ -415,35 +467,39 @@ def join_mesh(
     timeout: float,
     security=None,
     processes: dict | None = None,
-) -> dict[str, socket.socket]:
-    """Join ``party`` to the mesh; returns ``{peer: socket}``, one per link.
+) -> tuple[dict[str, socket.socket], dict[str, bytes]]:
+    """Join ``party`` to the mesh; returns ``({peer: socket}, {peer: key})``,
+    one socket and one pairwise key (:func:`link_key`) per link.
 
     Dials every peer of ``dial`` (party -> advertised ``(host, port)``),
-    introducing this party with ``("join", party, epoch, nonce)``, then
-    accepts one link from every peer of ``accept`` (party -> the epoch its
-    hello must carry).  An agent dials the coordinator, then the lower
-    ranks, accepting the higher ones; the coordinator accepts its agents,
-    and stops as soon as one of their ``processes`` (party -> process)
-    exits.
+    introducing this party with ``("join", party, epoch, nonce, secret)`` —
+    a fresh ``secret`` per link — then accepts one link from every peer of
+    ``accept`` (party -> the epoch its hello must carry).  An agent dials
+    the coordinator, then the lower ranks, accepting the higher ones; the
+    coordinator accepts its agents, and stops as soon as one of their
+    ``processes`` (party -> process) exits.
     With ``security`` every link is mutually-authenticated TLS and every
     link's party must be the one its certificate names.  ``nonce`` is the
     session secret the coordinator handed every agent it spawned.
     """
     links: dict[str, socket.socket] = {}
+    keys: dict[str, bytes] = {}
     try:
         for peer, endpoint in dial.items():
+            secret = secrets.token_hex(32)
             links[peer] = _dial(
                 party, peer, _endpoint(endpoint), timeout,
-                hello=("join", party, epoch, nonce), security=security,
+                hello=("join", party, epoch, nonce, secret), security=security,
             )
+            keys[peer] = link_key(nonce, epoch, party, peer, secret)
         if accept:
-            _accept(listener, party, accept, links, timeout, nonce=nonce,
+            _accept(listener, party, accept, links, keys, timeout, nonce=nonce,
                     security=security, processes=processes or {})
     except BaseException:
         for sock in links.values():
             close_quietly(sock)
         raise
-    return links
+    return links, keys
 
 
 def _accept(
@@ -451,6 +507,7 @@ def _accept(
     party: str,
     expected: dict[str, int],
     links: dict[str, socket.socket],
+    keys: dict[str, bytes],
     timeout: float,
     *,
     nonce: str,
@@ -458,11 +515,12 @@ def _accept(
     processes: dict,
 ) -> None:
     """Accept one link from every peer of ``expected`` (peer -> epoch) into
-    ``links``.
+    ``links``, and its pairwise key into ``keys``.
 
-    A link counts when its hello is ``("join", peer, expected[peer], nonce)``
-    from a peer not yet accepted.  Anything else that cannot be one of those
-    links — a dead connection, a failed TLS handshake, a malformed hello, a
+    A link counts when its hello is ``("join", peer, expected[peer], nonce,
+    secret)`` from a peer not yet accepted.  Anything else that cannot be one
+    of those links — a dead connection, a failed TLS handshake, a malformed
+    hello (a secret that is not 64 hex digits included), a
     hello of another epoch (a failed restart attempt's straggler) — is
     closed and accepting continues.  A hello that names an expected peer at
     its epoch but fails authentication (wrong nonce, or a TLS certificate
@@ -501,11 +559,12 @@ def _accept(
             continue
         if not (
             isinstance(hello, tuple)
-            and len(hello) == 4
+            and len(hello) == 5
             and hello[0] == "join"
             and isinstance(hello[1], str)
             and isinstance(hello[2], int)
             and isinstance(hello[3], str)
+            and _is_secret(hello[4])
             and pending.get(hello[1]) == hello[2]
         ):
             close_quietly(sock)  # malformed, stale or unexpected (never echoed: nonce)
@@ -525,6 +584,7 @@ def _accept(
             raise
         sock.settimeout(timeout)
         links[peer] = sock
+        keys[peer] = link_key(nonce, hello[2], peer, party, hello[4])
         del pending[peer]
 
 

@@ -191,10 +191,13 @@ def accept_agents(
     """The coordinator's accept of its agents' control links (party -> epoch
     in ``expected``): the mesh's one accept (:func:`~repro.runtime.mesh
     .join_mesh`), which also fails as soon as one of ``processes`` (party ->
-    agent process) exits first.  Any failure is an :class:`AgentFailure`."""
+    agent process) exits first.  Any failure is an :class:`AgentFailure`.
+    The control links' keys go unused: no share is expanded on them."""
     try:
-        return join_mesh(coordinator_name(security), {}, expected, listener, 0, nonce=nonce,
-                         timeout=timeout, security=security, processes=processes)
+        links, _keys = join_mesh(coordinator_name(security), {}, expected, listener, 0,
+                                 nonce=nonce, timeout=timeout, security=security,
+                                 processes=processes)
+        return links
     except TransportError as exc:
         raise AgentFailure(f"agent bring-up failed: {exc}") from exc
 

@@ -6,6 +6,10 @@ secret sharing *real* rather than replicated theatre:
 * a :class:`SecretSharingEngine` holds only its local parties' additive
   share slices — no other party's share material, and no other party's cleartext
   input, exists in the process;
+* a private input's slices expand from the pairwise keys of the mesh links,
+  which fresh secrets in the join hellos fix: no function of the query
+  seed, and no other link's key, rebuilds the input; the keys differ per
+  link and change when a restart brings the mesh up again;
 * openings (``open``, Beaver openings, env-opens) reconstruct from the
   share frames *delivered by the network round*: tampering with one share frame
   in transit changes (or fails) the opened result, proving the wire bytes
@@ -32,6 +36,7 @@ import multiprocessing
 import os
 import pickle
 import queue
+import secrets
 import socket
 import threading
 import time
@@ -40,17 +45,19 @@ import numpy as np
 import pytest
 
 import repro as cc
-from repro.core.config import CompilationConfig
+from repro.core.config import CompilationConfig, RestartPolicy, RetryPolicy, TransportSecurity
 from repro.mpc.network import Network
 from repro.mpc.protocols import SharedTable, mpc_aggregate, mpc_filter
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
 from repro.queries import market_concentration_query
+from repro.runtime.faults import FaultPlan, KillFault
 from repro.runtime.mesh import (
     KIND_MSG,
     MeshTimeout,
     PeerMesh,
     bind_listener,
     join_mesh,
+    link_key,
 )
 from repro.runtime import TransportError
 from repro.runtime.executor import PlanExecutor
@@ -76,26 +83,52 @@ from test_differential import (
     generate_spec,
     oracle,
 )
+from test_round_budget import WORKLOADS
 
 PARTIES = [PARTY_A, PARTY_B]
 PARTY_C = "gamma.example"
 NONCE = "5" * 32
+#: A dialler's link secret in a hello (64 hex digits).
+SECRET = "a7" * 32
+
+
+def joined_keys(parties, epoch=0):
+    """``{(party, peer): key}`` of every link of a mesh of ``parties``, each
+    derived as :func:`~repro.runtime.mesh.join_mesh` derives it: from a
+    fresh secret of the dialler (the higher rank)."""
+    keys = {}
+    for rank, acceptor in enumerate(parties):
+        for dialler in parties[rank + 1:]:
+            key = link_key(NONCE, epoch, dialler, acceptor, secrets.token_hex(32))
+            keys[dialler, acceptor] = keys[acceptor, dialler] = key
+    return keys
+
+
+def keys_of(party, keys):
+    """``party``'s end of the links of ``keys``: ``{peer: key}``."""
+    return {peer: key for (holder, peer), key in keys.items() if holder == party}
 
 
 # -- in-process mesh pair for two sliced engines ------------------------------------------
 
 
 class _PipeMesh:
-    """Minimal MeshChannel stand-in: two queues of mesh-layout frames,
-    optional tampering with a message ``(tag, payload)`` before it is
-    encoded."""
+    """Minimal MeshChannel stand-in: two queues of mesh-layout frames, the
+    party's link keys (``{peer: key}``), optional tampering with a message
+    ``(tag, payload)`` before it is encoded."""
 
-    def __init__(self, party, peer, inbox, outbox, tamper=None):
+    query_id = 1
+
+    def __init__(self, party, keys, inbox=None, outbox=None, tamper=None):
         self.party = party
-        self.peers = {peer}
+        self.peers = set(keys)
+        self._keys = keys
         self._inbox = inbox
         self._outbox = outbox
         self._tamper = tamper
+
+    def link_key(self, peer):
+        return self._keys[peer]
 
     def send_message(self, peer, tag, payload):
         message = (tag, payload)
@@ -114,8 +147,11 @@ class _PipeMesh:
 def sliced_engine_pair(seed=7, tamper_from_b=None):
     """Two engines (one slice each) joined by an in-process pipe."""
     a_to_b, b_to_a = queue.Queue(), queue.Queue()
-    mesh_a = _PipeMesh(PARTY_A, PARTY_B, inbox=b_to_a, outbox=a_to_b)
-    mesh_b = _PipeMesh(PARTY_B, PARTY_A, inbox=a_to_b, outbox=b_to_a, tamper=tamper_from_b)
+    keys = joined_keys(PARTIES)
+    mesh_a = _PipeMesh(PARTY_A, keys_of(PARTY_A, keys), inbox=b_to_a, outbox=a_to_b)
+    mesh_b = _PipeMesh(
+        PARTY_B, keys_of(PARTY_B, keys), inbox=a_to_b, outbox=b_to_a, tamper=tamper_from_b
+    )
     engines = []
     for party, mesh in ((PARTY_A, mesh_a), (PARTY_B, mesh_b)):
         network = Network(PARTIES, channel=mesh)
@@ -403,47 +439,86 @@ class TestRelationWideRoundsOnSlices:
             np.testing.assert_array_equal(got_b[k], column)
         for engine in engines:
             stats = engine.network.stats
-            assert (stats.wire_rounds, everyone.network.stats.wire_rounds) == (2, 6)
+            # Sharing is priced as a round but carries none: the reveals do.
+            assert (stats.rounds, everyone.network.stats.rounds) == (2, 6)
+            assert (stats.wire_rounds, everyone.network.stats.wire_rounds) == (1, 3)
             assert stats.bytes_sent == everyone.network.stats.bytes_sent
             assert engine.meter.input_records == everyone.meter.input_records == 12
             assert engine.meter.output_records == everyone.meter.output_records == 12
 
 
+def _expansion(key, n, vector=0):
+    """``n`` slice elements expanded from ``key`` (bytes, or the engine's
+    integer form) as an agent expands its slice of the ``vector``-th private
+    input vector of query :attr:`_PipeMesh.query_id`."""
+    if isinstance(key, bytes):
+        key = int.from_bytes(key, "little")
+    seq = np.random.SeedSequence(key, spawn_key=(_PipeMesh.query_id, vector))
+    return np.random.PCG64(seq).random_raw(n)
+
+
 class TestPrivateInputsArePrivate:
-    """A party agent shares its private input with randomness no peer can
-    replay: every agent knows the query seed, so a sharing derived from it
-    would hand the input to the last party, which adds its own delivered
-    slice to the regenerated masks."""
+    """A party agent's private input enters the MPC as slices that no peer
+    can expand alone: party j's slice of A's input expands from the key of
+    their link, which the dialler's fresh secret fixes — not the query seed
+    every agent knows, nor the key of another link.  Each probe is granted
+    A's own slice too, which never leaves A: what stands between it and the
+    input is the one slice it cannot expand."""
 
     THREE = [PARTY_A, PARTY_B, PARTY_C]
     VALUES = np.array([17, -4, 2**40, 0, 99], dtype=np.int64)
 
     def _contribute(self, seed):
-        """Party A's agent shares ``VALUES``; returns C's delivered slice."""
-        a_to_c, c_to_a = queue.Queue(), queue.Queue()
+        """Party A's agent shares ``VALUES``; returns every agent's slice,
+        ``{party: slice}``, and the link keys."""
+        keys = joined_keys(self.THREE)
         engines = {
             party: SecretSharingEngine(
                 self.THREE, seed=seed, local_parties={party},
-                network=Network(self.THREE, channel=_PipeMesh(party, peer, inbox, outbox)),
+                network=Network(self.THREE, channel=_PipeMesh(party, keys_of(party, keys))),
             )
-            for party, peer, inbox, outbox in (
-                (PARTY_A, PARTY_C, c_to_a, a_to_c), (PARTY_C, PARTY_A, a_to_c, c_to_a),
-            )
+            for party in self.THREE
         }
-        engines[PARTY_A].input_vector(self.VALUES, contributor=PARTY_A)
-        received = engines[PARTY_C].input_vector(contributor=PARTY_A, num_rows=len(self.VALUES))
-        return received.shares[0]
+        slices = {PARTY_A: engines[PARTY_A].input_vector(self.VALUES, contributor=PARTY_A)}
+        for party in (PARTY_B, PARTY_C):
+            slices[party] = engines[party].input_vector(
+                contributor=PARTY_A, num_rows=len(self.VALUES)
+            )
+        for engine in engines.values():
+            assert engine.network.stats.wire_rounds == 0  # nothing crossed
+        slices = {party: vec.shares[0] for party, vec in slices.items()}
+        assert np.array_equal(AdditiveSharing.reconstruct(list(slices.values())), self.VALUES)
+        return slices, keys
+
+    def _rebuilt(self, slices, b_slice):
+        return AdditiveSharing.reconstruct([slices[PARTY_A], b_slice, slices[PARTY_C]])
 
     def test_the_query_seed_does_not_recover_a_contributors_input(self):
-        own_slice = self._contribute(seed=7)
-        # C regenerates A's stream as the all-local simulation seeds it.
-        replay = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0x51, 0)))
-        masks = AdditiveSharing.share(np.zeros(len(self.VALUES), dtype=np.int64), 3, replay)[:2]
-        recovered = AdditiveSharing.reconstruct([*masks, own_slice])
-        assert not np.array_equal(recovered, self.VALUES)
+        slices, keys = self._contribute(seed=7)
+        n = len(self.VALUES)
+        # The probe expands as B's agent does: with B's key, it is B's slice.
+        assert np.array_equal(_expansion(keys[PARTY_A, PARTY_B], n), slices[PARTY_B])
+        # C keys B's stream as the all-local simulation keys it, from the seed.
+        seeded = SecretSharingEngine(self.THREE, seed=7)._pair_key(0, 1)
+        assert not np.array_equal(self._rebuilt(slices, _expansion(seeded, n)), self.VALUES)
 
     def test_no_function_of_the_seed_fixes_the_sharing(self):
-        assert not np.array_equal(self._contribute(seed=7), self._contribute(seed=7))
+        first, _ = self._contribute(seed=7)
+        second, _ = self._contribute(seed=7)
+        for party in self.THREE:
+            assert not np.array_equal(first[party], second[party])
+
+    def test_a_third_party_cannot_expand_another_links_slice(self):
+        """C holds the seed, the key of its own link to A and its own slice:
+        expanding B's slice from any of its keys rebuilds nothing."""
+        slices, keys = self._contribute(seed=7)
+        n = len(self.VALUES)
+        seeded = SecretSharingEngine(self.THREE, seed=7)
+        for key in (keys[PARTY_A, PARTY_C], seeded._pair_key(0, 2), seeded._pair_key(0, 1)):
+            for vector in range(2):
+                guess = _expansion(key, n, vector)
+                assert not np.array_equal(self._rebuilt(slices, guess), self.VALUES)
+        assert np.array_equal(self._rebuilt(slices, _expansion(keys[PARTY_A, PARTY_B], n)), self.VALUES)
 
 
 def _share_both(engine):
@@ -622,7 +697,7 @@ class TestPickleFramesAreRefused:
         table = Table(Schema([ColumnDef("k"), ColumnDef("v")]),
                       [np.arange(4), np.arange(4) * 2])
         payloads = [
-            ("join", PARTY_A, 0, NONCE),
+            ("join", PARTY_A, 0, NONCE, SECRET),
             ("result", 3, {"outputs": {"out": table}, "node_durations": {1: 0.5}}),
             ("error", 3, ValueError("boom"), "traceback..."),
         ]
@@ -656,24 +731,32 @@ def _dial_hello(listener, hello):
 
 class TestHellosCarryTheSessionNonce:
     def test_malformed_hellos_are_drained_and_every_expected_peer_joins(self):
-        """One hello shape, nonce included: anything else on the listener —
-        at start as at a restart — is drained, never a link, and never
-        fails the join of the peers that do present it."""
+        """One hello shape, nonce and link secret included: anything else on
+        the listener — at start as at a restart — is drained, never a link,
+        and never fails the join of the peers that do present it.  Each
+        joined link's key is the one its dialler derives from its secret."""
         listener = bind_listener(timeout=5.0)
+        secret_c = secrets.token_hex(32)
         diallers = [
             _dial_hello(listener, frame)
             for frame in (
                 ("join", PARTY_B, 0),
-                ("join", PARTY_B, 0, NONCE, "extra"),
-                ("hello", PARTY_B, NONCE),
-                ("join", PARTY_B, 1, NONCE),
                 ("join", PARTY_B, 0, NONCE),
-                ("join", PARTY_C, 0, NONCE),
+                ("join", PARTY_B, 0, NONCE, "extra"),
+                ("join", PARTY_B, 0, NONCE, SECRET.upper()),
+                ("join", PARTY_B, 0, NONCE, SECRET, "extra"),
+                ("hello", PARTY_B, NONCE),
+                ("join", PARTY_B, 1, NONCE, SECRET),
+                ("join", PARTY_B, 0, NONCE, SECRET),
+                ("join", PARTY_C, 0, NONCE, secret_c),
             )
         ]
         try:
-            links = _accept_only(listener, {PARTY_B: 0, PARTY_C: 0}, timeout=5.0)
-            assert sorted(links) == [PARTY_B, PARTY_C]
+            links, keys = _accept_only(listener, {PARTY_B: 0, PARTY_C: 0}, timeout=5.0)
+            assert sorted(links) == sorted(keys) == [PARTY_B, PARTY_C]
+            assert keys[PARTY_B] == link_key(NONCE, 0, PARTY_B, PARTY_A, SECRET)
+            assert keys[PARTY_C] == link_key(NONCE, 0, PARTY_C, PARTY_A, secret_c)
+            assert keys[PARTY_B] != keys[PARTY_C]
             for sock in links.values():
                 sock.close()
         finally:
@@ -684,7 +767,7 @@ class TestHellosCarryTheSessionNonce:
     @pytest.mark.parametrize("epoch", [0, 1])
     def test_a_wrong_session_nonce_fails_the_join(self, epoch):
         listener = bind_listener(timeout=5.0)
-        dialler = _dial_hello(listener, ("join", PARTY_B, epoch, "0" * 32))
+        dialler = _dial_hello(listener, ("join", PARTY_B, epoch, "0" * 32, SECRET))
         try:
             with pytest.raises(TransportError, match="wrong session nonce"):
                 _accept_only(listener, {PARTY_B: epoch}, timeout=5.0)
@@ -748,9 +831,12 @@ def corpus_over_a_socket_mesh():
     """Run the 50-plan corpus with one executor per party joined by a real
     socket mesh; yields ``(spec, compiled, {party: ExecutionOutcome})``."""
     sock_a, sock_b = socket.socketpair()
+    keys = joined_keys(PARTIES)
     meshes = {
-        PARTY_A: PeerMesh(PARTY_A, {PARTY_B: sock_a}, timeout=30.0),
-        PARTY_B: PeerMesh(PARTY_B, {PARTY_A: sock_b}, timeout=30.0),
+        PARTY_A: PeerMesh(PARTY_A, {PARTY_B: sock_a}, timeout=30.0,
+                          link_keys=keys_of(PARTY_A, keys)),
+        PARTY_B: PeerMesh(PARTY_B, {PARTY_A: sock_b}, timeout=30.0,
+                          link_keys=keys_of(PARTY_B, keys)),
     }
     try:
         for plan in range(NUM_PLANS):
@@ -772,11 +858,12 @@ def corpus_over_a_socket_mesh():
 
 
 def test_corpus_mpc_ingest_sends_only_the_row_count(monkeypatch):
-    """Cleartext never leaves its owner through MPC ingest: across the
-    50-plan corpus, with one executor per party joined by a real socket
-    mesh, every message that brings a party's relation into the MPC is one
-    int64, the relation's row count, and carries no column — the relation
-    itself travels as the share slices of the input round that follows."""
+    """Neither cleartext nor a share of it leaves its owner through MPC
+    ingest: across the 50-plan corpus, with one executor per party joined
+    by a real socket mesh, the one frame that brings a party's relation into
+    the MPC is one int64, the relation's row count.  The peers expand their
+    slices from their link keys, so no input frame follows it (the corpus
+    shares no public value, whose sharing would be one)."""
     sent = {party: [] for party in PARTIES}
     send = PeerMesh._send
 
@@ -797,14 +884,12 @@ def test_corpus_mpc_ingest_sends_only_the_row_count(monkeypatch):
         messages = [message for party in PARTIES for message in sent[party]]
         assert sorted(tag for tag, _ in messages if tag in entering) == sorted(entering)
         for party in PARTIES:
-            for (tag, count), following in zip(sent[party], sent[party][1:]):
+            assert "input-share" not in [tag for tag, _ in sent[party]]
+            for tag, count in sent[party]:
                 if tag not in entering:
                     continue
                 assert isinstance(count, np.ndarray) and count.dtype == np.int64
                 assert count.shape == (1,)
-                next_tag, slices = following
-                assert next_tag == "input-share"
-                assert slices and all(len(slice_) == count[0] for slice_ in slices)
                 ingests += 1
             sent[party].clear()
     assert ingests, "the corpus never crossed into MPC"
@@ -853,6 +938,53 @@ def test_corpus_agents_never_hold_foreign_secrets():
                     f"plan {plan}: agent {party} held cleartext inputs of "
                     f"{audit['cleartext_input_parties']}"
                 )
+
+
+class TestLinkKeys:
+    """Over real agent processes, on plaintext and on mutual-TLS links: the
+    join hellos agree one key per mesh link — both ends of a link hold the
+    same key, no two links the same — and a supervised restart brings the
+    mesh up again with new keys, while the query it replays returns the
+    same bytes as the in-process run."""
+
+    @staticmethod
+    def _keys(result) -> dict:
+        """``{link: key fingerprint}``, each link's ends agreeing on it."""
+        links = {}
+        for party, audit in result.isolation.items():
+            for peer, fingerprint in audit["link_keys"].items():
+                assert links.setdefault(frozenset((party, peer)), fingerprint) == fingerprint
+        return links
+
+    @pytest.mark.parametrize("tls", [False, True], ids=["plaintext", "tls"])
+    def test_keys_differ_per_link_and_change_after_a_restart(self, tls, tmp_path):
+        spec, inputs, config = WORKLOADS["hhi_mpc_only"]()
+        compiled = cc.compile_query(spec.context, config)
+        reference = cc.run_query(spec.context, inputs, config, seed=SEED)
+        security = TransportSecurity.dev(spec.parties, tmp_path / "certs") if tls else None
+        # The second query's intake kills one agent: the whole mesh comes up
+        # again at the next epoch and the query is replayed on it.
+        faults = FaultPlan(kills=(KillFault(spec.parties[1], at_query=2),))
+        with cc.QuerySession(
+            spec.parties, inputs=inputs, config=config, seed=SEED, security=security,
+            faults=faults, timeout=60.0,
+            restart=RestartPolicy(
+                backoff_seconds=0.05, max_backoff_seconds=0.5, heartbeat_interval_seconds=None
+            ),
+            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.05),
+        ) as session:
+            results = [session.submit(compiled, timeout=120) for _ in range(2)]
+            stats = session.stats
+        assert stats["restarts"] == 1 and stats["retries"] >= 1
+        for result in results:
+            assert result.outputs.keys() == reference.outputs.keys()
+            for name, table in reference.outputs.items():
+                assert result.outputs[name] == table
+            assert result.mpc_profile == reference.mpc_profile
+        before, after = (self._keys(result) for result in results)
+        assert len(before) == len(after) == 3  # every link of three agents
+        assert len(set(before.values())) == 3
+        assert set(after) == set(before) and not set(after.values()) & set(before.values())
 
 
 def test_forkserver_agents_return_byte_identical_results():

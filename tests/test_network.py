@@ -1,6 +1,7 @@
 """Tests for the party-to-party network's round primitive and its accounting."""
 
 import queue
+import secrets
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -157,18 +158,25 @@ class TestRoundCarriage:
             net.round("open-share", [("a", "b", None)], 8)
 
 
-# -- executors over the four-member channel ---------------------------------------------------
+# -- executors over a minimal channel ---------------------------------------------------------
 
 
 class QueueChannel:
-    """A mesh channel with only what a round uses — ``party``, ``peers``,
-    ``send_message`` and ``receive_message`` — carrying mesh-layout frames
-    over one in-memory queue per directed link."""
+    """A mesh channel with only what an executor uses — ``party``, ``peers``,
+    ``send_message`` and ``receive_message`` for its rounds, ``query_id`` and
+    ``link_key`` for its private inputs — carrying mesh-layout frames over
+    one in-memory queue per directed link."""
 
-    def __init__(self, party, links):
+    query_id = 1
+
+    def __init__(self, party, links, keys):
         self.party = party
         self.peers = {receiver for sender, receiver in links if sender == party}
         self._links = links
+        self._keys = keys
+
+    def link_key(self, peer):
+        return self._keys[frozenset((self.party, peer))]
 
     def send_message(self, peer, tag, payload):
         frame = encode_mesh_frame(1, KIND_MSG, 1, (tag, payload))
@@ -183,10 +191,11 @@ def run_on_queue_channels(parties, inputs, compiled, seed):
     """One executor per party, each holding only its own inputs, joined by
     :class:`QueueChannel`\\ s; returns ``{party: ExecutionOutcome}``."""
     links = {(s, r): queue.Queue() for s in parties for r in parties if s != r}
+    keys = {frozenset(link): secrets.token_bytes(32) for link in links}
     executors = [
         PlanExecutor(
             parties, {party: inputs.get(party, {})}, compiled.config, seed=seed,
-            local_parties={party}, mesh=QueueChannel(party, links),
+            local_parties={party}, mesh=QueueChannel(party, links, keys),
         )
         for party in parties
     ]
@@ -227,10 +236,11 @@ PLANS = {
 
 
 @pytest.mark.parametrize("plan", PLANS)
-def test_executors_over_four_member_channels_match_the_in_process_run(plan):
+def test_executors_over_minimal_channels_match_the_in_process_run(plan):
     """Every relation crosses in a round: three executors joined by channels
-    that carry nothing but round messages produce the in-process run's
-    outputs, MPC profile and leakage, byte for byte."""
+    that carry nothing but round messages, and know nothing but their link
+    keys, produce the in-process run's outputs, MPC profile and leakage,
+    byte for byte."""
     ctx, inputs, config, parties = PLANS[plan]()
     compiled = cc.compile_query(ctx, config)
     reference = QueryRunner(parties, inputs, compiled.config, seed=5).run(compiled)

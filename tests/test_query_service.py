@@ -445,6 +445,8 @@ class TestConcurrencySoak:
 
 
 NONCE = "5" * 32
+#: A dialler's fresh link secret (64 hex digits).
+SECRET = "a7" * 32
 
 
 def _exit_before_dialling_as_b(party, *args, **kwargs):
@@ -475,9 +477,11 @@ class TestAcceptAgents:
             "hello",  # not a tuple at all
             ("hello", PARTY_B),  # the party's name without the session nonce
             ("join", PARTY_B, 0),  # a join hello without the nonce
-            ("join", "mallory.example", 0, NONCE),  # a party nobody expects
-            ("join", [PARTY_B], 0, NONCE),  # a party id of the wrong type
-            ("join", PARTY_B, 1, NONCE),  # another epoch
+            ("join", PARTY_B, 0, NONCE),  # a join hello without the link secret
+            ("join", PARTY_B, 0, NONCE, "a7"),  # a link secret that is not 32 bytes
+            ("join", "mallory.example", 0, NONCE, SECRET),  # a party nobody expects
+            ("join", [PARTY_B], 0, NONCE, SECRET),  # a party id of the wrong type
+            ("join", PARTY_B, 1, NONCE, SECRET),  # another epoch
             ("ready", PARTY_B),  # the wrong tag
         ],
     )
@@ -485,7 +489,7 @@ class TestAcceptAgents:
         listener = bind_listener(5.0)
         try:
             stray = self.dial(listener, hello)
-            agent = self.dial(listener, ("join", PARTY_B, 0, NONCE))
+            agent = self.dial(listener, ("join", PARTY_B, 0, NONCE, SECRET))
             links = accept_agents(listener, {PARTY_B: 0}, nonce=NONCE, timeout=5.0)
             assert stray.recv(1) == b"", "the stray connection was answered or left open"
             send_frame(links[PARTY_B], ("session", {}))
@@ -498,7 +502,7 @@ class TestAcceptAgents:
     def test_a_hello_with_a_wrong_nonce_fails_bring_up_at_once(self):
         listener = bind_listener(5.0)
         try:
-            impostor = self.dial(listener, ("join", PARTY_B, 0, "0" * 32))
+            impostor = self.dial(listener, ("join", PARTY_B, 0, "0" * 32, SECRET))
             started = time.monotonic()
             with pytest.raises(AgentFailure, match="wrong session nonce"):
                 accept_agents(listener, {PARTY_A: 0, PARTY_B: 0}, nonce=NONCE, timeout=5.0)
@@ -513,9 +517,9 @@ class TestAcceptAgents:
         in its name is drained and the first link is kept."""
         listener = bind_listener(5.0)
         try:
-            first = self.dial(listener, ("join", PARTY_A, 0, NONCE))
-            second = self.dial(listener, ("join", PARTY_A, 0, NONCE))
-            other = self.dial(listener, ("join", PARTY_B, 0, NONCE))
+            first = self.dial(listener, ("join", PARTY_A, 0, NONCE, SECRET))
+            second = self.dial(listener, ("join", PARTY_A, 0, NONCE, SECRET))
+            other = self.dial(listener, ("join", PARTY_B, 0, NONCE, SECRET))
             links = accept_agents(listener, {PARTY_A: 0, PARTY_B: 0}, nonce=NONCE, timeout=5.0)
             assert second.recv(1) == b""
             send_frame(links[PARTY_A], ("session", {}))

@@ -58,17 +58,17 @@ WORKLOADS = {
 #: ``bytes_sent`` the price list sees, analytic steps included.
 BUDGETS = {
     "hhi_pushdown": dict(
-        wire_rounds=11, wire_bytes=1618, multiplications=379, comparisons=91,
+        wire_rounds=8, wire_bytes=1330, multiplications=379, comparisons=91,
         local_ops=728, shuffled_elements=42, input_records=18, output_records=13,
         messages=209, bytes_sent=6466, rounds=64,
     ),
     "hhi_mpc_only": dict(
-        wire_rounds=13, wire_bytes=20266, multiplications=18631, comparisons=4909,
+        wire_rounds=10, wire_bytes=15466, multiplications=18631, comparisons=4909,
         local_ops=38382, shuffled_elements=912, input_records=300, output_records=303,
         messages=479, bytes_sent=238682, rounds=152,
     ),
     "credit_hybrid": dict(
-        wire_rounds=17, wire_bytes=54236, multiplications=6649, comparisons=4004,
+        wire_rounds=14, wire_bytes=49436, multiplications=6649, comparisons=4004,
         local_ops=1198, shuffled_elements=1901, input_records=784, output_records=808,
         messages=412, bytes_sent=178564, rounds=131,
     ),
@@ -108,14 +108,14 @@ def test_judged_query_stays_on_its_committed_budget(name, monkeypatch):
 #: a layout or schedule change that grows the wire fails here.
 MESH_LEDGER = {
     "hhi_pushdown": {
-        "mpc.a.com": (1118, 18), "mpc.b.com": (1154, 19), "mpc.c.org": (1154, 19),
+        "mpc.a.com": (950, 16), "mpc.b.com": (986, 17), "mpc.c.org": (986, 17),
     },
     "hhi_mpc_only": {
-        "mpc.a.com": (7414, 22), "mpc.b.com": (7450, 23), "mpc.c.org": (7450, 23),
+        "mpc.a.com": (5742, 20), "mpc.b.com": (5778, 21), "mpc.c.org": (5778, 21),
     },
     "credit_hybrid": {
-        "mpc.bank-a.com": (16784, 23), "mpc.bank-b.cash": (16784, 23),
-        "mpc.ftc.gov": (23372, 30),
+        "mpc.bank-a.com": (15112, 21), "mpc.bank-b.cash": (15112, 21),
+        "mpc.ftc.gov": (21700, 28),
     },
 }
 

@@ -256,7 +256,10 @@ class TestRelationWideRounds:
                 assert np.array_equal(mine, theirs)
         assert one.rng.bit_generator.state == many.rng.bit_generator.state
         assert many.meter.input_records == one.meter.input_records == 9
-        assert (many.network.stats.wire_rounds, one.network.stats.wire_rounds) == (1, 3)
+        assert (many.network.stats.rounds, one.network.stats.rounds) == (1, 3)
+        # A private input is priced as a round but carries none.
+        wire = (1, 3) if public else (0, 0)
+        assert (many.network.stats.wire_rounds, one.network.stats.wire_rounds) == wire
         assert many.network.stats.bytes_sent == one.network.stats.bytes_sent
 
     def test_the_many_forms_open_what_the_single_forms_open(self, engine):
@@ -281,6 +284,8 @@ class TestRelationWideRounds:
             engine.input_vectors(None, "a", [3], public=True)
         with pytest.raises(ValueError, match="got no values"):
             engine.input_vectors(None, "b", [3])
+        with pytest.raises(ValueError, match="does not hold contributor"):
+            engine.input_vectors([np.arange(3)], "a")
 
 
 class TestMaskStreams:

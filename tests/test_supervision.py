@@ -83,7 +83,9 @@ def frames_per_query():
             stats = session.stats
             sent.append({party: frames_sent(stats, party) for party in stats["wire"]})
     frames = {party: (sent[0][party], sent[1][party] - sent[0][party]) for party in sent[0]}
-    assert all(first >= second >= 4 for first, second in frames.values()), frames
+    # Three frames a query leave one before and one after the middle frame
+    # the fault tests aim at.
+    assert all(first >= second >= 3 for first, second in frames.values()), frames
     return frames
 
 

@@ -40,6 +40,8 @@ from repro.runtime.wire import SecureSocket, WireError, recv_frame, send_frame
 from test_query_service import PARTY_A, PARTY_B, two_party_query
 
 NONCE = "f" * 32
+#: A dialler's fresh link secret (64 hex digits).
+SECRET = "c3" * 32
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +193,7 @@ class TestRejoinHelloAuthentication:
                 outcome["sock"] = mesh.join_mesh(
                     PARTY_A, {}, {PARTY_B: epoch}, listener, epoch=0,
                     timeout=timeout, security=security, nonce=nonce,
-                )[PARTY_B]
+                )[0][PARTY_B]
             except BaseException as exc:  # noqa: BLE001 - relayed to the test
                 outcome["error"] = exc
 
@@ -231,7 +233,7 @@ class TestRejoinHelloAuthentication:
         def dialler(endpoint):
             try:
                 self._dial(endpoint, context, PARTY_A,
-                           ("join", PARTY_B, epoch, "0" * 32))
+                           ("join", PARTY_B, epoch, "0" * 32, SECRET))
             except (OSError, ssl.SSLError):
                 pass
 
@@ -247,7 +249,7 @@ class TestRejoinHelloAuthentication:
         def dialler(endpoint):
             try:
                 self._dial(endpoint, context, PARTY_A,
-                           ("join", PARTY_B, epoch, NONCE))
+                           ("join", PARTY_B, epoch, NONCE, SECRET))
             except (OSError, ssl.SSLError):
                 pass
 

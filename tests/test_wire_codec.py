@@ -337,8 +337,8 @@ def test_control_frames_round_trip_over_a_socket():
         ("peers", {"dial": {"alpha.example": ("127.0.0.1", 4000)},
                    "accept": {"gamma.example": 0}}),
         ("ready", None),
-        ("join", "alpha.example", 0, "a" * 32),
-        ("join", "beta.example", 3, "a" * 32),
+        ("join", "alpha.example", 0, "a" * 32, "b" * 64),
+        ("join", "beta.example", 3, "a" * 32, "c" * 64),
         ("session", {"parties": ["alpha.example", "beta.example"], "idle_timeout": None,
                      "max_workers": 8, "released_watermark": 3}),
     ]

@@ -11,6 +11,7 @@ byte.
 """
 
 import contextlib
+import secrets
 import socket
 import threading
 import time
@@ -173,11 +174,16 @@ def test_interleaved_query_ids_demultiplex_in_per_query_order():
 
 
 def make_mesh_pair(timeout: float = 5.0) -> tuple[PeerMesh, PeerMesh]:
-    """Two connected single-link meshes (parties ``a`` and ``b``)."""
+    """Two connected single-link meshes (parties ``a`` and ``b``) that share
+    one link key."""
     sock_a, sock_b = socket.socketpair()
     sock_a.settimeout(timeout)
     sock_b.settimeout(timeout)
-    return PeerMesh("a", {"b": sock_a}, timeout=timeout), PeerMesh("b", {"a": sock_b}, timeout=timeout)
+    key = secrets.token_bytes(32)
+    return (
+        PeerMesh("a", {"b": sock_a}, timeout=timeout, link_keys={"b": key}),
+        PeerMesh("b", {"a": sock_b}, timeout=timeout, link_keys={"a": key}),
+    )
 
 
 def test_mesh_channels_isolate_concurrent_queries():
