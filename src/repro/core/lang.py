@@ -453,10 +453,6 @@ class RelationHandle:
         rel = self._derive(name or f"limit_{n}", self.schema)
         return self._wrap(Limit(rel, self.node, n))
 
-    def concat_with(self, others: Sequence["RelationHandle"], name: str | None = None) -> "RelationHandle":
-        """Union this relation with others (see :func:`concat`)."""
-        return self.context.concat([self, *others], name=name)
-
     def collect(self, name: str, to: Sequence[Party]) -> "RelationHandle":
         """Mark this relation as a query output revealed to ``to``."""
         if not to:
@@ -467,10 +463,6 @@ class RelationHandle:
         node = Collect(rel, self.node, recipients)
         self.context._register_output(node)
         return self._wrap(node)
-
-    # Alias matching the paper's listings.
-    def write_to_csv(self, name: str, to: Sequence[Party]) -> "RelationHandle":
-        return self.collect(name, to)
 
     # -- expression lowering ------------------------------------------------------------------
 

@@ -22,6 +22,7 @@ the number of distinct groups (the output cardinality).
 from __future__ import annotations
 
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
+from repro.model import steps
 from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.protocols import (
     SharedTable,
@@ -66,9 +67,11 @@ def hybrid_aggregate(
 
     # Steps 2-5 (at the STP, in the clear): enumerate, sort by key, compute
     # the adjacent-equality flags, return the plaintext ordering (public) and
-    # secret-share the flags (known to every replicated-STP engine) into MPC.
+    # secret-share the flags into MPC.  Every replicated-STP engine knows the
+    # flags, so each draws its slices itself, priced as Sharemind's input step.
     order, same = stp.sort_keys(revealed_keys)
-    same_as_next = engine.input_vector(same, public=True)
+    same_as_next = engine.share_from_env(same)
+    engine.charge(steps.input_sharing_meter(len(same), engine.num_parties))
 
     # Step 6: parties reorder the shuffled relation by the public ordering.
     key_col, value_col = gather_rows(engine, [key_col, value_col], order)

@@ -14,6 +14,7 @@ learns the join's output cardinality.
 from __future__ import annotations
 
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
+from repro.model import steps
 from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.protocols import SharedTable, join_assembly
 from repro.mpc.sharemind import SharemindBackend
@@ -55,11 +56,13 @@ def hybrid_join(
         detail=f"output rows = {len(left_indices)} (visible to all parties)",
     )
 
-    # The STP secret-shares the index relations back into the MPC.  The
-    # indices are known to every (replicated-STP) engine, so this is a
-    # public-value sharing from the shared environment stream.
-    left_idx_shared, right_idx_shared = engine.input_vectors(
-        [left_indices, right_indices], public=True
+    # The STP secret-shares the index relations back into the MPC.  Every
+    # (replicated-STP) engine knows the indices, so each draws its slices
+    # itself; Sharemind's input step is what the sharing is priced at.
+    left_idx_shared = engine.share_from_env(left_indices)
+    right_idx_shared = engine.share_from_env(right_indices)
+    engine.charge(
+        steps.input_sharing_meter(len(left_indices) + len(right_indices), engine.num_parties)
     )
 
     # Steps 6-7: oblivious indexing (both index vectors opened to the

@@ -5,9 +5,9 @@ step on one share vector (or one relation, where whole rows move).  Every
 step the engine does not carry itself — the ideal functionalities, and the
 local copies and gathers of the protocols — is charged by
 ``engine.charge(<step>_meter(...))``: the meter here *is* the charge, so
-there is no second copy that could drift.  The *carried* steps — public
-input sharing, openings, the Beaver opening of a multiplication, local share
-arithmetic — have no formula: the traffic is counted where it is carried
+there is no second copy that could drift.  The *carried* steps — openings,
+the Beaver opening of a multiplication, local share arithmetic — have no
+formula: the traffic is counted where it is carried
 (``Network.round``) and the primitive increments its one counter, on data
 and on shapes alike.
 
@@ -60,7 +60,9 @@ def input_sharing_meter(records: int, num_parties: int) -> CostMeter:
     """A party's private input of ``records`` ring elements entering the MPC:
     Sharemind's client-side input round, one message of the party's shares
     to every other computing party.  The share engine expands those shares
-    from pairwise keys instead, so the round is priced, never carried."""
+    from pairwise keys instead, so the round is priced, never carried.  The
+    hybrid protocols price the STP's sharing back into the MPC with it too:
+    every replicated-STP engine draws those slices itself."""
     return CostMeter(
         input_records=records,
         network=NetworkStats(

@@ -47,14 +47,14 @@ transports.
 
 Randomness is partitioned into streams so sliced engines stay in lockstep:
 
-* ``engine.rng`` — the shared environment stream (permutations, public
-  input sharings).  Every engine draws from it at the same points, so it
-  never desynchronises.
-* per-party mask streams — the masks of zero sharings and of reshares of
-  env-opened values.  Party ``i``'s mask comes off stream ``i`` and the last
-  party's slice is the value minus every mask, so an engine draws a stream
-  only for a slice it holds (the last party's engine draws them all) and
-  never materialises a peer's mask.
+* ``engine.rng`` — the shared environment stream of permutations.  Every
+  engine draws from it at the same points, so it never desynchronises.
+* per-party mask streams — the masks of zero sharings and of sharings of
+  values every engine knows (reshares of env-opened values, and what the
+  replicated STP hands back).  Party ``i``'s mask comes off stream ``i``
+  and the last party's slice is the value minus every mask, so an engine
+  draws a stream only for a slice it holds (the last party's engine draws
+  them all) and never materialises a peer's mask.
 * ``engine.dealer`` — the trusted triple dealer, likewise replicated.
   This is a modelling trust boundary: a deployed system would produce
   triples with OT-based preprocessing so no party knows a full triple.
@@ -380,27 +380,20 @@ class SecretSharingEngine:
         values: "Sequence[np.ndarray] | None" = None,
         contributor: str | None = None,
         num_rows: "Sequence[int] | None" = None,
-        public: bool = False,
     ) -> list[SharedVector]:
-        """Secret-share cleartext vectors — a relation's columns — into the MPC.
+        """Secret-share a party's private cleartext vectors — a relation's
+        columns — into the MPC.
 
-        ``contributor`` names the party providing the data.  A private input
-        (the default) ships nothing: every other compute party ``j`` expands
-        its slice of each vector from the key ``k_cj`` it shares with the
-        contributor ``c``, and ``c``'s slice is the value minus those
-        expansions (see the module docstring).  Only the engine holding the
-        contributor passes ``values``; every other engine passes
-        ``values=None`` and the ``num_rows`` of each vector (the public row
-        count, which crossed before).  Sharemind's client-side input round
-        that this replaces is charged analytically
-        (:func:`~repro.model.steps.input_sharing_meter`), so only the wire
-        counters see the difference.
-
-        ``public=True`` marks values already known to every party
-        (hybrid-protocol intermediates): the sharing randomness comes from
-        the shared environment stream, so all lockstep engines stay
-        synchronised, and the contributor sends every other party its
-        slices in one carried round.  Either way the slices are drawn
+        ``contributor`` names the party providing the data.  The sharing
+        ships nothing: every other compute party ``j`` expands its slice of
+        each vector from the key ``k_cj`` it shares with the contributor
+        ``c``, and ``c``'s slice is the value minus those expansions (see the
+        module docstring).  Only the engine holding the contributor passes
+        ``values``; every other engine passes ``values=None`` and the
+        ``num_rows`` of each vector (the public row count, which crossed
+        before).  Sharemind's client-side input round that this replaces is
+        charged analytically (:func:`~repro.model.steps.input_sharing_meter`),
+        so only the wire counters see the difference.  The slices are drawn
         vector by vector, so they are those of one call per vector.
         """
         self._require_local()
@@ -409,7 +402,7 @@ class SecretSharingEngine:
             raise KeyError(f"unknown contributor {contributor!r}")
         c_idx = self.party_names.index(contributor)
         if values is not None:
-            if not public and c_idx not in self._local_pos:
+            if c_idx not in self._local_pos:
                 raise ValueError(
                     f"engine does not hold contributor {contributor!r}: pass the "
                     "num_rows of its vectors, not values"
@@ -418,43 +411,13 @@ class SecretSharingEngine:
             num_rows = [int(v.size) for v in values]
         elif num_rows is None:
             raise ValueError("input_vectors needs values or the public num_rows of each vector")
-        elif public and self.local_indices:
-            # Only an engine that holds no slice (the estimator's) may share
-            # a public value it does not know.
-            raise ValueError("a public input requires values at every party")
         elif c_idx in self._local_pos:
             raise ValueError(f"engine holds contributor {contributor!r} but got no values")
 
-        total = sum(num_rows)
-        if public:
-            held = self._carried_input(values, c_idx, total)
-            self.meter.input_records += total
-        else:
-            held = self._expanded_input(values, c_idx, num_rows)
-            self.charge(steps.input_sharing_meter(total, self.num_parties))
+        held = self._expanded_input(values, c_idx, num_rows)
+        self.charge(steps.input_sharing_meter(sum(num_rows), self.num_parties))
         return [
             SharedVector(self, [got[k] for got in held], rows) for k, rows in enumerate(num_rows)
-        ]
-
-    def _carried_input(self, values, c_idx: int, total: int) -> list:
-        """The held slices of a public input, one list per held party: the
-        contributor sends every other party its slices in one round, and a
-        receiver's slices are the payload delivered to it."""
-        contributor = self.party_names[c_idx]
-        full = None
-        if values is not None:
-            #: ``full[k][i]`` is party ``i``'s slice of vector ``k``.
-            full = [AdditiveSharing.share(v, self.num_parties, self.rng) for v in values]
-        sends = [
-            (contributor, name, None if full is None else tuple(slices[i] for slices in full))
-            for i, name in enumerate(self.party_names)
-            if i != c_idx
-        ]
-        delivered = self.network.round("input-share", sends, total * SHARE_BYTES)
-        return [
-            [slices[i] for slices in full] if i == c_idx
-            else delivered[(contributor, self.party_names[i])]
-            for i in self.local_indices
         ]
 
     def _expanded_input(self, values, c_idx: int, num_rows: Sequence[int]) -> list:
@@ -508,14 +471,12 @@ class SecretSharingEngine:
         values: np.ndarray | None = None,
         contributor: str | None = None,
         num_rows: int | None = None,
-        public: bool = False,
     ) -> SharedVector:
-        """Secret-share one vector (see :meth:`input_vectors`)."""
+        """Secret-share one private vector (see :meth:`input_vectors`)."""
         return self.input_vectors(
             None if values is None else [values],
             contributor,
             None if num_rows is None else [num_rows],
-            public,
         )[0]
 
     def constant(self, values: np.ndarray) -> SharedVector:
@@ -575,8 +536,11 @@ class SecretSharingEngine:
         """Share values known to the protocol environment (every party).
 
         Used by the ideal-functionality steps to re-share a result they
-        computed on env-opened data; the randomness comes from the per-party
-        mask streams, keeping lockstep engines synchronised.
+        computed on env-opened data, and by the hybrid protocols for what the
+        replicated STP hands back; the randomness comes from the per-party
+        mask streams, keeping lockstep engines synchronised.  Nothing
+        crosses the wire and nothing is charged: a caller standing for a
+        protocol charges its price.
         """
         self._require_local()
         return SharedVector(self, self._env_sharing(_to_ring(values)), len(values))

@@ -106,11 +106,11 @@ class ShapeEngine(SecretSharingEngine):
 
     # -- the carried primitives: their rounds, with nothing to reconstruct ----------------
 
-    def input_vectors(self, values=None, contributor=None, num_rows=None, public=False):
+    def input_vectors(self, values=None, contributor=None, num_rows=None):
         """Every sharing is a peer's: only the row counts are known here."""
         if values is not None:
             num_rows = [len(v) for v in values]
-        return super().input_vectors(None, contributor, num_rows, public)
+        return super().input_vectors(None, contributor, num_rows)
 
     def _opened(self, delivered, step: str, vecs: Sequence[SharedVector]) -> list[Positions]:
         return [Positions(len(vec)) for vec in vecs]

@@ -253,7 +253,6 @@ class TestCarriedPrimitivesRunOnShapes:
         values = np.arange(n, dtype=np.int64)
         primitives = {
             "input": lambda e, a, b, flags: e.input_vectors([values, values]),
-            "public-input": lambda e, a, b, flags: e.input_vectors([values], public=True),
             "open": lambda e, a, b, flags: e.open(a),
             "open-many": lambda e, a, b, flags: e.open_many([a, b]),
             "reveal-many": lambda e, a, b, flags: e.reveal_many([a, b]),
@@ -556,11 +555,13 @@ class TestMpcStartupIsPaidOncePerJob:
 #: Execution and its shape run charge the same step meters, so the
 #: equalities above cannot see a formula move; this ledger can: perturbing
 #: any one counter of any one step meter fails it (and
-#: ``tests/test_round_budget.py``).  Its one re-recording moved network
-#: counters only: ``bytes_sent`` where a ``compact`` began opening its flags
-#: one bit wide (filter, join, sum, max, distinct, hybrid-sum), ``messages`` /
+#: ``tests/test_round_budget.py``).  Its re-recordings moved network counters
+#: only: ``bytes_sent`` where a ``compact`` began opening its flags one bit
+#: wide (filter, join, sum, max, distinct, hybrid-sum), ``messages`` /
 #: ``rounds`` / ``wire_rounds`` where columns began crossing in one round
-#: (public-join, hybrid-join, reveal-external).
+#: (public-join, hybrid-join, reveal-external), and ``wire_rounds`` alone
+#: where what the STP hands back began to be shared with no round, priced as
+#: before (hybrid-join, hybrid-sum).
 RECORDED = {
     "sort": (
         lambda n: shape_meter(lambda b, t: b.sort_by(t, "key"), kv(n)),
@@ -640,15 +641,15 @@ RECORDED = {
             lambda b, l, r: hybrid_join(b, stp_of(b), l, r, "key", "key"),
             kv(n), kv(7), rows_out={9: 13, 64: 94}[n],
         ),
-        (0, 26, 16, 320, 210, 71, 101, 7496, 32, 3),
-        (0, 188, 71, 3235, 1971, 424, 131, 57152, 42, 3),
+        (0, 26, 16, 320, 210, 71, 101, 7496, 32, 2),
+        (0, 188, 71, 3235, 1971, 424, 131, 57152, 42, 2),
     ),
     "hybrid-sum": (
         lambda n: shape_meter(
             lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", "value", "sum", "out"), kv(n)
         ),
-        (44, 8, 18, 8, 0, 45, 44, 1940, 13, 3),
-        (319, 63, 128, 63, 0, 320, 50, 14880, 15, 3),
+        (44, 8, 18, 8, 0, 45, 44, 1940, 13, 2),
+        (319, 63, 128, 63, 0, 320, 50, 14880, 15, 2),
     ),
     "reveal-external": (
         lambda n: shape_meter(

@@ -862,8 +862,7 @@ def test_corpus_mpc_ingest_sends_only_the_row_count(monkeypatch):
     ingest: across the 50-plan corpus, with one executor per party joined
     by a real socket mesh, the one frame that brings a party's relation into
     the MPC is one int64, the relation's row count.  The peers expand their
-    slices from their link keys, so no input frame follows it (the corpus
-    shares no public value, whose sharing would be one)."""
+    slices from their link keys, so no input frame follows it."""
     sent = {party: [] for party in PARTIES}
     send = PeerMesh._send
 
@@ -1098,14 +1097,23 @@ def _report_sum(inputs, conn) -> None:
 
 def _child_sum(inputs):
     """The column sum an ordinary ``fork`` child computes from the inherited
-    inputs, or its exit code if it could not."""
+    inputs, or how it died if it could not.  The answer is read off the pipe,
+    never inferred from the exit code: a ``Process.start()`` on another
+    thread polls every child, this one too, and may reap it first, and then
+    its ``exitcode`` reads None."""
     ctx = multiprocessing.get_context("fork")
     ours, theirs = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_report_sum, args=(inputs, theirs))
     child.start()
     theirs.close()
-    child.join(60)
-    return ours.recv() if child.exitcode == 0 else f"exit code {child.exitcode}"
+    try:
+        return ours.recv() if ours.poll(60) else "no answer"
+    except EOFError:  # the child died before it answered
+        child.join(60)
+        return f"died: exit code {child.exitcode}"
+    finally:
+        child.join(60)
+        ours.close()
 
 
 @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTFORK"), reason="MADV_DONTFORK is Linux's")

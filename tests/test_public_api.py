@@ -199,7 +199,7 @@ COUNTERS = set(CostMeter().counts())
 #: keep their one counter increment; every analytic step goes through
 #: ``engine.charge`` with a ``repro.model.steps`` meter.
 CARRYING_PRIMITIVES = {
-    "input_vectors", "_open_to_all", "open_flags", "reveal_to_many", "mul", "_linear", "scale",
+    "_open_to_all", "open_flags", "reveal_to_many", "mul", "_linear", "scale",
 }
 CHARGING_FILES = sorted(
     [

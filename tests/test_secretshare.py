@@ -245,12 +245,10 @@ class TestRelationWideRounds:
 
     COLUMNS = [np.array([5, -3, 2**40]), np.array([0, 0, 1]), np.array([-(2**62), 17, 9])]
 
-    @pytest.mark.parametrize("public", [False, True])
-    def test_input_vectors_shares_what_input_vector_shared(self, public):
-        contributor = None if public else "b"
+    def test_input_vectors_shares_what_input_vector_shared(self):
         one, many = (SecretSharingEngine(["a", "b", "c"], seed=8) for _ in range(2))
-        per_column = [one.input_vector(c, contributor, public=public) for c in self.COLUMNS]
-        together = many.input_vectors(self.COLUMNS, contributor, public=public)
+        per_column = [one.input_vector(c, "b") for c in self.COLUMNS]
+        together = many.input_vectors(self.COLUMNS, "b")
         for single, batched in zip(per_column, together):
             for mine, theirs in zip(single.shares, batched.shares):
                 assert np.array_equal(mine, theirs)
@@ -258,8 +256,7 @@ class TestRelationWideRounds:
         assert many.meter.input_records == one.meter.input_records == 9
         assert (many.network.stats.rounds, one.network.stats.rounds) == (1, 3)
         # A private input is priced as a round but carries none.
-        wire = (1, 3) if public else (0, 0)
-        assert (many.network.stats.wire_rounds, one.network.stats.wire_rounds) == wire
+        assert (many.network.stats.wire_rounds, one.network.stats.wire_rounds) == (0, 0)
         assert many.network.stats.bytes_sent == one.network.stats.bytes_sent
 
     def test_the_many_forms_open_what_the_single_forms_open(self, engine):
@@ -280,8 +277,6 @@ class TestRelationWideRounds:
         engine = SecretSharingEngine(["a", "b"], seed=1, local_parties=["b"])
         with pytest.raises(ValueError, match="num_rows"):
             engine.input_vectors(None, "a")
-        with pytest.raises(ValueError, match="public input"):
-            engine.input_vectors(None, "a", [3], public=True)
         with pytest.raises(ValueError, match="got no values"):
             engine.input_vectors(None, "b", [3])
         with pytest.raises(ValueError, match="does not hold contributor"):
