@@ -73,6 +73,19 @@ class TestHybridJoin:
         for event in leakage.column_reveals_to(STP_NAME):
             assert "value" not in event.columns
 
+    def test_stp_hands_back_the_indices_with_no_round(self, backend, stp):
+        """Every replicated-STP engine knows the join indices, so their
+        sharing is priced as Sharemind's input step of both index vectors
+        and carries nothing: the join's only carried rounds are the key
+        reveal and the opening of the indices."""
+        left, right = backend.ingest(kv(12, 4, seed=9)), backend.ingest(kv(10, 4, seed=10))
+        network = backend.engine.network
+        records, carried = backend.meter.input_records, len(network.schedule)
+        result = hybrid_join(backend, stp, left, right, "key", "key")
+        assert backend.meter.input_records - records == 2 * result.num_rows
+        tags = [tag for tag, _, _ in network.schedule[carried:]]
+        assert tags == ["reveal-replicated", "env-open"]
+
     def test_cheaper_than_oblivious_join(self):
         # Near-unique keys, as in the credit-card query: the hybrid join's
         # O((n+m) log(n+m)) work beats the MPC join's O(n*m) comparisons.

@@ -259,6 +259,18 @@ class TestRelationWideRounds:
         assert (many.network.stats.wire_rounds, one.network.stats.wire_rounds) == (0, 0)
         assert many.network.stats.bytes_sent == one.network.stats.bytes_sent
 
+    def test_values_every_engine_knows_are_shared_with_no_round(self):
+        """What the replicated STP hands back is known to every engine, so
+        each draws its own slices: nothing crosses and nothing is charged
+        (the hybrid protocols price the sharing themselves)."""
+        engine = SecretSharingEngine(["a", "b", "c"], seed=8)
+        before = engine.meter.counts()
+        shared = [engine.share_from_env(column) for column in self.COLUMNS]
+        assert engine.meter.counts() == before
+        assert engine.network.schedule == []
+        for vector, column in zip(shared, self.COLUMNS):
+            assert np.array_equal(AdditiveSharing.reconstruct(vector.shares), column)
+
     def test_the_many_forms_open_what_the_single_forms_open(self, engine):
         vectors = engine.input_vectors(self.COLUMNS)
         for opened in (
