@@ -6,20 +6,24 @@ The standard oblivious aggregation
 group-by column's trust set contains an STP, the sort can be done in the
 clear: the parties obliviously shuffle the relation and reveal only the
 shuffled group-by column to the STP, which sorts it, computes the
-group-boundary (adjacent-equality) flags, and returns the plaintext row
-ordering plus secret-shared flags.  The parties then reorder their shares
-locally and run *the same* accumulation scan, keep-flag construction and
-shuffle-open-compact tail as the oblivious aggregation, without any
-oblivious comparisons — only ``O(n)`` multiplications plus two
+group-boundary (adjacent-equality) flags, and hands the plaintext row
+ordering and the flags back to the parties, which share the flags.  The
+parties then reorder their shares locally and run *the same* accumulation
+scan, keep-flag construction and shuffle-open-compact tail as the oblivious
+aggregation, without any oblivious comparisons — only ``O(n)``
+multiplications plus two
 ``O(n log n)``-cost oblivious shuffles remain, which is the asymptotic
 improvement Figure 5b measures.  The scan is one whole-vector segmented
 prefix sum, so the number of wire rounds does not depend on ``n``.
 
 Leakage: the STP learns the (shuffled) group-by column; every party learns
-the number of distinct groups (the output cardinality).
+the sorted order and group boundaries of the shuffled rows, and the number
+of distinct groups (the output cardinality).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
 from repro.model import steps
@@ -55,21 +59,26 @@ def hybrid_aggregate(
     if n == 0:
         return SharedTable.empty(engine, out_schema)
 
-    # Step 1: oblivious shuffle, then reveal the shuffled group-by column.
+    # Step 1: oblivious shuffle, then reveal the shuffled group-by column to
+    # the STP only (or, for an STP outside the MPC, to the environment).
     key_col, value_col = oblivious_shuffle(engine, [table.column(group_col), value_col])
-    # The STP logic is replicated at every agent, so the reveal widens to
-    # all engines — the leakage report records the disclosure either way.
-    (revealed_keys,) = engine.reveal_many([key_col])
+    opened = engine.reveal_to_many([key_col], stp.name)
     leakage.record(
         "column_reveal", f"hybrid_aggregate({group_col})", [group_col], [stp.name],
-        detail=f"{n} shuffled group-by values",
+        detail=f"{n} shuffled group-by values", received=opened is not None,
     )
 
     # Steps 2-5 (at the STP, in the clear): enumerate, sort by key, compute
-    # the adjacent-equality flags, return the plaintext ordering (public) and
-    # secret-share the flags into MPC.  Every replicated-STP engine knows the
-    # flags, so each draws its slices itself, priced as Sharemind's input step.
-    order, same = stp.sort_keys(revealed_keys)
+    # the adjacent-equality flags and hand the ordering and the flags back
+    # to every party in one round.  Every party then knows the flags, so
+    # each draws its slices of their sharing itself, priced as Sharemind's
+    # input step.
+    grouped = None if opened is None else stp.sort_keys(*opened)
+    order, same = engine.hand_back(stp.name, grouped, [(np.int64, n), (bool, n - 1)])
+    leakage.record(
+        "cleartext_transfer", f"hybrid_aggregate({group_col})", [], [],
+        detail=f"sorted order and group boundaries of {n} shuffled rows, from {stp.name}",
+    )
     same_as_next = engine.share_from_env(same)
     engine.charge(steps.input_sharing_meter(len(same), engine.num_parties))
 

@@ -3,9 +3,10 @@
 An MPC join costs ``O(n*m)`` oblivious comparisons; when both key columns
 share a selectively-trusted party, the matching can be outsourced: the STP
 learns only the obliviously shuffled key columns, joins them in the clear,
-and hands back *index relations* that let the parties reconstruct the joined
-rows with an oblivious-indexing protocol costing
-``O((n+m) log(n+m))`` — the asymptotic improvement Figure 5a measures.
+hands back the number of matches and inputs *index relations* that let the
+parties reconstruct the joined rows with an oblivious-indexing protocol
+costing ``O((n+m) log(n+m))`` — the asymptotic improvement Figure 5a
+measures.
 
 Leakage: the STP learns the two key columns (in shuffled order); every party
 learns the join's output cardinality.
@@ -13,8 +14,9 @@ learns the join's output cardinality.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
-from repro.model import steps
 from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.protocols import SharedTable, join_assembly
 from repro.mpc.sharemind import SharemindBackend
@@ -39,31 +41,30 @@ def hybrid_join(
     left = SharedTable(engine, left.schema, oblivious_shuffle(engine, left.columns))
     right = SharedTable(engine, right.schema, oblivious_shuffle(engine, right.columns))
 
-    # Step 2: project the key columns and reveal both to the STP in one round.  The STP's
-    # cleartext logic is replicated at every agent, so the reveal widens to
-    # all engines — the leakage report records the disclosure either way.
-    left_keys, right_keys = engine.reveal_many([left.column(left_on), right.column(right_on)])
+    # Step 2: reveal both key columns to the STP only, in one round.  The
+    # STP's logic runs where the keys arrive: at its own engine, or at every
+    # engine when the STP is outside the MPC and the keys open to the
+    # environment.
+    opened = engine.reveal_to_many([left.column(left_on), right.column(right_on)], stp.name)
     leakage.record(
         "column_reveal", f"hybrid_join({left_on})", [left_on, right_on], [stp.name],
-        detail=f"{len(left_keys)}+{len(right_keys)} shuffled key values",
+        detail=f"{left.num_rows}+{right.num_rows} shuffled key values",
+        received=opened is not None,
     )
 
     # Steps 3-5: the STP enumerates the key relations, joins them in the
-    # clear, and returns the matching row indices for each side.
-    left_indices, right_indices = stp.match_keys(left_keys, right_keys)
+    # clear, and hands back the number of matches; the matching row indices
+    # of each side enter the MPC as the STP's private input, which ships
+    # nothing: the peers expand their slices from the keys they share.
+    indices = None if opened is None else stp.match_keys(*opened)
+    matches = None if indices is None else (np.array([len(indices[0])], dtype=np.int64),)
+    (count,) = engine.hand_back(stp.name, matches, [(np.int64, 1)])
+    m = int(count[0])
     leakage.record(
         "cardinality", f"hybrid_join({left_on})", [], [],
-        detail=f"output rows = {len(left_indices)} (visible to all parties)",
+        detail=f"output rows = {m} (visible to all parties)",
     )
-
-    # The STP secret-shares the index relations back into the MPC.  Every
-    # (replicated-STP) engine knows the indices, so each draws its slices
-    # itself; Sharemind's input step is what the sharing is priced at.
-    left_idx_shared = engine.share_from_env(left_indices)
-    right_idx_shared = engine.share_from_env(right_indices)
-    engine.charge(
-        steps.input_sharing_meter(len(left_indices) + len(right_indices), engine.num_parties)
-    )
+    left_idx_shared, right_idx_shared = engine.input_vectors(indices, stp.name, [m, m])
 
     # Steps 6-7: oblivious indexing (both index vectors opened to the
     # environment together) selects the matching rows on both sides;

@@ -1,14 +1,17 @@
 """Public join protocol (§5.3).
 
 When the join key columns on both sides are public, any party may see them.
-The protocol sends the key columns to a host party, which enumerates and
-joins them in the clear and broadcasts the matching row-index pairs.  The
-indices are public, so the parties can gather the matching rows from the
-secret-shared inputs locally — no oblivious shuffling or indexing is needed,
-"avoiding the use of MPC altogether" for the matching step (the local
-cleartext join at the host is the bottleneck, as Figure 5a shows).
+The paper sends the key columns to a host party, which enumerates and joins
+them in the clear and broadcasts the matching row-index pairs.  Here the key
+columns are opened to every party in one round and each joins them itself,
+so the public indices need no second round; the join is charged to the
+host's engine once, as the paper's host pays it.  The parties gather the
+matching rows from the secret-shared inputs locally — no oblivious shuffling
+or indexing is needed, "avoiding the use of MPC altogether" for the matching
+step (the local cleartext join at the host is the bottleneck, as Figure 5a
+shows).
 
-Leakage: every party may learn the key columns (they are public by
+Leakage: every party learns the key columns (they are public by
 annotation) and the output cardinality.
 """
 
@@ -33,20 +36,21 @@ def public_join(
     engine = backend.engine
     leakage = leakage if leakage is not None else LeakageReport()
 
-    # Send the (public) key columns to the host party.  The host's cleartext
-    # join is replicated at every agent, so the reveal widens to all engines
-    # — the columns are public by annotation, so nothing extra is disclosed.
-    left_keys, right_keys = engine.reveal_many([left.column(left_on), right.column(right_on)])
+    # The key columns are public by annotation: open them to every party in
+    # one round.
+    left_keys, right_keys = engine.open_many([left.column(left_on), right.column(right_on)])
     leakage.record(
-        "column_reveal", f"public_join({left_on})", [left_on, right_on], [host.name],
-        detail="public key columns",
+        "column_reveal", f"public_join({left_on})", [left_on, right_on], [],
+        detail="public key columns", received=True,
     )
 
-    # The host enumerates and joins the keys in the clear.
+    # Each party joins the public keys itself, so no index round follows.
+    # The work is charged to the host's engine: at another party's agent, to
+    # a replica whose work that agent does not report.
     left_indices, right_indices = host.match_keys(left_keys, right_keys)
     leakage.record(
         "cardinality", f"public_join({left_on})", [], [],
-        detail=f"output rows = {len(left_indices)} (indices broadcast to all parties)",
+        detail=f"output rows = {len(left_indices)} (visible to all parties)",
     )
 
     # The indices are public, so each party gathers the matching rows from

@@ -47,6 +47,12 @@ class LeakageReport:
 
     events: list[LeakageEvent] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        #: ``(relation, columns)`` of each column reveal whose values reached
+        #: this process.  It differs between the agents of one run, so it is
+        #: no field: reports compare and cross the wire by their events.
+        self.received: list[tuple[str, tuple[str, ...]]] = []
+
     def record(
         self,
         kind: str,
@@ -54,15 +60,22 @@ class LeakageReport:
         columns: Sequence[str] = (),
         parties: Sequence[str] = (),
         detail: str = "",
+        received: bool = False,
     ) -> None:
+        """Record one disclosure; ``parties`` empty means every party.  A
+        column reveal whose values materialised here says ``received``."""
         self.events.append(
             LeakageEvent(kind, relation, tuple(columns), tuple(parties), detail)
         )
+        if received:
+            self.received.append((relation, tuple(columns)))
 
     def column_reveals_to(self, party: str) -> list[LeakageEvent]:
-        """All column disclosures a given party received."""
+        """All column disclosures a given party received, those to every
+        party included."""
         return [
-            e for e in self.events if e.kind == "column_reveal" and party in e.parties
+            e for e in self.events
+            if e.kind == "column_reveal" and (party in e.parties or not e.parties)
         ]
 
     def cardinality_events(self) -> list[LeakageEvent]:
@@ -85,6 +98,7 @@ class SelectivelyTrustedParty:
 
     Wraps the party's cleartext engine so the hybrid protocols run their
     cleartext steps on it and the work is charged to the STP's local engine.
+    A protocol calls it only where the reveal to the STP returned values.
     """
 
     def __init__(self, name: str, engine):

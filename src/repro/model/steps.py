@@ -61,8 +61,9 @@ def input_sharing_meter(records: int, num_parties: int) -> CostMeter:
     Sharemind's client-side input round, one message of the party's shares
     to every other computing party.  The share engine expands those shares
     from pairwise keys instead, so the round is priced, never carried.  The
-    hybrid protocols price the STP's sharing back into the MPC with it too:
-    every replicated-STP engine draws those slices itself."""
+    STP's index relations of a hybrid join enter this way too, and the
+    hybrid aggregation prices with it the sharing of the group-boundary
+    flags the STP handed back in the clear."""
     return CostMeter(
         input_records=records,
         network=NetworkStats(

@@ -13,10 +13,11 @@ secret-sharing MPC backend:
   slice in the single-process simulation (``local_parties=None``, one engine
   plays all parties at once), exactly one slice in a party agent.  The
   carried steps take *lists* of vectors — a relation's columns cross in one
-  step: ``input_vectors`` (sharing), ``open_many`` / ``reveal_many`` (to
-  all), ``reveal_to_many`` (to one party), ``env_open_many`` (to the
-  protocol environment); ``open_flags`` opens a 0/1 vector in Z_2, one bit
-  per row.  Every opening (those, and the Beaver ``d``/``e`` openings)
+  step: ``input_vectors`` (sharing), ``open_many`` (to all),
+  ``reveal_to_many`` (to one party), ``env_open_many`` (to the protocol
+  environment); ``open_flags`` opens a 0/1 vector in Z_2, one bit per row,
+  and ``hand_back`` carries what a party computed on a reveal to it back to
+  the others.  Every opening (those, and the Beaver ``d``/``e`` openings)
   reconstructs from the share payloads as *delivered* by the network round.
   On a socket transport the foreign slices genuinely arrive off the wire, so
   a corrupted frame corrupts the opened result — the shares are
@@ -51,7 +52,7 @@ Randomness is partitioned into streams so sliced engines stay in lockstep:
   engine draws from it at the same points, so it never desynchronises.
 * per-party mask streams — the masks of zero sharings and of sharings of
   values every engine knows (reshares of env-opened values, and what the
-  replicated STP hands back).  Party ``i``'s mask comes off stream ``i``
+  STP hands back in the clear).  Party ``i``'s mask comes off stream ``i``
   and the last party's slice is the value minus every mask, so an engine
   draws a stream only for a slice it holds (the last party's engine draws
   them all) and never materialises a peer's mask.
@@ -105,6 +106,30 @@ def _to_ring(values: np.ndarray) -> np.ndarray:
 def _from_ring(values: np.ndarray) -> np.ndarray:
     """Map ring elements back to signed 64-bit integers."""
     return np.asarray(values, dtype=_U64).astype(np.int64)
+
+
+#: The public shape of a hand-back: ``(dtype, length)`` of each array.
+Layout = Sequence[tuple[type, int]]
+
+
+def _handed_back(payload, layout: Layout, party: str) -> tuple:
+    """A hand-back as read off the wire, checked against its ``layout`` and
+    its packed flags unpacked."""
+    arrays = payload if type(payload) is tuple and len(payload) == len(layout) else ()
+    got = []
+    for array, (dtype, n) in zip(arrays, layout):
+        wire_dtype, wire_n = (np.uint8, (n + 7) // 8) if dtype is bool else (dtype, n)
+        if not (
+            isinstance(array, np.ndarray) and array.dtype == wire_dtype and array.shape == (wire_n,)
+        ):
+            break
+        got.append(np.unpackbits(array, count=n).view(np.bool_) if dtype is bool else array)
+    if len(got) != len(layout):
+        raise TransportError(
+            f"stp-handback: {party!r} handed back something other than "
+            f"{[(np.dtype(dtype).name, n) for dtype, n in layout]}"
+        )
+    return tuple(got)
 
 
 class AdditiveSharing:
@@ -399,7 +424,7 @@ class SecretSharingEngine:
         self._require_local()
         contributor = contributor or self.party_names[0]
         if contributor not in self.party_names:
-            raise KeyError(f"unknown contributor {contributor!r}")
+            return self._environment_input(values, contributor)
         c_idx = self.party_names.index(contributor)
         if values is not None:
             if c_idx not in self._local_pos:
@@ -419,6 +444,18 @@ class SecretSharingEngine:
         return [
             SharedVector(self, [got[k] for got in held], rows) for k, rows in enumerate(num_rows)
         ]
+
+    def _environment_input(self, values, contributor: str) -> list[SharedVector]:
+        """The input of a party outside the MPC: an STP whose reveals open to
+        the environment computes in every engine, so each engine draws its
+        slices of the values it holds off the mask streams."""
+        if values is None:
+            raise ValueError(
+                f"{contributor!r} is not a compute party: every engine passes its values"
+            )
+        shared = [self.share_from_env(v) for v in values]
+        self.charge(steps.input_sharing_meter(sum(len(v) for v in values), self.num_parties))
+        return shared
 
     def _expanded_input(self, values, c_idx: int, num_rows: Sequence[int]) -> list:
         """The held slices of a private input, one list per held party: the
@@ -537,7 +574,7 @@ class SecretSharingEngine:
 
         Used by the ideal-functionality steps to re-share a result they
         computed on env-opened data, and by the hybrid protocols for what the
-        replicated STP hands back; the randomness comes from the per-party
+        STP hands back in the clear; the randomness comes from the per-party
         mask streams, keeping lockstep engines synchronised.  Nothing
         crosses the wire and nothing is charged: a caller standing for a
         protocol charges its price.
@@ -566,10 +603,6 @@ class SecretSharingEngine:
         """``vecs`` reconstructed from one delivered tuple of slices per party."""
         return [self._reconstruct(delivered, step, k) for k in range(len(vecs))]
 
-    def _open_to_all(self, tag: str, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
-        self.meter.output_records += sum(len(vec) for vec in vecs)
-        return self._broadcast(tag, vecs)
-
     def open_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
         """Reveal shared vectors to all parties (one broadcast round).
 
@@ -577,7 +610,8 @@ class SecretSharingEngine:
         as delivered, so on a socket transport the opened values depend on
         bytes received from the peer processes.
         """
-        return self._open_to_all("open-share", vecs)
+        self.meter.output_records += sum(len(vec) for vec in vecs)
+        return self._broadcast("open-share", vecs)
 
     def open(self, vec: SharedVector) -> np.ndarray:
         """Reveal one shared vector to all parties (see :meth:`open_many`)."""
@@ -662,16 +696,36 @@ class SecretSharingEngine:
         ]
         return self._opened(shares, f"reveal to {party!r}", vecs)
 
-    def reveal_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
-        """Reveal vectors to *every* engine (one broadcast round, metered).
+    def hand_back(self, party: str, payload: "tuple | None", layout: Layout) -> tuple:
+        """What ``party`` computed on a reveal to it, handed back to every
+        other compute party in one round (tag ``stp-handback``).
 
-        The hybrid protocols replicate a semi-trusted party's computation at
-        every agent, so values "revealed to the STP" must materialise
-        everywhere the replicated STP logic runs.  This is an explicit,
-        documented widening of the reveal — callers use it only where the
-        protocol's trust model already discloses the values.
+        ``payload`` is a tuple of arrays, passed where ``party``'s logic ran
+        and ``None`` elsewhere; ``layout`` gives each array's dtype and
+        length.  The layout is public, so every engine meters the round
+        alike; a boolean array crosses as packed bits.  Every engine gets
+        the payload back: ``party``'s as passed, the others' as read off the
+        wire.  A party outside the compute parties is played by the
+        environment — every engine holds the payload already — so nothing
+        crosses.
         """
-        return self._open_to_all("reveal-replicated", vecs)
+        if party not in self.party_names:
+            return payload
+        self._require_local()
+        channel = self.network.channel
+        wire = payload
+        if channel is not None and channel.party == party:
+            wire = tuple(
+                np.packbits(array) if dtype is bool else array
+                for array, (dtype, _) in zip(payload, layout)
+            )
+        sends = [(party, p, wire) for p in self.party_names if p != party]
+        size = sum((n + 7) // 8 if dtype is bool else n * np.dtype(dtype).itemsize
+                   for dtype, n in layout)
+        delivered = self.network.round("stp-handback", sends, size)
+        if channel is None or channel.party == party:
+            return payload
+        return _handed_back(delivered[(party, channel.party)], layout, party)
 
     # -- linear operations (local) ------------------------------------------------------
 

@@ -107,10 +107,17 @@ class ShapeEngine(SecretSharingEngine):
     # -- the carried primitives: their rounds, with nothing to reconstruct ----------------
 
     def input_vectors(self, values=None, contributor=None, num_rows=None):
-        """Every sharing is a peer's: only the row counts are known here."""
-        if values is not None:
-            num_rows = [len(v) for v in values]
-        return super().input_vectors(None, contributor, num_rows)
+        """A compute party's sharing is a peer's: only the row counts are
+        known here."""
+        if values is not None and (contributor or self.party_names[0]) in self.party_names:
+            values, num_rows = None, [len(v) for v in values]
+        return super().input_vectors(values, contributor, num_rows)
+
+    def reveal_to_many(self, vecs: Sequence[SharedVector], party: str) -> list[Positions]:
+        """A shape run plays the party the vectors are revealed to, so the
+        logic that party runs on them is charged too."""
+        super().reveal_to_many(vecs, party)
+        return [Positions(len(vec)) for vec in vecs]
 
     def _opened(self, delivered, step: str, vecs: Sequence[SharedVector]) -> list[Positions]:
         return [Positions(len(vec)) for vec in vecs]

@@ -354,6 +354,7 @@ class PlanExecutor:
                 self.leakage.record(
                     "column_reveal", rel.name, rel.schema.names, [locus],
                     detail=f"{rows} rows revealed for cleartext post-processing",
+                    received=table is not None,
                 )
         else:
             columns = None
@@ -394,10 +395,12 @@ class PlanExecutor:
 
     def _stp_for(self, party: str) -> SelectivelyTrustedParty:
         if party not in self.local_backends:
-            # The STP's cleartext work is part of the joint computation: in
-            # the distributed runtime every agent keeps a deterministic
-            # replica of the STP engine so the hybrid protocols stay in
-            # lockstep (and the simulated clock charges the same work).
+            # A party this executor does not embody gets a replica engine.
+            # It works only where every engine holds what the party's logic
+            # reads: a public join's keys, or a reveal to an STP outside the
+            # MPC, which opens to the environment.  A reveal to an STP that
+            # is a peer reaches the STP's agent only, and here the replica
+            # stays idle.
             self.local_backends[party] = self.cleartext_engine()
         return self.trusted_party(party, self.local_backends[party])
 
@@ -409,11 +412,11 @@ class PlanExecutor:
         the configured cleartext price list, plus the MPC backend's meter and,
         once an MPC node has run, the job's one start-up.
 
-        A distributed agent keeps deterministic *replicas* of other parties'
-        STP engines to stay in lockstep, but only the work of the parties it
-        embodies counts towards its clock — the replicated work is reported
-        by the party that really owns it, and the coordinator's per-node
-        max-merge reconstructs the joint durations.
+        A distributed agent counts only the engines of the parties it
+        embodies: a replica it keeps for another party's logic (see
+        :meth:`_stp_for`) repeats work that party's own agent reports, and
+        the coordinator's per-node max-merge reconstructs the joint
+        durations.
         """
         breakdown = {
             f"local:{party}": self.cleartext_prices.seconds(engine.work)
@@ -433,7 +436,9 @@ class PlanExecutor:
         agent holds only its own share slices and only its own cleartext
         inputs.  ``share_parties`` lists the parties whose additive share
         slices the MPC engine holds; ``cleartext_input_parties`` lists the
-        parties whose raw input tables are present in this process.
+        parties whose raw input tables are present in this process;
+        ``revealed_columns`` lists the ``(relation, columns)`` of each column
+        reveal whose values this process received.
         """
         mpc = self.mpc_backend
         return {
@@ -442,6 +447,7 @@ class PlanExecutor:
             "cleartext_input_parties": sorted(
                 p for p, tables in self.inputs.items() if tables
             ),
+            "revealed_columns": list(self.leakage.received),
         }
 
     def _mpc_profile(self) -> dict[str, int]:

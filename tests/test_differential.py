@@ -137,10 +137,16 @@ def _random_predicate(rng, columns, depth: int = 0):
 # -- query construction -----------------------------------------------------------------------
 
 
-def build_query(spec):
-    """Lower a spec to a QueryContext plus party inputs."""
+def build_query(spec, stp=None):
+    """Lower a spec to a QueryContext plus party inputs.  With ``stp``, every
+    key column trusts that party, so the plan may run hybrid operators."""
     pa, pb = cc.Party(PARTY_A), cc.Party(PARTY_B)
-    frontend_cols = [cc.Column(c, cc.INT) for c in spec["columns"]]
+    trust = [] if stp is None else [cc.Party(stp)]
+
+    def frontend(columns, keys):
+        return [cc.Column(c, cc.INT, trust=trust if c in keys else []) for c in columns]
+
+    frontend_cols = frontend(spec["columns"], spec["key_cols"])
 
     def to_table(rows, columns):
         schema = Schema([ColumnDef(c) for c in columns])
@@ -166,7 +172,7 @@ def build_query(spec):
                 rel = rel.project(op[1])
             elif op[0] == "join":
                 _, right_tables, right_cols, pairs, key_base = op
-                right_frontend = [cc.Column(c, cc.INT) for c in right_cols]
+                right_frontend = frontend(right_cols, [right for _, right in pairs])
                 r0 = ctx.new_table("r0", right_frontend, at=pa)
                 r1 = ctx.new_table("r1", right_frontend, at=pb)
                 inputs[PARTY_A]["r0"] = to_table(right_tables[0], right_cols)

@@ -28,6 +28,12 @@ the engines it now runs:
   parties, not the former default three — and the merge of per-party
   partials is estimated as the partials over two parties, so Fig. 7b at
   100 000 rows sorts 10 000 merged rows, not 6 666 (+30.5 s).
+
+When the hybrid operators began revealing the keys to the STP only, their
+points moved by the STP's hand-back round: +1 ms at small sizes (Figs. 5a,
+5b, 6), more where the hand-back grows with the rows (Figs. 5a, 5b), and
+down at Fig. 6's large sizes and in the hybrid-operator ablation, where the
+banks no longer receive the keys.
 """
 
 import functools
@@ -111,47 +117,47 @@ PINS = {
     ],
     "5a": [
         {
-            "records": 10, "sharemind-join": 2.115076154, "hybrid-join": 15.089120993333331,
+            "records": 10, "sharemind-join": 2.115076154, "hybrid-join": 15.090121633333332,
             "public-join": 15.058515103333331,
         },
         {
-            "records": 1000, "sharemind-join": 30.277224, "hybrid-join": 16.851635333333334,
+            "records": 1000, "sharemind-join": 30.277224, "hybrid-join": 16.852699333333334,
             "public-join": 15.505510333333334,
         },
         {
-            "records": 10000, "sharemind-join": 2780.31024, "hybrid-join": 36.86459333333334,
+            "records": 10000, "sharemind-join": 2780.31024, "hybrid-join": 36.866233333333334,
             "public-join": 19.569103333333334,
         },
         {
-            "records": 200000, "sharemind-join": None, "hybrid-join": 535.0706666666666,
+            "records": 200000, "sharemind-join": None, "hybrid-join": 535.0844666666667,
             "public-join": 105.35606666666668,
         },
         {
-            "records": 2000000, "sharemind-join": None, "hybrid-join": 5852.048666666666,
+            "records": 2000000, "sharemind-join": None, "hybrid-join": 5852.177666666666,
             "public-join": 918.0746666666666,
         },
     ],
     "5b": [
-        {"records": 10, "sharemind-agg": 2.151718646, "hybrid-agg": 11.070787039333332},
+        {"records": 10, "sharemind-agg": 2.151718646, "hybrid-agg": 11.071787679333333},
         {
             "records": 1000, "sharemind-agg": 4.4442117859999986,
-            "hybrid-agg": 11.769096019333332,
+            "hybrid-agg": 11.770160019333332,
         },
         {
             "records": 10000, "sharemind-agg": 58.025190986000005,
-            "hybrid-agg": 18.069339219333333,
+            "hybrid-agg": 18.070979219333335,
         },
         {
             "records": 100000, "sharemind-agg": 642.1855375460002,
-            "hybrid-agg": 81.05141121933333,
+            "hybrid-agg": 81.05881121933334,
         },
     ],
     "6": [
-        {"records": 10, "conclave": 29.22764843266667, "sharemind": 2.15044323},
-        {"records": 1000, "conclave": 30.827745174000007, "sharemind": 28.111284898000005},
-        {"records": 3000, "conclave": 34.411942982, "sharemind": 228.2226574100001},
-        {"records": 30000, "conclave": 89.773323022, "sharemind": None},
-        {"records": 300000, "conclave": 729.7151858220003, "sharemind": None},
+        {"records": 10, "conclave": 29.230645504666665, "sharemind": 2.15044323},
+        {"records": 1000, "conclave": 30.830446198000004, "sharemind": 28.111284898000005},
+        {"records": 3000, "conclave": 34.41404411800001, "sharemind": 228.2226574100001},
+        {"records": 30000, "conclave": 89.767332078, "sharemind": None},
+        {"records": 300000, "conclave": 729.6282740780001, "sharemind": None},
     ],
     "7a": [
         {"records": 10, "conclave": 15.06998394733333, "smcql": 10.00008},
@@ -174,8 +180,8 @@ PINS = {
         },
         {
             "optimization": "hybrid-operators", "records": 30000,
-            "disabled": 22365.447894986002, "enabled": 89.773323022,
-            "speedup": 249.13244984264523,
+            "disabled": 22365.447894986002, "enabled": 89.767332078,
+            "speedup": 249.14907658782124,
         },
         {
             "optimization": "sort-push-up", "records": 200000, "disabled": 1406.72348064,

@@ -73,18 +73,35 @@ class TestHybridJoin:
         for event in leakage.column_reveals_to(STP_NAME):
             assert "value" not in event.columns
 
-    def test_stp_hands_back_the_indices_with_no_round(self, backend, stp):
-        """Every replicated-STP engine knows the join indices, so their
-        sharing is priced as Sharemind's input step of both index vectors
-        and carries nothing: the join's only carried rounds are the key
-        reveal and the opening of the indices."""
+    def test_stp_hands_back_the_count_and_inputs_the_indices(self, backend):
+        """A compute-party STP alone sees the keys; it hands back the match
+        count, one int64, and its index relations enter as its private
+        input, priced as Sharemind's input step of both index vectors and
+        carrying nothing: the join's carried rounds are the key reveal, the
+        hand-back and the opening of the indices."""
+        stp = SelectivelyTrustedParty(PARTIES[0], ColumnarBackend())
         left, right = backend.ingest(kv(12, 4, seed=9)), backend.ingest(kv(10, 4, seed=10))
         network = backend.engine.network
         records, carried = backend.meter.input_records, len(network.schedule)
         result = hybrid_join(backend, stp, left, right, "key", "key")
         assert backend.meter.input_records - records == 2 * result.num_rows
-        tags = [tag for tag, _, _ in network.schedule[carried:]]
-        assert tags == ["reveal-replicated", "env-open"]
+        schedule = network.schedule[carried:]
+        assert [tag for tag, _, _ in schedule] == ["reveal-share", "stp-handback", "env-open"]
+        assert schedule[1] == ("stp-handback", len(PARTIES) - 1, 8 * (len(PARTIES) - 1))
+        assert result.reveal().equals_unordered(
+            kv(12, 4, seed=9).join(kv(10, 4, seed=10), ["key"], ["key"])
+        )
+
+    def test_stp_outside_the_mpc_needs_no_hand_back(self, backend, stp):
+        """An STP that is no compute party is played by the environment:
+        the keys open to every engine, and the count and indices need no
+        round."""
+        left, right = backend.ingest(kv(12, 4, seed=9)), backend.ingest(kv(10, 4, seed=10))
+        network = backend.engine.network
+        records, carried = backend.meter.input_records, len(network.schedule)
+        result = hybrid_join(backend, stp, left, right, "key", "key")
+        assert backend.meter.input_records - records == 2 * result.num_rows
+        assert [tag for tag, _, _ in network.schedule[carried:]] == ["env-open", "env-open"]
 
     def test_cheaper_than_oblivious_join(self):
         # Near-unique keys, as in the credit-card query: the hybrid join's

@@ -24,7 +24,9 @@ secret sharing *real* rather than replicated theatre:
   demultiplexed — a consumer never reads stale data off a dead link;
 * across the differential corpus, every agent process's isolation audit
   shows it held only its own share slices and cleartext inputs, and an
-  output table exists only at the agents of its recipients;
+  output table exists only at the agents of its recipients; across its
+  hybrid plans, an agent received exactly the column reveals the leakage
+  report makes to its party — a reveal to the STP reaches the STP only;
 * no forked agent maps a page of any party's input buffers, its own
   included (it computes on the copy its session frame delivered), at
   session start and after a restart, and a fork from another thread while
@@ -937,6 +939,47 @@ def test_corpus_agents_never_hold_foreign_secrets():
                     f"plan {plan}: agent {party} held cleartext inputs of "
                     f"{audit['cleartext_input_parties']}"
                 )
+
+
+def hybrid_corpus():
+    """The corpus plans that run a hybrid operator once every key column
+    trusts ``PARTY_A``: ``(spec, compiled, inputs)``."""
+    plans = []
+    for plan in range(NUM_PLANS):
+        spec = generate_spec(SEED + plan)
+        ctx, inputs = build_query(spec, stp=PARTY_A)
+        compiled = cc.compile_query(ctx)
+        if any(hasattr(node, "stp") for node in compiled.dag.topological()):
+            plans.append((spec, compiled, inputs))
+    return plans
+
+
+@pytest.mark.parametrize("tls", [False, True], ids=["plaintext", "tls"])
+def test_each_agent_received_only_the_reveals_made_to_it(tls, tmp_path):
+    """A reveal to the STP reaches the STP's agent only: over real agent
+    processes, on plaintext and on mutual-TLS links, each agent's audit of
+    the columns it received is the leakage report's reveals to its party,
+    across the corpus's hybrid plans and ``credit_hybrid``.  The STP lists
+    the key columns; every other agent lists none."""
+    spec, inputs, config = WORKLOADS["credit_hybrid"]()
+    runs = [
+        (spec.parties, config, [(None, cc.compile_query(spec.context, config), inputs)]),
+        (PARTIES, CompilationConfig(), hybrid_corpus()),
+    ]
+    for parties, config, plans in runs:
+        security = TransportSecurity.dev(parties, tmp_path / "-".join(parties)) if tls else None
+        with cc.QuerySession(parties, config=config, seed=3, security=security) as session:
+            for plan_spec, compiled, plan_inputs in plans:
+                result = session.submit(compiled, inputs=plan_inputs)
+                if plan_spec is not None:
+                    assert sorted(result.outputs["out"].rows()) == oracle(plan_spec)
+                stps = {node.stp for node in compiled.dag.topological() if hasattr(node, "stp")}
+                for party in parties:
+                    reveals = result.leakage.column_reveals_to(party)
+                    assert result.isolation[party]["revealed_columns"] == [
+                        (event.relation, event.columns) for event in reveals
+                    ], party
+                    assert bool(reveals) == (party in stps), party
 
 
 class TestLinkKeys:

@@ -9,9 +9,11 @@ import pytest
 
 import repro as cc
 from repro.core.dispatch import QueryRunner
-from repro.model.counters import NetworkStats
+from repro.model.counters import CleartextWork, NetworkStats
 from repro.mpc.network import Network, TransportError
+from repro.mpc.secretshare import SecretSharingEngine
 from repro.runtime.executor import PlanExecutor
+from repro.runtime.service import merge_payloads
 from repro.runtime.wire import KIND_MSG, decode_mesh_payload, encode_mesh_frame
 
 from test_differential import PARTY_A, PARTY_B, SEED, build_query, generate_spec
@@ -158,6 +160,57 @@ class TestRoundCarriage:
             net.round("open-share", [("a", "b", None)], 8)
 
 
+class TestHandBack:
+    """``SecretSharingEngine.hand_back`` over a channel: the STP sends its
+    payload, flags as packed bits, and a peer checks what it reads against
+    the public layout."""
+
+    LAYOUT = [(np.int64, 3), (bool, 10)]
+    ORDER = np.array([2, 0, 1], dtype=np.int64)
+    FLAGS = np.arange(10) % 3 == 0
+
+    def engine(self, party, frames=None):
+        channel = RecordingChannel(party, {"a", "b", "c"} - {party}, frames)
+        network = Network(["a", "b", "c"], channel=channel)
+        return SecretSharingEngine(["a", "b", "c"], seed=1, network=network, local_parties=[party])
+
+    def test_the_stp_sends_its_payload_and_keeps_it(self):
+        engine = self.engine("a")
+        got = engine.hand_back("a", (self.ORDER, self.FLAGS), self.LAYOUT)
+        assert got[0] is self.ORDER and got[1] is self.FLAGS
+        sends = engine.network.channel.calls
+        assert [(kind, peer, tag) for kind, peer, tag, _ in sends] == [
+            ("send", "b", "stp-handback"), ("send", "c", "stp-handback"),
+        ]
+        order, packed = sends[0][3]
+        assert order is self.ORDER and np.array_equal(packed, np.packbits(self.FLAGS))
+        # 8 B per index, one bit per flag, to each of the two peers.
+        assert engine.network.schedule == [("stp-handback", 2, 2 * (24 + 2))]
+
+    def test_a_peer_reads_the_payload_off_the_wire(self):
+        frame = ("stp-handback", (self.ORDER, np.packbits(self.FLAGS)))
+        order, flags = self.engine("b", {"a": frame}).hand_back("a", None, self.LAYOUT)
+        assert np.array_equal(order, self.ORDER) and np.array_equal(flags, self.FLAGS)
+
+    @pytest.mark.parametrize("payload", [
+        None,
+        (ORDER,),
+        (ORDER.astype(np.uint64), np.packbits(FLAGS)),
+        (ORDER[:2], np.packbits(FLAGS)),
+        (ORDER, FLAGS.astype(np.uint8)),
+    ], ids=["none", "short", "dtype", "length", "unpacked"])
+    def test_a_peer_refuses_a_payload_off_its_layout(self, payload):
+        engine = self.engine("b", {"a": ("stp-handback", payload)})
+        with pytest.raises(TransportError, match="stp-handback"):
+            engine.hand_back("a", None, self.LAYOUT)
+
+    def test_a_party_outside_the_mpc_hands_back_with_no_round(self):
+        engine = self.engine("b")
+        payload = (self.ORDER, self.FLAGS)
+        assert engine.hand_back("stp.example", payload, self.LAYOUT) is payload
+        assert engine.network.schedule == [] and engine.network.channel.calls == []
+
+
 # -- executors over a minimal channel ---------------------------------------------------------
 
 
@@ -187,20 +240,23 @@ class QueueChannel:
         return decode_mesh_payload(frame[4:])[3]
 
 
-def run_on_queue_channels(parties, inputs, compiled, seed):
+def run_on_queue_channels(parties, inputs, compiled, seed, executors=None):
     """One executor per party, each holding only its own inputs, joined by
-    :class:`QueueChannel`\\ s; returns ``{party: ExecutionOutcome}``."""
+    :class:`QueueChannel`\\ s; returns ``{party: ExecutionOutcome}``.  The
+    executors go into ``executors`` when it is a dict."""
     links = {(s, r): queue.Queue() for s in parties for r in parties if s != r}
     keys = {frozenset(link): secrets.token_bytes(32) for link in links}
-    executors = [
-        PlanExecutor(
+    made = {
+        party: PlanExecutor(
             parties, {party: inputs.get(party, {})}, compiled.config, seed=seed,
             local_parties={party}, mesh=QueueChannel(party, links, keys),
         )
         for party in parties
-    ]
+    }
+    if executors is not None:
+        executors.update(made)
     with ThreadPoolExecutor(len(parties)) as pool:
-        return dict(zip(parties, pool.map(lambda ex: ex.execute(compiled), executors)))
+        return dict(zip(parties, pool.map(lambda ex: ex.execute(compiled), made.values())))
 
 
 THREE = [PARTY_A, PARTY_B, "gamma.example"]
@@ -255,3 +311,33 @@ def test_executors_over_minimal_channels_match_the_in_process_run(plan):
                 assert outcome.outputs[name] == reference.outputs[name], (party, name)
             else:
                 assert name not in outcome.outputs, (party, name)
+
+
+def test_only_the_stp_does_the_stp_work():
+    """The keys of a hybrid operator reach the STP's executor only, so it
+    alone runs the STP's cleartext join and sort: over queue channels, the
+    banks charge the STP's engine nothing, the STP charges it what the
+    in-process run charges, and the joint clock is the in-process run's."""
+    ctx, inputs, config, parties = _judged("credit_hybrid")
+    compiled = cc.compile_query(ctx, config)
+    (stp,) = {node.stp for node in compiled.dag.topological() if hasattr(node, "stp")}
+    runner = QueryRunner(parties, inputs, compiled.config, seed=5)
+    reference = runner.run(compiled)
+    executors = {}
+    outcomes = run_on_queue_channels(parties, inputs, compiled, 5, executors)
+    charged = runner.local_backends[stp].work
+    assert charged.jobs > 0
+    for party, executor in executors.items():
+        engine = executor.local_backends.get(stp)
+        work = CleartextWork() if engine is None else engine.work
+        assert work == (charged if party == stp else CleartextWork()), party
+    payloads = {
+        party: {
+            "outputs": outcome.outputs, "node_durations": outcome.node_durations,
+            "leakage": outcome.leakage, "backend_seconds": outcome.backend_seconds,
+            "mpc_profile": outcome.mpc_profile,
+        }
+        for party, outcome in outcomes.items()
+    }
+    merged = merge_payloads(compiled, parties, payloads)
+    assert merged.simulated_seconds == pytest.approx(reference.simulated_seconds, rel=1e-12)

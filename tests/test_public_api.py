@@ -199,7 +199,7 @@ COUNTERS = set(CostMeter().counts())
 #: keep their one counter increment; every analytic step goes through
 #: ``engine.charge`` with a ``repro.model.steps`` meter.
 CARRYING_PRIMITIVES = {
-    "_open_to_all", "open_flags", "reveal_to_many", "mul", "_linear", "scale",
+    "open_many", "open_flags", "reveal_to_many", "mul", "_linear", "scale",
 }
 CHARGING_FILES = sorted(
     [
@@ -358,8 +358,8 @@ def test_no_relation_crosses_one_column_per_round():
                 assert not single & set(calls_in(loop)), f"{path.name}:{loop.lineno}"
     engine = ast.parse((SRC / "mpc" / "secretshare.py").read_text())
     defined = {n.name for n in ast.walk(engine) if isinstance(n, ast.FunctionDef)}
-    assert {"input_vectors", "open_many", "reveal_many", "reveal_to_many", "env_open_many"} <= defined
-    assert not {"reveal_to", "reveal_replicated"} & defined
+    assert {"input_vectors", "open_many", "reveal_to_many", "env_open_many"} <= defined
+    assert not {"reveal_to", "reveal_replicated", "reveal_many"} & defined
 
 
 def test_hybrid_aggregate_has_no_per_row_loop():

@@ -68,9 +68,9 @@ BUDGETS = {
         messages=479, bytes_sent=238682, rounds=152,
     ),
     "credit_hybrid": dict(
-        wire_rounds=10, wire_bytes=41692, multiplications=6649, comparisons=4004,
+        wire_rounds=14, wire_bytes=31024, multiplications=6649, comparisons=4004,
         local_ops=1198, shuffled_elements=1901, input_records=784, output_records=808,
-        messages=412, bytes_sent=178564, rounds=131,
+        messages=404, bytes_sent=167896, rounds=135,
     ),
 }
 
@@ -97,8 +97,9 @@ def test_judged_query_stays_on_its_committed_budget(name, monkeypatch):
     profile = runner.run(compiled).mpc_profile
 
     assert len(carried) == profile["wire_rounds"]
-    # Every input is shared with no round: a private one from pairwise keys,
-    # what the replicated STP hands back from the mask streams.
+    # Every input is shared with no round: a private one (the STP's join
+    # indices too) from pairwise keys, the flags the STP hands back in the
+    # clear from the mask streams.
     assert "input-share" not in [tag for tag, _, _ in mpc_network.schedule]
     del profile["backend"]
     assert dict(profile, wire_bytes=sum(carried)) == BUDGETS[name]
@@ -117,8 +118,8 @@ MESH_LEDGER = {
         "mpc.a.com": (5742, 20), "mpc.b.com": (5778, 21), "mpc.c.org": (5778, 21),
     },
     "credit_hybrid": {
-        "mpc.bank-a.com": (15112, 21), "mpc.bank-b.cash": (15112, 21),
-        "mpc.ftc.gov": (13700, 20),
+        "mpc.bank-a.com": (11432, 17), "mpc.bank-b.cash": (11432, 17),
+        "mpc.ftc.gov": (9944, 20),
     },
 }
 

@@ -260,7 +260,7 @@ class TestRelationWideRounds:
         assert many.network.stats.bytes_sent == one.network.stats.bytes_sent
 
     def test_values_every_engine_knows_are_shared_with_no_round(self):
-        """What the replicated STP hands back is known to every engine, so
+        """What the STP hands back in the clear is known to every engine, so
         each draws its own slices: nothing crosses and nothing is charged
         (the hybrid protocols price the sharing themselves)."""
         engine = SecretSharingEngine(["a", "b", "c"], seed=8)
@@ -275,7 +275,6 @@ class TestRelationWideRounds:
         vectors = engine.input_vectors(self.COLUMNS)
         for opened in (
             engine.open_many(vectors),
-            engine.reveal_many(vectors),
             engine.env_open_many(vectors),
             engine.reveal_to_many(vectors, engine.party_names[2]),
             engine.reveal_to_many(vectors, "external.example"),
