@@ -39,7 +39,7 @@ import time
 import numpy as np
 
 import repro as cc
-from repro.core.config import RestartPolicy, RetryPolicy
+from repro.core.config import RestartPolicy
 from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
@@ -104,12 +104,12 @@ def run_stream(compiled, inputs, queries: int, reference, *, faults=None) -> dic
         backoff_seconds=0.05,
         max_backoff_seconds=0.5,
         heartbeat_interval_seconds=None,
+        max_attempts=4,
     )
-    retry = RetryPolicy(max_attempts=4, backoff_seconds=0.05)
     latencies: list[float] = []
     with cc.QuerySession(
         [PARTY_A, PARTY_B], inputs, seed=SEED,
-        restart=restart, retry=retry, faults=faults, timeout=60.0,
+        restart=restart, faults=faults, timeout=60.0,
     ) as session:
         for _ in range(queries):
             started = time.perf_counter()

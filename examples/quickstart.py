@@ -112,8 +112,7 @@ def main(runtime: str = "simulated"):
         # queries and a 2-deep queue, then offer a burst of 8.  Queries beyond
         # the limits are shed *immediately* with QueryRejected — the analyst
         # retries later — instead of growing an unbounded backlog.
-        limits = cc.GatewayConfig(max_in_flight=2, max_queue_depth=2)
-        with cc.open_session(inputs, max_workers=2, gateway=limits) as session:
+        with cc.open_session(inputs, max_workers=2, max_queue_depth=2) as session:
             result = session.submit(compiled)  # warm the plan cache
             admitted, rejected = [], 0
             for _ in range(8):
@@ -136,12 +135,13 @@ def main(runtime: str = "simulated"):
         # Supervision + crash recovery: a seeded fault plan hard-kills the
         # beta agent (os._exit, sockets torn down by the kernel) after its
         # 3rd mesh frame of query 2.  The supervisor detects the death,
-        # brings every agent up again as at session start, and the
-        # RetryPolicy replays the interrupted query — the loop below never
-        # sees an error, and every result matches the fault-free first one.
+        # brings every agent up again as at session start, and the session
+        # replays the interrupted query (up to RestartPolicy.max_attempts
+        # tries) — the loop below never sees an error, and every result
+        # matches the fault-free first one.
         import time
 
-        from repro.core.config import RestartPolicy, RetryPolicy
+        from repro.core.config import RestartPolicy
         from repro.runtime.faults import FaultPlan, KillFault
 
         faults = FaultPlan(
@@ -149,8 +149,7 @@ def main(runtime: str = "simulated"):
         )
         with cc.open_session(
             inputs,
-            restart=RestartPolicy(backoff_seconds=0.05),
-            retry=RetryPolicy(max_attempts=3),
+            restart=RestartPolicy(backoff_seconds=0.05, max_attempts=3),
             faults=faults,
         ) as session:
             result = first = session.submit(compiled)

@@ -68,9 +68,7 @@ from repro.core import (
     lit,
     CompilationConfig,
     CompiledQuery,
-    GatewayConfig,
     RestartPolicy,
-    RetryPolicy,
     FLOAT,
     INT,
     MAX,
@@ -116,9 +114,7 @@ __all__ = [
     "lit",
     "CompilationConfig",
     "CompiledQuery",
-    "GatewayConfig",
     "RestartPolicy",
-    "RetryPolicy",
     "EstimatedOOM",
     "EstimatorParams",
     "FLOAT",

@@ -20,7 +20,7 @@ The sub-modules follow the paper's structure:
 """
 
 from repro.core.compiler import CompiledQuery, CompilationReport, compile_query, run_query
-from repro.core.config import CompilationConfig, GatewayConfig, RestartPolicy, RetryPolicy
+from repro.core.config import CompilationConfig, RestartPolicy
 from repro.core.dispatch import QueryResult, QueryRunner, SecurityError
 from repro.core.expr import Expr, col, lit
 from repro.core.lang import COMPOSITE_KEY_BASE, QueryContext, RelationHandle, concat, new_table
@@ -48,9 +48,7 @@ __all__ = [
     "CompiledQuery",
     "CompilationReport",
     "CompilationConfig",
-    "GatewayConfig",
     "RestartPolicy",
-    "RetryPolicy",
     "compile_query",
     "run_query",
     "QueryResult",

@@ -378,6 +378,13 @@ class RestartPolicy:
     escalates to a permanent failure: the session breaks with a structured
     :class:`~repro.runtime.pool.AgentFailure` carrying the attempt
     history.
+
+    A supervised session also replays the queries a crash or a transport
+    error interrupted, once the agents are up again, up to
+    :attr:`max_attempts` tries per query.  Queries are pure functions of
+    (plan, inputs, seed), so a replay returns byte-identical results; a
+    query that raised a real error (``SecurityError``, a bad plan, an engine
+    bug) fails at once.
     """
 
     #: Restart budget: deaths of one party tolerated within
@@ -389,8 +396,6 @@ class RestartPolicy:
     #: consecutive attempt for the same party up to
     #: :attr:`max_backoff_seconds`.
     backoff_seconds: float = 0.05
-    #: Multiplier applied to the backoff after each consecutive restart.
-    backoff_multiplier: float = 2.0
     #: Upper bound on the per-attempt backoff (seconds).
     max_backoff_seconds: float = 5.0
     #: Interval between supervisor heartbeat pings on each control link.
@@ -400,18 +405,19 @@ class RestartPolicy:
     #: Consecutive missed heartbeats after which a silent agent is declared
     #: dead and its process killed (triggering the restart path).
     heartbeat_misses: int = 5
+    #: Tries per query a crash or a transport error interrupts (1 = no
+    #: replay: the first failure surfaces).
+    max_attempts: int = 3
 
     def validate(self) -> "RestartPolicy":
-        if not _is_count(self.max_restarts) or self.max_restarts < 1:
-            raise ValueError(f"RestartPolicy.max_restarts must be an int >= 1, got {self.max_restarts!r}")
+        for name in ("max_restarts", "max_attempts"):
+            value = getattr(self, name)
+            if not _is_count(value) or value < 1:
+                raise ValueError(f"RestartPolicy.{name} must be an int >= 1, got {value!r}")
         for name in ("window_seconds", "backoff_seconds", "max_backoff_seconds"):
             value = getattr(self, name)
             if not _is_number(value) or value < 0:
                 raise ValueError(f"RestartPolicy.{name} must be a number >= 0, got {value!r}")
-        if not _is_number(self.backoff_multiplier) or self.backoff_multiplier < 1:
-            raise ValueError(
-                f"RestartPolicy.backoff_multiplier must be a number >= 1, got {self.backoff_multiplier!r}"
-            )
         interval = self.heartbeat_interval_seconds
         if interval is not None and (not _is_number(interval) or interval <= 0):
             raise ValueError(
@@ -421,79 +427,4 @@ class RestartPolicy:
             raise ValueError(
                 f"RestartPolicy.heartbeat_misses must be an int >= 1, got {self.heartbeat_misses!r}"
             )
-        return self
-
-
-@dataclass
-class RetryPolicy:
-    """How the gateway retries queries that failed for *infrastructure*
-    reasons (an agent crash mid-query, a mesh link death or timeout).
-
-    Queries are pure functions of (plan, inputs, seed), so replaying one is
-    always safe: a retried query re-executes from scratch on the recovered
-    mesh and produces byte-identical results.  Only infrastructure failures
-    are retried — a query that raised a real error (``SecurityError``, a bad
-    plan, an engine bug) fails immediately on every attempt count.
-    """
-
-    #: Total attempts per query (1 = no retry).
-    max_attempts: int = 3
-    #: Also retry queries whose *primary* error is a transport-level failure
-    #: reported by a live agent (e.g. a mesh timeout after a dropped frame),
-    #: not just coordinator-detected agent crashes.
-    retry_transport_errors: bool = True
-    #: Backoff before the first retry (seconds), doubled per attempt.
-    backoff_seconds: float = 0.05
-    #: Multiplier applied to the backoff after each retry.
-    backoff_multiplier: float = 2.0
-    #: Upper bound on the per-retry backoff (seconds).
-    max_backoff_seconds: float = 2.0
-
-    def validate(self) -> "RetryPolicy":
-        if not _is_count(self.max_attempts) or self.max_attempts < 1:
-            raise ValueError(f"RetryPolicy.max_attempts must be an int >= 1, got {self.max_attempts!r}")
-        if not isinstance(self.retry_transport_errors, bool):
-            raise ValueError(
-                f"RetryPolicy.retry_transport_errors must be a bool, got {self.retry_transport_errors!r}"
-            )
-        for name in ("backoff_seconds", "max_backoff_seconds"):
-            value = getattr(self, name)
-            if not _is_number(value) or value < 0:
-                raise ValueError(f"RetryPolicy.{name} must be a number >= 0, got {value!r}")
-        if not _is_number(self.backoff_multiplier) or self.backoff_multiplier < 1:
-            raise ValueError(
-                f"RetryPolicy.backoff_multiplier must be a number >= 1, got {self.backoff_multiplier!r}"
-            )
-        return self
-
-
-@dataclass
-class GatewayConfig:
-    """Admission limits of a query session.
-
-    The query gateway (:mod:`repro.runtime.gateway`) fronts every standing
-    session: queries are dispatched to the agent mesh while in-flight
-    capacity lasts, wait in one FIFO queue while its depth allows, and are
-    *shed* with an explicit :class:`~repro.runtime.gateway.QueryRejected`
-    beyond that — under overload the analyst gets an immediate error
-    instead of an unbounded queue silently growing.
-
-    ``None`` means "no limit at that axis", and the all-``None`` default
-    dispatches up to the agents' worker capacity and queues the rest without
-    bound.
-    """
-
-    #: Queries dispatched to the agents concurrently.  ``None`` mirrors the
-    #: session's agent worker capacity (``max_workers``) so queueing starts
-    #: exactly where the agents would start queueing internally.
-    max_in_flight: int | None = None
-    #: Queries waiting in the gateway; one more submission is shed with
-    #: ``QueryRejected``.  ``None`` = unbounded.
-    max_queue_depth: int | None = None
-
-    def validate(self) -> "GatewayConfig":
-        for name in ("max_in_flight", "max_queue_depth"):
-            value = getattr(self, name)
-            if value is not None and (not _is_count(value) or value < 1):
-                raise ValueError(f"GatewayConfig.{name} must be an int >= 1 or None, got {value!r}")
         return self

@@ -61,14 +61,15 @@ Randomness is partitioned into streams so sliced engines stay in lockstep:
   triples with OT-based preprocessing so no party knows a full triple.
 * pairwise input streams — the slices of *private* inputs (pseudo-random
   secret sharing, Araki et al., CCS 2016).  Party ``j``'s slice of
-  contributor ``c``'s input vector is the expansion of the key ``k_cj`` the
-  two share, at the vector's lockstep number; ``c``'s slice is the value
-  minus those expansions, so no slice crosses the wire.  An agent's keys are
-  its mesh links' (:func:`repro.runtime.mesh.link_key`, agreed in the join
-  hellos) and its streams are numbered by the query id, so no peer — every
-  one of which knows the seed — can expand a slice it does not hold; the
-  all-local simulation derives keys and streams from the seed.  numpy's
-  ``PCG64`` stands in for the PRF (a deployment would use AES-CTR).
+  contributor ``c``'s input vector is the next draw of the one generator
+  their link has per query, keyed by the key ``k_cj`` the two share; both
+  ends draw a link's vectors in the same lockstep order, and ``c``'s slice
+  is the value minus those draws, so no slice crosses the wire.  An agent's
+  keys are its mesh links' (:func:`repro.runtime.mesh.link_key`, agreed in
+  the join hellos) and its generators are keyed by the query id too, so no
+  peer — every one of which knows the seed — can expand a slice it does not
+  hold; the all-local simulation derives keys and streams from the seed.
+  numpy's ``PCG64`` stands in for the PRF (a deployment would use AES-CTR).
 
 The relational protocols never touch a slice or an opened value: a
 :class:`SharedVector` reshapes itself locally (``take``, ``head``,
@@ -323,11 +324,12 @@ class SecretSharingEngine:
         self.meter = CostMeter(network=self.network.stats)
         self.dealer = TripleDealer(self.num_parties, seed=None if seed is None else seed + 1)
         # Private inputs expand from pairwise keys: an agent's are its mesh
-        # links' and its streams are numbered by the query id; without a
+        # links' and its streams are keyed by the query id; without a
         # channel (the all-local simulation) both come from the seed.
         self._seed_entropy = np.random.SeedSequence(seed).entropy
-        #: Private input vectors shared so far: every engine counts the same.
-        self._inputs_shared = 0
+        #: The slice generator of each link ``(i, j)``, ``i < j``, made on
+        #: first use.
+        self._links: dict[tuple[int, int], np.random.PCG64] = {}
         # Per-party mask streams of the environment resharings: stream i is
         # party i's mask, and the last party's slice is the value minus every
         # mask.  An engine draws stream i only if it holds party i or the
@@ -461,13 +463,11 @@ class SecretSharingEngine:
         """The held slices of a private input, one list per held party: the
         expansions of the contributor's pairwise keys, and at the
         contributor the value minus every expansion."""
-        first = self._inputs_shared
-        self._inputs_shared += len(num_rows)
         holds_contributor = c_idx in self._local_pos
         held: list[list[np.ndarray]] = [[] for _ in self.local_indices]
         for k, rows in enumerate(num_rows):
             expanded = {
-                j: self._expand(c_idx, j, first + k, rows)
+                j: self._expand(c_idx, j, rows)
                 for j in range(self.num_parties)
                 if j != c_idx and (holds_contributor or j in self._local_pos)
             }
@@ -481,14 +481,17 @@ class SecretSharingEngine:
                 held[pos].append(own)
         return held
 
-    def _expand(self, c_idx: int, j: int, vector: int, n: int) -> np.ndarray:
-        """Party ``j``'s slice of contributor ``c_idx``'s private input
-        vector number ``vector``: ``n`` ring elements expanded from their
-        pairwise key, in the stream of this query (or seed)."""
-        channel = self.network.channel
-        stream = self._seed_entropy if channel is None else channel.query_id
-        seq = np.random.SeedSequence(self._pair_key(c_idx, j), spawn_key=(stream, vector))
-        return np.random.PCG64(seq).random_raw(n)
+    def _expand(self, c_idx: int, j: int, n: int) -> np.ndarray:
+        """Party ``j``'s slice of contributor ``c_idx``'s next private input
+        vector: ``n`` ring elements off their link's generator, keyed by the
+        pairwise key and this query (or seed)."""
+        link = (min(c_idx, j), max(c_idx, j))
+        if link not in self._links:
+            channel = self.network.channel
+            stream = self._seed_entropy if channel is None else channel.query_id
+            seq = np.random.SeedSequence(self._pair_key(*link), spawn_key=(stream,))
+            self._links[link] = np.random.PCG64(seq)
+        return self._links[link].random_raw(n)
 
     def _pair_key(self, i: int, j: int) -> int:
         """The key parties ``i`` and ``j`` share: their mesh link's, or

@@ -20,7 +20,7 @@ shape:
   the in-process :class:`~repro.core.dispatch.QueryRunner` and the
   per-party agents.
 * :mod:`repro.runtime.agent` / :mod:`repro.runtime.pool` — the long-lived
-  per-party agent process, and the :class:`AgentPool` that spawns one per
+  per-party agent process, and the :class:`AgentPool` that forks one per
   party, accepts their control links as an agent accepts a peer (the
   mesh's one handshake), tells each agent whom to dial and
   whom to accept as it joins the mesh, routes result frames into per-query

@@ -42,10 +42,8 @@ Lifecycle and robustness:
   peers' inboxes of that query, so every in-flight participant fails fast
   instead of hanging on a dead exchange.
 
-``agent_main`` is the process entry point used by
-:class:`~repro.runtime.pool.AgentPool`; it is a plain module-level function
-so it works under both the ``fork`` and ``spawn`` multiprocessing start
-methods.
+``agent_main`` is the process entry point of the agents
+:class:`~repro.runtime.pool.AgentPool` forks.
 """
 
 from __future__ import annotations
@@ -172,8 +170,8 @@ class PartyAgent:
         cold per-query process would — warm sessions amortise spawn and mesh
         setup, never engine state, so results stay byte-identical.
         """
-        # Imported here (not at module top) so a freshly spawned agent
-        # process pays the import cost once, after the fork/spawn settled.
+        # Imported here (not at module top): a freshly forked agent pays
+        # the import cost once, after the fork settled.
         from repro.runtime.executor import PlanExecutor
 
         compiled = self.plan_for(fingerprint)

@@ -29,7 +29,6 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-from repro.core.config import GatewayConfig
 from repro.runtime.metrics import GatewayMetrics
 
 
@@ -70,27 +69,29 @@ class QueryGateway:
     small lock.  The pump loop is iterative, so a cascade of dispatch
     failures (e.g. a broken pool draining a deep queue) cannot overflow the
     stack.
+
+    ``max_in_flight`` queries run at once (the session's ``max_workers``)
+    and at most ``max_queue_depth`` wait (``None``: no limit); the session
+    checks both before it builds the gateway.
     """
 
     def __init__(
         self,
-        config: GatewayConfig | None = None,
+        max_in_flight: int,
+        max_queue_depth: int | None = None,
         *,
-        max_in_flight_default: int = 8,
         metrics: GatewayMetrics | None = None,
         closed_error=GatewayClosed,
         completion_counters=None,
     ):
-        self.config = (config or GatewayConfig()).validate()
+        self._max_in_flight = max_in_flight
+        self._max_queue_depth = max_queue_depth
         self.metrics = metrics if metrics is not None else GatewayMetrics()
         self._closed_error = closed_error
         #: Optional callable mapping a successful dispatch result to extra
         #: counter increments (e.g. ``rows_processed``/``mpc_rounds``); the
         #: session installs one that reads the per-party payloads.
         self._completion_counters = completion_counters
-        self._max_in_flight = self.config.max_in_flight or max_in_flight_default
-        if self._max_in_flight < 1:
-            raise ValueError(f"gateway needs max_in_flight >= 1, got {self._max_in_flight}")
         self._lock = threading.Lock()
         self._queue: deque[_Job] = deque()
         self._in_flight = 0
@@ -125,12 +126,12 @@ class QueryGateway:
                 self._mark_dispatched()
                 dispatch_now = True
             else:
-                limit = self.config.max_queue_depth
+                limit = self._max_queue_depth
                 if limit is not None and len(self._queue) >= limit:
                     self.metrics.inc("queries_rejected")
                     raise QueryRejected(
                         f"query shed: gateway queue is full ({len(self._queue)}/{limit}); "
-                        "retry later or raise the session's GatewayConfig limits",
+                        "retry later or raise the session's max_queue_depth",
                         queued=len(self._queue),
                         in_flight=self._in_flight,
                     )

@@ -160,10 +160,10 @@ class AgentCrashed(AgentFailure):
 
     Queries are pure functions of (plan, inputs, seed), so once the
     supervisor has brought the mesh up again, a replayed query produces
-    byte-identical results.  The session's
-    :class:`~repro.core.config.RetryPolicy` layer catches this marker and
-    replays automatically; callers without a retry policy may do the same by
-    resubmitting after :meth:`AgentPool.wait_recovered`.
+    byte-identical results.  A session under a
+    :class:`~repro.core.config.RestartPolicy` catches this marker and
+    replays the query up to the policy's ``max_attempts``; callers may do
+    the same by resubmitting after :meth:`AgentPool.wait_recovered`.
     """
 
 
@@ -249,7 +249,6 @@ class AgentPool:
         inputs: dict | None = None,
         timeout: float = 60.0,
         idle_timeout: float | None = None,
-        start_method: str | None = None,
         max_workers: int = AGENT_MAX_WORKERS,
         on_retire=None,
         restart: RestartPolicy | None = None,
@@ -307,12 +306,10 @@ class AgentPool:
         self._last_query_id = 0
         self._supervisor: AgentSupervisor | None = None
 
-        self._ctx = multiprocessing.get_context(start_method)
-        if start_method == "forkserver":
-            # Agents fork from a server that imported the agent once, not
-            # from this process: no page of the coordinator's heap — other
-            # parties' inputs included — is copied into an agent.
-            self._ctx.set_forkserver_preload(["repro.runtime.agent"])
+        # Agents fork, whatever the interpreter's default start method: the
+        # input-page fence below is written for fork, and a fork costs no
+        # re-import of the agent.
+        self._ctx = multiprocessing.get_context("fork")
         self._install(self._bring_up(epoch=0))
         # The supervisor comes up last: its heartbeat/restart machinery must
         # only ever observe a fully established pool.

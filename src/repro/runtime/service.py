@@ -32,10 +32,10 @@ from concurrent.futures import Future
 
 from repro.core.config import (
     CompilationConfig,
-    GatewayConfig,
     RestartPolicy,
-    RetryPolicy,
     TransportSecurity,
+    _is_count,
+    _is_number,
 )
 from repro.mpc.network import TransportError
 from repro.mpc.sharemind import SharemindBackend
@@ -211,16 +211,18 @@ class QuerySession:
     ``inputs`` maps party name -> {relation name -> Table} and becomes the
     session's standing data (each ``submit`` may override it per query).
     ``max_workers`` bounds how many queries each agent executes concurrently
-    (also the default in-flight cap of the gateway); ``gateway`` sets the
-    session's admission limits (:class:`~repro.core.config.GatewayConfig` —
-    the default admits without a queue limit).
+    and how many the gateway dispatches at once; ``max_queue_depth`` bounds
+    how many more wait in the gateway (``None``: no limit) before a
+    submission is shed with :class:`~repro.runtime.gateway.QueryRejected`.
+    ``timeout`` bounds every blocking socket operation and ``idle_timeout``
+    (``None``: never) retires agents that served nothing for that long.
+    Agents are forked from this process.
 
     ``restart`` (a :class:`~repro.core.config.RestartPolicy`) turns on agent
     supervision: when an agent process crashes, every agent is brought up
     again, as at session start, with the session's standing inputs, instead
-    of the crash breaking the session.  ``retry`` (a
-    :class:`~repro.core.config.RetryPolicy`) makes queries hit by such a
-    crash (or by a transport-level failure) replay transparently — safe
+    of the crash breaking the session, and the queries the crash (or a
+    transport-level failure) interrupted replay transparently — safe
     because queries are pure functions of (plan, inputs, seed).  ``faults``
     (a :class:`~repro.runtime.faults.FaultPlan`) arms the deterministic
     fault-injection harness used by the chaos tests.  ``security`` (a
@@ -240,22 +242,30 @@ class QuerySession:
         *,
         timeout: float = 60.0,
         idle_timeout: float | None = None,
-        start_method: str | None = None,
         max_workers: int = AGENT_MAX_WORKERS,
-        gateway: GatewayConfig | None = None,
+        max_queue_depth: int | None = None,
         restart: RestartPolicy | None = None,
-        retry: RetryPolicy | None = None,
         faults=None,
         security: TransportSecurity | None = None,
     ):
-        if not isinstance(max_workers, int) or isinstance(max_workers, bool) or max_workers < 1:
-            raise ValueError(f"max_workers must be an int >= 1, got {max_workers!r}")
+        # Every option is refused here, by name, before any agent is spawned
+        # or any input shipped.
+        for name, value, kind, optional in (
+            ("timeout", timeout, _is_number, False),
+            ("idle_timeout", idle_timeout, _is_number, True),
+            ("max_workers", max_workers, _is_count, False),
+            ("max_queue_depth", max_queue_depth, _is_count, True),
+        ):
+            if not (value is None and optional) and (not kind(value) or value <= 0):
+                wanted = "an int >= 1" if kind is _is_count else "a number > 0"
+                raise ValueError(
+                    f"{name} must be {wanted}{' or None' if optional else ''}, got {value!r}"
+                )
         self.parties = list(parties)
         self.config = config or CompilationConfig()
-        # Refused here, before any agent is spawned or any input shipped.
         self.config.require_executable()
         self.seed = seed
-        self._retry = retry.validate() if retry is not None else None
+        self._restart = restart.validate() if restart is not None else None
         if faults is not None:
             faults.validate()
         self._submit_lock = threading.Lock()
@@ -269,8 +279,8 @@ class QuerySession:
         # retire callback (which may fire from a receiver thread the moment
         # the pool is up) can always close it.
         self._gateway = QueryGateway(
-            gateway,
-            max_in_flight_default=max_workers,
+            max_workers,
+            max_queue_depth,
             metrics=self._metrics,
             closed_error=SessionClosed,
             completion_counters=_query_completion_counters,
@@ -280,7 +290,6 @@ class QuerySession:
             inputs=inputs,
             timeout=timeout,
             idle_timeout=idle_timeout,
-            start_method=start_method,
             max_workers=max_workers,
             on_retire=self._pool_retired,
             restart=restart,
@@ -326,9 +335,8 @@ class QuerySession:
         inputs).  ``seed``/``config`` default to the session's.
 
         Raises :class:`~repro.runtime.gateway.QueryRejected` when the
-        session's :class:`~repro.core.config.GatewayConfig` queue limit is
-        exceeded — the query was shed before reaching the agents and the
-        session stays fully usable.
+        session's ``max_queue_depth`` is exceeded — the query was shed
+        before reaching the agents and the session stays fully usable.
         """
         from repro.core.compiler import CompiledQuery, compile_query
 
@@ -357,11 +365,11 @@ class QuerySession:
     ) -> Future:
         """Frame one admitted query out to the agents (gateway dispatch hook).
 
-        Without a :class:`~repro.core.config.RetryPolicy` this is one shot:
-        the pool future is handed to the gateway directly.  With one, the
-        gateway gets an *outer* future spanning up to ``max_attempts``
-        attempts — so the gateway's in-flight slot, execute-latency
-        observation and completed/failed counters all cover the whole
+        Without a :class:`~repro.core.config.RestartPolicy` this is one
+        shot: the pool future is handed to the gateway directly.  With one,
+        the gateway gets an *outer* future spanning up to its
+        ``max_attempts`` attempts — so the gateway's in-flight slot,
+        execute-latency observation and completed/failed counters all cover the whole
         retried query, and a recovered crash is invisible to the analyst
         apart from latency.  Every failure of every attempt, whether raised
         while dispatching or delivered by the pool future, reaches the
@@ -370,20 +378,11 @@ class QuerySession:
         def dispatch() -> Future:
             return self._dispatch_once(compiled, fingerprint, config, seed, inputs)
 
-        if self._retry is None or self._retry.max_attempts <= 1:
+        if self._restart is None or self._restart.max_attempts == 1:
             return dispatch()
         outer: Future = Future()
         self._attempt(outer, dispatch, [])
         return outer
-
-    def _retryable(self, exc: BaseException) -> bool:
-        if isinstance(exc, AgentCrashed):
-            return True
-        return bool(
-            self._retry is not None
-            and self._retry.retry_transport_errors
-            and isinstance(exc, TransportError)
-        )
 
     def _attempt(self, outer: Future, dispatch, history: list) -> None:
         """Run one attempt of a retried query; never blocks, never raises."""
@@ -405,16 +404,16 @@ class QuerySession:
         self, outer: Future, dispatch, history: list, exc: BaseException
     ) -> None:
         """The one place a failed attempt is classified: fail, give up, or retry."""
-        if not self._retryable(exc):
+        if not isinstance(exc, (AgentCrashed, TransportError)):
             outer.set_exception(exc)
             return
         history.append({"attempt": len(history) + 1, "error": repr(exc)})
-        if len(history) >= self._retry.max_attempts:
+        if len(history) >= self._restart.max_attempts:
             self._give_up(outer, history, exc)
             return
         # The wait runs on its own thread: this may be a pool receiver
-        # thread, which must never block on backoff or on the pool
-        # recovering (it may *be* the thread driving recovery bookkeeping).
+        # thread, which must never block on the pool recovering (it may
+        # *be* the thread driving recovery bookkeeping).
         threading.Thread(
             target=self._retry_after_recovery, daemon=True, name="query-retry",
             args=(outer, dispatch, history, exc),
@@ -423,19 +422,13 @@ class QuerySession:
     def _retry_after_recovery(
         self, outer: Future, dispatch, history: list, last_exc: BaseException
     ) -> None:
-        retry = self._retry
-        # A retry is only worth dispatching on a recovered pool;
-        # wait_recovered also notices a permanently broken pool early.
+        # A retry is only worth dispatching on a recovered pool, whose
+        # restart already backed off; wait_recovered also notices a
+        # permanently broken pool early.
         if not self._pool.wait_recovered(self._pool.timeout):
             broken = self._pool.broken
             self._give_up(outer, history, last_exc if broken is None else broken)
             return
-        backoff = min(
-            retry.backoff_seconds * retry.backoff_multiplier ** (len(history) - 1),
-            retry.max_backoff_seconds,
-        )
-        if backoff > 0:
-            time.sleep(backoff)
         self._metrics.inc("queries_retried")
         self._attempt(outer, dispatch, history)
 
@@ -443,7 +436,7 @@ class QuerySession:
         self._metrics.inc("retries_exhausted")
         failure = AgentFailure(
             f"query failed after {len(history)} attempt(s) "
-            f"(RetryPolicy.max_attempts={self._retry.max_attempts}); giving up: {last_exc}"
+            f"(RestartPolicy.max_attempts={self._restart.max_attempts}); giving up: {last_exc}"
         )
         failure.attempts = [dict(r) for r in history]
         # A permanently broken pool carries the supervisor's restart history;
@@ -614,11 +607,10 @@ class SocketCoordinator:
 
     def __init__(
         self, parties: list[str], inputs: dict, config: CompilationConfig | None = None,
-        seed: int = 0, *, timeout: float = 60.0, start_method: str | None = None,
-        security: TransportSecurity | None = None,
+        seed: int = 0, *, timeout: float = 60.0, security: TransportSecurity | None = None,
     ):
         self._session_args = (parties, inputs, config, seed)
-        self._options = {"timeout": timeout, "start_method": start_method, "security": security}
+        self._options = {"timeout": timeout, "security": security}
 
     def run(self, compiled):
         started = time.perf_counter()

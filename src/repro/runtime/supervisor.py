@@ -38,8 +38,8 @@ One :class:`AgentSupervisor` serves one :class:`~repro.runtime.pool
   session's idle timeout.  Enforcement is suspended while a restart is
   pending or under way (the agents being replaced answer nothing).
 
-The supervisor never touches query state: failing and retrying in-flight
-queries is the session layer's job (:class:`~repro.core.config.RetryPolicy`).
+The supervisor never touches query state: failing and replaying in-flight
+queries (up to ``RestartPolicy.max_attempts`` tries) is the session's job.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class AgentSupervisor:
 
     def __init__(self, pool, policy: RestartPolicy, metrics=None):
         self._pool = pool
-        self.policy = policy.validate()
+        self.policy = policy
         self._metrics = metrics
         self._lock = threading.Lock()
         #: Dead parties awaiting the next restart -> the cause of death.
@@ -125,8 +125,7 @@ class AgentSupervisor:
             if deaths <= policy.max_restarts:
                 # Deaths reported while backing off join this restart.
                 time.sleep(min(
-                    policy.backoff_seconds * policy.backoff_multiplier ** (deaths - 1),
-                    policy.max_backoff_seconds,
+                    policy.backoff_seconds * 2 ** (deaths - 1), policy.max_backoff_seconds,
                 ))
             with self._wake:
                 if self._stopped:

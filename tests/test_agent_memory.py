@@ -124,7 +124,7 @@ def test_an_agent_opens_without_the_other_parties_inputs():
     def agents_at_open(rows: int):
         tables = TaxiWorkload(seed=1).party_tables(len(spec.parties), rows)
         inputs = {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
-        with cc.QuerySession(spec.parties, inputs=inputs, seed=1, start_method="fork"):
+        with cc.QuerySession(spec.parties, inputs=inputs, seed=1):
             hwm = {proc.name: _vm_hwm_bytes(proc.pid) for proc in active_agent_processes()}
         own = {f"conclave-agent-{p}": sum(column.nbytes for column in tables[i].columns())
                for i, p in enumerate(spec.parties)}

@@ -4,8 +4,9 @@ validation, instead of acting on them."""
 import pytest
 
 import repro as cc
-from repro.core.config import CompilationConfig, GatewayConfig, RestartPolicy, RetryPolicy
+from repro.core.config import CompilationConfig, RestartPolicy
 from repro.model.estimator import EstimatorParams
+from repro.runtime.pool import active_agent_processes
 
 #: ``(class, field, value)``: a bool where a count, a number or a mapping of
 #: counts is meant (``True == 1``, so a range check alone passes it), or a
@@ -13,12 +14,7 @@ from repro.model.estimator import EstimatorParams
 WRONG_TYPES = [
     (RestartPolicy, "max_restarts", True),
     (RestartPolicy, "heartbeat_misses", True),
-    (RestartPolicy, "backoff_multiplier", True),
-    (RetryPolicy, "max_attempts", True),
-    (RetryPolicy, "backoff_multiplier", True),
-    (RetryPolicy, "retry_transport_errors", "yes"),
-    (GatewayConfig, "max_in_flight", True),
-    (GatewayConfig, "max_queue_depth", True),
+    (RestartPolicy, "max_attempts", True),
     (EstimatorParams, "filter_selectivity", True),
     (EstimatorParams, "distinct_fraction", True),
     (EstimatorParams, "join_selectivity", True),
@@ -37,6 +33,39 @@ def test_a_value_of_the_wrong_type_is_refused(cls, field, value):
         config = cls(**{field: value})
         if hasattr(config, "validate"):
             config.validate()
+
+
+#: ``(option, value)``: a ``QuerySession`` option out of its range or of the
+#: wrong type.  ``True`` would open a session with a 1 s timeout, ``0`` start
+#: agents whose sockets fail, and ``-1`` raise the socket's own error, which
+#: names no option.
+SESSION_OPTIONS = [
+    ("timeout", True),
+    ("timeout", 0),
+    ("timeout", -1),
+    ("timeout", "60"),
+    ("timeout", None),
+    ("idle_timeout", True),
+    ("idle_timeout", 0),
+    ("idle_timeout", -1),
+    ("max_workers", True),
+    ("max_workers", 0),
+    ("max_workers", "many"),
+    ("max_queue_depth", True),
+    ("max_queue_depth", 0),
+    ("max_queue_depth", -1),
+    ("max_queue_depth", 1.5),
+    ("max_queue_depth", "4"),
+]
+
+
+@pytest.mark.parametrize(
+    "option, value", SESSION_OPTIONS, ids=[f"{o}={v!r}" for o, v in SESSION_OPTIONS]
+)
+def test_a_session_refuses_a_bad_option_before_it_spawns(option, value):
+    with pytest.raises(ValueError, match=f"^{option} must be"):
+        cc.QuerySession(["a.example", "b.example"], **{option: value})
+    assert active_agent_processes() == []
 
 
 SWITCHES = [

@@ -12,7 +12,6 @@ query's latency recorded, and ``QuerySession.stats`` is an immutable
 internally consistent snapshot even under concurrent submission.
 """
 
-import dataclasses
 import threading
 import time
 from concurrent.futures import Future
@@ -20,7 +19,6 @@ from concurrent.futures import Future
 import pytest
 
 import repro as cc
-from repro.core.config import GatewayConfig
 from repro.runtime.gateway import QueryGateway, QueryRejected
 from repro.runtime.metrics import GatewayMetrics, LatencyHistogram
 from repro.runtime.service import SessionClosed
@@ -60,45 +58,10 @@ class StubDispatcher:
         self._next().set_exception(error)
 
 
-class TestGatewayConfig:
-    def test_defaults_are_unlimited(self):
-        config = GatewayConfig().validate()
-        assert config.max_in_flight is None
-        assert config.max_queue_depth is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_in_flight": 0},
-            {"max_queue_depth": -1},
-            {"max_in_flight": -3},
-            {"max_queue_depth": 0},
-            {"max_in_flight": 1.5},
-            {"max_queue_depth": "4"},
-        ],
-    )
-    def test_invalid_limits_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            GatewayConfig(**kwargs).validate()
-
-    def test_the_two_limits_are_the_only_fields(self):
-        assert [f.name for f in dataclasses.fields(GatewayConfig)] == [
-            "max_in_flight", "max_queue_depth",
-        ]
-
-    def test_gateway_validates_its_config(self):
-        with pytest.raises(ValueError, match="max_queue_depth"):
-            QueryGateway(GatewayConfig(max_queue_depth=0))
-
-    def test_in_flight_default_below_one_is_refused(self):
-        with pytest.raises(ValueError, match="max_in_flight"):
-            QueryGateway(max_in_flight_default=0)
-
-
 class TestAdmissionControl:
     def test_full_queue_sheds_immediately(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=1, max_queue_depth=1))
+        gw = QueryGateway(1, 1)
         gw.submit(stub.make("q1"))  # dispatched
         queued = gw.submit(stub.make("q2"))  # queued
         started = time.monotonic()
@@ -117,7 +80,7 @@ class TestAdmissionControl:
         assert gw.in_flight() == 0 and gw.queued() == 0
 
     def test_inline_dispatch_error_raises_and_releases(self):
-        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        gw = QueryGateway(1)
         boom = RuntimeError("frame failed to encode")
 
         def dispatch():
@@ -135,7 +98,7 @@ class TestAdmissionControl:
 
     def test_queued_dispatch_error_fails_future_and_pumps_on(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        gw = QueryGateway(1)
         gw.submit(stub.make("blocker"))
         boom = RuntimeError("dead on dispatch")
 
@@ -152,7 +115,7 @@ class TestAdmissionControl:
 
     def test_close_fails_queued_queries(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=1), closed_error=SessionClosed)
+        gw = QueryGateway(1, closed_error=SessionClosed)
         inflight = gw.submit(stub.make("q1"))
         queued = gw.submit(stub.make("q2"))
         gw.close()
@@ -165,7 +128,7 @@ class TestAdmissionControl:
         assert inflight.result(timeout=5) == "done"
 
     def test_close_keeps_its_first_reason(self):
-        gw = QueryGateway(GatewayConfig(max_in_flight=1), closed_error=SessionClosed)
+        gw = QueryGateway(1, closed_error=SessionClosed)
         gw.close(RuntimeError("agents lost"))
         gw.close(RuntimeError("second close"))
         with pytest.raises(SessionClosed, match="agents lost"):
@@ -173,7 +136,7 @@ class TestAdmissionControl:
 
     def test_in_flight_limit_bounds_concurrent_dispatch(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=2))
+        gw = QueryGateway(2)
         for i in range(5):
             gw.submit(stub.make(f"q{i}"))
         assert stub.order == ["q0", "q1"]
@@ -184,9 +147,9 @@ class TestAdmissionControl:
         assert stub.order == ["q0", "q1", "q2"]
         assert gw.in_flight() == 2 and gw.queued() == 2
 
-    def test_default_in_flight_applies_without_a_limit(self):
+    def test_in_flight_cap_applies_without_a_queue_limit(self):
         stub = StubDispatcher()
-        gw = QueryGateway(max_in_flight_default=3)
+        gw = QueryGateway(3)
         for i in range(4):
             gw.submit(stub.make(f"q{i}"))
         assert stub.order == ["q0", "q1", "q2"]
@@ -194,7 +157,7 @@ class TestAdmissionControl:
 
     def test_unbounded_queue_never_sheds(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        gw = QueryGateway(1)
         futures = [gw.submit(stub.make(f"q{i}")) for i in range(50)]
         assert gw.queued() == 49
         for i in range(50):
@@ -210,7 +173,7 @@ class TestAdmissionControl:
 
     def test_shed_and_admitted_add_up_to_submitted(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=1, max_queue_depth=2))
+        gw = QueryGateway(1, 2)
         rejected = 0
         for i in range(5):
             try:
@@ -227,7 +190,7 @@ class TestAdmissionControl:
 
     def test_failed_execution_fails_the_future_and_pumps_on(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        gw = QueryGateway(1)
         doomed = gw.submit(stub.make("q1"))
         survivor = gw.submit(stub.make("q2"))
         boom = RuntimeError("agent died mid-query")
@@ -241,10 +204,7 @@ class TestAdmissionControl:
 
     def test_completion_counters_are_added_on_success(self):
         stub = StubDispatcher()
-        gw = QueryGateway(
-            GatewayConfig(max_in_flight=1),
-            completion_counters=lambda rows: {"rows_processed": rows},
-        )
+        gw = QueryGateway(1, completion_counters=lambda rows: {"rows_processed": rows})
         first, second = gw.submit(stub.make("q1")), gw.submit(stub.make("q2"))
         stub.finish_next(7)
         stub.finish_next(5)
@@ -258,7 +218,7 @@ class TestAdmissionControl:
         def broken(_result):
             raise KeyError("payload without a rows field")
 
-        gw = QueryGateway(GatewayConfig(max_in_flight=1), completion_counters=broken)
+        gw = QueryGateway(1, completion_counters=broken)
         future = gw.submit(stub.make("q1"))
         stub.finish_next("ok")
         assert future.result(timeout=5) == "ok"
@@ -267,7 +227,7 @@ class TestAdmissionControl:
 
     def test_every_query_records_its_three_latencies(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        gw = QueryGateway(1)
         for i in range(3):
             gw.submit(stub.make(f"q{i}"))
         for _ in range(3):
@@ -281,7 +241,7 @@ class TestAdmissionControl:
 class TestFifoOrder:
     def test_queued_queries_dispatch_in_submission_order(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        gw = QueryGateway(1)
         gw.submit(stub.make("q0"))  # dispatches; the rest queue behind it
         for i in range(1, 6):
             gw.submit(stub.make(f"q{i}"))
@@ -293,7 +253,7 @@ class TestFifoOrder:
 
     def test_a_failed_dispatch_keeps_the_order_of_the_rest(self):
         stub = StubDispatcher()
-        gw = QueryGateway(GatewayConfig(max_in_flight=1))
+        gw = QueryGateway(1)
         gw.submit(stub.make("q0"))
         gw.submit(stub.make("q1"))
 
@@ -423,8 +383,7 @@ class TestSessionIntegration:
         ctx, inputs = two_party_query()
         compiled = cc.compile_query(ctx)
         session = cc.open_session(
-            inputs, seed=3,
-            gateway=GatewayConfig(max_in_flight=1, max_queue_depth=1),
+            inputs, seed=3, max_workers=1, max_queue_depth=1,
         )
         try:
             admitted, rejected = [], 0
@@ -452,7 +411,7 @@ class TestSessionIntegration:
         ctx, inputs = two_party_query()
         compiled = cc.compile_query(ctx)
         session = cc.open_session(
-            inputs, seed=3, gateway=GatewayConfig(max_in_flight=1),
+            inputs, seed=3, max_workers=1,
         )
         try:
             burst = [session.submit_async(compiled) for _ in range(6)]
@@ -513,12 +472,5 @@ class TestSessionIntegration:
         finally:
             session.close()
 
-    def test_max_workers_validation(self):
-        with pytest.raises(ValueError):
-            cc.open_session(parties=["a", "b"], max_workers=0)
-        with pytest.raises(ValueError):
-            cc.open_session(parties=["a", "b"], max_workers="many")
-
     def test_rejection_error_is_exported(self):
         assert cc.QueryRejected is QueryRejected
-        assert cc.GatewayConfig is GatewayConfig

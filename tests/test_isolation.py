@@ -47,7 +47,7 @@ import numpy as np
 import pytest
 
 import repro as cc
-from repro.core.config import CompilationConfig, RestartPolicy, RetryPolicy, TransportSecurity
+from repro.core.config import CompilationConfig, RestartPolicy, TransportSecurity
 from repro.mpc.network import Network
 from repro.mpc.protocols import SharedTable, mpc_aggregate, mpc_filter
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine
@@ -452,11 +452,13 @@ class TestRelationWideRoundsOnSlices:
 def _expansion(key, n, vector=0):
     """``n`` slice elements expanded from ``key`` (bytes, or the engine's
     integer form) as an agent expands its slice of the ``vector``-th private
-    input vector of query :attr:`_PipeMesh.query_id`."""
+    input vector of ``n`` elements on a link in query
+    :attr:`_PipeMesh.query_id`: the link's one generator of the query, past
+    the vectors before it."""
     if isinstance(key, bytes):
         key = int.from_bytes(key, "little")
-    seq = np.random.SeedSequence(key, spawn_key=(_PipeMesh.query_id, vector))
-    return np.random.PCG64(seq).random_raw(n)
+    seq = np.random.SeedSequence(key, spawn_key=(_PipeMesh.query_id,))
+    return np.random.PCG64(seq).random_raw(n * (vector + 1))[-n:]
 
 
 class TestPrivateInputsArePrivate:
@@ -1013,7 +1015,6 @@ class TestLinkKeys:
             restart=RestartPolicy(
                 backoff_seconds=0.05, max_backoff_seconds=0.5, heartbeat_interval_seconds=None
             ),
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.05),
         ) as session:
             results = [session.submit(compiled, timeout=120) for _ in range(2)]
             stats = session.stats
@@ -1027,19 +1028,6 @@ class TestLinkKeys:
         assert len(before) == len(after) == 3  # every link of three agents
         assert len(set(before.values())) == 3
         assert set(after) == set(before) and not set(after.values()) & set(before.values())
-
-
-def test_forkserver_agents_return_byte_identical_results():
-    """``start_method="forkserver"`` starts each agent from a fork server
-    that imported only the agent, so no agent's address space begins as a
-    copy of the coordinator's heap (every party's inputs, under the
-    platform default ``fork``).  The option changes no byte of a result."""
-    with cc.QuerySession(PARTIES, seed=3, start_method="forkserver") as session:
-        for plan in range(0, NUM_PLANS, 10):
-            ctx, inputs = build_query(generate_spec(SEED + plan))
-            compiled = cc.compile_query(ctx)
-            result = session.submit(compiled, inputs=inputs)
-            assert_byte_identical(result, cc.run_query(ctx, inputs, seed=3), f"plan {plan}")
 
 
 # -- the agent's process image --------------------------------------------------------------
@@ -1099,8 +1087,7 @@ def test_no_agent_maps_a_page_of_any_input():
     compiled = cc.compile_query(spec.context)
     reference = cc.QueryRunner(spec.parties, inputs, seed=5).run(compiled)
     restart = cc.RestartPolicy(backoff_seconds=0.05, heartbeat_interval_seconds=None)
-    with cc.QuerySession(spec.parties, inputs=inputs, seed=5, start_method="fork",
-                         restart=restart) as session:
+    with cc.QuerySession(spec.parties, inputs=inputs, seed=5, restart=restart) as session:
         _assert_no_agent_maps(spans)
         _assert_same_result(session.submit(compiled), reference)
         session._pool._processes[spec.parties[1]].kill()
@@ -1124,7 +1111,7 @@ def test_no_agent_maps_the_buffer_behind_a_selected_or_sliced_input():
     inputs[first][name] = table.select_rows(table.columns()[0] % 2 == 0)
     (name, table), = inputs[second].items()
     inputs[second][name] = table.limit(FENCE_ROWS // 2)
-    with cc.QuerySession(spec.parties, inputs=inputs, seed=5, start_method="fork"):
+    with cc.QuerySession(spec.parties, inputs=inputs, seed=5):
         _assert_no_agent_maps(spans)
 
 
@@ -1176,12 +1163,12 @@ def test_a_fork_from_another_thread_keeps_every_input_page():
     forker.start()
     try:
         for _ in range(3):
-            with cc.QuerySession(spec.parties, inputs=inputs, seed=5, start_method="fork"):
+            with cc.QuerySession(spec.parties, inputs=inputs, seed=5):
                 pass
     finally:
         stop.set()
         forker.join(120)
     assert not forker.is_alive()
     assert sums and sums == [expected] * len(sums)
-    with cc.QuerySession(spec.parties, inputs=inputs, seed=5, start_method="fork"):
+    with cc.QuerySession(spec.parties, inputs=inputs, seed=5):
         assert _child_sum(inputs) == expected

@@ -555,7 +555,7 @@ class TestAcceptAgents:
         _ctx, inputs = two_party_query()
         started = time.monotonic()
         with pytest.raises(AgentFailure, match=r"'b\.example' exited with code 3"):
-            cc.QuerySession(sorted(inputs), inputs, timeout=30, start_method="fork")
+            cc.QuerySession(sorted(inputs), inputs, timeout=30)
         assert time.monotonic() - started < 2.0
         assert wait_until(lambda: active_agent_processes() == [], timeout=10)
         assert active_sessions() == []

@@ -31,7 +31,7 @@ import time
 import pytest
 
 import repro as cc
-from repro.core.config import CompilationConfig, RestartPolicy, RetryPolicy
+from repro.core.config import CompilationConfig, RestartPolicy
 from repro.core.dispatch import QueryRunner
 from repro.runtime.faults import FaultInjector, FaultPlan, KillFault, LinkFault
 from repro.runtime.service import AgentCrashed, AgentFailure
@@ -41,7 +41,7 @@ from test_query_service import PARTY_A, PARTY_B, two_party_query, wait_until
 
 
 def supervised_session(inputs, *, seed=9, timeout=30.0, faults=None, **overrides):
-    """An open session with fast supervision/retry policies for tests."""
+    """An open session with a fast supervision policy for tests."""
     restart = overrides.pop(
         "restart",
         RestartPolicy(
@@ -50,13 +50,11 @@ def supervised_session(inputs, *, seed=9, timeout=30.0, faults=None, **overrides
             heartbeat_interval_seconds=None,
         ),
     )
-    retry = overrides.pop("retry", RetryPolicy(max_attempts=3, backoff_seconds=0.05))
     return cc.open_session(
         inputs,
         seed=seed,
         timeout=timeout,
         restart=restart,
-        retry=retry,
         faults=faults,
         **overrides,
     )
@@ -101,24 +99,16 @@ class TestPolicyValidation:
         for bad in (
             RestartPolicy(max_restarts=0),
             RestartPolicy(window_seconds=-1),
-            RestartPolicy(backoff_multiplier=0.5),
+            RestartPolicy(backoff_seconds=-0.1),
             RestartPolicy(heartbeat_interval_seconds=0),
             RestartPolicy(heartbeat_misses=0),
+            RestartPolicy(max_attempts=0),
         ):
             with pytest.raises(ValueError):
                 bad.validate()
         RestartPolicy().validate()
         RestartPolicy(heartbeat_interval_seconds=None).validate()
-
-    def test_retry_policy_rejects_bad_values(self):
-        for bad in (
-            RetryPolicy(max_attempts=0),
-            RetryPolicy(backoff_seconds=-0.1),
-            RetryPolicy(backoff_multiplier=0),
-        ):
-            with pytest.raises(ValueError):
-                bad.validate()
-        RetryPolicy().validate()
+        RestartPolicy(max_attempts=1).validate()
 
     def test_fault_plan_rejects_bad_values(self):
         for bad in (
@@ -170,6 +160,40 @@ class TestCrashRecovery:
         assert stats["restarts"] >= 1
         assert stats["retries"] >= 1
         assert stats["retries_exhausted"] == 0
+
+    def test_a_restart_policy_alone_replays_an_interrupted_query(self):
+        """Replay is part of supervision: a session given nothing but a
+        ``RestartPolicy`` replays the query a kill interrupted and returns
+        the fault-free result."""
+        ctx, inputs = two_party_query()
+        reference = cc.run_query(ctx, inputs, seed=9)
+        faults = FaultPlan(kills=(KillFault(PARTY_B, at_query=2),))
+        restart = RestartPolicy(backoff_seconds=0.05, heartbeat_interval_seconds=None)
+        with cc.open_session(inputs, seed=9, restart=restart, faults=faults) as session:
+            for _ in range(2):
+                result = session.submit(ctx, timeout=60)
+                assert result.outputs["out"] == reference.outputs["out"]
+                assert result.mpc_profile == reference.mpc_profile
+            # The restart is counted just after the pool reports healthy.
+            assert wait_until(lambda: session.stats["restarts"] == 1)
+            assert session.stats["retries"] == 1
+
+    def test_one_attempt_surfaces_the_crash(self):
+        """``max_attempts=1`` replays nothing: the interrupted query fails
+        with the retryable marker, and the restarted session serves on."""
+        ctx, inputs = two_party_query()
+        faults = FaultPlan(kills=(KillFault(PARTY_B, at_query=2),))
+        restart = RestartPolicy(
+            backoff_seconds=0.05, heartbeat_interval_seconds=None, max_attempts=1
+        )
+        with cc.open_session(inputs, seed=9, restart=restart, faults=faults) as session:
+            session.submit(ctx, timeout=60)
+            with pytest.raises(AgentCrashed):
+                session.submit(ctx, timeout=60)
+            assert session._pool.wait_recovered(60)
+            assert session.submit(ctx, timeout=60).outputs["out"] is not None
+            assert wait_until(lambda: session.stats["restarts"] == 1)
+            assert session.stats["retries"] == 0
 
     def test_real_process_kill_recovers(self):
         """A genuine SIGKILL (no injection) between queries: the supervisor
@@ -265,11 +289,10 @@ class TestFaultMatrix:
     """One targeted test per link-fault action, each against a fault-free
     reference run of the same query."""
 
-    def _run(self, faults, *, queries=2, timeout=30.0, retry=None):
+    def _run(self, faults, *, queries=2, timeout=30.0):
         ctx, inputs = two_party_query()
         reference = cc.run_query(ctx, inputs, seed=9)
-        kwargs = {} if retry is None else {"retry": retry}
-        with supervised_session(inputs, faults=faults, timeout=timeout, **kwargs) as session:
+        with supervised_session(inputs, faults=faults, timeout=timeout) as session:
             for _ in range(queries):
                 result = session.submit(ctx, timeout=60)
                 assert result.outputs["out"] == reference.outputs["out"]
@@ -300,9 +323,7 @@ class TestFaultMatrix:
     def test_dropped_frame_times_out_and_retries(self, frames_per_query):
         nth = mid_query(frames_per_query, PARTY_A)
         stats = self._run(
-            FaultPlan(links=(LinkFault(PARTY_A, "drop", nth),)),
-            timeout=6.0,
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.05, retry_transport_errors=True),
+            FaultPlan(links=(LinkFault(PARTY_A, "drop", nth),)), timeout=6.0,
         )
         assert stats["retries"] >= 1
         assert stats["retries_exhausted"] == 0
@@ -332,11 +353,11 @@ class TestBudgetExhaustion:
             backoff_seconds=0.05,
             max_backoff_seconds=0.2,
             heartbeat_interval_seconds=None,
+            max_attempts=6,
         )
-        retry = RetryPolicy(max_attempts=6, backoff_seconds=0.05)
         started = time.monotonic()
         with supervised_session(
-            inputs, faults=faults, restart=restart, retry=retry, timeout=20.0
+            inputs, faults=faults, restart=restart, timeout=20.0
         ) as session:
             with pytest.raises(AgentFailure) as info:
                 session.submit(ctx, timeout=60)
@@ -363,10 +384,10 @@ class TestBudgetExhaustion:
             backoff_seconds=0.05,
             max_backoff_seconds=0.2,
             heartbeat_interval_seconds=None,
+            max_attempts=4,
         )
         with supervised_session(
-            inputs, faults=faults, restart=restart,
-            retry=RetryPolicy(max_attempts=4, backoff_seconds=0.05), timeout=20.0,
+            inputs, faults=faults, restart=restart, timeout=20.0,
         ) as session:
             with pytest.raises(AgentFailure) as info:
                 session.submit(ctx, timeout=60)
@@ -569,12 +590,12 @@ class TestChaosDifferential:
         )
         assert faults.kills, "the seeded plan must schedule at least one kill"
         restart = RestartPolicy(
-            backoff_seconds=0.05, max_backoff_seconds=0.5, heartbeat_interval_seconds=None
+            backoff_seconds=0.05, max_backoff_seconds=0.5, heartbeat_interval_seconds=None,
+            max_attempts=4,
         )
-        retry = RetryPolicy(max_attempts=4, backoff_seconds=0.05)
         with cc.QuerySession(
             [DIFF_A, DIFF_B], config=config, seed=3,
-            restart=restart, retry=retry, faults=faults, timeout=60.0,
+            restart=restart, faults=faults, timeout=60.0,
         ) as session:
             for plan in range(NUM_PLANS):
                 spec = generate_spec(SEED + plan)

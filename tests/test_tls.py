@@ -28,7 +28,6 @@ import repro as cc
 from repro.core.config import (
     CompilationConfig,
     RestartPolicy,
-    RetryPolicy,
     TransportSecurity,
 )
 from repro.core.dispatch import QueryRunner
@@ -295,12 +294,11 @@ class TestTlsRecovery:
         faults = FaultPlan(kills=(KillFault(PARTY_B, at_query=2),))
         restart = RestartPolicy(
             backoff_seconds=0.05, max_backoff_seconds=0.5,
-            heartbeat_interval_seconds=None,
+            heartbeat_interval_seconds=None, max_attempts=4,
         )
-        retry = RetryPolicy(max_attempts=4, backoff_seconds=0.05)
         with cc.QuerySession(
             [PARTY_A, PARTY_B], config=config, seed=3, security=security,
-            faults=faults, restart=restart, retry=retry, timeout=60.0,
+            faults=faults, restart=restart, timeout=60.0,
         ) as session:
             for _ in range(3):  # query 2 dies mid-stream and is retried
                 result = session.submit(compiled, inputs=inputs, timeout=120)
