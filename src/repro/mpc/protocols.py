@@ -213,7 +213,7 @@ def _multiply(
 def _truncate_fixed_point(engine: SecretSharingEngine, vec: SharedVector) -> SharedVector:
     """Rescale a double-width fixed-point product back to single precision.
 
-    Executed as an ideal functionality (env-open, divide, re-share) with
+    Executed as an ideal functionality (env-apply, divide, re-share) with
     the cost of a probabilistic truncation protocol (one multiplication and
     one round per element) charged to the meter.
     """
@@ -228,8 +228,8 @@ def _divide(table: SharedTable, left: str, right: "str | float") -> SharedVector
     Division under secret sharing is notoriously expensive; the standard
     approach (Goldschmidt iteration) costs tens of multiplications per
     element.  We execute it as an ideal functionality over the reconstructed
-    fixed-point values — ``left``, and a divisor column, opened in one round
-    — and meter that realistic cost.
+    fixed-point values — ``left``, and a divisor column, sent to the last
+    compute party in one round — and meter that realistic cost.
     """
     engine = table.engine
     names = [left, right] if isinstance(right, str) else [left]
@@ -497,9 +497,10 @@ def mpc_aggregate(
     # Oblivious accumulation scan: fold each row's value into the next row of
     # the same key group; a row is "last of its group" if the next key differs.
     key_col = table.column(group_by)
-    keep_flags = engine.fill(1, n)
     acc = value_col
-    if n > 1:
+    if n <= 1:
+        keep_flags = engine.fill(1, n)
+    else:
         # The one opening of the key column to the environment: the sort
         # order, the adjacent-equality flags and the segment boundaries are
         # all functions of it, each still charged the price of the oblivious

@@ -26,11 +26,16 @@ secret-sharing MPC backend:
   values, with operator overloads for the supported arithmetic.
 
 Comparisons and equality tests on shares are executed as *ideal
-functionalities*: the engine opens the operands to the protocol environment
-(one real ``env-open`` broadcast round, so the opened values depend on wire
-bytes) and charges the cost meter the realistic price of the corresponding
-bit-decomposition protocol (:meth:`SecretSharingEngine.charge` with the
-step's :mod:`repro.model.steps` meter).  Addition and multiplication are
+functionalities* (:meth:`SecretSharingEngine.env_apply`): every other
+compute party sends its slices of the operands to the last one (one real
+``env-apply`` round, so the operands depend on wire bytes), whose engine
+alone evaluates the function — the last party's slice of the fresh sharing
+of the result is the only one that depends on it — and the cost meter is
+charged the realistic price of the corresponding bit-decomposition protocol
+(:meth:`SecretSharingEngine.charge` with the step's :mod:`repro.model.steps`
+meter).  What every engine uses as public positions — sort orders, group
+boundaries, oblivious-index rows — opens to every engine in an ``env-open``
+broadcast round instead.  Addition and multiplication are
 executed for real — shares are genuinely random, travel over the network,
 and reconstruct to the correct results.  This keeps every query end-to-end
 *functional* while the cost accounting stays faithful to a real deployment.
@@ -94,8 +99,6 @@ from repro.model import steps
 from repro.model.counters import SHARE_BYTES, CostMeter
 from repro.mpc.network import Network, TransportError
 
-#: Number of bits in the secret-sharing ring.
-RING_BITS = 64
 _U64 = np.uint64
 
 
@@ -146,10 +149,7 @@ class AdditiveSharing:
         if num_parties < 2:
             raise ValueError("secret sharing requires at least two parties")
         ring_vals = _to_ring(values)
-        shares = [
-            rng.integers(0, 2**RING_BITS, size=ring_vals.shape, dtype=_U64)
-            for _ in range(num_parties - 1)
-        ]
+        shares = [rng.bit_generator.random_raw(ring_vals.shape) for _ in range(num_parties - 1)]
         last = ring_vals.copy()
         for share in shares:
             last = last - share  # uint64 arithmetic wraps mod 2^64
@@ -193,8 +193,8 @@ class TripleDealer:
 
     def triples(self, count: int) -> BeaverTriple:
         """Produce ``count`` element-wise multiplication triples."""
-        a = self._rng.integers(0, 2**RING_BITS, size=count, dtype=_U64)
-        b = self._rng.integers(0, 2**RING_BITS, size=count, dtype=_U64)
+        a = self._rng.bit_generator.random_raw(count)
+        b = self._rng.bit_generator.random_raw(count)
         c = a * b  # wraps mod 2^64
         rng = self._rng
         return BeaverTriple(
@@ -540,14 +540,16 @@ class SecretSharingEngine:
             self, [np.empty(0, dtype=_U64) for _ in range(self.num_local_shares)]
         )
 
-    def _env_sharing(self, values: np.ndarray) -> list[np.ndarray]:
-        """Local slices of a fresh sharing of ring ``values`` every engine knows.
+    def _env_sharing(self, n: int, values: "np.ndarray | None" = None) -> list[np.ndarray]:
+        """Local slices of a fresh sharing of ``n`` ring ``values``.
 
         ``values`` is consumed: it becomes the last party's slice.  Party
         ``i < n-1`` holds mask ``i`` off its own stream, the last party holds
-        ``values - sum(masks)``; an engine draws exactly the streams its
-        slices depend on, and every engine that draws a stream draws it at
-        the same points, so the streams stay in lockstep.
+        ``values - sum(masks)``, so only an engine holding the last party's
+        slice needs ``values``; every other engine passes the row count
+        alone.  An engine draws exactly the streams its slices depend on,
+        and every engine that draws a stream draws it at the same points, so
+        the streams stay in lockstep.
         """
         last = self.num_parties - 1
         holds_last = last in self._local_pos
@@ -555,7 +557,7 @@ class SecretSharingEngine:
         for i, rng in enumerate(self._mask_rngs):
             if not holds_last and i not in self._local_pos:
                 continue
-            mask = rng.integers(0, 2**RING_BITS, size=values.shape, dtype=_U64)
+            mask = rng.bit_generator.random_raw(n)
             if holds_last:
                 values -= mask  # uint64 arithmetic wraps mod 2^64
             if i in self._local_pos:
@@ -570,28 +572,43 @@ class SecretSharingEngine:
         The slices are freshly allocated, so a resharing may add the old
         share into them in place.
         """
-        return self._env_sharing(np.zeros(int(n), dtype=_U64))
+        return self._env_sharing(int(n), np.zeros(int(n), dtype=_U64))
 
     def share_from_env(self, values: np.ndarray) -> SharedVector:
         """Share values known to the protocol environment (every party).
 
-        Used by the ideal-functionality steps to re-share a result they
-        computed on env-opened data, and by the hybrid protocols for what the
-        STP hands back in the clear; the randomness comes from the per-party
-        mask streams, keeping lockstep engines synchronised.  Nothing
+        Used for flags computed on env-opened positions, and by the hybrid
+        protocols for what the STP hands back in the clear; the randomness
+        comes from the per-party mask streams, keeping lockstep engines
+        synchronised.  Nothing
         crosses the wire and nothing is charged: a caller standing for a
         protocol charges its price.
         """
         self._require_local()
-        return SharedVector(self, self._env_sharing(_to_ring(values)), len(values))
+        return SharedVector(self, self._env_sharing(len(values), _to_ring(values)), len(values))
 
     def env_apply(self, fn, vecs: Sequence[SharedVector]) -> SharedVector:
-        """``fn`` of the vectors, computed by the protocol environment: one
-        env-open round (:meth:`env_open_many`), then a fresh sharing of
-        ``fn(*opened)``.  The ideal functionalities — comparisons, fixed-point
-        truncation and division, the grouped min/max scan — run this way;
-        each caller charges the price of the protocol it stands for."""
-        return self.share_from_env(fn(*self.env_open_many(vecs)))
+        """``fn`` of the vectors, computed by the protocol environment at the
+        last compute party: one ``env-apply`` round in which every other
+        party sends it its slices, then a fresh sharing of ``fn(*opened)``.
+
+        Only the last party's slice of that sharing depends on the values
+        (see :meth:`_env_sharing`), so only the engine holding it
+        reconstructs the operands and runs ``fn``; every other engine draws
+        its mask.  ``fn`` is row-wise: one output per input row.  The ideal
+        functionalities — comparisons, fixed-point truncation and division,
+        the grouped min/max scan — run this way; each caller charges the
+        price of the protocol it stands for."""
+        self._require_local()
+        n = len(vecs[0])
+        opened = self._gather("env-apply", vecs, self.party_names[-1])
+        values = None
+        if opened is not None:
+            values = fn(*opened)
+            if len(values) != n:
+                raise ValueError(f"env_apply: fn gave {len(values)} rows for {n}")
+            values = _to_ring(values)
+        return SharedVector(self, self._env_sharing(n, values), n)
 
     # -- openings ----------------------------------------------------------------------
 
@@ -652,9 +669,11 @@ class SecretSharingEngine:
     def env_open_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
         """Open vectors to the protocol *environment* (one batched round).
 
-        The ideal-functionality steps (comparisons, sort keys, oblivious
-        index positions, aggregation boundaries, fixed-point truncation) run
-        on cleartext the environment reconstructs.  That reconstruction is
+        The steps whose result every engine uses as public positions (sort
+        keys, oblivious index positions, aggregation boundaries, key-range
+        checks) run on cleartext the environment reconstructs at every
+        engine; a step whose result is re-shared runs at one party instead
+        (:meth:`env_apply`).  That reconstruction is
         a real broadcast round — all vectors batched into one exchange — so
         the environment's view, too, is built from wire bytes.  The realistic
         protocol cost of each step is still charged separately by its caller
@@ -684,20 +703,28 @@ class SecretSharingEngine:
             values = self.env_open_many(vecs)
             self.charge(steps.external_leg_meter(total, self.num_parties))
             return values
+        values = self._gather("reveal-share", vecs, party)
+        self.meter.output_records += total
+        return values
+
+    def _gather(self, tag: str, vecs: Sequence[SharedVector], party: str) -> list | None:
+        """Every compute party but ``party`` sends it its slices of ``vecs``
+        (one round of ``n - 1`` messages).  Returns the values reconstructed
+        from the slices as delivered at the engine holding ``party``'s
+        slice, ``None`` everywhere else."""
         party_idx = self.party_names.index(party)
         slices = self._per_party(lambda i, pos: tuple(vec.shares[pos] for vec in vecs))
         sends = [
             (name, party, slices[i]) for i, name in enumerate(self.party_names) if name != party
         ]
-        delivered = self.network.round("reveal-share", sends, total * SHARE_BYTES)
-        self.meter.output_records += total
+        delivered = self.network.round(tag, sends, sum(len(vec) for vec in vecs) * SHARE_BYTES)
         if party_idx not in self._local_pos:
             return None
         shares = [
             slices[i] if i == party_idx else delivered[(name, party)]
             for i, name in enumerate(self.party_names)
         ]
-        return self._opened(shares, f"reveal to {party!r}", vecs)
+        return self._opened(shares, tag, vecs)
 
     def hand_back(self, party: str, payload: "tuple | None", layout: Layout) -> tuple:
         """What ``party`` computed on a reveal to it, handed back to every

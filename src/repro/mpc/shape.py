@@ -140,12 +140,11 @@ class ShapeEngine(SecretSharingEngine):
     def zero_sharing(self, n: int) -> list[np.ndarray]:
         return []
 
-    def _expanded_input(self, values, c_idx: int, num_rows) -> list:
+    def _env_sharing(self, n: int, values=None) -> list[np.ndarray]:
         return []
 
-    def env_apply(self, fn, vecs: Sequence[SharedVector]) -> SharedVector:
-        self.env_open_many(vecs)
-        return self._vector(len(vecs[0]))
+    def _expanded_input(self, values, c_idx: int, num_rows) -> list:
+        return []
 
     # -- positions and scans ----------------------------------------------------------------
 

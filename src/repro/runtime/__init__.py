@@ -19,6 +19,9 @@ shape:
 * :mod:`repro.runtime.executor` — the node-by-node plan executor shared by
   the in-process :class:`~repro.core.dispatch.QueryRunner` and the
   per-party agents.
+* :mod:`repro.runtime.queues` — executors joined by in-memory queues
+  instead of sockets: one per party, each holding only its own inputs, in
+  one process (tests and ``benchmarks/party_cpu.py``).
 * :mod:`repro.runtime.agent` / :mod:`repro.runtime.pool` — the long-lived
   per-party agent process, and the :class:`AgentPool` that forks one per
   party, accepts their control links as an agent accepts a peer (the

@@ -34,6 +34,11 @@ points moved by the STP's hand-back round: +1 ms at small sizes (Figs. 5a,
 5b, 6), more where the hand-back grows with the rows (Figs. 5a, 5b), and
 down at Fig. 6's large sizes and in the hybrid-operator ablation, where the
 banks no longer receive the keys.
+
+When the operands of comparisons, truncations, divisions and min/max scans
+began to go to the last compute party only (one ``env-apply`` round of
+``n - 1`` messages instead of an ``n (n - 1)`` broadcast), 37 points moved
+down, none by more than 0.23 % (Figs. 1b, 4, 5a, 6, 7a and the ablations).
 """
 
 import functools
@@ -66,11 +71,11 @@ PINS = {
     ],
     "1b": [
         {
-            "records": 10, "spark": 6.10001525, "sharemind": 2.118994898,
+            "records": 10, "spark": 6.10001525, "sharemind": 2.118987986,
             "obliv-c": 2.1199168000000004,
         },
         {
-            "records": 1000, "spark": 6.101692750000003, "sharemind": 39.747404618000004,
+            "records": 1000, "spark": 6.101692750000003, "sharemind": 39.662241866,
             "obliv-c": 163.25199999999998,
         },
         {"records": 30000, "spark": 6.150833333333335, "sharemind": None, "obliv-c": None},
@@ -95,37 +100,37 @@ PINS = {
     ],
     "4": [
         {
-            "records": 10, "conclave": 9.20568387866667, "sharemind": 2.164729572000001,
-            "insecure-spark": 9.205681600888887,
+            "records": 10, "conclave": 9.205682598666671, "sharemind": 2.164724452,
+            "insecure-spark": 9.205680320888888,
         },
         {
-            "records": 1000, "conclave": 9.206198378666667, "sharemind": 4.568304130000001,
-            "insecure-spark": 9.20585310088889,
+            "records": 1000, "conclave": 9.206197098666667, "sharemind": 4.56804557,
+            "insecure-spark": 9.20585182088889,
         },
         {
-            "records": 100000, "conclave": 9.257568378666669, "sharemind": 651.779746618,
-            "insecure-spark": 9.222976434222225,
+            "records": 100000, "conclave": 9.25756709866667, "sharemind": 651.7541440579998,
+            "insecure-spark": 9.222975154222226,
         },
         {
-            "records": 10000000, "conclave": 14.39456837866667, "sharemind": None,
-            "insecure-spark": 10.935309767555557,
+            "records": 10000000, "conclave": 14.39456709866667, "sharemind": None,
+            "insecure-spark": 10.935308487555558,
         },
         {
-            "records": 1300000000, "conclave": 683.7612350453337, "sharemind": None,
-            "insecure-spark": 234.0575319897779,
+            "records": 1300000000, "conclave": 683.7612337653338, "sharemind": None,
+            "insecure-spark": 234.05753070977792,
         },
     ],
     "5a": [
         {
-            "records": 10, "sharemind-join": 2.115076154, "hybrid-join": 15.090121633333332,
+            "records": 10, "sharemind-join": 2.115074554, "hybrid-join": 15.090121633333332,
             "public-join": 15.058515103333331,
         },
         {
-            "records": 1000, "sharemind-join": 30.277224, "hybrid-join": 16.852699333333334,
+            "records": 1000, "sharemind-join": 30.261224, "hybrid-join": 16.852699333333334,
             "public-join": 15.505510333333334,
         },
         {
-            "records": 10000, "sharemind-join": 2780.31024, "hybrid-join": 36.866233333333334,
+            "records": 10000, "sharemind-join": 2778.71024, "hybrid-join": 36.866233333333334,
             "public-join": 19.569103333333334,
         },
         {
@@ -153,18 +158,18 @@ PINS = {
         },
     ],
     "6": [
-        {"records": 10, "conclave": 29.230645504666665, "sharemind": 2.15044323},
-        {"records": 1000, "conclave": 30.830446198000004, "sharemind": 28.111284898000005},
-        {"records": 3000, "conclave": 34.41404411800001, "sharemind": 228.2226574100001},
-        {"records": 30000, "conclave": 89.767332078, "sharemind": None},
-        {"records": 300000, "conclave": 729.6282740780001, "sharemind": None},
+        {"records": 10, "conclave": 29.230644992666665, "sharemind": 2.150437854},
+        {"records": 1000, "conclave": 30.830444662000005, "sharemind": 28.054505890000005},
+        {"records": 3000, "conclave": 34.41403899800001, "sharemind": 227.71062669000008},
+        {"records": 30000, "conclave": 89.767280878, "sharemind": None},
+        {"records": 300000, "conclave": 729.6277620780002, "sharemind": None},
     ],
     "7a": [
-        {"records": 10, "conclave": 15.06998394733333, "smcql": 10.00008},
-        {"records": 1000, "conclave": 15.957691785333335, "smcql": 28.2191936},
-        {"records": 40000, "conclave": 50.808886911333325, "smcql": 738.767744},
-        {"records": 400000, "conclave": 373.21227910333323, "smcql": None},
-        {"records": 4000000, "conclave": 3600.390815103334, "smcql": None},
+        {"records": 10, "conclave": 15.069983883333332, "smcql": 10.00008},
+        {"records": 1000, "conclave": 15.957688713333336, "smcql": 28.2191936},
+        {"records": 40000, "conclave": 50.80876403133333, "smcql": 738.767744},
+        {"records": 400000, "conclave": 373.2110503033333, "smcql": None},
+        {"records": 4000000, "conclave": 3600.378527103334, "smcql": None},
     ],
     "7b": [
         {"records": 10, "conclave": 7.063063819333333, "smcql": 10.906843456},
@@ -175,13 +180,13 @@ PINS = {
     "ablations": [
         {
             "optimization": "mpc-frontier-push-down", "records": 3000000,
-            "disabled": 32974.82835507, "enabled": 10.762347128666667,
-            "speedup": 3063.906781750052,
+            "disabled": 32974.060352254004, "enabled": 10.762345848666667,
+            "speedup": 3063.835785981466,
         },
         {
             "optimization": "hybrid-operators", "records": 30000,
-            "disabled": 22365.447894986002, "enabled": 89.767332078,
-            "speedup": 249.14907658782124,
+            "disabled": 22314.245283786004, "enabled": 89.767280878,
+            "speedup": 248.5788258877154,
         },
         {
             "optimization": "sort-push-up", "records": 200000, "disabled": 1406.72348064,

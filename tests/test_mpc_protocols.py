@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -17,12 +16,13 @@ from repro.exec.engine import ColumnarBackend
 from repro.hybrid import SelectivelyTrustedParty, hybrid_agg
 from repro.model.counters import CostMeter
 from repro.mpc import protocols
-from repro.mpc.network import Network
+from repro.mpc.network import Network, TransportError
 from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.protocols import SharedTable
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine, SharedVector
 from repro.mpc.shape import ShapeEngine
 from repro.mpc.sharemind import SharemindBackend
+from repro.runtime.queues import queue_channels
 from test_differential import NUM_PLANS, SEED, generate_spec, run_spec
 from tests.conftest import PARTIES, make_table
 
@@ -234,9 +234,12 @@ class TestAggregateOpensItsKeyOnce:
 
         assert result.reveal().equals_unordered(table.aggregate(["key"], agg_col, func, "out"))
         scan = "sum" if func in ("sum", "count") else "extremum"
-        # The key column, and for min/max the value column the scan runs on.
-        expected_openings = [] if n <= 1 else [n * 8] * (1 if scan == "sum" else 2)
-        assert [size for tag, size in log.rounds if tag == "env-open"] == expected_openings
+        # The key column opens to every engine; for min/max the value column
+        # the scan runs on goes to the last compute party only.
+        assert [size for tag, size in log.rounds if tag == "env-open"] == [n * 8] * (n > 1)
+        assert [size for tag, size in log.rounds if tag == "env-apply"] == [n * 8] * (
+            n > 1 and scan == "extremum"
+        )
         assert (
             engine.meter.comparisons - comparisons,
             engine.meter.multiplications - multiplications,
@@ -408,34 +411,23 @@ def full_reshare_compact(engine, flags, columns):
     return [col.take(keep) for col in shuffled[1:]]
 
 
-class QueueMesh:
-    """An in-process mesh channel: one queue per ordered pair of parties."""
-
-    def __init__(self, party, queues):
-        self.party = party
-        self.peers = {peer for peer in PARTIES if peer != party}
-        self._queues = queues
-
-    def send_message(self, peer, tag, payload):
-        self._queues[(self.party, peer)].put((tag, payload))
-
-    def receive_message(self, peer):
-        return self._queues[(peer, self.party)].get(timeout=30)
+def agent_engines(channels):
+    """One engine per party, holding its slice only, on ``channels``."""
+    return [
+        SecretSharingEngine(
+            PARTIES, seed=COMPACT_SEED, local_parties=[party],
+            network=Network(PARTIES, channel=channels[party]),
+        )
+        for party in PARTIES
+    ]
 
 
 def compaction_engines(layout):
     """One engine holding every slice, or one agent-shaped engine per party
-    (one slice each) joined by an in-process mesh."""
+    (one slice each) joined by in-memory queue channels."""
     if layout == "all-local":
         return [SecretSharingEngine(PARTIES, seed=COMPACT_SEED)]
-    queues = {(a, b): queue.Queue() for a in PARTIES for b in PARTIES if a != b}
-    return [
-        SecretSharingEngine(
-            PARTIES, seed=COMPACT_SEED, local_parties=[party],
-            network=Network(PARTIES, channel=QueueMesh(party, queues)),
-        )
-        for party in PARTIES
-    ]
+    return agent_engines(queue_channels(PARTIES))
 
 
 def run_compaction(layout, protocol):
@@ -520,3 +512,96 @@ def test_a_shape_run_charges_the_compaction_an_execution_charges(n):
     shaped = protocols.compact(shape, shape.fill(0, n), [shape.fill(0, n) for _ in COMPACT_COLUMNS])
     assert [len(col) for col in shaped] == [m] * len(COMPACT_COLUMNS)
     assert shape.meter.counts() == engine.meter.counts()
+
+
+# -- the environment's functions run at the last compute party only ----------------------------
+
+#: Two fixed-point operand columns: row 0 has ``a > b`` (``a < b`` is false
+#: there), row 1 ``a == b``.
+APPLY_COLUMNS = [np.array([3.0, 1.5, -2.25, 4.0]), np.array([-5.0, 1.5, 0.5, 8.0])]
+APPLY_SCHEMA = Schema([ColumnDef("a", ColumnType.FLOAT), ColumnDef("b", ColumnType.FLOAT)])
+APPLY_SLICES = [
+    AdditiveSharing.share(
+        np.round(col * protocols.FIXED_POINT_SCALE).astype(np.int64),
+        len(PARTIES), np.random.default_rng(7 + k),
+    )
+    for k, col in enumerate(APPLY_COLUMNS)
+]
+#: Each ideal functionality over the operand table, and how many vectors
+#: its ``env-apply`` round carries.
+APPLY_STEPS = {
+    "less-than": (lambda t: t.engine.less_than(*t.columns), 2),
+    "equals": (lambda t: t.engine.equals(*t.columns), 1),
+    "multiply-fixed": (lambda t: protocols.mpc_arith(t, "out", "a", "*", "b").column("out"), 1),
+    "divide": (lambda t: protocols.mpc_arith(t, "out", "a", "/", "b").column("out"), 2),
+}
+
+
+def run_apply(step, engines):
+    """``step`` on the operand table at every engine of ``engines``, in
+    lockstep; returns each engine's slices of the result."""
+
+    def run(engine):
+        held = engine.local_indices
+        columns = [SharedVector(engine, [slices[i] for i in held]) for slices in APPLY_SLICES]
+        return APPLY_STEPS[step][0](SharedTable(engine, APPLY_SCHEMA, columns)).shares
+
+    with ThreadPoolExecutor(len(engines)) as pool:
+        return [share for shares in pool.map(run, engines) for share in shares]
+
+
+@pytest.mark.parametrize("step", APPLY_STEPS)
+def test_an_ideal_functionality_sends_its_operands_to_the_last_party_only(step):
+    """One ``env-apply`` round of ``n - 1`` frames, all to the last compute
+    party, whose engine alone reconstructs the operands; every slice of the
+    result is the all-local engine's, byte for byte."""
+    host, n, operands = PARTIES[-1], len(APPLY_COLUMNS[0]), APPLY_STEPS[step][1]
+    channels = queue_channels(PARTIES)
+    engines = agent_engines(channels)
+    with mock.patch.object(
+        SecretSharingEngine, "_opened", autospec=True, side_effect=SecretSharingEngine._opened
+    ) as opened:
+        slices = run_apply(step, engines)
+    reference = run_apply(step, [SecretSharingEngine(PARTIES, seed=COMPACT_SEED)])
+
+    for engine in engines:
+        applied = [r for r in engine.network.schedule if r[0] == "env-apply"]
+        assert applied == [("env-apply", 2, 2 * n * operands * 8)]
+    for party, channel in channels.items():
+        assert channel.received.get("env-apply", [0, 0])[0] == (2 if party == host else 0)
+    reconstructed = [
+        call.args[0].held_share_parties for call in opened.call_args_list
+        if call.args[2] == "env-apply"
+    ]
+    assert reconstructed == [(host,)]
+    for got, want in zip(slices, reference, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_bit_flipped_in_the_hosts_env_apply_slice_corrupts_the_comparison():
+    """The last party reconstructs the operands from the slices as
+    delivered: flipping the top bit of one word of a peer's frame moves
+    ``a[0]`` by ``2**63`` and flips ``a[0] < b[0]`` — or fails loudly."""
+    channels = queue_channels(PARTIES)
+    host = channels[PARTIES[-1]]
+    receive, seen = host.receive_message, []
+
+    def flipped(peer):
+        tag, payload = receive(peer)
+        if tag == "env-apply" and peer == PARTIES[0]:
+            first = payload[0].copy()
+            first[0] ^= np.uint64(1 << 63)
+            seen.append(len(first))
+            payload = (first, *payload[1:])
+        return tag, payload
+
+    host.receive_message = flipped
+    expected = (APPLY_COLUMNS[0] < APPLY_COLUMNS[1]).tolist()
+    try:
+        slices = run_apply("less-than", agent_engines(channels))
+    except (TransportError, RuntimeError, ValueError):
+        assert seen == [len(expected)]
+        return  # failing loudly satisfies the property too
+    assert seen == [len(expected)]
+    got = AdditiveSharing.reconstruct(slices).astype(bool).tolist()
+    assert got == [not expected[0], *expected[1:]]

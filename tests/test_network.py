@@ -1,9 +1,5 @@
 """Tests for the party-to-party network's round primitive and its accounting."""
 
-import queue
-import secrets
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -12,9 +8,8 @@ from repro.core.dispatch import QueryRunner
 from repro.model.counters import CleartextWork, NetworkStats
 from repro.mpc.network import Network, TransportError
 from repro.mpc.secretshare import SecretSharingEngine
-from repro.runtime.executor import PlanExecutor
+from repro.runtime.queues import run_on_queue_channels
 from repro.runtime.service import merge_payloads
-from repro.runtime.wire import KIND_MSG, decode_mesh_payload, encode_mesh_frame
 
 from test_differential import PARTY_A, PARTY_B, SEED, build_query, generate_spec
 from test_round_budget import WORKLOADS
@@ -212,51 +207,6 @@ class TestHandBack:
 
 
 # -- executors over a minimal channel ---------------------------------------------------------
-
-
-class QueueChannel:
-    """A mesh channel with only what an executor uses — ``party``, ``peers``,
-    ``send_message`` and ``receive_message`` for its rounds, ``query_id`` and
-    ``link_key`` for its private inputs — carrying mesh-layout frames over
-    one in-memory queue per directed link."""
-
-    query_id = 1
-
-    def __init__(self, party, links, keys):
-        self.party = party
-        self.peers = {receiver for sender, receiver in links if sender == party}
-        self._links = links
-        self._keys = keys
-
-    def link_key(self, peer):
-        return self._keys[frozenset((self.party, peer))]
-
-    def send_message(self, peer, tag, payload):
-        frame = encode_mesh_frame(1, KIND_MSG, 1, (tag, payload))
-        self._links[(self.party, peer)].put(frame)
-
-    def receive_message(self, peer):
-        frame = self._links[(peer, self.party)].get(timeout=30)
-        return decode_mesh_payload(frame[4:])[3]
-
-
-def run_on_queue_channels(parties, inputs, compiled, seed, executors=None):
-    """One executor per party, each holding only its own inputs, joined by
-    :class:`QueueChannel`\\ s; returns ``{party: ExecutionOutcome}``.  The
-    executors go into ``executors`` when it is a dict."""
-    links = {(s, r): queue.Queue() for s in parties for r in parties if s != r}
-    keys = {frozenset(link): secrets.token_bytes(32) for link in links}
-    made = {
-        party: PlanExecutor(
-            parties, {party: inputs.get(party, {})}, compiled.config, seed=seed,
-            local_parties={party}, mesh=QueueChannel(party, links, keys),
-        )
-        for party in parties
-    }
-    if executors is not None:
-        executors.update(made)
-    with ThreadPoolExecutor(len(parties)) as pool:
-        return dict(zip(parties, pool.map(lambda ex: ex.execute(compiled), made.values())))
 
 
 THREE = [PARTY_A, PARTY_B, "gamma.example"]

@@ -58,19 +58,19 @@ WORKLOADS = {
 #: ``bytes_sent`` the price list sees, analytic steps included.
 BUDGETS = {
     "hhi_pushdown": dict(
-        wire_rounds=8, wire_bytes=1330, multiplications=379, comparisons=91,
+        wire_rounds=8, wire_bytes=946, multiplications=379, comparisons=91,
         local_ops=728, shuffled_elements=42, input_records=18, output_records=13,
-        messages=209, bytes_sent=6466, rounds=64,
+        messages=197, bytes_sent=6082, rounds=64,
     ),
     "hhi_mpc_only": dict(
-        wire_rounds=10, wire_bytes=15466, multiplications=18631, comparisons=4909,
+        wire_rounds=10, wire_bytes=10282, multiplications=18631, comparisons=4909,
         local_ops=38382, shuffled_elements=912, input_records=300, output_records=303,
-        messages=479, bytes_sent=238682, rounds=152,
+        messages=463, bytes_sent=233498, rounds=152,
     ),
     "credit_hybrid": dict(
-        wire_rounds=14, wire_bytes=31024, multiplications=6649, comparisons=4004,
+        wire_rounds=14, wire_bytes=28272, multiplications=6649, comparisons=4004,
         local_ops=1198, shuffled_elements=1901, input_records=784, output_records=808,
-        messages=404, bytes_sent=167896, rounds=135,
+        messages=400, bytes_sent=165144, rounds=135,
     ),
 }
 
@@ -112,14 +112,14 @@ def test_judged_query_stays_on_its_committed_budget(name, monkeypatch):
 #: a layout or schedule change that grows the wire fails here.
 MESH_LEDGER = {
     "hhi_pushdown": {
-        "mpc.a.com": (950, 16), "mpc.b.com": (986, 17), "mpc.c.org": (986, 17),
+        "mpc.a.com": (762, 13), "mpc.b.com": (798, 14), "mpc.c.org": (610, 11),
     },
     "hhi_mpc_only": {
-        "mpc.a.com": (5742, 20), "mpc.b.com": (5778, 21), "mpc.c.org": (5778, 21),
+        "mpc.a.com": (4326, 16), "mpc.b.com": (4362, 17), "mpc.c.org": (2946, 13),
     },
     "credit_hybrid": {
-        "mpc.bank-a.com": (11432, 17), "mpc.bank-b.cash": (11432, 17),
-        "mpc.ftc.gov": (9944, 20),
+        "mpc.bank-a.com": (10708, 16), "mpc.bank-b.cash": (9984, 15),
+        "mpc.ftc.gov": (9220, 19),
     },
 }
 

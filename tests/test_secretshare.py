@@ -1,5 +1,7 @@
 """Unit and property-based tests for additive secret sharing."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,44 @@ class TestTripleDealer:
         b = AdditiveSharing.reconstruct(triple.b_shares).astype(np.uint64)
         c = AdditiveSharing.reconstruct(triple.c_shares).astype(np.uint64)
         assert np.array_equal(a * b, c)
+
+
+class TestRawDraws:
+    """Input shares, triples and masks are drawn as raw 64-bit words, which
+    on numpy's ``PCG64`` are the words of ``integers(0, 2**64,
+    dtype=uint64)``, leaving the stream at the same position."""
+
+    SIZES = [0, 1, 7, 1000, 90_000]
+
+    @staticmethod
+    def _words(rng, n):
+        return rng.integers(0, 2**64, size=n, dtype=np.uint64)
+
+    def test_raw_words_are_the_full_range_integers(self):
+        raw, ints = np.random.default_rng(9), np.random.default_rng(9)
+        for n in self.SIZES:
+            assert np.array_equal(raw.bit_generator.random_raw(n), self._words(ints, n))
+            # Interleaved with the permutations an environment stream draws.
+            assert np.array_equal(raw.permutation(n % 50), ints.permutation(n % 50))
+        assert raw.bit_generator.state == ints.bit_generator.state
+
+    def test_shares_triples_and_masks_are_the_integers_words(self):
+        shares = AdditiveSharing.share(np.arange(7), 3, np.random.default_rng(3))
+        old = np.random.default_rng(3)
+        for share in shares[:2]:
+            assert np.array_equal(share, self._words(old, 7))
+
+        triple = TripleDealer(3, seed=5).triples(7)
+        old = np.random.default_rng(5)
+        for shares in (triple.a_shares, triple.b_shares):
+            opened = AdditiveSharing.reconstruct(shares).view(np.uint64)
+            assert np.array_equal(opened, self._words(old, 7))
+
+        engine = SecretSharingEngine(["a", "b", "c"], seed=21)
+        streams = copy.deepcopy(engine._mask_rngs)
+        # Parties 0 and 1 hold the masks; the last party holds zero minus both.
+        for mask, stream in zip(engine.zero_sharing(7)[:2], streams):
+            assert np.array_equal(mask, self._words(stream, 7))
 
 
 class TestEngineArithmetic:
@@ -184,11 +224,11 @@ class TestComparisonsAndSelect:
 
         assert np.array_equal(flags.reveal(), xs == ys)
         assert np.array_equal(order.reveal(), xs < ys)
-        # 6 messages of one round each; the analytic comparison round adds
-        # n * 8 bytes to both.
+        # 2 messages of one round each, to the last party; the analytic
+        # comparison round adds n * 8 bytes to both.
         metered = len(xs) * 8
-        assert after_eq.bytes_sent - before.bytes_sent == 6 * len(xs) * 8 + metered
-        assert after_lt.bytes_sent - after_eq.bytes_sent == 6 * 2 * len(xs) * 8 + metered
+        assert after_eq.bytes_sent - before.bytes_sent == 2 * len(xs) * 8 + metered
+        assert after_lt.bytes_sent - after_eq.bytes_sent == 2 * 2 * len(xs) * 8 + metered
         assert after_eq.wire_rounds - before.wire_rounds == 1
         assert after_lt.wire_rounds - after_eq.wire_rounds == 1
 
