@@ -12,11 +12,13 @@ party) runs twice in one process:
   every party at once.
 
 For every (query, rows) pair it prints one JSON line: each party's
-``thread_time`` of ``PlanExecutor.execute`` and the frames and bytes
-(headers included) its channel received per round tag, the all-local run's
-``thread_time``, and whether every party's outputs equal the all-local
-run's.  Tells where the per-party CPU of a query goes before any of it is
-optimised away.
+``thread_time`` of ``PlanExecutor.execute``, the frames and bytes (headers
+included) its channel received per round tag and the Python calls of its
+``execute`` — counted by ``cProfile`` in a second per-party run, so the
+timed run is not perturbed — the all-local run's ``thread_time``, and
+whether every party's outputs equal the all-local run's.  Tells where the
+per-party CPU of a query goes before any of it is optimised away.  Exits
+non-zero when any party's outputs differ from the all-local run's.
 
 Run with::
 
@@ -27,7 +29,9 @@ Run with::
 
 from __future__ import annotations
 
+import cProfile
 import json
+import pstats
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -71,6 +75,25 @@ def _timed_execute(executor, compiled):
     return outcome, time.thread_time() - start
 
 
+def _profiled_calls(executor, compiled) -> int:
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        executor.execute(compiled)
+    finally:
+        profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+def _per_party(parties, inputs, compiled, run) -> dict:
+    """``run(executor, compiled)`` on one queue-joined executor per party,
+    each on its own thread: the executors and ``{party: result}``."""
+    executors = queue_executors(parties, inputs, compiled.config, SEED)
+    with ThreadPoolExecutor(len(parties)) as pool:
+        results = pool.map(lambda ex: run(ex, compiled), executors.values())
+        return executors, dict(zip(parties, results))
+
+
 def measure(name: str, rows: int) -> dict:
     spec, inputs, config = QUERIES[name](rows)
     compiled = cc.compile_query(spec.context, config)
@@ -80,11 +103,8 @@ def measure(name: str, rows: int) -> dict:
     reference = cc.QueryRunner(parties, inputs, compiled.config, seed=SEED).run(compiled)
     local_cpu = time.thread_time() - start
 
-    executors = queue_executors(parties, inputs, compiled.config, SEED)
-    with ThreadPoolExecutor(len(parties)) as pool:
-        runs = dict(zip(parties, pool.map(
-            lambda ex: _timed_execute(ex, compiled), executors.values()
-        )))
+    executors, runs = _per_party(parties, inputs, compiled, _timed_execute)
+    _, calls = _per_party(parties, inputs, compiled, _profiled_calls)
     correct = all(
         outcome.outputs[out] == reference.outputs[out]
         for outcome, _cpu in runs.values()
@@ -97,6 +117,7 @@ def measure(name: str, rows: int) -> dict:
         "parties": {
             party: {
                 "cpu_ms": round(cpu * 1e3, 3),
+                "calls": calls[party],
                 "received": {
                     tag: {"frames": frames, "bytes": size}
                     for tag, (frames, size) in sorted(executors[party].mesh.received.items())
@@ -108,11 +129,15 @@ def measure(name: str, rows: int) -> dict:
     }
 
 
-def main(argv: list[str]) -> None:
+def main(argv: list[str]) -> int:
+    correct = True
     for rows in [int(arg) for arg in argv] or DEFAULT_ROWS:
         for name in QUERIES:
-            print(json.dumps(measure(name, rows)), flush=True)
+            line = measure(name, rows)
+            correct &= line["correct"]
+            print(json.dumps(line), flush=True)
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -48,10 +48,10 @@ class ColumnarBackend:
         self.work.jobs += 1
         return table
 
-    def key_values(self, handle: Table, column: str) -> np.ndarray:
-        """The values of ``column`` for the executor's composite-key range
-        check."""
-        return handle.column(column)
+    def key_outside(self, handle: Table, column: str, base: int) -> int | None:
+        """The first value of ``column`` outside ``[0, base)``, or ``None``:
+        the executor's composite-key range check."""
+        return kernels.first_outside(handle.column(column), base)
 
     # -- relational operators ----------------------------------------------------------
 

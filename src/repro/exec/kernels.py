@@ -123,6 +123,12 @@ def stable_order(key: np.ndarray) -> np.ndarray:
     return key.argsort(kind="stable")
 
 
+def first_outside(values: np.ndarray, base: int) -> int | None:
+    """The first of ``values`` outside ``[0, base)``, or ``None``."""
+    outside = np.flatnonzero((values < 0) | (values >= base))
+    return int(values[outside[0]]) if outside.size else None
+
+
 def sort_indices(key: np.ndarray, ascending: bool = True) -> np.ndarray:
     """Stable sort order by a single key.
 

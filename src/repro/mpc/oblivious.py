@@ -8,13 +8,14 @@ relation column) so higher layers can treat a secret-shared relation as
 "columns + schema".
 
 Like the comparison operators of the engine itself, the sorting network and
-the merger are executed as *ideal functionalities*: the engine reconstructs
-the key column (acting as the environment; a caller that has opened it
-already hands in the sort order it derived, so an operator opens a column at
-most once), applies the permutation to whole share vectors at once,
-reshare-freshens the result by adding the permuted slice into the fresh mask
-of a zero sharing, and charges the meter the full price of the bitonic
-network.  Only the shuffle moves data through real resharing rounds;
+the merger are executed as *ideal functionalities*: the last compute party
+reconstructs the key column and hands back only its stable order (acting as
+the environment; a caller that has the order already hands it in, so an
+operator sends a key column at most once), and every engine applies the
+permutation to whole share vectors at once, reshare-freshens the result by
+adding the permuted slice into the fresh mask of a zero sharing, and
+charges the meter the full price of the bitonic network.  Only the shuffle
+moves data through real resharing rounds;
 :func:`~repro.mpc.protocols.compact` composes its own shuffle from the same
 steps — a permutation off the environment stream, the flags reshared over
 every row, the payload reshared only at the rows that survive — and charges
@@ -90,8 +91,8 @@ def oblivious_sort(
     network's ``O(n log^2 n)`` compare-exchange cost.
 
     ``order`` is the stable ascending argsort of the keys, from a caller
-    that has opened ``key`` to the environment already; without it the key
-    column is opened here.
+    that has it already; without it the key column goes to the last compute
+    party here, which hands back the order (``order_of``).
     """
     payload = list(payload)
     n = len(key)

@@ -501,10 +501,10 @@ def mpc_aggregate(
     if n <= 1:
         keep_flags = engine.fill(1, n)
     else:
-        # The one opening of the key column to the environment: the sort
-        # order, the adjacent-equality flags and the segment boundaries are
-        # all functions of it, each still charged the price of the oblivious
-        # protocol it stands for.
+        # The key column goes once, to the last compute party: it hands back
+        # the sort order and the adjacent-equality flags, and the segment
+        # boundaries are functions of those, each still charged the price of
+        # the oblivious protocol it stands for.
         order, same = engine.adjacent_groups(key_col, presorted)
         if order is not None:
             key_col, (value_col,) = oblivious_sort(engine, key_col, [value_col], order)

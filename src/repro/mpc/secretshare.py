@@ -34,8 +34,10 @@ of the result is the only one that depends on it — and the cost meter is
 charged the realistic price of the corresponding bit-decomposition protocol
 (:meth:`SecretSharingEngine.charge` with the step's :mod:`repro.model.steps`
 meter).  What every engine uses as public positions — sort orders, group
-boundaries, oblivious-index rows — opens to every engine in an ``env-open``
-broadcast round instead.  Addition and multiplication are
+boundaries, a key-range verdict — the last party computes from a key sent
+to it the same way and hands back in a ``hand-back`` round, so no other
+engine sees the key values; only oblivious-index rows open to every engine,
+in an ``env-open`` broadcast round.  Addition and multiplication are
 executed for real — shares are genuinely random, travel over the network,
 and reconstruct to the correct results.  This keeps every query end-to-end
 *functional* while the cost accounting stays faithful to a real deployment.
@@ -56,11 +58,12 @@ Randomness is partitioned into streams so sliced engines stay in lockstep:
 * ``engine.rng`` — the shared environment stream of permutations.  Every
   engine draws from it at the same points, so it never desynchronises.
 * per-party mask streams — the masks of zero sharings and of sharings of
-  values every engine knows (reshares of env-opened values, and what the
-  STP hands back in the clear).  Party ``i``'s mask comes off stream ``i``
-  and the last party's slice is the value minus every mask, so an engine
-  draws a stream only for a slice it holds (the last party's engine draws
-  them all) and never materialises a peer's mask.
+  values every engine knows (reshares of the group flags the last compute
+  party hands back, and what the STP hands back in the clear).  Party
+  ``i``'s mask comes off stream ``i`` and the last party's slice is the
+  value minus every mask, so an engine draws a stream only for a slice it
+  holds (the last party's engine draws them all) and never materialises a
+  peer's mask.
 * ``engine.dealer`` — the trusted triple dealer, likewise replicated.
   This is a modelling trust boundary: a deployed system would produce
   triples with OT-based preprocessing so no party knows a full triple.
@@ -94,7 +97,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exec.kernels import stable_order
+from repro.exec.kernels import first_outside, stable_order
 from repro.model import steps
 from repro.model.counters import SHARE_BYTES, CostMeter
 from repro.mpc.network import Network, TransportError
@@ -110,6 +113,16 @@ def _to_ring(values: np.ndarray) -> np.ndarray:
 def _from_ring(values: np.ndarray) -> np.ndarray:
     """Map ring elements back to signed 64-bit integers."""
     return np.asarray(values, dtype=_U64).astype(np.int64)
+
+
+def _adjacent_groups(keys: np.ndarray, presorted: bool) -> tuple:
+    """The stable order of ``keys`` (unless ``presorted``) and whether each
+    sorted key equals the next."""
+    if presorted:
+        return (keys[:-1] == keys[1:],)
+    order = stable_order(keys)
+    keys = keys[order]
+    return order, keys[:-1] == keys[1:]
 
 
 #: The public shape of a hand-back: ``(dtype, length)`` of each array.
@@ -130,7 +143,7 @@ def _handed_back(payload, layout: Layout, party: str) -> tuple:
         got.append(np.unpackbits(array, count=n).view(np.bool_) if dtype is bool else array)
     if len(got) != len(layout):
         raise TransportError(
-            f"stp-handback: {party!r} handed back something other than "
+            f"hand-back: {party!r} handed back something other than "
             f"{[(np.dtype(dtype).name, n) for dtype, n in layout]}"
         )
     return tuple(got)
@@ -577,12 +590,11 @@ class SecretSharingEngine:
     def share_from_env(self, values: np.ndarray) -> SharedVector:
         """Share values known to the protocol environment (every party).
 
-        Used for flags computed on env-opened positions, and by the hybrid
-        protocols for what the STP hands back in the clear; the randomness
-        comes from the per-party mask streams, keeping lockstep engines
-        synchronised.  Nothing
-        crosses the wire and nothing is charged: a caller standing for a
-        protocol charges its price.
+        Used for the group flags the last compute party hands back, and by
+        the hybrid protocols for what the STP hands back in the clear; the
+        randomness comes from the per-party mask streams, keeping lockstep
+        engines synchronised.  Nothing crosses the wire and nothing is
+        charged: a caller standing for a protocol charges its price.
         """
         self._require_local()
         return SharedVector(self, self._env_sharing(len(values), _to_ring(values)), len(values))
@@ -669,11 +681,11 @@ class SecretSharingEngine:
     def env_open_many(self, vecs: Sequence[SharedVector]) -> list[np.ndarray]:
         """Open vectors to the protocol *environment* (one batched round).
 
-        The steps whose result every engine uses as public positions (sort
-        keys, oblivious index positions, aggregation boundaries, key-range
-        checks) run on cleartext the environment reconstructs at every
-        engine; a step whose result is re-shared runs at one party instead
-        (:meth:`env_apply`).  That reconstruction is
+        Oblivious-index rows, and reveals to a party outside the MPC, run
+        on cleartext the environment reconstructs at every engine; a step
+        whose result is re-shared, or that hands back only positions (sort
+        orders, group boundaries, key-range verdicts), runs at one party
+        instead (:meth:`env_apply`, :meth:`_at_host`).  That reconstruction is
         a real broadcast round — all vectors batched into one exchange — so
         the environment's view, too, is built from wire bytes.  The realistic
         protocol cost of each step is still charged separately by its caller
@@ -727,8 +739,10 @@ class SecretSharingEngine:
         return self._opened(shares, tag, vecs)
 
     def hand_back(self, party: str, payload: "tuple | None", layout: Layout) -> tuple:
-        """What ``party`` computed on a reveal to it, handed back to every
-        other compute party in one round (tag ``stp-handback``).
+        """What ``party`` computed on a reveal to it — an STP's key match or
+        sort, or the environment's sort positions at the last compute party
+        (:meth:`_at_host`) — handed back to every other compute party in one
+        round (tag ``hand-back``).
 
         ``payload`` is a tuple of arrays, passed where ``party``'s logic ran
         and ``None`` elsewhere; ``layout`` gives each array's dtype and
@@ -752,7 +766,7 @@ class SecretSharingEngine:
         sends = [(party, p, wire) for p in self.party_names if p != party]
         size = sum((n + 7) // 8 if dtype is bool else n * np.dtype(dtype).itemsize
                    for dtype, n in layout)
-        delivered = self.network.round("stp-handback", sends, size)
+        delivered = self.network.round("hand-back", sends, size)
         if channel is None or channel.party == party:
             return payload
         return _handed_back(delivered[(party, channel.party)], layout, party)
@@ -859,7 +873,7 @@ class SecretSharingEngine:
         self.charge(steps.comparison_meter(len(left), self.num_parties))
         return flags
 
-    # -- positions and scans over environment-opened values ------------------------------
+    # -- positions and scans over values the environment computed ------------------------
     # What the relational protocols need from opened values, so that they
     # never touch a slice or an opened vector themselves.
 
@@ -867,22 +881,35 @@ class SecretSharingEngine:
         """A joint random permutation of ``n`` rows (the environment stream)."""
         return self.rng.permutation(n)
 
+    def _at_host(self, vecs: Sequence[SharedVector], layout: Layout, compute) -> tuple:
+        """``compute`` of ``vecs``, run by the protocol environment at the
+        last compute party and handed back: one ``env-apply`` round in which
+        every other party sends it its slices, then one ``hand-back`` round
+        of ``layout`` from it.  Only the engine holding the last party's
+        slice reconstructs ``vecs``; every other engine learns what
+        ``compute`` returns and nothing else."""
+        host = self.party_names[-1]
+        opened = self._gather("env-apply", vecs, host)
+        return self.hand_back(host, None if opened is None else compute(*opened), layout)
+
     def order_of(self, key: SharedVector) -> np.ndarray:
-        """The stable ascending order of ``key``, opened to the environment."""
-        return stable_order(self.env_open(key))
+        """The stable ascending order of ``key``, computed at the last
+        compute party (:meth:`_at_host`): ``8n`` bytes come back to each
+        other party."""
+        (order,) = self._at_host([key], [(np.int64, len(key))], lambda keys: (stable_order(keys),))
+        return order
 
     def adjacent_groups(
         self, key: SharedVector, presorted: bool
     ) -> "tuple[np.ndarray | None, np.ndarray]":
-        """One env-opening of ``key``: its stable ascending order (``None``
-        when ``presorted``) and whether each row of the sorted column has
-        the key of the next one (``n - 1`` flags)."""
-        keys = self.env_open(key)
-        order = None
-        if not presorted:
-            order = stable_order(keys)
-            keys = keys[order]
-        return order, keys[:-1] == keys[1:]
+        """``key``'s stable ascending order (``None`` when ``presorted``) and
+        whether each row of the sorted column has the key of the next one
+        (``n - 1`` flags), both computed at the last compute party
+        (:meth:`_at_host`): the order and the packed flags come back."""
+        n = len(key)
+        layout = [(bool, n - 1)] if presorted else [(np.int64, n), (bool, n - 1)]
+        handed = self._at_host([key], layout, lambda keys: _adjacent_groups(keys, presorted))
+        return (None, *handed) if presorted else handed
 
     def rows_where(self, opened_flags: np.ndarray) -> np.ndarray:
         """The positions of the set flags of an opened flag vector."""
@@ -897,9 +924,17 @@ class SecretSharingEngine:
         if len(rows) > 0 and (rows.min() < 0 or rows.max() >= n):
             raise IndexError("oblivious index out of range")
 
-    def key_values(self, vec: SharedVector) -> np.ndarray:
-        """``vec`` opened to the environment for a key-range check."""
-        return self.env_open(vec)
+    def key_outside(self, vec: SharedVector, base: int) -> "int | None":
+        """The first value of ``vec`` outside ``[0, base)``, or ``None``: the
+        executor's composite-key range check.  The column goes to the last
+        compute party (:meth:`_at_host`), which hands back only that value,
+        or 0 when there is none (a key base is at least 2, so 0 is in
+        range)."""
+        (bad,) = self._at_host(
+            [vec], [(np.int64, 1)],
+            lambda values: (np.array([first_outside(values, base) or 0], dtype=np.int64),),
+        )
+        return first_outside(bad, base)
 
     def reshared_take(self, vec: SharedVector, rows) -> SharedVector:
         """Rows ``rows`` of ``vec`` under a fresh sharing.

@@ -151,14 +151,10 @@ class ShapeEngine(SecretSharingEngine):
     def permutation(self, n: int) -> Positions:
         return Positions(n)
 
-    def order_of(self, key: SharedVector) -> Positions:
-        self.env_open(key)
-        return Positions(len(key))
-
-    def adjacent_groups(self, key: SharedVector, presorted: bool):
-        self.env_open(key)
-        n = len(key)
-        return None if presorted else Positions(n), Positions(n - 1)
+    def _at_host(self, vecs, layout, compute) -> tuple:
+        """The host's two rounds; what it hands back has its layout's lengths."""
+        super()._at_host(vecs, layout, compute)
+        return tuple(Positions(n) for _, n in layout)
 
     def rows_where(self, opened_flags) -> Positions:
         return Positions(self.rows_out())
@@ -169,10 +165,9 @@ class ShapeEngine(SecretSharingEngine):
     def check_index(self, rows, n: int) -> None:
         pass
 
-    def key_values(self, vec: SharedVector) -> np.ndarray:
-        """The opening is carried; an estimate sees no key out of range."""
-        self.env_open(vec)
-        return np.empty(0, dtype=np.int64)
+    def key_outside(self, vec: SharedVector, base: int) -> None:
+        """The rounds are carried; an estimate sees no key out of range."""
+        self._at_host([vec], [(np.int64, 1)], None)
 
     def _segment_sums(self, values: SharedVector, same) -> list[np.ndarray]:
         return []
@@ -212,9 +207,8 @@ class ShapeColumnarBackend(ColumnarBackend):
 
         return super()._pass(shaped, handles, records, shuffled)
 
-    def key_values(self, handle: Table, column: str) -> np.ndarray:
+    def key_outside(self, handle: Table, column: str, base: int) -> None:
         """An estimate sees no key out of range."""
-        return np.empty(0, dtype=np.int64)
 
 
 class ShapeSTP(SelectivelyTrustedParty):

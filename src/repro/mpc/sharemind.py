@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.data.schema import Schema
 from repro.data.table import Table
 from repro.model import steps
@@ -83,10 +81,11 @@ class SharemindBackend:
         """Open a relation to a single (possibly external) party."""
         return handle.reveal_to(party)
 
-    def key_values(self, handle: SharedTable, column: str) -> np.ndarray:
-        """Open ``column`` to the protocol environment for the executor's
-        composite-key range check (one env-open round, in lockstep)."""
-        return self.engine.key_values(handle.column(column))
+    def key_outside(self, handle: SharedTable, column: str, base: int) -> int | None:
+        """The first value of ``column`` outside ``[0, base)``, or ``None``:
+        the executor's composite-key range check, decided at the last
+        compute party, which hands back only the verdict."""
+        return self.engine.key_outside(handle.column(column), base)
 
     # -- relational operators -------------------------------------------------------------
 

@@ -552,23 +552,19 @@ def _validate_key_range(engine, node: OpNode, handle) -> None:
     that range would silently match unequal keys.  The frontend marks
     the first operator of every encode chain with ``key_range_check``;
     here the executor inspects the actual key data — the MPC backend
-    opens it to the environment, exactly like the ideal comparison
-    functionalities do, in lockstep at every agent — and fails loudly
-    instead.
+    sends it to the last compute party, exactly like the ideal comparison
+    functionalities do, and that party hands back only the first value out
+    of range — and fails loudly instead.
     """
     check = node.key_range_check
     if not check or handle is None:
         return
     columns, base = check
     for name in columns:
-        values = engine.key_values(handle, name)
-        if values.size == 0:
-            continue
-        out_of_range = (values < 0) | (values >= base)
-        if out_of_range.any():
-            bad = values[out_of_range][0]
+        bad = engine.key_outside(handle, name, base)
+        if bad is not None:
             raise ValueError(
-                f"composite-key column {name!r} contains value {int(bad)} outside "
+                f"composite-key column {name!r} contains value {bad} outside "
                 f"[0, {base}); the composite-key encoding would silently mis-encode "
                 f"it — pass key_base= sized to the key domain"
             )

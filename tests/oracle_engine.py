@@ -29,8 +29,8 @@ class PythonBackend:
     def ingest(self, table: Table, contributor: str | None = None) -> Table:
         return table
 
-    def key_values(self, handle: Table, column: str):
-        return handle.column(column)
+    def key_outside(self, handle: Table, column: str, base: int):
+        return next((int(v) for v in handle.column(column) if not 0 <= v < base), None)
 
     # -- relational operators ----------------------------------------------------------
 

@@ -568,17 +568,20 @@ class TestMpcStartupIsPaidOncePerJob:
 #: is no compute party, so the reveal pays the external leg (hybrid-join,
 #: hybrid-sum), and ``messages`` / ``bytes_sent`` where the operands of an
 #: ideal functionality began to go to the last compute party only (filter,
-#: join, max-presorted, compare, multiply-fixed, divide).
+#: join, max-presorted, compare, multiply-fixed, divide), and ``messages`` /
+#: ``bytes_sent`` / ``rounds`` / ``wire_rounds`` where a sort key began to go
+#: to the last compute party only, which hands back the order and the group
+#: flags in a second round (sort, merge, sum, max-presorted, distinct).
 RECORDED = {
     "sort": (
         lambda n: shape_meter(lambda b, t: b.sort_by(t, "key"), kv(n)),
-        (640, 0, 0, 320, 80, 0, 96, 3632, 31, 1),
-        (5376, 0, 0, 2688, 672, 0, 195, 29952, 64, 1),
+        (640, 0, 0, 320, 80, 0, 94, 3488, 32, 2),
+        (5376, 0, 0, 2688, 672, 0, 193, 28928, 65, 2),
     ),
     "merge": (
         lambda n: shape_meter(lambda b, *ts: b.merge_sorted(ts, "key"), kv(n), kv(n // 2), kv(1)),
-        (512, 0, 0, 256, 64, 0, 84, 3856, 26, 2),
-        (7168, 0, 0, 3584, 896, 0, 138, 45104, 44, 2),
+        (512, 0, 0, 256, 64, 0, 80, 3424, 28, 4),
+        (7168, 0, 0, 3584, 896, 0, 134, 42016, 46, 4),
     ),
     "filter": (
         lambda n: shape_meter(lambda b, t: b.filter(t, "value", ">", 50), kv(n)),
@@ -592,20 +595,20 @@ RECORDED = {
     ),
     "sum": (
         lambda n: shape_meter(lambda b, t: b.aggregate(t, "key", "value", "sum", "out"), kv(n)),
-        (682, 0, 9, 328, 88, 27, 126, 4644, 40, 2),
-        (5693, 0, 64, 2751, 735, 192, 231, 38184, 75, 2),
+        (682, 0, 9, 328, 88, 27, 124, 4502, 41, 3),
+        (5693, 0, 64, 2751, 735, 192, 229, 37176, 76, 3),
     ),
     "max-presorted": (
         lambda n: shape_meter(
             lambda b, t: b.aggregate(t, "key", "value", "max", "out", presorted=True), kv(n)
         ),
-        (42, 0, 9, 16, 16, 27, 62, 2164, 19, 3),
-        (317, 0, 64, 126, 126, 192, 80, 18472, 25, 3),
+        (42, 0, 9, 16, 16, 27, 60, 1878, 20, 4),
+        (317, 0, 64, 126, 126, 192, 78, 16440, 26, 4),
     ),
     "distinct": (
         lambda n: shape_meter(lambda b, t: b.distinct(t, ["key"]), kv(n), rows_out=5),
-        (696, 0, 9, 328, 88, 27, 126, 4644, 40, 2),
-        (5762, 0, 64, 2751, 735, 192, 231, 38184, 75, 2),
+        (696, 0, 9, 328, 88, 27, 124, 4502, 41, 3),
+        (5762, 0, 64, 2751, 735, 192, 229, 37176, 76, 3),
     ),
     "compare": (
         lambda n: shape_meter(

@@ -39,6 +39,14 @@ When the operands of comparisons, truncations, divisions and min/max scans
 began to go to the last compute party only (one ``env-apply`` round of
 ``n - 1`` messages instead of an ``n (n - 1)`` broadcast), 37 points moved
 down, none by more than 0.23 % (Figs. 1b, 4, 5a, 6, 7a and the ablations).
+
+When a sort key began to go to the last compute party only, which hands
+back the order and the group flags (an ``env-apply`` round of ``n - 1``
+messages and a ``hand-back`` round, instead of one ``n (n - 1)``
+broadcast), 35 points moved by about one round each, none by more than
+0.05 % (Figs. 4, 5b, 6, 7a, 7b and the ablations): up by ~1 ms where the
+extra round outweighs the bytes, down at large sizes where the bytes
+dominate (Fig. 4 ``sharemind`` at 100 000 rows, the disabled ablations).
 """
 
 import functools
@@ -100,24 +108,24 @@ PINS = {
     ],
     "4": [
         {
-            "records": 10, "conclave": 9.205682598666671, "sharemind": 2.164724452,
-            "insecure-spark": 9.205680320888888,
+            "records": 10, "conclave": 9.20668184666667, "sharemind": 2.1657234439999997,
+            "insecure-spark": 9.206679568888887,
         },
         {
-            "records": 1000, "conclave": 9.206197098666667, "sharemind": 4.56804557,
-            "insecure-spark": 9.20585182088889,
+            "records": 1000, "conclave": 9.207196346666667, "sharemind": 4.568922226,
+            "insecure-spark": 9.20685106888889,
         },
         {
-            "records": 100000, "conclave": 9.25756709866667, "sharemind": 651.7541440579998,
-            "insecure-spark": 9.222975154222226,
+            "records": 100000, "conclave": 9.258566346666669, "sharemind": 651.742796186,
+            "insecure-spark": 9.223974402222225,
         },
         {
-            "records": 10000000, "conclave": 14.39456709866667, "sharemind": None,
-            "insecure-spark": 10.935308487555558,
+            "records": 10000000, "conclave": 14.395566346666676, "sharemind": None,
+            "insecure-spark": 10.936307735555557,
         },
         {
-            "records": 1300000000, "conclave": 683.7612337653338, "sharemind": None,
-            "insecure-spark": 234.05753070977792,
+            "records": 1300000000, "conclave": 683.7622330133338, "sharemind": None,
+            "insecure-spark": 234.05852995777778,
         },
     ],
     "5a": [
@@ -143,54 +151,54 @@ PINS = {
         },
     ],
     "5b": [
-        {"records": 10, "sharemind-agg": 2.151718646, "hybrid-agg": 11.071787679333333},
+        {"records": 10, "sharemind-agg": 2.1527186620000003, "hybrid-agg": 11.071787679333333},
         {
-            "records": 1000, "sharemind-agg": 4.4442117859999986,
+            "records": 1000, "sharemind-agg": 4.445212785999999,
             "hybrid-agg": 11.770160019333332,
         },
         {
-            "records": 10000, "sharemind-agg": 58.025190986000005,
+            "records": 10000, "sharemind-agg": 58.026200986,
             "hybrid-agg": 18.070979219333335,
         },
         {
-            "records": 100000, "sharemind-agg": 642.1855375460002,
+            "records": 100000, "sharemind-agg": 642.1866375460002,
             "hybrid-agg": 81.05881121933334,
         },
     ],
     "6": [
-        {"records": 10, "conclave": 29.230644992666665, "sharemind": 2.150437854},
-        {"records": 1000, "conclave": 30.830444662000005, "sharemind": 28.054505890000005},
-        {"records": 3000, "conclave": 34.41403899800001, "sharemind": 227.71062669000008},
+        {"records": 10, "conclave": 29.230644992666665, "sharemind": 2.1514374860000003},
+        {"records": 1000, "conclave": 30.830444662000005, "sharemind": 28.055463938000006},
+        {"records": 3000, "conclave": 34.41403899800001, "sharemind": 227.7115006900001},
         {"records": 30000, "conclave": 89.767280878, "sharemind": None},
         {"records": 300000, "conclave": 729.6277620780002, "sharemind": None},
     ],
     "7a": [
         {"records": 10, "conclave": 15.069983883333332, "smcql": 10.00008},
         {"records": 1000, "conclave": 15.957688713333336, "smcql": 28.2191936},
-        {"records": 40000, "conclave": 50.80876403133333, "smcql": 738.767744},
-        {"records": 400000, "conclave": 373.2110503033333, "smcql": None},
-        {"records": 4000000, "conclave": 3600.378527103334, "smcql": None},
+        {"records": 40000, "conclave": 50.809764095333314, "smcql": 738.767744},
+        {"records": 400000, "conclave": 373.2120509433332, "smcql": None},
+        {"records": 4000000, "conclave": 3600.3795335033337, "smcql": None},
     ],
     "7b": [
-        {"records": 10, "conclave": 7.063063819333333, "smcql": 10.906843456},
-        {"records": 1000, "conclave": 7.736967799333334, "smcql": 21.569218048},
-        {"records": 10000, "conclave": 14.073919079333335, "smcql": 167.925511936},
-        {"records": 100000, "conclave": 183.89609619933333, "smcql": 4543.501443327999},
+        {"records": 10, "conclave": 7.064063827333333, "smcql": 10.906843456},
+        {"records": 1000, "conclave": 7.738967999333335, "smcql": 21.569218048},
+        {"records": 10000, "conclave": 14.075921079333332, "smcql": 167.925511936},
+        {"records": 100000, "conclave": 183.89811619933332, "smcql": 4543.501443327999},
     ],
     "ablations": [
         {
             "optimization": "mpc-frontier-push-down", "records": 3000000,
-            "disabled": 32974.060352254004, "enabled": 10.762345848666667,
-            "speedup": 3063.835785981466,
+            "disabled": 32973.690912253995, "enabled": 10.763345096666667,
+            "speedup": 3063.517021531319,
         },
         {
             "optimization": "hybrid-operators", "records": 30000,
-            "disabled": 22314.245283786004, "enabled": 89.767280878,
-            "speedup": 248.5788258877154,
+            "disabled": 22314.245023786007, "enabled": 89.767280878,
+            "speedup": 248.57882299133718,
         },
         {
-            "optimization": "sort-push-up", "records": 200000, "disabled": 1406.72348064,
-            "enabled": 228.67266112000001, "speedup": 6.151690690745917,
+            "optimization": "sort-push-up", "records": 200000, "disabled": 1406.72448064,
+            "enabled": 228.67366112000002, "speedup": 6.15166816217544,
         },
     ],
 }

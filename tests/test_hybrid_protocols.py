@@ -86,8 +86,8 @@ class TestHybridJoin:
         result = hybrid_join(backend, stp, left, right, "key", "key")
         assert backend.meter.input_records - records == 2 * result.num_rows
         schedule = network.schedule[carried:]
-        assert [tag for tag, _, _ in schedule] == ["reveal-share", "stp-handback", "env-open"]
-        assert schedule[1] == ("stp-handback", len(PARTIES) - 1, 8 * (len(PARTIES) - 1))
+        assert [tag for tag, _, _ in schedule] == ["reveal-share", "hand-back", "env-open"]
+        assert schedule[1] == ("hand-back", len(PARTIES) - 1, 8 * (len(PARTIES) - 1))
         assert result.reveal().equals_unordered(
             kv(12, 4, seed=9).join(kv(10, 4, seed=10), ["key"], ["key"])
         )

@@ -146,11 +146,13 @@ class _PipeMesh:
         pass
 
 
-def sliced_engine_pair(seed=7, tamper_from_b=None):
+def sliced_engine_pair(seed=7, tamper_from_b=None, tamper_from_a=None):
     """Two engines (one slice each) joined by an in-process pipe."""
     a_to_b, b_to_a = queue.Queue(), queue.Queue()
     keys = joined_keys(PARTIES)
-    mesh_a = _PipeMesh(PARTY_A, keys_of(PARTY_A, keys), inbox=b_to_a, outbox=a_to_b)
+    mesh_a = _PipeMesh(
+        PARTY_A, keys_of(PARTY_A, keys), inbox=b_to_a, outbox=a_to_b, tamper=tamper_from_a
+    )
     mesh_b = _PipeMesh(
         PARTY_B, keys_of(PARTY_B, keys), inbox=a_to_b, outbox=b_to_a, tamper=tamper_from_b
     )
@@ -286,9 +288,9 @@ class TestShareSlices:
 
 
 class TestAggregateKeyOpening:
-    """An aggregation opens its group-by key to the environment once, and
-    everything it derives — sort order, equality flags, segment bounds —
-    hangs on the bytes of that one frame."""
+    """An aggregation sends its group-by key to the last compute party once,
+    and everything it derives — sort order, equality flags, segment bounds —
+    hangs on the bytes of the slices that party was delivered."""
 
     TABLE = cc.Table(
         cc.Schema([cc.ColumnDef("k"), cc.ColumnDef("v")]),
@@ -314,12 +316,15 @@ class TestAggregateKeyOpening:
         for engine in engines:
             assert vars(engine.network.stats) == vars(simulated.network.stats)
 
-    def test_a_bit_flipped_in_the_key_opening_corrupts_the_aggregate(self):
+    def test_a_bit_flipped_in_the_hosts_key_slice_corrupts_the_aggregate(self):
+        """The last party (``PARTY_B``) sorts the key reconstructed from the
+        slice ``PARTY_A`` delivered: a flipped bit there moves a key of 1 past
+        every other, so its row leaves its group."""
         seen = []
 
         def tamper(message):
             tag, body = message
-            if tag != "env-open":
+            if tag != "env-apply":
                 return message
             seen.append(len(body[0]))
             (keys,) = body
@@ -327,13 +332,13 @@ class TestAggregateKeyOpening:
             keys[0] ^= np.uint64(1 << 40)
             return (tag, (keys,))
 
-        engines = sliced_engine_pair(seed=7, tamper_from_b=tamper)
+        engines = sliced_engine_pair(seed=7, tamper_from_a=tamper)
         try:
             got_a, _got_b = run_lockstep(engines, self._aggregate)
         except (TransportError, RuntimeError, ValueError, IndexError):
             assert seen == [self.TABLE.num_rows]
             return  # failing loudly satisfies the property too
-        # The only env-open of the whole aggregation was the key column.
+        # The only env-apply of the whole aggregation was the key column.
         assert seen == [self.TABLE.num_rows]
         assert got_a != self.EXPECTED
 

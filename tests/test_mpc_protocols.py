@@ -17,7 +17,7 @@ from repro.hybrid import SelectivelyTrustedParty, hybrid_agg
 from repro.model.counters import CostMeter
 from repro.mpc import protocols
 from repro.mpc.network import Network, TransportError
-from repro.mpc.oblivious import oblivious_shuffle
+from repro.mpc.oblivious import oblivious_merge, oblivious_shuffle, oblivious_sort
 from repro.mpc.protocols import SharedTable
 from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine, SharedVector
 from repro.mpc.shape import ShapeEngine
@@ -215,11 +215,11 @@ AGGREGATE_CHARGES = {
 }
 
 
-class TestAggregateOpensItsKeyOnce:
+class TestAggregateSendsItsKeyOnce:
     @pytest.mark.parametrize("case", AGGREGATE_CASES)
     @pytest.mark.parametrize("presorted", [False, True], ids=["sorted", "presorted"])
     @pytest.mark.parametrize("func", ["sum", "count", "min", "max"])
-    def test_one_key_opening_same_rows_same_charges(self, func, presorted, case, kv_schema):
+    def test_one_key_round_same_rows_same_charges(self, func, presorted, case, kv_schema):
         rows = AGGREGATE_CASES[case]
         n = len(rows)
         table = Table.from_rows(kv_schema, rows) if rows else Table.empty(kv_schema)
@@ -234,25 +234,30 @@ class TestAggregateOpensItsKeyOnce:
 
         assert result.reveal().equals_unordered(table.aggregate(["key"], agg_col, func, "out"))
         scan = "sum" if func in ("sum", "count") else "extremum"
-        # The key column opens to every engine; for min/max the value column
-        # the scan runs on goes to the last compute party only.
-        assert [size for tag, size in log.rounds if tag == "env-open"] == [n * 8] * (n > 1)
+        # The key column goes to the last compute party once, and its order
+        # (unless presorted) and packed adjacent-equality flags come back;
+        # for min/max the value column the scan runs on goes there too.
+        assert "env-open" not in [tag for tag, _size in log.rounds]
         assert [size for tag, size in log.rounds if tag == "env-apply"] == [n * 8] * (
-            n > 1 and scan == "extremum"
+            (n > 1) * (1 + (scan == "extremum"))
         )
+        assert [size for tag, size in log.rounds if tag == "hand-back"] == [
+            (0 if presorted else 8 * n) + (n + 6) // 8
+        ] * (n > 1)
         assert (
             engine.meter.comparisons - comparisons,
             engine.meter.multiplications - multiplications,
         ) == AGGREGATE_CHARGES.get((scan, presorted, n), (0, 0))
 
-    def test_distinct_opens_its_column_once(self, kv_table):
+    def test_distinct_sends_its_column_once(self, kv_table):
         log = RoundLog(PARTIES)
         engine = SecretSharingEngine(PARTIES, seed=3, network=log)
         shared = share(engine, kv_table)
         del log.rounds[:]
         result = protocols.mpc_distinct(shared, ["key"])
         assert sorted(result.reveal().column("key").tolist()) == [1, 2, 3, 4]
-        assert [tag for tag, _size in log.rounds].count("env-open") == 1
+        tags = [tag for tag, _size in log.rounds]
+        assert (tags.count("env-open"), tags.count("env-apply"), tags.count("hand-back")) == (0, 1, 1)
 
 
 class TestArithmetic:
@@ -550,6 +555,20 @@ def run_apply(step, engines):
         return [share for shares in pool.map(run, engines) for share in shares]
 
 
+@contextlib.contextmanager
+def reconstructions():
+    """The held parties of every engine that reconstructs an ``env-apply``
+    round's slices, call by call."""
+    with mock.patch.object(
+        SecretSharingEngine, "_opened", autospec=True, side_effect=SecretSharingEngine._opened
+    ) as opened:
+        seen = []
+        yield seen
+    seen.extend(
+        call.args[0].held_share_parties for call in opened.call_args_list if call.args[2] == "env-apply"
+    )
+
+
 @pytest.mark.parametrize("step", APPLY_STEPS)
 def test_an_ideal_functionality_sends_its_operands_to_the_last_party_only(step):
     """One ``env-apply`` round of ``n - 1`` frames, all to the last compute
@@ -558,9 +577,7 @@ def test_an_ideal_functionality_sends_its_operands_to_the_last_party_only(step):
     host, n, operands = PARTIES[-1], len(APPLY_COLUMNS[0]), APPLY_STEPS[step][1]
     channels = queue_channels(PARTIES)
     engines = agent_engines(channels)
-    with mock.patch.object(
-        SecretSharingEngine, "_opened", autospec=True, side_effect=SecretSharingEngine._opened
-    ) as opened:
+    with reconstructions() as reconstructed:
         slices = run_apply(step, engines)
     reference = run_apply(step, [SecretSharingEngine(PARTIES, seed=COMPACT_SEED)])
 
@@ -569,10 +586,6 @@ def test_an_ideal_functionality_sends_its_operands_to_the_last_party_only(step):
         assert applied == [("env-apply", 2, 2 * n * operands * 8)]
     for party, channel in channels.items():
         assert channel.received.get("env-apply", [0, 0])[0] == (2 if party == host else 0)
-    reconstructed = [
-        call.args[0].held_share_parties for call in opened.call_args_list
-        if call.args[2] == "env-apply"
-    ]
     assert reconstructed == [(host,)]
     for got, want in zip(slices, reference, strict=True):
         assert got.tobytes() == want.tobytes()
@@ -605,3 +618,136 @@ def test_a_bit_flipped_in_the_hosts_env_apply_slice_corrupts_the_comparison():
     assert seen == [len(expected)]
     got = AdditiveSharing.reconstruct(slices).astype(bool).tolist()
     assert got == [not expected[0], *expected[1:]]
+
+
+
+# -- sort positions are computed at the last compute party and handed back --------------------
+
+#: A key column of two sorted runs (rows ``:3`` and ``3:``), the same keys
+#: sorted for the presorted aggregation, and a value column.
+POSITION_KEYS = {
+    "runs": np.array([-1, 3, 3, -1, 3, 7, 2**40], dtype=np.int64),
+    "sorted": np.array([-1, -1, 3, 3, 3, 7, 2**40], dtype=np.int64),
+}
+POSITION_VALUES = np.arange(7, dtype=np.int64) * 11 - 20
+POSITION_SLICES = {
+    kind: [
+        AdditiveSharing.share(col, len(PARTIES), np.random.default_rng(13 + k))
+        for k, col in enumerate((keys, POSITION_VALUES))
+    ]
+    for kind, keys in POSITION_KEYS.items()
+}
+KV_SCHEMA = Schema([ColumnDef("k"), ColumnDef("v")])
+RUNS = [np.arange(3), np.arange(3, 7)]
+
+
+def aggregate(presorted):
+    def step(engine, key, value):
+        table = SharedTable(engine, KV_SCHEMA, [key, value])
+        return protocols.mpc_aggregate(table, "k", "v", "sum", "s", presorted=presorted).columns
+
+    return step
+
+
+def sort(engine, key, value):
+    key, payload = oblivious_sort(engine, key, [value])
+    return [key, *payload]
+
+
+def merge(engine, key, value):
+    key, payload = oblivious_merge(engine, [(key.take(rows), [value.take(rows)]) for rows in RUNS])
+    return [key, *payload]
+
+
+#: Each step over the key and value columns: the keys it takes, the step
+#: (returning its result columns), and the payload bytes of the hand-back
+#: every other party receives for ``n`` key rows — the order, the packed
+#: adjacent-equality flags, or both.
+POSITION_STEPS = {
+    "aggregate": ("runs", aggregate(False), lambda n: 8 * n + (n + 6) // 8),
+    "aggregate-presorted": ("sorted", aggregate(True), lambda n: (n + 6) // 8),
+    "sort": ("runs", sort, lambda n: 8 * n),
+    "merge": ("runs", merge, lambda n: 8 * n),
+}
+
+
+def received_payloads(channel):
+    """Record ``(tag, payload bytes)`` of every frame ``channel`` receives."""
+    receive, seen = channel.receive_message, []
+
+    def recording(peer):
+        tag, payload = receive(peer)
+        arrays = payload if isinstance(payload, tuple) else (payload,)
+        seen.append((tag, sum(array.nbytes for array in arrays)))
+        return tag, payload
+
+    channel.receive_message = recording
+    return seen
+
+
+def run_positions(step, engines):
+    """``step`` at every engine of ``engines``, in lockstep:
+    ``{(column, party): slice bytes}`` of its result."""
+    kind, protocol, _ = POSITION_STEPS[step]
+
+    def run(engine):
+        held = engine.local_indices
+        key, value = (SharedVector(engine, [slices[i] for i in held]) for slices in POSITION_SLICES[kind])
+        return {
+            (k, i): share.tobytes()
+            for k, col in enumerate(protocol(engine, key, value))
+            for i, share in zip(held, col.shares)
+        }
+
+    with ThreadPoolExecutor(len(engines)) as pool:
+        return {got: data for out in pool.map(run, engines) for got, data in out.items()}
+
+
+def assert_key_went_to_the_host_only(channels, payloads, handed_back):
+    """One ``env-apply`` round of a key column, received by the last party;
+    one hand-back frame of ``handed_back`` payload bytes at every other
+    party; no ``env-open`` frame anywhere."""
+    host = PARTIES[-1]
+    for party, channel in channels.items():
+        assert "env-open" not in channel.received
+        assert channel.received.get("env-apply", [0])[0] == (2 if party == host else 0)
+        handed = [size for tag, size in payloads[party] if tag == "hand-back"]
+        assert handed == ([] if party == host else [handed_back])
+
+
+@pytest.mark.parametrize("step", POSITION_STEPS)
+def test_sort_positions_are_computed_at_the_last_party_and_handed_back(step):
+    """The key column's slices go to the last compute party only, whose
+    engine alone reconstructs it; the others receive one hand-back frame
+    of the order and/or the packed flags; every slice of the result is the
+    all-local engine's, byte for byte."""
+    channels = queue_channels(PARTIES)
+    payloads = {party: received_payloads(channel) for party, channel in channels.items()}
+    with reconstructions() as reconstructed:
+        slices = run_positions(step, agent_engines(channels))
+    reference = run_positions(step, [SecretSharingEngine(PARTIES, seed=COMPACT_SEED)])
+
+    assert_key_went_to_the_host_only(channels, payloads, POSITION_STEPS[step][2](len(POSITION_VALUES)))
+    assert reconstructed == [(PARTIES[-1],)]
+    assert slices == reference
+
+
+@pytest.mark.parametrize("base, verdict", [(5, 9), (10, 2**40), (2**41, None)])
+def test_a_key_range_verdict_is_decided_at_the_last_party(base, verdict):
+    """The column goes to the last compute party, which hands back the
+    first value out of range (or none) in 8 bytes."""
+    values = np.array([4, 0, 9, 2**40, 7], dtype=np.int64)
+    column = AdditiveSharing.share(values, len(PARTIES), np.random.default_rng(5))
+    channels = queue_channels(PARTIES)
+    payloads = {party: received_payloads(channel) for party, channel in channels.items()}
+
+    def check(engine):
+        return engine.key_outside(SharedVector(engine, [column[i] for i in engine.local_indices]), base)
+
+    with reconstructions() as reconstructed, ThreadPoolExecutor(len(PARTIES)) as pool:
+        verdicts = list(pool.map(check, agent_engines(channels)))
+
+    assert verdicts == [verdict] * len(PARTIES)
+    assert check(SecretSharingEngine(PARTIES, seed=COMPACT_SEED)) == verdict
+    assert_key_went_to_the_host_only(channels, payloads, 8)
+    assert reconstructed == [(PARTIES[-1],)]

@@ -175,15 +175,15 @@ class TestHandBack:
         assert got[0] is self.ORDER and got[1] is self.FLAGS
         sends = engine.network.channel.calls
         assert [(kind, peer, tag) for kind, peer, tag, _ in sends] == [
-            ("send", "b", "stp-handback"), ("send", "c", "stp-handback"),
+            ("send", "b", "hand-back"), ("send", "c", "hand-back"),
         ]
         order, packed = sends[0][3]
         assert order is self.ORDER and np.array_equal(packed, np.packbits(self.FLAGS))
         # 8 B per index, one bit per flag, to each of the two peers.
-        assert engine.network.schedule == [("stp-handback", 2, 2 * (24 + 2))]
+        assert engine.network.schedule == [("hand-back", 2, 2 * (24 + 2))]
 
     def test_a_peer_reads_the_payload_off_the_wire(self):
-        frame = ("stp-handback", (self.ORDER, np.packbits(self.FLAGS)))
+        frame = ("hand-back", (self.ORDER, np.packbits(self.FLAGS)))
         order, flags = self.engine("b", {"a": frame}).hand_back("a", None, self.LAYOUT)
         assert np.array_equal(order, self.ORDER) and np.array_equal(flags, self.FLAGS)
 
@@ -195,8 +195,8 @@ class TestHandBack:
         (ORDER, FLAGS.astype(np.uint8)),
     ], ids=["none", "short", "dtype", "length", "unpacked"])
     def test_a_peer_refuses_a_payload_off_its_layout(self, payload):
-        engine = self.engine("b", {"a": ("stp-handback", payload)})
-        with pytest.raises(TransportError, match="stp-handback"):
+        engine = self.engine("b", {"a": ("hand-back", payload)})
+        with pytest.raises(TransportError, match="hand-back"):
             engine.hand_back("a", None, self.LAYOUT)
 
     def test_a_party_outside_the_mpc_hands_back_with_no_round(self):

@@ -58,14 +58,14 @@ WORKLOADS = {
 #: ``bytes_sent`` the price list sees, analytic steps included.
 BUDGETS = {
     "hhi_pushdown": dict(
-        wire_rounds=8, wire_bytes=946, multiplications=379, comparisons=91,
+        wire_rounds=9, wire_bytes=804, multiplications=379, comparisons=91,
         local_ops=728, shuffled_elements=42, input_records=18, output_records=13,
-        messages=197, bytes_sent=6082, rounds=64,
+        messages=195, bytes_sent=5940, rounds=65,
     ),
     "hhi_mpc_only": dict(
-        wire_rounds=10, wire_bytes=10282, multiplications=18631, comparisons=4909,
+        wire_rounds=11, wire_bytes=7936, multiplications=18631, comparisons=4909,
         local_ops=38382, shuffled_elements=912, input_records=300, output_records=303,
-        messages=463, bytes_sent=233498, rounds=152,
+        messages=461, bytes_sent=231152, rounds=153,
     ),
     "credit_hybrid": dict(
         wire_rounds=14, wire_bytes=28272, multiplications=6649, comparisons=4004,
@@ -112,10 +112,10 @@ def test_judged_query_stays_on_its_committed_budget(name, monkeypatch):
 #: a layout or schedule change that grows the wire fails here.
 MESH_LEDGER = {
     "hhi_pushdown": {
-        "mpc.a.com": (762, 13), "mpc.b.com": (798, 14), "mpc.c.org": (610, 11),
+        "mpc.a.com": (662, 12), "mpc.b.com": (698, 13), "mpc.c.org": (628, 11),
     },
     "hhi_mpc_only": {
-        "mpc.a.com": (4326, 16), "mpc.b.com": (4362, 17), "mpc.c.org": (2946, 13),
+        "mpc.a.com": (3106, 15), "mpc.b.com": (3142, 16), "mpc.c.org": (3000, 13),
     },
     "credit_hybrid": {
         "mpc.bank-a.com": (10708, 16), "mpc.bank-b.cash": (9984, 15),
