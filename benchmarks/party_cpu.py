@@ -88,7 +88,7 @@ def _profiled_calls(executor, compiled) -> int:
 def _per_party(parties, inputs, compiled, run) -> dict:
     """``run(executor, compiled)`` on one queue-joined executor per party,
     each on its own thread: the executors and ``{party: result}``."""
-    executors = queue_executors(parties, inputs, compiled.config, SEED)
+    executors = queue_executors(parties, inputs, SEED)
     with ThreadPoolExecutor(len(parties)) as pool:
         results = pool.map(lambda ex: run(ex, compiled), executors.values())
         return executors, dict(zip(parties, results))
@@ -100,7 +100,7 @@ def measure(name: str, rows: int) -> dict:
     parties = list(spec.parties)
 
     start = time.thread_time()
-    reference = cc.QueryRunner(parties, inputs, compiled.config, seed=SEED).run(compiled)
+    reference = cc.QueryRunner(parties, inputs, seed=SEED).run(compiled)
     local_cpu = time.thread_time() - start
 
     executors, runs = _per_party(parties, inputs, compiled, _timed_execute)

@@ -42,7 +42,7 @@ def main(rows_per_relation: int = 300):
         hospital_1: {"diagnoses_0": diagnoses[0], "medications_0": medications[0]},
         hospital_2: {"diagnoses_1": diagnoses[1], "medications_1": medications[1]},
     }
-    result = cc.QueryRunner(spec.parties, inputs, config).run(compiled)
+    result = cc.QueryRunner(spec.parties, inputs).run(compiled)
     conclave_count = result.outputs["aspirin_count"].rows()[0][0]
 
     # --- SMCQL baseline ---

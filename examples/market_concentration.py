@@ -40,9 +40,9 @@ def main(rows_per_party: int = 2_000, runtime: str = "simulated"):
         party: {f"trips_{i}": tables[i]} for i, party in enumerate(spec.parties)
     }
     if runtime == "sockets":
-        result = cc.SocketCoordinator(spec.parties, inputs, config).run(compiled)
+        result = cc.SocketCoordinator(spec.parties, inputs).run(compiled)
     else:
-        result = cc.QueryRunner(spec.parties, inputs, config).run(compiled)
+        result = cc.QueryRunner(spec.parties, inputs).run(compiled)
 
     hhi = result.outputs["hhi_result"].rows()[0][0]
     print(f"[{result.runtime} runtime] "

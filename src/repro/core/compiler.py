@@ -173,7 +173,9 @@ def run_query(
     """Compile and execute a query in one call.
 
     ``inputs`` maps party name -> {relation name -> Table}.  Returns the
-    :class:`~repro.core.dispatch.QueryResult`.
+    :class:`~repro.core.dispatch.QueryResult`.  The plan is compiled with
+    ``config`` and runs, and is priced, with that configuration on either
+    runtime.
 
     ``runtime`` selects the execution substrate: ``"simulated"`` runs every
     party inside this process over the in-process transport (the default);
@@ -190,8 +192,6 @@ def run_query(
     """
     from repro.core.dispatch import run_compiled
 
-    config = config or CompilationConfig()
     return run_compiled(
-        compile_query(query, config), inputs, config,
-        seed=seed, runtime=runtime, timeout=timeout,
+        compile_query(query, config), inputs, seed=seed, runtime=runtime, timeout=timeout
     )

@@ -66,12 +66,6 @@ class CompilationConfig:
     #: Cleartext engine; ``"columnar"`` is the only one (the field survives
     #: because the benchmark harness still passes it).
     executor: str = "columnar"
-    #: Host the runtime's mesh and control listeners bind and advertise to
-    #: peers.  The loopback default keeps single-machine behaviour; set a
-    #: routable address to run agents across real hosts — and pass a
-    #: :class:`TransportSecurity` to ``open_session`` so the cross-host
-    #: links are mutually authenticated TLS, not plaintext.
-    bind_host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
         for name in _SWITCHES:

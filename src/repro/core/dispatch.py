@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.compiler import CompiledQuery, compile_query
 from repro.core.config import CompilationConfig
 from repro.data.table import Table
 from repro.hybrid.stp import LeakageReport
@@ -79,7 +80,6 @@ def run_query_from_csv(
     compiled,
     input_dirs: dict[str, str],
     output_dir: str | None = None,
-    config: CompilationConfig | None = None,
     seed: int = 0,
     runtime: str = "simulated",
     timeout: float = 60.0,
@@ -101,10 +101,7 @@ def run_query_from_csv(
     for rel in (node.out_rel for node in compiled.dag.roots):
         path = Path(input_dirs[rel.owner]) / f"{rel.name}.csv"
         inputs[rel.owner][rel.name] = read_csv(path, rel.schema)
-    result = run_compiled(
-        compiled, inputs, config or compiled.config,
-        seed=seed, runtime=runtime, timeout=timeout,
-    )
+    result = run_compiled(compiled, inputs, seed=seed, runtime=runtime, timeout=timeout)
     if output_dir is not None:
         for name, table in result.outputs.items():
             write_csv(table, Path(output_dir) / f"{name}.csv")
@@ -114,7 +111,6 @@ def run_query_from_csv(
 def run_compiled(
     compiled,
     inputs: dict[str, dict[str, Table]],
-    config: CompilationConfig,
     *,
     seed: int = 0,
     runtime: str = "simulated",
@@ -122,23 +118,36 @@ def run_compiled(
 ) -> QueryResult:
     """Execute a compiled query on the chosen runtime — the one place the
     ``simulated | sockets`` choice is made (the runtimes are described at
-    :func:`repro.core.compiler.run_query`).
+    :func:`repro.core.compiler.run_query`).  The plan runs with the
+    configuration it was compiled with, on either runtime.
     """
     parties = sorted(compiled.dag.parties() | set(inputs))
     if runtime == "simulated":
-        return QueryRunner(parties, inputs, config, seed=seed).run(compiled)
+        return QueryRunner(parties, inputs, seed=seed).run(compiled)
     if runtime == "sockets":
         from repro.runtime.service import SocketCoordinator
 
-        return SocketCoordinator(parties, inputs, config, seed=seed, timeout=timeout).run(compiled)
+        return SocketCoordinator(parties, inputs, seed=seed, timeout=timeout).run(compiled)
     raise ValueError(f"unknown runtime {runtime!r}; use 'simulated' or 'sockets'")
 
 
 class QueryRunner(PlanExecutor):
-    """Executes compiled queries over in-memory party inputs, in one process."""
+    """Executes queries over in-memory party inputs, in one process.
 
-    def run(self, compiled) -> QueryResult:
-        """Execute a :class:`~repro.core.compiler.CompiledQuery`."""
+    ``config`` is what a query handed over uncompiled compiles with; a
+    compiled plan runs with the configuration it was compiled with.
+    """
+
+    def __init__(self, parties, inputs, config: CompilationConfig | None = None, seed: int = 0):
+        super().__init__(parties, inputs, seed)
+        self.config = config or CompilationConfig()
+        self.config.require_executable()
+
+    def run(self, query) -> QueryResult:
+        """Execute a :class:`~repro.core.compiler.CompiledQuery`, or compile
+        anything :func:`~repro.core.compiler.compile_query` accepts with the
+        runner's ``config`` and execute that."""
+        compiled = query if isinstance(query, CompiledQuery) else compile_query(query, self.config)
         outcome = self.execute(compiled)
         return QueryResult(
             outputs=outcome.outputs,

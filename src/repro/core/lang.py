@@ -335,11 +335,11 @@ class RelationHandle:
         Multiple aggregates lower to one ``Aggregate`` operator each, joined
         on the group key; two or more group columns lower to a composite-key
         encode so the single-key frontier/hybrid rewrites apply unchanged.
-        ``key_base`` sizes that encoding exactly as for :meth:`join` — and
-        with the same caveat: group values must be non-negative integers
-        below the base (default 2**20) or distinct groups can silently
-        merge.  With at most one group column no encoding happens and
-        ``key_base`` is ignored.
+        ``key_base`` sizes that encoding exactly as for :meth:`join`, with the
+        same check: a group value outside ``[0, key_base)`` is a
+        ``ValueError`` naming its column, never a merged group.  With at
+        most one group column no encoding happens and ``key_base`` is
+        ignored.
         """
         group = list(group)
         if not aggs:
@@ -414,12 +414,13 @@ class RelationHandle:
 
         .. warning::
            The encoding is collision-free only for **non-negative integer
-           keys below the base** (default 2**20 ≈ 1.05M); out-of-range key
-           values can silently match unequal keys, and the key data is
-           private so the runtime cannot check.  Pass ``key_base=`` sized to
-           your key domain — ``key_base ** num_key_columns`` must fit in
-           2**63, which is validated at query-build time.  With a single key
-           column no encoding happens and ``key_base`` is ignored.
+           keys below the base** (default 2**20 ≈ 1.05M).  The executor
+           checks the values and raises a ``ValueError`` naming the first
+           offending key column; under MPC the check costs one host round
+           pair per side.  Pass ``key_base=`` sized to your key domain —
+           ``key_base ** num_key_columns`` must fit in 2**63, which is
+           validated at query-build time.  With a single key column no
+           encoding happens and ``key_base`` is ignored.
         """
         pairs = _normalise_join_keys(on)
         for l_col, r_col in pairs:

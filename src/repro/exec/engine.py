@@ -48,10 +48,11 @@ class ColumnarBackend:
         self.work.jobs += 1
         return table
 
-    def key_outside(self, handle: Table, column: str, base: int) -> int | None:
-        """The first value of ``column`` outside ``[0, base)``, or ``None``:
-        the executor's composite-key range check."""
-        return kernels.first_outside(handle.column(column), base)
+    def key_outside(self, handle: Table, columns: Sequence[str], base: int):
+        """The first of ``columns`` with a value outside ``[0, base)`` and
+        that value, or ``None``: the executor's composite-key range check."""
+        bad = ((name, kernels.first_outside(handle.column(name), base)) for name in columns)
+        return next(((name, value) for name, value in bad if value is not None), None)
 
     # -- relational operators ----------------------------------------------------------
 

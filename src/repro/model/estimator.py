@@ -200,10 +200,8 @@ class PlanEstimator:
             config = dataclasses.replace(compiled.config, mpc_backend="sharemind")
             compiled = dataclasses.replace(compiled, config=config)
         run = _ShapeRun(
-            parties, inputs, compiled.config, rows, self._garbled_seconds if garbled else None
+            parties, inputs, rows, self._garbled_seconds if garbled else None, self.spark_model
         )
-        if self.spark_model is not None and compiled.config.cleartext_backend == "spark":
-            run.cleartext_prices = self.spark_model
         outcome = run.execute(compiled)
 
         total = completion_seconds(dag, outcome.node_durations)
@@ -316,13 +314,20 @@ class _ShapeRun(PlanExecutor):
 
     trusted_party = ShapeSTP
 
-    def __init__(self, parties, inputs, config, rows: dict[str, int], garbled_seconds):
+    def __init__(self, parties, inputs, rows: dict[str, int], garbled_seconds, spark_model):
         self.rows = rows
         self.rows_out = 0
         #: Obliv-C: the circuit price of an MPC node (``None``: Sharemind).
         self.garbled_seconds = garbled_seconds
         self.garbled_total = 0.0
-        super().__init__(parties, inputs, config)
+        #: The estimator's Spark price list (``None``: the default one).
+        self.spark_model = spark_model
+        super().__init__(parties, inputs)
+
+    def cleartext_prices_for(self, config):
+        if self.spark_model is not None and config.cleartext_backend == "spark":
+            return self.spark_model
+        return super().cleartext_prices_for(config)
 
     def cleartext_engine(self) -> ShapeColumnarBackend:
         return ShapeColumnarBackend(lambda: self.rows_out)

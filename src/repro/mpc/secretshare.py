@@ -924,17 +924,19 @@ class SecretSharingEngine:
         if len(rows) > 0 and (rows.min() < 0 or rows.max() >= n):
             raise IndexError("oblivious index out of range")
 
-    def key_outside(self, vec: SharedVector, base: int) -> "int | None":
-        """The first value of ``vec`` outside ``[0, base)``, or ``None``: the
-        executor's composite-key range check.  The column goes to the last
-        compute party (:meth:`_at_host`), which hands back only that value,
-        or 0 when there is none (a key base is at least 2, so 0 is in
-        range)."""
+    def key_outside(self, vecs: Sequence[SharedVector], base: int) -> "list[int | None]":
+        """The first value of each of ``vecs`` outside ``[0, base)``, or
+        ``None``: the executor's composite-key range check.  The columns go
+        to the last compute party (:meth:`_at_host`), which hands back only
+        one int64 per column, that value or 0 when there is none (a key base
+        is at least 2, so 0 is in range)."""
         (bad,) = self._at_host(
-            [vec], [(np.int64, 1)],
-            lambda values: (np.array([first_outside(values, base) or 0], dtype=np.int64),),
+            vecs, [(np.int64, len(vecs))],
+            lambda *columns: (np.array(
+                [first_outside(values, base) or 0 for values in columns], dtype=np.int64
+            ),),
         )
-        return first_outside(bad, base)
+        return [None if 0 <= value < base else value for value in bad.tolist()]
 
     def reshared_take(self, vec: SharedVector, rows) -> SharedVector:
         """Rows ``rows`` of ``vec`` under a fresh sharing.

@@ -165,9 +165,10 @@ class ShapeEngine(SecretSharingEngine):
     def check_index(self, rows, n: int) -> None:
         pass
 
-    def key_outside(self, vec: SharedVector, base: int) -> None:
+    def key_outside(self, vecs: Sequence[SharedVector], base: int) -> list[None]:
         """The rounds are carried; an estimate sees no key out of range."""
-        self._at_host([vec], [(np.int64, 1)], None)
+        self._at_host(vecs, [(np.int64, len(vecs))], None)
+        return [None] * len(vecs)
 
     def _segment_sums(self, values: SharedVector, same) -> list[np.ndarray]:
         return []
@@ -207,7 +208,7 @@ class ShapeColumnarBackend(ColumnarBackend):
 
         return super()._pass(shaped, handles, records, shuffled)
 
-    def key_outside(self, handle: Table, column: str, base: int) -> None:
+    def key_outside(self, handle: Table, columns: Sequence[str], base: int) -> None:
         """An estimate sees no key out of range."""
 
 

@@ -81,11 +81,13 @@ class SharemindBackend:
         """Open a relation to a single (possibly external) party."""
         return handle.reveal_to(party)
 
-    def key_outside(self, handle: SharedTable, column: str, base: int) -> int | None:
-        """The first value of ``column`` outside ``[0, base)``, or ``None``:
-        the executor's composite-key range check, decided at the last
-        compute party, which hands back only the verdict."""
-        return self.engine.key_outside(handle.column(column), base)
+    def key_outside(self, handle: SharedTable, columns: Sequence[str], base: int):
+        """The first of ``columns`` with a value outside ``[0, base)`` and
+        that value, or ``None``: the executor's composite-key range check,
+        decided for every column at once at the last compute party, which
+        hands back only the verdicts."""
+        bad = zip(columns, self.engine.key_outside([handle.column(c) for c in columns], base))
+        return next(((name, value) for name, value in bad if value is not None), None)
 
     # -- relational operators -------------------------------------------------------------
 

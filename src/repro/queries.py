@@ -36,27 +36,6 @@ class QuerySpec:
     info: dict = field(default_factory=dict)
 
 
-def run_spec(
-    spec: QuerySpec,
-    inputs,
-    config=None,
-    seed: int = 0,
-    runtime: str = "simulated",
-    timeout: float = 60.0,
-):
-    """Compile and execute a :class:`QuerySpec` on the chosen runtime.
-
-    ``inputs`` maps party name -> {relation name -> Table}, matching
-    ``spec.input_relations``.  ``runtime`` is ``"simulated"`` (every party in
-    this process) or ``"sockets"`` (one OS process per party, cross-party
-    traffic over real TCP); both produce byte-identical results.  ``timeout``
-    bounds the socket runtime's blocking operations.
-    """
-    from repro.core.compiler import run_query
-
-    return run_query(spec.context, inputs, config, seed=seed, runtime=runtime, timeout=timeout)
-
-
 def market_concentration_query(
     party_names: list[str] | None = None, rows_per_party: int | None = None
 ) -> QuerySpec:

@@ -159,11 +159,11 @@ class PartyAgent:
         self,
         query_id: int,
         fingerprint: str,
-        config,
         seed: int,
         inputs: dict | None = None,
     ) -> dict:
-        """Execute one cached plan and return a wire-encodable result payload.
+        """Execute one cached plan, with the configuration it was compiled
+        with, and return a wire-encodable result payload.
 
         A fresh :class:`~repro.runtime.executor.PlanExecutor` (fresh
         backends, meters and leakage report) runs every query, exactly as a
@@ -179,7 +179,6 @@ class PartyAgent:
         executor = PlanExecutor(
             self.parties,
             {self.party: self.session_inputs if inputs is None else inputs},
-            config,
             seed=seed,
             local_parties={self.party},
             mesh=channel,
@@ -330,10 +329,10 @@ def _serve(
         with send_lock:
             send_frame(control, frame)
 
-    def run_one(query_id: int, fingerprint: str, config, seed: int, inputs) -> None:
+    def run_one(query_id: int, fingerprint: str, seed: int, inputs) -> None:
         nonlocal last_activity
         try:
-            payload = agent.run_query(query_id, fingerprint, config, seed, inputs)
+            payload = agent.run_query(query_id, fingerprint, seed, inputs)
             frame = ("result", query_id, payload)
         except BaseException as exc:  # noqa: BLE001 - ship the error to the driver
             frame = ("error", query_id, exc, traceback.format_exc())
@@ -404,9 +403,6 @@ def _serve(
                     name=f"agent-query-{agent.party}-{len(workers)}",
                 ))
                 workers[-1].start()
-            jobs.put((
-                job["query_id"], job["fingerprint"], job["config"],
-                job["seed"], job.get("inputs"),
-            ))
+            jobs.put((job["query_id"], job["fingerprint"], job["seed"], job.get("inputs")))
     finally:
         drain()

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import CompilationConfig
 from repro.core.operators import (
     Aggregate,
     BoolOp,
@@ -111,8 +110,10 @@ class PlanExecutor:
     in-process dispatcher.
 
     Cleartext operators run on one engine per party and MPC operators on
-    the secret-sharing backend; ``config.cleartext_backend`` only picks the
-    price list the engines' work tallies are converted to seconds with.
+    the secret-sharing backend.  An execution reads the configuration the
+    plan was compiled with and no other: ``compiled.config`` must be
+    executable, and its ``cleartext_backend`` picks the price list the
+    engines' work tallies are converted to seconds with.
     """
 
     #: The cleartext engine class — a seam, so the differential tests can
@@ -126,7 +127,6 @@ class PlanExecutor:
         self,
         parties: list[str],
         inputs: dict[str, dict[str, Table]],
-        config: CompilationConfig | None = None,
         seed: int = 0,
         *,
         local_parties: set[str] | None = None,
@@ -134,9 +134,6 @@ class PlanExecutor:
     ):
         self.parties = list(parties)
         self.inputs = inputs
-        self.config = config or CompilationConfig()
-        self.config.require_executable()
-        self.cleartext_prices = CLEARTEXT_COST_MODELS[self.config.cleartext_backend]()
         self.seed = seed
         self.mesh = mesh
         self.local_parties = set(local_parties) if local_parties is not None else set(self.parties)
@@ -173,9 +170,14 @@ class PlanExecutor:
 
     # -- execution -------------------------------------------------------------------------
 
+    def cleartext_prices_for(self, config):
+        """The price list of the plan's ``config.cleartext_backend``."""
+        return CLEARTEXT_COST_MODELS[config.cleartext_backend]()
+
     def execute(self, compiled) -> ExecutionOutcome:
         """Execute a :class:`~repro.core.compiler.CompiledQuery`."""
         compiled.config.require_executable()
+        self.cleartext_prices = self.cleartext_prices_for(compiled.config)
         # Fresh per execution, so a reused runner never accumulates or
         # cross-contaminates leakage between runs.
         self.leakage = LeakageReport()
@@ -409,7 +411,7 @@ class PlanExecutor:
 
     def _backend_breakdown(self) -> dict[str, float]:
         """Simulated seconds per engine: each party's work tally priced with
-        the configured cleartext price list, plus the MPC backend's meter and,
+        the plan's cleartext price list, plus the MPC backend's meter and,
         once an MPC node has run, the job's one start-up.
 
         A distributed agent counts only the engines of the parties it
@@ -551,20 +553,21 @@ def _validate_key_range(engine, node: OpNode, handle) -> None:
     collision-free for key values in ``[0, key_base)``; anything outside
     that range would silently match unequal keys.  The frontend marks
     the first operator of every encode chain with ``key_range_check``;
-    here the executor inspects the actual key data — the MPC backend
-    sends it to the last compute party, exactly like the ideal comparison
-    functionalities do, and that party hands back only the first value out
-    of range — and fails loudly instead.
+    here the executor inspects the actual key data of all its columns in
+    one step — the MPC backend sends them to the last compute party, like
+    the ideal comparison functionalities, which hands back only each one's
+    first value out of range — and fails loudly, naming the first
+    offending column in key order.
     """
     check = node.key_range_check
     if not check or handle is None:
         return
     columns, base = check
-    for name in columns:
-        bad = engine.key_outside(handle, name, base)
-        if bad is not None:
-            raise ValueError(
-                f"composite-key column {name!r} contains value {bad} outside "
-                f"[0, {base}); the composite-key encoding would silently mis-encode "
-                f"it — pass key_base= sized to the key domain"
-            )
+    bad = engine.key_outside(handle, list(columns), base)
+    if bad is not None:
+        name, value = bad
+        raise ValueError(
+            f"composite-key column {name!r} contains value {value} outside "
+            f"[0, {base}); the composite-key encoding would silently mis-encode "
+            f"it — pass key_base= sized to the key domain"
+        )

@@ -402,7 +402,6 @@ class AgentPool:
         query_id: int,
         fingerprint: str,
         compiled_to_ship,
-        config,
         seed: int,
         inputs: dict | None,
     ) -> Future:
@@ -434,7 +433,6 @@ class AgentPool:
                     "query_id": query_id,
                     "fingerprint": fingerprint,
                     "compiled": compiled_to_ship,
-                    "config": config,
                     "seed": seed,
                     # Per-party override: parties not named keep their
                     # standing session inputs (None -> agent falls back).

@@ -59,12 +59,12 @@ def queue_channels(parties) -> dict[str, QueueChannel]:
     return {party: QueueChannel(party, links, keys) for party in parties}
 
 
-def queue_executors(parties, inputs, config, seed) -> dict[str, PlanExecutor]:
+def queue_executors(parties, inputs, seed) -> dict[str, PlanExecutor]:
     """One executor per party, each holding only its own inputs, joined by
     :class:`QueueChannel`\\ s (its ``mesh``)."""
     return {
         party: PlanExecutor(
-            parties, {party: inputs.get(party, {})}, config, seed=seed,
+            parties, {party: inputs.get(party, {})}, seed=seed,
             local_parties={party}, mesh=channel,
         )
         for party, channel in queue_channels(parties).items()
@@ -75,7 +75,7 @@ def run_on_queue_channels(parties, inputs, compiled, seed, executors=None):
     """Run ``compiled`` on :func:`queue_executors`, one thread each; returns
     ``{party: ExecutionOutcome}``.  The executors go into ``executors`` when
     it is a dict."""
-    made = queue_executors(parties, inputs, compiled.config, seed)
+    made = queue_executors(parties, inputs, seed)
     if executors is not None:
         executors.update(made)
     with ThreadPoolExecutor(len(parties)) as pool:

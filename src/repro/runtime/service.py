@@ -69,7 +69,7 @@ def plan_fingerprint(compiled) -> str:
     rewritten relations per compile, and the codec writes sets sorted), so
     equal plans fingerprint equal in every process — the same object
     resubmitted, or the same query recompiled under the same config, ships
-    once — and plans that differ in DAG or config never collide.
+    once — and plans that differ in DAG or compilation config never collide.
 
     Memoized on the compiled object so the warm path ("submit many") never
     re-encodes the plan just to hash it.
@@ -210,6 +210,8 @@ class QuerySession:
 
     ``inputs`` maps party name -> {relation name -> Table} and becomes the
     session's standing data (each ``submit`` may override it per query).
+    ``config`` is what a query submitted uncompiled compiles with; a
+    compiled plan runs with the configuration it was compiled with.
     ``max_workers`` bounds how many queries each agent executes concurrently
     and how many the gateway dispatches at once; ``max_queue_depth`` bounds
     how many more wait in the gateway (``None``: no limit) before a
@@ -229,8 +231,8 @@ class QuerySession:
     :class:`~repro.core.config.TransportSecurity`) wraps every control
     and mesh link in mutually-authenticated TLS, each hello checked
     against its certificate's CN — required for deployments that leave
-    loopback (pair it with ``config.bind_host``, the host the control
-    listener and the agents' mesh listeners bind and advertise).
+    loopback (pair it with ``bind_host``, the host the control listener and
+    the agents' mesh listeners bind and advertise; loopback by default).
     """
 
     def __init__(
@@ -247,6 +249,7 @@ class QuerySession:
         restart: RestartPolicy | None = None,
         faults=None,
         security: TransportSecurity | None = None,
+        bind_host: str = "127.0.0.1",
     ):
         # Every option is refused here, by name, before any agent is spawned
         # or any input shipped.
@@ -261,6 +264,8 @@ class QuerySession:
                 raise ValueError(
                     f"{name} must be {wanted}{' or None' if optional else ''}, got {value!r}"
                 )
+        if not isinstance(bind_host, str) or not bind_host:
+            raise ValueError(f"bind_host must be a non-empty host or address, got {bind_host!r}")
         self.parties = list(parties)
         self.config = config or CompilationConfig()
         self.config.require_executable()
@@ -296,7 +301,7 @@ class QuerySession:
             faults=faults,
             metrics=self._metrics,
             on_restart=self._agents_restarted,
-            bind_host=self.config.bind_host,
+            bind_host=bind_host,
             security=security,
         )
         self._metrics.set_party_provider(self._pool.party_counters)
@@ -324,15 +329,16 @@ class QuerySession:
         query,
         inputs: dict | None = None,
         seed: int | None = None,
-        config: CompilationConfig | None = None,
     ) -> PendingResult:
         """Admit one query through the gateway; returns immediately.
 
-        ``query`` is a compiled plan (preferred — compile once, submit many)
-        or anything :func:`repro.core.compiler.compile_query` accepts.
-        ``inputs`` optionally overrides the session's standing inputs for
-        this query only (per party; parties not named keep their standing
-        inputs).  ``seed``/``config`` default to the session's.
+        ``query`` is a compiled plan (preferred — compile once, submit many),
+        which runs with the configuration it was compiled with, or anything
+        :func:`repro.core.compiler.compile_query` accepts, which compiles
+        with the session's ``config``.  ``inputs`` optionally overrides the
+        session's standing inputs for this query only (per party; parties
+        not named keep their standing inputs).  ``seed`` defaults to the
+        session's.
 
         Raises :class:`~repro.runtime.gateway.QueryRejected` when the
         session's ``max_queue_depth`` is exceeded — the query was shed
@@ -340,10 +346,8 @@ class QuerySession:
         """
         from repro.core.compiler import CompiledQuery, compile_query
 
-        config = config or self.config
+        compiled = query if isinstance(query, CompiledQuery) else compile_query(query, self.config)
         # Refused on the submitting side: no plan or input leaves this process.
-        config.require_executable()
-        compiled = query if isinstance(query, CompiledQuery) else compile_query(query, config)
         compiled.config.require_executable()
         compute = self.parties[: SharemindBackend.MAX_PARTIES]
         if len(compute) < len(self.parties) and any(node.is_mpc for node in compiled.dag.nodes()):
@@ -356,12 +360,12 @@ class QuerySession:
         started = time.perf_counter()
         query_seed = self.seed if seed is None else seed
         future = self._gateway.submit(
-            lambda: self._dispatch_query(compiled, fingerprint, config, query_seed, inputs)
+            lambda: self._dispatch_query(compiled, fingerprint, query_seed, inputs)
         )
         return PendingResult(self, compiled, future, started)
 
     def _dispatch_query(
-        self, compiled, fingerprint: str, config, seed: int, inputs: dict | None
+        self, compiled, fingerprint: str, seed: int, inputs: dict | None
     ) -> Future:
         """Frame one admitted query out to the agents (gateway dispatch hook).
 
@@ -376,7 +380,7 @@ class QuerySession:
         caller through that outer future.
         """
         def dispatch() -> Future:
-            return self._dispatch_once(compiled, fingerprint, config, seed, inputs)
+            return self._dispatch_once(compiled, fingerprint, seed, inputs)
 
         if self._restart is None or self._restart.max_attempts == 1:
             return dispatch()
@@ -449,7 +453,7 @@ class QuerySession:
         outer.set_exception(failure)
 
     def _dispatch_once(
-        self, compiled, fingerprint: str, config, seed: int, inputs: dict | None
+        self, compiled, fingerprint: str, seed: int, inputs: dict | None
     ) -> Future:
         """Frame one query attempt out to the agents.
 
@@ -462,12 +466,7 @@ class QuerySession:
             ship = fingerprint not in self._shipped_fingerprints
             query_id = self._next_qid
             future = self._pool.submit(
-                query_id,
-                fingerprint,
-                compiled if ship else None,
-                config,
-                seed,
-                inputs,
+                query_id, fingerprint, compiled if ship else None, seed, inputs
             )
             # Only now is the id consumed: a submit that raised (e.g. its
             # frame failed to encode) shipped nothing, so the id is reused.
@@ -486,7 +485,6 @@ class QuerySession:
         query,
         inputs: dict | None = None,
         seed: int | None = None,
-        config: CompilationConfig | None = None,
         timeout: float | None = None,
     ):
         """Execute one query on the standing agents and block for its result.
@@ -495,7 +493,7 @@ class QuerySession:
         :class:`~repro.runtime.gateway.QueryRejected` at once; backing off
         and resubmitting is the caller's policy.
         """
-        return self.submit_async(query, inputs=inputs, seed=seed, config=config).result(timeout)
+        return self.submit_async(query, inputs=inputs, seed=seed).result(timeout)
 
     # -- observability -----------------------------------------------------------------
 
@@ -603,7 +601,8 @@ def open_session(
 
 class SocketCoordinator:
     """The one-shot driver: a session that lives for exactly one query (cold
-    spawn, one submit, retire); its result is stamped ``runtime="sockets"``."""
+    spawn, one submit, retire); its result is stamped ``runtime="sockets"``.
+    Its agents bind loopback."""
 
     def __init__(
         self, parties: list[str], inputs: dict, config: CompilationConfig | None = None,
@@ -613,6 +612,10 @@ class SocketCoordinator:
         self._options = {"timeout": timeout, "security": security}
 
     def run(self, compiled):
+        from repro.core.compiler import CompiledQuery
+
+        if isinstance(compiled, CompiledQuery):
+            compiled.config.require_executable()  # before any agent spawns
         started = time.perf_counter()
         session = QuerySession(*self._session_args, **self._options)
         try:

@@ -29,8 +29,12 @@ class PythonBackend:
     def ingest(self, table: Table, contributor: str | None = None) -> Table:
         return table
 
-    def key_outside(self, handle: Table, column: str, base: int):
-        return next((int(v) for v in handle.column(column) if not 0 <= v < base), None)
+    def key_outside(self, handle: Table, columns: Sequence[str], base: int):
+        return next(
+            ((name, int(v)) for name in columns for v in handle.column(name)
+             if not 0 <= v < base),
+            None,
+        )
 
     # -- relational operators ----------------------------------------------------------
 

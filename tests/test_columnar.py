@@ -390,8 +390,8 @@ class TestBindHost:
 
     @pytest.mark.parametrize("bind_host", ["127.0.0.1", "127.0.0.2"])
     def test_agents_advertise_full_endpoints(self, bind_host, monkeypatch):
-        """The session binds and advertises ``config.bind_host`` — also when
-        it is not the loopback default."""
+        """The session binds and advertises its ``bind_host`` — also when it
+        is not the loopback default."""
         try:
             bind_listener(1.0, bind_host).close()
         except OSError:
@@ -407,8 +407,7 @@ class TestBindHost:
 
         monkeypatch.setattr(AgentPool, "_expect", recording_expect)
         ctx, inputs = self.two_party_sum()
-        config = CompilationConfig(bind_host=bind_host)
-        with cc.QuerySession([PARTY_A, PARTY_B], inputs=inputs, config=config) as session:
+        with cc.QuerySession([PARTY_A, PARTY_B], inputs=inputs, bind_host=bind_host) as session:
             assert session._pool.bind_host == bind_host
             assert set(advertised) == {PARTY_A, PARTY_B}
             for party, (host, port) in advertised.items():

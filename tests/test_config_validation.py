@@ -38,7 +38,7 @@ def test_a_value_of_the_wrong_type_is_refused(cls, field, value):
 #: ``(option, value)``: a ``QuerySession`` option out of its range or of the
 #: wrong type.  ``True`` would open a session with a 1 s timeout, ``0`` start
 #: agents whose sockets fail, and ``-1`` raise the socket's own error, which
-#: names no option.
+#: names no option; so would a listener address that is not a host string.
 SESSION_OPTIONS = [
     ("timeout", True),
     ("timeout", 0),
@@ -56,6 +56,11 @@ SESSION_OPTIONS = [
     ("max_queue_depth", -1),
     ("max_queue_depth", 1.5),
     ("max_queue_depth", "4"),
+    ("bind_host", ""),
+    ("bind_host", None),
+    ("bind_host", 127),
+    ("bind_host", b"127.0.0.1"),
+    ("bind_host", ("127.0.0.1", 0)),
 ]
 
 

@@ -296,7 +296,7 @@ def _pred_eval(pred, row):
 # -- the differential tests --------------------------------------------------------------------
 
 
-def run_spec(spec, cleartext: str = "python", runtime: str = "simulated", seed: int = 0):
+def run_generated(spec, cleartext: str = "python", runtime: str = "simulated", seed: int = 0):
     """Compile ``spec`` and run it; ``runtime="oracle"`` replays the plan
     in-process on the ``Table`` reference engine."""
     ctx, inputs = build_query(spec)
@@ -321,7 +321,7 @@ def test_random_plan_matches_oracle_under_both_price_lists(plan):
     spec = generate_spec(SEED + plan)
     expected = oracle(spec)
     for cleartext in PRICE_LISTS:
-        _compiled, result = run_spec(spec, cleartext)
+        _compiled, result = run_generated(spec, cleartext)
         got = sorted(result.outputs["out"].rows())
         assert got == expected, (
             f"plan {plan} (seed {spec['seed']}) diverged from the oracle on "
@@ -335,10 +335,10 @@ def test_random_plan_columnar_byte_identical_to_row_engine(plan):
     order, the MPC work/traffic profile, the leakage report) to the same
     plan replayed on the row-at-a-time reference engine."""
     spec = generate_spec(SEED + plan)
-    _compiled, reference = run_spec(spec, runtime="oracle")
+    _compiled, reference = run_generated(spec, runtime="oracle")
     assert sorted(reference.outputs["out"].rows()) == oracle(spec)
     for cleartext in PRICE_LISTS:
-        _c, columnar = run_spec(spec, cleartext)
+        _c, columnar = run_generated(spec, cleartext)
         assert_byte_identical(
             columnar, reference, f"plan {plan} (seed {spec['seed']}) cleartext={cleartext}"
         )
@@ -352,8 +352,8 @@ def test_random_plan_byte_identical_at_any_chunk_size(plan, chunk_rows, monkeypa
     one row or seven per chunk must give the same bytes."""
     monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk_rows)
     spec = generate_spec(SEED + plan)
-    _compiled, reference = run_spec(spec, runtime="oracle")
-    _c, columnar = run_spec(spec)
+    _compiled, reference = run_generated(spec, runtime="oracle")
+    _c, columnar = run_generated(spec)
     assert_byte_identical(
         columnar, reference, f"plan {plan} (seed {spec['seed']}) chunk_rows={chunk_rows}"
     )
@@ -448,13 +448,65 @@ class TestCompositeKeyRangeGuard:
         with pytest.raises(ValueError, match="outside \\[0, 100\\)"):
             cc.run_query(ctx, inputs)
 
+    def two_sided_join(self):
+        """A join on ``["a", "b"]`` whose sides are both parties' rows, so
+        each side's key encode runs on secret-shared data."""
+        pa, pb = cc.Party(PARTY_A), cc.Party(PARTY_B)
+        left = [cc.Column("a"), cc.Column("b"), cc.Column("x")]
+        right = [cc.Column("a"), cc.Column("b"), cc.Column("y")]
+        with QueryContext() as ctx:
+            lefts = [ctx.new_table(f"l{i}", left, at=p) for i, p in enumerate((pa, pb))]
+            rights = [ctx.new_table(f"r{i}", right, at=p) for i, p in enumerate((pa, pb))]
+            ctx.concat(lefts).join(ctx.concat(rights), on=["a", "b"], key_base=4).collect(
+                "out", to=[pa]
+            )
+        config = CompilationConfig(enable_push_down=False, enable_hybrid_operators=False)
+        return cc.compile_query(ctx, config)
+
+    def two_sided_inputs(self, bad_row=None):
+        left = Schema([ColumnDef("a"), ColumnDef("b"), ColumnDef("x")])
+        right = Schema([ColumnDef("a"), ColumnDef("b"), ColumnDef("y")])
+        l1 = [(2, 1, 5), (1, 1, 6), (3, 0, 7)] if bad_row is None else [(2, 1, 5), bad_row, (3, 0, 7)]
+        return {
+            PARTY_A: {
+                "l0": Table.from_rows(left, [(0, 1, 5), (1, 2, 6), (3, 3, 7)]),
+                "r0": Table.from_rows(right, [(0, 1, 8), (3, 3, 9), (2, 0, 1)]),
+            },
+            PARTY_B: {
+                "l1": Table.from_rows(left, l1),
+                "r1": Table.from_rows(right, [(1, 1, 8), (3, 2, 9), (2, 2, 1)]),
+            },
+        }
+
+    def test_mpc_checks_every_key_column_of_a_side_in_one_host_step(self):
+        """Both key columns of a side go to the last compute party in one
+        ``env-apply`` round and come back in one ``hand-back`` of two int64:
+        one round pair per side of the join, not one per key column."""
+        compiled = self.two_sided_join()
+        runner = QueryRunner([PARTY_A, PARTY_B], self.two_sided_inputs(), seed=1)
+        result = runner.run(compiled)
+        schedule = runner.mpc_backend.engine.network.schedule
+        assert schedule[:4] == [("env-apply", 1, 96), ("hand-back", 1, 16)] * 2
+        assert sorted(result.outputs["out"].rows()) == [(0, 1, 5, 8), (1, 1, 6, 8), (3, 3, 7, 9)]
+
+    @pytest.mark.parametrize(
+        "bad_row, column, value", [((1, 7, 6), "b", 7), ((-1, 9, 6), "a", -1), ((1, -2, 6), "b", -2)]
+    )
+    @pytest.mark.parametrize("runner", [QueryRunner, OracleRunner])
+    def test_the_error_names_the_first_offending_column_in_key_order(
+        self, runner, bad_row, column, value
+    ):
+        inputs = self.two_sided_inputs(bad_row)
+        with pytest.raises(ValueError, match=f"column {column!r} contains value {value} outside"):
+            runner([PARTY_A, PARTY_B], inputs, seed=1).run(self.two_sided_join())
+
 
 @pytest.mark.parametrize("plan", range(NUM_SOCKET_PLANS))
 def test_random_plan_byte_identical_across_transports(plan):
     """Real per-party processes vs the reference engine in the simulation."""
     spec = generate_spec(SEED + plan)
-    _compiled, reference = run_spec(spec, runtime="oracle", seed=3)
-    compiled, socketed = run_spec(spec, runtime="sockets", seed=3)
+    _compiled, reference = run_generated(spec, runtime="oracle", seed=3)
+    compiled, socketed = run_generated(spec, runtime="sockets", seed=3)
     assert_byte_identical(socketed, reference, f"plan {plan} over sockets")
     assert compiled.mpc_operator_count() == _compiled.mpc_operator_count()
     assert sorted(socketed.outputs["out"].rows()) == oracle(spec)

@@ -23,7 +23,7 @@ from repro.mpc.secretshare import AdditiveSharing, SecretSharingEngine, SharedVe
 from repro.mpc.shape import ShapeEngine
 from repro.mpc.sharemind import SharemindBackend
 from repro.runtime.queues import queue_channels
-from test_differential import NUM_PLANS, SEED, generate_spec, run_spec
+from test_differential import NUM_PLANS, SEED, generate_spec, run_generated
 from tests.conftest import PARTIES, make_table
 
 
@@ -387,7 +387,7 @@ def test_corpus_flags_reaching_compact_hold_bits():
     aggregations all hand ``compact`` zeros and ones, nothing else."""
     with watching_compact() as seen:
         for plan in range(NUM_PLANS):
-            run_spec(generate_spec(SEED + plan))
+            run_generated(generate_spec(SEED + plan))
     assert len(seen) >= NUM_PLANS
     assert_all_bits(seen)
 
@@ -732,22 +732,31 @@ def test_sort_positions_are_computed_at_the_last_party_and_handed_back(step):
     assert slices == reference
 
 
-@pytest.mark.parametrize("base, verdict", [(5, 9), (10, 2**40), (2**41, None)])
+@pytest.mark.parametrize(
+    "base, verdict", [(5, [9, 12]), (10, [2**40, 12]), (2**41, [None, None])]
+)
 def test_a_key_range_verdict_is_decided_at_the_last_party(base, verdict):
-    """The column goes to the last compute party, which hands back the
-    first value out of range (or none) in 8 bytes."""
-    values = np.array([4, 0, 9, 2**40, 7], dtype=np.int64)
-    column = AdditiveSharing.share(values, len(PARTIES), np.random.default_rng(5))
+    """Both key columns go to the last compute party in one round, which
+    hands back each one's first value out of range (or none) in one frame
+    of 8 bytes per column."""
+    rng = np.random.default_rng(5)
+    columns = [
+        AdditiveSharing.share(np.array(values, dtype=np.int64), len(PARTIES), rng)
+        for values in ([4, 0, 9, 2**40, 7], [1, 3, 2, 0, 12])
+    ]
     channels = queue_channels(PARTIES)
     payloads = {party: received_payloads(channel) for party, channel in channels.items()}
 
     def check(engine):
-        return engine.key_outside(SharedVector(engine, [column[i] for i in engine.local_indices]), base)
+        return engine.key_outside(
+            [SharedVector(engine, [column[i] for i in engine.local_indices]) for column in columns],
+            base,
+        )
 
     with reconstructions() as reconstructed, ThreadPoolExecutor(len(PARTIES)) as pool:
         verdicts = list(pool.map(check, agent_engines(channels)))
 
     assert verdicts == [verdict] * len(PARTIES)
     assert check(SecretSharingEngine(PARTIES, seed=COMPACT_SEED)) == verdict
-    assert_key_went_to_the_host_only(channels, payloads, 8)
+    assert_key_went_to_the_host_only(channels, payloads, 16)
     assert reconstructed == [(PARTIES[-1],)]

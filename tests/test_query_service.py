@@ -177,12 +177,12 @@ class TestSessionLifecycle:
         mpc_only = CompilationConfig(enable_push_down=False)
         with cc.open_session(inputs, seed=1) as session:
             default = session.submit(ctx, seed=4)
-            overridden = session.submit(ctx, config=mpc_only, seed=4)
+            overridden = session.submit(cc.compile_query(ctx, mpc_only), seed=4)
         assert default.outputs["out"] == cc.run_query(ctx, inputs, seed=4).outputs["out"]
         assert overridden.outputs["out"] == cc.run_query(
             ctx, inputs, mpc_only, seed=4
         ).outputs["out"]
-        # The per-query config really reached the agents: without push-down
+        # The plan's config really reached the agents: without push-down
         # all input rows are shared into MPC, not the per-party partials.
         assert overridden.mpc_profile["input_records"] > default.mpc_profile["input_records"]
 

@@ -12,7 +12,7 @@ import pytest
 
 import repro as cc
 from repro.core.config import CompilationConfig
-from repro.core.dispatch import QueryRunner, SecurityError, run_query_from_csv
+from repro.core.dispatch import QueryRunner, SecurityError, run_compiled, run_query_from_csv
 from repro.core.lang import QueryContext
 from repro.data.csvio import write_csv
 from repro.data.schema import ColumnDef, Schema
@@ -23,7 +23,7 @@ from repro.queries import (
     credit_card_regulation_query,
     market_concentration_query,
 )
-from repro.runtime.pool import active_agent_processes
+from repro.runtime.pool import AgentPool, active_agent_processes
 from repro.runtime.service import SocketCoordinator
 from repro.workloads.credit import CreditWorkload
 from repro.workloads.generators import uniform_key_value_table
@@ -146,7 +146,7 @@ class TestSocketRuntimeMatchesSimulated:
         assert any(k.startswith("mpc:") for k in socketed.backend_seconds)
         assert socketed.wall_seconds > 0
 
-    def test_obliv_c_config_is_refused_before_anything_leaves_the_process(self):
+    def test_obliv_c_config_is_refused_before_anything_leaves_the_process(self, monkeypatch):
         """Regression: ``mpc_backend="obliv-c"`` over sockets used to
         broadcast every party's private input in cleartext.  It is now
         refused on the submitting side: no agent is spawned for it, and a
@@ -162,19 +162,24 @@ class TestSocketRuntimeMatchesSimulated:
             pa.name: {"t0": uniform_key_value_table(20, 4, key_column="k", value_column="v", seed=0)},
             pb.name: {"t1": uniform_key_value_table(20, 4, key_column="k", value_column="v", seed=1)},
         }
+
+        def spawn(*args, **kwargs):
+            raise AssertionError("agents spawned for a plan the runtime refuses")
+
+        monkeypatch.setattr(AgentPool, "__init__", spawn)
         with pytest.raises(ValueError, match="PlanEstimator"):
             cc.run_query(ctx, inputs, config, seed=2, runtime="sockets")
-        assert active_agent_processes() == []
+        with pytest.raises(ValueError, match="PlanEstimator"):
+            SocketCoordinator(sorted(inputs), inputs).run(cc.compile_query(ctx, config))
         with pytest.raises(ValueError, match="PlanEstimator"):
             cc.open_session(inputs, config)
+        monkeypatch.undo()
         assert active_agent_processes() == []
 
         with cc.open_session(inputs, seed=2) as clean:
             clean.submit(ctx)
             one_query_traffic = clean.stats["wire"]
         with cc.open_session(inputs, seed=2) as session:
-            with pytest.raises(ValueError, match="PlanEstimator"):
-                session.submit(ctx, config=config)
             with pytest.raises(ValueError, match="PlanEstimator"):
                 session.submit(cc.compile_query(ctx, config))
             assert session.stats["queries"] == 0
@@ -202,6 +207,51 @@ class TestSocketRuntimeMatchesSimulated:
         ctx, inputs, _ = paper_query("quickstart")
         with pytest.raises(ValueError, match="unknown runtime"):
             cc.run_query(ctx, inputs, runtime="carrier-pigeon")
+
+
+class TestOnePlanOneCost:
+    def test_a_plan_is_priced_with_its_own_config_on_every_runtime(self):
+        """A Spark-priced plan reports one cost — simulated seconds, per-engine
+        seconds and MPC profile — and one output on every runtime, whatever
+        config the runtime object was built with: that config only compiles
+        queries handed over uncompiled."""
+        spec = market_concentration_query(rows_per_party=200)
+        tables = TaxiWorkload(num_companies=3, zero_fare_fraction=0.05, seed=17).party_tables(3, 200)
+        inputs = {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
+        parties = sorted(inputs)
+        compiled = cc.compile_query(spec.context, CompilationConfig(cleartext_backend="spark"))
+
+        results = {
+            "runner": QueryRunner(parties, inputs, seed=5).run(compiled),
+            "runner built for another config": QueryRunner(
+                parties, inputs, CompilationConfig(enable_push_down=False), seed=5
+            ).run(compiled),
+            "sockets": run_compiled(compiled, inputs, seed=5, runtime="sockets"),
+        }
+        with cc.QuerySession(parties, inputs, seed=5) as session:
+            results["session"] = session.submit(compiled)
+        reference = results.pop("runner")
+        for name, result in results.items():
+            assert result.simulated_seconds == reference.simulated_seconds, name
+            assert result.backend_seconds == reference.backend_seconds, name
+            assert result.mpc_profile == reference.mpc_profile, name
+            assert result.outputs == reference.outputs, name
+        python_priced = QueryRunner(parties, inputs, seed=5).run(cc.compile_query(spec.context))
+        assert python_priced.simulated_seconds != reference.simulated_seconds
+
+    def test_a_runner_compiles_a_query_with_its_config(self):
+        """``QueryRunner.run`` takes a query as ``submit`` does, compiled
+        with the runner's config."""
+        ctx, inputs, output = paper_query("quickstart")
+        parties = sorted(inputs)
+        config = CompilationConfig(enable_push_down=False)
+        result = QueryRunner(parties, inputs, config, seed=2).run(ctx)
+        compiled_first = QueryRunner(parties, inputs, seed=2).run(cc.compile_query(ctx, config))
+        assert result.outputs == compiled_first.outputs
+        assert result.mpc_profile == compiled_first.mpc_profile
+        default = QueryRunner(parties, inputs, seed=2).run(ctx)
+        assert default.mpc_profile != result.mpc_profile
+        assert sorted(default.outputs[output].rows()) == sorted(result.outputs[output].rows())
 
 
 class TestDistributedSecurityEnforcement:
@@ -243,17 +293,6 @@ class TestRunQuerySocketsHelper:
         result = cc.run_query(ctx, inputs, seed=6, runtime="sockets")
         reference = cc.run_query(paper_query("quickstart")[0], inputs, seed=6)
         assert result.outputs[output] == reference.outputs[output]
-
-    def test_run_spec_helper_supports_both_runtimes(self):
-        from repro.queries import market_concentration_query, run_spec
-
-        tables = TaxiWorkload(num_companies=3, zero_fare_fraction=0.05, seed=17).party_tables(3, 30)
-        spec = market_concentration_query(rows_per_party=30)
-        inputs = {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
-        simulated = run_spec(spec, inputs, seed=8)
-        spec2 = market_concentration_query(rows_per_party=30)
-        socketed = run_spec(spec2, inputs, seed=8, runtime="sockets")
-        assert simulated.outputs[spec.output_relation] == socketed.outputs[spec.output_relation]
 
     def test_single_party_query_over_sockets(self):
         """A mesh of one: no MPC backend, no peers, still works."""
