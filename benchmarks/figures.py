@@ -27,7 +27,12 @@ from repro.baselines.smcql import SMCQLBaseline
 from repro.core.config import CompilationConfig
 from repro.core.lang import QueryContext
 from repro.model.estimator import EstimatedOOM, EstimatorParams, PlanEstimator
-from repro.model.prices import SparkCostModel
+from repro.model.prices import (
+    GarbledCostModel,
+    PythonCostModel,
+    SharemindCostModel,
+    SparkCostModel,
+)
 from repro.queries import (
     aspirin_count_query,
     comorbidity_query,
@@ -45,7 +50,13 @@ PA, PB, PC = cc.Party("mpc.a.com"), cc.Party("mpc.b.com"), cc.Party("mpc.c.org")
 KV_COLUMNS = [cc.Column("key", cc.INT), cc.Column("value", cc.INT)]
 
 
-def mpc_only_config(mpc_backend: str = "sharemind") -> CompilationConfig:
+#: The price lists of the paper's testbed: Conclave's local work runs on a
+#: small Spark cluster per party, the MPC-only baselines' on one core.
+SPARK, PYTHON = SparkCostModel(), PythonCostModel()
+SHAREMIND, OBLIV_C = SharemindCostModel(), GarbledCostModel()
+
+
+def mpc_only_config() -> CompilationConfig:
     """Configuration that forces the whole query under MPC (the 'framework
     only' baselines of Figures 1, 4 and 6)."""
     return CompilationConfig(
@@ -53,24 +64,28 @@ def mpc_only_config(mpc_backend: str = "sharemind") -> CompilationConfig:
         enable_push_up=False,
         enable_hybrid_operators=False,
         enable_sort_elimination=False,
-        mpc_backend=mpc_backend,
-        cleartext_backend="python",
     )
 
 
-def conclave_config(cleartext_backend: str = "spark") -> CompilationConfig:
-    """Full Conclave: every optimization enabled, Spark-like local engine."""
-    return CompilationConfig(cleartext_backend=cleartext_backend)
+def conclave_config() -> CompilationConfig:
+    """Full Conclave: every optimization enabled (priced with ``SPARK``)."""
+    return CompilationConfig()
 
 
 def estimate_or_none(
-    compiled, params: EstimatorParams | None = None, timeout: float = EXPERIMENT_TIMEOUT_SECONDS
+    compiled,
+    params: EstimatorParams | None = None,
+    *,
+    cleartext=PYTHON,
+    mpc=SHAREMIND,
+    timeout: float = EXPERIMENT_TIMEOUT_SECONDS,
 ) -> float | None:
-    """Estimate a plan's runtime; None when it OOMs or exceeds the timeout."""
+    """Estimate a plan's runtime under the price lists ``cleartext`` and
+    ``mpc``; None when it OOMs or exceeds the timeout."""
     params = params or EstimatorParams()
     params.timeout_seconds = timeout
     try:
-        estimate = PlanEstimator(params).estimate(compiled)
+        estimate = PlanEstimator(params, cleartext=cleartext, mpc=mpc).estimate(compiled)
     except EstimatedOOM:
         return None
     if estimate.timed_out:
@@ -145,17 +160,17 @@ def series_fig1(op: str) -> list[dict]:
         # Insecure cleartext baseline: one Spark job over the combined data.
         spark_query = _single_operator_query(op, total, [PA, PB, PC], single_owner=True)
         row["spark"] = estimate_or_none(
-            cc.compile_query(spark_query, conclave_config()), EstimatorParams(join_selectivity=1.0)
+            cc.compile_query(spark_query, conclave_config()),
+            EstimatorParams(join_selectivity=1.0),
+            cleartext=SPARK,
         )
         # Sharemind: three computing parties, whole query under MPC.
         sm_query = _single_operator_query(op, total, [PA, PB, PC], single_owner=False)
-        row["sharemind"] = estimate_or_none(
-            cc.compile_query(sm_query, mpc_only_config("sharemind"))
-        )
+        row["sharemind"] = estimate_or_none(cc.compile_query(sm_query, mpc_only_config()))
         # Obliv-C: two computing parties, whole query under MPC.
         oc_query = _single_operator_query(op, total, [PA, PB], single_owner=False)
         row["obliv-c"] = estimate_or_none(
-            cc.compile_query(oc_query, mpc_only_config("obliv-c"))
+            cc.compile_query(oc_query, mpc_only_config()), mpc=OBLIV_C
         )
         rows.append(row)
     return rows
@@ -179,7 +194,7 @@ def series_fig4(
         conclave = cc.compile_query(
             market_concentration_query(rows_per_party=per_party).context, conclave_config()
         )
-        row["conclave"] = estimate_or_none(conclave, params)
+        row["conclave"] = estimate_or_none(conclave, params, cleartext=SPARK)
 
         sharemind_only = cc.compile_query(
             market_concentration_query(rows_per_party=per_party).context, mpc_only_config()
@@ -199,7 +214,7 @@ def series_fig4(
                 distinct_fraction=min(1.0, 3 / per_party),
                 timeout_seconds=EXPERIMENT_TIMEOUT_SECONDS,
             ),
-            spark_model=SparkCostModel(total_cores=18),
+            cleartext=SparkCostModel(total_cores=18),
         )
         try:
             estimate = estimator.estimate(insecure)
@@ -248,11 +263,11 @@ def series_fig5_join(sizes: Sequence[int] = (10, 1_000, 10_000, 200_000, 2_000_0
         hybrid = cc.compile_query(
             _two_relation_join_query(per_party, trust=[PA], public=False), conclave_config()
         )
-        row["hybrid-join"] = estimate_or_none(hybrid, params)
+        row["hybrid-join"] = estimate_or_none(hybrid, params, cleartext=SPARK)
         public = cc.compile_query(
             _two_relation_join_query(per_party, trust=[], public=True), conclave_config()
         )
-        row["public-join"] = estimate_or_none(public, params)
+        row["public-join"] = estimate_or_none(public, params, cleartext=SPARK)
         rows.append(row)
     return rows
 
@@ -267,10 +282,9 @@ def series_fig5_agg(sizes: Sequence[int] = (10, 1_000, 10_000, 100_000)) -> list
         plain = cc.compile_query(_grouped_agg_query(per_party, trust=[]), mpc_only_config())
         row["sharemind-agg"] = estimate_or_none(plain, params)
         hybrid = cc.compile_query(
-            _grouped_agg_query(per_party, trust=[PA]),
-            CompilationConfig(enable_push_down=False, cleartext_backend="spark"),
+            _grouped_agg_query(per_party, trust=[PA]), CompilationConfig(enable_push_down=False)
         )
-        row["hybrid-agg"] = estimate_or_none(hybrid, params)
+        row["hybrid-agg"] = estimate_or_none(hybrid, params, cleartext=SPARK)
         rows.append(row)
     return rows
 
@@ -292,7 +306,7 @@ def series_fig6(sizes: Sequence[int] = (10, 1_000, 3_000, 30_000, 300_000)) -> l
             ).context,
             conclave_config(),
         )
-        row["conclave"] = estimate_or_none(conclave, params)
+        row["conclave"] = estimate_or_none(conclave, params, cleartext=SPARK)
         sharemind_only = cc.compile_query(
             credit_card_regulation_query(
                 rows_demographics=demo_rows, rows_per_agency=agency_rows
@@ -316,12 +330,12 @@ def series_fig7_aspirin(
     for per_party in sizes:
         row: dict = {"records": per_party}
         spec = aspirin_count_query(rows_per_relation=per_party)
-        config = CompilationConfig(push_down_private_filters=False, cleartext_backend="spark")
+        config = CompilationConfig(push_down_private_filters=False)
         compiled = cc.compile_query(spec.context, config)
         params = EstimatorParams(
             join_selectivity=overlap, filter_selectivity=0.2, distinct_fraction=0.5
         )
-        row["conclave"] = estimate_or_none(compiled, params)
+        row["conclave"] = estimate_or_none(compiled, params, cleartext=SPARK)
         smcql_seconds = smcql.estimate_aspirin_count(per_party, patient_overlap=overlap)
         row["smcql"] = smcql_seconds if smcql_seconds <= EXPERIMENT_TIMEOUT_SECONDS else None
         rows.append(row)
@@ -339,7 +353,7 @@ def series_fig7_comorbidity(
         spec = comorbidity_query(rows_per_relation=per_party)
         compiled = cc.compile_query(spec.context, conclave_config())
         params = EstimatorParams(distinct_fraction=distinct_fraction)
-        row["conclave"] = estimate_or_none(compiled, params)
+        row["conclave"] = estimate_or_none(compiled, params, cleartext=SPARK)
         smcql_seconds = smcql.estimate_comorbidity(per_party, distinct_fraction)
         row["smcql"] = smcql_seconds if smcql_seconds <= EXPERIMENT_TIMEOUT_SECONDS else None
         rows.append(row)
@@ -364,34 +378,34 @@ def series_ablations() -> list[dict]:
     The MPC-frontier push-down on the HHI query (3M records) and the hybrid
     operators on the credit-card query (30k records) are priced in
     simulated seconds; the sort push-up on a sort over two parties' 100k
-    rows each in MPC seconds, the work it moves out of MPC."""
+    rows each in MPC seconds, the work it moves out of MPC.  The first two
+    price local work on Spark."""
     per_party = 1_000_000
     cases = [
         (
             "mpc-frontier-push-down", 3 * per_party, "simulated_seconds",
             lambda: market_concentration_query(rows_per_party=per_party).context,
-            EstimatorParams(filter_selectivity=0.98, distinct_fraction=3 / per_party),
-            CompilationConfig(enable_push_down=False, cleartext_backend="spark"),
-            conclave_config(),
+            EstimatorParams(filter_selectivity=0.98, distinct_fraction=3 / per_party), SPARK,
+            CompilationConfig(enable_push_down=False), conclave_config(),
         ),
         (
             "hybrid-operators", 30_000, "simulated_seconds",
             lambda: credit_card_regulation_query(
                 rows_demographics=10_000, rows_per_agency=10_000
             ).context,
-            EstimatorParams(distinct_fraction=0.01, join_selectivity=1.0),
-            CompilationConfig(enable_hybrid_operators=False, cleartext_backend="spark"),
-            conclave_config(),
+            EstimatorParams(distinct_fraction=0.01, join_selectivity=1.0), SPARK,
+            CompilationConfig(enable_hybrid_operators=False), conclave_config(),
         ),
         (
             "sort-push-up", 200_000, "mpc_seconds", lambda: _sort_over_concat_query(100_000),
-            EstimatorParams(), CompilationConfig(), CompilationConfig(enable_sort_pushup=True),
+            EstimatorParams(), PYTHON, CompilationConfig(), CompilationConfig(enable_sort_pushup=True),
         ),
     ]
     rows = []
-    for optimization, records, measure, build, params, disabled, enabled in cases:
+    for optimization, records, measure, build, params, cleartext, disabled, enabled in cases:
+        estimator = PlanEstimator(params, cleartext=cleartext)
         disabled_s, enabled_s = (
-            getattr(PlanEstimator(params).estimate(cc.compile_query(build(), config)), measure)
+            getattr(estimator.estimate(cc.compile_query(build(), config)), measure)
             for config in (disabled, enabled)
         )
         rows.append({

@@ -76,11 +76,13 @@ class CompiledQuery:
     def explain(self) -> str:
         """Human-readable compilation summary: the rewrites, the DAG, and one
         shape run of the plan at its tables' ``estimated_rows`` — per-node
-        locus, rows and seconds, the rounds of each network, and the
-        disclosures the run predicts.  Derives nothing it keeps: the plan and
-        its ``plan_fingerprint`` are unchanged."""
+        locus, rows and seconds (under the default price lists;
+        :class:`~repro.model.estimator.PlanEstimator` takes others), the
+        rounds of each network, and the disclosures the run predicts.
+        Derives nothing it keeps: the plan and its ``plan_fingerprint`` are
+        unchanged."""
         # The estimator imports this module.
-        from repro.model.estimator import EstimatedOOM, PlanEstimator
+        from repro.model.estimator import PlanEstimator
 
         parts = [
             "== Conclave compilation ==",
@@ -91,10 +93,7 @@ class CompiledQuery:
             "",
             "== estimate (shape run at estimated_rows) ==",
         ]
-        try:
-            estimate = PlanEstimator().estimate(self)
-        except EstimatedOOM as oom:  # an Obliv-C circuit past Fig. 1's memory cut
-            return "\n".join([*parts, str(oom)])
+        estimate = PlanEstimator().estimate(self)
         rounds = [
             f"{network}: {len(schedule)} rounds  "
             + ", ".join(f"{tag} x{n}" for tag, n in Counter(tag for tag, _, _ in schedule).items())
@@ -174,8 +173,7 @@ def run_query(
 
     ``inputs`` maps party name -> {relation name -> Table}.  Returns the
     :class:`~repro.core.dispatch.QueryResult`.  The plan is compiled with
-    ``config`` and runs, and is priced, with that configuration on either
-    runtime.
+    ``config`` and runs with it on either runtime.
 
     ``runtime`` selects the execution substrate: ``"simulated"`` runs every
     party inside this process over the in-process transport (the default);

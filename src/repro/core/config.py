@@ -50,15 +50,6 @@ class CompilationConfig:
     #: Parties allowed to act as the selectively-trusted party.  ``None``
     #: means any annotated party may be chosen; at most one STP is ever used.
     allowed_stps: list[str] | None = None
-    #: MPC price list, ``"sharemind"`` or ``"obliv-c"``: the system the
-    #: estimator prices MPC operators as — never a code path (the runtime
-    #: runs its share engine only and refuses ``"obliv-c"``, see
-    #: :meth:`require_executable`).
-    mpc_backend: str = "sharemind"
-    #: Cleartext price list, ``"python"`` or ``"spark"``: the
-    #: :mod:`repro.model.prices` list that prices the one engine's work tally
-    #: and the estimator's row counts.
-    cleartext_backend: str = "python"
     #: Disable the push-down of filters on private columns past the MPC
     #: frontier.  Matching SMCQL's (stricter) guarantee for the §7.4
     #: comparison requires setting this to False.
@@ -84,34 +75,12 @@ class CompilationConfig:
                 "CompilationConfig.allowed_stps must be None or a collection of party "
                 f"names, got {stps!r}"
             )
-        for name, allowed in _ALLOWED_VALUES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(
-                    f"unknown {name} {value!r}; allowed values: "
-                    + ", ".join(repr(a) for a in allowed)
-                )
-
-    def require_executable(self) -> None:
-        """Refuse a configuration the runtime models but does not execute."""
-        if self.mpc_backend != "sharemind":
-            raise ValueError(
-                f"mpc_backend={self.mpc_backend!r} names a code-generation target "
-                "and a price list, not an engine: the runtime executes MPC on the "
-                "secret-sharing ('sharemind') engine only.  Price the plan with "
-                "repro.PlanEstimator().estimate(compiled) instead of running it"
-            )
+        if self.executor != "columnar":
+            raise ValueError(f"unknown executor {self.executor!r}; allowed values: 'columnar'")
 
 
 #: The on/off fields of :class:`CompilationConfig`.
 _SWITCHES = tuple(f.name for f in fields(CompilationConfig) if f.type == "bool")
-
-#: The values each string-typed :class:`CompilationConfig` field accepts.
-_ALLOWED_VALUES = {
-    "cleartext_backend": ("python", "spark"),
-    "mpc_backend": ("sharemind", "obliv-c"),
-    "executor": ("columnar",),
-}
 
 
 @dataclass

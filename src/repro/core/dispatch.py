@@ -18,9 +18,10 @@ processes instead of the in-process simulation.
 
 Alongside the actual results, both runtimes produce:
 
-* a simulated wall-clock time, computed from the backends' cost models with
-  a completion-time recurrence so that independent local work at different
-  parties overlaps (as it would on real, separate clusters), and
+* a tally of every engine's work, priced by :func:`repro.model.prices.price`
+  into a simulated wall-clock time with a completion-time recurrence so that
+  independent local work at different parties overlaps (as it would on real,
+  separate clusters), and
 * one :class:`~repro.hybrid.stp.LeakageReport` listing every value or
   cardinality that left the cryptographic envelope — the same list, in the
   same order, on every runtime: each agent of a distributed run writes the
@@ -37,7 +38,7 @@ from repro.core.compiler import CompiledQuery, compile_query
 from repro.core.config import CompilationConfig
 from repro.data.table import Table
 from repro.hybrid.stp import LeakageReport
-from repro.model.prices import completion_seconds
+from repro.model.prices import price
 from repro.runtime.executor import PlanExecutor, SecurityError
 
 __all__ = [
@@ -51,7 +52,9 @@ __all__ = [
 
 @dataclass
 class QueryResult:
-    """Outputs and accounting of one query execution."""
+    """Outputs and accounting of one query execution: its seconds are its
+    ``tally`` priced by :func:`~repro.model.prices.price` under the default
+    (paper-testbed) price lists, and ``price`` prices it under any other."""
 
     outputs: dict[str, Table]
     simulated_seconds: float
@@ -69,6 +72,17 @@ class QueryResult:
     #: agent process held); every session result carries it (``"sockets"``
     #: and ``"service"``), an in-process run leaves it empty.
     isolation: dict = field(default_factory=dict)
+    #: The whole run's counts per engine per node (:mod:`repro.model.counters`).
+    tally: dict = field(default_factory=dict)
+
+    @classmethod
+    def priced(cls, dag, tally, **fields) -> "QueryResult":
+        """The result of a run of ``dag`` whose work is ``tally``."""
+        seconds = price(dag, tally)
+        return cls(
+            simulated_seconds=seconds.simulated_seconds,
+            backend_seconds=seconds.backend_seconds, tally=tally, **fields,
+        )
 
     def output(self, name: str) -> Table:
         if name not in self.outputs:
@@ -141,7 +155,6 @@ class QueryRunner(PlanExecutor):
     def __init__(self, parties, inputs, config: CompilationConfig | None = None, seed: int = 0):
         super().__init__(parties, inputs, seed)
         self.config = config or CompilationConfig()
-        self.config.require_executable()
 
     def run(self, query) -> QueryResult:
         """Execute a :class:`~repro.core.compiler.CompiledQuery`, or compile
@@ -149,12 +162,12 @@ class QueryRunner(PlanExecutor):
         runner's ``config`` and execute that."""
         compiled = query if isinstance(query, CompiledQuery) else compile_query(query, self.config)
         outcome = self.execute(compiled)
-        return QueryResult(
+        return QueryResult.priced(
+            compiled.dag,
+            outcome.tally,
             outputs=outcome.outputs,
-            simulated_seconds=completion_seconds(compiled.dag, outcome.node_durations),
             wall_seconds=outcome.wall_seconds,
             leakage=outcome.leakage,
-            backend_seconds=outcome.backend_seconds,
             mpc_profile=outcome.mpc_profile,
             runtime="simulated",
         )

@@ -10,7 +10,8 @@ that only look downwards:
                    the share engine, ``CleartextWork`` for the cleartext one
 ``steps``          the one formula of every analytic protocol step — what
                    the share engine charges (``engine.charge(<step>_meter(...))``)
-``prices``         the price lists: Sharemind, Obliv-C, ObliVM, Python, Spark
+``prices``         the price lists (Sharemind, Obliv-C, ObliVM, Python, Spark)
+                   and ``price``, the one function that prices a run's tally
 ``estimator``      ``PlanEstimator``: one run of the executor on row counts
 ================  =======================================================
 

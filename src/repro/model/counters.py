@@ -1,4 +1,10 @@
-"""What is counted: the tallies an execution fills in and an estimate predicts."""
+"""What is counted: the tallies an execution fills in and an estimate predicts.
+
+A run's tally is one int64 array per engine, a row of cumulative counts after
+each node of ``dag.topological()``: ``local:<party>`` counts
+:class:`CleartextWork`, ``mpc`` whether the job has started, then
+:meth:`CostMeter.counts` (a garbled-circuit estimate: MPC nodes, gates, OT bits).
+"""
 
 from __future__ import annotations
 
@@ -76,6 +82,12 @@ class CostMeter:
     def counts(self) -> dict[str, int]:
         """Every counter by name, the network's among them."""
         return {name: getattr(self, name) for name in _OPERATION_COUNTERS} | vars(self.network)
+
+    @classmethod
+    def from_counts(cls, values) -> "CostMeter":
+        """The meter whose :meth:`counts` has ``values``, in that order."""
+        ops = len(_OPERATION_COUNTERS)
+        return cls(*values[:ops], network=NetworkStats(*values[ops:]))
 
 
 _OPERATION_COUNTERS = tuple(f.name for f in fields(CostMeter) if f.name != "network")

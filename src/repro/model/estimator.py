@@ -5,23 +5,23 @@ would take longer than the real systems they simulate, so a compiled plan
 is priced by *one shape run* of it: the executor itself over the engines of
 :mod:`repro.mpc.shape`, whose relations carry only a row count.  Every node
 runs the code it runs when it executes, every edge crosses in the
-executor's rounds, and the seconds are the engines' tallies priced and
-composed (:func:`~repro.model.prices.completion_seconds`) as an execution's
-are.  Estimates enter in one place, :meth:`PlanEstimator._estimate_rows`:
+executor's rounds, and the seconds are its tally priced by
+:func:`~repro.model.prices.price`, as an execution's are.  Estimates enter
+in one place, :meth:`PlanEstimator._estimate_rows`:
 the size of every relation, wherever the data decides it.  At the executed
 row counts the estimate *is* the execution's accounting
 (``tests/test_estimates.py``).
 
-Obliv-C has no executor: its MPC nodes are priced by their circuits
+Obliv-C has no executor: under a :class:`~repro.model.prices.GarbledCostModel`
+the MPC nodes are priced by their circuits
 (:meth:`PlanEstimator._garbled_cost`), reporting out-of-memory failures
-(:class:`EstimatedOOM`) as Figure 1 truncates its curves; the rest of its
+(:class:`EstimatedOOM`) as Figure 1 truncates its curves; the rest of the
 plan comes from the same run.  ``timeout_seconds`` marks the "did not
 finish" points of Figures 6 and 7.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import numbers
 from dataclasses import dataclass, field
 
@@ -55,8 +55,9 @@ from repro.model.prices import (
     GATES_PER_MUX,
     VALUE_BITS,
     GarbledCostModel,
-    SparkCostModel,
-    completion_seconds,
+    PythonCostModel,
+    SharemindCostModel,
+    price,
 )
 from repro.mpc.shape import ShapeBackend, ShapeColumnarBackend, ShapeSTP, resized, shape_table
 from repro.runtime.executor import PlanExecutor
@@ -162,17 +163,21 @@ class PlanEstimate:
 
 
 class PlanEstimator:
-    """Prices a compiled plan by running it on row counts.
-
-    ``spark_model`` replaces the Spark price list (Fig. 4 prices its
-    insecure baseline on a larger cluster).
-    """
+    """Prices a compiled plan by running it on row counts, under the price
+    lists ``cleartext`` (every party's engine) and ``mpc`` (the joint one;
+    a :class:`~repro.model.prices.GarbledCostModel` prices Obliv-C
+    circuits)."""
 
     def __init__(
-        self, params: EstimatorParams | None = None, spark_model: SparkCostModel | None = None
+        self,
+        params: EstimatorParams | None = None,
+        *,
+        cleartext=PythonCostModel(),
+        mpc=SharemindCostModel(),
     ):
         self.params = params or EstimatorParams()
-        self.spark_model = spark_model
+        self.cleartext = cleartext
+        self.mpc = mpc
 
     # -- public API ------------------------------------------------------------------------
 
@@ -193,18 +198,13 @@ class PlanEstimator:
             if isinstance(node, Create):
                 inputs.setdefault(rel.owner, {})[rel.name] = shape_table(rel.schema, rows[rel.name])
 
-        garbled = compiled.config.mpc_backend == "obliv-c"
-        if garbled:
-            # The shape run stands in for every MPC target; Obliv-C's MPC
-            # nodes are then priced by their circuits.
-            config = dataclasses.replace(compiled.config, mpc_backend="sharemind")
-            compiled = dataclasses.replace(compiled, config=config)
-        run = _ShapeRun(
-            parties, inputs, rows, self._garbled_seconds if garbled else None, self.spark_model
-        )
+        # One shape run stands in for every MPC target: Obliv-C counts circuits.
+        garbled = isinstance(self.mpc, GarbledCostModel)
+        run = _ShapeRun(parties, inputs, rows, self._circuit if garbled else None)
         outcome = run.execute(compiled)
+        priced = price(dag, outcome.tally, self.cleartext, self.mpc)
 
-        total = completion_seconds(dag, outcome.node_durations)
+        total = priced.simulated_seconds
         timeout = self.params.timeout_seconds
         return PlanEstimate(
             simulated_seconds=total,
@@ -213,12 +213,12 @@ class PlanEstimator:
                     node,
                     [rows[parent.out_rel.name] for parent in node.parents],
                     rows[node.out_rel.name],
-                    outcome.node_durations[node.node_id],
+                    priced.node_seconds[node.node_id],
                     "mpc" if node.is_mpc else f"local:{node.run_at or node.out_rel.owner or '?'}",
                 )
                 for node in order
             ],
-            backend_seconds=outcome.backend_seconds,
+            backend_seconds=priced.backend_seconds,
             mpc_profile={} if garbled else outcome.mpc_profile,
             schedule={
                 network: rounds for network, rounds in outcome.schedule.items()
@@ -259,12 +259,13 @@ class PlanEstimator:
 
     # -- Obliv-C ------------------------------------------------------------------------------
 
-    def _garbled_seconds(self, node: OpNode, rows_in: list[int], rows_out: int) -> float:
-        model = GarbledCostModel()
+    def _circuit(self, node: OpNode, rows_in: list[int], rows_out: int) -> tuple[int, int]:
+        """(non-XOR gates, OT input bits) of an MPC node's circuit, which
+        must fit in the price list's memory."""
         gates, input_bits, memory = self._garbled_cost(node, rows_in, rows_out)
-        if memory > model.memory_limit_bytes:
-            raise EstimatedOOM(node.op_name, memory, model.memory_limit_bytes)
-        return model.seconds(gates, input_bits)
+        if memory > self.mpc.memory_limit_bytes:
+            raise EstimatedOOM(node.op_name, memory, self.mpc.memory_limit_bytes)
+        return gates, input_bits
 
     def _garbled_cost(self, node: OpNode, rows_in: list[int], rows_out: int) -> tuple[int, int, int]:
         """(non-XOR gates, OT input bits, peak memory bytes) for Obliv-C plans."""
@@ -314,20 +315,13 @@ class _ShapeRun(PlanExecutor):
 
     trusted_party = ShapeSTP
 
-    def __init__(self, parties, inputs, rows: dict[str, int], garbled_seconds, spark_model):
+    def __init__(self, parties, inputs, rows: dict[str, int], circuit):
         self.rows = rows
         self.rows_out = 0
-        #: Obliv-C: the circuit price of an MPC node (``None``: Sharemind).
-        self.garbled_seconds = garbled_seconds
-        self.garbled_total = 0.0
-        #: The estimator's Spark price list (``None``: the default one).
-        self.spark_model = spark_model
+        #: Obliv-C: an MPC node's ``(gates, input bits)``, and the tally so far.
+        self.circuit = circuit
+        self.circuits = (0, 0, 0)
         super().__init__(parties, inputs)
-
-    def cleartext_prices_for(self, config):
-        if self.spark_model is not None and config.cleartext_backend == "spark":
-            return self.spark_model
-        return super().cleartext_prices_for(config)
 
     def cleartext_engine(self) -> ShapeColumnarBackend:
         return ShapeColumnarBackend(lambda: self.rows_out)
@@ -338,16 +332,17 @@ class _ShapeRun(PlanExecutor):
     def _execute_node(self, node, outputs):
         self.rows_out = self.rows[node.out_rel.name]
         entry = super()._execute_node(node, outputs)
-        if self.garbled_seconds is not None and node.is_mpc:
+        if self.circuit is not None and node.is_mpc:
             rows_in = [self.rows[parent.out_rel.name] for parent in node.parents]
-            self.garbled_total += self.garbled_seconds(node, rows_in, self.rows_out)
+            gates, input_bits = self.circuit(node, rows_in, self.rows_out)
+            nodes, total_gates, total_bits = self.circuits
+            self.circuits = (nodes + 1, total_gates + gates, total_bits + input_bits)
         if entry.handle is not None:
             entry.handle = resized(entry.handle, self.rows_out)
         return entry
 
-    def _backend_breakdown(self) -> dict[str, float]:
-        breakdown = super()._backend_breakdown()
-        if self.garbled_seconds is not None and self.mpc_backend is not None:
-            del breakdown[f"mpc:{self.mpc_backend.name}"]
-            breakdown["mpc:obliv-c"] = self.garbled_total
-        return breakdown
+    def _counts(self):
+        counts = super()._counts()
+        if self.circuit is not None and "mpc" in counts:
+            counts["mpc"] = self.circuits
+        return counts

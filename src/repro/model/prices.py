@@ -1,4 +1,4 @@
-"""The price lists: simulated seconds per counted unit of work.
+"""The price lists, and the one function that prices a run.
 
 Shapes of all benchmark curves follow from the counted work of each
 protocol (:mod:`repro.model.steps`), not from hard-coded curves; only the
@@ -16,15 +16,17 @@ claims):
 * Obliv-C runs out of memory at ~30k records for a join and ~300k records
   for a projection on 4 GB VMs (Figure 1).
 
-``CompilationConfig.cleartext_backend`` / ``mpc_backend`` name one of these
-lists; the share engine and the columnar engine are priced with
-:class:`SharemindCostModel` and :data:`CLEARTEXT_COST_MODELS`, the
-garbled-circuit lists price estimates only — nothing executes them.
+A plan holds no prices: runs and estimates report a tally
+(:mod:`repro.model.counters`), and :func:`price` prices it under a cleartext
+list (Python by default, or Spark) and an MPC one (Sharemind by default, or
+garbled circuits, which only the estimator counts), so one run prices under
+every list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
 
 from repro.model.counters import CleartextWork, CostMeter
 
@@ -33,8 +35,9 @@ from repro.model.counters import CleartextWork, CostMeter
 class SharemindCostModel:
     """Price list of the secret-sharing (Sharemind-style) backend."""
 
-    #: Fixed protocol start-up, paid once per MPC job (paper §7): the
-    #: executor charges it on a plan's first MPC node.
+    name: ClassVar[str] = "sharemind"
+    #: Fixed protocol start-up, paid once per MPC job (paper §7): from the
+    #: plan's first MPC node on.
     startup_seconds: float = 2.0
     #: Secret-sharing + storage-layer overhead per input record.
     per_input_record_seconds: float = 2.0e-4
@@ -68,6 +71,16 @@ class SharemindCostModel:
             + meter.network.bytes_sent / self.bytes_per_second
         )
 
+    def tally_seconds(self, rows) -> list[float]:
+        """The cumulative seconds of an ``mpc`` tally's rows (the started
+        flag, then ``CostMeter.counts()``): the metered work, plus the job's
+        start-up once it has started."""
+        return [
+            (self.startup_seconds if row[0] else 0.0)
+            + self.work_seconds(CostMeter.from_counts(row[1:]))
+            for row in rows
+        ]
+
 
 #: Bits per value in the garbled circuits the estimator prices.
 VALUE_BITS = 64
@@ -99,6 +112,7 @@ class GarbledCostModel:
     reproduces the out-of-memory failures the paper reports for Obliv-C.
     """
 
+    name: ClassVar[str] = "obliv-c"
     #: Fixed start-up (OT base phase, process launch).
     startup_seconds: float = 1.0
     #: Per non-XOR gate: garbling + evaluation + transfer (amortised).
@@ -129,6 +143,17 @@ class GarbledCostModel:
         """Resident memory for a circuit with the given live state."""
         return live_wires * self.bytes_per_live_wire + buffered_gates * self.bytes_per_gate
 
+    def tally_seconds(self, rows) -> list[float]:
+        """The cumulative seconds of a circuit tally's rows (MPC nodes,
+        non-XOR gates and OT input bits so far): every MPC node is its own
+        circuit, start-up included."""
+        total, column = 0.0, []
+        for (nodes, gates, bits), (nodes_0, gates_0, bits_0) in zip(rows, [(0, 0, 0), *rows]):
+            if nodes > nodes_0:
+                total += self.seconds(gates - gates_0, bits - bits_0)
+            column.append(total)
+        return column
+
 
 @dataclass(frozen=True)
 class ObliVMCostModel(GarbledCostModel):
@@ -141,6 +166,7 @@ class ObliVMCostModel(GarbledCostModel):
     same asymptotics.
     """
 
+    name: ClassVar[str] = "oblivm"
     startup_seconds: float = 5.0
     per_gate_seconds: float = 8.0e-6
     per_input_bit_seconds: float = 8.0e-6
@@ -191,16 +217,44 @@ class SparkCostModel:
         )
 
 
-#: The price list each ``CompilationConfig.cleartext_backend`` value names.
-CLEARTEXT_COST_MODELS = {"python": PythonCostModel, "spark": SparkCostModel}
+class Priced(NamedTuple):
+    """Seconds per node, the plan's completion time, seconds per engine."""
+
+    node_seconds: dict[int, float]
+    simulated_seconds: float
+    backend_seconds: dict[str, float]
 
 
-def completion_seconds(dag, durations: dict[int, float]) -> float:
-    """Completion-time recurrence of a plan, executed or estimated:
-    independent work at different parties overlaps, so a node starts when
-    its slowest parent finished."""
+def price(dag, tally, cleartext=PythonCostModel(), mpc=SharemindCostModel()) -> Priced:
+    """Price a run of ``dag`` from its ``tally``: ``cleartext`` prices every
+    ``local:<party>`` engine and ``mpc`` the ``mpc`` one.  A node's seconds
+    are how much the engines' summed seconds grew while it ran, so work at
+    different parties overlaps in :func:`completion_seconds`."""
+    order = dag.topological()
+    columns: dict[str, list[float]] = {}
+    for engine, counts in tally.items():
+        rows = counts.tolist()
+        if engine == "mpc":
+            columns[f"mpc:{mpc.name}"] = mpc.tally_seconds(rows)
+        else:
+            columns[engine] = [cleartext.seconds(CleartextWork(*row)) for row in rows]
+    node_seconds: dict[int, float] = {}
+    before = 0.0
+    for i, node in enumerate(order):
+        after = sum(column[i] for column in columns.values())
+        node_seconds[node.node_id] = after - before
+        before = after
+    backend_seconds = {engine: column[-1] for engine, column in columns.items()}
+    return Priced(node_seconds, completion_seconds(order, node_seconds), backend_seconds)
+
+
+def completion_seconds(nodes, durations: dict[int, float]) -> float:
+    """Completion-time recurrence of a plan's ``nodes`` in topological order
+    (a ``Dag`` iterates so), executed or estimated: independent work at
+    different parties overlaps, so a node starts when its slowest parent
+    finished."""
     finish: dict[int, float] = {}
-    for node in dag.topological():
+    for node in nodes:
         start = max((finish[p.node_id] for p in node.parents), default=0.0)
         finish[node.node_id] = start + durations.get(node.node_id, 0.0)
     return max(finish.values(), default=0.0)

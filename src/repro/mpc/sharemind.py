@@ -6,7 +6,7 @@ equivalent backend for the reproduction: a facade over the
 :class:`~repro.mpc.secretshare.SecretSharingEngine` and the oblivious
 relational protocols, exposing the uniform operator interface the plan
 executor drives (ingest, concat, project, filter, join, aggregate,
-arithmetic, sort, distinct, limit, reveal) plus cost reporting.
+arithmetic, sort, distinct, limit, reveal) plus its work counts.
 
 Every handle returned by the backend is a
 :class:`~repro.mpc.protocols.SharedTable`; data stays secret-shared between
@@ -21,7 +21,6 @@ from repro.data.schema import Schema
 from repro.data.table import Table
 from repro.model import steps
 from repro.model.counters import CostMeter
-from repro.model.prices import SharemindCostModel
 from repro.mpc import protocols
 from repro.mpc.protocols import SharedTable
 from repro.mpc.secretshare import SecretSharingEngine
@@ -34,8 +33,6 @@ class SharemindBackend:
     #: deployment.
     MAX_PARTIES = 3
     name = "sharemind"
-    #: The price list behind :meth:`elapsed_seconds`.
-    cost_model = SharemindCostModel()
 
     def __init__(
         self,
@@ -153,10 +150,5 @@ class SharemindBackend:
 
     @property
     def meter(self) -> CostMeter:
+        """The MPC work so far: operations, and rounds and bytes of the network."""
         return self.engine.meter
-
-    def elapsed_seconds(self) -> float:
-        """Simulated seconds of MPC work performed so far: operation counts
-        plus the network's rounds and bytes, real and analytic.  The job's
-        start-up is not work: the executor charges it once per query."""
-        return self.cost_model.work_seconds(self.engine.meter)

@@ -189,9 +189,9 @@ class PartyAgent:
             channel.close()
         return {
             "outputs": outcome.outputs,
-            "node_durations": outcome.node_durations,
+            # Counts, never seconds (flat, as the codec carries arrays).
+            "tally": {engine: counts.ravel() for engine, counts in outcome.tally.items()},
             "leakage": outcome.leakage,
-            "backend_seconds": outcome.backend_seconds,
             "mpc_profile": outcome.mpc_profile,
             # Debug hook for the cryptographic-isolation tests: which
             # parties' share slices and cleartext inputs this agent process

@@ -56,7 +56,6 @@ from repro.core.operators import (
 )
 from repro.data.schema import PUBLIC, Schema
 from repro.data.table import Table
-from repro.model.prices import CLEARTEXT_COST_MODELS
 from repro.exec.engine import ColumnarBackend
 from repro.hybrid.hybrid_agg import hybrid_aggregate
 from repro.hybrid.hybrid_join import hybrid_join
@@ -92,10 +91,10 @@ class ExecutionOutcome:
     """What one executor (process) produced while running a plan."""
 
     outputs: dict[str, Table]
-    node_durations: dict[int, float]
+    #: Each engine's counts after each node (:mod:`repro.model.counters`).
+    tally: dict[str, np.ndarray]
     wall_seconds: float
     leakage: LeakageReport
-    backend_seconds: dict[str, float]
     mpc_profile: dict[str, int]
     #: ``(tag, messages, bytes)`` of every round each network carried, in
     #: order: ``"mpc"`` (the MPC backend's) and ``"crossings"``.
@@ -110,10 +109,9 @@ class PlanExecutor:
     in-process dispatcher.
 
     Cleartext operators run on one engine per party and MPC operators on
-    the secret-sharing backend.  An execution reads the configuration the
-    plan was compiled with and no other: ``compiled.config`` must be
-    executable, and its ``cleartext_backend`` picks the price list the
-    engines' work tallies are converted to seconds with.
+    the secret-sharing backend, all built afresh by every execution, which
+    reports what each engine did and prices nothing
+    (:func:`repro.model.prices.price` does).
     """
 
     #: The cleartext engine class — a seam, so the differential tests can
@@ -139,18 +137,6 @@ class PlanExecutor:
         self.local_parties = set(local_parties) if local_parties is not None else set(self.parties)
         if mesh is None and self.local_parties != set(self.parties):
             raise ValueError("embodying a subset of parties requires a peer mesh")
-        self.local_backends = {
-            p: self.cleartext_engine() for p in self.parties if p in self.local_parties
-        }
-        # Relations cross between parties in rounds of their own; their
-        # counters stay out of the MPC profile.
-        self._crossings = Network(self.parties, channel=mesh)
-        # A single-party query never crosses the MPC boundary; the MPC
-        # substrate requires at least two computing parties.
-        self.mpc_backend = self._make_mpc_backend() if len(self.parties) >= 2 else None
-        self.leakage = LeakageReport()
-        self._env: dict[str, _Entry] = {}
-        self._mpc_started = False
 
     # -- backend construction -------------------------------------------------------------
 
@@ -170,30 +156,30 @@ class PlanExecutor:
 
     # -- execution -------------------------------------------------------------------------
 
-    def cleartext_prices_for(self, config):
-        """The price list of the plan's ``config.cleartext_backend``."""
-        return CLEARTEXT_COST_MODELS[config.cleartext_backend]()
-
     def execute(self, compiled) -> ExecutionOutcome:
         """Execute a :class:`~repro.core.compiler.CompiledQuery`."""
-        compiled.config.require_executable()
-        self.cleartext_prices = self.cleartext_prices_for(compiled.config)
-        # Fresh per execution, so a reused runner never accumulates or
-        # cross-contaminates leakage between runs.
+        # Every engine, meter, network and randomness stream is fresh per
+        # execution, so a reused runner repeats its first run exactly.
+        self.local_backends = {
+            p: self.cleartext_engine() for p in self.parties if p in self.local_parties
+        }
+        # Relations cross between parties in rounds of their own; their
+        # counters stay out of the MPC profile.
+        self._crossings = Network(self.parties, channel=self.mesh)
+        # A single-party query never crosses the MPC boundary; the MPC
+        # substrate requires at least two computing parties.
+        self.mpc_backend = self._make_mpc_backend() if len(self.parties) >= 2 else None
         self.leakage = LeakageReport()
-        self._env = {}
+        self._env: dict[str, _Entry] = {}
         self._mpc_started = False
         outputs: dict[str, Table] = {}
-        durations: dict[int, float] = {}
+        counts: list[dict[str, tuple[int, ...]]] = []
 
         wall_start = time.perf_counter()
         try:
-            before = self._engine_seconds()
             for node in compiled.dag.topological():
                 self._env[node.out_rel.name] = self._execute_node(node, outputs)
-                after = self._engine_seconds()
-                durations[node.node_id] = after - before
-                before = after
+                counts.append(self._counts())
         except BaseException as exc:
             # Distributed lockstep: peers may be blocked waiting for this
             # executor's next frame.  Broadcast an abort for this query so
@@ -210,10 +196,13 @@ class PlanExecutor:
 
         return ExecutionOutcome(
             outputs=outputs,
-            node_durations=durations,
+            # Zeros before an engine existed (a replica made mid-run).
+            tally={
+                engine: np.array([row.get(engine, (0,) * len(last)) for row in counts], np.int64)
+                for engine, last in counts[-1].items()
+            },
             wall_seconds=wall_seconds,
             leakage=self.leakage,
-            backend_seconds=self._backend_breakdown(),
             mpc_profile=self._mpc_profile(),
             schedule={
                 "mpc": [] if self.mpc_backend is None else self.mpc_backend.engine.network.schedule,
@@ -242,8 +231,8 @@ class PlanExecutor:
         if locus is None:
             raise ValueError(f"cleartext operator {node!r} has no executing party")
         if locus is MPC:
-            # The first MPC node starts the job: its duration carries the
-            # one start-up the job pays (paper §7).
+            # The first MPC node starts the job, which pays one start-up
+            # (paper §7).
             self._mpc_started = True
         handles = [self._fetch(parent, node, locus) for parent in node.parents]
         if locus is MPC:
@@ -406,30 +395,19 @@ class PlanExecutor:
             self.local_backends[party] = self.cleartext_engine()
         return self.trusted_party(party, self.local_backends[party])
 
-    def _engine_seconds(self) -> float:
-        return sum(self._backend_breakdown().values())
-
-    def _backend_breakdown(self) -> dict[str, float]:
-        """Simulated seconds per engine: each party's work tally priced with
-        the plan's cleartext price list, plus the MPC backend's meter and,
-        once an MPC node has run, the job's one start-up.
-
-        A distributed agent counts only the engines of the parties it
-        embodies: a replica it keeps for another party's logic (see
-        :meth:`_stp_for`) repeats work that party's own agent reports, and
-        the coordinator's per-node max-merge reconstructs the joint
-        durations.
-        """
-        breakdown = {
-            f"local:{party}": self.cleartext_prices.seconds(engine.work)
+    def _counts(self) -> dict[str, tuple[int, ...]]:
+        """Every engine's counts so far, in engine order.  A distributed
+        agent's replica of a peer's engine (:meth:`_stp_for`) repeats work
+        that peer's own agent reports; only an STP outside the run, whose
+        work every agent replays, has no agent to report it."""
+        counts = {
+            f"local:{party}": tuple(vars(engine.work).values())
             for party, engine in self.local_backends.items()
-            if self.mesh is None or party in self.local_parties
+            if party in self.local_parties or party not in self.parties
         }
-        mpc = self.mpc_backend
-        if mpc is not None:
-            startup = mpc.cost_model.startup_seconds if self._mpc_started else 0.0
-            breakdown[f"mpc:{mpc.name}"] = startup + mpc.elapsed_seconds()
-        return breakdown
+        if self.mpc_backend is not None:
+            counts["mpc"] = (int(self._mpc_started), *self.mpc_backend.meter.counts().values())
+        return counts
 
     def isolation_audit(self) -> dict:
         """Debug hook: which parties' secret state this executor materialises.

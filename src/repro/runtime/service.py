@@ -37,6 +37,7 @@ from repro.core.config import (
     _is_count,
     _is_number,
 )
+from repro.data.table import Table
 from repro.mpc.network import TransportError
 from repro.mpc.sharemind import SharemindBackend
 from repro.runtime.agent import AGENT_MAX_WORKERS
@@ -95,22 +96,22 @@ _shared = functools.lru_cache(maxsize=1024)(lambda value: value)
 def merge_payloads(compiled, parties: list[str], payloads: dict[str, dict]):
     """Merge per-agent result payloads into one QueryResult.
 
-    Per-node durations max-merge (local nodes are reported by their
-    executing agent, joint nodes identically by every agent) and each output
-    comes from the first recipient that materialised it.  The leakage report
-    needs no merging: every agent writes the same one, so the lead's is the
-    query's.
+    The run's tally takes each party's engine from that party's agent and
+    the rest — the MPC, which every compute agent counts alike, and an STP
+    outside the run — from the lead, so its price is the in-process run's.
+    Each output comes from the first recipient that materialised it.  The
+    leakage report needs no merging: every agent writes the same one, so the
+    lead's is the query's.
     """
     from repro.core.dispatch import QueryResult
     from repro.hybrid.stp import LeakageReport
-    from repro.model.prices import completion_seconds
 
     lead = parties[0]
-
-    durations: dict[int, float] = {}
-    for payload in payloads.values():
-        for node_id, seconds in payload["node_durations"].items():
-            durations[node_id] = max(durations.get(node_id, 0.0), seconds)
+    nodes = len(compiled.dag.nodes())
+    tally = {f"local:{party}": payloads[party]["tally"][f"local:{party}"] for party in parties}
+    tally.update(payloads[lead]["tally"])
+    # Copied, as the outputs are: a decoded array is a view of its whole frame.
+    tally = {engine: counts.reshape(nodes, -1).copy() for engine, counts in tally.items()}
 
     outputs: dict[str, object] = {}
     for node in compiled.dag.outputs():
@@ -118,28 +119,18 @@ def merge_payloads(compiled, parties: list[str], payloads: dict[str, dict]):
         for party in node.recipients:
             payload = payloads.get(party)
             if payload is not None and name in payload["outputs"]:
-                outputs[name] = table = payload["outputs"][name]
-                table.schema = _shared(table.schema)
+                table = payload["outputs"][name]
+                outputs[name] = Table(_shared(table.schema), [c.copy() for c in table.columns()])
                 break
 
     leakage = LeakageReport(list(map(_shared, payloads[lead]["leakage"].events)))
 
-    backend_seconds: dict[str, float] = {}
-    for party in parties:
-        mine = payloads[party]["backend_seconds"]
-        key = f"local:{party}"
-        if key in mine:
-            backend_seconds[key] = mine[key]
-    for key, value in payloads[lead]["backend_seconds"].items():
-        if key.startswith("mpc:") or key not in backend_seconds:
-            backend_seconds.setdefault(key, value)
-
-    return QueryResult(
+    return QueryResult.priced(
+        compiled.dag,
+        tally,
         outputs=outputs,
-        simulated_seconds=completion_seconds(compiled.dag, durations),
         wall_seconds=0.0,  # stamped, like ``runtime``, by PendingResult.result
         leakage=leakage,
-        backend_seconds=backend_seconds,
         mpc_profile=payloads[lead]["mpc_profile"],
         isolation={
             party: payloads[party].get("isolation", {}) for party in parties
@@ -268,7 +259,6 @@ class QuerySession:
             raise ValueError(f"bind_host must be a non-empty host or address, got {bind_host!r}")
         self.parties = list(parties)
         self.config = config or CompilationConfig()
-        self.config.require_executable()
         self.seed = seed
         self._restart = restart.validate() if restart is not None else None
         if faults is not None:
@@ -347,8 +337,6 @@ class QuerySession:
         from repro.core.compiler import CompiledQuery, compile_query
 
         compiled = query if isinstance(query, CompiledQuery) else compile_query(query, self.config)
-        # Refused on the submitting side: no plan or input leaves this process.
-        compiled.config.require_executable()
         compute = self.parties[: SharemindBackend.MAX_PARTIES]
         if len(compute) < len(self.parties) and any(node.is_mpc for node in compiled.dag.nodes()):
             raise ValueError(
@@ -612,10 +600,6 @@ class SocketCoordinator:
         self._options = {"timeout": timeout, "security": security}
 
     def run(self, compiled):
-        from repro.core.compiler import CompiledQuery
-
-        if isinstance(compiled, CompiledQuery):
-            compiled.config.require_executable()  # before any agent spawns
         started = time.perf_counter()
         session = QuerySession(*self._session_args, **self._options)
         try:

@@ -58,30 +58,34 @@ class TestSharemindBackend:
         expected = self.table.arithmetic("r", "value", "/", "key").column("r")
         assert np.allclose(ratio.reveal().column("r"), expected, atol=1e-4)
 
-    def test_elapsed_seconds_grows_with_work(self):
-        baseline = self.backend.elapsed_seconds()
+    def seconds(self) -> float:
+        """The backend's work so far, priced."""
+        return SharemindCostModel().work_seconds(self.backend.meter)
+
+    def test_priced_work_grows_with_work(self):
+        baseline = self.seconds()
         h = self.backend.ingest(self.table)
         o = self.backend.ingest(self.other)
-        after_ingest = self.backend.elapsed_seconds()
+        after_ingest = self.seconds()
         self.backend.join(h, o, "key", "key")
-        after_join = self.backend.elapsed_seconds()
+        after_join = self.seconds()
         assert baseline < after_ingest < after_join
 
-    def test_elapsed_seconds_prices_rounds_and_bytes(self):
+    def test_priced_work_counts_rounds_and_bytes(self):
         """The engine's meter is fed by its network, so executed rounds and
         bytes — real or analytic — are priced, not only the estimator's."""
-        engine, model = self.backend.engine, self.backend.cost_model
+        engine, model = self.backend.engine, SharemindCostModel()
         assert engine.meter.network is engine.network.stats
         self.backend.ingest(self.table)
         stats = engine.network.stats
         assert stats.rounds > 0 and stats.bytes_sent > 0
 
-        before = self.backend.elapsed_seconds()
+        before = self.seconds()
         engine.charge(CostMeter(network=NetworkStats(rounds=1)))
-        one_round = self.backend.elapsed_seconds()
+        one_round = self.seconds()
         assert one_round - before == pytest.approx(model.round_latency_seconds, rel=1e-9)
         engine.charge(CostMeter(network=NetworkStats(rounds=1, bytes_sent=125_000)))
-        assert self.backend.elapsed_seconds() - one_round == pytest.approx(
+        assert self.seconds() - one_round == pytest.approx(
             model.round_latency_seconds + 125_000 / model.bytes_per_second, rel=1e-9
         )
 

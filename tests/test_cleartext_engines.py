@@ -13,7 +13,7 @@ from repro.exec.engine import ColumnarBackend
 from repro.exec.kernels import distinct_indices, hash_join_indices
 from repro.hybrid.stp import SelectivelyTrustedParty
 from repro.model.counters import CleartextWork
-from repro.model.prices import PythonCostModel, SparkCostModel
+from repro.model.prices import PythonCostModel, SparkCostModel, price
 from repro.workloads.generators import uniform_key_value_table
 
 
@@ -262,30 +262,33 @@ class TestCleartextCosts:
             total_cores=32
         ).seconds(work)
 
-    @pytest.mark.parametrize("cleartext_backend", ["python", "spark"])
-    def test_estimator_and_executor_price_a_tally_identically(self, cleartext_backend):
-        """A single-owner projection of 400 rows: the executed run's seconds
-        are the configured price list applied to the engine's tally, and the
-        estimate — the same executor run on a 400-row shape — is that number."""
+    @pytest.mark.parametrize(
+        "prices", [PythonCostModel(), SparkCostModel()], ids=["python", "spark"]
+    )
+    def test_estimator_and_executor_price_a_tally_identically(self, prices):
+        """A single-owner projection of 400 rows: under the price list, the
+        run's seconds are that list applied to the engine's tally, and the
+        estimate — the same executor run on a 400-row shape — is that number.
+        The result carries the default list's."""
         party = cc.Party("solo.example")
         with cc.QueryContext() as ctx:
             t = ctx.new_table(
                 "t", [cc.Column("key"), cc.Column("value")], at=party, estimated_rows=400
             )
             t.project(["key"]).collect("out", to=[party])
-        config = cc.CompilationConfig(cleartext_backend=cleartext_backend)
-        compiled = cc.compile_query(ctx, config)
+        compiled = cc.compile_query(ctx)
         inputs = {party.name: {"t": uniform_key_value_table(400, 5, seed=7)}}
 
-        runner = cc.QueryRunner([party.name], inputs, config)
+        runner = cc.QueryRunner([party.name], inputs)
         result = runner.run(compiled)
-        prices = runner.cleartext_prices
         engine = runner.local_backends[party.name]
         assert engine.work == CleartextWork(jobs=1, stages=1, records_processed=400)
-        assert result.backend_seconds[f"local:{party.name}"] == prices.seconds(engine.work)
+        assert result.backend_seconds == price(compiled.dag, result.tally).backend_seconds
+        priced = price(compiled.dag, result.tally, cleartext=prices)
+        assert priced.backend_seconds[f"local:{party.name}"] == prices.seconds(engine.work)
 
-        estimate = cc.PlanEstimator().estimate(compiled)
-        assert estimate.backend_seconds == result.backend_seconds
+        estimate = cc.PlanEstimator(cleartext=prices).estimate(compiled)
+        assert estimate.backend_seconds == priced.backend_seconds
         assert estimate.local_seconds == prices.seconds(engine.work)
 
 

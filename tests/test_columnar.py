@@ -320,18 +320,6 @@ class TestExecutorSelection:
         with pytest.raises(ValueError, match="unknown executor 'row'.*'columnar'"):
             CompilationConfig(executor="row")
 
-    @pytest.mark.parametrize(
-        "field, typo, allowed",
-        [
-            ("cleartext_backend", "sprak", "'python', 'spark'"),
-            ("mpc_backend", "sharemnd", "'sharemind', 'obliv-c'"),
-        ],
-    )
-    def test_unknown_backend_string_raises(self, field, typo, allowed):
-        """A typo used to price as Python / run Sharemind silently."""
-        with pytest.raises(ValueError, match=f"unknown {field} '{typo}'.*{allowed}"):
-            CompilationConfig(**{field: typo})
-
 
 class TestWireRoundFlatness:
     """The batched share-vector protocols exchange whole columns per round,

@@ -4,11 +4,11 @@ A seeded generator builds random query plans — random schemas, compound
 filter predicates, ``with_column`` arithmetic, single- and composite-key
 joins, multi-aggregate group-bys — and executes each of them through the
 full compiler on the columnar cleartext engine and the secret-sharing MPC
-backend, under both cleartext price lists.  Results must equal two
-references: an independently implemented row-at-a-time oracle (plain
-Python over row dicts — deliberately *not* the Table methods the engines
-use), and, byte for byte (row order, MPC work/traffic profile, leakage),
-the same compiled plan replayed on the ``Table`` reference engine
+backend, once, pricing that run under both cleartext price lists.  Results
+must equal two references: an independently implemented row-at-a-time
+oracle (plain Python over row dicts — deliberately *not* the Table methods
+the engines use), and, byte for byte (row order, MPC work/traffic profile,
+leakage), the same compiled plan replayed on the ``Table`` reference engine
 (``tests/oracle_engine.py``).
 
 The same plans are additionally executed over the socket runtime (one OS
@@ -27,6 +27,7 @@ from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
 from repro.exec import kernels
+from repro.model.prices import PythonCostModel, SparkCostModel, price
 from repro.runtime.service import SocketCoordinator
 
 from oracle_engine import OracleRunner
@@ -39,9 +40,8 @@ NUM_SOCKET_PLANS = 6
 PARTY_A = "alpha.example"
 PARTY_B = "beta.example"
 
-#: The one executable configuration (columnar engine + share engine) under
-#: the two cleartext price lists ``cleartext_backend`` can name.
-PRICE_LISTS = ["python", "spark"]
+#: The two cleartext price lists a run's tally can be priced with.
+PRICE_LISTS = [PythonCostModel(), SparkCostModel()]
 
 COMPARE_OPS = ["==", "!=", "<", "<=", ">", ">="]
 ARITH_OPS = ["+", "-", "*"]
@@ -296,11 +296,11 @@ def _pred_eval(pred, row):
 # -- the differential tests --------------------------------------------------------------------
 
 
-def run_generated(spec, cleartext: str = "python", runtime: str = "simulated", seed: int = 0):
+def run_generated(spec, runtime: str = "simulated", seed: int = 0):
     """Compile ``spec`` and run it; ``runtime="oracle"`` replays the plan
     in-process on the ``Table`` reference engine."""
     ctx, inputs = build_query(spec)
-    config = CompilationConfig(cleartext_backend=cleartext)
+    config = CompilationConfig()
     compiled = cc.compile_query(ctx, config)
     parties = sorted(compiled.dag.parties() | set(inputs))
     runner = {
@@ -318,15 +318,20 @@ def assert_byte_identical(result, reference, where: str) -> None:
 
 @pytest.mark.parametrize("plan", range(NUM_PLANS))
 def test_random_plan_matches_oracle_under_both_price_lists(plan):
+    """One run matches the oracle, and either price list prices its tally
+    (the default one into the result's own seconds)."""
     spec = generate_spec(SEED + plan)
     expected = oracle(spec)
-    for cleartext in PRICE_LISTS:
-        _compiled, result = run_generated(spec, cleartext)
-        got = sorted(result.outputs["out"].rows())
-        assert got == expected, (
-            f"plan {plan} (seed {spec['seed']}) diverged from the oracle on "
-            f"cleartext={cleartext}:\n got      {got}\n expected {expected}"
-        )
+    compiled, result = run_generated(spec)
+    got = sorted(result.outputs["out"].rows())
+    assert got == expected, (
+        f"plan {plan} (seed {spec['seed']}) diverged from the oracle:\n"
+        f" got      {got}\n expected {expected}"
+    )
+    python, spark = (price(compiled.dag, result.tally, cleartext=p) for p in PRICE_LISTS)
+    assert python.simulated_seconds == result.simulated_seconds
+    assert python.backend_seconds == result.backend_seconds
+    assert spark.backend_seconds.keys() == result.backend_seconds.keys()
 
 
 @pytest.mark.parametrize("plan", range(NUM_PLANS))
@@ -337,11 +342,8 @@ def test_random_plan_columnar_byte_identical_to_row_engine(plan):
     spec = generate_spec(SEED + plan)
     _compiled, reference = run_generated(spec, runtime="oracle")
     assert sorted(reference.outputs["out"].rows()) == oracle(spec)
-    for cleartext in PRICE_LISTS:
-        _c, columnar = run_generated(spec, cleartext)
-        assert_byte_identical(
-            columnar, reference, f"plan {plan} (seed {spec['seed']}) cleartext={cleartext}"
-        )
+    _c, columnar = run_generated(spec)
+    assert_byte_identical(columnar, reference, f"plan {plan} (seed {spec['seed']})")
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7])

@@ -9,6 +9,7 @@ from repro.core.dispatch import QueryRunner, SecurityError
 from repro.core.lang import QueryContext
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
+from repro.model.prices import GarbledCostModel, PythonCostModel, SparkCostModel, price
 from repro.workloads.generators import uniform_key_value_table
 
 PA, PB, PC = cc.Party("a.example"), cc.Party("b.example"), cc.Party("c.example")
@@ -38,13 +39,16 @@ def reference_sum(inputs):
 
 
 class TestEndToEndExecution:
-    @pytest.mark.parametrize("cleartext_backend", ["python", "spark"])
-    def test_three_party_sum_matches_reference(self, cleartext_backend):
-        config = CompilationConfig(cleartext_backend=cleartext_backend)
-        compiled = cc.compile_query(three_party_sum_query(), config)
+    @pytest.mark.parametrize(
+        "prices", [PythonCostModel(), SparkCostModel()], ids=["python", "spark"]
+    )
+    def test_three_party_sum_matches_reference(self, prices):
+        compiled = cc.compile_query(three_party_sum_query())
         inputs = kv_inputs()
-        result = QueryRunner(PARTY_NAMES, inputs, config).run(compiled)
+        result = QueryRunner(PARTY_NAMES, inputs).run(compiled)
         assert result.outputs["out"].equals_unordered(reference_sum(inputs))
+        # The run is priced under the cleartext price list.
+        assert price(compiled.dag, result.tally, cleartext=prices).simulated_seconds > 0
 
     def test_without_optimizations_results_are_identical(self):
         config = CompilationConfig(
@@ -79,25 +83,18 @@ class TestEndToEndExecution:
             < estimator.estimate(baseline).mpc_seconds / 10
         )
 
-    def test_obliv_c_config_is_priced_not_executed(self):
-        """``mpc_backend="obliv-c"`` names a price list: the plan compiles
-        and its MPC nodes are priced, and both a runner configured for it and
-        a runner handed such a plan refuse."""
+    def test_obliv_c_is_a_price_list(self):
+        """Obliv-C is priced, never executed: the estimator prices a plan's
+        MPC nodes as circuits under a ``GarbledCostModel``."""
         with QueryContext() as ctx:
             t0 = ctx.new_table("t0", KV, at=PA, estimated_rows=20)
             t1 = ctx.new_table("t1", KV, at=PB, estimated_rows=20)
             agg = ctx.concat([t0, t1]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
             agg.collect("out", to=[PA])
-        config = CompilationConfig(mpc_backend="obliv-c")
-        compiled = cc.compile_query(ctx, config)
-        estimate = cc.PlanEstimator().estimate(compiled)
+        compiled = cc.compile_query(ctx)
+        estimate = cc.PlanEstimator(mpc=GarbledCostModel()).estimate(compiled)
         assert estimate.backend_seconds.keys() >= {"mpc:obliv-c"}
         assert estimate.mpc_seconds > 0
-        inputs = {k: v for k, v in kv_inputs().items() if k in (PA.name, PB.name)}
-        with pytest.raises(ValueError, match="PlanEstimator"):
-            QueryRunner([PA.name, PB.name], inputs, config)
-        with pytest.raises(ValueError, match="PlanEstimator"):
-            QueryRunner([PA.name, PB.name], inputs).run(compiled)
 
     def test_simulated_time_and_backend_breakdown_populated(self):
         compiled = cc.compile_query(three_party_sum_query())
@@ -133,8 +130,9 @@ class TestEndToEndExecution:
         assert result.outputs["out"].equals_unordered(reference_sum(inputs))
 
     def test_reused_runner_does_not_accumulate_leakage(self):
-        """Each run() gets a fresh LeakageReport; earlier results are not
-        mutated by later runs (regression for the executor refactor)."""
+        """Each run() gets a fresh LeakageReport, engines, meter, networks
+        and randomness: earlier results are not mutated by later runs, and a
+        second run repeats the first exactly."""
         compiled = cc.compile_query(three_party_sum_query())
         runner = QueryRunner(PARTY_NAMES, kv_inputs(), CompilationConfig())
         first = runner.run(compiled)
@@ -143,6 +141,10 @@ class TestEndToEndExecution:
         assert len(first.leakage) == events_after_first
         assert len(second.leakage) == events_after_first
         assert first.leakage is not second.leakage
+        assert second.outputs == first.outputs  # row order included
+        assert second.mpc_profile == first.mpc_profile
+        assert second.simulated_seconds == first.simulated_seconds
+        assert second.backend_seconds == first.backend_seconds
 
 
 class TestSecurityEnforcement:
@@ -192,14 +194,14 @@ class TestParallelism:
     def test_independent_local_work_overlaps_in_simulated_time(self):
         """Per-party local pre-processing happens in parallel, so the
         simulated end-to-end time is far less than the sum of all backends'
-        busy time."""
-        config = CompilationConfig(cleartext_backend="spark")
-        compiled = cc.compile_query(three_party_sum_query(), config)
-        result = QueryRunner(PARTY_NAMES, kv_inputs(rows=200), config).run(compiled)
+        busy time (local work priced on Spark)."""
+        compiled = cc.compile_query(three_party_sum_query())
+        result = QueryRunner(PARTY_NAMES, kv_inputs(rows=200)).run(compiled)
+        spark = price(compiled.dag, result.tally, cleartext=SparkCostModel())
         local_busy = sum(
-            seconds for name, seconds in result.backend_seconds.items() if name.startswith("local:")
+            seconds for name, seconds in spark.backend_seconds.items() if name.startswith("local:")
         )
-        assert result.simulated_seconds < local_busy
+        assert spark.simulated_seconds < local_busy
 
 
 class TestInputsMatchTheirRelations:

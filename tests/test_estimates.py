@@ -12,6 +12,8 @@ execution's accounting: an estimate may be wrong about how many rows an
 operator sees, never about what a row costs.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,13 @@ from repro.hybrid import SelectivelyTrustedParty, hybrid_aggregate, hybrid_join,
 from repro.model import steps
 from repro.model.counters import CostMeter, NetworkStats
 from repro.model.estimator import EstimatorParams, PlanEstimator
-from repro.model.prices import SharemindCostModel, completion_seconds
+from repro.model.prices import (
+    GarbledCostModel,
+    PythonCostModel,
+    SharemindCostModel,
+    SparkCostModel,
+    price,
+)
 from repro.mpc.oblivious import oblivious_index, oblivious_shuffle
 from repro.mpc.protocols import SharedTable
 from repro.mpc.shape import ShapeBackend, ShapeColumnarBackend, ShapeEngine, ShapeSTP
@@ -41,6 +49,7 @@ from test_differential import NUM_PLANS, PRICE_LISTS, SEED, build_query, generat
 from tests.conftest import PARTIES
 
 SIZES = [1, 2, 9, 64]
+PRICE_LIST_IDS = ["python", "spark"]
 COMPARISON_OPS = ["==", "!=", "<", "<=", ">", ">="]
 
 
@@ -380,41 +389,55 @@ def paper_queries():
 PAPER_QUERIES = {name: case for name, *case in paper_queries()}
 
 
+@functools.cache
+def counted_run(query: int | str) -> tuple:
+    """Compile and execute a corpus plan (by number) or a paper query (by
+    name) once, counting each relation's rows: every price list prices this
+    one run."""
+    if isinstance(query, int):
+        context, inputs = build_query(generate_spec(SEED + query))
+        fields = {}
+    else:
+        context, inputs, fields = PAPER_QUERIES[query]
+    compiled = cc.compile_query(context, cc.CompilationConfig(**fields))
+    parties = sorted(compiled.dag.parties() | set(inputs))
+    runner = RowCountingRunner(parties, inputs, compiled.config)
+    outcome = runner.execute(compiled)
+    return compiled, runner.rows, outcome
+
+
 class TestEstimateIsExecution:
     """With every relation's row count set to the executed one, the estimate
-    is the execution's accounting: seconds per engine, MPC counters, the
-    rounds of each network and the leakage report."""
+    is the execution's accounting under every price list: seconds per
+    engine, MPC counters, the rounds of each network and the leakage report.
+    A plan executes once; each price list prices that one run."""
 
     @staticmethod
-    def assert_estimate_is_execution(compiled, inputs):
-        parties = sorted(compiled.dag.parties() | set(inputs))
-        runner = RowCountingRunner(parties, inputs, compiled.config)
-        outcome = runner.execute(compiled)
-        assert set(runner.rows) == {node.out_rel.name for node in compiled.dag.topological()}
-        estimate = PlanEstimator(EstimatorParams(row_overrides=runner.rows)).estimate(compiled)
+    def assert_estimate_is_execution(run, prices):
+        compiled, rows, outcome = run
+        assert set(rows) == {node.out_rel.name for node in compiled.dag.topological()}
+        executed = price(compiled.dag, outcome.tally, cleartext=prices)
+        estimate = PlanEstimator(EstimatorParams(row_overrides=rows), cleartext=prices).estimate(
+            compiled
+        )
 
-        assert estimate.backend_seconds.keys() == outcome.backend_seconds.keys()
-        for engine, seconds in outcome.backend_seconds.items():
+        assert estimate.backend_seconds.keys() == executed.backend_seconds.keys()
+        for engine, seconds in executed.backend_seconds.items():
             assert estimate.backend_seconds[engine] == pytest.approx(seconds, rel=1e-9), engine
-        executed = completion_seconds(compiled.dag, outcome.node_durations)
-        assert estimate.simulated_seconds == pytest.approx(executed, rel=1e-9)
+        assert estimate.simulated_seconds == pytest.approx(executed.simulated_seconds, rel=1e-9)
         assert estimate.mpc_profile == outcome.mpc_profile
         assert estimate.schedule == outcome.schedule
         assert estimate.leakage.events == outcome.leakage.events
 
-    @pytest.mark.parametrize("cleartext", PRICE_LISTS)
+    @pytest.mark.parametrize("cleartext", PRICE_LISTS, ids=PRICE_LIST_IDS)
     @pytest.mark.parametrize("plan", range(NUM_PLANS))
     def test_corpus_plan(self, plan, cleartext):
-        context, inputs = build_query(generate_spec(SEED + plan))
-        compiled = cc.compile_query(context, cc.CompilationConfig(cleartext_backend=cleartext))
-        self.assert_estimate_is_execution(compiled, inputs)
+        self.assert_estimate_is_execution(counted_run(plan), cleartext)
 
-    @pytest.mark.parametrize("cleartext", PRICE_LISTS)
+    @pytest.mark.parametrize("cleartext", PRICE_LISTS, ids=PRICE_LIST_IDS)
     @pytest.mark.parametrize("query", PAPER_QUERIES)
     def test_paper_query(self, query, cleartext):
-        context, inputs, fields = PAPER_QUERIES[query]
-        config = cc.CompilationConfig(cleartext_backend=cleartext, **fields)
-        self.assert_estimate_is_execution(cc.compile_query(context, config), inputs)
+        self.assert_estimate_is_execution(counted_run(query), cleartext)
 
 
 class TestExplainPredictsTheLeakage:
@@ -435,26 +458,8 @@ class TestExplainPredictsTheLeakage:
         for line, event in zip(predicted, executed):
             assert line.split()[:2] == [event.kind, f"rel={event.relation}"], (line, event)
 
-    def test_explain_prices_an_obliv_c_plan_that_never_runs(self):
-        context, inputs, _ = PAPER_QUERIES["credit"]
-        compiled = cc.compile_query(context, cc.CompilationConfig(mpc_backend="obliv-c"))
-        text = compiled.explain()
-        assert any(line.endswith("  mpc") for line in text.splitlines())
-        # Its circuits are priced, not scheduled: only the crossings have rounds.
-        rounds = text.split("== rounds per network ==\n")[1].split("\n\n")[0]
-        assert [line.split(":")[0] for line in rounds.splitlines()] == ["crossings"]
-        assert "column_reveal" in text.split("== predicted leakage ==")[1]
-        with pytest.raises(ValueError, match="PlanEstimator"):
-            cc.QueryRunner(sorted(inputs), inputs).run(compiled)
 
-    def test_explain_reports_an_obliv_c_plan_past_the_memory_cut(self):
-        spec = market_concentration_query(rows_per_party=10_000_000)
-        config = cc.CompilationConfig(mpc_backend="obliv-c", enable_push_down=False)
-        text = cc.compile_query(spec.context, config).explain()
-        assert "garbled-circuit OOM" in text.split("== estimate")[1]
-
-
-def credit_like_plan(**fields) -> cc.CompiledQuery:
+def credit_like_plan() -> cc.CompiledQuery:
     """A join on a key that ``b`` lets ``a`` see, then an aggregate: two
     hybrid MPC nodes between two parties' local inputs and output."""
     pa, pb = cc.Party("a.example"), cc.Party("b.example")
@@ -465,7 +470,7 @@ def credit_like_plan(**fields) -> cc.CompiledQuery:
         )
         joined = demo.join(scores, on="ssn")
         joined.aggregate(group=["zip"], aggs={"total": cc.SUM("score")}).collect("out", to=[pa])
-    return cc.compile_query(q, cc.CompilationConfig(**fields))
+    return cc.compile_query(q)
 
 
 class TestExplainCoversThePlan:
@@ -496,17 +501,19 @@ class TestExplainCoversThePlan:
             "hybrid_join", "hybrid_aggregate"
         ]
 
-    @pytest.mark.parametrize("mpc_backend", ["sharemind", "obliv-c"])
-    def test_every_locus_is_priced_by_its_engine(self, mpc_backend):
-        estimate = PlanEstimator().estimate(credit_like_plan(mpc_backend=mpc_backend))
+    @pytest.mark.parametrize(
+        "mpc", [SharemindCostModel(), GarbledCostModel()], ids=["sharemind", "obliv-c"]
+    )
+    def test_every_locus_is_priced_by_its_engine(self, mpc):
+        estimate = PlanEstimator(mpc=mpc).estimate(credit_like_plan())
         loci = {ne.locus for ne in estimate.nodes}
-        engines = {f"mpc:{mpc_backend}" if locus == "mpc" else locus for locus in loci}
+        engines = {f"mpc:{mpc.name}" if locus == "mpc" else locus for locus in loci}
         assert set(estimate.backend_seconds) == engines
         assert estimate.mpc_seconds > 0 and estimate.local_seconds > 0
 
     def test_the_cleartext_price_list_changes_prices_not_the_run(self):
-        python = PlanEstimator().estimate(credit_like_plan(cleartext_backend="python"))
-        spark = PlanEstimator().estimate(credit_like_plan(cleartext_backend="spark"))
+        python = PlanEstimator(cleartext=PythonCostModel()).estimate(credit_like_plan())
+        spark = PlanEstimator(cleartext=SparkCostModel()).estimate(credit_like_plan())
         assert spark.schedule == python.schedule
         assert spark.leakage.summary() == python.leakage.summary()
         assert spark.backend_seconds["mpc:sharemind"] == python.backend_seconds["mpc:sharemind"]
@@ -533,10 +540,10 @@ class TestMpcStartupIsPaidOncePerJob:
 
         data = {p: {f"t{i}": tables[i]} for i, p in enumerate(parties)}
         runner = RowCountingRunner(parties, data)
-        outcome = runner.execute(compiled)
-        first, *rest = (outcome.node_durations[node.node_id] for node in mpc_nodes)
+        executed = price(compiled.dag, runner.execute(compiled).tally)
+        first, *rest = (executed.node_seconds[node.node_id] for node in mpc_nodes)
         assert first >= startup and all(seconds < startup for seconds in rest)
-        assert outcome.backend_seconds["mpc:sharemind"] == pytest.approx(
+        assert executed.backend_seconds["mpc:sharemind"] == pytest.approx(
             startup + SharemindCostModel().work_seconds(runner.mpc_backend.meter)
         )
         result = cc.QueryRunner(parties, data).run(compiled)
@@ -545,8 +552,7 @@ class TestMpcStartupIsPaidOncePerJob:
         estimate = PlanEstimator(EstimatorParams(row_overrides=runner.rows)).estimate(compiled)
         by_id = {e.node.node_id: e for e in estimate.nodes}
         for node in mpc_nodes:
-            executed = outcome.node_durations[node.node_id]
-            assert by_id[node.node_id].seconds == pytest.approx(executed)
+            assert by_id[node.node_id].seconds == pytest.approx(executed.node_seconds[node.node_id])
         assert startup <= estimate.simulated_seconds < 2 * startup
 
 

@@ -5,7 +5,7 @@ import pytest
 import repro as cc
 from repro.core.config import CompilationConfig
 from repro.model.estimator import EstimatedOOM, EstimatorParams, PlanEstimator
-from repro.model.prices import GarbledCostModel
+from repro.model.prices import GarbledCostModel, SparkCostModel
 from repro.core.lang import QueryContext
 from repro.queries import credit_card_regulation_query, market_concentration_query
 
@@ -36,12 +36,11 @@ def single_operator_query(op: str, rows: int, parties=(PA, PB, PC), **kwargs):
     return ctx
 
 
-def mpc_only_config(**kwargs):
+def mpc_only_config():
     return CompilationConfig(
         enable_push_down=False,
         enable_push_up=False,
         enable_hybrid_operators=False,
-        **kwargs,
     )
 
 
@@ -69,17 +68,14 @@ class TestScalingBehaviour:
     def test_cleartext_spark_is_orders_of_magnitude_faster_than_mpc(self):
         """The Figure 1 headline: Spark handles 10M records in seconds while
         MPC cannot."""
-        estimator = PlanEstimator()
-        mpc = estimator.estimate(
+        mpc = PlanEstimator().estimate(
             cc.compile_query(single_operator_query("sum", 10_000_000), mpc_only_config())
         )
         # Single-owner query: everything stays local.
         with QueryContext() as ctx:
             t = ctx.new_table("t", KV, at=PA, estimated_rows=10_000_000)
             t.aggregate(aggs={"total": cc.SUM("v")}).collect("out", to=[PA])
-        clear = estimator.estimate(
-            cc.compile_query(ctx, CompilationConfig(cleartext_backend="spark"))
-        )
+        clear = PlanEstimator(cleartext=SparkCostModel()).estimate(cc.compile_query(ctx))
         assert clear.simulated_seconds < 60
         assert mpc.simulated_seconds > 10 * clear.simulated_seconds
 
@@ -93,12 +89,11 @@ class TestScalingBehaviour:
 
 class TestOblivCOOM:
     def test_garbled_join_estimate_raises_oom_at_paper_scale(self):
-        config = mpc_only_config(mpc_backend="obliv-c")
         compiled = cc.compile_query(
-            single_operator_query("join", 30_000, parties=(PA, PB)), config
+            single_operator_query("join", 30_000, parties=(PA, PB)), mpc_only_config()
         )
         with pytest.raises(EstimatedOOM) as err:
-            PlanEstimator().estimate(compiled)
+            PlanEstimator(mpc=GarbledCostModel()).estimate(compiled)
         assert err.value.operator == "join"
         assert err.value.required_bytes > err.value.limit_bytes == 4 * 1024**3
 
@@ -107,11 +102,11 @@ class TestOblivCOOM:
         comparison plus one mux per output column for every pair of rows,
         OT-transfers every cleartext input bit, and holds the inputs' wire
         labels plus per-pair state; its seconds are the garbled price list's."""
-        config = mpc_only_config(mpc_backend="obliv-c")
+        config = mpc_only_config()
         compiled = cc.compile_query(
             single_operator_query("join", 2_000, parties=(PA, PB)), config
         )
-        estimator = PlanEstimator()
+        estimator = PlanEstimator(mpc=GarbledCostModel())
         estimate = estimator.estimate(compiled)
         join = next(ne for ne in estimate.nodes if ne.node.op_name == "join")
         left, right = join.rows_in
@@ -128,16 +123,17 @@ class TestOblivCOOM:
         assert small.mpc_seconds < estimate.mpc_seconds
 
     def test_garbled_project_survives_small_inputs_but_ooms_large(self):
-        config = mpc_only_config(mpc_backend="obliv-c")
+        config = mpc_only_config()
+        estimator = PlanEstimator(mpc=GarbledCostModel())
         small = cc.compile_query(
             single_operator_query("project", 10_000, parties=(PA, PB)), config
         )
-        PlanEstimator().estimate(small)  # should not raise
+        estimator.estimate(small)  # should not raise
         large = cc.compile_query(
             single_operator_query("project", 600_000, parties=(PA, PB)), config
         )
         with pytest.raises(EstimatedOOM):
-            PlanEstimator().estimate(large)
+            estimator.estimate(large)
 
 
 class TestOptimizationEffects:

@@ -5,9 +5,8 @@ Covers the expression-API tentpole:
 * AST construction and structural analyses (columns, conjuncts, booleans);
 * lowering of compound predicates, arithmetic, multi-key joins and
   multi-aggregate group-bys into the fixed operator vocabulary;
-* the same expression query under both cleartext price lists produces
-  identical outputs and an unchanged LeakageReport, and compiles, generates
-  code and estimates for the Obliv-C target the runtime refuses to execute;
+* the same expression query runs once, and both cleartext price lists price
+  that run; it also compiles and estimates as Obliv-C circuits;
 * acceptance invariant: the credit-card query is one aggregate call with
   two aggregates plus a compound filter variant;
 * concurrency safety of query construction (ContextVar stack) and eager
@@ -26,6 +25,7 @@ from repro.core.lang import QueryContext
 from repro.core.operators import BoolOp, Compare, Filter, Map
 from repro.data.schema import ColumnDef, ColumnType, Schema
 from repro.data.table import Table
+from repro.model.prices import GarbledCostModel, PythonCostModel, SparkCostModel, price
 from repro.workloads.credit import CreditWorkload
 
 from oracle_engine import OracleRunner
@@ -432,12 +432,12 @@ class TestMultiAggregate:
                 t.aggregate(group=["a"], aggs={"total": 42})
 
 
-PRICE_LISTS = ["python", "spark"]
+PRICE_LISTS = [PythonCostModel(), SparkCostModel()]
 
 
 class TestBackendParity:
-    """The same expression query under every target: identical outputs and
-    leakage where it executes, a plan, jobs and a price where it does not."""
+    """The same expression query under every price list: one run that each
+    list prices, and an estimate where it does not execute."""
 
     @staticmethod
     def expression_query():
@@ -460,21 +460,11 @@ class TestBackendParity:
             PB.name: {"t2": Table.from_rows(ABC_SCHEMA, [(1, 6, 7), (9, 4, 7), (2, 8, 1)])},
         }
 
-    @staticmethod
-    def run_on(cleartext: str):
-        config = CompilationConfig(cleartext_backend=cleartext)
-        result = cc.run_query(
-            TestBackendParity.expression_query(), TestBackendParity.inputs(), config
-        )
-        leakage = [
-            (e.kind, e.relation, tuple(e.columns), tuple(sorted(e.parties)))
-            for e in result.leakage.events
-        ]
-        return result.outputs["out"], leakage
-
-    @pytest.mark.parametrize("cleartext", PRICE_LISTS)
+    @pytest.mark.parametrize("cleartext", PRICE_LISTS, ids=["python", "spark"])
     def test_backends_agree_with_reference(self, cleartext):
-        output, _ = self.run_on(cleartext)
+        compiled = cc.compile_query(self.expression_query())
+        result = cc.QueryRunner(sorted(self.inputs()), self.inputs()).run(compiled)
+        assert price(compiled.dag, result.tally, cleartext=cleartext).simulated_seconds > 0
         reference_rows = ABC_ROWS + [(1, 6, 7), (9, 4, 7), (2, 8, 1)]
         expected = {}
         for a, b, c_val in reference_rows:
@@ -483,25 +473,24 @@ class TestBackendParity:
             score = b * 2 + c_val
             total, n = expected.get(a, (0, 0))
             expected[a] = (total + score, n + 1)
-        got = {row[0]: (row[1], row[2]) for row in output.rows()}
+        got = {row[0]: (row[1], row[2]) for row in result.outputs["out"].rows()}
         assert got == expected
 
-    def test_price_list_changes_neither_outputs_nor_leakage(self):
-        python_output, python_leakage = self.run_on("python")
-        spark_output, spark_leakage = self.run_on("spark")
-        assert spark_output == python_output
-        assert spark_leakage == python_leakage
+    def test_a_price_list_prices_the_run_and_changes_nothing_else(self):
+        compiled = cc.compile_query(self.expression_query())
+        result = cc.QueryRunner(sorted(self.inputs()), self.inputs()).run(compiled)
+        python, spark = (price(compiled.dag, result.tally, cleartext=p) for p in PRICE_LISTS)
+        assert python.simulated_seconds == result.simulated_seconds
+        assert spark.backend_seconds["mpc:sharemind"] == python.backend_seconds["mpc:sharemind"]
+        assert spark.simulated_seconds != python.simulated_seconds
 
-    @pytest.mark.parametrize("cleartext", PRICE_LISTS)
-    def test_obliv_c_target_compiles_and_estimates_but_never_runs(self, cleartext):
-        config = CompilationConfig(cleartext_backend=cleartext, mpc_backend="obliv-c")
-        compiled = cc.compile_query(self.expression_query(), config)
-        estimate = cc.PlanEstimator().estimate(compiled)
+    @pytest.mark.parametrize("cleartext", PRICE_LISTS, ids=["python", "spark"])
+    def test_obliv_c_target_compiles_and_estimates(self, cleartext):
+        compiled = cc.compile_query(self.expression_query())
+        estimate = cc.PlanEstimator(cleartext=cleartext, mpc=GarbledCostModel()).estimate(compiled)
         engines = {name.split(":")[0] for name in estimate.backend_seconds}
         assert engines == {"mpc", "local"} and "mpc:obliv-c" in estimate.backend_seconds
         assert estimate.simulated_seconds > 0
-        with pytest.raises(ValueError, match="PlanEstimator"):
-            cc.run_query(self.expression_query(), self.inputs(), config)
 
 
 class TestPaperQueryAcceptance:

@@ -12,6 +12,7 @@ from repro.hybrid.hybrid_agg import hybrid_aggregate
 from repro.hybrid.hybrid_join import hybrid_join
 from repro.hybrid.public_join import public_join
 from repro.hybrid.stp import LeakageReport, SelectivelyTrustedParty
+from repro.model.prices import SharemindCostModel
 from repro.mpc.sharemind import SharemindBackend
 from repro.workloads.generators import uniform_key_value_table
 from tests.conftest import PARTIES
@@ -117,8 +118,8 @@ class TestHybridJoin:
         mpc_backend.join(mpc_backend.ingest(left), mpc_backend.ingest(right), "key", "key")
         assert hybrid_backend.meter.comparisons < mpc_backend.meter.comparisons
         assert (
-            hybrid_backend.cost_model.work_seconds(hybrid_backend.meter)
-            < mpc_backend.cost_model.work_seconds(mpc_backend.meter)
+            SharemindCostModel().work_seconds(hybrid_backend.meter)
+            < SharemindCostModel().work_seconds(mpc_backend.meter)
         )
 
     @given(
@@ -214,8 +215,8 @@ class TestHybridAggregate:
         mpc_backend = SharemindBackend(PARTIES, seed=2)
         mpc_backend.aggregate(mpc_backend.ingest(table), "key", "value", "sum", "t")
         assert (
-            hybrid_backend.cost_model.work_seconds(hybrid_backend.meter)
-            < mpc_backend.cost_model.work_seconds(mpc_backend.meter)
+            SharemindCostModel().work_seconds(hybrid_backend.meter)
+            < SharemindCostModel().work_seconds(mpc_backend.meter)
         )
 
     def test_leakage_records_group_column_and_output_size(self, backend, stp):

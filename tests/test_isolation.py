@@ -707,7 +707,7 @@ class TestPickleFramesAreRefused:
                       [np.arange(4), np.arange(4) * 2])
         payloads = [
             ("join", PARTY_A, 0, NONCE, SECRET),
-            ("result", 3, {"outputs": {"out": table}, "node_durations": {1: 0.5}}),
+            ("result", 3, {"outputs": {"out": table}, "tally": {"mpc": np.arange(11)}}),
             ("error", 3, ValueError("boom"), "traceback..."),
         ]
         ours, theirs = socket.socketpair()
@@ -923,7 +923,7 @@ def test_corpus_agents_never_hold_foreign_secrets():
     """Across the 50-plan differential corpus, every agent process's
     isolation audit must show it materialised only its own party's share
     slices and only its own cleartext inputs."""
-    config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
+    config = CompilationConfig()
     with cc.QuerySession(PARTIES, config=config, seed=3) as session:
         for plan in range(NUM_PLANS):
             spec = generate_spec(SEED + plan)

@@ -8,8 +8,11 @@ from repro.core.dispatch import QueryRunner
 from repro.model.counters import CleartextWork, NetworkStats
 from repro.mpc.network import Network, TransportError
 from repro.mpc.secretshare import SecretSharingEngine
+from repro.queries import aspirin_count_query
 from repro.runtime.queues import run_on_queue_channels
 from repro.runtime.service import merge_payloads
+from repro.runtime.wire import decode_payload, encode_payload
+from repro.workloads.healthlnk import HealthLNKWorkload
 
 from test_differential import PARTY_A, PARTY_B, SEED, build_query, generate_spec
 from test_round_budget import WORKLOADS
@@ -223,6 +226,36 @@ def _judged(name):
     return spec.context, inputs, config, spec.parties
 
 
+def _stp_outside_the_run():
+    """Fig. 5a's hybrid join: its STP holds no input and gets no output, so
+    no agent is its own, and every agent replays its key match."""
+    pa, pb, pc = (cc.Party(name) for name in THREE)
+    key = cc.Column("key", cc.INT, trust=[pa])
+    with cc.QueryContext() as ctx:
+        left = ctx.new_table("left", [key, cc.Column("value", cc.INT)], at=pb)
+        right = ctx.new_table("right", [key, cc.Column("value", cc.INT)], at=pc)
+        left.join(right, on="key").collect("out", to=[pb])
+    schema = cc.Schema([cc.ColumnDef("key"), cc.ColumnDef("value")])
+    inputs = {
+        pb.name: {"left": cc.Table(schema, [np.arange(20), np.arange(20)])},
+        pc.name: {"right": cc.Table(schema, [np.arange(10, 30), np.arange(20)])},
+    }
+    return ctx, inputs, cc.CompilationConfig(), [pb.name, pc.name]
+
+
+def _aspirin_count():
+    """Two hospitals' aspirin count: a public join, whose host's match every
+    party can replay, because the public keys are opened to all."""
+    health = HealthLNKWorkload(patient_overlap=0.1, seed=23)
+    diagnoses, medications = health.aspirin_count_inputs(50)
+    spec = aspirin_count_query(rows_per_relation=50)
+    inputs = {
+        party: {f"diagnoses_{i}": diagnoses[i], f"medications_{i}": medications[i]}
+        for i, party in enumerate(spec.parties)
+    }
+    return spec.context, inputs, cc.CompilationConfig(), spec.parties
+
+
 def _transfer():
     """c's relation collected by a and b: its columns cross twice."""
     parties = [cc.Party(name) for name in THREE]
@@ -281,13 +314,52 @@ def test_only_the_stp_does_the_stp_work():
         engine = executor.local_backends.get(stp)
         work = CleartextWork() if engine is None else engine.work
         assert work == (charged if party == stp else CleartextWork()), party
-    payloads = {
-        party: {
-            "outputs": outcome.outputs, "node_durations": outcome.node_durations,
-            "leakage": outcome.leakage, "backend_seconds": outcome.backend_seconds,
+    assert merge_payloads(compiled, parties, _payloads(outcomes)).simulated_seconds == (
+        reference.simulated_seconds
+    )
+
+
+def _payloads(outcomes):
+    """What each agent returns of its outcome to the coordinator, through the
+    wire codec: no seconds, and its tally as flat arrays."""
+    return {
+        party: decode_payload(encode_payload({
+            "outputs": outcome.outputs, "leakage": outcome.leakage,
+            "tally": {engine: counts.ravel() for engine, counts in outcome.tally.items()},
             "mpc_profile": outcome.mpc_profile,
-        }
+        }))
         for party, outcome in outcomes.items()
     }
+
+
+MERGED_PLANS = {
+    "credit_hybrid": lambda: _judged("credit_hybrid"),
+    "aspirin_count": _aspirin_count,
+    "stp_outside_the_run": _stp_outside_the_run,
+}
+
+
+@pytest.mark.parametrize("plan", MERGED_PLANS)
+def test_the_merged_cost_is_the_in_process_cost(plan):
+    """The coordinator prices one tally: each party's engine as its own
+    agent counted it, the MPC and an STP outside the run as the lead
+    counted them.  So the merged seconds are the in-process run's exactly —
+    the work an agent does on a replica of a peer's engine (the aspirin
+    count's public-join host) is that peer's agent's to report.  And the
+    result keeps no view of an agent's frame, which would keep it alive."""
+    ctx, inputs, config, parties = MERGED_PLANS[plan]()
+    compiled = cc.compile_query(ctx, config)
+    reference = QueryRunner(parties, inputs, seed=5).run(compiled)
+    payloads = _payloads(run_on_queue_channels(parties, inputs, compiled, 5))
     merged = merge_payloads(compiled, parties, payloads)
-    assert merged.simulated_seconds == pytest.approx(reference.simulated_seconds, rel=1e-12)
+    assert merged.simulated_seconds == reference.simulated_seconds
+    assert merged.backend_seconds == reference.backend_seconds
+    assert merged.tally.keys() == reference.tally.keys()
+    for engine, counts in reference.tally.items():
+        assert np.array_equal(merged.tally[engine], counts), engine
+    def arrays(tally, outputs):
+        return [*tally.values(), *(column for t in outputs.values() for column in t.columns())]
+
+    decoded = [a for p in payloads.values() for a in arrays(p["tally"], p["outputs"])]
+    kept = arrays(merged.tally, merged.outputs)
+    assert not any(np.shares_memory(a, b) for a in kept for b in decoded)

@@ -18,6 +18,7 @@ import repro
 import repro.core
 import repro.mpc
 import repro.runtime
+from repro.model import prices
 from repro.model.counters import CostMeter
 from repro.mpc.oblivious import oblivious_shuffle
 from repro.mpc.secretshare import SecretSharingEngine, TripleDealer
@@ -190,6 +191,27 @@ def test_the_cost_model_has_one_home():
     moved = {"CostMeter", "NetworkStats", "SharemindCostModel", "GarbledCostModel", "PlanEstimator"}
     for package in (repro.core, repro.mpc, repro.runtime):
         assert not moved & set(package.__all__), package.__name__
+    # Executions count and ``repro.model.prices.price`` prices: nothing in the
+    # runtime reaches for a price list, and an executor holds none.
+    for path in SRC.glob("runtime/*.py"):
+        for module, name in imports_of(path):
+            qualified = f"{module}.{name}" if name else module
+            assert not qualified.startswith("repro.model.prices"), (path.name, qualified)
+    schema = repro.Schema([repro.ColumnDef("k"), repro.ColumnDef("v")])
+    parties = ["a.example", "b.example", "c.example"]
+    inputs = {
+        party: {f"t{i}": repro.Table(schema, [np.arange(3), np.arange(3)])}
+        for i, party in enumerate(parties)
+    }
+    runner = repro.QueryRunner(parties, inputs)
+    runner.run(repro.compile_query(_three_party_query()))
+    price_lists = tuple(
+        value for name, value in vars(prices).items() if name.endswith("CostModel")
+    )
+    for held in (runner, runner.mpc_backend):
+        for name in dir(held):
+            assert "price" not in name and "cost_model" not in name, name
+            assert not isinstance(getattr(held, name), price_lists), name
 
 
 # -- one formula per protocol step: execution charges, it does not count inline ---------------

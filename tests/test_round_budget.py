@@ -82,14 +82,14 @@ def test_judged_query_stays_on_its_committed_budget(name, monkeypatch):
     parties = sorted(compiled.dag.parties() | set(inputs))
     runner = cc.QueryRunner(parties, inputs, config, seed=SEED)
     # The rounds that move a relation between parties are carried by the
-    # executor's own network, not the MPC's, and are not MPC rounds.
-    mpc_network = runner.mpc_backend.engine.network
+    # executor's own network, not the MPC's, and are not MPC rounds.  Every
+    # run builds its MPC network before its first round.
     carried = []
     round_ = Network.round
 
     def metered(self, tag, sends, size_bytes):
         # Only a round that carries traffic is a wire round.
-        if self is mpc_network and sends:
+        if self is runner.mpc_backend.engine.network and sends:
             carried.append(len(sends) * int(size_bytes))
         return round_(self, tag, sends, size_bytes)
 
@@ -100,7 +100,7 @@ def test_judged_query_stays_on_its_committed_budget(name, monkeypatch):
     # Every input is shared with no round: a private one (the STP's join
     # indices too) from pairwise keys, the flags the STP hands back in the
     # clear from the mask streams.
-    assert "input-share" not in [tag for tag, _, _ in mpc_network.schedule]
+    assert "input-share" not in [tag for tag, _, _ in runner.mpc_backend.engine.network.schedule]
     del profile["backend"]
     assert dict(profile, wire_bytes=sum(carried)) == BUDGETS[name]
 

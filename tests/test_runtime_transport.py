@@ -17,14 +17,15 @@ from repro.core.lang import QueryContext
 from repro.data.csvio import write_csv
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
+from repro.model.prices import SparkCostModel, price
 from repro.queries import (
     aspirin_count_query,
     comorbidity_query,
     credit_card_regulation_query,
     market_concentration_query,
 )
-from repro.runtime.pool import AgentPool, active_agent_processes
-from repro.runtime.service import SocketCoordinator
+from repro.runtime import service
+from repro.runtime.service import SocketCoordinator, merge_payloads
 from repro.workloads.credit import CreditWorkload
 from repro.workloads.generators import uniform_key_value_table
 from repro.workloads.healthlnk import HealthLNKWorkload
@@ -130,64 +131,39 @@ class TestSocketRuntimeMatchesSimulated:
         assert simulated.mpc_profile == socketed.mpc_profile
         assert output in simulated.outputs
 
-    def test_leakage_and_timing_merge_across_agents(self):
+    def test_leakage_and_timing_merge_across_agents(self, monkeypatch):
+        """Every agent returns counts, never seconds: its own party's tally
+        and the MPC's.  The coordinator prices the merged tally once, into
+        the in-process run's seconds."""
         ctx, inputs, _ = paper_query("credit_card_regulation")
         compiled = cc.compile_query(ctx)
         parties = sorted(compiled.dag.parties() | set(inputs))
+        returned = []
+
+        def merge(compiled, parties, payloads):
+            returned.append(payloads)
+            return merge_payloads(compiled, parties, payloads)
+
+        monkeypatch.setattr(service, "merge_payloads", merge)
         simulated = QueryRunner(parties, inputs, compiled.config, seed=1).run(compiled)
         socketed = SocketCoordinator(parties, inputs, compiled.config, seed=1).run(compiled)
+        (payloads,) = returned
+        for party, payload in payloads.items():
+            assert set(payload) == {
+                "outputs", "tally", "leakage", "mpc_profile", "isolation", "wire_traffic", "proc",
+            }, party
+            assert set(payload["tally"]) == {f"local:{party}", "mpc"}, party
+            assert all(counts.dtype == np.int64 for counts in payload["tally"].values()), party
         # The distributed run records the same disclosures (as a multiset).
         assert sorted(e.kind for e in simulated.leakage.events) == sorted(
             e.kind for e in socketed.leakage.events
         )
         assert len(simulated.leakage) == len(socketed.leakage)
-        assert socketed.simulated_seconds == pytest.approx(simulated.simulated_seconds)
+        assert socketed.simulated_seconds == simulated.simulated_seconds
+        assert socketed.backend_seconds == simulated.backend_seconds
         assert any(k.startswith("local:") for k in socketed.backend_seconds)
         assert any(k.startswith("mpc:") for k in socketed.backend_seconds)
         assert socketed.wall_seconds > 0
-
-    def test_obliv_c_config_is_refused_before_anything_leaves_the_process(self, monkeypatch):
-        """Regression: ``mpc_backend="obliv-c"`` over sockets used to
-        broadcast every party's private input in cleartext.  It is now
-        refused on the submitting side: no agent is spawned for it, and a
-        standing session sends no mesh frame on its behalf."""
-        pa, pb = cc.Party("a.example"), cc.Party("b.example")
-        with QueryContext() as ctx:
-            t0 = ctx.new_table("t0", [cc.Column("k"), cc.Column("v")], at=pa)
-            t1 = ctx.new_table("t1", [cc.Column("k"), cc.Column("v")], at=pb)
-            agg = ctx.concat([t0, t1]).aggregate(group=["k"], aggs={"total": cc.SUM("v")})
-            agg.collect("out", to=[pa])
-        config = CompilationConfig(mpc_backend="obliv-c")
-        inputs = {
-            pa.name: {"t0": uniform_key_value_table(20, 4, key_column="k", value_column="v", seed=0)},
-            pb.name: {"t1": uniform_key_value_table(20, 4, key_column="k", value_column="v", seed=1)},
-        }
-
-        def spawn(*args, **kwargs):
-            raise AssertionError("agents spawned for a plan the runtime refuses")
-
-        monkeypatch.setattr(AgentPool, "__init__", spawn)
-        with pytest.raises(ValueError, match="PlanEstimator"):
-            cc.run_query(ctx, inputs, config, seed=2, runtime="sockets")
-        with pytest.raises(ValueError, match="PlanEstimator"):
-            SocketCoordinator(sorted(inputs), inputs).run(cc.compile_query(ctx, config))
-        with pytest.raises(ValueError, match="PlanEstimator"):
-            cc.open_session(inputs, config)
-        monkeypatch.undo()
-        assert active_agent_processes() == []
-
-        with cc.open_session(inputs, seed=2) as clean:
-            clean.submit(ctx)
-            one_query_traffic = clean.stats["wire"]
-        with cc.open_session(inputs, seed=2) as session:
-            with pytest.raises(ValueError, match="PlanEstimator"):
-                session.submit(cc.compile_query(ctx, config))
-            assert session.stats["queries"] == 0
-            # The mesh counters are cumulative: the refused submissions added
-            # no frame and no byte to what one good query sends.
-            session.submit(ctx)
-            assert session.stats["wire"] == one_query_traffic
-        assert active_agent_processes() == []
 
     def test_run_query_from_csv_sockets(self, tmp_path):
         ctx, inputs, output = paper_query("quickstart")
@@ -210,16 +186,17 @@ class TestSocketRuntimeMatchesSimulated:
 
 
 class TestOnePlanOneCost:
-    def test_a_plan_is_priced_with_its_own_config_on_every_runtime(self):
-        """A Spark-priced plan reports one cost — simulated seconds, per-engine
-        seconds and MPC profile — and one output on every runtime, whatever
-        config the runtime object was built with: that config only compiles
-        queries handed over uncompiled."""
+    def test_a_plan_reports_one_cost_on_every_runtime(self):
+        """A plan reports one cost — simulated seconds, per-engine seconds,
+        MPC profile, and a tally that prices alike under Spark too — and one
+        output on every runtime, whatever config the runtime object was
+        built with: that config only compiles queries handed over
+        uncompiled."""
         spec = market_concentration_query(rows_per_party=200)
         tables = TaxiWorkload(num_companies=3, zero_fare_fraction=0.05, seed=17).party_tables(3, 200)
         inputs = {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
         parties = sorted(inputs)
-        compiled = cc.compile_query(spec.context, CompilationConfig(cleartext_backend="spark"))
+        compiled = cc.compile_query(spec.context)
 
         results = {
             "runner": QueryRunner(parties, inputs, seed=5).run(compiled),
@@ -231,13 +208,14 @@ class TestOnePlanOneCost:
         with cc.QuerySession(parties, inputs, seed=5) as session:
             results["session"] = session.submit(compiled)
         reference = results.pop("runner")
+        spark = price(compiled.dag, reference.tally, cleartext=SparkCostModel())
+        assert spark.simulated_seconds != reference.simulated_seconds
         for name, result in results.items():
             assert result.simulated_seconds == reference.simulated_seconds, name
             assert result.backend_seconds == reference.backend_seconds, name
             assert result.mpc_profile == reference.mpc_profile, name
             assert result.outputs == reference.outputs, name
-        python_priced = QueryRunner(parties, inputs, seed=5).run(cc.compile_query(spec.context))
-        assert python_priced.simulated_seconds != reference.simulated_seconds
+            assert price(compiled.dag, result.tally, cleartext=SparkCostModel()) == spark, name
 
     def test_a_runner_compiles_a_query_with_its_config(self):
         """``QueryRunner.run`` takes a query as ``submit`` does, compiled

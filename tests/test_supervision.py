@@ -248,6 +248,9 @@ class TestCrashRecovery:
         pool._processes[PARTY_B].kill()
         assert wait_until(lambda: new_agents and not any(p.is_alive() for p in new_agents))
         session.close()
+        # The restart worker records the failed attempt after it has reaped
+        # the new agents; close() does not wait for that worker.
+        assert wait_until(lambda: pool._supervisor.attempt_history(PARTY_B))
         history = pool._supervisor.attempt_history(PARTY_B)
         assert [r["outcome"] for r in history] == ["failed: session is closed"], history
 
@@ -578,7 +581,7 @@ class TestChaosDifferential:
         from test_differential import NUM_PLANS, SEED, build_query, generate_spec
         from test_differential import PARTY_A as DIFF_A, PARTY_B as DIFF_B
 
-        config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
+        config = CompilationConfig()
         faults = FaultPlan.seeded(
             SEED,
             [DIFF_A, DIFF_B],

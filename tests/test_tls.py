@@ -97,7 +97,7 @@ class TestDevBundle:
 class TestTlsSession:
     def test_tls_session_byte_identical_to_simulated(self, security):
         ctx, inputs = two_party_query()
-        config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
+        config = CompilationConfig()
         compiled = cc.compile_query(ctx, config)
         simulated = QueryRunner([PARTY_A, PARTY_B], inputs, config, seed=3).run(compiled)
         with cc.QuerySession(
@@ -111,7 +111,7 @@ class TestTlsSession:
     def test_tls_session_with_standing_inputs(self, security):
         """``open_session`` over TLS: inputs ship once in the session bundle."""
         ctx, inputs = two_party_query(agg_extra=True)
-        config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
+        config = CompilationConfig()
         compiled = cc.compile_query(ctx, config)
         simulated = QueryRunner([PARTY_A, PARTY_B], inputs, config, seed=5).run(compiled)
         with cc.open_session(
@@ -288,7 +288,7 @@ class TestTlsRecovery:
         from repro.runtime.faults import FaultPlan, KillFault
 
         ctx, inputs = two_party_query()
-        config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
+        config = CompilationConfig()
         compiled = cc.compile_query(ctx, config)
         simulated = QueryRunner([PARTY_A, PARTY_B], inputs, config, seed=3).run(compiled)
         faults = FaultPlan(kills=(KillFault(PARTY_B, at_query=2),))
@@ -323,7 +323,7 @@ def test_fifty_plans_byte_identical_over_tls(tmp_path):
     from test_differential import PARTY_A as DIFF_A, PARTY_B as DIFF_B
 
     certs = TransportSecurity.dev([DIFF_A, DIFF_B], tmp_path / "diff-certs")
-    config = CompilationConfig(cleartext_backend="python", mpc_backend="sharemind")
+    config = CompilationConfig()
     with cc.QuerySession(
         [DIFF_A, DIFF_B], config=config, seed=3, security=certs
     ) as session:
