@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Per-party CPU and received traffic of the three judged queries.
+"""Per-party CPU and traffic of the three judged queries.
 
 Each query (``hhi_pushdown``, ``hhi_mpc_only``, ``credit_hybrid``, built as
 ``tests/test_round_budget.py`` builds them, at a given number of rows per
@@ -13,7 +13,9 @@ party) runs twice in one process:
 
 For every (query, rows) pair it prints one JSON line: each party's
 ``thread_time`` of ``PlanExecutor.execute``, the frames and bytes (headers
-included) its channel received per round tag and the Python calls of its
+included) its channel sent and received per round tag, with the bytes it
+sent in all (the benchmark's ``wire_bytes_per_query`` is the largest of
+those over the parties), and the Python calls of its
 ``execute`` — counted by ``cProfile`` in a second per-party run, so the
 timed run is not perturbed — the all-local run's ``thread_time``, and
 whether every party's outputs equal the all-local run's.  Tells where the
@@ -94,6 +96,12 @@ def _per_party(parties, inputs, compiled, run) -> dict:
         return executors, dict(zip(parties, results))
 
 
+def _by_tag(ledger: dict[str, list[int]]) -> dict:
+    return {
+        tag: {"frames": frames, "bytes": size} for tag, (frames, size) in sorted(ledger.items())
+    }
+
+
 def measure(name: str, rows: int) -> dict:
     spec, inputs, config = QUERIES[name](rows)
     compiled = cc.compile_query(spec.context, config)
@@ -118,10 +126,9 @@ def measure(name: str, rows: int) -> dict:
             party: {
                 "cpu_ms": round(cpu * 1e3, 3),
                 "calls": calls[party],
-                "received": {
-                    tag: {"frames": frames, "bytes": size}
-                    for tag, (frames, size) in sorted(executors[party].mesh.received.items())
-                },
+                "sent_bytes": sum(size for _, size in executors[party].mesh.sent.values()),
+                "sent": _by_tag(executors[party].mesh.sent),
+                "received": _by_tag(executors[party].mesh.received),
             }
             for party, (_outcome, cpu) in runs.items()
         },

@@ -132,5 +132,6 @@ class Dag:
             inputs = ", ".join(p.out_rel.name for p in node.parents) or "-"
             lines.append(
                 f"{node.op_name:<18} {node.out_rel.name:<28} at={locus:<14} inputs=[{inputs}]"
+                f"  {node.detail()}".rstrip()
             )
         return "\n".join(lines)

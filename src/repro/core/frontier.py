@@ -85,7 +85,7 @@ def _push_concat_past(dag: Dag, concat: Concat, child: OpNode, config: Compilati
         _distribute_unary(dag, concat, child)
         return True
     if isinstance(child, Aggregate) and not child.is_secondary:
-        if child.func in SPLITTABLE_AGGS and config.consent_to_cardinality_leakage:
+        if child.funcs <= SPLITTABLE_AGGS.keys() and config.consent_to_cardinality_leakage:
             _split_aggregate(dag, concat, child)
             return True
     return False
@@ -123,8 +123,8 @@ def _distribute_unary(dag: Dag, concat: Concat, child: OpNode) -> None:
 
 
 def _split_aggregate(dag: Dag, concat: Concat, agg: Aggregate) -> None:
-    """Split ``agg(concat(R1..Rn))`` into local partials plus an MPC merge."""
-    merge_func = SPLITTABLE_AGGS[agg.func]
+    """Split ``agg(concat(R1..Rn))`` into local partials, each with every
+    output, plus one MPC merge of each output's partials."""
     partial_schema = agg.out_rel.schema
 
     partials: list[OpNode] = []
@@ -134,9 +134,7 @@ def _split_aggregate(dag: Dag, concat: Concat, agg: Aggregate) -> None:
             schema=partial_schema,
             stored_with=set(parent.out_rel.stored_with),
         )
-        partials.append(
-            Aggregate(rel, parent, agg.group_col, agg.agg_col, agg.func, agg.out_name)
-        )
+        partials.append(Aggregate(rel, parent, agg.group_col, agg.outputs))
 
     concat_rel = Relation(
         name=dag.fresh_name(agg.out_rel.name, "partials"),
@@ -149,9 +147,7 @@ def _split_aggregate(dag: Dag, concat: Concat, agg: Aggregate) -> None:
         agg.out_rel.copy(dag.fresh_name(agg.out_rel.name, "merge")),
         partial_concat,
         agg.group_col,
-        agg.out_name,
-        merge_func,
-        agg.out_name,
+        [(SPLITTABLE_AGGS[func], out, out) for func, _, out in agg.outputs],
     )
     secondary.is_secondary = True
 
@@ -211,7 +207,8 @@ def push_up(dag: Dag, config: CompilationConfig) -> int:
         # cleartext count at the recipient.
         if (
             isinstance(node, Aggregate)
-            and node.func == "count"
+            and len(node.outputs) == 1
+            and node.outputs[0][0] == "count"
             and node.group_col is not None
             and node.is_mpc
             and len(node.children) == 1
@@ -238,9 +235,7 @@ def _rewrite_leaf_count(dag: Dag, agg: Aggregate, recipient: str) -> None:
         agg.out_rel.copy(dag.fresh_name(agg.out_rel.name, "clear_count")),
         project,
         agg.group_col,
-        None,
-        "count",
-        agg.out_name,
+        [("count", None, agg.outputs[0][2])],
     )
     clear_count.is_mpc = False
     clear_count.run_at = recipient

@@ -8,8 +8,9 @@ a non-empty trust set can be replaced by hybrid operators:
   selectively-trusted party (STP);
 * an MPC join whose key columns are public on both sides becomes a
   :class:`~repro.core.operators.PublicJoin` hosted by one party;
-* an MPC grouped aggregation whose group-by column has a trusted party
-  becomes a :class:`~repro.core.operators.HybridAggregate`.
+* an MPC grouped aggregation whose group-by column has a trusted party,
+  and whose outputs are all sums and counts, becomes a
+  :class:`~repro.core.operators.HybridAggregate`.
 
 Only a single STP may exist in one Conclave execution; when several
 candidate parties are available the pass deterministically picks the one
@@ -89,7 +90,7 @@ def _collect_candidates(dag: Dag, all_parties: set[str], config: CompilationConf
         elif (
             isinstance(node, Aggregate)
             and node.group_col is not None
-            and node.func in ("sum", "count")
+            and node.funcs <= {"sum", "count"}
         ):
             parent_rel = node.parent.out_rel
             group_trust = parent_rel.column_trust(node.group_col)
@@ -142,9 +143,7 @@ def _replace_join(node: Join, cls, **extra) -> Join:
 
 def _replace_aggregate(node: Aggregate, stp: str) -> HybridAggregate:
     parent = node.parent
-    new_node = HybridAggregate(
-        node.out_rel, parent, node.group_col, node.agg_col, node.func, node.out_name, stp
-    )
+    new_node = HybridAggregate(node.out_rel, parent, node.group_col, node.outputs, stp)
     new_node.is_secondary = node.is_secondary
     new_node.presorted = node.presorted
     parent.children.remove(node)

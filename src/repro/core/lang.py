@@ -24,10 +24,10 @@ Every builder method *lowers* its expressions into the compiler's fixed
 operator vocabulary — ``Filter`` chains for conjunctions of simple
 predicates, ``Compare``/``BoolOp`` mask columns for compound predicates,
 ``Map`` chains for arithmetic, a composite-key
-encode plus a single-key ``Join`` for multi-column joins, and per-aggregate
-``Aggregate`` nodes joined on the group key for multi-aggregate group-bys —
-so the ownership/trust propagation, MPC-frontier and hybrid passes operate
-on plain relational operators and need no knowledge of the AST.
+encode plus a single-key ``Join`` for multi-column joins, and one
+``Aggregate`` node with an output per aggregate for any group-by — so the
+ownership/trust propagation, MPC-frontier and hybrid passes operate on
+plain relational operators and need no knowledge of the AST.
 
 Query construction is safe under concurrency: the active-context stack
 lives in a :class:`contextvars.ContextVar`, so concurrent asyncio tasks (or
@@ -72,16 +72,20 @@ from repro.core.party import Party
 from repro.core.relation import Relation
 from repro.core.dag import Dag
 from repro.core.types import AggSpec, Column, build_schema
-from repro.data.schema import ColumnDef, ColumnType, Schema, arithmetic_typing
+from repro.data.schema import (
+    AGG_FUNCS,
+    ColumnDef,
+    ColumnType,
+    Schema,
+    aggregate_schema,
+    arithmetic_typing,
+)
 
 #: Packing base of the composite-key encoding used for multi-column join and
 #: group-by keys: ``key = ((k1 * BASE) + k2) * BASE + k3 …``.  The encoding
 #: is collision-free while every key component is a non-negative integer
 #: below the base; pass ``key_base=`` to ``join`` for wider domains.
 COMPOSITE_KEY_BASE = 1 << 20
-
-#: Aggregation functions the frontend accepts.
-AGG_FUNCS = ("sum", "count", "min", "max", "mean")
 
 #: Relation-name prefixes of the ``Map`` outputs that scale or divide.
 _MAP_HINTS = {"*": "mul", "/": "div"}
@@ -332,9 +336,11 @@ class RelationHandle:
             rel.aggregate(group=["zip"], aggs={"total": cc.SUM("score"),
                                                "cnt": cc.COUNT()})
 
-        Multiple aggregates lower to one ``Aggregate`` operator each, joined
-        on the group key; two or more group columns lower to a composite-key
-        encode so the single-key frontier/hybrid rewrites apply unchanged.
+        Every aggregate is one output of a single ``Aggregate`` operator,
+        which groups the rows once; two or more group columns lower to a
+        composite-key encode, recovered by ``min`` outputs of that operator
+        and projected away, so the single-key frontier/hybrid rewrites apply
+        unchanged.
         ``key_base`` sizes that encoding exactly as for :meth:`join`, with the
         same check: a group value outside ``[0, key_base)`` is a
         ``ValueError`` naming its column, never a merged group.  With at
@@ -370,24 +376,19 @@ class RelationHandle:
             if spec.over is not None:
                 self.schema.index_of(spec.over)
 
-        if len(group) <= 1 and len(specs) == 1:
-            (out, spec), = specs.items()
-            return self._single_aggregate(out, spec.func, group[0] if group else None, spec.over, name)
-        if len(group) == 1:
-            return self._joined_aggregates(self, group[0], group, specs, name)
-        if not group:
-            return self._scalar_aggregates(specs, name)
-        # Two or more group columns: pack them into a composite key so every
-        # Aggregate (and any later hybrid rewrite) stays single-key, then
-        # recover the group columns via per-group `min` aggregates (they are
-        # constant within a group).
+        if len(group) <= 1:
+            return self._aggregate(group[0] if group else None, specs, name)
+        # Two or more group columns: pack them into a composite key so the
+        # Aggregate (and any later hybrid rewrite) stays single-key, recover
+        # the group columns as `min` outputs of the same node (they are
+        # constant within a group), and project the key away.
         keyed, _ = self._encode_composite_key(
             group, self.context.fresh_column(self.schema, prefix="_gk"), key_base
         )
         key = keyed.schema.names[-1]
         parts: dict[str, AggSpec] = {g: AggSpec("min", g) for g in group}
         parts.update(specs)
-        return self._joined_aggregates(keyed, key, group, parts, name, project_to=group + list(specs))
+        return keyed._aggregate(key, parts, None).project(group + list(specs), name=name)
 
     def join(
         self,
@@ -682,74 +683,14 @@ class RelationHandle:
 
     # -- aggregate lowering ---------------------------------------------------------------------
 
-    def _single_aggregate(
-        self,
-        out_name: str,
-        func: str,
-        group_col: str | None,
-        over: str | None,
-        name: str | None,
+    def _aggregate(
+        self, group_col: str | None, specs: Mapping[str, AggSpec], name: str | None
     ) -> "RelationHandle":
-        if func not in AGG_FUNCS:
-            raise ValueError(
-                f"unsupported aggregation {func!r}; supported: {', '.join(AGG_FUNCS)}"
-            )
-        if over is not None:
-            self.schema.index_of(over)
-        elif func != "count":
-            raise ValueError(f"aggregation {func!r} requires a value column")
-        if group_col is not None:
-            self.schema.index_of(group_col)
-
-        out_type = ColumnType.INT
-        if over is not None and func != "count":
-            out_type = self.schema[over].ctype
-        if func == "mean":
-            out_type = ColumnType.FLOAT
-        cols = []
-        if group_col is not None:
-            cols.append(self.schema[group_col])
-        cols.append(ColumnDef(out_name, out_type))
-        rel = self._derive(name or f"agg_{out_name}", Schema(cols))
-        return self._wrap(Aggregate(rel, self.node, group_col, over, func, out_name))
-
-    @staticmethod
-    def _joined_aggregates(
-        source: "RelationHandle",
-        group_col: str,
-        group: list[str],
-        specs: Mapping[str, AggSpec],
-        name: str | None,
-        project_to: list[str] | None = None,
-    ) -> "RelationHandle":
-        """One Aggregate per spec over the same input, joined on the group key."""
-        handles = [
-            source._single_aggregate(out, spec.func, group_col, spec.over, None)
-            for out, spec in specs.items()
-        ]
-        result = handles[0]
-        for i, part in enumerate(handles[1:]):
-            is_last = i == len(handles) - 2
-            result = result._single_join(
-                part, group_col, group_col, name if (is_last and name and not project_to) else None
-            )
-        if project_to is not None:
-            result = result.project(project_to, name=name)
-        return result
-
-    def _scalar_aggregates(
-        self, specs: Mapping[str, AggSpec], name: str | None
-    ) -> "RelationHandle":
-        """Multiple whole-relation reductions, aligned on a constant key."""
-        key = self.context.fresh_column(self.schema, prefix="_ak")
-        keyed: list[RelationHandle] = []
-        for out, spec in specs.items():
-            part = self._single_aggregate(out, spec.func, None, spec.over, None)
-            keyed.append(part._emit_map(key, out, "*", 0))
-        result = keyed[0]
-        for part in keyed[1:]:
-            result = result._single_join(part, key, key, None)
-        return result.project(list(specs), name=name)
+        """One ``Aggregate`` with an output per spec, in ``specs`` order."""
+        outputs = [(spec.func, spec.over, out) for out, spec in specs.items()]
+        schema = aggregate_schema(self.schema, group_col, outputs)
+        rel = self._derive(name or "agg_" + "_".join(specs), schema)
+        return self._wrap(Aggregate(rel, self.node, group_col, outputs))
 
     # -- helpers -----------------------------------------------------------------------------
 

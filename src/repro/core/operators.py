@@ -101,6 +101,10 @@ class OpNode:
     def input_relations(self) -> list[Relation]:
         return [p.out_rel for p in self.parents]
 
+    def detail(self) -> str:
+        """The operator's own fields, as the plan rendering prints them."""
+        return ""
+
     def locus(self) -> tuple[str, str]:
         """Execution locus: ``("mpc", "joint")`` or ``("local", party)``."""
         if self.is_mpc:
@@ -165,7 +169,14 @@ class Filter(OpNode):
 
 
 class Aggregate(OpNode):
-    """Group-by aggregation (or whole-relation reduction with no group)."""
+    """Group-by aggregation (or whole-relation reduction with no group).
+
+    ``outputs`` lists one ``(func, over, out_name)`` per output column:
+    every output reduces its own column (``None`` for a ``count``) over the
+    same groups, so a group-by with any number of aggregates sorts — or
+    scatters — its rows once.  The output schema is the group column, then
+    the outputs in order.
+    """
 
     op_name = "aggregate"
 
@@ -174,19 +185,28 @@ class Aggregate(OpNode):
         out_rel: Relation,
         parent: OpNode,
         group_col: str | None,
-        agg_col: str | None,
-        func: str,
-        out_name: str,
+        outputs: Sequence[tuple[str, str | None, str]],
     ):
         super().__init__(out_rel, [parent])
         self.group_col = group_col
-        self.agg_col = agg_col
-        self.func = func
-        self.out_name = out_name
+        self.outputs: tuple[tuple[str, str | None, str], ...] = tuple(
+            (func, over, out_name) for func, over, out_name in outputs
+        )
+        if not self.outputs:
+            raise ValueError("an aggregation needs at least one output")
         #: Set by the sort-elimination pass when the input is already grouped.
         self.presorted = False
         #: Marks the MPC-side merge step of a split aggregation (push-down).
         self.is_secondary = False
+
+    @property
+    def funcs(self) -> set[str]:
+        """The reducers of the outputs."""
+        return {func for func, _, _ in self.outputs}
+
+    def detail(self) -> str:
+        outputs = ", ".join(f"{out}={func}({over or ''})" for func, over, out in self.outputs)
+        return f"group={self.group_col or '-'} {outputs}"
 
 
 class Map(OpNode):
@@ -400,12 +420,10 @@ class HybridAggregate(Aggregate):
         out_rel: Relation,
         parent: OpNode,
         group_col: str,
-        agg_col: str | None,
-        func: str,
-        out_name: str,
+        outputs: Sequence[tuple[str, str | None, str]],
         stp: str,
     ):
-        super().__init__(out_rel, parent, group_col, agg_col, func, out_name)
+        super().__init__(out_rel, parent, group_col, outputs)
         self.stp = stp
         self.is_mpc = True
 

@@ -202,12 +202,12 @@ def _aggregate_trust(node: Aggregate) -> dict[str, frozenset[str]]:
     )
     if node.group_col is not None:
         trust[node.group_col] = group_trust
-    if node.agg_col is not None:
-        value_trust = intersect_trust(parent.column_trust(node.agg_col), group_trust)
-    else:
-        # count: depends only on the group-by column.
-        value_trust = group_trust
-    trust[node.out_name] = value_trust
+    for _, over, out_name in node.outputs:
+        # A count depends only on the group-by column.
+        trust[out_name] = (
+            group_trust if over is None
+            else intersect_trust(parent.column_trust(over), group_trust)
+        )
     return trust
 
 

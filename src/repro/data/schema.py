@@ -202,3 +202,28 @@ def arithmetic_typing(
         right_fixed = not float(right).is_integer()
     floating = op == "/" or left_fixed or right_fixed
     return left_fixed, right_fixed, ColumnType.FLOAT if floating else ColumnType.INT
+
+
+#: Aggregation function names an ``Aggregate`` output may use.
+AGG_FUNCS = ("sum", "count", "min", "max", "mean")
+
+
+def aggregate_schema(
+    schema: Schema, group_col: "str | None", outputs: "Sequence[tuple[str, str | None, str]]"
+) -> Schema:
+    """The one typing rule of an aggregation over ``schema``.
+
+    The output is the group column (when there is one), then one column per
+    ``(func, over, out_name)`` output, in order: a ``count`` is INT, a
+    ``mean`` FLOAT, any other reducer has its column's type.  The frontend,
+    the cleartext engines and the MPC protocols all type their outputs here.
+    """
+    columns = [schema[group_col]] if group_col is not None else []
+    for func, over, out_name in outputs:
+        if func not in AGG_FUNCS:
+            raise ValueError(f"unsupported aggregation {func!r}; supported: {', '.join(AGG_FUNCS)}")
+        if func != "count" and over is None:
+            raise ValueError(f"aggregation {func!r} requires a value column")
+        ctype = ColumnType.INT if func == "count" else schema[over].ctype
+        columns.append(ColumnDef(out_name, ColumnType.FLOAT if func == "mean" else ctype))
+    return Schema(columns)

@@ -21,10 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.data.schema import ColumnDef, ColumnType, Schema
-
-#: Aggregation function names supported by :meth:`Table.aggregate`.
-AGG_FUNCS = ("sum", "count", "min", "max", "mean")
+from repro.data.schema import ColumnDef, ColumnType, Schema, aggregate_schema
 
 
 class Table:
@@ -325,25 +322,16 @@ class Table:
         func: str,
         out_name: str,
     ) -> "Table":
-        """Group-by aggregation.
+        """Group-by aggregation: the row-at-a-time reference of one output.
 
-        ``func`` is one of :data:`AGG_FUNCS`.  With an empty ``group_by``
-        the whole table is reduced to a single row.  ``agg_col`` may be
-        ``None`` for ``count``.
+        ``func`` is one of :data:`~repro.data.schema.AGG_FUNCS`, and the
+        output is typed by :func:`~repro.data.schema.aggregate_schema`.
+        With an empty ``group_by`` the whole table is reduced to a single
+        row.  ``agg_col`` may be ``None`` for ``count``.
         """
         func = func.lower()
-        if func not in AGG_FUNCS:
-            raise ValueError(f"unsupported aggregation {func!r}")
-        if func != "count" and agg_col is None:
-            raise ValueError(f"aggregation {func!r} requires a value column")
-
         group_by = list(group_by)
-        out_type = ColumnType.INT
-        if agg_col is not None:
-            out_type = self.schema[agg_col].ctype
-        if func == "mean":
-            out_type = ColumnType.FLOAT
-        out_def = ColumnDef(out_name, out_type)
+        (out_def,) = aggregate_schema(self.schema, None, [(func, agg_col, out_name)])
 
         if not group_by:
             value = self._reduce(func, agg_col, np.arange(self._nrows))

@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.schema import ColumnDef, ColumnType, Schema
-from repro.data.table import AGG_FUNCS, Table
+from repro.data.schema import ColumnType, Schema, aggregate_schema
+from repro.data.table import Table
 from repro.model.counters import CleartextWork
 from repro.exec import kernels
 
@@ -80,18 +80,16 @@ class ColumnarBackend:
         self,
         handle: Table,
         group_by: str | None,
-        agg_col: str | None,
-        func: str,
-        out_name: str,
+        outputs: Sequence[tuple[str, str | None, str]],
         presorted: bool = False,
+        leakage=None,
     ) -> Table:
-        func = func.lower()
-        if func not in AGG_FUNCS:
-            raise ValueError(f"unsupported aggregation {func!r}")
-        if func != "count" and agg_col is None:
-            raise ValueError(f"aggregation {func!r} requires a value column")
+        """Every ``(func, over, out_name)`` of ``outputs`` per ``group_by``
+        key, in one pass.  Only the MPC engine sorts or hands anything back,
+        so ``presorted`` and ``leakage`` change nothing here."""
+        schema = aggregate_schema(handle.schema, group_by, outputs)
         n = handle.num_rows
-        return self._pass(lambda t: _grouped(t, group_by, agg_col, func, out_name), [handle], n, n)
+        return self._pass(lambda t: _grouped(t, group_by, outputs, schema), [handle], n, n)
 
     def arith(
         self, handle: Table, out_name: str, left: str, op: str, right: str | float
@@ -136,7 +134,9 @@ class ColumnarBackend:
             handles, rows, rows, rows=rows,
         )
 
-    def distinct(self, handle: Table, columns: Sequence[str]) -> Table:
+    def distinct(self, handle: Table, columns: Sequence[str], leakage=None) -> Table:
+        """The distinct rows of ``columns``; ``leakage`` matters to the MPC
+        engine only, whose distinct is a grouped count."""
         n = handle.num_rows
         return self._pass(lambda t: _distinct(t.project(list(columns))), [handle], n, n)
 
@@ -191,34 +191,30 @@ def _hash_join(left: Table, right: Table, left_on: str, right_on: str) -> Table:
 
 
 def _grouped(
-    table: Table, group_by: str | None, agg_col: str | None, func: str, out_name: str
+    table: Table, group_by: str | None, outputs: Sequence[tuple], schema: Schema
 ) -> Table:
-    """``func`` of ``agg_col`` per ``group_by`` key (one row without a key)."""
-    out_type = ColumnType.INT
-    if agg_col is not None:
-        out_type = table.schema[agg_col].ctype
-    if func == "mean":
-        out_type = ColumnType.FLOAT
-    out_def = ColumnDef(out_name, out_type)
-
+    """Each output's reduction per ``group_by`` key (one row without a key)."""
+    reducers = [(func, None if func == "count" else over) for func, over, _ in outputs]
     if not group_by:
-        # A count reads no column.
-        dense = None if func == "count" else _dense_in_place(table, None, agg_col, func)
-        value = dense[1] if dense else np.array([table._reduce(func, agg_col)])
-        return Table(Schema([out_def]), [value])
-
-    out_schema = Schema([*table.schema.project([group_by]).columns, out_def])
+        # Counts alone read no column.
+        reads = any(func != "count" for func, _ in reducers)
+        dense = _dense_in_place(table, None, reducers) if reads else None
+        if dense is None:
+            return Table(schema, [np.array([table._reduce(func, over)]) for func, over in reducers])
+        return Table(schema, dense[1])
     if table.num_rows == 0:
-        return Table(out_schema)
-    dense = _dense_in_place(table, group_by, agg_col, func)
+        return Table(schema)
+    dense = _dense_in_place(table, group_by, reducers)
     if dense is None:
-        values = None if func == "count" else table.column(agg_col)
-        dense = kernels.group_reduce(table.column(group_by), values, func)
+        dense = kernels.group_reduce(
+            table.column(group_by),
+            [(None if over is None else table.column(over), func) for func, over in reducers],
+        )
     out_keys, reduced = dense
-    return Table(out_schema, [out_keys, reduced.astype(Table._dtype(out_def))])
+    return Table(schema, [out_keys, *reduced])
 
 
-def _dense_in_place(table: Table, group_by: str | None, agg_col: str | None, func: str):
+def _dense_in_place(table: Table, group_by: str | None, reducers: Sequence[tuple]):
     """The scattered grouping of a pending selection's survivors, read from
     its source without copying them; ``None`` where the rows are in place
     already or the grouping would not scatter."""
@@ -227,5 +223,8 @@ def _dense_in_place(table: Table, group_by: str | None, agg_col: str | None, fun
         return None
     source, flags = pending
     key = source.column(group_by) if group_by else None
-    values = None if func == "count" else source.column(agg_col)
-    return kernels.dense_group_reduce(key, values, func, flags)
+    return kernels.dense_group_reduce(
+        key,
+        [(None if over is None else source.column(over), func) for func, over in reducers],
+        flags,
+    )

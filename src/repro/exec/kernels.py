@@ -227,27 +227,32 @@ CHUNK_ROWS = 1 << 16
 _SCATTER = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
+#: One output of a grouping: its values (``None`` for a count) and reducer.
+Reducer = tuple["np.ndarray | None", str]
+
+
 def dense_group_reduce(
     key: np.ndarray | None,
-    values: np.ndarray | None,
-    func: str,
+    reducers: Sequence[Reducer],
     flags: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, list[np.ndarray]] | None:
     """``group_reduce`` of the rows ``flags`` marks (every row without
     ``flags``) by scattering them into one bucket per key value, or ``None``
     where that would not be exact or dense.
 
-    It scatters when ``func`` does not depend on row order (``count``, an
-    integer ``sum``/``min``/``max``), the key is an integer column, and its
-    span over *all* rows holds no more buckets than there are marked rows.
+    It scatters when no reducer depends on row order (``count``, an integer
+    ``sum``/``min``/``max``), the key is an integer column, and its span
+    over *all* rows holds no more buckets than there are marked rows.
     ``key=None`` (with ``flags``) reduces the marked rows to one bucket, a
     scalar aggregate, whose key reads ``0``.  The rows go
-    :data:`CHUNK_ROWS` at a time into one set of bucket arrays, unmarked
-    rows into a discard bucket past the last, so nothing of ``rows`` size is
+    :data:`CHUNK_ROWS` at a time into one set of bucket arrays per reducer,
+    unmarked rows into a discard bucket past the last: each chunk's bucket
+    slots are computed once for every reducer, nothing of ``rows`` size is
     allocated and the marked rows are never copied.
     """
-    if func != "count" and (func not in _SCATTER or values.dtype.kind == "f"):
-        return None
+    for values, func in reducers:
+        if func != "count" and (func not in _SCATTER or values.dtype.kind == "f"):
+            return None
     if key is not None and key.dtype.kind != "i":
         return None
     n = len(key) if key is not None else len(flags)
@@ -260,13 +265,13 @@ def dense_group_reduce(
     if rows == 0 or buckets > rows:
         return None
     counts = np.zeros(buckets + 1, dtype=np.intp)
-    reduced = None
-    if func in ("sum", "min", "max"):
-        # Every bucket starts at the reducer's identity; an occupied bucket
-        # never shows it.
-        limits = np.iinfo(values.dtype)
-        identity = {"sum": 0, "min": limits.max, "max": limits.min}[func]
-        reduced = np.full(buckets + 1, identity, dtype=values.dtype)
+    # Every bucket starts at the reducer's identity; an occupied bucket
+    # never shows it.  A count reads the bucket counts.
+    reduced = [
+        None if func == "count"
+        else np.full(buckets + 1, _identity(func, values.dtype), values.dtype)
+        for values, func in reducers
+    ]
     for start in range(0, n, CHUNK_ROWS):
         stop = start + CHUNK_ROWS
         if key is None:
@@ -281,32 +286,41 @@ def dense_group_reduce(
             # More buckets than rows in the chunk: a bincount would cost a
             # pass over every bucket, per chunk.
             np.add.at(counts, slot, 1)
-        if reduced is not None:
-            _SCATTER[func].at(reduced, slot, values[start:stop])
+        for (values, func), out in zip(reducers, reduced):
+            if out is not None:
+                _SCATTER[func].at(out, slot, values[start:stop])
     occupied = np.flatnonzero(counts[:buckets])
     out_keys = occupied.astype(np.int64 if key is None else key.dtype) + lo
-    return out_keys, (counts if reduced is None else reduced)[occupied]
+    return out_keys, [(counts if out is None else out)[occupied] for out in reduced]
+
+
+def _identity(func: str, dtype: np.dtype) -> int:
+    limits = np.iinfo(dtype)
+    return {"sum": 0, "min": limits.max, "max": limits.min}[func]
 
 
 def group_reduce(
-    key: np.ndarray, values: np.ndarray | None, func: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group the non-empty ``key`` column and reduce ``values`` per group.
+    key: np.ndarray, reducers: Sequence[Reducer]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Group the non-empty ``key`` column and reduce each ``(values, func)``
+    of ``reducers`` per group.
 
     Returns ``(group_keys, reduced)`` with the distinct keys ascending, as
-    the row engine emits them; ``values`` is ignored for ``count``.  Dense
+    the row engine emits them, and one reduced column per reducer.  Dense
     integer keys under ``count`` or an integer ``sum``/``min``/``max`` (see
     the module docstring) are scattered into one bucket per key value and
     the occupied buckets kept — no permutation, no gathers
     (:func:`dense_group_reduce`).  Anything else reduces the slices of the
-    stable order.
+    key's one stable order.
     """
-    dense = dense_group_reduce(key, values, func)
+    dense = dense_group_reduce(key, reducers)
     if dense is not None:
         return dense
     order, starts, ends = group_slices(key)
-    sorted_values = None if func == "count" else values[order]
-    return key[order[starts]], segment_reduce(sorted_values, starts, ends, func)
+    return key[order[starts]], [
+        segment_reduce(None if func == "count" else values[order], starts, ends, func)
+        for values, func in reducers
+    ]
 
 
 def distinct_indices(columns: Sequence[np.ndarray]) -> np.ndarray:

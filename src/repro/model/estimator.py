@@ -286,12 +286,16 @@ class PlanEstimator:
             gates = pairs * (GATES_PER_COMPARISON + GATES_PER_MUX * cols_out)
             memory = values_in * BYTES_PER_VALUE + pairs * BYTES_PER_JOIN_PAIR
         elif isinstance(node, Aggregate):
+            # One sort serves every output; each output is one scan.
+            k = len(node.outputs)
             if node.group_col is None:
-                gates = max(0, n - 1) * GATES_PER_ADDITION
+                gates = k * max(0, n - 1) * GATES_PER_ADDITION
             else:
                 comparators = 0 if node.presorted else steps.bitonic_comparator_count(n)
                 gates = comparators * (GATES_PER_COMPARISON + 2 * GATES_PER_MUX)
-                gates += max(0, n - 1) * (GATES_PER_COMPARISON + GATES_PER_ADDITION + GATES_PER_MUX)
+                gates += k * max(0, n - 1) * (
+                    GATES_PER_COMPARISON + GATES_PER_ADDITION + GATES_PER_MUX
+                )
         elif isinstance(node, Compare):
             gates = n * GATES_PER_COMPARISON
         elif isinstance(node, BoolOp):

@@ -151,24 +151,26 @@ def adjacent_equality_meter(records: int, num_parties: int) -> CostMeter:
     return meter
 
 
-def segmented_sum_meter(records: int, num_parties: int) -> CostMeter:
-    """The accumulation scan of a grouped sum: a logarithmic-depth segmented
-    prefix sum, one multiplication per fold."""
+def segmented_sum_meter(records: int, num_parties: int, columns: int = 1) -> CostMeter:
+    """The accumulation scans of a grouped aggregation's ``columns`` sums: a
+    logarithmic-depth segmented prefix sum over every column in the same
+    rounds, one multiplication per fold."""
     return CostMeter(
-        multiplications=records - 1,
-        local_ops=2 * records,
-        network=_analytic(_log2_ceil(records), records, num_parties),
+        multiplications=columns * (records - 1),
+        local_ops=2 * records * columns,
+        network=_analytic(_log2_ceil(records), records * columns, num_parties),
     )
 
 
-def segmented_extremum_meter(records: int, num_parties: int) -> CostMeter:
-    """The running min/max scan of a grouped extremum: per fold one comparison
-    and two multiplexes, three rounds per level."""
+def segmented_extremum_meter(records: int, num_parties: int, columns: int = 1) -> CostMeter:
+    """The running min/max scans of a grouped aggregation's ``columns``
+    extrema, every column in the same rounds: per fold one comparison and
+    two multiplexes, three rounds per level."""
     return CostMeter(
-        comparisons=records - 1,
-        multiplications=2 * (records - 1),
-        local_ops=2 * records,
-        network=_analytic(3 * _log2_ceil(records), records, num_parties),
+        comparisons=columns * (records - 1),
+        multiplications=2 * columns * (records - 1),
+        local_ops=2 * records * columns,
+        network=_analytic(3 * _log2_ceil(records), records * columns, num_parties),
     )
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.schema import ColumnDef, ColumnType, Schema, arithmetic_typing
+from repro.data.schema import ColumnDef, ColumnType, Schema, aggregate_schema, arithmetic_typing
 from repro.data.table import Table
 from repro.model import steps
 from repro.mpc.oblivious import oblivious_index, oblivious_merge, oblivious_sort
@@ -463,95 +463,85 @@ def mpc_join(
 def mpc_aggregate(
     table: SharedTable,
     group_by: str | None,
-    agg_col: str | None,
-    func: str,
-    out_name: str,
+    outputs: Sequence[tuple[str, str | None, str]],
     presorted: bool = False,
+    leakage=None,
 ) -> SharedTable:
     """Sort-based oblivious aggregation (Jónsson et al.).
 
-    The relation is obliviously sorted by the group-by key, the aggregate is
-    accumulated into the last row of every key group with an oblivious linear
-    scan, and non-final rows are discarded after an oblivious shuffle and a
-    flag reveal.  ``presorted=True`` skips the sort — this is exactly the
-    saving Conclave's sort-elimination pass (§5.4) exploits.
+    The relation is obliviously sorted by the group-by key once, every
+    output's value column is accumulated into the last row of its key group
+    with an oblivious linear scan, and non-final rows are discarded after
+    one oblivious shuffle and flag reveal (:func:`accumulate_groups`).
+    ``presorted=True`` skips the sort — this is exactly the saving
+    Conclave's sort-elimination pass (§5.4) exploits.  The sort order and
+    group boundaries the last compute party hands back are recorded in
+    ``leakage`` (a :class:`~repro.hybrid.stp.LeakageReport`, when given).
 
     With ``group_by=None`` the whole relation reduces to one row, which needs
     only local share additions (sums) — the cheap case in Figure 1a.
     """
-    func = func.lower()
     engine = table.engine
     n = table.num_rows
+    schema = aggregate_schema(table.schema, group_by, outputs)
+    funcs, _, _ = zip(*outputs)
 
     if group_by is None:
-        return _mpc_scalar_aggregate(table, agg_col, func, out_name)
+        columns = [_scalar_reduce(table, func, over) for func, over, _ in outputs]
+        return SharedTable(engine, schema, columns)
 
-    if func not in ("sum", "count", "min", "max"):
+    unsupported = sorted(set(funcs) - {"sum", "count", "min", "max"})
+    if unsupported:
         raise ValueError(
-            f"oblivious grouped aggregation supports sum/count/min/max, got {func!r}"
+            f"oblivious grouped aggregation supports sum/count/min/max, got {unsupported[0]!r}"
         )
-    value_col, schema = grouped_operands(table, group_by, agg_col, func, out_name)
     if n == 0:
         return SharedTable.empty(engine, schema)
 
-    # Oblivious accumulation scan: fold each row's value into the next row of
-    # the same key group; a row is "last of its group" if the next key differs.
     key_col = table.column(group_by)
-    acc = value_col
     if n <= 1:
-        keep_flags = engine.fill(1, n)
-    else:
-        # The key column goes once, to the last compute party: it hands back
-        # the sort order and the adjacent-equality flags, and the segment
-        # boundaries are functions of those, each still charged the price of
-        # the oblivious protocol it stands for.
-        order, same = engine.adjacent_groups(key_col, presorted)
-        if order is not None:
-            key_col, (value_col,) = oblivious_sort(engine, key_col, [value_col], order)
-        engine.charge(steps.adjacent_equality_meter(n, engine.num_parties))
-        same_as_next = engine.share_from_env(same)
-
-        if func in ("sum", "count"):
-            acc = engine.segmented_sum(value_col, same)
-        else:
-            # Grouped min/max: a segmented running-extremum scan, executed
-            # ideally over reconstructed values with a fresh resharing, and
-            # charged the oblivious scan's price (one comparison plus two
-            # multiplexes per fold).
-            scan = np.minimum.accumulate if func == "min" else np.maximum.accumulate
-            acc = engine.env_apply(lambda values: _segmented_scan(scan, values, same), [value_col])
-            engine.charge(steps.segmented_extremum_meter(n, engine.num_parties))
-        keep_flags = last_of_group(engine, same_as_next)
-
-    return SharedTable(engine, schema, compact(engine, keep_flags, [key_col, acc]))
+        # One row is its own group: each output is its value, a count 1.
+        accs = [
+            engine.fill(1, n) if func == "count" else table.column(over)
+            for func, over, _ in outputs
+        ]
+        return SharedTable(engine, schema, compact(engine, engine.fill(1, n), [key_col, *accs]))
+    values = grouped_values(table, outputs)
+    # The key column goes once, to the last compute party: it hands back
+    # the sort order and the adjacent-equality flags, and the segment
+    # boundaries are functions of those, each still charged the price of
+    # the oblivious protocol it stands for.
+    order, same = engine.adjacent_groups(key_col, presorted)
+    if order is not None:
+        key_col, values = oblivious_sort(engine, key_col, values, order)
+    engine.charge(steps.adjacent_equality_meter(n, engine.num_parties))
+    handed = "group boundaries" if order is None else "sorted order and group boundaries"
+    columns = accumulate_groups(
+        engine, key_col, values, funcs, same, leakage, f"aggregate({group_by})",
+        f"{handed} of {n} rows, from {engine.party_names[-1]}",
+    )
+    return SharedTable(engine, schema, columns)
 
 
-def mpc_distinct(table: SharedTable, names: Sequence[str]) -> SharedTable:
-    """Distinct values of the named columns, via sort + adjacent comparison."""
+def mpc_distinct(table: SharedTable, names: Sequence[str], leakage=None) -> SharedTable:
+    """Distinct values of the named columns, via sort + adjacent comparison:
+    a grouped count, whose hand-back goes to ``leakage``."""
     projected = mpc_project(table, names)
     if len(names) != 1:
         raise ValueError("oblivious distinct currently supports a single column")
-    counted = mpc_aggregate(projected, names[0], None, "count", "__count")
+    counted = mpc_aggregate(projected, names[0], [("count", None, "__count")], leakage=leakage)
     return mpc_project(counted, [names[0]])
 
 
-def _mpc_scalar_aggregate(
-    table: SharedTable, agg_col: str | None, func: str, out_name: str
-) -> SharedTable:
-    """Aggregate the whole relation to a single row (no group-by)."""
+def _scalar_reduce(table: SharedTable, func: str, over: str | None) -> SharedVector:
+    """One output of a whole-relation aggregation: a count or a sum."""
     engine = table.engine
-    n = table.num_rows
     if func == "count":
-        result = engine.fill(n, 1)
-        out_type = ColumnType.INT
-    elif func == "sum":
-        result = table.column(agg_col).total()
-        engine.charge(steps.local_meter(n))
-        out_type = table.schema[agg_col].ctype
-    else:
+        return engine.fill(table.num_rows, 1)
+    if func != "sum":
         raise ValueError(f"unsupported scalar aggregation {func!r}")
-    schema = Schema([ColumnDef(out_name, out_type)])
-    return SharedTable(engine, schema, [result])
+    engine.charge(steps.local_meter(table.num_rows))
+    return table.column(over).total()
 
 
 # -- building blocks, shared with the hybrid protocols (repro.hybrid) -----------------------
@@ -582,20 +572,66 @@ def compact(
     return [engine.reshared_take(col, survivors) for col in columns]
 
 
-def grouped_operands(
-    table: SharedTable, group_by: str, agg_col: str | None, func: str, out_name: str
-) -> tuple[SharedVector, Schema]:
-    """Value column and output schema of a grouped aggregation.
+def grouped_values(
+    table: SharedTable, outputs: Sequence[tuple[str, str | None, str]]
+) -> list[SharedVector]:
+    """The columns a grouped aggregation's outputs read, in order: a
+    ``count`` reads none, so nothing of it is sorted, shuffled or
+    reordered."""
+    return [table.column(over) for func, over, _ in outputs if func != "count"]
 
-    A ``count`` is the sum of a public column of ones.
+
+def accumulate_groups(
+    engine: SecretSharingEngine,
+    key_col: SharedVector,
+    values: Sequence[SharedVector],
+    funcs: Sequence[str],
+    same: np.ndarray,
+    leakage,
+    relation: str,
+    handed_back: str,
+) -> list[SharedVector]:
+    """The tail of every grouped aggregation, over the key-sorted relation.
+
+    ``same`` (``n - 1`` flags: whether each row has the key of the next) was
+    handed back to every compute party in the clear; ``handed_back`` says
+    what came back with it and from whom, and is recorded in ``leakage`` as
+    a ``cleartext_transfer`` of ``relation``.  ``values`` are the sorted
+    :func:`grouped_values` of the outputs ``funcs``.  Each output is folded
+    into the last row of its key group by an oblivious scan — a segmented
+    sum for ``sum`` and for ``count`` (of a public column of ones), a
+    segmented running extremum for ``min``/``max`` — and one shuffle and
+    flag opening keeps the last rows (:func:`compact`).  Returns
+    ``[key, acc_1, …, acc_k]``.
     """
-    if func == "count":
-        value_col = table.engine.fill(1, table.num_rows)
-        out_type = ColumnType.INT
-    else:
-        value_col = table.column(agg_col)
-        out_type = table.schema[agg_col].ctype
-    return value_col, Schema([table.schema[group_by], ColumnDef(out_name, out_type)])
+    if leakage is not None:
+        leakage.record("cleartext_transfer", relation, detail=handed_back)
+    n = len(key_col)
+    same_as_next = engine.share_from_env(same)
+    values = iter(values)
+    accs = [engine.fill(1, n) if func == "count" else next(values) for func in funcs]
+    # The sums and counts scan side by side, in one segmented prefix sum.
+    sums = [i for i, func in enumerate(funcs) if func in ("sum", "count")]
+    for i, acc in zip(sums, engine.segmented_sum([accs[i] for i in sums], same)):
+        accs[i] = acc
+    # Grouped min/max: segmented running-extremum scans, side by side too,
+    # executed ideally over the reconstructed columns (one after another in
+    # one vector) with a fresh resharing, and charged the oblivious scans'
+    # price (one comparison plus two multiplexes per fold).
+    extrema = [i for i, func in enumerate(funcs) if func in ("min", "max")]
+    if extrema:
+        scans = [_EXTREMUM_SCANS[funcs[i]] for i in extrema]
+        scanned = engine.env_apply(
+            lambda stacked: np.concatenate([
+                _segmented_scan(scan, column, same)
+                for scan, column in zip(scans, np.split(stacked, len(scans)))
+            ]),
+            [SharedVector.concat([accs[i] for i in extrema])],
+        )
+        engine.charge(steps.segmented_extremum_meter(n, engine.num_parties, len(extrema)))
+        for j, i in enumerate(extrema):
+            accs[i] = scanned.take(np.arange(j * n, (j + 1) * n))
+    return compact(engine, last_of_group(engine, same_as_next), [key_col, *accs])
 
 
 def last_of_group(engine: SecretSharingEngine, same_as_next: SharedVector) -> SharedVector:
@@ -649,6 +685,10 @@ def gather_rows(
     """Rows ``idx`` (public positions) of every column: a local share gather."""
     engine.charge(steps.local_meter(len(idx), len(columns)))
     return [col.take(idx) for col in columns]
+
+
+#: The running scan of each grouped extremum.
+_EXTREMUM_SCANS = {"min": np.minimum.accumulate, "max": np.maximum.accumulate}
 
 
 def _segmented_scan(scan, values: np.ndarray, same: np.ndarray) -> np.ndarray:

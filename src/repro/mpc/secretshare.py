@@ -949,23 +949,29 @@ class SecretSharingEngine:
             mask += share[rows]
         return SharedVector(self, fresh, len(rows))
 
-    def segmented_sum(self, values: SharedVector, same: np.ndarray) -> SharedVector:
-        """The oblivious accumulation scan of a grouped sum.
+    def segmented_sum(
+        self, columns: Sequence[SharedVector], same: np.ndarray
+    ) -> list[SharedVector]:
+        """The oblivious accumulation scans of a grouped aggregation's sums.
 
         ``same[i]`` tells whether rows ``i`` and ``i+1`` of the key-sorted
         relation share a key (known to the protocol environment, or to the
         STP that sorted the keys in the clear); the last row of every key
-        group ends up holding the group's sum.  The real protocol is a
-        logarithmic-depth segmented prefix scan over whole share vectors —
-        one oblivious fold per row charged analytically, no per-row message
+        group ends up holding the group's sum of each column.  The real
+        protocol is a logarithmic-depth segmented prefix scan over whole
+        share vectors, every column in the same rounds — one oblivious fold
+        per row and column charged analytically, no per-row message
         exchange, so wire rounds stay independent of the relation size.  A
         segmented cumulative sum distributes over additive shares: the
         per-party segmented prefix sums (mod 2^64) reconstruct to the true
         segmented running totals.
         """
-        acc = SharedVector(self, self._segment_sums(values, same), len(values))
-        self.charge(steps.segmented_sum_meter(len(values), self.num_parties))
-        return acc
+        if not columns:
+            return []
+        n = len(columns[0])
+        accs = [SharedVector(self, self._segment_sums(values, same), n) for values in columns]
+        self.charge(steps.segmented_sum_meter(n, self.num_parties, len(columns)))
+        return accs
 
     def _segment_sums(self, values: SharedVector, same: np.ndarray) -> list[np.ndarray]:
         """The local slices of the segmented running totals, freshly masked."""

@@ -117,12 +117,13 @@ class SharemindBackend:
         self,
         handle: SharedTable,
         group_by: str | None,
-        agg_col: str | None,
-        func: str,
-        out_name: str,
+        outputs: Sequence[tuple[str, str | None, str]],
         presorted: bool = False,
+        leakage=None,
     ) -> SharedTable:
-        return protocols.mpc_aggregate(handle, group_by, agg_col, func, out_name, presorted)
+        """Every ``(func, over, out_name)`` of ``outputs`` per ``group_by``
+        key, from one sort (:func:`~repro.mpc.protocols.mpc_aggregate`)."""
+        return protocols.mpc_aggregate(handle, group_by, outputs, presorted, leakage)
 
     def sort_by(self, handle: SharedTable, column: str, ascending: bool = True) -> SharedTable:
         return protocols.mpc_sort(handle, column, ascending=ascending)
@@ -137,8 +138,8 @@ class SharemindBackend:
         """
         return protocols.mpc_merge_sorted(list(handles), column, ascending=ascending)
 
-    def distinct(self, handle: SharedTable, columns: Sequence[str]) -> SharedTable:
-        return protocols.mpc_distinct(handle, columns)
+    def distinct(self, handle: SharedTable, columns: Sequence[str], leakage=None) -> SharedTable:
+        return protocols.mpc_distinct(handle, columns, leakage)
 
     def limit(self, handle: SharedTable, n: int) -> SharedTable:
         """Keep the first ``n`` rows (used after an order-by)."""

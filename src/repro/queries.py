@@ -110,9 +110,8 @@ def credit_card_regulation_query(
         ]
         all_scores = ctx.concat(scores, name="scores")
         joined = demographics.join(all_scores, on="ssn", name="joined")
-        # One aggregate call, two aggregates: lowers to two Aggregate
-        # operators joined on the group key — the same plan the paper's
-        # Listing 1 compiles to.
+        # One aggregate call, two aggregates: lowers to one Aggregate with
+        # two outputs, which groups the joined rows by zip once.
         stats = joined.aggregate(
             group=["zip"], aggs={"total": SUM("score"), "cnt": COUNT()}, name="stats_by_zip"
         )

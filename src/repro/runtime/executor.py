@@ -491,8 +491,7 @@ def apply_operator(engine, node: OpNode, handles: list, stp_for, leakage: Leakag
         )
     if isinstance(node, HybridAggregate):
         return hybrid_aggregate(
-            engine, stp_for(node.stp), handles[0],
-            node.group_col, node.agg_col, node.func, node.out_name, leakage,
+            engine, stp_for(node.stp), handles[0], node.group_col, node.outputs, leakage
         )
     if isinstance(node, Concat):
         return engine.concat(handles)
@@ -502,8 +501,7 @@ def apply_operator(engine, node: OpNode, handles: list, stp_for, leakage: Leakag
         return engine.filter(handles[0], node.column, node.op, node.value)
     if isinstance(node, Aggregate):
         return engine.aggregate(
-            handles[0], node.group_col, node.agg_col, node.func, node.out_name,
-            presorted=node.presorted,
+            handles[0], node.group_col, node.outputs, node.presorted, leakage
         )
     if isinstance(node, Map):
         return engine.arith(handles[0], node.out_name, node.left, node.op, node.right)
@@ -518,7 +516,7 @@ def apply_operator(engine, node: OpNode, handles: list, stp_for, leakage: Leakag
     if isinstance(node, SortBy):
         return engine.sort_by(handles[0], node.column, ascending=node.ascending)
     if isinstance(node, Distinct):
-        return engine.distinct(handles[0], node.columns)
+        return engine.distinct(handles[0], node.columns, leakage)
     if isinstance(node, Limit):
         return engine.limit(handles[0], node.n)
     raise TypeError(f"unsupported operator {type(node).__name__}")

@@ -6,7 +6,7 @@ rounds, ``query_id`` and ``link_key`` for its private inputs — and carries
 mesh-layout frames over one :class:`queue.Queue` per directed link, so a
 query runs with one :class:`~repro.runtime.executor.PlanExecutor` per party,
 each holding only its own inputs and slices, in one process.  Every
-channel counts the frames and bytes it received per round tag.
+channel counts the frames and bytes it sent and received per round tag.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ class QueueChannel:
         self.peers = {receiver for sender, receiver in links if sender == party}
         self._links = links
         self._keys = keys
-        #: ``{tag: [frames, bytes]}`` of every frame received, headers included.
+        #: ``{tag: [frames, bytes]}`` of every frame sent and received,
+        #: headers included.
+        self.sent: dict[str, list[int]] = {}
         self.received: dict[str, list[int]] = {}
 
     def link_key(self, peer):
@@ -40,15 +42,20 @@ class QueueChannel:
 
     def send_message(self, peer, tag, payload):
         frame = encode_mesh_frame(1, KIND_MSG, 1, (tag, payload))
+        _count(self.sent, tag, frame)
         self._links[(self.party, peer)].put(frame)
 
     def receive_message(self, peer):
         frame = self._links[(peer, self.party)].get(timeout=30)
         tag, payload = decode_mesh_payload(frame[4:])[3]
-        counts = self.received.setdefault(tag, [0, 0])
-        counts[0] += 1
-        counts[1] += len(frame)
+        _count(self.received, tag, frame)
         return tag, payload
+
+
+def _count(ledger: dict[str, list[int]], tag: str, frame: bytes) -> None:
+    counts = ledger.setdefault(tag, [0, 0])
+    counts[0] += 1
+    counts[1] += len(frame)
 
 
 def queue_channels(parties) -> dict[str, QueueChannel]:

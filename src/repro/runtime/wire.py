@@ -284,7 +284,7 @@ class _Record(NamedTuple):
 #: Every field of an operator node other than its links: the base fields of
 #: every node, then each operator class's own, in code order.
 _NODE_FIELDS = ("node_id", "out_rel", "is_mpc", "run_at", "lifted", "key_range_check")
-_AGGREGATE_FIELDS = ("group_col", "agg_col", "func", "out_name", "presorted", "is_secondary")
+_AGGREGATE_FIELDS = ("group_col", "outputs", "presorted", "is_secondary")
 _OPERATOR_FIELDS = {
     "Create": (), "Collect": ("recipients",), "Project": ("columns",),
     "Filter": ("column", "op", "value"), "Aggregate": _AGGREGATE_FIELDS,

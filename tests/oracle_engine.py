@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.dispatch import QueryRunner
+from repro.data.schema import Schema
 from repro.data.table import Table
 from repro.model.counters import CleartextWork
 
@@ -55,13 +56,17 @@ class PythonBackend:
         self,
         handle: Table,
         group_by: str | None,
-        agg_col: str | None,
-        func: str,
-        out_name: str,
+        outputs: Sequence[tuple[str, str | None, str]],
         presorted: bool = False,
+        leakage=None,
     ) -> Table:
+        """One row-at-a-time ``Table.aggregate`` per output, its columns
+        placed side by side: every call groups the rows afresh and emits the
+        groups in ascending key order, so the rows line up."""
         group = [group_by] if group_by else []
-        return handle.aggregate(group, agg_col, func, out_name)
+        parts = [handle.aggregate(group, over, func, out) for func, over, out in outputs]
+        schema = Schema([*parts[0].schema.columns[: len(group)], *(p.schema[-1] for p in parts)])
+        return Table(schema, [*parts[0].columns()[: len(group)], *(p.columns()[-1] for p in parts)])
 
     def arith(self, handle: Table, out_name: str, left: str, op: str, right: str | float) -> Table:
         """Append ``out_name = left <op> right`` (the ``Map`` operator)."""
@@ -82,7 +87,7 @@ class PythonBackend:
         combined = handles[0].concat(*handles[1:]) if len(handles) > 1 else handles[0]
         return combined.sort_by([column], ascending=ascending)
 
-    def distinct(self, handle: Table, columns: Sequence[str]) -> Table:
+    def distinct(self, handle: Table, columns: Sequence[str], leakage=None) -> Table:
         return handle.distinct(list(columns))
 
     def limit(self, handle: Table, n: int) -> Table:

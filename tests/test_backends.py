@@ -38,7 +38,7 @@ class TestSharemindBackend:
         assert self.backend.join(h, o, "key", "key").reveal().equals_unordered(
             self.table.join(self.other, ["key"], ["key"])
         )
-        assert self.backend.aggregate(h, "key", "value", "sum", "t").reveal().equals_unordered(
+        assert self.backend.aggregate(h, "key", [("sum", "value", "t")]).reveal().equals_unordered(
             self.table.aggregate(["key"], "value", "sum", "t")
         )
         assert self.backend.concat([h, o]).reveal().equals_unordered(

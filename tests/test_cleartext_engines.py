@@ -46,19 +46,19 @@ class TestEngineEquivalence:
 
     def test_grouped_aggregate(self, backend):
         h = backend.ingest(self.table)
-        assert backend.aggregate(h, "key", "value", "sum", "total").equals_unordered(
+        assert backend.aggregate(h, "key", [("sum", "value", "total")]).equals_unordered(
             self.table.aggregate(["key"], "value", "sum", "total")
         )
 
     def test_grouped_count(self, backend):
         h = backend.ingest(self.table)
-        assert backend.aggregate(h, "key", None, "count", "cnt").equals_unordered(
+        assert backend.aggregate(h, "key", [("count", None, "cnt")]).equals_unordered(
             self.table.aggregate(["key"], None, "count", "cnt")
         )
 
     def test_scalar_aggregate(self, backend):
         h = backend.ingest(self.table)
-        assert backend.aggregate(h, None, "value", "sum", "s").rows() == [
+        assert backend.aggregate(h, None, [("sum", "value", "s")]).rows() == [
             (self.table.column("value").sum(),)
         ]
 
@@ -113,7 +113,7 @@ class TestEngineEquivalence:
         schema = Schema([ColumnDef("key"), ColumnDef("value")])
         handle = backend.ingest(Table.empty(schema))
         assert backend.filter(handle, "key", ">", 0).num_rows == 0
-        assert backend.aggregate(handle, "key", "value", "sum", "t").num_rows == 0
+        assert backend.aggregate(handle, "key", [("sum", "value", "t")]).num_rows == 0
 
 
 #: Every operator ``apply_operator`` dispatches to a cleartext engine.
@@ -121,8 +121,8 @@ ENGINE_OPERATORS = {
     "concat": lambda b, h: b.concat([h, h]),
     "project": lambda b, h: b.project(h, ["value"]),
     "filter": lambda b, h: b.filter(h, "value", ">", 500),
-    "aggregate": lambda b, h: b.aggregate(h, "key", "value", "sum", "t"),
-    "scalar_aggregate": lambda b, h: b.aggregate(h, None, None, "count", "n"),
+    "aggregate": lambda b, h: b.aggregate(h, "key", [("sum", "value", "t")]),
+    "scalar_aggregate": lambda b, h: b.aggregate(h, None, [("count", None, "n")]),
     "arith": lambda b, h: b.arith(h, "d", "value", "/", "key"),
     "compare": lambda b, h: b.compare(h, "c", "value", ">", 500),
     "bool_op": lambda b, h: b.bool_op(h, "b", "not", ["key"]),
@@ -175,7 +175,7 @@ class TestWorkTally:
             if copy_first:
                 kept.columns()
             assert (kept.pending_selection() is None) == copy_first
-            backend.aggregate(kept, "key", "value", "sum", "t")
+            backend.aggregate(kept, "key", [("sum", "value", "t")])
             assert (kept.pending_selection() is None) == copy_first
             tallies.append(backend.work)
         survivors = int((table.column("value") > 300).sum())
@@ -196,7 +196,7 @@ class TestWorkTally:
         "wide_op",
         [
             lambda b, h: b.join(h, h, "key", "key"),
-            lambda b, h: b.aggregate(h, "key", "value", "sum", "t"),
+            lambda b, h: b.aggregate(h, "key", [("sum", "value", "t")]),
             lambda b, h: b.distinct(h, ["key"]),
             lambda b, h: b.sort_by(h, "value"),
             lambda b, h: b.merge_sorted([h, h], "value"),
@@ -306,5 +306,5 @@ def test_columnar_aggregation_equals_reference_property(rows, func):
     table = Table.from_rows(schema, rows) if rows else Table.empty(schema)
     backend = ColumnarBackend()
     agg_col = None if func == "count" else "value"
-    result = backend.aggregate(backend.ingest(table), "key", agg_col, func, "t")
+    result = backend.aggregate(backend.ingest(table), "key", [(func, agg_col, "t")])
     assert result == table.aggregate(["key"], agg_col, func, "t")

@@ -200,8 +200,8 @@ def _assert_aggregates_as_oracle(table, group_by, func, keep=None, copied=False)
             handle.columns()
         assert (handle.pending_selection() is None) == copied
         expected_input = Table(table.schema, [col[keep] for col in table.columns()])
-    got = backend.aggregate(handle, group_by, "v", func, "out")
-    expected = PythonBackend().aggregate(expected_input, group_by, "v", func, "out")
+    got = backend.aggregate(handle, group_by, [(func, "v", "out")])
+    expected = PythonBackend().aggregate(expected_input, group_by, [(func, "v", "out")])
     assert got.schema == expected.schema
     for got_col, expected_col in zip(got.columns(), expected.columns()):
         assert got_col.dtype == expected_col.dtype
@@ -269,7 +269,7 @@ class TestGroupedAggregateMatchesOracle:
         backend = ColumnarBackend()
         paid = backend.filter(backend.ingest(Table(schema, [key, value])), "price", ">", 0)
         paid = backend.project(paid, ["companyID", "price"])
-        got = backend.aggregate(paid, "companyID", "price", func, "rev")
+        got = backend.aggregate(paid, "companyID", [(func, "price", "rev")])
         assert paid.pending_selection() is not None, "the survivors were copied"
         reduce = {"sum": np.sum, "count": len, "min": np.min, "max": np.max}[func]
         assert got.rows() == [
@@ -292,7 +292,7 @@ class TestColumnarBackend:
         empty = backend.ingest(
             Table(Schema([ColumnDef("v")]), [np.array([], dtype=np.int64)]), PARTY_A
         )
-        out = backend.aggregate(empty, None, "v", "sum", "total")
+        out = backend.aggregate(empty, None, [("sum", "v", "total")])
         assert out.rows() == [(0,)]
 
     def test_limit(self):

@@ -153,7 +153,7 @@ class TestOperatorMetersEqualExecution:
     def test_grouped_aggregate(self, backend, n, func, presorted):
         table = table_of(n).sort_by(["key"]) if presorted else table_of(n)
         result, meter, shape = executed(
-            backend, lambda b, t: b.aggregate(t, "key", "value", func, "out", presorted), table
+            backend, lambda b, t: b.aggregate(t, "key", [(func, "value", "out")], presorted), table
         )
         assert meter == shape
         assert result.reveal().equals_unordered(table.aggregate(["key"], "value", func, "out"))
@@ -161,7 +161,7 @@ class TestOperatorMetersEqualExecution:
     @pytest.mark.parametrize("func", ["sum", "count"])
     def test_scalar_aggregate(self, backend, n, func):
         _, meter, shape = executed(
-            backend, lambda b, t: b.aggregate(t, None, "value", func, "out"), table_of(n)
+            backend, lambda b, t: b.aggregate(t, None, [(func, "value", "out")]), table_of(n)
         )
         assert meter == shape
 
@@ -247,7 +247,7 @@ class TestHybridMetersEqualExecution:
     def test_hybrid_aggregate(self, backend, n, func):
         _, meter, shape = executed(
             backend,
-            lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", "value", func, "out"),
+            lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", [(func, "value", "out")]),
             table_of(n),
         )
         assert meter == shape
@@ -600,21 +600,21 @@ RECORDED = {
         (2240, 0, 448, 0, 448, 1792, 20, 54096, 6, 2),
     ),
     "sum": (
-        lambda n: shape_meter(lambda b, t: b.aggregate(t, "key", "value", "sum", "out"), kv(n)),
+        lambda n: shape_meter(lambda b, t: b.aggregate(t, "key", [("sum", "value", "out")]), kv(n)),
         (682, 0, 9, 328, 88, 27, 124, 4502, 41, 3),
         (5693, 0, 64, 2751, 735, 192, 229, 37176, 76, 3),
     ),
     "max-presorted": (
         lambda n: shape_meter(
-            lambda b, t: b.aggregate(t, "key", "value", "max", "out", presorted=True), kv(n)
+            lambda b, t: b.aggregate(t, "key", [("max", "value", "out")], presorted=True), kv(n)
         ),
         (42, 0, 9, 16, 16, 27, 60, 1878, 20, 4),
         (317, 0, 64, 126, 126, 192, 78, 16440, 26, 4),
     ),
     "distinct": (
         lambda n: shape_meter(lambda b, t: b.distinct(t, ["key"]), kv(n), rows_out=5),
-        (696, 0, 9, 328, 88, 27, 124, 4502, 41, 3),
-        (5762, 0, 64, 2751, 735, 192, 229, 37176, 76, 3),
+        (376, 0, 9, 168, 88, 27, 124, 3222, 41, 3),
+        (3074, 0, 64, 1407, 735, 192, 229, 26424, 76, 3),
     ),
     "compare": (
         lambda n: shape_meter(
@@ -662,7 +662,7 @@ RECORDED = {
     ),
     "hybrid-sum": (
         lambda n: shape_meter(
-            lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", "value", "sum", "out"), kv(n)
+            lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", [("sum", "value", "out")]), kv(n)
         ),
         (44, 8, 18, 8, 0, 45, 47, 2012, 14, 2),
         (319, 63, 128, 63, 0, 320, 53, 15392, 16, 2),
@@ -713,7 +713,7 @@ class TestAsymptoticRelationships:
     def test_hybrid_aggregate_needs_no_comparisons(self):
         n = 50_000
         hybrid = shape_meter(
-            lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", "value", "sum", "out"), kv(n)
+            lambda b, t: hybrid_aggregate(b, stp_of(b), t, "key", [("sum", "value", "out")]), kv(n)
         )
         assert hybrid.comparisons == 0
         assert self.grouped_sum(n).comparisons > 10 * n
@@ -725,7 +725,7 @@ class TestAsymptoticRelationships:
     @staticmethod
     def grouped_sum(n, presorted=False):
         return shape_meter(
-            lambda b, t: b.aggregate(t, "key", "value", "sum", "out", presorted), kv(n)
+            lambda b, t: b.aggregate(t, "key", [("sum", "value", "out")], presorted), kv(n)
         )
 
     def test_oblivious_index_is_loglinear(self):

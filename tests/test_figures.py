@@ -47,6 +47,16 @@ broadcast), 35 points moved by about one round each, none by more than
 0.05 % (Figs. 4, 5b, 6, 7a, 7b and the ablations): up by ~1 ms where the
 extra round outweighs the bytes, down at large sizes where the bytes
 dominate (Fig. 4 ``sharemind`` at 100 000 rows, the disabled ablations).
+
+When a group-by with several aggregates became one aggregation operator
+(one sort or STP sort, one scan round set, one compaction, and no join
+re-aligning per-aggregate results), 10 points moved down: every Fig. 6
+point (``conclave`` by 9-11 s: one hybrid aggregation and no hybrid join
+instead of two and one; ``sharemind`` by 3-6 ms) and both columns of the
+hybrid-operator ablation, whose speed-up rises from 249x to 277x. A
+count's column of public ones stopped riding the sort, so Fig. 7a's MPC
+``distinct`` (a grouped count) moved down at its three largest sizes, by
+up to 1.6 s.
 """
 
 import functools
@@ -166,18 +176,18 @@ PINS = {
         },
     ],
     "6": [
-        {"records": 10, "conclave": 29.230644992666665, "sharemind": 2.1514374860000003},
-        {"records": 1000, "conclave": 30.830444662000005, "sharemind": 28.055463938000006},
-        {"records": 3000, "conclave": 34.41403899800001, "sharemind": 227.7115006900001},
-        {"records": 30000, "conclave": 89.767280878, "sharemind": None},
-        {"records": 300000, "conclave": 729.6277620780002, "sharemind": None},
+        {"records": 10, "conclave": 20.162952822, "sharemind": 2.1453614880000003},
+        {"records": 1000, "conclave": 21.756270598000004, "sharemind": 28.052745996000006},
+        {"records": 3000, "conclave": 25.328195363333336, "sharemind": 227.70730906600005},
+        {"records": 30000, "conclave": 80.58267008333334, "sharemind": None},
+        {"records": 300000, "conclave": 719.0063372833334, "sharemind": None},
     ],
     "7a": [
         {"records": 10, "conclave": 15.069983883333332, "smcql": 10.00008},
         {"records": 1000, "conclave": 15.957688713333336, "smcql": 28.2191936},
-        {"records": 40000, "conclave": 50.809764095333314, "smcql": 738.767744},
-        {"records": 400000, "conclave": 373.2120509433332, "smcql": None},
-        {"records": 4000000, "conclave": 3600.3795335033337, "smcql": None},
+        {"records": 40000, "conclave": 50.80685567933332, "smcql": 738.767744},
+        {"records": 400000, "conclave": 373.09017446333337, "smcql": None},
+        {"records": 4000000, "conclave": 3598.7663320953334, "smcql": None},
     ],
     "7b": [
         {"records": 10, "conclave": 7.064063827333333, "smcql": 10.906843456},
@@ -193,8 +203,8 @@ PINS = {
         },
         {
             "optimization": "hybrid-operators", "records": 30000,
-            "disabled": 22314.245023786007, "enabled": 89.767280878,
-            "speedup": 248.57882299133718,
+            "disabled": 22313.258741786, "enabled": 80.58267008333334,
+            "speedup": 276.89897491248536,
         },
         {
             "optimization": "sort-push-up", "records": 200000, "disabled": 1406.72448064,

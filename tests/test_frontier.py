@@ -67,8 +67,7 @@ class TestPushDown:
         assert len(secondary) == 1
         assert secondary[0].is_mpc
         # The merge step aggregates the partial sums with SUM again.
-        assert secondary[0].func == "sum"
-        assert secondary[0].agg_col == "total"
+        assert secondary[0].outputs == (("sum", "total", "total"),)
 
     def test_count_split_merges_with_sum(self):
         with QueryContext() as ctx:
@@ -78,7 +77,7 @@ class TestPushDown:
             agg.collect("out", to=[PA])
         dag, _, _ = compile_stage_two(ctx)
         secondary = [n for n in dag.topological() if isinstance(n, Aggregate) and n.is_secondary]
-        assert secondary[0].func == "sum"
+        assert secondary[0].outputs == (("sum", "cnt", "cnt"),)
 
     def test_split_requires_cardinality_consent(self):
         with QueryContext() as ctx:
@@ -199,7 +198,7 @@ class TestPushUp:
         clear_counts = [
             n
             for n in dag.topological()
-            if isinstance(n, Aggregate) and n.func == "count" and not n.is_mpc
+            if isinstance(n, Aggregate) and n.funcs == {"count"} and not n.is_mpc
         ]
         assert projects and clear_counts
         assert clear_counts[0].run_at == PA.name

@@ -169,7 +169,7 @@ class TestHybridAggregate:
     def test_sum_matches_cleartext(self, backend, stp):
         table = kv(30, 5, seed=16)
         result = hybrid_aggregate(
-            backend, stp, backend.ingest(table), "key", "value", "sum", "total"
+            backend, stp, backend.ingest(table), "key", [("sum", "value", "total")]
         )
         assert result.reveal().equals_unordered(
             table.aggregate(["key"], "value", "sum", "total")
@@ -178,7 +178,7 @@ class TestHybridAggregate:
     def test_count_matches_cleartext(self, backend, stp):
         table = kv(30, 5, seed=17)
         result = hybrid_aggregate(
-            backend, stp, backend.ingest(table), "key", None, "count", "cnt"
+            backend, stp, backend.ingest(table), "key", [("count", None, "cnt")]
         )
         assert result.reveal().equals_unordered(
             table.aggregate(["key"], None, "count", "cnt")
@@ -187,14 +187,12 @@ class TestHybridAggregate:
     def test_unsupported_function_rejected(self, backend, stp):
         table = kv(5, 2, seed=18)
         with pytest.raises(ValueError):
-            hybrid_aggregate(
-                backend, stp, backend.ingest(table), "key", "value", "mean", "m"
-            )
+            hybrid_aggregate(backend, stp, backend.ingest(table), "key", [("mean", "value", "m")])
 
     def test_empty_input(self, backend, stp):
         schema = Schema([ColumnDef("key"), ColumnDef("value")])
         result = hybrid_aggregate(
-            backend, stp, backend.ingest(Table.empty(schema)), "key", "value", "sum", "t"
+            backend, stp, backend.ingest(Table.empty(schema)), "key", [("sum", "value", "t")]
         )
         assert result.num_rows == 0
 
@@ -202,7 +200,7 @@ class TestHybridAggregate:
         table = kv(40, 6, seed=19)
         handle = backend.ingest(table)
         backend.meter.comparisons = 0
-        hybrid_aggregate(backend, stp, handle, "key", "value", "sum", "total")
+        hybrid_aggregate(backend, stp, handle, "key", [("sum", "value", "total")])
         assert backend.meter.comparisons == 0
 
     def test_cheaper_than_oblivious_aggregation(self):
@@ -210,10 +208,10 @@ class TestHybridAggregate:
         hybrid_backend = SharemindBackend(PARTIES, seed=2)
         helper = SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
         hybrid_aggregate(
-            hybrid_backend, helper, hybrid_backend.ingest(table), "key", "value", "sum", "t"
+            hybrid_backend, helper, hybrid_backend.ingest(table), "key", [("sum", "value", "t")]
         )
         mpc_backend = SharemindBackend(PARTIES, seed=2)
-        mpc_backend.aggregate(mpc_backend.ingest(table), "key", "value", "sum", "t")
+        mpc_backend.aggregate(mpc_backend.ingest(table), "key", [("sum", "value", "t")])
         assert (
             SharemindCostModel().work_seconds(hybrid_backend.meter)
             < SharemindCostModel().work_seconds(mpc_backend.meter)
@@ -223,7 +221,7 @@ class TestHybridAggregate:
         table = kv(20, 4, seed=21)
         leakage = LeakageReport()
         hybrid_aggregate(
-            backend, stp, backend.ingest(table), "key", "value", "sum", "t", leakage
+            backend, stp, backend.ingest(table), "key", [("sum", "value", "t")], leakage
         )
         reveals = leakage.column_reveals_to(STP_NAME)
         assert reveals and reveals[0].columns == ("key",)
@@ -239,7 +237,7 @@ class TestHybridAggregate:
         backend = SharemindBackend(PARTIES, seed=31)
         stp = SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
         result = hybrid_aggregate(
-            backend, stp, backend.ingest(table), "key", "value", "sum", "total"
+            backend, stp, backend.ingest(table), "key", [("sum", "value", "total")]
         )
         assert result.reveal().equals_unordered(
             table.aggregate(["key"], "value", "sum", "total")
@@ -261,7 +259,7 @@ class TestSharedAccumulationScan:
             before = backend.meter.network.wire_rounds
             hybrid_aggregate(
                 backend, SelectivelyTrustedParty(STP_NAME, ColumnarBackend()),
-                handle, "key", "value", "sum", "total",
+                handle, "key", [("sum", "value", "total")],
             )
             wire_rounds.add(backend.meter.network.wire_rounds - before)
         assert len(wire_rounds) == 1
@@ -290,9 +288,9 @@ class TestSharedAccumulationScan:
         backend = SharemindBackend(PARTIES, seed=13)
         stp = SelectivelyTrustedParty(STP_NAME, ColumnarBackend())
         hybrid = hybrid_aggregate(
-            backend, stp, backend.ingest(table), "key", agg_col, func, "out"
+            backend, stp, backend.ingest(table), "key", [(func, agg_col, "out")]
         )
-        oblivious = backend.aggregate(backend.ingest(table), "key", agg_col, func, "out")
+        oblivious = backend.aggregate(backend.ingest(table), "key", [(func, agg_col, "out")])
         assert hybrid.schema == oblivious.schema == expected.schema
         assert hybrid.reveal().equals_unordered(expected)
         assert oblivious.reveal().equals_unordered(expected)
@@ -300,7 +298,7 @@ class TestSharedAccumulationScan:
     def test_twenty_thousand_rows_in_process(self, backend, stp):
         table = kv(20_000, 500, seed=22)
         result = hybrid_aggregate(
-            backend, stp, backend.ingest(table), "key", "value", "sum", "total"
+            backend, stp, backend.ingest(table), "key", [("sum", "value", "total")]
         )
         assert result.reveal().equals_unordered(
             table.aggregate(["key"], "value", "sum", "total")

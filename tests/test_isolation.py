@@ -305,7 +305,7 @@ class TestAggregateKeyOpening:
             shared = SharedTable.from_metadata(
                 engine, self.TABLE.schema, self.TABLE.num_rows, contributor=PARTY_A
             )
-        return sorted(mpc_aggregate(shared, "k", "v", "sum", "total").reveal().rows())
+        return sorted(mpc_aggregate(shared, "k", [("sum", "v", "total")]).reveal().rows())
 
     def test_untampered_aggregate_matches_the_oracle_with_one_key_opening(self):
         engines = sliced_engine_pair(seed=7)

@@ -19,7 +19,7 @@ class TestObliviousMinMax:
         table = uniform_key_value_table(25, 5, seed=61)
         engine = SecretSharingEngine(PARTIES, seed=3)
         shared = SharedTable.from_table(engine, table)
-        result = protocols.mpc_aggregate(shared, "key", "value", func, "m")
+        result = protocols.mpc_aggregate(shared, "key", [(func, "value", "m")])
         expected = table.aggregate(["key"], "value", func, "m")
         assert result.reveal().equals_unordered(expected)
 
@@ -27,7 +27,7 @@ class TestObliviousMinMax:
         table = uniform_key_value_table(10, 1, seed=62)
         engine = SecretSharingEngine(PARTIES, seed=3)
         shared = SharedTable.from_table(engine, table)
-        result = protocols.mpc_aggregate(shared, "key", "value", "max", "m")
+        result = protocols.mpc_aggregate(shared, "key", [("max", "value", "m")])
         assert result.reveal().rows() == table.aggregate(["key"], "value", "max", "m").rows()
 
     def test_unsupported_grouped_function_still_rejected(self):
@@ -35,7 +35,7 @@ class TestObliviousMinMax:
         engine = SecretSharingEngine(PARTIES, seed=3)
         shared = SharedTable.from_table(engine, table)
         with pytest.raises(ValueError):
-            protocols.mpc_aggregate(shared, "key", "value", "median", "m")
+            protocols.mpc_aggregate(shared, "key", [("median", "value", "m")])
 
 
 class TestCompiledMinMaxQueries:
@@ -65,7 +65,7 @@ class TestCompiledMinMaxQueries:
             for n in compiled.dag.topological()
             if n.op_name == "aggregate" and getattr(n, "is_secondary", False)
         ]
-        assert secondary and secondary[0].func == "min"
+        assert secondary and secondary[0].funcs == {"min"}
 
     def test_min_max_never_rewritten_to_hybrid(self):
         schema = [cc.Column("k", trust=[cc.Party("stp.example")]), cc.Column("v")]

@@ -11,6 +11,7 @@ import pytest
 import repro as cc
 from repro.core.config import CompilationConfig
 from repro.core.operators import HybridAggregate, HybridJoin, PublicJoin
+from repro.mpc.secretshare import SecretSharingEngine
 from repro.queries import (
     aspirin_count_query,
     comorbidity_query,
@@ -100,6 +101,48 @@ class TestCreditCardRegulation:
         for bank in (bank_a, bank_b):
             for event in result.leakage.column_reveals_to(bank):
                 assert "ssn" not in event.columns
+
+    def test_one_group_by_is_one_hybrid_aggregation(self, monkeypatch):
+        """The two aggregates by zip are one node: the plan reveals the
+        shuffled zip column to the STP once, takes one hand-back of its
+        sorted order and group boundaries, and opens to the environment
+        only for the first (ssn) join — no join re-aligns two results."""
+        compiled = cc.compile_query(self.spec.context)
+        kinds = [type(n).__name__ for n in compiled.dag.topological()]
+        assert len(kinds) == 8
+        assert kinds.count("HybridJoin") == 1 and kinds.count("HybridAggregate") == 1
+        assert "Join" not in kinds and "Aggregate" not in kinds
+        (agg,) = [n for n in compiled.dag.topological() if isinstance(n, HybridAggregate)]
+        assert agg.outputs == (("sum", "score", "total"), ("count", None, "cnt"))
+
+        stp = self.spec.info["stp"]
+        reveals, layouts = [], []
+        reveal, hand_back = SecretSharingEngine.reveal_to_many, SecretSharingEngine.hand_back
+
+        def watched_reveal(engine, vecs, party):
+            reveals.append((party, [len(vec) for vec in vecs]))
+            return reveal(engine, vecs, party)
+
+        def watched_hand_back(engine, party, payload, layout):
+            layouts.append((party, list(layout)))
+            return hand_back(engine, party, payload, layout)
+
+        monkeypatch.setattr(SecretSharingEngine, "reveal_to_many", watched_reveal)
+        monkeypatch.setattr(SecretSharingEngine, "hand_back", watched_hand_back)
+        runner = cc.QueryRunner(self.spec.parties, self.inputs, seed=3)
+        result = runner.run(compiled)
+        tags = [tag for tag, _, _ in runner.mpc_backend.engine.network.schedule]
+
+        (join_reveal, group_reveal, output_reveal) = reveals
+        n = group_reveal[1][0]
+        assert join_reveal == (stp, [90, 80]) and group_reveal == (stp, [n])
+        assert output_reveal[1] == [result.outputs["avg_scores"].num_rows] * 4
+        # The join's hand-back, then the aggregation's.
+        (_, agg_layout) = [layout for party, layout in layouts if party == stp]
+        assert agg_layout == [(np.int64, n), (bool, n - 1)]
+        assert tags.count("hand-back") == 2
+        assert tags.count("env-open") == 1
+        assert tags.index("env-open") < tags.index("reveal-share", 1)
 
     def test_hybrid_operators_disabled_still_correct(self):
         spec = credit_card_regulation_query(rows_demographics=90, rows_per_agency=40)

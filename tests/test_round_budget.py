@@ -68,9 +68,9 @@ BUDGETS = {
         messages=461, bytes_sent=231152, rounds=153,
     ),
     "credit_hybrid": dict(
-        wire_rounds=14, wire_bytes=28272, multiplications=6649, comparisons=4004,
-        local_ops=1198, shuffled_elements=1901, input_records=784, output_records=808,
-        messages=400, bytes_sent=165144, rounds=135,
+        wire_rounds=8, wire_bytes=19448, multiplications=4843, comparisons=2800,
+        local_ops=899, shuffled_elements=1200, input_records=599, output_records=522,
+        messages=226, bytes_sent=117272, rounds=77,
     ),
 }
 
@@ -118,8 +118,8 @@ MESH_LEDGER = {
         "mpc.a.com": (3106, 15), "mpc.b.com": (3142, 16), "mpc.c.org": (3000, 13),
     },
     "credit_hybrid": {
-        "mpc.bank-a.com": (10708, 16), "mpc.bank-b.cash": (9984, 15),
-        "mpc.ftc.gov": (9220, 19),
+        "mpc.bank-a.com": (7626, 10), "mpc.bank-b.cash": (6902, 9),
+        "mpc.ftc.gov": (5920, 11),
     },
 }
 
