@@ -143,9 +143,9 @@ def compile_query(query: Dag | QueryContext, config: CompilationConfig | None = 
 
     # Stage 5: reduce oblivious operations.
     if config.enable_sort_pushup:
-        report.sorts_pushed_up = push_up_sorts(dag, config)
+        report.sorts_pushed_up = push_up_sorts(dag)
     if config.enable_sort_elimination:
-        report.sorts_eliminated = eliminate_redundant_sorts(dag, config)
+        report.sorts_eliminated = eliminate_redundant_sorts(dag)
 
     # Stage 6: final placement of every operator.
     propagate_ownership(dag)

@@ -145,7 +145,6 @@ def _replace_aggregate(node: Aggregate, stp: str) -> HybridAggregate:
     parent = node.parent
     new_node = HybridAggregate(node.out_rel, parent, node.group_col, node.outputs, stp)
     new_node.is_secondary = node.is_secondary
-    new_node.presorted = node.presorted
     parent.children.remove(node)
     for child in list(node.children):
         child.replace_parent(node, new_node)

@@ -46,9 +46,6 @@ class OpNode:
 
     #: Operator name used in plans, generated code and debug output.
     op_name = "op"
-    #: True for operators that keep rows in their input order (used by the
-    #: sort-elimination pass).
-    order_preserving = False
 
     def __init__(self, out_rel: Relation, parents: Sequence["OpNode"]):
         self.node_id = next(_node_counter)
@@ -124,7 +121,6 @@ class Create(OpNode):
     """An input relation stored at one party (a DAG root)."""
 
     op_name = "create"
-    order_preserving = True
 
     def __init__(self, out_rel: Relation):
         super().__init__(out_rel, [])
@@ -134,7 +130,6 @@ class Collect(OpNode):
     """An output relation revealed to one or more recipient parties (a leaf)."""
 
     op_name = "collect"
-    order_preserving = True
 
     def __init__(self, out_rel: Relation, parent: OpNode, recipients: Sequence[str]):
         super().__init__(out_rel, [parent])
@@ -148,7 +143,6 @@ class Project(OpNode):
     """Column projection / reordering."""
 
     op_name = "project"
-    order_preserving = True
 
     def __init__(self, out_rel: Relation, parent: OpNode, columns: Sequence[str]):
         super().__init__(out_rel, [parent])
@@ -159,7 +153,6 @@ class Filter(OpNode):
     """Row filter against a public scalar constant."""
 
     op_name = "filter"
-    order_preserving = True
 
     def __init__(self, out_rel: Relation, parent: OpNode, column: str, op: str, value: float):
         super().__init__(out_rel, [parent])
@@ -218,7 +211,6 @@ class Map(OpNode):
     """
 
     op_name = "map"
-    order_preserving = True
 
     def __init__(
         self, out_rel: Relation, parent: OpNode, out_name: str, left: str, op: str, right: str | float
@@ -246,7 +238,6 @@ class Compare(OpNode):
     """
 
     op_name = "compare"
-    order_preserving = True
 
     def __init__(
         self, out_rel: Relation, parent: OpNode, out_name: str, left: str, op: str, right: str | float
@@ -266,7 +257,6 @@ class BoolOp(OpNode):
     """Append ``out_name`` combining 0/1 columns with and/or/not."""
 
     op_name = "bool_op"
-    order_preserving = True
 
     def __init__(
         self, out_rel: Relation, parent: OpNode, out_name: str, op: str, operands: Sequence[str]
@@ -309,7 +299,6 @@ class Limit(OpNode):
     """Keep the first ``n`` rows (used with an order-by for top-k queries)."""
 
     op_name = "limit"
-    order_preserving = True
 
     def __init__(self, out_rel: Relation, parent: OpNode, n: int):
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:

@@ -3,9 +3,8 @@
 A :class:`Relation` describes the *output* of one operator node: its name,
 schema, which parties physically store it, which single party (if any) can
 derive it locally ("owner", §5.1), the per-column trust sets derived by
-annotation propagation, and bookkeeping the optimisation passes use (the
-column the relation is sorted by, and row-count statistics for the cost
-estimator).
+annotation propagation, and the row-count estimate the cost estimator
+reads.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ class Relation:
     #: Per-column trust sets (party names; ``"*"`` means public), keyed by
     #: column name.  Filled in by the trust-propagation pass.
     trust: dict[str, frozenset[str]] = field(default_factory=dict)
-    #: Column the relation is known to be sorted by, if any (used by the
-    #: sort-elimination pass, §5.4).
-    sorted_by: str | None = None
     #: Estimated number of rows (used by the plan cost estimator).
     estimated_rows: int | None = None
 
@@ -46,7 +42,6 @@ class Relation:
             stored_with=set(self.stored_with),
             owner=self.owner,
             trust=dict(self.trust),
-            sorted_by=self.sorted_by,
             estimated_rows=self.estimated_rows,
         )
 

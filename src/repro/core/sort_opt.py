@@ -1,125 +1,83 @@
 """Reducing oblivious operations (§5.4).
 
 Oblivious sorts dominate the cost of MPC aggregations and order-bys.  This
-pass tracks, for every intermediate relation, the column it is known to be
-sorted by, and uses that information to
+pass drops a ``SortBy`` whose input is already in that order, and marks an
+MPC aggregation whose input is already grouped by its group column as
+``presorted``, so the backend skips its sorting network.
 
-* drop ``SortBy`` operators whose input is already sorted by the same
-  column, and
-* mark aggregations (and distincts) whose input is already grouped by the
-  group-by column as ``presorted``, so the backends skip their internal
-  sorting network.
-
-Order tracking rules: order-preserving unary operators (project, filter,
-arithmetic, limit) propagate the sort column as long as it survives the
-projection; joins, concats and oblivious shuffles destroy it; sort-based
-operators (sort, aggregation, public join) establish it.
+Only a real sort makes an order: a ``SortBy`` or a ``Merge`` sets
+``(column, ascending)``, and only the operators that neither drop nor move
+rows keep it — ``Project`` while the column survives, ``Map``, ``Compare``,
+``BoolOp`` and ``Limit``.  Every other operator clears it, because no other
+order holds on every engine and at every locus: an MPC filter, aggregation
+or distinct ends in ``compact``, which shuffles the rows, a hash join keeps
+no key order, and a concat interleaves its inputs.
 """
 
 from __future__ import annotations
 
-from repro.core.config import CompilationConfig
 from repro.core.dag import Dag
 from repro.core.operators import (
     Aggregate,
-    Collect,
+    BoolOp,
+    Compare,
     Concat,
-    Create,
-    Distinct,
-    HybridJoin,
-    Join,
     Limit,
+    Map,
     Merge,
     OpNode,
     Project,
-    PublicJoin,
     SortBy,
 )
 from repro.core.propagation import mark_mpc_frontier, propagate_ownership, propagate_trust
 from repro.core.relation import Relation
 
+#: Operators that neither drop nor move rows, so a sorted input stays sorted.
+_KEEP_ORDER = (Map, Compare, BoolOp, Limit)
 
-def eliminate_redundant_sorts(dag: Dag, config: CompilationConfig) -> int:
-    """Annotate sort order through the DAG and drop redundant sorts.
+
+def eliminate_redundant_sorts(dag: Dag) -> int:
+    """Drop redundant sorts and mark MPC aggregations of grouped input.
 
     Returns the number of oblivious sorts eliminated or avoided (dropped
     ``SortBy`` nodes plus aggregations marked ``presorted``).
     """
+    order: dict[OpNode, tuple[str, bool]] = {}
     removed = 0
     for node in dag.topological():
-        if isinstance(node, Create):
-            # Analysts may declare inputs as pre-sorted via the relation.
-            continue
-
-        input_order = node.parents[0].out_rel.sorted_by if node.parents else None
-
+        known = order.get(node.parents[0]) if len(node.parents) == 1 else None
         if isinstance(node, SortBy):
-            if input_order == node.column:
-                # The relation is already in the right order: splice the sort out.
-                parent = node.parent
-                parent.out_rel.sorted_by = node.column
-                node.out_rel.sorted_by = node.column
+            if known == (node.column, node.ascending):
+                # The children adopt the parent, whose order is the same.
                 node.remove_from_dag()
                 removed += 1
-                continue
-            node.out_rel.sorted_by = node.column
-            continue
-
-        if isinstance(node, Aggregate):
-            if node.group_col is not None and input_order == node.group_col and not node.presorted:
+            else:
+                order[node] = (node.column, node.ascending)
+        elif isinstance(node, Merge):
+            order[node] = (node.column, node.ascending)
+        elif type(node) is Aggregate:
+            # Adjacent groups are all the MPC aggregation needs, so either
+            # direction will do; ``hybrid_aggregate`` has the STP sort anyway.
+            if node.is_mpc and known and known[0] == node.group_col:
                 node.presorted = True
                 removed += 1
-            node.out_rel.sorted_by = node.group_col
-            continue
-
-        if isinstance(node, Distinct):
-            node.out_rel.sorted_by = node.columns[0] if node.columns else None
-            continue
-
-        if isinstance(node, Merge):
-            node.out_rel.sorted_by = node.column
-            continue
-
-        if isinstance(node, PublicJoin):
-            # The host joins in the clear and can emit the result ordered by
-            # the join key at no extra cost.
-            node.out_rel.sorted_by = node.left_on
-            continue
-
-        if isinstance(node, (HybridJoin, Join)):
-            # Hybrid joins end with an oblivious shuffle; MPC joins shuffle too.
-            node.out_rel.sorted_by = None
-            continue
-
-        if isinstance(node, Concat):
-            node.out_rel.sorted_by = None
-            continue
-
-        if node.order_preserving:
-            if input_order is not None and input_order in node.out_rel.schema:
-                node.out_rel.sorted_by = input_order
-            else:
-                node.out_rel.sorted_by = None
-            continue
-
-        node.out_rel.sorted_by = None
-
+        elif known and (
+            isinstance(node, _KEEP_ORDER) or isinstance(node, Project) and known[0] in node.columns
+        ):
+            order[node] = known
     return removed
 
 
-def push_up_sorts(dag: Dag, config: CompilationConfig) -> int:
+def push_up_sorts(dag: Dag) -> int:
     """Push oblivious sorts through ``concat`` into per-party cleartext sorts.
 
     The paper sketches this as an extension of §5.4: a sort whose input is a
     concat of singleton-owned relations can be replaced by local sorts at
     each contributing party followed by an oblivious *merge* — O(n log n)
-    multiplications instead of an O(n log^2 n) comparison network.  The
-    rewrite is applied only when ``config.enable_sort_pushup`` is set.
+    multiplications instead of an O(n log^2 n) comparison network.
 
     Returns the number of sorts rewritten.
     """
-    if not config.enable_sort_pushup:
-        return 0
     rewritten = 0
     for sort in list(dag.find(lambda n: isinstance(n, SortBy))):
         if not sort.is_mpc or not sort.parents:

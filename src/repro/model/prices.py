@@ -252,9 +252,15 @@ def completion_seconds(nodes, durations: dict[int, float]) -> float:
     """Completion-time recurrence of a plan's ``nodes`` in topological order
     (a ``Dag`` iterates so), executed or estimated: independent work at
     different parties overlaps, so a node starts when its slowest parent
-    finished."""
+    finished.  The MPC is one computation that runs its nodes one after
+    another, so an MPC node also waits for the previous one."""
     finish: dict[int, float] = {}
+    mpc_free = 0.0
     for node in nodes:
         start = max((finish[p.node_id] for p in node.parents), default=0.0)
+        if node.is_mpc:
+            start = max(start, mpc_free)
         finish[node.node_id] = start + durations.get(node.node_id, 0.0)
+        if node.is_mpc:
+            mpc_free = finish[node.node_id]
     return max(finish.values(), default=0.0)

@@ -57,6 +57,12 @@ hybrid-operator ablation, whose speed-up rises from 249x to 277x. A
 count's column of public ones stopped riding the sort, so Fig. 7a's MPC
 ``distinct`` (a grouped count) moved down at its three largest sizes, by
 up to 1.6 s.
+
+When the completion time began to run MPC nodes one after another (the MPC
+is one computation, so an MPC node starts no earlier than the previous one
+finished), Fig. 7a's ``conclave`` moved up at every size, from +0.01 s at
+10 records to +3 202 s at 4 M: the aspirin plan's two input branches no
+longer overlap.  Fig. 4 and the push-down ablation moved by at most 1e-6 s.
 """
 
 import functools
@@ -118,24 +124,24 @@ PINS = {
     ],
     "4": [
         {
-            "records": 10, "conclave": 9.20668184666667, "sharemind": 2.1657234439999997,
-            "insecure-spark": 9.206679568888887,
+            "records": 10, "conclave": 9.206681946666672, "sharemind": 2.165723844,
+            "insecure-spark": 9.206679668888889,
         },
         {
-            "records": 1000, "conclave": 9.207196346666667, "sharemind": 4.568922226,
-            "insecure-spark": 9.20685106888889,
+            "records": 1000, "conclave": 9.207196446666668, "sharemind": 4.568922626,
+            "insecure-spark": 9.20685116888889,
         },
         {
-            "records": 100000, "conclave": 9.258566346666669, "sharemind": 651.742796186,
-            "insecure-spark": 9.223974402222225,
+            "records": 100000, "conclave": 9.25856644666667, "sharemind": 651.7427965859999,
+            "insecure-spark": 9.223974502222227,
         },
         {
-            "records": 10000000, "conclave": 14.395566346666676, "sharemind": None,
-            "insecure-spark": 10.936307735555557,
+            "records": 10000000, "conclave": 14.39556644666667, "sharemind": None,
+            "insecure-spark": 10.936307835555558,
         },
         {
-            "records": 1300000000, "conclave": 683.7622330133338, "sharemind": None,
-            "insecure-spark": 234.05852995777778,
+            "records": 1300000000, "conclave": 683.7622331133337, "sharemind": None,
+            "insecure-spark": 234.05853005777786,
         },
     ],
     "5a": [
@@ -183,11 +189,11 @@ PINS = {
         {"records": 300000, "conclave": 719.0063372833334, "sharemind": None},
     ],
     "7a": [
-        {"records": 10, "conclave": 15.069983883333332, "smcql": 10.00008},
-        {"records": 1000, "conclave": 15.957688713333336, "smcql": 28.2191936},
-        {"records": 40000, "conclave": 50.80685567933332, "smcql": 738.767744},
-        {"records": 400000, "conclave": 373.09017446333337, "smcql": None},
-        {"records": 4000000, "conclave": 3598.7663320953334, "smcql": None},
+        {"records": 10, "conclave": 15.079988443333335, "smcql": 10.00008},
+        {"records": 1000, "conclave": 16.760144713333336, "smcql": 28.2191936},
+        {"records": 40000, "conclave": 82.82709567933333, "smcql": 738.767744},
+        {"records": 400000, "conclave": 693.2745744633334, "smcql": None},
+        {"records": 4000000, "conclave": 6800.592332095333, "smcql": None},
     ],
     "7b": [
         {"records": 10, "conclave": 7.064063827333333, "smcql": 10.906843456},
@@ -198,8 +204,8 @@ PINS = {
     "ablations": [
         {
             "optimization": "mpc-frontier-push-down", "records": 3000000,
-            "disabled": 32973.690912253995, "enabled": 10.763345096666667,
-            "speedup": 3063.517021531319,
+            "disabled": 32973.690912654, "enabled": 10.763345196666668,
+            "speedup": 3063.516993105983,
         },
         {
             "optimization": "hybrid-operators", "records": 30000,
