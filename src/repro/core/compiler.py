@@ -30,7 +30,7 @@ from repro.core.frontier import push_down, push_up
 from repro.core.hybrid_rewrite import apply_hybrid_operators
 from repro.core.lang import QueryContext
 from repro.core.propagation import mark_mpc_frontier, propagate_ownership, propagate_trust
-from repro.core.sort_opt import eliminate_redundant_sorts, push_up_sorts
+from repro.core.sort_opt import eliminate_redundant_sorts, push_up_sorts, sort_filters_first
 
 
 @dataclass
@@ -122,6 +122,10 @@ def compile_query(query: Dag | QueryContext, config: CompilationConfig | None = 
     dag = copy.deepcopy(query.build_dag() if isinstance(query, QueryContext) else query)
     dag.validate()
     report = CompilationReport()
+
+    # An MPC filter shuffles its rows as it compacts them: filtering before
+    # the sort it follows keeps the sorted order.
+    sort_filters_first(dag)
 
     # Stage 1: propagate input locations / ownership and the initial frontier.
     propagate_ownership(dag)

@@ -12,6 +12,12 @@ rows keep it — ``Project`` while the column survives, ``Map``, ``Compare``,
 order holds on every engine and at every locus: an MPC filter, aggregation
 or distinct ends in ``compact``, which shuffles the rows, a hash join keeps
 no key order, and a concat interleaves its inputs.
+
+For the same reason a top-k must not filter after its sort:
+``sort_filters_first`` rewrites ``filter(sort_by(x))`` into
+``sort_by(filter(x))`` before any other pass.  Both give the same rows in
+the same order, since a filter keeps its rows in their order and the sort
+orders them either way.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from repro.core.operators import (
     BoolOp,
     Compare,
     Concat,
+    Filter,
     Limit,
     Map,
     Merge,
@@ -34,6 +41,42 @@ from repro.core.relation import Relation
 
 #: Operators that neither drop nor move rows, so a sorted input stays sorted.
 _KEEP_ORDER = (Map, Compare, BoolOp, Limit)
+#: Operators that compute each output row from one input row, keeping it.
+_ROW_WISE = (Map, Compare, BoolOp, Project)
+
+
+def sort_filters_first(dag: Dag) -> None:
+    """Rewrite every ``filter(sort_by(x))`` into ``sort_by(filter(x))``.
+
+    The row-wise operators between the two move with the filter when the
+    filter is their only consumer: those that compute a compound filter's
+    mask (``Map``, ``Compare``, ``BoolOp``, which only append a column) and
+    a ``Project`` that keeps the sort column.  A sort with other children
+    keeps serving them; one left without children leaves the plan.
+    """
+    for node in dag.topological():
+        if not isinstance(node, Filter):
+            continue
+        chain = [node]
+        while isinstance(chain[-1].parent, _ROW_WISE) and len(chain[-1].parent.children) == 1:
+            chain.append(chain[-1].parent)
+        top, sort = chain[-1], chain[-1].parent
+        if not isinstance(sort, SortBy) or any(
+            isinstance(n, Project) and sort.column not in n.columns for n in chain
+        ):
+            continue
+        top.replace_parent(sort, sort.parent)
+        if sort.children:
+            name = dag.fresh_name(sort.out_rel.name, "filtered")
+        else:
+            sort.parent.children.remove(sort)
+            sort.parents, name = [], sort.out_rel.name
+        rel = node.out_rel
+        resorted = SortBy(
+            Relation(name, rel.schema, set(rel.stored_with)), node, sort.column, sort.ascending
+        )
+        for child in [c for c in node.children if c is not resorted]:
+            child.replace_parent(node, resorted)
 
 
 def eliminate_redundant_sorts(dag: Dag) -> int:

@@ -43,7 +43,10 @@ Lifecycle and robustness:
   instead of hanging on a dead exchange.
 
 ``agent_main`` is the process entry point of the agents
-:class:`~repro.runtime.pool.AgentPool` forks.
+:class:`~repro.runtime.pool.AgentPool` forks.  An agent holds its own
+party's standing inputs from the fork (copy-on-write, never copied through
+its control link) and zeroes what another party's inputs left on the pages
+it inherited before it does anything else.
 """
 
 from __future__ import annotations
@@ -95,9 +98,13 @@ def retain_heap_top() -> None:
     glibc only: on a C library without a working ``mallopt`` (macOS, musl)
     it does nothing.  These are constants, not options, and only agent
     processes call this — the coordinator is the analyst's own process and
-    keeps its allocator as is.  Every thread's glibc arena keeps its own
-    padded top, which is why ``_serve`` keeps a sequential query stream on
-    one worker thread.
+    keeps its allocator settings as they are.  The pool does trim the
+    coordinator's heap once before each bring-up forks (``malloc_trim``),
+    which is an action, not a setting: it returns the pages the
+    coordinator already freed, so the agents do not inherit them, and
+    changes nothing about how the coordinator allocates afterwards.  Every
+    thread's glibc arena keeps its own padded top, which is why ``_serve``
+    keeps a sequential query stream on one worker thread.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
@@ -222,6 +229,8 @@ def agent_main(
     *,
     nonce: str,
     epoch: int = 0,
+    inputs: dict | None = None,
+    foreign_bytes: tuple = (),
 ) -> None:
     """Process entry point: handshake, mesh setup, then serve queries.
 
@@ -238,7 +247,15 @@ def agent_main(
     every mesh link speak mutually-authenticated TLS: this agent presents
     the ``party`` certificate and requires the coordinator's certificate to
     carry its configured name.
+
+    ``inputs`` are the party's standing input relations, inherited from
+    the pool by ``fork`` and computed on in place.  ``foreign_bytes`` lists
+    the ``(address, length)`` of the other parties' input bytes that share
+    a page with memory the agent inherited; they are zeroed before anything
+    else runs.
     """
+    for address, length in foreign_bytes:
+        ctypes.memset(address, 0, length)
     retain_heap_top()
     # No control link yet: a failed dial can only end the process, whose
     # exit the coordinator's accept watches for.
@@ -281,7 +298,7 @@ def agent_main(
             released_watermark=bundle["released_watermark"], link_keys=keys,
         )
 
-        agent = PartyAgent(party, parties, mesh, session_inputs=bundle.get("inputs"))
+        agent = PartyAgent(party, parties, mesh, session_inputs=inputs)
         send_frame(control, ("ready", None))
         _serve(agent, control, timeout, idle_timeout, max_workers, injector=injector)
     except BaseException as exc:  # noqa: BLE001 - everything must reach the coordinator

@@ -15,9 +15,15 @@ next epoch through the bring-up the session start runs.
 Process hygiene: agent processes are daemonic, tracked in a module-level
 registry (so test fixtures can kill leaks), and reaped when their pool
 closes; every blocking socket operation carries a timeout so a wedged or
-crashed agent surfaces as an error instead of hanging its caller.  On Linux
-no agent maps a page of any party's input (it gets its own in its session
-frame): agents are forked with every input buffer marked ``MADV_DONTFORK``.
+crashed agent surfaces as an error instead of hanging its caller.
+
+Each agent forks holding its own party's standing inputs, which it computes
+on in place, so no relation crosses a control link at bring-up (an input
+that shares a buffer with another party's is first copied out of it).  On
+Linux it holds none of another party's: its fork marks the other parties'
+input buffers ``MADV_DONTFORK`` and hands it their bytes on the pages it
+does map to zero, and the coordinator returns its freed heap to the OS
+first, so the agents inherit live pages only.
 """
 
 from __future__ import annotations
@@ -79,51 +85,118 @@ def active_agent_processes() -> list:
     return [p for p in list(_ACTIVE_PROCESSES) if p.is_alive()]
 
 
-#: Held while a bring-up forks its agents with the input pages marked
-#: ``MADV_DONTFORK``.  A fork from any other thread waits for it in the
+#: Held while a bring-up forks an agent with the other parties' input pages
+#: marked ``MADV_DONTFORK``.  A fork from any other thread waits for it in the
 #: at-fork hook (which runs before logging's and the thread pool's: hooks run
 #: in reverse order of registration) and keeps every page.
 _FORK_WINDOW = threading.RLock()
-_madvise = None
+_madvise = _malloc_trim = None
 if hasattr(mmap, "MADV_DONTFORK"):  # Linux
-    _madvise = ctypes.CDLL(None).madvise
+    _libc = ctypes.CDLL(None)
+    _madvise = _libc.madvise
     _madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
     _madvise.restype = ctypes.c_int
+    # glibc's; other C libraries keep their heap as it is.
+    _malloc_trim = getattr(_libc, "malloc_trim", None)
     os.register_at_fork(
         before=lambda: _FORK_WINDOW.acquire(), after_in_parent=lambda: _FORK_WINDOW.release(),
         after_in_child=lambda: globals().update(_FORK_WINDOW=threading.RLock()),
     )
 
 
-def _input_pages(inputs: dict) -> set[tuple[int, int]]:
-    """``(address, length)`` of the whole pages inside the buffer that owns
-    each column of ``inputs`` (party -> {relation -> Table}); of a pending
-    selection, its source's columns and its flags, left uncopied."""
-    page, spans = mmap.PAGESIZE, set()
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns ``array``'s buffer."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def _input_buffers(inputs: dict) -> set[tuple[int, int]]:
+    """``(address, length)`` of the buffer that owns each column of ``inputs``
+    (party -> {relation -> Table}); of a pending selection, its source's
+    columns and its flags, left uncopied."""
+    buffers = set()
     for table in (t for ts in inputs.values() for t in (ts or {}).values() if isinstance(t, Table)):
         pending = table.pending_selection()
-        for array in (*pending[0].columns(), pending[1]) if pending else table.columns():
-            while isinstance(array.base, np.ndarray):
-                array = array.base
-            start = -(-array.ctypes.data // page) * page
-            end = (array.ctypes.data + array.nbytes) // page * page
-            if array.flags.forc and start < end:
-                spans.add((start, end - start))
-    return spans
+        arrays = (*pending[0].columns(), pending[1]) if pending else table.columns()
+        for array in map(_owner, arrays):
+            if array.flags.forc and array.nbytes:
+                buffers.add((array.ctypes.data, array.nbytes))
+    return buffers
+
+
+def _held_whole(table: Table) -> set[tuple[int, int]]:
+    """The buffers every byte of which is a row of ``table``: those its
+    columns span from end to end (none of a pending selection's)."""
+    if table.pending_selection():
+        return set()
+    owners = [(column, _owner(column)) for column in table.columns()]
+    return {(owner.ctypes.data, owner.nbytes) for column, owner in owners
+            if (column.ctypes.data, column.nbytes) == (owner.ctypes.data, owner.nbytes)}
+
+
+def _copied_out(table: Table) -> Table:
+    """``table``'s rows in buffers of their own (a pending selection's
+    survivors, a slice's rows), leaving ``table`` as it is."""
+    pending = table.pending_selection()
+    if pending:
+        source, flags = pending
+        return Table(table.schema, [column[flags] for column in source.columns()])
+    return Table(table.schema, [column.copy() for column in table.columns()])
+
+
+def _fork_inputs(inputs: dict) -> dict:
+    """The standing inputs each party's agent forks with: ``inputs``, but a
+    table that reaches a buffer another party's input reaches too, without
+    holding all of it (a selection or a slice of a table split across the
+    parties), is copied out of that buffer, which its agent then does not
+    map."""
+    buffers = {party: _input_buffers({party: tables}) for party, tables in inputs.items()}
+    forked = {}
+    for party, tables in inputs.items():
+        shared = set().union(*(b for p, b in buffers.items() if p != party))
+        forked[party] = tables and {
+            name: _copied_out(table) if isinstance(table, Table)
+            and (_input_buffers({party: {name: table}}) & shared) - _held_whole(table) else table
+            for name, table in tables.items()
+        }
+    return forked
+
+
+def _split_at_pages(buffers: set[tuple[int, int]]) -> tuple[set, set]:
+    """The whole pages inside each of ``buffers``, and the buffers' bytes
+    outside them (on pages they share with other memory), as ``(address,
+    length)`` spans."""
+    page, pages, edges = mmap.PAGESIZE, set(), set()
+    for address, length in buffers:
+        start = -(-address // page) * page
+        end = (address + length) // page * page
+        if start < end:
+            pages.add((start, end - start))
+            edges.update(span for span in ((address, start - address),
+                                           (end, address + length - end)) if span[1])
+        else:
+            edges.add((address, length))
+    return pages, edges
 
 
 @contextlib.contextmanager
-def _inputs_left_out(inputs: dict):
-    """A process forked in this block maps no page of ``inputs``: a read of
-    them faults (SIGSEGV) instead of seeing another party's data."""
+def _inputs_left_out(buffers: set[tuple[int, int]]):
+    """A process forked in this block maps no whole page of ``buffers``
+    (a read there faults instead of seeing another party's input); yields
+    the ``(address, length)`` of their bytes left on the pages it does map,
+    which the process zeroes first (:func:`~repro.runtime.agent.agent_main`)."""
     with _FORK_WINDOW:
-        spans = _input_pages(inputs) if _madvise is not None else ()
-        for start, length in spans:
+        if _madvise is None:
+            yield ()
+            return
+        pages, edges = _split_at_pages(buffers)
+        for start, length in pages:
             _madvise(start, length, mmap.MADV_DONTFORK)
         try:
-            yield
+            yield tuple(edges)
         finally:
-            for start, length in spans:
+            for start, length in pages:
                 _madvise(start, length, mmap.MADV_DOFORK)
 
 
@@ -289,8 +362,11 @@ class AgentPool:
         #: reported by each agent on every query completion — for the
         #: session's bytes-on-wire and process metrics.
         self._party_counters: dict[str, dict] = {}
-        #: Standing state every bring-up ships, a restart's included.
+        #: Standing inputs as the session was given them, and as every
+        #: bring-up forks its agents with them, a restart's included: each
+        #: agent holds its own party's (:func:`_fork_inputs`).
         self._inputs = dict(inputs or {})
+        self._forked = _fork_inputs(self._inputs)
         self._faults = faults
         #: Parties reported dead and not yet brought up again.  While
         #: non-empty the pool refuses submissions with the retryable
@@ -328,18 +404,28 @@ class AgentPool:
         listener = bind_listener(self.timeout, self.bind_host)
         procs, socks = {}, {}
         try:
-            # Spawn every agent before accepting any: their start-ups overlap.
+            # The heap the coordinator freed goes back to the OS, so the
+            # agents inherit its live pages only.
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+            # Spawn every agent before accepting any: their start-ups
+            # overlap.  Each forks holding its own party's inputs, which it
+            # computes on in place, and none of the others', nor the
+            # buffers its party's copied-out inputs came from.
+            own = {p: _input_buffers({p: self._forked.get(p)}) for p in self.parties}
+            every = _input_buffers(self._inputs).union(*own.values())
             for party in self.parties:
-                procs[party] = self._ctx.Process(
-                    target=agent_main, name=f"conclave-agent-{party}", daemon=True,
-                    args=(party, self.bind_host, listener.getsockname()[1], self.timeout,
-                          self.security),
-                    kwargs={"nonce": self._nonce, "epoch": epoch},
-                )
-            with _inputs_left_out(self._inputs):
-                for proc in procs.values():
-                    proc.start()
-                    _ACTIVE_PROCESSES.add(proc)
+                with _inputs_left_out(every - own[party]) as foreign_bytes:
+                    procs[party] = self._ctx.Process(
+                        target=agent_main, name=f"conclave-agent-{party}", daemon=True,
+                        args=(party, self.bind_host, listener.getsockname()[1], self.timeout,
+                              self.security),
+                        kwargs={"nonce": self._nonce, "epoch": epoch,
+                                "inputs": self._forked.get(party),
+                                "foreign_bytes": foreign_bytes},
+                    )
+                    procs[party].start()
+                    _ACTIVE_PROCESSES.add(procs[party])
             # A control link's reads wait out its agent's own mesh join,
             # which takes up to ``timeout``.
             socks = accept_agents(
@@ -354,7 +440,6 @@ class AgentPool:
                     "parties": self.parties,
                     "idle_timeout": self.idle_timeout,
                     "max_workers": self.max_workers,
-                    "inputs": self._inputs.get(party, {}),
                     "faults": self._faults.for_party(party) if self._faults else None,
                     "released_watermark": self._last_query_id,
                 }))
@@ -751,7 +836,7 @@ class AgentPool:
         if self._supervisor is not None:
             self._supervisor.stop()
         self._teardown(grace=2.0)
-        self._inputs = {}  # no restart follows: a retained pool pins no input
+        self._inputs = self._forked = {}  # no restart follows: a retained pool pins no input
         if self._on_retire is not None:
             self._on_retire()
 
@@ -791,7 +876,7 @@ class AgentPool:
         # Agents that confirmed shutdown exit on their own; survivors of a
         # broken pool never will, so skip the grace period and terminate.
         self._teardown(grace=0.0 if broken else 5.0)
-        self._inputs = {}  # no restart follows: a closed session pins no input
+        self._inputs = self._forked = {}  # no restart follows: a closed session pins no input
 
     def _close_links(self) -> None:
         for sock in self._connections.values():

@@ -18,11 +18,12 @@ chunks' scratch — ≈ 3 bytes per input row at 500 000 rows, where copying
 the survivors and an 8-byte bucket index per row grew it by ≈ 24.
 
 An agent opens without the other parties' inputs: the pool forks it with
-every standing input buffer marked ``MADV_DONTFORK``, so its ``VmHWM`` at
-open grows with its own input (the copy its session frame delivers) and
-not with theirs — +7.4 MB for 7.6 MB of its own at 3 × 500 000 rows, where
-inheriting every party's pages grew it by ≈ 30 MB.  A closed session keeps
-no party's inputs alive, so agents forked after it do not inherit them.
+the other parties' input buffers marked ``MADV_DONTFORK``, so its ``VmHWM``
+at open grows with its own input (inherited copy-on-write) and not with
+theirs, where inheriting every party's pages grew it by ≈ 30 MB at
+3 × 500 000 rows.  A closed session
+keeps no party's inputs alive, so agents forked after it do not inherit
+them.
 """
 
 import ctypes

@@ -27,12 +27,15 @@ secret sharing *real* rather than replicated theatre:
   output table exists only at the agents of its recipients; across its
   hybrid plans, an agent received exactly the column reveals the leakage
   report makes to its party — a reveal to the STP reaches the STP only;
-* no forked agent maps a page of any party's input buffers, its own
-  included (it computes on the copy its session frame delivered), at
-  session start and after a restart, and a fork from another thread while
-  a session opens keeps every page.
+* a forked agent maps every page of its own party's input buffers, which
+  it computes on in place, and no page of another party's; it reads zeros
+  (or nothing) at every other party's input bytes, those on partial pages
+  included, at session start and after a restart; the session frame
+  carries no relation; and a fork from another thread while a session
+  opens keeps every page.
 """
 
+import errno
 import mmap
 import multiprocessing
 import os
@@ -74,6 +77,7 @@ from repro.runtime.wire import (
     send_mesh_frame,
 )
 from repro.workloads import TaxiWorkload
+from repro.workloads.generators import split_across_parties
 
 from test_differential import (
     NUM_PLANS,
@@ -1064,15 +1068,37 @@ def _mapped(pid: int) -> list[tuple[int, int]]:
         return [tuple(int(end, 16) for end in line.split()[0].split("-")) for line in maps]
 
 
-def _assert_no_agent_maps(spans) -> None:
-    agents = active_agent_processes()
-    assert agents
-    for proc in agents:
-        overlaps = [
-            (hex(lo), hex(hi)) for lo, hi in _mapped(proc.pid)
-            for start, end in spans if lo < end and start < hi
-        ]
-        assert not overlaps, f"agent {proc.name} maps input pages at {overlaps}"
+def _unmapped_part(span, mapped) -> list[tuple[int, int]]:
+    """The parts of ``span`` no range of ``mapped`` covers."""
+    start, end = span
+    holes = []
+    for lo, hi in sorted(mapped):
+        if hi <= start or lo >= end:
+            continue
+        if lo > start:
+            holes.append((start, lo))
+        start = max(start, hi)
+    return holes + ([(start, end)] if start < end else [])
+
+
+def _assert_each_agent_maps_its_own_input_only(session, spans) -> None:
+    """Every agent maps every page of its own party's input (``spans``:
+    party -> ``[start, end)`` of its columns' whole pages) and none of
+    another party's."""
+    processes = session._pool._processes
+    assert sorted(processes) == sorted(spans)
+    for party, proc in processes.items():
+        mapped = _mapped(proc.pid)
+        for owner, owned in spans.items():
+            if owner == party:
+                holes = [_unmapped_part(span, mapped) for span in owned]
+                assert not any(holes), f"agent {proc.name} misses own input pages at {holes}"
+            else:
+                overlaps = [
+                    (hex(lo), hex(hi)) for lo, hi in mapped
+                    for start, end in owned if lo < end and start < hi
+                ]
+                assert not overlaps, f"agent {proc.name} maps {owner}'s input pages at {overlaps}"
 
 
 def _assert_same_result(result, reference) -> None:
@@ -1081,26 +1107,33 @@ def _assert_same_result(result, reference) -> None:
     assert result.leakage.events == reference.leakage.events
 
 
+def _restart_every_agent(session, party) -> None:
+    """Kill ``party``'s agent and wait until the supervisor brought the
+    mesh up again."""
+    restarts = session.stats["restarts"]
+    session._pool._processes[party].kill()
+    deadline = time.monotonic() + 60
+    while session.stats["restarts"] <= restarts and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert session._pool.wait_recovered(60)
+
+
 @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTFORK"), reason="MADV_DONTFORK is Linux's")
-def test_no_agent_maps_a_page_of_any_input():
-    """Each forked agent starts with none of the inputs' pages mapped — no
-    other party's, and not its own, whose session-frame copy it computes
-    on — and so does every agent a restart brings up.  Results stay
+def test_no_agent_maps_a_page_of_another_partys_input():
+    """Each forked agent starts with none of the other parties' input
+    pages mapped, and every page of its own, which it computes on in place
+    — and so does every agent a restart brings up.  Results stay
     byte-identical to the in-process runner."""
     spec, inputs = _taxi_session_inputs(FENCE_ROWS)
-    spans = _column_pages(inputs)
+    spans = {party: _column_pages({party: tables}) for party, tables in inputs.items()}
     compiled = cc.compile_query(spec.context)
     reference = cc.QueryRunner(spec.parties, inputs, seed=5).run(compiled)
     restart = cc.RestartPolicy(backoff_seconds=0.05, heartbeat_interval_seconds=None)
     with cc.QuerySession(spec.parties, inputs=inputs, seed=5, restart=restart) as session:
-        _assert_no_agent_maps(spans)
+        _assert_each_agent_maps_its_own_input_only(session, spans)
         _assert_same_result(session.submit(compiled), reference)
-        session._pool._processes[spec.parties[1]].kill()
-        deadline = time.monotonic() + 60
-        while session.stats["restarts"] < 1 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert session._pool.wait_recovered(60)
-        _assert_no_agent_maps(spans)
+        _restart_every_agent(session, spec.parties[1])
+        _assert_each_agent_maps_its_own_input_only(session, spans)
         _assert_same_result(session.submit(compiled), reference)
 
 
@@ -1108,16 +1141,179 @@ def test_no_agent_maps_a_page_of_any_input():
 def test_no_agent_maps_the_buffer_behind_a_selected_or_sliced_input():
     """The pages left out are those of the buffer that owns each column: a
     standing input that is a pending selection, or a slice of a larger
-    table, keeps every page of the whole table out of the agents."""
+    table, keeps every page of the whole table out of the other parties'
+    agents."""
     spec, inputs = _taxi_session_inputs(FENCE_ROWS)
-    spans = _column_pages(inputs)
+    spans = {party: _column_pages({party: tables}) for party, tables in inputs.items()}
     first, second = spec.parties[:2]
     (name, table), = inputs[first].items()
     inputs[first][name] = table.select_rows(table.columns()[0] % 2 == 0)
     (name, table), = inputs[second].items()
     inputs[second][name] = table.limit(FENCE_ROWS // 2)
-    with cc.QuerySession(spec.parties, inputs=inputs, seed=5):
-        _assert_no_agent_maps(spans)
+    with cc.QuerySession(spec.parties, inputs=inputs, seed=5) as session:
+        _assert_each_agent_maps_its_own_input_only(session, spans)
+
+
+def _inputs_without_zeros(rows: int, split: bool = False):
+    """The taxi query's inputs with every value shifted off zero, so a read
+    of an input element that gives zero bytes read no input; with
+    ``split``, each party's is a pending selection of one table whose rows
+    ``split_across_parties`` dealt to the parties."""
+    spec = market_concentration_query(rows_per_party=rows)
+    tables = TaxiWorkload(seed=1).party_tables(len(spec.parties), rows)
+    tables = [cc.Table(t.schema, [column + 1 for column in t.columns()]) for t in tables]
+    assert all(column.all() for t in tables for column in t.columns())
+    if split:
+        tables = split_across_parties(tables[0].concat(*tables[1:]), len(spec.parties), seed=3)
+        assert all(t.pending_selection() for t in tables)
+    return spec, {p: {f"trips_{i}": tables[i]} for i, p in enumerate(spec.parties)}
+
+
+def _read_memory(pid: int, address: int, length: int) -> bytes | None:
+    """``length`` bytes at ``address`` in process ``pid``, or ``None`` where
+    it maps nothing (the read fails with EIO)."""
+    with open(f"/proc/{pid}/mem", "rb", buffering=0) as memory:
+        memory.seek(address)
+        try:
+            return memory.read(length)
+        except OSError as exc:
+            if exc.errno != errno.EIO:
+                raise
+            return None
+
+
+def _row_elements(table) -> list[np.ndarray]:
+    """One-element views of each column of ``table`` at its first and last
+    row, where those rows lie (for a pending selection, in its source)."""
+    pending = table.pending_selection()
+    if pending:
+        source, flags = pending
+        rows = np.flatnonzero(flags)[[0, -1]]
+        return [column[i:i + 1] for column in source.columns() for i in rows]
+    return [element for column in table.columns() for element in (column[:1], column[-1:])]
+
+
+def _assert_no_agent_reads_another_partys_input(session, inputs) -> None:
+    """Every agent reads its own party's first and last rows as they are in
+    the inputs it forked with, and zero bytes, or nothing, at those of
+    every other party's, both where the session was given them and where
+    the pool copied them out of a buffer two parties reach."""
+    forked = session._pool._forked
+    for party, proc in session._pool._processes.items():
+        for owner, tables in inputs.items():
+            held = [e for table in forked[owner].values() for e in _row_elements(table)]
+            given = [e for table in tables.values() for e in _row_elements(table)]
+            for element in held if owner == party else held + given:
+                read = _read_memory(proc.pid, element.ctypes.data, element.nbytes)
+                if owner == party:
+                    assert read == element.tobytes(), (proc.name, owner)
+                else:
+                    assert read in (None, bytes(element.nbytes)), (proc.name, owner, read)
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTFORK"), reason="MADV_DONTFORK is Linux's")
+@pytest.mark.parametrize("split", [False, True], ids=["apart", "split"])
+@pytest.mark.parametrize("rows", [50, FENCE_ROWS])
+def test_no_agent_reads_a_byte_of_another_partys_input(rows, split):
+    """Not even the bytes on the pages an input buffer shares with other
+    memory: at 50 rows no column fills a page, and at 200 000 each column's
+    first and last pages are partial.  An agent zeroes the other parties'
+    bytes there before anything else, at open and after a restart, and
+    computes the same results.  When the parties' inputs are selections of
+    one table (``split``), every party's input reaches one source buffer
+    that holds every party's rows: each agent forks with its own rows
+    copied out of it, and the source is left out of every agent.  The
+    in-process runner runs on inputs of its own, since it copies a pending
+    selection's rows out as it reads them."""
+    spec, inputs = _inputs_without_zeros(rows, split)
+    compiled = cc.compile_query(spec.context)
+    _, own_inputs = _inputs_without_zeros(rows, split)
+    reference = cc.QueryRunner(spec.parties, own_inputs, seed=5).run(compiled)
+    restart = cc.RestartPolicy(backoff_seconds=0.05, heartbeat_interval_seconds=None)
+    with cc.QuerySession(spec.parties, inputs=inputs, seed=5, restart=restart) as session:
+        _assert_no_agent_reads_another_partys_input(session, inputs)
+        _assert_same_result(session.submit(compiled), reference)
+        _restart_every_agent(session, spec.parties[1])
+        _assert_no_agent_reads_another_partys_input(session, inputs)
+        _assert_same_result(session.submit(compiled), reference)
+    assert all(bool(t.pending_selection()) == split for ts in inputs.values() for t in ts.values())
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTFORK"), reason="MADV_DONTFORK is Linux's")
+def test_a_buffer_two_parties_hold_stays_with_both_agents():
+    """A table two parties both hold is each one's own input: neither agent
+    has its pages left out or its bytes zeroed."""
+    spec, inputs = _taxi_session_inputs(2_000)
+    first, second = spec.parties[:2]
+    (table,) = inputs[first].values()
+    (name,) = inputs[second]
+    inputs[second][name] = table
+    compiled = cc.compile_query(spec.context)
+    with cc.QuerySession(spec.parties, inputs=inputs, seed=5) as session:
+        _assert_same_result(session.submit(compiled),
+                            cc.QueryRunner(spec.parties, inputs, seed=5).run(compiled))
+
+
+def test_an_input_sharing_a_buffer_it_does_not_span_is_copied_out():
+    """A party that holds a whole table keeps it; a slice and a selection
+    of it that other parties hold are copied out of its buffers, with the
+    same rows, and the inputs as given are left as they are."""
+    from repro.runtime.pool import _fork_inputs, _input_buffers
+
+    spec, inputs = _taxi_session_inputs(2_000)
+    first, second, third = spec.parties
+    (name, table), = inputs[first].items()
+    inputs[second] = {"sliced": table.limit(1_500)}
+    inputs[third] = {"selected": table.select_rows(table.columns()[1] % 3 != 0)}
+    forked = _fork_inputs(inputs)
+    assert forked[first][name] is table
+    assert forked[second]["sliced"] == inputs[second]["sliced"]
+    assert inputs[third]["selected"].pending_selection() is not None
+    assert forked[third]["selected"].pending_selection() is None
+    assert forked[third]["selected"] == inputs[third]["selected"]
+    for party in (second, third):
+        assert not _input_buffers({party: forked[party]}) & _input_buffers({first: inputs[first]})
+
+
+def test_the_session_frame_carries_no_relation(monkeypatch):
+    """An agent holds its own inputs from the fork: the session frame is
+    the same size over 1 000 and 200 000 standing rows per party."""
+    from repro.runtime import pool
+
+    sizes = []
+
+    def recording_send(sock, frame):
+        if frame[0] == "session":
+            sizes.append(len(encode_frame(frame)))
+        send_frame(sock, frame)
+
+    monkeypatch.setattr(pool, "send_frame", recording_send)
+    for rows in (1_000, FENCE_ROWS):
+        spec, inputs = _taxi_session_inputs(rows)
+        with cc.QuerySession(spec.parties, inputs=inputs, seed=5):
+            pass
+    assert len(sizes) == 2 * len(spec.parties)
+    assert sizes[:len(spec.parties)] == sizes[len(spec.parties):]
+
+
+@pytest.mark.parametrize("push_down", [True, False])
+def test_sessions_compute_on_a_selected_and_a_sliced_standing_input(push_down):
+    """An agent computes on its inherited standing input as it is: a
+    pending selection (not copied out at the coordinator, since no other
+    party's input shares its buffer) and a slice of a larger table give
+    the in-process runner's outputs, MPC profile and leakage."""
+    spec, inputs = _taxi_session_inputs(2_000)
+    first, second = spec.parties[:2]
+    (name, table), = inputs[first].items()
+    selected = inputs[first][name] = table.select_rows(table.columns()[1] % 3 != 0)
+    (name, table), = inputs[second].items()
+    inputs[second][name] = table.limit(1_500)
+    config = CompilationConfig(enable_push_down=push_down)
+    compiled = cc.compile_query(spec.context, config)
+    with cc.QuerySession(spec.parties, inputs=inputs, config=config, seed=5) as session:
+        result = session.submit(compiled)
+    assert selected.pending_selection() is not None
+    _assert_same_result(result, cc.QueryRunner(spec.parties, inputs, seed=5).run(compiled))
 
 
 def _column_sum(inputs) -> int:

@@ -9,13 +9,14 @@ compiled with ``enable_sort_elimination=False`` plus a direct ``Table``
 computation.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro as cc
 from repro.core.config import CompilationConfig
 from repro.core.lang import QueryContext
-from repro.core.operators import Aggregate, HybridAggregate, SortBy
+from repro.core.operators import Aggregate, Filter, HybridAggregate, SortBy
 from repro.data.schema import ColumnDef, Schema
 from repro.data.table import Table
 
@@ -131,12 +132,15 @@ class TestSortElimination:
         assert agg.presorted
 
     def test_filter_clears_sort_information(self):
+        # The limit keeps the filter after the sort (``sort_filters_first``
+        # moves a filter only through row-wise operators); it cuts no row.
         def build(ctx):
             t1 = ctx.new_table("t1", KV, at=PA)
             t2 = ctx.new_table("t2", KV, at=PB)
             chained = (
                 ctx.concat([t1, t2])
                 .sort_by("k")
+                .limit(len(T1) + len(T2))
                 .filter(cc.col("v") > 2)
                 .project(["k", "v"])
                 .aggregate(group=["k"], aggs={"total": cc.SUM("v")})
@@ -229,6 +233,74 @@ class TestOnlySortsSetOrder:
         assert sorted(on) == sorted(off) == expected
 
 
+class TestFiltersRunBeforeSorts:
+    """A filter that follows a sort runs before it: an MPC filter's
+    compaction shuffles its rows, so a top-k taken after it returned
+    arbitrary rows under the default config.  ``v`` is unique across ``a``
+    and ``b`` (:data:`FENCE_INPUTS`), so every expected row list is exact."""
+
+    @staticmethod
+    def run(build, config):
+        with QueryContext() as ctx:
+            build(ctx)
+        return cc.run_query(ctx, FENCE_INPUTS, config, seed=5).outputs
+
+    @staticmethod
+    def both():
+        return FENCE_INPUTS[PA.name]["a"].concat(FENCE_INPUTS[PB.name]["b"])
+
+    @pytest.mark.parametrize("push_down", [True, False])
+    @pytest.mark.parametrize("eliminate", [True, False])
+    def test_a_top_k_whose_filter_follows_its_sort(self, push_down, eliminate):
+        def build(ctx):
+            a, b = ctx.new_table("a", KV, at=PA), ctx.new_table("b", KV, at=PB)
+            ctx.concat([a, b]).sort_by("v").filter(cc.col("k") > 0).limit(4).collect("out", to=[PA])
+
+        config = CompilationConfig(enable_push_down=push_down, enable_sort_elimination=eliminate)
+        compiled = compile_query(build, config)
+        assert not [n for n in compiled.dag.topological()
+                    if isinstance(n, Filter) and isinstance(n.parent, SortBy)]
+        expected = self.both().filter("k", ">", 0).sort_by(["v"]).limit(4).rows()
+        assert self.run(build, config)["out"].rows() == expected
+
+    def test_a_compound_filter_and_a_projection_move_with_it(self):
+        def build(ctx):
+            a, b = ctx.new_table("a", KV, at=PA), ctx.new_table("b", KV, at=PB)
+            (ctx.concat([a, b]).sort_by("v", ascending=False).project(["v", "k"])
+             .filter(cc.col("k") + cc.col("v") > 6).limit(5).collect("out", to=[PA]))
+
+        expected = (self.both().filter_predicate(lambda row: row[0] + row[1] > 6)
+                    .sort_by(["v"], ascending=False).project(["v", "k"]).limit(5).rows())
+        for push_down in (True, False):
+            assert self.run(build, CompilationConfig(enable_push_down=push_down))["out"].rows() == expected
+
+    def test_a_sort_with_other_children_keeps_serving_them(self):
+        def build(ctx):
+            a, b = ctx.new_table("a", KV, at=PA), ctx.new_table("b", KV, at=PB)
+            ordered = ctx.concat([a, b]).sort_by("v")
+            ordered.filter(cc.col("k") > 1).limit(3).collect("top", to=[PA])
+            ordered.limit(3).collect("first", to=[PA])
+
+        compiled = compile_query(build)
+        assert len([n for n in compiled.dag.topological() if isinstance(n, SortBy)]) == 2
+        outputs = self.run(build, CompilationConfig())
+        assert outputs["top"].rows() == self.both().filter("k", ">", 1).sort_by(["v"]).limit(3).rows()
+        assert outputs["first"].rows() == self.both().sort_by(["v"]).limit(3).rows()
+
+    def test_the_aggregation_after_a_moved_filter_is_presorted(self):
+        def build(ctx):
+            t1 = ctx.new_table("t1", KV, at=PA)
+            t2 = ctx.new_table("t2", KV, at=PB)
+            (ctx.concat([t1, t2]).sort_by("k").filter(cc.col("v") > 2).project(["k", "v"])
+             .aggregate(group=["k"], aggs={"total": cc.SUM("v")}).collect("out", to=[PA]))
+
+        config = CompilationConfig(enable_push_down=False)
+        agg = [n for n in compile_query(build, config).dag.topological() if isinstance(n, Aggregate)]
+        assert agg[0].presorted
+        on, off = run_both(build)
+        assert sorted(on) == sorted(off) == grouped(T1.concat(T2).filter("v", ">", 2), "k", [("sum", "v")])
+
+
 # -- generated pipelines -----------------------------------------------------------------------
 
 #: ``v`` is unique across both parties, so a sort on it is a total order and
@@ -248,17 +320,24 @@ def pipelines(draw):
     """Up to four steps over ``concat(a, b)``, optionally ending in a sort:
     each step is ``(name, args)`` and applies to the columns present."""
     columns, unique, steps = ["k", "v"], {"v"}, []
+    #: Whether the rows are in a total order: a sort on a unique column
+    #: followed by filters only.
+    ordered = False
     for _ in range(draw(st.integers(1, 4))):
         # Sorts are drawn twice as often as any other step: only a pipeline
         # with a sort gives the pass anything to do.
         choices = ["sort", "sort", "filter", "project", "with_column"]
         if "k" in columns:
             choices += ["aggregate", "distinct"] + (["join"] if "w" not in columns else [])
-        if steps and steps[-1][0] == "sort" and steps[-1][1][0] in unique:
-            choices.append("limit")
-        kind = draw(st.sampled_from(choices))
+        # A total order is what a limit needs: draw one (or another
+        # filter before it) about every other time there is one.
+        if ordered and draw(st.booleans()):
+            kind = draw(st.sampled_from(["limit", "filter"]))
+        else:
+            kind = draw(st.sampled_from(choices))
         if kind == "sort":
-            args = (draw(st.sampled_from(columns)), draw(st.booleans()))
+            # Listed first, a unique column is drawn about as often as the rest.
+            args = (draw(st.sampled_from(sorted(unique) + columns)), draw(st.booleans()))
         elif kind == "filter":
             args = (draw(st.sampled_from(columns)), draw(st.integers(0, 8)))
         elif kind == "project":
@@ -284,6 +363,7 @@ def pipelines(draw):
             columns = columns + ["w"]
             args = ()
         steps.append((kind, args))
+        ordered = kind == "sort" and args[0] in unique or kind == "filter" and ordered
     if draw(st.booleans()):
         steps.append(("sort", (draw(st.sampled_from(columns)), draw(st.booleans()))))
     return steps
@@ -334,3 +414,45 @@ def test_generated_pipelines_match_the_plan_without_elimination(steps):
         if steps[-1][0] == "sort":
             position = on.schema.names.index(steps[-1][1][0])
             assert [row[position] for row in on.rows()] == [row[position] for row in off.rows()]
+
+
+def table_pipeline(steps) -> Table:
+    """``steps`` computed directly on the ``Table``s of :data:`FENCE_INPUTS`."""
+    rel = FENCE_INPUTS[PA.name]["a"].concat(FENCE_INPUTS[PB.name]["b"])
+    for kind, args in steps:
+        if kind == "sort":
+            rel = rel.sort_by([args[0]], ascending=args[1])
+        elif kind == "filter":
+            rel = rel.filter(args[0], ">", args[1])
+        elif kind == "project":
+            rel = rel.project(args[0])
+        elif kind == "with_column":
+            rel = rel.with_column(args[0], rel.column(args[1]) + 1)
+        elif kind == "limit":
+            rel = rel.limit(args[0])
+        elif kind == "aggregate":
+            func, over = args
+            rel = rel.aggregate(["k"], over, func, "x")
+        elif kind == "distinct":
+            rel = rel.distinct(["k"])
+        else:
+            rel = rel.join(FENCE_INPUTS[PA.name]["d"], ["k"], ["k"])
+    return rel
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(steps=pipelines())
+def test_generated_pipelines_match_a_direct_table_computation(steps):
+    """A ``limit`` is drawn only where a sort on a unique column, and
+    filters after it, fix which rows it keeps."""
+    with QueryContext() as ctx:
+        build_pipeline(ctx, steps)
+    expected = table_pipeline(steps)
+    for push_down in (True, False):
+        out = cc.run_query(ctx, FENCE_INPUTS, CompilationConfig(enable_push_down=push_down),
+                           seed=5).outputs["out"]
+        assert out.schema.names == expected.schema.names
+        assert sorted(out.rows()) == sorted(expected.rows())
+        if steps[-1][0] == "sort":
+            position = out.schema.names.index(steps[-1][1][0])
+            assert [row[position] for row in out.rows()] == [row[position] for row in expected.rows()]
